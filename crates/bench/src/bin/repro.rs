@@ -1,932 +1,531 @@
-//! `repro` — regenerates every table and figure of the paper.
-//!
-//! ```text
-//! repro all                 # everything, paper protocol (120 runs)
-//! repro table1              # machine inventory
-//! repro fig1|fig8|fig10     # topology diagrams
-//! repro fig2|fig9|fig11     # sub-activity breakdowns
-//! repro fig3..fig7          # per-site discovery time stats
-//! repro fig12               # multicast-only discovery
-//! repro fig13|fig14         # security costs
-//! repro ablation-timeout | ablation-maxresp | ablation-weights
-//! repro ablation-scale | ablation-loss | ablation-clock
-//! repro check               # self-verify every qualitative claim (exit 1 on failure)
-//! repro trace               # message-flow trace of one discovery
-//! repro bench               # perf baseline: figure suite serial vs parallel plus the
-//!                           # intra-run shard-scaling A/B, writes BENCH_discovery.json
-//!                           # (see --bench-json/--workers); hard-fails if the sharded
-//!                           # engine's digests diverge across worker counts
-//! repro shards              # the shard-scaling gate alone: times the sharded engine at
-//!                           # 1/2/4 intra-run workers, exit 1 unless every worker count
-//!                           # produces byte-identical digests (speedup recorded, not gated)
-//! repro chaos               # seeded fault-injection campaign (scripted BDN state-loss
-//!                           # restart + randomized scenarios), writes CHAOS_campaign.json
-//!                           # (see --scenarios/--chaos-json); exit 1 if any invariant fails
-//! repro federation          # seeded anti-entropy campaign over three federated BDNs
-//!                           # (scripted n-1 BDN loss + stale-replica rejoin + randomized
-//!                           # scenarios), writes BENCH_federation.json (see
-//!                           # --scenarios/--federation-json); exit 1 if any invariant fails
-//! repro lint                # nb-lint static analysis (determinism + protocol-safety
-//!                           # rules D001–D011 and wire-conformance W001–W004), writes
-//!                           # LINT_report.json (see --lint-json); exit 1 on new findings
-//! repro lint --rules        # print the machine-readable rule table and exit
-//! repro routing             # routing micro-bench: trie+memo vs linear-scan oracle at
-//!                           # 1e3/1e4/1e5 filters, writes BENCH_routing.json (see
-//!                           # --routing-json); with --min-speedup X, exit 1 unless the
-//!                           # trie is ≥ Xx (and memo-warm ≥ 10x) at 1e4 filters
-//! repro codec               # codec micro-bench: header peek vs full decode, byte
-//!                           # forwarding vs re-encode, allocations per fan-out delivery,
-//!                           # writes BENCH_codec.json (see --codec-json); with
-//!                           # --min-peek-speedup / --min-forward-speedup, exit 1 when
-//!                           # the zero-copy path falls below either gate
-//! repro scale               # seeded WAN scale campaign: generated topologies at
-//!                           # 1e2–1e3 brokers / 1e3–1e5 entities through the sharded
-//!                           # engine (discovery → attach → pub/sub steady state) plus
-//!                           # the slab A/B columns, writes BENCH_scale.json (see
-//!                           # --tier small|large|all, --scale-json, --workers); the
-//!                           # JSON is byte-identical at any worker count; gates:
-//!                           # --min-events-per-sec, --max-bytes-per-entity,
-//!                           # --min-ab-speedup (≥2 of 3 A/B columns must clear it);
-//!                           # --brokers/--entities/--topology define one custom tier
-//! repro all --runs 30 --seed 7    # faster smoke reproduction
-//! repro all --csv out/            # also write machine-readable CSVs
-//! ```
+//! `repro` — regenerates every table and figure of the paper and runs
+//! the seed-pure campaigns (`chaos`, `federation`, `scale`, `lint`).
+//! `repro help` prints the command table ([`COMMANDS`]) and the flags.
+
+use std::path::PathBuf;
 
 use nb_bench::*;
 use nb_broker::TopologyKind;
 
-/// Counts allocations so `repro codec` can report allocations per
-/// delivered copy. Library tests run without it (their per-delivery
-/// numbers read 0 and are flagged `alloc_counting: false`).
+/// Tracks live heap bytes for `repro scale`'s memory-per-entity column.
+/// Library tests run without it (the column reads 0 and is flagged
+/// `alloc_counting: false`).
 #[global_allocator]
-static ALLOC: nb_bench::codec::CountingAlloc = nb_bench::codec::CountingAlloc;
+static ALLOC: nb_bench::alloc::CountingAlloc = nb_bench::alloc::CountingAlloc;
 
 struct Args {
     cmd: String,
     runs: usize,
     seed: u64,
-    csv: Option<std::path::PathBuf>,
-    bench_json: std::path::PathBuf,
-    threads: Option<usize>,
+    csv: Option<PathBuf>,
+    out: Option<PathBuf>,
+    workers: Option<usize>,
     scenarios: usize,
-    chaos_json: std::path::PathBuf,
-    federation_json: std::path::PathBuf,
-    lint_json: std::path::PathBuf,
-    routing_json: std::path::PathBuf,
-    min_speedup: Option<f64>,
-    codec_json: std::path::PathBuf,
-    min_peek_speedup: Option<f64>,
-    min_forward_speedup: Option<f64>,
-    min_bytes_reduction: Option<f64>,
-    lint_rules: bool,
+    rules: bool,
     tier: String,
-    scale_json: std::path::PathBuf,
-    min_events_per_sec: Option<f64>,
-    max_bytes_per_entity: Option<u64>,
-    min_ab_speedup: Option<f64>,
     brokers: Option<usize>,
     entities: Option<usize>,
     topology: Option<String>,
 }
 
-fn parse_args() -> Args {
+const FLAGS: &str = "  --runs N         runs per experiment (default 120, the paper protocol)
+  --seed N         root seed (default 2005)
+  --csv DIR        also write machine-readable CSVs of the figures into DIR
+  --out PATH       where a report-writing command puts its JSON
+  --workers N      worker threads (chaos, federation, scale); never changes a report byte
+  --scenarios N    campaign scenarios (chaos, federation; default 10)
+  --rules          lint: print the machine-readable rule table and exit
+  --tier T         scale: small|large|all (default all)
+  --brokers N, --entities N, --topology star|linear|geo|isp
+                   scale: one custom tier instead of --tier";
+
+/// One `repro` sub-command. `out` is the default `--out` of a command
+/// that writes a JSON report, `None` for one that only prints.
+struct Command {
+    name: &'static str,
+    help: &'static str,
+    out: Option<&'static str>,
+    run: fn(&str, &Args),
+}
+
+const fn cmd(name: &'static str, help: &'static str, run: fn(&str, &Args)) -> Command {
+    Command { name, help, out: None, run }
+}
+
+const fn report(
+    name: &'static str,
+    help: &'static str,
+    out: &'static str,
+    run: fn(&str, &Args),
+) -> Command {
+    Command { name, help, out: Some(out), run }
+}
+
+const COMMANDS: &[Command] = &[
+    cmd("help", "this listing", print_help),
+    cmd("all", "every table, figure and ablation below, in paper order", run_all),
+    cmd("table1", "machine inventory", run_table1),
+    cmd("fig1", "unconnected topology diagram", run_topology_figure),
+    cmd("fig2", "sub-activity breakdown, unconnected topology", run_breakdown),
+    cmd("fig3", "discovery time, client at FSU", run_site_times),
+    cmd("fig4", "discovery time, client at Cardiff", run_site_times),
+    cmd("fig5", "discovery time, client at UMN", run_site_times),
+    cmd("fig6", "discovery time, client at NCSA", run_site_times),
+    cmd("fig7", "discovery time, client at Bloomington", run_site_times),
+    cmd("fig8", "star topology diagram", run_topology_figure),
+    cmd("fig9", "sub-activity breakdown, star topology", run_breakdown),
+    cmd("fig10", "linear topology diagram", run_topology_figure),
+    cmd("fig11", "sub-activity breakdown, linear topology", run_breakdown),
+    cmd("fig12", "multicast-only discovery", run_multicast),
+    cmd("fig13", "certificate validation cost (host wall clock)", run_security),
+    cmd("fig14", "sign+encrypt+extract cost (host wall clock)", run_security),
+    cmd("ablation-timeout", "collection-timeout sweep", run_ablation_timeout),
+    cmd("ablation-maxresp", "max-responses cap sweep", run_ablation_maxresp),
+    cmd("ablation-weights", "selection-weight presets", run_ablation_weights),
+    cmd("ablation-scale", "broker-count scaling", run_ablation_scale),
+    cmd("ablation-loss", "UDP loss sensitivity", run_ablation_loss),
+    cmd("ablation-clock", "NTP residual sensitivity", run_ablation_clock),
+    cmd("ablation-topology", "overlay shapes at 10 brokers", run_ablation_topology),
+    cmd("ablation-bulk", "bulk transfer across the overlay", run_ablation_bulk),
+    cmd("check", "self-verify every qualitative claim (exit 1 on failure)", run_check),
+    cmd("trace", "message-flow trace of one discovery", run_trace),
+    report(
+        "chaos",
+        "seeded fault-injection campaign (exit 1 if an invariant fails)",
+        "CHAOS_campaign.json",
+        run_chaos,
+    ),
+    report(
+        "federation",
+        "federated-BDN anti-entropy campaign (exit 1 if an invariant fails)",
+        "BENCH_federation.json",
+        run_federation,
+    ),
+    report(
+        "scale",
+        "WAN scale campaign on the sharded engine (exit 1 if a tier fails)",
+        "BENCH_scale.json",
+        run_scale,
+    ),
+    report(
+        "lint",
+        "nb-lint static analysis (exit 1 on new findings)",
+        "LINT_report.json",
+        run_lint,
+    ),
+];
+
+/// What `repro all` expands to, paper order.
+const ALL: [&str; 23] = [
+    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+    "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
+    "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock",
+    "ablation-topology", "ablation-bulk",
+];
+
+fn find(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// Usage and IO errors exit 2 (1 is reserved for a failed gate).
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed; exits 2 when missing or malformed.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    argv: &mut impl Iterator<Item = String>,
+    what: &str,
+) -> T {
+    let parsed = argv.next().and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| fail(&format!("{flag} needs {what}")))
+}
+
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
         cmd: "all".to_string(),
         runs: PAPER_RUNS,
         seed: 2005,
         csv: None,
-        bench_json: std::path::PathBuf::from("BENCH_discovery.json"),
-        threads: None,
+        out: None,
+        workers: None,
         scenarios: 10,
-        chaos_json: std::path::PathBuf::from("CHAOS_campaign.json"),
-        federation_json: std::path::PathBuf::from("BENCH_federation.json"),
-        lint_json: std::path::PathBuf::from("LINT_report.json"),
-        routing_json: std::path::PathBuf::from("BENCH_routing.json"),
-        min_speedup: None,
-        codec_json: std::path::PathBuf::from("BENCH_codec.json"),
-        min_peek_speedup: None,
-        min_forward_speedup: None,
-        min_bytes_reduction: None,
-        lint_rules: false,
+        rules: false,
         tier: "all".to_string(),
-        scale_json: std::path::PathBuf::from("BENCH_scale.json"),
-        min_events_per_sec: None,
-        max_bytes_per_entity: None,
-        min_ab_speedup: None,
         brokers: None,
         entities: None,
         topology: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--runs" => {
-                i += 1;
-                args.runs = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--runs needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--csv" => {
-                i += 1;
-                let dir = argv.get(i).unwrap_or_else(|| {
-                    eprintln!("--csv needs a directory");
-                    std::process::exit(2);
-                });
-                args.csv = Some(std::path::PathBuf::from(dir));
-            }
-            "--bench-json" => {
-                i += 1;
-                let path = argv.get(i).unwrap_or_else(|| {
-                    eprintln!("--bench-json needs a path");
-                    std::process::exit(2);
-                });
-                args.bench_json = std::path::PathBuf::from(path);
-            }
-            "--scenarios" => {
-                i += 1;
-                args.scenarios = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--scenarios needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--chaos-json" => {
-                i += 1;
-                let path = argv.get(i).unwrap_or_else(|| {
-                    eprintln!("--chaos-json needs a path");
-                    std::process::exit(2);
-                });
-                args.chaos_json = std::path::PathBuf::from(path);
-            }
-            "--federation-json" => {
-                i += 1;
-                let Some(path) = argv.get(i) else {
-                    eprintln!("--federation-json needs a path");
-                    std::process::exit(2);
-                };
-                args.federation_json = std::path::PathBuf::from(path);
-            }
-            "--rules" => {
-                args.lint_rules = true;
-            }
-            "--lint-json" => {
-                i += 1;
-                let Some(path) = argv.get(i) else {
-                    eprintln!("--lint-json needs a path");
-                    std::process::exit(2);
-                };
-                args.lint_json = std::path::PathBuf::from(path);
-            }
-            "--routing-json" => {
-                i += 1;
-                let Some(path) = argv.get(i) else {
-                    eprintln!("--routing-json needs a path");
-                    std::process::exit(2);
-                };
-                args.routing_json = std::path::PathBuf::from(path);
-            }
-            "--codec-json" => {
-                i += 1;
-                let Some(path) = argv.get(i) else {
-                    eprintln!("--codec-json needs a path");
-                    std::process::exit(2);
-                };
-                args.codec_json = std::path::PathBuf::from(path);
-            }
-            "--min-peek-speedup" => {
-                i += 1;
-                args.min_peek_speedup = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("--min-peek-speedup needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--min-forward-speedup" => {
-                i += 1;
-                args.min_forward_speedup = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("--min-forward-speedup needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--min-bytes-reduction" => {
-                i += 1;
-                args.min_bytes_reduction = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("--min-bytes-reduction needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--min-speedup" => {
-                i += 1;
-                args.min_speedup = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("--min-speedup needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--tier" => {
-                i += 1;
-                let Some(t) = argv.get(i) else {
-                    eprintln!("--tier needs small|large|all");
-                    std::process::exit(2);
-                };
-                args.tier = t.clone();
-            }
-            "--scale-json" => {
-                i += 1;
-                let Some(path) = argv.get(i) else {
-                    eprintln!("--scale-json needs a path");
-                    std::process::exit(2);
-                };
-                args.scale_json = std::path::PathBuf::from(path);
-            }
-            "--min-events-per-sec" => {
-                i += 1;
-                args.min_events_per_sec =
-                    argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                        eprintln!("--min-events-per-sec needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--max-bytes-per-entity" => {
-                i += 1;
-                args.max_bytes_per_entity =
-                    argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                        eprintln!("--max-bytes-per-entity needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--min-ab-speedup" => {
-                i += 1;
-                args.min_ab_speedup = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("--min-ab-speedup needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--brokers" => {
-                i += 1;
-                args.brokers = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("--brokers needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--entities" => {
-                i += 1;
-                args.entities = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("--entities needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--topology" => {
-                i += 1;
-                let Some(t) = argv.get(i) else {
-                    eprintln!("--topology needs star|linear|geo|isp");
-                    std::process::exit(2);
-                };
-                args.topology = Some(t.clone());
-            }
-            // `--workers` is the documented spelling; `--threads` stays
-            // as a compatibility alias for older scripts.
-            flag @ ("--workers" | "--threads") => {
-                i += 1;
-                args.threads = argv.get(i).and_then(|v| v.parse().ok()).or_else(|| {
-                    eprintln!("{flag} needs a number");
-                    std::process::exit(2);
-                });
-            }
-            other if !other.starts_with("--") => args.cmd = other.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    while let Some(arg) = argv.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--runs" => args.runs = value(flag, &mut argv, "a number"),
+            "--seed" => args.seed = value(flag, &mut argv, "a number"),
+            "--csv" => args.csv = Some(value(flag, &mut argv, "a directory")),
+            "--out" => args.out = Some(value(flag, &mut argv, "a path")),
+            "--workers" => args.workers = Some(value(flag, &mut argv, "a number")),
+            "--scenarios" => args.scenarios = value(flag, &mut argv, "a number"),
+            "--rules" => args.rules = true,
+            "--tier" => args.tier = value(flag, &mut argv, "small|large|all"),
+            "--brokers" => args.brokers = Some(value(flag, &mut argv, "a number")),
+            "--entities" => args.entities = Some(value(flag, &mut argv, "a number")),
+            "--topology" => args.topology = Some(value(flag, &mut argv, "star|linear|geo|isp")),
+            "--help" => args.cmd = "help".to_string(),
+            _ if !flag.starts_with('-') => args.cmd = arg,
+            _ => fail(&format!("unknown flag {flag}; try `repro help`")),
         }
-        i += 1;
     }
     args
 }
 
-/// Writes `rows` as `<dir>/<name>.csv` when CSV export is active.
-fn write_csv(csv: &Option<std::path::PathBuf>, name: &str, header: &str, rows: &[String]) {
-    let Some(dir) = csv else { return };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(2);
+fn print_help(_: &str, _: &Args) {
+    println!("usage: repro [COMMAND] [FLAGS]   (default command: all)\n\ncommands:");
+    for c in COMMANDS {
+        match c.out {
+            Some(out) => println!("  {:<18} {} [--out {out}]", c.name, c.help),
+            None => println!("  {:<18} {}", c.name, c.help),
+        }
     }
-    let path = dir.join(format!("{name}.csv"));
-    let body = std::iter::once(header.to_string())
-        .chain(rows.iter().cloned())
-        .collect::<Vec<_>>()
-        .join("\n");
-    if let Err(e) = std::fs::write(&path, body + "\n") {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(2);
+    println!("\nflags:\n{FLAGS}");
+}
+
+fn run_all(_: &str, args: &Args) {
+    for name in ALL {
+        (find(name).expect("ALL names a table entry").run)(name, args);
+    }
+}
+
+/// Writes a report-writing command's JSON to `--out` (main has already
+/// filled in the table default).
+fn write_report(args: &Args, json: String) {
+    let path = args.out.as_ref().expect("report commands have a default --out");
+    if let Err(e) = std::fs::write(path, json) {
+        fail(&format!("cannot write {}: {e}", path.display()));
     }
     println!("wrote {}", path.display());
 }
 
-fn summary_csv_row(s: &nb_util::Summary) -> String {
-    format!("{},{},{},{},{},{}", s.n, s.mean, s.std_dev, s.max, s.min, s.error)
+/// Writes `rows` as `<dir>/<name>.csv` when CSV export is active.
+fn write_csv(args: &Args, name: &str, header: &str, rows: impl Iterator<Item = String>) {
+    let Some(dir) = &args.csv else { return };
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        fail(&format!("cannot create {}: {e}", dir.display()));
+    }
+    let path = dir.join(format!("{name}.csv"));
+    let body: String =
+        std::iter::once(header.to_string()).chain(rows).map(|line| line + "\n").collect();
+    if let Err(e) = std::fs::write(&path, body) {
+        fail(&format!("cannot write {}: {e}", path.display()));
+    }
+    println!("wrote {}", path.display());
 }
 
-fn run(cmd: &str, runs: usize, seed: u64, csv: &Option<std::path::PathBuf>) {
-    match cmd {
-        "table1" => {
-            println!("=== Table 1: machines used in the testing process ===");
-            println!("{}", table1());
-        }
-        "fig1" => {
-            println!("=== Figure 1: unconnected topology ===");
-            println!("{}", topology_figure(TopologyKind::Unconnected));
-        }
-        "fig8" => {
-            println!("=== Figure 8: star topology ===");
-            println!("{}", topology_figure(TopologyKind::Star));
-        }
-        "fig10" => {
-            println!("=== Figure 10: linear topology ===");
-            println!("{}", topology_figure(TopologyKind::Linear));
-        }
-        "fig2" | "fig9" | "fig11" => {
-            let (kind, figno) = match cmd {
-                "fig2" => (TopologyKind::Unconnected, 2),
-                "fig9" => (TopologyKind::Star, 9),
-                _ => (TopologyKind::Linear, 11),
-            };
-            let rows = figure_breakdown(kind, seed, runs);
-            write_csv(
-                csv,
-                cmd,
-                "phase,share",
-                &rows.iter().map(|(l, s)| format!("{l},{s}")).collect::<Vec<_>>(),
-            );
-            println!(
-                "{}",
-                format_breakdown(
-                    &format!(
-                        "=== Figure {figno}: % time per discovery sub-activity, {} topology \
-                         (client in Bloomington, {runs} runs, seed {seed}) ===",
-                        kind.label()
-                    ),
-                    &rows
-                )
-            );
-        }
-        "fig3" | "fig4" | "fig5" | "fig6" | "fig7" => {
-            let figno: u32 = cmd[3..].parse().unwrap();
-            let (_, site, label) =
-                site_figures().into_iter().find(|(f, _, _)| *f == figno).unwrap();
-            let s = figure_site_times(site, seed, runs);
-            write_csv(csv, cmd, "n,mean_ms,std_dev,max,min,error", &[summary_csv_row(&s)]);
-            println!(
-                "{}",
-                format_summary(
-                    &format!(
-                        "=== Figure {figno}: discovery time, client in {label} \
-                         (unconnected topology, {runs} runs, seed {seed}) ==="
-                    ),
-                    &s
-                )
-            );
-        }
-        "fig12" => {
-            let s = figure_multicast(seed, runs, 2);
-            write_csv(csv, cmd, "n,mean_ms,std_dev,max,min,error", &[summary_csv_row(&s)]);
-            println!(
-                "{}",
-                format_summary(
-                    &format!(
-                        "=== Figure 12: broker discovery using ONLY multicast \
-                         (2 lab brokers reachable, {runs} runs, seed {seed}) ==="
-                    ),
-                    &s
-                )
-            );
-        }
-        "fig13" => {
-            let s = figure_cert_validation(seed, runs.max(PAPER_RUNS));
-            write_csv(csv, cmd, "n,mean_ms,std_dev,max,min,error", &[summary_csv_row(&s)]);
-            println!(
-                "{}",
-                format_summary(
-                    &format!(
-                        "=== Figure 13: time to validate an X.509-style certificate \
-                         ({} iterations) ===",
-                        runs.max(PAPER_RUNS)
-                    ),
-                    &s
-                )
-            );
-        }
-        "fig14" => {
-            let s = figure_sign_encrypt(seed, runs.max(PAPER_RUNS));
-            write_csv(csv, cmd, "n,mean_ms,std_dev,max,min,error", &[summary_csv_row(&s)]);
-            println!(
-                "{}",
-                format_summary(
-                    &format!(
-                        "=== Figure 14: time to sign+encrypt and later extract the \
-                         BrokerDiscoveryRequest ({} iterations) ===",
-                        runs.max(PAPER_RUNS)
-                    ),
-                    &s
-                )
-            );
-        }
-        "ablation-timeout" => {
-            println!("=== Ablation: collection-timeout sweep (star topology) ===");
-            println!("{:>12} {:>14} {:>16}", "timeout (ms)", "total (ms)", "responses");
-            let rows = ablation_timeout(seed, runs.min(30));
-            write_csv(
-                csv,
-                cmd,
-                "timeout_ms,total_ms,responses",
-                &rows.iter().map(|(t, x, y)| format!("{t},{x},{y}")).collect::<Vec<_>>(),
-            );
-            for (t, total, resp) in rows {
-                println!("{t:>12} {total:>14.1} {resp:>16.2}");
-            }
-            println!();
-        }
-        "ablation-maxresp" => {
-            println!("=== Ablation: max-responses cap sweep (star topology) ===");
-            println!("{:>12} {:>14} {:>16}", "cap", "total (ms)", "responses");
-            let rows = ablation_max_responses(seed, runs.min(30));
-            write_csv(
-                csv,
-                cmd,
-                "cap,total_ms,responses",
-                &rows.iter().map(|(c, x, y)| format!("{c},{x},{y}")).collect::<Vec<_>>(),
-            );
-            for (cap, total, resp) in rows {
-                println!("{cap:>12} {total:>14.1} {resp:>16.2}");
-            }
-            println!();
-        }
-        "ablation-weights" => {
-            println!("=== Ablation: selection-weight presets (winning site, star) ===");
-            for (preset, wins) in ablation_weights(seed, runs.min(30)) {
-                let row: Vec<String> =
-                    wins.iter().map(|(site, c)| format!("{site}:{c}")).collect();
-                println!("  {preset:<16} {}", row.join("  "));
-            }
-            println!();
-        }
-        "ablation-loss" => {
-            println!("=== Ablation: UDP loss sensitivity (unconnected topology) ===");
-            println!(
-                "{:>12} {:>10} {:>12} {:>12}",
-                "loss factor", "success", "responses", "total (ms)"
-            );
-            let rows = ablation_loss(seed, runs.min(30));
-            write_csv(
-                csv,
-                cmd,
-                "loss_factor,success_rate,responses,total_ms",
-                &rows.iter().map(|(f, s, r2, t)| format!("{f},{s},{r2},{t}")).collect::<Vec<_>>(),
-            );
-            for (f, succ, resp, total) in rows {
-                println!("{f:>12.1} {:>9.0}% {resp:>12.2} {total:>12.1}", succ * 100.0);
-            }
-            println!();
-        }
-        "ablation-clock" => {
-            println!(
-                "=== Ablation: NTP residual sensitivity (proximity-only selection, \
-                 target set of 1 — no ping disambiguation) ==="
-            );
-            println!(
-                "{:>16} {:>16} {:>20}",
-                "residual", "nearest chosen", "extra distance (ms)"
-            );
-            let rows = ablation_clock(seed, runs.min(40) as u64);
-            write_csv(
-                csv,
-                cmd,
-                "residual,nearest_rate,extra_distance_ms",
-                &rows.iter().map(|(l, r2, e)| format!("{l},{r2},{e}")).collect::<Vec<_>>(),
-            );
-            for (label, rate, err) in rows {
-                println!("{label:>16} {:>15.0}% {err:>20.1}", rate * 100.0);
-            }
-            println!();
-        }
-        "ablation-bulk" => {
-            println!(
-                "=== Ablation: bulk transfer across the overlay \
-                 (10 Mbit/s WAN, fragmentation + optional LZSS) ==="
-            );
-            println!(
-                "{:>12} {:>12} {:>12} {:>14}",
-                "size (KiB)", "compressed", "fragments", "virtual (ms)"
-            );
-            let rows = ablation_bulk(seed);
-            write_csv(
-                csv,
-                cmd,
-                "size_bytes,compressed,fragments,virtual_ms",
-                &rows.iter().map(|(s, c, f, t)| format!("{s},{c},{f},{t}")).collect::<Vec<_>>(),
-            );
-            for (size, compressed, frags, t) in rows {
-                println!(
-                    "{:>12} {:>12} {frags:>12} {t:>14.1}",
-                    size / 1024,
-                    if compressed { "lzss" } else { "raw" }
-                );
-            }
-            println!();
-        }
-        "ablation-topology" => {
-            println!("=== Ablation: overlay shapes at 10 brokers ===");
-            println!(
-                "{:>14} {:>12} {:>12} {:>10}",
-                "topology", "total (ms)", "wait share", "diameter"
-            );
-            let rows = ablation_topology(seed, runs.min(20));
-            write_csv(
-                csv,
-                cmd,
-                "topology,total_ms,wait_share,diameter",
-                &rows
-                    .iter()
-                    .map(|(k, t, w, d)| {
-                        format!("{k},{t},{w},{}", d.map(|d| d.to_string()).unwrap_or_default())
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            for (kind, total, wait, diam) in rows {
-                let d = diam.map(|d| d.to_string()).unwrap_or_else(|| "-".into());
-                println!("{kind:>14} {total:>12.1} {:>11.0}% {d:>10}", wait * 100.0);
-            }
-            println!();
-        }
-        "ablation-scale" => {
-            println!("=== Ablation: broker-count scaling (mean total ms) ===");
-            println!("{:>10} {:>14} {:>14}", "brokers", "topology", "total (ms)");
-            let rows = ablation_scale(seed, runs.min(20));
-            write_csv(
-                csv,
-                cmd,
-                "brokers,topology,total_ms",
-                &rows.iter().map(|(n, k, t)| format!("{n},{k},{t}")).collect::<Vec<_>>(),
-            );
-            for (n, kind, total) in rows {
-                println!("{n:>10} {kind:>14} {total:>14.1}");
-            }
-            println!();
-        }
-        "trace" => {
-            use nb_discovery::scenario::ScenarioBuilder;
-            use nb_net::wan::BLOOMINGTON;
-            let mut scenario =
-                ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed).build();
-            scenario.sim.enable_trace();
-            let outcome = scenario.run_discovery_once();
-            let trace = scenario.sim.take_trace();
-            println!(
-                "=== Message flow of one discovery (star topology, seed {seed}) ===\n\
-                 {:<12} {:<22} {:<24} {:<8} {:>6}",
-                "t (ms)", "from", "to", "via", "bytes"
-            );
-            let t0 = trace.first().map(|r| r.at).unwrap_or_default();
-            let name = |n: nb_wire::NodeId| scenario.sim.node_name(n).to_string();
-            for rec in &trace {
-                println!(
-                    "{:<12.2} {:<22} {:<24} {:<8} {:>6}  {}",
-                    (rec.at - t0).as_secs_f64() * 1e3,
-                    name(rec.from.node),
-                    name(rec.to.node),
-                    if rec.stream { "stream" } else { "udp" },
-                    rec.bytes,
-                    rec.kind,
-                );
-            }
-            println!(
-                "\n{} messages; discovered {:?} in {:?}",
-                trace.len(),
-                outcome.chosen.map(name),
-                outcome.phases.total()
-            );
-        }
-        "check" => {
-            println!(
-                "=== Self-verification: the paper's qualitative claims \
-                 ({runs} runs per experiment, seed {seed}) ==="
-            );
-            let checks = shape_checks(seed, runs.clamp(10, 40));
-            let mut failed = 0;
-            for c in &checks {
-                let mark = if c.passed { "PASS" } else { "FAIL" };
-                if !c.passed {
-                    failed += 1;
-                }
-                println!("  [{mark}] {}", c.claim);
-                println!("         {}", c.evidence);
-            }
-            println!();
-            if failed > 0 {
-                eprintln!("{failed} claim(s) FAILED");
-                std::process::exit(1);
-            }
-            println!("all {} claims hold", checks.len());
-        }
-        "all" => {
-            for c in [
-                "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation-timeout",
-                "ablation-maxresp", "ablation-weights", "ablation-scale", "ablation-loss",
-                "ablation-clock", "ablation-topology", "ablation-bulk",
-            ] {
-                run(c, runs, seed, csv);
-            }
-        }
-        other => {
-            eprintln!("unknown experiment {other:?}; try `repro all`");
-            std::process::exit(2);
-        }
-    }
+/// CSV + the paper's five-metric table for one summary figure.
+fn print_summary(name: &str, args: &Args, title: &str, s: &nb_util::Summary) {
+    write_csv(
+        args,
+        name,
+        "n,mean_ms,std_dev,max,min,error",
+        [format!("{},{},{},{},{},{}", s.n, s.mean, s.std_dev, s.max, s.min, s.error)].into_iter(),
+    );
+    println!("{}", format_summary(&format!("=== {title} ==="), s));
 }
 
-/// `repro bench`: times the figure suite serial vs parallel and writes
-/// the machine-readable perf baseline.
-fn run_bench_cmd(args: &Args) {
-    let report = nb_bench::report::run_bench(args.seed, args.runs, args.threads);
-    println!(
-        "=== Perf baseline: figure suite, {} runs per figure, seed {} ===",
-        report.runs, report.seed
-    );
-    println!(
-        "cores detected: {}, workers used: {} ({} mode{})",
-        report.cores,
-        report.workers,
-        report.mode,
-        if args.threads.is_some() { ", --workers override" } else { "" }
-    );
-    if report.mode == "serial-fallback" {
-        println!(
-            "note: 1 worker — the parallel column reuses the serial path, so a ~1.00x \
-             speedup here is expected, not a regression"
-        );
-    }
-    println!(
-        "{:<28} {:>10} {:>12} {:>12} {:>8}",
-        "figure", "events", "serial ms", "parallel ms", "speedup"
-    );
-    for f in &report.figures {
-        println!(
-            "{:<28} {:>10} {:>12.1} {:>12.1} {:>7.2}x",
-            f.name,
-            f.events,
-            f.serial_ms,
-            f.parallel_ms,
-            f.speedup()
-        );
-    }
-    println!(
-        "{:<28} {:>10} {:>12.1} {:>12.1} {:>7.2}x",
-        "TOTAL",
-        report.events(),
-        report.serial_ms(),
-        report.parallel_ms(),
-        report.speedup()
-    );
-    println!(
-        "events/sec: {:.0} serial, {:.0} parallel ({} cores visible)",
-        report.events_per_sec_serial(),
-        report.events_per_sec_parallel(),
-        report.cores
-    );
-    println!(
-        "hot path ({} events): legacy layout {:.0} ns/event, slab layout {:.0} ns/event \
-         — {:.2}x",
-        report.hot_path.events,
-        report.hot_path.legacy_ns_per_event,
-        report.hot_path.slab_ns_per_event,
-        report.hot_path.speedup()
-    );
-    print_shard_scaling(&report.shard_scaling);
-    println!(
-        "scale probe: {} brokers / {} entities / {} subscriptions over {} region(s) — \
-         {} events, digest {:016x}, {}/{} attached, {:.0} events/sec",
-        report.scale.brokers,
-        report.scale.entities,
-        report.scale.subscriptions,
-        report.scale.regions,
-        report.scale.events,
-        report.scale.digest,
-        report.scale.attached,
-        report.scale.entities,
-        report.scale.events_per_sec()
-    );
-    if let Err(e) = std::fs::write(&args.bench_json, report.to_json()) {
-        eprintln!("cannot write {}: {e}", args.bench_json.display());
-        std::process::exit(2);
-    }
-    println!("wrote {}", args.bench_json.display());
-    // Digest divergence across worker counts means the sharded engine
-    // broke its determinism contract — never publish a baseline off it.
-    if !report.shard_scaling.digests_equal() {
-        eprintln!("shard determinism gate FAILED: digests diverge across worker counts");
-        std::process::exit(1);
-    }
-    // The routing baseline rides along with every full bench run.
-    run_routing_cmd(args);
+fn run_table1(_: &str, _: &Args) {
+    println!("=== Table 1: machines used in the testing process ===");
+    println!("{}", table1());
 }
 
-/// Renders the shard-scaling A/B table shared by `repro bench` and
-/// `repro shards`.
-fn print_shard_scaling(scaling: &nb_bench::report::ShardScaling) {
+/// The paper topology behind a diagram (1/8/10) or breakdown (2/9/11)
+/// figure, with the figure number.
+fn figure_topology(name: &str) -> (TopologyKind, u32) {
+    let figno: u32 = name[3..].parse().expect("figN");
+    let kind = match figno {
+        1 | 2 => TopologyKind::Unconnected,
+        8 | 9 => TopologyKind::Star,
+        _ => TopologyKind::Linear,
+    };
+    (kind, figno)
+}
+
+fn run_topology_figure(name: &str, _: &Args) {
+    let (kind, figno) = figure_topology(name);
+    println!("=== Figure {figno}: {} topology ===", kind.label());
+    println!("{}", topology_figure(kind));
+}
+
+fn run_breakdown(name: &str, args: &Args) {
+    let (kind, figno) = figure_topology(name);
+    let rows = figure_breakdown(kind, args.seed, args.runs);
+    write_csv(args, name, "phase,share", rows.iter().map(|(l, s)| format!("{l},{s}")));
     println!(
-        "=== Shard scaling: {} on the sharded engine, {} runs, {} shards ===",
-        scaling.workload, scaling.runs, scaling.shards
-    );
-    println!("{:>8} {:>12} {:>18} {:>8}", "workers", "wall ms", "digest", "speedup");
-    for p in &scaling.points {
-        println!(
-            "{:>8} {:>12.1} {:>18} {:>7.2}x",
-            p.workers,
-            p.wall_ms,
-            format!("{:016x}", p.digest),
-            scaling.speedup_at(p.workers).unwrap_or(0.0)
-        );
-    }
-    println!(
-        "digests {} across worker counts; speedup at 4 workers {:.2}x (recorded, not gated)",
-        if scaling.digests_equal() { "IDENTICAL" } else { "DIVERGED" },
-        scaling.speedup_at(4).unwrap_or(0.0)
+        "{}",
+        format_breakdown(
+            &format!(
+                "=== Figure {figno}: % time per discovery sub-activity, {} topology \
+                 (client in Bloomington, {} runs, seed {}) ===",
+                kind.label(),
+                args.runs,
+                args.seed
+            ),
+            &rows
+        )
     );
 }
 
-/// `repro shards`: the shard-scaling determinism gate alone. Exit 1
-/// unless every intra-run worker count produced byte-identical engine
-/// digests. Wall-time speedup is recorded for the baseline but never
-/// gated — on a 1-core container the sharded path cannot beat serial.
-fn run_shards_cmd(args: &Args) {
-    let runs = args.runs.clamp(1, 12);
-    let scaling = nb_bench::report::run_shard_scaling(args.seed, runs);
-    print_shard_scaling(&scaling);
-    if !scaling.digests_equal() {
-        eprintln!("shard determinism gate FAILED: digests diverge across worker counts");
-        std::process::exit(1);
-    }
-    println!("shard determinism gate passed");
+fn run_site_times(name: &str, args: &Args) {
+    let figno: u32 = name[3..].parse().expect("figN");
+    let (_, site, label) =
+        site_figures().into_iter().find(|(f, _, _)| *f == figno).expect("figs 3-7");
+    let s = figure_site_times(site, args.seed, args.runs);
+    let title = format!(
+        "Figure {figno}: discovery time, client in {label} \
+         (unconnected topology, {} runs, seed {})",
+        args.runs, args.seed
+    );
+    print_summary(name, args, &title, &s);
 }
 
-/// `repro routing`: the subscription-matching micro-suite (trie + memo
-/// vs the linear-scan oracle) behind `BENCH_routing.json`. With
-/// `--min-speedup X`, exits 1 unless at 1e4 filters the cold trie is
-/// ≥ Xx and the warm memo ≥ 10x across every topic class.
-fn run_routing_cmd(args: &Args) {
-    use nb_bench::routing::{run_routing_bench, RoutingReport, FILTER_COUNTS};
-    let report: RoutingReport = run_routing_bench(args.seed, &FILTER_COUNTS);
-    println!(
-        "=== Routing micro-bench: trie+memo vs linear scan, seed {} ===",
-        report.seed
+fn run_multicast(name: &str, args: &Args) {
+    let s = figure_multicast(args.seed, args.runs, 2);
+    let title = format!(
+        "Figure 12: broker discovery using ONLY multicast \
+         (2 lab brokers reachable, {} runs, seed {})",
+        args.runs, args.seed
     );
-    println!(
-        "{:>8} {:<18} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "filters", "topics", "linear ns", "cold ns", "warm ns", "trie", "memo"
-    );
-    for c in &report.cells {
-        println!(
-            "{:>8} {:<18} {:>12.1} {:>12.1} {:>12.1} {:>7.1}x {:>7.1}x",
-            c.filters,
-            c.class.label(),
-            c.linear_ns,
-            c.trie_cold_ns,
-            c.memo_warm_ns,
-            c.trie_speedup(),
-            c.memo_speedup()
-        );
-    }
-    if let Err(e) = std::fs::write(&args.routing_json, report.to_json()) {
-        eprintln!("cannot write {}: {e}", args.routing_json.display());
-        std::process::exit(2);
-    }
-    println!("wrote {}", args.routing_json.display());
-    if let Some(min) = args.min_speedup {
-        const GATE_FILTERS: usize = 10_000;
-        const MIN_MEMO: f64 = 10.0;
-        let trie = report.min_trie_speedup(GATE_FILTERS);
-        let memo = report.min_memo_speedup(GATE_FILTERS);
-        println!(
-            "gate at {GATE_FILTERS} filters: trie {trie:.1}x (need {min:.1}x), \
-             memo {memo:.1}x (need {MIN_MEMO:.1}x)"
-        );
-        if trie < min || memo < MIN_MEMO {
-            eprintln!("routing speedup gate FAILED");
-            std::process::exit(1);
-        }
-        println!("routing speedup gate passed");
-    }
+    print_summary(name, args, &title, &s);
 }
 
-/// `repro codec`: the wire-path micro-suite (header peek vs full
-/// decode, byte forwarding vs re-encode, allocations per fan-out
-/// delivery) behind `BENCH_codec.json`. With `--min-peek-speedup` /
-/// `--min-forward-speedup`, exits 1 when the zero-copy path falls below
-/// either gate.
-fn run_codec_cmd(args: &Args) {
-    use nb_bench::codec::{run_codec_bench, CodecReport, FAN_OUT};
-    let report: CodecReport = run_codec_bench(args.seed);
-    println!(
-        "=== Codec micro-bench: zero-copy wire path vs full-decode oracle, \
-         {} frames, seed {} ===",
-        report.frames, report.seed
-    );
-    println!(
-        "{:<26} {:>14} {:>14} {:>8}",
-        "path", "zero-copy", "oracle", "speedup"
-    );
-    println!(
-        "{:<26} {:>11.1} ns {:>11.1} ns {:>7.1}x",
-        "header peek vs decode",
-        report.peek_ns_per_frame,
-        report.decode_ns_per_frame,
-        report.peek_speedup()
-    );
-    println!(
-        "{:<26} {:>11.1} ns {:>11.1} ns {:>7.1}x",
-        "forward vs re-encode",
-        report.forward_ns_per_hop,
-        report.reencode_ns_per_hop,
-        report.forward_speedup()
-    );
-    if report.alloc_counting {
-        println!(
-            "allocations per delivery ({FAN_OUT}-way fan-out): {:.2} encode-once, \
-             {:.2} re-encode per recipient",
-            report.allocs_per_delivery_forward, report.allocs_per_delivery_reencode
-        );
+fn run_security(name: &str, args: &Args) {
+    let iters = args.runs.max(PAPER_RUNS);
+    let (s, title) = if name == "fig13" {
+        (
+            figure_cert_validation(args.seed, iters),
+            format!("Figure 13: time to validate an X.509-style certificate ({iters} iterations)"),
+        )
     } else {
-        println!("allocations per delivery: counting allocator not installed, skipped");
-    }
-    println!(
-        "=== Wire v2 link A/B: {}-message control-plane epochs ===",
-        nb_bench::codec::BATCH
-    );
-    println!(
-        "{:<10} {:>12} {:>12} {:>10} {:>12} {:>14} {:>14}",
-        "fan-out", "v1 B/msg", "v2 B/msg", "reduction", "frames/seg", "v1 enc ns/msg", "v2 enc ns/msg"
-    );
-    for ab in [&report.ab_fan4, &report.ab_fan32] {
-        println!(
-            "{:<10} {:>12.1} {:>12.1} {:>9.2}x {:>12.1} {:>14.1} {:>14.1}",
-            ab.fan_out,
-            ab.v1_bytes_per_delivery,
-            ab.v2_bytes_per_delivery,
-            ab.bytes_reduction(),
-            ab.frames_per_segment,
-            ab.v1_encode_ns_per_delivery,
-            ab.v2_encode_ns_per_delivery
-        );
-    }
-    if let Err(e) = std::fs::write(&args.codec_json, report.to_json()) {
-        eprintln!("cannot write {}: {e}", args.codec_json.display());
-        std::process::exit(2);
-    }
-    println!("wrote {}", args.codec_json.display());
-    if args.min_peek_speedup.is_some() || args.min_forward_speedup.is_some() {
-        let min_peek = args.min_peek_speedup.unwrap_or(0.0);
-        let min_forward = args.min_forward_speedup.unwrap_or(0.0);
-        println!(
-            "gate: peek {:.1}x (need {min_peek:.1}x), forward {:.1}x (need {min_forward:.1}x)",
-            report.peek_speedup(),
-            report.forward_speedup()
-        );
-        if report.peek_speedup() < min_peek || report.forward_speedup() < min_forward {
-            eprintln!("codec speedup gate FAILED");
-            std::process::exit(1);
-        }
-        println!("codec speedup gate passed");
-    }
-    if let Some(min_reduction) = args.min_bytes_reduction {
-        let reduction = report.ab_fan32.bytes_reduction();
-        println!(
-            "gate: v2 bytes/delivery reduction {reduction:.2}x at {}-way fan-out \
-             (need {min_reduction:.1}x)",
-            report.ab_fan32.fan_out
-        );
-        if reduction < min_reduction {
-            eprintln!("codec v2 bytes-reduction gate FAILED");
-            std::process::exit(1);
-        }
-        println!("codec v2 bytes-reduction gate passed");
-    }
+        (
+            figure_sign_encrypt(args.seed, iters),
+            format!(
+                "Figure 14: time to sign+encrypt and later extract the \
+                 BrokerDiscoveryRequest ({iters} iterations)"
+            ),
+        )
+    };
+    print_summary(name, args, &title, &s);
 }
 
-/// `repro chaos`: runs the seeded fault-injection campaign and writes
-/// the deterministic JSON report. Exits 1 when an invariant fails.
-fn run_chaos_cmd(args: &Args) {
-    // Scenarios are independent, so the campaign shards across workers;
-    // the report bytes are identical whatever count is used.
-    let workers = args.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, |n| n.get().min(16))
-    });
+fn run_ablation_timeout(name: &str, args: &Args) {
+    println!("=== Ablation: collection-timeout sweep (star topology) ===");
+    println!("{:>12} {:>14} {:>16}", "timeout (ms)", "total (ms)", "responses");
+    let rows = ablation_timeout(args.seed, args.runs.min(30));
+    write_csv(
+        args,
+        name,
+        "timeout_ms,total_ms,responses",
+        rows.iter().map(|(t, x, y)| format!("{t},{x},{y}")),
+    );
+    for (t, total, resp) in rows {
+        println!("{t:>12} {total:>14.1} {resp:>16.2}");
+    }
+    println!();
+}
+
+fn run_ablation_maxresp(name: &str, args: &Args) {
+    println!("=== Ablation: max-responses cap sweep (star topology) ===");
+    println!("{:>12} {:>14} {:>16}", "cap", "total (ms)", "responses");
+    let rows = ablation_max_responses(args.seed, args.runs.min(30));
+    write_csv(
+        args,
+        name,
+        "cap,total_ms,responses",
+        rows.iter().map(|(c, x, y)| format!("{c},{x},{y}")),
+    );
+    for (cap, total, resp) in rows {
+        println!("{cap:>12} {total:>14.1} {resp:>16.2}");
+    }
+    println!();
+}
+
+fn run_ablation_weights(_: &str, args: &Args) {
+    println!("=== Ablation: selection-weight presets (winning site, star) ===");
+    for (preset, wins) in ablation_weights(args.seed, args.runs.min(30)) {
+        let row: Vec<String> = wins.iter().map(|(site, c)| format!("{site}:{c}")).collect();
+        println!("  {preset:<16} {}", row.join("  "));
+    }
+    println!();
+}
+
+fn run_ablation_loss(name: &str, args: &Args) {
+    println!("=== Ablation: UDP loss sensitivity (unconnected topology) ===");
+    println!("{:>12} {:>10} {:>12} {:>12}", "loss factor", "success", "responses", "total (ms)");
+    let rows = ablation_loss(args.seed, args.runs.min(30));
+    write_csv(
+        args,
+        name,
+        "loss_factor,success_rate,responses,total_ms",
+        rows.iter().map(|(f, s, r, t)| format!("{f},{s},{r},{t}")),
+    );
+    for (f, succ, resp, total) in rows {
+        println!("{f:>12.1} {:>9.0}% {resp:>12.2} {total:>12.1}", succ * 100.0);
+    }
+    println!();
+}
+
+fn run_ablation_clock(name: &str, args: &Args) {
+    println!(
+        "=== Ablation: NTP residual sensitivity (proximity-only selection, \
+         target set of 1 — no ping disambiguation) ==="
+    );
+    println!("{:>16} {:>16} {:>20}", "residual", "nearest chosen", "extra distance (ms)");
+    let rows = ablation_clock(args.seed, args.runs.min(40) as u64);
+    write_csv(
+        args,
+        name,
+        "residual,nearest_rate,extra_distance_ms",
+        rows.iter().map(|(l, r, e)| format!("{l},{r},{e}")),
+    );
+    for (label, rate, err) in rows {
+        println!("{label:>16} {:>15.0}% {err:>20.1}", rate * 100.0);
+    }
+    println!();
+}
+
+fn run_ablation_bulk(name: &str, args: &Args) {
+    println!(
+        "=== Ablation: bulk transfer across the overlay \
+         (10 Mbit/s WAN, fragmentation + optional LZSS) ==="
+    );
+    println!(
+        "{:>12} {:>12} {:>12} {:>14}",
+        "size (KiB)", "compressed", "fragments", "virtual (ms)"
+    );
+    let rows = ablation_bulk(args.seed);
+    write_csv(
+        args,
+        name,
+        "size_bytes,compressed,fragments,virtual_ms",
+        rows.iter().map(|(s, c, f, t)| format!("{s},{c},{f},{t}")),
+    );
+    for (size, compressed, frags, t) in rows {
+        println!(
+            "{:>12} {:>12} {frags:>12} {t:>14.1}",
+            size / 1024,
+            if compressed { "lzss" } else { "raw" }
+        );
+    }
+    println!();
+}
+
+fn run_ablation_topology(name: &str, args: &Args) {
+    println!("=== Ablation: overlay shapes at 10 brokers ===");
+    println!("{:>14} {:>12} {:>12} {:>10}", "topology", "total (ms)", "wait share", "diameter");
+    let rows = ablation_topology(args.seed, args.runs.min(20));
+    write_csv(
+        args,
+        name,
+        "topology,total_ms,wait_share,diameter",
+        rows.iter().map(|(k, t, w, d)| {
+            format!("{k},{t},{w},{}", d.map(|d| d.to_string()).unwrap_or_default())
+        }),
+    );
+    for (kind, total, wait, diam) in rows {
+        let d = diam.map(|d| d.to_string()).unwrap_or_else(|| "-".into());
+        println!("{kind:>14} {total:>12.1} {:>11.0}% {d:>10}", wait * 100.0);
+    }
+    println!();
+}
+
+fn run_ablation_scale(name: &str, args: &Args) {
+    println!("=== Ablation: broker-count scaling (mean total ms) ===");
+    println!("{:>10} {:>14} {:>14}", "brokers", "topology", "total (ms)");
+    let rows = ablation_scale(args.seed, args.runs.min(20));
+    write_csv(
+        args,
+        name,
+        "brokers,topology,total_ms",
+        rows.iter().map(|(n, k, t)| format!("{n},{k},{t}")),
+    );
+    for (n, kind, total) in rows {
+        println!("{n:>10} {kind:>14} {total:>14.1}");
+    }
+    println!();
+}
+
+fn run_trace(_: &str, args: &Args) {
+    use nb_discovery::scenario::ScenarioBuilder;
+    use nb_net::wan::BLOOMINGTON;
+    let seed = args.seed;
+    let mut scenario = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed).build();
+    scenario.sim.enable_trace();
+    let outcome = scenario.run_discovery_once();
+    let trace = scenario.sim.take_trace();
+    println!(
+        "=== Message flow of one discovery (star topology, seed {seed}) ===\n\
+         {:<12} {:<22} {:<24} {:<8} {:>6}",
+        "t (ms)", "from", "to", "via", "bytes"
+    );
+    let t0 = trace.first().map(|r| r.at).unwrap_or_default();
+    let name = |n: nb_wire::NodeId| scenario.sim.node_name(n).to_string();
+    for rec in &trace {
+        println!(
+            "{:<12.2} {:<22} {:<24} {:<8} {:>6}  {}",
+            (rec.at - t0).as_secs_f64() * 1e3,
+            name(rec.from.node),
+            name(rec.to.node),
+            if rec.stream { "stream" } else { "udp" },
+            rec.bytes,
+            rec.kind,
+        );
+    }
+    println!(
+        "\n{} messages; discovered {:?} in {:?}",
+        trace.len(),
+        outcome.chosen.map(name),
+        outcome.phases.total()
+    );
+}
+
+fn run_check(_: &str, args: &Args) {
+    println!(
+        "=== Self-verification: the paper's qualitative claims \
+         ({} runs per experiment, seed {}) ===",
+        args.runs, args.seed
+    );
+    let checks = shape_checks(args.seed, args.runs.clamp(10, 40));
+    for c in &checks {
+        println!("  [{}] {}", if c.passed { "PASS" } else { "FAIL" }, c.claim);
+        println!("         {}", c.evidence);
+    }
+    println!();
+    let failed = checks.iter().filter(|c| !c.passed).count();
+    if failed > 0 {
+        eprintln!("{failed} claim(s) FAILED");
+        std::process::exit(1);
+    }
+    println!("all {} claims hold", checks.len());
+}
+
+/// Campaign scenarios are independent, so they shard across workers; the
+/// report bytes are identical whatever count is used.
+fn campaign_workers(args: &Args) -> usize {
+    args.workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(16)))
+}
+
+/// Ends a campaign command: exit 1 when an invariant failed.
+fn campaign_verdict(campaign: &str, passed: bool) {
+    if !passed {
+        eprintln!("{campaign} campaign FAILED");
+        std::process::exit(1);
+    }
+    println!("all scenarios passed all invariants");
+}
+
+fn run_chaos(_: &str, args: &Args) {
+    let workers = campaign_workers(args);
     let report =
         nb_bench::chaos::run_campaign_with_workers(args.seed, args.scenarios.max(1), workers);
     println!(
@@ -954,32 +553,14 @@ fn run_chaos_cmd(args: &Args) {
             println!("    [FAIL] {}: {}", inv.name, inv.detail);
         }
     }
-    if let Err(e) = std::fs::write(&args.chaos_json, report.to_json()) {
-        eprintln!("cannot write {}: {e}", args.chaos_json.display());
-        std::process::exit(2);
-    }
-    println!("wrote {}", args.chaos_json.display());
-    if !report.passed() {
-        eprintln!("chaos campaign FAILED");
-        std::process::exit(1);
-    }
-    println!("all scenarios passed all invariants");
+    write_report(args, report.to_json());
+    campaign_verdict("chaos", report.passed());
 }
 
-/// `repro federation`: runs the federated-BDN anti-entropy campaign and
-/// writes the deterministic JSON report. Exits 1 when an invariant
-/// fails.
-fn run_federation_cmd(args: &Args) {
-    // Scenarios are independent, so the campaign shards across workers;
-    // the report bytes are identical whatever count is used.
-    let workers = args.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, |n| n.get().min(16))
-    });
-    let report = nb_bench::federation::run_campaign_with_workers(
-        args.seed,
-        args.scenarios.max(1),
-        workers,
-    );
+fn run_federation(_: &str, args: &Args) {
+    let workers = campaign_workers(args);
+    let report =
+        nb_bench::federation::run_campaign_with_workers(args.seed, args.scenarios.max(1), workers);
     println!(
         "=== Federation campaign: {} scenarios from base seed {}, {} workers ===",
         report.scenarios.len(),
@@ -1005,41 +586,28 @@ fn run_federation_cmd(args: &Args) {
             println!("    [FAIL] {}: {}", inv.name, inv.detail);
         }
     }
-    if let Err(e) = std::fs::write(&args.federation_json, report.to_json()) {
-        eprintln!("cannot write {}: {e}", args.federation_json.display());
-        std::process::exit(2);
-    }
-    println!("wrote {}", args.federation_json.display());
-    if !report.passed() {
-        eprintln!("federation campaign FAILED");
-        std::process::exit(1);
-    }
-    println!("all scenarios passed all invariants");
+    write_report(args, report.to_json());
+    campaign_verdict("federation", report.passed());
 }
 
-/// `repro scale`: runs the seeded WAN scale campaign through the
-/// sharded engine and writes the deterministic JSON report (wall-clock
-/// columns stay on stdout so the bytes are worker-count-invariant).
-/// Exits 1 when a tier fails to attach, an A/B oracle diverges, or a
-/// requested gate is missed.
-fn run_scale_cmd(args: &Args) {
-    use nb_bench::scale::{self, TierSelection, TierSpec};
+/// `repro scale`: the JSON carries no wall-clock or worker field (the
+/// events/sec column stays on stdout), so it is byte-identical at any
+/// `--workers`. Exits 1 when a tier fails [`ScaleReport::passed`].
+///
+/// [`ScaleReport::passed`]: nb_bench::scale::ScaleReport::passed
+fn run_scale(_: &str, args: &Args) {
+    use nb_bench::scale::{self, TierSelection, TierSpec, MAX_MEM_BYTES_PER_ENTITY};
     use nb_net::topogen::TopologyKind as WanKind;
 
-    let workers = args.threads.unwrap_or(1).max(1);
-    let tiers: Vec<TierSpec> = if args.brokers.is_some()
-        || args.entities.is_some()
-        || args.topology.is_some()
-    {
+    let workers = args.workers.unwrap_or(1).max(1);
+    let custom = args.brokers.is_some() || args.entities.is_some() || args.topology.is_some();
+    let tiers: Vec<TierSpec> = if custom {
         let kind = match args.topology.as_deref().unwrap_or("geo") {
             "star" => WanKind::Star,
             "linear" => WanKind::Linear,
             "geo" => WanKind::RandomGeometric,
             "isp" => WanKind::HierarchicalIsp,
-            other => {
-                eprintln!("--topology {other}: expected star|linear|geo|isp");
-                std::process::exit(2);
-            }
+            other => fail(&format!("--topology {other}: expected star|linear|geo|isp")),
         };
         vec![TierSpec {
             name: "custom",
@@ -1048,16 +616,12 @@ fn run_scale_cmd(args: &Args) {
             entities: args.entities.unwrap_or(10_000),
         }]
     } else {
-        let selection = match args.tier.as_str() {
+        scale::default_tiers(match args.tier.as_str() {
             "small" => TierSelection::Small,
             "large" => TierSelection::Large,
             "all" => TierSelection::All,
-            other => {
-                eprintln!("--tier {other}: expected small|large|all");
-                std::process::exit(2);
-            }
-        };
-        scale::default_tiers(selection)
+            other => fail(&format!("--tier {other}: expected small|large|all")),
+        })
     };
 
     println!(
@@ -1092,142 +656,86 @@ fn run_scale_cmd(args: &Args) {
         if t.attached != t.entities {
             eprintln!("    [FAIL] only {}/{} entities attached", t.attached, t.entities);
         }
-    }
-    println!("--- slab A/B at campaign population ---");
-    println!(
-        "{:<26} {:>8} {:>7} {:>12} {:>12} {:>9} {:>7}",
-        "structure", "n", "rounds", "legacy ns/op", "slab ns/op", "speedup", "oracle"
-    );
-    for a in &report.ab {
-        println!(
-            "{:<26} {:>8} {:>7} {:>12.0} {:>12.0} {:>8.1}x {:>7}",
-            a.name,
-            a.n,
-            a.rounds,
-            a.legacy_ns_per_op,
-            a.slab_ns_per_op,
-            a.speedup(),
-            if a.oracle_match { "OK" } else { "FAIL" }
-        );
-    }
-
-    if let Err(e) = std::fs::write(&args.scale_json, report.to_json()) {
-        eprintln!("cannot write {}: {e}", args.scale_json.display());
-        std::process::exit(2);
-    }
-    println!("wrote {}", args.scale_json.display());
-
-    let mut failed = !report.passed();
-    if failed {
-        eprintln!("scale campaign FAILED (unattached entities, failovers, or oracle drift)");
-    }
-    if let Some(floor) = args.min_events_per_sec {
-        for t in &report.tiers {
-            if t.events_per_sec() < floor {
-                eprintln!(
-                    "[FAIL] {}: {:.0} events/sec below the {floor:.0} floor",
-                    t.name,
-                    t.events_per_sec()
-                );
-                failed = true;
-            }
-        }
-    }
-    if let Some(ceiling) = args.max_bytes_per_entity {
-        for t in &report.tiers {
-            if t.alloc_counting && t.mem_bytes_per_entity > ceiling {
-                eprintln!(
-                    "[FAIL] {}: {} heap bytes/entity above the {ceiling} ceiling",
-                    t.name, t.mem_bytes_per_entity
-                );
-                failed = true;
-            }
-        }
-    }
-    if let Some(min) = args.min_ab_speedup {
-        let clearing = report.ab.iter().filter(|a| a.speedup() >= min).count();
-        if clearing < 2 {
+        if t.mem_bytes_per_entity > MAX_MEM_BYTES_PER_ENTITY {
             eprintln!(
-                "[FAIL] only {clearing}/{} A/B columns reached the {min:.1}x speedup gate \
-                 (need >= 2)",
-                report.ab.len()
+                "    [FAIL] {} heap bytes/entity above the {MAX_MEM_BYTES_PER_ENTITY} ceiling",
+                t.mem_bytes_per_entity
             );
-            failed = true;
         }
     }
-    if failed {
+    write_report(args, report.to_json());
+    if !report.passed() {
+        eprintln!("scale campaign FAILED (unattached entities, failovers, or heap ceiling)");
         std::process::exit(1);
     }
-    println!("all tiers attached; every requested gate passed");
+    println!("all tiers attached under the heap ceiling");
 }
 
-/// `repro lint`: runs the nb-lint static-analysis pass over the
-/// workspace and writes the deterministic JSON report. Exits 1 when new
-/// (un-suppressed, un-baselined) findings exist.
-fn run_lint_cmd(args: &Args) {
-    if args.lint_rules {
-        // `repro lint --rules`: the stable rule table, nothing else —
-        // docs and CI generate from this instead of hand-copying.
+fn run_lint(_: &str, args: &Args) {
+    if args.rules {
+        // The stable rule table, nothing else — docs and CI generate
+        // from this instead of hand-copying.
         print!("{}", nb_lint::rules::rules_table());
         return;
     }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let Some(root) = nb_lint::find_workspace_root(&cwd) else {
-        eprintln!("repro lint: no workspace root found from {}", cwd.display());
-        std::process::exit(2);
+        fail(&format!("repro lint: no workspace root found from {}", cwd.display()));
     };
-    let baseline = root.join(nb_lint::BASELINE_REL);
-    let report = match nb_lint::run_root(&root, &baseline) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro lint: scan failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = nb_lint::run_root(&root, &root.join(nb_lint::BASELINE_REL))
+        .unwrap_or_else(|e| fail(&format!("repro lint: scan failed: {e}")));
     print!("{}", report.render_human());
-    if let Err(e) = std::fs::write(&args.lint_json, report.to_json()) {
-        eprintln!("cannot write {}: {e}", args.lint_json.display());
-        std::process::exit(2);
-    }
-    println!("wrote {}", args.lint_json.display());
+    write_report(args, report.to_json());
     if report.has_new() {
         std::process::exit(1);
     }
 }
 
 fn main() {
-    let args = parse_args();
-    if args.cmd == "bench" {
-        run_bench_cmd(&args);
-        return;
+    let mut args = parse_args(std::env::args().skip(1));
+    let Some(command) = find(&args.cmd) else {
+        fail(&format!("unknown command {:?}; try `repro help`", args.cmd));
+    };
+    match (command.out, &args.out) {
+        (None, Some(_)) => fail(&format!("{} writes no report; --out does not apply", args.cmd)),
+        (Some(default), None) => args.out = Some(PathBuf::from(default)),
+        _ => {}
     }
-    if args.cmd == "shards" {
-        run_shards_cmd(&args);
-        return;
+    (command.run)(command.name, &args);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn command_names_are_unique() {
+        for (i, c) in COMMANDS.iter().enumerate() {
+            assert!(COMMANDS[..i].iter().all(|d| d.name != c.name), "duplicate {}", c.name);
+        }
     }
-    if args.cmd == "chaos" {
-        run_chaos_cmd(&args);
-        return;
+
+    #[test]
+    fn all_expands_only_to_printing_table_entries() {
+        for name in ALL {
+            let c = find(name).unwrap_or_else(|| panic!("`all` names {name}, not in the table"));
+            assert!(c.out.is_none(), "`all` must not rewrite the committed {name} report");
+        }
     }
-    if args.cmd == "federation" {
-        run_federation_cmd(&args);
-        return;
+
+    #[test]
+    fn report_writing_commands_have_a_default_out() {
+        let writers: Vec<&str> =
+            COMMANDS.iter().filter(|c| c.out.is_some()).map(|c| c.name).collect();
+        assert_eq!(writers, ["chaos", "federation", "scale", "lint"]);
     }
-    if args.cmd == "routing" {
-        run_routing_cmd(&args);
-        return;
+
+    #[test]
+    fn flags_land_in_their_fields_and_the_last_command_wins() {
+        let argv = "fig2 --runs 7 --seed 9 --out x.json --workers 3 --rules chaos";
+        let args = parse_args(argv.split(' ').map(String::from));
+        assert_eq!((args.cmd.as_str(), args.runs, args.seed), ("chaos", 7, 9));
+        assert_eq!(args.out, Some(PathBuf::from("x.json")));
+        assert_eq!((args.workers, args.rules), (Some(3), true));
     }
-    if args.cmd == "codec" {
-        run_codec_cmd(&args);
-        return;
-    }
-    if args.cmd == "lint" {
-        run_lint_cmd(&args);
-        return;
-    }
-    if args.cmd == "scale" {
-        run_scale_cmd(&args);
-        return;
-    }
-    run(&args.cmd, args.runs, args.seed, &args.csv);
 }

@@ -29,6 +29,7 @@ use std::time::Duration;
 
 use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_discovery::bdn::{Bdn, BdnConfig};
+use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
 use nb_discovery::{
     DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, ResponsePolicy, RetryPolicy,
 };
@@ -283,16 +284,6 @@ impl CampaignReport {
     }
 }
 
-/// FNV-1a over the plan's canonical description.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Runs one scenario under `seed`: boot and attach, a round of
 /// traffic, the fault plan, a recovery window, a second round of
 /// traffic, then the invariant checks.
@@ -311,7 +302,8 @@ pub fn run_scenario(name: &str, seed: u64, make_plan: &dyn Fn(&ChaosDeployment) 
 
     // The storm.
     let plan = make_plan(&dep);
-    let digest = fnv1a64(plan.describe().as_bytes());
+    // FNV-1a over the plan's canonical description.
+    let digest = fnv1a64_step(FNV_OFFSET, plan.describe().as_bytes());
     let faults = plan.len();
     let last_fault = plan.events().iter().map(|e| e.at).max().unwrap_or_default();
     dep.sim.apply_fault_plan(&plan);

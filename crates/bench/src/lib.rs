@@ -7,13 +7,10 @@
 //! removing outliers" (§9) — and reports the same five metrics (mean,
 //! standard deviation, maximum, minimum, error).
 
+pub mod alloc;
 pub mod chaos;
-pub mod codec;
 pub mod federation;
-pub mod hotpath;
 pub mod parallel;
-pub mod report;
-pub mod routing;
 pub mod scale;
 
 use std::time::{Duration, Instant};

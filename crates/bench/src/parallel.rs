@@ -114,61 +114,6 @@ impl ParallelExecutor {
     {
         self.run(runs, |i| factory(seed_root.wrapping_add(i as u64)).run_discovery_once())
     }
-
-    /// Like [`ParallelExecutor::run_discoveries`], also summing the
-    /// engine events processed across every run's simulator (throughput
-    /// accounting for the perf baseline).
-    pub fn run_discoveries_counted<F>(
-        &self,
-        seed_root: u64,
-        runs: usize,
-        factory: F,
-    ) -> (Vec<DiscoveryOutcome>, u64)
-    where
-        F: Fn(u64) -> Scenario + Sync,
-    {
-        let results = self.run(runs, |i| {
-            let mut scenario = factory(seed_root.wrapping_add(i as u64));
-            let outcome = scenario.run_discovery_once();
-            (outcome, scenario.sim.events_processed())
-        });
-        let events = results.iter().map(|(_, e)| e).sum();
-        (results.into_iter().map(|(o, _)| o).collect(), events)
-    }
-
-    /// Intra-run sharded mode: run `i` clones `builder`, swaps in seed
-    /// `seed_root.wrapping_add(i)` and builds on the
-    /// conservative-lookahead sharded engine with `shard_workers` event
-    /// workers and `shards` LP groups (`0` = one group per worker).
-    /// Returns the outcomes in run order, the total engine events, and
-    /// an FNV-1a fold of every run's engine digest — the value the
-    /// shard-scaling gate compares across worker counts, which must be
-    /// identical whatever `shard_workers`/`shards` are.
-    pub fn run_discoveries_sharded(
-        &self,
-        seed_root: u64,
-        runs: usize,
-        shard_workers: usize,
-        shards: usize,
-        builder: &ScenarioBuilder,
-    ) -> (Vec<DiscoveryOutcome>, u64, u64) {
-        let results = self.run(runs, |i| {
-            let mut b = builder.clone();
-            b.seed = seed_root.wrapping_add(i as u64);
-            let mut scenario = b.build_sharded(shard_workers, shards);
-            let outcome = scenario.run_discovery_once();
-            (outcome, scenario.sim.events_processed(), scenario.digest())
-        });
-        let events = results.iter().map(|(_, e, _)| e).sum();
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        for (_, _, d) in &results {
-            for byte in d.to_le_bytes() {
-                digest ^= byte as u64;
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        (results.into_iter().map(|(o, _, _)| o).collect(), events, digest)
-    }
 }
 
 /// A factory for the standard builder-driven scenarios: clones `builder`
@@ -200,21 +145,6 @@ mod tests {
         let ex = ParallelExecutor::serial();
         assert_eq!(ex.workers(), 1);
         assert_eq!(ex.run(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn sharded_runs_are_worker_and_shard_invariant() {
-        let builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 0);
-        let (o1, e1, d1) =
-            ParallelExecutor::serial().run_discoveries_sharded(41, 3, 1, 1, &builder);
-        let (o2, e2, d2) =
-            ParallelExecutor::serial().run_discoveries_sharded(41, 3, 2, 2, &builder);
-        let (o4, e4, d4) =
-            ParallelExecutor::with_workers(2).run_discoveries_sharded(41, 3, 4, 0, &builder);
-        assert_eq!(d1, d2, "2 intra-run workers diverged from 1");
-        assert_eq!(d1, d4, "4 intra-run workers diverged from 1");
-        assert_eq!((e1, &o1), (e2, &o2));
-        assert_eq!((e1, &o1), (e4, &o4));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `repro scale` — the seeded WAN scale campaign (ROADMAP item 1's
-//! population axis) plus the slab A/B micro-suite.
+//! population axis).
 //!
 //! The paper's evaluation stops at five sites and a handful of brokers;
 //! this campaign drives the *same* protocol stack — BDN registration,
@@ -14,37 +14,20 @@
 //! is a pure function of `(tier list, seed)` and contains **no
 //! wall-clock fields**, so two invocations at any worker counts emit
 //! byte-identical JSON — `tools/bench.sh scale` runs the campaign at 1
-//! and 4 workers and byte-compares the files. Peak events/sec and the
-//! A/B wall-time columns go to stdout only.
-//!
-//! The A/B suite times the slab sweep's three named structures against
-//! their pre-fix O(n) forms at campaign population, mirroring the
-//! [`crate::hotpath`] idiom (same logical op, layouts differ):
-//!
-//! 1. `broker_interest_snapshot` — the per-rebroadcast
-//!    `interest.keys().cloned().collect()` clone vs the memoized
-//!    `Arc<[TopicFilter]>` snapshot ([`nb_broker::Broker`]),
-//! 2. `bdn_lease_cache` — the per-round registry walk
-//!    ([`Bdn::registry_digest`] + [`Bdn::live_lease_records`]) vs the
-//!    generation-checked [`Bdn::cached_registry_digest`],
-//! 3. `dense_node_table` — `BTreeMap<NodeId, _>` lookup + iteration vs
-//!    the slab-indexed [`nb_broker::DenseNodeTable`].
+//! and 4 workers and byte-compares the files. Events/sec goes to stdout
+//! only; the perf record is `BENCHMARK.json` (`ops_per_s` on
+//! `attach_geo`).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nb_broker::{BrokerConfig, DenseNodeTable, MachineProfile};
+use nb_broker::{BrokerConfig, MachineProfile};
 use nb_discovery::bdn::{Bdn, BdnConfig};
 use nb_discovery::{
     DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, ResponsePolicy, RetryPolicy,
 };
 use nb_net::topogen::{TopologyKind as WanKind, TopologySpec};
-use nb_net::{Actor, ClockProfile, Context, Incoming, LinkSpec, ShardedSim, SimTime};
-use nb_wire::{BrokerAdvertisement, Endpoint, Message, NodeId, Port, RealmId, Topic, TopicFilter, WireMsg};
-
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use nb_net::{ClockProfile, LinkSpec, ShardedSim, SimTime};
+use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
 
 /// Topics the entity population shares; entity `i` subscribes to pool
 /// slot `i % TOPIC_POOL`, so steady-state fan-out stays bounded as the
@@ -81,6 +64,9 @@ const POLL_STEP: Duration = Duration::from_secs(5);
 const STEADY_STATE: Duration = Duration::from_secs(10);
 /// Attach polls abandoned after this many steps past the last start.
 const MAX_EXTRA_POLLS: usize = 24;
+/// Ceiling on the heap bytes a tier's build may retain per entity
+/// (counting allocator; measured 6.9–11.2 KiB).
+pub const MAX_MEM_BYTES_PER_ENTITY: u64 = 16_384;
 
 /// One campaign tier: a topology family at a population.
 #[derive(Debug, Clone, Copy)]
@@ -360,9 +346,9 @@ fn percentile(sorted: &[u64], num: usize, den: usize) -> u64 {
 /// worker count — that is the campaign's determinism contract.
 pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> TierOutcome {
     let wall = Instant::now();
-    let live0 = crate::codec::live_bytes();
+    let live0 = crate::alloc::live_bytes();
     let mut dep = build_tier(spec, seed);
-    let live1 = crate::codec::live_bytes();
+    let live1 = crate::alloc::live_bytes();
     let alloc_counting = live1 > live0;
     dep.sim.set_workers(workers.max(1));
     dep.sim.set_shards(SCALE_SHARDS);
@@ -462,280 +448,27 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> TierOutcome {
 }
 
 // --------------------------------------------------------------------
-// The slab A/B micro-suite.
-// --------------------------------------------------------------------
-
-/// One structure timed legacy vs slab at campaign population.
-#[derive(Debug, Clone)]
-pub struct AbResult {
-    /// Structure name.
-    pub name: &'static str,
-    /// Population the structure held.
-    pub n: usize,
-    /// Rounds timed (after oracle verification).
-    pub rounds: usize,
-    /// Pre-fix layout: nanoseconds per op.
-    pub legacy_ns_per_op: f64,
-    /// Slab layout: nanoseconds per op.
-    pub slab_ns_per_op: f64,
-    /// Whether the slab path reproduced the legacy path's answer.
-    pub oracle_match: bool,
-}
-
-impl AbResult {
-    /// Legacy-over-slab per-op cost ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.slab_ns_per_op > 0.0 { self.legacy_ns_per_op / self.slab_ns_per_op } else { 0.0 }
-    }
-}
-
-/// A no-op [`Context`] so the A/B suite can drive real actors (the BDN)
-/// without an engine. Sends vanish; time is advanced by the caller.
-struct AbCtx {
-    now: SimTime,
-    rng: StdRng,
-}
-
-impl AbCtx {
-    fn new(seed: u64) -> AbCtx {
-        AbCtx { now: SimTime::ZERO + Duration::from_secs(1), rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl Context for AbCtx {
-    fn me(&self) -> NodeId {
-        NodeId(u32::MAX)
-    }
-    fn realm(&self) -> RealmId {
-        RealmId(0)
-    }
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn utc_micros(&self) -> u64 {
-        self.now.as_micros()
-    }
-    fn clock_synced(&self) -> bool {
-        true
-    }
-    fn raw_local_micros(&self) -> u64 {
-        self.now.as_micros()
-    }
-    fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
-    fn send_udp(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
-    fn send_stream(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
-    fn send_multicast(
-        &mut self,
-        _from_port: Port,
-        _group: nb_wire::GroupId,
-        _to_port: Port,
-        _msg: &Message,
-    ) {
-    }
-    fn join_group(&mut self, _group: nb_wire::GroupId) {}
-    fn leave_group(&mut self, _group: nb_wire::GroupId) {}
-    fn set_timer(&mut self, _delay: Duration, _token: u64) {}
-    fn cancel_timer(&mut self, _token: u64) {}
-    fn rng(&mut self) -> &mut dyn RngCore {
-        &mut self.rng
-    }
-}
-
-/// A/B 1: the per-rebroadcast interest-filter list. Legacy is the exact
-/// expression `broker.rs` shipped (`keys().cloned().collect()` per
-/// link-up); slab is the memoized snapshot clone the fix installed.
-fn ab_interest_snapshot(n: usize, rounds: usize) -> AbResult {
-    let interest: BTreeMap<TopicFilter, u32> = (0..n)
-        .map(|i| (TopicFilter::parse(&format!("ab/s{i}/**")).expect("filter parses"), 1u32))
-        .collect();
-    let snapshot: Arc<[TopicFilter]> = interest.keys().cloned().collect();
-    let oracle: Vec<TopicFilter> = interest.keys().cloned().collect();
-    let oracle_match =
-        snapshot.len() == oracle.len() && snapshot.iter().eq(oracle.iter());
-
-    let t = Instant::now();
-    let mut legacy_sink = 0usize;
-    for _ in 0..rounds {
-        let filters: Vec<TopicFilter> = interest.keys().cloned().collect();
-        legacy_sink = legacy_sink.wrapping_add(filters.len());
-    }
-    let legacy_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-
-    let t = Instant::now();
-    let mut slab_sink = 0usize;
-    for _ in 0..rounds {
-        let filters = Arc::clone(&snapshot);
-        slab_sink = slab_sink.wrapping_add(filters.len());
-    }
-    let slab_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-    assert_eq!(legacy_sink, slab_sink, "interest A/B loops diverged");
-    AbResult {
-        name: "broker_interest_snapshot",
-        n,
-        rounds,
-        legacy_ns_per_op: legacy_ns,
-        slab_ns_per_op: slab_ns,
-        oracle_match,
-    }
-}
-
-/// A/B 2: the per-federation-round registry digest over a real [`Bdn`]
-/// holding `n` live leases. Legacy is the full walk the anti-entropy
-/// round used to pay ([`Bdn::registry_digest`] plus the
-/// [`Bdn::live_lease_records`] Vec rebuild); slab is the
-/// generation-checked [`Bdn::cached_registry_digest`].
-fn ab_bdn_lease_cache(n: usize, rounds: usize) -> AbResult {
-    let mut ctx = AbCtx::new(11);
-    let mut bdn = Bdn::new(BdnConfig {
-        ad_ttl: Duration::from_secs(3_600),
-        auto_attach: false,
-        ..BdnConfig::default()
-    });
-    for i in 0..n {
-        let ad = BrokerAdvertisement {
-            broker: NodeId(i as u32),
-            hostname: format!("b{i}"),
-            logical_address: format!("nb://scale/{i}"),
-            realm: RealmId((i % 16) as u16),
-            transports: vec![],
-            geography: None,
-            institution: None,
-            issued_at_utc: 1_000_000 + i as u64,
-        };
-        bdn.on_incoming(
-            Incoming::Stream {
-                from: Endpoint::new(NodeId(i as u32), Port(1)),
-                to_port: Port(2),
-                msg: WireMsg::new(Message::Advertisement(ad)),
-            },
-            &mut ctx,
-        );
-    }
-    let now = ctx.now();
-    let oracle_match = bdn.cached_registry_digest(now) == bdn.registry_digest(now)
-        && bdn.live_entries(now) == n;
-
-    let t = Instant::now();
-    let mut legacy_sink = 0u64;
-    for _ in 0..rounds {
-        let digest = bdn.registry_digest(now);
-        let records = bdn.live_lease_records(now);
-        legacy_sink = legacy_sink.wrapping_add(digest ^ records.len() as u64);
-    }
-    let legacy_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-
-    let t = Instant::now();
-    let mut slab_sink = 0u64;
-    for _ in 0..rounds {
-        let digest = bdn.cached_registry_digest(now);
-        slab_sink = slab_sink.wrapping_add(digest ^ n as u64);
-    }
-    let slab_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-    assert_eq!(legacy_sink, slab_sink, "lease-cache A/B loops diverged");
-    AbResult {
-        name: "bdn_lease_cache",
-        n,
-        rounds,
-        legacy_ns_per_op: legacy_ns,
-        slab_ns_per_op: slab_ns,
-        oracle_match,
-    }
-}
-
-/// A/B 3: the broker's per-node link/client state at `n` nodes —
-/// `BTreeMap<NodeId, u64>` vs the slab-indexed [`DenseNodeTable`]. One
-/// op is a lookup sweep plus a full in-order iteration fold, the two
-/// access patterns `route_deduped` and `heartbeat_tick` perform.
-fn ab_dense_node_table(n: usize, rounds: usize) -> AbResult {
-    let btree: BTreeMap<NodeId, u64> = (0..n).map(|i| (NodeId(i as u32), i as u64)).collect();
-    let mut slab: DenseNodeTable<u64> = DenseNodeTable::with_capacity(n);
-    for i in 0..n {
-        slab.insert(NodeId(i as u32), i as u64);
-    }
-    let oracle_match = slab.len() == btree.len()
-        && slab.iter().zip(btree.iter()).all(|((sn, sv), (bn, bv))| sn == *bn && sv == bv);
-
-    // LCG probe sequence, same for both layouts.
-    let probe = |mut state: u64| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state, NodeId((state >> 33) as u32 % n.max(1) as u32))
-    };
-
-    let t = Instant::now();
-    let mut legacy_sink = 0u64;
-    for r in 0..rounds {
-        let mut state = r as u64;
-        for _ in 0..64 {
-            let (next, id) = probe(state);
-            state = next;
-            legacy_sink = legacy_sink.wrapping_add(*btree.get(&id).expect("probe in range"));
-        }
-        for (id, v) in btree.iter() {
-            legacy_sink = legacy_sink.wrapping_add(u64::from(id.0) ^ *v);
-        }
-    }
-    let legacy_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-
-    let t = Instant::now();
-    let mut slab_sink = 0u64;
-    for r in 0..rounds {
-        let mut state = r as u64;
-        for _ in 0..64 {
-            let (next, id) = probe(state);
-            state = next;
-            slab_sink = slab_sink.wrapping_add(*slab.get(id).expect("probe in range"));
-        }
-        for (id, v) in slab.iter() {
-            slab_sink = slab_sink.wrapping_add(u64::from(id.0) ^ *v);
-        }
-    }
-    let slab_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-    assert_eq!(legacy_sink, slab_sink, "node-table A/B loops diverged");
-    AbResult {
-        name: "dense_node_table",
-        n,
-        rounds,
-        legacy_ns_per_op: legacy_ns,
-        slab_ns_per_op: slab_ns,
-        oracle_match,
-    }
-}
-
-/// Runs the three-structure A/B suite at population `n` (clamped to
-/// 1e3..=1e5 so tiny smoke runs still measure something and 1e6 runs
-/// don't stall on the legacy columns).
-pub fn run_ab_suite(n: usize) -> Vec<AbResult> {
-    let n = n.clamp(1_000, 100_000);
-    // Legacy ops are O(n); scale rounds down as n grows so each column
-    // stays in check while small-n rounds stay statistically sane.
-    let rounds = (4_000_000 / n).clamp(8, 512);
-    vec![
-        ab_interest_snapshot(n, rounds),
-        ab_bdn_lease_cache(n, rounds),
-        ab_dense_node_table(n, rounds),
-    ]
-}
-
-// --------------------------------------------------------------------
 // The campaign report.
 // --------------------------------------------------------------------
 
-/// The whole campaign: tier outcomes plus the A/B oracle verdicts.
+/// The whole campaign: one outcome per tier.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
     /// Root seed.
     pub seed: u64,
     /// Per-tier outcomes, tier-list order.
     pub tiers: Vec<TierOutcome>,
-    /// The A/B suite (wall columns stdout-only; oracles in JSON).
-    pub ab: Vec<AbResult>,
 }
 
 impl ScaleReport {
-    /// Did every tier fully attach and every A/B oracle hold?
+    /// Did every tier fully attach, without failovers, under
+    /// [`MAX_MEM_BYTES_PER_ENTITY`]?
     pub fn passed(&self) -> bool {
-        self.tiers.iter().all(|t| t.attached == t.entities && t.failovers == 0)
-            && self.ab.iter().all(|a| a.oracle_match)
+        self.tiers.iter().all(|t| {
+            t.attached == t.entities
+                && t.failovers == 0
+                && t.mem_bytes_per_entity <= MAX_MEM_BYTES_PER_ENTITY
+        })
     }
 
     /// Renders the campaign as JSON. Deliberately free of wall-clock
@@ -783,31 +516,15 @@ impl ScaleReport {
                 if i + 1 < self.tiers.len() { "," } else { "" },
             ));
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"ab\": [\n");
-        for (i, a) in self.ab.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"n\": {}, \"rounds\": {}, \"oracle_match\": {}}}{}\n",
-                a.name,
-                a.n,
-                a.rounds,
-                a.oracle_match,
-                if i + 1 < self.ab.len() { "," } else { "" },
-            ));
-        }
         out.push_str("  ]\n");
         out.push_str("}\n");
         out
     }
 }
 
-/// Runs the campaign: every tier in order at `workers` event workers,
-/// then the A/B suite at the largest tier's population.
+/// Runs the campaign: every tier in order at `workers` event workers.
 pub fn run_campaign(tiers: &[TierSpec], seed: u64, workers: usize) -> ScaleReport {
-    let outcomes: Vec<TierOutcome> =
-        tiers.iter().map(|t| run_tier(t, seed, workers)).collect();
-    let ab_n = tiers.iter().map(|t| t.entities).max().unwrap_or(10_000);
-    ScaleReport { seed, tiers: outcomes, ab: run_ab_suite(ab_n) }
+    ScaleReport { seed, tiers: tiers.iter().map(|t| run_tier(t, seed, workers)).collect() }
 }
 
 #[cfg(test)]
@@ -857,24 +574,13 @@ mod tests {
     }
 
     #[test]
-    fn ab_suite_oracles_hold_at_test_population() {
-        for r in run_ab_suite(1_000) {
-            assert!(r.oracle_match, "{}: slab answer diverged from legacy", r.name);
-            assert!(r.legacy_ns_per_op > 0.0);
-            assert!(r.slab_ns_per_op > 0.0);
-        }
-    }
-
-    #[test]
     fn report_json_is_wall_free_and_balanced() {
         let spec = smoke_tier();
         let report = run_campaign(&[spec], 3, 1);
         let json = report.to_json();
         assert!(json.contains("\"campaign\": \"scale\""));
         assert!(json.contains("\"population\""));
-        assert!(json.contains("\"oracle_match\": true"));
         assert!(!json.contains("wall"), "wall-clock fields must stay out of the report");
-        assert!(!json.contains("ns_per_op"), "A/B wall columns are stdout-only");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

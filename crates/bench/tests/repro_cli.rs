@@ -1,0 +1,79 @@
+//! The `repro` binary's command-line contract: help comes from the
+//! dispatch table, usage errors exit 2, `--out` is the only place a
+//! report lands.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn repro(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn repro")
+}
+
+/// A fresh empty directory under cargo's per-target tmp dir.
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// `repro.rs`'s dispatch table, by name.
+const COMMANDS: [&str; 31] = [
+    "help", "all", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+    "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
+    "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock", "ablation-topology",
+    "ablation-bulk", "check", "trace", "chaos", "federation", "scale", "lint",
+];
+
+#[test]
+fn help_lists_every_command_and_exits_zero() {
+    let dir = scratch("repro_cli_help");
+    let help = repro(&dir, &["help"]);
+    assert_eq!(help.status.code(), Some(0));
+    let text = String::from_utf8(help.stdout).expect("utf-8 help");
+    let listed: Vec<&str> = text
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(listed, COMMANDS, "help must list the dispatch table, in order");
+    assert_eq!(repro(&dir, &["--help"]).stdout, text.as_bytes());
+}
+
+#[test]
+fn usage_errors_exit_two() {
+    let dir = scratch("repro_cli_usage");
+    for args in [
+        &["--frobnicate"][..],
+        &["frobnicate"],
+        &["fig2", "--runs"],
+        &["fig2", "--runs", "banana"],
+        &["fig2", "--out", "x.json"],
+        &["chaos", "--out", "/proc/nope/x.json", "--scenarios", "1"],
+    ] {
+        let out = repro(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(!out.stderr.is_empty(), "{args:?} must say why");
+    }
+    assert_eq!(std::fs::read_dir(&dir).expect("scratch dir").count(), 0);
+}
+
+#[test]
+fn chaos_writes_exactly_the_out_path() {
+    let dir = scratch("repro_cli_chaos");
+    let out = repro(&dir, &["chaos", "--scenarios", "1", "--out", "report.json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scratch dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(written, ["report.json"], "the default CHAOS_campaign.json must not appear");
+    let json = std::fs::read_to_string(dir.join("report.json")).expect("report");
+    assert!(json.contains("\"base_seed\": 2005"), "{json}");
+}

@@ -49,10 +49,13 @@ pub struct FileScan {
 // ---------------------------------------------------------------------
 
 /// Files where real wall-clock reads are the point: the threaded
-/// runtime drives actual OS timers, and the bench crate measures real
-/// elapsed time. D001/D006 do not apply here.
+/// runtime drives actual OS timers, and the bench crate and the repo
+/// benchmark (`benchmark/`) measure real elapsed time. D001/D006 do not
+/// apply here.
 pub fn is_wall_clock_zone(path: &str) -> bool {
-    path == "crates/net/src/threaded.rs" || path.starts_with("crates/bench/")
+    path == "crates/net/src/threaded.rs"
+        || path.starts_with("crates/bench/")
+        || path.starts_with("benchmark/")
 }
 
 /// Deterministic zones: the simulation, protocol and service crates

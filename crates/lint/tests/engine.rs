@@ -68,6 +68,7 @@ fn d001_wall_clock_zone_split() {
         "crates/bench/src/lib.rs",
         "pub fn measure() { let _t = std::time::Instant::now(); }\n",
     );
+    fx.write("benchmark/src/x.rs", "pub fn measure() { let _t = std::time::Instant::now(); }\n");
     let report = fx.run();
     assert_eq!(rules(&report), vec!["D001"]);
     assert_eq!(report.new[0].file, "crates/net/src/sim.rs");

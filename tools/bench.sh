@@ -1,196 +1,81 @@
 #!/usr/bin/env bash
-# Regenerates the perf baseline: builds the workspace in release mode,
-# runs the figure suite serial vs parallel plus the hot-path A/B, and
-# writes BENCH_discovery.json at the repo root.
+# The CI gates: every committed report must be what the tree produces,
+# at any worker count. Perf numbers are not here — they live in
+# BENCHMARK.json / benchmark/README.md.
 #
 # Usage:
-#   tools/bench.sh                  # paper protocol (120 runs/figure)
-#   tools/bench.sh --runs 30        # faster smoke baseline
-#   tools/bench.sh --workers 8      # pin the parallel worker count (--threads alias)
-#   tools/bench.sh chaos-smoke      # 3-seed chaos campaign (<30 s),
-#                                   # writes CHAOS_campaign.json
-#   tools/bench.sh federation       # 10-seed federated-BDN anti-entropy
-#                                   # campaign (scripted n-1 BDN loss +
-#                                   # randomized plans), run at 1 and 4
-#                                   # workers; writes BENCH_federation.json,
-#                                   # exit 1 on invariant failure or if the
-#                                   # two reports differ by a byte
-#   tools/bench.sh lint             # nb-lint static analysis (D001–D011,
-#                                   # W001–W004): regenerates LINT_report.json
-#                                   # and diffs it against the committed
-#                                   # copy; exit 1 on new findings OR if
-#                                   # the committed report is stale
-#   tools/bench.sh routing          # routing micro-suite (trie+memo vs
-#                                   # linear oracle), writes
-#                                   # BENCH_routing.json; exit 1 unless
-#                                   # trie ≥ 3x / memo ≥ 10x at 1e4 filters
-#   tools/bench.sh codec            # wire-path micro-suite (peek vs full
-#                                   # decode, forward vs re-encode, allocs
-#                                   # per delivery, v1-vs-v2 link A/B),
-#                                   # writes BENCH_codec.json; exit 1 unless
-#                                   # peek ≥ 5x, forward ≥ 3x and the v2
-#                                   # bytes/delivery reduction ≥ 1.5x at
-#                                   # 32-way fan-out — or if the committed
-#                                   # BENCH_codec.json's deterministic
-#                                   # (byte-count) columns are stale
-#   tools/bench.sh scale            # WAN scale-campaign gate: the small
-#                                   # tier set (star/linear at 2e3 and the
-#                                   # geometric mesh at 1e4 entities) run
-#                                   # at 1 and 4 workers; writes
-#                                   # BENCH_scale.json, exit 1 if any tier
-#                                   # fails to attach, an A/B oracle
-#                                   # drifts, fewer than 2 of 3 slab A/B
-#                                   # columns clear 3x, the throughput
-#                                   # floor / memory ceiling is missed, or
-#                                   # the two reports differ by a byte
-#   tools/bench.sh shards           # sharded-engine determinism gate: the
-#                                   # same workload at 1/2/4 intra-run
-#                                   # workers must produce byte-identical
-#                                   # digests (hard failure otherwise);
-#                                   # the 4-worker speedup is recorded in
-#                                   # BENCH_discovery.json, never gated
+#   tools/bench.sh               # all four gates in the order below;
+#                                # exits non-zero on the first failure
+#   tools/bench.sh lint          # nb-lint: exit 1 on new findings or if
+#                                # the committed LINT_report.json is stale
+#   tools/bench.sh chaos-smoke   # 3-scenario chaos campaign at seed 11
+#                                # (<30 s), writes CHAOS_campaign.json
+#   tools/bench.sh federation    # 10-scenario federated-BDN campaign at 1
+#                                # and 4 workers, writes BENCH_federation.json
+#   tools/bench.sh scale         # small scale tiers at 1 and 4 workers
+#                                # (~40 s), writes BENCH_scale.json
 #
-# All other flags are forwarded to `repro bench`. The parallel speedup
-# is bounded by visible cores (recorded in the JSON as "cores");
-# regenerate on multi-core hardware before reading anything into that
-# number.
+# Extra arguments after a gate name are forwarded to `repro`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [[ "${1:-}" == "chaos-smoke" ]]; then
-    shift
-    # The same three seeds the tier-1 test wrapper pins
-    # (crates/bench/tests/chaos_campaign.rs::chaos_smoke_three_fixed_seeds):
-    # scenario 0 is the scripted BDN state-loss restart, the other two
-    # are generated plans.
-    cargo build --release -p nb-bench
-    ./target/release/repro chaos --scenarios 3 --seed 11 \
-        --chaos-json CHAOS_campaign.json "$@"
-    exit 0
-fi
-
-if [[ "${1:-}" == "federation" ]]; then
-    shift
-    # Anti-entropy gate: the pinned-seed campaign must pass every
-    # invariant (attached, cross-BDN convergence, no resurrection) and
-    # the report must be byte-identical at 1 and 4 campaign workers —
-    # the worker-invariance contract of the sync message flow.
-    cargo build --release -p nb-bench
-    ./target/release/repro federation --scenarios 10 --seed 2005 --workers 1 \
-        --federation-json BENCH_federation.json "$@"
-    ./target/release/repro federation --scenarios 10 --seed 2005 --workers 4 \
-        --federation-json BENCH_federation.workers4.json "$@"
-    if ! cmp -s BENCH_federation.json BENCH_federation.workers4.json; then
-        echo "FAIL: federation report differs between 1 and 4 workers" >&2
+# byte_compare_workers <subcommand> <json> <args…>: runs the campaign at
+# 1 worker into <json> and at 4 workers into a scratch copy; the reports
+# carry no wall-clock or worker field, so any differing byte is a broken
+# worker-invariance contract. `repro` itself exits 1 on a failed
+# invariant.
+byte_compare_workers() {
+    local sub=$1 json=$2
+    shift 2
+    ./target/release/repro "$sub" --workers 1 --out "$json" "$@"
+    ./target/release/repro "$sub" --workers 4 --out "$json.workers4" "$@"
+    if ! cmp -s "$json" "$json.workers4"; then
+        echo "FAIL: $sub report differs between 1 and 4 workers" >&2
         exit 1
     fi
-    rm -f BENCH_federation.workers4.json
-    echo "federation report byte-identical at 1 and 4 workers"
-    exit 0
-fi
+    rm -f "$json.workers4"
+    echo "$sub report byte-identical at 1 and 4 workers"
+}
 
-if [[ "${1:-}" == "lint" ]]; then
+gate() {
+    local name=$1
     shift
-    # Determinism/protocol-safety gate. Uses repro so the report lands
-    # next to the other reproduction artifacts; tools/lint.sh is the
-    # fast dev path (debug build, no release compile).
-    #
-    # Regenerate-and-compare: the committed LINT_report.json must match
-    # what the tree actually produces, so a stale committed report can
-    # never pass CI.
-    cargo build --release -p nb-bench
-    ./target/release/repro lint --lint-json LINT_report.json.new "$@"
-    if ! cmp -s LINT_report.json LINT_report.json.new; then
-        echo "FAIL: committed LINT_report.json is stale — diff vs regenerated:" >&2
-        diff LINT_report.json LINT_report.json.new >&2 || true
+    case "$name" in
+    lint)
+        # Regenerate-and-compare, so a stale committed report can never
+        # pass (tools/lint.sh is the fast debug-build path).
+        ./target/release/repro lint --out LINT_report.json.new "$@"
+        if ! diff LINT_report.json LINT_report.json.new >&2; then
+            echo "FAIL: committed LINT_report.json is stale (diff vs regenerated above)" >&2
+            exit 1
+        fi
         rm -f LINT_report.json.new
-        exit 1
-    fi
-    rm -f LINT_report.json.new
-    echo "LINT_report.json matches the tree"
-    exit 0
-fi
-
-if [[ "${1:-}" == "routing" ]]; then
-    shift
-    # Subscription-matching gate: the segment-id trie must beat the
-    # pre-trie linear scan ≥ 3x cold (and ≥ 10x memo-warm) at 1e4
-    # filters, pinned seed so reruns measure the same population.
-    cargo build --release -p nb-bench
-    ./target/release/repro routing --seed 11 --min-speedup 3 \
-        --routing-json BENCH_routing.json "$@"
-    exit 0
-fi
-
-if [[ "${1:-}" == "codec" ]]; then
-    shift
-    # Zero-copy wire-path gate: header peek must beat the full decode
-    # ≥ 5x, byte-forwarding must beat decode+re-encode ≥ 3x, and the v2
-    # compact codec must cut bytes/delivery ≥ 1.5x at 32-way fan-out —
-    # pinned seed so reruns measure the same frame population.
-    #
-    # Regenerate-and-compare (same playbook as the lint report): the
-    # committed BENCH_codec.json's *deterministic* columns — byte
-    # counts, reductions, frames per segment, population shape — must
-    # match what the tree actually produces, so a stale committed
-    # baseline can never pass CI. Timing columns are machine-dependent
-    # and deliberately excluded from the comparison.
-    cargo build --release -p nb-bench
-    ./target/release/repro codec --seed 11 --min-peek-speedup 5 \
-        --min-forward-speedup 3 --min-bytes-reduction 1.5 \
-        --codec-json BENCH_codec.json.new "$@"
-    det_keys() {
-        grep -E '"(suite|seed|frames|ops|link_fan_out|fan_out|v2_batch|v2_epochs|fan(4|32)_(v1|v2)_bytes_per_delivery|fan(4|32)_bytes_reduction|fan(4|32)_frames_per_segment|bytes_reduction)":' "$1"
-    }
-    if ! diff <(det_keys BENCH_codec.json) <(det_keys BENCH_codec.json.new); then
-        echo "FAIL: committed BENCH_codec.json is stale — regenerate with:" >&2
-        echo "  ./target/release/repro codec --seed 11 --codec-json BENCH_codec.json" >&2
-        rm -f BENCH_codec.json.new
-        exit 1
-    fi
-    rm -f BENCH_codec.json.new
-    echo "BENCH_codec.json deterministic columns match the tree"
-    exit 0
-fi
-
-if [[ "${1:-}" == "scale" ]]; then
-    shift
-    # Scale-campaign gate, same playbook as the federation gate: the
-    # report contains no wall-clock or worker-count fields, so the 1-
-    # and 4-worker invocations must emit byte-identical JSON — that is
-    # the worker-invariance contract of the whole discovery → attach →
-    # steady-state flow at campaign population. Gates on the first run:
-    # every tier fully attaches, ≥ 2 of the 3 slab A/B columns clear 3x
-    # with oracle agreement, ≥ 20k events/sec per tier (a ~10x-headroom
-    # floor against engine regressions, not a hardware benchmark), and
-    # ≤ 16 KiB retained heap per entity via the counting allocator.
-    cargo build --release -p nb-bench
-    ./target/release/repro scale --tier small --seed 2005 --workers 1 \
-        --min-ab-speedup 3 --min-events-per-sec 20000 \
-        --max-bytes-per-entity 16384 \
-        --scale-json BENCH_scale.json "$@"
-    ./target/release/repro scale --tier small --seed 2005 --workers 4 \
-        --scale-json BENCH_scale.workers4.json "$@"
-    if ! cmp -s BENCH_scale.json BENCH_scale.workers4.json; then
-        echo "FAIL: scale report differs between 1 and 4 workers" >&2
-        exit 1
-    fi
-    rm -f BENCH_scale.workers4.json
-    echo "scale report byte-identical at 1 and 4 workers"
-    exit 0
-fi
-
-if [[ "${1:-}" == "shards" ]]; then
-    shift
-    # Conservative-lookahead engine gate: digest equality across worker
-    # counts is the determinism contract (DESIGN.md §13). Pinned seed so
-    # reruns exercise the same event population; wall-clock speedup is
-    # recorded but deliberately not gated — on a 1-core box the sharded
-    # path cannot beat serial and that is not a defect.
-    cargo build --release -p nb-bench
-    ./target/release/repro shards --seed 11 --runs 6 "$@"
-    exit 0
-fi
+        echo "LINT_report.json matches the tree"
+        ;;
+    chaos-smoke)
+        # The three seeds crates/bench/tests/chaos_campaign.rs pins:
+        # scenario 0 is the scripted BDN state-loss restart, the other
+        # two are generated plans.
+        ./target/release/repro chaos --scenarios 3 --seed 11 --out CHAOS_campaign.json "$@"
+        ;;
+    federation)
+        byte_compare_workers federation BENCH_federation.json --scenarios 10 --seed 2005 "$@"
+        ;;
+    scale)
+        byte_compare_workers scale BENCH_scale.json --tier small --seed 2005 "$@"
+        ;;
+    *)
+        echo "usage: tools/bench.sh [lint|chaos-smoke|federation|scale] [repro flags…]" >&2
+        exit 2
+        ;;
+    esac
+}
 
 cargo build --release -p nb-bench
-./target/release/repro bench --bench-json BENCH_discovery.json "$@"
+if [[ $# -eq 0 ]]; then
+    for name in lint chaos-smoke federation scale; do
+        gate "$name"
+    done
+else
+    gate "$@"
+fi
