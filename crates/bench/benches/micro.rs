@@ -218,7 +218,10 @@ fn bench_sim_engine(c: &mut Criterion) {
             }
         }
         fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-            if let Incoming::Datagram { from, msg: Message::Ping { nonce, .. }, .. } = event {
+            let Incoming::Datagram { from, msg, .. } = event else {
+                return;
+            };
+            if let Message::Ping { nonce, .. } = msg.message() {
                 let ping = Message::Ping {
                     nonce: nonce + 1,
                     sent_at: 0,

@@ -847,8 +847,10 @@ impl ShardedSim {
 
     /// The run digest: an FNV-1a fold, in node order, of every LP's
     /// event-stream digest and event count. Byte-identical across
-    /// worker and shard counts; the determinism gate in
-    /// `tools/bench.sh shards` compares exactly this value.
+    /// worker and shard counts: `crates/bench/tests/sharded_determinism.rs`
+    /// compares exactly this value, and the scale campaign's tier rows
+    /// carry it into the report `tools/bench.sh scale` byte-compares at
+    /// 1 and 4 workers.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for lp in &self.lps {

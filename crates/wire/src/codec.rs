@@ -145,6 +145,13 @@ impl WireWriter {
         self.buf.put_slice(v);
     }
 
+    /// Overwrites already-written bytes starting at offset `at` — for a
+    /// header whose contents are only known once what follows it has
+    /// been written.
+    pub fn patch(&mut self, at: usize, v: &[u8]) {
+        self.buf[at..at + v.len()].copy_from_slice(v);
+    }
+
     /// Length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         debug_assert!(v.len() <= MAX_FIELD_LEN);
@@ -238,6 +245,18 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
+    /// Splits off a reader over exactly the next `n` bytes and advances
+    /// past them. The sub-reader still addresses the same backing
+    /// buffer, so its zero-copy takes alias the one allocation.
+    pub fn sub_reader(&mut self, n: usize) -> Result<WireReader<'a>, WireError> {
+        if self.remaining() < n {
+            return Err(WireError::UnexpectedEof);
+        }
+        let sub = WireReader { buf: &self.buf[..self.pos + n], pos: self.pos, shared: self.shared };
+        self.pos += n;
+        Ok(sub)
+    }
+
     pub fn get_bool(&mut self) -> Result<bool, WireError> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -321,9 +340,18 @@ impl<'a> WireReader<'a> {
         })
     }
 
+    /// Length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, WireError> {
+        let len = self.get_u32()? as usize;
+        if len > MAX_FIELD_LEN {
+            return Err(WireError::FieldTooLong(len));
+        }
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::InvalidUtf8)
+    }
+
     /// Length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.get_bytes()?).map_err(|_| WireError::InvalidUtf8)
+        self.get_str_ref().map(str::to_owned)
     }
 
     /// `Option<T>` as written by [`WireWriter::put_option`].

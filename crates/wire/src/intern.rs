@@ -1,10 +1,20 @@
-//! The segment interner: topic segments as small integer ids.
+//! The process interners: topic segments and whole topic strings as
+//! small integer ids.
 //!
 //! Every `/`-separated topic segment in the process is registered in one
-//! crate-level symbol table and mapped to a dense [`SegId`]. Topics and
+//! crate-level segment table and mapped to a dense [`SegId`]. Topics and
 //! filters resolve their segments exactly once — at parse/decode time —
 //! and matching, subsumption and the broker's subscription trie then
 //! operate on `&[SegId]` integer slices, never on `str::split`.
+//!
+//! Beside it sits the **symbol table**: every whole topic or filter
+//! string that crosses a v2 link is registered once per process and
+//! mapped to a dense [`SymId`], with its parse as a [`Topic`] and as a
+//! [`TopicFilter`] cached on the entry the first time each is asked for.
+//! The per-link tables of [`crate::symtab`] are integer views over these
+//! ids, so a warm reference encodes as an index and decodes as a clone
+//! of the cached parse — no string is compared, copied or re-split on
+//! the hop.
 //!
 //! # Determinism
 //!
@@ -25,11 +35,22 @@
 //! concrete segments can never collide with them because the table
 //! refuses to grow that far (a process would need ~4.29 billion distinct
 //! segments first).
+//!
+//! # Growth
+//!
+//! Neither table ever shrinks. A peer that streams endless distinct
+//! topic strings grows the symbol table by one entry per string — exactly
+//! as the segments of those strings already grow the segment table, and
+//! bounded the same way: by the bytes the peer manages to deliver (each
+//! definition is capped at `MAX_FRAME_LEN` and must be valid UTF-8 before
+//! it is interned). The per-link views stay capped at
+//! [`MAX_SYMBOLS`](crate::symtab::MAX_SYMBOLS) entries each, so the
+//! symbol table adds no new class of exposure.
 
 use std::collections::BTreeMap;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::topic::TopicError;
+use crate::topic::{Topic, TopicError, TopicFilter};
 
 /// Maximum number of segments in a topic or filter. Hostile frames with
 /// absurdly deep topics are rejected at decode time ([`TopicError::TooDeep`])
@@ -99,6 +120,86 @@ pub fn intern(seg: &str) -> SegId {
 /// Number of distinct segments interned so far (diagnostics).
 pub fn interned_count() -> usize {
     table().read().unwrap_or_else(|p| p.into_inner()).len()
+}
+
+/// A whole topic or filter string interned in the process symbol table.
+///
+/// Like [`SegId`], the numeric value is interning order and purely
+/// process-local: it never crosses the wire (links ship their own
+/// first-use-ordered ids, see [`crate::symtab`]) and nothing observable
+/// is ordered by it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SymId(u32);
+
+impl SymId {
+    /// The raw id value: dense from zero, so per-link tables index by it.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One symbol: the raw string plus its lazily cached parses. A string
+/// may legitimately be asked for as both (`a/b` is a topic and an exact
+/// filter); an invalid parse is cached too, so a hostile definition is
+/// validated once, not once per reference.
+struct Symbol {
+    raw: Arc<str>,
+    topic: OnceLock<Result<Topic, TopicError>>,
+    filter: OnceLock<Result<TopicFilter, TopicError>>,
+}
+
+#[derive(Default)]
+struct SymbolTable {
+    ids: BTreeMap<Arc<str>, u32>,
+    symbols: Vec<Symbol>,
+}
+
+fn symbols() -> &'static RwLock<SymbolTable> {
+    static SYMBOLS: OnceLock<RwLock<SymbolTable>> = OnceLock::new();
+    SYMBOLS.get_or_init(|| RwLock::new(SymbolTable::default()))
+}
+
+/// Interns one whole topic/filter string, returning its id. Known
+/// strings take only a read lock.
+pub fn intern_symbol(s: &str) -> SymId {
+    let t = symbols();
+    {
+        let read = t.read().unwrap_or_else(|p| p.into_inner());
+        if let Some(&id) = read.ids.get(s) {
+            return SymId(id);
+        }
+    }
+    let mut write = t.write().unwrap_or_else(|p| p.into_inner());
+    if let Some(&id) = write.ids.get(s) {
+        return SymId(id);
+    }
+    let id = u32::try_from(write.symbols.len()).expect("symbol table exhausted the u32 id space");
+    let raw: Arc<str> = Arc::from(s);
+    write.ids.insert(Arc::clone(&raw), id);
+    write.symbols.push(Symbol { raw, topic: OnceLock::new(), filter: OnceLock::new() });
+    SymId(id)
+}
+
+fn with_symbol<R>(id: SymId, f: impl FnOnce(&Symbol) -> R) -> R {
+    let read = symbols().read().unwrap_or_else(|p| p.into_inner());
+    f(&read.symbols[id.index()])
+}
+
+/// The string `id` was interned from.
+pub fn symbol_str(id: SymId) -> Arc<str> {
+    with_symbol(id, |s| Arc::clone(&s.raw))
+}
+
+/// The symbol parsed as a concrete [`Topic`]: parsed on first request,
+/// a clone of the cached value ever after.
+pub fn symbol_topic(id: SymId) -> Result<Topic, TopicError> {
+    with_symbol(id, |s| s.topic.get_or_init(|| Topic::parse_symbol(id, &s.raw)).clone())
+}
+
+/// The symbol parsed as a [`TopicFilter`], cached like
+/// [`symbol_topic`].
+pub fn symbol_filter(id: SymId) -> Result<TopicFilter, TopicError> {
+    with_symbol(id, |s| s.filter.get_or_init(|| TopicFilter::parse_symbol(id, &s.raw)).clone())
 }
 
 /// A `SmallVec`-style segment-id sequence: topics up to `INLINE`

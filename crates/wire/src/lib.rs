@@ -8,9 +8,10 @@
 //!   transports, network realms and multicast groups,
 //! * [`topic`] — `/`-separated topic names and subscription filters with
 //!   single-segment (`*`) and multi-segment (`**`) wildcards,
-//! * [`intern`] — the deterministic segment interner: topics/filters
-//!   carry pre-resolved segment-id slices so matching never re-splits
-//!   strings,
+//! * [`intern`] — the process interners: topics/filters carry
+//!   pre-resolved segment-id slices so matching never re-splits
+//!   strings, and whole topic strings are interned with their parses
+//!   cached so the v2 codec never compares or re-parses one,
 //! * [`message`] — the full protocol message set: pub/sub events and
 //!   subscriptions, broker link management, broker advertisements,
 //!   discovery requests/acks/responses, UDP pings, NTP exchanges and
@@ -26,7 +27,8 @@
 //!   timestamps, symbol-referenced topics, and multi-frame segments
 //!   with non-decoding peeks,
 //! * [`symtab`] — the per-link topic symbol tables v2 syncs lazily
-//!   (first use ships the string, later uses ship a small id).
+//!   (first use ships the string, later uses ship a small id): integer
+//!   views of the process symbol table in [`intern`].
 //!
 //! Every message crosses the (simulated or real) network as bytes encoded
 //! by this crate, in both runtimes, so the codec is exercised on every hop.
@@ -51,7 +53,7 @@ pub use frame::{
     decode_framed, frame_message, frame_message_flags, patch_prelude, peek_body, FrameDecoder,
     FrameHeader, DEFAULT_TTL, FLAG_SEGMENT, FLAG_V2_CAPABLE, MAX_FRAME_LEN, PRELUDE_LEN,
 };
-pub use intern::{SegId, MAX_TOPIC_DEPTH};
+pub use intern::{SegId, SymId, MAX_TOPIC_DEPTH};
 pub use message::{
     BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryResponse, Event, FederationSync,
     LeaseRecord, Message, SyncPhase, TombstoneRecord, UsageMetrics,

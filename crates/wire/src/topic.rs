@@ -17,8 +17,9 @@
 //! constants.
 
 use crate::codec::{Wire, WireError, WireReader, WireWriter};
-use crate::intern::{self, SegId, SegVec};
+use crate::intern::{self, SegId, SegVec, SymId};
 use std::fmt;
+use std::sync::Arc;
 
 /// The public topic every BDN subscribes to for broker advertisements
 /// (paper §2.3).
@@ -63,24 +64,35 @@ impl std::error::Error for TopicError {}
 ///
 /// Equality, ordering and hashing follow the raw string (segment ids are
 /// a derived cache), so map/set ordering over topics is byte-stable
-/// across processes regardless of interning order.
+/// across processes regardless of interning order. The string is
+/// shared: cloning a topic allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Topic {
-    raw: String,
+    raw: Arc<str>,
     segs: SegVec,
+    /// The string's process symbol id, when this value came out of the
+    /// symbol table (a v2 decode); [`Topic::symbol`] looks it up
+    /// otherwise.
+    sym: Option<SymId>,
 }
 
 impl Topic {
     /// Parses and validates a concrete topic.
     pub fn parse(s: &str) -> Result<Topic, TopicError> {
-        Topic::parse_owned(s.to_string())
+        let segs = intern::resolve_topic(s)?;
+        Ok(Topic { raw: Arc::from(s), segs, sym: None })
     }
 
-    /// Like [`Topic::parse`] but takes ownership of the string — wire
-    /// decode uses this so the buffer's copy is the only allocation.
-    pub fn parse_owned(raw: String) -> Result<Topic, TopicError> {
-        let segs = intern::resolve_topic(&raw)?;
-        Ok(Topic { raw, segs })
+    /// Parses the string symbol `sym` was interned from.
+    pub(crate) fn parse_symbol(sym: SymId, s: &str) -> Result<Topic, TopicError> {
+        Topic::parse(s).map(|t| Topic { sym: Some(sym), ..t })
+    }
+
+    /// This topic's id in the process symbol table (see
+    /// [`intern`](crate::intern)), interning the string if the topic did
+    /// not come from there. The v2 encoder references topics by it.
+    pub fn symbol(&self) -> SymId {
+        self.sym.unwrap_or_else(|| intern::intern_symbol(&self.raw))
     }
 
     /// The raw topic string.
@@ -146,25 +158,34 @@ impl fmt::Display for Topic {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TopicFilter {
-    raw: String,
+    raw: Arc<str>,
     segs: SegVec,
+    /// As [`Topic`]'s: known when the filter came out of the symbol
+    /// table.
+    sym: Option<SymId>,
 }
 
 impl TopicFilter {
     /// Parses and validates a filter.
     pub fn parse(s: &str) -> Result<TopicFilter, TopicError> {
-        TopicFilter::parse_owned(s.to_string())
+        let segs = intern::resolve_filter(s)?;
+        Ok(TopicFilter { raw: Arc::from(s), segs, sym: None })
     }
 
-    /// Like [`TopicFilter::parse`] but takes ownership of the string.
-    pub fn parse_owned(raw: String) -> Result<TopicFilter, TopicError> {
-        let segs = intern::resolve_filter(&raw)?;
-        Ok(TopicFilter { raw, segs })
+    /// Parses the string symbol `sym` was interned from.
+    pub(crate) fn parse_symbol(sym: SymId, s: &str) -> Result<TopicFilter, TopicError> {
+        TopicFilter::parse(s).map(|f| TopicFilter { sym: Some(sym), ..f })
+    }
+
+    /// This filter's id in the process symbol table; see
+    /// [`Topic::symbol`].
+    pub fn symbol(&self) -> SymId {
+        self.sym.unwrap_or_else(|| intern::intern_symbol(&self.raw))
     }
 
     /// A filter that matches exactly one concrete topic.
     pub fn exact(topic: &Topic) -> TopicFilter {
-        TopicFilter { raw: topic.raw.clone(), segs: topic.segs.clone() }
+        TopicFilter { raw: topic.raw.clone(), segs: topic.segs.clone(), sym: topic.sym }
     }
 
     /// The raw filter string.
@@ -272,7 +293,7 @@ impl Wire for Topic {
         w.put_str(&self.raw);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Topic::parse_owned(r.get_str()?).map_err(|_| WireError::Invalid("topic"))
+        Topic::parse(r.get_str_ref()?).map_err(|_| WireError::Invalid("topic"))
     }
 }
 
@@ -281,7 +302,7 @@ impl Wire for TopicFilter {
         w.put_str(&self.raw);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        TopicFilter::parse_owned(r.get_str()?).map_err(|_| WireError::Invalid("topic filter"))
+        TopicFilter::parse(r.get_str_ref()?).map_err(|_| WireError::Invalid("topic filter"))
     }
 }
 

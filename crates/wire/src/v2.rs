@@ -40,10 +40,10 @@ use nb_util::Uuid;
 
 use crate::addr::{Endpoint, NodeId, Port, RealmId};
 use crate::codec::{Wire, WireError, WireReader, WireWriter};
-use crate::frame::{MAX_FRAME_LEN, PRELUDE_LEN};
+use crate::frame::{DEFAULT_TTL, FLAG_SEGMENT, MAX_FRAME_LEN, PRELUDE_LEN};
+use crate::intern;
 use crate::message::{DiscoveryRequest, Event, Message};
 use crate::symtab::{SymTabReader, SymTabWriter};
-use crate::topic::{Topic, TopicFilter};
 
 /// Most bytes one LEB128-encoded `u64` may occupy. Reading an eleventh
 /// continuation byte means the stream is corrupt, not the value large.
@@ -66,17 +66,27 @@ pub const V2_DISCOVERY: u8 = 5;
 // Varints.
 // ------------------------------------------------------------------
 
-/// Appends `v` as an LEB128 varint (1–10 bytes, little groups first).
-pub fn put_varint(w: &mut WireWriter, mut v: u64) {
+/// Writes `v` as an LEB128 varint (little groups first) at the front of
+/// `out`, returning the 1–10 bytes used.
+fn write_varint(mut v: u64, out: &mut [u8]) -> usize {
+    let mut n = 0;
     loop {
         let b = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            w.put_u8(b);
-            return;
+            out[n] = b;
+            return n + 1;
         }
-        w.put_u8(b | 0x80);
+        out[n] = b | 0x80;
+        n += 1;
     }
+}
+
+/// Appends `v` as an LEB128 varint (1–10 bytes, little groups first).
+pub fn put_varint(w: &mut WireWriter, v: u64) {
+    let mut buf = [0; MAX_VARINT_BYTES];
+    let n = write_varint(v, &mut buf);
+    w.put_raw(&buf[..n]);
 }
 
 /// Reads one LEB128 varint, reading at most [`MAX_VARINT_BYTES`] bytes.
@@ -174,7 +184,7 @@ pub fn encode_v2_body(
         Message::Publish(ev) => {
             w.put_u8(V2_PUBLISH);
             w.put_uuid(ev.id);
-            syms.encode_ref(w, ev.topic.as_str());
+            syms.encode_ref(w, ev.topic.symbol());
             put_varint(w, u64::from(ev.source.0));
             put_varint_bytes(w, &ev.payload);
         }
@@ -185,13 +195,13 @@ pub fn encode_v2_body(
         }
         Message::Subscribe { filter, origin, seq } => {
             w.put_u8(V2_SUBSCRIBE);
-            syms.encode_ref(w, filter.as_str());
+            syms.encode_ref(w, filter.symbol());
             put_varint(w, u64::from(origin.0));
             put_varint(w, *seq);
         }
         Message::Unsubscribe { filter, origin, seq } => {
             w.put_u8(V2_UNSUBSCRIBE);
-            syms.encode_ref(w, filter.as_str());
+            syms.encode_ref(w, filter.symbol());
             put_varint(w, u64::from(origin.0));
             put_varint(w, *seq);
         }
@@ -228,7 +238,7 @@ pub fn decode_v2_body(
         V2_EMBED_V1 => Message::decode(r)?,
         V2_PUBLISH => {
             let id = r.get_uuid()?;
-            let topic = Topic::parse_owned(syms.decode_ref(r)?)
+            let topic = intern::symbol_topic(syms.decode_ref(r)?)
                 .map_err(|_| WireError::Invalid("topic"))?;
             let source = NodeId(get_varint_u32(r, "node id")?);
             let payload = take_varint_bytes(r)?;
@@ -239,7 +249,7 @@ pub fn decode_v2_body(
             seq: get_varint(r)?,
         },
         V2_SUBSCRIBE | V2_UNSUBSCRIBE => {
-            let filter = TopicFilter::parse_owned(syms.decode_ref(r)?)
+            let filter = intern::symbol_filter(syms.decode_ref(r)?)
                 .map_err(|_| WireError::Invalid("topic filter"))?;
             let origin = NodeId(get_varint_u32(r, "node id")?);
             let seq = get_varint(r)?;
@@ -288,42 +298,116 @@ pub fn decode_v2_body(
 // Segments.
 // ------------------------------------------------------------------
 
-use crate::frame::{DEFAULT_TTL, FLAG_SEGMENT};
+/// Most bytes a segment head can occupy: the prelude plus two varints
+/// (`base_utc`, `frame_count`).
+const MAX_HEAD_LEN: usize = PRELUDE_LEN + 2 * MAX_VARINT_BYTES;
 
-/// Encodes one segment-internal frame: `[ttl, hops, v2 body]`. The
-/// caller packs these into segments under its byte/frame budget with
-/// [`build_segment`]; symbol definitions travel inside whichever frame
-/// first used them, so packing never reorders symbol sync.
-pub fn encode_v2_frame(
-    ttl: u8,
-    hops: u8,
-    msg: &Message,
+/// Packs frames into segments under a byte/frame budget, reusing its
+/// buffers: a long-lived writer reaches a steady state where closing a
+/// segment costs one allocation (the segment's [`Bytes`]) and encoding a
+/// frame costs none.
+///
+/// Frames are encoded as `[ttl, hops, v2 body]` and appended behind
+/// their varint length. The segment head — prelude, `base_utc`, frame
+/// count — is only known when the segment closes, so the buffer keeps
+/// [`MAX_HEAD_LEN`] bytes of room in front of the first frame and the
+/// head is written right-aligned into it. Symbol definitions travel
+/// inside whichever frame first used them, so packing never reorders
+/// symbol sync.
+#[derive(Debug)]
+pub struct SegmentWriter {
+    /// `MAX_HEAD_LEN` bytes of head room, then the open segment's
+    /// length-prefixed frames.
+    seg: WireWriter,
+    /// The frame being encoded (its length prefix needs its length).
+    frame: WireWriter,
     base_utc: u64,
-    syms: &mut SymTabWriter,
-) -> Bytes {
-    let mut w = WireWriter::new();
-    w.put_u8(ttl);
-    w.put_u8(hops);
-    encode_v2_body(msg, base_utc, syms, &mut w);
-    w.finish()
+    max_frames: usize,
+    max_bytes: usize,
+    frames: usize,
+    /// Combined encoded size of the open segment's frames (length
+    /// prefixes excluded) — what the byte budget is charged.
+    frame_bytes: usize,
 }
 
-/// Assembles already-encoded frames (from [`encode_v2_frame`]) into one
-/// segment behind a `FLAG_SEGMENT` prelude.
-pub fn build_segment(base_utc: u64, frames: &[Bytes]) -> Bytes {
-    let mut w = WireWriter::new();
-    w.put_u8(DEFAULT_TTL);
-    w.put_u8(0);
-    w.put_u8(FLAG_SEGMENT);
-    w.put_u8(0);
-    put_varint(&mut w, base_utc);
-    put_varint(&mut w, frames.len() as u64);
-    for f in frames {
-        put_varint(&mut w, f.len() as u64);
-        w.put_raw(f);
+impl SegmentWriter {
+    /// A writer with no budget set; [`begin`](SegmentWriter::begin)
+    /// before the first push.
+    pub fn new() -> Self {
+        let mut seg = WireWriter::new();
+        seg.put_raw(&[0; MAX_HEAD_LEN]);
+        SegmentWriter {
+            seg,
+            frame: WireWriter::new(),
+            base_utc: 0,
+            max_frames: usize::MAX,
+            max_bytes: usize::MAX,
+            frames: 0,
+            frame_bytes: 0,
+        }
     }
-    assert!(w.len() <= MAX_FRAME_LEN, "segment exceeds MAX_FRAME_LEN");
-    w.finish()
+
+    /// Starts a run of segments sharing `base_utc`. A segment closes
+    /// once it holds `max_frames` frames or the next frame would push
+    /// its frames' combined size past `max_bytes` (a single oversized
+    /// frame still travels, alone in its segment).
+    pub fn begin(&mut self, base_utc: u64, max_frames: usize, max_bytes: usize) {
+        debug_assert_eq!(self.frames, 0, "begin with a segment still open");
+        self.base_utc = base_utc;
+        self.max_frames = max_frames;
+        self.max_bytes = max_bytes;
+    }
+
+    /// Encodes one frame into the open segment. Returns the frame's
+    /// encoded length (hop bytes included) and, when the budget closed
+    /// the open segment to make room, that segment.
+    pub fn push(
+        &mut self,
+        ttl: u8,
+        hops: u8,
+        msg: &Message,
+        syms: &mut SymTabWriter,
+    ) -> (usize, Option<Bytes>) {
+        self.frame.clear();
+        self.frame.put_u8(ttl);
+        self.frame.put_u8(hops);
+        encode_v2_body(msg, self.base_utc, syms, &mut self.frame);
+        let len = self.frame.len();
+        let full = self.frames > 0
+            && (self.frames >= self.max_frames || self.frame_bytes + len > self.max_bytes);
+        let closed = full.then(|| self.finish());
+        put_varint(&mut self.seg, len as u64);
+        self.seg.put_raw(self.frame.as_slice());
+        self.frames += 1;
+        self.frame_bytes += len;
+        (len, closed)
+    }
+
+    /// Closes the open segment and returns it (a well-formed zero-frame
+    /// segment if nothing was pushed).
+    pub fn finish(&mut self) -> Bytes {
+        let mut head = [0; MAX_HEAD_LEN];
+        head[..PRELUDE_LEN].copy_from_slice(&[DEFAULT_TTL, 0, FLAG_SEGMENT, 0]);
+        let mut len = PRELUDE_LEN;
+        len += write_varint(self.base_utc, &mut head[len..]);
+        len += write_varint(self.frames as u64, &mut head[len..]);
+        let start = MAX_HEAD_LEN - len;
+        self.seg.patch(start, &head[..len]);
+        let segment = &self.seg.as_slice()[start..];
+        assert!(segment.len() <= MAX_FRAME_LEN, "segment exceeds MAX_FRAME_LEN");
+        let out = Bytes::copy_from_slice(segment);
+        self.seg.clear();
+        self.seg.put_raw(&[0; MAX_HEAD_LEN]);
+        self.frames = 0;
+        self.frame_bytes = 0;
+        out
+    }
+}
+
+impl Default for SegmentWriter {
+    fn default() -> Self {
+        SegmentWriter::new()
+    }
 }
 
 /// Convenience: encode `items` (`(ttl, hops, message)`) into a single
@@ -334,12 +418,10 @@ pub fn encode_segment(
     base_utc: u64,
     syms: &mut SymTabWriter,
 ) -> (Bytes, Vec<usize>) {
-    let frames: Vec<Bytes> = items
-        .iter()
-        .map(|&(ttl, hops, msg)| encode_v2_frame(ttl, hops, msg, base_utc, syms))
-        .collect();
-    let lens = frames.iter().map(Bytes::len).collect();
-    (build_segment(base_utc, &frames), lens)
+    let mut w = SegmentWriter::new();
+    w.begin(base_utc, usize::MAX, usize::MAX);
+    let lens = items.iter().map(|&(ttl, hops, msg)| w.push(ttl, hops, msg, syms).0).collect();
+    (w.finish(), lens)
 }
 
 /// One frame fully decoded out of a segment.
@@ -357,27 +439,41 @@ pub struct SegmentFrame {
     pub encoded_len: usize,
 }
 
-/// Decodes a whole segment. On any error the symbol table is rolled
-/// back to its pre-segment state, so a truncated or corrupted segment
-/// never leaves partial definitions behind to corrupt later frames.
+/// Decodes a whole segment into `out` (cleared first), so a receive
+/// loop reuses one frame buffer across segments. On any error the
+/// symbol table is rolled back to its pre-segment state and `out` is
+/// left empty, so a truncated or corrupted segment never leaves partial
+/// definitions behind to corrupt later frames.
+pub fn decode_segment_into(
+    seg: &Bytes,
+    syms: &mut SymTabReader,
+    out: &mut Vec<SegmentFrame>,
+) -> Result<(), WireError> {
+    out.clear();
+    let cp = syms.checkpoint();
+    let decoded = decode_frames(seg, syms, out);
+    if decoded.is_err() {
+        syms.rollback(cp);
+        out.clear();
+    }
+    decoded
+}
+
+/// [`decode_segment_into`] a fresh `Vec`.
 pub fn decode_segment(
     seg: &Bytes,
     syms: &mut SymTabReader,
 ) -> Result<Vec<SegmentFrame>, WireError> {
-    let cp = syms.checkpoint();
-    match decode_segment_inner(seg, syms) {
-        Ok(frames) => Ok(frames),
-        Err(e) => {
-            syms.rollback(cp);
-            Err(e)
-        }
-    }
+    let mut out = Vec::new();
+    decode_segment_into(seg, syms, &mut out)?;
+    Ok(out)
 }
 
-fn decode_segment_inner(
+fn decode_frames(
     seg: &Bytes,
     syms: &mut SymTabReader,
-) -> Result<Vec<SegmentFrame>, WireError> {
+    out: &mut Vec<SegmentFrame>,
+) -> Result<(), WireError> {
     if seg.len() < PRELUDE_LEN {
         return Err(WireError::UnexpectedEof);
     }
@@ -387,14 +483,16 @@ fn decode_segment_inner(
     if seg[2] & FLAG_SEGMENT == 0 {
         return Err(WireError::Invalid("missing segment flag"));
     }
-    let body = seg.slice(PRELUDE_LEN..);
-    let mut r = WireReader::shared(&body);
+    // One reader over the whole segment: frames are sub-readers of it,
+    // so payloads alias the segment's allocation directly.
+    let mut r = WireReader::shared(seg);
+    r.get_raw(PRELUDE_LEN)?;
     let base_utc = get_varint(&mut r)?;
     let count = get_varint(&mut r)? as usize;
     if count > MAX_FRAME_LEN {
         return Err(WireError::FieldTooLong(count));
     }
-    let mut out = Vec::with_capacity(count.min(1024));
+    out.reserve(count.min(1024));
     for _ in 0..count {
         let flen = get_varint(&mut r)? as usize;
         if flen > MAX_FRAME_LEN {
@@ -403,16 +501,13 @@ fn decode_segment_inner(
         if flen < 3 {
             return Err(WireError::Invalid("segment frame too short"));
         }
-        let frame = r.take_raw_bytes(flen)?;
-        let (ttl, hops) = (frame[0], frame[1]);
-        let inner = frame.slice(2..);
-        let mut fr = WireReader::shared(&inner);
+        let mut fr = r.sub_reader(flen)?;
+        let (ttl, hops) = (fr.get_u8()?, fr.get_u8()?);
         let msg = decode_v2_body(&mut fr, base_utc, syms)?;
         fr.expect_end()?;
         out.push(SegmentFrame { ttl, hops, msg, encoded_len: flen });
     }
-    r.expect_end()?;
-    Ok(out)
+    r.expect_end()
 }
 
 /// What [`peek_segment`] learns about one frame without decoding it.
@@ -498,6 +593,7 @@ mod tests {
     use super::*;
     use crate::addr::TransportKind;
     use crate::message::TransportEndpoint;
+    use crate::topic::{Topic, TopicFilter};
 
     #[test]
     fn varint_roundtrip_across_widths() {
@@ -631,14 +727,11 @@ mod tests {
         let base = 0;
         let mut sw = SymTabWriter::new();
         let msg = publish("sports/scores");
-        let cold = encode_v2_frame(32, 0, &msg, base, &mut sw);
-        let warm = encode_v2_frame(32, 0, &msg, base, &mut sw);
-        assert!(
-            warm.len() + "sports/scores".len() <= cold.len(),
-            "warm {} vs cold {}",
-            warm.len(),
-            cold.len()
-        );
+        let mut w = SegmentWriter::new();
+        w.begin(base, usize::MAX, usize::MAX);
+        let (cold, _) = w.push(32, 0, &msg, &mut sw);
+        let (warm, _) = w.push(32, 0, &msg, &mut sw);
+        assert!(warm + "sports/scores".len() <= cold, "warm {warm} vs cold {cold}");
     }
 
     #[test]
@@ -660,6 +753,114 @@ mod tests {
         }
         // Third frame reuses the symbol the first defined.
         assert!(lens[2] < lens[0]);
+    }
+
+    /// The segment layout written the obvious way — every frame in its
+    /// own buffer, then head and frames concatenated — as the oracle for
+    /// [`SegmentWriter`]'s in-place assembly.
+    fn reference_segment(
+        items: &[(u8, u8, &Message)],
+        base: u64,
+        syms: &mut SymTabWriter,
+    ) -> Bytes {
+        let mut w = WireWriter::new();
+        w.put_raw(&[DEFAULT_TTL, 0, FLAG_SEGMENT, 0]);
+        put_varint(&mut w, base);
+        put_varint(&mut w, items.len() as u64);
+        for &(ttl, hops, msg) in items {
+            let mut f = WireWriter::new();
+            f.put_u8(ttl);
+            f.put_u8(hops);
+            encode_v2_body(msg, base, syms, &mut f);
+            put_varint(&mut w, f.len() as u64);
+            w.put_raw(f.as_slice());
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn segment_writer_matches_the_reference_layout_at_every_varint_width() {
+        let big = Message::Publish(Event {
+            id: Uuid::from_u128(9),
+            topic: Topic::parse("wide/frames").unwrap(),
+            source: NodeId(3),
+            payload: Bytes::from(vec![7u8; 300]), // frame length needs a 2-byte varint
+        });
+        let small = Message::Heartbeat { from: NodeId(1), seq: 1 };
+        // One-byte and two-byte frame counts; one-byte and ten-byte bases.
+        for (count, base) in [(0usize, 0u64), (1, 5), (3, u64::MAX), (130, 1 << 40)] {
+            let msgs: Vec<&Message> =
+                (0..count).map(|i| if i % 3 == 0 { &big } else { &small }).collect();
+            let items: Vec<(u8, u8, &Message)> = msgs
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (32 - (i % 8) as u8, (i % 8) as u8, *m))
+                .collect();
+            let (seg, lens) = encode_segment(&items, base, &mut SymTabWriter::new());
+            let want = reference_segment(&items, base, &mut SymTabWriter::new());
+            assert_eq!(seg, want, "{count} frames at base {base}");
+            assert_eq!(lens.len(), count);
+            let frames = decode_segment(&seg, &mut SymTabReader::new()).unwrap();
+            assert_eq!(frames.iter().map(|f| f.encoded_len).collect::<Vec<_>>(), lens);
+        }
+    }
+
+    #[test]
+    fn segment_writer_closes_on_either_budget_and_is_reusable() {
+        let msg = publish("budget/topic");
+        let mut sw = SymTabWriter::new();
+        let mut sr = SymTabReader::new();
+        let mut w = SegmentWriter::new();
+        let mut decoded = 0;
+        let mut check = |seg: Bytes, want: usize| {
+            let frames = decode_segment(&seg, &mut sr).unwrap();
+            assert_eq!(frames.len(), want);
+            assert!(frames.iter().all(|f| f.msg == msg));
+            decoded += want;
+        };
+        // Frame budget: 6 frames under a cap of 4 close as 4 + 2.
+        w.begin(0, 4, usize::MAX);
+        for i in 0..6 {
+            let (_, closed) = w.push(32, 0, &msg, &mut sw);
+            assert_eq!(closed.is_some(), i == 4, "push {i}");
+            if let Some(seg) = closed {
+                check(seg, 4);
+            }
+        }
+        check(w.finish(), 2);
+        // Byte budget: the same writer, now capped below two warm frames.
+        let (warm, _) = w.push(32, 0, &msg, &mut sw);
+        check(w.finish(), 1);
+        w.begin(7, usize::MAX, 2 * warm - 1);
+        assert!(w.push(32, 0, &msg, &mut sw).1.is_none());
+        let (_, closed) = w.push(32, 0, &msg, &mut sw);
+        check(closed.expect("second frame overflows the byte budget"), 1);
+        check(w.finish(), 1);
+        // An oversized frame still travels, alone.
+        w.begin(7, usize::MAX, 1);
+        assert!(w.push(32, 0, &msg, &mut sw).1.is_none());
+        check(w.finish(), 1);
+        assert_eq!(decoded, 10);
+    }
+
+    #[test]
+    fn decode_into_reuses_the_buffer_and_empties_it_on_error() {
+        let msgs = [publish("r/1"), publish("r/2")];
+        let items: Vec<(u8, u8, &Message)> = msgs.iter().map(|m| (32, 0, m)).collect();
+        let (seg, _) = encode_segment(&items, 0, &mut SymTabWriter::new());
+        let mut sr = SymTabReader::new();
+        let mut out = Vec::new();
+        decode_segment_into(&seg, &mut sr, &mut out).unwrap();
+        assert_eq!(out.len(), 2);
+        let cap = out.capacity();
+        // A truncated copy fails after decoding its first frame: nothing
+        // of it may be left in the buffer.
+        let cut = seg.slice(..seg.len() - 1);
+        assert!(decode_segment_into(&cut, &mut SymTabReader::new(), &mut out).is_err());
+        assert!(out.is_empty());
+        decode_segment_into(&seg, &mut SymTabReader::new(), &mut out).unwrap();
+        assert_eq!(out.iter().map(|f| &f.msg).collect::<Vec<_>>(), msgs.iter().collect::<Vec<_>>());
+        assert_eq!(out.capacity(), cap, "decoded in place");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! lazily materialised wire frame shared by every clone. The invariants
 //! the zero-copy path rests on:
 //!
-//! * **Encode once.** The frame is built on first use and cached in an
-//!   `Arc<OnceLock<Bytes>>`; fan-out to N recipients clones the `Bytes`
-//!   handle N times instead of re-encoding N times.
+//! * **Encode once.** The frame is built on first use and cached in a
+//!   `OnceLock<Bytes>` every clone shares; fan-out to N recipients
+//!   clones the `Bytes` handle N times instead of re-encoding N times.
 //! * **Decode once.** [`WireMsg::from_frame`] decodes eagerly — exactly
 //!   what today's receive path does, so malformed bytes are rejected at
 //!   the wire boundary and never reach an actor — but it *keeps* the
@@ -28,11 +28,20 @@ use crate::frame::{
 };
 use crate::message::{Event, Message};
 
+/// What every hop and every clone of one message shares: the decoded
+/// message and the frame at the hop counters it entered this process
+/// with. One allocation per message received or originated.
+#[derive(Debug)]
+struct Shared {
+    msg: Message,
+    frame: OnceLock<Bytes>,
+}
+
 /// A [`Message`] bundled with its (lazily encoded) wire frame and the
-/// per-hop prelude fields. Cheap to clone: two `Arc` bumps.
+/// per-hop prelude fields. Cheap to clone: `Arc` bumps only.
 #[derive(Debug, Clone)]
 pub struct WireMsg {
-    msg: Arc<Message>,
+    shared: Arc<Shared>,
     ttl: u8,
     hops: u8,
     /// Prelude flag bits stamped on the frame (v2 capability
@@ -43,22 +52,17 @@ pub struct WireMsg {
     /// for v1 traffic). Set by the v2 segment path so timing charges
     /// reflect the compact encoding.
     encoded_len: Option<usize>,
-    /// The materialised frame, shared across clones so whichever copy
-    /// encodes first pays for all of them.
-    frame: Arc<OnceLock<Bytes>>,
+    /// A forwarded hop's own frame cell — its prelude differs from the
+    /// shared one's — shared across that hop's clones. `None` until
+    /// [`forward_hop`](WireMsg::forward_hop): the message still carries
+    /// the counters it was created with and uses the shared cell.
+    hop_frame: Option<Arc<OnceLock<Bytes>>>,
 }
 
 impl WireMsg {
     /// Wraps a locally originated message (fresh TTL, zero hops).
     pub fn new(msg: Message) -> Self {
-        WireMsg {
-            msg: Arc::new(msg),
-            ttl: DEFAULT_TTL,
-            hops: 0,
-            flags: 0,
-            encoded_len: None,
-            frame: Arc::new(OnceLock::new()),
-        }
+        WireMsg::from_decoded(msg, DEFAULT_TTL, 0)
     }
 
     /// Wraps a message that already travelled: `ttl`/`hops` as carried
@@ -66,43 +70,47 @@ impl WireMsg {
     /// [`WireMsg`]s with this.
     pub fn from_decoded(msg: Message, ttl: u8, hops: u8) -> Self {
         WireMsg {
-            msg: Arc::new(msg),
+            shared: Arc::new(Shared { msg, frame: OnceLock::new() }),
             ttl,
             hops,
             flags: 0,
             encoded_len: None,
-            frame: Arc::new(OnceLock::new()),
+            hop_frame: None,
         }
     }
 
     /// Decodes a received frame, retaining the bytes for re-forwarding.
     pub fn from_frame(frame: Bytes) -> Result<Self, WireError> {
         let (header, msg) = decode_framed(&frame)?;
-        let cell = OnceLock::new();
-        let _ = cell.set(frame);
         Ok(WireMsg {
-            msg: Arc::new(msg),
+            shared: Arc::new(Shared { msg, frame: OnceLock::from(frame) }),
             ttl: header.ttl,
             hops: header.hops,
             flags: header.flags,
             encoded_len: None,
-            frame: Arc::new(cell),
+            hop_frame: None,
         })
     }
 
     /// The decoded message.
     pub fn message(&self) -> &Message {
-        &self.msg
+        &self.shared.msg
     }
 
     /// Unwraps the message, cloning only if other handles are alive.
     pub fn into_message(self) -> Message {
-        Arc::try_unwrap(self.msg).unwrap_or_else(|arc| (*arc).clone())
+        Arc::try_unwrap(self.shared).map_or_else(|arc| arc.msg.clone(), |shared| shared.msg)
     }
 
     /// Short kind label (delegates to [`Message::kind`]).
     pub fn kind(&self) -> &'static str {
-        self.msg.kind()
+        self.shared.msg.kind()
+    }
+
+    /// The cell holding this hop's frame: whichever clone encodes first
+    /// pays for all of them.
+    fn frame_cell(&self) -> &OnceLock<Bytes> {
+        self.hop_frame.as_deref().unwrap_or(&self.shared.frame)
     }
 
     /// Remaining hop budget.
@@ -126,7 +134,7 @@ impl WireMsg {
     /// flags byte lives in the encoded prelude.
     pub fn with_flags(mut self, flags: u8) -> Self {
         debug_assert!(
-            self.frame.get().is_none(),
+            self.frame_cell().get().is_none(),
             "flags set after the frame was materialised"
         );
         self.flags = flags;
@@ -151,7 +159,7 @@ impl WireMsg {
     /// frame — synthesised from the decoded fields, so calling it never
     /// forces an encode.
     pub fn peek(&self) -> FrameHeader {
-        let (uuid, topic_len) = match &*self.msg {
+        let (uuid, topic_len) = match &self.shared.msg {
             Message::Publish(Event { id, topic, .. }) => (Some(*id), Some(topic.as_str().len())),
             Message::Discovery(req) => (Some(req.request_id), None),
             Message::DiscoveryAck { request_id, .. } => (Some(*request_id), None),
@@ -164,7 +172,7 @@ impl WireMsg {
             ttl: self.ttl,
             hops: self.hops,
             flags: self.flags,
-            tag: self.msg.tag(),
+            tag: self.shared.msg.tag(),
             uuid,
             topic_len,
         }
@@ -173,7 +181,8 @@ impl WireMsg {
     /// The wire frame, encoding it (once, via the pooled writer) if no
     /// handle has yet.
     pub fn frame(&self) -> &Bytes {
-        self.frame.get_or_init(|| frame_message_flags(&self.msg, self.ttl, self.hops, self.flags))
+        self.frame_cell()
+            .get_or_init(|| frame_message_flags(&self.shared.msg, self.ttl, self.hops, self.flags))
     }
 
     /// On-wire size of this message's body under the encoding it
@@ -192,7 +201,7 @@ impl WireMsg {
         let ttl = self.ttl.checked_sub(1)?;
         let hops = self.hops.saturating_add(1);
         let cell = OnceLock::new();
-        if let Some(parent) = self.frame.get() {
+        if let Some(parent) = self.frame_cell().get() {
             // Re-stamp the prelude on a copy of the already-encoded
             // frame — no decode, no re-encode of the body.
             let mut buf = BytesMut::with_capacity(parent.len());
@@ -201,12 +210,12 @@ impl WireMsg {
             let _ = cell.set(buf.freeze());
         }
         Some(WireMsg {
-            msg: Arc::clone(&self.msg),
+            shared: Arc::clone(&self.shared),
             ttl,
             hops,
             flags: self.flags,
             encoded_len: self.encoded_len,
-            frame: Arc::new(cell),
+            hop_frame: Some(Arc::new(cell)),
         })
     }
 }
@@ -219,7 +228,7 @@ impl From<Message> for WireMsg {
 
 impl PartialEq for WireMsg {
     fn eq(&self, other: &Self) -> bool {
-        self.msg == other.msg
+        self.shared.msg == other.shared.msg
     }
 }
 

@@ -471,14 +471,28 @@ proptest! {
         base in any::<u64>(),
     ) {
         use nb_wire::symtab::{SymTabReader, SymTabWriter};
-        let mut sw = SymTabWriter::new();
-        let items_a: Vec<(u8, u8, &Message)> = msgs_a.iter().map(|m| (32, 0, m)).collect();
-        let items_b: Vec<(u8, u8, &Message)> = msgs_b.iter().map(|m| (32, 0, m)).collect();
-        let (seg_a, _) = nb_wire::v2::encode_segment(&items_a, base, &mut sw);
-        let (seg_b, _) = nb_wire::v2::encode_segment(&items_b, base, &mut sw);
-        let mut sr = SymTabReader::new();
-        prop_assert!(nb_wire::v2::decode_segment(&seg_a, &mut sr).is_ok());
-        let state_after_a = sr.len();
+        use nb_wire::v2::decode_segment;
+        let encode = |sw: &mut SymTabWriter, msgs: &[Message]| {
+            let items: Vec<(u8, u8, &Message)> = msgs.iter().map(|m| (32, 0, m)).collect();
+            nb_wire::v2::encode_segment(&items, base, sw).0
+        };
+        // Two links carry the same traffic over the one process symbol
+        // table; only link A's second segment is damaged in flight.
+        let (mut sw_a, mut sr_a) = (SymTabWriter::new(), SymTabReader::new());
+        let (mut sw_b, mut sr_b) = (SymTabWriter::new(), SymTabReader::new());
+        let seg_a = encode(&mut sw_a, &msgs_a);
+        let seg_b = encode(&mut sw_a, &msgs_b);
+        let link_b_first = encode(&mut sw_b, &msgs_a);
+        prop_assert_eq!(&link_b_first, &seg_a, "link ids depend on the link's own history only");
+        // What link B's second segment must be, from a twin that runs
+        // before anything is corrupted.
+        let mut sw_twin = SymTabWriter::new();
+        encode(&mut sw_twin, &msgs_a);
+        let link_b_second_want = encode(&mut sw_twin, &msgs_b);
+        prop_assert!(decode_segment(&seg_a, &mut sr_a).is_ok());
+        prop_assert!(decode_segment(&link_b_first, &mut sr_b).is_ok());
+        let state_after_a = sr_a.len();
+        let link_b_state = sr_b.len();
         // Corrupt the second segment: truncation or a single bit flip.
         let corrupt: nb_wire::Bytes = if truncate {
             seg_b.slice(..at.index(seg_b.len()))
@@ -490,16 +504,25 @@ proptest! {
         };
         // Must never panic; a failure must be a typed error that leaves
         // the symbol table exactly as segment A left it.
-        match nb_wire::v2::decode_segment(&corrupt, &mut sr) {
+        match decode_segment(&corrupt, &mut sr_a) {
             Ok(_) => {} // flip landed in payload bytes: a clean decode is fine
             Err(_e) => {
-                prop_assert_eq!(sr.len(), state_after_a, "failed decode leaked symbols");
+                prop_assert_eq!(sr_a.len(), state_after_a, "failed decode leaked symbols");
                 // The pristine segment then still decodes against the
                 // same table: later frames' symbol state is uncorrupted.
-                let frames = nb_wire::v2::decode_segment(&seg_b, &mut sr).unwrap();
+                let frames = decode_segment(&seg_b, &mut sr_a).unwrap();
                 let back: Vec<Message> = frames.into_iter().map(|f| f.msg).collect();
-                prop_assert_eq!(back, msgs_b);
+                prop_assert_eq!(back, msgs_b.clone());
             }
         }
+        // Whatever the damaged segment made link A's reader (or the
+        // process table) learn, link B encodes and decodes as if it had
+        // never happened.
+        prop_assert_eq!(sr_b.len(), link_b_state);
+        let link_b_second = encode(&mut sw_b, &msgs_b);
+        prop_assert_eq!(&link_b_second, &link_b_second_want);
+        let frames = decode_segment(&link_b_second, &mut sr_b).unwrap();
+        let back: Vec<Message> = frames.into_iter().map(|f| f.msg).collect();
+        prop_assert_eq!(back, msgs_b);
     }
 }

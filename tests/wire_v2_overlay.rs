@@ -1,0 +1,174 @@
+//! Wire v2 end to end in tier-1: the same cyclic overlay, traffic and
+//! seed run once on the v1 codec and once with v2 negotiated on every
+//! broker link. The codec may change bytes and timing, never what is
+//! delivered to whom — and the v2 run's event, byte and segment counts
+//! and its arrival times are pinned, so a change to the flush that
+//! reorders RNG draws (or to the codec that moves a byte) fails here,
+//! not only on the benchmark's digest line.
+
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+use nb::broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
+use nb::net::{ClockProfile, LinkSpec, NetStats, Sim, WireV2Config};
+use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
+
+const BROKERS: usize = 6;
+const SEED: u64 = 2005;
+/// Subscriber `i` sits on broker `i % BROKERS` with filter `i % 3`.
+const SUBSCRIBERS: usize = 12;
+const FILTERS: [&str; 3] = ["telemetry/**", "telemetry/*/cpu", "alerts/disk"];
+const TOPICS: [&str; 4] =
+    ["telemetry/rack1/cpu", "telemetry/rack2/mem", "alerts/disk", "alerts/fan"];
+const ROUNDS: u8 = 12;
+
+/// One delivery: topic and payload (event ids are drawn from the sim's
+/// RNG, whose draw order the codec is allowed to change).
+type Delivery = (String, Vec<u8>);
+
+struct Run {
+    /// Sorted deliveries per subscriber: the multiset, order-free.
+    delivered: Vec<Vec<Delivery>>,
+    stats: NetStats,
+    events_processed: u64,
+    /// Stream messages delivered broker-to-broker, link handshakes (the
+    /// only thing brokers say before v2 is negotiated) excluded.
+    post_handshake_link_msgs: u64,
+    duplicates_suppressed: u64,
+    /// Sum of the virtual arrival times (µs) of every delivery to a
+    /// subscriber. The counts above survive a permutation of the
+    /// latency draws (a flood forwards the same number of copies
+    /// whichever arrives first); this does not.
+    arrival_micros: u64,
+}
+
+fn run(wire_v2: bool) -> Run {
+    let mut sim = Sim::with_clock_profile(SEED, ClockProfile::perfect());
+    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
+    if wire_v2 {
+        sim.set_wire_v2(Some(WireV2Config::default()));
+    }
+    sim.enable_trace();
+
+    // A ring plus two chords: every event reaches most brokers twice.
+    let mut edges = Topology::build(TopologyKind::Ring, BROKERS).edges().to_vec();
+    edges.extend([(0, 3), (1, 4)]);
+    let topo = Topology::from_edges(BROKERS, edges);
+    let mut brokers: Vec<NodeId> = Vec::new();
+    for (i, dials) in topo.dial_lists().into_iter().enumerate() {
+        let neighbors = dials.iter().map(|&j| brokers[j]).collect();
+        let cfg = BrokerConfig { neighbors, wire_v2, ..BrokerConfig::default() };
+        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+    }
+    let subscribers: Vec<NodeId> = (0..SUBSCRIBERS)
+        .map(|i| {
+            let filter = TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap();
+            let client = PubSubClient::new(brokers[i % BROKERS], vec![filter]);
+            sim.add_node(&format!("s{i}"), RealmId(0), Box::new(client))
+        })
+        .collect();
+    let publishers: Vec<NodeId> = [0, 2, 5]
+        .iter()
+        .map(|&b| {
+            let client = PubSubClient::new(brokers[b], vec![]);
+            sim.add_node(&format!("p{b}"), RealmId(0), Box::new(client))
+        })
+        .collect();
+    sim.run_for(Duration::from_secs(5));
+
+    for round in 0..ROUNDS {
+        for (p, &publisher) in publishers.iter().enumerate() {
+            let topic = Topic::parse(TOPICS[(round as usize + p) % TOPICS.len()]).unwrap();
+            sim.actor_mut::<PubSubClient>(publisher)
+                .unwrap()
+                .queue_publish(topic, vec![p as u8, round]);
+        }
+        sim.run_for(Duration::from_millis(200));
+    }
+    sim.run_for(Duration::from_secs(5));
+
+    let broker_set: BTreeSet<NodeId> = brokers.iter().copied().collect();
+    let trace = sim.take_trace();
+    let post_handshake_link_msgs = trace
+        .iter()
+        .filter(|r| r.stream)
+        .filter(|r| broker_set.contains(&r.from.node) && broker_set.contains(&r.to.node))
+        .filter(|r| !matches!(r.kind, "link-hello" | "link-accept"))
+        .count() as u64;
+    let arrival_micros = trace
+        .iter()
+        .filter(|r| r.kind == "publish" && subscribers.contains(&r.to.node))
+        .map(|r| r.at.as_micros())
+        .sum();
+    let delivered = subscribers
+        .iter()
+        .map(|&s| {
+            let client = sim.actor::<PubSubClient>(s).unwrap();
+            let mut got: Vec<Delivery> = client
+                .received
+                .iter()
+                .map(|ev| (ev.topic.as_str().to_string(), ev.payload.to_vec()))
+                .collect();
+            got.sort();
+            got
+        })
+        .collect();
+    let duplicates_suppressed = brokers
+        .iter()
+        .map(|&b| sim.actor::<BrokerActor>(b).unwrap().broker.duplicates_suppressed)
+        .sum();
+    Run {
+        delivered,
+        stats: sim.stats().clone(),
+        events_processed: sim.events_processed(),
+        post_handshake_link_msgs,
+        duplicates_suppressed,
+        arrival_micros,
+    }
+}
+
+#[test]
+fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
+    let v1 = run(false);
+    let v2 = run(true);
+
+    // Same deliveries, subscriber by subscriber, and they are the right
+    // ones: every event whose topic the subscriber's filter matches,
+    // exactly once.
+    assert_eq!(v1.delivered, v2.delivered);
+    for (i, got) in v2.delivered.iter().enumerate() {
+        let filter = TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap();
+        let mut want: Vec<Delivery> = (0..ROUNDS)
+            .flat_map(|round| (0..3usize).map(move |p| (round, p)))
+            .map(|(round, p)| (TOPICS[(round as usize + p) % TOPICS.len()], vec![p as u8, round]))
+            .filter(|(topic, _)| filter.matches(&Topic::parse(topic).unwrap()))
+            .map(|(topic, payload)| (topic.to_string(), payload))
+            .collect();
+        want.sort();
+        assert_eq!(got, &want, "subscriber {i}");
+    }
+    assert!(v1.duplicates_suppressed > 0, "the mesh must duplicate");
+    assert!(v2.duplicates_suppressed > 0, "the mesh must duplicate");
+
+    // v1 never touches the segment path; on v2 everything brokers say
+    // to each other after the handshake travels in segments, and every
+    // segment decodes.
+    assert_eq!((v1.stats.segments_sent, v1.stats.frames_coalesced), (0, 0));
+    assert_eq!(v2.stats.segment_decode_errors, 0);
+    assert_eq!(v2.stats.segments_delivered, v2.stats.segments_sent);
+    assert_eq!(v2.stats.frames_coalesced, v2.post_handshake_link_msgs);
+    assert!(
+        v2.stats.bytes_delivered < v1.stats.bytes_delivered,
+        "v2 moved {} bytes, v1 {}",
+        v2.stats.bytes_delivered,
+        v1.stats.bytes_delivered
+    );
+
+    // The pin. These move only if the codec's bytes, the flush's link
+    // order (hence its latency draws) or the epoch boundary changes.
+    assert_eq!(
+        (v2.events_processed, v2.stats.bytes_delivered, v2.stats.segments_sent),
+        (4492, 20_000, 441),
+    );
+    assert_eq!(v2.arrival_micros, 883_379_161);
+}
