@@ -1,11 +1,11 @@
 //! # nb-bench
 //!
 //! The reproduction harness: one function per table/figure of the paper,
-//! shared between the `repro` binary and the Criterion benches. Each
-//! experiment follows the paper's protocol — "the discovery process was
-//! carried out 120 times and the first 100 results were selected after
-//! removing outliers" (§9) — and reports the same five metrics (mean,
-//! standard deviation, maximum, minimum, error).
+//! driven by the `repro` binary. Each experiment follows the paper's
+//! protocol — "the discovery process was carried out 120 times and the
+//! first 100 results were selected after removing outliers" (§9) — and
+//! reports the same five metrics (mean, standard deviation, maximum,
+//! minimum, error).
 
 pub mod alloc;
 pub mod chaos;

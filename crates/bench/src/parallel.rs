@@ -8,7 +8,9 @@
 //! worker or sixteen. The determinism property test in
 //! `tests/parallel_determinism.rs` holds the executor to exactly that.
 
-use crossbeam::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+
 use nb_discovery::scenario::{Scenario, ScenarioBuilder};
 use nb_discovery::DiscoveryOutcome;
 
@@ -56,9 +58,9 @@ impl ParallelExecutor {
 
     /// Runs `job(0..count)` and returns the results in index order.
     ///
-    /// Jobs are handed to workers through a shared queue, so stragglers
-    /// never leave a thread idle while whole shards remain; ordering is
-    /// restored on merge.
+    /// Workers claim the next index from a shared counter, so stragglers
+    /// never leave a thread idle while runs remain; ordering is restored
+    /// on merge.
     pub fn run<R, F>(&self, count: usize, job: F) -> Vec<R>
     where
         R: Send,
@@ -67,23 +69,17 @@ impl ParallelExecutor {
         if self.workers == 1 || count <= 1 {
             return (0..count).map(job).collect();
         }
-        let (task_tx, task_rx) = channel::unbounded::<usize>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
-        for i in 0..count {
-            task_tx.send(i).expect("queue open");
-        }
-        drop(task_tx);
-        let job = &job;
+        // The counter publishes nothing but itself, hence `Relaxed`.
+        let next = AtomicUsize::new(0);
+        let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
+        let (job, next) = (&job, &next);
         std::thread::scope(|scope| {
             for _ in 0..self.workers.min(count) {
-                let task_rx = task_rx.clone();
                 let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(i) = task_rx.recv() {
-                        let out = job(i);
-                        if result_tx.send((i, out)).is_err() {
-                            break;
-                        }
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count || result_tx.send((i, job(i))).is_err() {
+                        break;
                     }
                 });
             }

@@ -69,5 +69,5 @@ pub use federation::{Federation, FederationConfig, FederationStats, LeaseBook, L
 pub use joining::JoiningBroker;
 pub use policy::ResponsePolicy;
 pub use responder::Responder;
-pub use scenario::{Scenario, ScenarioBuilder, ShardedScenario};
+pub use scenario::{Scenario, ScenarioBuilder};
 pub use selection::{estimate_delay_us, shortlist, weigh, Candidate};

@@ -134,7 +134,7 @@ impl ScenarioBuilder {
     /// engine. Results are byte-identical for every `workers`/`shards`
     /// combination (pass `0` for `shards` to default to one group per
     /// worker); only wall time changes.
-    pub fn build_sharded(self, workers: usize, shards: usize) -> ShardedScenario {
+    pub fn build_sharded(self, workers: usize, shards: usize) -> Scenario<ShardedSim> {
         let wan = WanModel::paper();
         let mut sim = ShardedSim::with_clock_profile(self.seed, self.clock);
         sim.set_workers(workers.max(1));
@@ -143,7 +143,7 @@ impl ScenarioBuilder {
         }
         let (bdns, brokers, client, topology) = self.build_into(&mut sim, &wan);
         let warmup = self.warmup;
-        let mut scenario = ShardedScenario {
+        let mut scenario = Scenario {
             sim,
             wan,
             topology,
@@ -274,10 +274,13 @@ impl ScenarioBuilder {
     }
 }
 
-/// A built testbed: simulator plus the node ids of every role.
-pub struct Scenario {
+/// A built testbed: simulator plus the node ids of every role. The
+/// same type serves both engines — [`ScenarioBuilder::build`] yields
+/// `Scenario<Sim>`, [`ScenarioBuilder::build_sharded`] yields
+/// `Scenario<ShardedSim>`.
+pub struct Scenario<E: DiscoveryEngine = Sim> {
     /// The simulator.
-    pub sim: Sim,
+    pub sim: E,
     /// The WAN model used.
     pub wan: WanModel,
     /// The overlay topology.
@@ -299,7 +302,7 @@ pub struct Scenario {
     pub client_site: SiteIdx,
 }
 
-impl Scenario {
+impl<E: DiscoveryEngine> Scenario<E> {
     /// Runs one discovery and returns its outcome.
     pub fn run_discovery_once(&mut self) -> DiscoveryOutcome {
         self.run_discovery(1).pop().expect("one outcome")
@@ -310,12 +313,7 @@ impl Scenario {
     pub fn run_discovery(&mut self, count: usize) -> Vec<DiscoveryOutcome> {
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
-            let before = self
-                .sim
-                .actor::<DiscoveryClient>(self.client)
-                .expect("client actor")
-                .completed
-                .len();
+            let before = self.client_actor().completed.len();
             self.sim.inject(
                 self.client,
                 Duration::from_millis(1),
@@ -325,7 +323,7 @@ impl Scenario {
             let cap = self.sim.now() + Duration::from_secs(60);
             loop {
                 self.sim.run_for(Duration::from_millis(100));
-                let client = self.sim.actor::<DiscoveryClient>(self.client).expect("client");
+                let client = self.client_actor();
                 if client.completed.len() > before {
                     break;
                 }
@@ -338,15 +336,21 @@ impl Scenario {
             }
             // Small gap between runs.
             self.sim.run_for(Duration::from_millis(200));
-            let client = self.sim.actor::<DiscoveryClient>(self.client).expect("client");
-            out.push(client.completed.last().expect("outcome").clone());
+            out.push(self.client_actor().completed.last().expect("outcome").clone());
         }
         out
     }
 
+    fn client_actor(&self) -> &DiscoveryClient {
+        self.sim
+            .actor_dyn(self.client)
+            .and_then(|a| a.as_any().downcast_ref::<DiscoveryClient>())
+            .expect("client actor")
+    }
+
     /// The client's discovery state (for assertions).
     pub fn client_phase(&self) -> Phase {
-        self.sim.actor::<DiscoveryClient>(self.client).expect("client").phase()
+        self.client_actor().phase()
     }
 
     /// Maps a broker node id back to its site index.
@@ -365,91 +369,11 @@ impl Scenario {
     }
 }
 
-/// A built testbed on the sharded engine: same roles as [`Scenario`],
-/// plus the run digest and worker/shard knobs the determinism gates
-/// compare across configurations.
-pub struct ShardedScenario {
-    /// The sharded simulator.
-    pub sim: ShardedSim,
-    /// The WAN model used.
-    pub wan: WanModel,
-    /// The overlay topology.
-    pub topology: Topology,
-    /// The topology kind.
-    pub kind: TopologyKind,
-    /// The first BDN node (absent in multicast-only scenarios).
-    pub bdn: Option<NodeId>,
-    /// Every BDN node, in build order ([`ScenarioBuilder::n_bdns`]).
-    pub bdns: Vec<NodeId>,
-    /// Broker nodes, index-aligned with `broker_sites`.
-    pub brokers: Vec<NodeId>,
-    /// The discovery client node.
-    pub client: NodeId,
-    /// Site of each broker.
-    pub broker_sites: Vec<SiteIdx>,
-    /// Site of the client.
-    pub client_site: SiteIdx,
-}
-
-impl ShardedScenario {
-    /// Runs one discovery and returns its outcome.
-    pub fn run_discovery_once(&mut self) -> DiscoveryOutcome {
-        self.run_discovery(1).pop().expect("one outcome")
-    }
-
-    /// Runs `count` back-to-back discoveries, mirroring
-    /// [`Scenario::run_discovery`].
-    pub fn run_discovery(&mut self, count: usize) -> Vec<DiscoveryOutcome> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let before = self.client_actor().completed.len();
-            self.sim.inject(
-                self.client,
-                Duration::from_millis(1),
-                nb_net::Incoming::Timer { token: TIMER_START },
-            );
-            let cap = self.sim.now() + Duration::from_secs(60);
-            loop {
-                self.sim.run_for(Duration::from_millis(100));
-                if self.client_actor().completed.len() > before {
-                    break;
-                }
-                if self.sim.now() > cap {
-                    panic!(
-                        "discovery run did not complete within 60s of virtual time (phase {:?})",
-                        self.client_actor().phase()
-                    );
-                }
-            }
-            self.sim.run_for(Duration::from_millis(200));
-            out.push(self.client_actor().completed.last().expect("outcome").clone());
-        }
-        out
-    }
-
-    fn client_actor(&self) -> &DiscoveryClient {
-        self.sim.actor::<DiscoveryClient>(self.client).expect("client actor")
-    }
-
-    /// The client's discovery state (for assertions).
-    pub fn client_phase(&self) -> Phase {
-        self.client_actor().phase()
-    }
-
-    /// Maps a broker node id back to its site index.
-    pub fn site_of_broker(&self, broker: NodeId) -> Option<SiteIdx> {
-        self.brokers.iter().position(|&b| b == broker).map(|i| self.broker_sites[i])
-    }
-
+impl Scenario<ShardedSim> {
     /// The run digest (see [`ShardedSim::digest`]): byte-identical
     /// across worker and shard counts for a fixed builder + seed.
     pub fn digest(&self) -> u64 {
         self.sim.digest()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
     }
 }
 

@@ -17,7 +17,7 @@ pub const RULES: &[RuleMeta] = &[
         id: "D001",
         severity: "deny",
         zone: "all-but-wall-clock",
-        summary: "no wall-clock reads (SystemTime/Instant) outside the threaded runtime and benches",
+        summary: "no wall-clock reads (SystemTime/Instant) outside the benches",
     },
     RuleMeta {
         id: "D002",
@@ -59,7 +59,7 @@ pub const RULES: &[RuleMeta] = &[
         id: "D008",
         severity: "deny",
         zone: "single-threaded",
-        summary: "no ad-hoc threads/locks/atomics outside the sanctioned runtimes (threaded.rs, shard.rs)",
+        summary: "no ad-hoc threads/locks/atomics outside the shard executor (shard.rs)",
     },
     RuleMeta {
         id: "D009",

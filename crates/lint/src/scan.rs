@@ -11,7 +11,7 @@
 //! | D005 | deterministic zones   | no float folds over hash-ordered iteration     |
 //! | D006 | all but wall-clock    | seeded `pub fn`s read no ambient state         |
 //! | D007 | wire receive crates   | no decode-for-one-field, no `Bytes.to_vec()`   |
-//! | D008 | single-threaded zones | no threads/locks/atomics outside the runtimes  |
+//! | D008 | single-threaded zones | no threads/locks/atomics outside `shard.rs`     |
 //! | L001 | everywhere scanned    | suppressions must carry a justification        |
 
 use crate::lexer::{lex, LineComment, Tok, TokKind};
@@ -48,14 +48,11 @@ pub struct FileScan {
 // Zones
 // ---------------------------------------------------------------------
 
-/// Files where real wall-clock reads are the point: the threaded
-/// runtime drives actual OS timers, and the bench crate and the repo
-/// benchmark (`benchmark/`) measure real elapsed time. D001/D006 do not
-/// apply here.
+/// Files where real wall-clock reads are the point: the bench crate and
+/// the repo benchmark (`benchmark/`) measure real elapsed time.
+/// D001/D006 do not apply here.
 pub fn is_wall_clock_zone(path: &str) -> bool {
-    path == "crates/net/src/threaded.rs"
-        || path.starts_with("crates/bench/")
-        || path.starts_with("benchmark/")
+    path.starts_with("crates/bench/") || path.starts_with("benchmark/")
 }
 
 /// Deterministic zones: the simulation, protocol and service crates
@@ -72,7 +69,7 @@ pub fn is_deterministic_zone(path: &str) -> bool {
         "crates/security/src/",
         "crates/lint/src/",
     ];
-    path != "crates/net/src/threaded.rs" && ROOTS.iter().any(|r| path.starts_with(r))
+    ROOTS.iter().any(|r| path.starts_with(r))
 }
 
 /// Protocol receive paths: actors that parse and react to messages from
@@ -104,12 +101,11 @@ pub fn is_wire_receive_zone(path: &str) -> bool {
 /// runs its event loops on one logical thread per LP, and every
 /// determinism proof in DESIGN.md §13 leans on that. Ad-hoc
 /// `thread::spawn`, locks or atomics here would let wall-clock
-/// scheduling leak into protocol ordering. Only the wall-clock runtime
-/// (`threaded.rs`) and the shard executor (`shard.rs`, whose epoch
-/// barrier is *designed* around worker threads) are sanctioned.
+/// scheduling leak into protocol ordering. Only the shard executor
+/// (`shard.rs`, whose epoch barrier is *designed* around worker
+/// threads) is sanctioned.
 pub fn is_single_threaded_zone(path: &str) -> bool {
     (path.starts_with("crates/net/src/") || path.starts_with("crates/core/src/"))
-        && path != "crates/net/src/threaded.rs"
         && path != "crates/net/src/shard.rs"
 }
 
@@ -712,7 +708,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    // D008: ad-hoc threading primitives outside the sanctioned runtimes.
+    // D008: ad-hoc threading primitives outside the shard executor.
     // `std::cmp::Ordering` (ubiquitous in comparators) shares its name
     // with `std::sync::atomic::Ordering`, so the bare ident is
     // deliberately NOT flagged — the `Atomic*` types that would
@@ -740,9 +736,8 @@ impl<'a> Scanner<'a> {
                     "D008",
                     line,
                     format!(
-                        "`thread::{what}` outside the sanctioned runtimes: engine code is \
-                         single-threaded per LP — put parallelism behind the shard \
-                         executor (shard.rs) or the wall-clock runtime (threaded.rs)"
+                        "`thread::{what}` outside the shard executor: engine code is \
+                         single-threaded per LP — put parallelism behind shard.rs"
                     ),
                 );
             } else if matches!(t.text.as_str(), "Mutex" | "RwLock" | "Condvar") {
@@ -751,7 +746,7 @@ impl<'a> Scanner<'a> {
                     "D008",
                     line,
                     format!(
-                        "`{name}` outside the sanctioned runtimes: shared mutable state \
+                        "`{name}` outside the shard executor: shared mutable state \
                          makes event order depend on thread scheduling"
                     ),
                 );
@@ -765,7 +760,7 @@ impl<'a> Scanner<'a> {
                     "D008",
                     line,
                     format!(
-                        "`{name}` outside the sanctioned runtimes: atomics order by \
+                        "`{name}` outside the shard executor: atomics order by \
                          hardware timing, not virtual time"
                     ),
                 );

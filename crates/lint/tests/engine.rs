@@ -61,7 +61,7 @@ fn d001_wall_clock_zone_split() {
     );
     // Wall-clock zone: allowed.
     fx.write(
-        "crates/net/src/threaded.rs",
+        "crates/bench/src/stopwatch.rs",
         "pub fn tick() { let _t = std::time::Instant::now(); let _e = std::time::SystemTime::now(); }\n",
     );
     fx.write(
@@ -249,7 +249,7 @@ fn d007_only_fires_in_wire_receive_crates() {
 }
 
 #[test]
-fn d008_threading_primitives_outside_sanctioned_runtimes() {
+fn d008_threading_primitives_outside_the_shard_executor() {
     let fx = Fixture::new();
     fx.write(
         "crates/net/src/sim.rs",
@@ -270,17 +270,15 @@ fn d008_threading_primitives_outside_sanctioned_runtimes() {
 }
 
 #[test]
-fn d008_sanctioned_runtimes_and_cmp_ordering_are_exempt() {
+fn d008_shard_executor_and_cmp_ordering_are_exempt() {
     let fx = Fixture::new();
-    // The shard executor and the wall-clock runtime are the two places
-    // threads and locks belong.
+    // The shard executor is the one place threads and locks belong.
     fx.write(
         "crates/net/src/shard.rs",
-        "pub fn epochs() { std::thread::scope(|_s| {}); let _m = std::sync::Mutex::new(0); }\n",
-    );
-    fx.write(
-        "crates/net/src/threaded.rs",
-        "pub fn pump() { let h = std::thread::spawn(|| 1); let _ = h.join(); }\n",
+        concat!(
+            "pub fn epochs() { std::thread::scope(|_s| {}); let _m = std::sync::Mutex::new(0); }\n",
+            "pub fn pump() { let h = std::thread::spawn(|| 1); let _ = h.join(); }\n",
+        ),
     );
     // `cmp::Ordering` in comparators is everyday engine code, not an
     // atomic memory ordering — the bare ident must not trip D008.
@@ -451,7 +449,7 @@ fn suppression_reaches_item_through_derive_attribute() {
     fx.write(
         "crates/net/src/state.rs",
         concat!(
-            "// nb-lint::allow(D008, reason = \"handle owned by the threaded runtime\")\n",
+            "// nb-lint::allow(D008, reason = \"handle owned by the worker pool\")\n",
             "#[derive(Default)]\n",
             "pub struct Handle { guard: Option<std::sync::Mutex<u8>> }\n",
         ),
@@ -469,7 +467,7 @@ fn suppression_reaches_item_through_stacked_attributes() {
     fx.write(
         "crates/net/src/state.rs",
         concat!(
-            "// nb-lint::allow(D008, reason = \"handle owned by the threaded runtime\")\n",
+            "// nb-lint::allow(D008, reason = \"handle owned by the worker pool\")\n",
             "#[derive(Default)]\n",
             "#[allow(dead_code)]\n",
             "pub struct Handle { guard: Option<std::sync::Mutex<u8>> }\n",
@@ -486,7 +484,7 @@ fn suppression_reaches_item_through_multi_line_attribute() {
     fx.write(
         "crates/net/src/state.rs",
         concat!(
-            "// nb-lint::allow(D008, reason = \"handle owned by the threaded runtime\")\n",
+            "// nb-lint::allow(D008, reason = \"handle owned by the worker pool\")\n",
             "#[derive(\n",
             "    Default,\n",
             ")]\n",
@@ -525,7 +523,7 @@ fn suppression_does_not_leak_past_attributed_item() {
     fx.write(
         "crates/net/src/state.rs",
         concat!(
-            "// nb-lint::allow(D008, reason = \"handle owned by the threaded runtime\")\n",
+            "// nb-lint::allow(D008, reason = \"handle owned by the worker pool\")\n",
             "#[derive(Default)]\n",
             "pub struct Handle { guard: Option<std::sync::Mutex<u8>> }\n",
             "pub struct Other { guard: Option<std::sync::Mutex<u8>> }\n",

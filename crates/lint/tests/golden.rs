@@ -9,8 +9,10 @@ use std::path::Path;
 /// sorted `(rule, file, class, count)` summary — deliberately free of
 /// line numbers, so ordinary edits never churn it. Re-pin (and say why
 /// in the commit) whenever a violation is fixed or a justified
-/// suppression is added or removed.
-const GOLDEN_DIGEST: u64 = 0x61d4_5e1a_d38e_3acd;
+/// suppression is added or removed. Today's pin is the digest of the
+/// empty summary (the FNV-1a offset basis): zero findings, zero
+/// suppressions.
+const GOLDEN_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn workspace_root() -> std::path::PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));

@@ -17,8 +17,6 @@
 //! * [`shard`] — the conservative-lookahead sharded engine: one logical
 //!   process per node, per-epoch safe horizons, byte-identical digests
 //!   at every worker/shard count (DESIGN.md §13),
-//! * [`threaded`] — a wall-clock runtime driving the *same* actors with
-//!   real threads and channels (examples + integration tests),
 //! * [`wan`] — the Table-1 site inventory and its latency matrix,
 //! * [`ntp`] — an actual NTP request/response protocol implementation for
 //!   nodes that estimate their clock offset on the wire instead of by
@@ -31,7 +29,6 @@ pub mod ntp;
 pub mod runtime;
 pub mod shard;
 pub mod sim;
-pub mod threaded;
 pub mod time;
 pub mod topogen;
 pub mod wan;
@@ -42,7 +39,6 @@ pub use link::{LinkSpec, NetworkModel};
 pub use runtime::{Actor, Context, Incoming};
 pub use shard::{DiscoveryEngine, ShardPlan, ShardRespawnFn, ShardedSim};
 pub use sim::{NetStats, RespawnFn, Sim, TraceRecord, WireV2Config};
-pub use threaded::ThreadedNet;
 pub use time::SimTime;
 pub use topogen::{TopologyKind, TopologySpec, WanTopology};
 pub use wan::{Site, WanModel};

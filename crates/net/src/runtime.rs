@@ -3,8 +3,8 @@
 //! Brokers, BDNs, discovery clients, NTP servers — every node is an
 //! [`Actor`]: a state machine that reacts to [`Incoming`] events and acts
 //! on the world exclusively through a [`Context`]. The same actor code
-//! runs unmodified under the discrete-event engine ([`crate::sim::Sim`])
-//! and the wall-clock threaded runtime ([`crate::threaded::ThreadedNet`]).
+//! runs unmodified under the single-queue engine ([`crate::sim::Sim`])
+//! and the sharded engine ([`crate::shard::ShardedSim`]).
 
 use std::any::Any;
 use std::time::Duration;
@@ -46,7 +46,7 @@ pub enum Incoming {
     ClockSynced,
 }
 
-/// A node's interface to the world. Implemented by both runtimes.
+/// A node's interface to the world. Implemented by both engines.
 pub trait Context {
     /// This node's identity.
     fn me(&self) -> NodeId;
@@ -87,7 +87,7 @@ pub trait Context {
     /// use this so the frame is encoded once and every send clones the
     /// handle. The default delegates to [`Context::send_udp`] (decoded
     /// message, legacy encode) so test doubles keep working unmodified;
-    /// both runtimes override it with a zero-copy path.
+    /// both engines override it with a zero-copy path.
     fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         self.send_udp(from_port, to, msg.message());
     }
@@ -103,7 +103,7 @@ pub trait Context {
     /// and topic symbols sync lazily per link. Callers use this only
     /// for peers that announced v2 capability on their link handshake.
     /// The default falls back to the per-message v1 stream path, so
-    /// runtimes and test doubles without v2 support keep working
+    /// engines and test doubles without v2 support keep working
     /// unmodified.
     fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         self.send_stream_wire(from_port, to, msg);

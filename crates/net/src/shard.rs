@@ -48,19 +48,17 @@
 //!   join-then-multicast would.
 //!
 //! Threading is confined to [`ShardedSim::run_epochs_threaded`]: a
-//! worker pool on the crossbeam channel shim, moving whole LP groups
-//! through channels each epoch. Workers share nothing mutable — they
-//! own the LPs they were handed and borrow an immutable snapshot of the
-//! network — which is why this module and [`crate::threaded`] are the
-//! only sanctioned homes for thread primitives in nb-net (lint rule
-//! D008).
+//! scoped worker pool on `std::sync::mpsc`, moving whole LP groups
+//! through per-worker channels each epoch. Workers share nothing
+//! mutable — they own the LPs they were handed and borrow an immutable
+//! snapshot of the network — which is why this module is the only
+//! sanctioned home for thread primitives in nb-net (lint rule D008).
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use crossbeam::channel;
 use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId, WireMsg};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -1369,25 +1367,30 @@ impl ShardedSim {
         stamp: &mut [u64],
         epoch: &mut u64,
     ) {
-        let (task_tx, task_rx) = channel::unbounded::<EpochTask>();
-        let (result_tx, result_rx) = channel::unbounded::<(usize, Vec<Lp>, Vec<usize>)>();
+        let (result_tx, result_rx) = mpsc::channel::<(usize, Vec<Lp>, Vec<usize>)>();
         // Per-group active-slot buckets, reused across epochs.
         let mut group_slots: Vec<Vec<usize>> = (0..groups.len()).map(|_| Vec::new()).collect();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let task_rx = task_rx.clone();
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(mut task) = task_rx.recv() {
-                        for &slot in &task.active_slots {
-                            task.lps[slot].process_until(task.horizon, &task.net, task.pf);
+            // One queue per worker; group `g` always runs on worker
+            // `g % workers`. The senders drop with this closure, which is
+            // what ends the workers before the scope joins them.
+            let task_txs: Vec<mpsc::Sender<EpochTask>> = (0..workers)
+                .map(|_| {
+                    let (task_tx, task_rx) = mpsc::channel::<EpochTask>();
+                    let result_tx = result_tx.clone();
+                    scope.spawn(move || {
+                        while let Ok(mut task) = task_rx.recv() {
+                            for &slot in &task.active_slots {
+                                task.lps[slot].process_until(task.horizon, &task.net, task.pf);
+                            }
+                            if result_tx.send((task.gidx, task.lps, task.active_slots)).is_err() {
+                                break;
+                            }
                         }
-                        if result_tx.send((task.gidx, task.lps, task.active_slots)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
+                    });
+                    task_tx
+                })
+                .collect();
             loop {
                 *epoch += 1;
                 let Some(horizon) = self.next_active_epoch(
@@ -1405,7 +1408,7 @@ impl ShardedSim {
                         continue;
                     }
                     let lps = std::mem::take(&mut groups[gidx]);
-                    let sent = task_tx.send(EpochTask {
+                    let sent = task_txs[gidx % workers].send(EpochTask {
                         gidx,
                         lps,
                         active_slots: std::mem::take(slots),
@@ -1434,7 +1437,6 @@ impl ShardedSim {
                     self.now = reached;
                 }
             }
-            drop(task_tx);
         });
     }
 }
@@ -1448,24 +1450,16 @@ pub trait DiscoveryEngine {
     fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId;
     /// The mutable network model (coordinator time).
     fn network_mut(&mut self) -> &mut NetworkModel;
-    /// Registers a lossy-restart respawn factory. `Send` is required so
-    /// the factory can live inside a migrating LP; for `Sim` it simply
-    /// coerces away.
-    fn set_respawn_factory(&mut self, node: NodeId, factory: ShardRespawnFn);
     /// A node's actor as a trait object.
     fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor>;
     /// Mutable counterpart of [`DiscoveryEngine::actor_dyn`].
     fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor>;
     /// Queues an [`Incoming`] for `node` after `delay`.
     fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming);
-    /// Queues every fault in `plan` relative to the current time.
-    fn apply_fault_plan(&mut self, plan: &FaultPlan);
     /// Runs for `d` of virtual time.
     fn run_for(&mut self, d: Duration);
     /// Current virtual time.
     fn now(&self) -> SimTime;
-    /// Events processed since construction.
-    fn events_processed(&self) -> u64;
 }
 
 impl DiscoveryEngine for Sim {
@@ -1474,9 +1468,6 @@ impl DiscoveryEngine for Sim {
     }
     fn network_mut(&mut self) -> &mut NetworkModel {
         Sim::network_mut(self)
-    }
-    fn set_respawn_factory(&mut self, node: NodeId, factory: ShardRespawnFn) {
-        Sim::set_respawn(self, node, factory);
     }
     fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> {
         Sim::actor_dyn(self, node)
@@ -1487,17 +1478,11 @@ impl DiscoveryEngine for Sim {
     fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
         Sim::inject(self, node, delay, incoming);
     }
-    fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        Sim::apply_fault_plan(self, plan);
-    }
     fn run_for(&mut self, d: Duration) {
         Sim::run_for(self, d);
     }
     fn now(&self) -> SimTime {
         Sim::now(self)
-    }
-    fn events_processed(&self) -> u64 {
-        Sim::events_processed(self)
     }
 }
 
@@ -1508,9 +1493,6 @@ impl DiscoveryEngine for ShardedSim {
     fn network_mut(&mut self) -> &mut NetworkModel {
         ShardedSim::network_mut(self)
     }
-    fn set_respawn_factory(&mut self, node: NodeId, factory: ShardRespawnFn) {
-        ShardedSim::set_respawn(self, node, factory);
-    }
     fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> {
         ShardedSim::actor_dyn(self, node)
     }
@@ -1520,17 +1502,11 @@ impl DiscoveryEngine for ShardedSim {
     fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
         ShardedSim::inject(self, node, delay, incoming);
     }
-    fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        ShardedSim::apply_fault_plan(self, plan);
-    }
     fn run_for(&mut self, d: Duration) {
         ShardedSim::run_for(self, d);
     }
     fn now(&self) -> SimTime {
         ShardedSim::now(self)
-    }
-    fn events_processed(&self) -> u64 {
-        ShardedSim::events_processed(self)
     }
 }
 

@@ -1,8 +1,7 @@
 //! Virtual time.
 //!
-//! [`SimTime`] is a nanosecond count since the simulation epoch. The
-//! discrete-event engine advances it; the threaded runtime derives it
-//! from a wall-clock anchor. Durations are plain [`std::time::Duration`].
+//! [`SimTime`] is a nanosecond count since the simulation epoch; only
+//! the engines advance it. Durations are plain [`std::time::Duration`].
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

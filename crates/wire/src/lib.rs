@@ -30,8 +30,11 @@
 //!   (first use ships the string, later uses ship a small id): integer
 //!   views of the process symbol table in [`intern`].
 //!
-//! Every message crosses the (simulated or real) network as bytes encoded
-//! by this crate, in both runtimes, so the codec is exercised on every hop.
+//! Every message is sized and charged on the simulated network as the
+//! bytes this crate encodes. The engines hand a receiver the sender's
+//! [`WireMsg`] by refcount rather than decoding those bytes again;
+//! `tests/codec_in_the_loop.rs` puts the decode back on every hop and
+//! checks it against what was sent.
 
 pub mod addr;
 pub mod codec;

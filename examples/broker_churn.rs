@@ -1,11 +1,10 @@
-//! Broker churn on the threaded runtime: the same actors, real threads.
+//! Broker churn: the chosen broker dies and rediscovery finds the survivor.
 //!
-//! Everything else in the examples runs in virtual time; this one drives
-//! the identical protocol stack on the wall-clock [`ThreadedNet`]
-//! runtime: two brokers and a BDN come up, a client discovers and
-//! connects, the chosen broker dies, and a rediscovery lands on the
-//! survivor — the paper's "very dynamic and fluid system where broker
-//! processes may join and leave at arbitrary times" (§1.2).
+//! Two brokers and a BDN come up, a client discovers and picks one, that
+//! broker crashes, and a second discovery lands on the other — the
+//! paper's "very dynamic and fluid system where broker processes may
+//! join and leave at arbitrary times" (§1.2). Seeded and in virtual
+//! time; `tests/self_healing.rs` owns the exhaustive version.
 //!
 //! ```sh
 //! cargo run --release --example broker_churn
@@ -16,12 +15,32 @@ use std::time::Duration;
 use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::client::TIMER_START;
-use nb::discovery::{DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, ResponsePolicy};
-use nb::net::{ClockProfile, Incoming, LinkSpec, ThreadedNet};
-use nb::wire::RealmId;
+use nb::discovery::{
+    DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome, ResponsePolicy,
+};
+use nb::net::{ClockProfile, Incoming, LinkSpec, Sim};
+use nb::wire::{NodeId, RealmId};
+
+fn discover(sim: &mut Sim, client: NodeId, run: usize) -> DiscoveryOutcome {
+    sim.inject(client, Duration::from_millis(1), Incoming::Timer { token: TIMER_START });
+    sim.run_for(Duration::from_secs(4));
+    let o = sim
+        .actor::<DiscoveryClient>(client)
+        .and_then(|c| c.completed.get(run))
+        .unwrap_or_else(|| panic!("discovery #{} completes within 4 s", run + 1))
+        .clone();
+    println!(
+        "discovery #{}: chose {} in {:?} ({} responses)",
+        run + 1,
+        o.chosen.map_or("nobody", |b| sim.node_name(b)),
+        o.phases.total(),
+        o.responses_received
+    );
+    o
+}
 
 fn main() {
-    // Fast clocks (sync within ~100 ms) so the demo runs in seconds.
+    // Fast clocks (sync within ~100 ms) so a second of warm-up is enough.
     let clocks = ClockProfile {
         max_true_offset: Duration::from_millis(200),
         min_residual: Duration::from_millis(1),
@@ -29,15 +48,13 @@ fn main() {
         min_sync_delay: Duration::from_millis(50),
         max_sync_delay: Duration::from_millis(120),
     };
-    let mut net = ThreadedNet::new(11);
-    net.configure_network(|n| {
-        n.intra_realm_spec = LinkSpec::lan();
-        n.inter_realm_spec = LinkSpec::wan(Duration::from_millis(15));
-    });
+    let mut sim = Sim::with_clock_profile(11, clocks);
+    sim.network_mut().intra_realm_spec = LinkSpec::lan();
 
     let realm = RealmId(0);
-    let bdn = net.add_node("bdn", realm, clocks, Box::new(Bdn::new(BdnConfig::default())));
-
+    // The BDN's default `auto_attach` makes it maintain connections to
+    // every broker that registers — no manual wiring needed.
+    let bdn = sim.add_node("bdn", realm, Box::new(Bdn::new(BdnConfig::default())));
     let mk_broker = |name: &str, neighbors| {
         DiscoveryBrokerActor::new(
             BrokerConfig {
@@ -50,13 +67,10 @@ fn main() {
             ResponsePolicy::open(),
         )
     };
-    let b0 = net.add_node("broker-0", realm, clocks, Box::new(mk_broker("broker-0.local", vec![])));
-    let _b1 = net.add_node("broker-1", realm, clocks, Box::new(mk_broker("broker-1.local", vec![b0])));
+    let b0 = sim.add_node("broker-0", realm, Box::new(mk_broker("broker-0.local", vec![])));
+    sim.add_node("broker-1", realm, Box::new(mk_broker("broker-1.local", vec![b0])));
 
-    // The BDN's default `auto_attach` makes it maintain connections to
-    // every broker that registers — no manual wiring needed.
-
-    let mut cfg = DiscoveryConfig {
+    let cfg = DiscoveryConfig {
         bdns: vec![bdn],
         collection_window: Duration::from_millis(1500),
         max_responses: 2,
@@ -64,44 +78,18 @@ fn main() {
         ack_timeout: Duration::from_millis(700),
         ..DiscoveryConfig::default()
     };
-    cfg.multicast_fallback = true;
-    let client = net.add_node(
-        "client",
-        realm,
-        clocks,
-        Box::new(DiscoveryClient::with_auto_start(cfg, false)),
-    );
+    let client =
+        sim.add_node("client", realm, Box::new(DiscoveryClient::with_auto_start(cfg, false)));
 
-    // Give everything a moment to sync clocks and advertise.
-    std::thread::sleep(Duration::from_millis(800));
+    // Clocks sync and brokers advertise.
+    sim.run_for(Duration::from_millis(800));
 
-    println!("kicking off discovery #1 …");
-    net.inject(client, Incoming::Timer { token: TIMER_START });
-    std::thread::sleep(Duration::from_secs(4));
+    let first = discover(&mut sim, client, 0).chosen.expect("discovery #1 finds a broker");
+    println!("{} crashes", sim.node_name(first));
+    sim.crash(first);
+    let second = discover(&mut sim, client, 1).chosen.expect("discovery #2 finds a broker");
 
-    // Tear everything down and inspect the actors.
-    let mut actors = net.shutdown();
-    let client_actor = actors
-        .remove(&client)
-        .expect("client actor returned")
-        .as_any()
-        .downcast_ref::<DiscoveryClient>()
-        .map(|c| (c.completed.clone(), c.phase()))
-        .expect("downcast client");
-    let (completed, phase) = client_actor;
-    println!("client finished in phase {phase:?} with {} completed run(s)", completed.len());
-    for (i, o) in completed.iter().enumerate() {
-        println!(
-            "  run {i}: chose {:?} in {:?} ({} responses, multicast: {})",
-            o.chosen,
-            o.phases.total(),
-            o.responses_received,
-            o.used_multicast
-        );
-    }
-    assert!(
-        completed.iter().any(|o| o.chosen.is_some()),
-        "at least one threaded-runtime discovery must succeed"
-    );
-    println!("threaded-runtime discovery OK");
+    assert_ne!(second, first, "rediscovery must not choose the dead broker");
+    assert!(sim.is_up(second));
+    println!("rediscovery landed on the survivor");
 }

@@ -1,5 +1,6 @@
 //! `cluster` — run a BDN/broker/client deployment from a configuration
-//! file on the threaded (wall-clock) runtime.
+//! file on the simulator: seeded, in virtual time, so the same file
+//! prints the same bytes on every run.
 //!
 //! ```sh
 //! cargo run --release --bin cluster -- examples/cluster.conf
@@ -10,7 +11,7 @@
 //!
 //! ```text
 //! cluster.seed = 7            # RNG seed
-//! cluster.duration.ms = 5000  # how long to run before the summary
+//! cluster.duration.ms = 5000  # virtual time to run before the summary
 //! cluster.wan.ms = 15         # inter-realm one-way latency
 //! ```
 //!
@@ -34,7 +35,7 @@
 //! node.app.role = client
 //! node.app.realm = 0
 //! node.app.bdns = locator
-//! node.app.discover.after.ms = 900
+//! node.app.discover.after.ms = 900   # virtual time of the discovery
 //! ```
 
 use std::collections::BTreeMap;
@@ -44,7 +45,7 @@ use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::client::TIMER_START;
 use nb::discovery::{DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, ResponsePolicy};
-use nb::net::{ClockProfile, Incoming, LinkSpec, ThreadedNet};
+use nb::net::{ClockProfile, Incoming, LinkSpec, Sim};
 use nb::util::Config;
 use nb::wire::{NodeId, RealmId};
 
@@ -181,11 +182,6 @@ fn main() {
     let decls = parse_decls(&cfg);
     println!("cluster: {} nodes from {path} (seed {seed})", decls.len());
 
-    let mut net = ThreadedNet::new(seed);
-    net.configure_network(|n| {
-        n.intra_realm_spec = LinkSpec::lan();
-        n.inter_realm_spec = LinkSpec::wan(Duration::from_millis(wan_ms));
-    });
     // Fast clock sync so short demo runs see synced timestamps.
     let clocks = ClockProfile {
         max_true_offset: Duration::from_millis(250),
@@ -194,6 +190,9 @@ fn main() {
         min_sync_delay: Duration::from_millis(60),
         max_sync_delay: Duration::from_millis(150),
     };
+    let mut sim = Sim::with_clock_profile(seed, clocks);
+    sim.network_mut().intra_realm_spec = LinkSpec::lan();
+    sim.network_mut().inter_realm_spec = LinkSpec::wan(Duration::from_millis(wan_ms));
 
     let mut ids: BTreeMap<String, NodeId> = BTreeMap::new();
     let mut clients: Vec<(String, NodeId, Duration)> = Vec::new();
@@ -214,7 +213,7 @@ fn main() {
     for decl in &decls {
         let id = match decl.role {
             Role::Bdn => {
-                net.add_node(&decl.name, decl.realm, clocks, Box::new(Bdn::new(BdnConfig::default())))
+                sim.add_node(&decl.name, decl.realm, Box::new(Bdn::new(BdnConfig::default())))
             }
             Role::Broker => {
                 let bdns = resolve(&ids, &decl.bdns, &decl.name);
@@ -229,7 +228,7 @@ fn main() {
                     bdns,
                     ResponsePolicy::open(),
                 );
-                net.add_node(&decl.name, decl.realm, clocks, Box::new(actor))
+                sim.add_node(&decl.name, decl.realm, Box::new(actor))
             }
             Role::Client => {
                 let bdns = resolve(&ids, &decl.bdns, &decl.name);
@@ -241,10 +240,9 @@ fn main() {
                     ack_timeout: Duration::from_millis(700),
                     ..DiscoveryConfig::default()
                 };
-                let id = net.add_node(
+                let id = sim.add_node(
                     &decl.name,
                     decl.realm,
-                    clocks,
                     Box::new(DiscoveryClient::with_auto_start(dcfg, false)),
                 );
                 clients.push((decl.name.clone(), id, decl.discover_after));
@@ -255,33 +253,18 @@ fn main() {
         ids.insert(decl.name.clone(), id);
     }
 
-    // Kick each client's discovery at its configured delay.
-    let mut kicks = clients.clone();
-    kicks.sort_by_key(|(_, _, d)| *d);
-    // nb-lint::allow(D001, reason = "cluster driver paces real client processes against wall-clock delays; this is the live-deployment harness, not the deterministic sim")
-    let start = std::time::Instant::now();
-    for (name, id, after) in &kicks {
-        let elapsed = start.elapsed();
-        if *after > elapsed {
-            std::thread::sleep(*after - elapsed);
-        }
-        println!("  > {name}: starting discovery");
-        net.inject(*id, Incoming::Timer { token: TIMER_START });
+    // Queue each client's discovery at its configured delay, then run.
+    clients.sort_by_key(|(_, _, after)| *after);
+    for (name, id, after) in &clients {
+        println!("  > {name}: discovery at +{} ms", after.as_millis());
+        sim.inject(*id, *after, Incoming::Timer { token: TIMER_START });
     }
-    let elapsed = start.elapsed();
-    if duration > elapsed {
-        std::thread::sleep(duration - elapsed);
-    }
+    sim.run_for(duration);
 
-    // Tear down and report.
-    let by_id: BTreeMap<NodeId, String> = ids.iter().map(|(n, i)| (*i, n.clone())).collect();
-    let actors = net.shutdown();
     println!("\n=== cluster summary ===");
-    let mut entries: Vec<_> = actors.iter().collect();
-    entries.sort_by_key(|(id, _)| **id);
-    for (id, actor) in entries {
-        let name = by_id.get(id).cloned().unwrap_or_else(|| id.to_string());
-        let any = actor.as_any();
+    let by_id: BTreeMap<NodeId, String> = ids.iter().map(|(n, i)| (*i, n.clone())).collect();
+    for (id, name) in &by_id {
+        let any = sim.actor_dyn(*id).expect("every declared node is up").as_any();
         if let Some(b) = any.downcast_ref::<Bdn>() {
             println!(
                 "  {name:<12} bdn     registry={} requests={} dupes={}",

@@ -10,7 +10,7 @@
 //! |--------|-------|------|
 //! | [`util`] | `nb-util` | UUIDs, dedup caches, config files, statistics |
 //! | [`wire`] | `nb-wire` | binary codec, protocol messages, topics |
-//! | [`net`] | `nb-net` | actor runtime, discrete-event simulator, threaded runtime, WAN model, clocks/NTP |
+//! | [`net`] | `nb-net` | actor runtime, the discrete-event and sharded simulators, WAN model, clocks/NTP |
 //! | [`broker`] | `nb-broker` | publish/subscribe broker overlay |
 //! | [`security`] | `nb-security` | SHA-256, HMAC, XTEA, Schnorr, certificates, envelopes |
 //! | [`services`] | `nb-services` | compression, fragmentation, reliable delivery, replay |
