@@ -8,6 +8,12 @@
 //! families — random geometric graphs (latencies drawn from node
 //! placement) and the paper's star overlay under a full discovery —
 //! both with and without a generated chaos plan in flight.
+//!
+//! `cargo test` builds nb-net with debug assertions, so every epoch of
+//! every case below also checks the engine's scheduler heap against a
+//! scan of all LP queues (`HeadHeap::assert_matches_scan` in
+//! `nb_net::shard`): one entry per non-empty LP at its true head, the
+//! scanned horizon floor and active set equal to the scheduler's.
 
 use std::time::Duration;
 

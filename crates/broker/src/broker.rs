@@ -140,8 +140,8 @@ impl InterestState {
 }
 
 /// The broker state machine. Embed it in an actor and feed it events via
-/// [`Broker::handle`]; system-topic events it saw are returned for the
-/// owner to act on.
+/// [`Broker::handle`]; a system-topic event it routed is handed back, as
+/// the frame it travels in, for the owner to act on.
 pub struct Broker {
     cfg: BrokerConfig,
     links: DenseNodeTable<LinkState>,
@@ -158,8 +158,8 @@ pub struct Broker {
     /// filter enters or leaves the interest map. `interest_filters` is
     /// the uncached oracle it is tested against.
     interest_snapshot: Option<Arc<[TopicFilter]>>,
-    /// Which (neighbour, filter) advertisements are currently active.
-    advertised: BTreeSet<(NodeId, TopicFilter)>,
+    /// The neighbours each filter is currently advertised to.
+    advertised: BTreeMap<TopicFilter, BTreeSet<NodeId>>,
     event_dedup: BoundedDedup<Uuid>,
     meter: UsageMeter,
     hb_seq: u64,
@@ -181,7 +181,7 @@ impl Broker {
             subs: SubscriptionTable::new(),
             interest: BTreeMap::new(),
             interest_snapshot: None,
-            advertised: BTreeSet::new(),
+            advertised: BTreeMap::new(),
             event_dedup: BoundedDedup::new(dedup),
             meter,
             hb_seq: 0,
@@ -280,29 +280,32 @@ impl Broker {
 
     /// Publishes an event originating at this broker itself (the owner's
     /// services use this, e.g. a BDN flooding a discovery request).
+    /// Returns what [`Broker::handle`] would for the same event.
     pub fn publish_local(
         &mut self,
         topic: Topic,
         payload: impl Into<Bytes>,
         ctx: &mut dyn Context,
-    ) -> Vec<Event> {
+    ) -> Option<WireMsg> {
         let id = Uuid::random(ctx.rng());
         let ev = Event { id, topic, source: ctx.me(), payload: payload.into() };
         self.route_event(ev, None, ctx)
     }
 
-    /// Feeds one incoming runtime event; returns any system-topic events
-    /// that were routed (for the owning actor to act on).
-    pub fn handle(&mut self, event: Incoming, ctx: &mut dyn Context) -> Vec<Event> {
+    /// Feeds one incoming runtime event. When it was a fresh event on a
+    /// system (flood) topic, the `Publish` frame it arrived in is
+    /// returned for the owning actor to act on — one input surfaces at
+    /// most one event, and handing back the handle copies nothing.
+    pub fn handle(&mut self, event: Incoming, ctx: &mut dyn Context) -> Option<WireMsg> {
         match event {
             Incoming::Stream { from, to_port, msg } if to_port == well_known::BROKER => {
                 self.handle_stream(from, msg, ctx)
             }
             Incoming::Timer { token } if token == TIMER_HEARTBEAT => {
                 self.heartbeat_tick(ctx);
-                Vec::new()
+                None
             }
-            _ => Vec::new(),
+            _ => None,
         }
     }
 
@@ -311,7 +314,7 @@ impl Broker {
         from: Endpoint,
         msg: WireMsg,
         ctx: &mut dyn Context,
-    ) -> Vec<Event> {
+    ) -> Option<WireMsg> {
         if let Some(link) = self.links.get_mut(from.node) {
             link.last_heard = ctx.now();
         }
@@ -326,7 +329,7 @@ impl Broker {
             let id = header.uuid.expect("publish frames carry an event id");
             if !self.event_dedup.check_and_insert(id) {
                 self.duplicates_suppressed += 1;
-                return Vec::new();
+                return None;
             }
             return self.route_deduped(msg, Some(from.node), ctx);
         }
@@ -394,7 +397,7 @@ impl Broker {
                 }
             _ => {}
         }
-        Vec::new()
+        None
     }
 
     fn link_up(&mut self, peer: NodeId, peer_v2: bool, ctx: &mut dyn Context) {
@@ -428,7 +431,10 @@ impl Broker {
         if self.links.remove(peer).is_none() {
             return;
         }
-        self.advertised.retain(|(p, _)| *p != peer);
+        self.advertised.retain(|_, peers| {
+            peers.remove(&peer);
+            !peers.is_empty()
+        });
         // Drop every interest contribution learned from that link, then
         // reconcile the affected filters towards the survivors.
         let filters = self.subs.remove_destination(Destination::Link(peer));
@@ -487,37 +493,34 @@ impl Broker {
     /// advertised iff interest excluding `L` is non-zero.
     fn reconcile_advertisements(&mut self, filter: &TopicFilter, ctx: &mut dyn Context) {
         let me = ctx.me();
-        let peers: Vec<(NodeId, Endpoint, bool, bool)> = self
-            .links
-            .iter()
-            .map(|(p, l)| (p, l.endpoint, l.established, l.peer_v2))
-            .collect();
-        for (peer, endpoint, established, peer_v2) in peers {
-            if !established {
+        let state = self.interest.get(filter);
+        for (peer, link) in self.links.iter() {
+            if !link.established {
                 continue;
             }
-            let should = self
-                .interest
-                .get(filter)
-                .is_some_and(|state| state.excluding(peer) > 0);
-            let key = (peer, filter.clone());
-            let is = self.advertised.contains(&key);
+            let should = state.is_some_and(|state| state.excluding(peer) > 0);
+            let is = self.advertised.get(filter).is_some_and(|peers| peers.contains(&peer));
             if should == is {
                 continue;
             }
             self.hb_seq += 1;
             let seq = self.hb_seq;
             let msg = if should {
-                self.advertised.insert(key);
+                self.advertised.entry(filter.clone()).or_default().insert(peer);
                 Message::Subscribe { filter: filter.clone(), origin: me, seq }
             } else {
-                self.advertised.remove(&key);
+                if let Some(peers) = self.advertised.get_mut(filter) {
+                    peers.remove(&peer);
+                    if peers.is_empty() {
+                        self.advertised.remove(filter);
+                    }
+                }
                 Message::Unsubscribe { filter: filter.clone(), origin: me, seq }
             };
-            if peer_v2 {
-                ctx.send_stream_v2(well_known::BROKER, endpoint, &WireMsg::new(msg));
+            if link.peer_v2 {
+                ctx.send_stream_v2(well_known::BROKER, link.endpoint, &WireMsg::new(msg));
             } else {
-                ctx.send_stream(well_known::BROKER, endpoint, &msg);
+                ctx.send_stream(well_known::BROKER, link.endpoint, &msg);
             }
         }
     }
@@ -533,10 +536,10 @@ impl Broker {
         ev: Event,
         source: Option<NodeId>,
         ctx: &mut dyn Context,
-    ) -> Vec<Event> {
+    ) -> Option<WireMsg> {
         if !self.event_dedup.check_and_insert(ev.id) {
             self.duplicates_suppressed += 1;
-            return Vec::new();
+            return None;
         }
         self.route_deduped(WireMsg::new(Message::Publish(ev)), source, ctx)
     }
@@ -544,19 +547,19 @@ impl Broker {
     /// Dispatches an event already admitted past the duplicate cache.
     /// The frame is encoded (at most) once: local client deliveries
     /// reuse `msg`'s handle verbatim, and every link forward shares one
-    /// hop-bumped copy whose body bytes are the original frame's — only
-    /// the 4-byte prelude is re-stamped.
+    /// hop-bumped handle on the same frame. A flood-topic event is
+    /// returned to the caller — `msg` itself, not a copy of its event.
     fn route_deduped(
         &mut self,
         msg: WireMsg,
         source: Option<NodeId>,
         ctx: &mut dyn Context,
-    ) -> Vec<Event> {
+    ) -> Option<WireMsg> {
         self.events_routed += 1;
         self.meter.record_message(ctx.now());
 
         let Message::Publish(ev) = msg.message() else {
-            return Vec::new();
+            return None;
         };
         let flood = self.is_flood_topic(&ev.topic);
         // One memoized trie lookup; the shared set detaches the borrow on
@@ -595,25 +598,22 @@ impl Broker {
                 }
             }
         }
-        if flood {
-            if let Some(fwd) = fwd.as_ref() {
-                for (peer, link) in self.links.iter() {
-                    if !link.established || Some(peer) == source {
-                        continue;
-                    }
-                    if link.peer_v2 {
-                        ctx.send_stream_v2(well_known::BROKER, link.endpoint, fwd);
-                    } else {
-                        ctx.send_stream_wire(well_known::BROKER, link.endpoint, fwd);
-                    }
+        if !flood {
+            return None;
+        }
+        if let Some(fwd) = fwd.as_ref() {
+            for (peer, link) in self.links.iter() {
+                if !link.established || Some(peer) == source {
+                    continue;
+                }
+                if link.peer_v2 {
+                    ctx.send_stream_v2(well_known::BROKER, link.endpoint, fwd);
+                } else {
+                    ctx.send_stream_wire(well_known::BROKER, link.endpoint, fwd);
                 }
             }
-            let Message::Publish(ev) = msg.into_message() else {
-                unreachable!("checked above");
-            };
-            return vec![ev];
         }
-        Vec::new()
+        Some(msg)
     }
 
     fn heartbeat_tick(&mut self, ctx: &mut dyn Context) {
@@ -646,12 +646,12 @@ impl Broker {
 }
 
 /// A standalone broker actor (no attached services); flood-topic events
-/// it routes are counted but otherwise dropped.
+/// it routes are kept but otherwise ignored.
 pub struct BrokerActor {
     /// The wrapped broker.
     pub broker: Broker,
-    /// Flood-topic events surfaced to this actor.
-    pub surfaced: Vec<Event>,
+    /// Flood-topic `Publish` frames surfaced to this actor.
+    pub surfaced: Vec<WireMsg>,
 }
 
 impl BrokerActor {
@@ -666,8 +666,7 @@ impl Actor for BrokerActor {
         self.broker.on_start(ctx);
     }
     fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-        let surfaced = self.broker.handle(event, ctx);
-        self.surfaced.extend(surfaced);
+        self.surfaced.extend(self.broker.handle(event, ctx));
     }
     impl_actor_any!();
 }
@@ -748,7 +747,10 @@ mod tests {
         for (node, label) in [(a, "a"), (b, "b"), (c, "c"), (d, "d")] {
             let surfaced = &sim.actor::<BrokerActor>(node).unwrap().surfaced;
             assert_eq!(surfaced.len(), 1, "broker {label} surfaced {}", surfaced.len());
-            assert_eq!(surfaced[0].topic, topic);
+            let Message::Publish(ev) = surfaced[0].message() else {
+                panic!("broker {label} surfaced a {}", surfaced[0].kind());
+            };
+            assert_eq!(ev.topic, topic);
         }
     }
 

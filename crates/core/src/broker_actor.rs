@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use nb_broker::{Broker, BrokerConfig};
 use nb_wire::topic::{BDN_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC};
-use nb_wire::{Event, Message, NodeId, Topic, TopicFilter, Wire};
+use nb_wire::{Message, NodeId, Topic, TopicFilter, Wire, WireMsg};
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming};
 
@@ -45,23 +45,18 @@ impl DiscoveryBrokerActor {
         }
     }
 
-    fn process_surfaced(&mut self, events: Vec<Event>, ctx: &mut dyn Context) {
-        for ev in events {
-            if ev.topic.as_str() == DISCOVERY_REQUEST_TOPIC {
-                // Peek gate: an already-handled request is dropped on its
-                // header UUID, skipping the full payload decode.
-                if self.responder.suppress_flooded(&ev.payload) {
-                    continue;
-                }
-                if let Some(req) = Responder::decode_flooded_request(&ev.payload) {
-                    self.responder.on_request(req, &mut self.broker, ctx);
-                }
-            } else if ev.topic.as_str() == BDN_ADVERTISEMENT_TOPIC {
-                if let Ok(Message::BdnAdvertisement { bdn, .. }) =
-                    Message::from_shared(&ev.payload)
-                {
-                    self.advertiser.on_bdn_advertisement(bdn, &mut self.broker, ctx);
-                }
+    fn process_surfaced(&mut self, surfaced: Option<WireMsg>, ctx: &mut dyn Context) {
+        let Some(msg) = surfaced else {
+            return;
+        };
+        let Message::Publish(ev) = msg.message() else {
+            return;
+        };
+        if ev.topic.as_str() == DISCOVERY_REQUEST_TOPIC {
+            self.responder.on_flooded(&ev.payload, &mut self.broker, ctx);
+        } else if ev.topic.as_str() == BDN_ADVERTISEMENT_TOPIC {
+            if let Ok(Message::BdnAdvertisement { bdn, .. }) = Message::from_shared(&ev.payload) {
+                self.advertiser.on_bdn_advertisement(bdn, &mut self.broker, ctx);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! may also dictate that responses be issued only if the request
 //! originated from within a set of pre-defined network realms."
 
-use nb_wire::{DiscoveryRequest, RealmId};
+use nb_wire::{DiscoveryRequest, DiscoveryRequestView, RealmId};
 
 /// Who a broker (or private BDN) answers.
 #[derive(Debug, Clone, Default)]
@@ -39,26 +39,32 @@ impl ResponsePolicy {
 
     /// Whether this policy permits answering `request`.
     pub fn permits(&self, request: &DiscoveryRequest) -> bool {
+        self.permits_view(&DiscoveryRequestView::of(request))
+    }
+
+    /// [`ResponsePolicy::permits`] on the borrowed fields of a request
+    /// that was never decoded into an owned one.
+    pub fn permits_view(&self, request: &DiscoveryRequestView<'_>) -> bool {
         if let Some(realms) = &self.allowed_realms {
             if !realms.contains(&request.realm) {
                 return false;
             }
         }
         if let Some(principals) = &self.allowed_principals {
-            match &request.credentials {
+            match request.credentials {
                 None => return false,
-                Some(c) => {
-                    if !principals.contains(&c.principal) {
+                Some((principal, _)) => {
+                    if !principals.iter().any(|p| p == principal) {
                         return false;
                     }
                 }
             }
         }
         if let Some(token) = &self.required_token {
-            match &request.credentials {
+            match request.credentials {
                 None => return false,
-                Some(c) => {
-                    if &c.token != token {
+                Some((_, presented)) => {
+                    if presented != token.as_slice() {
                         return false;
                     }
                 }

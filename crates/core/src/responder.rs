@@ -13,7 +13,7 @@
 //!    the overlay so that "the discovery request would be propagated
 //!    through the system".
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use nb_broker::Broker;
@@ -22,7 +22,8 @@ use nb_wire::addr::{well_known, DISCOVERY_GROUP};
 use nb_wire::message::TransportEndpoint;
 use nb_wire::topic::DISCOVERY_REQUEST_TOPIC;
 use nb_wire::{
-    DiscoveryRequest, DiscoveryResponse, Endpoint, Message, Topic, TransportKind, Wire,
+    DiscoveryRequest, DiscoveryRequestView, DiscoveryResponse, Endpoint, Message, Topic,
+    TransportKind, Wire, WireMsg,
 };
 
 use nb_net::{Context, Incoming};
@@ -42,8 +43,14 @@ pub struct Responder {
     /// metrics collection and serialisation (the paper ran a 2005 JVM).
     /// Each response is delayed by `service_time + U(0, service_time/2)`.
     pub service_time: Duration,
-    pending: HashMap<u64, (Endpoint, Message)>,
-    next_pending: u64,
+    /// Responses waiting out their service time, as they will go on the
+    /// wire. Timer tokens carry a sequence number and slot `i` belongs
+    /// to number `pending_head + i`, so a firing finds its response by
+    /// index; firings arrive out of order (the delay is jittered), so a
+    /// sent slot empties in place and leaves the ring once everything
+    /// before it has too.
+    pending: VecDeque<Option<(Endpoint, WireMsg)>>,
+    pending_head: u64,
     /// The re-flood topic, parsed once at construction so the multicast
     /// receive path never carries a panicking parse (lint rule D004).
     flood_topic: Topic,
@@ -66,8 +73,8 @@ impl Responder {
             dedup: BoundedDedup::new(dedup_capacity),
             listen_multicast,
             service_time: Duration::from_millis(40),
-            pending: HashMap::new(),
-            next_pending: 0,
+            pending: VecDeque::new(),
+            pending_head: 0,
             flood_topic: crate::well_known_topic(DISCOVERY_REQUEST_TOPIC),
             responses_sent: 0,
             duplicates_suppressed: 0,
@@ -85,8 +92,12 @@ impl Responder {
         ]
     }
 
-    /// Joins the discovery multicast group if configured.
+    /// Joins the discovery multicast group if configured. A (re)start
+    /// also abandons responses still waiting: their timers died with
+    /// the crash, so nothing would ever send them or free their slots.
     pub fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.pending_head += self.pending.len() as u64;
+        self.pending.clear();
         if self.listen_multicast {
             ctx.join_group(DISCOVERY_GROUP);
         }
@@ -96,9 +107,16 @@ impl Responder {
     pub fn handle(&mut self, event: &Incoming, broker: &mut Broker, ctx: &mut dyn Context) -> bool {
         if let Incoming::Timer { token } = event {
             if (token & !0xFFFF_FFFFu64) == RESPONDER_TIMER_BASE {
-                if let Some((dest, msg)) = self.pending.remove(token) {
-                    ctx.send_udp(well_known::DISCOVERY_REPLY, dest, &msg);
+                // Sequence numbers travel truncated to 32 bits; the
+                // wrapping distance from the head recovers the slot.
+                let slot = (*token as u32).wrapping_sub(self.pending_head as u32) as usize;
+                if let Some((dest, msg)) = self.pending.get_mut(slot).and_then(Option::take) {
+                    ctx.send_udp_wire(well_known::DISCOVERY_REPLY, dest, &msg);
                     self.responses_sent += 1;
+                }
+                while let Some(None) = self.pending.front() {
+                    self.pending.pop_front();
+                    self.pending_head += 1;
                 }
                 return true;
             }
@@ -117,8 +135,7 @@ impl Responder {
             (p, Message::Discovery(req)) if p == well_known::MULTICAST_DISCOVERY => {
                 // Multicast path: answer, then propagate through the
                 // overlay on the predefined topic (paper §7).
-                let req = req.clone();
-                self.reflood(&req, broker, ctx);
+                self.reflood(req, broker, ctx);
                 self.on_request(req, broker, ctx);
                 true
             }
@@ -126,23 +143,29 @@ impl Responder {
         }
     }
 
-    /// Header-peek gate for surfaced flood events (the zero-copy dedup
-    /// fast path): reads the nested request's UUID at its fixed body
-    /// offset and suppresses the event — without decoding the request —
-    /// when it was already handled. State-equivalent to the full-decode
-    /// path: `check_and_insert` on a present key does not mutate the
-    /// cache, so `contains` plus early-out leaves identical dedup state
-    /// and the same suppression count.
-    pub fn suppress_flooded(&mut self, event_payload: &[u8]) -> bool {
+    /// Handles the payload of a flood-topic event surfaced by the
+    /// broker: an encoded request, or something to ignore.
+    ///
+    /// The request's UUID sits at a fixed body offset, so one this
+    /// broker already handled is dropped on a header peek alone.
+    /// State-equivalent to going through [`Responder::on_request`]:
+    /// `check_and_insert` on a present key does not mutate the cache,
+    /// so `contains` plus early-out leaves identical dedup state and the
+    /// same suppression count. A fresh request is validated in full but
+    /// acted on from its borrowed fields — the broker keeps no part of
+    /// it, so nothing of it is allocated.
+    pub fn on_flooded(&mut self, event_payload: &[u8], broker: &mut Broker, ctx: &mut dyn Context) {
         match nb_wire::frame::peek_body(event_payload) {
             Ok(h) if h.is_discovery() => {
-                let dup = h.uuid.is_some_and(|id| self.dedup.contains(&id));
-                if dup {
+                if h.uuid.is_some_and(|id| self.dedup.contains(&id)) {
                     self.duplicates_suppressed += 1;
+                    return;
                 }
-                dup
             }
-            _ => false,
+            _ => return,
+        }
+        if let Ok(req) = DiscoveryRequestView::decode(event_payload) {
+            self.answer(req, broker, ctx);
         }
     }
 
@@ -163,7 +186,16 @@ impl Responder {
     /// multicast).
     pub fn on_request(
         &mut self,
-        req: DiscoveryRequest,
+        req: &DiscoveryRequest,
+        broker: &mut Broker,
+        ctx: &mut dyn Context,
+    ) {
+        self.answer(DiscoveryRequestView::of(req), broker, ctx);
+    }
+
+    fn answer(
+        &mut self,
+        req: DiscoveryRequestView<'_>,
         broker: &mut Broker,
         ctx: &mut dyn Context,
     ) {
@@ -171,7 +203,7 @@ impl Responder {
             self.duplicates_suppressed += 1;
             return;
         }
-        if !self.policy.permits(&req) {
+        if !self.policy.permits_view(&req) {
             self.rejected_by_policy += 1;
             return;
         }
@@ -187,29 +219,21 @@ impl Responder {
         };
         // UDP, per §5.2: cheap for the requester, and loss over long
         // paths naturally filters out distant brokers. The response is
-        // stamped now but leaves after the modelled service time, so the
-        // requester's delay estimate honestly includes broker processing.
-        let msg = Message::Response(response);
+        // stamped — and wrapped for the wire — now but leaves after the
+        // modelled service time, so the requester's delay estimate
+        // honestly includes broker processing.
+        let msg = WireMsg::new(Message::Response(response));
         if self.service_time.is_zero() {
-            ctx.send_udp(well_known::DISCOVERY_REPLY, req.reply_to, &msg);
+            ctx.send_udp_wire(well_known::DISCOVERY_REPLY, req.reply_to, &msg);
             self.responses_sent += 1;
         } else {
             use rand::Rng;
             let jitter = self.service_time.as_nanos() as u64 / 2;
             let extra = if jitter == 0 { 0 } else { ctx.rng().gen_range(0..=jitter) };
             let delay = self.service_time + Duration::from_nanos(extra);
-            let token = RESPONDER_TIMER_BASE | (self.next_pending & 0xFFFF_FFFF);
-            self.next_pending += 1;
-            self.pending.insert(token, (req.reply_to, msg));
-            ctx.set_timer(delay, token);
-        }
-    }
-
-    /// Decodes a surfaced flood-topic event into a request, if it is one.
-    pub fn decode_flooded_request(event_payload: &[u8]) -> Option<DiscoveryRequest> {
-        match Message::from_bytes(event_payload) {
-            Ok(Message::Discovery(req)) => Some(req),
-            _ => None,
+            let seq = self.pending_head + self.pending.len() as u64;
+            self.pending.push_back(Some((req.reply_to, msg)));
+            ctx.set_timer(delay, RESPONDER_TIMER_BASE | (seq & 0xFFFF_FFFF));
         }
     }
 }
@@ -307,9 +331,9 @@ mod tests {
         r.service_time = Duration::ZERO;
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = FakeCtx::new();
-        r.on_request(request(1), &mut broker, &mut ctx);
-        r.on_request(request(1), &mut broker, &mut ctx);
-        r.on_request(request(2), &mut broker, &mut ctx);
+        r.on_request(&request(1), &mut broker, &mut ctx);
+        r.on_request(&request(1), &mut broker, &mut ctx);
+        r.on_request(&request(2), &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 2);
         assert_eq!(r.duplicates_suppressed, 1);
         assert_eq!(ctx.sent.len(), 2);
@@ -332,13 +356,13 @@ mod tests {
         r.service_time = Duration::ZERO;
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = FakeCtx::new();
-        r.on_request(request(1), &mut broker, &mut ctx); // no credentials
+        r.on_request(&request(1), &mut broker, &mut ctx); // no credentials
         assert_eq!(r.rejected_by_policy, 1);
         assert_eq!(r.responses_sent, 0);
         assert!(ctx.sent.is_empty());
         let mut ok = request(2);
         ok.credentials = Some(Credential { principal: "alice".into(), token: vec![] });
-        r.on_request(ok, &mut broker, &mut ctx);
+        r.on_request(&ok, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);
     }
 
@@ -417,7 +441,7 @@ mod tests {
         assert!(!r.service_time.is_zero(), "delayed by default");
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = FakeCtx::new();
-        r.on_request(request(9), &mut broker, &mut ctx);
+        r.on_request(&request(9), &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 0, "nothing on the wire yet");
         assert!(ctx.sent.is_empty());
         assert_eq!(ctx.timers.len(), 1);
@@ -434,10 +458,111 @@ mod tests {
     }
 
     #[test]
-    fn decode_flooded_request_roundtrip() {
-        let req = request(5);
+    fn pending_responses_fired_in_any_order_each_reach_their_own_requester_once() {
+        use rand::Rng;
+        const N: u32 = 1_000;
+        let mut r = Responder::new(ResponsePolicy::open(), 2_000, false);
+        let mut broker = Broker::new(BrokerConfig::default());
+        let mut ctx = FakeCtx::new();
+        for i in 0..N {
+            let mut req = request(u128::from(i) + 1);
+            req.reply_to = Endpoint::new(NodeId(1_000 + i), well_known::DISCOVERY_REPLY);
+            r.on_request(&req, &mut broker, &mut ctx);
+        }
+        assert_eq!(r.pending.len(), N as usize);
+        // Fisher-Yates over the armed tokens; each also fires a second
+        // time somewhere later in the order, as a stale duplicate.
+        let mut order = ctx.timers.clone();
+        order.extend_from_slice(&ctx.timers);
+        for i in (1..order.len()).rev() {
+            let j = ctx.rng.gen_range(0..=i);
+            order.swap(i, j);
+        }
+        for token in order {
+            assert!(r.handle(&Incoming::Timer { token }, &mut broker, &mut ctx));
+        }
+        assert_eq!(r.responses_sent, u64::from(N));
+        assert!(r.pending.is_empty(), "the ring drained");
+        let mut answered: Vec<(NodeId, Uuid)> = ctx
+            .sent
+            .iter()
+            .map(|(_, to, msg)| match msg {
+                Message::Response(resp) => (to.node, resp.request_id),
+                other => panic!("expected a response, got {}", other.kind()),
+            })
+            .collect();
+        answered.sort_unstable();
+        let expected: Vec<(NodeId, Uuid)> =
+            (0..N).map(|i| (NodeId(1_000 + i), Uuid::from_u128(u128::from(i) + 1))).collect();
+        assert_eq!(answered, expected, "one response per requester, carrying its own request id");
+    }
+
+    #[test]
+    fn restart_abandons_pending_responses_and_keeps_the_ring_bounded() {
+        let mut r = Responder::new(ResponsePolicy::open(), 100, false);
+        let mut broker = Broker::new(BrokerConfig::default());
+        let mut ctx = FakeCtx::new();
+        for id in 1..=3 {
+            r.on_request(&request(id), &mut broker, &mut ctx);
+        }
+        // Crash + revive: the engine dropped the three timers, so their
+        // slots must not pin the ring's head for ever.
+        r.on_start(&mut ctx);
+        assert!(r.pending.is_empty());
+        r.on_request(&request(4), &mut broker, &mut ctx);
+        let fresh = ctx.timers[3];
+        assert!(!ctx.timers[..3].contains(&fresh), "tokens are never reused");
+        // A pre-crash token (which the engine would never deliver) finds nothing.
+        assert!(r.handle(&Incoming::Timer { token: ctx.timers[0] }, &mut broker, &mut ctx));
+        assert_eq!(r.responses_sent, 0);
+        assert!(r.handle(&Incoming::Timer { token: fresh }, &mut broker, &mut ctx));
+        assert_eq!(r.responses_sent, 1);
+        assert!(r.pending.is_empty());
+    }
+
+    #[test]
+    fn flooded_request_is_answered_once_from_its_encoded_form() {
+        let mut r = Responder::new(ResponsePolicy::principals(vec!["alice".into()]), 10, false);
+        r.service_time = Duration::ZERO;
+        let mut broker = Broker::new(BrokerConfig::default());
+        let mut ctx = FakeCtx::new();
+        let mut req = request(5);
+        req.credentials = Some(Credential { principal: "alice".into(), token: vec![1, 2] });
         let payload = Message::Discovery(req.clone()).to_bytes();
-        assert_eq!(Responder::decode_flooded_request(&payload), Some(req));
-        assert_eq!(Responder::decode_flooded_request(b"junk"), None);
+        r.on_flooded(&payload, &mut broker, &mut ctx);
+        assert_eq!(r.responses_sent, 1, "the borrowed credential satisfied the policy");
+        assert_eq!(ctx.sent[0].1, req.reply_to);
+        let Message::Response(resp) = &ctx.sent[0].2 else {
+            panic!("expected response");
+        };
+        assert_eq!(resp.request_id, req.request_id);
+        // The second copy of the flood is dropped on its header UUID ...
+        r.on_flooded(&payload, &mut broker, &mut ctx);
+        // ... and the same request arriving decoded (multicast) is the
+        // same request.
+        r.on_request(&req, &mut broker, &mut ctx);
+        assert_eq!((r.responses_sent, r.duplicates_suppressed), (1, 2));
+        // No credential: rejected from the encoded form too.
+        r.on_flooded(&Message::Discovery(request(6)).to_bytes(), &mut broker, &mut ctx);
+        assert_eq!((r.responses_sent, r.rejected_by_policy), (1, 1));
+    }
+
+    #[test]
+    fn flooded_junk_and_truncated_requests_are_ignored() {
+        let mut r = Responder::new(ResponsePolicy::open(), 10, false);
+        r.service_time = Duration::ZERO;
+        let mut broker = Broker::new(BrokerConfig::default());
+        let mut ctx = FakeCtx::new();
+        r.on_flooded(b"junk", &mut broker, &mut ctx);
+        let heartbeat = Message::Heartbeat { from: NodeId(1), seq: 0 }.to_bytes();
+        r.on_flooded(&heartbeat, &mut broker, &mut ctx);
+        let payload = Message::Discovery(request(7)).to_bytes();
+        // Long enough for the header peek, short of a whole request.
+        r.on_flooded(&payload[..payload.len() - 1], &mut broker, &mut ctx);
+        assert_eq!((r.responses_sent, r.duplicates_suppressed), (0, 0));
+        assert!(ctx.sent.is_empty());
+        // A malformed copy must not poison the cache against the real one.
+        r.on_flooded(&payload, &mut broker, &mut ctx);
+        assert_eq!(r.responses_sent, 1);
     }
 }

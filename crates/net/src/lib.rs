@@ -30,6 +30,8 @@ pub mod runtime;
 pub mod shard;
 pub mod sim;
 pub mod time;
+#[cfg(test)]
+mod timer_tests;
 pub mod topogen;
 pub mod wan;
 

@@ -128,7 +128,9 @@ pub enum DatagramFate {
 /// insertion history (lint rule D002).
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
-    realms: BTreeMap<NodeId, RealmId>,
+    /// `realms[node id]`; node ids are dense from zero, and every send
+    /// reads two of these.
+    realms: Vec<Option<RealmId>>,
     overrides: BTreeMap<(NodeId, NodeId), LinkSpec>,
     partitions: BTreeSet<(NodeId, NodeId)>,
     /// Directed severed paths `(from, to)` — asymmetric partitions where
@@ -157,7 +159,7 @@ impl NetworkModel {
     /// A model with loopback/LAN/WAN defaults and no nodes.
     pub fn new() -> NetworkModel {
         NetworkModel {
-            realms: BTreeMap::new(),
+            realms: Vec::new(),
             overrides: BTreeMap::new(),
             partitions: BTreeSet::new(),
             directed_partitions: BTreeSet::new(),
@@ -171,12 +173,16 @@ impl NetworkModel {
 
     /// Registers a node in a realm. Must be called before traffic flows.
     pub fn register_node(&mut self, node: NodeId, realm: RealmId) {
-        self.realms.insert(node, realm);
+        let slot = node.0 as usize;
+        if slot >= self.realms.len() {
+            self.realms.resize(slot + 1, None);
+        }
+        self.realms[slot] = Some(realm);
     }
 
     /// The realm a node lives in, if registered.
     pub fn realm_of(&self, node: NodeId) -> Option<RealmId> {
-        self.realms.get(&node).copied()
+        self.realms.get(node.0 as usize).copied().flatten()
     }
 
     fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -254,20 +260,17 @@ impl NetworkModel {
         }
     }
 
-    /// Samples a one-way latency for a reliable stream message (no loss;
-    /// retransmission cost is folded into jitter). Streams need both
-    /// directions — ACKs must flow — so a directed partition either way
-    /// stalls them.
-    pub fn stream_latency<R: Rng + ?Sized>(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        rng: &mut R,
-    ) -> Option<Duration> {
+    /// The path a reliable stream message `a -> b` travels (no loss;
+    /// retransmission cost is folded into jitter), or `None` when it
+    /// cannot. Streams need both directions — ACKs must flow — so a
+    /// directed partition either way stalls them. The engines look this
+    /// up once per send, then sample the latency and charge the wire
+    /// from the same copy.
+    pub fn stream_spec(&self, a: NodeId, b: NodeId) -> Option<LinkSpec> {
         if self.directed_partitions.contains(&(b, a)) {
             return None;
         }
-        self.spec_between(a, b).map(|spec| spec.sample_latency(rng))
+        self.spec_between(a, b)
     }
 
     /// Adds `node` to `group`.
@@ -324,7 +327,7 @@ impl NetworkModel {
 
     /// Registered nodes and their realms, ascending by node id.
     pub fn registered_nodes(&self) -> impl Iterator<Item = (NodeId, RealmId)> + '_ {
-        self.realms.iter().map(|(&n, &r)| (n, r))
+        self.realms.iter().enumerate().filter_map(|(n, r)| r.map(|r| (NodeId(n as u32), r)))
     }
 
     /// Multicast recipients for a sender: members of `group` in the
@@ -442,8 +445,12 @@ impl StreamBook {
     /// a connection establishes it server-side), so its replies skip the
     /// setup RTTs just as they do under the shared-book engine.
     pub fn mark_established(&mut self, a: Endpoint, b: Endpoint) {
-        self.established.insert((a, b));
-        self.established.insert((b, a));
+        // Both directions are inserted and reset together, so one probe
+        // settles the common case: every delivery after the first.
+        if !self.established.contains(&(a, b)) {
+            self.established.insert((a, b));
+            self.established.insert((b, a));
+        }
     }
 
     /// Drops all connection state involving `node` (crash/restart).

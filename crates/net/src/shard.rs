@@ -65,9 +65,9 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::{ClockProfile, ClockState};
-use crate::link::{DatagramFate, NetworkModel, StreamBook, WireBook};
+use crate::link::{NetworkModel, StreamBook, WireBook};
 use crate::runtime::{Actor, Context, Incoming};
-use crate::sim::{NetStats, Sim};
+use crate::sim::{NetStats, Sim, TimerSlots};
 use crate::time::SimTime;
 
 /// Builds a fresh actor for a node restarted with state loss under the
@@ -282,8 +282,7 @@ struct Lp {
     clock: ClockState,
     up: bool,
     stalled_until: SimTime,
-    /// Generation slab for timers: `(token, generation)`.
-    timers: Vec<(u64, u64)>,
+    timers: TimerSlots,
     actor: Option<Box<dyn Actor>>,
     respawn: Option<ShardRespawnFn>,
     queue: BinaryHeap<Queued>,
@@ -311,7 +310,7 @@ impl Lp {
             clock,
             up: true,
             stalled_until: SimTime::ZERO,
-            timers: Vec::new(),
+            timers: TimerSlots::default(),
             actor: None,
             respawn: None,
             queue: BinaryHeap::new(),
@@ -332,30 +331,6 @@ impl Lp {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Queued { at, seq, ev });
-    }
-
-    fn arm_timer(&mut self, token: u64) -> u64 {
-        for slot in &mut self.timers {
-            if slot.0 == token {
-                slot.1 += 1;
-                return slot.1;
-            }
-        }
-        self.timers.push((token, 1));
-        1
-    }
-
-    fn cancel_timer(&mut self, token: u64) {
-        for slot in &mut self.timers {
-            if slot.0 == token {
-                slot.1 += 1;
-                return;
-            }
-        }
-    }
-
-    fn timer_live(&self, token: u64, generation: u64) -> bool {
-        self.timers.iter().any(|&(t, g)| t == token && g == generation)
     }
 
     /// Runs this LP's events strictly below `horizon`. Within the
@@ -400,7 +375,7 @@ impl Lp {
                 }
             }
             LpEvent::Timer { token, generation } => {
-                if self.up && self.timer_live(token, generation) {
+                if self.up && self.timers.fire(token, generation) {
                     self.dispatch(net, pf, Incoming::Timer { token });
                 }
             }
@@ -466,12 +441,7 @@ impl Lp {
 
     fn crash_local(&mut self) {
         self.up = false;
-        // Bump rather than clear, matching `Sim::crash`: clearing would
-        // restart generations at 1 and let a pre-crash in-flight firing
-        // collide with a freshly armed timer.
-        for slot in &mut self.timers {
-            slot.1 += 1;
-        }
+        self.timers.clear();
         let id = self.id;
         self.streams.reset_node(id);
         self.wires.reset_node(id);
@@ -586,55 +556,56 @@ impl LpCtx<'_> {
         // Sends to down nodes still roll the dice and schedule delivery;
         // the up-check happens at delivery time so RNG consumption does
         // not depend on destination state.
-        match self.net.datagram_fate(from.node, to.node, &mut self.lp.rng) {
-            DatagramFate::Unreachable => {
-                self.lp.stats.unreachable += 1;
-                if self.net.path_blocked(from.node, to.node) {
-                    self.lp.stats.unreachable_partitioned += 1;
+        let Some(spec) = self.net.spec_between(from.node, to.node) else {
+            self.lp.stats.unreachable += 1;
+            if self.net.path_blocked(from.node, to.node) {
+                self.lp.stats.unreachable_partitioned += 1;
+            } else {
+                self.lp.stats.unreachable_no_path += 1;
+            }
+            return;
+        };
+        // One spec lookup per send; the dice roll in
+        // `NetworkModel::datagram_fate`'s order: loss, then latency.
+        if spec.sample_loss(&mut self.lp.rng) {
+            self.lp.stats.datagrams_lost += 1;
+            return;
+        }
+        let lat = spec.sample_latency(&mut self.lp.rng);
+        let len = *len.get_or_insert_with(|| msg.body_len());
+        let now = self.lp.now;
+        let serialized_at = self.lp.wires.serialize(from.node, to.node, now, len, &spec);
+        let mut at = serialized_at + lat;
+        let mut duplicate_at = None;
+        if self.pf.is_active() {
+            // Fixed roll order (corrupt, reorder, duplicate) so a
+            // given fault window consumes an identical RNG stream
+            // regardless of which probabilities are zero.
+            let f = self.pf;
+            let extra_ns = f.extra_delay.as_nanos() as u64;
+            if f.corrupt > 0.0 && self.lp.rng.gen::<f64>() < f.corrupt {
+                self.lp.stats.datagrams_corrupted += 1;
+                return;
+            }
+            if f.reorder > 0.0 && self.lp.rng.gen::<f64>() < f.reorder {
+                self.lp.stats.datagrams_reordered += 1;
+                if extra_ns > 0 {
+                    at += Duration::from_nanos(self.lp.rng.gen_range(0..=extra_ns));
+                }
+            }
+            if f.duplicate > 0.0 && self.lp.rng.gen::<f64>() < f.duplicate {
+                self.lp.stats.datagrams_duplicated += 1;
+                let extra = if extra_ns > 0 {
+                    Duration::from_nanos(self.lp.rng.gen_range(0..=extra_ns))
                 } else {
-                    self.lp.stats.unreachable_no_path += 1;
-                }
+                    Duration::ZERO
+                };
+                duplicate_at = Some(at + extra);
             }
-            DatagramFate::Lost => self.lp.stats.datagrams_lost += 1,
-            DatagramFate::Deliver(lat) => {
-                let len = *len.get_or_insert_with(|| msg.body_len());
-                let spec =
-                    self.net.spec_between(from.node, to.node).expect("deliverable implies a path");
-                let now = self.lp.now;
-                let serialized_at = self.lp.wires.serialize(from.node, to.node, now, len, &spec);
-                let mut at = serialized_at + lat;
-                let mut duplicate_at = None;
-                if self.pf.is_active() {
-                    // Fixed roll order (corrupt, reorder, duplicate) so a
-                    // given fault window consumes an identical RNG stream
-                    // regardless of which probabilities are zero.
-                    let f = self.pf;
-                    let extra_ns = f.extra_delay.as_nanos() as u64;
-                    if f.corrupt > 0.0 && self.lp.rng.gen::<f64>() < f.corrupt {
-                        self.lp.stats.datagrams_corrupted += 1;
-                        return;
-                    }
-                    if f.reorder > 0.0 && self.lp.rng.gen::<f64>() < f.reorder {
-                        self.lp.stats.datagrams_reordered += 1;
-                        if extra_ns > 0 {
-                            at += Duration::from_nanos(self.lp.rng.gen_range(0..=extra_ns));
-                        }
-                    }
-                    if f.duplicate > 0.0 && self.lp.rng.gen::<f64>() < f.duplicate {
-                        self.lp.stats.datagrams_duplicated += 1;
-                        let extra = if extra_ns > 0 {
-                            Duration::from_nanos(self.lp.rng.gen_range(0..=extra_ns))
-                        } else {
-                            Duration::ZERO
-                        };
-                        duplicate_at = Some(at + extra);
-                    }
-                }
-                self.deliver_out(at, from, to, msg.clone(), len, false);
-                if let Some(dup_at) = duplicate_at {
-                    self.deliver_out(dup_at, from, to, msg.clone(), len, false);
-                }
-            }
+        }
+        self.deliver_out(at, from, to, msg.clone(), len, false);
+        if let Some(dup_at) = duplicate_at {
+            self.deliver_out(dup_at, from, to, msg.clone(), len, false);
         }
     }
 }
@@ -686,12 +657,12 @@ impl Context for LpCtx<'_> {
 
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.lp.id, from_port);
-        let Some(lat) = self.net.stream_latency(from.node, to.node, &mut self.lp.rng) else {
+        let Some(spec) = self.net.stream_spec(from.node, to.node) else {
             self.lp.stats.unreachable += 1;
             return;
         };
+        let lat = spec.sample_latency(&mut self.lp.rng);
         let len = msg.body_len();
-        let spec = self.net.spec_between(from.node, to.node).expect("stream latency implies a path");
         let now = self.lp.now;
         let serialized_at = self.lp.wires.serialize(from.node, to.node, now, len, &spec);
         let at = self.lp.streams.delivery_time(from, to, serialized_at, lat);
@@ -721,17 +692,194 @@ impl Context for LpCtx<'_> {
     }
 
     fn set_timer(&mut self, delay: Duration, token: u64) {
-        let generation = self.lp.arm_timer(token);
+        let generation = self.lp.timers.arm(token);
         let at = self.lp.now + delay;
         self.lp.enqueue(at, LpEvent::Timer { token, generation });
     }
 
     fn cancel_timer(&mut self, token: u64) {
-        self.lp.cancel_timer(token);
+        self.lp.timers.cancel(token);
     }
 
     fn rng(&mut self) -> &mut dyn RngCore {
         &mut self.lp.rng
+    }
+}
+
+/// The epoch scheduler: an indexed binary min-heap with exactly one
+/// entry per non-empty LP, keyed by that LP's true head time and
+/// re-keyed in place whenever the head moves — after the LP processes
+/// its window, and when the barrier merges a delivery earlier than
+/// everything the destination already held. Because an entry is never
+/// stale, the next horizon is a read of the root and the epoch's active
+/// set is a pruned walk from it: no pop, no re-push, no validation
+/// against the LP queues.
+struct HeadHeap {
+    /// Node ids in heap order of `head`.
+    heap: Vec<u32>,
+    /// `head[node]`: the LP's earliest queued time while it has an entry.
+    head: Vec<SimTime>,
+    /// `pos[node]`: the entry's index in `heap`, or [`HeadHeap::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl HeadHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new(n: usize) -> HeadHeap {
+        HeadHeap {
+            heap: Vec::with_capacity(n),
+            head: vec![SimTime::ZERO; n],
+            pos: vec![HeadHeap::ABSENT; n],
+        }
+    }
+
+    /// The earliest head anywhere.
+    fn min(&self) -> Option<SimTime> {
+        self.heap.first().map(|&node| self.head[node as usize])
+    }
+
+    /// Records `node`'s head: `Some` inserts or re-keys its entry,
+    /// `None` (queue drained) removes it.
+    fn set(&mut self, node: u32, head: Option<SimTime>) {
+        let at = self.pos[node as usize];
+        match head {
+            Some(t) if at == HeadHeap::ABSENT => {
+                self.head[node as usize] = t;
+                self.heap.push(node);
+                self.sift_up(self.heap.len() - 1);
+            }
+            Some(t) => {
+                let earlier = t < self.head[node as usize];
+                self.head[node as usize] = t;
+                if earlier {
+                    self.sift_up(at as usize);
+                } else {
+                    self.sift_down(at as usize);
+                }
+            }
+            None if at == HeadHeap::ABSENT => {}
+            None => {
+                self.pos[node as usize] = HeadHeap::ABSENT;
+                let last = self.heap.pop().expect("an entry implies a non-empty heap");
+                if last != node {
+                    // Re-home the displaced tail entry in the hole.
+                    self.heap[at as usize] = last;
+                    self.pos[last as usize] = at;
+                    self.sift_up(at as usize);
+                    self.sift_down(self.pos[last as usize] as usize);
+                }
+            }
+        }
+    }
+
+    /// A delivery at `t` was merged into `node`'s queue: its head moves
+    /// only if `t` is earlier than everything it already held.
+    fn lower(&mut self, node: u32, t: SimTime) {
+        if self.pos[node as usize] == HeadHeap::ABSENT || t < self.head[node as usize] {
+            self.set(node, Some(t));
+        }
+    }
+
+    /// Fills `out` with every node whose head lies below `horizon`,
+    /// ascending by id. Walks only the heap's sub-tree of such entries
+    /// (a child is never earlier than its parent), using `out` itself as
+    /// the worklist of heap indices.
+    fn below(&self, horizon: SimTime, out: &mut Vec<u32>) {
+        out.clear();
+        let early = |i: usize| {
+            self.heap.get(i).is_some_and(|&node| self.head[node as usize] < horizon)
+        };
+        if early(0) {
+            out.push(0);
+        }
+        let mut next = 0;
+        while let Some(&i) = out.get(next) {
+            for child in [2 * i as usize + 1, 2 * i as usize + 2] {
+                if early(child) {
+                    out.push(child as u32);
+                }
+            }
+            next += 1;
+        }
+        for slot in out.iter_mut() {
+            *slot = self.heap[*slot as usize];
+        }
+        out.sort_unstable();
+    }
+
+    fn key(&self, i: usize) -> SimTime {
+        self.head[self.heap[i] as usize]
+    }
+
+    fn place(&mut self, i: usize, node: u32) {
+        self.heap[i] = node;
+        self.pos[node as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let node = self.heap[i];
+        let t = self.head[node as usize];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.key(parent) <= t {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, node);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let node = self.heap[i];
+        let t = self.head[node as usize];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.key(child + 1) < self.key(child) {
+                child += 1;
+            }
+            if t <= self.key(child) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, node);
+    }
+
+    /// The oracle the scheduler is checked against in debug builds
+    /// (every `cargo test` epoch): a scan of every LP queue. The heap
+    /// must hold one entry per non-empty LP at its true head, and the
+    /// scan's horizon floor and active set must be the scheduler's.
+    fn assert_matches_scan(&self, groups: &[Vec<Lp>], horizon: SimTime, active: &[u32]) {
+        let mut non_empty = 0;
+        let mut earliest = None;
+        let mut below = Vec::new();
+        for lp in groups.iter().flatten() {
+            let node = lp.id.0 as usize;
+            let Some(q) = lp.queue.peek() else {
+                assert_eq!(self.pos[node], HeadHeap::ABSENT, "entry for drained LP {node}");
+                continue;
+            };
+            non_empty += 1;
+            assert_ne!(self.pos[node], HeadHeap::ABSENT, "no entry for LP {node}");
+            assert_eq!(self.heap[self.pos[node] as usize], lp.id.0, "misplaced entry of LP {node}");
+            assert_eq!(self.head[node], q.at, "stale head for LP {node}");
+            if earliest.is_none_or(|m| q.at < m) {
+                earliest = Some(q.at);
+            }
+            if q.at < horizon {
+                below.push(lp.id.0);
+            }
+        }
+        below.sort_unstable();
+        assert_eq!(self.heap.len(), non_empty, "one entry per non-empty LP");
+        assert_eq!(self.min(), earliest, "horizon floor");
+        assert_eq!(active, below, "active set");
     }
 }
 
@@ -947,6 +1095,11 @@ impl ShardedSim {
         self.lps.get(node.0 as usize).is_some_and(|lp| lp.up)
     }
 
+    #[cfg(test)]
+    pub(crate) fn armed_timer_slots(&self, node: NodeId) -> usize {
+        self.lps.get(node.0 as usize).map_or(0, |lp| lp.timers.len())
+    }
+
     /// Marks a node down immediately (coordinator time).
     pub fn crash(&mut self, node: NodeId) {
         for lp in &mut self.lps {
@@ -957,9 +1110,7 @@ impl ShardedSim {
         }
         if let Some(lp) = self.lps.get_mut(node.0 as usize) {
             lp.up = false;
-            for slot in &mut lp.timers {
-                slot.1 += 1;
-            }
+            lp.timers.clear();
             lp.streams.reset_node(node);
             lp.wires.reset_node(node);
         }
@@ -1123,43 +1274,24 @@ impl ShardedSim {
             groups[g].push(lp);
         }
 
-        // The peek heap: one entry per (next-event time, node), seeded
-        // from every LP head and refreshed after each epoch. Entries go
-        // stale when the LP consumes or re-times its head; staleness is
-        // detected lazily on pop by comparing against the true head, so
-        // finding the next horizon and the epoch's active set costs
-        // O(active · log n) instead of an O(n) sweep per epoch.
-        let mut peeks: BinaryHeap<std::cmp::Reverse<(SimTime, u32)>> = BinaryHeap::with_capacity(n);
-        for group in &groups {
-            for lp in group {
-                if let Some(q) = lp.queue.peek() {
-                    peeks.push(std::cmp::Reverse((q.at, lp.id.0)));
-                }
-            }
+        let mut heads = HeadHeap::new(n);
+        for lp in groups.iter().flatten() {
+            heads.set(lp.id.0, lp.queue.peek().map(|q| q.at));
         }
         let mut active: Vec<u32> = Vec::new();
-        let mut stamp: Vec<u64> = vec![0; n];
-        let mut epoch: u64 = 0;
 
         let workers = self.workers.min(plan_shards).max(1);
         if workers == 1 {
-            loop {
-                epoch += 1;
-                let Some(horizon) = self.next_active_epoch(
-                    &groups, &index, &mut peeks, deadline, lookahead, &mut active, &mut stamp,
-                    epoch,
-                ) else {
-                    break;
-                };
+            while let Some(horizon) =
+                self.next_active_epoch(&groups, &mut heads, deadline, lookahead, &mut active)
+            {
                 for &node in &active {
                     let (g, s) = index[node as usize];
                     let lp = &mut groups[g][s];
                     lp.process_until(horizon, &self.network, self.packet_faults);
-                    if let Some(q) = lp.queue.peek() {
-                        peeks.push(std::cmp::Reverse((q.at, node)));
-                    }
+                    heads.set(node, lp.queue.peek().map(|q| q.at));
                 }
-                self.barrier(&mut groups, &index, &active, &mut peeks);
+                self.barrier(&mut groups, &index, &active, &mut heads);
                 let reached = if horizon < deadline { horizon } else { deadline };
                 if self.now < reached {
                     self.now = reached;
@@ -1167,8 +1299,7 @@ impl ShardedSim {
             }
         } else {
             self.run_epochs_threaded(
-                &mut groups, &index, deadline, lookahead, workers, &mut peeks, &mut active,
-                &mut stamp, &mut epoch,
+                &mut groups, &index, deadline, lookahead, workers, &mut heads, &mut active,
             );
         }
 
@@ -1193,8 +1324,9 @@ impl ShardedSim {
     }
 
     /// Computes the next epoch's safe horizon, applying due global
-    /// faults first. Returns `None` when nothing remains at or before
-    /// `deadline`.
+    /// faults first, and leaves the epoch's active set — the ids,
+    /// ascending, of the LPs whose head lies below it — in `active`.
+    /// Returns `None` when nothing remains at or before `deadline`.
     ///
     /// Safety sketch: let `m` be the earliest pending event anywhere
     /// and `L` the lookahead. Any event executing at `t ∈ [m, H)` with
@@ -1206,41 +1338,16 @@ impl ShardedSim {
     /// crosses the next global fault (the model must not change
     /// mid-epoch) nor `deadline` (events *at* the deadline run,
     /// matching `Sim::run_until`, hence the +1 ns).
-    /// Finds the next epoch's horizon *and* its active set: the sorted
-    /// node ids whose head event lies below the horizon. Entries popped
-    /// from the peek heap are validated against the LP's true head —
-    /// mismatches are stale leftovers and are simply discarded (the
-    /// invariant that every non-empty LP keeps one matching entry is
-    /// maintained by the post-process and barrier re-pushes). `stamp`
-    /// de-duplicates multiple valid entries for one node within an
-    /// epoch.
-    #[allow(clippy::too_many_arguments)]
     fn next_active_epoch(
         &mut self,
         groups: &[Vec<Lp>],
-        index: &[(usize, usize)],
-        peeks: &mut BinaryHeap<std::cmp::Reverse<(SimTime, u32)>>,
+        heads: &mut HeadHeap,
         deadline: SimTime,
         lookahead: Duration,
         active: &mut Vec<u32>,
-        stamp: &mut [u64],
-        epoch: u64,
     ) -> Option<SimTime> {
         loop {
-            // The earliest true head anywhere: pop stale entries until
-            // the top matches its LP's actual head.
-            let m = loop {
-                match peeks.peek() {
-                    None => break None,
-                    Some(&std::cmp::Reverse((t, node))) => {
-                        let (g, s) = index[node as usize];
-                        if groups[g][s].queue.peek().is_some_and(|q| q.at == t) {
-                            break Some(t);
-                        }
-                        peeks.pop();
-                    }
-                }
-            };
+            let m = heads.min();
             if let Some((&key, _)) = self.global_faults.iter().next() {
                 let due = m.is_none_or(|m| key.0 <= m);
                 if due && key.0 <= deadline {
@@ -1266,22 +1373,10 @@ impl ShardedSim {
             if cap < horizon {
                 horizon = cap;
             }
-            // Drain every heap entry below the horizon; the valid ones
-            // name exactly the LPs with work this epoch.
-            active.clear();
-            while let Some(&std::cmp::Reverse((t, node))) = peeks.peek() {
-                if t >= horizon {
-                    break;
-                }
-                peeks.pop();
-                let (g, s) = index[node as usize];
-                let valid = groups[g][s].queue.peek().is_some_and(|q| q.at == t);
-                if valid && stamp[node as usize] != epoch {
-                    stamp[node as usize] = epoch;
-                    active.push(node);
-                }
+            heads.below(horizon, active);
+            if cfg!(debug_assertions) {
+                heads.assert_matches_scan(groups, horizon, active);
             }
-            active.sort_unstable();
             return Some(horizon);
         }
     }
@@ -1293,14 +1388,15 @@ impl ShardedSim {
     /// that processed nothing since the last barrier has an empty outbox
     /// and no deferred ops, and `active` is sorted, so the walk order is
     /// exactly the historical full 0..n ascending sweep minus its
-    /// no-ops. Merged deliveries are mirrored into the peek heap to keep
-    /// its head-tracking invariant.
+    /// no-ops. A merged delivery that becomes its destination's head
+    /// re-keys the scheduler entry; outboxes are drained in place, so an
+    /// LP that sends every epoch allocates its buffer once.
     fn barrier(
         &mut self,
         groups: &mut [Vec<Lp>],
         index: &[(usize, usize)],
         active: &[u32],
-        peeks: &mut BinaryHeap<std::cmp::Reverse<(SimTime, u32)>>,
+        heads: &mut HeadHeap,
     ) {
         let mut ops: Vec<(NodeId, DeferredOp)> = Vec::new();
         for &node in active {
@@ -1331,11 +1427,13 @@ impl ShardedSim {
         }
         for &node in active {
             let (g, i) = index[node as usize];
-            let outbox = std::mem::take(&mut groups[g][i].outbox);
-            for m in outbox {
-                let dest = m.to.node.0 as usize;
-                let (dg, di) = index[dest];
-                peeks.push(std::cmp::Reverse((m.at, dest as u32)));
+            // Checked out so destinations can be borrowed while it
+            // drains (a sender is never its own cross-LP destination).
+            let mut outbox = std::mem::take(&mut groups[g][i].outbox);
+            for m in outbox.drain(..) {
+                let dest = m.to.node.0;
+                let (dg, di) = index[dest as usize];
+                heads.lower(dest, m.at);
                 groups[dg][di].enqueue(
                     m.at,
                     LpEvent::Deliver {
@@ -1347,6 +1445,7 @@ impl ShardedSim {
                     },
                 );
             }
+            groups[g][i].outbox = outbox;
         }
     }
 
@@ -1362,10 +1461,8 @@ impl ShardedSim {
         deadline: SimTime,
         lookahead: Duration,
         workers: usize,
-        peeks: &mut BinaryHeap<std::cmp::Reverse<(SimTime, u32)>>,
+        heads: &mut HeadHeap,
         active: &mut Vec<u32>,
-        stamp: &mut [u64],
-        epoch: &mut u64,
     ) {
         let (result_tx, result_rx) = mpsc::channel::<(usize, Vec<Lp>, Vec<usize>)>();
         // Per-group active-slot buckets, reused across epochs.
@@ -1391,13 +1488,9 @@ impl ShardedSim {
                     task_tx
                 })
                 .collect();
-            loop {
-                *epoch += 1;
-                let Some(horizon) = self.next_active_epoch(
-                    groups, index, peeks, deadline, lookahead, active, stamp, *epoch,
-                ) else {
-                    break;
-                };
+            while let Some(horizon) =
+                self.next_active_epoch(groups, heads, deadline, lookahead, active)
+            {
                 for &node in active.iter() {
                     let (g, s) = index[node as usize];
                     group_slots[g].push(s);
@@ -1424,14 +1517,10 @@ impl ShardedSim {
                     groups[gidx] = lps;
                     for slot in slots {
                         let lp = &groups[gidx][slot];
-                        if let Some(q) = lp.queue.peek() {
-                            peeks.push(std::cmp::Reverse((q.at, lp.id.0)));
-                        }
+                        heads.set(lp.id.0, lp.queue.peek().map(|q| q.at));
                     }
                 }
-                let act = std::mem::take(active);
-                self.barrier(groups, index, &act, peeks);
-                *active = act;
+                self.barrier(groups, index, active, heads);
                 let reached = if horizon < deadline { horizon } else { deadline };
                 if self.now < reached {
                     self.now = reached;
@@ -1614,6 +1703,50 @@ mod tests {
         sim.apply_fault_plan(&plan);
         sim.run_for(Duration::from_secs(8));
         (sim.digest(), sim.events_processed(), sim.stats().datagrams_delivered)
+    }
+
+    /// The scheduler heap against a plain table of heads, under a
+    /// seeded stream of the three updates the epoch loop makes: an LP's
+    /// head moves later (it processed its window), a merge lowers it,
+    /// its queue drains. (Every epoch of every test in this crate and
+    /// of `crates/bench/tests/sharded_determinism.rs` re-checks the
+    /// same agreement against the real LP queues — see
+    /// `HeadHeap::assert_matches_scan`.)
+    #[test]
+    fn head_heap_agrees_with_a_scanned_table() {
+        const N: usize = 37;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut heap = HeadHeap::new(N);
+        let mut table: Vec<Option<SimTime>> = vec![None; N];
+        let mut active = Vec::new();
+        for _ in 0..20_000 {
+            let node = rng.gen_range(0..N);
+            let t = SimTime::from_millis(rng.gen_range(0..50u64));
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    table[node] = None;
+                    heap.set(node as u32, None);
+                }
+                1 => {
+                    table[node] = Some(t);
+                    heap.set(node as u32, Some(t));
+                }
+                _ => {
+                    if table[node].is_none_or(|head| t < head) {
+                        table[node] = Some(t);
+                    }
+                    heap.lower(node as u32, t);
+                }
+            }
+            assert_eq!(heap.heap.len(), table.iter().flatten().count(), "one entry per head");
+            assert_eq!(heap.min(), table.iter().flatten().min().copied());
+            let horizon = SimTime::from_millis(rng.gen_range(0..60u64));
+            heap.below(horizon, &mut active);
+            let scanned: Vec<u32> = (0..N as u32)
+                .filter(|&n| table[n as usize].is_some_and(|head| head < horizon))
+                .collect();
+            assert_eq!(active, scanned);
+        }
     }
 
     #[test]

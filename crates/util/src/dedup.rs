@@ -8,9 +8,60 @@
 //! [`BoundedDedup`] remembers the most recent `capacity` distinct keys in
 //! insertion order; when full, the oldest key is evicted. All operations
 //! are O(1) expected.
+//!
+//! Every flood arrival, fresh or duplicate, probes one of these, so the
+//! set hashes with a multiply-rotate fold instead of SipHash. The keys
+//! are request and event UUIDs — 128 random bits minted by simulated
+//! nodes — so there is no adversary to defend the buckets against, and
+//! the set is never iterated (eviction order lives in the queue), so
+//! nothing observable depends on the hash.
 
 use std::collections::{HashSet, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Word-at-a-time multiply-rotate hasher (the FxHash recurrence).
+#[derive(Debug, Clone, Copy, Default)]
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FoldHasher::K);
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.fold(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    // UUID keys arrive as one `write_u128`; going through `write`'s
+    // chunking instead doubles `util.dedup_insert_ns` (3.5 → 7 ns).
+    fn write_u64(&mut self, word: u64) {
+        self.fold(word);
+    }
+
+    fn write_u128(&mut self, word: u128) {
+        self.fold(word as u64);
+        self.fold((word >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits on top; the table
+        // indexes with the bottom ones.
+        self.0.rotate_left(26)
+    }
+}
 
 /// Remembers the last `capacity` distinct keys seen.
 ///
@@ -24,7 +75,7 @@ use std::hash::Hash;
 #[derive(Debug, Clone)]
 pub struct BoundedDedup<K: Hash + Eq + Clone> {
     capacity: usize,
-    seen: HashSet<K>,
+    seen: HashSet<K, BuildHasherDefault<FoldHasher>>,
     order: VecDeque<K>,
 }
 
@@ -48,7 +99,7 @@ impl<K: Hash + Eq + Clone> BoundedDedup<K> {
         let pre = capacity.min(expected);
         BoundedDedup {
             capacity,
-            seen: HashSet::with_capacity(pre),
+            seen: HashSet::with_capacity_and_hasher(pre, BuildHasherDefault::default()),
             order: VecDeque::with_capacity(pre),
         }
     }
@@ -160,6 +211,37 @@ mod tests {
         for k in 0..10_000u32 {
             d.check_and_insert(k % 173);
             assert!(d.len() <= 100);
+        }
+    }
+
+    /// The hasher must not change what is remembered: against a
+    /// linear-scan model of "the last N distinct keys", every answer
+    /// agrees over a stream of 128-bit keys with clustered low and high
+    /// words (sequential counters, the worst case for a multiply fold).
+    #[test]
+    fn agrees_with_a_linear_scan_model_on_128_bit_keys() {
+        let mut d = BoundedDedup::new(64);
+        let mut model: VecDeque<u128> = VecDeque::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for step in 0..20_000u64 {
+            // xorshift: a deterministic stream with frequent revisits.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = match step % 3 {
+                0 => u128::from(x % 200),
+                1 => u128::from(x % 200) << 64,
+                _ => u128::from(x % 200) << 64 | u128::from(step % 7),
+            };
+            let fresh = !model.contains(&key);
+            if fresh {
+                if model.len() == 64 {
+                    model.pop_front();
+                }
+                model.push_back(key);
+            }
+            assert_eq!(d.check_and_insert(key), fresh, "step {step}");
+            assert_eq!(d.len(), model.len());
         }
     }
 

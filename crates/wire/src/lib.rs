@@ -58,8 +58,8 @@ pub use frame::{
 };
 pub use intern::{SegId, SymId, MAX_TOPIC_DEPTH};
 pub use message::{
-    BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryResponse, Event, FederationSync,
-    LeaseRecord, Message, SyncPhase, TombstoneRecord, UsageMetrics,
+    BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryRequestView, DiscoveryResponse,
+    Event, FederationSync, LeaseRecord, Message, SyncPhase, TombstoneRecord, UsageMetrics,
 };
 pub use symtab::{SymTabReader, SymTabWriter, MAX_SYMBOLS};
 pub use topic::{Topic, TopicError, TopicFilter};

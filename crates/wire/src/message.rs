@@ -7,7 +7,7 @@
 //! "anatomy" sections (§2.2 advertisements, §3 requests, §5.1 responses).
 
 use crate::addr::{Endpoint, NodeId, Port, RealmId, TransportKind};
-use crate::codec::{Wire, WireError, WireReader, WireWriter, MAX_MESSAGE_LEN};
+use crate::codec::{Wire, WireError, WireReader, WireWriter, MAX_FIELD_LEN, MAX_MESSAGE_LEN};
 use crate::topic::{Topic, TopicFilter};
 use bytes::Bytes;
 use nb_util::Uuid;
@@ -186,6 +186,81 @@ impl Wire for DiscoveryRequest {
             credentials: r.get_option()?,
             issued_at_utc: r.get_u64()?,
         })
+    }
+}
+
+/// What a broker acts on when it answers a [`DiscoveryRequest`] — the
+/// dedup key, what a response policy may ask about, and where the
+/// response goes — borrowed from the encoded request. A broker sees
+/// every flooded request once per attach and needs none of the strings
+/// or vectors the owned decode would allocate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DiscoveryRequestView<'a> {
+    /// [`DiscoveryRequest::request_id`].
+    pub request_id: Uuid,
+    /// [`DiscoveryRequest::realm`].
+    pub realm: RealmId,
+    /// [`DiscoveryRequest::reply_to`].
+    pub reply_to: Endpoint,
+    /// `(principal, token)` of [`DiscoveryRequest::credentials`].
+    pub credentials: Option<(&'a str, &'a [u8])>,
+}
+
+impl<'a> DiscoveryRequestView<'a> {
+    /// The view of an already decoded request.
+    pub fn of(req: &'a DiscoveryRequest) -> Self {
+        DiscoveryRequestView {
+            request_id: req.request_id,
+            realm: req.realm,
+            reply_to: req.reply_to,
+            credentials: req
+                .credentials
+                .as_ref()
+                .map(|c| (c.principal.as_str(), c.token.as_slice())),
+        }
+    }
+
+    /// Strictly decodes `body`, a complete encoded
+    /// [`Message::Discovery`] (the payload of a flooded discovery
+    /// event). Every field is walked and validated exactly as
+    /// [`Message::from_bytes`] would — a body this accepts is one that
+    /// accepts, and the reverse — but nothing is allocated.
+    pub fn decode(body: &'a [u8]) -> Result<Self, WireError> {
+        if body.len() > MAX_MESSAGE_LEN {
+            return Err(WireError::MessageTooLong(body.len()));
+        }
+        let mut r = WireReader::new(body);
+        match r.get_u8()? {
+            TAG_DISCOVERY => {}
+            tag => return Err(WireError::InvalidTag { context: "discovery request", tag }),
+        }
+        let request_id = r.get_uuid()?;
+        NodeId::decode(&mut r)?;
+        r.get_str_ref()?;
+        let realm = RealmId::decode(&mut r)?;
+        let reply_to = Endpoint::decode(&mut r)?;
+        let transports = r.get_u32()? as usize;
+        if transports > MAX_FIELD_LEN {
+            return Err(WireError::FieldTooLong(transports));
+        }
+        for _ in 0..transports {
+            TransportEndpoint::decode(&mut r)?;
+        }
+        let credentials = match r.get_u8()? {
+            0 => None,
+            1 => {
+                let principal = r.get_str_ref()?;
+                let len = r.get_u32()? as usize;
+                if len > MAX_FIELD_LEN {
+                    return Err(WireError::FieldTooLong(len));
+                }
+                Some((principal, r.get_raw(len)?))
+            }
+            tag => return Err(WireError::InvalidTag { context: "option", tag }),
+        };
+        r.get_u64()?;
+        r.expect_end()?;
+        Ok(DiscoveryRequestView { request_id, realm, reply_to, credentials })
     }
 }
 

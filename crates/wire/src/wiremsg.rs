@@ -2,21 +2,22 @@
 //!
 //! [`WireMsg`] is what the runtimes move around: the decoded
 //! [`Message`] behind an `Arc`, the per-hop TTL/hop counters, and a
-//! lazily materialised wire frame shared by every clone. The invariants
-//! the zero-copy path rests on:
+//! lazily materialised wire frame shared by every clone and every
+//! forwarded hop. The invariants the zero-copy path rests on:
 //!
 //! * **Encode once.** The frame is built on first use and cached in a
-//!   `OnceLock<Bytes>` every clone shares; fan-out to N recipients
+//!   `OnceLock<Bytes>` every handle shares; fan-out to N recipients
 //!   clones the `Bytes` handle N times instead of re-encoding N times.
 //! * **Decode once.** [`WireMsg::from_frame`] decodes eagerly — exactly
 //!   what today's receive path does, so malformed bytes are rejected at
 //!   the wire boundary and never reach an actor — but it *keeps* the
 //!   frame, so re-forwarding what was just received never re-encodes.
-//! * **Forwarding never rebuilds the body.** [`WireMsg::forward_hop`]
-//!   bumps the hop counters in the 4-byte prelude and reuses the body
-//!   bytes verbatim. With a vector-backed `bytes` shim this costs one
-//!   memcpy of the frame; with the real `bytes` crate the same code is
-//!   a true in-place patch on uniquely owned buffers.
+//! * **Forwarding touches no bytes.** [`WireMsg::forward_hop`] is a
+//!   handle with the hop counters bumped: one `Arc` clone. Every hop
+//!   carries the same body, so [`WireMsg::body_len`] reads the shared
+//!   frame's length, and only a caller that asks a forwarded hop for
+//!   its [`frame`](WireMsg::frame) pays for a copy of the shared frame
+//!   with the 4-byte prelude re-stamped.
 
 use std::sync::{Arc, OnceLock};
 
@@ -29,8 +30,9 @@ use crate::frame::{
 use crate::message::{Event, Message};
 
 /// What every hop and every clone of one message shares: the decoded
-/// message and the frame at the hop counters it entered this process
-/// with. One allocation per message received or originated.
+/// message and its frame, stamped with the hop counters of whichever
+/// handle it was received as or first encoded for. One allocation per
+/// message received or originated.
 #[derive(Debug)]
 struct Shared {
     msg: Message,
@@ -38,7 +40,7 @@ struct Shared {
 }
 
 /// A [`Message`] bundled with its (lazily encoded) wire frame and the
-/// per-hop prelude fields. Cheap to clone: `Arc` bumps only.
+/// per-hop prelude fields. Cheap to clone: an `Arc` bump only.
 #[derive(Debug, Clone)]
 pub struct WireMsg {
     shared: Arc<Shared>,
@@ -52,11 +54,6 @@ pub struct WireMsg {
     /// for v1 traffic). Set by the v2 segment path so timing charges
     /// reflect the compact encoding.
     encoded_len: Option<usize>,
-    /// A forwarded hop's own frame cell — its prelude differs from the
-    /// shared one's — shared across that hop's clones. `None` until
-    /// [`forward_hop`](WireMsg::forward_hop): the message still carries
-    /// the counters it was created with and uses the shared cell.
-    hop_frame: Option<Arc<OnceLock<Bytes>>>,
 }
 
 impl WireMsg {
@@ -75,7 +72,6 @@ impl WireMsg {
             hops,
             flags: 0,
             encoded_len: None,
-            hop_frame: None,
         }
     }
 
@@ -88,7 +84,6 @@ impl WireMsg {
             hops: header.hops,
             flags: header.flags,
             encoded_len: None,
-            hop_frame: None,
         })
     }
 
@@ -105,12 +100,6 @@ impl WireMsg {
     /// Short kind label (delegates to [`Message::kind`]).
     pub fn kind(&self) -> &'static str {
         self.shared.msg.kind()
-    }
-
-    /// The cell holding this hop's frame: whichever clone encodes first
-    /// pays for all of them.
-    fn frame_cell(&self) -> &OnceLock<Bytes> {
-        self.hop_frame.as_deref().unwrap_or(&self.shared.frame)
     }
 
     /// Remaining hop budget.
@@ -134,7 +123,7 @@ impl WireMsg {
     /// flags byte lives in the encoded prelude.
     pub fn with_flags(mut self, flags: u8) -> Self {
         debug_assert!(
-            self.frame_cell().get().is_none(),
+            self.shared.frame.get().is_none(),
             "flags set after the frame was materialised"
         );
         self.flags = flags;
@@ -163,6 +152,7 @@ impl WireMsg {
             Message::Publish(Event { id, topic, .. }) => (Some(*id), Some(topic.as_str().len())),
             Message::Discovery(req) => (Some(req.request_id), None),
             Message::DiscoveryAck { request_id, .. } => (Some(*request_id), None),
+            Message::Response(resp) => (Some(resp.request_id), None),
             Message::ReliableData { channel, .. } | Message::ReliableAck { channel, .. } => {
                 (Some(*channel), None)
             }
@@ -178,44 +168,50 @@ impl WireMsg {
         }
     }
 
-    /// The wire frame, encoding it (once, via the pooled writer) if no
-    /// handle has yet.
-    pub fn frame(&self) -> &Bytes {
-        self.frame_cell()
+    /// The frame every handle of this message shares, encoded (once,
+    /// via the pooled writer) at this handle's counters if none has yet.
+    fn shared_frame(&self) -> &Bytes {
+        self.shared
+            .frame
             .get_or_init(|| frame_message_flags(&self.shared.msg, self.ttl, self.hops, self.flags))
+    }
+
+    /// This handle's wire frame. The handle the shared frame was
+    /// stamped for gets it back as is; a hop further along gets a copy
+    /// with its own counters patched into the prelude — the body is
+    /// never decoded or re-encoded.
+    pub fn frame(&self) -> Bytes {
+        let shared = self.shared_frame();
+        if (shared[0], shared[1]) == (self.ttl, self.hops) {
+            return shared.clone();
+        }
+        let mut buf = BytesMut::with_capacity(shared.len());
+        buf.extend_from_slice(shared);
+        patch_prelude(&mut buf, self.ttl, self.hops);
+        buf.freeze()
     }
 
     /// On-wire size of this message's body under the encoding it
     /// travelled (the sim charges transmission delay on this): the v2
     /// size recorded by [`set_encoded_len`](WireMsg::set_encoded_len)
     /// when the message crossed a negotiated link, otherwise the v1
-    /// body length — byte-identical to `Message::to_bytes().len()`.
+    /// body length — byte-identical to `Message::to_bytes().len()`,
+    /// and the same at every hop.
     pub fn body_len(&self) -> usize {
-        self.encoded_len.unwrap_or_else(|| self.frame().len() - PRELUDE_LEN)
+        self.encoded_len.unwrap_or_else(|| self.shared_frame().len() - PRELUDE_LEN)
     }
 
-    /// The frame this message would be forwarded as: TTL spent, hop
-    /// recorded, body bytes reused verbatim. `None` when the TTL is
+    /// The handle this message would be forwarded as: TTL spent, hop
+    /// recorded, message and frame shared. `None` when the TTL is
     /// exhausted — the caller must drop the message, not forward it.
     pub fn forward_hop(&self) -> Option<WireMsg> {
         let ttl = self.ttl.checked_sub(1)?;
-        let hops = self.hops.saturating_add(1);
-        let cell = OnceLock::new();
-        if let Some(parent) = self.frame_cell().get() {
-            // Re-stamp the prelude on a copy of the already-encoded
-            // frame — no decode, no re-encode of the body.
-            let mut buf = BytesMut::with_capacity(parent.len());
-            buf.extend_from_slice(parent);
-            patch_prelude(&mut buf, ttl, hops);
-            let _ = cell.set(buf.freeze());
-        }
         Some(WireMsg {
             shared: Arc::clone(&self.shared),
             ttl,
-            hops,
+            hops: self.hops.saturating_add(1),
             flags: self.flags,
             encoded_len: self.encoded_len,
-            hop_frame: Some(Arc::new(cell)),
         })
     }
 }
@@ -252,21 +248,21 @@ mod tests {
     #[test]
     fn frame_is_cached_and_shared_across_clones() {
         let wire = WireMsg::new(publish());
-        let a = wire.frame().clone();
+        let a = wire.frame();
         let b = wire.clone();
         // The clone sees the already-materialised frame without encoding.
-        assert_eq!(b.frame(), &a);
+        assert_eq!(b.frame(), a);
     }
 
     #[test]
     fn from_frame_retains_bytes_and_counters() {
         let original = WireMsg::new(publish());
-        let frame = original.frame().clone();
+        let frame = original.frame();
         let back = WireMsg::from_frame(frame.clone()).unwrap();
         assert_eq!(back.message(), original.message());
         assert_eq!((back.ttl(), back.hops()), (DEFAULT_TTL, 0));
         // No re-encode needed: the retained frame is the input.
-        assert_eq!(back.frame(), &frame);
+        assert_eq!(back.frame(), frame);
     }
 
     #[test]
@@ -284,13 +280,13 @@ mod tests {
             Message::ReliableAck { channel: Uuid::from_u128(5), cumulative: 2 },
         ] {
             let wire = WireMsg::new(msg);
-            assert_eq!(wire.peek(), crate::frame::peek(wire.frame()).unwrap());
+            assert_eq!(wire.peek(), crate::frame::peek(&wire.frame()).unwrap());
         }
     }
 
     #[test]
     fn forward_hop_patches_prelude_and_reuses_body() {
-        let wire = WireMsg::from_frame(WireMsg::new(publish()).frame().clone()).unwrap();
+        let wire = WireMsg::from_frame(WireMsg::new(publish()).frame()).unwrap();
         let next = wire.forward_hop().unwrap();
         assert_eq!((next.ttl(), next.hops()), (DEFAULT_TTL - 1, 1));
         assert_eq!(&next.frame()[PRELUDE_LEN..], &wire.frame()[PRELUDE_LEN..]);
@@ -326,8 +322,8 @@ mod tests {
         use crate::frame::FLAG_V2_CAPABLE;
         let wire = WireMsg::new(publish()).with_flags(FLAG_V2_CAPABLE);
         assert_eq!(wire.peek().flags, FLAG_V2_CAPABLE);
-        assert_eq!(wire.peek(), crate::frame::peek(wire.frame()).unwrap());
-        let back = WireMsg::from_frame(wire.frame().clone()).unwrap();
+        assert_eq!(wire.peek(), crate::frame::peek(&wire.frame()).unwrap());
+        let back = WireMsg::from_frame(wire.frame()).unwrap();
         assert_eq!(back.flags(), FLAG_V2_CAPABLE);
         // The body is unchanged, so timing accounting is too.
         assert_eq!(back.body_len(), WireMsg::new(publish()).body_len());

@@ -341,12 +341,67 @@ proptest! {
     }
 
     #[test]
-    fn forwarded_frame_agrees_with_reencode_oracle(msg in arb_message(), ttl in 1u8..=255, hops in 0u8..255) {
-        let wire = nb_wire::WireMsg::from_frame(nb_wire::frame_message(&msg, ttl, hops)).unwrap();
-        let fwd = wire.forward_hop().unwrap();
-        // Oracle: decode, then re-encode from scratch at the bumped counters.
-        let oracle = nb_wire::frame_message(&full_decode_oracle(&wire.frame()[nb_wire::PRELUDE_LEN..]).unwrap(), ttl - 1, hops + 1);
-        prop_assert_eq!(fwd.frame().as_ref(), oracle.as_ref());
+    fn forwarded_frame_agrees_with_reencode_oracle(
+        msg in arb_message(),
+        ttl in 32u8..=255,
+        hops in 0u8..=223,
+        received in any::<bool>(),
+        chain_len in 1usize..=32,
+        asks_first in 0usize..=32,
+    ) {
+        // A received frame, or a local message nothing has encoded yet.
+        let origin = if received {
+            nb_wire::WireMsg::from_frame(nb_wire::frame_message(&msg, ttl, hops)).unwrap()
+        } else {
+            nb_wire::WireMsg::from_decoded(msg.clone(), ttl, hops)
+        };
+        let mut chain = vec![origin];
+        for _ in 0..chain_len {
+            let next = chain.last().unwrap().forward_hop().unwrap();
+            chain.push(next);
+        }
+        // Forwarding copies nothing, so whichever hop asks for bytes
+        // first stamps the frame they all share; every other hop must
+        // still be handed its own counters.
+        let _ = chain[asks_first % chain.len()].frame();
+        let body_len = msg.to_bytes().len();
+        let mut previous = nb_wire::frame_message(&msg, ttl, hops);
+        for (k, hop) in chain.iter().enumerate() {
+            // Oracle: decode the previous hop's body, then re-encode
+            // from scratch at the bumped counters.
+            let decoded = full_decode_oracle(&previous[nb_wire::PRELUDE_LEN..]).unwrap();
+            let oracle = nb_wire::frame_message(&decoded, ttl - k as u8, hops + k as u8);
+            let frame = hop.frame();
+            prop_assert_eq!(frame.as_ref(), oracle.as_ref(), "hop {}", k);
+            prop_assert_eq!(hop.body_len(), body_len);
+            prop_assert_eq!(hop.peek(), nb_wire::frame::peek(&frame).unwrap());
+            prop_assert_eq!(hop.clone().frame(), frame.clone());
+            previous = frame;
+        }
+    }
+
+    #[test]
+    fn request_view_agrees_with_full_decode(
+        req in arb_request(),
+        other in arb_message(),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let body = Message::Discovery(req.clone()).to_bytes();
+        let view = nb_wire::DiscoveryRequestView::decode(&body).unwrap();
+        prop_assert_eq!(view, nb_wire::DiscoveryRequestView::of(&req));
+        // Cut anywhere, or followed by anything, it is rejected — as
+        // the owned decode rejects it.
+        let cut = ((body.len() as f64) * cut_frac) as usize;
+        prop_assert!(full_decode_oracle(&body[..cut]).is_err());
+        prop_assert!(nb_wire::DiscoveryRequestView::decode(&body[..cut]).is_err());
+        let mut trailing = body.to_vec();
+        trailing.push(0);
+        prop_assert!(full_decode_oracle(&trailing).is_err());
+        prop_assert!(nb_wire::DiscoveryRequestView::decode(&trailing).is_err());
+        // No other message kind passes for a request.
+        if !matches!(other, Message::Discovery(_)) {
+            prop_assert!(nb_wire::DiscoveryRequestView::decode(&other.to_bytes()).is_err());
+        }
     }
 
     #[test]
