@@ -1,19 +1,26 @@
-//! An allocation budget for the attach path, in tier-1.
+//! Allocation budgets for the attach path and the data plane, in
+//! tier-1.
 //!
-//! One small sharded attach — 10 brokers, 1 BDN, 200 entities, 1
-//! worker — counted by this binary's own `#[global_allocator]`. The
-//! count is exact and repeats, so a new allocation on the flood hop,
-//! the responder or the epoch barrier shows here as a failed test
-//! instead of needing an `LD_PRELOAD` census to find. This file must
-//! stay the only test in its binary: libtest runs tests on parallel
-//! threads, and a sibling would allocate into the same counter.
+//! Two small deployments counted by this binary's own
+//! `#[global_allocator]`: a sharded attach — 10 brokers, 1 BDN, 200
+//! entities, 1 worker — and a meshed pub/sub run — 8 brokers, 64
+//! subscribers, 8 publishers. The counts are exact and repeat, so a new
+//! allocation on the flood hop, the responder, the epoch barrier, the
+//! match memo or the per-publisher route state shows here as a failed
+//! test instead of needing an `LD_PRELOAD` census to find. This file
+//! must stay one test, the only one in its binary: libtest runs tests
+//! on parallel threads, and a sibling would allocate into the same
+//! counter.
 
 use std::time::Duration;
 
 use nb_bench::alloc::{calls, CountingAlloc};
 use nb_bench::scale::{build_tier, TierSpec, SCALE_SHARDS};
+use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology};
 use nb_discovery::{Entity, EntityState};
 use nb_net::topogen::TopologyKind;
+use nb_net::{ClockProfile, LinkSpec, NodeId, RealmId, Sim};
+use nb_wire::{Topic, TopicFilter};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -50,8 +57,72 @@ fn allocations_of_one_attach_run() -> u64 {
     counted
 }
 
+const PUBLISHERS: usize = 8;
+const EVENTS_PER_PUBLISHER: usize = 40;
+/// Four subscribers a filter, one filter an event.
+const DELIVERIES: u64 = (PUBLISHERS * EVENTS_PER_PUBLISHER * 4) as u64;
+/// Allocations per delivery over the publishing window, everything in
+/// it counted — the harness queueing the events, clients, brokers,
+/// engine. The change that added this case reaches 1.72 under `cargo
+/// test` (2 205 in all); the budget is that plus 10 %. What it holds
+/// down: one allocation (the match set) for a topic's first event at a
+/// broker, none for its memo key; at most two a publisher a broker for
+/// route state; a `Prune` a lease per redundant link, not one per
+/// duplicate.
+const BUDGET_PER_DELIVERY: f64 = 1.89;
+
+/// An eight-broker ring with three chords, 64 subscribers over 16
+/// filters, boots and subscribes uncounted; then counts the window in
+/// which 8 publishers emit 40 events each, one a publisher every 50 ms,
+/// over 32 topics.
+fn allocations_of_one_pubsub_run() -> u64 {
+    let mut sim = Sim::with_clock_profile(2005, ClockProfile::perfect());
+    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
+    let mut edges = Topology::build(nb_broker::TopologyKind::Ring, 8).edges().to_vec();
+    edges.extend([(0, 4), (1, 5), (2, 6)]);
+    let topo = Topology::from_edges(8, edges);
+    let mut brokers: Vec<NodeId> = Vec::new();
+    for (i, dials) in topo.dial_lists().into_iter().enumerate() {
+        let neighbors = dials.iter().map(|&j| brokers[j]).collect();
+        let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
+        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+    }
+    let subs: Vec<NodeId> = (0..64)
+        .map(|i| {
+            let filter = TopicFilter::parse(&format!("budget/t{}/**", i % 16)).expect("filter");
+            let client = PubSubClient::new(brokers[i % 8], vec![filter]);
+            sim.add_node(&format!("s{i}"), RealmId(0), Box::new(client))
+        })
+        .collect();
+    let pubs: Vec<NodeId> = (0..PUBLISHERS)
+        .map(|p| {
+            let client = PubSubClient::new(brokers[p], Vec::new());
+            sim.add_node(&format!("p{p}"), RealmId(0), Box::new(client))
+        })
+        .collect();
+    let topics: Vec<Topic> = (0..32)
+        .map(|t| Topic::parse(&format!("budget/t{}/{}", t % 16, t / 16)).expect("topic"))
+        .collect();
+    sim.run_for(Duration::from_secs(3));
+
+    let before = calls();
+    for round in 0..EVENTS_PER_PUBLISHER {
+        for (p, &node) in pubs.iter().enumerate() {
+            let topic = topics[(5 * p + round) % topics.len()].clone();
+            sim.actor_mut::<PubSubClient>(node).expect("publisher").queue_publish(topic, vec![0; 64]);
+        }
+        sim.run_for(Duration::from_millis(50));
+    }
+    sim.run_for(Duration::from_secs(1));
+    let counted = calls() - before;
+    let delivered: usize =
+        subs.iter().map(|&s| sim.actor::<PubSubClient>(s).expect("subscriber").received.len()).sum();
+    assert_eq!(delivered as u64, DELIVERIES);
+    counted
+}
+
 #[test]
-fn attach_path_allocations_repeat_exactly_and_stay_under_budget() {
+fn allocations_repeat_exactly_and_stay_under_budget() {
     // The first run also fills the process-wide topic intern tables and
     // the thread's encode pool; the two after it do identical work.
     allocations_of_one_attach_run();
@@ -62,5 +133,15 @@ fn attach_path_allocations_repeat_exactly_and_stay_under_budget() {
     assert!(
         per_attach <= BUDGET_PER_ATTACH,
         "{per_attach} allocations per attached entity, budget {BUDGET_PER_ATTACH} ({first} in all)"
+    );
+
+    allocations_of_one_pubsub_run();
+    let first = allocations_of_one_pubsub_run();
+    let second = allocations_of_one_pubsub_run();
+    assert_eq!(first, second, "the allocation count is a pure function of the run");
+    let per_delivery = first as f64 / DELIVERIES as f64;
+    assert!(
+        per_delivery <= BUDGET_PER_DELIVERY,
+        "{per_delivery:.2} allocations per delivery, budget {BUDGET_PER_DELIVERY} ({first} in all)"
     );
 }

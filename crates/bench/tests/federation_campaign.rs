@@ -74,10 +74,12 @@ fn ten_seed_campaign_passes_every_invariant() {
 /// scenario order, so the report — and therefore its digest — must not
 /// move a byte when the campaign runs scenario-parallel. Any
 /// nondeterminism in the anti-entropy message flow (partner selection,
-/// snapshot ordering, digest computation) trips this pin.
+/// snapshot ordering, digest computation) trips this pin. Re-pinned
+/// once (`0xfd665210489673df` until then) with the chaos seed-11 pin,
+/// for the same reason: a restarted broker's peers re-advertise to it.
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0xfd66_5210_4896_73df;
+    const PINNED_FNV1A64: u64 = 0x4272_7180_ff07_c118;
     for workers in [1, 4] {
         let json = run_campaign_with_workers(11, 3, workers).to_json();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use nb_broker::TopologyKind;
+use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
 use nb_discovery::scenario::ScenarioBuilder;
 use nb_net::wan::{BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
 use nb_net::{
@@ -25,7 +25,7 @@ use nb_net::{
     NodeId, RealmId, ShardedSim,
 };
 use nb_wire::addr::well_known;
-use nb_wire::{Endpoint, Message};
+use nb_wire::{Endpoint, Message, Topic, TopicFilter};
 use proptest::prelude::*;
 
 /// Pings a fixed peer on a timer cadence, echoes pings back as pongs:
@@ -204,6 +204,72 @@ proptest! {
                 "diverged at workers={} shards={} chaos={}", workers, shards, chaos
             );
         }
+    }
+}
+
+/// A meshed pub/sub overlay — an eight-broker ring with three chords,
+/// two subscribers a broker, four publishers, one link flapping
+/// mid-stream — so that the data plane's per-publisher prune state (a
+/// `Prune` answers a duplicate; which copy of an event is the duplicate
+/// is an arrival order) is under the contract too. Returns `(digest,
+/// events, deliveries, prunes sent)`.
+fn meshed_pubsub_fingerprint(workers: usize, shards: usize) -> (u64, u64, usize, u64) {
+    let mut sim = ShardedSim::new(77);
+    sim.set_workers(workers);
+    sim.set_shards(shards);
+    let mut edges = Topology::build(TopologyKind::Ring, 8).edges().to_vec();
+    edges.extend([(0, 4), (1, 5), (2, 6)]);
+    let topo = Topology::from_edges(8, edges);
+    let mut brokers: Vec<NodeId> = Vec::new();
+    for (i, dials) in topo.dial_lists().into_iter().enumerate() {
+        let neighbors = dials.iter().map(|&j| brokers[j]).collect();
+        let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
+        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+    }
+    let client = |sim: &mut ShardedSim, name: String, broker: NodeId, filters: Vec<TopicFilter>| {
+        sim.add_node(&name, RealmId(0), Box::new(PubSubClient::new(broker, filters)))
+    };
+    let subs: Vec<NodeId> = (0..16)
+        .map(|i| {
+            let filter = TopicFilter::parse(&format!("mesh/t{}/**", i % 4)).expect("filter");
+            client(&mut sim, format!("s{i}"), brokers[i % 8], vec![filter])
+        })
+        .collect();
+    let pubs: Vec<NodeId> =
+        (0..4).map(|p| client(&mut sim, format!("p{p}"), brokers[2 * p], Vec::new())).collect();
+    let plan = FaultPlan::new().flap_at(
+        Duration::from_millis(4_300),
+        brokers[0],
+        brokers[4],
+        Duration::from_secs(3),
+    );
+    sim.apply_fault_plan(&plan);
+    sim.run_for(Duration::from_secs(3));
+    for round in 0..60u8 {
+        for (p, &node) in pubs.iter().enumerate() {
+            let topic = Topic::parse(&format!("mesh/t{}/x", (p + round as usize) % 4)).expect("topic");
+            sim.actor_mut::<PubSubClient>(node).expect("publisher").queue_publish(topic, vec![round]);
+        }
+        sim.run_for(Duration::from_millis(150));
+    }
+    sim.run_for(Duration::from_secs(2));
+    let deliveries = subs.iter().map(|&s| sim.actor::<PubSubClient>(s).expect("sub").received.len()).sum();
+    let prunes = brokers.iter().map(|&b| sim.actor::<BrokerActor>(b).expect("broker").broker.prunes_sent).sum();
+    (sim.digest(), sim.events_processed(), deliveries, prunes)
+}
+
+#[test]
+fn meshed_pubsub_digest_invariant_across_workers() {
+    let reference = meshed_pubsub_fingerprint(1, 1);
+    assert!(reference.3 > 0, "the overlay has cycles: something was pruned");
+    // 960 are owed; the flap may cost what one subtree misses in a lease.
+    assert!((800..=960).contains(&reference.2), "{} deliveries", reference.2);
+    for &(workers, shards) in &[(2usize, 2usize), (4, 4)] {
+        assert_eq!(
+            meshed_pubsub_fingerprint(workers, shards),
+            reference,
+            "diverged at workers={workers} shards={shards}"
+        );
     }
 }
 

@@ -7,6 +7,14 @@
 //! discovery scheme uses so that "the request can reach each broker
 //! connected in the network" (paper §10) — with UUID duplicate
 //! suppression bounding the cost (paper §4's last-1000 cache).
+//!
+//! On every other topic a cyclic overlay would pay for that cache with
+//! two discarded copies in three, so the data path prunes per publisher
+//! (DESIGN.md §18): the neighbour a duplicate came from is asked, with a
+//! leased [`Message::Prune`], to stop sending that publisher's events on
+//! this link. Flooding is what the same loop does wherever no live mute
+//! says otherwise, and the duplicate cache stays underneath as the
+//! safety net, so delivery never depends on the tree being right.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -113,6 +121,18 @@ struct LinkState {
     peer_v2: bool,
 }
 
+impl LinkState {
+    /// Sends a control message to the peer, on the codec the link
+    /// negotiated.
+    fn send(&self, msg: Message, ctx: &mut dyn Context) {
+        if self.peer_v2 {
+            ctx.send_stream_v2(well_known::BROKER, self.endpoint, &WireMsg::new(msg));
+        } else {
+            ctx.send_stream(well_known::BROKER, self.endpoint, &msg);
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ClientState {
     endpoint: Endpoint,
@@ -139,6 +159,110 @@ impl InterestState {
     }
 }
 
+/// What one link and this broker have asked of each other about one
+/// publisher. `SimTime::ZERO` is "never": no instant is earlier.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkLease {
+    /// The link was sent a `Prune` it honours until (about) this instant.
+    asked_until: SimTime,
+    /// The link sent a `Prune`: nothing of the publisher goes to it
+    /// before this instant.
+    muted_until: SimTime,
+}
+
+/// Soft reverse-path state for one publisher (`Event.source`).
+#[derive(Debug)]
+struct SourceRoute {
+    /// The neighbour — a link, a local client, or this broker for its own
+    /// events — the first fresh copy came from. It is never sent a
+    /// `Prune`, so the parents of a publisher's events chain back to its
+    /// ingress broker through links nobody muted.
+    parent: Option<NodeId>,
+    /// The neighbour the latest fresh copy came from.
+    feed: Option<NodeId>,
+    /// When that copy arrived. One lease of silence later nothing here
+    /// can still be live and the entry counts as gone.
+    last_fresh: SimTime,
+    /// Indexed by link slot; allocated by the first lease written.
+    leases: Vec<LinkLease>,
+}
+
+impl SourceRoute {
+    /// A fresh copy arrived from `neighbour`: the first one names the
+    /// parent.
+    fn fresh_from(&mut self, neighbour: NodeId, now: SimTime) {
+        self.parent.get_or_insert(neighbour);
+        self.feed = Some(neighbour);
+        self.last_fresh = now;
+    }
+
+    fn lease(&self, slot: usize) -> LinkLease {
+        self.leases.get(slot).copied().unwrap_or_default()
+    }
+
+    /// The lease in `slot`, of the `slots` the link table holds: the
+    /// first write sizes the vector for all of them, exactly and once.
+    fn lease_mut(&mut self, slot: usize, slots: usize) -> &mut LinkLease {
+        if self.leases.len() <= slot {
+            let len = slots.max(slot + 1);
+            self.leases.reserve_exact(len - self.leases.len());
+            self.leases.resize(len, LinkLease::default());
+        }
+        &mut self.leases[slot]
+    }
+
+    /// R5: whatever was known through or about the link in `slot` is
+    /// forgotten; a lost parent is simply unset.
+    fn forget_link(&mut self, peer: NodeId, slot: usize) {
+        if self.parent == Some(peer) {
+            self.parent = None;
+        }
+        if self.feed == Some(peer) {
+            self.feed = None;
+        }
+        if let Some(lease) = self.leases.get_mut(slot) {
+            *lease = LinkLease::default();
+        }
+    }
+}
+
+/// Every publisher's [`SourceRoute`], behind one pointer: a broker
+/// whose links no event has crossed yet carries no table.
+#[derive(Debug, Default)]
+struct Routes {
+    by_source: DenseNodeTable<SourceRoute>,
+}
+
+impl Routes {
+    /// The live entry of `source`: one silent for longer than `lease`
+    /// starts over (its allocation kept), an unknown one is not created.
+    fn live(&mut self, source: NodeId, now: SimTime, lease: Duration) -> Option<&mut SourceRoute> {
+        let route = self.by_source.get_mut(source)?;
+        if now - route.last_fresh > lease {
+            route.parent = None;
+            route.feed = None;
+            route.leases.clear();
+            route.last_fresh = now;
+        }
+        Some(route)
+    }
+
+    /// [`Routes::live`], creating the entry if need be. At `cap` sources
+    /// the one silent longest makes room — all it costs is that its
+    /// publisher's next event floods again.
+    fn entry(&mut self, source: NodeId, now: SimTime, lease: Duration, cap: usize) -> &mut SourceRoute {
+        if !self.by_source.contains_key(source) {
+            if self.by_source.len() >= cap.max(1) {
+                let stalest = self.by_source.iter().min_by_key(|(_, r)| r.last_fresh).map(|(s, _)| s);
+                self.by_source.remove(stalest.expect("at capacity, so not empty"));
+            }
+            let route = SourceRoute { parent: None, feed: None, last_fresh: now, leases: Vec::new() };
+            self.by_source.insert(source, route);
+        }
+        self.live(source, now, lease).expect("present or just inserted")
+    }
+}
+
 /// The broker state machine. Embed it in an actor and feed it events via
 /// [`Broker::handle`]; a system-topic event it routed is handed back, as
 /// the frame it travels in, for the owner to act on.
@@ -161,12 +285,21 @@ pub struct Broker {
     /// The neighbours each filter is currently advertised to.
     advertised: BTreeMap<TopicFilter, BTreeSet<NodeId>>,
     event_dedup: BoundedDedup<Uuid>,
+    /// Per-publisher reverse-path state, allocated by the first
+    /// non-flood event that crosses a link.
+    routes: Option<Box<Routes>>,
     meter: UsageMeter,
     hb_seq: u64,
     /// Events routed through this broker (observability).
     pub events_routed: u64,
     /// Duplicate events suppressed (observability).
     pub duplicates_suppressed: u64,
+    /// `Prune`s sent to neighbours (observability).
+    pub prunes_sent: u64,
+    /// `Prune`s received from neighbours (observability).
+    pub prunes_received: u64,
+    /// Times a publisher's parent moved to a faster feed (observability).
+    pub reparented: u64,
 }
 
 impl Broker {
@@ -183,10 +316,14 @@ impl Broker {
             interest_snapshot: None,
             advertised: BTreeMap::new(),
             event_dedup: BoundedDedup::new(dedup),
+            routes: None,
             meter,
             hb_seq: 0,
             events_routed: 0,
             duplicates_suppressed: 0,
+            prunes_sent: 0,
+            prunes_received: 0,
+            reparented: 0,
         }
     }
 
@@ -245,10 +382,24 @@ impl Broker {
         self.subs.matches_uncached(topic)
     }
 
+    /// Diagnostic: the neighbour `source`'s events are expected from —
+    /// the link or local client its first fresh copy came from — while
+    /// this broker holds reverse-path state for that publisher.
+    pub fn route_parent(&self, source: NodeId) -> Option<NodeId> {
+        self.routes.as_ref()?.by_source.get(source)?.parent
+    }
+
     /// Current usage metric snapshot (paper §5.1(c)).
     pub fn metrics(&mut self, ctx: &mut dyn Context) -> nb_wire::UsageMetrics {
         let subs = self.subs.len() as u32;
         self.meter.snapshot(ctx.now(), self.num_clients(), self.num_links(), subs)
+    }
+
+    /// How long a silent link is still believed up — and so how long a
+    /// `Prune` is believed: a mute is trusted exactly as long as the
+    /// link it arrived on would be.
+    fn lease(&self) -> Duration {
+        self.cfg.heartbeat_interval * self.cfg.heartbeat_misses
     }
 
     /// Sends a link handshake message, announcing v2 wire capability on
@@ -272,8 +423,12 @@ impl Broker {
         ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
     }
 
-    /// Opens a link to `peer` at runtime (topology growth).
+    /// Opens a link to `peer` at runtime (topology growth). Dialling a
+    /// peer already linked starts the link over on both sides — the
+    /// `LinkHello` does at the peer what `link_down` does here — so what
+    /// the handshake re-advertises is counted once.
     pub fn link_to(&mut self, peer: NodeId, ctx: &mut dyn Context) {
+        self.link_down(peer, ctx);
         let hello = Message::LinkHello { from: ctx.me(), realm: ctx.realm() };
         self.send_handshake(Endpoint::new(peer, well_known::BROKER), hello, ctx);
     }
@@ -329,6 +484,7 @@ impl Broker {
             let id = header.uuid.expect("publish frames carry an event id");
             if !self.event_dedup.check_and_insert(id) {
                 self.duplicates_suppressed += 1;
+                self.duplicate_from(&msg, from.node, ctx);
                 return None;
             }
             return self.route_deduped(msg, Some(from.node), ctx);
@@ -338,6 +494,15 @@ impl Broker {
         let peer_v2 = self.cfg.wire_v2 && msg.flags() & FLAG_V2_CAPABLE != 0;
         match msg.into_message() {
             Message::LinkHello { from: peer, .. } => {
+                // A peer that says hello on a link that is up has
+                // started over (a restart inside the heartbeat deadline,
+                // or a repeat `link_to`) and holds nothing it was told:
+                // start the link over here too, so `link_up` tells it
+                // again. Only a `LinkHello` does this — on two brokers
+                // dialling each other the `LinkAccept`s land on links
+                // the crossing hellos already brought up, and must not
+                // reset them.
+                self.link_down(peer, ctx);
                 let accept = Message::LinkAccept { from: ctx.me(), realm: ctx.realm() };
                 self.send_handshake(Endpoint::new(peer, well_known::BROKER), accept, ctx);
                 self.link_up(peer, peer_v2, ctx);
@@ -349,6 +514,18 @@ impl Broker {
                 self.link_down(peer, ctx);
             }
             Message::Heartbeat { .. } => { /* freshness already recorded */ }
+            // R3: the neighbour has a faster feed for `source`; nothing
+            // of that publisher goes to it until the lease runs out.
+            Message::Prune { source, lease_ms } => {
+                if let Some((slot, _)) = self.links.get_with_slot(from.node) {
+                    let (now, lease) = (ctx.now(), self.lease());
+                    let routes = self.routes.get_or_insert_with(Default::default);
+                    let route = routes.entry(source, now, lease, self.cfg.dedup_capacity);
+                    route.lease_mut(slot, self.links.slot_count()).muted_until =
+                        now + lease.min(Duration::from_millis(lease_ms.into()));
+                    self.prunes_received += 1;
+                }
+            }
             Message::Subscribe { filter, .. }
                 if self.links.contains_key(from.node) => {
                     let first = self.subs.subscribe(Destination::Link(from.node), filter.clone());
@@ -428,8 +605,12 @@ impl Broker {
     }
 
     fn link_down(&mut self, peer: NodeId, ctx: &mut dyn Context) {
-        if self.links.remove(peer).is_none() {
+        let Some((slot, _)) = self.links.get_with_slot(peer) else {
             return;
+        };
+        self.links.remove(peer);
+        for route in self.routes.iter_mut().flat_map(|routes| routes.by_source.values_mut()) {
+            route.forget_link(peer, slot);
         }
         self.advertised.retain(|_, peers| {
             peers.remove(&peer);
@@ -517,11 +698,7 @@ impl Broker {
                 }
                 Message::Unsubscribe { filter: filter.clone(), origin: me, seq }
             };
-            if link.peer_v2 {
-                ctx.send_stream_v2(well_known::BROKER, link.endpoint, &WireMsg::new(msg));
-            } else {
-                ctx.send_stream(well_known::BROKER, link.endpoint, &msg);
-            }
+            link.send(msg, ctx);
         }
     }
 
@@ -556,7 +733,8 @@ impl Broker {
         ctx: &mut dyn Context,
     ) -> Option<WireMsg> {
         self.events_routed += 1;
-        self.meter.record_message(ctx.now());
+        let now = ctx.now();
+        self.meter.record_message(now);
 
         let Message::Publish(ev) = msg.message() else {
             return None;
@@ -568,6 +746,18 @@ impl Broker {
         // `None` when the TTL is spent: local deliveries still happen
         // (they are terminal), link forwards stop.
         let fwd = msg.forward_hop();
+        // The publisher's reverse-path state, if it has any yet. Flood
+        // topics keep none — every link carries them.
+        let neighbour = source.unwrap_or_else(|| ctx.me());
+        let lease = self.lease();
+        let mut route = match &mut self.routes {
+            Some(routes) if !flood => routes.live(ev.source, now, lease),
+            _ => None,
+        };
+        if let Some(route) = route.as_deref_mut() {
+            route.fresh_from(neighbour, now);
+        }
+        let mut crossed_link = false;
         // Local clients whose filters match always get a copy.
         for &dest in matched.iter() {
             match dest {
@@ -586,8 +776,14 @@ impl Broker {
                     if Some(l) == source {
                         continue;
                     }
-                    if let (Some(link), Some(fwd)) = (self.links.get(l), fwd.as_ref()) {
-                        if link.established {
+                    if let (Some((slot, link)), Some(fwd)) =
+                        (self.links.get_with_slot(l), fwd.as_ref())
+                    {
+                        // R1: not to a link that asked, within the
+                        // lease, not to be sent this publisher's events.
+                        let muted = route.as_ref().is_some_and(|r| r.lease(slot).muted_until > now);
+                        if link.established && !muted {
+                            crossed_link = true;
                             if link.peer_v2 {
                                 ctx.send_stream_v2(well_known::BROKER, link.endpoint, fwd);
                             } else {
@@ -599,6 +795,14 @@ impl Broker {
             }
         }
         if !flood {
+            // State starts with the first event that crosses a link,
+            // either way: before that no copy can come back.
+            if route.is_none()
+                && (crossed_link || source.is_some_and(|n| self.links.contains_key(n)))
+            {
+                let routes = self.routes.get_or_insert_with(Default::default);
+                routes.entry(ev.source, now, lease, self.cfg.dedup_capacity).fresh_from(neighbour, now);
+            }
             return None;
         }
         if let Some(fwd) = fwd.as_ref() {
@@ -616,10 +820,51 @@ impl Broker {
         Some(msg)
     }
 
+    /// A copy of an event already routed arrived from `from`. When that
+    /// is a link, the copy need not have been sent: R2 asks the link to
+    /// stop, unless it is the publisher's parent or has been asked
+    /// within the lease; R4 moves the parent to the feed that now beats
+    /// it and asks the old parent instead.
+    fn duplicate_from(&mut self, msg: &WireMsg, from: NodeId, ctx: &mut dyn Context) {
+        let Message::Publish(ev) = msg.message() else {
+            return;
+        };
+        let Some((slot, link)) = self.links.get_with_slot(from) else {
+            return;
+        };
+        if self.is_flood_topic(&ev.topic) {
+            return;
+        }
+        let (now, lease) = (ctx.now(), self.lease());
+        let routes = self.routes.get_or_insert_with(Default::default);
+        let route = routes.entry(ev.source, now, lease, self.cfg.dedup_capacity);
+        if route.parent == Some(from) {
+            // The guard: a feed that was itself asked to stop (the
+            // `Prune` may still be in flight) is about to go quiet, and
+            // muting the parent as well would leave no feed at all.
+            let asked = |n| {
+                self.links.get_with_slot(n).is_some_and(|(s, _)| route.lease(s).asked_until > now)
+            };
+            match route.feed {
+                Some(feed) if feed != from && !asked(feed) => {
+                    route.parent = Some(feed);
+                    self.reparented += 1;
+                }
+                _ => return,
+            }
+        } else if route.lease(slot).asked_until > now {
+            return;
+        }
+        route.lease_mut(slot, self.links.slot_count()).asked_until = now + lease;
+        self.prunes_sent += 1;
+        let lease_ms = u32::try_from(lease.as_millis()).unwrap_or(u32::MAX);
+        link.send(Message::Prune { source: ev.source, lease_ms }, ctx);
+    }
+
     fn heartbeat_tick(&mut self, ctx: &mut dyn Context) {
         self.hb_seq += 1;
         let seq = self.hb_seq;
-        let deadline = self.cfg.heartbeat_interval * self.cfg.heartbeat_misses;
+        let deadline = self.lease();
         let now = ctx.now();
         let mut dead: Vec<NodeId> = Vec::new();
         for (peer, link) in self.links.iter() {
@@ -629,12 +874,7 @@ impl Broker {
             if now - link.last_heard > deadline {
                 dead.push(peer);
             } else {
-                let hb = Message::Heartbeat { from: ctx.me(), seq };
-                if link.peer_v2 {
-                    ctx.send_stream_v2(well_known::BROKER, link.endpoint, &WireMsg::new(hb));
-                } else {
-                    ctx.send_stream(well_known::BROKER, link.endpoint, &hb);
-                }
+                link.send(Message::Heartbeat { from: ctx.me(), seq }, ctx);
             }
         }
         dead.sort_unstable();
@@ -913,6 +1153,241 @@ mod tests {
         let oracle = broker.interest_filters();
         assert_eq!(oracle.len(), 1, "link-learned filter must be gone");
         assert_eq!(broker.shared_interest_filters().to_vec(), oracle, "snapshot == oracle after shrink");
+    }
+
+    /// Brokers wired by `dials` (each entry lists the earlier brokers
+    /// that one dials); returns their ids.
+    fn overlay(sim: &mut Sim, dials: &[&[usize]]) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = Vec::new();
+        for (i, dial) in dials.iter().enumerate() {
+            let cfg = broker_cfg(dial.iter().map(|&j| ids[j]).collect());
+            ids.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+        }
+        ids
+    }
+
+    fn broker(sim: &Sim, node: NodeId) -> &Broker {
+        &sim.actor::<BrokerActor>(node).unwrap().broker
+    }
+
+    /// Delivers `msg` to `to`'s broker port as if `from` had sent it.
+    fn say(sim: &mut Sim, from: NodeId, to: NodeId, msg: Message) {
+        let from = Endpoint::new(from, well_known::BROKER);
+        let event = Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() };
+        sim.inject(to, Duration::ZERO, event);
+        sim.run_for(Duration::from_millis(100));
+    }
+
+    #[test]
+    fn restarted_peer_is_told_its_neighbours_interest_again() {
+        use crate::client::PubSubClient;
+        let mut sim = quiet_sim();
+        let ids = overlay(&mut sim, &[&[], &[0]]);
+        let (a, b) = (ids[0], ids[1]);
+        let filter = TopicFilter::parse("sports/*").unwrap();
+        let sub =
+            sim.add_node("sub", RealmId(0), Box::new(PubSubClient::new(a, vec![filter.clone()])));
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(broker(&sim, b).interest_filters(), vec![filter.clone()]);
+        // `b` loses its state and is back, dialling `a` again, long
+        // before `a` could miss a heartbeat: to `a` the link never went
+        // away, and only the hello says that its peer knows nothing.
+        sim.set_respawn(b, Box::new(move || Box::new(BrokerActor::new(broker_cfg(vec![a])))));
+        sim.restart(b, true);
+        sim.run_for(Duration::from_secs(20));
+        assert!(broker(&sim, a).is_linked(b) && broker(&sim, b).is_linked(a));
+        assert_eq!(broker(&sim, b).interest_filters(), vec![filter], "a advertised again");
+        let publisher = sim.add_node("pub", RealmId(0), Box::new(PubSubClient::new(b, vec![])));
+        sim.run_for(Duration::from_secs(1));
+        sim.actor_mut::<PubSubClient>(publisher)
+            .unwrap()
+            .queue_publish(Topic::parse("sports/nba").unwrap(), vec![1]);
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(sim.actor::<PubSubClient>(sub).unwrap().received.len(), 1);
+    }
+
+    #[test]
+    fn dialling_a_linked_peer_again_counts_its_interest_once() {
+        use crate::client::PubSubClient;
+        /// A broker whose owner dials `peer` again when poked.
+        struct Redialler {
+            broker: Broker,
+            peer: NodeId,
+        }
+        const REDIAL: u64 = 7;
+        impl Actor for Redialler {
+            fn on_start(&mut self, ctx: &mut dyn Context) {
+                self.broker.on_start(ctx);
+            }
+            fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+                if matches!(event, Incoming::Timer { token: REDIAL }) {
+                    self.broker.link_to(self.peer, ctx);
+                } else {
+                    self.broker.handle(event, ctx);
+                }
+            }
+            impl_actor_any!();
+        }
+        let mut sim = quiet_sim();
+        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
+        let redialler = Redialler { broker: Broker::new(broker_cfg(vec![a])), peer: a };
+        let b = sim.add_node("b", RealmId(0), Box::new(redialler));
+        let at_a = TopicFilter::parse("at/a").unwrap();
+        let at_b = TopicFilter::parse("at/b").unwrap();
+        let sub_a =
+            sim.add_node("sa", RealmId(0), Box::new(PubSubClient::new(a, vec![at_a.clone()])));
+        let sub_b =
+            sim.add_node("sb", RealmId(0), Box::new(PubSubClient::new(b, vec![at_b.clone()])));
+        sim.run_for(Duration::from_secs(2));
+        let filters = vec![at_a.clone(), at_b.clone()];
+        assert_eq!(broker(&sim, a).interest_filters(), filters);
+
+        sim.inject(b, Duration::ZERO, Incoming::Timer { token: REDIAL });
+        sim.run_for(Duration::from_secs(2));
+        assert!(broker(&sim, a).is_linked(b));
+        assert_eq!(broker(&sim, a).interest_filters(), filters);
+        assert_eq!(sim.actor::<Redialler>(b).unwrap().broker.interest_filters(), filters);
+        // Registered once on the far side, not twice: one withdrawal
+        // each way and neither broker holds the other's filter.
+        say(&mut sim, sub_a, a, Message::ClientUnsubscribe { filter: at_a });
+        say(&mut sim, sub_b, b, Message::ClientUnsubscribe { filter: at_b });
+        sim.run_for(Duration::from_secs(1));
+        assert!(broker(&sim, a).interest_filters().is_empty());
+        assert!(sim.actor::<Redialler>(b).unwrap().broker.interest_filters().is_empty());
+    }
+
+    /// A stand-in neighbour: keeps what the broker under test sends it.
+    #[derive(Default)]
+    struct Peer {
+        got: Vec<Message>,
+    }
+
+    impl Actor for Peer {
+        fn on_incoming(&mut self, event: Incoming, _ctx: &mut dyn Context) {
+            if let Incoming::Stream { msg, .. } = event {
+                self.got.push(msg.into_message());
+            }
+        }
+        impl_actor_any!();
+    }
+
+    fn publishes(sim: &Sim, peer: NodeId) -> usize {
+        let got = &sim.actor::<Peer>(peer).unwrap().got;
+        got.iter().filter(|m| matches!(m, Message::Publish(_))).count()
+    }
+
+    fn event(n: u128, source: NodeId) -> Message {
+        Message::Publish(Event {
+            id: Uuid::from_u128(n),
+            topic: Topic::parse("t/x").unwrap(),
+            source,
+            payload: Bytes::new(),
+        })
+    }
+
+    /// Broker `x` linked to two stand-ins that both want `t/**`, and a
+    /// node id to publish as.
+    fn broker_between_two_peers(sim: &mut Sim) -> (NodeId, NodeId, NodeId, NodeId) {
+        let x = sim.add_node("x", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
+        let l = sim.add_node("l", RealmId(0), Box::new(Peer::default()));
+        let m = sim.add_node("m", RealmId(0), Box::new(Peer::default()));
+        let client = sim.add_node("c", RealmId(0), Box::new(Peer::default()));
+        for peer in [l, m] {
+            say(sim, peer, x, Message::LinkHello { from: peer, realm: RealmId(0) });
+            let filter = TopicFilter::parse("t/**").unwrap();
+            say(sim, peer, x, Message::Subscribe { filter, origin: peer, seq: 1 });
+        }
+        (x, l, m, client)
+    }
+
+    #[test]
+    fn a_prune_mutes_its_link_for_one_lease_and_no_longer() {
+        let mut sim = quiet_sim();
+        let (x, l, m, client) = broker_between_two_peers(&mut sim);
+        say(&mut sim, client, x, event(1, client));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 1), "no mute: every link");
+
+        say(&mut sim, l, x, Message::Prune { source: client, lease_ms: 6_000 });
+        assert_eq!(broker(&sim, x).prunes_received, 1);
+        say(&mut sim, client, x, event(2, client));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 2), "R1: not to the muted link");
+        say(&mut sim, l, x, event(3, l));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 3), "another publisher's event");
+        say(&mut sim, m, x, event(4, m));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (2, 3), "is none of that mute's business");
+
+        // Keep both links alive past the lease; the mute is not renewed.
+        for _ in 0..3 {
+            sim.run_for(Duration::from_secs(2));
+            for peer in [l, m] {
+                say(&mut sim, peer, x, Message::Heartbeat { from: peer, seq: 0 });
+            }
+            let fresh = event(sim.now().as_nanos().into(), client);
+            say(&mut sim, client, x, fresh);
+        }
+        assert_eq!(publishes(&sim, m), 6);
+        assert_eq!(publishes(&sim, l), 3, "flooding again once the lease is out");
+        // A peer cannot buy more than this broker's own lease.
+        say(&mut sim, l, x, Message::Prune { source: client, lease_ms: u32::MAX });
+        for _ in 0..3 {
+            sim.run_for(Duration::from_secs(2));
+            for peer in [l, m] {
+                say(&mut sim, peer, x, Message::Heartbeat { from: peer, seq: 0 });
+            }
+            let fresh = event(sim.now().as_nanos().into(), client);
+            say(&mut sim, client, x, fresh);
+        }
+        assert_eq!(publishes(&sim, l), 4, "two events muted, the third is past the lease");
+        // Nor does a `Prune` from a stranger mean anything.
+        say(&mut sim, client, x, Message::Prune { source: client, lease_ms: 6_000 });
+        assert_eq!(broker(&sim, x).prunes_received, 2);
+    }
+
+    #[test]
+    fn link_down_forgets_the_link_in_every_route() {
+        let mut sim = quiet_sim();
+        let (x, l, m, client) = broker_between_two_peers(&mut sim);
+        say(&mut sim, l, x, event(1, client));
+        say(&mut sim, m, x, event(1, client));
+        assert_eq!(broker(&sim, x).route_parent(client), Some(l));
+        assert_eq!(broker(&sim, x).prunes_sent, 1, "R2: the duplicate's link is asked to stop");
+        say(&mut sim, m, x, Message::Prune { source: client, lease_ms: 6_000 });
+
+        say(&mut sim, l, x, Message::LinkClose { from: l });
+        assert_eq!(broker(&sim, x).route_parent(client), None, "R5: a lost parent is unset");
+        say(&mut sim, m, x, Message::LinkClose { from: m });
+        // A new link takes the freed slot and none of its leases.
+        say(&mut sim, m, x, Message::LinkHello { from: m, realm: RealmId(0) });
+        let filter = TopicFilter::parse("t/**").unwrap();
+        say(&mut sim, m, x, Message::Subscribe { filter, origin: m, seq: 2 });
+        let before = publishes(&sim, m);
+        say(&mut sim, client, x, event(2, client));
+        assert_eq!(publishes(&sim, m), before + 1, "the old link's mute went with it");
+        assert_eq!(broker(&sim, x).route_parent(client), Some(client));
+    }
+
+    #[test]
+    fn routes_die_after_a_lease_of_silence_and_stay_under_their_cap() {
+        let lease = Duration::from_secs(6);
+        let at = SimTime::from_secs;
+        let mut routes = Routes::default();
+        for source in 0..4 {
+            let route = routes.entry(NodeId(source), at(u64::from(source)), lease, 4);
+            route.parent = Some(NodeId(100 + source));
+            route.lease_mut(1, 3).muted_until = at(u64::from(source)) + lease;
+        }
+        assert!(routes.live(NodeId(9), at(3), lease).is_none(), "reading creates nothing");
+        // A fifth publisher: the one silent longest makes room.
+        routes.entry(NodeId(4), at(4), lease, 4);
+        assert_eq!(routes.by_source.len(), 4);
+        assert!(routes.by_source.get(NodeId(0)).is_none());
+        // Heard of within the lease: kept as it is. Later: blank.
+        let kept = routes.live(NodeId(1), at(7), lease).unwrap();
+        assert_eq!(kept.parent, Some(NodeId(101)));
+        assert_eq!(kept.leases.len(), 3, "sized once for every slot");
+        let blank = routes.live(NodeId(1), at(8), lease).unwrap();
+        assert_eq!((blank.parent, blank.feed, blank.leases.len()), (None, None, 0));
+        assert_eq!(blank.lease(1).muted_until, SimTime::ZERO);
     }
 
     #[test]

@@ -73,6 +73,15 @@ impl<V> DenseNodeTable<V> {
         self.slots[self.index[i].1 as usize].as_ref()
     }
 
+    /// The value for `node` with the slab slot it occupies. The slot is
+    /// stable until the entry is removed (and then reused), so side
+    /// tables can index by it as long as they forget a slot when its
+    /// node goes.
+    pub fn get_with_slot(&self, node: NodeId) -> Option<(usize, &V)> {
+        let slot = self.index[self.pos(node).ok()?].1 as usize;
+        Some((slot, self.slots[slot].as_ref()?))
+    }
+
     /// Mutable value for `node`, if any.
     pub fn get_mut(&mut self, node: NodeId) -> Option<&mut V> {
         let i = self.pos(node).ok()?;
@@ -142,6 +151,18 @@ impl<V> DenseNodeTable<V> {
     pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
         self.iter().map(|(_, v)| v)
     }
+
+    /// Mutable values, in slot order (callers that emit nothing while
+    /// they sweep need no more).
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.slots.iter_mut().flatten()
+    }
+
+    /// Slots the slab holds, occupied or free: every slot
+    /// [`DenseNodeTable::get_with_slot`] reports is below this.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
 }
 
 #[cfg(test)]
@@ -191,9 +212,14 @@ mod tests {
         let mut table: DenseNodeTable<&'static str> = DenseNodeTable::with_capacity(4);
         table.insert(NodeId(3), "three");
         table.insert(NodeId(1), "one");
+        let (one, _) = table.get_with_slot(NodeId(1)).unwrap();
+        let (three, _) = table.get_with_slot(NodeId(3)).unwrap();
         table.remove(NodeId(3));
+        assert!(table.get_with_slot(NodeId(3)).is_none());
         table.insert(NodeId(9), "nine");
         assert_eq!(table.slots.len(), 2, "freed slot was reused, slab did not grow");
+        assert_eq!(table.get_with_slot(NodeId(9)), Some((three, &"nine")));
+        assert_eq!(table.get_with_slot(NodeId(1)), Some((one, &"one")), "survivors keep their slot");
         assert_eq!(
             table.iter().map(|(n, _)| n.0).collect::<Vec<_>>(),
             vec![1, 9],

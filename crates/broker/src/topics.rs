@@ -23,7 +23,9 @@
 //! as a shared `Arc<[Destination]>`. The dominant traffic pattern —
 //! heartbeats, advertisements and discovery floods republished on the
 //! same few well-known topics — therefore routes with **zero allocation
-//! and zero trie walk**. The memo is invalidated precisely: a
+//! and zero trie walk**, and the first event on a topic allocates its
+//! match set and nothing else: the key is the topic's segment ids held
+//! inline ([`MemoKey`]). The memo is invalidated precisely: a
 //! subscribe/unsubscribe that changes membership (first registration or
 //! last withdrawal of a filter at a destination) drops exactly the memo
 //! entries whose topic that filter matches; refcount-only changes keep
@@ -47,6 +49,30 @@ use nb_wire::{NodeId, SegId, Topic, TopicFilter};
 /// against unbounded growth under adversarially diverse topics; the
 /// expected working set is a handful of well-known topics).
 const MEMO_CAP: usize = 1024;
+
+/// Deepest topic the memo holds. Every well-known topic is three
+/// segments deep; a deeper one than this is matched by a trie walk on
+/// every event, exactly as a cold miss is.
+const MEMO_DEPTH: usize = 6;
+
+/// A memo key: a topic's segment ids, inline, so that caching a match
+/// set costs no allocation beyond the set. A shallower topic ends at
+/// the first [`SegId::STAR`], an id no concrete topic contains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct MemoKey([SegId; MEMO_DEPTH]);
+
+impl MemoKey {
+    fn of(topic: &[SegId]) -> Option<MemoKey> {
+        let mut ids = [SegId::STAR; MEMO_DEPTH];
+        ids.get_mut(..topic.len())?.copy_from_slice(topic);
+        Some(MemoKey(ids))
+    }
+
+    fn ids(&self) -> &[SegId] {
+        let len = self.0.iter().position(|&id| id == SegId::STAR).unwrap_or(MEMO_DEPTH);
+        &self.0[..len]
+    }
+}
 
 /// A routing destination for matched events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -155,7 +181,7 @@ impl TrieNode {
 pub struct SubscriptionTable {
     by_dest: BTreeMap<Destination, BTreeMap<TopicFilter, usize>>,
     root: TrieNode,
-    memo: BTreeMap<Box<[SegId]>, Arc<[Destination]>>,
+    memo: BTreeMap<MemoKey, Arc<[Destination]>>,
     /// Reused collection buffer for memo misses: the cold path allocates
     /// only the `Arc` result, never a scratch `Vec`.
     scratch: Vec<Destination>,
@@ -228,7 +254,8 @@ impl SubscriptionTable {
     /// ordering contract is identical to the pre-trie linear scan:
     /// distinct destinations in `Destination` order.
     pub fn matches(&mut self, topic: &Topic) -> Arc<[Destination]> {
-        if let Some(hit) = self.memo.get(topic.seg_ids()) {
+        let key = MemoKey::of(topic.seg_ids());
+        if let Some(hit) = key.and_then(|key| self.memo.get(&key)) {
             return Arc::clone(hit);
         }
         let mut out = std::mem::take(&mut self.scratch);
@@ -238,10 +265,12 @@ impl SubscriptionTable {
         out.dedup();
         let set: Arc<[Destination]> = out.as_slice().into();
         self.scratch = out;
-        if self.memo.len() >= MEMO_CAP {
-            self.memo.clear();
+        if let Some(key) = key {
+            if self.memo.len() >= MEMO_CAP {
+                self.memo.clear();
+            }
+            self.memo.insert(key, Arc::clone(&set));
         }
-        self.memo.insert(topic.seg_ids().into(), Arc::clone(&set));
         set
     }
 
@@ -294,7 +323,7 @@ impl SubscriptionTable {
     /// Drops exactly the memo entries whose topic `filter` matches —
     /// the only match sets a membership change to `filter` can affect.
     fn invalidate(&mut self, filter: &TopicFilter) {
-        self.memo.retain(|topic_ids, _| !filter.matches_ids(topic_ids));
+        self.memo.retain(|topic, _| !filter.matches_ids(topic.ids()));
     }
 }
 
@@ -442,6 +471,22 @@ mod tests {
         assert!(tab.unsubscribe(c1, &f("a/*")));
         assert_eq!(tab.matches(&t("a/b")).to_vec(), vec![c2]);
         assert_eq!(tab.matches_linear(&t("a/b")), vec![c2]);
+    }
+
+    #[test]
+    fn topics_deeper_than_the_memo_key_match_without_it() {
+        let mut tab = SubscriptionTable::new();
+        let c = Destination::Client(NodeId(1));
+        tab.subscribe(c, f("d/**"));
+        let at_cap = t("d/1/2/3/4/5");
+        let deeper = t("d/1/2/3/4/5/6");
+        assert_eq!(tab.matches(&at_cap).to_vec(), vec![c]);
+        assert_eq!(tab.memo_len(), 1);
+        assert_eq!(tab.matches(&deeper).to_vec(), vec![c]);
+        assert_eq!(tab.memo_len(), 1, "seven segments do not fit the inline key");
+        assert!(tab.unsubscribe(c, &f("d/**")));
+        assert!(tab.matches(&at_cap).is_empty(), "invalidation reads the inline ids");
+        assert!(tab.matches(&deeper).is_empty());
     }
 
     #[test]

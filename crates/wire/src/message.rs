@@ -536,6 +536,11 @@ pub enum Message {
     Unsubscribe { filter: TopicFilter, origin: NodeId, seq: u64 },
     /// A routed event.
     Publish(Event),
+    /// Asks the neighbour to stop forwarding events published by
+    /// `source` on this link for `lease_ms`: the sender already has a
+    /// faster feed for that publisher. Soft state — the mute lapses on
+    /// its own, so a lost `Prune` or a dead feed costs at most one lease.
+    Prune { source: NodeId, lease_ms: u32 },
 
     // ------------------------------------------------ client plane ------
     /// A client asks a broker for a connection.
@@ -600,6 +605,7 @@ impl Message {
             Message::Subscribe { .. } => "subscribe",
             Message::Unsubscribe { .. } => "unsubscribe",
             Message::Publish(_) => "publish",
+            Message::Prune { .. } => "prune",
             Message::ClientConnect { .. } => "client-connect",
             Message::ClientConnectAck { .. } => "client-connect-ack",
             Message::ClientSubscribe { .. } => "client-subscribe",
@@ -634,6 +640,7 @@ impl Message {
             Message::Subscribe { .. } => TAG_SUBSCRIBE,
             Message::Unsubscribe { .. } => TAG_UNSUBSCRIBE,
             Message::Publish(_) => TAG_PUBLISH,
+            Message::Prune { .. } => TAG_PRUNE,
             Message::ClientConnect { .. } => TAG_CLIENT_CONNECT,
             Message::ClientConnectAck { .. } => TAG_CLIENT_CONNECT_ACK,
             Message::ClientSubscribe { .. } => TAG_CLIENT_SUBSCRIBE,
@@ -683,13 +690,14 @@ pub(crate) const TAG_RELIABLE_DATA: u8 = 23;
 pub(crate) const TAG_RELIABLE_ACK: u8 = 24;
 pub(crate) const TAG_REPLAY_REQUEST: u8 = 25;
 pub(crate) const TAG_FEDERATION_SYNC: u8 = 26;
+pub(crate) const TAG_PRUNE: u8 = 27;
 
 /// Every wire tag, in tag order. New message kinds must be added here
 /// as well as to the encode/decode/`tag()` arms — the conformance test
 /// below and nb-lint rule W001 both check this registry for
 /// completeness, so a forgotten registration fails the build instead of
 /// surfacing as a protocol drift in the field.
-pub const ALL_TAGS: [u8; 26] = [
+pub const ALL_TAGS: [u8; 27] = [
     TAG_LINK_HELLO,
     TAG_LINK_ACCEPT,
     TAG_LINK_CLOSE,
@@ -716,6 +724,7 @@ pub const ALL_TAGS: [u8; 26] = [
     TAG_RELIABLE_ACK,
     TAG_REPLAY_REQUEST,
     TAG_FEDERATION_SYNC,
+    TAG_PRUNE,
 ];
 
 impl Wire for Message {
@@ -755,6 +764,11 @@ impl Wire for Message {
             Message::Publish(ev) => {
                 w.put_u8(TAG_PUBLISH);
                 ev.encode(w);
+            }
+            Message::Prune { source, lease_ms } => {
+                w.put_u8(TAG_PRUNE);
+                source.encode(w);
+                w.put_u32(*lease_ms);
             }
             Message::ClientConnect { client, reply_port } => {
                 w.put_u8(TAG_CLIENT_CONNECT);
@@ -877,6 +891,7 @@ impl Wire for Message {
                 seq: r.get_u64()?,
             },
             TAG_PUBLISH => Message::Publish(Event::decode(r)?),
+            TAG_PRUNE => Message::Prune { source: NodeId::decode(r)?, lease_ms: r.get_u32()? },
             TAG_CLIENT_CONNECT => Message::ClientConnect {
                 client: NodeId::decode(r)?,
                 reply_port: Port::decode(r)?,
@@ -1005,6 +1020,7 @@ mod tests {
                 source: NodeId(6),
                 payload: Bytes::from_static(b"3-1"),
             }),
+            Message::Prune { source: NodeId(6), lease_ms: 6_000 },
             Message::ClientConnect { client: NodeId(9), reply_port: Port(4000) },
             Message::ClientConnectAck { broker: NodeId(5), accepted: true },
             Message::ClientSubscribe { filter: TopicFilter::parse("x/y").unwrap() },

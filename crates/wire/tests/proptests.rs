@@ -181,6 +181,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (arb_filter(), arb_node(), any::<u64>())
             .prop_map(|(filter, origin, seq)| Message::Subscribe { filter, origin, seq }),
         arb_event().prop_map(Message::Publish),
+        (arb_node(), any::<u32>())
+            .prop_map(|(source, lease_ms)| Message::Prune { source, lease_ms }),
         arb_advertisement().prop_map(Message::Advertisement),
         arb_request().prop_map(Message::Discovery),
         (arb_uuid(), arb_node())
@@ -433,6 +435,49 @@ proptest! {
         let _ = nb_wire::decode_framed(&bytes.clone().into());
         let _ = nb_wire::frame::peek(&bytes);
         let _ = Message::from_bytes(&bytes[nb_wire::PRELUDE_LEN..]);
+    }
+
+    #[test]
+    fn prune_roundtrips_embeds_in_v2_and_rejects_damage(
+        source in arb_node(),
+        lease_ms in any::<u32>(),
+        base in any::<u64>(),
+        at in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        use nb_wire::symtab::{SymTabReader, SymTabWriter};
+        let msg = Message::Prune { source, lease_ms };
+        prop_assert_eq!(msg.kind(), "prune");
+        let body = msg.to_bytes();
+        prop_assert_eq!(body.len(), 9, "tag + node id + lease");
+        prop_assert_eq!(&full_decode_oracle(&body).unwrap(), &msg);
+        // No compact v2 layout: the v1 body travels behind the embed kind.
+        let mut w = nb_wire::WireWriter::new();
+        nb_wire::v2::encode_v2_body(&msg, base, &mut SymTabWriter::new(), &mut w);
+        let v2 = w.finish();
+        prop_assert_eq!(v2[0], nb_wire::v2::V2_EMBED_V1);
+        prop_assert_eq!(&v2[1..], &body[..]);
+        let mut r = nb_wire::WireReader::shared(&v2);
+        let back = nb_wire::v2::decode_v2_body(&mut r, base, &mut SymTabReader::new()).unwrap();
+        prop_assert_eq!(&back, &msg);
+        // Cut anywhere or followed by anything: a typed error.
+        let cut = at.index(body.len());
+        prop_assert!(matches!(
+            full_decode_oracle(&body[..cut]),
+            Err(nb_wire::WireError::UnexpectedEof)
+        ));
+        let mut trailing = body.to_vec();
+        trailing.push(0);
+        prop_assert!(full_decode_oracle(&trailing).is_err());
+        // One flipped bit: a `WireError` or some other message — in
+        // the tag another kind's damaged body, anywhere else another
+        // `Prune` — never this one, never a panic.
+        let mut flipped = body.to_vec();
+        let i = at.index(flipped.len());
+        flipped[i] ^= 1 << bit;
+        if let Ok(other) = full_decode_oracle(&flipped) {
+            prop_assert_ne!(other, msg);
+        }
     }
 
     // ---------------------------------------------- wire v2 codec -----

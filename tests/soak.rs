@@ -91,16 +91,49 @@ fn large_churning_overlay_keeps_every_entity_attached() {
         );
     }
 
-    // Crash five brokers, including some that entities are attached to.
-    let mut victims: Vec<NodeId> = entities
+    // The survivors of `dead` that the overlay still connects to `start`
+    // (links are not self-healing).
+    let component_of = |start: NodeId, dead: &[NodeId]| -> Vec<NodeId> {
+        let idx_of = |n: NodeId| brokers.iter().position(|&b| b == n);
+        let Some(start_idx) = idx_of(start) else { return vec![] };
+        let mut seen = [false; N_BROKERS];
+        let mut stack = vec![start_idx];
+        seen[start_idx] = true;
+        while let Some(i) = stack.pop() {
+            for nb in topo.neighbors(i) {
+                if !seen[nb] && !dead.contains(&brokers[nb]) {
+                    seen[nb] = true;
+                    stack.push(nb);
+                }
+            }
+        }
+        (0..N_BROKERS).filter(|&i| seen[i]).map(|i| brokers[i]).collect()
+    };
+
+    // Crash five brokers, brokers that entities are attached to first —
+    // but only ones the surviving overlay stays connected without, so
+    // that wherever the entities re-attach, round 2 below has
+    // subscribers to reach: which component the publisher lands in is
+    // not left to the seed.
+    let attached = entities.iter().filter_map(|&e| sim.actor::<Entity>(e).unwrap().broker());
+    let candidates: Vec<NodeId> = attached.chain(brokers.iter().copied()).collect();
+    let mut victims: Vec<NodeId> = Vec::new();
+    for candidate in candidates {
+        if victims.len() == 5 || victims.contains(&candidate) {
+            continue;
+        }
+        victims.push(candidate);
+        let survivor = *brokers.iter().find(|b| !victims.contains(b)).unwrap();
+        if component_of(survivor, &victims).len() != N_BROKERS - victims.len() {
+            victims.pop();
+        }
+    }
+    assert_eq!(victims.len(), 5);
+    let bereft = entities
         .iter()
-        .take(3)
-        .filter_map(|&e| sim.actor::<Entity>(e).unwrap().broker())
-        .collect();
-    victims.push(brokers[0]);
-    victims.push(brokers[N_BROKERS - 1]);
-    victims.sort_unstable();
-    victims.dedup();
+        .filter(|&&e| victims.contains(&sim.actor::<Entity>(e).unwrap().broker().unwrap()))
+        .count();
+    assert!(bereft >= 3, "the crashes must take some entities' brokers");
     for &v in &victims {
         sim.crash(v);
     }
@@ -116,27 +149,11 @@ fn large_churning_overlay_keeps_every_entity_attached() {
         assert!(!victims.contains(&broker), "{} attached to a corpse", sim.node_name(e));
     }
 
-    // Crashing five brokers may have split the overlay (links are not
-    // self-healing): a second round of traffic must reach exactly the
-    // entities whose brokers share the publisher's surviving component.
-    let component_of = |start: NodeId| -> Vec<NodeId> {
-        let idx_of = |n: NodeId| brokers.iter().position(|&b| b == n);
-        let Some(start_idx) = idx_of(start) else { return vec![] };
-        let mut seen = [false; N_BROKERS];
-        let mut stack = vec![start_idx];
-        seen[start_idx] = true;
-        while let Some(i) = stack.pop() {
-            for nb in topo.neighbors(i) {
-                if !seen[nb] && !victims.contains(&brokers[nb]) {
-                    seen[nb] = true;
-                    stack.push(nb);
-                }
-            }
-        }
-        (0..N_BROKERS).filter(|&i| seen[i]).map(|i| brokers[i]).collect()
-    };
+    // A second round of traffic must reach exactly the entities whose
+    // brokers share the publisher's surviving component — all of them,
+    // by the choice of victims.
     let pub_broker = sim.actor::<Entity>(entities[0]).unwrap().broker().unwrap();
-    let reachable = component_of(pub_broker);
+    let reachable = component_of(pub_broker, &victims);
     sim.actor_mut::<Entity>(entities[0])
         .unwrap()
         .queue_publish(Topic::parse("soak/round/2").unwrap(), vec![2]);
@@ -153,7 +170,7 @@ fn large_churning_overlay_keeps_every_entity_attached() {
             assert_eq!(got, 1, "{} is partitioned away; round 2 cannot arrive", sim.node_name(e));
         }
     }
-    assert!(in_component >= 1, "the component must contain other entities");
+    assert_eq!(in_component, N_ENTITIES - 1, "the survivors are one component");
 
     // Sanity on the system's bookkeeping.
     let stats = sim.stats();

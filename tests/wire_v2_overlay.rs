@@ -37,8 +37,9 @@ struct Run {
     duplicates_suppressed: u64,
     /// Sum of the virtual arrival times (µs) of every delivery to a
     /// subscriber. The counts above survive a permutation of the
-    /// latency draws (a flood forwards the same number of copies
-    /// whichever arrives first); this does not.
+    /// latency draws (the first event of a publisher floods, and a
+    /// flood forwards the same number of copies whichever arrives
+    /// first); this does not.
     arrival_micros: u64,
 }
 
@@ -50,7 +51,9 @@ fn run(wire_v2: bool) -> Run {
     }
     sim.enable_trace();
 
-    // A ring plus two chords: every event reaches most brokers twice.
+    // A ring plus two chords: a publisher's first event reaches most
+    // brokers twice, and what each duplicate prunes keeps the rest to
+    // one copy a broker.
     let mut edges = Topology::build(TopologyKind::Ring, BROKERS).edges().to_vec();
     edges.extend([(0, 3), (1, 4)]);
     let topo = Topology::from_edges(BROKERS, edges);
@@ -165,10 +168,12 @@ fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
     );
 
     // The pin. These move only if the codec's bytes, the flush's link
-    // order (hence its latency draws) or the epoch boundary changes.
+    // order (hence its latency draws), the epoch boundary or the frames
+    // brokers route (DESIGN.md §18 re-pinned it: fewer copies, a `Prune`
+    // per redundant link) change.
     assert_eq!(
         (v2.events_processed, v2.stats.bytes_delivered, v2.stats.segments_sent),
-        (4492, 20_000, 441),
+        (4366, 15_520, 315),
     );
-    assert_eq!(v2.arrival_micros, 883_379_161);
+    assert_eq!(v2.arrival_micros, 883_381_870);
 }
