@@ -63,13 +63,13 @@ const EVENTS_PER_PUBLISHER: usize = 40;
 const DELIVERIES: u64 = (PUBLISHERS * EVENTS_PER_PUBLISHER * 4) as u64;
 /// Allocations per delivery over the publishing window, everything in
 /// it counted — the harness queueing the events, clients, brokers,
-/// engine. The change that added this case reaches 1.72 under `cargo
-/// test` (2 205 in all); the budget is that plus 10 %. What it holds
+/// engine. The change that added this case reaches 1.74 under `cargo
+/// test` (2 221 in all); the budget is that plus 10 %. What it holds
 /// down: one allocation (the match set) for a topic's first event at a
 /// broker, none for its memo key; at most two a publisher a broker for
 /// route state; a `Prune` a lease per redundant link, not one per
 /// duplicate.
-const BUDGET_PER_DELIVERY: f64 = 1.89;
+const BUDGET_PER_DELIVERY: f64 = 1.91;
 
 /// An eight-broker ring with three chords, 64 subscribers over 16
 /// filters, boots and subscribes uncounted; then counts the window in

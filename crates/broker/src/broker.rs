@@ -16,7 +16,7 @@
 //! says otherwise, and the duplicate cache stays underneath as the
 //! safety net, so delivery never depends on the tree being right.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -178,10 +178,12 @@ struct SourceRoute {
     /// `Prune`, so the parents of a publisher's events chain back to its
     /// ingress broker through links nobody muted.
     parent: Option<NodeId>,
-    /// The neighbour the latest fresh copy came from.
+    /// The neighbour every fresh copy since `feed_since` came from.
     feed: Option<NodeId>,
-    /// When that copy arrived. One lease of silence later nothing here
-    /// can still be live and the entry counts as gone.
+    /// When the feed last changed hands: R4's hold-down counts from it.
+    feed_since: SimTime,
+    /// When the latest fresh copy arrived. One lease of silence later
+    /// nothing here can still be live and the entry counts as gone.
     last_fresh: SimTime,
     /// Indexed by link slot; allocated by the first lease written.
     leases: Vec<LinkLease>,
@@ -192,7 +194,10 @@ impl SourceRoute {
     /// parent.
     fn fresh_from(&mut self, neighbour: NodeId, now: SimTime) {
         self.parent.get_or_insert(neighbour);
-        self.feed = Some(neighbour);
+        if self.feed != Some(neighbour) {
+            self.feed = Some(neighbour);
+            self.feed_since = now;
+        }
         self.last_fresh = now;
     }
 
@@ -231,6 +236,8 @@ impl SourceRoute {
 #[derive(Debug, Default)]
 struct Routes {
     by_source: DenseNodeTable<SourceRoute>,
+    /// The publishers in `by_source`, oldest entry first.
+    order: VecDeque<NodeId>,
 }
 
 impl Routes {
@@ -247,16 +254,23 @@ impl Routes {
         Some(route)
     }
 
-    /// [`Routes::live`], creating the entry if need be. At `cap` sources
-    /// the one silent longest makes room — all it costs is that its
-    /// publisher's next event floods again.
+    /// [`Routes::live`], creating the entry if need be. At `cap`
+    /// publishers the oldest entry makes room, as in `BoundedDedup` —
+    /// all it costs is that its publisher's next event floods again.
     fn entry(&mut self, source: NodeId, now: SimTime, lease: Duration, cap: usize) -> &mut SourceRoute {
         if !self.by_source.contains_key(source) {
             if self.by_source.len() >= cap.max(1) {
-                let stalest = self.by_source.iter().min_by_key(|(_, r)| r.last_fresh).map(|(s, _)| s);
-                self.by_source.remove(stalest.expect("at capacity, so not empty"));
+                let oldest = self.order.pop_front().expect("at capacity, so not empty");
+                self.by_source.remove(oldest);
             }
-            let route = SourceRoute { parent: None, feed: None, last_fresh: now, leases: Vec::new() };
+            self.order.push_back(source);
+            let route = SourceRoute {
+                parent: None,
+                feed: None,
+                feed_since: now,
+                last_fresh: now,
+                leases: Vec::new(),
+            };
             self.by_source.insert(source, route);
         }
         self.live(source, now, lease).expect("present or just inserted")
@@ -414,11 +428,12 @@ impl Broker {
         ctx.send_stream_wire(well_known::BROKER, to, &wire);
     }
 
-    /// Call from the owning actor's `on_start`.
+    /// Call from the owning actor's `on_start` — which a runtime also
+    /// runs on a broker revived with its state kept, so every configured
+    /// neighbour is dialled the way [`Broker::link_to`] dials.
     pub fn on_start(&mut self, ctx: &mut dyn Context) {
         for peer in self.cfg.neighbors.clone() {
-            let hello = Message::LinkHello { from: ctx.me(), realm: ctx.realm() };
-            self.send_handshake(Endpoint::new(peer, well_known::BROKER), hello, ctx);
+            self.link_to(peer, ctx);
         }
         ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
     }
@@ -823,8 +838,8 @@ impl Broker {
     /// A copy of an event already routed arrived from `from`. When that
     /// is a link, the copy need not have been sent: R2 asks the link to
     /// stop, unless it is the publisher's parent or has been asked
-    /// within the lease; R4 moves the parent to the feed that now beats
-    /// it and asks the old parent instead.
+    /// within the lease; R4 moves the parent to a feed that has beaten
+    /// it for a whole lease and asks the old parent instead.
     fn duplicate_from(&mut self, msg: &WireMsg, from: NodeId, ctx: &mut dyn Context) {
         let Message::Publish(ev) = msg.message() else {
             return;
@@ -839,14 +854,14 @@ impl Broker {
         let routes = self.routes.get_or_insert_with(Default::default);
         let route = routes.entry(ev.source, now, lease, self.cfg.dedup_capacity);
         if route.parent == Some(from) {
-            // The guard: a feed that was itself asked to stop (the
-            // `Prune` may still be in flight) is about to go quiet, and
-            // muting the parent as well would leave no feed at all.
-            let asked = |n| {
-                self.links.get_with_slot(n).is_some_and(|(s, _)| route.lease(s).asked_until > now)
-            };
+            // The hold-down: a feed that won once may have been asked to
+            // stop (the `Prune` still in flight), or may be a neighbour
+            // about to take *this* broker for its parent on the strength
+            // of a copy sent it a moment ago. One that brought every
+            // fresh copy for a lease was neither asked nor sent anything
+            // in all that time.
             match route.feed {
-                Some(feed) if feed != from && !asked(feed) => {
+                Some(feed) if feed != from && now - route.feed_since >= lease => {
                     route.parent = Some(feed);
                     self.reparented += 1;
                 }
@@ -1256,6 +1271,45 @@ mod tests {
         assert!(sim.actor::<Redialler>(b).unwrap().broker.interest_filters().is_empty());
     }
 
+    #[test]
+    fn a_dialler_revived_with_its_state_starts_its_links_over_on_both_sides() {
+        use crate::client::PubSubClient;
+        let mut sim = quiet_sim();
+        let ids = overlay(&mut sim, &[&[], &[0]]);
+        let (a, b) = (ids[0], ids[1]);
+        let at_a = TopicFilter::parse("at/a").unwrap();
+        let at_b = TopicFilter::parse("at/b").unwrap();
+        let sub_a =
+            sim.add_node("sa", RealmId(0), Box::new(PubSubClient::new(a, vec![at_a.clone()])));
+        let sub_b =
+            sim.add_node("sb", RealmId(0), Box::new(PubSubClient::new(b, vec![at_b.clone()])));
+        let publisher = sim.add_node("pub", RealmId(0), Box::new(PubSubClient::new(a, vec![])));
+        sim.run_for(Duration::from_secs(2));
+        // `b` is down for two seconds — `a` misses no heartbeat deadline
+        // — and is back with all it knew, its `on_start` run again: the
+        // hello resets the link at `a`, so `b` must have reset it too, or
+        // it would neither re-advertise nor take `a`'s filters as new.
+        sim.crash(b);
+        sim.run_for(Duration::from_secs(2));
+        sim.restart(b, false);
+        sim.run_for(Duration::from_secs(2));
+        assert!(broker(&sim, a).is_linked(b) && broker(&sim, b).is_linked(a));
+        let filters = vec![at_a.clone(), at_b.clone()];
+        assert_eq!(broker(&sim, a).interest_filters(), filters, "b advertised again");
+        assert_eq!(broker(&sim, b).interest_filters(), filters);
+        sim.actor_mut::<PubSubClient>(publisher)
+            .unwrap()
+            .queue_publish(Topic::parse("at/b").unwrap(), vec![1]);
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(sim.actor::<PubSubClient>(sub_b).unwrap().received.len(), 1);
+        // Registered once each way: one withdrawal and it is gone.
+        say(&mut sim, sub_a, a, Message::ClientUnsubscribe { filter: at_a });
+        assert_eq!(broker(&sim, b).interest_filters(), vec![at_b.clone()]);
+        say(&mut sim, sub_b, b, Message::ClientUnsubscribe { filter: at_b });
+        assert!(broker(&sim, a).interest_filters().is_empty());
+        assert!(broker(&sim, b).interest_filters().is_empty());
+    }
+
     /// A stand-in neighbour: keeps what the broker under test sends it.
     #[derive(Default)]
     struct Peer {
@@ -1377,10 +1431,11 @@ mod tests {
             route.lease_mut(1, 3).muted_until = at(u64::from(source)) + lease;
         }
         assert!(routes.live(NodeId(9), at(3), lease).is_none(), "reading creates nothing");
-        // A fifth publisher: the one silent longest makes room.
+        // A fifth publisher: the oldest entry makes room.
         routes.entry(NodeId(4), at(4), lease, 4);
         assert_eq!(routes.by_source.len(), 4);
         assert!(routes.by_source.get(NodeId(0)).is_none());
+        assert_eq!(routes.order, [1, 2, 3, 4].map(NodeId));
         // Heard of within the lease: kept as it is. Later: blank.
         let kept = routes.live(NodeId(1), at(7), lease).unwrap();
         assert_eq!(kept.parent, Some(NodeId(101)));

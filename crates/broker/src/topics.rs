@@ -24,12 +24,12 @@
 //! heartbeats, advertisements and discovery floods republished on the
 //! same few well-known topics — therefore routes with **zero allocation
 //! and zero trie walk**, and the first event on a topic allocates its
-//! match set and nothing else: the key is the topic's segment ids held
-//! inline ([`MemoKey`]). The memo is invalidated precisely: a
-//! subscribe/unsubscribe that changes membership (first registration or
-//! last withdrawal of a filter at a destination) drops exactly the memo
-//! entries whose topic that filter matches; refcount-only changes keep
-//! the memo intact.
+//! match set and nothing else: the key holds the topic's segment ids
+//! inline ([`MemoKey`]; boxed past five). The memo is invalidated
+//! precisely: a subscribe/unsubscribe that changes membership (first
+//! registration or last withdrawal of a filter at a destination) drops
+//! exactly the memo entries whose topic that filter matches;
+//! refcount-only changes keep the memo intact.
 //!
 //! # Determinism
 //!
@@ -40,6 +40,7 @@
 //! with interning order but never reach the output: trie edges are
 //! looked up by key, never iterated into results.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -50,27 +51,61 @@ use nb_wire::{NodeId, SegId, Topic, TopicFilter};
 /// expected working set is a handful of well-known topics).
 const MEMO_CAP: usize = 1024;
 
-/// Deepest topic the memo holds. Every well-known topic is three
-/// segments deep; a deeper one than this is matched by a trie walk on
-/// every event, exactly as a cold miss is.
-const MEMO_DEPTH: usize = 6;
+/// Segment ids a [`MemoKey`] holds inline: with their count they fill
+/// the 24 bytes a boxed slice and the variant tag take anyway.
+const MEMO_INLINE: usize = 5;
 
-/// A memo key: a topic's segment ids, inline, so that caching a match
-/// set costs no allocation beyond the set. A shallower topic ends at
-/// the first [`SegId::STAR`], an id no concrete topic contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct MemoKey([SegId; MEMO_DEPTH]);
+/// A memo key: a topic's segment ids — inline up to [`MEMO_INLINE`] of
+/// them (every well-known topic is three deep), so that caching a match
+/// set costs no allocation beyond the set, and boxed past that, as all
+/// of them used to be. Compared and ordered as the ids it holds, so a
+/// lookup borrows the topic's own and builds no key.
+#[derive(Debug, Clone)]
+enum MemoKey {
+    Inline(u8, [SegId; MEMO_INLINE]),
+    Boxed(Box<[SegId]>),
+}
 
 impl MemoKey {
-    fn of(topic: &[SegId]) -> Option<MemoKey> {
-        let mut ids = [SegId::STAR; MEMO_DEPTH];
-        ids.get_mut(..topic.len())?.copy_from_slice(topic);
-        Some(MemoKey(ids))
+    fn of(topic: &[SegId]) -> MemoKey {
+        let mut ids = [SegId::STAR; MEMO_INLINE];
+        match ids.get_mut(..topic.len()) {
+            Some(head) => {
+                head.copy_from_slice(topic);
+                MemoKey::Inline(topic.len() as u8, ids)
+            }
+            None => MemoKey::Boxed(topic.into()),
+        }
     }
 
     fn ids(&self) -> &[SegId] {
-        let len = self.0.iter().position(|&id| id == SegId::STAR).unwrap_or(MEMO_DEPTH);
-        &self.0[..len]
+        match self {
+            MemoKey::Inline(len, ids) => &ids[..usize::from(*len)],
+            MemoKey::Boxed(ids) => ids,
+        }
+    }
+}
+
+impl Borrow<[SegId]> for MemoKey {
+    fn borrow(&self) -> &[SegId] {
+        self.ids()
+    }
+}
+
+impl PartialEq for MemoKey {
+    fn eq(&self, other: &MemoKey) -> bool {
+        self.ids() == other.ids()
+    }
+}
+impl Eq for MemoKey {}
+impl PartialOrd for MemoKey {
+    fn partial_cmp(&self, other: &MemoKey) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for MemoKey {
+    fn cmp(&self, other: &MemoKey) -> std::cmp::Ordering {
+        self.ids().cmp(other.ids())
     }
 }
 
@@ -254,8 +289,7 @@ impl SubscriptionTable {
     /// ordering contract is identical to the pre-trie linear scan:
     /// distinct destinations in `Destination` order.
     pub fn matches(&mut self, topic: &Topic) -> Arc<[Destination]> {
-        let key = MemoKey::of(topic.seg_ids());
-        if let Some(hit) = key.and_then(|key| self.memo.get(&key)) {
+        if let Some(hit) = self.memo.get(topic.seg_ids()) {
             return Arc::clone(hit);
         }
         let mut out = std::mem::take(&mut self.scratch);
@@ -265,12 +299,10 @@ impl SubscriptionTable {
         out.dedup();
         let set: Arc<[Destination]> = out.as_slice().into();
         self.scratch = out;
-        if let Some(key) = key {
-            if self.memo.len() >= MEMO_CAP {
-                self.memo.clear();
-            }
-            self.memo.insert(key, Arc::clone(&set));
+        if self.memo.len() >= MEMO_CAP {
+            self.memo.clear();
         }
+        self.memo.insert(MemoKey::of(topic.seg_ids()), Arc::clone(&set));
         set
     }
 
@@ -474,19 +506,24 @@ mod tests {
     }
 
     #[test]
-    fn topics_deeper_than_the_memo_key_match_without_it() {
+    fn topics_too_deep_for_the_inline_key_are_memoized_all_the_same() {
+        assert_eq!(std::mem::size_of::<MemoKey>(), 24, "what the boxed variant needs anyway");
         let mut tab = SubscriptionTable::new();
         let c = Destination::Client(NodeId(1));
         tab.subscribe(c, f("d/**"));
-        let at_cap = t("d/1/2/3/4/5");
-        let deeper = t("d/1/2/3/4/5/6");
-        assert_eq!(tab.matches(&at_cap).to_vec(), vec![c]);
-        assert_eq!(tab.memo_len(), 1);
-        assert_eq!(tab.matches(&deeper).to_vec(), vec![c]);
-        assert_eq!(tab.memo_len(), 1, "seven segments do not fit the inline key");
+        let inline = t("d/1/2/3/4");
+        let boxed = t("d/1/2/3/4/5");
+        assert!(matches!(MemoKey::of(inline.seg_ids()), MemoKey::Inline(5, _)));
+        assert!(matches!(MemoKey::of(boxed.seg_ids()), MemoKey::Boxed(_)));
+        for topic in [&inline, &boxed, &t("d/1/2/3/4/5/6/7/8")] {
+            let first = tab.matches(topic);
+            assert_eq!(first.to_vec(), vec![c]);
+            assert!(Arc::ptr_eq(&first, &tab.matches(topic)), "{topic}: the second lookup is a hit");
+        }
+        assert_eq!(tab.memo_len(), 3);
         assert!(tab.unsubscribe(c, &f("d/**")));
-        assert!(tab.matches(&at_cap).is_empty(), "invalidation reads the inline ids");
-        assert!(tab.matches(&deeper).is_empty());
+        assert_eq!(tab.memo_len(), 0, "invalidation reads either kind of key");
+        assert!(tab.matches(&inline).is_empty() && tab.matches(&boxed).is_empty());
     }
 
     #[test]

@@ -509,23 +509,117 @@ fn a_prune_in_flight_when_the_faster_feed_flips_never_mutes_both_feeds() {
     // l's next copy was sent before the prune reached it, and this time
     // it wins. Muting m now would leave no feed once l complies.
     copies(&mut sim, &[l, m]);
-    assert_eq!(broker(&sim), (Some(m), 1, 0), "R4's guard: l has been asked, m stays");
+    assert_eq!(broker(&sim), (Some(m), 1, 0), "R4's hold-down: l won once, and has been asked; m stays");
     copies(&mut sim, &[m, l]);
     assert_eq!(broker(&sim), (Some(m), 1, 0), "one ask a lease, however many duplicates");
 
-    // l complies. A lease on its mute has lapsed, and by now it is the
-    // faster feed for good: the parent moves, and it is m that is asked.
+    // l complies. A lease on, its mute has lapsed and it is the faster
+    // feed. Winning once proves nothing — that is how the race above
+    // began; winning for a whole lease does: the parent moves, and it is
+    // m that is asked.
     for _ in 0..3 {
         sim.run_for(Duration::from_secs(2));
         say(&mut sim, l, x, Message::Heartbeat { from: l, seq: 0 });
         copies(&mut sim, &[m]);
     }
     copies(&mut sim, &[l, m]);
-    assert_eq!(broker(&sim), (Some(l), 2, 1), "R4: re-parented to the feed that beats the parent");
+    assert_eq!(broker(&sim), (Some(m), 1, 0), "R4's hold-down: one win moves nothing");
+    for _ in 0..3 {
+        sim.run_for(Duration::from_secs(2));
+        copies(&mut sim, &[l, m]);
+    }
+    assert_eq!(broker(&sim), (Some(l), 2, 1), "R4: re-parented to the feed that beat the parent for a lease");
     copies(&mut sim, &[l, m]);
     assert_eq!(broker(&sim), (Some(l), 2, 1), "m has been asked; its copies in flight change nothing");
     let got: Vec<u64> = sim.actor::<Station>(sub).unwrap().got.iter().map(|d| d.seq).collect();
-    assert_eq!(got, (0..8).collect::<Vec<u64>>(), "the subscriber saw every event once");
+    assert_eq!(got, (0..11).collect::<Vec<u64>>(), "the subscriber saw every event once");
+}
+
+/// A stand-in ingress broker: keeps who sent it a `Prune`.
+#[derive(Default)]
+struct Ingress {
+    pruned_by: Vec<NodeId>,
+}
+
+impl Actor for Ingress {
+    fn on_incoming(&mut self, event: Incoming, _ctx: &mut dyn Context) {
+        if let Incoming::Stream { from, msg, .. } = event {
+            if matches!(msg.message(), Message::Prune { .. }) {
+                self.pruned_by.push(from.node);
+            }
+        }
+    }
+
+    impl_actor_any!();
+}
+
+#[test]
+fn two_neighbours_that_each_beat_the_ingress_once_never_take_each_other_for_parent() {
+    let mut sim = Sim::with_clock_profile(50, ClockProfile::perfect());
+    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
+    // A triangle with no fault anywhere: brokers `a` and `b`, linked, a
+    // subscriber on each, and their common upstream `i` played by hand.
+    let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
+    let cfg = BrokerConfig { neighbors: vec![a], ..BrokerConfig::default() };
+    let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(cfg)));
+    let subs = [a, b].map(|x| sim.add_node("s", RealmId(0), Box::new(Station::subscriber(x))));
+    let i = sim.add_node("i", RealmId(0), Box::new(Ingress::default()));
+    let source = NodeId(900);
+    sim.run_for(Duration::from_secs(1));
+    for x in [a, b] {
+        say(&mut sim, i, x, Message::LinkHello { from: i, realm: RealmId(0) });
+    }
+    let mut seq = 0u64;
+    // The next event: `i`'s copies to `first`, all at once, and 50 ms
+    // later — the neighbour's copy has crossed by then — to `then`.
+    let mut publish = |sim: &mut Sim, first: &[NodeId], then: &[NodeId]| {
+        let mut payload = seq.to_le_bytes().to_vec();
+        payload.extend_from_slice(&sim.now().as_nanos().to_le_bytes());
+        let topic = Topic::parse("feed/x").unwrap();
+        let ev = Event { id: Uuid::from_u128(seq.into()), topic, source, payload: payload.into() };
+        seq += 1;
+        let from = Endpoint::new(i, well_known::BROKER);
+        for wave in [first, then] {
+            for &to in wave {
+                let msg = Message::Publish(ev.clone()).into();
+                sim.inject(to, Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg });
+            }
+            sim.run_for(Duration::from_millis(50));
+        }
+    };
+    let state = |sim: &Sim, x: NodeId| {
+        let broker = &sim.actor::<BrokerActor>(x).unwrap().broker;
+        (broker.route_parent(source), broker.prunes_sent, broker.reparented)
+    };
+
+    // `i` feeds both; their copies to each other are duplicates, and
+    // each asks the other to stop for a lease.
+    publish(&mut sim, &[a, b], &[]);
+    for _ in 0..2 {
+        sim.run_for(Duration::from_secs(2));
+        publish(&mut sim, &[a, b], &[]);
+    }
+    assert_eq!((state(&sim, a), state(&sim, b)), ((Some(i), 1, 0), (Some(i), 1, 0)));
+    // Both mutes lapse together. The next event reaches `a` through `b`
+    // first: were `a` to move to `b` now and prune `i` …
+    sim.run_for(Duration::from_secs(2));
+    publish(&mut sim, &[b], &[a]);
+    // … then with that `Prune` in flight, the event after — `i`'s copy
+    // fresh at `a`, forwarded, and at `b` ahead of `i`'s own — would
+    // move `b` to `a`: each the other's parent, `i` muting both, and
+    // both subscribers starved until a lease runs out.
+    publish(&mut sim, &[a], &[b]);
+    assert!(sim.actor::<Ingress>(i).unwrap().pruned_by.is_empty(), "the only real feed was asked to stop");
+    assert_eq!((state(&sim, a), state(&sim, b)), ((Some(i), 1, 0), (Some(i), 1, 0)));
+    // The copies that crossed were fresh, so nobody was asked anything;
+    // the next pair of duplicates renews the asks, as every lease does.
+    publish(&mut sim, &[a, b], &[]);
+    assert_eq!((state(&sim, a), state(&sim, b)), ((Some(i), 2, 0), (Some(i), 2, 0)));
+    assert!(sim.actor::<Ingress>(i).unwrap().pruned_by.is_empty());
+    for sub in subs {
+        let got: Vec<u64> = sim.actor::<Station>(sub).unwrap().got.iter().map(|d| d.seq).collect();
+        assert_eq!(got, (0..6).collect::<Vec<u64>>(), "every event, once");
+    }
 }
 
 // proptest ------------------------------------------------------------
