@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 
+use nb_bench::campaign::{run_campaign_with_workers, CampaignStats};
 use nb_bench::*;
 use nb_broker::TopologyKind;
 
@@ -515,9 +516,48 @@ fn campaign_workers(args: &Args) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(16)))
 }
 
-/// Ends a campaign command: exit 1 when an invariant failed.
-fn campaign_verdict(campaign: &str, passed: bool) {
-    if !passed {
+/// Runs a fault campaign and prints its table: the columns every
+/// campaign has, two of its own (`extra`: header and width; `cells`: a
+/// scenario's values), each failed invariant, then the verdict — exit 1
+/// when an invariant failed.
+fn run_campaign<S: CampaignStats>(
+    args: &Args,
+    name_width: usize,
+    extra: [(&str, usize); 2],
+    cells: impl Fn(&S) -> [String; 2],
+) {
+    let workers = campaign_workers(args);
+    let report = run_campaign_with_workers::<S>(args.seed, args.scenarios.max(1), workers);
+    let campaign = S::CAMPAIGN;
+    println!(
+        "=== {}{} campaign: {} scenarios from base seed {}, {} workers ===",
+        campaign[..1].to_uppercase(),
+        &campaign[1..],
+        report.scenarios.len(),
+        report.base_seed,
+        workers
+    );
+    let [(h0, w0), (h1, w1)] = extra;
+    println!(
+        "{:<name_width$} {:>6} {:>8} {:>18} {h0:>w0$} {h1:>w1$} {:>7}",
+        "scenario", "seed", "faults", "plan digest", "verdict"
+    );
+    for s in &report.scenarios {
+        let [c0, c1] = cells(&s.stats);
+        println!(
+            "{:<name_width$} {:>6} {:>8} {:>18} {c0:>w0$} {c1:>w1$} {:>7}",
+            s.name,
+            s.seed,
+            s.faults,
+            format!("{:016x}", s.plan_digest),
+            if s.passed() { "PASS" } else { "FAIL" }
+        );
+        for inv in s.invariants.iter().filter(|i| !i.passed) {
+            println!("    [FAIL] {}: {}", inv.name, inv.detail);
+        }
+    }
+    write_report(args, report.to_json());
+    if !report.passed() {
         eprintln!("{campaign} campaign FAILED");
         std::process::exit(1);
     }
@@ -525,69 +565,21 @@ fn campaign_verdict(campaign: &str, passed: bool) {
 }
 
 fn run_chaos(_: &str, args: &Args) {
-    let workers = campaign_workers(args);
-    let report =
-        nb_bench::chaos::run_campaign_with_workers(args.seed, args.scenarios.max(1), workers);
-    println!(
-        "=== Chaos campaign: {} scenarios from base seed {}, {} workers ===",
-        report.scenarios.len(),
-        report.base_seed,
-        workers
+    run_campaign::<nb_bench::chaos::ScenarioStats>(
+        args,
+        20,
+        [("failovers", 10), ("stale", 8)],
+        |s| [s.failovers.to_string(), s.stale_targets_skipped.to_string()],
     );
-    println!(
-        "{:<20} {:>6} {:>8} {:>18} {:>10} {:>8} {:>7}",
-        "scenario", "seed", "faults", "plan digest", "failovers", "stale", "verdict"
-    );
-    for s in &report.scenarios {
-        println!(
-            "{:<20} {:>6} {:>8} {:>18} {:>10} {:>8} {:>7}",
-            s.name,
-            s.seed,
-            s.faults,
-            format!("{:016x}", s.plan_digest),
-            s.failovers,
-            s.stale_targets_skipped,
-            if s.passed() { "PASS" } else { "FAIL" }
-        );
-        for inv in s.invariants.iter().filter(|i| !i.passed) {
-            println!("    [FAIL] {}: {}", inv.name, inv.detail);
-        }
-    }
-    write_report(args, report.to_json());
-    campaign_verdict("chaos", report.passed());
 }
 
 fn run_federation(_: &str, args: &Args) {
-    let workers = campaign_workers(args);
-    let report =
-        nb_bench::federation::run_campaign_with_workers(args.seed, args.scenarios.max(1), workers);
-    println!(
-        "=== Federation campaign: {} scenarios from base seed {}, {} workers ===",
-        report.scenarios.len(),
-        report.base_seed,
-        workers
+    run_campaign::<nb_bench::federation::ScenarioStats>(
+        args,
+        26,
+        [("attached", 9), ("conv.rds", 9)],
+        |s| [format!("{}/{}", s.attached, s.total_entities), s.convergence_rounds.to_string()],
     );
-    println!(
-        "{:<26} {:>6} {:>8} {:>18} {:>9} {:>9} {:>7}",
-        "scenario", "seed", "faults", "plan digest", "attached", "conv.rds", "verdict"
-    );
-    for s in &report.scenarios {
-        println!(
-            "{:<26} {:>6} {:>8} {:>18} {:>9} {:>9} {:>7}",
-            s.name,
-            s.seed,
-            s.faults,
-            format!("{:016x}", s.plan_digest),
-            format!("{}/{}", s.attached, s.total_entities),
-            s.convergence_rounds,
-            if s.passed() { "PASS" } else { "FAIL" }
-        );
-        for inv in s.invariants.iter().filter(|i| !i.passed) {
-            println!("    [FAIL] {}: {}", inv.name, inv.detail);
-        }
-    }
-    write_report(args, report.to_json());
-    campaign_verdict("federation", report.passed());
 }
 
 /// `repro scale`: the JSON carries no wall-clock or worker field (the
@@ -682,7 +674,7 @@ fn run_lint(_: &str, args: &Args) {
     let Some(root) = nb_lint::find_workspace_root(&cwd) else {
         fail(&format!("repro lint: no workspace root found from {}", cwd.display()));
     };
-    let report = nb_lint::run_root(&root, &root.join(nb_lint::BASELINE_REL))
+    let report = nb_lint::run_root(&root)
         .unwrap_or_else(|e| fail(&format!("repro lint: scan failed: {e}")));
     print!("{}", report.render_human());
     write_report(args, report.to_json());

@@ -27,6 +27,7 @@
 
 use std::time::Duration;
 
+use crate::campaign::{CampaignStats, InvariantResult};
 use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_discovery::bdn::{Bdn, BdnConfig};
 use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
@@ -168,32 +169,10 @@ pub fn acceptance_plan(dep: &ChaosDeployment) -> FaultPlan {
     .sorted()
 }
 
-/// One invariant checker's verdict.
+/// The chaos campaign's own counters for one scenario (the three
+/// invariants are `attached`, `no_duplicates`, `fresh_leases`).
 #[derive(Debug, Clone)]
-pub struct InvariantResult {
-    /// Checker name (`attached`, `no_duplicates`, `fresh_leases`).
-    pub name: &'static str,
-    /// Whether the invariant held.
-    pub passed: bool,
-    /// Deterministic evidence (counts and node names, no wall time).
-    pub detail: String,
-}
-
-/// Everything one scenario run produced.
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// Scenario name (`scripted_bdn_loss` or `generated_<profile>`).
-    pub name: String,
-    /// The seed the deployment and (for generated plans) the schedule
-    /// were drawn from.
-    pub seed: u64,
-    /// Faults in the installed plan.
-    pub faults: usize,
-    /// FNV-1a digest of the plan's canonical description — two runs
-    /// with the same seed must agree on this before anything else.
-    pub plan_digest: u64,
-    /// The three invariant verdicts.
-    pub invariants: Vec<InvariantResult>,
+pub struct ScenarioStats {
     /// Rediscoveries entities performed because a broker went silent.
     pub failovers: u64,
     /// Injection targets the BDN skipped over expired/absent leases.
@@ -212,75 +191,50 @@ pub struct ScenarioResult {
     pub unreachable_partitioned: u64,
 }
 
-impl ScenarioResult {
-    /// Did every invariant hold?
-    pub fn passed(&self) -> bool {
-        self.invariants.iter().all(|i| i.passed)
-    }
-}
+/// Everything one chaos scenario run produced.
+pub type ScenarioResult = crate::campaign::ScenarioResult<ScenarioStats>;
+/// A whole chaos campaign.
+pub type CampaignReport = crate::campaign::CampaignReport<ScenarioStats>;
 
-/// A whole campaign: scenario 0 scripted, the rest generated.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Base seed; scenario `i` runs under `base_seed + i`.
-    pub base_seed: u64,
-    /// Per-scenario outcomes.
-    pub scenarios: Vec<ScenarioResult>,
-}
+impl CampaignStats for ScenarioStats {
+    const CAMPAIGN: &'static str = "chaos";
 
-impl CampaignReport {
-    /// Did every scenario pass every invariant?
-    pub fn passed(&self) -> bool {
-        self.scenarios.iter().all(|s| s.passed())
-    }
-
-    /// Renders the campaign as JSON. Deliberately free of wall-clock
-    /// fields: the report is a pure function of the base seed, which
-    /// the determinism tests assert byte-for-byte.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"campaign\": \"chaos\",\n");
-        out.push_str(&format!("  \"base_seed\": {},\n", self.base_seed));
-        out.push_str(&format!("  \"scenarios\": {},\n", self.scenarios.len()));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str("  \"results\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"seed\": {}, \"faults\": {}, \
-                 \"plan_digest\": \"{:016x}\", \"passed\": {},\n",
-                s.name, s.seed, s.faults, s.plan_digest, s.passed()
-            ));
-            out.push_str("     \"invariants\": [\n");
-            for (j, inv) in s.invariants.iter().enumerate() {
-                out.push_str(&format!(
-                    "       {{\"name\": \"{}\", \"passed\": {}, \"detail\": \"{}\"}}{}\n",
-                    inv.name,
-                    inv.passed,
-                    inv.detail.replace('\\', "\\\\").replace('"', "\\\""),
-                    if j + 1 < s.invariants.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("     ],\n");
-            out.push_str(&format!(
-                "     \"stats\": {{\"failovers\": {}, \"stale_targets_skipped\": {}, \
-                 \"duplicate_requests\": {}, \"registry_len\": {}, \
-                 \"datagrams_duplicated\": {}, \"datagrams_corrupted\": {}, \
-                 \"datagrams_reordered\": {}, \"unreachable_partitioned\": {}}}}}{}\n",
-                s.failovers,
-                s.stale_targets_skipped,
-                s.duplicate_requests,
-                s.registry_len,
-                s.datagrams_duplicated,
-                s.datagrams_corrupted,
-                s.datagrams_reordered,
-                s.unreachable_partitioned,
-                if i + 1 < self.scenarios.len() { "," } else { "" },
-            ));
+    /// Scenario 0 is the scripted acceptance plan, scenario `i > 0`
+    /// draws a randomized plan from seed `base_seed + i`, alternating
+    /// the light and heavy profiles.
+    fn run_scenario(base_seed: u64, i: usize) -> ScenarioResult {
+        let seed = base_seed.wrapping_add(i as u64);
+        if i == 0 {
+            run_scenario("scripted_bdn_loss", seed, &acceptance_plan)
+        } else {
+            let profile = if i % 2 == 1 { ChaosProfile::light() } else { ChaosProfile::heavy() };
+            let name = if i % 2 == 1 { "generated_light" } else { "generated_heavy" };
+            run_scenario(name, seed, &move |dep: &ChaosDeployment| {
+                let targets = ChaosTargets {
+                    bdns: vec![dep.bdn],
+                    brokers: dep.brokers.clone(),
+                    clients: dep.entities.clone(),
+                };
+                FaultPlan::generate(seed, &profile, &targets, GEN_HORIZON)
+            })
         }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&format!(
+            "     \"stats\": {{\"failovers\": {}, \"stale_targets_skipped\": {}, \
+             \"duplicate_requests\": {}, \"registry_len\": {}, \
+             \"datagrams_duplicated\": {}, \"datagrams_corrupted\": {}, \
+             \"datagrams_reordered\": {}, \"unreachable_partitioned\": {}}}",
+            self.failovers,
+            self.stale_targets_skipped,
+            self.duplicate_requests,
+            self.registry_len,
+            self.datagrams_duplicated,
+            self.datagrams_corrupted,
+            self.datagrams_reordered,
+            self.unreachable_partitioned,
+        ));
     }
 }
 
@@ -405,64 +359,19 @@ pub fn run_scenario(name: &str, seed: u64, make_plan: &dyn Fn(&ChaosDeployment) 
             InvariantResult { name: "no_duplicates", passed: dedup_ok, detail: dedup_detail },
             InvariantResult { name: "fresh_leases", passed: lease_ok, detail: lease_detail },
         ],
-        failovers,
-        stale_targets_skipped: bdn_actor.stale_targets_skipped,
-        duplicate_requests: bdn_actor.duplicate_requests,
-        // Live leases only (`live_entries`), so an entry whose lease
-        // lapsed between sweep timers is never reported as present.
-        registry_len: bdn_actor.live_entries(now),
-        datagrams_duplicated: stats.datagrams_duplicated,
-        datagrams_corrupted: stats.datagrams_corrupted,
-        datagrams_reordered: stats.datagrams_reordered,
-        unreachable_partitioned: stats.unreachable_partitioned,
+        stats: ScenarioStats {
+            failovers,
+            stale_targets_skipped: bdn_actor.stale_targets_skipped,
+            duplicate_requests: bdn_actor.duplicate_requests,
+            // Live leases only (`live_entries`), so an entry whose lease
+            // lapsed between sweep timers is never reported as present.
+            registry_len: bdn_actor.live_entries(now),
+            datagrams_duplicated: stats.datagrams_duplicated,
+            datagrams_corrupted: stats.datagrams_corrupted,
+            datagrams_reordered: stats.datagrams_reordered,
+            unreachable_partitioned: stats.unreachable_partitioned,
+        },
     }
-}
-
-/// Runs scenario `i` of a campaign rooted at `base_seed`: scenario 0
-/// is the scripted acceptance plan, scenario `i > 0` draws a
-/// randomized plan from seed `base_seed + i`, alternating the light
-/// and heavy profiles. Each scenario is a pure function of
-/// `(base_seed, i)` alone — the property that lets campaigns shard
-/// across worker threads without changing a byte of the report.
-pub fn run_campaign_scenario(base_seed: u64, i: usize) -> ScenarioResult {
-    let seed = base_seed.wrapping_add(i as u64);
-    if i == 0 {
-        run_scenario("scripted_bdn_loss", seed, &acceptance_plan)
-    } else {
-        let profile = if i % 2 == 1 { ChaosProfile::light() } else { ChaosProfile::heavy() };
-        let name = if i % 2 == 1 { "generated_light" } else { "generated_heavy" };
-        run_scenario(name, seed, &move |dep: &ChaosDeployment| {
-            let targets = ChaosTargets {
-                bdns: vec![dep.bdn],
-                brokers: dep.brokers.clone(),
-                clients: dep.entities.clone(),
-            };
-            FaultPlan::generate(seed, &profile, &targets, GEN_HORIZON)
-        })
-    }
-}
-
-/// Runs a campaign of `scenarios` runs from `base_seed`: scenario 0 is
-/// the scripted acceptance plan, scenario `i > 0` draws a randomized
-/// plan from seed `base_seed + i`, alternating the light and heavy
-/// profiles.
-pub fn run_campaign(base_seed: u64, scenarios: usize) -> CampaignReport {
-    run_campaign_with_workers(base_seed, scenarios, 1)
-}
-
-/// Scenario-parallel campaign: scenarios are independent deployments,
-/// so they shard across `workers` threads and merge back in scenario
-/// order. The report is a pure function of `(base_seed, scenarios)` —
-/// byte-identical for every worker count — which the worker-pinned
-/// digest test in `tests/chaos_campaign.rs` asserts at 1 and 4 workers.
-pub fn run_campaign_with_workers(
-    base_seed: u64,
-    scenarios: usize,
-    workers: usize,
-) -> CampaignReport {
-    let results = crate::parallel::ParallelExecutor::with_workers(workers)
-        .run(scenarios, |i| run_campaign_scenario(base_seed, i));
-    CampaignReport { base_seed, scenarios: results }
 }
 
 #[cfg(test)]
@@ -486,8 +395,9 @@ mod tests {
         for inv in &r.invariants {
             assert!(inv.passed, "{} failed: {}", inv.name, inv.detail);
         }
-        assert!(r.failovers >= N_ENTITIES as u64, "every entity failed over: {}", r.failovers);
-        assert_eq!(r.registry_len, N_BROKERS, "all brokers re-leased after the wave");
-        assert!(r.datagrams_duplicated > 0, "the packet window injected duplicates");
+        let stats = &r.stats;
+        assert!(stats.failovers >= N_ENTITIES as u64, "every entity failed over: {stats:?}");
+        assert_eq!(stats.registry_len, N_BROKERS, "all brokers re-leased after the wave");
+        assert!(stats.datagrams_duplicated > 0, "the packet window injected duplicates");
     }
 }

@@ -36,6 +36,7 @@
 
 use std::time::Duration;
 
+use crate::campaign::{CampaignStats, InvariantResult};
 use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_discovery::bdn::{Bdn, BdnConfig};
 use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
@@ -220,17 +221,6 @@ pub fn acceptance_plan(dep: &FederationDeployment) -> FaultPlan {
         .sorted()
 }
 
-/// One invariant checker's verdict.
-#[derive(Debug, Clone)]
-pub struct InvariantResult {
-    /// Checker name (`attached`, `cross_bdn_convergence`, `no_resurrection`).
-    pub name: &'static str,
-    /// Whether the invariant held.
-    pub passed: bool,
-    /// Deterministic evidence (counts and node names, no wall time).
-    pub detail: String,
-}
-
 /// Federation counters reported for one BDN.
 #[derive(Debug, Clone)]
 pub struct BdnReport {
@@ -246,20 +236,11 @@ pub struct BdnReport {
     pub malformed_messages: u64,
 }
 
-/// Everything one scenario run produced.
+/// The federation campaign's own counters for one scenario (the three
+/// invariants are `attached`, `cross_bdn_convergence`,
+/// `no_resurrection`).
 #[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// Scenario name (`scripted_bdn_federation_loss` or `generated_<profile>`).
-    pub name: String,
-    /// The seed the deployment and (for generated plans) the schedule
-    /// were drawn from.
-    pub seed: u64,
-    /// Faults in the installed plan.
-    pub faults: usize,
-    /// FNV-1a digest of the plan's canonical description.
-    pub plan_digest: u64,
-    /// The three invariant verdicts.
-    pub invariants: Vec<InvariantResult>,
+pub struct ScenarioStats {
     /// Anti-entropy rounds of quiescence it took for every live BDN to
     /// report the same registry digest (0 = already converged;
     /// [`MAX_CONVERGENCE_ROUNDS`] = never).
@@ -276,98 +257,72 @@ pub struct ScenarioResult {
     pub unreachable_partitioned: u64,
 }
 
-impl ScenarioResult {
-    /// Did every invariant hold?
-    pub fn passed(&self) -> bool {
-        self.invariants.iter().all(|i| i.passed)
+/// Everything one federation scenario run produced.
+pub type ScenarioResult = crate::campaign::ScenarioResult<ScenarioStats>;
+/// A whole federation campaign.
+pub type CampaignReport = crate::campaign::CampaignReport<ScenarioStats>;
+
+impl CampaignStats for ScenarioStats {
+    const CAMPAIGN: &'static str = "federation";
+
+    /// Scenario 0 is the scripted acceptance plan, scenario `i > 0`
+    /// draws a randomized plan (BDNs included in the crash targets)
+    /// from seed `base_seed + i`, alternating the light and heavy
+    /// profiles.
+    fn run_scenario(base_seed: u64, i: usize) -> ScenarioResult {
+        let seed = base_seed.wrapping_add(i as u64);
+        if i == 0 {
+            run_scenario("scripted_bdn_federation_loss", seed, &acceptance_plan)
+        } else {
+            let profile = if i % 2 == 1 { ChaosProfile::light() } else { ChaosProfile::heavy() };
+            let name = if i % 2 == 1 { "generated_light" } else { "generated_heavy" };
+            run_scenario(name, seed, &move |dep: &FederationDeployment| {
+                let targets = ChaosTargets {
+                    bdns: dep.bdns.clone(),
+                    brokers: dep.brokers.clone(),
+                    clients: dep.entities.clone(),
+                };
+                FaultPlan::generate(seed, &profile, &targets, GEN_HORIZON)
+            })
+        }
     }
-}
 
-/// A whole campaign: scenario 0 scripted, the rest generated.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Base seed; scenario `i` runs under `base_seed + i`.
-    pub base_seed: u64,
-    /// Per-scenario outcomes.
-    pub scenarios: Vec<ScenarioResult>,
-}
-
-impl CampaignReport {
-    /// Did every scenario pass every invariant?
-    pub fn passed(&self) -> bool {
-        self.scenarios.iter().all(|s| s.passed())
-    }
-
-    /// Renders the campaign as JSON. Deliberately free of wall-clock
-    /// fields: the report is a pure function of the base seed, which
-    /// the determinism tests assert byte-for-byte at 1 and 4 workers.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"campaign\": \"federation\",\n");
-        out.push_str(&format!("  \"base_seed\": {},\n", self.base_seed));
-        out.push_str(&format!("  \"scenarios\": {},\n", self.scenarios.len()));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str("  \"results\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&format!(
+            "     \"stats\": {{\"convergence_rounds\": {}, \"attached\": {}, \
+             \"total_entities\": {}, \"failovers\": {}, \
+             \"unreachable_partitioned\": {}}},\n",
+            self.convergence_rounds,
+            self.attached,
+            self.total_entities,
+            self.failovers,
+            self.unreachable_partitioned,
+        ));
+        out.push_str("     \"federation\": [\n");
+        for (j, b) in self.bdn_reports.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"seed\": {}, \"faults\": {}, \
-                 \"plan_digest\": \"{:016x}\", \"passed\": {},\n",
-                s.name, s.seed, s.faults, s.plan_digest, s.passed()
-            ));
-            out.push_str("     \"invariants\": [\n");
-            for (j, inv) in s.invariants.iter().enumerate() {
-                out.push_str(&format!(
-                    "       {{\"name\": \"{}\", \"passed\": {}, \"detail\": \"{}\"}}{}\n",
-                    inv.name,
-                    inv.passed,
-                    inv.detail.replace('\\', "\\\\").replace('"', "\\\""),
-                    if j + 1 < s.invariants.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("     ],\n");
-            out.push_str(&format!(
-                "     \"stats\": {{\"convergence_rounds\": {}, \"attached\": {}, \
-                 \"total_entities\": {}, \"failovers\": {}, \
-                 \"unreachable_partitioned\": {}}},\n",
-                s.convergence_rounds,
-                s.attached,
-                s.total_entities,
-                s.failovers,
-                s.unreachable_partitioned,
-            ));
-            out.push_str("     \"federation\": [\n");
-            for (j, b) in s.bdn_reports.iter().enumerate() {
-                out.push_str(&format!(
-                    "       {{\"name\": \"{}\", \"up\": {}, \"live_leases\": {}, \
-                     \"rounds_run\": {}, \"digests_matched\": {}, \
-                     \"digests_mismatched\": {}, \"entries_pushed\": {}, \
-                     \"entries_pulled\": {}, \"tombstones_applied\": {}, \
-                     \"tombstones_expired\": {}, \"resurrections_blocked\": {}, \
-                     \"malformed_messages\": {}}}{}\n",
-                    b.name,
-                    b.up,
-                    b.live_leases,
-                    b.stats.rounds_run,
-                    b.stats.digests_matched,
-                    b.stats.digests_mismatched,
-                    b.stats.entries_pushed,
-                    b.stats.entries_pulled,
-                    b.stats.tombstones_applied,
-                    b.stats.tombstones_expired,
-                    b.stats.resurrections_blocked,
-                    b.malformed_messages,
-                    if j + 1 < s.bdn_reports.len() { "," } else { "" },
-                ));
-            }
-            out.push_str(&format!(
-                "     ]}}{}\n",
-                if i + 1 < self.scenarios.len() { "," } else { "" }
+                "       {{\"name\": \"{}\", \"up\": {}, \"live_leases\": {}, \
+                 \"rounds_run\": {}, \"digests_matched\": {}, \
+                 \"digests_mismatched\": {}, \"entries_pushed\": {}, \
+                 \"entries_pulled\": {}, \"tombstones_applied\": {}, \
+                 \"tombstones_expired\": {}, \"resurrections_blocked\": {}, \
+                 \"malformed_messages\": {}}}{}\n",
+                b.name,
+                b.up,
+                b.live_leases,
+                b.stats.rounds_run,
+                b.stats.digests_matched,
+                b.stats.digests_mismatched,
+                b.stats.entries_pushed,
+                b.stats.entries_pulled,
+                b.stats.tombstones_applied,
+                b.stats.tombstones_expired,
+                b.stats.resurrections_blocked,
+                b.malformed_messages,
+                if j + 1 < self.bdn_reports.len() { "," } else { "" },
             ));
         }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        out.push_str("     ]");
     }
 }
 
@@ -581,59 +536,15 @@ pub fn run_scenario(
                 detail: resurrection_detail.trim_end().to_string(),
             },
         ],
-        convergence_rounds,
-        attached,
-        total_entities: dep.entities.len(),
-        failovers,
-        bdn_reports,
-        unreachable_partitioned: stats.unreachable_partitioned,
+        stats: ScenarioStats {
+            convergence_rounds,
+            attached,
+            total_entities: dep.entities.len(),
+            failovers,
+            bdn_reports,
+            unreachable_partitioned: stats.unreachable_partitioned,
+        },
     }
-}
-
-/// Runs scenario `i` of a campaign rooted at `base_seed`: scenario 0
-/// is the scripted acceptance plan, scenario `i > 0` draws a
-/// randomized plan (BDNs included in the crash targets) from seed
-/// `base_seed + i`, alternating the light and heavy profiles. Each
-/// scenario is a pure function of `(base_seed, i)` alone — the
-/// property that lets campaigns shard across worker threads without
-/// changing a byte of the report.
-pub fn run_campaign_scenario(base_seed: u64, i: usize) -> ScenarioResult {
-    let seed = base_seed.wrapping_add(i as u64);
-    if i == 0 {
-        run_scenario("scripted_bdn_federation_loss", seed, &acceptance_plan)
-    } else {
-        let profile = if i % 2 == 1 { ChaosProfile::light() } else { ChaosProfile::heavy() };
-        let name = if i % 2 == 1 { "generated_light" } else { "generated_heavy" };
-        run_scenario(name, seed, &move |dep: &FederationDeployment| {
-            let targets = ChaosTargets {
-                bdns: dep.bdns.clone(),
-                brokers: dep.brokers.clone(),
-                clients: dep.entities.clone(),
-            };
-            FaultPlan::generate(seed, &profile, &targets, GEN_HORIZON)
-        })
-    }
-}
-
-/// Runs a campaign of `scenarios` runs from `base_seed` on one worker.
-pub fn run_campaign(base_seed: u64, scenarios: usize) -> CampaignReport {
-    run_campaign_with_workers(base_seed, scenarios, 1)
-}
-
-/// Scenario-parallel campaign: scenarios are independent deployments,
-/// so they shard across `workers` threads and merge back in scenario
-/// order. The report is a pure function of `(base_seed, scenarios)` —
-/// byte-identical for every worker count — which the worker-pinned
-/// digest test in `tests/federation_campaign.rs` asserts at 1 and 4
-/// workers.
-pub fn run_campaign_with_workers(
-    base_seed: u64,
-    scenarios: usize,
-    workers: usize,
-) -> CampaignReport {
-    let results = crate::parallel::ParallelExecutor::with_workers(workers)
-        .run(scenarios, |i| run_campaign_scenario(base_seed, i));
-    CampaignReport { base_seed, scenarios: results }
 }
 
 #[cfg(test)]
@@ -657,11 +568,11 @@ mod tests {
         for inv in &r.invariants {
             assert!(inv.passed, "{} failed: {}", inv.name, inv.detail);
         }
-        assert_eq!(r.attached, N_ENTITIES, "100% discovery success under n-1 BDN loss");
-        let tombstones_applied: u64 =
-            r.bdn_reports.iter().map(|b| b.stats.tombstones_applied).sum();
+        assert_eq!(r.stats.attached, N_ENTITIES, "100% discovery success under n-1 BDN loss");
+        let bdns = &r.stats.bdn_reports;
+        let tombstones_applied: u64 = bdns.iter().map(|b| b.stats.tombstones_applied).sum();
         assert!(tombstones_applied >= 1, "the dead broker's tombstone propagated: {r:?}");
-        let pulled: u64 = r.bdn_reports.iter().map(|b| b.stats.entries_pulled).sum();
+        let pulled: u64 = bdns.iter().map(|b| b.stats.entries_pulled).sum();
         assert!(pulled >= 1, "anti-entropy repopulated the state-lossy BDN: {r:?}");
     }
 }

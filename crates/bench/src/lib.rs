@@ -8,6 +8,7 @@
 //! minimum, error).
 
 pub mod alloc;
+pub mod campaign;
 pub mod chaos;
 pub mod federation;
 pub mod parallel;

@@ -8,9 +8,8 @@
 //! * chaos-smoke — the three-seed tier-1 wrapper behind
 //!   `tools/bench.sh chaos-smoke`.
 
-use nb_bench::chaos::{
-    acceptance_plan, build_deployment, run_campaign, run_campaign_with_workers,
-};
+use nb_bench::campaign::{run_campaign, run_campaign_with_workers};
+use nb_bench::chaos::{acceptance_plan, build_deployment, ScenarioStats};
 
 #[test]
 fn same_seed_produces_byte_identical_schedule_and_report() {
@@ -21,18 +20,18 @@ fn same_seed_produces_byte_identical_schedule_and_report() {
 
     // …and so must the whole campaign report, which folds in every
     // outcome of actually running the plans.
-    let first = run_campaign(77, 2).to_json();
-    let second = run_campaign(77, 2).to_json();
+    let first = run_campaign::<ScenarioStats>(77, 2).to_json();
+    let second = run_campaign::<ScenarioStats>(77, 2).to_json();
     assert_eq!(first, second, "campaign reports diverged for one seed");
 
     // A different seed must actually change the randomized scenarios.
-    let other = run_campaign(78, 2).to_json();
+    let other = run_campaign::<ScenarioStats>(78, 2).to_json();
     assert_ne!(first, other, "base seed had no effect on the campaign");
 }
 
 #[test]
 fn ten_seed_campaign_passes_every_invariant() {
-    let report = run_campaign(2005, 10);
+    let report = run_campaign::<ScenarioStats>(2005, 10);
     assert_eq!(report.scenarios.len(), 10);
     for s in &report.scenarios {
         for inv in &s.invariants {
@@ -49,8 +48,9 @@ fn ten_seed_campaign_passes_every_invariant() {
     // rebuilt registry.
     let scripted = &report.scenarios[0];
     assert_eq!(scripted.name, "scripted_bdn_loss");
-    assert!(scripted.failovers >= 4, "every entity rediscovered: {}", scripted.failovers);
-    assert_eq!(scripted.registry_len, 6, "heartbeats repopulated every lease");
+    let failovers = scripted.stats.failovers;
+    assert!(failovers >= 4, "every entity rediscovered: {failovers}");
+    assert_eq!(scripted.stats.registry_len, 6, "heartbeats repopulated every lease");
     let json = report.to_json();
     assert!(json.contains("\"passed\": true"));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -61,7 +61,7 @@ fn ten_seed_campaign_passes_every_invariant() {
 #[test]
 fn chaos_smoke_three_fixed_seeds() {
     for seed in [11, 23, 2005] {
-        let report = run_campaign(seed, 1);
+        let report = run_campaign::<ScenarioStats>(seed, 1);
         assert!(report.passed(), "smoke seed {seed} failed:\n{}", report.to_json());
     }
 }
@@ -81,7 +81,7 @@ fn chaos_smoke_three_fixed_seeds() {
 #[test]
 fn campaign_report_unchanged_by_ordered_state() {
     const PINNED_FNV1A64: u64 = 0x35da_1aa4_d05e_848b;
-    let json = run_campaign(11, 3).to_json();
+    let json = run_campaign::<ScenarioStats>(11, 3).to_json();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in json.as_bytes() {
         h ^= b as u64;
@@ -101,7 +101,7 @@ fn campaign_report_unchanged_by_ordered_state() {
 fn campaign_report_pinned_at_one_and_four_workers() {
     const PINNED_FNV1A64: u64 = 0x35da_1aa4_d05e_848b;
     for workers in [1, 4] {
-        let json = run_campaign_with_workers(11, 3, workers).to_json();
+        let json = run_campaign_with_workers::<ScenarioStats>(11, 3, workers).to_json();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in json.as_bytes() {
             h ^= b as u64;

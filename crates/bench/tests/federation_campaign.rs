@@ -12,9 +12,8 @@
 //! * a pinned report digest at 1 and 4 workers, the regression proof
 //!   that anti-entropy message flow is worker-invariant.
 
-use nb_bench::federation::{
-    acceptance_plan, build_deployment, run_campaign, run_campaign_with_workers, N_ENTITIES,
-};
+use nb_bench::campaign::{run_campaign, run_campaign_with_workers};
+use nb_bench::federation::{acceptance_plan, build_deployment, ScenarioStats, N_ENTITIES};
 
 #[test]
 fn same_seed_produces_byte_identical_schedule_and_report() {
@@ -22,17 +21,17 @@ fn same_seed_produces_byte_identical_schedule_and_report() {
     let plan_b = acceptance_plan(&build_deployment(77));
     assert_eq!(plan_a.describe(), plan_b.describe(), "fault schedules diverged");
 
-    let first = run_campaign(77, 2).to_json();
-    let second = run_campaign(77, 2).to_json();
+    let first = run_campaign::<ScenarioStats>(77, 2).to_json();
+    let second = run_campaign::<ScenarioStats>(77, 2).to_json();
     assert_eq!(first, second, "campaign reports diverged for one seed");
 
-    let other = run_campaign(78, 2).to_json();
+    let other = run_campaign::<ScenarioStats>(78, 2).to_json();
     assert_ne!(first, other, "base seed had no effect on the campaign");
 }
 
 #[test]
 fn ten_seed_campaign_passes_every_invariant() {
-    let report = run_campaign(2005, 10);
+    let report = run_campaign::<ScenarioStats>(2005, 10);
     assert_eq!(report.scenarios.len(), 10);
     for s in &report.scenarios {
         for inv in &s.invariants {
@@ -45,9 +44,9 @@ fn ten_seed_campaign_passes_every_invariant() {
         // Discovery success is 100%: the federation kept every entity
         // attachable even when its preferred BDNs were down.
         assert_eq!(
-            s.attached, s.total_entities,
+            s.stats.attached, s.stats.total_entities,
             "scenario {} (seed {}): only {}/{} entities attached",
-            s.name, s.seed, s.attached, s.total_entities
+            s.name, s.seed, s.stats.attached, s.stats.total_entities
         );
     }
     // Scenario 0 is the acceptance scenario: two of three BDNs die
@@ -56,13 +55,13 @@ fn ten_seed_campaign_passes_every_invariant() {
     // state-lossy BDN must be repopulated purely by anti-entropy.
     let scripted = &report.scenarios[0];
     assert_eq!(scripted.name, "scripted_bdn_federation_loss");
-    assert_eq!(scripted.attached, N_ENTITIES, "100% discovery success under n-1 BDN loss");
-    let tombstones_applied: u64 =
-        scripted.bdn_reports.iter().map(|b| b.stats.tombstones_applied).sum();
+    assert_eq!(scripted.stats.attached, N_ENTITIES, "100% discovery success under n-1 BDN loss");
+    let bdns = &scripted.stats.bdn_reports;
+    let tombstones_applied: u64 = bdns.iter().map(|b| b.stats.tombstones_applied).sum();
     assert!(tombstones_applied >= 1, "the dead broker's tombstone propagated");
-    let pulled: u64 = scripted.bdn_reports.iter().map(|b| b.stats.entries_pulled).sum();
+    let pulled: u64 = bdns.iter().map(|b| b.stats.entries_pulled).sum();
     assert!(pulled >= 1, "anti-entropy repopulated the state-lossy BDN");
-    let rounds: u64 = scripted.bdn_reports.iter().map(|b| b.stats.rounds_run).sum();
+    let rounds: u64 = bdns.iter().map(|b| b.stats.rounds_run).sum();
     assert!(rounds > 0, "anti-entropy rounds actually ran");
     let json = report.to_json();
     assert!(json.contains("\"passed\": true"));
@@ -81,7 +80,7 @@ fn ten_seed_campaign_passes_every_invariant() {
 fn campaign_report_pinned_at_one_and_four_workers() {
     const PINNED_FNV1A64: u64 = 0xd862_8ea8_3fdb_2360;
     for workers in [1, 4] {
-        let json = run_campaign_with_workers(11, 3, workers).to_json();
+        let json = run_campaign_with_workers::<ScenarioStats>(11, 3, workers).to_json();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in json.as_bytes() {
             h ^= b as u64;

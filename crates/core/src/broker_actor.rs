@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use nb_broker::{Broker, BrokerConfig};
 use nb_wire::topic::{BDN_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC};
-use nb_wire::{Message, NodeId, Topic, TopicFilter, Wire, WireMsg};
+use nb_wire::{Message, NodeId, TopicFilter, Wire, WireMsg};
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming};
 
@@ -59,15 +59,6 @@ impl DiscoveryBrokerActor {
                 self.advertiser.on_bdn_advertisement(bdn, &mut self.broker, ctx);
             }
         }
-    }
-
-    /// Publishes a discovery request into the overlay from this broker
-    /// (used by BDNs co-located with a broker, and in tests).
-    pub fn inject_request(&mut self, req: nb_wire::DiscoveryRequest, ctx: &mut dyn Context) {
-        let topic = Topic::parse(DISCOVERY_REQUEST_TOPIC).expect("well-known topic");
-        let payload = Message::Discovery(req).to_bytes();
-        let surfaced = self.broker.publish_local(topic, payload, ctx);
-        self.process_surfaced(surfaced, ctx);
     }
 }
 

@@ -142,12 +142,6 @@ impl Entity {
         &self.discovery
     }
 
-    /// Mutable discovery configuration (harness tuning before traffic
-    /// flows, e.g. enabling request backoff or disabling multicast).
-    pub fn discovery_config_mut(&mut self) -> &mut DiscoveryConfig {
-        self.discovery.config_mut()
-    }
-
     /// Replaces the stranded-retry backoff policy.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry_policy = policy;

@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
-use nb_wire::{NodeId, RealmId};
+use nb_wire::NodeId;
 
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
 use nb_net::{ClockProfile, DiscoveryEngine, ShardedSim, Sim, SimTime};
@@ -361,11 +361,6 @@ impl<E: DiscoveryEngine> Scenario<E> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
-    }
-
-    /// The realm of the client's site.
-    pub fn client_realm(&self) -> RealmId {
-        self.wan.site(self.client_site).realm
     }
 }
 

@@ -1,10 +1,10 @@
 //! CLI driver for `nb-lint`.
 //!
-//! Usage: `nb-lint [ROOT] [--json PATH] [--baseline PATH] [--quiet]`
+//! Usage: `nb-lint [ROOT] [--json PATH] [--quiet]`
 //! or `nb-lint --rules` for the machine-readable rule table.
 //!
 //! With no ROOT, walks up from the current directory to the workspace
-//! root. Exits 1 when new (un-suppressed, un-baselined) findings exist.
+//! root. Exits 1 when new (un-suppressed) findings exist.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -12,23 +12,19 @@ use std::process::exit;
 fn main() {
     let mut root: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json_out = args.next().map(PathBuf::from),
-            "--baseline" => baseline = args.next().map(PathBuf::from),
             "--quiet" | "-q" => quiet = true,
             "--rules" => {
                 print!("{}", nb_lint::rules::rules_table());
                 return;
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: nb-lint [ROOT] [--json PATH] [--baseline PATH] [--quiet] | --rules"
-                );
+                eprintln!("usage: nb-lint [ROOT] [--json PATH] [--quiet] | --rules");
                 return;
             }
             other if root.is_none() && !other.starts_with('-') => {
@@ -48,9 +44,7 @@ fn main() {
             eprintln!("nb-lint: no workspace root found (no Cargo.toml with [workspace])");
             exit(2);
         });
-    let baseline = baseline.unwrap_or_else(|| root.join(nb_lint::BASELINE_REL));
-
-    let report = match nb_lint::run_root(&root, &baseline) {
+    let report = match nb_lint::run_root(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("nb-lint: scan failed: {e}");

@@ -4,9 +4,8 @@
 //! token-pattern scanner ([`scan`]) that enforces the determinism and
 //! protocol-safety invariants catalogued in DESIGN.md §10. The driver in
 //! this module walks every workspace `.rs` file (excluding `shims/` and
-//! build output), applies `nb-lint::allow` suppressions and the
-//! checked-in baseline, and renders human + JSON reports with a stable
-//! digest for golden pinning.
+//! build output), applies `nb-lint::allow` suppressions, and renders
+//! human + JSON reports with a stable digest for golden pinning.
 
 pub mod graph;
 pub mod items;
@@ -32,12 +31,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Line-number-free fingerprint of a finding, used by the baseline so
-/// that unrelated edits above a grandfathered line don't churn it.
-pub fn fingerprint(f: &Finding) -> u64 {
-    fnv1a64(format!("{}|{}|{}", f.rule, f.file, f.excerpt).as_bytes())
-}
-
 /// A suppression that fired, for reporting.
 #[derive(Debug, Clone)]
 pub struct Suppressed {
@@ -60,14 +53,10 @@ pub struct UnusedAllow {
 #[derive(Debug, Default)]
 pub struct Report {
     pub files_scanned: usize,
-    /// Findings neither suppressed nor baselined: these fail the run.
+    /// Findings no `nb-lint::allow` covers: these fail the run.
     pub new: Vec<Finding>,
     pub suppressed: Vec<Suppressed>,
     pub unused_allows: Vec<UnusedAllow>,
-    /// Findings matched by the baseline file (grandfathered).
-    pub baseline_matched: usize,
-    /// Baseline entries that no longer match anything (fixed since).
-    pub stale_baseline: usize,
 }
 
 impl Report {
@@ -161,9 +150,7 @@ impl Report {
                 if i + 1 < self.unused_allows.len() { "," } else { "" }
             ));
         }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"baseline_matched\": {},\n", self.baseline_matched));
-        s.push_str(&format!("  \"stale_baseline\": {}\n", self.stale_baseline));
+        s.push_str("  ]\n");
         s.push_str("}\n");
         s
     }
@@ -172,11 +159,10 @@ impl Report {
     pub fn render_human(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "nb-lint: {} files scanned, {} new finding(s), {} suppressed, {} baselined, digest {:016x}\n",
+            "nb-lint: {} files scanned, {} new finding(s), {} suppressed, digest {:016x}\n",
             self.files_scanned,
             self.new.len(),
             self.suppressed.len(),
-            self.baseline_matched,
             self.digest()
         ));
         for f in &self.new {
@@ -191,13 +177,6 @@ impl Report {
                 u.file,
                 u.line,
                 u.rules.join(",")
-            ));
-        }
-        if self.stale_baseline > 0 {
-            s.push_str(&format!(
-                "  [warn] {} stale baseline entr{} (fixed since) — regenerate the baseline\n",
-                self.stale_baseline,
-                if self.stale_baseline == 1 { "y" } else { "ies" }
             ));
         }
         if self.new.is_empty() {
@@ -261,44 +240,24 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Parses the baseline file: one `<16-hex-fnv64>` fingerprint per line,
-/// `#` comments and blanks ignored. Anything after the fingerprint on a
-/// line is a human-readable note.
-pub fn load_baseline(path: &Path) -> Vec<u64> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    text.lines()
-        .filter_map(|l| {
-            let l = l.trim();
-            if l.is_empty() || l.starts_with('#') {
-                return None;
-            }
-            let fp = l.split_whitespace().next()?;
-            u64::from_str_radix(fp, 16).ok()
-        })
-        .collect()
-}
-
-/// Runs the full lint pass over the workspace at `root`, applying the
-/// baseline at `baseline` (missing file ⇒ empty baseline).
-pub fn run_root(root: &Path, baseline: &Path) -> io::Result<Report> {
+/// Runs the full lint pass over the workspace at `root`.
+pub fn run_root(root: &Path) -> io::Result<Report> {
     let files = collect_rs_files(root)?;
     let mut sources = Vec::with_capacity(files.len());
     for rel in files {
         let src = fs::read_to_string(root.join(&rel))?;
         sources.push((rel, src));
     }
-    Ok(run_sources(&sources, &load_baseline(baseline)))
+    Ok(run_sources(&sources))
 }
 
 /// The full pipeline over in-memory sources (workspace-relative path,
 /// contents). Phase 1 runs the per-file token scanner; phase 2 builds
 /// the item graph for the interprocedural rules (D009–D011) and the
 /// wire-conformance pass (W001–W005), merging their findings into the
-/// owning file before suppressions and the baseline apply — so the new
-/// rules ride the exact same `nb-lint::allow`/fingerprint machinery.
-pub fn run_sources(sources: &[(String, String)], baseline_fps: &[u64]) -> Report {
+/// owning file before suppressions apply — so the new rules ride the
+/// exact same `nb-lint::allow` machinery.
+pub fn run_sources(sources: &[(String, String)]) -> Report {
     let mut scans: Vec<(&str, scan::FileScan)> =
         sources.iter().map(|(rel, src)| (rel.as_str(), scan_file(rel, src))).collect();
 
@@ -315,7 +274,6 @@ pub fn run_sources(sources: &[(String, String)], baseline_fps: &[u64]) -> Report
     }
 
     let mut report = Report { files_scanned: sources.len(), ..Report::default() };
-    let mut baseline_hits: Vec<bool> = vec![false; baseline_fps.len()];
 
     for (rel, fs_scan) in scans {
         let mut allow_used: Vec<bool> = vec![false; fs_scan.allows.len()];
@@ -338,12 +296,6 @@ pub fn run_sources(sources: &[(String, String)], baseline_fps: &[u64]) -> Report
                 });
                 continue;
             }
-            let fp = fingerprint(&f);
-            if let Some(bi) = baseline_fps.iter().position(|&b| b == fp) {
-                baseline_hits[bi] = true;
-                report.baseline_matched += 1;
-                continue;
-            }
             report.new.push(f);
         }
         for (ai, a) in fs_scan.allows.iter().enumerate() {
@@ -356,7 +308,6 @@ pub fn run_sources(sources: &[(String, String)], baseline_fps: &[u64]) -> Report
             }
         }
     }
-    report.stale_baseline = baseline_hits.iter().filter(|&&h| !h).count();
     report.new.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report
         .suppressed
@@ -366,6 +317,3 @@ pub fn run_sources(sources: &[(String, String)], baseline_fps: &[u64]) -> Report
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     report
 }
-
-/// Default baseline location relative to the workspace root.
-pub const BASELINE_REL: &str = "tools/lint_baseline.txt";

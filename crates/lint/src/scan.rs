@@ -23,7 +23,7 @@ pub struct Finding {
     pub file: String,
     pub line: u32,
     pub message: String,
-    /// The trimmed source line, for reports and baseline fingerprints.
+    /// The trimmed source line, for reports.
     pub excerpt: String,
 }
 

@@ -1,8 +1,8 @@
 //! End-to-end engine tests over throwaway fixture workspaces: rule
-//! detection per zone, suppressions, the baseline, and exit semantics.
+//! detection per zone, suppressions, and exit semantics.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static FIXTURE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -33,11 +33,7 @@ impl Fixture {
     }
 
     fn run(&self) -> nb_lint::Report {
-        self.run_with_baseline(&self.root.join("no-baseline.txt"))
-    }
-
-    fn run_with_baseline(&self, baseline: &Path) -> nb_lint::Report {
-        nb_lint::run_root(&self.root, baseline).expect("scan fixture")
+        nb_lint::run_root(&self.root).expect("scan fixture")
     }
 }
 
@@ -376,36 +372,6 @@ fn suppression_wrong_rule_does_not_cover() {
     let report = fx.run();
     assert_eq!(rules(&report), vec!["D001"]);
     assert_eq!(report.unused_allows.len(), 1);
-}
-
-#[test]
-fn baseline_grandfathers_by_fingerprint_not_line() {
-    let fx = Fixture::new();
-    fx.write(
-        "crates/net/src/sim.rs",
-        "pub fn a() { let _t = std::time::Instant::now(); }\n",
-    );
-    let report = fx.run();
-    assert_eq!(report.new.len(), 1);
-    let fp = nb_lint::fingerprint(&report.new[0]);
-    let baseline_path = fx.root.join("baseline.txt");
-    fs::write(&baseline_path, format!("# grandfathered\n{fp:016x} D001 sim.rs\n")).unwrap();
-    let report = fx.run_with_baseline(&baseline_path);
-    assert!(!report.has_new());
-    assert_eq!(report.baseline_matched, 1);
-    assert_eq!(report.stale_baseline, 0);
-    // Shift the finding down two lines: same fingerprint, still matched.
-    fx.write(
-        "crates/net/src/sim.rs",
-        "// one\n// two\npub fn a() { let _t = std::time::Instant::now(); }\n",
-    );
-    let report = fx.run_with_baseline(&baseline_path);
-    assert!(!report.has_new(), "baseline must be line-number free");
-    // Fix the finding: the entry goes stale (warned, non-failing).
-    fx.write("crates/net/src/sim.rs", "pub fn a() {}\n");
-    let report = fx.run_with_baseline(&baseline_path);
-    assert!(!report.has_new());
-    assert_eq!(report.stale_baseline, 1);
 }
 
 #[test]

@@ -22,7 +22,7 @@ fn workspace_root() -> std::path::PathBuf {
 #[test]
 fn tree_is_lint_clean() {
     let root = workspace_root();
-    let report = nb_lint::run_root(&root, &root.join(nb_lint::BASELINE_REL)).expect("scan");
+    let report = nb_lint::run_root(&root).expect("scan");
     assert!(
         !report.has_new(),
         "new lint findings — fix or add a justified nb-lint::allow:\n{}",
@@ -36,20 +36,9 @@ fn tree_is_lint_clean() {
 }
 
 #[test]
-fn baseline_ships_empty() {
-    let root = workspace_root();
-    let entries = nb_lint::load_baseline(&root.join(nb_lint::BASELINE_REL));
-    assert!(
-        entries.is_empty(),
-        "the baseline must stay empty: every violation is fixed or carries \
-         an inline justified suppression (DESIGN.md §10)"
-    );
-}
-
-#[test]
 fn report_digest_matches_golden() {
     let root = workspace_root();
-    let report = nb_lint::run_root(&root, &root.join(nb_lint::BASELINE_REL)).expect("scan");
+    let report = nb_lint::run_root(&root).expect("scan");
     assert_eq!(
         report.digest(),
         GOLDEN_DIGEST,

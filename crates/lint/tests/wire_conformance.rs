@@ -6,7 +6,7 @@
 //! for.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static FIXTURE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -34,7 +34,7 @@ impl Fixture {
     }
 
     fn run(&self) -> nb_lint::Report {
-        nb_lint::run_root(&self.root, Path::new("no-baseline.txt")).expect("scan fixture")
+        nb_lint::run_root(&self.root).expect("scan fixture")
     }
 }
 

@@ -98,9 +98,9 @@ pub trait Context {
     }
 
     /// Sends on a reliable stream, preferring the negotiated v2 compact
-    /// codec: when the runtime has v2 enabled, messages queued to the
-    /// same link within one dispatch coalesce into multi-frame segments
-    /// and topic symbols sync lazily per link. Callers use this only
+    /// codec: when the runtime has v2 enabled, the message is encoded
+    /// against the link's symbol table (topic symbols sync lazily per
+    /// link) and sent at once as a one-frame segment. Callers use this only
     /// for peers that announced v2 capability on their link handshake.
     /// The default falls back to the per-message v1 stream path, so
     /// engines and test doubles without v2 support keep working

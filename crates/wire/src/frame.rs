@@ -95,8 +95,8 @@ pub const DEFAULT_TTL: u8 = 32;
 /// v1 peers leave the flags byte zero, so negotiation degrades cleanly.
 pub const FLAG_V2_CAPABLE: u8 = 0b0000_0001;
 
-/// Prelude flag: this frame is a coalesced v2 multi-frame segment
-/// (see [`crate::v2`]), not a single v1 body.
+/// Prelude flag: this frame is a v2 segment (see [`crate::v2`]), not a
+/// single v1 body.
 pub const FLAG_SEGMENT: u8 = 0b0000_0010;
 
 /// Everything a receive path can learn about a frame without decoding
@@ -130,11 +130,6 @@ impl FrameHeader {
     /// Whether this frame carries a `Discovery` request.
     pub fn is_discovery(&self) -> bool {
         self.tag == TAG_DISCOVERY
-    }
-
-    /// Whether this frame carries a `DiscoveryAck`.
-    pub fn is_discovery_ack(&self) -> bool {
-        self.tag == TAG_DISCOVERY_ACK
     }
 }
 

@@ -63,5 +63,5 @@ pub use message::{
 };
 pub use symtab::{SymTabReader, SymTabWriter, MAX_SYMBOLS};
 pub use topic::{Topic, TopicError, TopicFilter};
-pub use v2::{SegmentFrame, SegmentFrameView, SegmentView, MAX_VARINT_BYTES};
+pub use v2::{SegmentFrame, MAX_VARINT_BYTES};
 pub use wiremsg::WireMsg;

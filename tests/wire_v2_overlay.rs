@@ -2,9 +2,11 @@
 //! seed run once on the v1 codec and once with v2 negotiated on every
 //! broker link. The codec may change bytes and timing, never what is
 //! delivered to whom — and the v2 run's event, byte and segment counts
-//! and its arrival times are pinned, so a change to the flush that
+//! and its arrival times are pinned, so a change to the send path that
 //! reorders RNG draws (or to the codec that moves a byte) fails here,
-//! not only on the benchmark's digest line.
+//! not only on the benchmark's digest line. A second case restarts a
+//! relay broker mid-run: the links it re-dials start from empty symbol
+//! tables on both sides, and v2 must still deliver what v1 does.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -21,6 +23,13 @@ const FILTERS: [&str; 3] = ["telemetry/**", "telemetry/*/cpu", "alerts/disk"];
 const TOPICS: [&str; 4] =
     ["telemetry/rack1/cpu", "telemetry/rack2/mem", "alerts/disk", "alerts/fan"];
 const ROUNDS: u8 = 12;
+/// The broker the fault case restarts (no publisher of its own; three
+/// links) and the round it is restarted before.
+const RELAY: usize = 3;
+const RESTART_BEFORE_ROUND: u8 = 6;
+/// `BrokerConfig::default()`'s heartbeat deadline: how long a link, and
+/// so a mute, is believed.
+const LEASE: Duration = Duration::from_secs(6);
 
 /// One delivery: topic and payload (event ids are drawn from the sim's
 /// RNG, whose draw order the codec is allowed to change).
@@ -41,13 +50,15 @@ struct Run {
     /// flood forwards the same number of copies whichever arrives
     /// first); this does not.
     arrival_micros: u64,
+    /// Publishes [`RELAY`] forwarded to another broker after its restart.
+    relayed_after_restart: usize,
 }
 
-fn run(wire_v2: bool) -> Run {
+fn run(wire_v2: bool, restart_relay: bool) -> Run {
     let mut sim = Sim::with_clock_profile(SEED, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     if wire_v2 {
-        sim.set_wire_v2(Some(WireV2Config::default()));
+        sim.set_wire_v2(Some(WireV2Config));
     }
     sim.enable_trace();
 
@@ -79,7 +90,15 @@ fn run(wire_v2: bool) -> Run {
         .collect();
     sim.run_for(Duration::from_secs(5));
 
+    let mut restarted_at = None;
     for round in 0..ROUNDS {
+        if restart_relay && round == RESTART_BEFORE_ROUND {
+            // A quiet instant: the last round's traffic drained 200 ms
+            // of LAN ago. The broker keeps its state, its links do not.
+            sim.restart(brokers[RELAY], false);
+            sim.run_for(LEASE);
+            restarted_at = Some(sim.now());
+        }
         for (p, &publisher) in publishers.iter().enumerate() {
             let topic = Topic::parse(TOPICS[(round as usize + p) % TOPICS.len()]).unwrap();
             sim.actor_mut::<PubSubClient>(publisher)
@@ -103,6 +122,11 @@ fn run(wire_v2: bool) -> Run {
         .filter(|r| r.kind == "publish" && subscribers.contains(&r.to.node))
         .map(|r| r.at.as_micros())
         .sum();
+    let relayed_after_restart = trace
+        .iter()
+        .filter(|r| r.kind == "publish" && r.from.node == brokers[RELAY])
+        .filter(|r| broker_set.contains(&r.to.node) && restarted_at.is_some_and(|t| r.at > t))
+        .count();
     let delivered = subscribers
         .iter()
         .map(|&s| {
@@ -127,28 +151,34 @@ fn run(wire_v2: bool) -> Run {
         post_handshake_link_msgs,
         duplicates_suppressed,
         arrival_micros,
+        relayed_after_restart,
     }
+}
+
+/// What subscriber `i` must receive of `rounds`: every event whose topic
+/// its filter matches, exactly once.
+fn expected(i: usize, rounds: std::ops::Range<u8>) -> Vec<Delivery> {
+    let filter = TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap();
+    let mut want: Vec<Delivery> = rounds
+        .flat_map(|round| (0..3usize).map(move |p| (round, p)))
+        .map(|(round, p)| (TOPICS[(round as usize + p) % TOPICS.len()], vec![p as u8, round]))
+        .filter(|(topic, _)| filter.matches(&Topic::parse(topic).unwrap()))
+        .map(|(topic, payload)| (topic.to_string(), payload))
+        .collect();
+    want.sort();
+    want
 }
 
 #[test]
 fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
-    let v1 = run(false);
-    let v2 = run(true);
+    let v1 = run(false, false);
+    let v2 = run(true, false);
 
     // Same deliveries, subscriber by subscriber, and they are the right
-    // ones: every event whose topic the subscriber's filter matches,
-    // exactly once.
+    // ones.
     assert_eq!(v1.delivered, v2.delivered);
     for (i, got) in v2.delivered.iter().enumerate() {
-        let filter = TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap();
-        let mut want: Vec<Delivery> = (0..ROUNDS)
-            .flat_map(|round| (0..3usize).map(move |p| (round, p)))
-            .map(|(round, p)| (TOPICS[(round as usize + p) % TOPICS.len()], vec![p as u8, round]))
-            .filter(|(topic, _)| filter.matches(&Topic::parse(topic).unwrap()))
-            .map(|(topic, payload)| (topic.to_string(), payload))
-            .collect();
-        want.sort();
-        assert_eq!(got, &want, "subscriber {i}");
+        assert_eq!(got, &expected(i, 0..ROUNDS), "subscriber {i}");
     }
     assert!(v1.duplicates_suppressed > 0, "the mesh must duplicate");
     assert!(v2.duplicates_suppressed > 0, "the mesh must duplicate");
@@ -159,6 +189,7 @@ fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
     assert_eq!((v1.stats.segments_sent, v1.stats.frames_coalesced), (0, 0));
     assert_eq!(v2.stats.segment_decode_errors, 0);
     assert_eq!(v2.stats.segments_delivered, v2.stats.segments_sent);
+    assert_eq!(v2.stats.frames_coalesced, v2.stats.segments_delivered);
     assert_eq!(v2.stats.frames_coalesced, v2.post_handshake_link_msgs);
     assert!(
         v2.stats.bytes_delivered < v1.stats.bytes_delivered,
@@ -167,13 +198,35 @@ fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
         v1.stats.bytes_delivered
     );
 
-    // The pin. These move only if the codec's bytes, the flush's link
-    // order (hence its latency draws), the epoch boundary or the frames
-    // brokers route (DESIGN.md §18 re-pinned it: fewer copies, a `Prune`
-    // per redundant link) change.
+    // The pin. These move only if the codec's bytes, the order of the
+    // send path's latency draws or the frames brokers route change
+    // (DESIGN.md §18 re-pinned it: fewer copies, a `Prune` per redundant
+    // link). Retiring the flush epoch did not move it (§16): a broker
+    // handler's link sends already came after its client sends, in peer
+    // order, one frame a link.
     assert_eq!(
         (v2.events_processed, v2.stats.bytes_delivered, v2.stats.segments_sent),
         (4366, 15_520, 315),
     );
     assert_eq!(v2.arrival_micros, 883_381_870);
+}
+
+#[test]
+fn v2_delivers_what_v1_delivers_after_a_relay_broker_restarts() {
+    let v1 = run(false, true);
+    let v2 = run(true, true);
+    let after_restart = |run: &Run| -> Vec<Vec<Delivery>> {
+        let keep = |d: &&Delivery| d.1[1] >= RESTART_BEFORE_ROUND;
+        run.delivered.iter().map(|got| got.iter().filter(keep).cloned().collect()).collect()
+    };
+    let (after_v1, after_v2) = (after_restart(&v1), after_restart(&v2));
+    assert_eq!(after_v1, after_v2);
+    for (i, got) in after_v2.iter().enumerate() {
+        assert_eq!(got, &expected(i, RESTART_BEFORE_ROUND..ROUNDS), "subscriber {i}");
+    }
+    // The restarted broker is on the path again, and every segment on
+    // its re-dialled links — cold tables on both sides — decoded.
+    assert!(v1.relayed_after_restart > 0 && v2.relayed_after_restart > 0);
+    assert_eq!(v2.stats.segment_decode_errors, 0);
+    assert_eq!(v2.stats.frames_coalesced, v2.stats.segments_delivered);
 }

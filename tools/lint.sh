@@ -6,7 +6,6 @@
 # Usage:
 #   tools/lint.sh                       # lint the workspace, human report
 #   tools/lint.sh --json LINT_report.json
-#   tools/lint.sh --baseline path/to/baseline.txt
 #
 # Exit codes: 0 clean, 1 new findings, 2 usage/IO error.
 set -euo pipefail
