@@ -108,6 +108,29 @@ pub enum Fault {
     ClockStep { node: NodeId, delta_ns: i64 },
 }
 
+impl Fault {
+    /// The node a node-scoped fault (crash, restart, stall, clock step)
+    /// happens to; `None` for faults of the network as a whole.
+    pub(crate) fn node(&self) -> Option<NodeId> {
+        match *self {
+            Fault::Crash { node }
+            | Fault::Restart { node, .. }
+            | Fault::Stall { node, .. }
+            | Fault::ClockStep { node, .. } => Some(node),
+            _ => None,
+        }
+    }
+
+    /// The per-datagram fault setting a packet-fault window installs.
+    pub(crate) fn packet_faults(&self) -> Option<PacketFaults> {
+        match *self {
+            Fault::SetPacketFaults { faults } => Some(faults),
+            Fault::ClearPacketFaults => Some(PacketFaults::none()),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

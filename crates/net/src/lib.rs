@@ -11,12 +11,16 @@
 //! * [`runtime`] — the [`Actor`]/[`Context`] abstraction all protocol
 //!   logic is written against,
 //! * [`link`] — link latency/jitter/loss models, TCP-like ordering and
-//!   connection setup, realm-scoped multicast,
-//! * [`sim`] — the single-threaded, seeded, discrete-event engine used by
-//!   every figure reproduction,
-//! * [`shard`] — the conservative-lookahead sharded engine: one logical
-//!   process per node, per-epoch safe horizons, byte-identical digests
-//!   at every worker/shard count (DESIGN.md §13),
+//!   connection setup, realm-scoped multicast, and the one send path
+//!   over them,
+//! * `node` (private) — the node model both engines run: per-node state,
+//!   event admission and accounting, the node-scoped fault rules and the
+//!   one [`Context`] implementation (DESIGN.md §8),
+//! * [`sim`] — the single-queue scheduler over that model: seeded,
+//!   single-threaded, used by every figure reproduction,
+//! * [`shard`] — the conservative-lookahead scheduler over it: one
+//!   logical process per node, per-epoch safe horizons, byte-identical
+//!   digests at every worker/shard count (DESIGN.md §13),
 //! * [`wan`] — the Table-1 site inventory and its latency matrix,
 //! * [`ntp`] — an actual NTP request/response protocol implementation for
 //!   nodes that estimate their clock offset on the wire instead of by
@@ -25,6 +29,7 @@
 pub mod chaos;
 pub mod clock;
 pub mod link;
+mod node;
 pub mod ntp;
 pub mod runtime;
 pub mod shard;

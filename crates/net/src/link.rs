@@ -11,8 +11,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use nb_wire::{Endpoint, GroupId, NodeId, RealmId};
+use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::chaos::{Fault, PacketFaults};
+use crate::sim::NetStats;
 use crate::time::SimTime;
 
 /// One direction of a network path.
@@ -257,9 +260,9 @@ impl NetworkModel {
     /// The path a reliable stream message `a -> b` travels (no loss;
     /// retransmission cost is folded into jitter), or `None` when it
     /// cannot. Streams need both directions — ACKs must flow — so a
-    /// directed partition either way stalls them. The engines look this
-    /// up once per send, then sample the latency and charge the wire
-    /// from the same copy.
+    /// directed partition either way stalls them. The send path looks
+    /// this up once per send, then samples the latency and charges the
+    /// wire from the same copy.
     pub fn stream_spec(&self, a: NodeId, b: NodeId) -> Option<LinkSpec> {
         if self.directed_partitions.contains(&(b, a)) {
             return None;
@@ -312,9 +315,9 @@ impl NetworkModel {
     }
 
     /// Explicit per-pair link overrides, ascending by normalised
-    /// `(low, high)` key. Sparse-topology consumers — the shard planner
-    /// above ~2k nodes, topology generators — walk this instead of
-    /// probing all O(n²) pairs through [`NetworkModel::spec_between`].
+    /// `(low, high)` key: the edge list a topology generator installed,
+    /// without probing all O(n²) pairs through
+    /// [`NetworkModel::spec_between`].
     pub fn link_overrides(&self) -> impl Iterator<Item = (NodeId, NodeId, &LinkSpec)> + '_ {
         self.overrides.iter().map(|(&(a, b), s)| (a, b, s))
     }
@@ -322,6 +325,18 @@ impl NetworkModel {
     /// Registered nodes and their realms, ascending by node id.
     pub fn registered_nodes(&self) -> impl Iterator<Item = (NodeId, RealmId)> + '_ {
         self.realms.iter().enumerate().filter_map(|(n, r)| r.map(|r| (NodeId(n as u32), r)))
+    }
+
+    /// Applies a link-scoped fault (a partition or a heal, symmetric or
+    /// one-way); any other fault is not the model's and is ignored.
+    pub(crate) fn apply_fault(&mut self, fault: &Fault) {
+        match *fault {
+            Fault::Partition { a, b } => self.partition(a, b),
+            Fault::Heal { a, b } => self.heal(a, b),
+            Fault::PartitionOneWay { from, to } => self.partition_one_way(from, to),
+            Fault::HealOneWay { from, to } => self.heal_one_way(from, to),
+            _ => {}
+        }
     }
 
     /// Multicast recipients for a sender: members of `group` in the
@@ -454,12 +469,143 @@ impl StreamBook {
     }
 }
 
+/// Whether a send arrives, when, and whether twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Arrival {
+    pub(crate) at: SimTime,
+    /// The duplication fault's extra copy (datagrams only).
+    pub(crate) duplicate_at: Option<SimTime>,
+    /// The bytes the wire was charged for.
+    pub(crate) len: usize,
+}
+
+/// The four things a send touches besides the model. `Sim` has one set
+/// for the whole run; every LP of the sharded engine has its own, which
+/// is why an LP's RNG stream, connection state and counters are a
+/// function of its node id alone.
+pub(crate) struct Transport {
+    pub(crate) rng: StdRng,
+    pub(crate) streams: StreamBook,
+    pub(crate) wires: WireBook,
+    pub(crate) stats: NetStats,
+}
+
+impl Transport {
+    pub(crate) fn new(rng: StdRng) -> Transport {
+        Transport {
+            rng,
+            streams: StreamBook::new(),
+            wires: WireBook::new(),
+            stats: NetStats::default(),
+        }
+    }
+
+    /// Forgets every connection and wire queue involving `node`.
+    pub(crate) fn reset_node(&mut self, node: NodeId) {
+        self.streams.reset_node(node);
+        self.wires.reset_node(node);
+    }
+
+    /// Counts one send that found no path, by fate.
+    pub(crate) fn count_unreachable(&mut self, net: &NetworkModel, from: NodeId, to: NodeId) {
+        self.stats.unreachable += 1;
+        if net.path_blocked(from, to) {
+            self.stats.unreachable_partitioned += 1;
+        } else {
+            self.stats.unreachable_no_path += 1;
+        }
+    }
+
+    /// Sends one datagram at `now`; `None` if it never arrives. The
+    /// draws, in order: loss, latency (the order of
+    /// [`NetworkModel::datagram_fate`]), then — inside a packet-fault
+    /// window — corrupt, reorder and its delay, duplicate and its
+    /// delay. A probability of zero rolls no die and a path with no
+    /// jitter draws no latency, so what a send consumes depends on the
+    /// link and the window it meets, never on the destination's state:
+    /// a send to a down node rolls and schedules like any other, and
+    /// the up-check happens at delivery.
+    ///
+    /// `len` is asked for the body length only once the datagram is
+    /// known to occupy the wire. It is the legacy body length (frame
+    /// minus prelude) that is charged, which keeps pinned-seed timing —
+    /// and thus delivery order — identical to the pre-frame engine.
+    pub(crate) fn send_datagram(
+        &mut self,
+        net: &NetworkModel,
+        faults: PacketFaults,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        len: impl FnOnce() -> usize,
+    ) -> Option<Arrival> {
+        self.stats.datagrams_sent += 1;
+        let Some(spec) = net.spec_between(from, to) else {
+            self.count_unreachable(net, from, to);
+            return None;
+        };
+        if spec.sample_loss(&mut self.rng) {
+            self.stats.datagrams_lost += 1;
+            return None;
+        }
+        let lat = spec.sample_latency(&mut self.rng);
+        let len = len();
+        // Serialisation onto the wire (bandwidth model), then the
+        // sampled propagation latency.
+        let mut at = self.wires.serialize(from, to, now, len, &spec) + lat;
+        let mut duplicate_at = None;
+        if faults.is_active() {
+            let extra_ns = faults.extra_delay.as_nanos() as u64;
+            let extra_delay = |rng: &mut StdRng| match extra_ns {
+                0 => Duration::ZERO,
+                _ => Duration::from_nanos(rng.gen_range(0..=extra_ns)),
+            };
+            if faults.corrupt > 0.0 && self.rng.gen::<f64>() < faults.corrupt {
+                // Arrived with a bad checksum: the wire was paid for,
+                // the receiver drops it.
+                self.stats.datagrams_corrupted += 1;
+                return None;
+            }
+            if faults.reorder > 0.0 && self.rng.gen::<f64>() < faults.reorder {
+                self.stats.datagrams_reordered += 1;
+                at += extra_delay(&mut self.rng);
+            }
+            if faults.duplicate > 0.0 && self.rng.gen::<f64>() < faults.duplicate {
+                self.stats.datagrams_duplicated += 1;
+                duplicate_at = Some(at + extra_delay(&mut self.rng));
+            }
+        }
+        Some(Arrival { at, duplicate_at, len })
+    }
+
+    /// Sends `len()` bytes on the reliable stream `from -> to` at `now`;
+    /// `None` (with `len` never asked) if the stream has no path. One
+    /// draw — the latency — then serialisation onto the wire, then the
+    /// connection's setup charge and FIFO, which is also what keeps a
+    /// v2 link's symbol definitions ahead of the frames that refer to
+    /// them.
+    pub(crate) fn send_stream(
+        &mut self,
+        net: &NetworkModel,
+        now: SimTime,
+        from: Endpoint,
+        to: Endpoint,
+        len: impl FnOnce() -> usize,
+    ) -> Option<Arrival> {
+        let spec = net.stream_spec(from.node, to.node)?;
+        let len = len();
+        let lat = spec.sample_latency(&mut self.rng);
+        let serialized_at = self.wires.serialize(from.node, to.node, now, len, &spec);
+        let at = self.streams.delivery_time(from, to, serialized_at, lat);
+        Some(Arrival { at, duplicate_at: None, len })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use nb_wire::Port;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -471,6 +617,92 @@ mod tests {
             m.register_node(NodeId(i), RealmId((i % 2) as u16));
         }
         m
+    }
+
+    /// How many draws `send` took from the transport's RNG stream.
+    fn draws<T>(t: &mut Transport, send: impl FnOnce(&mut Transport) -> T) -> (usize, T) {
+        let mut reference = t.rng.clone();
+        let out = send(t);
+        let mut taken = 0;
+        while reference != t.rng {
+            reference.next_u64();
+            taken += 1;
+            assert!(taken <= 16, "the stream diverged");
+        }
+        (taken, out)
+    }
+
+    /// What a datagram send consumes, fate by fate. A zero probability
+    /// rolls no die — a fault window does *not* consume a fixed number
+    /// of draws — and pinned digests depend on exactly this table.
+    #[test]
+    fn datagram_draws_per_fate() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let at = SimTime::from_millis(5);
+        // A loss probability that always rolls and never loses.
+        let rolls = LinkSpec::lan().with_loss(f64::MIN_POSITIVE);
+        let send = |spec: LinkSpec, to: NodeId, faults: PacketFaults| {
+            let mut net = model_with(2);
+            net.intra_realm_spec = spec;
+            net.inter_realm_spec = spec;
+            let mut t = Transport::new(rng());
+            let (taken, sent) = draws(&mut t, |t| t.send_datagram(&net, faults, at, a, to, || 100));
+            (taken, sent, t.stats)
+        };
+        let window = |corrupt: f64, reorder: f64, duplicate: f64, extra_ms: u64| PacketFaults {
+            corrupt,
+            reorder,
+            duplicate,
+            extra_delay: Duration::from_millis(extra_ms),
+        };
+        let off = PacketFaults::none();
+
+        // No path: nothing rolled, counted by fate.
+        let (taken, sent, stats) = send(rolls, NodeId(9), off);
+        assert_eq!((taken, sent), (0, None));
+        assert_eq!((stats.unreachable, stats.unreachable_no_path), (1, 1));
+        // Lost: the loss roll only.
+        let (taken, sent, stats) = send(rolls.with_loss(1.0), b, off);
+        assert_eq!((taken, sent, stats.datagrams_lost), (1, None, 1));
+        // Delivered, faults off: loss, then latency; each only if the
+        // link can lose, can jitter.
+        assert_eq!(send(rolls, b, off).0, 2);
+        assert_eq!(send(rolls.with_loss(0.0), b, off).0, 1);
+        assert_eq!(send(rolls.with_loss(0.0).with_jitter(Duration::ZERO), b, off).0, 0);
+        // Corrupt at 1: its roll, and the send ends there.
+        let (taken, sent, stats) = send(rolls, b, window(1.0, 1.0, 1.0, 80));
+        assert_eq!((taken, sent, stats.datagrams_corrupted), (3, None, 1));
+        // Reorder at 1, the others at 0: its roll and its delay.
+        let (taken, sent, stats) = send(rolls, b, window(0.0, 1.0, 0.0, 80));
+        assert_eq!((taken, stats.datagrams_reordered), (4, 1));
+        assert_eq!(sent.and_then(|s| s.duplicate_at), None);
+        // ...and with no extra delay configured, its roll alone.
+        assert_eq!(send(rolls, b, window(0.0, 1.0, 0.0, 0)).0, 3);
+        // Duplicate at 1, the others at 0: its roll and its delay.
+        let (taken, sent, stats) = send(rolls, b, window(0.0, 0.0, 1.0, 80));
+        assert_eq!((taken, stats.datagrams_duplicated), (4, 1));
+        let sent = sent.expect("delivered");
+        assert!(sent.duplicate_at.is_some_and(|dup| dup >= sent.at));
+        // Reorder and duplicate at 1: both pairs, in that order.
+        assert_eq!(send(rolls, b, window(0.0, 1.0, 1.0, 80)).0, 6);
+    }
+
+    #[test]
+    fn stream_send_draws_the_latency_only_and_charges_setup_once() {
+        let net = model_with(4);
+        let mut t = Transport::new(rng());
+        let a = Endpoint::new(NodeId(0), Port(1));
+        let b = Endpoint::new(NodeId(2), Port(2));
+        let (taken, first) = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, b, || 100));
+        let (_, warm) = draws(&mut t, |t| t.send_stream(&net, SimTime::from_secs(1), a, b, || 100));
+        assert_eq!(taken, 1);
+        let lan = net.intra_realm_spec.latency;
+        assert!(first.expect("same realm").at >= SimTime::ZERO + lan * 3);
+        assert!(warm.expect("same realm").at < SimTime::from_secs(1) + lan * 3);
+        // No path: the length is never asked for, nothing is drawn.
+        let gone = Endpoint::new(NodeId(9), Port(2));
+        let sent = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, gone, || unreachable!()));
+        assert_eq!(sent, (0, None));
     }
 
     #[test]

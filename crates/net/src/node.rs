@@ -1,0 +1,618 @@
+//! The node model both engines run.
+//!
+//! A node is the same thing under [`crate::sim::Sim`] and
+//! [`crate::shard::ShardedSim`]: a [`Node`] (identity, clock, liveness,
+//! armed timers, its actor), the [`NodeEvent`]s addressed to it, the
+//! [`EventHeap`] order they come due in, the admission rules a due
+//! event passes ([`NodeCtx::handle`]), the node-scoped fault rules
+//! ([`NodeCtx::apply_fault`]) and the [`Context`] its actor acts
+//! through. All of that is stated here once; the send path it uses is
+//! [`Transport`]'s, beside the link model.
+//!
+//! What an engine adds is a [`Scheduler`]: where a scheduled event
+//! goes, when a multicast group change becomes visible, what else a
+//! crash tears down, and whether a stream send can ride the v2 codec.
+//! DESIGN.md §8 lists everything the two engines do differently.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::Deref;
+use std::time::Duration;
+
+use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId, WireMsg};
+use rand::RngCore;
+
+use crate::chaos::{Fault, PacketFaults};
+use crate::clock::ClockState;
+use crate::link::{Arrival, NetworkModel, Transport};
+use crate::runtime::{Actor, Context, Incoming};
+use crate::time::SimTime;
+
+/// A node's armed timers: one `(token, generation)` slot per token with
+/// a firing in flight. Arming stamps a generation from a per-node
+/// counter that only ever grows, so a slot can be dropped the moment
+/// its firing is dispatched, its token is cancelled or the node crashes
+/// — a queued firing from before can never match a later arming of the
+/// same token. The linear scans are therefore over the timers in
+/// flight, not over every token the node ever armed.
+#[derive(Debug, Default)]
+pub(crate) struct TimerSlots {
+    armed: Vec<(u64, u64)>,
+    last_generation: u64,
+}
+
+impl TimerSlots {
+    /// Arms (or re-arms) `token`; returns the generation its firing
+    /// must carry to be dispatched.
+    pub(crate) fn arm(&mut self, token: u64) -> u64 {
+        self.last_generation += 1;
+        let generation = self.last_generation;
+        match self.armed.iter_mut().find(|slot| slot.0 == token) {
+            Some(slot) => slot.1 = generation,
+            None => self.armed.push((token, generation)),
+        }
+        generation
+    }
+
+    /// Invalidates any in-flight firing of `token`.
+    pub(crate) fn cancel(&mut self, token: u64) {
+        if let Some(i) = self.armed.iter().position(|slot| slot.0 == token) {
+            self.armed.swap_remove(i);
+        }
+    }
+
+    /// Whether a popped firing is the one its token is armed for; if
+    /// so the slot is released (timers are one-shot).
+    pub(crate) fn fire(&mut self, token: u64, generation: u64) -> bool {
+        match self.armed.iter().position(|&slot| slot == (token, generation)) {
+            Some(i) => {
+                self.armed.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Invalidates every armed timer (node crash).
+    pub(crate) fn clear(&mut self) {
+        self.armed.clear();
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.armed.len()
+    }
+}
+
+/// One simulated node. `F` is the engine's respawn-factory type: `Sim`
+/// takes any closure, an LP's must be `Send` because the LP migrates
+/// between worker threads.
+pub(crate) struct Node<F> {
+    pub(crate) id: NodeId,
+    pub(crate) name: String,
+    pub(crate) realm: RealmId,
+    pub(crate) clock: ClockState,
+    pub(crate) up: bool,
+    /// Events addressed to this node are deferred until this instant
+    /// (stop-the-world stall fault; `ZERO` = not stalled).
+    pub(crate) stalled_until: SimTime,
+    pub(crate) timers: TimerSlots,
+    /// `None` only while the actor is checked out for a dispatch.
+    pub(crate) actor: Option<Box<dyn Actor>>,
+    /// Rebuilds the actor on a restart with state loss.
+    pub(crate) respawn: Option<F>,
+}
+
+impl<F> Node<F> {
+    pub(crate) fn new(
+        id: NodeId,
+        name: &str,
+        realm: RealmId,
+        clock: ClockState,
+        actor: Box<dyn Actor>,
+    ) -> Node<F> {
+        Node {
+            id,
+            name: name.to_string(),
+            realm,
+            clock,
+            up: true,
+            stalled_until: SimTime::ZERO,
+            timers: TimerSlots::default(),
+            actor: Some(actor),
+            respawn: None,
+        }
+    }
+
+    /// When a stalled node thaws, if it is still frozen at `at`. A
+    /// stalled node is frozen mid-world: everything addressed to it is
+    /// re-queued for this instant and replayed in arrival order (the
+    /// fresh sequence numbers preserve it). Deferral is not
+    /// "processing": it is neither counted nor digested.
+    pub(crate) fn stalled_past(&self, at: SimTime) -> Option<SimTime> {
+        (self.stalled_until > at).then_some(self.stalled_until)
+    }
+
+    /// The node's actor, downcast to `T`.
+    pub(crate) fn actor_as<T: 'static>(&self) -> Option<&T> {
+        self.actor.as_ref()?.as_any().downcast_ref::<T>()
+    }
+
+    /// Mutable counterpart of [`Node::actor_as`].
+    pub(crate) fn actor_as_mut<T: 'static>(&mut self) -> Option<&mut T> {
+        self.actor.as_mut()?.as_any_mut().downcast_mut::<T>()
+    }
+}
+
+/// An event addressed to a node.
+#[derive(Debug)]
+pub(crate) enum NodeEvent {
+    Deliver { to: NodeId, from: Endpoint, to_port: Port, msg: WireMsg, len: usize, stream: bool },
+    Timer { node: NodeId, token: u64, generation: u64 },
+    ClockSync { node: NodeId },
+    Start { node: NodeId },
+    Inject { node: NodeId, incoming: Incoming },
+    Fault { fault: Fault },
+}
+
+impl NodeEvent {
+    /// The node the event is addressed to, for routing and stall
+    /// deferral. Faults have none: they execute on schedule even while
+    /// their target is stalled.
+    pub(crate) fn target(&self) -> Option<NodeId> {
+        match self {
+            NodeEvent::Deliver { to, .. } => Some(*to),
+            NodeEvent::Timer { node, .. }
+            | NodeEvent::ClockSync { node }
+            | NodeEvent::Start { node }
+            | NodeEvent::Inject { node, .. } => Some(*node),
+            NodeEvent::Fault { .. } => None,
+        }
+    }
+}
+
+pub(crate) struct Queued<E> {
+    at: SimTime,
+    seq: u64,
+    ev: E,
+}
+
+impl<E> PartialEq for Queued<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Queued<E> {}
+impl<E> PartialOrd for Queued<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Queued<E> {
+    // Reversed so the BinaryHeap pops the earliest event first; `seq`
+    // breaks ties deterministically in scheduling order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
+    }
+}
+
+/// An event heap: earliest first, ties in the order they were pushed.
+/// `Sim` has one; every LP has its own.
+pub(crate) struct EventHeap<E> {
+    heap: BinaryHeap<Queued<E>>,
+    seq: u64,
+}
+
+impl<E> EventHeap<E> {
+    pub(crate) fn new() -> EventHeap<E> {
+        EventHeap { heap: BinaryHeap::new(), seq: 0 }
+    }
+
+    pub(crate) fn push(&mut self, at: SimTime, ev: E) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Queued { at, seq, ev });
+    }
+
+    /// When the earliest event is due.
+    pub(crate) fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|q| q.at)
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|q| (q.at, q.ev))
+    }
+}
+
+/// What an engine is, seen from a node: the operations the two engines
+/// perform differently. Everything else a node does is [`NodeCtx`]'s.
+pub(crate) trait Scheduler {
+    /// How the engine holds the network model while a node runs: `Sim`
+    /// mutably (group changes land at once), an LP as the epoch's
+    /// read-only snapshot (they wait for the barrier).
+    type Net: Deref<Target = NetworkModel>;
+    /// The respawn-factory type of the engine's nodes.
+    type Respawn: FnMut() -> Box<dyn Actor>;
+
+    /// Puts `ev` on the schedule at `at`. `Sim`: its one heap. An LP:
+    /// its own heap if the event is its own, else its outbox, for the
+    /// barrier to merge.
+    fn schedule(&mut self, at: SimTime, ev: NodeEvent);
+
+    fn join_group(&mut self, net: &mut Self::Net, node: NodeId, group: GroupId);
+
+    fn leave_group(&mut self, net: &mut Self::Net, node: NodeId, group: GroupId);
+
+    /// `node` crashed and its [`Transport`] has forgotten its
+    /// connections; the engine tears down whatever else the connections
+    /// carried.
+    fn crashed(&mut self, node: NodeId);
+
+    /// Sends `msg` as a v2 segment if the engine has the codec
+    /// installed; `false` leaves the send to the v1 stream path.
+    fn send_stream_v2(
+        &mut self,
+        _link: &mut Transport,
+        _net: &NetworkModel,
+        _now: SimTime,
+        _from: Endpoint,
+        _to: Endpoint,
+        _msg: &WireMsg,
+    ) -> bool {
+        false
+    }
+}
+
+/// A node at one instant of an engine's run: the handle a due event is
+/// admitted through, faults are applied through, and — as the one
+/// [`Context`] implementation — the node's actor acts through.
+pub(crate) struct NodeCtx<'a, S: Scheduler> {
+    pub(crate) node: &'a mut Node<S::Respawn>,
+    pub(crate) link: &'a mut Transport,
+    pub(crate) net: S::Net,
+    pub(crate) faults: PacketFaults,
+    pub(crate) now: SimTime,
+    pub(crate) sched: S,
+}
+
+impl<S: Scheduler> NodeCtx<'_, S> {
+    /// Admits one due event: the liveness rules, the delivery
+    /// accounting, then the actor.
+    pub(crate) fn handle(mut self, ev: NodeEvent) {
+        match ev {
+            NodeEvent::Start { .. } => {
+                if self.node.up {
+                    self.with_actor(|actor, ctx| actor.on_start(ctx));
+                }
+            }
+            NodeEvent::ClockSync { .. } => {
+                self.node.clock.mark_synced();
+                self.dispatch(Incoming::ClockSynced);
+            }
+            NodeEvent::Timer { token, generation, .. } => {
+                if self.node.up && self.node.timers.fire(token, generation) {
+                    self.dispatch(Incoming::Timer { token });
+                }
+            }
+            NodeEvent::Inject { incoming, .. } => self.dispatch(incoming),
+            NodeEvent::Fault { fault } => self.apply_fault(fault),
+            NodeEvent::Deliver { from, to_port, msg, len, stream, .. } => {
+                if !self.admits_delivery() {
+                    return;
+                }
+                let stats = &mut self.link.stats;
+                stats.bytes_delivered += len as u64;
+                *stats.by_kind.entry(msg.kind()).or_insert(0) += 1;
+                if stream {
+                    stats.stream_delivered += 1;
+                    self.dispatch(Incoming::Stream { from, to_port, msg });
+                } else {
+                    stats.datagrams_delivered += 1;
+                    self.dispatch(Incoming::Datagram { from, to_port, msg });
+                }
+            }
+        }
+    }
+
+    /// Whether the node takes deliveries; one to a down node is counted
+    /// and dropped. (The send rolled its dice regardless: RNG
+    /// consumption never depends on destination state.)
+    pub(crate) fn admits_delivery(&mut self) -> bool {
+        if !self.node.up {
+            self.link.stats.dropped_node_down += 1;
+        }
+        self.node.up
+    }
+
+    /// Hands `incoming` to the actor, if the node is up.
+    pub(crate) fn dispatch(&mut self, incoming: Incoming) {
+        if self.node.up {
+            self.with_actor(|actor, ctx| actor.on_incoming(incoming, ctx));
+        }
+    }
+
+    fn with_actor(&mut self, f: impl FnOnce(&mut dyn Actor, &mut dyn Context)) {
+        let Some(mut actor) = self.node.actor.take() else {
+            return;
+        };
+        f(actor.as_mut(), self);
+        self.node.actor = Some(actor);
+    }
+
+    /// The node-scoped fault rules. Link- and window-scoped faults are
+    /// not a node's: the engines apply those to the model.
+    pub(crate) fn apply_fault(&mut self, fault: Fault) {
+        match fault {
+            Fault::Crash { .. } => self.crash(),
+            // Crash (if still up) then revive. With `lose_state` the
+            // actor is first replaced by a fresh instance from the
+            // respawn factory — registries, caches and all other
+            // volatile state are lost, a process restart rather than a
+            // network blip; without a factory it degrades to a
+            // state-preserving revive. Identity, realm and hardware
+            // clock survive either way.
+            Fault::Restart { lose_state, .. } => {
+                if self.node.up {
+                    self.crash();
+                }
+                if lose_state {
+                    if let Some(factory) = self.node.respawn.as_mut() {
+                        self.node.actor = Some(factory());
+                    }
+                }
+                self.revive();
+            }
+            Fault::Stall { dur, .. } => {
+                self.node.stalled_until = self.node.stalled_until.max(self.now + dur);
+            }
+            Fault::ClockStep { delta_ns, .. } => self.node.clock.step_ns(delta_ns),
+            _ => {}
+        }
+    }
+
+    /// Marks the node down: its timers are invalidated, its stream
+    /// connections and wire queues reset; queued and future deliveries
+    /// are dropped until it is revived.
+    pub(crate) fn crash(&mut self) {
+        self.node.up = false;
+        self.node.timers.clear();
+        self.link.reset_node(self.node.id);
+        self.sched.crashed(self.node.id);
+    }
+
+    /// Marks the node up and re-runs its `on_start`.
+    pub(crate) fn revive(&mut self) {
+        self.node.up = true;
+        self.sched.schedule(self.now, NodeEvent::Start { node: self.node.id });
+    }
+
+    /// Sends one datagram. `len` caches the body size across a
+    /// multicast fan-out, which therefore serialises at most once no
+    /// matter how many recipients the group has.
+    fn send_datagram(&mut self, from: Endpoint, to: Endpoint, msg: &WireMsg, len: &mut Option<usize>) {
+        let size = || *len.get_or_insert_with(|| msg.body_len());
+        let sent = self.link.send_datagram(&self.net, self.faults, self.now, from.node, to.node, size);
+        let Some(Arrival { at, duplicate_at, len }) = sent else {
+            return;
+        };
+        for at in std::iter::once(at).chain(duplicate_at) {
+            self.sched.schedule(
+                at,
+                NodeEvent::Deliver {
+                    to: to.node,
+                    from,
+                    to_port: to.port,
+                    msg: msg.clone(),
+                    len,
+                    stream: false,
+                },
+            );
+        }
+    }
+}
+
+impl<S: Scheduler> Context for NodeCtx<'_, S> {
+    fn me(&self) -> NodeId {
+        self.node.id
+    }
+
+    fn realm(&self) -> RealmId {
+        self.node.realm
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn utc_micros(&self) -> u64 {
+        self.node.clock.utc_micros(self.now)
+    }
+
+    fn clock_synced(&self) -> bool {
+        self.node.clock.synced
+    }
+
+    fn raw_local_micros(&self) -> u64 {
+        self.node.clock.raw_local_micros(self.now)
+    }
+
+    fn set_clock_estimate_ns(&mut self, est_offset_ns: i64) {
+        self.node.clock.set_estimate_ns(est_offset_ns);
+    }
+
+    fn send_udp(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
+        self.send_udp_wire(from_port, to, &WireMsg::new(msg.clone()));
+    }
+
+    fn send_stream(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
+        self.send_stream_wire(from_port, to, &WireMsg::new(msg.clone()));
+    }
+
+    fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        let from = Endpoint::new(self.node.id, from_port);
+        self.send_datagram(from, to, msg, &mut None);
+    }
+
+    fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        let from = Endpoint::new(self.node.id, from_port);
+        let Some(Arrival { at, len, .. }) =
+            self.link.send_stream(&self.net, self.now, from, to, || msg.body_len())
+        else {
+            self.link.stats.unreachable += 1;
+            return;
+        };
+        self.sched.schedule(
+            at,
+            NodeEvent::Deliver {
+                to: to.node,
+                from,
+                to_port: to.port,
+                msg: msg.clone(),
+                len,
+                stream: true,
+            },
+        );
+    }
+
+    fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        let from = Endpoint::new(self.node.id, from_port);
+        if !self.sched.send_stream_v2(self.link, &self.net, self.now, from, to, msg) {
+            self.send_stream_wire(from_port, to, msg);
+        }
+    }
+
+    fn send_multicast(&mut self, from_port: Port, group: GroupId, to_port: Port, msg: &Message) {
+        let from = Endpoint::new(self.node.id, from_port);
+        // One shared handle and at most one serialisation for the whole
+        // fan-out; recipients come in ascending node order, so the
+        // scheduling order is deterministic.
+        let wire = WireMsg::new(msg.clone());
+        let mut len = None;
+        for r in self.net.multicast_recipients(group, self.node.id) {
+            self.send_datagram(from, Endpoint::new(r, to_port), &wire, &mut len);
+        }
+    }
+
+    fn join_group(&mut self, group: GroupId) {
+        self.sched.join_group(&mut self.net, self.node.id, group);
+    }
+
+    fn leave_group(&mut self, group: GroupId) {
+        self.sched.leave_group(&mut self.net, self.node.id, group);
+    }
+
+    fn set_timer(&mut self, delay: Duration, token: u64) {
+        let node = self.node.id;
+        let generation = self.node.timers.arm(token);
+        self.sched.schedule(self.now + delay, NodeEvent::Timer { node, token, generation });
+    }
+
+    fn cancel_timer(&mut self, token: u64) {
+        self.node.timers.cancel(token);
+    }
+
+    fn rng(&mut self) -> &mut dyn RngCore {
+        &mut self.link.rng
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::ClockProfile;
+    use crate::impl_actor_any;
+    use crate::link::LinkSpec;
+    use crate::shard::{DiscoveryEngine, ShardedSim};
+    use crate::sim::Sim;
+    use nb_wire::addr::well_known;
+
+    const GROUP: GroupId = GroupId(3);
+
+    /// Joins [`GROUP`] and logs `(arrival, nonce, on a stream)` for
+    /// every ping it receives; the node with peers also runs the script.
+    struct Scripted {
+        peers: Vec<NodeId>,
+        arrivals: Vec<(SimTime, u64, bool)>,
+    }
+
+    impl Scripted {
+        fn ping(ctx: &dyn Context, nonce: u64) -> Message {
+            let reply_to = Endpoint::new(ctx.me(), well_known::PING);
+            Message::Ping { nonce, sent_at: 0, reply_to }
+        }
+    }
+
+    impl Actor for Scripted {
+        fn on_start(&mut self, ctx: &mut dyn Context) {
+            ctx.join_group(GROUP);
+            if !self.peers.is_empty() {
+                ctx.set_timer(Duration::from_millis(100), 1);
+            }
+        }
+
+        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+            let port = well_known::PING;
+            match event {
+                Incoming::Timer { token: 1 } => {
+                    let to = Endpoint::new(self.peers[0], port);
+                    ctx.send_udp(port, to, &Scripted::ping(ctx, 1));
+                    // First use of the connection: pays the handshake.
+                    ctx.send_stream(port, to, &Scripted::ping(ctx, 2));
+                    ctx.set_timer(Duration::from_millis(100), 2);
+                }
+                Incoming::Timer { .. } => {
+                    let to = Endpoint::new(self.peers[0], port);
+                    ctx.send_stream(port, to, &Scripted::ping(ctx, 3));
+                    ctx.send_multicast(port, GROUP, port, &Scripted::ping(ctx, 4));
+                    ctx.send_udp(port, Endpoint::new(ctx.me(), port), &Scripted::ping(ctx, 5));
+                }
+                Incoming::Datagram { ref msg, .. } | Incoming::Stream { ref msg, .. } => {
+                    let stream = matches!(event, Incoming::Stream { .. });
+                    if let Message::Ping { nonce, .. } = msg.message() {
+                        self.arrivals.push((ctx.now(), *nonce, stream));
+                    }
+                }
+                Incoming::ClockSynced => {}
+            }
+        }
+        impl_actor_any!();
+    }
+
+    /// Runs the script on `engine`; every node's arrival log, by node.
+    fn arrivals(mut engine: impl DiscoveryEngine) -> Vec<Vec<(SimTime, u64, bool)>> {
+        let still = |spec: LinkSpec| spec.with_loss(0.0).with_jitter(Duration::ZERO);
+        let net = engine.network_mut();
+        net.local_spec = still(LinkSpec::local());
+        net.intra_realm_spec = still(LinkSpec::lan());
+        let mut add = |peers: Vec<NodeId>| {
+            engine.add_node("n", RealmId(0), Box::new(Scripted { peers, arrivals: Vec::new() }))
+        };
+        let (r1, r2) = (add(Vec::new()), add(Vec::new()));
+        let nodes = [r1, r2, add(vec![r1, r2])];
+        engine.run_for(Duration::from_secs(1));
+        let log = |&n| engine.actor_dyn(n).and_then(|a| a.as_any().downcast_ref::<Scripted>());
+        nodes.iter().map(|n| log(n).expect("a scripted node").arrivals.clone()).collect()
+    }
+
+    /// The engines share the send path, so on a net with no dice to
+    /// roll — lossless, jitter-free, perfect clocks — the same sends
+    /// arrive at the same virtual times on both: a datagram, a stream's
+    /// first message and a warm one, a multicast to two members, a
+    /// self-send.
+    #[test]
+    fn scripted_sends_arrive_at_the_same_times_on_both_engines() {
+        let serial = arrivals(Sim::with_clock_profile(5, ClockProfile::perfect()));
+        let sharded = arrivals(ShardedSim::with_clock_profile(5, ClockProfile::perfect()));
+        assert_eq!(serial, sharded);
+        let [r1, r2, sender] = &serial[..] else {
+            panic!("three nodes");
+        };
+        let nonces = |log: &[(SimTime, u64, bool)]| log.iter().map(|a| (a.1, a.2)).collect::<Vec<_>>();
+        assert_eq!(nonces(r1), [(1, false), (2, true), (3, true), (4, false)]);
+        assert_eq!(nonces(r2), [(4, false)]);
+        assert_eq!(nonces(sender), [(5, false)]);
+        // The handshake was charged once, by either engine's books.
+        let (first, warm) = (r1[1].0 - SimTime::from_millis(100), r1[2].0 - SimTime::from_millis(200));
+        assert!(first > warm * 2, "first {first:?}, warm {warm:?}");
+    }
+}

@@ -2,9 +2,11 @@
 //!
 //! Brokers, BDNs, discovery clients, NTP servers — every node is an
 //! [`Actor`]: a state machine that reacts to [`Incoming`] events and acts
-//! on the world exclusively through a [`Context`]. The same actor code
-//! runs unmodified under the single-queue engine ([`crate::sim::Sim`])
-//! and the sharded engine ([`crate::shard::ShardedSim`]).
+//! on the world exclusively through a [`Context`]. The engines share
+//! one node model and one `Context` implementation (`node.rs`), so the
+//! same actor code runs unmodified under the single-queue scheduler
+//! ([`crate::sim::Sim`]) and the sharded one
+//! ([`crate::shard::ShardedSim`]).
 
 use std::any::Any;
 use std::time::Duration;
@@ -46,7 +48,8 @@ pub enum Incoming {
     ClockSynced,
 }
 
-/// A node's interface to the world. Implemented by both engines.
+/// A node's interface to the world. The engines implement it once,
+/// generic over their schedulers.
 pub trait Context {
     /// This node's identity.
     fn me(&self) -> NodeId;
@@ -87,7 +90,7 @@ pub trait Context {
     /// use this so the frame is encoded once and every send clones the
     /// handle. The default delegates to [`Context::send_udp`] (decoded
     /// message, legacy encode) so test doubles keep working unmodified;
-    /// both engines override it with a zero-copy path.
+    /// the engines override it with a zero-copy path.
     fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         self.send_udp(from_port, to, msg.message());
     }

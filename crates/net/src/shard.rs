@@ -2,12 +2,13 @@
 //!
 //! [`crate::sim::Sim`] is single-threaded: one queue, one RNG, one clock.
 //! That is perfect for pinned-seed reproductions but leaves every core
-//! but one idle during large campaigns. This module shards the engine
-//! *by node id*: every node becomes its own logical process (LP) with a
-//! private event queue, RNG stream, stream/wire books and traffic
-//! counters, and a coordinator runs the classic conservative-lookahead
-//! protocol (Chandy/Misra/Bryant by way of a barrier-synchronous epoch
-//! loop) over them:
+//! but one idle during large campaigns. This module runs the same node
+//! model (`node.rs`; DESIGN.md §8) under a different scheduler: the
+//! engine is sharded *by node id*, every node its own logical process
+//! (LP) with a private event heap, RNG stream, stream/wire books and
+//! traffic counters, and a coordinator runs the classic
+//! conservative-lookahead protocol (Chandy/Misra/Bryant by way of a
+//! barrier-synchronous epoch loop) over them:
 //!
 //! 1. **Lookahead.** The WAN model gives a hard floor on cross-node
 //!    delay: no message between two distinct nodes can arrive sooner
@@ -35,9 +36,10 @@
 //! LP, never what the LPs compute; with one worker the engine is the
 //! degenerate serial case of the same algorithm.
 //!
-//! Two scheduling semantics intentionally differ from `Sim` (documented
-//! here because digests are *not* comparable between the engines, only
-//! across configurations of the same engine):
+//! What an actor can observe differently from `Sim` (digests are *not*
+//! comparable between the engines, only across configurations of the
+//! same engine; DESIGN.md §8 has the full list of what each scheduler
+//! owns):
 //!
 //! * Globally-scoped faults (partitions, packet-fault windows) apply at
 //!   epoch boundaries, always before protocol events carrying the same
@@ -46,6 +48,12 @@
 //!   rather than immediately. Warmed-up scenarios never notice (joins
 //!   happen at start-up, multicasts seconds later), but a same-instant
 //!   join-then-multicast would.
+//! * Every LP draws from its own RNG stream, so which dice a send rolls
+//!   is a function of the sender, not of global send order.
+//! * A stream connection is established at the receiver when its first
+//!   message *arrives* (each LP keeps its own book), not when it is
+//!   sent: a reply sent before then pays its own handshake.
+//! * There is no v2 link codec: `send_stream_v2` is the v1 stream path.
 //!
 //! Threading is confined to [`ShardedSim::run_epochs_threaded`]: a
 //! scoped worker pool on `std::sync::mpsc`, moving whole LP groups
@@ -54,20 +62,20 @@
 //! snapshot of the network — which is why this module is the only
 //! sanctioned home for thread primitives in nb-net (lint rule D008).
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId, WireMsg};
+use nb_wire::{Endpoint, GroupId, NodeId, RealmId};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
-use crate::clock::{ClockProfile, ClockState};
-use crate::link::{NetworkModel, StreamBook, WireBook};
-use crate::runtime::{Actor, Context, Incoming};
-use crate::sim::{NetStats, Sim, TimerSlots};
+use crate::clock::ClockProfile;
+use crate::link::{NetworkModel, Transport};
+use crate::node::{EventHeap, Node, NodeCtx, NodeEvent, Scheduler};
+use crate::runtime::{Actor, Incoming};
+use crate::sim::{NetStats, Sim};
 use crate::time::SimTime;
 
 /// Builds a fresh actor for a node restarted with state loss under the
@@ -205,59 +213,12 @@ impl ShardPlan {
     }
 }
 
-/// An event in one LP's private queue. Unlike [`crate::sim::Sim`]'s
-/// kinds these carry no node id — the queue they sit in *is* the node.
-enum LpEvent {
-    Deliver { from: Endpoint, to_port: Port, msg: WireMsg, len: usize, stream: bool },
-    Timer { token: u64, generation: u64 },
-    ClockSync,
-    Start,
-    Inject { incoming: Incoming },
-    Fault { fault: Fault },
-}
-
-impl LpEvent {
-    /// Faults execute on schedule even while their target is stalled
-    /// (mirrors `Sim`, where fault events have no target node).
-    fn defers_under_stall(&self) -> bool {
-        !matches!(self, LpEvent::Fault { .. })
-    }
-}
-
-struct Queued {
-    at: SimTime,
-    seq: u64,
-    ev: LpEvent,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    // Reversed so the BinaryHeap pops the earliest event first; `seq`
-    // breaks ties deterministically in scheduling order.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// A cross-LP delivery buffered in the sender's outbox until the epoch
 /// barrier. Emission order within one outbox is preserved by the merge.
 struct OutMsg {
     at: SimTime,
-    to: Endpoint,
-    from: Endpoint,
-    msg: WireMsg,
-    len: usize,
-    stream: bool,
+    to: NodeId,
+    ev: NodeEvent,
 }
 
 /// A network-model mutation requested mid-epoch. The model is shared
@@ -276,23 +237,12 @@ enum DeferredOp {
 /// One logical process: a node plus every piece of engine state that
 /// only it touches. `Send`, so whole LPs migrate between workers.
 struct Lp {
-    id: NodeId,
-    name: String,
-    realm: RealmId,
-    clock: ClockState,
-    up: bool,
-    stalled_until: SimTime,
-    timers: TimerSlots,
-    actor: Option<Box<dyn Actor>>,
-    respawn: Option<ShardRespawnFn>,
-    queue: BinaryHeap<Queued>,
-    seq: u64,
-    /// Private RNG stream, seeded `root_seed ^ node_id` — a function of
-    /// the node's identity, never of which worker runs it.
-    rng: StdRng,
-    streams: StreamBook,
-    wires: WireBook,
-    stats: NetStats,
+    node: Node<ShardRespawnFn>,
+    /// Private RNG stream (seeded `root_seed ^ node_id` — a function of
+    /// the node's identity, never of which worker runs it), connection
+    /// books and counters.
+    link: Transport,
+    events: EventHeap<NodeEvent>,
     events_processed: u64,
     digest: u64,
     /// Local virtual time: the timestamp of the last processed event.
@@ -301,188 +251,114 @@ struct Lp {
     ops: Vec<DeferredOp>,
 }
 
-impl Lp {
-    fn new(id: NodeId, name: &str, realm: RealmId, clock: ClockState, rng: StdRng) -> Lp {
-        Lp {
-            id,
-            name: name.to_string(),
-            realm,
-            clock,
-            up: true,
-            stalled_until: SimTime::ZERO,
-            timers: TimerSlots::default(),
-            actor: None,
-            respawn: None,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            rng,
-            streams: StreamBook::new(),
-            wires: WireBook::new(),
-            stats: NetStats::default(),
-            events_processed: 0,
-            digest: FNV_OFFSET,
-            now: SimTime::ZERO,
-            outbox: Vec::new(),
-            ops: Vec::new(),
+/// An LP as its node sees it.
+struct LpSched<'a> {
+    id: NodeId,
+    events: &'a mut EventHeap<NodeEvent>,
+    outbox: &'a mut Vec<OutMsg>,
+    ops: &'a mut Vec<DeferredOp>,
+}
+
+impl<'a> Scheduler for LpSched<'a> {
+    type Net = &'a NetworkModel;
+    type Respawn = ShardRespawnFn;
+
+    /// The LP's own events — timers, a restart's `Start`, self-sends —
+    /// go straight into its heap (they never cross an LP boundary,
+    /// which is why the loopback spec is excluded from the lookahead);
+    /// everything else into the outbox for the barrier merge.
+    fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
+        match ev.target() {
+            Some(to) if to != self.id => self.outbox.push(OutMsg { at, to, ev }),
+            _ => self.events.push(at, ev),
         }
     }
 
-    fn enqueue(&mut self, at: SimTime, ev: LpEvent) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Queued { at, seq, ev });
+    fn join_group(&mut self, _net: &mut Self::Net, _node: NodeId, group: GroupId) {
+        self.ops.push(DeferredOp::Join(group));
+    }
+
+    fn leave_group(&mut self, _net: &mut Self::Net, _node: NodeId, group: GroupId) {
+        self.ops.push(DeferredOp::Leave(group));
+    }
+
+    fn crashed(&mut self, _node: NodeId) {
+        self.ops.push(DeferredOp::ResetPeer);
+    }
+}
+
+impl Lp {
+    /// The node at the LP's current instant.
+    fn ctx<'a>(&'a mut self, net: &'a NetworkModel, faults: PacketFaults) -> NodeCtx<'a, LpSched<'a>> {
+        NodeCtx {
+            sched: LpSched {
+                id: self.node.id,
+                events: &mut self.events,
+                outbox: &mut self.outbox,
+                ops: &mut self.ops,
+            },
+            node: &mut self.node,
+            link: &mut self.link,
+            net,
+            faults,
+            now: self.now,
+        }
     }
 
     /// Runs this LP's events strictly below `horizon`. Within the
     /// window the LP is causally closed: nothing another LP does this
     /// epoch can reach it before `horizon`.
     fn process_until(&mut self, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
-        while let Some(top) = self.queue.peek() {
-            if top.at >= horizon {
-                break;
+        while self.events.next_at().is_some_and(|at| at < horizon) {
+            if let Some((at, ev)) = self.events.pop() {
+                self.handle(at, ev, net, pf);
             }
-            let ev = self.queue.pop().expect("peeked");
-            self.handle(ev, net, pf);
         }
     }
 
-    fn handle(&mut self, ev: Queued, net: &NetworkModel, pf: PacketFaults) {
+    fn handle(&mut self, at: SimTime, ev: NodeEvent, net: &NetworkModel, pf: PacketFaults) {
         // Monotonic clamp rather than an assert: with a (degenerate)
         // zero-latency link override the 1 ns lookahead floor exceeds
         // the true minimum and a merged delivery can carry a timestamp
         // the LP already passed. Ordering stays deterministic.
-        if self.now < ev.at {
-            self.now = ev.at;
+        if self.now < at {
+            self.now = at;
         }
-        if ev.ev.defers_under_stall() && self.stalled_until > ev.at {
-            let until = self.stalled_until;
-            self.enqueue(until, ev.ev);
+        if let Some(until) = ev.target().and_then(|_| self.node.stalled_past(at)) {
+            self.events.push(until, ev);
             return;
         }
         self.events_processed += 1;
-        digest_event(&mut self.digest, ev.at, &ev.ev);
-        match ev.ev {
-            LpEvent::Start => {
-                if self.up {
-                    self.with_actor(net, pf, |actor, ctx| actor.on_start(ctx));
-                }
-            }
-            LpEvent::ClockSync => {
-                let up = self.up;
-                self.clock.mark_synced();
-                if up {
-                    self.dispatch(net, pf, Incoming::ClockSynced);
-                }
-            }
-            LpEvent::Timer { token, generation } => {
-                if self.up && self.timers.fire(token, generation) {
-                    self.dispatch(net, pf, Incoming::Timer { token });
-                }
-            }
-            LpEvent::Inject { incoming } => {
-                if self.up {
-                    self.dispatch(net, pf, incoming);
-                }
-            }
-            LpEvent::Fault { fault } => self.apply_local_fault(fault),
-            LpEvent::Deliver { from, to_port, msg, len, stream } => {
-                if !self.up {
-                    self.stats.dropped_node_down += 1;
-                    return;
-                }
-                self.stats.bytes_delivered += len as u64;
-                *self.stats.by_kind.entry(msg.kind()).or_insert(0) += 1;
-                if stream {
-                    self.stats.stream_delivered += 1;
-                    // Accepting the first framed message establishes the
-                    // connection server-side too, so replies on the same
-                    // port pair skip the setup RTTs (the sender's book
-                    // already charged them).
-                    self.streams.mark_established(Endpoint::new(self.id, to_port), from);
-                    self.dispatch(net, pf, Incoming::Stream { from, to_port, msg });
-                } else {
-                    self.stats.datagrams_delivered += 1;
-                    self.dispatch(net, pf, Incoming::Datagram { from, to_port, msg });
-                }
+        digest_event(&mut self.digest, at, &ev);
+        if let NodeEvent::Deliver { from, to_port, stream: true, .. } = &ev {
+            if self.node.up {
+                // The books are private: the sender's charged the
+                // handshake, and accepting the first framed message
+                // establishes the connection server-side too, so
+                // replies on the same port pair skip the setup RTTs.
+                let me = Endpoint::new(self.node.id, *to_port);
+                self.link.streams.mark_established(me, *from);
             }
         }
-    }
-
-    /// Node-scoped faults routed to this LP's queue (the "owning node's
-    /// shard queue" of the chaos pipeline).
-    fn apply_local_fault(&mut self, fault: Fault) {
-        match fault {
-            Fault::Crash { .. } => self.crash_local(),
-            Fault::Restart { lose_state, .. } => {
-                if self.up {
-                    self.crash_local();
-                }
-                if lose_state {
-                    if let Some(factory) = self.respawn.as_mut() {
-                        self.actor = Some(factory());
-                    }
-                }
-                self.up = true;
-                let now = self.now;
-                self.enqueue(now, LpEvent::Start);
-            }
-            Fault::Stall { dur, .. } => {
-                let until = self.now + dur;
-                if until > self.stalled_until {
-                    self.stalled_until = until;
-                }
-            }
-            Fault::ClockStep { delta_ns, .. } => self.clock.step_ns(delta_ns),
-            // Globally-scoped faults never reach an LP queue; the
-            // coordinator applies them at epoch boundaries.
-            _ => {}
-        }
-    }
-
-    fn crash_local(&mut self) {
-        self.up = false;
-        self.timers.clear();
-        let id = self.id;
-        self.streams.reset_node(id);
-        self.wires.reset_node(id);
-        self.ops.push(DeferredOp::ResetPeer);
-    }
-
-    fn dispatch(&mut self, net: &NetworkModel, pf: PacketFaults, incoming: Incoming) {
-        self.with_actor(net, pf, |actor, ctx| actor.on_incoming(incoming, ctx));
-    }
-
-    fn with_actor(
-        &mut self,
-        net: &NetworkModel,
-        pf: PacketFaults,
-        f: impl FnOnce(&mut dyn Actor, &mut dyn Context),
-    ) {
-        let Some(mut actor) = self.actor.take() else {
-            return;
-        };
-        {
-            let mut ctx = LpCtx { lp: self, net, pf };
-            f(actor.as_mut(), &mut ctx);
-        }
-        self.actor = Some(actor);
+        self.ctx(net, pf).handle(ev);
     }
 }
 
 /// Folds one processed event into the LP's running FNV-1a digest. The
 /// encoding is positional (tag first, then fields), so distinct event
-/// shapes can never collide by concatenation.
-fn digest_event(h: &mut u64, at: SimTime, ev: &LpEvent) {
+/// shapes can never collide by concatenation. The addressee is not
+/// folded: the digest is the LP's own.
+fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
     mix(h, at.as_nanos());
     match ev {
-        LpEvent::Start => mix(h, 1),
-        LpEvent::ClockSync => mix(h, 2),
-        LpEvent::Timer { token, generation } => {
+        NodeEvent::Start { .. } => mix(h, 1),
+        NodeEvent::ClockSync { .. } => mix(h, 2),
+        NodeEvent::Timer { token, generation, .. } => {
             mix(h, 3);
             mix(h, *token);
             mix(h, *generation);
         }
-        LpEvent::Inject { incoming } => {
+        NodeEvent::Inject { incoming, .. } => {
             mix(h, 4);
             match incoming {
                 Incoming::Datagram { from, to_port, msg } => {
@@ -506,11 +382,11 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &LpEvent) {
                 Incoming::ClockSynced => mix(h, 43),
             }
         }
-        LpEvent::Fault { fault } => {
+        NodeEvent::Fault { fault } => {
             mix(h, 5);
             mix_bytes(h, fault.to_string().as_bytes());
         }
-        LpEvent::Deliver { from, to_port, msg, len, stream } => {
+        NodeEvent::Deliver { from, to_port, msg, len, stream, .. } => {
             mix(h, 6);
             mix(h, from.node.0 as u64);
             mix(h, from.port.0 as u64);
@@ -522,187 +398,21 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &LpEvent) {
     }
 }
 
-struct LpCtx<'a> {
-    lp: &'a mut Lp,
-    net: &'a NetworkModel,
-    pf: PacketFaults,
-}
-
-impl LpCtx<'_> {
-    /// Routes a scheduled delivery: self-sends go straight into the
-    /// local queue (they never cross an LP boundary, which is why the
-    /// loopback spec is excluded from the lookahead), everything else
-    /// into the outbox for the barrier merge.
-    fn deliver_out(
-        &mut self,
-        at: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        msg: WireMsg,
-        len: usize,
-        stream: bool,
-    ) {
-        if to.node == self.lp.id {
-            self.lp.enqueue(at, LpEvent::Deliver { from, to_port: to.port, msg, len, stream });
-        } else {
-            self.lp.outbox.push(OutMsg { at, to, from, msg, len, stream });
-        }
-    }
-
-    /// Mirror of `SimInner::send_datagram_from`, drawing from the LP's
-    /// private RNG stream with the identical roll order.
-    fn send_datagram(&mut self, from: Endpoint, to: Endpoint, msg: &WireMsg, len: &mut Option<usize>) {
-        self.lp.stats.datagrams_sent += 1;
-        // Sends to down nodes still roll the dice and schedule delivery;
-        // the up-check happens at delivery time so RNG consumption does
-        // not depend on destination state.
-        let Some(spec) = self.net.spec_between(from.node, to.node) else {
-            self.lp.stats.unreachable += 1;
-            if self.net.path_blocked(from.node, to.node) {
-                self.lp.stats.unreachable_partitioned += 1;
-            } else {
-                self.lp.stats.unreachable_no_path += 1;
-            }
-            return;
-        };
-        // One spec lookup per send; the dice roll in
-        // `NetworkModel::datagram_fate`'s order: loss, then latency.
-        if spec.sample_loss(&mut self.lp.rng) {
-            self.lp.stats.datagrams_lost += 1;
-            return;
-        }
-        let lat = spec.sample_latency(&mut self.lp.rng);
-        let len = *len.get_or_insert_with(|| msg.body_len());
-        let now = self.lp.now;
-        let serialized_at = self.lp.wires.serialize(from.node, to.node, now, len, &spec);
-        let mut at = serialized_at + lat;
-        let mut duplicate_at = None;
-        if self.pf.is_active() {
-            // Fixed roll order (corrupt, reorder, duplicate) so a
-            // given fault window consumes an identical RNG stream
-            // regardless of which probabilities are zero.
-            let f = self.pf;
-            let extra_ns = f.extra_delay.as_nanos() as u64;
-            if f.corrupt > 0.0 && self.lp.rng.gen::<f64>() < f.corrupt {
-                self.lp.stats.datagrams_corrupted += 1;
-                return;
-            }
-            if f.reorder > 0.0 && self.lp.rng.gen::<f64>() < f.reorder {
-                self.lp.stats.datagrams_reordered += 1;
-                if extra_ns > 0 {
-                    at += Duration::from_nanos(self.lp.rng.gen_range(0..=extra_ns));
-                }
-            }
-            if f.duplicate > 0.0 && self.lp.rng.gen::<f64>() < f.duplicate {
-                self.lp.stats.datagrams_duplicated += 1;
-                let extra = if extra_ns > 0 {
-                    Duration::from_nanos(self.lp.rng.gen_range(0..=extra_ns))
-                } else {
-                    Duration::ZERO
-                };
-                duplicate_at = Some(at + extra);
+/// Applies one of `node`'s deferred ops to the model and the other LPs.
+fn apply_deferred<'a>(
+    network: &mut Arc<NetworkModel>,
+    lps: impl Iterator<Item = &'a mut Lp>,
+    node: NodeId,
+    op: DeferredOp,
+) {
+    match op {
+        DeferredOp::Join(group) => Arc::make_mut(network).join_group(group, node),
+        DeferredOp::Leave(group) => Arc::make_mut(network).leave_group(group, node),
+        DeferredOp::ResetPeer => {
+            for lp in lps.filter(|lp| lp.node.id != node) {
+                lp.link.reset_node(node);
             }
         }
-        self.deliver_out(at, from, to, msg.clone(), len, false);
-        if let Some(dup_at) = duplicate_at {
-            self.deliver_out(dup_at, from, to, msg.clone(), len, false);
-        }
-    }
-}
-
-impl Context for LpCtx<'_> {
-    fn me(&self) -> NodeId {
-        self.lp.id
-    }
-
-    fn realm(&self) -> RealmId {
-        self.lp.realm
-    }
-
-    fn now(&self) -> SimTime {
-        self.lp.now
-    }
-
-    fn utc_micros(&self) -> u64 {
-        self.lp.clock.utc_micros(self.lp.now)
-    }
-
-    fn clock_synced(&self) -> bool {
-        self.lp.clock.synced
-    }
-
-    fn raw_local_micros(&self) -> u64 {
-        self.lp.clock.raw_local_micros(self.lp.now)
-    }
-
-    fn set_clock_estimate_ns(&mut self, est_offset_ns: i64) {
-        self.lp.clock.set_estimate_ns(est_offset_ns);
-    }
-
-    fn send_udp(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
-        let wire = WireMsg::new(msg.clone());
-        self.send_udp_wire(from_port, to, &wire);
-    }
-
-    fn send_stream(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
-        let wire = WireMsg::new(msg.clone());
-        self.send_stream_wire(from_port, to, &wire);
-    }
-
-    fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
-        let from = Endpoint::new(self.lp.id, from_port);
-        let mut len = None;
-        self.send_datagram(from, to, msg, &mut len);
-    }
-
-    fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
-        let from = Endpoint::new(self.lp.id, from_port);
-        let Some(spec) = self.net.stream_spec(from.node, to.node) else {
-            self.lp.stats.unreachable += 1;
-            return;
-        };
-        let lat = spec.sample_latency(&mut self.lp.rng);
-        let len = msg.body_len();
-        let now = self.lp.now;
-        let serialized_at = self.lp.wires.serialize(from.node, to.node, now, len, &spec);
-        let at = self.lp.streams.delivery_time(from, to, serialized_at, lat);
-        self.deliver_out(at, from, to, msg.clone(), len, true);
-    }
-
-    fn send_multicast(&mut self, from_port: Port, group: GroupId, to_port: Port, msg: &Message) {
-        let from = Endpoint::new(self.lp.id, from_port);
-        let recipients = self.net.multicast_recipients(group, self.lp.id);
-        // One shared handle and at most one serialisation for the whole
-        // fan-out; recipients iterate in ascending node order, so the
-        // outbox order is deterministic.
-        let wire = WireMsg::new(msg.clone());
-        let mut len = None;
-        for r in recipients {
-            let to = Endpoint::new(r, to_port);
-            self.send_datagram(from, to, &wire, &mut len);
-        }
-    }
-
-    fn join_group(&mut self, group: GroupId) {
-        self.lp.ops.push(DeferredOp::Join(group));
-    }
-
-    fn leave_group(&mut self, group: GroupId) {
-        self.lp.ops.push(DeferredOp::Leave(group));
-    }
-
-    fn set_timer(&mut self, delay: Duration, token: u64) {
-        let generation = self.lp.timers.arm(token);
-        let at = self.lp.now + delay;
-        self.lp.enqueue(at, LpEvent::Timer { token, generation });
-    }
-
-    fn cancel_timer(&mut self, token: u64) {
-        self.lp.timers.cancel(token);
-    }
-
-    fn rng(&mut self) -> &mut dyn RngCore {
-        &mut self.lp.rng
     }
 }
 
@@ -860,20 +570,20 @@ impl HeadHeap {
         let mut earliest = None;
         let mut below = Vec::new();
         for lp in groups.iter().flatten() {
-            let node = lp.id.0 as usize;
-            let Some(q) = lp.queue.peek() else {
+            let node = lp.node.id.0 as usize;
+            let Some(head) = lp.events.next_at() else {
                 assert_eq!(self.pos[node], HeadHeap::ABSENT, "entry for drained LP {node}");
                 continue;
             };
             non_empty += 1;
             assert_ne!(self.pos[node], HeadHeap::ABSENT, "no entry for LP {node}");
-            assert_eq!(self.heap[self.pos[node] as usize], lp.id.0, "misplaced entry of LP {node}");
-            assert_eq!(self.head[node], q.at, "stale head for LP {node}");
-            if earliest.is_none_or(|m| q.at < m) {
-                earliest = Some(q.at);
+            assert_eq!(self.heap[self.pos[node] as usize], lp.node.id.0, "misplaced entry of LP {node}");
+            assert_eq!(self.head[node], head, "stale head for LP {node}");
+            if earliest.is_none_or(|m| head < m) {
+                earliest = Some(head);
             }
-            if q.at < horizon {
-                below.push(lp.id.0);
+            if head < horizon {
+                below.push(lp.node.id.0);
             }
         }
         below.sort_unstable();
@@ -910,10 +620,10 @@ struct TopoCache {
     shards: usize,
 }
 
-/// The sharded simulator. API mirrors [`Sim`] (construction, node
+/// The sharded simulator: [`Sim`]'s surface (construction, node
 /// management, faults, injection, `run_for`/`run_until`, actor access)
-/// plus [`ShardedSim::digest`], [`ShardedSim::set_workers`] and
-/// [`ShardedSim::set_shards`].
+/// without the trace and the v2 codec, plus [`ShardedSim::digest`],
+/// [`ShardedSim::set_workers`] and [`ShardedSim::set_shards`].
 pub struct ShardedSim {
     seed: u64,
     now: SimTime,
@@ -981,7 +691,7 @@ impl ShardedSim {
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::default();
         for lp in &self.lps {
-            total.merge(&lp.stats);
+            total.merge(&lp.link.stats);
         }
         total
     }
@@ -1000,7 +710,7 @@ impl ShardedSim {
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for lp in &self.lps {
-            mix(&mut h, lp.id.0 as u64);
+            mix(&mut h, lp.node.id.0 as u64);
             mix(&mut h, lp.events_processed);
             mix(&mut h, lp.digest);
         }
@@ -1044,109 +754,108 @@ impl ShardedSim {
         let clock = profile.sample(self.now, &mut rng);
         let sync_at = clock.sync_at;
         Arc::make_mut(&mut self.network).register_node(id, realm);
-        let mut lp = Lp::new(id, name, realm, clock, rng);
-        lp.now = self.now;
-        lp.actor = Some(actor);
-        let now = self.now;
-        lp.enqueue(now, LpEvent::Start);
-        lp.enqueue(sync_at, LpEvent::ClockSync);
-        self.lps.push(lp);
+        let mut events = EventHeap::new();
+        events.push(self.now, NodeEvent::Start { node: id });
+        events.push(sync_at, NodeEvent::ClockSync { node: id });
+        self.lps.push(Lp {
+            node: Node::new(id, name, realm, clock, actor),
+            link: Transport::new(rng),
+            events,
+            events_processed: 0,
+            digest: FNV_OFFSET,
+            now: self.now,
+            outbox: Vec::new(),
+            ops: Vec::new(),
+        });
         id
+    }
+
+    fn node(&self, node: NodeId) -> Option<&Node<ShardRespawnFn>> {
+        self.lps.get(node.0 as usize).map(|lp| &lp.node)
+    }
+
+    fn node_mut(&mut self, node: NodeId) -> Option<&mut Node<ShardRespawnFn>> {
+        self.lps.get_mut(node.0 as usize).map(|lp| &mut lp.node)
     }
 
     /// Human-readable node name.
     pub fn node_name(&self, node: NodeId) -> &str {
-        self.lps.get(node.0 as usize).map_or("?", |lp| lp.name.as_str())
+        self.node(node).map_or("?", |n| n.name.as_str())
     }
 
     /// The node's UTC estimate right now (what its protocol code sees).
     pub fn utc_of(&self, node: NodeId) -> Option<u64> {
-        self.lps.get(node.0 as usize).map(|lp| lp.clock.utc_micros(self.now))
+        self.node(node).map(|n| n.clock.utc_micros(self.now))
     }
 
     /// Immutable access to a node's actor, downcast to `T`.
     pub fn actor<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.lps.get(node.0 as usize)?.actor.as_ref()?.as_any().downcast_ref::<T>()
+        self.node(node)?.actor_as()
     }
 
     /// Mutable access to a node's actor, downcast to `T`.
     pub fn actor_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.lps.get_mut(node.0 as usize)?.actor.as_mut()?.as_any_mut().downcast_mut::<T>()
+        self.node_mut(node)?.actor_as_mut()
     }
 
     /// Immutable access to a node's actor as a trait object.
     pub fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> {
-        self.lps.get(node.0 as usize)?.actor.as_deref()
+        self.node(node)?.actor.as_deref()
     }
 
     /// Mutable access to a node's actor as a trait object.
     pub fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        match self.lps.get_mut(node.0 as usize) {
-            Some(lp) => match lp.actor.as_mut() {
-                Some(actor) => Some(actor.as_mut()),
-                None => None,
-            },
+        match self.node_mut(node)?.actor.as_mut() {
+            Some(actor) => Some(actor.as_mut()),
             None => None,
         }
     }
 
     /// Whether the node is currently up.
     pub fn is_up(&self, node: NodeId) -> bool {
-        self.lps.get(node.0 as usize).is_some_and(|lp| lp.up)
+        self.node(node).is_some_and(|n| n.up)
     }
 
     #[cfg(test)]
     pub(crate) fn armed_timer_slots(&self, node: NodeId) -> usize {
-        self.lps.get(node.0 as usize).map_or(0, |lp| lp.timers.len())
+        self.node(node).map_or(0, |n| n.timers.len())
+    }
+
+    /// Acts on `node` at coordinator time — every LP's clock stands at
+    /// `now` between runs — and applies what it deferred right away:
+    /// there is no epoch in flight to protect.
+    fn at_coordinator_time(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_, LpSched<'_>>)) {
+        let Some(lp) = self.lps.get_mut(node.0 as usize) else {
+            return;
+        };
+        f(&mut lp.ctx(&self.network, self.packet_faults));
+        for op in std::mem::take(&mut lp.ops) {
+            apply_deferred(&mut self.network, self.lps.iter_mut(), node, op);
+        }
     }
 
     /// Marks a node down immediately (coordinator time).
     pub fn crash(&mut self, node: NodeId) {
-        for lp in &mut self.lps {
-            if lp.id != node {
-                lp.streams.reset_node(node);
-                lp.wires.reset_node(node);
-            }
-        }
-        if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-            lp.up = false;
-            lp.timers.clear();
-            lp.streams.reset_node(node);
-            lp.wires.reset_node(node);
-        }
+        self.at_coordinator_time(node, |ctx| ctx.crash());
     }
 
     /// Revives a crashed node and re-runs its `on_start`.
     pub fn revive(&mut self, node: NodeId) {
-        let now = self.now;
-        if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-            lp.up = true;
-            lp.enqueue(now, LpEvent::Start);
-        }
+        self.at_coordinator_time(node, |ctx| ctx.revive());
     }
 
     /// Registers the factory that rebuilds `node`'s actor on a lossy
     /// restart.
     pub fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
-        if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-            lp.respawn = Some(factory);
+        if let Some(n) = self.node_mut(node) {
+            n.respawn = Some(factory);
         }
     }
 
     /// Restarts a node: crash (if still up) then revive; with
     /// `lose_state` the actor is rebuilt from its respawn factory.
     pub fn restart(&mut self, node: NodeId, lose_state: bool) {
-        if self.is_up(node) {
-            self.crash(node);
-        }
-        if lose_state {
-            if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-                if let Some(factory) = lp.respawn.as_mut() {
-                    lp.actor = Some(factory());
-                }
-            }
-        }
-        self.revive(node);
+        self.at_coordinator_time(node, |ctx| ctx.apply_fault(Fault::Restart { node, lose_state }));
     }
 
     /// Queues every fault in `plan`, offset from the current virtual
@@ -1166,16 +875,13 @@ impl ShardedSim {
     }
 
     fn schedule_fault_at(&mut self, at: SimTime, fault: Fault) {
-        match fault {
-            Fault::Crash { node }
-            | Fault::Restart { node, .. }
-            | Fault::Stall { node, .. }
-            | Fault::ClockStep { node, .. } => {
+        match fault.node() {
+            Some(node) => {
                 if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-                    lp.enqueue(at, LpEvent::Fault { fault });
+                    lp.events.push(at, NodeEvent::Fault { fault });
                 }
             }
-            _ => {
+            None => {
                 self.global_faults.insert((at, self.gseq), fault);
                 self.gseq += 1;
             }
@@ -1183,20 +889,9 @@ impl ShardedSim {
     }
 
     fn apply_global_fault(&mut self, fault: Fault) {
-        match fault {
-            Fault::Partition { a, b } => Arc::make_mut(&mut self.network).partition(a, b),
-            Fault::Heal { a, b } => Arc::make_mut(&mut self.network).heal(a, b),
-            Fault::PartitionOneWay { from, to } => {
-                Arc::make_mut(&mut self.network).partition_one_way(from, to);
-            }
-            Fault::HealOneWay { from, to } => {
-                Arc::make_mut(&mut self.network).heal_one_way(from, to);
-            }
-            Fault::SetPacketFaults { faults } => self.packet_faults = faults,
-            Fault::ClearPacketFaults => self.packet_faults = PacketFaults::none(),
-            // Node-scoped faults are routed to LP queues at scheduling
-            // time and never reach here.
-            _ => {}
+        match fault.packet_faults() {
+            Some(faults) => self.packet_faults = faults,
+            None => Arc::make_mut(&mut self.network).apply_fault(&fault),
         }
     }
 
@@ -1214,7 +909,7 @@ impl ShardedSim {
     pub fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
         let at = self.now + delay;
         if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-            lp.enqueue(at, LpEvent::Inject { incoming });
+            lp.events.push(at, NodeEvent::Inject { node, incoming });
         }
     }
 
@@ -1276,7 +971,7 @@ impl ShardedSim {
 
         let mut heads = HeadHeap::new(n);
         for lp in groups.iter().flatten() {
-            heads.set(lp.id.0, lp.queue.peek().map(|q| q.at));
+            heads.set(lp.node.id.0, lp.events.next_at());
         }
         let mut active: Vec<u32> = Vec::new();
 
@@ -1289,7 +984,7 @@ impl ShardedSim {
                     let (g, s) = index[node as usize];
                     let lp = &mut groups[g][s];
                     lp.process_until(horizon, &self.network, self.packet_faults);
-                    heads.set(node, lp.queue.peek().map(|q| q.at));
+                    heads.set(node, lp.events.next_at());
                 }
                 self.barrier(&mut groups, &index, &active, &mut heads);
                 let reached = if horizon < deadline { horizon } else { deadline };
@@ -1308,7 +1003,7 @@ impl ShardedSim {
         let mut slots: Vec<Option<Lp>> = (0..n).map(|_| None).collect();
         for group in groups {
             for lp in group {
-                let i = lp.id.0 as usize;
+                let i = lp.node.id.0 as usize;
                 slots[i] = Some(lp);
             }
         }
@@ -1406,24 +1101,7 @@ impl ShardedSim {
             }
         }
         for (node, op) in ops {
-            match op {
-                DeferredOp::Join(group) => {
-                    Arc::make_mut(&mut self.network).join_group(group, node);
-                }
-                DeferredOp::Leave(group) => {
-                    Arc::make_mut(&mut self.network).leave_group(group, node);
-                }
-                DeferredOp::ResetPeer => {
-                    for g in groups.iter_mut() {
-                        for lp in g.iter_mut() {
-                            if lp.id != node {
-                                lp.streams.reset_node(node);
-                                lp.wires.reset_node(node);
-                            }
-                        }
-                    }
-                }
-            }
+            apply_deferred(&mut self.network, groups.iter_mut().flatten(), node, op);
         }
         for &node in active {
             let (g, i) = index[node as usize];
@@ -1431,19 +1109,9 @@ impl ShardedSim {
             // drains (a sender is never its own cross-LP destination).
             let mut outbox = std::mem::take(&mut groups[g][i].outbox);
             for m in outbox.drain(..) {
-                let dest = m.to.node.0;
-                let (dg, di) = index[dest as usize];
-                heads.lower(dest, m.at);
-                groups[dg][di].enqueue(
-                    m.at,
-                    LpEvent::Deliver {
-                        from: m.from,
-                        to_port: m.to.port,
-                        msg: m.msg,
-                        len: m.len,
-                        stream: m.stream,
-                    },
-                );
+                let (dg, di) = index[m.to.0 as usize];
+                heads.lower(m.to.0, m.at);
+                groups[dg][di].events.push(m.at, m.ev);
             }
             groups[g][i].outbox = outbox;
         }
@@ -1517,7 +1185,7 @@ impl ShardedSim {
                     groups[gidx] = lps;
                     for slot in slots {
                         let lp = &groups[gidx][slot];
-                        heads.set(lp.id.0, lp.queue.peek().map(|q| q.at));
+                        heads.set(lp.node.id.0, lp.events.next_at());
                     }
                 }
                 self.barrier(groups, index, active, heads);
@@ -1605,7 +1273,10 @@ mod tests {
     use crate::chaos::{ChaosProfile, ChaosTargets};
     use crate::impl_actor_any;
     use crate::link::LinkSpec;
+    use crate::runtime::Context;
     use nb_wire::addr::well_known;
+    use nb_wire::Message;
+    use rand::Rng;
     use std::collections::HashMap;
 
     /// Echoes every ping as a pong from the same port.
@@ -1877,6 +1548,17 @@ mod tests {
             let size = plan.assignment.iter().filter(|&&a| a == g).count();
             assert!(size <= 2, "group {g} holds {size} > cap");
         }
+    }
+
+    /// ROADMAP item 4 wants these smaller, never larger, than they
+    /// were before the engines shared the node model: `Lp` is what
+    /// `mem_bytes_per_entity` in BENCH_scale.json mostly counts.
+    #[test]
+    fn heap_entry_and_lp_are_no_larger_than_at_the_parent() {
+        use std::mem::size_of;
+        assert!(size_of::<crate::node::Queued<NodeEvent>>() <= 72);
+        assert!(size_of::<OutMsg>() <= 72);
+        assert!(size_of::<Lp>() <= 496);
     }
 
     #[test]

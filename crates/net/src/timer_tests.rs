@@ -1,6 +1,6 @@
 //! Timer-slot scenarios both engines are held to.
 //!
-//! [`crate::sim::TimerSlots`] keeps a slot only while its token is
+//! [`crate::node::TimerSlots`] keeps a slot only while its token is
 //! armed and stamps generations from a per-node counter that never
 //! restarts. Each scenario below runs on `Sim` and on `ShardedSim`
 //! through [`Engine`], so the engines cannot drift apart on timer
