@@ -44,7 +44,7 @@ pub use chaos::{ChaosProfile, ChaosScheduler, ChaosTargets, Fault, FaultPlan, Pa
 pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
 pub use runtime::{Actor, Context, Incoming};
-pub use shard::{DiscoveryEngine, ShardPlan, ShardRespawnFn, ShardedSim};
+pub use shard::{DiscoveryEngine, ShardRespawnFn, ShardedSim};
 pub use sim::{NetStats, RespawnFn, Sim, TraceRecord, WireV2Config};
 pub use time::SimTime;
 pub use topogen::{TopologyKind, TopologySpec, WanTopology};

@@ -322,11 +322,6 @@ impl NetworkModel {
         self.overrides.iter().map(|(&(a, b), s)| (a, b, s))
     }
 
-    /// Registered nodes and their realms, ascending by node id.
-    pub fn registered_nodes(&self) -> impl Iterator<Item = (NodeId, RealmId)> + '_ {
-        self.realms.iter().enumerate().filter_map(|(n, r)| r.map(|r| (NodeId(n as u32), r)))
-    }
-
     /// Applies a link-scoped fault (a partition or a heal, symmetric or
     /// one-way); any other fault is not the model's and is ignored.
     pub(crate) fn apply_fault(&mut self, fault: &Fault) {

@@ -32,9 +32,10 @@
 //! lookahead window, the horizon sequence and the merge order are all
 //! pure functions of (topology, seed), the run — including its event
 //! digest — is **byte-identical for any worker count and any shard
-//! count**. A [`ShardPlan`] only decides which worker executes which
-//! LP, never what the LPs compute; with one worker the engine is the
-//! degenerate serial case of the same algorithm.
+//! count**. The grouping — blocks of consecutive node ids — only
+//! decides which worker executes which LP, never what the LPs compute;
+//! with one worker the engine is the degenerate serial case of the same
+//! algorithm.
 //!
 //! What an actor can observe differently from `Sim` (digests are *not*
 //! comparable between the engines, only across configurations of the
@@ -95,121 +96,6 @@ fn mix(h: &mut u64, x: u64) {
 fn mix_bytes(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         mix(h, b as u64);
-    }
-}
-
-/// Assignment of logical processes (nodes) to executor groups.
-///
-/// Greedy min-cut over link latencies, Kruskal-style: all node pairs
-/// are visited from the lowest-latency link upwards and their clusters
-/// merged while the combined size stays within `ceil(n / shards)`, so
-/// the links left *cut* are the highest-latency ones and chatty
-/// low-latency clusters — brokers behind the same switch — co-locate.
-/// Clusters are then dealt into groups in ascending order of their
-/// smallest node id, splitting only at capacity boundaries. The plan is
-/// a pure function of the network model, so it is identical on every
-/// run — but even a pathological plan cannot change results, only wall
-/// time: grouping decides *where* an LP executes, never *what* it sees.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// Number of executor groups.
-    pub shards: usize,
-    /// `assignment[node_id] = group index`.
-    pub assignment: Vec<usize>,
-}
-
-/// Above this node count the planner stops materialising all O(n²)
-/// pairs and clusters from the *sparse* view of the model instead:
-/// explicit link overrides plus a per-realm chain. Both paths are pure
-/// functions of the model, and the plan never affects results — only
-/// which worker runs which LP.
-const DENSE_PARTITION_NODES: usize = 2048;
-
-/// Union-find `find` with path halving. Roots are kept at the smallest
-/// member id (see `union` below), matching the label-relabel scheme the
-/// dense planner historically used, so cluster identity — and therefore
-/// the dealt assignment — is unchanged by the union-find rewrite.
-fn uf_find(parent: &mut [usize], mut x: usize) -> usize {
-    while parent[x] != x {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-    }
-    x
-}
-
-impl ShardPlan {
-    /// Partitions `nodes` logical processes into at most `shards` groups.
-    pub fn partition(net: &NetworkModel, nodes: usize, shards: usize) -> ShardPlan {
-        let shards = shards.clamp(1, nodes.max(1));
-        let cap = nodes.div_ceil(shards);
-        // Candidate edges, cheapest link first; ties break on the pair's
-        // ids so the ordering is total and deterministic.
-        let mut edges: Vec<(Duration, usize, usize)> = Vec::new();
-        if nodes <= DENSE_PARTITION_NODES {
-            // Every reachable pair (the historical exact path).
-            for a in 0..nodes {
-                for b in (a + 1)..nodes {
-                    if let Some(spec) = net.spec_between(NodeId(a as u32), NodeId(b as u32)) {
-                        edges.push((spec.latency, a, b));
-                    }
-                }
-            }
-        } else {
-            // Sparse path: a realm's members form an intra-realm-latency
-            // chain (enough connectivity to co-locate the realm without
-            // materialising its clique), plus every explicit override.
-            let mut prev_by_realm: BTreeMap<RealmId, usize> = BTreeMap::new();
-            for (n, realm) in net.registered_nodes() {
-                let idx = n.0 as usize;
-                if idx >= nodes {
-                    continue;
-                }
-                if let Some(prev) = prev_by_realm.insert(realm, idx) {
-                    edges.push((net.intra_realm_spec.latency, prev, idx));
-                }
-            }
-            for (a, b, spec) in net.link_overrides() {
-                let (ai, bi) = (a.0 as usize, b.0 as usize);
-                if a == b || ai >= nodes || bi >= nodes {
-                    continue;
-                }
-                edges.push((spec.latency, ai, bi));
-            }
-        }
-        edges.sort();
-        // Kruskal-style greedy merge under the capacity bound, on a
-        // union-find whose roots stay at each cluster's smallest id.
-        let mut parent: Vec<usize> = (0..nodes).collect();
-        let mut sizes: Vec<usize> = vec![1; nodes];
-        let mut count = nodes;
-        for (_, a, b) in edges {
-            if count <= shards {
-                break;
-            }
-            let (ra, rb) = (uf_find(&mut parent, a), uf_find(&mut parent, b));
-            if ra == rb || sizes[ra] + sizes[rb] > cap {
-                continue;
-            }
-            let (keep, gone) = (ra.min(rb), ra.max(rb));
-            parent[gone] = keep;
-            sizes[keep] += sizes[gone];
-            count -= 1;
-        }
-        // Flatten clusters (ordered by smallest member id, members
-        // ascending) and deal sequentially into capacity-`cap` groups:
-        // cluster members stay adjacent, so a cluster splits across
-        // groups only when a capacity boundary forces it.
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(nodes);
-        for v in 0..nodes {
-            let root = uf_find(&mut parent, v);
-            order.push((root, v));
-        }
-        order.sort_unstable();
-        let mut assignment = vec![0usize; nodes];
-        for (dealt, &(_, v)) in order.iter().enumerate() {
-            assignment[v] = dealt / cap;
-        }
-        ShardPlan { shards, assignment }
     }
 }
 
@@ -396,6 +282,11 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
             mix_bytes(h, msg.kind().as_bytes());
         }
     }
+}
+
+/// Where the blocks put `node`: its `(group, slot)`.
+fn place(node: u32, cap: usize) -> (usize, usize) {
+    (node as usize / cap, node as usize % cap)
 }
 
 /// Applies one of `node`'s deferred ops to the model and the other LPs.
@@ -608,18 +499,6 @@ struct EpochTask {
     horizon: SimTime,
 }
 
-/// Cached topology products: the shard plan and the lookahead window,
-/// both pure functions of the network model. Recomputed whenever the
-/// model may have changed ([`ShardedSim::network_mut`], node additions)
-/// — so every `run_until` sees exactly the values an uncached run would
-/// have derived, without paying the O(n²)/O(E) planning walk per call.
-struct TopoCache {
-    plan: ShardPlan,
-    lookahead: Duration,
-    nodes: usize,
-    shards: usize,
-}
-
 /// The sharded simulator: [`Sim`]'s surface (construction, node
 /// management, faults, injection, `run_for`/`run_until`, actor access)
 /// without the trace and the v2 codec, plus [`ShardedSim::digest`],
@@ -637,7 +516,12 @@ pub struct ShardedSim {
     gseq: u64,
     workers: usize,
     shards: Option<usize>,
-    topo_cache: Option<TopoCache>,
+    /// The lookahead window, a pure function of the network model:
+    /// dropped whenever the model may have changed
+    /// ([`ShardedSim::network_mut`], node additions), so every
+    /// `run_until` sees the value an uncached run would derive without
+    /// walking the link overrides per call.
+    lookahead: Option<Duration>,
 }
 
 impl ShardedSim {
@@ -660,7 +544,7 @@ impl ShardedSim {
             gseq: 0,
             workers: 1,
             shards: None,
-            topo_cache: None,
+            lookahead: None,
         }
     }
 
@@ -719,10 +603,10 @@ impl ShardedSim {
 
     /// The static network model (latencies, partitions, groups).
     /// Coordinator-time only; epochs snapshot it immutably. Handing out
-    /// the mutable borrow drops the cached plan/lookahead — the caller
-    /// may be about to change what they are derived from.
+    /// the mutable borrow drops the cached lookahead — the caller may be
+    /// about to change what it is derived from.
     pub fn network_mut(&mut self) -> &mut NetworkModel {
-        self.topo_cache = None;
+        self.lookahead = None;
         Arc::make_mut(&mut self.network)
     }
 
@@ -749,7 +633,7 @@ impl ShardedSim {
         actor: Box<dyn Actor>,
     ) -> NodeId {
         let id = NodeId(self.lps.len() as u32);
-        self.topo_cache = None;
+        self.lookahead = None;
         let mut rng = StdRng::seed_from_u64(self.seed ^ id.0 as u64);
         let clock = profile.sample(self.now, &mut rng);
         let sync_at = clock.sync_at;
@@ -919,55 +803,29 @@ impl ShardedSim {
         self.run_until(deadline);
     }
 
+    /// Deals the LPs out to their executor groups — blocks of `cap`
+    /// consecutive node ids, `cap = ceil(n / shards)` — and returns
+    /// them with `cap`. Which group an LP runs in decides where it
+    /// executes, never what it sees or sends: everything but a
+    /// self-send goes through the outbox and the barrier whichever
+    /// group holds the destination, so no grouping saves a message.
+    fn deal(&mut self) -> (Vec<Vec<Lp>>, usize) {
+        let n = self.lps.len();
+        let shards = self.shards.unwrap_or(self.workers).clamp(1, n.max(1));
+        let cap = n.div_ceil(shards).max(1);
+        let mut lps = self.lps.drain(..);
+        let groups = (0..n.div_ceil(cap)).map(|_| lps.by_ref().take(cap).collect()).collect();
+        (groups, cap)
+    }
+
     /// Runs until virtual time reaches `deadline`, processing every
     /// event scheduled at or before it, epoch by epoch.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.lps.is_empty() {
-            // Still consume due global faults so schedules don't leak
-            // across runs, then advance time.
-            while let Some((&key, _)) = self.global_faults.iter().next() {
-                if key.0 > deadline {
-                    break;
-                }
-                let fault = self.global_faults.remove(&key).expect("keyed");
-                if self.now < key.0 {
-                    self.now = key.0;
-                }
-                self.apply_global_fault(fault);
-            }
-            if self.now < deadline {
-                self.now = deadline;
-            }
-            return;
-        }
         let n = self.lps.len();
-        let shard_count = self.shards.unwrap_or(self.workers).clamp(1, n);
-        let cache_ok = self
-            .topo_cache
-            .as_ref()
-            .is_some_and(|c| c.nodes == n && c.shards == shard_count);
-        if !cache_ok {
-            self.topo_cache = Some(TopoCache {
-                plan: ShardPlan::partition(&self.network, n, shard_count),
-                lookahead: self.network.min_cross_node_latency().max(Duration::from_nanos(1)),
-                nodes: n,
-                shards: shard_count,
-            });
-        }
-        let cache = self.topo_cache.as_ref().expect("just ensured");
-        let lookahead = cache.lookahead;
-        let plan_shards = cache.plan.shards;
-        let assignment = cache.plan.assignment.clone();
-
-        // Deal the LPs out to their executor groups. `index[node]` maps
-        // back to `(group, slot)` for the barrier's node-order walks.
-        let mut groups: Vec<Vec<Lp>> = (0..plan_shards).map(|_| Vec::new()).collect();
-        let mut index = vec![(0usize, 0usize); n];
-        for (node, lp) in self.lps.drain(..).enumerate() {
-            let g = assignment[node];
-            index[node] = (g, groups[g].len());
-            groups[g].push(lp);
-        }
+        let lookahead = *self.lookahead.get_or_insert_with(|| {
+            self.network.min_cross_node_latency().max(Duration::from_nanos(1))
+        });
+        let (mut groups, cap) = self.deal();
 
         let mut heads = HeadHeap::new(n);
         for lp in groups.iter().flatten() {
@@ -975,18 +833,18 @@ impl ShardedSim {
         }
         let mut active: Vec<u32> = Vec::new();
 
-        let workers = self.workers.min(plan_shards).max(1);
+        let workers = self.workers.min(groups.len()).max(1);
         if workers == 1 {
             while let Some(horizon) =
                 self.next_active_epoch(&groups, &mut heads, deadline, lookahead, &mut active)
             {
                 for &node in &active {
-                    let (g, s) = index[node as usize];
+                    let (g, s) = place(node, cap);
                     let lp = &mut groups[g][s];
                     lp.process_until(horizon, &self.network, self.packet_faults);
                     heads.set(node, lp.events.next_at());
                 }
-                self.barrier(&mut groups, &index, &active, &mut heads);
+                self.barrier(&mut groups, cap, &active, &mut heads);
                 let reached = if horizon < deadline { horizon } else { deadline };
                 if self.now < reached {
                     self.now = reached;
@@ -994,20 +852,15 @@ impl ShardedSim {
             }
         } else {
             self.run_epochs_threaded(
-                &mut groups, &index, deadline, lookahead, workers, &mut heads, &mut active,
+                &mut groups, cap, deadline, lookahead, workers, &mut heads, &mut active,
             );
         }
 
-        // Put the LPs back in node order and let their local clocks
-        // catch up to the coordinator's.
-        let mut slots: Vec<Option<Lp>> = (0..n).map(|_| None).collect();
+        // Put the LPs back — the blocks are already in node order — and
+        // let their local clocks catch up to the coordinator's.
         for group in groups {
-            for lp in group {
-                let i = lp.node.id.0 as usize;
-                slots[i] = Some(lp);
-            }
+            self.lps.extend(group);
         }
-        self.lps = slots.into_iter().map(|s| s.expect("every LP returns")).collect();
         if self.now < deadline {
             self.now = deadline;
         }
@@ -1089,13 +942,13 @@ impl ShardedSim {
     fn barrier(
         &mut self,
         groups: &mut [Vec<Lp>],
-        index: &[(usize, usize)],
+        cap: usize,
         active: &[u32],
         heads: &mut HeadHeap,
     ) {
         let mut ops: Vec<(NodeId, DeferredOp)> = Vec::new();
         for &node in active {
-            let (g, i) = index[node as usize];
+            let (g, i) = place(node, cap);
             for op in groups[g][i].ops.drain(..) {
                 ops.push((NodeId(node), op));
             }
@@ -1104,12 +957,12 @@ impl ShardedSim {
             apply_deferred(&mut self.network, groups.iter_mut().flatten(), node, op);
         }
         for &node in active {
-            let (g, i) = index[node as usize];
+            let (g, i) = place(node, cap);
             // Checked out so destinations can be borrowed while it
             // drains (a sender is never its own cross-LP destination).
             let mut outbox = std::mem::take(&mut groups[g][i].outbox);
             for m in outbox.drain(..) {
-                let (dg, di) = index[m.to.0 as usize];
+                let (dg, di) = place(m.to.0, cap);
                 heads.lower(m.to.0, m.at);
                 groups[dg][di].events.push(m.at, m.ev);
             }
@@ -1125,7 +978,7 @@ impl ShardedSim {
     fn run_epochs_threaded(
         &mut self,
         groups: &mut Vec<Vec<Lp>>,
-        index: &[(usize, usize)],
+        cap: usize,
         deadline: SimTime,
         lookahead: Duration,
         workers: usize,
@@ -1160,7 +1013,7 @@ impl ShardedSim {
                 self.next_active_epoch(groups, heads, deadline, lookahead, active)
             {
                 for &node in active.iter() {
-                    let (g, s) = index[node as usize];
+                    let (g, s) = place(node, cap);
                     group_slots[g].push(s);
                 }
                 let mut outstanding = 0usize;
@@ -1188,7 +1041,7 @@ impl ShardedSim {
                         heads.set(lp.node.id.0, lp.events.next_at());
                     }
                 }
-                self.barrier(groups, index, active, heads);
+                self.barrier(groups, cap, active, heads);
                 let reached = if horizon < deadline { horizon } else { deadline };
                 if self.now < reached {
                     self.now = reached;
@@ -1534,20 +1387,25 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_co_locates_chatty_pairs_and_balances() {
-        let mut net = NetworkModel::new();
-        for i in 0..4u32 {
-            net.register_node(NodeId(i), RealmId(i as u16));
-        }
-        // Nodes 0 and 3 sit behind the same fast link.
-        net.set_link(NodeId(0), NodeId(3), LinkSpec::local());
-        let plan = ShardPlan::partition(&net, 4, 2);
-        assert_eq!(plan, ShardPlan::partition(&net, 4, 2), "plan is deterministic");
-        assert_eq!(plan.assignment[0], plan.assignment[3], "chatty pair co-locates");
-        for g in 0..2 {
-            let size = plan.assignment.iter().filter(|&&a| a == g).count();
-            assert!(size <= 2, "group {g} holds {size} > cap");
-        }
+    fn shard_groups_are_balanced_blocks_of_consecutive_ids() {
+        let dealt = |n: usize, shards: usize| {
+            let mut sim = ShardedSim::new(0);
+            for _ in 0..n {
+                sim.add_node("idle", RealmId(0), Box::new(crate::runtime::IdleActor));
+            }
+            sim.set_shards(shards);
+            let (groups, cap) = sim.deal();
+            let ids = |g: &Vec<Lp>| g.iter().map(|lp| lp.node.id.0).collect::<Vec<_>>();
+            (groups.iter().map(ids).collect::<Vec<_>>(), cap)
+        };
+        // Every group but the last holds exactly ceil(n / shards) LPs.
+        assert_eq!(dealt(7, 3), (vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]], 3));
+        assert_eq!(dealt(6, 3), (vec![vec![0, 1], vec![2, 3], vec![4, 5]], 2));
+        // ceil can leave fewer groups than shards asked for...
+        assert_eq!(dealt(6, 4), (vec![vec![0, 1], vec![2, 3], vec![4, 5]], 2));
+        // ...and more shards than LPs clamps to one LP a group.
+        assert_eq!(dealt(3, 100), (vec![vec![0], vec![1], vec![2]], 1));
+        assert_eq!(dealt(0, 4), (vec![], 1));
     }
 
     /// ROADMAP item 4 wants these smaller, never larger, than they

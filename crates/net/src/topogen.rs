@@ -23,8 +23,8 @@
 //! property the scale campaign's digest gate depends on. Generators
 //! emit an explicit *edge list* (installed via
 //! [`NetworkModel::set_link`], never all-pairs), which is what keeps
-//! [`crate::shard::ShardPlan`]'s sparse planner and the sharded
-//! engine's lookahead derivation O(E) at 1e5-node populations.
+//! the sharded engine's lookahead derivation O(E) at 1e5-node
+//! populations.
 
 use std::time::Duration;
 
@@ -99,8 +99,9 @@ impl TopologySpec {
             _ => self.regions.clamp(1, n),
         };
         let mut rng = StdRng::seed_from_u64(self.seed ^ self.kind.tag().rotate_left(32));
-        // Contiguous region blocks: broker i -> region i·R/n, so realm
-        // chains in the sparse shard planner see each region whole.
+        // Contiguous region blocks: broker i -> region i·R/n. Nothing
+        // schedules by it any more (the shard planner it was ordered
+        // for is gone); it stays because every topology digest pins it.
         let region_of: Vec<usize> = (0..n).map(|i| i * regions / n).collect();
         let mut edges: Vec<(usize, usize, Duration)> = Vec::new();
         match self.kind {
