@@ -105,6 +105,12 @@ impl LinkSpec {
     pub fn sample_loss<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.loss > 0.0 && rng.gen::<f64>() < self.loss
     }
+
+    /// Rolls the dice for one datagram on this path — loss, then
+    /// latency — and returns its one-way delay unless it is lost.
+    pub(crate) fn roll<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Duration> {
+        (!self.sample_loss(rng)).then(|| self.sample_latency(rng))
+    }
 }
 
 /// The outcome of sending one datagram.
@@ -247,13 +253,7 @@ impl NetworkModel {
     pub fn datagram_fate<R: Rng + ?Sized>(&self, a: NodeId, b: NodeId, rng: &mut R) -> DatagramFate {
         match self.spec_between(a, b) {
             None => DatagramFate::Unreachable,
-            Some(spec) => {
-                if spec.sample_loss(rng) {
-                    DatagramFate::Lost
-                } else {
-                    DatagramFate::Deliver(spec.sample_latency(rng))
-                }
-            }
+            Some(spec) => spec.roll(rng).map_or(DatagramFate::Lost, DatagramFate::Deliver),
         }
     }
 
@@ -512,7 +512,7 @@ impl Transport {
     }
 
     /// Sends one datagram at `now`; `None` if it never arrives. The
-    /// draws, in order: loss, latency (the order of
+    /// draws, in order: loss, latency ([`LinkSpec::roll`], as
     /// [`NetworkModel::datagram_fate`]), then — inside a packet-fault
     /// window — corrupt, reorder and its delay, duplicate and its
     /// delay. A probability of zero rolls no die and a path with no
@@ -539,11 +539,10 @@ impl Transport {
             self.count_unreachable(net, from, to);
             return None;
         };
-        if spec.sample_loss(&mut self.rng) {
+        let Some(lat) = spec.roll(&mut self.rng) else {
             self.stats.datagrams_lost += 1;
             return None;
-        }
-        let lat = spec.sample_latency(&mut self.rng);
+        };
         let len = len();
         // Serialisation onto the wire (bandwidth model), then the
         // sampled propagation latency.

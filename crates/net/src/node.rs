@@ -300,16 +300,13 @@ impl<S: Scheduler> NodeCtx<'_, S> {
                 if !self.admits_delivery() {
                     return;
                 }
-                let stats = &mut self.link.stats;
-                stats.bytes_delivered += len as u64;
-                *stats.by_kind.entry(msg.kind()).or_insert(0) += 1;
-                if stream {
-                    stats.stream_delivered += 1;
-                    self.dispatch(Incoming::Stream { from, to_port, msg });
+                self.link.stats.bytes_delivered += len as u64;
+                self.link.stats.count_delivery(msg.kind(), stream);
+                self.dispatch(if stream {
+                    Incoming::Stream { from, to_port, msg }
                 } else {
-                    stats.datagrams_delivered += 1;
-                    self.dispatch(Incoming::Datagram { from, to_port, msg });
-                }
+                    Incoming::Datagram { from, to_port, msg }
+                });
             }
         }
     }
@@ -344,13 +341,7 @@ impl<S: Scheduler> NodeCtx<'_, S> {
     pub(crate) fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::Crash { .. } => self.crash(),
-            // Crash (if still up) then revive. With `lose_state` the
-            // actor is first replaced by a fresh instance from the
-            // respawn factory — registries, caches and all other
-            // volatile state are lost, a process restart rather than a
-            // network blip; without a factory it degrades to a
-            // state-preserving revive. Identity, realm and hardware
-            // clock survive either way.
+            // See `Sim::restart` for what survives.
             Fault::Restart { lose_state, .. } => {
                 if self.node.up {
                     self.crash();
@@ -386,27 +377,23 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         self.sched.schedule(self.now, NodeEvent::Start { node: self.node.id });
     }
 
+    /// Schedules the delivery (or two) a send that arrives results in.
+    fn deliver(&mut self, sent: Arrival, from: Endpoint, to: Endpoint, msg: &WireMsg, stream: bool) {
+        for at in std::iter::once(sent.at).chain(sent.duplicate_at) {
+            let (to_port, msg, len) = (to.port, msg.clone(), sent.len);
+            let deliver = NodeEvent::Deliver { to: to.node, from, to_port, msg, len, stream };
+            self.sched.schedule(at, deliver);
+        }
+    }
+
     /// Sends one datagram. `len` caches the body size across a
     /// multicast fan-out, which therefore serialises at most once no
     /// matter how many recipients the group has.
     fn send_datagram(&mut self, from: Endpoint, to: Endpoint, msg: &WireMsg, len: &mut Option<usize>) {
         let size = || *len.get_or_insert_with(|| msg.body_len());
-        let sent = self.link.send_datagram(&self.net, self.faults, self.now, from.node, to.node, size);
-        let Some(Arrival { at, duplicate_at, len }) = sent else {
-            return;
-        };
-        for at in std::iter::once(at).chain(duplicate_at) {
-            self.sched.schedule(
-                at,
-                NodeEvent::Deliver {
-                    to: to.node,
-                    from,
-                    to_port: to.port,
-                    msg: msg.clone(),
-                    len,
-                    stream: false,
-                },
-            );
+        let (net, faults, now) = (&self.net, self.faults, self.now);
+        if let Some(sent) = self.link.send_datagram(net, faults, now, from.node, to.node, size) {
+            self.deliver(sent, from, to, msg, false);
         }
     }
 }
@@ -455,23 +442,10 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
 
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.node.id, from_port);
-        let Some(Arrival { at, len, .. }) =
-            self.link.send_stream(&self.net, self.now, from, to, || msg.body_len())
-        else {
-            self.link.stats.unreachable += 1;
-            return;
-        };
-        self.sched.schedule(
-            at,
-            NodeEvent::Deliver {
-                to: to.node,
-                from,
-                to_port: to.port,
-                msg: msg.clone(),
-                len,
-                stream: true,
-            },
-        );
+        match self.link.send_stream(&self.net, self.now, from, to, || msg.body_len()) {
+            Some(sent) => self.deliver(sent, from, to, msg, true),
+            None => self.link.stats.unreachable += 1,
+        }
     }
 
     fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {

@@ -207,9 +207,7 @@ impl Lp {
         // zero-latency link override the 1 ns lookahead floor exceeds
         // the true minimum and a merged delivery can carry a timestamp
         // the LP already passed. Ordering stays deterministic.
-        if self.now < at {
-            self.now = at;
-        }
+        self.now = self.now.max(at);
         if let Some(until) = ev.target().and_then(|_| self.node.stalled_past(at)) {
             self.events.push(until, ev);
             return;
@@ -247,15 +245,9 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
         NodeEvent::Inject { incoming, .. } => {
             mix(h, 4);
             match incoming {
-                Incoming::Datagram { from, to_port, msg } => {
-                    mix(h, 40);
-                    mix(h, from.node.0 as u64);
-                    mix(h, from.port.0 as u64);
-                    mix(h, to_port.0 as u64);
-                    mix_bytes(h, msg.kind().as_bytes());
-                }
-                Incoming::Stream { from, to_port, msg } => {
-                    mix(h, 41);
+                Incoming::Datagram { from, to_port, msg }
+                | Incoming::Stream { from, to_port, msg } => {
+                    mix(h, if matches!(incoming, Incoming::Stream { .. }) { 41 } else { 40 });
                     mix(h, from.node.0 as u64);
                     mix(h, from.port.0 as u64);
                     mix(h, to_port.0 as u64);
@@ -617,8 +609,7 @@ impl ShardedSim {
 
     /// Adds a node running `actor` in `realm`.
     pub fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
-        let profile = self.clock_profile;
-        self.add_node_with_clock(name, realm, profile, actor)
+        self.add_node_with_clock(name, realm, self.clock_profile, actor)
     }
 
     /// Adds a node with an explicit clock profile. The node's clock is
@@ -747,18 +738,13 @@ impl ShardedSim {
     /// globally-scoped ones go to the coordinator's schedule.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
-            let at = self.now + ev.at;
-            self.schedule_fault_at(at, ev.fault.clone());
+            self.schedule_fault(ev.at, ev.fault.clone());
         }
     }
 
     /// Queues a single fault after `delay`.
     pub fn schedule_fault(&mut self, delay: Duration, fault: Fault) {
         let at = self.now + delay;
-        self.schedule_fault_at(at, fault);
-    }
-
-    fn schedule_fault_at(&mut self, at: SimTime, fault: Fault) {
         match fault.node() {
             Some(node) => {
                 if let Some(lp) = self.lps.get_mut(node.0 as usize) {
@@ -799,8 +785,7 @@ impl ShardedSim {
 
     /// Runs for `d` of virtual time.
     pub fn run_for(&mut self, d: Duration) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
+        self.run_until(self.now + d);
     }
 
     /// Deals the LPs out to their executor groups — blocks of `cap`
@@ -831,10 +816,9 @@ impl ShardedSim {
         for lp in groups.iter().flatten() {
             heads.set(lp.node.id.0, lp.events.next_at());
         }
-        let mut active: Vec<u32> = Vec::new();
-
         let workers = self.workers.min(groups.len()).max(1);
         if workers == 1 {
+            let mut active: Vec<u32> = Vec::new();
             while let Some(horizon) =
                 self.next_active_epoch(&groups, &mut heads, deadline, lookahead, &mut active)
             {
@@ -845,15 +829,10 @@ impl ShardedSim {
                     heads.set(node, lp.events.next_at());
                 }
                 self.barrier(&mut groups, cap, &active, &mut heads);
-                let reached = if horizon < deadline { horizon } else { deadline };
-                if self.now < reached {
-                    self.now = reached;
-                }
+                self.now = self.now.max(horizon.min(deadline));
             }
         } else {
-            self.run_epochs_threaded(
-                &mut groups, cap, deadline, lookahead, workers, &mut heads, &mut active,
-            );
+            self.run_epochs_threaded(&mut groups, cap, deadline, lookahead, workers, &mut heads);
         }
 
         // Put the LPs back — the blocks are already in node order — and
@@ -861,13 +840,9 @@ impl ShardedSim {
         for group in groups {
             self.lps.extend(group);
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        self.now = self.now.max(deadline);
         for lp in &mut self.lps {
-            if lp.now < self.now {
-                lp.now = self.now;
-            }
+            lp.now = lp.now.max(self.now);
         }
     }
 
@@ -896,13 +871,11 @@ impl ShardedSim {
     ) -> Option<SimTime> {
         loop {
             let m = heads.min();
-            if let Some((&key, _)) = self.global_faults.iter().next() {
-                let due = m.is_none_or(|m| key.0 <= m);
-                if due && key.0 <= deadline {
-                    let fault = self.global_faults.remove(&key).expect("keyed");
-                    if self.now < key.0 {
-                        self.now = key.0;
-                    }
+            if let Some(next) = self.global_faults.first_entry() {
+                let at = next.key().0;
+                if m.is_none_or(|m| at <= m) && at <= deadline {
+                    let fault = next.remove();
+                    self.now = self.now.max(at);
                     self.apply_global_fault(fault);
                     continue;
                 }
@@ -911,15 +884,9 @@ impl ShardedSim {
             if m > deadline {
                 return None;
             }
-            let mut horizon = m + lookahead;
-            if let Some((&(at, _), _)) = self.global_faults.iter().next() {
-                if at < horizon {
-                    horizon = at;
-                }
-            }
-            let cap = deadline + Duration::from_nanos(1);
-            if cap < horizon {
-                horizon = cap;
+            let mut horizon = (m + lookahead).min(deadline + Duration::from_nanos(1));
+            if let Some((&(at, _), _)) = self.global_faults.first_key_value() {
+                horizon = horizon.min(at);
             }
             heads.below(horizon, active);
             if cfg!(debug_assertions) {
@@ -946,15 +913,11 @@ impl ShardedSim {
         active: &[u32],
         heads: &mut HeadHeap,
     ) {
-        let mut ops: Vec<(NodeId, DeferredOp)> = Vec::new();
         for &node in active {
             let (g, i) = place(node, cap);
-            for op in groups[g][i].ops.drain(..) {
-                ops.push((NodeId(node), op));
+            for op in std::mem::take(&mut groups[g][i].ops) {
+                apply_deferred(&mut self.network, groups.iter_mut().flatten(), NodeId(node), op);
             }
-        }
-        for (node, op) in ops {
-            apply_deferred(&mut self.network, groups.iter_mut().flatten(), node, op);
         }
         for &node in active {
             let (g, i) = place(node, cap);
@@ -974,7 +937,6 @@ impl ShardedSim {
     /// channels: a worker owns the group for the duration of one epoch
     /// and hands it back, so there is no shared mutable state at all —
     /// the coordinator is the only thread alive at every barrier.
-    #[allow(clippy::too_many_arguments)]
     fn run_epochs_threaded(
         &mut self,
         groups: &mut Vec<Vec<Lp>>,
@@ -983,8 +945,8 @@ impl ShardedSim {
         lookahead: Duration,
         workers: usize,
         heads: &mut HeadHeap,
-        active: &mut Vec<u32>,
     ) {
+        let mut active: Vec<u32> = Vec::new();
         let (result_tx, result_rx) = mpsc::channel::<(usize, Vec<Lp>, Vec<usize>)>();
         // Per-group active-slot buckets, reused across epochs.
         let mut group_slots: Vec<Vec<usize>> = (0..groups.len()).map(|_| Vec::new()).collect();
@@ -1010,9 +972,9 @@ impl ShardedSim {
                 })
                 .collect();
             while let Some(horizon) =
-                self.next_active_epoch(groups, heads, deadline, lookahead, active)
+                self.next_active_epoch(groups, heads, deadline, lookahead, &mut active)
             {
-                for &node in active.iter() {
+                for &node in &active {
                     let (g, s) = place(node, cap);
                     group_slots[g].push(s);
                 }
@@ -1041,11 +1003,8 @@ impl ShardedSim {
                         heads.set(lp.node.id.0, lp.events.next_at());
                     }
                 }
-                self.barrier(groups, cap, active, heads);
-                let reached = if horizon < deadline { horizon } else { deadline };
-                if self.now < reached {
-                    self.now = reached;
-                }
+                self.barrier(groups, cap, &active, heads);
+                self.now = self.now.max(horizon.min(deadline));
             }
         });
     }
