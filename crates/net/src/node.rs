@@ -24,7 +24,7 @@ use rand::RngCore;
 
 use crate::chaos::{Fault, PacketFaults};
 use crate::clock::ClockState;
-use crate::link::{Arrival, NetworkModel, Transport};
+use crate::link::{NetworkModel, Transport};
 use crate::runtime::{Actor, Context, Incoming};
 use crate::time::SimTime;
 
@@ -172,9 +172,9 @@ impl NodeEvent {
 }
 
 pub(crate) struct Queued<E> {
-    at: SimTime,
+    pub(crate) at: SimTime,
     seq: u64,
-    ev: E,
+    pub(crate) ev: E,
 }
 
 impl<E> PartialEq for Queued<E> {
@@ -219,8 +219,8 @@ impl<E> EventHeap<E> {
         self.heap.peek().map(|q| q.at)
     }
 
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|q| (q.at, q.ev))
+    pub(crate) fn pop(&mut self) -> Option<Queued<E>> {
+        self.heap.pop()
     }
 }
 
@@ -278,6 +278,7 @@ pub(crate) struct NodeCtx<'a, S: Scheduler> {
 impl<S: Scheduler> NodeCtx<'_, S> {
     /// Admits one due event: the liveness rules, the delivery
     /// accounting, then the actor.
+    #[inline] // one caller an engine: the event is matched where it was popped
     pub(crate) fn handle(mut self, ev: NodeEvent) {
         match ev {
             NodeEvent::Start { .. } => {
@@ -377,13 +378,18 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         self.sched.schedule(self.now, NodeEvent::Start { node: self.node.id });
     }
 
-    /// Schedules the delivery (or two) a send that arrives results in.
-    fn deliver(&mut self, sent: Arrival, from: Endpoint, to: Endpoint, msg: &WireMsg, stream: bool) {
-        for at in std::iter::once(sent.at).chain(sent.duplicate_at) {
-            let (to_port, msg, len) = (to.port, msg.clone(), sent.len);
-            let deliver = NodeEvent::Deliver { to: to.node, from, to_port, msg, len, stream };
-            self.sched.schedule(at, deliver);
-        }
+    /// Schedules one delivery of `msg`, `len` bytes on the wire, at `at`.
+    fn deliver(
+        &mut self,
+        at: SimTime,
+        len: usize,
+        from: Endpoint,
+        to: Endpoint,
+        msg: &WireMsg,
+        stream: bool,
+    ) {
+        let (to_port, msg) = (to.port, msg.clone());
+        self.sched.schedule(at, NodeEvent::Deliver { to: to.node, from, to_port, msg, len, stream });
     }
 
     /// Sends one datagram. `len` caches the body size across a
@@ -393,7 +399,10 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         let size = || *len.get_or_insert_with(|| msg.body_len());
         let (net, faults, now) = (&self.net, self.faults, self.now);
         if let Some(sent) = self.link.send_datagram(net, faults, now, from.node, to.node, size) {
-            self.deliver(sent, from, to, msg, false);
+            self.deliver(sent.at, sent.len, from, to, msg, false);
+            if let Some(at) = sent.duplicate_at {
+                self.deliver(at, sent.len, from, to, msg, false);
+            }
         }
     }
 }
@@ -443,7 +452,7 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.node.id, from_port);
         match self.link.send_stream(&self.net, self.now, from, to, || msg.body_len()) {
-            Some(sent) => self.deliver(sent, from, to, msg, true),
+            Some(sent) => self.deliver(sent.at, sent.len, from, to, msg, true),
             None => self.link.stats.unreachable += 1,
         }
     }

@@ -153,6 +153,7 @@ impl<'a> Scheduler for LpSched<'a> {
     /// go straight into its heap (they never cross an LP boundary,
     /// which is why the loopback spec is excluded from the lookahead);
     /// everything else into the outbox for the barrier merge.
+    #[inline]
     fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
         match ev.target() {
             Some(to) if to != self.id => self.outbox.push(OutMsg { at, to, ev }),
@@ -196,8 +197,8 @@ impl Lp {
     /// epoch can reach it before `horizon`.
     fn process_until(&mut self, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
         while self.events.next_at().is_some_and(|at| at < horizon) {
-            if let Some((at, ev)) = self.events.pop() {
-                self.handle(at, ev, net, pf);
+            if let Some(q) = self.events.pop() {
+                self.handle(q.at, q.ev, net, pf);
             }
         }
     }
@@ -896,10 +897,11 @@ impl ShardedSim {
         }
     }
 
-    /// The epoch barrier: applies deferred network ops, then merges
-    /// every outbox into its destination queue — both in ascending node
-    /// order, so sequence assignment is a pure function of the event
-    /// streams themselves. Only the epoch's active LPs are walked: an LP
+    /// The epoch barrier: applies each LP's deferred network ops and
+    /// merges its outbox into the destination queues (the two touch
+    /// disjoint state), in ascending node order, so sequence assignment
+    /// is a pure function of the event streams themselves. Only the
+    /// epoch's active LPs are walked: an LP
     /// that processed nothing since the last barrier has an empty outbox
     /// and no deferred ops, and `active` is sorted, so the walk order is
     /// exactly the historical full 0..n ascending sweep minus its
@@ -918,9 +920,6 @@ impl ShardedSim {
             for op in std::mem::take(&mut groups[g][i].ops) {
                 apply_deferred(&mut self.network, groups.iter_mut().flatten(), NodeId(node), op);
             }
-        }
-        for &node in active {
-            let (g, i) = place(node, cap);
             // Checked out so destinations can be borrowed while it
             // drains (a sender is never its own cross-LP destination).
             let mut outbox = std::mem::take(&mut groups[g][i].outbox);
