@@ -77,10 +77,13 @@ fn chaos_smoke_three_fixed_seeds() {
 /// a restarted broker's `LinkHello` now starts the link over on both
 /// sides, and each re-advertises its interest (DESIGN.md §18) — more
 /// link frames, and latency draws after them, in every scenario that
-/// bounces a broker.
+/// bounces a broker. And once more (`0x35da1aa4d05e848b` until then):
+/// a v1 stream send a partition ate now counts in
+/// `unreachable_partitioned` like a datagram or a v2 send (DESIGN.md
+/// §9) — that column of the report, and nothing else in it, moved.
 #[test]
 fn campaign_report_unchanged_by_ordered_state() {
-    const PINNED_FNV1A64: u64 = 0x35da_1aa4_d05e_848b;
+    const PINNED_FNV1A64: u64 = 0x1909_f559_a0c8_3757;
     let json = run_campaign::<ScenarioStats>(11, 3).to_json();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in json.as_bytes() {
@@ -99,7 +102,7 @@ fn campaign_report_unchanged_by_ordered_state() {
 /// runs scenario-parallel.
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0x35da_1aa4_d05e_848b;
+    const PINNED_FNV1A64: u64 = 0x1909_f559_a0c8_3757;
     for workers in [1, 4] {
         let json = run_campaign_with_workers::<ScenarioStats>(11, 3, workers).to_json();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

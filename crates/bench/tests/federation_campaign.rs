@@ -76,9 +76,12 @@ fn ten_seed_campaign_passes_every_invariant() {
 /// snapshot ordering, digest computation) trips this pin. Re-pinned
 /// once (`0xfd665210489673df` until then) with the chaos seed-11 pin,
 /// for the same reason: a restarted broker's peers re-advertise to it.
+/// And once more (`0xd8628ea83fdb2360` until then), again with the
+/// chaos pin: stream sends a partition ate now count in the report's
+/// `unreachable_partitioned` column (DESIGN.md §9); nothing else moved.
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0xd862_8ea8_3fdb_2360;
+    const PINNED_FNV1A64: u64 = 0xa903_4d72_b101_e9cb;
     for workers in [1, 4] {
         let json = run_campaign_with_workers::<ScenarioStats>(11, 3, workers).to_json();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -501,10 +501,11 @@ impl Transport {
         self.wires.reset_node(node);
     }
 
-    /// Counts one send that found no path, by fate.
-    pub(crate) fn count_unreachable(&mut self, net: &NetworkModel, from: NodeId, to: NodeId) {
+    /// Counts one send that found no path, by fate: severed by a
+    /// partition, or no route at all.
+    fn count_unreachable(&mut self, partitioned: bool) {
         self.stats.unreachable += 1;
-        if net.path_blocked(from, to) {
+        if partitioned {
             self.stats.unreachable_partitioned += 1;
         } else {
             self.stats.unreachable_no_path += 1;
@@ -536,7 +537,7 @@ impl Transport {
     ) -> Option<Arrival> {
         self.stats.datagrams_sent += 1;
         let Some(spec) = net.spec_between(from, to) else {
-            self.count_unreachable(net, from, to);
+            self.count_unreachable(net.path_blocked(from, to));
             return None;
         };
         let Some(lat) = spec.roll(&mut self.rng) else {
@@ -573,11 +574,11 @@ impl Transport {
     }
 
     /// Sends `len()` bytes on the reliable stream `from -> to` at `now`;
-    /// `None` (with `len` never asked) if the stream has no path. One
-    /// draw — the latency — then serialisation onto the wire, then the
-    /// connection's setup charge and FIFO, which is also what keeps a
-    /// v2 link's symbol definitions ahead of the frames that refer to
-    /// them.
+    /// `None` (counted by fate, `len` never asked) if the stream has no
+    /// path. One draw — the latency — then serialisation onto the wire,
+    /// then the connection's setup charge and FIFO, which is also what
+    /// keeps a v2 link's symbol definitions ahead of the frames that
+    /// refer to them.
     pub(crate) fn send_stream(
         &mut self,
         net: &NetworkModel,
@@ -586,7 +587,13 @@ impl Transport {
         to: Endpoint,
         len: impl FnOnce() -> usize,
     ) -> Option<Arrival> {
-        let spec = net.stream_spec(from.node, to.node)?;
+        let Some(spec) = net.stream_spec(from.node, to.node) else {
+            // A stream needs both directions: a partition of either
+            // severs it.
+            let (a, b) = (from.node, to.node);
+            self.count_unreachable(net.path_blocked(a, b) || net.path_blocked(b, a));
+            return None;
+        };
         let len = len();
         let lat = spec.sample_latency(&mut self.rng);
         let serialized_at = self.wires.serialize(from.node, to.node, now, len, &spec);
@@ -697,6 +704,7 @@ mod tests {
         let gone = Endpoint::new(NodeId(9), Port(2));
         let sent = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, gone, || unreachable!()));
         assert_eq!(sent, (0, None));
+        assert_eq!((t.stats.unreachable, t.stats.unreachable_no_path), (1, 1));
     }
 
     #[test]

@@ -451,9 +451,8 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
 
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.node.id, from_port);
-        match self.link.send_stream(&self.net, self.now, from, to, || msg.body_len()) {
-            Some(sent) => self.deliver(sent.at, sent.len, from, to, msg, true),
-            None => self.link.stats.unreachable += 1,
+        if let Some(sent) = self.link.send_stream(&self.net, self.now, from, to, || msg.body_len()) {
+            self.deliver(sent.at, sent.len, from, to, msg, true);
         }
     }
 
@@ -561,8 +560,10 @@ mod tests {
         impl_actor_any!();
     }
 
-    /// Runs the script on `engine`; every node's arrival log, by node.
-    fn arrivals(mut engine: impl DiscoveryEngine) -> Vec<Vec<(SimTime, u64, bool)>> {
+    /// Runs the script on `engine` — with `cut`, behind a one-way
+    /// partition that severs its streams and nothing else; every node's
+    /// arrival log, by node.
+    fn arrivals(engine: &mut impl DiscoveryEngine, cut: bool) -> Vec<Vec<(SimTime, u64, bool)>> {
         let still = |spec: LinkSpec| spec.with_loss(0.0).with_jitter(Duration::ZERO);
         let net = engine.network_mut();
         net.local_spec = still(LinkSpec::local());
@@ -572,6 +573,10 @@ mod tests {
         };
         let (r1, r2) = (add(Vec::new()), add(Vec::new()));
         let nodes = [r1, r2, add(vec![r1, r2])];
+        if cut {
+            // The ACK direction only: datagrams to `r1` still flow.
+            engine.network_mut().partition_one_way(r1, nodes[2]);
+        }
         engine.run_for(Duration::from_secs(1));
         let log = |&n| engine.actor_dyn(n).and_then(|a| a.as_any().downcast_ref::<Scripted>());
         nodes.iter().map(|n| log(n).expect("a scripted node").arrivals.clone()).collect()
@@ -584,8 +589,8 @@ mod tests {
     /// self-send.
     #[test]
     fn scripted_sends_arrive_at_the_same_times_on_both_engines() {
-        let serial = arrivals(Sim::with_clock_profile(5, ClockProfile::perfect()));
-        let sharded = arrivals(ShardedSim::with_clock_profile(5, ClockProfile::perfect()));
+        let serial = arrivals(&mut Sim::with_clock_profile(5, ClockProfile::perfect()), false);
+        let sharded = arrivals(&mut ShardedSim::with_clock_profile(5, ClockProfile::perfect()), false);
         assert_eq!(serial, sharded);
         let [r1, r2, sender] = &serial[..] else {
             panic!("three nodes");
@@ -597,5 +602,22 @@ mod tests {
         // The handshake was charged once, by either engine's books.
         let (first, warm) = (r1[1].0 - SimTime::from_millis(100), r1[2].0 - SimTime::from_millis(200));
         assert!(first > warm * 2, "first {first:?}, warm {warm:?}");
+    }
+
+    /// A stream send a partition ate is counted by fate like a datagram
+    /// one, on both engines — `unreachable` is the sum of its two
+    /// per-fate counters whatever was sent.
+    #[test]
+    fn stream_sends_over_a_partition_are_counted_by_fate_on_both_engines() {
+        let mut serial = Sim::with_clock_profile(5, ClockProfile::perfect());
+        let mut sharded = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
+        let logs = [arrivals(&mut serial, true), arrivals(&mut sharded, true)];
+        for (stats, log) in [serial.stats().clone(), sharded.stats()].iter().zip(logs) {
+            // The datagram and the multicast arrived; both streams did not.
+            assert_eq!(log[0].iter().map(|a| a.1).collect::<Vec<_>>(), [1, 4]);
+            assert_eq!(stats.unreachable, 2);
+            assert_eq!(stats.unreachable_partitioned, 2);
+            assert_eq!(stats.unreachable, stats.unreachable_partitioned + stats.unreachable_no_path);
+        }
     }
 }
