@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use nb_wire::{Endpoint, GroupId, NodeId, RealmId};
+use nb_wire::{Endpoint, GroupId, NodeId, Port, RealmId, SymTabReader, SymTabWriter};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -357,110 +357,266 @@ impl NetworkModel {
     }
 }
 
-/// Per directed node pair, the instant the sender's wire is free: a
-/// message of `len` bytes occupies the wire for `transmission_delay(len)`
-/// starting no earlier than the previous message finished serialising.
-#[derive(Debug, Default, Clone)]
-pub struct WireBook {
-    free_at: BTreeMap<(NodeId, NodeId), SimTime>,
+/// The v2 codec state of one directed link: the sender's symbol-table
+/// writer and the receiver's reader. They live and die together — a
+/// crash of either end tears the connection down.
+#[derive(Default)]
+pub(crate) struct V2Link {
+    pub(crate) enc: SymTabWriter,
+    pub(crate) dec: SymTabReader,
 }
 
-impl WireBook {
-    /// An idle wire book.
-    pub fn new() -> WireBook {
-        WireBook::default()
+/// What few connections carry, kept out of line: the streams of port
+/// pairs beyond the first (each with the arrival of its last message)
+/// and the v2 codec's tables.
+#[derive(Default)]
+struct Extra {
+    streams: Vec<((Port, Port), SimTime)>,
+    v2: V2Link,
+}
+
+/// Everything a node holds about its connection to one peer — the
+/// record of a directed node pair.
+pub(crate) struct Conn {
+    peer: NodeId,
+    /// The `(from, to)` ports of the first stream opened on the
+    /// connection. A stream exists from the send that paid its
+    /// handshake, or from the accept that spared it one.
+    ports: Option<(Port, Port)>,
+    /// That stream's FIFO clamp: the arrival of the last message sent
+    /// on it.
+    last_arrival: SimTime,
+    /// The instant the sender's wire to the peer is free: a message of
+    /// `len` bytes occupies it for `transmission_delay(len)`, starting
+    /// no earlier than the previous one finished serialising.
+    free_at: SimTime,
+    extra: Option<Box<Extra>>,
+}
+
+impl Conn {
+    fn idle(peer: NodeId) -> Conn {
+        Conn { peer, ports: None, last_arrival: SimTime::ZERO, free_at: SimTime::ZERO, extra: None }
+    }
+
+    /// Whether the record says nothing an absent one would not: no
+    /// stream, no codec table, and a wire that is free by `now`.
+    fn is_idle(&self, now: SimTime) -> bool {
+        self.ports.is_none() && self.extra.is_none() && self.free_at <= now
     }
 
     /// Computes when a `len`-byte message sent at `now` finishes
-    /// serialising onto the wire, updating the book.
-    pub fn serialize(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        now: SimTime,
-        len: usize,
-        spec: &LinkSpec,
-    ) -> SimTime {
-        let tx = spec.transmission_delay(len);
-        let entry = self.free_at.entry((from, to)).or_insert(SimTime::ZERO);
-        let start = if *entry > now { *entry } else { now };
-        let done = start + tx;
-        *entry = done;
-        done
+    /// serialising onto the wire, and holds the wire until then.
+    fn serialize(&mut self, now: SimTime, len: usize, spec: &LinkSpec) -> SimTime {
+        self.free_at = self.free_at.max(now) + spec.transmission_delay(len);
+        self.free_at
     }
 
-    /// Drops queueing state involving `node` (crash/restart).
-    pub fn reset_node(&mut self, node: NodeId) {
-        self.free_at.retain(|(a, b), _| *a != node && *b != node);
+    /// The FIFO clamp of the stream on `ports`, if it is open.
+    fn stream(&mut self, ports: (Port, Port)) -> Option<&mut SimTime> {
+        if self.ports == Some(ports) {
+            return Some(&mut self.last_arrival);
+        }
+        let more = &mut self.extra.as_mut()?.streams;
+        more.iter_mut().find(|s| s.0 == ports).map(|s| &mut s.1)
+    }
+
+    /// Opens the stream on `ports`, which must not be open.
+    fn open(&mut self, ports: (Port, Port)) -> &mut SimTime {
+        if self.ports.is_none() {
+            self.ports = Some(ports);
+            return &mut self.last_arrival;
+        }
+        let more = &mut self.extra.get_or_insert_with(Box::default).streams;
+        more.push((ports, SimTime::ZERO));
+        let newest = more.len() - 1;
+        &mut more[newest].1
+    }
+
+    /// Opens the stream on `ports` without charging setup, unless it is
+    /// open already.
+    fn accept(&mut self, ports: (Port, Port)) {
+        if self.stream(ports).is_none() {
+            self.open(ports);
+        }
+    }
+
+    /// Computes the arrival time of a stream message that left the wire
+    /// at `now` with a sampled `one_way` latency, charging connection
+    /// setup (two extra one-way trips: SYN + SYN-ACK) on first use of
+    /// the port pair and enforcing in-order delivery per direction.
+    /// Also says whether this was that first use.
+    fn delivery_time(&mut self, ports: (Port, Port), now: SimTime, one_way: Duration) -> (SimTime, bool) {
+        let mut arrival = now + one_way;
+        let (last, opened) = match self.stream(ports) {
+            Some(last) => (last, false),
+            None => {
+                arrival += one_way + one_way;
+                (self.open(ports), true)
+            }
+        };
+        *last = arrival.max(*last);
+        (*last, opened)
+    }
+
+    /// The link's v2 symbol tables, empty until first asked for.
+    pub(crate) fn v2(&mut self) -> &mut V2Link {
+        &mut self.extra.get_or_insert_with(Box::default).v2
     }
 }
 
-/// Dynamic per-runtime stream (TCP) state: which connections are
-/// established and the ordering clamp per direction.
-#[derive(Debug, Default, Clone)]
-pub struct StreamBook {
-    established: BTreeSet<(Endpoint, Endpoint)>,
-    last_arrival: BTreeMap<(Endpoint, Endpoint), SimTime>,
-}
+/// One node's connections, sorted by peer and binary-searched.
+#[derive(Default)]
+struct Row(Vec<Conn>);
 
-impl StreamBook {
-    /// A book with no connections.
-    pub fn new() -> StreamBook {
-        StreamBook::default()
+impl Row {
+    /// The record for `peer`, made idle if absent. A row about to grow
+    /// first drops its idle records — a wire that has drained is
+    /// indistinguishable from one never used — so a node that answers
+    /// many peers once each (a BDN, a broker's responder) keeps a row
+    /// the size of what it has in flight, and an insert stays cheap.
+    fn conn(&mut self, peer: NodeId, now: SimTime) -> &mut Conn {
+        let conns = &mut self.0;
+        let i = match conns.binary_search_by_key(&peer, |c| c.peer) {
+            Ok(i) => i,
+            Err(mut i) => {
+                if conns.len() == conns.capacity() {
+                    conns.retain(|c| !c.is_idle(now));
+                    i = conns.partition_point(|c| c.peer < peer);
+                }
+                conns.insert(i, Conn::idle(peer));
+                i
+            }
+        };
+        &mut conns[i]
     }
 
-    /// Computes the arrival time of a stream message sent `now` with a
-    /// sampled `one_way` latency, charging connection setup (two extra
-    /// one-way trips: SYN + SYN-ACK) on first use of the pair and
-    /// enforcing in-order delivery per direction.
-    pub fn delivery_time(
+    #[cfg(test)]
+    fn get(&self, peer: NodeId) -> Option<&Conn> {
+        let i = self.0.binary_search_by_key(&peer, |c| c.peer).ok()?;
+        Some(&self.0[i])
+    }
+
+    fn forget(&mut self, peer: NodeId) {
+        if let Ok(i) = self.0.binary_search_by_key(&peer, |c| c.peer) {
+            self.0.remove(i);
+        }
+    }
+}
+
+/// Per-connection state, one record per directed node pair, a row per
+/// sending node: what a send reads and writes, reached by one probe.
+/// `now` must never go backwards across calls (an engine's, or an LP's,
+/// clock does not): idle records are dropped on that premise.
+enum ConnTable {
+    /// Every node's row, indexed by `NodeId.0`: `Sim`'s table.
+    RunWide(Vec<Row>),
+    /// The row of `node` and no other: an LP's table. The far half of
+    /// each connection lives in the peer's own table, so when `node`
+    /// resets, `peers_stale` remembers that those halves are still to be
+    /// forgotten.
+    OneNode { node: NodeId, row: Row, peers_stale: bool },
+}
+
+impl ConnTable {
+    /// Whether this table holds `node`'s row.
+    fn holds(&self, node: NodeId) -> bool {
+        match self {
+            ConnTable::RunWide(_) => true,
+            ConnTable::OneNode { node: own, .. } => *own == node,
+        }
+    }
+
+    /// The row `from` sends from, which this table must hold.
+    fn row(&mut self, from: NodeId) -> &mut Row {
+        match self {
+            ConnTable::RunWide(rows) => {
+                let i = from.0 as usize;
+                if i >= rows.len() {
+                    rows.resize_with(i + 1, Row::default);
+                }
+                &mut rows[i]
+            }
+            ConnTable::OneNode { node, row, .. } => {
+                debug_assert_eq!(*node, from, "a node sends from its own table");
+                row
+            }
+        }
+    }
+
+    /// The record of the connection `from -> to`, made idle if absent.
+    fn conn(&mut self, from: NodeId, to: NodeId, now: SimTime) -> &mut Conn {
+        self.row(from).conn(to, now)
+    }
+
+    /// When one stream message `from -> to` arrives: `depart` charges
+    /// the connection's wire and says when the message has left it,
+    /// then the stream's setup charge and FIFO apply. Streams are
+    /// full-duplex: a handshake opens the peer's side too, if its row
+    /// is here to open.
+    fn stream_arrival(
         &mut self,
         from: Endpoint,
         to: Endpoint,
         now: SimTime,
         one_way: Duration,
+        depart: impl FnOnce(&mut Conn) -> SimTime,
     ) -> SimTime {
-        let key = (from, to);
-        let mut arrival = now + one_way;
-        if !self.established.contains(&key) {
-            // Full-duplex: establishing a->b also establishes b->a.
-            self.established.insert(key);
-            self.established.insert((to, from));
-            arrival += one_way + one_way;
+        let conn = self.conn(from.node, to.node, now);
+        let departs = depart(conn);
+        let (at, opened) = conn.delivery_time((from.port, to.port), departs, one_way);
+        if opened {
+            self.accept(to, from, now);
         }
-        if let Some(&last) = self.last_arrival.get(&key) {
-            if arrival < last {
-                arrival = last;
-            }
+        at
+    }
+
+    /// Opens `at -> from` without charging setup, if `at`'s row is here.
+    fn accept(&mut self, at: Endpoint, from: Endpoint, now: SimTime) {
+        if self.holds(at.node) {
+            self.conn(at.node, from.node, now).accept((at.port, from.port));
         }
-        self.last_arrival.insert(key, arrival);
-        arrival
+    }
+
+    /// Opens `a <-> b` without charging setup: whichever halves this
+    /// table holds.
+    fn mark_established(&mut self, a: Endpoint, b: Endpoint, now: SimTime) {
+        self.accept(a, b, now);
+        self.accept(b, a, now);
     }
 
     /// Whether `from -> to` has an established connection.
-    pub fn is_established(&self, from: Endpoint, to: Endpoint) -> bool {
-        self.established.contains(&(from, to))
+    #[cfg(test)]
+    fn is_established(&self, from: Endpoint, to: Endpoint) -> bool {
+        let row = match self {
+            ConnTable::RunWide(rows) => rows.get(from.node.0 as usize),
+            ConnTable::OneNode { node, row, .. } => (*node == from.node).then_some(row),
+        };
+        let ports = (from.port, to.port);
+        row.and_then(|row| row.get(to.node)).is_some_and(|conn| {
+            conn.ports == Some(ports)
+                || conn.extra.as_ref().is_some_and(|e| e.streams.iter().any(|s| s.0 == ports))
+        })
     }
 
-    /// Records `a <-> b` as established without charging setup, in both
-    /// directions. The sharded engine keeps one book per node: the
-    /// sender's book charges the handshake, and the receiver marks the
-    /// pair established when the first framed message arrives (accepting
-    /// a connection establishes it server-side), so its replies skip the
-    /// setup RTTs just as they do under the shared-book engine.
-    pub fn mark_established(&mut self, a: Endpoint, b: Endpoint) {
-        // Both directions are inserted and reset together, so one probe
-        // settles the common case: every delivery after the first.
-        if !self.established.contains(&(a, b)) {
-            self.established.insert((a, b));
-            self.established.insert((b, a));
+    /// Forgets every connection involving `node` (crash/restart):
+    /// streams, wire queues and codec tables alike.
+    fn reset_node(&mut self, node: NodeId) {
+        match self {
+            ConnTable::RunWide(rows) => {
+                for (i, row) in rows.iter_mut().enumerate() {
+                    if i == node.0 as usize {
+                        row.0.clear();
+                    } else {
+                        row.forget(node);
+                    }
+                }
+            }
+            ConnTable::OneNode { node: own, row, peers_stale } if *own == node => {
+                row.0.clear();
+                *peers_stale = true;
+            }
+            ConnTable::OneNode { row, .. } => row.forget(node),
         }
-    }
-
-    /// Drops all connection state involving `node` (crash/restart).
-    pub fn reset_node(&mut self, node: NodeId) {
-        self.established.retain(|(a, b)| a.node != node && b.node != node);
-        self.last_arrival.retain(|(a, b), _| a.node != node && b.node != node);
     }
 }
 
@@ -474,31 +630,59 @@ pub(crate) struct Arrival {
     pub(crate) len: usize,
 }
 
-/// The four things a send touches besides the model. `Sim` has one set
-/// for the whole run; every LP of the sharded engine has its own, which
-/// is why an LP's RNG stream, connection state and counters are a
-/// function of its node id alone.
+/// The three things a send touches besides the model: the RNG, the
+/// connection table and the counters. `Sim` has one set for the whole
+/// run; every LP of the sharded engine has its own, holding its node's
+/// row alone, which is why an LP's RNG stream, connection state and
+/// counters are a function of its node id alone.
 pub(crate) struct Transport {
     pub(crate) rng: StdRng,
-    pub(crate) streams: StreamBook,
-    pub(crate) wires: WireBook,
+    conns: ConnTable,
     pub(crate) stats: NetStats,
 }
 
 impl Transport {
+    /// A transport every node of a run sends through.
     pub(crate) fn new(rng: StdRng) -> Transport {
-        Transport {
-            rng,
-            streams: StreamBook::new(),
-            wires: WireBook::new(),
-            stats: NetStats::default(),
+        Transport { rng, conns: ConnTable::RunWide(Vec::new()), stats: NetStats::default() }
+    }
+
+    /// The transport of `node` alone.
+    pub(crate) fn for_node(rng: StdRng, node: NodeId) -> Transport {
+        let conns = ConnTable::OneNode { node, row: Row::default(), peers_stale: false };
+        Transport { rng, conns, stats: NetStats::default() }
+    }
+
+    /// Forgets everything the connections involving `node` carried:
+    /// streams, wire queues, v2 symbol tables.
+    pub(crate) fn reset_node(&mut self, node: NodeId) {
+        self.conns.reset_node(node);
+    }
+
+    /// Whether the one node this transport serves has reset since last
+    /// asked, leaving its peers' transports holding the far halves of
+    /// connections that no longer exist.
+    pub(crate) fn take_peers_stale(&mut self) -> bool {
+        match &mut self.conns {
+            ConnTable::RunWide(_) => false,
+            ConnTable::OneNode { peers_stale, .. } => std::mem::take(peers_stale),
         }
     }
 
-    /// Forgets every connection and wire queue involving `node`.
-    pub(crate) fn reset_node(&mut self, node: NodeId) {
-        self.streams.reset_node(node);
-        self.wires.reset_node(node);
+    /// Records `a <-> b` as established without charging setup. The
+    /// sharded engine keeps one table per node: the sender's charges
+    /// the handshake, and the receiver marks the pair established when
+    /// the first framed message arrives (accepting a connection
+    /// establishes it server-side), so its replies skip the setup RTTs
+    /// just as they do under the run-wide table.
+    pub(crate) fn mark_established(&mut self, a: Endpoint, b: Endpoint, now: SimTime) {
+        self.conns.mark_established(a, b, now);
+    }
+
+    /// The record of the connection `from -> to`: where `Sim` keeps the
+    /// link's v2 tables.
+    pub(crate) fn conn(&mut self, from: NodeId, to: NodeId, now: SimTime) -> &mut Conn {
+        self.conns.conn(from, to, now)
     }
 
     /// Counts one send that found no path, by fate: severed by a
@@ -547,7 +731,7 @@ impl Transport {
         let len = len();
         // Serialisation onto the wire (bandwidth model), then the
         // sampled propagation latency.
-        let mut at = self.wires.serialize(from, to, now, len, &spec) + lat;
+        let mut at = self.conns.conn(from, to, now).serialize(now, len, &spec) + lat;
         let mut duplicate_at = None;
         if faults.is_active() {
             let extra_ns = faults.extra_delay.as_nanos() as u64;
@@ -573,19 +757,20 @@ impl Transport {
         Some(Arrival { at, duplicate_at, len })
     }
 
-    /// Sends `len()` bytes on the reliable stream `from -> to` at `now`;
+    /// Sends a message on the reliable stream `from -> to` at `now`;
     /// `None` (counted by fate, `len` never asked) if the stream has no
-    /// path. One draw — the latency — then serialisation onto the wire,
-    /// then the connection's setup charge and FIFO, which is also what
-    /// keeps a v2 link's symbol definitions ahead of the frames that
-    /// refer to them.
+    /// path. `len` is handed the connection's record and answers the
+    /// bytes to charge. One draw — the latency — then one probe for the
+    /// record: serialisation onto its wire, then its setup charge and
+    /// FIFO, which is also what keeps a v2 link's symbol definitions
+    /// ahead of the frames that refer to them.
     pub(crate) fn send_stream(
         &mut self,
         net: &NetworkModel,
         now: SimTime,
         from: Endpoint,
         to: Endpoint,
-        len: impl FnOnce() -> usize,
+        len: impl FnOnce(&mut Conn) -> usize,
     ) -> Option<Arrival> {
         let Some(spec) = net.stream_spec(from.node, to.node) else {
             // A stream needs both directions: a partition of either
@@ -594,11 +779,278 @@ impl Transport {
             self.count_unreachable(net.path_blocked(a, b) || net.path_blocked(b, a));
             return None;
         };
-        let len = len();
         let lat = spec.sample_latency(&mut self.rng);
-        let serialized_at = self.wires.serialize(from.node, to.node, now, len, &spec);
-        let at = self.streams.delivery_time(from, to, serialized_at, lat);
-        Some(Arrival { at, duplicate_at: None, len })
+        let mut sent = 0;
+        let at = self.conns.stream_arrival(from, to, now, lat, |conn| {
+            sent = len(conn);
+            conn.serialize(now, sent, &spec)
+        });
+        Some(Arrival { at, duplicate_at: None, len: sent })
+    }
+}
+
+/// The three ordered books the connection table replaced — wire clocks
+/// by node pair, established streams and FIFO clamps by endpoint pair —
+/// kept as the oracle `differential` compares against: every arrival
+/// time and every established bit must agree. (The third, `Sim`'s map
+/// of v2 link tables, answered nothing but presence.)
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::time::Duration;
+
+    use nb_wire::{Endpoint, NodeId};
+
+    use super::LinkSpec;
+    use crate::time::SimTime;
+
+    #[derive(Default)]
+    pub struct WireBook {
+        free_at: BTreeMap<(NodeId, NodeId), SimTime>,
+    }
+
+    impl WireBook {
+        pub fn serialize(
+            &mut self,
+            from: NodeId,
+            to: NodeId,
+            now: SimTime,
+            len: usize,
+            spec: &LinkSpec,
+        ) -> SimTime {
+            let tx = spec.transmission_delay(len);
+            let entry = self.free_at.entry((from, to)).or_insert(SimTime::ZERO);
+            let start = if *entry > now { *entry } else { now };
+            let done = start + tx;
+            *entry = done;
+            done
+        }
+
+        pub fn reset_node(&mut self, node: NodeId) {
+            self.free_at.retain(|(a, b), _| *a != node && *b != node);
+        }
+    }
+
+    #[derive(Default)]
+    pub struct StreamBook {
+        established: BTreeSet<(Endpoint, Endpoint)>,
+        last_arrival: BTreeMap<(Endpoint, Endpoint), SimTime>,
+    }
+
+    impl StreamBook {
+        pub fn delivery_time(
+            &mut self,
+            from: Endpoint,
+            to: Endpoint,
+            now: SimTime,
+            one_way: Duration,
+        ) -> SimTime {
+            let key = (from, to);
+            let mut arrival = now + one_way;
+            if !self.established.contains(&key) {
+                // Full-duplex: establishing a->b also establishes b->a.
+                self.established.insert(key);
+                self.established.insert((to, from));
+                arrival += one_way + one_way;
+            }
+            if let Some(&last) = self.last_arrival.get(&key) {
+                if arrival < last {
+                    arrival = last;
+                }
+            }
+            self.last_arrival.insert(key, arrival);
+            arrival
+        }
+
+        pub fn is_established(&self, from: Endpoint, to: Endpoint) -> bool {
+            self.established.contains(&(from, to))
+        }
+
+        pub fn mark_established(&mut self, a: Endpoint, b: Endpoint) {
+            if !self.established.contains(&(a, b)) {
+                self.established.insert((a, b));
+                self.established.insert((b, a));
+            }
+        }
+
+        pub fn reset_node(&mut self, node: NodeId) {
+            self.established.retain(|(a, b)| a.node != node && b.node != node);
+            self.last_arrival.retain(|(a, b), _| a.node != node && b.node != node);
+        }
+    }
+}
+
+/// Random interleavings of every connection-state operation, against
+/// the table in both flavours and the books it replaced.
+#[cfg(test)]
+mod differential {
+    use proptest::prelude::*;
+
+    use super::reference::{StreamBook, WireBook};
+    use super::*;
+
+    const NODES: u32 = 8;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A datagram's wire charge.
+        Serialize { from: u32, to: u32, len: usize },
+        /// A stream message that leaves the wire the instant it is sent.
+        DeliveryTime { from: Endpoint, to: Endpoint, lat_us: u64 },
+        /// A stream send: the wire charge, then the delivery time.
+        Send { from: Endpoint, to: Endpoint, len: usize, lat_us: u64 },
+        MarkEstablished { a: Endpoint, b: Endpoint },
+        IsEstablished { from: Endpoint, to: Endpoint },
+        ResetNode(u32),
+    }
+
+    /// Half of what happens, happens at node 0: its row fills, grows
+    /// and drops idle records while wires in it are still busy.
+    fn arb_actor() -> impl Strategy<Value = u32> {
+        (0..NODES, any::<bool>()).prop_map(|(node, hub)| if hub { 0 } else { node })
+    }
+
+    fn arb_ends() -> impl Strategy<Value = (Endpoint, Endpoint)> {
+        (arb_actor(), 0u16..3, 0..NODES, 0u16..3).prop_map(|(a, p, b, q)| {
+            (Endpoint::new(NodeId(a), Port(p)), Endpoint::new(NodeId(b), Port(q)))
+        })
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let len = || 0usize..200_000;
+        let lat = || 0u64..50_000;
+        let serialize = || {
+            (arb_actor(), 0..NODES, len()).prop_map(|(from, to, len)| Op::Serialize { from, to, len })
+        };
+        let send = || {
+            (arb_ends(), len(), lat())
+                .prop_map(|((from, to), len, lat_us)| Op::Send { from, to, len, lat_us })
+        };
+        prop_oneof![
+            serialize(),
+            serialize(),
+            send(),
+            send(),
+            (arb_ends(), lat()).prop_map(|((from, to), lat_us)| Op::DeliveryTime { from, to, lat_us }),
+            arb_ends().prop_map(|(a, b)| Op::MarkEstablished { a, b }),
+            arb_ends().prop_map(|(from, to)| Op::IsEstablished { from, to }),
+            arb_ends().prop_map(|(to, from)| Op::IsEstablished { from, to }),
+            (0..NODES).prop_map(Op::ResetNode),
+        ]
+    }
+
+    /// What an operation answered, if it answers anything.
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        At(SimTime),
+        Established(bool),
+        Nothing,
+    }
+
+    /// A table and the books it must agree with.
+    struct Pair {
+        table: ConnTable,
+        wires: WireBook,
+        streams: StreamBook,
+    }
+
+    impl Pair {
+        fn new(table: ConnTable) -> Pair {
+            Pair { table, wires: WireBook::default(), streams: StreamBook::default() }
+        }
+
+        /// Applies `op` at `now` to both; their answers.
+        fn apply(&mut self, op: &Op, now: SimTime) -> (Answer, Answer) {
+            let spec = LinkSpec::lan();
+            let Pair { table, wires, streams } = self;
+            match *op {
+                Op::Serialize { from, to, len } => {
+                    let (from, to) = (NodeId(from), NodeId(to));
+                    (
+                        Answer::At(table.conn(from, to, now).serialize(now, len, &spec)),
+                        Answer::At(wires.serialize(from, to, now, len, &spec)),
+                    )
+                }
+                Op::DeliveryTime { from, to, lat_us } => {
+                    let lat = Duration::from_micros(lat_us);
+                    (
+                        Answer::At(table.stream_arrival(from, to, now, lat, |_| now)),
+                        Answer::At(streams.delivery_time(from, to, now, lat)),
+                    )
+                }
+                Op::Send { from, to, len, lat_us } => {
+                    let lat = Duration::from_micros(lat_us);
+                    let departs = wires.serialize(from.node, to.node, now, len, &spec);
+                    (
+                        Answer::At(table.stream_arrival(from, to, now, lat, |conn| {
+                            conn.serialize(now, len, &spec)
+                        })),
+                        Answer::At(streams.delivery_time(from, to, departs, lat)),
+                    )
+                }
+                Op::MarkEstablished { a, b } => {
+                    table.mark_established(a, b, now);
+                    streams.mark_established(a, b);
+                    (Answer::Nothing, Answer::Nothing)
+                }
+                Op::IsEstablished { from, to } => (
+                    Answer::Established(table.is_established(from, to)),
+                    Answer::Established(streams.is_established(from, to)),
+                ),
+                Op::ResetNode(node) => {
+                    table.reset_node(NodeId(node));
+                    wires.reset_node(NodeId(node));
+                    streams.reset_node(NodeId(node));
+                    (Answer::Nothing, Answer::Nothing)
+                }
+            }
+        }
+    }
+
+    /// The node whose state `op` reads and writes: the sender, the
+    /// accepting end, the end asked about. A reset is every node's.
+    fn acting_node(op: &Op) -> Option<u32> {
+        match op {
+            Op::Serialize { from, .. } => Some(*from),
+            Op::DeliveryTime { from, .. } | Op::Send { from, .. } | Op::IsEstablished { from, .. } => {
+                Some(from.node.0)
+            }
+            Op::MarkEstablished { a, .. } => Some(a.node.0),
+            Op::ResetNode(_) => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn the_connection_table_agrees_with_the_books_it_replaced(
+            steps in prop::collection::vec((0u64..2_000, arb_op()), 1..200),
+        ) {
+            // `Sim`: one table, one set of books, for every node.
+            let mut run_wide = Pair::new(ConnTable::RunWide(Vec::new()));
+            // The sharded engine: a table and a set of books per node,
+            // each touched only by what its own node does.
+            let mut per_node: Vec<Pair> = (0..NODES)
+                .map(|n| {
+                    let node = NodeId(n);
+                    Pair::new(ConnTable::OneNode { node, row: Row::default(), peers_stale: false })
+                })
+                .collect();
+            let mut now = SimTime::ZERO;
+            for (advance_us, op) in &steps {
+                now += Duration::from_micros(*advance_us);
+                let (got, want) = run_wide.apply(op, now);
+                prop_assert_eq!(got, want, "run-wide, {:?} at {:?}", op, now);
+                let acting = match acting_node(op) {
+                    Some(n) => n as usize..n as usize + 1,
+                    None => 0..NODES as usize,
+                };
+                for pair in &mut per_node[acting] {
+                    let (got, want) = pair.apply(op, now);
+                    prop_assert_eq!(got, want, "one-node, {:?} at {:?}", op, now);
+                }
+            }
+        }
     }
 }
 
@@ -694,15 +1146,15 @@ mod tests {
         let mut t = Transport::new(rng());
         let a = Endpoint::new(NodeId(0), Port(1));
         let b = Endpoint::new(NodeId(2), Port(2));
-        let (taken, first) = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, b, || 100));
-        let (_, warm) = draws(&mut t, |t| t.send_stream(&net, SimTime::from_secs(1), a, b, || 100));
+        let (taken, first) = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, b, |_| 100));
+        let (_, warm) = draws(&mut t, |t| t.send_stream(&net, SimTime::from_secs(1), a, b, |_| 100));
         assert_eq!(taken, 1);
         let lan = net.intra_realm_spec.latency;
         assert!(first.expect("same realm").at >= SimTime::ZERO + lan * 3);
         assert!(warm.expect("same realm").at < SimTime::from_secs(1) + lan * 3);
         // No path: the length is never asked for, nothing is drawn.
         let gone = Endpoint::new(NodeId(9), Port(2));
-        let sent = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, gone, || unreachable!()));
+        let sent = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, gone, |_| unreachable!()));
         assert_eq!(sent, (0, None));
         assert_eq!((t.stats.unreachable, t.stats.unreachable_no_path), (1, 1));
     }
@@ -776,44 +1228,122 @@ mod tests {
         assert_eq!(m.multicast_recipients(g, NodeId(4)), vec![NodeId(0)]);
     }
 
+    fn ends() -> (Endpoint, Endpoint) {
+        (Endpoint::new(NodeId(0), Port(1)), Endpoint::new(NodeId(1), Port(2)))
+    }
+
     #[test]
     fn stream_book_charges_setup_once() {
-        let mut book = StreamBook::new();
-        let a = Endpoint::new(NodeId(0), Port(1));
-        let b = Endpoint::new(NodeId(1), Port(2));
+        let mut book = ConnTable::RunWide(Vec::new());
+        let (a, b) = ends();
         let lat = Duration::from_millis(10);
-        let t1 = book.delivery_time(a, b, SimTime::ZERO, lat);
+        let t1 = book.stream_arrival(a, b, SimTime::ZERO, lat, |_| SimTime::ZERO);
         assert_eq!(t1.as_millis(), 30); // 1 data + 2 setup trips
-        let t2 = book.delivery_time(a, b, t1, lat);
+        let t2 = book.stream_arrival(a, b, t1, lat, |_| t1);
         assert_eq!(t2.as_millis(), 40); // established now
         // reverse direction was established by the handshake
-        let t3 = book.delivery_time(b, a, SimTime::from_millis(35), lat);
+        let t3 = book.stream_arrival(b, a, t2, lat, |_| SimTime::from_millis(35));
         assert_eq!(t3.as_millis(), 45);
+        // A second port pair on the same connection is its own stream.
+        let c = Endpoint::new(a.node, Port(7));
+        let t4 = book.stream_arrival(c, b, t3, lat, |_| t3);
+        assert_eq!((t4 - t3).as_millis(), 30);
+        assert!(book.is_established(b, c) && book.is_established(a, b));
     }
 
     #[test]
     fn stream_book_enforces_ordering() {
-        let mut book = StreamBook::new();
-        let a = Endpoint::new(NodeId(0), Port(1));
-        let b = Endpoint::new(NodeId(1), Port(2));
-        let t1 = book.delivery_time(a, b, SimTime::ZERO, Duration::from_millis(50));
+        let mut book = ConnTable::RunWide(Vec::new());
+        let (a, b) = ends();
+        let t1 = book.stream_arrival(a, b, SimTime::ZERO, Duration::from_millis(50), |_| SimTime::ZERO);
         // Second message sent later but with much lower sampled latency
         // must not overtake the first.
-        let t2 = book.delivery_time(a, b, SimTime::from_millis(60), Duration::from_millis(1));
+        let later = SimTime::from_millis(60);
+        let t2 = book.stream_arrival(a, b, later, Duration::from_millis(1), |_| later);
         assert!(t2 >= t1);
     }
 
     #[test]
     fn stream_book_reset_node_forces_new_handshake() {
-        let mut book = StreamBook::new();
-        let a = Endpoint::new(NodeId(0), Port(1));
-        let b = Endpoint::new(NodeId(1), Port(2));
-        book.delivery_time(a, b, SimTime::ZERO, Duration::from_millis(10));
+        let mut book = ConnTable::RunWide(Vec::new());
+        let (a, b) = ends();
+        book.stream_arrival(a, b, SimTime::ZERO, Duration::from_millis(10), |_| SimTime::ZERO);
         assert!(book.is_established(a, b));
         book.reset_node(NodeId(1));
         assert!(!book.is_established(a, b));
-        let t = book.delivery_time(a, b, SimTime::from_millis(100), Duration::from_millis(10));
+        let later = SimTime::from_millis(100);
+        let t = book.stream_arrival(a, b, later, Duration::from_millis(10), |_| later);
         assert_eq!(t.as_millis(), 130); // setup charged again
+    }
+
+    /// The hazard a by-sender index inside every LP would be: 2 102
+    /// rows in each of 2 102 transports. A node's own transport holds
+    /// its row and nothing else, whatever its id, and never the far
+    /// half of a connection — nothing in an LP would read it.
+    #[test]
+    fn a_transport_built_for_one_node_holds_one_row() {
+        let mut net = NetworkModel::new();
+        for n in [3, 7, 2000] {
+            net.register_node(NodeId(n), RealmId(0));
+        }
+        let me = Endpoint::new(NodeId(2000), Port(1));
+        let (dialled, accepted) = (Endpoint::new(NodeId(3), Port(2)), Endpoint::new(NodeId(7), Port(2)));
+        let drive = |t: &mut Transport| {
+            assert!(t.send_stream(&net, SimTime::ZERO, me, dialled, |_| 100).is_some());
+            t.mark_established(me, accepted, SimTime::ZERO);
+            assert!(t.conns.is_established(me, dialled) && t.conns.is_established(me, accepted));
+        };
+        let mut own = Transport::for_node(rng(), me.node);
+        drive(&mut own);
+        let ConnTable::OneNode { row, .. } = &own.conns else {
+            panic!("a transport for one node has the one-node table");
+        };
+        assert_eq!(row.0.iter().map(|c| c.peer).collect::<Vec<_>>(), [dialled.node, accepted.node]);
+        assert!(!own.conns.is_established(dialled, me) && !own.conns.is_established(accepted, me));
+
+        let mut run_wide = Transport::new(rng());
+        drive(&mut run_wide);
+        let ConnTable::RunWide(rows) = &run_wide.conns else {
+            panic!("a run's transport has the run-wide table");
+        };
+        assert_eq!(rows.len(), 2001);
+        assert!(run_wide.conns.is_established(dialled, me) && run_wide.conns.is_established(accepted, me));
+    }
+
+    /// ROADMAP item 4's leak: a responder's wire state kept one dead
+    /// record per peer it ever answered.
+    #[test]
+    fn datagrams_to_many_idle_peers_leave_a_bounded_row() {
+        const PEERS: u32 = 10_000;
+        let mut net = NetworkModel::new();
+        for n in 0..=PEERS {
+            net.register_node(NodeId(n), RealmId(0));
+        }
+        for mut t in [Transport::new(rng()), Transport::for_node(rng(), NodeId(0))] {
+            let mut now = SimTime::ZERO;
+            for peer in 1..=PEERS {
+                // Each answer has long left the wire by the next one.
+                now += Duration::from_millis(10);
+                let sent = t.send_datagram(&net, PacketFaults::none(), now, NodeId(0), NodeId(peer), || 200);
+                assert!(sent.is_some() || t.stats.datagrams_lost > 0);
+            }
+            let row = match &t.conns {
+                ConnTable::RunWide(rows) => &rows[0],
+                ConnTable::OneNode { row, .. } => row,
+            };
+            assert!(row.0.len() <= 4, "{} wire records after {PEERS} one-off peers", row.0.len());
+            // A wire still busy is never dropped: back-to-back sends to
+            // fresh peers all queue, and each peer's second message
+            // queues behind its first.
+            let burst: Vec<NodeId> = (1..=64).map(NodeId).collect();
+            let spec = net.intra_realm_spec;
+            let first: Vec<SimTime> =
+                burst.iter().map(|&p| t.conns.conn(NodeId(0), p, now).serialize(now, 12_500, &spec)).collect();
+            for (&p, &done) in burst.iter().zip(&first) {
+                let again = t.conns.conn(NodeId(0), p, now).serialize(now, 12_500, &spec);
+                assert_eq!(again, done + spec.transmission_delay(12_500));
+            }
+        }
     }
 }
 
@@ -835,30 +1365,31 @@ mod bandwidth_tests {
 
     #[test]
     fn wire_book_serialises_back_to_back_sends() {
-        let mut book = WireBook::new();
+        let mut book = ConnTable::RunWide(Vec::new());
         let spec = LinkSpec::wan(Duration::from_millis(10)); // 1.25 MB/s
         let (a, b) = (NodeId(0), NodeId(1));
+        let mut send = |to, at_ms| {
+            let now = SimTime::from_millis(at_ms);
+            book.conn(a, to, now).serialize(now, 125_000, &spec)
+        };
         // Two 125 KB messages sent at t=0: the second queues behind the
         // first (100 ms serialisation each).
-        let d1 = book.serialize(a, b, SimTime::ZERO, 125_000, &spec);
-        let d2 = book.serialize(a, b, SimTime::ZERO, 125_000, &spec);
-        assert_eq!(d1.as_millis(), 100);
-        assert_eq!(d2.as_millis(), 200);
+        assert_eq!(send(b, 0).as_millis(), 100);
+        assert_eq!(send(b, 0).as_millis(), 200);
         // A different destination has its own wire.
-        let d3 = book.serialize(a, NodeId(2), SimTime::ZERO, 125_000, &spec);
-        assert_eq!(d3.as_millis(), 100);
+        assert_eq!(send(NodeId(2), 0).as_millis(), 100);
         // After the wire drains, sends start fresh.
-        let d4 = book.serialize(a, b, SimTime::from_millis(500), 125_000, &spec);
-        assert_eq!(d4.as_millis(), 600);
+        assert_eq!(send(b, 500).as_millis(), 600);
     }
 
     #[test]
     fn wire_book_reset_clears_node_state() {
-        let mut book = WireBook::new();
+        let mut book = ConnTable::RunWide(Vec::new());
         let spec = LinkSpec::wan(Duration::from_millis(10));
-        book.serialize(NodeId(0), NodeId(1), SimTime::ZERO, 1_250_000, &spec); // busy 1s
-        book.reset_node(NodeId(1));
-        let d = book.serialize(NodeId(0), NodeId(1), SimTime::ZERO, 1_250, &spec);
+        let (a, b, now) = (NodeId(0), NodeId(1), SimTime::ZERO);
+        book.conn(a, b, now).serialize(now, 1_250_000, &spec); // busy 1s
+        book.reset_node(b);
+        let d = book.conn(a, b, now).serialize(now, 1_250, &spec);
         assert_eq!(d.as_millis(), 1, "queue state was cleared");
     }
 }

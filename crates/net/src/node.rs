@@ -10,8 +10,8 @@
 //! [`Transport`]'s, beside the link model.
 //!
 //! What an engine adds is a [`Scheduler`]: where a scheduled event
-//! goes, when a multicast group change becomes visible, what else a
-//! crash tears down, and whether a stream send can ride the v2 codec.
+//! goes, when a multicast group change becomes visible, and whether a
+//! stream send can ride the v2 codec.
 //! DESIGN.md §8 lists everything the two engines do differently.
 
 use std::cmp::Ordering;
@@ -243,11 +243,6 @@ pub(crate) trait Scheduler {
 
     fn leave_group(&mut self, net: &mut Self::Net, node: NodeId, group: GroupId);
 
-    /// `node` crashed and its [`Transport`] has forgotten its
-    /// connections; the engine tears down whatever else the connections
-    /// carried.
-    fn crashed(&mut self, node: NodeId);
-
     /// Sends `msg` as a v2 segment if the engine has the codec
     /// installed; `false` leaves the send to the v1 stream path.
     fn send_stream_v2(
@@ -302,7 +297,7 @@ impl<S: Scheduler> NodeCtx<'_, S> {
                     return;
                 }
                 self.link.stats.bytes_delivered += len as u64;
-                self.link.stats.count_delivery(msg.kind(), stream);
+                self.link.stats.count_delivery(msg.message(), stream);
                 self.dispatch(if stream {
                     Incoming::Stream { from, to_port, msg }
                 } else {
@@ -369,7 +364,6 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         self.node.up = false;
         self.node.timers.clear();
         self.link.reset_node(self.node.id);
-        self.sched.crashed(self.node.id);
     }
 
     /// Marks the node up and re-runs its `on_start`.
@@ -451,7 +445,7 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
 
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.node.id, from_port);
-        if let Some(sent) = self.link.send_stream(&self.net, self.now, from, to, || msg.body_len()) {
+        if let Some(sent) = self.link.send_stream(&self.net, self.now, from, to, |_| msg.body_len()) {
             self.deliver(sent.at, sent.len, from, to, msg, true);
         }
     }
@@ -599,7 +593,7 @@ mod tests {
         assert_eq!(nonces(r1), [(1, false), (2, true), (3, true), (4, false)]);
         assert_eq!(nonces(r2), [(4, false)]);
         assert_eq!(nonces(sender), [(5, false)]);
-        // The handshake was charged once, by either engine's books.
+        // The handshake was charged once, by either engine's table.
         let (first, warm) = (r1[1].0 - SimTime::from_millis(100), r1[2].0 - SimTime::from_millis(200));
         assert!(first > warm * 2, "first {first:?}, warm {warm:?}");
     }

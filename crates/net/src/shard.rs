@@ -5,10 +5,10 @@
 //! but one idle during large campaigns. This module runs the same node
 //! model (`node.rs`; DESIGN.md §8) under a different scheduler: the
 //! engine is sharded *by node id*, every node its own logical process
-//! (LP) with a private event heap, RNG stream, stream/wire books and
-//! traffic counters, and a coordinator runs the classic
-//! conservative-lookahead protocol (Chandy/Misra/Bryant by way of a
-//! barrier-synchronous epoch loop) over them:
+//! (LP) with a private event heap, RNG stream, its own row of the
+//! connection table and traffic counters, and a coordinator runs the
+//! classic conservative-lookahead protocol (Chandy/Misra/Bryant by way
+//! of a barrier-synchronous epoch loop) over them:
 //!
 //! 1. **Lookahead.** The WAN model gives a hard floor on cross-node
 //!    delay: no message between two distinct nodes can arrive sooner
@@ -52,8 +52,8 @@
 //! * Every LP draws from its own RNG stream, so which dice a send rolls
 //!   is a function of the sender, not of global send order.
 //! * A stream connection is established at the receiver when its first
-//!   message *arrives* (each LP keeps its own book), not when it is
-//!   sent: a reply sent before then pays its own handshake.
+//!   message *arrives* (each LP keeps its own connections), not when it
+//!   is sent: a reply sent before then pays its own handshake.
 //! * There is no v2 link codec: `send_stream_v2` is the v1 stream path.
 //!
 //! Threading is confined to [`ShardedSim::run_epochs_threaded`]: a
@@ -114,9 +114,9 @@ enum DeferredOp {
     Join(GroupId),
     Leave(GroupId),
     /// The emitting node crashed: every *other* LP must forget its
-    /// stream connections and wire-clock entries. The crashed LP resets
-    /// its own books inline (a same-epoch restart may already have
-    /// created fresh entries that must survive the barrier).
+    /// half of the connections they shared. The crashed LP reset its own
+    /// row inline (a same-epoch restart may already have created fresh
+    /// records that must survive the barrier).
     ResetPeer,
 }
 
@@ -125,8 +125,8 @@ enum DeferredOp {
 struct Lp {
     node: Node<ShardRespawnFn>,
     /// Private RNG stream (seeded `root_seed ^ node_id` — a function of
-    /// the node's identity, never of which worker runs it), connection
-    /// books and counters.
+    /// the node's identity, never of which worker runs it), the node's
+    /// row of the connection table and its counters.
     link: Transport,
     events: EventHeap<NodeEvent>,
     events_processed: u64,
@@ -168,10 +168,6 @@ impl<'a> Scheduler for LpSched<'a> {
     fn leave_group(&mut self, _net: &mut Self::Net, _node: NodeId, group: GroupId) {
         self.ops.push(DeferredOp::Leave(group));
     }
-
-    fn crashed(&mut self, _node: NodeId) {
-        self.ops.push(DeferredOp::ResetPeer);
-    }
 }
 
 impl Lp {
@@ -190,6 +186,16 @@ impl Lp {
             faults,
             now: self.now,
         }
+    }
+
+    /// What the node left for the barrier. A crash comes last whenever
+    /// it happened: group changes and peer resets touch disjoint state,
+    /// and nothing runs between two resets of one barrier.
+    fn take_deferred(&mut self) -> Vec<DeferredOp> {
+        if self.link.take_peers_stale() {
+            self.ops.push(DeferredOp::ResetPeer);
+        }
+        std::mem::take(&mut self.ops)
     }
 
     /// Runs this LP's events strictly below `horizon`. Within the
@@ -217,12 +223,12 @@ impl Lp {
         digest_event(&mut self.digest, at, &ev);
         if let NodeEvent::Deliver { from, to_port, stream: true, .. } = &ev {
             if self.node.up {
-                // The books are private: the sender's charged the
+                // The tables are private: the sender's charged the
                 // handshake, and accepting the first framed message
                 // establishes the connection server-side too, so
                 // replies on the same port pair skip the setup RTTs.
                 let me = Endpoint::new(self.node.id, *to_port);
-                self.link.streams.mark_established(me, *from);
+                self.link.mark_established(me, *from, self.now);
             }
         }
         self.ctx(net, pf).handle(ev);
@@ -635,7 +641,7 @@ impl ShardedSim {
         events.push(sync_at, NodeEvent::ClockSync { node: id });
         self.lps.push(Lp {
             node: Node::new(id, name, realm, clock, actor),
-            link: Transport::new(rng),
+            link: Transport::for_node(rng, id),
             events,
             events_processed: 0,
             digest: FNV_OFFSET,
@@ -705,7 +711,7 @@ impl ShardedSim {
             return;
         };
         f(&mut lp.ctx(&self.network, self.packet_faults));
-        for op in std::mem::take(&mut lp.ops) {
+        for op in lp.take_deferred() {
             apply_deferred(&mut self.network, self.lps.iter_mut(), node, op);
         }
     }
@@ -917,7 +923,7 @@ impl ShardedSim {
     ) {
         for &node in active {
             let (g, i) = place(node, cap);
-            for op in std::mem::take(&mut groups[g][i].ops) {
+            for op in groups[g][i].take_deferred() {
                 apply_deferred(&mut self.network, groups.iter_mut().flatten(), NodeId(node), op);
             }
             // Checked out so destinations can be borrowed while it
@@ -1367,14 +1373,15 @@ mod tests {
     }
 
     /// ROADMAP item 4 wants these smaller, never larger, than they
-    /// were before the engines shared the node model: `Lp` is what
-    /// `mem_bytes_per_entity` in BENCH_scale.json mostly counts.
+    /// were: `Lp` is what `mem_bytes_per_entity` in BENCH_scale.json
+    /// mostly counts (496 bytes until its transport held one
+    /// connection table where it had three books).
     #[test]
     fn heap_entry_and_lp_are_no_larger_than_at_the_parent() {
         use std::mem::size_of;
         assert!(size_of::<crate::node::Queued<NodeEvent>>() <= 72);
         assert!(size_of::<OutMsg>() <= 72);
-        assert!(size_of::<Lp>() <= 496);
+        assert!(size_of::<Lp>() <= 440);
     }
 
     #[test]

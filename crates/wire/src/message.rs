@@ -630,8 +630,9 @@ impl Message {
 
     /// The wire tag this message encodes with — the first body byte.
     /// Lets [`crate::wiremsg::WireMsg`] synthesise a peeked header from
-    /// an already-decoded message without encoding it.
-    pub(crate) fn tag(&self) -> u8 {
+    /// an already-decoded message without encoding it, and per-kind
+    /// tallies index their slots by it ([`KINDS`] names the tags).
+    pub fn tag(&self) -> u8 {
         match self {
             Message::LinkHello { .. } => TAG_LINK_HELLO,
             Message::LinkAccept { .. } => TAG_LINK_ACCEPT,
@@ -725,6 +726,40 @@ pub const ALL_TAGS: [u8; 27] = [
     TAG_REPLAY_REQUEST,
     TAG_FEDERATION_SYNC,
     TAG_PRUNE,
+];
+
+/// Every [`Message::kind`] label with its wire tag, in label order: the
+/// way from a tag-indexed tally back to names, already sorted for
+/// rendering. The conformance test below holds it to `kind()` and
+/// `tag()`.
+pub const KINDS: [(&str, u8); 27] = [
+    ("advertisement", TAG_ADVERTISEMENT),
+    ("bdn-advertisement", TAG_BDN_ADVERTISEMENT),
+    ("client-connect", TAG_CLIENT_CONNECT),
+    ("client-connect-ack", TAG_CLIENT_CONNECT_ACK),
+    ("client-disconnect", TAG_CLIENT_DISCONNECT),
+    ("client-subscribe", TAG_CLIENT_SUBSCRIBE),
+    ("client-unsubscribe", TAG_CLIENT_UNSUBSCRIBE),
+    ("discovery-ack", TAG_DISCOVERY_ACK),
+    ("discovery-request", TAG_DISCOVERY),
+    ("discovery-response", TAG_RESPONSE),
+    ("federation-sync", TAG_FEDERATION_SYNC),
+    ("heartbeat", TAG_HEARTBEAT),
+    ("link-accept", TAG_LINK_ACCEPT),
+    ("link-close", TAG_LINK_CLOSE),
+    ("link-hello", TAG_LINK_HELLO),
+    ("ntp-request", TAG_NTP_REQUEST),
+    ("ntp-response", TAG_NTP_RESPONSE),
+    ("ping", TAG_PING),
+    ("pong", TAG_PONG),
+    ("prune", TAG_PRUNE),
+    ("publish", TAG_PUBLISH),
+    ("reliable-ack", TAG_RELIABLE_ACK),
+    ("reliable-data", TAG_RELIABLE_DATA),
+    ("replay-request", TAG_REPLAY_REQUEST),
+    ("secure", TAG_SECURE),
+    ("subscribe", TAG_SUBSCRIBE),
+    ("unsubscribe", TAG_UNSUBSCRIBE),
 ];
 
 impl Wire for Message {
@@ -1131,6 +1166,16 @@ mod tests {
         let msgs = all_messages();
         let kinds: std::collections::HashSet<_> = msgs.iter().map(|m| m.kind()).collect();
         assert_eq!(kinds.len(), msgs.len());
+    }
+
+    #[test]
+    fn kinds_registry_is_sorted_and_agrees_with_kind_and_tag() {
+        assert!(KINDS.windows(2).all(|w| w[0].0 < w[1].0), "KINDS is in strict label order");
+        let msgs = all_messages();
+        assert_eq!(KINDS.len(), msgs.len());
+        for msg in &msgs {
+            assert!(KINDS.contains(&(msg.kind(), msg.tag())), "{} missing from KINDS", msg.kind());
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! order on this one link.
 //!
 //! Sync relies on the stream transport being reliable and in-order per
-//! link (the sim's `StreamBook` guarantees this), so the decoder sees
-//! definitions before references. Corruption must never poison the
+//! link (the sim's per-connection stream FIFO guarantees this), so the
+//! decoder sees definitions before references. Corruption must never poison the
 //! table: [`SymTabReader::checkpoint`] / [`SymTabReader::rollback`] let
 //! a segment decoder undo every definition a failed segment added, so
 //! later frames resolve against exactly the state the sender assumed.
