@@ -1094,7 +1094,6 @@ mod tests {
     fn v2_links_negotiate_and_route_through_segments() {
         use crate::client::PubSubClient;
         let mut sim = quiet_sim();
-        sim.set_wire_v2(Some(nb_net::WireV2Config));
         let mk = |neighbors: Vec<NodeId>| {
             let cfg = BrokerConfig { wire_v2: true, ..broker_cfg(neighbors) };
             Box::new(BrokerActor::new(cfg))
@@ -1125,7 +1124,6 @@ mod tests {
     #[test]
     fn v1_peer_on_a_v2_broker_stays_on_v1() {
         let mut sim = quiet_sim();
-        sim.set_wire_v2(Some(nb_net::WireV2Config));
         // Only `b` is v2-configured; `a` never announces, so the link
         // negotiates down to v1 and no segments flow.
         let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));

@@ -10,7 +10,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use nb_wire::{Endpoint, GroupId, NodeId, Port, RealmId, SymTabReader, SymTabWriter};
+use nb_wire::v2::SegmentWriter;
+use nb_wire::{Endpoint, GroupId, NodeId, Port, RealmId, SegmentFrame, SymTabReader, SymTabWriter};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -357,22 +358,27 @@ impl NetworkModel {
     }
 }
 
-/// The v2 codec state of one directed link: the sender's symbol-table
-/// writer and the receiver's reader. They live and die together — a
-/// crash of either end tears the connection down.
+/// The v2 codec state of a connection, seen from the node that owns the
+/// record: the symbol-table writer for what it sends the peer, with the
+/// segment encoder it reuses, and the reader for what the peer sends
+/// it, with the frame buffer it decodes into. Reused, the two buffers
+/// leave a warm hop one allocation a side: the segment's bytes, the
+/// delivered message. A crash of either end forgets both ends' halves.
 #[derive(Default)]
 pub(crate) struct V2Link {
     pub(crate) enc: SymTabWriter,
+    pub(crate) segment: SegmentWriter,
     pub(crate) dec: SymTabReader,
+    pub(crate) frames: Vec<SegmentFrame>,
 }
 
 /// What few connections carry, kept out of line: the streams of port
 /// pairs beyond the first (each with the arrival of its last message)
-/// and the v2 codec's tables.
+/// and, on a v2 link, the codec.
 #[derive(Default)]
 struct Extra {
     streams: Vec<((Port, Port), SimTime)>,
-    v2: V2Link,
+    v2: Option<V2Link>,
 }
 
 /// Everything a node holds about its connection to one peer — the
@@ -458,9 +464,9 @@ impl Conn {
         (*last, opened)
     }
 
-    /// The link's v2 symbol tables, empty until first asked for.
+    /// The connection's v2 codec, empty until first asked for.
     pub(crate) fn v2(&mut self) -> &mut V2Link {
-        &mut self.extra.get_or_insert_with(Box::default).v2
+        self.extra.get_or_insert_with(Box::default).v2.get_or_insert_with(V2Link::default)
     }
 }
 
@@ -679,8 +685,8 @@ impl Transport {
         self.conns.mark_established(a, b, now);
     }
 
-    /// The record of the connection `from -> to`: where `Sim` keeps the
-    /// link's v2 tables.
+    /// The record of the connection `from -> to`, which this transport
+    /// must hold: where a v2 segment from `to` is decoded.
     pub(crate) fn conn(&mut self, from: NodeId, to: NodeId, now: SimTime) -> &mut Conn {
         self.conns.conn(from, to, now)
     }

@@ -100,14 +100,13 @@ pub trait Context {
         self.send_stream(from_port, to, msg.message());
     }
 
-    /// Sends on a reliable stream, preferring the negotiated v2 compact
-    /// codec: when the runtime has v2 enabled, the message is encoded
-    /// against the link's symbol table (topic symbols sync lazily per
-    /// link) and sent at once as a one-frame segment. Callers use this only
-    /// for peers that announced v2 capability on their link handshake.
-    /// The default falls back to the per-message v1 stream path, so
-    /// engines and test doubles without v2 support keep working
-    /// unmodified.
+    /// Sends on a reliable stream in the v2 compact codec: the message is
+    /// encoded against the link's symbol table (topic symbols sync lazily
+    /// per link) and sent at once as a one-frame segment, on either
+    /// engine. Callers use this only for peers that announced v2
+    /// capability on their link handshake. The default falls back to the
+    /// per-message v1 stream path, so test doubles without v2 support
+    /// keep working unmodified.
     fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         self.send_stream_wire(from_port, to, msg);
     }

@@ -54,7 +54,6 @@
 //! * A stream connection is established at the receiver when its first
 //!   message *arrives* (each LP keeps its own connections), not when it
 //!   is sent: a reply sent before then pays its own handshake.
-//! * There is no v2 link codec: `send_stream_v2` is the v1 stream path.
 //!
 //! Threading is confined to [`ShardedSim::run_epochs_threaded`]: a
 //! scoped worker pool on `std::sync::mpsc`, moving whole LP groups
@@ -185,6 +184,7 @@ impl Lp {
             net,
             faults,
             now: self.now,
+            trace: None,
         }
     }
 
@@ -221,7 +221,9 @@ impl Lp {
         }
         self.events_processed += 1;
         digest_event(&mut self.digest, at, &ev);
-        if let NodeEvent::Deliver { from, to_port, stream: true, .. } = &ev {
+        if let NodeEvent::Deliver { from, to_port, stream: true, .. } | NodeEvent::Segment { from, to_port, .. } =
+            &ev
+        {
             if self.node.up {
                 // The tables are private: the sender's charged the
                 // handshake, and accepting the first framed message
@@ -279,6 +281,13 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
             mix(h, *len as u64);
             mix(h, *stream as u64);
             mix_bytes(h, msg.kind().as_bytes());
+        }
+        NodeEvent::Segment { from, to_port, seg, .. } => {
+            mix(h, 7);
+            mix(h, from.node.0 as u64);
+            mix(h, from.port.0 as u64);
+            mix(h, to_port.0 as u64);
+            mix(h, seg.len() as u64);
         }
     }
 }
@@ -500,7 +509,7 @@ struct EpochTask {
 
 /// The sharded simulator: [`Sim`]'s surface (construction, node
 /// management, faults, injection, `run_for`/`run_until`, actor access)
-/// without the trace and the v2 codec, plus [`ShardedSim::digest`],
+/// without the trace, plus [`ShardedSim::digest`],
 /// [`ShardedSim::set_workers`] and [`ShardedSim::set_shards`].
 pub struct ShardedSim {
     seed: u64,

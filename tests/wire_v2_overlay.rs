@@ -7,12 +7,16 @@
 //! not only on the benchmark's digest line. A second case restarts a
 //! relay broker mid-run: the links it re-dials start from empty symbol
 //! tables on both sides, and v2 must still deliver what v1 does.
+//!
+//! Both engines run the codec. `Sim` carries the pins and everything
+//! read off its trace; `ShardedSim`, which has no trace, must give one
+//! digest at 1 and 4 workers and deliver what its own v1 run delivers.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use nb::broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
-use nb::net::{ClockProfile, LinkSpec, NetStats, Sim, WireV2Config};
+use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, ShardedSim, Sim, SimTime};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BROKERS: usize = 6;
@@ -54,13 +58,40 @@ struct Run {
     relayed_after_restart: usize,
 }
 
-fn run(wire_v2: bool, restart_relay: bool) -> Run {
-    let mut sim = Sim::with_clock_profile(SEED, ClockProfile::perfect());
-    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-    if wire_v2 {
-        sim.set_wire_v2(Some(WireV2Config));
+/// What the overlay needs of an engine beyond what builds on it.
+trait Engine: DiscoveryEngine {
+    /// Restarts `node`, keeping its actor's state.
+    fn restart_keeping_state(&mut self, node: NodeId);
+}
+
+impl Engine for Sim {
+    fn restart_keeping_state(&mut self, node: NodeId) {
+        self.restart(node, false);
     }
-    sim.enable_trace();
+}
+
+impl Engine for ShardedSim {
+    fn restart_keeping_state(&mut self, node: NodeId) {
+        self.restart(node, false);
+    }
+}
+
+/// `node`'s actor, as the `T` it is.
+fn actor<T: 'static>(engine: &impl DiscoveryEngine, node: NodeId) -> &T {
+    engine.actor_dyn(node).and_then(|a| a.as_any().downcast_ref()).expect("an actor of its type")
+}
+
+/// Who is who in a deployment that has run.
+struct Overlay {
+    brokers: Vec<NodeId>,
+    subscribers: Vec<NodeId>,
+    /// When [`RELAY`] was back up, if it was restarted.
+    restarted_at: Option<SimTime>,
+}
+
+/// Builds the overlay on `engine` and runs every round of traffic.
+fn drive<E: Engine>(engine: &mut E, wire_v2: bool, restart_relay: bool) -> Overlay {
+    engine.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
 
     // A ring plus two chords: a publisher's first event reaches most
     // brokers twice, and what each duplicate prunes keeps the rest to
@@ -72,42 +103,74 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
         let neighbors = dials.iter().map(|&j| brokers[j]).collect();
         let cfg = BrokerConfig { neighbors, wire_v2, ..BrokerConfig::default() };
-        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+        brokers.push(engine.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
     }
     let subscribers: Vec<NodeId> = (0..SUBSCRIBERS)
         .map(|i| {
             let filter = TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap();
             let client = PubSubClient::new(brokers[i % BROKERS], vec![filter]);
-            sim.add_node(&format!("s{i}"), RealmId(0), Box::new(client))
+            engine.add_node(&format!("s{i}"), RealmId(0), Box::new(client))
         })
         .collect();
     let publishers: Vec<NodeId> = [0, 2, 5]
         .iter()
         .map(|&b| {
             let client = PubSubClient::new(brokers[b], vec![]);
-            sim.add_node(&format!("p{b}"), RealmId(0), Box::new(client))
+            engine.add_node(&format!("p{b}"), RealmId(0), Box::new(client))
         })
         .collect();
-    sim.run_for(Duration::from_secs(5));
+    engine.run_for(Duration::from_secs(5));
 
     let mut restarted_at = None;
     for round in 0..ROUNDS {
         if restart_relay && round == RESTART_BEFORE_ROUND {
             // A quiet instant: the last round's traffic drained 200 ms
             // of LAN ago. The broker keeps its state, its links do not.
-            sim.restart(brokers[RELAY], false);
-            sim.run_for(LEASE);
-            restarted_at = Some(sim.now());
+            engine.restart_keeping_state(brokers[RELAY]);
+            engine.run_for(LEASE);
+            restarted_at = Some(engine.now());
         }
         for (p, &publisher) in publishers.iter().enumerate() {
             let topic = Topic::parse(TOPICS[(round as usize + p) % TOPICS.len()]).unwrap();
-            sim.actor_mut::<PubSubClient>(publisher)
-                .unwrap()
-                .queue_publish(topic, vec![p as u8, round]);
+            let client = engine.actor_dyn_mut(publisher).and_then(|a| a.as_any_mut().downcast_mut());
+            let client: &mut PubSubClient = client.expect("a publisher");
+            client.queue_publish(topic, vec![p as u8, round]);
         }
-        sim.run_for(Duration::from_millis(200));
+        engine.run_for(Duration::from_millis(200));
     }
-    sim.run_for(Duration::from_secs(5));
+    engine.run_for(Duration::from_secs(5));
+    Overlay { brokers, subscribers, restarted_at }
+}
+
+/// Sorted deliveries per subscriber.
+fn delivered(engine: &impl DiscoveryEngine, overlay: &Overlay) -> Vec<Vec<Delivery>> {
+    overlay
+        .subscribers
+        .iter()
+        .map(|&s| {
+            let client: &PubSubClient = actor(engine, s);
+            let mut got: Vec<Delivery> = client
+                .received
+                .iter()
+                .map(|ev| (ev.topic.as_str().to_string(), ev.payload.to_vec()))
+                .collect();
+            got.sort();
+            got
+        })
+        .collect()
+}
+
+/// What each subscriber received of the rounds from `first` on.
+fn from_round(delivered: &[Vec<Delivery>], first: u8) -> Vec<Vec<Delivery>> {
+    let keep = |d: &&Delivery| d.1[1] >= first;
+    delivered.iter().map(|got| got.iter().filter(keep).cloned().collect()).collect()
+}
+
+fn run(wire_v2: bool, restart_relay: bool) -> Run {
+    let mut sim = Sim::with_clock_profile(SEED, ClockProfile::perfect());
+    sim.enable_trace();
+    let overlay = drive(&mut sim, wire_v2, restart_relay);
+    let Overlay { brokers, subscribers, restarted_at } = &overlay;
 
     let broker_set: BTreeSet<NodeId> = brokers.iter().copied().collect();
     let trace = sim.take_trace();
@@ -127,25 +190,10 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
         .filter(|r| r.kind == "publish" && r.from.node == brokers[RELAY])
         .filter(|r| broker_set.contains(&r.to.node) && restarted_at.is_some_and(|t| r.at > t))
         .count();
-    let delivered = subscribers
-        .iter()
-        .map(|&s| {
-            let client = sim.actor::<PubSubClient>(s).unwrap();
-            let mut got: Vec<Delivery> = client
-                .received
-                .iter()
-                .map(|ev| (ev.topic.as_str().to_string(), ev.payload.to_vec()))
-                .collect();
-            got.sort();
-            got
-        })
-        .collect();
-    let duplicates_suppressed = brokers
-        .iter()
-        .map(|&b| sim.actor::<BrokerActor>(b).unwrap().broker.duplicates_suppressed)
-        .sum();
+    let duplicates_suppressed =
+        brokers.iter().map(|&b| actor::<BrokerActor>(&sim, b).broker.duplicates_suppressed).sum();
     Run {
-        delivered,
+        delivered: delivered(&sim, &overlay),
         stats: sim.stats().clone(),
         events_processed: sim.events_processed(),
         post_handshake_link_msgs,
@@ -153,6 +201,45 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
         arrival_micros,
         relayed_after_restart,
     }
+}
+
+/// One `ShardedSim` run.
+struct ShardedRun {
+    delivered: Vec<Vec<Delivery>>,
+    stats: NetStats,
+    digest: u64,
+}
+
+fn run_sharded(workers: usize, wire_v2: bool, restart_relay: bool) -> ShardedRun {
+    let mut sim = ShardedSim::with_clock_profile(SEED, ClockProfile::perfect());
+    sim.set_workers(workers);
+    let overlay = drive(&mut sim, wire_v2, restart_relay);
+    ShardedRun { delivered: delivered(&sim, &overlay), stats: sim.stats(), digest: sim.digest() }
+}
+
+/// The `ShardedSim` arm of a case, whose rounds from `first` on are
+/// compared: v2 gives one digest at 1 and 4 workers, delivers what this
+/// engine's own v1 run delivers — the right events, exactly once —
+/// decodes every segment, and moves fewer bytes.
+fn sharded_v2_delivers_what_its_v1_run_delivers(restart_relay: bool, first: u8) {
+    let v1 = run_sharded(1, false, restart_relay);
+    let v2 = run_sharded(1, true, restart_relay);
+    assert_eq!(v2.digest, run_sharded(4, true, restart_relay).digest, "v2 digest at 1 and 4 workers");
+    let (got_v1, got_v2) = (from_round(&v1.delivered, first), from_round(&v2.delivered, first));
+    assert_eq!(got_v1, got_v2);
+    for (i, got) in got_v2.iter().enumerate() {
+        assert_eq!(got, &expected(i, first..ROUNDS), "subscriber {i}");
+    }
+    assert_eq!((v1.stats.segments_sent, v1.stats.frames_coalesced), (0, 0));
+    assert!(v2.stats.segments_delivered > 0, "no segments crossed the overlay");
+    assert_eq!(v2.stats.segment_decode_errors, 0);
+    assert_eq!(v2.stats.frames_coalesced, v2.stats.segments_delivered);
+    assert!(
+        v2.stats.bytes_delivered < v1.stats.bytes_delivered,
+        "v2 moved {} bytes, v1 {}",
+        v2.stats.bytes_delivered,
+        v1.stats.bytes_delivered
+    );
 }
 
 /// What subscriber `i` must receive of `rounds`: every event whose topic
@@ -215,11 +302,8 @@ fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
 fn v2_delivers_what_v1_delivers_after_a_relay_broker_restarts() {
     let v1 = run(false, true);
     let v2 = run(true, true);
-    let after_restart = |run: &Run| -> Vec<Vec<Delivery>> {
-        let keep = |d: &&Delivery| d.1[1] >= RESTART_BEFORE_ROUND;
-        run.delivered.iter().map(|got| got.iter().filter(keep).cloned().collect()).collect()
-    };
-    let (after_v1, after_v2) = (after_restart(&v1), after_restart(&v2));
+    let after_v1 = from_round(&v1.delivered, RESTART_BEFORE_ROUND);
+    let after_v2 = from_round(&v2.delivered, RESTART_BEFORE_ROUND);
     assert_eq!(after_v1, after_v2);
     for (i, got) in after_v2.iter().enumerate() {
         assert_eq!(got, &expected(i, RESTART_BEFORE_ROUND..ROUNDS), "subscriber {i}");
@@ -229,4 +313,14 @@ fn v2_delivers_what_v1_delivers_after_a_relay_broker_restarts() {
     assert!(v1.relayed_after_restart > 0 && v2.relayed_after_restart > 0);
     assert_eq!(v2.stats.segment_decode_errors, 0);
     assert_eq!(v2.stats.frames_coalesced, v2.stats.segments_delivered);
+}
+
+#[test]
+fn sharded_v2_delivers_what_its_v1_run_delivers_at_1_and_4_workers() {
+    sharded_v2_delivers_what_its_v1_run_delivers(false, 0);
+}
+
+#[test]
+fn sharded_v2_delivers_what_its_v1_run_delivers_after_a_relay_broker_restarts() {
+    sharded_v2_delivers_what_its_v1_run_delivers(true, RESTART_BEFORE_ROUND);
 }
