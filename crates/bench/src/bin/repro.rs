@@ -1,10 +1,12 @@
 //! `repro` — regenerates every table and figure of the paper and runs
-//! the seed-pure campaigns (`chaos`, `federation`, `scale`, `lint`).
-//! `repro help` prints the command table ([`COMMANDS`]) and the flags.
+//! the seed-pure campaigns (`chaos`, `federation`, `scale`, `lint`);
+//! `repro gate` checks that the tree still regenerates every committed
+//! report. `repro help` prints the command table ([`COMMANDS`]) and the
+//! flags.
 
 use std::path::PathBuf;
 
-use nb_bench::campaign::{run_campaign_with_workers, CampaignStats};
+use nb_bench::campaign::{fault_scenario, run_campaign, FaultCampaign, ScenarioResult};
 use nb_bench::*;
 use nb_broker::TopologyKind;
 
@@ -16,6 +18,8 @@ static ALLOC: nb_bench::alloc::CountingAlloc = nb_bench::alloc::CountingAlloc;
 
 struct Args {
     cmd: String,
+    /// `gate`'s operand: the one report to check.
+    target: Option<String>,
     runs: usize,
     seed: u64,
     csv: Option<PathBuf>,
@@ -40,26 +44,34 @@ const FLAGS: &str = "  --runs N         runs per experiment (default 120, the pa
   --brokers N, --entities N, --topology star|linear|geo|isp
                    scale: one custom tier instead of --tier";
 
-/// One `repro` sub-command. `out` is the default `--out` of a command
-/// that writes a JSON report, `None` for one that only prints.
+/// What a `repro` sub-command does.
+enum Run {
+    /// Prints only.
+    Print(fn(&str, &Args)),
+    /// Writes a JSON report: its default `--out`, which is also the
+    /// committed file `repro gate` checks, and how to produce it — the
+    /// JSON and whether every invariant held.
+    Report(&'static str, fn(&Args) -> (String, bool)),
+}
+
+/// One `repro` sub-command.
 struct Command {
     name: &'static str,
     help: &'static str,
-    out: Option<&'static str>,
-    run: fn(&str, &Args),
+    run: Run,
 }
 
 const fn cmd(name: &'static str, help: &'static str, run: fn(&str, &Args)) -> Command {
-    Command { name, help, out: None, run }
+    Command { name, help, run: Run::Print(run) }
 }
 
 const fn report(
     name: &'static str,
     help: &'static str,
     out: &'static str,
-    run: fn(&str, &Args),
+    run: fn(&Args) -> (String, bool),
 ) -> Command {
-    Command { name, help, out: Some(out), run }
+    Command { name, help, run: Run::Report(out, run) }
 }
 
 const COMMANDS: &[Command] = &[
@@ -94,25 +106,31 @@ const COMMANDS: &[Command] = &[
         "chaos",
         "seeded fault-injection campaign (exit 1 if an invariant fails)",
         "CHAOS_campaign.json",
-        run_chaos,
+        chaos_report,
     ),
     report(
         "federation",
         "federated-BDN anti-entropy campaign (exit 1 if an invariant fails)",
         "BENCH_federation.json",
-        run_federation,
+        federation_report,
     ),
     report(
         "scale",
-        "WAN scale campaign on the sharded engine (exit 1 if a tier fails)",
+        "WAN scale campaign on the sharded engine (exit 1 if an invariant fails)",
         "BENCH_scale.json",
-        run_scale,
+        scale_report,
     ),
     report(
         "lint",
         "nb-lint static analysis (exit 1 on new findings)",
         "LINT_report.json",
-        run_lint,
+        lint_report,
+    ),
+    cmd(
+        "gate",
+        "[lint|chaos|federation|scale] regenerate the committed reports at 1 and 4 workers, \
+         exit 1 on any byte of difference",
+        run_gate,
     ),
 ];
 
@@ -147,6 +165,7 @@ fn value<T: std::str::FromStr>(
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
         cmd: "all".to_string(),
+        target: None,
         runs: PAPER_RUNS,
         seed: 2005,
         csv: None,
@@ -174,6 +193,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
             "--entities" => args.entities = Some(value(flag, &mut argv, "a number")),
             "--topology" => args.topology = Some(value(flag, &mut argv, "star|linear|geo|isp")),
             "--help" => args.cmd = "help".to_string(),
+            _ if !flag.starts_with('-') && args.cmd == "gate" => args.target = Some(arg),
             _ if !flag.starts_with('-') => args.cmd = arg,
             _ => fail(&format!("unknown flag {flag}; try `repro help`")),
         }
@@ -184,9 +204,9 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
 fn print_help(_: &str, _: &Args) {
     println!("usage: repro [COMMAND] [FLAGS]   (default command: all)\n\ncommands:");
     for c in COMMANDS {
-        match c.out {
-            Some(out) => println!("  {:<18} {} [--out {out}]", c.name, c.help),
-            None => println!("  {:<18} {}", c.name, c.help),
+        match c.run {
+            Run::Report(out, _) => println!("  {:<18} {} [--out {out}]", c.name, c.help),
+            Run::Print(_) => println!("  {:<18} {}", c.name, c.help),
         }
     }
     println!("\nflags:\n{FLAGS}");
@@ -194,18 +214,11 @@ fn print_help(_: &str, _: &Args) {
 
 fn run_all(_: &str, args: &Args) {
     for name in ALL {
-        (find(name).expect("ALL names a table entry").run)(name, args);
+        let Some(Command { run: Run::Print(run), .. }) = find(name) else {
+            unreachable!("ALL names a printing table entry");
+        };
+        run(name, args);
     }
-}
-
-/// Writes a report-writing command's JSON to `--out` (main has already
-/// filled in the table default).
-fn write_report(args: &Args, json: String) {
-    let path = args.out.as_ref().expect("report commands have a default --out");
-    if let Err(e) = std::fs::write(path, json) {
-        fail(&format!("cannot write {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
 }
 
 /// Writes `rows` as `<dir>/<name>.csv` when CSV export is active.
@@ -509,26 +522,29 @@ fn run_check(_: &str, args: &Args) {
     println!("all {} claims hold", checks.len());
 }
 
-/// Campaign scenarios are independent, so they shard across workers; the
-/// report bytes are identical whatever count is used.
-fn campaign_workers(args: &Args) -> usize {
-    args.workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(16)))
+/// Prints a row's failed invariants under it.
+fn print_failures<S>(row: &ScenarioResult<S>) {
+    for inv in row.invariants.iter().filter(|i| !i.passed) {
+        println!("    [FAIL] {}: {}", inv.name, inv.detail);
+    }
 }
 
-/// Runs a fault campaign and prints its table: the columns every
-/// campaign has, two of its own (`extra`: header and width; `cells`: a
-/// scenario's values), each failed invariant, then the verdict — exit 1
-/// when an invariant failed.
-fn run_campaign<S: CampaignStats>(
+/// Runs fault campaign `C` and prints its table: the columns every
+/// fault campaign has, two of its own (`extra`: header and width;
+/// `cells`: a scenario's values), and each failed invariant.
+fn fault_report<C: FaultCampaign + Send>(
     args: &Args,
     name_width: usize,
     extra: [(&str, usize); 2],
-    cells: impl Fn(&S) -> [String; 2],
-) {
-    let workers = campaign_workers(args);
-    let report = run_campaign_with_workers::<S>(args.seed, args.scenarios.max(1), workers);
-    let campaign = S::CAMPAIGN;
+    cells: impl Fn(&C) -> [String; 2],
+) -> (String, bool) {
+    // Scenarios are independent, so they shard across workers; the
+    // report bytes are identical whatever count is used.
+    let workers = args
+        .workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(16)));
+    let report = run_campaign(args.seed, args.scenarios.max(1), workers, fault_scenario::<C>);
+    let campaign = C::CAMPAIGN;
     println!(
         "=== {}{} campaign: {} scenarios from base seed {}, {} workers ===",
         campaign[..1].to_uppercase(),
@@ -552,43 +568,34 @@ fn run_campaign<S: CampaignStats>(
             format!("{:016x}", s.plan_digest),
             if s.passed() { "PASS" } else { "FAIL" }
         );
-        for inv in s.invariants.iter().filter(|i| !i.passed) {
-            println!("    [FAIL] {}: {}", inv.name, inv.detail);
-        }
+        print_failures(s);
     }
-    write_report(args, report.to_json());
-    if !report.passed() {
-        eprintln!("{campaign} campaign FAILED");
-        std::process::exit(1);
-    }
-    println!("all scenarios passed all invariants");
+    (report.to_json(), report.passed())
 }
 
-fn run_chaos(_: &str, args: &Args) {
-    run_campaign::<nb_bench::chaos::ScenarioStats>(
+fn chaos_report(args: &Args) -> (String, bool) {
+    fault_report::<nb_bench::chaos::ScenarioStats>(
         args,
         20,
         [("failovers", 10), ("stale", 8)],
         |s| [s.failovers.to_string(), s.stale_targets_skipped.to_string()],
-    );
+    )
 }
 
-fn run_federation(_: &str, args: &Args) {
-    run_campaign::<nb_bench::federation::ScenarioStats>(
+fn federation_report(args: &Args) -> (String, bool) {
+    fault_report::<nb_bench::federation::ScenarioStats>(
         args,
         26,
         [("attached", 9), ("conv.rds", 9)],
         |s| [format!("{}/{}", s.attached, s.total_entities), s.convergence_rounds.to_string()],
-    );
+    )
 }
 
 /// `repro scale`: the JSON carries no wall-clock or worker field (the
 /// events/sec column stays on stdout), so it is byte-identical at any
-/// `--workers`. Exits 1 when a tier fails [`ScaleReport::passed`].
-///
-/// [`ScaleReport::passed`]: nb_bench::scale::ScaleReport::passed
-fn run_scale(_: &str, args: &Args) {
-    use nb_bench::scale::{self, TierSelection, TierSpec, MAX_MEM_BYTES_PER_ENTITY};
+/// `--workers`.
+fn scale_report(args: &Args) -> (String, bool) {
+    use nb_bench::scale::{self, TierSpec};
     use nb_net::topogen::TopologyKind as WanKind;
 
     let workers = args.workers.unwrap_or(1).max(1);
@@ -608,11 +615,8 @@ fn run_scale(_: &str, args: &Args) {
             entities: args.entities.unwrap_or(10_000),
         }]
     } else {
-        scale::default_tiers(match args.tier.as_str() {
-            "small" => TierSelection::Small,
-            "large" => TierSelection::Large,
-            "all" => TierSelection::All,
-            other => fail(&format!("--tier {other}: expected small|large|all")),
+        scale::default_tiers(&args.tier).unwrap_or_else(|| {
+            fail(&format!("--tier {}: expected small|large|all", args.tier))
         })
     };
 
@@ -629,10 +633,11 @@ fn run_scale(_: &str, args: &Args) {
         "tier", "brokers", "entities", "rgns", "events", "evts/sec", "attach_ms",
         "p50_us", "p99_us", "p999_us", "wire/e", "mem/e"
     );
-    for t in &report.tiers {
+    for row in &report.scenarios {
+        let t = &row.stats;
         println!(
             "{:<14} {:>7} {:>8} {:>4} {:>12} {:>9.0} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7}",
-            t.name,
+            row.name,
             t.brokers,
             t.entities,
             t.regions,
@@ -645,55 +650,116 @@ fn run_scale(_: &str, args: &Args) {
             t.wire_bytes_per_entity,
             t.mem_bytes_per_entity,
         );
-        if t.attached != t.entities {
-            eprintln!("    [FAIL] only {}/{} entities attached", t.attached, t.entities);
-        }
-        if t.mem_bytes_per_entity > MAX_MEM_BYTES_PER_ENTITY {
-            eprintln!(
-                "    [FAIL] {} heap bytes/entity above the {MAX_MEM_BYTES_PER_ENTITY} ceiling",
-                t.mem_bytes_per_entity
-            );
-        }
+        print_failures(row);
     }
-    write_report(args, report.to_json());
-    if !report.passed() {
-        eprintln!("scale campaign FAILED (unattached entities, failovers, or heap ceiling)");
-        std::process::exit(1);
-    }
-    println!("all tiers attached under the heap ceiling");
+    (report.to_json(), report.passed())
 }
 
-fn run_lint(_: &str, args: &Args) {
+fn lint_report(args: &Args) -> (String, bool) {
     if args.rules {
         // The stable rule table, nothing else — docs and CI generate
         // from this instead of hand-copying.
         print!("{}", nb_lint::rules::rules_table());
-        return;
+        std::process::exit(0);
     }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let Some(root) = nb_lint::find_workspace_root(&cwd) else {
-        fail(&format!("repro lint: no workspace root found from {}", cwd.display()));
-    };
-    let report = nb_lint::run_root(&root)
+    let report = nb_lint::run_root(&workspace_root())
         .unwrap_or_else(|e| fail(&format!("repro lint: scan failed: {e}")));
     print!("{}", report.render_human());
-    write_report(args, report.to_json());
-    if report.has_new() {
-        std::process::exit(1);
+    (report.to_json(), !report.has_new())
+}
+
+/// The workspace root at or above the current directory; exits 2 when
+/// there is none.
+fn workspace_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    nb_lint::find_workspace_root(&cwd)
+        .unwrap_or_else(|| fail(&format!("no workspace root found from {}", cwd.display())))
+}
+
+/// The committed reports `repro gate` checks, in order, and the flags
+/// each is regenerated with.
+const GATES: [(&str, &str); 4] = [
+    ("lint", ""),
+    ("chaos", "--scenarios 3 --seed 11"),
+    ("federation", "--scenarios 10 --seed 2005"),
+    ("scale", "--tier small --seed 2005"),
+];
+
+/// `repro gate [NAME]`: regenerates each committed report (all of
+/// [`GATES`] without a name) in memory at 1 and 4 workers, writing
+/// nothing, and exits 1 naming the file on a failed invariant, a
+/// 1-vs-4 difference or any byte that differs from the committed copy.
+fn run_gate(_: &str, args: &Args) {
+    let target = args.target.as_deref();
+    let gates: Vec<(&str, &str)> =
+        GATES.into_iter().filter(|&(name, _)| target.is_none_or(|t| t == name)).collect();
+    if gates.is_empty() {
+        fail(&format!("gate {:?}: expected lint|chaos|federation|scale", target.unwrap_or("")));
+    }
+    let root = workspace_root();
+    for (name, flags) in gates {
+        let Some(Command { run: Run::Report(file, report), .. }) = find(name) else {
+            unreachable!("GATES names a report-writing command");
+        };
+        let committed = std::fs::read_to_string(root.join(file))
+            .unwrap_or_else(|e| gate_failed(file, &format!("cannot read the committed copy: {e}")));
+        for workers in [1, 4] {
+            let argv = format!("{name} {flags} --workers {workers}");
+            let (json, passed) = report(&parse_args(argv.split_whitespace().map(String::from)));
+            if !passed {
+                gate_failed(file, &format!("an invariant failed at {workers} worker(s)"));
+            }
+            if let Some(line) = first_difference(&committed, &json) {
+                gate_failed(
+                    file,
+                    &if workers == 1 {
+                        format!("the tree regenerates it differently from line {line} on")
+                    } else {
+                        format!("it differs between 1 and 4 workers from line {line} on")
+                    },
+                );
+            }
+        }
+        println!("{file}: byte-identical to the committed copy at 1 and 4 workers");
     }
 }
 
+fn gate_failed(file: &str, why: &str) -> ! {
+    eprintln!("FAIL: {file}: {why}");
+    std::process::exit(1);
+}
+
+/// The 1-based line of `b` that first differs from `a`, `None` when the
+/// two are byte-identical.
+fn first_difference(a: &str, b: &str) -> Option<usize> {
+    (a != b).then(|| a.lines().zip(b.lines()).take_while(|(x, y)| x == y).count() + 1)
+}
+
 fn main() {
-    let mut args = parse_args(std::env::args().skip(1));
+    let args = parse_args(std::env::args().skip(1));
     let Some(command) = find(&args.cmd) else {
         fail(&format!("unknown command {:?}; try `repro help`", args.cmd));
     };
-    match (command.out, &args.out) {
-        (None, Some(_)) => fail(&format!("{} writes no report; --out does not apply", args.cmd)),
-        (Some(default), None) => args.out = Some(PathBuf::from(default)),
-        _ => {}
+    match command.run {
+        Run::Print(run) => {
+            if args.out.is_some() {
+                fail(&format!("{} writes no report; --out does not apply", args.cmd));
+            }
+            run(command.name, &args);
+        }
+        Run::Report(default, report) => {
+            let path = args.out.clone().unwrap_or_else(|| PathBuf::from(default));
+            let (json, passed) = report(&args);
+            if let Err(e) = std::fs::write(&path, json) {
+                fail(&format!("cannot write {}: {e}", path.display()));
+            }
+            println!("wrote {}", path.display());
+            if !passed {
+                eprintln!("{} FAILED: an invariant failed", command.name);
+                std::process::exit(1);
+            }
+        }
     }
-    (command.run)(command.name, &args);
 }
 
 #[cfg(test)]
@@ -711,15 +777,20 @@ mod tests {
     fn all_expands_only_to_printing_table_entries() {
         for name in ALL {
             let c = find(name).unwrap_or_else(|| panic!("`all` names {name}, not in the table"));
-            assert!(c.out.is_none(), "`all` must not rewrite the committed {name} report");
+            assert!(
+                matches!(c.run, Run::Print(_)),
+                "`all` must not rewrite the committed {name} report"
+            );
         }
     }
 
     #[test]
     fn report_writing_commands_have_a_default_out() {
         let writers: Vec<&str> =
-            COMMANDS.iter().filter(|c| c.out.is_some()).map(|c| c.name).collect();
+            COMMANDS.iter().filter(|c| matches!(c.run, Run::Report(..))).map(|c| c.name).collect();
         assert_eq!(writers, ["chaos", "federation", "scale", "lint"]);
+        let gated: Vec<&str> = GATES.iter().map(|g| g.0).collect();
+        assert_eq!(gated, ["lint", "chaos", "federation", "scale"], "`repro gate` checks every one");
     }
 
     #[test]
@@ -729,5 +800,7 @@ mod tests {
         assert_eq!((args.cmd.as_str(), args.runs, args.seed), ("chaos", 7, 9));
         assert_eq!(args.out, Some(PathBuf::from("x.json")));
         assert_eq!((args.workers, args.rules), (Some(3), true));
+        let gate = parse_args("gate scale".split(' ').map(String::from));
+        assert_eq!((gate.cmd.as_str(), gate.target.as_deref()), ("gate", Some("scale")));
     }
 }

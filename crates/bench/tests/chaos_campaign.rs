@@ -5,33 +5,41 @@
 //! * the acceptance campaign — ten seeded scenarios (the scripted BDN
 //!   state-loss restart plus nine randomized plans) all pass the three
 //!   invariant checkers,
-//! * chaos-smoke — the three-seed tier-1 wrapper behind
-//!   `tools/bench.sh chaos-smoke`.
+//! * chaos-smoke — the three-seed tier-1 wrapper beside the
+//!   three-scenario report `repro gate chaos` checks.
 
-use nb_bench::campaign::{run_campaign, run_campaign_with_workers};
-use nb_bench::chaos::{acceptance_plan, build_deployment, ScenarioStats};
+use nb_bench::campaign::{
+    build_testbed, fault_scenario, run_campaign, CampaignReport, FaultCampaign, N_BROKERS,
+    N_ENTITIES,
+};
+use nb_bench::chaos::ScenarioStats;
+use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
+
+fn campaign(base_seed: u64, scenarios: usize, workers: usize) -> CampaignReport<ScenarioStats> {
+    run_campaign(base_seed, scenarios, workers, fault_scenario::<ScenarioStats>)
+}
 
 #[test]
 fn same_seed_produces_byte_identical_schedule_and_report() {
     // The fault schedule alone must already be reproducible…
-    let plan_a = acceptance_plan(&build_deployment(77));
-    let plan_b = acceptance_plan(&build_deployment(77));
+    let plan_a = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
+    let plan_b = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
     assert_eq!(plan_a.describe(), plan_b.describe(), "fault schedules diverged");
 
     // …and so must the whole campaign report, which folds in every
     // outcome of actually running the plans.
-    let first = run_campaign::<ScenarioStats>(77, 2).to_json();
-    let second = run_campaign::<ScenarioStats>(77, 2).to_json();
+    let first = campaign(77, 2, 1).to_json();
+    let second = campaign(77, 2, 1).to_json();
     assert_eq!(first, second, "campaign reports diverged for one seed");
 
     // A different seed must actually change the randomized scenarios.
-    let other = run_campaign::<ScenarioStats>(78, 2).to_json();
+    let other = campaign(78, 2, 1).to_json();
     assert_ne!(first, other, "base seed had no effect on the campaign");
 }
 
 #[test]
 fn ten_seed_campaign_passes_every_invariant() {
-    let report = run_campaign::<ScenarioStats>(2005, 10);
+    let report = campaign(2005, 10, 1);
     assert_eq!(report.scenarios.len(), 10);
     for s in &report.scenarios {
         for inv in &s.invariants {
@@ -49,19 +57,19 @@ fn ten_seed_campaign_passes_every_invariant() {
     let scripted = &report.scenarios[0];
     assert_eq!(scripted.name, "scripted_bdn_loss");
     let failovers = scripted.stats.failovers;
-    assert!(failovers >= 4, "every entity rediscovered: {failovers}");
-    assert_eq!(scripted.stats.registry_len, 6, "heartbeats repopulated every lease");
+    assert!(failovers >= N_ENTITIES as u64, "every entity rediscovered: {failovers}");
+    assert_eq!(scripted.stats.registry_len, N_BROKERS, "heartbeats repopulated every lease");
     let json = report.to_json();
     assert!(json.contains("\"passed\": true"));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
 /// Tier-1 smoke: three fixed seeds, scripted scenario only per seed,
-/// well under the 30 s budget of `tools/bench.sh chaos-smoke`.
+/// well under a second in a release build.
 #[test]
 fn chaos_smoke_three_fixed_seeds() {
     for seed in [11, 23, 2005] {
-        let report = run_campaign::<ScenarioStats>(seed, 1);
+        let report = campaign(seed, 1, 1);
         assert!(report.passed(), "smoke seed {seed} failed:\n{}", report.to_json());
     }
 }
@@ -84,12 +92,8 @@ fn chaos_smoke_three_fixed_seeds() {
 #[test]
 fn campaign_report_unchanged_by_ordered_state() {
     const PINNED_FNV1A64: u64 = 0x1909_f559_a0c8_3757;
-    let json = run_campaign::<ScenarioStats>(11, 3).to_json();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in json.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let json = campaign(11, 3, 1).to_json();
+    let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());
     assert_eq!(
         h, PINNED_FNV1A64,
         "chaos report bytes drifted (got {h:016x}) — sim-visible ordering changed"
@@ -104,12 +108,8 @@ fn campaign_report_unchanged_by_ordered_state() {
 fn campaign_report_pinned_at_one_and_four_workers() {
     const PINNED_FNV1A64: u64 = 0x1909_f559_a0c8_3757;
     for workers in [1, 4] {
-        let json = run_campaign_with_workers::<ScenarioStats>(11, 3, workers).to_json();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in json.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let json = campaign(11, 3, workers).to_json();
+        let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());
         assert_eq!(
             h, PINNED_FNV1A64,
             "chaos report bytes drifted at {workers} workers (got {h:016x})"

@@ -12,26 +12,33 @@
 //! * a pinned report digest at 1 and 4 workers, the regression proof
 //!   that anti-entropy message flow is worker-invariant.
 
-use nb_bench::campaign::{run_campaign, run_campaign_with_workers};
-use nb_bench::federation::{acceptance_plan, build_deployment, ScenarioStats, N_ENTITIES};
+use nb_bench::campaign::{
+    build_testbed, fault_scenario, run_campaign, CampaignReport, FaultCampaign, N_ENTITIES,
+};
+use nb_bench::federation::ScenarioStats;
+use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
+
+fn campaign(base_seed: u64, scenarios: usize, workers: usize) -> CampaignReport<ScenarioStats> {
+    run_campaign(base_seed, scenarios, workers, fault_scenario::<ScenarioStats>)
+}
 
 #[test]
 fn same_seed_produces_byte_identical_schedule_and_report() {
-    let plan_a = acceptance_plan(&build_deployment(77));
-    let plan_b = acceptance_plan(&build_deployment(77));
+    let plan_a = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
+    let plan_b = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
     assert_eq!(plan_a.describe(), plan_b.describe(), "fault schedules diverged");
 
-    let first = run_campaign::<ScenarioStats>(77, 2).to_json();
-    let second = run_campaign::<ScenarioStats>(77, 2).to_json();
+    let first = campaign(77, 2, 1).to_json();
+    let second = campaign(77, 2, 1).to_json();
     assert_eq!(first, second, "campaign reports diverged for one seed");
 
-    let other = run_campaign::<ScenarioStats>(78, 2).to_json();
+    let other = campaign(78, 2, 1).to_json();
     assert_ne!(first, other, "base seed had no effect on the campaign");
 }
 
 #[test]
 fn ten_seed_campaign_passes_every_invariant() {
-    let report = run_campaign::<ScenarioStats>(2005, 10);
+    let report = campaign(2005, 10, 1);
     assert_eq!(report.scenarios.len(), 10);
     for s in &report.scenarios {
         for inv in &s.invariants {
@@ -83,12 +90,8 @@ fn ten_seed_campaign_passes_every_invariant() {
 fn campaign_report_pinned_at_one_and_four_workers() {
     const PINNED_FNV1A64: u64 = 0xa903_4d72_b101_e9cb;
     for workers in [1, 4] {
-        let json = run_campaign_with_workers::<ScenarioStats>(11, 3, workers).to_json();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in json.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let json = campaign(11, 3, workers).to_json();
+        let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());
         assert_eq!(
             h, PINNED_FNV1A64,
             "federation report bytes drifted at {workers} workers (got {h:016x})"

@@ -1,6 +1,6 @@
 //! The `repro` binary's command-line contract: help comes from the
 //! dispatch table, usage errors exit 2, `--out` is the only place a
-//! report lands.
+//! report lands, and `repro gate` writes nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -22,11 +22,11 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// `repro.rs`'s dispatch table, by name.
-const COMMANDS: [&str; 31] = [
+const COMMANDS: [&str; 32] = [
     "help", "all", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
     "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock", "ablation-topology",
-    "ablation-bulk", "check", "trace", "chaos", "federation", "scale", "lint",
+    "ablation-bulk", "check", "trace", "chaos", "federation", "scale", "lint", "gate",
 ];
 
 #[test]
@@ -56,6 +56,8 @@ fn usage_errors_exit_two() {
         &["fig2", "--runs", "banana"],
         &["fig2", "--out", "x.json"],
         &["chaos", "--out", "/proc/nope/x.json", "--scenarios", "1"],
+        &["gate", "frobnicate"],
+        &["gate", "--out", "x.json"],
     ] {
         let out = repro(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -76,4 +78,40 @@ fn chaos_writes_exactly_the_out_path() {
     assert_eq!(written, ["report.json"], "the default CHAOS_campaign.json must not appear");
     let json = std::fs::read_to_string(dir.join("report.json")).expect("report");
     assert!(json.contains("\"base_seed\": 2005"), "{json}");
+}
+
+/// Every entry of `dir` with its bytes, in name order.
+fn snapshot(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .expect("scratch dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            (e.file_name(), std::fs::read(e.path()).expect("entry bytes"))
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
+#[test]
+fn gate_fails_on_one_changed_byte_and_leaves_the_directory_as_it_found_it() {
+    let dir = scratch("repro_cli_gate");
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    let committed = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/../../CHAOS_campaign.json"))
+        .expect("the committed chaos report");
+
+    let mut stale = committed.clone();
+    let mid = stale.len() / 2;
+    stale[mid] ^= 1;
+    std::fs::write(dir.join("CHAOS_campaign.json"), &stale).expect("write stale copy");
+    let before = snapshot(&dir);
+    let out = repro(&dir, &["gate", "chaos"]);
+    assert_eq!(out.status.code(), Some(1), "a changed byte must fail the gate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("CHAOS_campaign.json"), "the failure names the file: {stderr}");
+    assert_eq!(snapshot(&dir), before, "the gate writes nothing, even on failure");
+
+    std::fs::write(dir.join("CHAOS_campaign.json"), &committed).expect("restore the copy");
+    let out = repro(&dir, &["gate", "chaos"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }

@@ -597,8 +597,8 @@ impl ShardedSim {
     /// event-stream digest and event count. Byte-identical across
     /// worker and shard counts: `crates/bench/tests/sharded_determinism.rs`
     /// compares exactly this value, and the scale campaign's tier rows
-    /// carry it into the report `tools/bench.sh scale` byte-compares at
-    /// 1 and 4 workers.
+    /// carry it into the report `repro gate scale` byte-compares at 1
+    /// and 4 workers.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for lp in &self.lps {

@@ -235,25 +235,31 @@ fn generate_isp(
     }
 }
 
+/// Union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
+}
+
+/// Joins the components of `a` and `b` under the lower root; false when
+/// they were already one.
+fn union(parent: &mut [usize], a: usize, b: usize) -> bool {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    parent[ra.max(rb)] = ra.min(rb);
+    ra != rb
+}
+
 /// Connects a possibly-fragmented edge set: union-find the components,
 /// then chain their (sorted) lowest-id members with long-haul links.
 /// Deterministic — component representatives are minima, the chain walks
 /// them in ascending order.
 fn stitch_components(n: usize, edges: &mut Vec<(usize, usize, Duration)>) {
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
     for &(a, b, _) in edges.iter() {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra != rb {
-            let (keep, gone) = (ra.min(rb), ra.max(rb));
-            parent[gone] = keep;
-        }
+        union(&mut parent, a, b);
     }
     let mut roots: Vec<usize> = Vec::new();
     for v in 0..n {
@@ -291,23 +297,42 @@ impl WanTopology {
     pub fn components(&self) -> usize {
         let n = self.brokers();
         let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let mut count = n;
+        n - self.edges.iter().filter(|&&(a, b, _)| union(&mut parent, a, b)).count()
+    }
+
+    /// The broker overlay's dial lists, sorted and deduplicated:
+    /// `dials[i]` holds the brokers broker `i` dials. Only intra-region
+    /// edges join the overlay — discovery floods are region-scoped (one
+    /// BDN a region), so a flood costs O(region), not O(topology) — and
+    /// for each the higher index dials the lower, which already exists
+    /// when it boots. A region whose intra-region subgraph is split
+    /// (possible for the geometric family) gets consecutive same-region
+    /// brokers chained until its overlay is one component. Cross-region
+    /// edges stay network links only ([`WanTopology::install`]).
+    pub fn overlay_dials(&self) -> Vec<Vec<usize>> {
+        let n = self.brokers();
+        let mut dials: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut parent: Vec<usize> = (0..n).collect();
         for &(a, b, _) in &self.edges {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                let (keep, gone) = (ra.min(rb), ra.max(rb));
-                parent[gone] = keep;
-                count -= 1;
+            if self.region_of[a] == self.region_of[b] {
+                dials[a.max(b)].push(a.min(b));
+                union(&mut parent, a, b);
             }
         }
-        count
+        let mut prev_in_region: Vec<Option<usize>> = vec![None; self.regions];
+        for (i, &r) in self.region_of.iter().enumerate() {
+            if let Some(p) = prev_in_region[r] {
+                if union(&mut parent, p, i) {
+                    dials[i].push(p);
+                }
+            }
+            prev_in_region[r] = Some(i);
+        }
+        for list in &mut dials {
+            list.sort_unstable();
+            list.dedup();
+        }
+        dials
     }
 
     /// Installs the edge list as explicit loss-free link overrides,

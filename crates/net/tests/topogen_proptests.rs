@@ -103,6 +103,39 @@ proptest! {
             prop_assert!(latency > Duration::ZERO);
         }
     }
+
+    /// The broker overlay `repro scale` dials: every dial targets a
+    /// lower index in the dialler's own region, and each region's
+    /// overlay is one component, so a region-scoped discovery flood
+    /// reaches every broker of its region.
+    #[test]
+    fn overlay_dials_stay_in_region_and_connect_each_region(
+        kind in kind_strategy(),
+        brokers in 2usize..150,
+        seed in any::<u64>(),
+    ) {
+        let topo = TopologySpec::new(kind, brokers, seed).generate();
+        let dials = topo.overlay_dials();
+        prop_assert_eq!(dials.len(), brokers);
+        // Every dial points down, so labelling in index order merges
+        // each broker into the component of everything it dials.
+        let mut component: Vec<usize> = (0..brokers).collect();
+        for (i, list) in dials.iter().enumerate() {
+            for &j in list {
+                prop_assert!(j < i, "broker {} dials {} upward", i, j);
+                prop_assert_eq!(topo.region_of[j], topo.region_of[i], "cross-region dial");
+                let (from, to) = (component[i].max(component[j]), component[i].min(component[j]));
+                for c in component.iter_mut().filter(|c| **c == from) {
+                    *c = to;
+                }
+            }
+        }
+        let mut root_of_region: Vec<Option<usize>> = vec![None; topo.regions];
+        for (i, &r) in topo.region_of.iter().enumerate() {
+            let root = *root_of_region[r].get_or_insert(component[i]);
+            prop_assert_eq!(root, component[i], "region {} overlay is split", r);
+        }
+    }
 }
 
 // --------------------------------------------------------------------
