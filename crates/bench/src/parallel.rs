@@ -74,19 +74,29 @@ impl ParallelExecutor {
         let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
         let (job, next) = (&job, &next);
         std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(count) {
-                let result_tx = result_tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count || result_tx.send((i, job(i))).is_err() {
-                        break;
-                    }
-                });
-            }
+            let handles: Vec<_> = (0..self.workers.min(count))
+                .map(|_| {
+                    let result_tx = result_tx.clone();
+                    scope.spawn(move || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count || result_tx.send((i, job(i))).is_err() {
+                            break;
+                        }
+                    })
+                })
+                .collect();
             drop(result_tx);
             let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
             while let Ok((i, out)) = result_rx.recv() {
                 slots[i] = Some(out);
+            }
+            // The scope alone waits only for each closure to return; a
+            // join waits for the thread to exit, thread-local destructors
+            // included, so no worker frees heap after `run` returns.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
             slots
                 .into_iter()

@@ -341,8 +341,11 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
     let wall = Instant::now();
     // The topic-segment interner is process-wide and never shrinks. A
     // throwaway build interns every segment this build will, so the
-    // heap column counts this deployment alone, whatever ran earlier in
-    // the process (`repro gate` runs the campaign twice in one).
+    // interner adds nothing to the heap column whatever ran earlier in
+    // the process (`repro gate` runs the campaign twice in one). The
+    // column also needs no other thread to free heap while it is
+    // measured: every worker pool joins its threads, thread-local
+    // destructors included, before its run returns.
     drop(build_tier(&TierSpec { brokers: 1, entities: TOPIC_POOL, ..*spec }, seed));
     let live0 = crate::alloc::live_bytes();
     let mut dep = build_tier(spec, seed);

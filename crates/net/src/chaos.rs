@@ -14,10 +14,10 @@
 //!   tests compare byte-for-byte.
 //!
 //! Installing a plan ([`crate::Sim::apply_fault_plan`] or
-//! [`ChaosScheduler::install`]) pushes each fault into the event queue;
-//! faults execute at their scheduled instant interleaved with protocol
-//! events, and everything downstream (packet fates, retries, lease
-//! expiries) remains driven by the sim's single seeded RNG.
+//! [`crate::ShardedSim::apply_fault_plan`]) pushes each fault into the
+//! event queue; faults execute at their scheduled instant interleaved with
+//! protocol events, and everything downstream (packet fates, retries,
+//! lease expiries) remains driven by the engine's seeded RNG streams.
 
 use std::fmt;
 use std::time::Duration;
@@ -25,8 +25,6 @@ use std::time::Duration;
 use nb_wire::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::sim::Sim;
 
 /// Per-datagram fault probabilities, applied to every datagram that the
 /// loss model decided to deliver. All-zero means inactive: the sim rolls
@@ -477,43 +475,6 @@ impl FaultPlan {
             out.push_str(&format!("t={}us {}\n", ev.at.as_micros(), ev.fault));
         }
         out
-    }
-}
-
-/// Owns a [`FaultPlan`] and installs it into a [`Sim`]. Thin by design —
-/// once installed, the sim's event queue *is* the scheduler; this type
-/// exists so campaign code can hold a plan and its provenance together.
-#[derive(Debug, Clone)]
-pub struct ChaosScheduler {
-    plan: FaultPlan,
-    /// The seed the plan was generated from (`None` for scripted plans).
-    pub seed: Option<u64>,
-}
-
-impl ChaosScheduler {
-    /// Wraps a scripted plan.
-    pub fn scripted(plan: FaultPlan) -> ChaosScheduler {
-        ChaosScheduler { plan, seed: None }
-    }
-
-    /// Generates a randomized plan from `seed` (see [`FaultPlan::generate`]).
-    pub fn generated(
-        seed: u64,
-        profile: &ChaosProfile,
-        targets: &ChaosTargets,
-        horizon: Duration,
-    ) -> ChaosScheduler {
-        ChaosScheduler { plan: FaultPlan::generate(seed, profile, targets, horizon), seed: Some(seed) }
-    }
-
-    /// The schedule.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Queues every fault into `sim`, offset from the current virtual time.
-    pub fn install(&self, sim: &mut Sim) {
-        sim.apply_fault_plan(&self.plan);
     }
 }
 

@@ -161,7 +161,7 @@ impl ClockState {
         self.synced = true;
     }
 
-    /// Overrides the offset estimate (used by the wire-level NTP client).
+    /// Overrides the offset estimate (backs `Context::set_clock_estimate_ns`).
     pub fn set_estimate_ns(&mut self, est: i64) {
         self.synced_estimate_ns = est;
         self.synced = true;

@@ -21,16 +21,14 @@
 //! * [`shard`] — the conservative-lookahead scheduler over it: one
 //!   logical process per node, per-epoch safe horizons, byte-identical
 //!   digests at every worker/shard count (DESIGN.md §13),
-//! * [`wan`] — the Table-1 site inventory and its latency matrix,
-//! * [`ntp`] — an actual NTP request/response protocol implementation for
-//!   nodes that estimate their clock offset on the wire instead of by
-//!   model fiat.
+//! * [`chaos`] — seeded fault plans both engines install,
+//! * [`topogen`] — generated WAN topologies for the scale tiers,
+//! * [`wan`] — the Table-1 site inventory and its latency matrix.
 
 pub mod chaos;
 pub mod clock;
 pub mod link;
 mod node;
-pub mod ntp;
 pub mod runtime;
 pub mod shard;
 pub mod sim;
@@ -40,7 +38,7 @@ mod timer_tests;
 pub mod topogen;
 pub mod wan;
 
-pub use chaos::{ChaosProfile, ChaosScheduler, ChaosTargets, Fault, FaultPlan, PacketFaults, TimedFault};
+pub use chaos::{ChaosProfile, ChaosTargets, Fault, FaultPlan, PacketFaults, TimedFault};
 pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
 pub use runtime::{Actor, Context, Incoming};

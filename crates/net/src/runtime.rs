@@ -1,6 +1,6 @@
 //! The actor abstraction all protocol logic is written against.
 //!
-//! Brokers, BDNs, discovery clients, NTP servers — every node is an
+//! Brokers, BDNs, discovery clients, pub/sub clients — every node is an
 //! [`Actor`]: a state machine that reacts to [`Incoming`] events and acts
 //! on the world exclusively through a [`Context`]. The engines share
 //! one node model and one `Context` implementation (`node.rs`), so the
@@ -70,12 +70,13 @@ pub trait Context {
     fn clock_synced(&self) -> bool;
 
     /// The node's *raw* local clock (µs), uncorrected by any NTP
-    /// estimate. This is what a wire-level NTP client timestamps its
-    /// exchanges with.
+    /// estimate. No actor calls this: NTP is modelled per node by
+    /// [`crate::ClockProfile`]. It stays only because the `benchmark/`
+    /// crate implements `Context`.
     fn raw_local_micros(&self) -> u64;
 
-    /// Overrides the clock-offset estimate (ns). Used by the wire-level
-    /// NTP client once it has computed an offset from server exchanges.
+    /// Overrides the clock-offset estimate (ns). No actor calls this
+    /// either; it stays for the same `benchmark/` implementation.
     fn set_clock_estimate_ns(&mut self, est_offset_ns: i64);
 
     /// Sends `msg` as an unreliable datagram from local `from_port`.

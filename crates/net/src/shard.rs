@@ -966,13 +966,12 @@ impl ShardedSim {
         let mut group_slots: Vec<Vec<usize>> = (0..groups.len()).map(|_| Vec::new()).collect();
         std::thread::scope(|scope| {
             // One queue per worker; group `g` always runs on worker
-            // `g % workers`. The senders drop with this closure, which is
-            // what ends the workers before the scope joins them.
-            let task_txs: Vec<mpsc::Sender<EpochTask>> = (0..workers)
+            // `g % workers`.
+            let (task_txs, handles): (Vec<mpsc::Sender<EpochTask>>, Vec<_>) = (0..workers)
                 .map(|_| {
                     let (task_tx, task_rx) = mpsc::channel::<EpochTask>();
                     let result_tx = result_tx.clone();
-                    scope.spawn(move || {
+                    let handle = scope.spawn(move || {
                         while let Ok(mut task) = task_rx.recv() {
                             for &slot in &task.active_slots {
                                 task.lps[slot].process_until(task.horizon, &task.net, task.pf);
@@ -982,9 +981,9 @@ impl ShardedSim {
                             }
                         }
                     });
-                    task_tx
+                    (task_tx, handle)
                 })
-                .collect();
+                .unzip();
             while let Some(horizon) =
                 self.next_active_epoch(groups, heads, deadline, lookahead, &mut active)
             {
@@ -1019,6 +1018,16 @@ impl ShardedSim {
                 }
                 self.barrier(groups, cap, &active, heads);
                 self.now = self.now.max(horizon.min(deadline));
+            }
+            // Dropping the senders ends the workers' receive loops. The
+            // scope alone waits only for each closure to return; a join
+            // waits for the thread to exit, thread-local destructors
+            // included, so no worker frees heap after the run returns.
+            drop(task_txs);
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
     }

@@ -1,30 +1,20 @@
 //! # nb-services
 //!
-//! The NaradaBrokering substrate services the paper's introduction lists
-//! alongside the discovery scheme (§1): *"NaradaBrokering includes
-//! services such as reliable delivery, replays, (de)compression of large
-//! payloads, fragmentation and coalescing of large datasets, support for
-//! the timestamps based on the Network Time Protocol"* (NTP lives in
-//! `nb-net`). Each service is transport-agnostic and composes with the
-//! broker/client actors:
+//! Two of the NaradaBrokering substrate services the paper's introduction
+//! lists alongside the discovery scheme (§1): *"(de)compression of large
+//! payloads, fragmentation and coalescing of large datasets"*. Both are
+//! transport-agnostic payload transforms; `repro ablation-bulk` and the
+//! `bulk_transfer` example carry their output as ordinary events. (NTP
+//! timestamps are modelled per node by `nb_net::clock`.)
 //!
 //! * [`compress`] — a from-scratch LZSS codec for event payloads, with a
 //!   self-describing envelope that stores incompressible data raw,
 //! * [`fragment`] — splitting large payloads into MTU-sized chunks and
 //!   reassembling them (out-of-order, duplicated and interleaved chunks
-//!   handled; stale partials expire),
-//! * [`reliable`] — sequenced, acknowledged, retransmitted delivery over
-//!   lossy datagram transports (sender and receiver halves, embeddable
-//!   in any actor like the NTP client),
-//! * [`replay`] — a per-topic bounded event store brokers use to serve
-//!   replay requests from reconnecting consumers.
+//!   handled; stale partials expire).
 
 pub mod compress;
 pub mod fragment;
-pub mod reliable;
-pub mod replay;
 
 pub use compress::{compress_payload, decompress_payload, CompressError};
 pub use fragment::{fragment_payload, Fragment, Reassembler};
-pub use reliable::{ReliableReceiver, ReliableSender};
-pub use replay::ReplayStore;

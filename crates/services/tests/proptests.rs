@@ -1,14 +1,12 @@
 //! Property-based tests for the substrate services: compression and
 //! fragmentation round-trip arbitrary payloads under arbitrary delivery
-//! schedules; the replay store honours its bounds.
+//! schedules.
 
 use proptest::prelude::*;
 
 use nb_services::compress::{compress_payload, decompress_payload};
 use nb_services::fragment::{fragment_payload, Reassembler};
-use nb_services::replay::ReplayStore;
 use nb_util::Uuid;
-use nb_wire::{Event, NodeId, Topic, TopicFilter};
 
 use nb_net::SimTime;
 
@@ -78,41 +76,6 @@ proptest! {
         // Indices are 0..count in order.
         for (i, f) in frags.iter().enumerate() {
             prop_assert_eq!(f.index as usize, i);
-        }
-    }
-
-    #[test]
-    fn replay_store_honours_bounds_and_order(
-        events in prop::collection::vec((0u8..4, any::<u8>()), 0..200),
-        cap in 1usize..20,
-        limit in 0usize..50,
-    ) {
-        let mut store = ReplayStore::new(cap);
-        let topics = ["a", "a/b", "c", "d/e"];
-        let mut per_topic: Vec<Vec<u128>> = vec![Vec::new(); 4];
-        for (i, (t, _)) in events.iter().enumerate() {
-            let id = i as u128;
-            store.record(Event {
-                id: Uuid::from_u128(id),
-                topic: Topic::parse(topics[*t as usize]).unwrap(),
-                source: NodeId(0),
-                payload: vec![].into(),
-            });
-            per_topic[*t as usize].push(id);
-        }
-        for (t, expected_ids) in topics.iter().zip(per_topic.iter()) {
-            let filter = TopicFilter::parse(t).unwrap();
-            let got = store.replay(&filter, limit);
-            // The newest min(cap, limit, total) events, oldest first.
-            let kept: Vec<u128> = expected_ids
-                .iter()
-                .rev()
-                .take(cap.min(limit))
-                .rev()
-                .copied()
-                .collect();
-            let got_ids: Vec<u128> = got.iter().map(|e| e.id.as_u128()).collect();
-            prop_assert_eq!(got_ids, kept, "topic {}", t);
         }
     }
 }

@@ -10,7 +10,6 @@
 //!   protocol (120 runs, outliers removed, first 100 kept),
 //! * [`config`] — the `key = value` configuration-file format used by
 //!   broker and client node configuration,
-//! * [`ring`] — fixed-capacity ring buffers for bounded histories,
 //! * [`rate`] — sliding-window rate meters (drives the simulated broker
 //!   CPU-load metric).
 //!
@@ -20,13 +19,11 @@
 pub mod config;
 pub mod dedup;
 pub mod rate;
-pub mod ring;
 pub mod stats;
 pub mod uuid;
 
 pub use config::{Config, ConfigError};
 pub use dedup::BoundedDedup;
 pub use rate::RateMeter;
-pub use ring::RingBuffer;
 pub use stats::{trim_outliers, Summary};
 pub use uuid::Uuid;

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use nb_util::stats::{paper_protocol, trim_outliers};
-use nb_util::{BoundedDedup, Config, RateMeter, RingBuffer, Summary, Uuid};
+use nb_util::{BoundedDedup, Config, RateMeter, Summary, Uuid};
 
 proptest! {
     #[test]
@@ -28,22 +28,6 @@ proptest! {
         for k in &recent {
             prop_assert!(d.contains(k));
         }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_the_last_capacity_items(
-        items in prop::collection::vec(any::<i64>(), 1..300),
-        cap in 1usize..32,
-    ) {
-        let mut r = RingBuffer::new(cap);
-        for &x in &items {
-            r.push(x);
-        }
-        let expected: Vec<i64> =
-            items.iter().rev().take(cap).rev().copied().collect();
-        let got: Vec<i64> = r.iter().copied().collect();
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(r.latest(), items.last());
     }
 
     #[test]

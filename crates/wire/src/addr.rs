@@ -48,8 +48,6 @@ pub mod well_known {
     pub const DISCOVERY_REPLY: Port = Port(5060);
     /// UDP ping service (brokers answer, clients measure RTT).
     pub const PING: Port = Port(5061);
-    /// NTP service.
-    pub const NTP: Port = Port(123);
     /// Multicast discovery listener.
     pub const MULTICAST_DISCOVERY: Port = Port(5070);
 }

@@ -18,10 +18,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use nb_util::Uuid;
 
 use crate::codec::{Wire, WireError, WireWriter};
-use crate::message::{
-    Message, TAG_DISCOVERY, TAG_DISCOVERY_ACK, TAG_PUBLISH, TAG_RELIABLE_ACK, TAG_RELIABLE_DATA,
-    TAG_RESPONSE,
-};
+use crate::message::{Message, TAG_DISCOVERY, TAG_DISCOVERY_ACK, TAG_PUBLISH, TAG_RESPONSE};
 
 /// Maximum frame payload accepted (16 MiB), matching the codec's field cap.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
@@ -114,7 +111,7 @@ pub struct FrameHeader {
     pub tag: u8,
     /// The dedup UUID, for the message kinds that carry one at a fixed
     /// offset: `Publish` (event id), `Discovery`/`DiscoveryAck`/
-    /// `Response` (request id), `ReliableData`/`ReliableAck` (channel).
+    /// `Response` (request id).
     pub uuid: Option<Uuid>,
     /// For `Publish` frames, the byte length of the topic string.
     pub topic_len: Option<usize>,
@@ -144,8 +141,7 @@ fn peek_fields(body: &[u8]) -> Result<(u8, Option<Uuid>, Option<usize>), WireErr
         return Err(WireError::UnexpectedEof);
     };
     let uuid = match tag {
-        TAG_PUBLISH | TAG_DISCOVERY | TAG_DISCOVERY_ACK | TAG_RESPONSE | TAG_RELIABLE_DATA
-        | TAG_RELIABLE_ACK => {
+        TAG_PUBLISH | TAG_DISCOVERY | TAG_DISCOVERY_ACK | TAG_RESPONSE => {
             let raw: [u8; 16] =
                 body.get(1..17).ok_or(WireError::UnexpectedEof)?.try_into().unwrap();
             Some(Uuid::from_u128(u128::from_be_bytes(raw)))
@@ -318,18 +314,6 @@ mod tests {
             (
                 Message::DiscoveryAck { request_id: Uuid::from_u128(7), bdn: NodeId(2) },
                 Some(Uuid::from_u128(7)),
-            ),
-            (
-                Message::ReliableData {
-                    channel: Uuid::from_u128(9),
-                    seq: 1,
-                    payload: Bytes::from_static(b"x"),
-                },
-                Some(Uuid::from_u128(9)),
-            ),
-            (
-                Message::ReliableAck { channel: Uuid::from_u128(9), cumulative: 1 },
-                Some(Uuid::from_u128(9)),
             ),
             (Message::Heartbeat { from: NodeId(1), seq: 4 }, None),
             (Message::Ping { nonce: 1, sent_at: 2, reply_to: reply }, None),

@@ -14,8 +14,8 @@
 //!   cached so the v2 codec never compares or re-parses one,
 //! * [`message`] — the full protocol message set: pub/sub events and
 //!   subscriptions, broker link management, broker advertisements,
-//!   discovery requests/acks/responses, UDP pings, NTP exchanges and
-//!   secured envelopes,
+//!   discovery requests/acks/responses, BDN federation sync, UDP pings
+//!   and secured envelopes,
 //! * [`frame`] — length-delimited framing for stream transports, plus
 //!   the prelude-framed wire format ([`frame::peek`], [`frame_message`],
 //!   [`patch_prelude`]) that receive paths header-peek and forwarders

@@ -2,9 +2,13 @@
 //!
 //! One tagged union, [`Message`], covers every datagram and stream payload
 //! in the system: pub/sub traffic, broker link management, and the whole
-//! discovery plane (advertisements, requests, acks, responses, pings, NTP
-//! and secured envelopes). The discovery structures follow the paper's
-//! "anatomy" sections (§2.2 advertisements, §3 requests, §5.1 responses).
+//! discovery plane (advertisements, requests, acks, responses, BDN
+//! federation sync, pings and secured envelopes). The discovery structures
+//! follow the paper's "anatomy" sections (§2.2 advertisements, §3
+//! requests, §5.1 responses). NTP is not a message kind: response
+//! timestamps come from each node's modelled clock (`nb_net::clock`).
+//! Tags 20, 21, 23, 24 and 25 are retired and decode as
+//! [`WireError::InvalidTag`]; surviving tags keep their values.
 
 use crate::addr::{Endpoint, NodeId, Port, RealmId, TransportKind};
 use crate::codec::{Wire, WireError, WireReader, WireWriter, MAX_FIELD_LEN, MAX_MESSAGE_LEN};
@@ -576,18 +580,6 @@ pub enum Message {
     Ping { nonce: u64, sent_at: u64, reply_to: Endpoint },
     /// UDP pong echoing the ping's timestamp.
     Pong { nonce: u64, echoed_sent_at: u64, responder: NodeId },
-    /// NTP time request carrying the client transmit timestamp.
-    NtpRequest { client_transmit: u64, reply_to: Endpoint },
-    /// NTP time response (t0 echoed, server receive t1, server transmit t2).
-    NtpResponse { client_transmit: u64, server_receive: u64, server_transmit: u64 },
-
-    // ------------------------------------------------ services ----------
-    /// Sequenced payload on a reliable channel (`nb-services`).
-    ReliableData { channel: Uuid, seq: u64, payload: Bytes },
-    /// Cumulative acknowledgement for a reliable channel.
-    ReliableAck { channel: Uuid, cumulative: u64 },
-    /// Ask a replay service for stored events matching `filter`.
-    ReplayRequest { filter: TopicFilter, limit: u32, reply_to: Endpoint },
 
     // ------------------------------------------------ security ----------
     /// A signed + encrypted inner message.
@@ -619,11 +611,6 @@ impl Message {
             Message::FederationSync(_) => "federation-sync",
             Message::Ping { .. } => "ping",
             Message::Pong { .. } => "pong",
-            Message::NtpRequest { .. } => "ntp-request",
-            Message::NtpResponse { .. } => "ntp-response",
-            Message::ReliableData { .. } => "reliable-data",
-            Message::ReliableAck { .. } => "reliable-ack",
-            Message::ReplayRequest { .. } => "replay-request",
             Message::Secure(_) => "secure",
         }
     }
@@ -655,11 +642,6 @@ impl Message {
             Message::FederationSync(_) => TAG_FEDERATION_SYNC,
             Message::Ping { .. } => TAG_PING,
             Message::Pong { .. } => TAG_PONG,
-            Message::NtpRequest { .. } => TAG_NTP_REQUEST,
-            Message::NtpResponse { .. } => TAG_NTP_RESPONSE,
-            Message::ReliableData { .. } => TAG_RELIABLE_DATA,
-            Message::ReliableAck { .. } => TAG_RELIABLE_ACK,
-            Message::ReplayRequest { .. } => TAG_REPLAY_REQUEST,
             Message::Secure(_) => TAG_SECURE,
         }
     }
@@ -684,12 +666,7 @@ pub(crate) const TAG_DISCOVERY_ACK: u8 = 16;
 pub(crate) const TAG_RESPONSE: u8 = 17;
 pub(crate) const TAG_PING: u8 = 18;
 pub(crate) const TAG_PONG: u8 = 19;
-pub(crate) const TAG_NTP_REQUEST: u8 = 20;
-pub(crate) const TAG_NTP_RESPONSE: u8 = 21;
 pub(crate) const TAG_SECURE: u8 = 22;
-pub(crate) const TAG_RELIABLE_DATA: u8 = 23;
-pub(crate) const TAG_RELIABLE_ACK: u8 = 24;
-pub(crate) const TAG_REPLAY_REQUEST: u8 = 25;
 pub(crate) const TAG_FEDERATION_SYNC: u8 = 26;
 pub(crate) const TAG_PRUNE: u8 = 27;
 
@@ -698,7 +675,7 @@ pub(crate) const TAG_PRUNE: u8 = 27;
 /// below and nb-lint rule W001 both check this registry for
 /// completeness, so a forgotten registration fails the build instead of
 /// surfacing as a protocol drift in the field.
-pub const ALL_TAGS: [u8; 27] = [
+pub const ALL_TAGS: [u8; 22] = [
     TAG_LINK_HELLO,
     TAG_LINK_ACCEPT,
     TAG_LINK_CLOSE,
@@ -718,12 +695,7 @@ pub const ALL_TAGS: [u8; 27] = [
     TAG_RESPONSE,
     TAG_PING,
     TAG_PONG,
-    TAG_NTP_REQUEST,
-    TAG_NTP_RESPONSE,
     TAG_SECURE,
-    TAG_RELIABLE_DATA,
-    TAG_RELIABLE_ACK,
-    TAG_REPLAY_REQUEST,
     TAG_FEDERATION_SYNC,
     TAG_PRUNE,
 ];
@@ -732,7 +704,7 @@ pub const ALL_TAGS: [u8; 27] = [
 /// way from a tag-indexed tally back to names, already sorted for
 /// rendering. The conformance test below holds it to `kind()` and
 /// `tag()`.
-pub const KINDS: [(&str, u8); 27] = [
+pub const KINDS: [(&str, u8); 22] = [
     ("advertisement", TAG_ADVERTISEMENT),
     ("bdn-advertisement", TAG_BDN_ADVERTISEMENT),
     ("client-connect", TAG_CLIENT_CONNECT),
@@ -748,15 +720,10 @@ pub const KINDS: [(&str, u8); 27] = [
     ("link-accept", TAG_LINK_ACCEPT),
     ("link-close", TAG_LINK_CLOSE),
     ("link-hello", TAG_LINK_HELLO),
-    ("ntp-request", TAG_NTP_REQUEST),
-    ("ntp-response", TAG_NTP_RESPONSE),
     ("ping", TAG_PING),
     ("pong", TAG_PONG),
     ("prune", TAG_PRUNE),
     ("publish", TAG_PUBLISH),
-    ("reliable-ack", TAG_RELIABLE_ACK),
-    ("reliable-data", TAG_RELIABLE_DATA),
-    ("replay-request", TAG_REPLAY_REQUEST),
     ("secure", TAG_SECURE),
     ("subscribe", TAG_SUBSCRIBE),
     ("unsubscribe", TAG_UNSUBSCRIBE),
@@ -866,37 +833,9 @@ impl Wire for Message {
                 w.put_u64(*echoed_sent_at);
                 responder.encode(w);
             }
-            Message::NtpRequest { client_transmit, reply_to } => {
-                w.put_u8(TAG_NTP_REQUEST);
-                w.put_u64(*client_transmit);
-                reply_to.encode(w);
-            }
-            Message::NtpResponse { client_transmit, server_receive, server_transmit } => {
-                w.put_u8(TAG_NTP_RESPONSE);
-                w.put_u64(*client_transmit);
-                w.put_u64(*server_receive);
-                w.put_u64(*server_transmit);
-            }
             Message::Secure(env) => {
                 w.put_u8(TAG_SECURE);
                 env.encode(w);
-            }
-            Message::ReliableData { channel, seq, payload } => {
-                w.put_u8(TAG_RELIABLE_DATA);
-                w.put_uuid(*channel);
-                w.put_u64(*seq);
-                w.put_bytes(payload);
-            }
-            Message::ReliableAck { channel, cumulative } => {
-                w.put_u8(TAG_RELIABLE_ACK);
-                w.put_uuid(*channel);
-                w.put_u64(*cumulative);
-            }
-            Message::ReplayRequest { filter, limit, reply_to } => {
-                w.put_u8(TAG_REPLAY_REQUEST);
-                filter.encode(w);
-                w.put_u32(*limit);
-                reply_to.encode(w);
             }
         }
     }
@@ -962,29 +901,7 @@ impl Wire for Message {
                 echoed_sent_at: r.get_u64()?,
                 responder: NodeId::decode(r)?,
             },
-            TAG_NTP_REQUEST => Message::NtpRequest {
-                client_transmit: r.get_u64()?,
-                reply_to: Endpoint::decode(r)?,
-            },
-            TAG_NTP_RESPONSE => Message::NtpResponse {
-                client_transmit: r.get_u64()?,
-                server_receive: r.get_u64()?,
-                server_transmit: r.get_u64()?,
-            },
             TAG_SECURE => Message::Secure(SecureEnvelope::decode(r)?),
-            TAG_RELIABLE_DATA => Message::ReliableData {
-                channel: r.get_uuid()?,
-                seq: r.get_u64()?,
-                payload: r.take_bytes()?,
-            },
-            TAG_RELIABLE_ACK => {
-                Message::ReliableAck { channel: r.get_uuid()?, cumulative: r.get_u64()? }
-            }
-            TAG_REPLAY_REQUEST => Message::ReplayRequest {
-                filter: TopicFilter::decode(r)?,
-                limit: r.get_u32()?,
-                reply_to: Endpoint::decode(r)?,
-            },
             other => return Err(WireError::InvalidTag { context: "Message", tag: other }),
         })
     }
@@ -1094,28 +1011,12 @@ mod tests {
                 reply_to: Endpoint::new(NodeId(9), Port(5061)),
             },
             Message::Pong { nonce: 5, echoed_sent_at: 123, responder: NodeId(5) },
-            Message::NtpRequest {
-                client_transmit: 1,
-                reply_to: Endpoint::new(NodeId(9), Port(123)),
-            },
-            Message::NtpResponse { client_transmit: 1, server_receive: 2, server_transmit: 3 },
             Message::Secure(SecureEnvelope {
                 sender: "alice".into(),
                 cert_chain: vec![vec![1, 2].into(), vec![3].into()],
                 ciphertext: vec![9; 64].into(),
                 signature: vec![7; 32].into(),
             }),
-            Message::ReliableData {
-                channel: Uuid::from_u128(3),
-                seq: 9,
-                payload: vec![1, 2, 3].into(),
-            },
-            Message::ReliableAck { channel: Uuid::from_u128(3), cumulative: 9 },
-            Message::ReplayRequest {
-                filter: TopicFilter::parse("a/**").unwrap(),
-                limit: 50,
-                reply_to: Endpoint::new(NodeId(9), Port(5080)),
-            },
         ]
     }
 
@@ -1180,10 +1081,19 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        assert!(matches!(
-            Message::from_bytes(&[200]),
-            Err(WireError::InvalidTag { context: "Message", tag: 200 })
-        ));
+        // 20, 21 and 23–25 are retired kinds; 200 was never assigned.
+        for tag in [20u8, 21, 23, 24, 25, 200] {
+            assert!(!ALL_TAGS.contains(&tag), "tag {tag} is registered");
+            assert!(
+                matches!(
+                    Message::from_bytes(&[tag]),
+                    Err(WireError::InvalidTag { context: "Message", tag: t }) if t == tag
+                ),
+                "tag {tag} decoded"
+            );
+            let framed = Bytes::from(vec![crate::frame::DEFAULT_TTL, 0, 0, 0, tag]);
+            assert!(crate::WireMsg::from_frame(framed).is_err(), "framed tag {tag} decoded");
+        }
     }
 
     #[test]

@@ -153,9 +153,6 @@ impl WireMsg {
             Message::Discovery(req) => (Some(req.request_id), None),
             Message::DiscoveryAck { request_id, .. } => (Some(*request_id), None),
             Message::Response(resp) => (Some(resp.request_id), None),
-            Message::ReliableData { channel, .. } | Message::ReliableAck { channel, .. } => {
-                (Some(*channel), None)
-            }
             _ => (None, None),
         };
         FrameHeader {
@@ -277,7 +274,7 @@ mod tests {
         for msg in [
             publish(),
             Message::Heartbeat { from: NodeId(3), seq: 9 },
-            Message::ReliableAck { channel: Uuid::from_u128(5), cumulative: 2 },
+            Message::DiscoveryAck { request_id: Uuid::from_u128(5), bdn: NodeId(2) },
         ] {
             let wire = WireMsg::new(msg);
             assert_eq!(wire.peek(), crate::frame::peek(&wire.frame()).unwrap());

@@ -211,15 +211,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     signature: signature.into(),
                 }
             )),
-        (arb_uuid(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(
-            |(channel, seq, payload)| Message::ReliableData {
-                channel,
-                seq,
-                payload: payload.into()
-            }
-        ),
-        (arb_uuid(), any::<u64>())
-            .prop_map(|(channel, cumulative)| Message::ReliableAck { channel, cumulative }),
     ]
 }
 
@@ -321,8 +312,6 @@ proptest! {
             Message::Discovery(req) => (Some(req.request_id), None),
             Message::DiscoveryAck { request_id, .. } => (Some(*request_id), None),
             Message::Response(resp) => (Some(resp.request_id), None),
-            Message::ReliableData { channel, .. }
-            | Message::ReliableAck { channel, .. } => (Some(*channel), None),
             _ => (None, None),
         };
         prop_assert_eq!(h.uuid, want_uuid);

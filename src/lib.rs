@@ -10,10 +10,10 @@
 //! |--------|-------|------|
 //! | [`util`] | `nb-util` | UUIDs, dedup caches, config files, statistics |
 //! | [`wire`] | `nb-wire` | binary codec, protocol messages, topics |
-//! | [`net`] | `nb-net` | actor runtime, the discrete-event and sharded simulators, WAN model, clocks/NTP |
+//! | [`net`] | `nb-net` | actor runtime, the discrete-event and sharded simulators, WAN model, clocks with the NTP sync model |
 //! | [`broker`] | `nb-broker` | publish/subscribe broker overlay |
 //! | [`security`] | `nb-security` | SHA-256, HMAC, XTEA, Schnorr, certificates, envelopes |
-//! | [`services`] | `nb-services` | compression, fragmentation, reliable delivery, replay |
+//! | [`services`] | `nb-services` | payload compression, fragmentation |
 //! | [`discovery`] | `nb-discovery` | **the paper's contribution**: BDNs, advertisements, the discovery protocol and selection |
 //!
 //! ## Quickstart

@@ -1,6 +1,6 @@
 //! The full entity life cycle over the simulator: discover → attach →
-//! pub/sub → broker failure → rediscover → resume, and the services
-//! composition (replay after reattachment).
+//! pub/sub → broker failure → rediscover → resume, and a stranded
+//! entity's retries.
 
 use std::time::Duration;
 
