@@ -31,8 +31,11 @@ const ENTITIES: usize = 200;
 /// optimised build elides some) where its parent made 345, and not
 /// the same count twice. Since an LP keeps its connections in one row
 /// of records where it kept three ordered books it is 192 (38 457 in
-/// all, 39 283 before). The budget is the 192 plus 10 %.
-const BUDGET_PER_ATTACH: u64 = 211;
+/// all, 39 283 before). Since a send is sized by counting instead of
+/// encoding a frame nobody reads, and senders hand `NodeCtx` the
+/// message they built instead of a copy, it is 149 (29 904 in all,
+/// 38 457 before). The budget is the 149 plus 10 %.
+const BUDGET_PER_ATTACH: u64 = 164;
 
 /// Boots the deployment uncounted, then counts the allocator calls of
 /// the window in which the whole fleet discovers, attaches and
@@ -67,12 +70,14 @@ const DELIVERIES: u64 = (PUBLISHERS * EVENTS_PER_PUBLISHER * 4) as u64;
 /// it counted — the harness queueing the events, clients, brokers,
 /// engine. The change that added this case reaches 1.74 under `cargo
 /// test` (2 221 in all, and still exactly that with the connections in
-/// one table: they are all open by then); the budget is that plus
-/// 10 %. What it holds down: one allocation (the match set) for a
-/// topic's first event at a broker, none for its memo key; at most two
-/// a publisher a broker for route state; a `Prune` a lease per
-/// redundant link, not one per duplicate.
-const BUDGET_PER_DELIVERY: f64 = 1.91;
+/// one table: they are all open by then). With sends sized by counting
+/// (no frame encoded for a publish, heartbeat or prune) it is 1.40
+/// (1 793 in all, 2 221 before); the budget is that plus 10 %. What it
+/// holds down: one allocation (the match set) for a topic's first event
+/// at a broker, none for its memo key; at most two a publisher a broker
+/// for route state; a `Prune` a lease per redundant link, not one per
+/// duplicate.
+const BUDGET_PER_DELIVERY: f64 = 1.55;
 
 /// An eight-broker ring with three chords, 64 subscribers over 16
 /// filters, boots and subscribes uncounted; then counts the window in
@@ -126,8 +131,8 @@ fn allocations_of_one_pubsub_run() -> u64 {
 
 #[test]
 fn allocations_repeat_exactly_and_stay_under_budget() {
-    // The first run also fills the process-wide topic intern tables and
-    // the thread's encode pool; the two after it do identical work.
+    // The first run also fills the process-wide topic intern tables;
+    // the two after it do identical work.
     allocations_of_one_attach_run();
     let first = allocations_of_one_attach_run();
     let second = allocations_of_one_attach_run();

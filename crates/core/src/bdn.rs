@@ -28,7 +28,7 @@ use nb_wire::addr::well_known;
 use nb_wire::topic::{BDN_ADVERTISEMENT_TOPIC, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC};
 use nb_wire::{
     BrokerAdvertisement, DiscoveryRequest, Endpoint, Event, FederationSync, LeaseRecord, Message,
-    NodeId, SyncPhase, Topic, TopicFilter, Wire, WireWriter,
+    NodeId, SyncPhase, Topic, TopicFilter, Wire, WireMsg, WireWriter,
 };
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
@@ -439,8 +439,7 @@ impl Bdn {
         if self.cfg.auto_attach && !self.cfg.attached_brokers.contains(&broker) {
             self.cfg.attached_brokers.push(broker);
             self.attach_ok.insert(broker, false);
-            let connect = Message::ClientConnect { client: ctx.me(), reply_port: well_known::BDN };
-            ctx.send_stream(well_known::BDN, Endpoint::new(broker, well_known::BROKER), &connect);
+            send_connect(broker, ctx);
         }
     }
 
@@ -492,7 +491,8 @@ impl Bdn {
                 sent_at: ctx.now().as_micros(),
                 reply_to: Endpoint::new(ctx.me(), well_known::BDN),
             };
-            ctx.send_udp(well_known::BDN, Endpoint::new(broker, well_known::PING), &ping);
+            let to = Endpoint::new(broker, well_known::PING);
+            ctx.send_udp_wire(well_known::BDN, to, &WireMsg::new(ping));
         }
         // Nonce table hygiene: drop entries that never got a pong.
         if self.ping_nonces.len() > 4096 {
@@ -506,7 +506,7 @@ impl Bdn {
         // discovery request in a timely manner"; retransmissions are
         // idempotent (§3).
         let ack = Message::DiscoveryAck { request_id: req.request_id, bdn: ctx.me() };
-        ctx.send_udp(well_known::BDN, req.reply_to, &ack);
+        ctx.send_udp_wire(well_known::BDN, req.reply_to, &WireMsg::new(ack));
         if !self.dedup.check_and_insert(req.request_id) {
             self.duplicate_requests += 1;
             return;
@@ -719,13 +719,7 @@ impl Bdn {
             if self.cfg.auto_attach && !self.cfg.attached_brokers.contains(&broker) {
                 self.cfg.attached_brokers.push(broker);
                 self.attach_ok.insert(broker, false);
-                let connect =
-                    Message::ClientConnect { client: ctx.me(), reply_port: well_known::BDN };
-                ctx.send_stream(
-                    well_known::BDN,
-                    Endpoint::new(broker, well_known::BROKER),
-                    &connect,
-                );
+                send_connect(broker, ctx);
             }
         }
         for tomb in sync.tombstones {
@@ -757,10 +751,16 @@ impl Bdn {
     fn attach(&mut self, ctx: &mut dyn Context) {
         for &broker in &self.cfg.attached_brokers {
             self.attach_ok.insert(broker, false);
-            let connect = Message::ClientConnect { client: ctx.me(), reply_port: well_known::BDN };
-            ctx.send_stream(well_known::BDN, Endpoint::new(broker, well_known::BROKER), &connect);
+            send_connect(broker, ctx);
         }
     }
+}
+
+/// Opens this BDN's client connection to `broker`.
+fn send_connect(broker: NodeId, ctx: &mut dyn Context) {
+    let connect = Message::ClientConnect { client: ctx.me(), reply_port: well_known::BDN };
+    let to = Endpoint::new(broker, well_known::BROKER);
+    ctx.send_stream_wire(well_known::BDN, to, &WireMsg::new(connect));
 }
 
 impl Actor for Bdn {

@@ -31,7 +31,7 @@ use nb_wire::addr::{well_known, DISCOVERY_GROUP};
 use nb_wire::message::TransportEndpoint;
 use nb_wire::{
     DiscoveryRequest, DiscoveryResponse, Endpoint, Message, NodeId, RealmId, TransportKind,
-    UsageMetrics,
+    UsageMetrics, WireMsg,
 };
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
@@ -333,7 +333,8 @@ impl DiscoveryClient {
                 ctx.rng(),
             )),
         };
-        ctx.send_udp(well_known::DISCOVERY_REPLY, Endpoint::new(bdn, well_known::BDN), &msg);
+        let to = Endpoint::new(bdn, well_known::BDN);
+        ctx.send_udp_wire(well_known::DISCOVERY_REPLY, to, &WireMsg::new(msg));
         // Legacy: fixed ack timeout. With a backoff policy, each attempt
         // waits the jittered capped-exponential delay instead, so a herd
         // of clients losing the same BDN desynchronises its retries.
@@ -488,7 +489,7 @@ impl DiscoveryClient {
                     sent_at: ctx.now().as_micros(),
                     reply_to: Endpoint::new(ctx.me(), well_known::PING),
                 };
-                ctx.send_udp(well_known::PING, ep, &ping);
+                ctx.send_udp_wire(well_known::PING, ep, &WireMsg::new(ping));
             }
         }
         ctx.set_timer(self.cfg.ping_window, TIMER_PING);
@@ -551,7 +552,7 @@ impl DiscoveryClient {
         } else {
             Message::ClientConnect { client: ctx.me(), reply_port: well_known::BROKER }
         };
-        ctx.send_stream(well_known::BROKER, ep, &msg);
+        ctx.send_stream_wire(well_known::BROKER, ep, &WireMsg::new(msg));
         ctx.set_timer(self.cfg.ack_timeout, TIMER_CONNECT);
     }
 

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
-use nb_wire::{Endpoint, Event, Message, NodeId, Topic, TopicFilter};
+use nb_wire::{Endpoint, Event, Message, NodeId, Topic, TopicFilter, WireMsg};
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
 
@@ -203,11 +203,8 @@ impl Entity {
             if old != broker {
                 let ep = Endpoint::new(old, well_known::BROKER);
                 for filter in self.filters.clone() {
-                    ctx.send_stream(
-                        well_known::BROKER,
-                        ep,
-                        &Message::ClientUnsubscribe { filter },
-                    );
+                    let unsubscribe = WireMsg::new(Message::ClientUnsubscribe { filter });
+                    ctx.send_stream_wire(well_known::BROKER, ep, &unsubscribe);
                 }
             }
         }
@@ -219,7 +216,8 @@ impl Entity {
         self.ping_nonces.clear();
         let ep = Endpoint::new(broker, well_known::BROKER);
         for filter in self.filters.clone() {
-            ctx.send_stream(well_known::BROKER, ep, &Message::ClientSubscribe { filter });
+            let subscribe = WireMsg::new(Message::ClientSubscribe { filter });
+            ctx.send_stream_wire(well_known::BROKER, ep, &subscribe);
         }
         self.flush(ctx);
         ctx.set_timer(self.keepalive_interval, TIMER_KEEPALIVE);
@@ -233,7 +231,7 @@ impl Entity {
         while let Some((topic, payload)) = self.outbox.pop_front() {
             let ev =
                 Event { id: Uuid::random(ctx.rng()), topic, source: ctx.me(), payload: payload.into() };
-            ctx.send_stream(well_known::BROKER, ep, &Message::Publish(ev));
+            ctx.send_stream_wire(well_known::BROKER, ep, &WireMsg::new(Message::Publish(ev)));
             self.published += 1;
         }
     }
@@ -262,7 +260,8 @@ impl Entity {
             sent_at: ctx.now().as_micros(),
             reply_to: Endpoint::new(ctx.me(), well_known::PING),
         };
-        ctx.send_udp(well_known::PING, Endpoint::new(broker, well_known::PING), &ping);
+        let to = Endpoint::new(broker, well_known::PING);
+        ctx.send_udp_wire(well_known::PING, to, &WireMsg::new(ping));
         ctx.set_timer(self.keepalive_interval, TIMER_KEEPALIVE);
     }
 

@@ -129,7 +129,7 @@ impl Responder {
             (p, &Message::Ping { nonce, sent_at, reply_to }) if p == well_known::PING => {
                 self.pings_answered += 1;
                 let pong = Message::Pong { nonce, echoed_sent_at: sent_at, responder: ctx.me() };
-                ctx.send_udp(well_known::PING, reply_to, &pong);
+                ctx.send_udp_wire(well_known::PING, reply_to, &WireMsg::new(pong));
                 true
             }
             (p, Message::Discovery(req)) if p == well_known::MULTICAST_DISCOVERY => {

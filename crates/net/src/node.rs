@@ -424,13 +424,10 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         self.sched.schedule(at, NodeEvent::Deliver { to: to.node, from, to_port, msg, len, stream });
     }
 
-    /// Sends one datagram. `len` caches the body size across a
-    /// multicast fan-out, which therefore serialises at most once no
-    /// matter how many recipients the group has.
-    fn send_datagram(&mut self, from: Endpoint, to: Endpoint, msg: &WireMsg, len: &mut Option<usize>) {
-        let size = || *len.get_or_insert_with(|| msg.body_len());
+    /// Sends one datagram.
+    fn send_datagram(&mut self, from: Endpoint, to: Endpoint, msg: &WireMsg) {
         let (net, faults, now) = (&self.net, self.faults, self.now);
-        if let Some(sent) = self.link.send_datagram(net, faults, now, from.node, to.node, size) {
+        if let Some(sent) = self.link.send_datagram(net, faults, now, from.node, to.node, || msg.body_len()) {
             self.deliver(sent.at, sent.len, from, to, msg, false);
             if let Some(at) = sent.duplicate_at {
                 self.deliver(at, sent.len, from, to, msg, false);
@@ -478,7 +475,7 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
 
     fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.node.id, from_port);
-        self.send_datagram(from, to, msg, &mut None);
+        self.send_datagram(from, to, msg);
     }
 
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
@@ -508,13 +505,12 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
 
     fn send_multicast(&mut self, from_port: Port, group: GroupId, to_port: Port, msg: &Message) {
         let from = Endpoint::new(self.node.id, from_port);
-        // One shared handle and at most one serialisation for the whole
-        // fan-out; recipients come in ascending node order, so the
-        // scheduling order is deterministic.
+        // One shared handle, so one sizing, for the whole fan-out;
+        // recipients come in ascending node order, so the scheduling
+        // order is deterministic.
         let wire = WireMsg::new(msg.clone());
-        let mut len = None;
         for r in self.net.multicast_recipients(group, self.node.id) {
-            self.send_datagram(from, Endpoint::new(r, to_port), &wire, &mut len);
+            self.send_datagram(from, Endpoint::new(r, to_port), &wire);
         }
     }
 

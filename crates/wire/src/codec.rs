@@ -56,16 +56,28 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Serialises values into a growable buffer.
+/// Serialises values into a growable buffer — or, built with
+/// `WireWriter::counting`, only counts the bytes it would write.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: BytesMut,
+    /// `Some(n)` on a counting writer: `n` bytes put so far, none kept.
+    counted: Option<usize>,
 }
 
 impl WireWriter {
     /// A fresh, empty writer.
     pub fn new() -> Self {
-        WireWriter { buf: BytesMut::with_capacity(256) }
+        WireWriter { buf: BytesMut::with_capacity(256), counted: None }
+    }
+
+    /// A writer that stores nothing: every `put_*` adds its encoded size
+    /// to [`len`](WireWriter::len), and the bytes themselves stay empty.
+    /// Running a type's one [`Wire::encode`] against it is how a size
+    /// is measured ([`Wire::wire_len`]) without allocating, so a size
+    /// can never drift from the encoding.
+    pub(crate) fn counting() -> Self {
+        WireWriter { buf: BytesMut::new(), counted: Some(0) }
     }
 
     /// Consumes the writer, yielding the encoded bytes.
@@ -93,56 +105,60 @@ impl WireWriter {
         &self.buf
     }
 
-    /// Bytes written so far.
+    /// Bytes written (or, on a counting writer, counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.put_raw(&[v]);
     }
 
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.put_u8(v as u8);
+        self.put_u8(v as u8);
     }
 
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.put_raw(&v.to_be_bytes());
     }
 
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.put_raw(&v.to_be_bytes());
     }
 
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64(v);
+        self.put_raw(&v.to_be_bytes());
     }
 
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64(v);
+        self.put_raw(&v.to_be_bytes());
     }
 
     pub fn put_u128(&mut self, v: u128) {
-        self.buf.put_u128(v);
+        self.put_raw(&v.to_be_bytes());
     }
 
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64(v);
+        self.put_raw(&v.to_be_bytes());
     }
 
     pub fn put_uuid(&mut self, v: Uuid) {
         self.put_u128(v.as_u128());
     }
 
-    /// Raw bytes, no length prefix. The v2 codec pairs this with a
+    /// Raw bytes, no length prefix — the one place bytes are written or,
+    /// on a counting writer, counted. The v2 codec pairs this with a
     /// varint length it wrote itself.
     pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        match &mut self.counted {
+            Some(counted) => *counted += v.len(),
+            None => self.buf.put_slice(v),
+        }
     }
 
     /// Overwrites already-written bytes starting at offset `at` — for a
@@ -155,8 +171,8 @@ impl WireWriter {
     /// Length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         debug_assert!(v.len() <= MAX_FIELD_LEN);
-        self.buf.put_u32(v.len() as u32);
-        self.buf.put_slice(v);
+        self.put_u32(v.len() as u32);
+        self.put_raw(v);
     }
 
     /// Length-prefixed UTF-8 string.
@@ -391,6 +407,14 @@ pub trait Wire: Sized {
         w.finish()
     }
 
+    /// `to_bytes().len()`, counted: the same `encode` run against a
+    /// counting [`WireWriter`], so nothing is allocated or written.
+    fn wire_len(&self) -> usize {
+        let mut w = WireWriter::counting();
+        self.encode(&mut w);
+        w.len()
+    }
+
     /// Convenience: strict decode of a complete buffer (no trailing bytes).
     fn from_bytes(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
@@ -576,6 +600,32 @@ mod tests {
         let b = Bytes::copy_from_slice(&[5, 6, 7]);
         let enc = b.to_bytes();
         assert_eq!(Bytes::from_bytes(&enc).unwrap(), b);
+    }
+
+    #[test]
+    fn counting_writer_counts_what_a_writer_writes_and_keeps_nothing() {
+        let fill = |w: &mut WireWriter| {
+            w.put_u8(1);
+            w.put_bool(false);
+            w.put_u16(2);
+            w.put_u32(3);
+            w.put_u64(4);
+            w.put_i64(-5);
+            w.put_u128(6);
+            w.put_f64(7.5);
+            w.put_uuid(Uuid::from_u128(8));
+            w.put_raw(b"raw");
+            w.put_str("héllo");
+            w.put_option(&Some(9u64));
+            w.put_vec(&[10u32, 11]);
+        };
+        let mut bytes = WireWriter::new();
+        fill(&mut bytes);
+        let mut counting = WireWriter::counting();
+        fill(&mut counting);
+        assert_eq!(counting.len(), bytes.len());
+        assert!(counting.as_slice().is_empty(), "a counting writer stores nothing");
+        assert_eq!(String::from("héllo").wire_len(), String::from("héllo").to_bytes().len());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * **The wire frame** — the unit the runtime hands each actor: a
 //!   fixed 4-byte prelude (`[ttl, hops, flags, reserved]`) followed by
 //!   the legacy message body. The prelude holds exactly the fields a
-//!   forwarder mutates per hop, so forwarding is [`patch_prelude`] on
-//!   the first two bytes instead of decode→mutate→re-encode, and
-//!   [`peek`] reads kind/UUID/topic-length at fixed offsets without
-//!   decoding the body at all.
+//!   forwarder mutates per hop, so a forwarded hop's body is the body
+//!   it arrived with (no decode→mutate→re-encode), and [`peek`] reads
+//!   kind/UUID/topic-length at fixed offsets without decoding the body
+//!   at all.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use nb_util::Uuid;
@@ -202,15 +202,6 @@ pub fn frame_message_flags(msg: &Message, ttl: u8, hops: u8, flags: u8) -> Bytes
     })
 }
 
-/// Rewrites the per-hop prelude fields in place. The body bytes after
-/// the prelude are untouched — this is the whole point of keeping TTL
-/// and hop count out of the encoded message.
-pub fn patch_prelude(frame: &mut [u8], ttl: u8, hops: u8) {
-    assert!(frame.len() >= PRELUDE_LEN, "frame shorter than prelude");
-    frame[0] = ttl;
-    frame[1] = hops;
-}
-
 /// Fully decodes a wire frame: peeked header + decoded body. Payload
 /// fields borrow the backing buffer (zero-copy) via the shared reader.
 pub fn decode_framed(frame: &Bytes) -> Result<(FrameHeader, Message), WireError> {
@@ -341,25 +332,13 @@ mod tests {
         // Flags live in the prelude only: the body is byte-identical to
         // the flagless frame, so body_len accounting cannot change.
         assert_eq!(&frame[PRELUDE_LEN..], &frame_message(&publish(), 9, 0)[PRELUDE_LEN..]);
-        // A forwarder's prelude patch re-stamps ttl/hops but not flags.
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&frame);
-        patch_prelude(&mut buf, 8, 1);
-        let h = peek(&buf).unwrap();
-        assert_eq!((h.ttl, h.hops, h.flags), (8, 1, FLAG_V2_CAPABLE));
-    }
-
-    #[test]
-    fn patch_prelude_leaves_body_untouched() {
-        let msg = publish();
-        let frame = frame_message(&msg, 8, 0);
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&frame);
-        patch_prelude(&mut buf, 7, 1);
-        let patched = buf.freeze();
+        // A forwarded hop re-stamps ttl/hops but not flags, and its body
+        // is the one it arrived with.
+        let hop = crate::WireMsg::from_frame(frame.clone()).unwrap().forward_hop().unwrap();
+        let patched = hop.frame();
         let h = peek(&patched).unwrap();
-        assert_eq!((h.ttl, h.hops), (7, 1));
-        assert_eq!(&patched[PRELUDE_LEN..], msg.to_bytes().as_ref());
+        assert_eq!((h.ttl, h.hops, h.flags), (8, 1, FLAG_V2_CAPABLE));
+        assert_eq!(&patched[PRELUDE_LEN..], &frame[PRELUDE_LEN..]);
     }
 
     #[test]

@@ -17,12 +17,11 @@
 //!   discovery requests/acks/responses, BDN federation sync, UDP pings
 //!   and secured envelopes,
 //! * [`frame`] — length-delimited framing for stream transports, plus
-//!   the prelude-framed wire format ([`frame::peek`], [`frame_message`],
-//!   [`patch_prelude`]) that receive paths header-peek and forwarders
-//!   patch in place,
-//! * [`wiremsg`] — [`WireMsg`]: a decoded message sharing its encoded
-//!   frame across clones, so fan-out encodes once and forwards by
-//!   refcount,
+//!   the prelude-framed wire format ([`frame::peek`], [`frame_message`])
+//!   that receive paths header-peek without decoding,
+//! * [`wiremsg`] — [`WireMsg`]: a decoded message sharing its counted
+//!   body length across clones and hops, so a send sizes without
+//!   encoding and forwards by refcount,
 //! * [`v2`] — the negotiated compact codec: varint lengths, delta
 //!   timestamps, symbol-referenced topics, and multi-frame segments
 //!   with non-decoding peeks,
@@ -31,7 +30,8 @@
 //!   views of the process symbol table in [`intern`].
 //!
 //! Every message is sized and charged on the simulated network as the
-//! bytes this crate encodes. The engines hand a receiver the sender's
+//! bytes this crate encodes, counted by running that encode against a
+//! counting writer ([`Wire::wire_len`]). The engines hand a receiver the sender's
 //! [`WireMsg`] by refcount rather than decoding those bytes again;
 //! `tests/codec_in_the_loop.rs` puts the decode back on every hop and
 //! checks it against what was sent.
@@ -53,7 +53,7 @@ pub use bytes::Bytes;
 pub use addr::{Endpoint, GroupId, NodeId, Port, RealmId, TransportKind};
 pub use codec::{Wire, WireError, WireReader, WireWriter, MAX_FIELD_LEN, MAX_MESSAGE_LEN};
 pub use frame::{
-    decode_framed, frame_message, frame_message_flags, patch_prelude, peek_body, FrameDecoder,
+    decode_framed, frame_message, frame_message_flags, peek_body, FrameDecoder,
     FrameHeader, DEFAULT_TTL, FLAG_SEGMENT, FLAG_V2_CAPABLE, MAX_FRAME_LEN, PRELUDE_LEN,
 };
 pub use intern::{SegId, SymId, MAX_TOPIC_DEPTH};

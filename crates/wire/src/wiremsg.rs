@@ -1,46 +1,46 @@
-//! A message plus its wire bytes, shared and encoded at most once.
+//! A message plus its hop counters, shared and sized at most once.
 //!
 //! [`WireMsg`] is what the runtimes move around: the decoded
-//! [`Message`] behind an `Arc`, the per-hop TTL/hop counters, and a
-//! lazily materialised wire frame shared by every clone and every
-//! forwarded hop. The invariants the zero-copy path rests on:
+//! [`Message`] behind an `Arc`, the per-hop TTL/hop counters, and the
+//! message's v1 body length, counted on first use and shared by every
+//! clone and every forwarded hop. The invariants the send path rests on:
 //!
-//! * **Encode once.** The frame is built on first use and cached in a
-//!   `OnceLock<Bytes>` every handle shares; fan-out to N recipients
-//!   clones the `Bytes` handle N times instead of re-encoding N times.
-//! * **Decode once.** [`WireMsg::from_frame`] decodes eagerly — exactly
-//!   what today's receive path does, so malformed bytes are rejected at
-//!   the wire boundary and never reach an actor — but it *keeps* the
-//!   frame, so re-forwarding what was just received never re-encodes.
+//! * **Size is counted.** [`WireMsg::body_len`] — what the simulators
+//!   charge transmission on — runs the message's one `encode` against a
+//!   counting [`WireWriter`](crate::WireWriter) once per message and
+//!   caches the `u32`: no bytes are written and nothing is allocated.
+//! * **Bytes materialise only on [`frame`](WireMsg::frame).** A caller
+//!   that wants the wire bytes gets a fresh encode at its handle's own
+//!   ttl/hops/flags. Nothing is cached, and inside the simulators
+//!   nobody asks.
+//! * **Decode once.** [`WireMsg::from_frame`] decodes eagerly — so
+//!   malformed bytes are rejected at the wire boundary and never reach
+//!   an actor. It keeps no bytes; its size is counted like any other.
 //! * **Forwarding touches no bytes.** [`WireMsg::forward_hop`] is a
 //!   handle with the hop counters bumped: one `Arc` clone. Every hop
-//!   carries the same body, so [`WireMsg::body_len`] reads the shared
-//!   frame's length, and only a caller that asks a forwarded hop for
-//!   its [`frame`](WireMsg::frame) pays for a copy of the shared frame
-//!   with the 4-byte prelude re-stamped.
+//!   carries the same body, so every hop shares the one counted length.
 
 use std::sync::{Arc, OnceLock};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::codec::WireError;
-use crate::frame::{
-    decode_framed, frame_message_flags, patch_prelude, FrameHeader, DEFAULT_TTL, PRELUDE_LEN,
-};
+use crate::codec::{Wire, WireError};
+use crate::frame::{decode_framed, frame_message_flags, FrameHeader, DEFAULT_TTL};
 use crate::message::{Event, Message};
 
 /// What every hop and every clone of one message shares: the decoded
-/// message and its frame, stamped with the hop counters of whichever
-/// handle it was received as or first encoded for. One allocation per
-/// message received or originated.
+/// message and its v1 body length. One allocation per message received
+/// or originated.
 #[derive(Debug)]
 struct Shared {
     msg: Message,
-    frame: OnceLock<Bytes>,
+    /// `msg.wire_len()`, counted on the first
+    /// [`body_len`](WireMsg::body_len).
+    body_len: OnceLock<u32>,
 }
 
-/// A [`Message`] bundled with its (lazily encoded) wire frame and the
-/// per-hop prelude fields. Cheap to clone: an `Arc` bump only.
+/// A [`Message`] bundled with its per-hop prelude fields and its
+/// (lazily counted) body length. Cheap to clone: an `Arc` bump only.
 #[derive(Debug, Clone)]
 pub struct WireMsg {
     shared: Arc<Shared>,
@@ -66,25 +66,15 @@ impl WireMsg {
     /// on the wire. The v2 segment delivery path rebuilds per-frame
     /// [`WireMsg`]s with this.
     pub fn from_decoded(msg: Message, ttl: u8, hops: u8) -> Self {
-        WireMsg {
-            shared: Arc::new(Shared { msg, frame: OnceLock::new() }),
-            ttl,
-            hops,
-            flags: 0,
-            encoded_len: None,
-        }
+        let shared = Arc::new(Shared { msg, body_len: OnceLock::new() });
+        WireMsg { shared, ttl, hops, flags: 0, encoded_len: None }
     }
 
-    /// Decodes a received frame, retaining the bytes for re-forwarding.
+    /// Decodes a received frame, keeping its prelude counters and flags
+    /// but not its bytes.
     pub fn from_frame(frame: Bytes) -> Result<Self, WireError> {
         let (header, msg) = decode_framed(&frame)?;
-        Ok(WireMsg {
-            shared: Arc::new(Shared { msg, frame: OnceLock::from(frame) }),
-            ttl: header.ttl,
-            hops: header.hops,
-            flags: header.flags,
-            encoded_len: None,
-        })
+        Ok(WireMsg::from_decoded(msg, header.ttl, header.hops).with_flags(header.flags))
     }
 
     /// The decoded message.
@@ -119,13 +109,8 @@ impl WireMsg {
 
     /// Stamps prelude flag bits (e.g.
     /// [`FLAG_V2_CAPABLE`](crate::frame::FLAG_V2_CAPABLE) on a link
-    /// handshake). Must happen before the frame is materialised — the
-    /// flags byte lives in the encoded prelude.
+    /// handshake) on this handle's frame.
     pub fn with_flags(mut self, flags: u8) -> Self {
-        debug_assert!(
-            self.shared.frame.get().is_none(),
-            "flags set after the frame was materialised"
-        );
         self.flags = flags;
         self
     }
@@ -165,42 +150,28 @@ impl WireMsg {
         }
     }
 
-    /// The frame every handle of this message shares, encoded (once,
-    /// via the pooled writer) at this handle's counters if none has yet.
-    fn shared_frame(&self) -> &Bytes {
-        self.shared
-            .frame
-            .get_or_init(|| frame_message_flags(&self.shared.msg, self.ttl, self.hops, self.flags))
-    }
-
-    /// This handle's wire frame. The handle the shared frame was
-    /// stamped for gets it back as is; a hop further along gets a copy
-    /// with its own counters patched into the prelude — the body is
-    /// never decoded or re-encoded.
+    /// This handle's wire frame, encoded now (via the per-thread pooled
+    /// writer) with its own ttl/hops/flags in the prelude.
     pub fn frame(&self) -> Bytes {
-        let shared = self.shared_frame();
-        if (shared[0], shared[1]) == (self.ttl, self.hops) {
-            return shared.clone();
-        }
-        let mut buf = BytesMut::with_capacity(shared.len());
-        buf.extend_from_slice(shared);
-        patch_prelude(&mut buf, self.ttl, self.hops);
-        buf.freeze()
+        frame_message_flags(&self.shared.msg, self.ttl, self.hops, self.flags)
     }
 
     /// On-wire size of this message's body under the encoding it
     /// travelled (the sim charges transmission delay on this): the v2
     /// size recorded by [`set_encoded_len`](WireMsg::set_encoded_len)
     /// when the message crossed a negotiated link, otherwise the v1
-    /// body length — byte-identical to `Message::to_bytes().len()`,
-    /// and the same at every hop.
+    /// body length — `Message::to_bytes().len()`, counted once and the
+    /// same at every hop.
     pub fn body_len(&self) -> usize {
-        self.encoded_len.unwrap_or_else(|| self.shared_frame().len() - PRELUDE_LEN)
+        self.encoded_len.unwrap_or_else(|| {
+            let counted = || u32::try_from(self.shared.msg.wire_len()).expect("a body fits in u32");
+            *self.shared.body_len.get_or_init(counted) as usize
+        })
     }
 
     /// The handle this message would be forwarded as: TTL spent, hop
-    /// recorded, message and frame shared. `None` when the TTL is
-    /// exhausted — the caller must drop the message, not forward it.
+    /// recorded, message and body length shared. `None` when the TTL
+    /// is exhausted — the caller must drop the message, not forward it.
     pub fn forward_hop(&self) -> Option<WireMsg> {
         let ttl = self.ttl.checked_sub(1)?;
         Some(WireMsg {
@@ -229,7 +200,7 @@ impl PartialEq for WireMsg {
 mod tests {
     use super::*;
     use crate::addr::NodeId;
-    use crate::codec::Wire;
+    use crate::frame::{frame_message, PRELUDE_LEN};
     use crate::topic::Topic;
     use nb_util::Uuid;
 
@@ -243,23 +214,22 @@ mod tests {
     }
 
     #[test]
-    fn frame_is_cached_and_shared_across_clones() {
+    fn frame_is_encoded_on_demand_and_equal_across_clones() {
         let wire = WireMsg::new(publish());
-        let a = wire.frame();
-        let b = wire.clone();
-        // The clone sees the already-materialised frame without encoding.
-        assert_eq!(b.frame(), a);
+        let clone = wire.clone();
+        assert_eq!(clone.frame(), wire.frame());
+        assert_eq!(wire.frame(), frame_message(&publish(), DEFAULT_TTL, 0));
     }
 
     #[test]
-    fn from_frame_retains_bytes_and_counters() {
+    fn from_frame_keeps_counters_and_body_len() {
         let original = WireMsg::new(publish());
         let frame = original.frame();
         let back = WireMsg::from_frame(frame.clone()).unwrap();
         assert_eq!(back.message(), original.message());
         assert_eq!((back.ttl(), back.hops()), (DEFAULT_TTL, 0));
-        // No re-encode needed: the retained frame is the input.
-        assert_eq!(back.frame(), frame);
+        assert_eq!(back.body_len(), frame.len() - PRELUDE_LEN);
+        assert_eq!(back.frame(), frame, "re-encoding a received message gives its bytes back");
     }
 
     #[test]
@@ -286,7 +256,9 @@ mod tests {
         let wire = WireMsg::from_frame(WireMsg::new(publish()).frame()).unwrap();
         let next = wire.forward_hop().unwrap();
         assert_eq!((next.ttl(), next.hops()), (DEFAULT_TTL - 1, 1));
+        assert_eq!(next.frame(), frame_message(&publish(), DEFAULT_TTL - 1, 1));
         assert_eq!(&next.frame()[PRELUDE_LEN..], &wire.frame()[PRELUDE_LEN..]);
+        assert_eq!(next.body_len(), wire.body_len());
         assert_eq!(next.message(), wire.message());
     }
 

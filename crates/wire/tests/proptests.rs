@@ -1,15 +1,20 @@
 //! Property-based tests for the wire layer: arbitrary messages round-trip
-//! through the codec, arbitrary topic/filter pairs obey matching laws, and
-//! the frame decoder is chunking-invariant.
+//! through the codec and are sized exactly as they encode, arbitrary
+//! topic/filter pairs obey matching laws, and the frame decoder is
+//! chunking-invariant.
 
 use proptest::prelude::*;
 
 use nb_util::Uuid;
 use nb_wire::frame::{encode_frame, FrameDecoder};
 use nb_wire::message::{SecureEnvelope, TransportEndpoint};
+use nb_wire::topic::{
+    BDN_ADVERTISEMENT_TOPIC, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC,
+};
 use nb_wire::{
     BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryResponse, Endpoint, Event,
-    Message, NodeId, Port, RealmId, Topic, TopicFilter, TransportKind, UsageMetrics, Wire,
+    FederationSync, LeaseRecord, Message, NodeId, Port, RealmId, SyncPhase, TombstoneRecord, Topic,
+    TopicFilter, TransportKind, UsageMetrics, Wire,
 };
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
@@ -174,13 +179,78 @@ fn arb_event() -> impl Strategy<Value = Event> {
         })
 }
 
+fn arb_federation_sync() -> impl Strategy<Value = FederationSync> {
+    let phase =
+        prop_oneof![Just(SyncPhase::Digest), Just(SyncPhase::Push), Just(SyncPhase::PushReply)];
+    let lease = (arb_advertisement(), any::<u64>())
+        .prop_map(|(ad, expires_at_us)| LeaseRecord { ad, expires_at_us });
+    let tombstone = (arb_node(), any::<u64>())
+        .prop_map(|(broker, lease_issued_utc)| TombstoneRecord { broker, lease_issued_utc });
+    (
+        arb_node(),
+        phase,
+        any::<u64>(),
+        prop::collection::vec(lease, 0..3),
+        prop::collection::vec(tombstone, 0..3),
+    )
+        .prop_map(|(from, phase, digest, leases, tombstones)| FederationSync {
+            from,
+            phase,
+            digest,
+            leases,
+            tombstones,
+        })
+}
+
+/// A `Publish` on one of the well-known flooding topics, its payload an
+/// encoded message nested inside the event.
+fn arb_flood_publish() -> impl Strategy<Value = Message> {
+    let nested = prop_oneof![
+        arb_request().prop_map(|req| (DISCOVERY_REQUEST_TOPIC, Message::Discovery(req))),
+        arb_advertisement().prop_map(|ad| (BROKER_ADVERTISEMENT_TOPIC, Message::Advertisement(ad))),
+        (arb_node(), arb_endpoint(), any::<bool>()).prop_map(|(bdn, endpoint, creds)| (
+            BDN_ADVERTISEMENT_TOPIC,
+            Message::BdnAdvertisement { bdn, endpoint, requires_credentials: creds }
+        )),
+    ];
+    (arb_uuid(), arb_node(), nested).prop_map(|(id, source, (topic, inner))| {
+        Message::Publish(Event {
+            id,
+            topic: Topic::parse(topic).unwrap(),
+            source,
+            payload: inner.to_bytes(),
+        })
+    })
+}
+
+/// Every message kind, flooded publishes with a nested message included.
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         (arb_node(), arb_realm()).prop_map(|(from, realm)| Message::LinkHello { from, realm }),
+        (arb_node(), arb_realm()).prop_map(|(from, realm)| Message::LinkAccept { from, realm }),
+        arb_node().prop_map(|from| Message::LinkClose { from }),
         (arb_node(), any::<u64>()).prop_map(|(from, seq)| Message::Heartbeat { from, seq }),
         (arb_filter(), arb_node(), any::<u64>())
             .prop_map(|(filter, origin, seq)| Message::Subscribe { filter, origin, seq }),
+        (arb_filter(), arb_node(), any::<u64>())
+            .prop_map(|(filter, origin, seq)| Message::Unsubscribe { filter, origin, seq }),
         arb_event().prop_map(Message::Publish),
+        arb_flood_publish(),
+        (arb_node(), arb_port())
+            .prop_map(|(client, reply_port)| Message::ClientConnect { client, reply_port }),
+        (arb_node(), any::<bool>())
+            .prop_map(|(broker, accepted)| Message::ClientConnectAck { broker, accepted }),
+        arb_filter().prop_map(|filter| Message::ClientSubscribe { filter }),
+        arb_filter().prop_map(|filter| Message::ClientUnsubscribe { filter }),
+        arb_node().prop_map(|client| Message::ClientDisconnect { client }),
+        (arb_node(), arb_endpoint(), any::<bool>()).prop_map(
+            |(bdn, endpoint, requires_credentials)| Message::BdnAdvertisement {
+                bdn,
+                endpoint,
+                requires_credentials
+            }
+        ),
+        arb_federation_sync().prop_map(Message::FederationSync),
         (arb_node(), any::<u32>())
             .prop_map(|(source, lease_ms)| Message::Prune { source, lease_ms }),
         arb_advertisement().prop_map(Message::Advertisement),
@@ -332,15 +402,25 @@ proptest! {
     }
 
     #[test]
+    fn counted_size_equals_encoded_bytes(msg in arb_message()) {
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(msg.wire_len(), bytes.len(), "{}", msg.kind());
+        prop_assert_eq!(nb_wire::WireMsg::new(msg.clone()).body_len(), bytes.len());
+        if let Message::Publish(ev) = &msg {
+            prop_assert_eq!(ev.wire_len(), bytes.len() - 1, "tag + event");
+        }
+    }
+
+    #[test]
     fn forwarded_frame_agrees_with_reencode_oracle(
         msg in arb_message(),
         ttl in 32u8..=255,
         hops in 0u8..=223,
         received in any::<bool>(),
         chain_len in 1usize..=32,
-        asks_first in 0usize..=32,
     ) {
-        // A received frame, or a local message nothing has encoded yet.
+        // A received frame (sized by its bytes), or a local message
+        // nothing has encoded (sized by counting).
         let origin = if received {
             nb_wire::WireMsg::from_frame(nb_wire::frame_message(&msg, ttl, hops)).unwrap()
         } else {
@@ -351,23 +431,15 @@ proptest! {
             let next = chain.last().unwrap().forward_hop().unwrap();
             chain.push(next);
         }
-        // Forwarding copies nothing, so whichever hop asks for bytes
-        // first stamps the frame they all share; every other hop must
-        // still be handed its own counters.
-        let _ = chain[asks_first % chain.len()].frame();
         let body_len = msg.to_bytes().len();
-        let mut previous = nb_wire::frame_message(&msg, ttl, hops);
         for (k, hop) in chain.iter().enumerate() {
-            // Oracle: decode the previous hop's body, then re-encode
-            // from scratch at the bumped counters.
-            let decoded = full_decode_oracle(&previous[nb_wire::PRELUDE_LEN..]).unwrap();
-            let oracle = nb_wire::frame_message(&decoded, ttl - k as u8, hops + k as u8);
+            // Oracle: the message encoded afresh at this hop's counters.
+            let oracle = nb_wire::frame_message(&msg, ttl - k as u8, hops + k as u8);
             let frame = hop.frame();
             prop_assert_eq!(frame.as_ref(), oracle.as_ref(), "hop {}", k);
             prop_assert_eq!(hop.body_len(), body_len);
+            prop_assert_eq!(hop.body_len(), frame.len() - nb_wire::PRELUDE_LEN);
             prop_assert_eq!(hop.peek(), nb_wire::frame::peek(&frame).unwrap());
-            prop_assert_eq!(hop.clone().frame(), frame.clone());
-            previous = frame;
         }
     }
 
