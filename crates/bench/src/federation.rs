@@ -16,10 +16,12 @@
 //!    most of the run dead (discovery success must be 100%),
 //! 2. **cross_bdn_convergence** — once faults stop and the system
 //!    quiesces, every live BDN reports the same registry digest
-//!    ([`Bdn::registry_digest`]): anti-entropy reconverged the
-//!    federation, including tombstone sets,
+//!    ([`Bdn::registry_digest`], its registry's one digest):
+//!    anti-entropy reconverged the federation, including tombstone sets,
 //! 3. **no_resurrection** — no live BDN holds a lease that one of its
-//!    own tombstones retires, and no entity is attached to a broker the
+//!    own tombstones retires (asked of the registry itself,
+//!    [`nb_discovery::LeaseBook::resurrected`], so the check applies the
+//!    merge's own rule), and no entity is attached to a broker the
 //!    federation has tombstoned: a dead broker's advertisement must not
 //!    crawl back out of a stale replica.
 //!
@@ -211,14 +213,10 @@ impl FaultCampaign for ScenarioStats {
             if !tb.sim.is_up(b) {
                 continue;
             }
-            let bdn = tb.sim.actor::<Bdn>(b).expect("bdn actor");
-            let Some(fed) = bdn.federation() else { continue };
-            for (&broker, &t) in fed.tombstones() {
+            let registry = tb.sim.actor::<Bdn>(b).expect("bdn actor").registry();
+            for (broker, _) in registry.tombstones() {
                 total_tombstones += 1;
-                let ghost = bdn
-                    .registered(broker)
-                    .is_some_and(|reg| now <= reg.expires_at && reg.ad.issued_at_utc <= t);
-                if ghost {
+                if registry.resurrected(broker, now) {
                     ghosts.push_str(&format!(
                         "{} resurrected at {} ",
                         tb.sim.node_name(broker),

@@ -165,95 +165,42 @@ impl Advertiser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_ctx::TestCtx;
     use nb_broker::BrokerConfig;
-    use nb_wire::{Port, RealmId};
+    use nb_wire::RealmId;
 
-    struct FakeCtx {
-        sent: Vec<(Endpoint, Message)>,
-        timers: Vec<u64>,
-        rng: rand::rngs::StdRng,
-    }
-
-    impl FakeCtx {
-        fn new() -> FakeCtx {
-            use rand::SeedableRng;
-            FakeCtx { sent: vec![], timers: vec![], rng: rand::rngs::StdRng::seed_from_u64(2) }
-        }
-    }
-
-    impl Context for FakeCtx {
-        fn me(&self) -> NodeId {
-            NodeId(7)
-        }
-        fn realm(&self) -> RealmId {
-            RealmId(3)
-        }
-        fn now(&self) -> nb_net::SimTime {
-            nb_net::SimTime::from_secs(1)
-        }
-        fn utc_micros(&self) -> u64 {
-            42
-        }
-        fn clock_synced(&self) -> bool {
-            true
-        }
-        fn raw_local_micros(&self) -> u64 {
-            42
-        }
-        fn set_clock_estimate_ns(&mut self, _est: i64) {}
-        fn send_udp(&mut self, _from: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((to, msg.clone()));
-        }
-        fn send_stream(&mut self, _from: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((to, msg.clone()));
-        }
-        fn send_multicast(
-            &mut self,
-            _f: Port,
-            _g: nb_wire::GroupId,
-            _t: Port,
-            _m: &Message,
-        ) {
-        }
-        fn join_group(&mut self, _g: nb_wire::GroupId) {}
-        fn leave_group(&mut self, _g: nb_wire::GroupId) {}
-        fn set_timer(&mut self, _d: Duration, token: u64) {
-            self.timers.push(token);
-        }
-        fn cancel_timer(&mut self, _t: u64) {}
-        fn rng(&mut self) -> &mut dyn rand::RngCore {
-            &mut self.rng
-        }
+    fn new_ctx() -> TestCtx {
+        TestCtx::new(NodeId(7), RealmId(3), nb_net::SimTime::from_micros(42), 2)
     }
 
     #[test]
     fn advertises_to_every_configured_bdn_on_start() {
         let mut adv = Advertiser::new(vec![NodeId(100), NodeId(101)], false, Duration::from_secs(60));
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         adv.on_start(&mut broker, &mut ctx);
         assert_eq!(adv.ads_sent, 2);
         assert_eq!(ctx.sent.len(), 2);
-        for (to, msg) in &ctx.sent {
+        for (_, to, msg) in &ctx.sent {
             assert_eq!(to.port, well_known::BDN);
             let Message::Advertisement(ad) = msg else { panic!("expected ad") };
             assert_eq!(ad.broker, NodeId(7));
             assert_eq!(ad.realm, RealmId(3));
             assert_eq!(ad.issued_at_utc, 42);
         }
-        assert_eq!(ctx.timers, vec![TIMER_READVERTISE]);
+        assert_eq!(ctx.tokens(), vec![TIMER_READVERTISE]);
     }
 
     #[test]
     fn readvertise_timer_consumed_and_rearmed() {
         let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let consumed =
             adv.handle(&Incoming::Timer { token: TIMER_READVERTISE }, &mut broker, &mut ctx);
         assert!(consumed);
         assert_eq!(adv.ads_sent, 1);
-        assert_eq!(ctx.timers, vec![TIMER_READVERTISE]);
+        assert_eq!(ctx.tokens(), vec![TIMER_READVERTISE]);
         // unrelated timers untouched
         assert!(!adv.handle(&Incoming::Timer { token: 5 }, &mut broker, &mut ctx));
     }
@@ -262,7 +209,7 @@ mod tests {
     fn topic_publication_counts() {
         let mut adv = Advertiser::new(vec![], true, Duration::from_secs(60));
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         adv.advertise(&mut broker, &mut ctx);
         assert_eq!(adv.ads_sent, 1);
         assert_eq!(broker.events_routed, 1, "topic ad routed through the broker");
@@ -272,7 +219,7 @@ mod tests {
     fn private_bdn_discovery_triggers_readvertisement() {
         let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         adv.on_bdn_advertisement(NodeId(200), &mut broker, &mut ctx);
         assert_eq!(adv.discovered_bdns, vec![NodeId(200)]);
         // Re-advertisement went to both the configured and the new BDN.
@@ -290,7 +237,7 @@ mod tests {
     fn federated_bdns_merge_without_duplicates() {
         let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         adv.on_bdn_advertisement(NodeId(200), &mut broker, &mut ctx);
         adv.add_federated_bdns(&[NodeId(100), NodeId(200), NodeId(101), NodeId(101)]);
         assert_eq!(adv.all_bdns(), vec![NodeId(100), NodeId(101), NodeId(200)]);
@@ -302,7 +249,7 @@ mod tests {
     fn clock_sync_triggers_fresh_ad_but_is_not_consumed() {
         let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         assert!(!adv.handle(&Incoming::ClockSynced, &mut broker, &mut ctx));
         assert_eq!(adv.ads_sent, 1);
     }

@@ -19,7 +19,7 @@
 //! * optionally requires credentials before disseminating (private BDNs,
 //!   §2.4).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -27,14 +27,14 @@ use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
 use nb_wire::topic::{BDN_ADVERTISEMENT_TOPIC, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC};
 use nb_wire::{
-    BrokerAdvertisement, DiscoveryRequest, Endpoint, Event, FederationSync, LeaseRecord, Message,
-    NodeId, SyncPhase, Topic, TopicFilter, Wire, WireMsg, WireWriter,
+    BrokerAdvertisement, DiscoveryRequest, Endpoint, Event, FederationSync, Message, NodeId,
+    SyncPhase, Topic, TopicFilter, Wire, WireMsg,
 };
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
 
 use crate::config::SecuritySuite;
-use crate::federation::{self, Federation, FederationConfig};
+use crate::federation::{Federation, FederationConfig, LeaseBook, LeaseOutcome, Registered};
 use crate::policy::ResponsePolicy;
 
 const TIMER_PING: u64 = 0xBD00_0000_0000_0001;
@@ -111,20 +111,6 @@ impl Default for BdnConfig {
     }
 }
 
-/// A registry entry for one advertised broker.
-#[derive(Debug, Clone)]
-pub struct Registered {
-    /// The most recent advertisement.
-    pub ad: BrokerAdvertisement,
-    /// Measured round-trip time to the broker, µs.
-    pub rtt_us: Option<u64>,
-    /// When the advertisement was last refreshed (BDN-local time).
-    pub last_seen: SimTime,
-    /// When the lease lapses (`last_seen + ad_ttl` at refresh time). A
-    /// broker past this instant is never chosen for injection.
-    pub expires_at: SimTime,
-}
-
 /// Orders injection targets: closest first, farthest second, the rest by
 /// ascending RTT, unknown-RTT targets last (paper §4).
 pub fn injection_order(targets: &[(NodeId, Option<u64>)]) -> Vec<NodeId> {
@@ -150,48 +136,15 @@ pub fn injection_order(targets: &[(NodeId, Option<u64>)]) -> Vec<NodeId> {
     order
 }
 
-/// Memoized live-lease view of the registry: the FNV fold over the
-/// sorted live leases (plus the section separator) and the wire-ready
-/// record list, both exactly as [`Bdn::registry_digest`] /
-/// [`Bdn::live_lease_records`] would rebuild them. Valid while the
-/// registry generation is unchanged AND no included lease has lapsed
-/// (`valid_until_us` is the earliest included expiry) — the two ways
-/// the live set can move without a wire event.
-#[derive(Debug)]
-struct LeaseCache {
-    /// Registry generation this view was computed against.
-    version: u64,
-    /// When it was computed (a cache is never served backwards in time).
-    computed_at: SimTime,
-    /// Earliest `expires_at` among the included leases (µs); `u64::MAX`
-    /// when the live set is empty.
-    valid_until_us: u64,
-    /// FNV state over the sorted live leases and the `0xFF` separator;
-    /// tombstones are folded on top per call (they can change without a
-    /// registry mutation, e.g. federation pruning).
-    lease_digest: u64,
-    /// Wire-ready snapshot, in registry (NodeId) order.
-    records: Vec<LeaseRecord>,
-}
-
 /// The BDN actor.
 pub struct Bdn {
     cfg: BdnConfig,
-    /// Ordered so that registry sweeps and key collection are
-    /// deterministic regardless of insertion history (lint rule D002).
-    registry: BTreeMap<NodeId, Registered>,
-    /// Bumped on every mutation that can change the live-lease view
-    /// (ad upsert, expiry sweep, sync merge, tombstone removal) — NOT on
-    /// RTT refreshes, which the digest and records exclude by design.
-    registry_version: u64,
-    /// Per-round memo replacing the old rebuild of the digest and the
-    /// `live_lease_records` Vec on every federation round / digest probe.
-    lease_cache: Option<LeaseCache>,
+    /// The registry: every lease (and, when federated, every tombstone)
+    /// this BDN holds. All mutations go through the book's operations.
+    registry: LeaseBook,
     dedup: BoundedDedup<Uuid>,
     ping_nonces: HashMap<u64, (NodeId, SimTime)>,
     next_nonce: u64,
-    /// Broker-topic attachment state (client-connect handshake).
-    attach_ok: BTreeMap<NodeId, bool>,
     /// Well-known topics, parsed once at construction so receive paths
     /// never carry a panicking parse (lint rule D004).
     flood_topic: Topic,
@@ -233,15 +186,14 @@ impl Bdn {
     pub fn new(cfg: BdnConfig) -> Bdn {
         let dedup = BoundedDedup::new(cfg.dedup_capacity);
         let federation = cfg.federation.clone().map(Federation::new);
+        // Only a federated registry keeps tombstones.
+        let registry = LeaseBook::new(cfg.federation.as_ref().map_or(0, |f| f.max_tombstones));
         Bdn {
             cfg,
-            registry: BTreeMap::new(),
-            registry_version: 0,
-            lease_cache: None,
+            registry,
             dedup,
             ping_nonces: HashMap::new(),
             next_nonce: 1,
-            attach_ok: BTreeMap::new(),
             flood_topic: crate::well_known_topic(DISCOVERY_REQUEST_TOPIC),
             ad_filter: crate::well_known_filter(BROKER_ADVERTISEMENT_TOPIC),
             bdn_ad_topic: crate::well_known_topic(BDN_ADVERTISEMENT_TOPIC),
@@ -268,12 +220,17 @@ impl Bdn {
 
     /// The registry entry for `broker`.
     pub fn registered(&self, broker: NodeId) -> Option<&Registered> {
-        self.registry.get(&broker)
+        self.registry.get(broker)
+    }
+
+    /// The whole registry.
+    pub fn registry(&self) -> &LeaseBook {
+        &self.registry
     }
 
     /// Whether `broker` holds a live advertisement lease at `now`.
     pub fn lease_valid(&self, broker: NodeId, now: SimTime) -> bool {
-        self.registry.get(&broker).is_some_and(|r| now <= r.expires_at)
+        self.registry.get(broker).is_some_and(|r| now <= r.expires_at)
     }
 
     /// Registry entries whose lease is live at `now`. Unlike
@@ -281,7 +238,7 @@ impl Bdn {
     /// lapsed between sweep timers — the silent-ghost window — so all
     /// size reporting goes through here.
     pub fn live_entries(&self, now: SimTime) -> usize {
-        self.registry.values().filter(|r| now <= r.expires_at).count()
+        self.registry.entries().filter(|(_, r)| now <= r.expires_at).count()
     }
 
     /// Federation runtime state, when federated.
@@ -289,200 +246,95 @@ impl Bdn {
         self.federation.as_ref()
     }
 
-    /// FNV-1a-64 digest of the replicated registry state at `now`:
-    /// sorted live leases (broker, origin stamp, ad bytes — local expiry
-    /// and RTT excluded, they carry arrival jitter), then sorted
-    /// tombstones. Mirrors [`crate::federation::LeaseBook::digest`], so
-    /// two quiescent federated BDNs agree byte-for-byte.
+    /// The registry digest at `now` ([`LeaseBook::digest`]): two
+    /// quiescent federated BDNs agree on it byte-for-byte.
     pub fn registry_digest(&self, now: SimTime) -> u64 {
-        let mut h = federation::FNV_OFFSET;
-        let mut w = WireWriter::new();
-        for (broker, reg) in &self.registry {
-            if now > reg.expires_at {
-                continue;
-            }
-            h = federation::fnv1a64_step(h, &broker.0.to_le_bytes());
-            h = federation::fnv1a64_step(h, &reg.ad.issued_at_utc.to_le_bytes());
-            w.clear();
-            reg.ad.encode(&mut w);
-            h = federation::fnv1a64_step(h, w.as_slice());
-        }
-        h = federation::fnv1a64_step(h, &[0xFF]);
-        if let Some(fed) = &self.federation {
-            for (broker, t) in fed.tombstones() {
-                h = federation::fnv1a64_step(h, &broker.0.to_le_bytes());
-                h = federation::fnv1a64_step(h, &t.to_le_bytes());
-            }
-        }
-        h
+        self.registry.digest(now)
     }
 
-    /// Wire-ready snapshot of the live leases at `now` — the uncached
-    /// oracle [`LeaseCache::records`] must always match.
-    pub fn live_lease_records(&self, now: SimTime) -> Vec<LeaseRecord> {
-        self.registry
-            .values()
-            .filter(|reg| now <= reg.expires_at)
-            .map(|reg| LeaseRecord {
-                ad: reg.ad.clone(),
-                expires_at_us: reg.expires_at.as_micros(),
-            })
-            .collect()
+    /// The geography filter: whether `ad` may enter this registry at all.
+    fn admits(&mut self, ad: &BrokerAdvertisement) -> bool {
+        let Some(filter) = &self.cfg.accept_geography else {
+            return true;
+        };
+        let admits = ad.geography.as_deref().is_some_and(|g| g.contains(filter.as_str()));
+        if !admits {
+            self.ads_filtered += 1;
+        }
+        admits
     }
 
-    /// Rebuilds the lease cache iff it cannot be proven current: the
-    /// registry generation moved, time ran backwards past the compute
-    /// point (never in one run, but cheap to guard), or a cached lease
-    /// lapsed since. At quiescence — the common federation steady state —
-    /// every round hits the memo and pays O(tombstones), not O(registry).
-    fn ensure_lease_cache(&mut self, now: SimTime) -> &LeaseCache {
-        let fresh = self.lease_cache.as_ref().is_some_and(|c| {
-            c.version == self.registry_version
-                && c.computed_at <= now
-                && now.as_micros() <= c.valid_until_us
-        });
-        if !fresh {
-            let mut h = federation::FNV_OFFSET;
-            let mut w = WireWriter::new();
-            let mut records = Vec::with_capacity(self.registry.len());
-            let mut valid_until_us = u64::MAX;
-            for (broker, reg) in &self.registry {
-                if now > reg.expires_at {
-                    continue;
+    /// Offers one lease to the registry — a local advertisement and a
+    /// peer's record alike — and attaches to a newly stored broker.
+    /// Returns whether it was stored.
+    fn offer_lease(
+        &mut self,
+        ad: BrokerAdvertisement,
+        expires_at: SimTime,
+        ctx: &mut dyn Context,
+    ) -> bool {
+        let broker = ad.broker;
+        match self.registry.apply_lease(ad, expires_at) {
+            LeaseOutcome::Stored => {}
+            LeaseOutcome::Superseded => return false,
+            LeaseOutcome::Tombstoned => {
+                if let Some(fed) = self.federation.as_mut() {
+                    fed.stats.resurrections_blocked += 1;
                 }
-                h = federation::fnv1a64_step(h, &broker.0.to_le_bytes());
-                h = federation::fnv1a64_step(h, &reg.ad.issued_at_utc.to_le_bytes());
-                w.clear();
-                reg.ad.encode(&mut w);
-                h = federation::fnv1a64_step(h, w.as_slice());
-                valid_until_us = valid_until_us.min(reg.expires_at.as_micros());
-                records.push(LeaseRecord { ad: reg.ad.clone(), expires_at_us: reg.expires_at.as_micros() });
+                return false;
             }
-            h = federation::fnv1a64_step(h, &[0xFF]);
-            self.lease_cache = Some(LeaseCache {
-                version: self.registry_version,
-                computed_at: now,
-                valid_until_us,
-                lease_digest: h,
-                records,
-            });
         }
-        // Both branches leave `lease_cache` populated; the insert arm is
-        // the empty-registry view, kept so no panic path exists here
-        // (lint rule D004).
-        let version = self.registry_version;
-        self.lease_cache.get_or_insert_with(|| LeaseCache {
-            version,
-            computed_at: now,
-            valid_until_us: u64::MAX,
-            lease_digest: federation::fnv1a64_step(federation::FNV_OFFSET, &[0xFF]),
-            records: Vec::new(),
-        })
+        if self.cfg.auto_attach && !self.cfg.attached_brokers.contains(&broker) {
+            self.cfg.attached_brokers.push(broker);
+            send_connect(broker, ctx);
+        }
+        true
     }
 
-    /// [`Bdn::registry_digest`] through the memo: the cached lease fold
-    /// plus a per-call tombstone fold (tombstones move independently of
-    /// the registry). Equality with the oracle is pinned by
-    /// `lease_cache_tracks_digest_and_records_oracles`.
-    pub fn cached_registry_digest(&mut self, now: SimTime) -> u64 {
-        let mut h = self.ensure_lease_cache(now).lease_digest;
-        if let Some(fed) = &self.federation {
-            for (broker, t) in fed.tombstones() {
-                h = federation::fnv1a64_step(h, &broker.0.to_le_bytes());
-                h = federation::fnv1a64_step(h, &t.to_le_bytes());
+    /// Applies one tombstone — a peer's, or one minted from a record that
+    /// expired in flight — and detaches from a broker it retired.
+    fn apply_tombstone(&mut self, broker: NodeId, t: u64) {
+        let out = self.registry.apply_tombstone(broker, t);
+        if out.retired && self.cfg.auto_attach {
+            self.cfg.attached_brokers.retain(|&b| b != broker);
+        }
+        if out.recorded {
+            if let Some(fed) = self.federation.as_mut() {
+                fed.stats.tombstones_applied += 1;
             }
         }
-        h
     }
 
     fn register_ad(&mut self, ad: BrokerAdvertisement, ctx: &mut dyn Context) {
-        if let Some(filter) = &self.cfg.accept_geography {
-            let matches = ad.geography.as_deref().is_some_and(|g| g.contains(filter.as_str()));
-            if !matches {
-                self.ads_filtered += 1;
-                return;
-            }
+        if !self.admits(&ad) {
+            return;
         }
-        let now = ctx.now();
-        let broker = ad.broker;
-        if self.federation.is_some() {
-            // Federated registries only move forward under the merge
-            // order: a tombstoned or out-of-date stamp must not regress
-            // state another BDN already retired.
-            if let Some(fed) = self.federation.as_mut() {
-                if let Some(t) = fed.tombstone_for(broker) {
-                    if federation::tombstone_blocks(t, ad.issued_at_utc) {
-                        fed.stats.resurrections_blocked += 1;
-                        return;
-                    }
-                    fed.clear_tombstone(broker);
-                }
-            }
-            if let Some(existing) = self.registry.get(&broker) {
-                if ad.issued_at_utc < existing.ad.issued_at_utc {
-                    return;
-                }
-            }
-        }
-        let expires_at = now + self.cfg.ad_ttl;
-        let entry = self.registry.entry(broker).or_insert(Registered {
-            ad: ad.clone(),
-            rtt_us: None,
-            last_seen: now,
-            expires_at,
-        });
-        entry.ad = ad;
-        entry.last_seen = now;
-        entry.expires_at = expires_at;
-        self.registry_version += 1;
-        self.ads_registered += 1;
-        if self.cfg.auto_attach && !self.cfg.attached_brokers.contains(&broker) {
-            self.cfg.attached_brokers.push(broker);
-            self.attach_ok.insert(broker, false);
-            send_connect(broker, ctx);
+        let expires_at = ctx.now() + self.cfg.ad_ttl;
+        if self.offer_lease(ad, expires_at, ctx) {
+            self.ads_registered += 1;
         }
     }
 
     fn ping_registered(&mut self, ctx: &mut dyn Context) {
-        // Expire lapsed leases first. Under federation an expiry leaves
-        // a tombstone carrying the retired ad's origin stamp, so a stale
-        // peer can never gossip the dead lease back.
-        let now = ctx.now();
-        let before = self.registry.len();
-        if self.federation.is_some() {
-            let lapsed: Vec<(NodeId, u64)> = self
-                .registry
-                .iter()
-                .filter(|(_, reg)| now > reg.expires_at)
-                .map(|(&b, reg)| (b, reg.ad.issued_at_utc))
-                .collect();
-            for &(b, _) in &lapsed {
-                self.registry.remove(&b);
-            }
-            if let Some(fed) = self.federation.as_mut() {
-                for &(b, stamp) in &lapsed {
-                    fed.note_expired(b, stamp);
-                }
-            }
-        } else {
-            self.registry.retain(|_, reg| now <= reg.expires_at);
-        }
-        let expired = before - self.registry.len();
+        // Expire lapsed leases first (under federation each leaves a
+        // tombstone, so a stale peer can never gossip it back).
+        let expired = self.registry.expire(ctx.now());
         if expired > 0 {
-            self.registry_version += 1;
             self.ads_expired += expired as u64;
             if self.cfg.auto_attach {
                 // Auto-managed attachments follow the registry; pinned
                 // (scenario-configured) attachments are left alone so a
                 // returning broker is usable immediately.
                 let registry = &self.registry;
-                self.cfg.attached_brokers.retain(|b| registry.contains_key(b));
-                self.attach_ok.retain(|b, _| registry.contains_key(b));
+                self.cfg.attached_brokers.retain(|&b| registry.get(b).is_some());
             }
         }
-        let mut brokers: Vec<NodeId> = self.registry.keys().copied().collect();
-        brokers.sort_unstable();
-        for broker in brokers {
+        // Nonce table hygiene, before this sweep's pings go in: drop
+        // entries that never got a pong.
+        if self.ping_nonces.len() > 4096 {
+            self.ping_nonces.clear();
+        }
+        for (broker, _) in self.registry.entries() {
             let nonce = self.next_nonce;
             self.next_nonce += 1;
             self.ping_nonces.insert(nonce, (broker, ctx.now()));
@@ -493,10 +345,6 @@ impl Bdn {
             };
             let to = Endpoint::new(broker, well_known::PING);
             ctx.send_udp_wire(well_known::BDN, to, &WireMsg::new(ping));
-        }
-        // Nonce table hygiene: drop entries that never got a pong.
-        if self.ping_nonces.len() > 4096 {
-            self.ping_nonces.clear();
         }
         ctx.set_timer(self.cfg.ping_interval, TIMER_PING);
     }
@@ -525,7 +373,7 @@ impl Bdn {
         let mut targets: Vec<(NodeId, Option<u64>)> =
             Vec::with_capacity(self.cfg.attached_brokers.len());
         for &b in &self.cfg.attached_brokers {
-            match self.registry.get(&b) {
+            match self.registry.get(b) {
                 Some(reg) if now > reg.expires_at => self.stale_targets_skipped += 1,
                 Some(reg) => targets.push((b, reg.rtt_us)),
                 None if self.cfg.require_lease => self.stale_targets_skipped += 1,
@@ -572,56 +420,46 @@ impl Bdn {
     /// a digest. Snapshots only travel when digests disagree.
     fn federation_round(&mut self, ctx: &mut dyn Context) {
         let me = ctx.me();
-        let utc_now = ctx.utc_micros();
-        let ad_ttl = self.cfg.ad_ttl;
-        let (partner, interval) = match self.federation.as_mut() {
-            Some(fed) => {
-                fed.prune(utc_now, ad_ttl);
-                fed.stats.rounds_run += 1;
-                (fed.pick_partner(me), fed.cfg.round_interval)
-            }
-            None => return,
+        let Some(fed) = self.federation.as_mut() else {
+            return;
         };
-        if let Some(peer) = partner {
-            let digest = self.cached_registry_digest(ctx.now());
+        fed.stats.tombstones_expired +=
+            self.registry.prune(ctx.utc_micros(), self.cfg.ad_ttl, fed.cfg.tombstone_ttl);
+        fed.stats.rounds_run += 1;
+        if let Some(peer) = fed.pick_partner(me) {
             let probe = Message::FederationSync(FederationSync {
                 from: me,
                 phase: SyncPhase::Digest,
-                digest,
+                digest: self.registry.digest(ctx.now()),
                 leases: Vec::new(),
                 tombstones: Vec::new(),
             });
             ctx.send_udp(well_known::BDN, Endpoint::new(peer, well_known::BDN), &probe);
         }
-        ctx.set_timer(interval, TIMER_FEDERATION);
+        ctx.set_timer(fed.cfg.round_interval, TIMER_FEDERATION);
     }
 
     /// Sends a full snapshot (live leases + tombstones) to `peer`.
     fn send_sync_snapshot(&mut self, peer: NodeId, phase: SyncPhase, ctx: &mut dyn Context) {
         let now = ctx.now();
-        let digest = self.cached_registry_digest(now);
-        let leases = self.ensure_lease_cache(now).records.clone();
-        let tombstones = match self.federation.as_mut() {
-            Some(fed) => {
-                fed.stats.entries_pushed += leases.len() as u64;
-                fed.tombstone_records()
-            }
-            None => return,
-        };
+        let leases = self.registry.live_records(now);
+        if let Some(fed) = self.federation.as_mut() {
+            fed.stats.entries_pushed += leases.len() as u64;
+        }
         let sync = Message::FederationSync(FederationSync {
             from: ctx.me(),
             phase,
-            digest,
+            digest: self.registry.digest(now),
             leases,
-            tombstones,
+            tombstones: self.registry.tombstone_records(),
         });
         ctx.send_udp(well_known::BDN, Endpoint::new(peer, well_known::BDN), &sync);
     }
 
     /// Handles one leg of a peer's anti-entropy exchange. Everything in
     /// `sync` is peer-supplied: record counts are bounded and every
-    /// record is validated through the merge predicates — malformed or
-    /// oversized payloads are counted, never panicked on (lint D004).
+    /// record goes through the registry's merge — malformed or oversized
+    /// payloads are counted, never panicked on (lint D004).
     fn on_federation_sync(&mut self, sync: FederationSync, peer: NodeId, ctx: &mut dyn Context) {
         let Some(cap) = self.federation.as_ref().map(|f| f.cfg.max_sync_entries) else {
             // Not federated: sync traffic is unexpected noise.
@@ -633,7 +471,7 @@ impl Bdn {
         }
         match sync.phase {
             SyncPhase::Digest => {
-                let mine = self.cached_registry_digest(ctx.now());
+                let mine = self.registry.digest(ctx.now());
                 if let Some(fed) = self.federation.as_mut() {
                     if mine == sync.digest {
                         fed.stats.digests_matched += 1;
@@ -653,104 +491,32 @@ impl Bdn {
         }
     }
 
-    /// Merges a peer snapshot into the registry: the same join the pure
-    /// [`crate::federation::LeaseBook`] computes, with local arrival
-    /// bookkeeping (RTT preserved, `last_seen` re-stamped) layered on.
+    /// Merges a peer snapshot into the registry, record by record, past
+    /// the same geography filter a local advertisement meets.
     fn apply_sync_snapshot(&mut self, sync: FederationSync, ctx: &mut dyn Context) {
-        let now = ctx.now();
-        let now_us = now.as_micros();
         for rec in sync.leases {
-            if let Some(filter) = &self.cfg.accept_geography {
-                let matches =
-                    rec.ad.geography.as_deref().is_some_and(|g| g.contains(filter.as_str()));
-                if !matches {
-                    self.ads_filtered += 1;
-                    continue;
-                }
+            if !self.admits(&rec.ad) {
+                continue;
             }
-            let broker = rec.ad.broker;
-            if rec.expires_at_us <= now_us {
+            let expires_at = SimTime::from_micros(rec.expires_at_us);
+            if expires_at <= ctx.now() {
                 // Expired in flight: the lease is proof of its own
                 // death — treat it as the tombstone it implies rather
                 // than letting it linger or resurrect anything.
-                self.apply_peer_tombstone(broker, rec.ad.issued_at_utc);
-                continue;
-            }
-            let blocked = match self.federation.as_mut() {
-                Some(fed) => match fed.tombstone_for(broker) {
-                    Some(t) if federation::tombstone_blocks(t, rec.ad.issued_at_utc) => {
-                        fed.stats.resurrections_blocked += 1;
-                        true
-                    }
-                    Some(_) => {
-                        fed.clear_tombstone(broker);
-                        false
-                    }
-                    None => false,
-                },
-                None => return,
-            };
-            if blocked {
-                continue;
-            }
-            if let Some(existing) = self.registry.get(&broker) {
-                let held = LeaseRecord {
-                    ad: existing.ad.clone(),
-                    expires_at_us: existing.expires_at.as_micros(),
-                };
-                if !federation::lease_supersedes(&rec, &held) {
-                    continue;
+                self.apply_tombstone(rec.ad.broker, rec.ad.issued_at_utc);
+            } else if self.offer_lease(rec.ad, expires_at, ctx) {
+                if let Some(fed) = self.federation.as_mut() {
+                    fed.stats.entries_pulled += 1;
                 }
-            }
-            let rtt_us = self.registry.get(&broker).and_then(|r| r.rtt_us);
-            self.registry.insert(
-                broker,
-                Registered {
-                    ad: rec.ad,
-                    rtt_us,
-                    last_seen: now,
-                    expires_at: SimTime::from_micros(rec.expires_at_us),
-                },
-            );
-            self.registry_version += 1;
-            if let Some(fed) = self.federation.as_mut() {
-                fed.stats.entries_pulled += 1;
-            }
-            if self.cfg.auto_attach && !self.cfg.attached_brokers.contains(&broker) {
-                self.cfg.attached_brokers.push(broker);
-                self.attach_ok.insert(broker, false);
-                send_connect(broker, ctx);
             }
         }
         for tomb in sync.tombstones {
-            self.apply_peer_tombstone(tomb.broker, tomb.lease_issued_utc);
-        }
-    }
-
-    /// Applies one tombstone: retires any local lease at or below the
-    /// stamp (a strictly newer lease beats it) and records the stamp.
-    fn apply_peer_tombstone(&mut self, broker: NodeId, t: u64) {
-        if let Some(existing) = self.registry.get(&broker) {
-            if !federation::tombstone_blocks(t, existing.ad.issued_at_utc) {
-                return;
-            }
-            self.registry.remove(&broker);
-            self.registry_version += 1;
-            if self.cfg.auto_attach {
-                self.cfg.attached_brokers.retain(|&b| b != broker);
-                self.attach_ok.remove(&broker);
-            }
-        }
-        if let Some(fed) = self.federation.as_mut() {
-            if fed.absorb_tombstone(broker, t) {
-                fed.stats.tombstones_applied += 1;
-            }
+            self.apply_tombstone(tomb.broker, tomb.lease_issued_utc);
         }
     }
 
     fn attach(&mut self, ctx: &mut dyn Context) {
         for &broker in &self.cfg.attached_brokers {
-            self.attach_ok.insert(broker, false);
             send_connect(broker, ctx);
         }
     }
@@ -804,15 +570,11 @@ impl Actor for Bdn {
                 }
                 Message::Pong { nonce, .. } => {
                     if let Some((broker, sent)) = self.ping_nonces.remove(&nonce) {
-                        let rtt = (ctx.now() - sent).as_micros() as u64;
-                        if let Some(entry) = self.registry.get_mut(&broker) {
-                            entry.rtt_us = Some(rtt);
-                        }
+                        self.registry.set_rtt(broker, (ctx.now() - sent).as_micros() as u64);
                     }
                 }
                 Message::ClientConnectAck { broker, accepted }
                     if accepted => {
-                        self.attach_ok.insert(broker, true);
                         // Subscribe to the advertisement topic through
                         // this broker.
                         ctx.send_stream(
@@ -864,59 +626,15 @@ impl Actor for Bdn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nb_wire::{Port, RealmId, TombstoneRecord};
+    use crate::test_ctx::TestCtx;
+    use nb_wire::{LeaseRecord, Port, RealmId, TombstoneRecord};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
-    struct FakeCtx {
-        now: SimTime,
-        sent: Vec<(Endpoint, Message)>,
-        rng: rand::rngs::StdRng,
-    }
-
-    impl FakeCtx {
-        fn new() -> FakeCtx {
-            use rand::SeedableRng;
-            FakeCtx {
-                now: SimTime::from_secs(100),
-                sent: vec![],
-                rng: rand::rngs::StdRng::seed_from_u64(3),
-            }
-        }
-    }
-
-    impl Context for FakeCtx {
-        fn me(&self) -> NodeId {
-            NodeId(200)
-        }
-        fn realm(&self) -> RealmId {
-            RealmId(1)
-        }
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn utc_micros(&self) -> u64 {
-            self.now.as_micros()
-        }
-        fn clock_synced(&self) -> bool {
-            true
-        }
-        fn raw_local_micros(&self) -> u64 {
-            self.now.as_micros()
-        }
-        fn set_clock_estimate_ns(&mut self, _est: i64) {}
-        fn send_udp(&mut self, _from: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((to, msg.clone()));
-        }
-        fn send_stream(&mut self, _from: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((to, msg.clone()));
-        }
-        fn send_multicast(&mut self, _f: Port, _g: nb_wire::GroupId, _t: Port, _m: &Message) {}
-        fn join_group(&mut self, _g: nb_wire::GroupId) {}
-        fn leave_group(&mut self, _g: nb_wire::GroupId) {}
-        fn set_timer(&mut self, _d: Duration, _token: u64) {}
-        fn cancel_timer(&mut self, _t: u64) {}
-        fn rng(&mut self) -> &mut dyn rand::RngCore {
-            &mut self.rng
-        }
+    fn new_ctx() -> TestCtx {
+        TestCtx::new(NodeId(200), RealmId(1), SimTime::from_secs(100), 3)
     }
 
     fn fed_bdn(require_lease: bool) -> Bdn {
@@ -958,15 +676,15 @@ mod tests {
     fn merged_expired_lease_becomes_tombstone_and_fails_require_lease() {
         let mut bdn = fed_bdn(true);
         bdn.cfg.attached_brokers = vec![NodeId(5)];
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let now_us = ctx.now.as_micros();
         // A peer pushes a lease that expired in flight.
         let rec = LeaseRecord { ad: ad_for(5, 10), expires_at_us: now_us - 1 };
         bdn.on_federation_sync(push_sync(vec![rec], vec![]), NodeId(201), &mut ctx);
         assert!(!bdn.lease_valid(NodeId(5), ctx.now), "expired lease never enters");
         assert_eq!(bdn.live_entries(ctx.now), 0);
-        let fed = bdn.federation().expect("federated");
-        assert_eq!(fed.tombstone_for(NodeId(5)), Some(10), "it tombstones instead");
+        let tombstones: Vec<(NodeId, u64)> = bdn.registry().tombstones().collect();
+        assert_eq!(tombstones, vec![(NodeId(5), 10)], "it tombstones instead");
         // Strict mode then refuses to inject at the pinned attachment.
         let req = DiscoveryRequest {
             request_id: Uuid::from_u128(9),
@@ -986,7 +704,7 @@ mod tests {
     #[test]
     fn tombstone_blocks_direct_resurrection_until_fresher_ad() {
         let mut bdn = fed_bdn(false);
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         bdn.on_federation_sync(
             push_sync(vec![], vec![TombstoneRecord { broker: NodeId(5), lease_issued_utc: 50 }]),
             NodeId(201),
@@ -999,7 +717,7 @@ mod tests {
         // …a genuinely fresh one clears the tombstone and registers.
         bdn.register_ad(ad_for(5, 51), &mut ctx);
         assert!(bdn.lease_valid(NodeId(5), ctx.now));
-        assert_eq!(bdn.federation().and_then(|f| f.tombstone_for(NodeId(5))), None);
+        assert_eq!(bdn.registry().tombstones().next(), None);
     }
 
     #[test]
@@ -1012,7 +730,7 @@ mod tests {
             auto_attach: false,
             ..BdnConfig::default()
         });
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let now_us = ctx.now.as_micros();
         let leases: Vec<LeaseRecord> = (0..3)
             .map(|i| LeaseRecord { ad: ad_for(i, 10), expires_at_us: now_us + 1_000_000 })
@@ -1027,12 +745,12 @@ mod tests {
     fn digest_match_skips_snapshot_exchange() {
         let mut a = fed_bdn(false);
         let mut b = fed_bdn(false);
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let now_us = ctx.now.as_micros();
         let rec = LeaseRecord { ad: ad_for(5, 10), expires_at_us: now_us + 1_000_000 };
         a.on_federation_sync(push_sync(vec![rec.clone()], vec![]), NodeId(201), &mut ctx);
         // `a` replied to the push with its merged snapshot; feed it to `b`.
-        let Some((_, Message::FederationSync(reply))) = ctx.sent.pop() else {
+        let Some((_, _, Message::FederationSync(reply))) = ctx.sent.pop() else {
             panic!("push reply expected");
         };
         assert_eq!(reply.phase, SyncPhase::PushReply);
@@ -1053,48 +771,34 @@ mod tests {
     }
 
     #[test]
-    fn lease_cache_tracks_digest_and_records_oracles() {
-        let mut bdn = fed_bdn(false);
-        let mut ctx = FakeCtx::new();
-        let check = |bdn: &mut Bdn, now: SimTime, label: &str| {
-            assert_eq!(
-                bdn.cached_registry_digest(now),
-                bdn.registry_digest(now),
-                "digest memo diverged from oracle: {label}"
-            );
-            let cached = bdn.lease_cache.as_ref().expect("cache populated").records.clone();
-            let oracle = bdn.live_lease_records(now);
-            assert_eq!(cached.len(), oracle.len(), "record memo diverged: {label}");
-            for (c, o) in cached.iter().zip(&oracle) {
-                assert_eq!(c.ad.broker, o.ad.broker, "{label}");
-                assert_eq!(c.expires_at_us, o.expires_at_us, "{label}");
-            }
-        };
-        check(&mut bdn, ctx.now, "empty registry");
-        // Growth via direct ads.
-        for b in [5u32, 9, 3] {
-            bdn.register_ad(ad_for(b, 10 + u64::from(b)), &mut ctx);
-            check(&mut bdn, ctx.now, "after register_ad");
+    fn one_sweep_past_the_nonce_bound_measures_every_rtt() {
+        // One more broker than the nonce table's hygiene bound: the
+        // sweep's own pings must survive it.
+        const BROKERS: u32 = 4_097;
+        let mut bdn = Bdn::new(BdnConfig { auto_attach: false, ..BdnConfig::default() });
+        let mut ctx = new_ctx();
+        for b in 0..BROKERS {
+            bdn.register_ad(ad_for(b, 10), &mut ctx);
         }
-        // A refresh (same broker, newer stamp) changes the digest too.
-        bdn.register_ad(ad_for(5, 40), &mut ctx);
-        check(&mut bdn, ctx.now, "after lease refresh");
-        // RTT update must NOT invalidate (excluded from the view) — and
-        // must not change either side.
-        let before = bdn.cached_registry_digest(ctx.now);
-        bdn.registry.get_mut(&NodeId(5)).unwrap().rtt_us = Some(123);
-        check(&mut bdn, ctx.now, "after rtt refresh");
-        assert_eq!(bdn.cached_registry_digest(ctx.now), before);
-        // Pure time advance past a lease's expiry: no mutation, but the
-        // live set shrinks — valid_until must catch it.
-        let past_expiry = ctx.now + bdn.cfg.ad_ttl + Duration::from_secs(1);
-        check(&mut bdn, past_expiry, "after silent expiry");
-        assert_eq!(bdn.live_lease_records(past_expiry).len(), 0);
-        // Tombstones fold per call: removing via a peer tombstone moves
-        // both the registry and the tombstone set.
-        bdn.register_ad(ad_for(7, 99), &mut ctx);
-        bdn.apply_peer_tombstone(NodeId(7), 100);
-        check(&mut bdn, ctx.now, "after tombstone removal");
+        bdn.on_incoming(Incoming::Timer { token: TIMER_PING }, &mut ctx);
+        let nonces: Vec<u64> = ctx
+            .sent
+            .iter()
+            .filter_map(|(_, _, m)| match m {
+                Message::Ping { nonce, .. } => Some(*nonce),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(nonces.len(), BROKERS as usize, "one ping per registered broker");
+        ctx.now += Duration::from_millis(3);
+        for nonce in nonces {
+            let pong = Message::Pong { nonce, echoed_sent_at: 0, responder: NodeId(0) };
+            let from = Endpoint::new(NodeId(0), well_known::PING);
+            let event = Incoming::Datagram { from, to_port: well_known::BDN, msg: pong.into() };
+            bdn.on_incoming(event, &mut ctx);
+        }
+        let measured = bdn.registry().entries().filter(|(_, r)| r.rtt_us == Some(3_000)).count();
+        assert_eq!(measured, BROKERS as usize, "every pong of the sweep was matched");
     }
 
     #[test]
@@ -1137,5 +841,113 @@ mod tests {
             injection_order(&[(NodeId(1), Some(5)), (NodeId(2), Some(9))]),
             vec![NodeId(1), NodeId(2)]
         );
+    }
+
+    // The book's own proptests (`tests/proptests.rs`) see only the merge.
+    // These deliver one op set through `on_incoming`, so the filters the
+    // BDN applies before it merges are in the loop too.
+
+    /// The test context's clock, µs.
+    const NOW_US: u64 = 100_000_000;
+
+    /// Ads are content-addressed by (broker, stamp, geography), as every
+    /// BDN that hears one heartbeat holds the same bytes.
+    fn arb_ad() -> impl Strategy<Value = BrokerAdvertisement> {
+        (0u32..5, 0u64..40, 0u8..3).prop_map(|(broker, issued, geo)| BrokerAdvertisement {
+            geography: [None, Some("us-east".to_string()), Some("eu-west".to_string())]
+                .into_iter()
+                .nth(usize::from(geo))
+                .flatten(),
+            ..ad_for(broker, issued)
+        })
+    }
+
+    /// A `Push` or `PushReply` leg: live leases (up to ten minutes out)
+    /// and tombstones.
+    fn arb_leg() -> impl Strategy<Value = FederationSync> {
+        (
+            any::<bool>(),
+            prop::collection::vec((arb_ad(), 1u64..600), 0..4),
+            prop::collection::vec((0u32..5, 0u64..40), 0..3),
+        )
+            .prop_map(|(reply, leases, tombstones)| FederationSync {
+                from: NodeId(201),
+                phase: if reply { SyncPhase::PushReply } else { SyncPhase::Push },
+                digest: 0,
+                leases: leases
+                    .into_iter()
+                    .map(|(ad, secs)| LeaseRecord { ad, expires_at_us: NOW_US + secs * 1_000_000 })
+                    .collect(),
+                tombstones: tombstones
+                    .into_iter()
+                    .map(|(b, t)| TombstoneRecord { broker: NodeId(b), lease_issued_utc: t })
+                    .collect(),
+            })
+    }
+
+    /// Local ads, sync legs, and one leg whose record expired in flight.
+    fn arb_ops() -> impl Strategy<Value = Vec<Message>> {
+        (prop::collection::vec(arb_ad(), 0..10), prop::collection::vec(arb_leg(), 0..6), arb_ad())
+            .prop_map(|(ads, legs, dead)| {
+                let mut ops: Vec<Message> = ads.into_iter().map(Message::Advertisement).collect();
+                ops.extend(legs.into_iter().map(Message::FederationSync));
+                let dead = LeaseRecord { ad: dead, expires_at_us: NOW_US };
+                ops.push(Message::FederationSync(FederationSync {
+                    phase: SyncPhase::PushReply,
+                    ..push_sync(vec![dead], vec![])
+                }));
+                ops
+            })
+    }
+
+    /// Delivers `ops` to three federated BDNs, each in its own seeded
+    /// order, and returns each one's registry digest and live records.
+    fn deliver_in_three_orders(
+        ops: &[Message],
+        seeds: [u64; 3],
+        accept_geography: Option<&str>,
+    ) -> Vec<(u64, Vec<LeaseRecord>)> {
+        seeds
+            .iter()
+            .map(|&seed| {
+                let mut bdn = fed_bdn(false);
+                bdn.cfg.accept_geography = accept_geography.map(String::from);
+                let mut ctx = new_ctx();
+                let mut order = ops.to_vec();
+                order.shuffle(&mut StdRng::seed_from_u64(seed));
+                for msg in order {
+                    let from = Endpoint::new(NodeId(201), well_known::BDN);
+                    let event =
+                        Incoming::Datagram { from, to_port: well_known::BDN, msg: msg.into() };
+                    bdn.on_incoming(event, &mut ctx);
+                }
+                (bdn.registry_digest(ctx.now), bdn.registry().live_records(ctx.now))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn federated_bdns_converge_under_any_delivery_order(
+            ops in arb_ops(),
+            seeds in any::<[u64; 3]>(),
+        ) {
+            let ends = deliver_in_three_orders(&ops, seeds, None);
+            prop_assert_eq!(&ends[0], &ends[1]);
+            prop_assert_eq!(&ends[0], &ends[2]);
+        }
+
+        #[test]
+        fn geography_filtered_bdns_converge_under_any_delivery_order(
+            ops in arb_ops(),
+            seeds in any::<[u64; 3]>(),
+        ) {
+            let ends = deliver_in_three_orders(&ops, seeds, Some("us"));
+            prop_assert_eq!(&ends[0], &ends[1]);
+            prop_assert_eq!(&ends[0], &ends[2]);
+            for rec in &ends[0].1 {
+                prop_assert!(rec.ad.geography.as_deref().is_some_and(|g| g.contains("us")));
+            }
+        }
     }
 }

@@ -759,76 +759,12 @@ mod tests {
 #[cfg(test)]
 mod state_machine_tests {
     use super::*;
+    use crate::test_ctx::TestCtx;
     use nb_wire::message::TransportEndpoint;
-    use nb_wire::{GroupId, Port, RealmId, UsageMetrics};
+    use nb_wire::{RealmId, UsageMetrics};
 
-    /// A scripted context: records sends and timers, advances time on
-    /// demand.
-    struct FakeCtx {
-        now_ms: u64,
-        sent: Vec<(Port, Endpoint, Message)>,
-        timers: Vec<(Duration, u64)>,
-        cancelled: Vec<u64>,
-        rng: rand::rngs::StdRng,
-    }
-
-    impl FakeCtx {
-        fn new() -> FakeCtx {
-            use rand::SeedableRng;
-            FakeCtx {
-                now_ms: 0,
-                sent: Vec::new(),
-                timers: Vec::new(),
-                cancelled: Vec::new(),
-                rng: rand::rngs::StdRng::seed_from_u64(1),
-            }
-        }
-
-        fn last_kind(&self) -> &'static str {
-            self.sent.last().map(|(_, _, m)| m.kind()).unwrap_or("-")
-        }
-    }
-
-    impl Context for FakeCtx {
-        fn me(&self) -> NodeId {
-            NodeId(9)
-        }
-        fn realm(&self) -> RealmId {
-            RealmId(0)
-        }
-        fn now(&self) -> SimTime {
-            SimTime::from_millis(self.now_ms)
-        }
-        fn utc_micros(&self) -> u64 {
-            self.now_ms * 1000
-        }
-        fn clock_synced(&self) -> bool {
-            true
-        }
-        fn raw_local_micros(&self) -> u64 {
-            self.now_ms * 1000
-        }
-        fn set_clock_estimate_ns(&mut self, _e: i64) {}
-        fn send_udp(&mut self, p: Port, to: Endpoint, m: &Message) {
-            self.sent.push((p, to, m.clone()));
-        }
-        fn send_stream(&mut self, p: Port, to: Endpoint, m: &Message) {
-            self.sent.push((p, to, m.clone()));
-        }
-        fn send_multicast(&mut self, p: Port, _g: GroupId, tp: Port, m: &Message) {
-            self.sent.push((p, Endpoint::new(NodeId(u32::MAX), tp), m.clone()));
-        }
-        fn join_group(&mut self, _g: GroupId) {}
-        fn leave_group(&mut self, _g: GroupId) {}
-        fn set_timer(&mut self, d: Duration, t: u64) {
-            self.timers.push((d, t));
-        }
-        fn cancel_timer(&mut self, t: u64) {
-            self.cancelled.push(t);
-        }
-        fn rng(&mut self) -> &mut dyn rand::RngCore {
-            &mut self.rng
-        }
+    fn new_ctx() -> TestCtx {
+        TestCtx::new(NodeId(9), RealmId(0), SimTime::ZERO, 1)
     }
 
     fn response_from(broker: u32, request_id: Uuid, utc: u64) -> Message {
@@ -875,7 +811,7 @@ mod state_machine_tests {
 
     #[test]
     fn full_walk_request_to_done_with_implicit_ack() {
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let mut c = client_with(2);
         c.begin(&mut ctx);
         assert_eq!(c.phase(), Phase::AwaitingAck);
@@ -884,12 +820,12 @@ mod state_machine_tests {
 
         // A response lands before any ack: implicit transition into
         // Collecting (the paper's ack is a receipt, not a gate).
-        ctx.now_ms = 20;
+        ctx.now = SimTime::from_millis(20);
         c.on_incoming(datagram(response_from(1, rid, 15_000)), &mut ctx);
         assert_eq!(c.phase(), Phase::Collecting);
 
         // The second response hits max_responses: straight to Pinging.
-        ctx.now_ms = 40;
+        ctx.now = SimTime::from_millis(40);
         c.on_incoming(datagram(response_from(2, rid, 30_000)), &mut ctx);
         assert_eq!(c.phase(), Phase::Pinging);
         let pings: Vec<&Message> =
@@ -902,12 +838,12 @@ mod state_machine_tests {
             _ => unreachable!(),
         };
         let nonces: Vec<u64> = pings.iter().map(nonce_of).collect();
-        ctx.now_ms = 45;
+        ctx.now = SimTime::from_millis(45);
         c.on_incoming(
             datagram(Message::Pong { nonce: nonces[0], echoed_sent_at: 0, responder: NodeId(1) }),
             &mut ctx,
         );
-        ctx.now_ms = 70;
+        ctx.now = SimTime::from_millis(70);
         c.on_incoming(
             datagram(Message::Pong { nonce: nonces[1], echoed_sent_at: 0, responder: NodeId(2) }),
             &mut ctx,
@@ -916,7 +852,7 @@ mod state_machine_tests {
         assert_eq!(ctx.last_kind(), "client-connect");
 
         // The winner (broker 1, lower RTT) accepts.
-        ctx.now_ms = 80;
+        ctx.now = SimTime::from_millis(80);
         c.on_incoming(
             Incoming::Stream {
                 from: Endpoint::new(NodeId(1), well_known::BROKER),
@@ -935,7 +871,7 @@ mod state_machine_tests {
 
     #[test]
     fn stale_responses_from_previous_runs_are_ignored() {
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let mut c = client_with(5);
         c.begin(&mut ctx);
         let old = Uuid::from_u128(0xDEAD);
@@ -945,7 +881,7 @@ mod state_machine_tests {
 
     #[test]
     fn multicast_only_begins_in_collecting() {
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let mut c = DiscoveryClient::with_auto_start(
             DiscoveryConfig { multicast_only: true, ..DiscoveryConfig::default() },
             false,
@@ -960,7 +896,7 @@ mod state_machine_tests {
     #[test]
     fn backoff_rotates_bdns_with_exponential_delays() {
         use crate::config::RetryPolicy;
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let mut c = DiscoveryClient::with_auto_start(
             DiscoveryConfig {
                 bdns: vec![NodeId(100), NodeId(200)],
@@ -1010,7 +946,7 @@ mod state_machine_tests {
     fn jittered_backoff_delays_stay_within_bounds() {
         use crate::config::RetryPolicy;
         let p = RetryPolicy::new(Duration::from_millis(100), 2.0, Duration::from_secs(2), 0.25);
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         for attempt in 0..12 {
             let nominal = p.nominal(attempt);
             for _ in 0..50 {
@@ -1023,7 +959,7 @@ mod state_machine_tests {
 
     #[test]
     fn multicast_disabled_skips_fallback_and_uses_cached_targets() {
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let mut c = DiscoveryClient::with_auto_start(
             DiscoveryConfig {
                 bdns: vec![NodeId(100)],
@@ -1046,7 +982,7 @@ mod state_machine_tests {
 
     #[test]
     fn connect_rejection_walks_then_fails() {
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let mut c = client_with(2);
         c.begin(&mut ctx);
         let rid = c.request.as_ref().unwrap().request_id;

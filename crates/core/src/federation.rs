@@ -1,4 +1,5 @@
-//! BDN federation: gossip-replicated advertisement leases.
+//! The BDN registry ([`LeaseBook`]) and BDN federation: gossip-replicated
+//! advertisement leases.
 //!
 //! The paper keeps each BDN an isolated registry — BDNs "need not agree"
 //! — so a client whose configured BDNs all die simply cannot discover
@@ -17,7 +18,7 @@
 //! candidate states are totally ordered:
 //!
 //! * a lease sorts by `(ad.issued_at_utc, 0, encoded-ad-bytes,
-//!   expires_at_us)`,
+//!   expires_at)`,
 //! * a tombstone retiring leases issued at or before `t` sorts by
 //!   `(t, 1)` — it beats any lease it retires (ties included) and loses
 //!   to any strictly newer lease.
@@ -26,6 +27,13 @@
 //! **origin-stamped** `issued_at_utc` — every BDN that hears the same
 //! heartbeat stores the same key — never the local arrival time, which
 //! differs by delivery jitter and would keep digests from ever agreeing.
+//!
+//! [`LeaseBook`] is that join, and it is the registry every
+//! [`crate::Bdn`] owns: a local advertisement and a peer's lease record
+//! pass the same rule ([`LeaseBook::apply_lease`]), a peer tombstone and a
+//! record that expired in flight the same tombstone operation, and the
+//! ping sweep one expiry operation. Federation adds only gossip and the
+//! tombstone an expiry leaves behind.
 //!
 //! ## Why tombstones
 //!
@@ -40,10 +48,12 @@
 //! `t + delivery + ad_ttl` and expired leases never enter a registry on
 //! merge.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use nb_wire::{LeaseRecord, NodeId, TombstoneRecord, Wire, WireWriter};
+use nb_net::SimTime;
+use nb_wire::{BrokerAdvertisement, LeaseRecord, NodeId, TombstoneRecord, Wire, WireWriter};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -119,37 +129,20 @@ pub fn fnv1a64_step(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Does `incoming` supersede `existing` under the lease total order?
-/// Ties (identical stamp, bytes and expiry) do **not** supersede, so
-/// re-applying a record is a no-op (idempotence).
-pub fn lease_supersedes(incoming: &LeaseRecord, existing: &LeaseRecord) -> bool {
-    match incoming.ad.issued_at_utc.cmp(&existing.ad.issued_at_utc) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Less => false,
-        std::cmp::Ordering::Equal => {
-            if incoming.ad == existing.ad {
-                return incoming.expires_at_us > existing.expires_at_us;
-            }
-            let mut wi = WireWriter::new();
-            incoming.ad.encode(&mut wi);
-            let mut we = WireWriter::new();
-            existing.ad.encode(&mut we);
-            match wi.as_slice().cmp(we.as_slice()) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => incoming.expires_at_us > existing.expires_at_us,
-            }
-        }
-    }
+/// A registry entry for one advertised broker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Registered {
+    /// The most recent advertisement.
+    pub ad: BrokerAdvertisement,
+    /// Measured round-trip time to the broker, µs. Local to this BDN:
+    /// never gossiped, never digested, kept across lease refreshes.
+    pub rtt_us: Option<u64>,
+    /// When the lease lapses (BDN-local). A broker past this instant is
+    /// never chosen for injection.
+    pub expires_at: SimTime,
 }
 
-/// Does a tombstone at stamp `t` retire a lease issued at `issued_at`?
-/// The tombstone wins exact ties: it was minted *from* that lease.
-pub fn tombstone_blocks(t: u64, issued_at: u64) -> bool {
-    issued_at <= t
-}
-
-/// What [`LeaseBook::apply_lease`] did with a record.
+/// What [`LeaseBook::apply_lease`] did with a lease.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaseOutcome {
     /// Stored (fresh entry or superseding refresh).
@@ -160,79 +153,188 @@ pub enum LeaseOutcome {
     Tombstoned,
 }
 
-/// The pure replicated-registry state: live leases plus tombstones, with
-/// merge as the pointwise join described in the module docs. The BDN's
-/// own registry routes every federated mutation through the same
-/// [`lease_supersedes`]/[`tombstone_blocks`] predicates; this standalone
-/// form exists so the algebraic laws are directly property-testable.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// What [`LeaseBook::apply_tombstone`] changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TombstoneOutcome {
+    /// A held lease at or below the stamp was retired.
+    pub retired: bool,
+    /// The stamp was recorded: no equal-or-newer one was held.
+    pub recorded: bool,
+}
+
+/// Does a lease `(ad, expires_at)` supersede `held` under the lease total
+/// order? Ties (identical stamp, bytes and expiry) do **not** supersede,
+/// so re-applying a lease is a no-op (idempotence).
+fn lease_supersedes(ad: &BrokerAdvertisement, expires_at: SimTime, held: &Registered) -> bool {
+    let by_bytes = || {
+        let (mut wi, mut wh) = (WireWriter::new(), WireWriter::new());
+        ad.encode(&mut wi);
+        held.ad.encode(&mut wh);
+        wi.as_slice().cmp(wh.as_slice())
+    };
+    let order = match ad.issued_at_utc.cmp(&held.ad.issued_at_utc) {
+        Ordering::Equal if *ad == held.ad => Ordering::Equal,
+        Ordering::Equal => by_bytes(),
+        stamp => stamp,
+    };
+    order.then(expires_at.cmp(&held.expires_at)) == Ordering::Greater
+}
+
+/// Does a tombstone at stamp `t` retire a lease issued at `issued_at`?
+/// The tombstone wins exact ties: it was minted *from* that lease.
+fn tombstone_blocks(t: u64, issued_at: u64) -> bool {
+    issued_at <= t
+}
+
+/// The BDN registry: live leases by broker plus, when federated, the
+/// bounded tombstone cache, with merge as the pointwise join described
+/// in the module docs. Every lease and tombstone a [`crate::Bdn`] takes
+/// in goes through [`LeaseBook::apply_lease`] or
+/// [`LeaseBook::apply_tombstone`] (the ping sweep's `expire` too), so the
+/// semilattice proptests drive the code the BDN runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseBook {
-    /// Live leases by broker.
-    pub leases: BTreeMap<NodeId, LeaseRecord>,
-    /// Retired stamps by broker.
-    pub tombstones: BTreeMap<NodeId, u64>,
+    /// Ordered so that sweeps, snapshots and the digest are deterministic
+    /// regardless of insertion history (lint rule D002).
+    leases: BTreeMap<NodeId, Registered>,
+    tombstones: BTreeMap<NodeId, u64>,
+    max_tombstones: usize,
 }
 
 impl LeaseBook {
-    /// Applies one lease record (the per-broker join with a lease).
-    pub fn apply_lease(&mut self, rec: LeaseRecord) -> LeaseOutcome {
-        let broker = rec.ad.broker;
+    /// An empty book keeping at most `max_tombstones` tombstones (oldest
+    /// stamp evicted first). A book that keeps none is the non-federated
+    /// registry: an expired lease simply drops.
+    pub fn new(max_tombstones: usize) -> LeaseBook {
+        LeaseBook { leases: BTreeMap::new(), tombstones: BTreeMap::new(), max_tombstones }
+    }
+
+    /// Registered broker count (live or lapsed but not yet swept).
+    pub(crate) fn len(&self) -> usize {
+        self.leases.len()
+    }
+
+    /// The entry for `broker`.
+    pub fn get(&self, broker: NodeId) -> Option<&Registered> {
+        self.leases.get(&broker)
+    }
+
+    /// Records a measured RTT to `broker`, if it is registered.
+    pub(crate) fn set_rtt(&mut self, broker: NodeId, rtt_us: u64) {
+        if let Some(entry) = self.leases.get_mut(&broker) {
+            entry.rtt_us = Some(rtt_us);
+        }
+    }
+
+    /// Every entry, in broker order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (NodeId, &Registered)> {
+        self.leases.iter().map(|(&b, r)| (b, r))
+    }
+
+    /// Every tombstone `(broker, retired stamp)`, in broker order.
+    pub fn tombstones(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.tombstones.iter().map(|(&b, &t)| (b, t))
+    }
+
+    /// Whether `broker` holds a lease live at `now` that its own
+    /// tombstone retires — a resurrected ghost. Never true while the
+    /// merge keeps its invariant.
+    pub fn resurrected(&self, broker: NodeId, now: SimTime) -> bool {
+        match (self.leases.get(&broker), self.tombstones.get(&broker)) {
+            (Some(reg), Some(&t)) => {
+                now <= reg.expires_at && tombstone_blocks(t, reg.ad.issued_at_utc)
+            }
+            _ => false,
+        }
+    }
+
+    /// Applies one lease (the per-broker join with a lease). A stored
+    /// refresh keeps the entry's measured RTT.
+    pub fn apply_lease(&mut self, ad: BrokerAdvertisement, expires_at: SimTime) -> LeaseOutcome {
+        let broker = ad.broker;
         if let Some(&t) = self.tombstones.get(&broker) {
-            if tombstone_blocks(t, rec.ad.issued_at_utc) {
+            if tombstone_blocks(t, ad.issued_at_utc) {
                 return LeaseOutcome::Tombstoned;
             }
             // Strictly newer lease: the tombstone is fully retired.
             self.tombstones.remove(&broker);
         }
-        match self.leases.get(&broker) {
-            Some(existing) if !lease_supersedes(&rec, existing) => LeaseOutcome::Superseded,
-            _ => {
-                self.leases.insert(broker, rec);
-                LeaseOutcome::Stored
+        let rtt_us = match self.leases.get(&broker) {
+            Some(held) if !lease_supersedes(&ad, expires_at, held) => {
+                return LeaseOutcome::Superseded;
             }
-        }
+            held => held.and_then(|h| h.rtt_us),
+        };
+        self.leases.insert(broker, Registered { ad, rtt_us, expires_at });
+        LeaseOutcome::Stored
     }
 
-    /// Applies one tombstone (the per-broker join with a tombstone).
-    /// Returns whether anything changed.
-    pub fn apply_tombstone(&mut self, broker: NodeId, t: u64) -> bool {
-        if let Some(existing) = self.leases.get(&broker) {
-            if !tombstone_blocks(t, existing.ad.issued_at_utc) {
-                return false; // a newer lease beats this tombstone
+    /// Applies one tombstone (the per-broker join with a tombstone): a
+    /// strictly newer lease beats it; otherwise it retires the held lease
+    /// and its stamp is kept, bound permitting.
+    pub fn apply_tombstone(&mut self, broker: NodeId, t: u64) -> TombstoneOutcome {
+        let mut out = TombstoneOutcome::default();
+        if let Some(held) = self.leases.get(&broker) {
+            if !tombstone_blocks(t, held.ad.issued_at_utc) {
+                return out;
             }
             self.leases.remove(&broker);
+            out.retired = true;
         }
-        match self.tombstones.get(&broker) {
-            Some(&have) if have >= t => false,
-            _ => {
-                self.tombstones.insert(broker, t);
-                true
-            }
+        if self.max_tombstones == 0 || self.tombstones.get(&broker).is_some_and(|&have| have >= t) {
+            return out;
         }
+        self.tombstones.insert(broker, t);
+        out.recorded = true;
+        while self.tombstones.len() > self.max_tombstones {
+            // Evict the oldest retired stamp (ties: lowest broker id).
+            let Some((&oldest, _)) = self.tombstones.iter().min_by_key(|&(b, &t)| (t, b.0)) else {
+                break;
+            };
+            self.tombstones.remove(&oldest);
+        }
+        out
     }
 
-    /// Merges every record of `other` into `self` (the full join).
-    pub fn merge_from(&mut self, other: &LeaseBook) {
-        for rec in other.leases.values() {
-            self.apply_lease(rec.clone());
+    /// The ping sweep: drops every lease lapsed at `now`, each through
+    /// [`LeaseBook::apply_tombstone`] at its own stamp, so a federated
+    /// book keeps a tombstone a stale peer cannot gossip past. Returns
+    /// how many lapsed.
+    pub(crate) fn expire(&mut self, now: SimTime) -> usize {
+        let lapsed: Vec<(NodeId, u64)> = self
+            .leases
+            .iter()
+            .filter(|(_, reg)| now > reg.expires_at)
+            .map(|(&b, reg)| (b, reg.ad.issued_at_utc))
+            .collect();
+        for &(broker, stamp) in &lapsed {
+            self.apply_tombstone(broker, stamp);
         }
-        for (&broker, &t) in &other.tombstones {
-            self.apply_tombstone(broker, t);
-        }
+        lapsed.len()
     }
 
-    /// FNV-1a-64 digest over the whole book: sorted leases (broker,
-    /// stamp, ad bytes — expiry and RTT deliberately excluded, they are
-    /// arrival-local), then sorted tombstones. Two BDNs with equal
-    /// digests hold interchangeable registries.
-    pub fn digest(&self) -> u64 {
+    /// TTL pruning: a tombstone is safe to forget once every lease it
+    /// could block has certainly expired (`t + ad_ttl`) and the grace
+    /// window `tombstone_ttl` has passed. Returns how many were dropped.
+    pub(crate) fn prune(&mut self, now_us: u64, ad_ttl: Duration, tombstone_ttl: Duration) -> u64 {
+        let horizon = ad_ttl.as_micros() as u64 + tombstone_ttl.as_micros() as u64;
+        let before = self.tombstones.len();
+        self.tombstones.retain(|_, &mut t| t.saturating_add(horizon) > now_us);
+        (before - self.tombstones.len()) as u64
+    }
+
+    /// FNV-1a-64 digest of the replicated state at `now`: sorted live
+    /// leases (broker, stamp, ad bytes — expiry and RTT deliberately
+    /// excluded, they are arrival-local), then sorted tombstones. Two
+    /// BDNs with equal digests hold interchangeable registries.
+    pub fn digest(&self, now: SimTime) -> u64 {
         let mut h = FNV_OFFSET;
         let mut w = WireWriter::new();
-        for (broker, rec) in &self.leases {
+        for (broker, reg) in self.leases.iter().filter(|(_, reg)| now <= reg.expires_at) {
             h = fnv1a64_step(h, &broker.0.to_le_bytes());
-            h = fnv1a64_step(h, &rec.ad.issued_at_utc.to_le_bytes());
+            h = fnv1a64_step(h, &reg.ad.issued_at_utc.to_le_bytes());
             w.clear();
-            rec.ad.encode(&mut w);
+            reg.ad.encode(&mut w);
             h = fnv1a64_step(h, w.as_slice());
         }
         h = fnv1a64_step(h, &[0xFF]);
@@ -242,93 +344,42 @@ impl LeaseBook {
         }
         h
     }
+
+    /// Wire-ready snapshot of the leases live at `now`, in broker order.
+    pub fn live_records(&self, now: SimTime) -> Vec<LeaseRecord> {
+        self.leases
+            .values()
+            .filter(|reg| now <= reg.expires_at)
+            .map(|reg| LeaseRecord {
+                ad: reg.ad.clone(),
+                expires_at_us: reg.expires_at.as_micros(),
+            })
+            .collect()
+    }
+
+    /// Wire-ready snapshot of the tombstone cache, in broker order.
+    pub fn tombstone_records(&self) -> Vec<TombstoneRecord> {
+        self.tombstones()
+            .map(|(broker, t)| TombstoneRecord { broker, lease_issued_utc: t })
+            .collect()
+    }
 }
 
-/// Per-BDN federation runtime state: config, counters, the tombstone
-/// cache and the private partner-selection RNG.
+/// Per-BDN federation runtime state: config, counters and the private
+/// partner-selection RNG. The tombstones live in the BDN's [`LeaseBook`].
 #[derive(Debug)]
 pub struct Federation {
     /// Static configuration.
     pub cfg: FederationConfig,
     /// Counters surfaced in campaign reports.
     pub stats: FederationStats,
-    tombstones: BTreeMap<NodeId, u64>,
     rng: Option<StdRng>,
 }
 
 impl Federation {
     /// Fresh state from `cfg`.
     pub fn new(cfg: FederationConfig) -> Federation {
-        Federation { cfg, stats: FederationStats::default(), tombstones: BTreeMap::new(), rng: None }
-    }
-
-    /// The retired stamp for `broker`, if tombstoned.
-    pub fn tombstone_for(&self, broker: NodeId) -> Option<u64> {
-        self.tombstones.get(&broker).copied()
-    }
-
-    /// All tombstones, for snapshot assembly.
-    pub fn tombstones(&self) -> &BTreeMap<NodeId, u64> {
-        &self.tombstones
-    }
-
-    /// Snapshot of the tombstone cache as wire records.
-    pub fn tombstone_records(&self) -> Vec<TombstoneRecord> {
-        self.tombstones
-            .iter()
-            .map(|(&broker, &t)| TombstoneRecord { broker, lease_issued_utc: t })
-            .collect()
-    }
-
-    /// Records a locally-expired lease as a tombstone (keeping the max
-    /// stamp if one exists) and enforces the cache bound.
-    pub fn note_expired(&mut self, broker: NodeId, issued_at: u64) {
-        let entry = self.tombstones.entry(broker).or_insert(issued_at);
-        if *entry < issued_at {
-            *entry = issued_at;
-        }
-        self.enforce_bound();
-    }
-
-    /// Applies a peer-supplied tombstone against the cache only (the
-    /// caller handles the registry side). Returns whether it was news.
-    pub fn absorb_tombstone(&mut self, broker: NodeId, t: u64) -> bool {
-        let news = match self.tombstones.get(&broker) {
-            Some(&have) => have < t,
-            None => true,
-        };
-        if news {
-            self.tombstones.insert(broker, t);
-            self.enforce_bound();
-        }
-        news
-    }
-
-    /// Drops the tombstone for `broker` (a strictly newer lease landed).
-    pub fn clear_tombstone(&mut self, broker: NodeId) {
-        self.tombstones.remove(&broker);
-    }
-
-    /// TTL pruning: a tombstone is safe to forget once every lease it
-    /// could block has certainly expired (`t + ad_ttl`) and the grace
-    /// window has passed.
-    pub fn prune(&mut self, now_us: u64, ad_ttl: Duration) {
-        let horizon = ad_ttl.as_micros() as u64 + self.cfg.tombstone_ttl.as_micros() as u64;
-        let before = self.tombstones.len();
-        self.tombstones.retain(|_, &mut t| t.saturating_add(horizon) > now_us);
-        self.stats.tombstones_expired += (before - self.tombstones.len()) as u64;
-    }
-
-    fn enforce_bound(&mut self) {
-        while self.tombstones.len() > self.cfg.max_tombstones {
-            // Evict the oldest retired stamp (ties: lowest broker id).
-            let Some((&broker, _)) =
-                self.tombstones.iter().min_by_key(|&(broker, &t)| (t, broker.0))
-            else {
-                return;
-            };
-            self.tombstones.remove(&broker);
-        }
+        Federation { cfg, stats: FederationStats::default(), rng: None }
     }
 
     /// Picks this round's partner: a uniformly-drawn peer other than
@@ -349,7 +400,7 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nb_wire::{BrokerAdvertisement, RealmId};
+    use nb_wire::RealmId;
 
     fn ad(broker: u32, issued: u64) -> BrokerAdvertisement {
         BrokerAdvertisement {
@@ -364,72 +415,68 @@ mod tests {
         }
     }
 
-    fn lease(broker: u32, issued: u64, expires: u64) -> LeaseRecord {
-        LeaseRecord { ad: ad(broker, issued), expires_at_us: expires }
+    fn lease(book: &mut LeaseBook, broker: u32, issued: u64, expires_us: u64) -> LeaseOutcome {
+        book.apply_lease(ad(broker, issued), SimTime::from_micros(expires_us))
     }
 
     #[test]
     fn newer_lease_wins_and_clears_tombstone() {
-        let mut book = LeaseBook::default();
-        assert!(book.apply_tombstone(NodeId(1), 100));
-        assert_eq!(book.apply_lease(lease(1, 100, 500)), LeaseOutcome::Tombstoned);
-        assert_eq!(book.apply_lease(lease(1, 101, 500)), LeaseOutcome::Stored);
-        assert!(book.tombstones.is_empty());
+        let mut book = LeaseBook::new(16);
+        assert!(book.apply_tombstone(NodeId(1), 100).recorded);
+        assert_eq!(lease(&mut book, 1, 100, 500), LeaseOutcome::Tombstoned);
+        assert_eq!(lease(&mut book, 1, 101, 500), LeaseOutcome::Stored);
+        assert_eq!(book.tombstones().count(), 0);
         // Re-applying the tombstone now loses to the newer lease.
-        assert!(!book.apply_tombstone(NodeId(1), 100));
-        assert!(book.leases.contains_key(&NodeId(1)));
+        assert_eq!(book.apply_tombstone(NodeId(1), 100), TombstoneOutcome::default());
+        assert!(book.get(NodeId(1)).is_some());
     }
 
     #[test]
     fn stale_lease_is_superseded() {
-        let mut book = LeaseBook::default();
-        assert_eq!(book.apply_lease(lease(1, 200, 900)), LeaseOutcome::Stored);
-        assert_eq!(book.apply_lease(lease(1, 150, 900)), LeaseOutcome::Superseded);
-        assert_eq!(book.apply_lease(lease(1, 200, 900)), LeaseOutcome::Superseded);
-        // Same stamp, longer expiry: refresh.
-        assert_eq!(book.apply_lease(lease(1, 200, 950)), LeaseOutcome::Stored);
+        let mut book = LeaseBook::new(16);
+        assert_eq!(lease(&mut book, 1, 200, 900), LeaseOutcome::Stored);
+        book.set_rtt(NodeId(1), 7);
+        assert_eq!(lease(&mut book, 1, 150, 900), LeaseOutcome::Superseded);
+        assert_eq!(lease(&mut book, 1, 200, 900), LeaseOutcome::Superseded);
+        // Same stamp, longer expiry: refresh, measured RTT kept.
+        assert_eq!(lease(&mut book, 1, 200, 950), LeaseOutcome::Stored);
+        assert_eq!(book.get(NodeId(1)).and_then(|r| r.rtt_us), Some(7));
     }
 
     #[test]
     fn digest_ignores_expiry_but_sees_tombstones() {
-        let mut a = LeaseBook::default();
-        let mut b = LeaseBook::default();
-        a.apply_lease(lease(1, 200, 900));
-        b.apply_lease(lease(1, 200, 905)); // arrival jitter on the expiry
-        assert_eq!(a.digest(), b.digest());
+        let mut a = LeaseBook::new(16);
+        let mut b = LeaseBook::new(16);
+        lease(&mut a, 1, 200, 900);
+        lease(&mut b, 1, 200, 905); // arrival jitter on the expiry
+        let now = SimTime::ZERO;
+        assert_eq!(a.digest(now), b.digest(now));
         b.apply_tombstone(NodeId(2), 50);
-        assert_ne!(a.digest(), b.digest());
+        assert_ne!(a.digest(now), b.digest(now));
     }
 
     #[test]
     fn tombstone_cache_is_bounded_and_evicts_oldest() {
-        let mut fed = Federation::new(FederationConfig {
-            max_tombstones: 2,
-            ..FederationConfig::default()
-        });
-        fed.note_expired(NodeId(1), 100);
-        fed.note_expired(NodeId(2), 50);
-        fed.note_expired(NodeId(3), 200);
-        assert_eq!(fed.tombstones().len(), 2);
-        assert_eq!(fed.tombstone_for(NodeId(2)), None, "oldest stamp evicted");
-        assert_eq!(fed.tombstone_for(NodeId(1)), Some(100));
-        assert_eq!(fed.tombstone_for(NodeId(3)), Some(200));
+        let mut book = LeaseBook::new(2);
+        book.apply_tombstone(NodeId(1), 100);
+        book.apply_tombstone(NodeId(2), 50);
+        book.apply_tombstone(NodeId(3), 200);
+        let kept: Vec<(NodeId, u64)> = book.tombstones().collect();
+        assert_eq!(kept, vec![(NodeId(1), 100), (NodeId(3), 200)], "oldest stamp evicted");
     }
 
     #[test]
     fn prune_respects_combined_horizon() {
-        let mut fed = Federation::new(FederationConfig {
-            tombstone_ttl: Duration::from_secs(10),
-            ..FederationConfig::default()
-        });
-        let ad_ttl = Duration::from_secs(30);
-        fed.note_expired(NodeId(1), 1_000_000);
+        let mut book = LeaseBook::new(16);
+        let (ad_ttl, tombstone_ttl) = (Duration::from_secs(30), Duration::from_secs(10));
+        // An expired lease leaves its stamp behind.
+        lease(&mut book, 1, 1_000_000, 5);
+        assert_eq!(book.expire(SimTime::from_micros(6)), 1);
         // 1s stamp + 30s ad_ttl + 10s grace = safe from 41s.
-        fed.prune(40_999_999, ad_ttl);
-        assert_eq!(fed.tombstone_for(NodeId(1)), Some(1_000_000));
-        fed.prune(41_000_000, ad_ttl);
-        assert_eq!(fed.tombstone_for(NodeId(1)), None);
-        assert_eq!(fed.stats.tombstones_expired, 1);
+        assert_eq!(book.prune(40_999_999, ad_ttl, tombstone_ttl), 0);
+        assert_eq!(book.tombstones().collect::<Vec<_>>(), vec![(NodeId(1), 1_000_000)]);
+        assert_eq!(book.prune(41_000_000, ad_ttl, tombstone_ttl), 1);
+        assert_eq!(book.tombstones().count(), 0);
     }
 
     #[test]

@@ -241,75 +241,14 @@ impl Responder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_ctx::TestCtx;
     use nb_broker::BrokerConfig;
     use nb_wire::{Credential, NodeId, Port, RealmId};
 
     // Unit-level tests drive the responder against a scripted context;
     // end-to-end behaviour is covered in the scenario tests.
-    struct FakeCtx {
-        sent: Vec<(Port, Endpoint, Message)>,
-        rng: rand::rngs::StdRng,
-        joined: Vec<nb_wire::GroupId>,
-        timers: Vec<u64>,
-    }
-
-    impl FakeCtx {
-        fn new() -> FakeCtx {
-            use rand::SeedableRng;
-            FakeCtx {
-                sent: Vec::new(),
-                rng: rand::rngs::StdRng::seed_from_u64(1),
-                joined: vec![],
-                timers: vec![],
-            }
-        }
-    }
-
-    impl Context for FakeCtx {
-        fn me(&self) -> NodeId {
-            NodeId(5)
-        }
-        fn realm(&self) -> RealmId {
-            RealmId(2)
-        }
-        fn now(&self) -> nb_net::SimTime {
-            nb_net::SimTime::from_secs(10)
-        }
-        fn utc_micros(&self) -> u64 {
-            123_456_789
-        }
-        fn clock_synced(&self) -> bool {
-            true
-        }
-        fn raw_local_micros(&self) -> u64 {
-            123_456_789
-        }
-        fn set_clock_estimate_ns(&mut self, _est: i64) {}
-        fn send_udp(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((from_port, to, msg.clone()));
-        }
-        fn send_stream(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((from_port, to, msg.clone()));
-        }
-        fn send_multicast(
-            &mut self,
-            _from_port: Port,
-            _group: nb_wire::GroupId,
-            _to_port: Port,
-            _msg: &Message,
-        ) {
-        }
-        fn join_group(&mut self, group: nb_wire::GroupId) {
-            self.joined.push(group);
-        }
-        fn leave_group(&mut self, _group: nb_wire::GroupId) {}
-        fn set_timer(&mut self, _delay: std::time::Duration, token: u64) {
-            self.timers.push(token);
-        }
-        fn cancel_timer(&mut self, _token: u64) {}
-        fn rng(&mut self) -> &mut dyn rand::RngCore {
-            &mut self.rng
-        }
+    fn new_ctx() -> TestCtx {
+        TestCtx::new(NodeId(5), RealmId(2), nb_net::SimTime::from_micros(123_456_789), 1)
     }
 
     fn request(id: u128) -> DiscoveryRequest {
@@ -330,7 +269,7 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::open(), 1000, false);
         r.service_time = Duration::ZERO;
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         r.on_request(&request(1), &mut broker, &mut ctx);
         r.on_request(&request(1), &mut broker, &mut ctx);
         r.on_request(&request(2), &mut broker, &mut ctx);
@@ -355,7 +294,7 @@ mod tests {
         );
         r.service_time = Duration::ZERO;
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         r.on_request(&request(1), &mut broker, &mut ctx); // no credentials
         assert_eq!(r.rejected_by_policy, 1);
         assert_eq!(r.responses_sent, 0);
@@ -370,7 +309,7 @@ mod tests {
     fn answers_pings_with_echoed_timestamp() {
         let mut r = Responder::new(ResponsePolicy::open(), 10, false);
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let consumed = r.handle(
             &Incoming::Datagram {
                 from: Endpoint::new(NodeId(9), well_known::PING),
@@ -398,7 +337,7 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::open(), 10, true);
         r.service_time = Duration::ZERO;
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         r.on_start(&mut ctx);
         assert_eq!(ctx.joined, vec![DISCOVERY_GROUP]);
         let consumed = r.handle(
@@ -421,7 +360,7 @@ mod tests {
     fn non_discovery_traffic_not_consumed() {
         let mut r = Responder::new(ResponsePolicy::open(), 10, false);
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let consumed = r.handle(
             &Incoming::Datagram {
                 from: Endpoint::new(NodeId(1), Port(9)),
@@ -440,12 +379,12 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::open(), 10, false);
         assert!(!r.service_time.is_zero(), "delayed by default");
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         r.on_request(&request(9), &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 0, "nothing on the wire yet");
         assert!(ctx.sent.is_empty());
         assert_eq!(ctx.timers.len(), 1);
-        let token = ctx.timers[0];
+        let token = ctx.tokens()[0];
         let consumed = r.handle(&Incoming::Timer { token }, &mut broker, &mut ctx);
         assert!(consumed);
         assert_eq!(r.responses_sent, 1);
@@ -463,7 +402,7 @@ mod tests {
         const N: u32 = 1_000;
         let mut r = Responder::new(ResponsePolicy::open(), 2_000, false);
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         for i in 0..N {
             let mut req = request(u128::from(i) + 1);
             req.reply_to = Endpoint::new(NodeId(1_000 + i), well_known::DISCOVERY_REPLY);
@@ -472,8 +411,8 @@ mod tests {
         assert_eq!(r.pending.len(), N as usize);
         // Fisher-Yates over the armed tokens; each also fires a second
         // time somewhere later in the order, as a stale duplicate.
-        let mut order = ctx.timers.clone();
-        order.extend_from_slice(&ctx.timers);
+        let mut order = ctx.tokens();
+        order.extend(ctx.tokens());
         for i in (1..order.len()).rev() {
             let j = ctx.rng.gen_range(0..=i);
             order.swap(i, j);
@@ -501,7 +440,7 @@ mod tests {
     fn restart_abandons_pending_responses_and_keeps_the_ring_bounded() {
         let mut r = Responder::new(ResponsePolicy::open(), 100, false);
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         for id in 1..=3 {
             r.on_request(&request(id), &mut broker, &mut ctx);
         }
@@ -510,10 +449,10 @@ mod tests {
         r.on_start(&mut ctx);
         assert!(r.pending.is_empty());
         r.on_request(&request(4), &mut broker, &mut ctx);
-        let fresh = ctx.timers[3];
-        assert!(!ctx.timers[..3].contains(&fresh), "tokens are never reused");
+        let fresh = ctx.tokens()[3];
+        assert!(!ctx.tokens()[..3].contains(&fresh), "tokens are never reused");
         // A pre-crash token (which the engine would never deliver) finds nothing.
-        assert!(r.handle(&Incoming::Timer { token: ctx.timers[0] }, &mut broker, &mut ctx));
+        assert!(r.handle(&Incoming::Timer { token: ctx.tokens()[0] }, &mut broker, &mut ctx));
         assert_eq!(r.responses_sent, 0);
         assert!(r.handle(&Incoming::Timer { token: fresh }, &mut broker, &mut ctx));
         assert_eq!(r.responses_sent, 1);
@@ -525,7 +464,7 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::principals(vec!["alice".into()]), 10, false);
         r.service_time = Duration::ZERO;
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         let mut req = request(5);
         req.credentials = Some(Credential { principal: "alice".into(), token: vec![1, 2] });
         let payload = Message::Discovery(req.clone()).to_bytes();
@@ -552,7 +491,7 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::open(), 10, false);
         r.service_time = Duration::ZERO;
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = FakeCtx::new();
+        let mut ctx = new_ctx();
         r.on_flooded(b"junk", &mut broker, &mut ctx);
         let heartbeat = Message::Heartbeat { from: NodeId(1), seq: 0 }.to_bytes();
         r.on_flooded(&heartbeat, &mut broker, &mut ctx);

@@ -1,6 +1,7 @@
 //! Property-based tests for the selection algorithm, BDN injection
 //! ordering, retry backoff and duplicate suppression — the paper's
-//! decision logic under arbitrary inputs.
+//! decision logic under arbitrary inputs — and the semilattice laws of
+//! the BDN registry's merge.
 
 use std::time::Duration;
 
@@ -251,7 +252,8 @@ proptest! {
 // ---------------------------------------------------------------- federation
 
 use nb_discovery::LeaseBook;
-use nb_wire::{BrokerAdvertisement, LeaseRecord};
+use nb_net::SimTime;
+use nb_wire::BrokerAdvertisement;
 
 /// One federated registry mutation: a lease application or a tombstone.
 #[derive(Debug, Clone)]
@@ -287,12 +289,13 @@ fn arb_fed_op() -> impl Strategy<Value = FedOp> {
     ]
 }
 
+/// A book as a federated BDN builds it (the default tombstone bound).
 fn book_from(ops: &[FedOp]) -> LeaseBook {
-    let mut book = LeaseBook::default();
+    let mut book = LeaseBook::new(nb_discovery::FederationConfig::default().max_tombstones);
     for op in ops {
         match *op {
             FedOp::Lease { broker, issued, expires } => {
-                book.apply_lease(LeaseRecord { ad: fed_ad(broker, issued), expires_at_us: expires });
+                book.apply_lease(fed_ad(broker, issued), SimTime::from_micros(expires));
             }
             FedOp::Tombstone { broker, stamp } => {
                 book.apply_tombstone(NodeId(broker), stamp);
@@ -302,9 +305,19 @@ fn book_from(ops: &[FedOp]) -> LeaseBook {
     book
 }
 
+/// Every lease in these books is live at time zero.
+const T0: SimTime = SimTime::ZERO;
+
+/// `a` after merging `b`'s snapshot exactly as a BDN merges a peer's
+/// push leg: every live record, then every tombstone.
 fn merged(a: &LeaseBook, b: &LeaseBook) -> LeaseBook {
     let mut out = a.clone();
-    out.merge_from(b);
+    for rec in b.live_records(T0) {
+        out.apply_lease(rec.ad, SimTime::from_micros(rec.expires_at_us));
+    }
+    for tomb in b.tombstone_records() {
+        out.apply_tombstone(tomb.broker, tomb.lease_issued_utc);
+    }
     out
 }
 
@@ -319,7 +332,7 @@ proptest! {
         let ab = merged(&a, &b);
         let ba = merged(&b, &a);
         prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(ab.digest(), ba.digest());
+        prop_assert_eq!(ab.digest(T0), ba.digest(T0));
     }
 
     #[test]
@@ -346,7 +359,7 @@ proptest! {
         let left = merged(&merged(&a, &b), &c);
         let right = merged(&a, &merged(&b, &c));
         prop_assert_eq!(&left, &right);
-        prop_assert_eq!(left.digest(), right.digest());
+        prop_assert_eq!(left.digest(T0), right.digest(T0));
     }
 
     #[test]
@@ -354,8 +367,8 @@ proptest! {
         ops in prop::collection::vec(arb_fed_op(), 0..60),
     ) {
         let book = book_from(&ops);
-        for (broker, &t) in &book.tombstones {
-            if let Some(lease) = book.leases.get(broker) {
+        for (broker, t) in book.tombstones() {
+            if let Some(lease) = book.get(broker) {
                 prop_assert!(
                     lease.ad.issued_at_utc > t,
                     "broker {broker:?}: live lease at {} under tombstone {t}",
