@@ -17,7 +17,6 @@
 //! safety net, so delivery never depends on the tree being right.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -301,11 +300,6 @@ pub struct Broker {
     /// contribution* is non-zero. Ordered maps keep message emission
     /// deterministic under a fixed seed.
     interest: BTreeMap<TopicFilter, InterestState>,
-    /// Memoized sorted snapshot of `interest`'s key set, shared (not
-    /// cloned) by the link-up reconcile sweep; invalidated whenever a
-    /// filter enters or leaves the interest map. `interest_filters` is
-    /// the uncached oracle it is tested against.
-    interest_snapshot: Option<Arc<[TopicFilter]>>,
     /// The neighbours each filter is currently advertised to.
     advertised: BTreeMap<TopicFilter, BTreeSet<NodeId>>,
     event_dedup: BoundedDedup<Uuid>,
@@ -337,7 +331,6 @@ impl Broker {
             clients: DenseNodeTable::new(),
             subs: SubscriptionTable::new(),
             interest: BTreeMap::new(),
-            interest_snapshot: None,
             advertised: BTreeMap::new(),
             event_dedup: BoundedDedup::new(dedup),
             routes: None,
@@ -382,23 +375,9 @@ impl Broker {
         self.cfg.max_clients = max;
     }
 
-    /// Diagnostic and oracle: the distinct filters in this broker's
-    /// aggregate interest, sorted — rebuilt from scratch on every call.
-    /// The hot path uses [`Broker::shared_interest_filters`] instead;
-    /// the two must always agree (see `interest_snapshot_tracks_oracle`).
+    /// The distinct filters in this broker's aggregate interest, sorted.
     pub fn interest_filters(&self) -> Vec<TopicFilter> {
         self.interest.keys().cloned().collect()
-    }
-
-    /// The memoized shared snapshot of the interest filter set. Rebuilt
-    /// only after a filter entered or left the map; every other call is
-    /// one `Arc` bump instead of the per-rebroadcast
-    /// `keys().cloned().collect()` the flood path used to pay.
-    pub fn shared_interest_filters(&mut self) -> Arc<[TopicFilter]> {
-        if self.interest_snapshot.is_none() {
-            self.interest_snapshot = Some(self.interest.keys().cloned().collect());
-        }
-        Arc::clone(self.interest_snapshot.as_ref().expect("memoized above"))
     }
 
     /// Diagnostic: the neighbour `source`'s events are expected from —
@@ -613,14 +592,11 @@ impl Broker {
         }
         entry.established = true;
         entry.last_heard = now;
-        // Sync interest to the new neighbour. The shared snapshot makes
-        // this O(1) allocations instead of cloning every filter on each
-        // peer (re)advertisement; `reconcile_advertisements` never
-        // changes the filter *set*, so the snapshot stays valid across
-        // the sweep.
-        let filters = self.shared_interest_filters();
-        for filter in filters.iter() {
-            self.reconcile_advertisements(filter, ctx);
+        // Sync interest to the new neighbour. The filters are collected
+        // first because reconciling borrows the broker mutably; it never
+        // changes the filter *set*.
+        for filter in self.interest_filters() {
+            self.reconcile_advertisements(&filter, ctx);
         }
     }
 
@@ -644,7 +620,6 @@ impl Broker {
                 state.links.remove(&peer);
                 if state.total() == 0 {
                     self.interest.remove(&filter);
-                    self.interest_snapshot = None;
                 }
             }
             self.reconcile_advertisements(&filter, ctx);
@@ -655,9 +630,6 @@ impl Broker {
     /// `source` is `None`, otherwise the link it arrived on) and
     /// reconciles the per-neighbour advertisements.
     fn interest_gained(&mut self, filter: TopicFilter, source: Option<NodeId>, ctx: &mut dyn Context) {
-        if !self.interest.contains_key(&filter) {
-            self.interest_snapshot = None;
-        }
         let state = self.interest.entry(filter.clone()).or_default();
         match source {
             None => state.local += 1,
@@ -684,7 +656,6 @@ impl Broker {
         }
         if state.total() == 0 {
             self.interest.remove(&filter);
-            self.interest_snapshot = None;
         }
         self.reconcile_advertisements(&filter, ctx);
     }
@@ -1136,33 +1107,27 @@ mod tests {
     }
 
     #[test]
-    fn interest_snapshot_tracks_oracle() {
+    fn interest_filters_follow_growth_and_shrink() {
         use crate::client::PubSubClient;
         let mut sim = quiet_sim();
         let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
         let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![a]))));
         let f1 = TopicFilter::parse("sports/*").unwrap();
         let f2 = TopicFilter::parse("news/**").unwrap();
-        let _s1 = sim.add_node("s1", RealmId(0), Box::new(PubSubClient::new(a, vec![f1])));
-        let _s2 = sim.add_node("s2", RealmId(0), Box::new(PubSubClient::new(b, vec![f2])));
+        let _s1 = sim.add_node("s1", RealmId(0), Box::new(PubSubClient::new(a, vec![f1.clone()])));
+        let _s2 = sim.add_node("s2", RealmId(0), Box::new(PubSubClient::new(b, vec![f2.clone()])));
         sim.run_for(Duration::from_secs(2));
         // Growth: both brokers hold local + link-learned interest.
+        let mut both = vec![f1.clone(), f2];
+        both.sort();
         for node in [a, b] {
-            let broker = &mut sim.actor_mut::<BrokerActor>(node).unwrap().broker;
-            let snap = broker.shared_interest_filters();
-            assert_eq!(snap.to_vec(), broker.interest_filters(), "snapshot == oracle after growth");
-            assert_eq!(snap.len(), 2);
-            // A second call shares the same allocation (memoized).
-            assert!(Arc::ptr_eq(&snap, &broker.shared_interest_filters()));
+            assert_eq!(broker(&sim, node).interest_filters(), both, "sorted, after growth");
         }
         // Shrink: kill b, let a's heartbeats reap the link and its
-        // interest contribution — the snapshot must follow.
+        // interest contribution.
         sim.crash(b);
         sim.run_for(Duration::from_secs(30));
-        let broker = &mut sim.actor_mut::<BrokerActor>(a).unwrap().broker;
-        let oracle = broker.interest_filters();
-        assert_eq!(oracle.len(), 1, "link-learned filter must be gone");
-        assert_eq!(broker.shared_interest_filters().to_vec(), oracle, "snapshot == oracle after shrink");
+        assert_eq!(broker(&sim, a).interest_filters(), vec![f1], "link-learned filter must be gone");
     }
 
     /// Brokers wired by `dials` (each entry lists the earlier brokers

@@ -12,7 +12,6 @@ pub mod items;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
-pub mod wire;
 
 use scan::{scan_file, Allow, Finding};
 use std::fs;
@@ -253,18 +252,15 @@ pub fn run_root(root: &Path) -> io::Result<Report> {
 
 /// The full pipeline over in-memory sources (workspace-relative path,
 /// contents). Phase 1 runs the per-file token scanner; phase 2 builds
-/// the item graph for the interprocedural rules (D009–D011) and the
-/// wire-conformance pass (W001–W005), merging their findings into the
-/// owning file before suppressions apply — so the new rules ride the
-/// exact same `nb-lint::allow` machinery.
+/// the item graph for the interprocedural rules (D009–D011), merging
+/// their findings into the owning file before suppressions apply — so
+/// those rules ride the exact same `nb-lint::allow` machinery.
 pub fn run_sources(sources: &[(String, String)]) -> Report {
     let mut scans: Vec<(&str, scan::FileScan)> =
         sources.iter().map(|(rel, src)| (rel.as_str(), scan_file(rel, src))).collect();
 
     let item_graph = items::ItemGraph::build(sources);
-    let mut extra = graph::analyze(&item_graph);
-    extra.extend(wire::check(sources));
-    for f in extra {
+    for f in graph::analyze(&item_graph) {
         if let Some((_, fscan)) = scans.iter_mut().find(|(p, _)| *p == f.file) {
             fscan.findings.push(f);
         }

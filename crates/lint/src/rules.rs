@@ -80,36 +80,6 @@ pub const RULES: &[RuleMeta] = &[
         summary: "interprocedural panic reachability: receive paths must not call out-of-zone panicking helpers",
     },
     RuleMeta {
-        id: "W001",
-        severity: "deny",
-        zone: "wire",
-        summary: "wire tag uniqueness and registry agreement (consts, encode, tag(), ALL_TAGS)",
-    },
-    RuleMeta {
-        id: "W002",
-        severity: "deny",
-        zone: "wire",
-        summary: "every UUID-first message kind is registered in the fixed-offset peek table, and only those",
-    },
-    RuleMeta {
-        id: "W003",
-        severity: "deny",
-        zone: "wire",
-        summary: "every Message variant has an encode arm and every wire tag a decode arm",
-    },
-    RuleMeta {
-        id: "W004",
-        severity: "deny",
-        zone: "wire",
-        summary: "decode paths are guarded by MAX_MESSAGE_LEN / MAX_FRAME_LEN before allocation",
-    },
-    RuleMeta {
-        id: "W005",
-        severity: "deny",
-        zone: "wire",
-        summary: "varint/symbol-table decode loops are bounded by MAX_FRAME_LEN / MAX_MESSAGE_LEN / MAX_VARINT_BYTES",
-    },
-    RuleMeta {
         id: "L001",
         severity: "forbid",
         zone: "all",

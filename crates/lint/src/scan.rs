@@ -938,7 +938,7 @@ fn parse_allows(
         let rules_ok = !rules.is_empty()
             && rules.iter().all(|r| {
                 r.len() == 4
-                    && (r.starts_with('D') || r.starts_with('W') || r.starts_with('L'))
+                    && (r.starts_with('D') || r.starts_with('L'))
                     && r[1..].chars().all(|ch| ch.is_ascii_digit())
             });
         if !rules_ok {

@@ -85,7 +85,7 @@ fn rules_table_is_stable_and_covers_all_rules() {
     let ids: Vec<&str> = nb_lint::rules::RULES.iter().map(|r| r.id).collect();
     for want in [
         "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009", "D010",
-        "D011", "W001", "W002", "W003", "W004", "W005", "L001",
+        "D011", "L001",
     ] {
         assert!(ids.contains(&want), "rule {want} missing from registry");
     }

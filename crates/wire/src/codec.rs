@@ -5,7 +5,7 @@
 //! protocol type. No reflection, no schema evolution magic — decoding is
 //! strict and every failure is a typed [`WireError`].
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use nb_util::Uuid;
 
 /// Maximum length accepted for a length-prefixed field (16 MiB). Guards
@@ -157,7 +157,7 @@ impl WireWriter {
     pub fn put_raw(&mut self, v: &[u8]) {
         match &mut self.counted {
             Some(counted) => *counted += v.len(),
-            None => self.buf.put_slice(v),
+            None => self.buf.extend_from_slice(v),
         }
     }
 

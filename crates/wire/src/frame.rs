@@ -1,83 +1,20 @@
-//! Framing for the wire path.
-//!
-//! Two layers live here:
-//!
-//! * **Stream reassembly** — the TCP-like transport delivers a byte
-//!   stream; [`FrameDecoder`] reassembles it into discrete message
-//!   frames. Each frame is a `u32` big-endian length followed by that
-//!   many payload bytes.
-//! * **The wire frame** — the unit the runtime hands each actor: a
-//!   fixed 4-byte prelude (`[ttl, hops, flags, reserved]`) followed by
-//!   the legacy message body. The prelude holds exactly the fields a
-//!   forwarder mutates per hop, so a forwarded hop's body is the body
-//!   it arrived with (no decode→mutate→re-encode), and [`peek`] reads
-//!   kind/UUID/topic-length at fixed offsets without decoding the body
-//!   at all.
+//! The wire frame: the unit the runtime hands each actor, a fixed
+//! 4-byte prelude (`[ttl, hops, flags, reserved]`) followed by the
+//! legacy message body. The prelude holds exactly the fields a
+//! forwarder mutates per hop, so a forwarded hop's body is the body it
+//! arrived with (no decode→mutate→re-encode), and [`peek`] reads
+//! kind/UUID/topic-length at fixed offsets without decoding the body at
+//! all.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use nb_util::Uuid;
 
 use crate::codec::{Wire, WireError, WireWriter};
 use crate::message::{Message, TAG_DISCOVERY, TAG_DISCOVERY_ACK, TAG_PUBLISH, TAG_RESPONSE};
 
-/// Maximum frame payload accepted (16 MiB), matching the codec's field cap.
+/// Maximum v2 segment, frame, length or count accepted (16 MiB),
+/// matching the codec's field cap.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
-
-/// Prefixes `payload` with its length.
-pub fn encode_frame(payload: &[u8]) -> Bytes {
-    assert!(payload.len() <= MAX_FRAME_LEN, "frame too large");
-    let mut buf = BytesMut::with_capacity(4 + payload.len());
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
-    buf.freeze()
-}
-
-/// Incremental decoder: feed arbitrary byte chunks, pull out whole frames.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: BytesMut,
-}
-
-impl FrameDecoder {
-    /// A fresh decoder with no buffered bytes.
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Appends newly received bytes.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Pops the next complete frame, if one is buffered.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed, and an error if the
-    /// peer announced an oversized frame (the connection should be torn
-    /// down — the stream can no longer be trusted).
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, WireError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes(self.buf[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FieldTooLong(len));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        self.buf.advance(4);
-        Ok(Some(self.buf.split_to(len).freeze()))
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-// ------------------------------------------------------------------
-// Wire frame: 4-byte prelude + legacy body.
-// ------------------------------------------------------------------
 
 /// Length of the mutable per-hop prelude: `[ttl, hops, flags, reserved]`.
 pub const PRELUDE_LEN: usize = 4;
@@ -214,56 +151,6 @@ pub fn decode_framed(frame: &Bytes) -> Result<(FrameHeader, Message), WireError>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_frame_roundtrip() {
-        let mut d = FrameDecoder::new();
-        d.feed(&encode_frame(b"hello"));
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"hello");
-        assert_eq!(d.next_frame().unwrap(), None);
-        assert_eq!(d.pending(), 0);
-    }
-
-    #[test]
-    fn frames_survive_arbitrary_chunking() {
-        let frames: Vec<Bytes> =
-            vec![encode_frame(b"one"), encode_frame(b""), encode_frame(&[7u8; 300])];
-        let stream: Vec<u8> = frames.iter().flat_map(|f| f.to_vec()).collect();
-        // Feed one byte at a time.
-        let mut d = FrameDecoder::new();
-        let mut out = Vec::new();
-        for b in stream {
-            d.feed(&[b]);
-            while let Some(f) = d.next_frame().unwrap() {
-                out.push(f);
-            }
-        }
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].as_ref(), b"one");
-        assert_eq!(out[1].as_ref(), b"");
-        assert_eq!(out[2].as_ref(), &[7u8; 300][..]);
-    }
-
-    #[test]
-    fn oversized_frame_is_an_error() {
-        let mut d = FrameDecoder::new();
-        d.feed(&(u32::MAX).to_be_bytes());
-        assert!(matches!(d.next_frame(), Err(WireError::FieldTooLong(_))));
-    }
-
-    #[test]
-    fn partial_header_waits() {
-        let mut d = FrameDecoder::new();
-        d.feed(&[0, 0]);
-        assert_eq!(d.next_frame().unwrap(), None);
-        d.feed(&[0, 3, b'a', b'b']);
-        assert_eq!(d.next_frame().unwrap(), None); // 2 of 3 payload bytes
-        d.feed(b"c");
-        assert_eq!(d.next_frame().unwrap().unwrap().as_ref(), b"abc");
-    }
-
-    // -------------------------------------------- wire frame ----------
-
     use crate::addr::{Endpoint, NodeId, Port};
     use crate::message::Event;
     use crate::topic::Topic;

@@ -16,9 +16,8 @@
 //!   subscriptions, broker link management, broker advertisements,
 //!   discovery requests/acks/responses, BDN federation sync, UDP pings
 //!   and secured envelopes,
-//! * [`frame`] — length-delimited framing for stream transports, plus
-//!   the prelude-framed wire format ([`frame::peek`], [`frame_message`])
-//!   that receive paths header-peek without decoding,
+//! * [`frame`] — the prelude-framed wire format ([`frame::peek`],
+//!   [`frame_message`]) that receive paths header-peek without decoding,
 //! * [`wiremsg`] — [`WireMsg`]: a decoded message sharing its counted
 //!   body length across clones and hops, so a send sizes without
 //!   encoding and forwards by refcount,
@@ -53,8 +52,8 @@ pub use bytes::Bytes;
 pub use addr::{Endpoint, GroupId, NodeId, Port, RealmId, TransportKind};
 pub use codec::{Wire, WireError, WireReader, WireWriter, MAX_FIELD_LEN, MAX_MESSAGE_LEN};
 pub use frame::{
-    decode_framed, frame_message, frame_message_flags, peek_body, FrameDecoder,
-    FrameHeader, DEFAULT_TTL, FLAG_SEGMENT, FLAG_V2_CAPABLE, MAX_FRAME_LEN, PRELUDE_LEN,
+    decode_framed, frame_message, frame_message_flags, peek_body, FrameHeader, DEFAULT_TTL,
+    FLAG_SEGMENT, FLAG_V2_CAPABLE, MAX_FRAME_LEN, PRELUDE_LEN,
 };
 pub use intern::{SegId, SymId, MAX_TOPIC_DEPTH};
 pub use message::{

@@ -671,9 +671,11 @@ pub(crate) const TAG_FEDERATION_SYNC: u8 = 26;
 pub(crate) const TAG_PRUNE: u8 = 27;
 
 /// Every wire tag, in tag order. New message kinds must be added here
-/// as well as to the encode/decode/`tag()` arms — the conformance test
-/// below and nb-lint rule W001 both check this registry for
-/// completeness, so a forgotten registration fails the build instead of
+/// as well as to the encode/decode/`tag()` arms. The tests below hold
+/// the registry to the code that runs: `wire_tag_registry_complete_and_unique`
+/// encodes a sample of every variant, and the test module's
+/// exhaustive-match witness stops compiling until a new variant is
+/// sampled, so a forgotten registration fails `cargo test` instead of
 /// surfacing as a protocol drift in the field.
 pub const ALL_TAGS: [u8; 22] = [
     TAG_LINK_HELLO,
@@ -1018,6 +1020,55 @@ mod tests {
                 signature: vec![7; 32].into(),
             }),
         ]
+    }
+
+    /// `Message`'s variant count, as numbered by [`mark_variant`].
+    const VARIANTS: usize = 22;
+
+    /// The witness: one arm per `Message` variant and no `_` arm, so a
+    /// new variant does not compile until it is numbered here, and a
+    /// number past `VARIANTS` is a constant out-of-bounds index, which
+    /// does not compile either. `all_messages_sample_every_variant_once`
+    /// then fails until `all_messages()` samples it.
+    fn mark_variant(seen: &mut [bool; VARIANTS], msg: &Message) {
+        match msg {
+            Message::LinkHello { .. } => seen[0] = true,
+            Message::LinkAccept { .. } => seen[1] = true,
+            Message::LinkClose { .. } => seen[2] = true,
+            Message::Heartbeat { .. } => seen[3] = true,
+            Message::Subscribe { .. } => seen[4] = true,
+            Message::Unsubscribe { .. } => seen[5] = true,
+            Message::Publish(_) => seen[6] = true,
+            Message::Prune { .. } => seen[7] = true,
+            Message::ClientConnect { .. } => seen[8] = true,
+            Message::ClientConnectAck { .. } => seen[9] = true,
+            Message::ClientSubscribe { .. } => seen[10] = true,
+            Message::ClientUnsubscribe { .. } => seen[11] = true,
+            Message::ClientDisconnect { .. } => seen[12] = true,
+            Message::Advertisement(_) => seen[13] = true,
+            Message::BdnAdvertisement { .. } => seen[14] = true,
+            Message::Discovery(_) => seen[15] = true,
+            Message::DiscoveryAck { .. } => seen[16] = true,
+            Message::Response(_) => seen[17] = true,
+            Message::FederationSync(_) => seen[18] = true,
+            Message::Ping { .. } => seen[19] = true,
+            Message::Pong { .. } => seen[20] = true,
+            Message::Secure(_) => seen[21] = true,
+        }
+    }
+
+    #[test]
+    fn all_messages_sample_every_variant_once() {
+        let msgs = all_messages();
+        let mut seen = [false; VARIANTS];
+        for msg in &msgs {
+            mark_variant(&mut seen, msg);
+        }
+        let missing: Vec<usize> = (0..VARIANTS).filter(|&i| !seen[i]).collect();
+        assert!(missing.is_empty(), "all_messages() samples no variant numbered {missing:?}");
+        assert_eq!(msgs.len(), VARIANTS, "all_messages() samples some variant twice");
+        assert_eq!(KINDS.len(), VARIANTS, "KINDS names every variant");
+        assert_eq!(ALL_TAGS.len(), VARIANTS, "ALL_TAGS lists every variant's tag");
     }
 
     #[test]

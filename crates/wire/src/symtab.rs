@@ -30,9 +30,8 @@
 //! is invisible to every link.)
 
 use crate::codec::{WireError, WireReader, WireWriter};
-use crate::frame::MAX_FRAME_LEN;
 use crate::intern::{intern_symbol, symbol_str, SymId};
-use crate::v2::{get_varint, put_varint};
+use crate::v2::{get_varint, get_varint_len, put_varint};
 
 /// Cap on distinct symbols per link. A hostile peer streaming endless
 /// definitions is cut off here rather than growing the table without
@@ -129,17 +128,15 @@ impl SymTabReader {
     /// Reads one symbol reference as written by
     /// [`SymTabWriter::encode_ref`]: either a known id or an inline
     /// definition, which is interned and recorded for later references.
-    /// Every length is bounded against [`MAX_FRAME_LEN`] before the
-    /// string is looked at; the caller resolves the returned id through
+    /// Every length is bounded against
+    /// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN) before the string is
+    /// looked at; the caller resolves the returned id through
     /// [`intern::symbol_topic`](crate::intern::symbol_topic) or
     /// [`intern::symbol_filter`](crate::intern::symbol_filter).
     pub fn decode_ref(&mut self, r: &mut WireReader<'_>) -> Result<SymId, WireError> {
         let v = get_varint(r)?;
         if v == 0 {
-            let len = get_varint(r)? as usize;
-            if len > MAX_FRAME_LEN {
-                return Err(WireError::FieldTooLong(len));
-            }
+            let len = get_varint_len(r)?;
             let raw = r.get_raw(len)?;
             let sym = intern_symbol(std::str::from_utf8(raw).map_err(|_| WireError::InvalidUtf8)?);
             if self.defs.len() < MAX_SYMBOLS {
@@ -232,6 +229,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::frame::MAX_FRAME_LEN;
     use crate::intern::{symbol_filter, symbol_topic};
     use crate::topic::{Topic, TopicFilter};
 

@@ -140,27 +140,32 @@ fn get_varint_u16(r: &mut WireReader<'_>, what: &'static str) -> Result<u16, Wir
     u16::try_from(v).map_err(|_| WireError::Invalid(what))
 }
 
+/// Reads a varint length or count, rejecting one over [`MAX_FRAME_LEN`]
+/// before anything is sized or looped by it: every v2 length and count
+/// a peer controls is read here.
+pub(crate) fn get_varint_len(r: &mut WireReader<'_>) -> Result<usize, WireError> {
+    let len = get_varint(r)? as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::FieldTooLong(len));
+    }
+    Ok(len)
+}
+
 /// Varint-length-prefixed raw bytes.
 fn put_varint_bytes(w: &mut WireWriter, v: &[u8]) {
     put_varint(w, v.len() as u64);
     w.put_raw(v);
 }
 
-/// Reads a varint length bounded by [`MAX_FRAME_LEN`], then that many
-/// raw bytes (zero-copy on a shared reader).
+/// Reads a bounded varint length, then that many raw bytes (zero-copy on
+/// a shared reader).
 fn take_varint_bytes(r: &mut WireReader<'_>) -> Result<Bytes, WireError> {
-    let len = get_varint(r)? as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FieldTooLong(len));
-    }
+    let len = get_varint_len(r)?;
     r.take_raw_bytes(len)
 }
 
 fn get_varint_str(r: &mut WireReader<'_>) -> Result<String, WireError> {
-    let len = get_varint(r)? as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FieldTooLong(len));
-    }
+    let len = get_varint_len(r)?;
     let raw = r.get_raw(len)?;
     std::str::from_utf8(raw).map(str::to_owned).map_err(|_| WireError::InvalidUtf8)
 }
@@ -267,10 +272,7 @@ pub fn decode_v2_body(
                 NodeId(get_varint_u32(r, "node id")?),
                 Port(get_varint_u16(r, "port")?),
             );
-            let n = get_varint(r)? as usize;
-            if n > MAX_FRAME_LEN {
-                return Err(WireError::FieldTooLong(n));
-            }
+            let n = get_varint_len(r)?;
             let mut transports = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 transports.push(Wire::decode(r)?);
@@ -454,16 +456,10 @@ fn decode_frames(
     let mut r = WireReader::shared(seg);
     r.get_raw(PRELUDE_LEN)?;
     let base_utc = get_varint(&mut r)?;
-    let count = get_varint(&mut r)? as usize;
-    if count > MAX_FRAME_LEN {
-        return Err(WireError::FieldTooLong(count));
-    }
+    let count = get_varint_len(&mut r)?;
     out.reserve(count.min(1024));
     for _ in 0..count {
-        let flen = get_varint(&mut r)? as usize;
-        if flen > MAX_FRAME_LEN {
-            return Err(WireError::FieldTooLong(flen));
-        }
+        let flen = get_varint_len(&mut r)?;
         if flen < 3 {
             return Err(WireError::Invalid("segment frame too short"));
         }
@@ -743,6 +739,93 @@ mod tests {
             decode_segment(&plain, &mut SymTabReader::new()).unwrap_err(),
             WireError::Invalid("missing segment flag")
         );
+    }
+
+    #[test]
+    fn hostile_lengths_are_typed_errors_that_roll_back() {
+        let over = MAX_FRAME_LEN + 1;
+        let segment = |count: usize, frames: &[&[u8]]| {
+            let mut w = WireWriter::new();
+            w.put_raw(&[DEFAULT_TTL, 0, FLAG_SEGMENT, 0]);
+            put_varint(&mut w, 0); // base_utc
+            put_varint(&mut w, count as u64);
+            for f in frames {
+                w.put_raw(f);
+            }
+            w.finish()
+        };
+        // A frame: its true length, then `[ttl, hops]` and `body`.
+        let frame = |body: &dyn Fn(&mut WireWriter)| {
+            let mut f = WireWriter::new();
+            f.put_raw(&[32, 0]);
+            body(&mut f);
+            let mut w = WireWriter::new();
+            put_varint(&mut w, f.len() as u64);
+            w.put_raw(f.as_slice());
+            w.finish()
+        };
+        // A well-formed frame defining a symbol, so that a failure in the
+        // frame after it has a definition and a decoded frame to undo.
+        let ok = publish("hostile/ok");
+        let good = frame(&|w| encode_v2_body(&ok, 0, &mut SymTabWriter::new(), w));
+        let mut long_frame_len = WireWriter::new();
+        put_varint(&mut long_frame_len, over as u64);
+        let long_payload = frame(&|w| {
+            w.put_u8(V2_PUBLISH);
+            w.put_uuid(Uuid::from_u128(2));
+            put_varint(w, 0); // inline symbol definition
+            put_varint_bytes(w, b"hostile/new");
+            put_varint(w, 3); // source
+            put_varint(w, over as u64);
+        });
+        let discovery_head = |w: &mut WireWriter| {
+            w.put_u8(V2_DISCOVERY);
+            w.put_uuid(Uuid::from_u128(1));
+            put_varint(w, 9); // requester
+        };
+        let long_hostname = frame(&|w| {
+            discovery_head(w);
+            put_varint(w, over as u64);
+        });
+        let many_transports = frame(&|w| {
+            discovery_head(w);
+            put_varint_bytes(w, b"h");
+            for field in [2, 9, 5060] {
+                put_varint(w, field); // realm, reply node, reply port
+            }
+            put_varint(w, over as u64);
+        });
+        let cases = [
+            ("frame count", segment(over, &[])),
+            ("frame length", segment(2, &[&good, long_frame_len.as_slice()])),
+            ("Publish payload length", segment(2, &[&good, &long_payload])),
+            ("Discovery hostname length", segment(2, &[&good, &long_hostname])),
+            ("Discovery transports count", segment(2, &[&good, &many_transports])),
+        ];
+        let mut sr = SymTabReader::new();
+        let warm = publish("hostile/warm");
+        let (warm, _) = encode_segment(&[(32, 0, &warm)], 0, &mut SymTabWriter::new());
+        decode_segment(&warm, &mut sr).unwrap();
+        let mut out = Vec::new();
+        for (what, seg) in &cases {
+            // The error names the hostile number itself: it was refused
+            // where it was read, before anything was sized or looped by
+            // it. Without `get_varint_len`'s bound the other segments
+            // still fail, later, as `UnexpectedEof`; the payload is
+            // bounded a second time by `take_raw_bytes`.
+            let got = decode_segment_into(seg, &mut sr, &mut out);
+            assert_eq!(got, Err(WireError::FieldTooLong(over)), "{what}");
+            assert!(out.is_empty(), "{what}: decoded frames left behind");
+            assert_eq!(sr.len(), 1, "{what}: symbol table not rolled back");
+        }
+        // A segment longer than the cap is refused whole.
+        let mut long = vec![0; over];
+        long[..PRELUDE_LEN].copy_from_slice(&[DEFAULT_TTL, 0, FLAG_SEGMENT, 0]);
+        let got = decode_segment_into(&long.into(), &mut sr, &mut out);
+        assert_eq!(got, Err(WireError::MessageTooLong(over)));
+        // The good frame still decodes on its own.
+        decode_segment_into(&segment(1, &[&good]), &mut sr, &mut out).unwrap();
+        assert_eq!((out.len(), sr.len()), (1, 2));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Property-based tests for the wire layer: arbitrary messages round-trip
 //! through the codec and are sized exactly as they encode, arbitrary
-//! topic/filter pairs obey matching laws, and the frame decoder is
-//! chunking-invariant.
+//! topic/filter pairs obey matching laws, and frame peeks agree with a
+//! full decode.
 
 use proptest::prelude::*;
 
 use nb_util::Uuid;
-use nb_wire::frame::{encode_frame, FrameDecoder};
 use nb_wire::message::{SecureEnvelope, TransportEndpoint};
 use nb_wire::topic::{
     BDN_ADVERTISEMENT_TOPIC, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC,
@@ -342,27 +341,6 @@ proptest! {
         }
         // Reflexivity.
         prop_assert!(f.subsumes(&f));
-    }
-
-    #[test]
-    fn frames_survive_random_chunking(
-        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..6),
-        cuts in prop::collection::vec(1usize..16, 0..32),
-    ) {
-        let stream: Vec<u8> = payloads.iter().flat_map(|p| encode_frame(p).to_vec()).collect();
-        let mut decoder = FrameDecoder::new();
-        let mut out = Vec::new();
-        let mut pos = 0;
-        let mut cut_iter = cuts.iter().copied().cycle();
-        while pos < stream.len() {
-            let step = cut_iter.next().unwrap_or(7).min(stream.len() - pos);
-            decoder.feed(&stream[pos..pos + step]);
-            pos += step;
-            while let Some(f) = decoder.next_frame().unwrap() {
-                out.push(f.to_vec());
-            }
-        }
-        prop_assert_eq!(out, payloads);
     }
 
     // ---------------------------------------- zero-copy wire path -----

@@ -2,8 +2,8 @@
 //!
 //! [`Bytes`] is a cheaply cloneable, immutable, reference-counted byte
 //! buffer (an `Arc<[u8]>` window); [`BytesMut`] is a growable buffer
-//! that freezes into a [`Bytes`]. The [`Buf`]/[`BufMut`] traits provide
-//! the big-endian cursor operations the wire codec uses.
+//! that freezes into a [`Bytes`]. Integer encoding is the wire codec's
+//! business, not this crate's.
 
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
@@ -98,12 +98,6 @@ impl From<&[u8]> for Bytes {
     }
 }
 
-impl From<BytesMut> for Bytes {
-    fn from(v: BytesMut) -> Bytes {
-        v.freeze()
-    }
-}
-
 impl PartialEq for Bytes {
     fn eq(&self, other: &Bytes) -> bool {
         self.as_ref() == other.as_ref()
@@ -164,7 +158,7 @@ fn debug_bytes(bytes: &[u8], f: &mut std::fmt::Formatter<'_>) -> std::fmt::Resul
 }
 
 /// A growable byte buffer.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default)]
 pub struct BytesMut {
     buf: Vec<u8>,
 }
@@ -190,25 +184,9 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Reserves space for `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
     /// Appends a slice.
     pub fn extend_from_slice(&mut self, other: &[u8]) {
         self.buf.extend_from_slice(other);
-    }
-
-    /// Removes and returns the first `at` bytes as a new `BytesMut`.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let rest = self.buf.split_off(at);
-        BytesMut { buf: std::mem::replace(&mut self.buf, rest) }
-    }
-
-    /// Splits off the tail from `at`, keeping the head in `self`.
-    pub fn split_off(&mut self, at: usize) -> BytesMut {
-        BytesMut { buf: self.buf.split_off(at) }
     }
 
     /// Clears the buffer.
@@ -235,168 +213,9 @@ impl std::ops::DerefMut for BytesMut {
     }
 }
 
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
 impl std::fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        debug_bytes(self.as_ref(), f)
-    }
-}
-
-/// Read cursor over a byte source. All integer reads are big-endian.
-pub trait Buf {
-    /// Bytes remaining.
-    fn remaining(&self) -> usize;
-    /// The current contiguous chunk.
-    fn chunk(&self) -> &[u8];
-    /// Discards the next `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// Whether any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Copies `dst.len()` bytes out, advancing.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "copy_to_slice: buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Reads a big-endian `u16`.
-    fn get_u16(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `u128`.
-    fn get_u128(&mut self) -> u128 {
-        let mut b = [0u8; 16];
-        self.copy_to_slice(&mut b);
-        u128::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `i64`.
-    fn get_i64(&mut self) -> i64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        i64::from_be_bytes(b)
-    }
-
-    /// Reads a big-endian `f64` (IEEE-754 bits).
-    fn get_f64(&mut self) -> f64 {
-        f64::from_bits(self.get_u64())
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
-}
-
-impl Buf for BytesMut {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, cnt: usize) {
-        self.buf.drain(..cnt);
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt;
-    }
-}
-
-/// Write sink for bytes. All integer writes are big-endian.
-pub trait BufMut {
-    /// Appends a slice.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-    /// Appends a big-endian `u16`.
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-    /// Appends a big-endian `u128`.
-    fn put_u128(&mut self, v: u128) {
-        self.put_slice(&v.to_be_bytes());
-    }
-    /// Appends a big-endian `i64`.
-    fn put_i64(&mut self, v: i64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-    /// Appends a big-endian `f64` (IEEE-754 bits).
-    fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
+        debug_bytes(&self.buf, f)
     }
 }
 
@@ -416,45 +235,16 @@ mod tests {
     }
 
     #[test]
-    fn bytesmut_put_get_bigendian() {
-        let mut m = BytesMut::with_capacity(64);
-        m.put_u8(7);
-        m.put_u16(0x0102);
-        m.put_u32(0x0304_0506);
-        m.put_u64(0x0708_090A_0B0C_0D0E);
-        m.put_u128(1);
-        m.put_i64(-2);
-        m.put_f64(1.5);
-        m.put_slice(b"xyz");
-        let frozen = m.freeze();
-        let mut r: &[u8] = &frozen;
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u16(), 0x0102);
-        assert_eq!(r.get_u32(), 0x0304_0506);
-        assert_eq!(r.get_u64(), 0x0708_090A_0B0C_0D0E);
-        assert_eq!(r.get_u128(), 1);
-        assert_eq!(r.get_i64(), -2);
-        assert_eq!(r.get_f64(), 1.5);
-        let mut tail = [0u8; 3];
-        r.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"xyz");
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn split_to_keeps_both_halves() {
+    fn bytesmut_appends_and_freezes() {
+        let mut m = BytesMut::with_capacity(2);
+        m.extend_from_slice(b"hello");
+        m.extend_from_slice(b" world");
+        m[0] = b'j';
+        assert_eq!((m.len(), &m[..]), (11, &b"jello world"[..]));
+        assert_eq!(m.freeze(), Bytes::from_static(b"jello world"));
         let mut m = BytesMut::new();
-        m.extend_from_slice(b"hello world");
-        let head = m.split_to(5);
-        assert_eq!(head.as_ref(), b"hello");
-        assert_eq!(m.as_ref(), b" world");
-    }
-
-    #[test]
-    fn bytes_advance_moves_window() {
-        let mut b = Bytes::from(vec![9, 8, 7]);
-        Buf::advance(&mut b, 1);
-        assert_eq!(b.as_ref(), &[8, 7]);
-        assert_eq!(b.remaining(), 2);
+        m.extend_from_slice(b"x");
+        m.clear();
+        assert!(m.is_empty());
     }
 }
