@@ -1,10 +1,10 @@
 //! `repro` — regenerates every table and figure of the paper and runs
-//! the seed-pure campaigns (`chaos`, `federation`, `scale`, `lint`);
-//! `repro gate` checks that the tree still regenerates every committed
-//! report. `repro help` prints the command table ([`COMMANDS`]) and the
-//! flags.
+//! the seed-pure campaigns (`chaos`, `federation`, `scale`); `repro gate`
+//! runs clippy over the workspace and checks that the tree still
+//! regenerates every committed report. `repro help` prints the command
+//! table ([`COMMANDS`]) and the flags.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use nb_bench::campaign::{fault_scenario, run_campaign, FaultCampaign, ScenarioResult};
 use nb_bench::*;
@@ -26,7 +26,6 @@ struct Args {
     out: Option<PathBuf>,
     workers: Option<usize>,
     scenarios: usize,
-    rules: bool,
     tier: String,
     brokers: Option<usize>,
     entities: Option<usize>,
@@ -39,7 +38,6 @@ const FLAGS: &str = "  --runs N         runs per experiment (default 120, the pa
   --out PATH       where a report-writing command puts its JSON
   --workers N      worker threads (chaos, federation, scale); never changes a report byte
   --scenarios N    campaign scenarios (chaos, federation; default 10)
-  --rules          lint: print the machine-readable rule table and exit
   --tier T         scale: small|large|all (default all)
   --brokers N, --entities N, --topology star|linear|geo|isp
                    scale: one custom tier instead of --tier";
@@ -120,16 +118,10 @@ const COMMANDS: &[Command] = &[
         "BENCH_scale.json",
         scale_report,
     ),
-    report(
-        "lint",
-        "nb-lint static analysis (exit 1 on new findings)",
-        "LINT_report.json",
-        lint_report,
-    ),
     cmd(
         "gate",
-        "[lint|chaos|federation|scale] regenerate the committed reports at 1 and 4 workers, \
-         exit 1 on any byte of difference",
+        "[lint|chaos|federation|scale] run clippy, then regenerate the committed reports at \
+         1 and 4 workers; exit 1 on a clippy error or any byte of difference",
         run_gate,
     ),
 ];
@@ -172,7 +164,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
         out: None,
         workers: None,
         scenarios: 10,
-        rules: false,
         tier: "all".to_string(),
         brokers: None,
         entities: None,
@@ -187,7 +178,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
             "--out" => args.out = Some(value(flag, &mut argv, "a path")),
             "--workers" => args.workers = Some(value(flag, &mut argv, "a number")),
             "--scenarios" => args.scenarios = value(flag, &mut argv, "a number"),
-            "--rules" => args.rules = true,
             "--tier" => args.tier = value(flag, &mut argv, "small|large|all"),
             "--brokers" => args.brokers = Some(value(flag, &mut argv, "a number")),
             "--entities" => args.entities = Some(value(flag, &mut argv, "a number")),
@@ -655,29 +645,21 @@ fn scale_report(args: &Args) -> (String, bool) {
     (report.to_json(), report.passed())
 }
 
-fn lint_report(args: &Args) -> (String, bool) {
-    if args.rules {
-        // The stable rule table, nothing else — docs and CI generate
-        // from this instead of hand-copying.
-        print!("{}", nb_lint::rules::rules_table());
-        std::process::exit(0);
-    }
-    let report = nb_lint::run_root(&workspace_root())
-        .unwrap_or_else(|e| fail(&format!("repro lint: scan failed: {e}")));
-    print!("{}", report.render_human());
-    (report.to_json(), !report.has_new())
-}
-
-/// The workspace root at or above the current directory; exits 2 when
-/// there is none.
+/// The nearest directory at or above the current one whose `Cargo.toml`
+/// declares `[workspace]`; exits 2 when there is none.
 fn workspace_root() -> PathBuf {
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    nb_lint::find_workspace_root(&cwd)
-        .unwrap_or_else(|| fail(&format!("no workspace root found from {}", cwd.display())))
+    let declares_workspace = |dir: &&Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+    };
+    let Some(root) = cwd.ancestors().find(declares_workspace) else {
+        fail(&format!("no workspace root found from {}", cwd.display()));
+    };
+    root.to_path_buf()
 }
 
-/// The committed reports `repro gate` checks, in order, and the flags
-/// each is regenerated with.
+/// What `repro gate` checks, in order: `lint` runs clippy, every other
+/// entry is a committed report and the flags it is regenerated with.
 const GATES: [(&str, &str); 4] = [
     ("lint", ""),
     ("chaos", "--scenarios 3 --seed 11"),
@@ -685,10 +667,11 @@ const GATES: [(&str, &str); 4] = [
     ("scale", "--tier small --seed 2005"),
 ];
 
-/// `repro gate [NAME]`: regenerates each committed report (all of
-/// [`GATES`] without a name) in memory at 1 and 4 workers, writing
-/// nothing, and exits 1 naming the file on a failed invariant, a
-/// 1-vs-4 difference or any byte that differs from the committed copy.
+/// `repro gate [NAME]`: runs [`lint_gate`], then regenerates each
+/// committed report (all of [`GATES`] without a name) in memory at 1 and
+/// 4 workers, writing nothing, and exits 1 naming the file on a failed
+/// invariant, a 1-vs-4 difference or any byte that differs from the
+/// committed copy.
 fn run_gate(_: &str, args: &Args) {
     let target = args.target.as_deref();
     let gates: Vec<(&str, &str)> =
@@ -698,6 +681,10 @@ fn run_gate(_: &str, args: &Args) {
     }
     let root = workspace_root();
     for (name, flags) in gates {
+        if name == "lint" {
+            lint_gate(&root);
+            continue;
+        }
         let Some(Command { run: Run::Report(file, report), .. }) = find(name) else {
             unreachable!("GATES names a report-writing command");
         };
@@ -721,6 +708,23 @@ fn run_gate(_: &str, args: &Args) {
             }
         }
         println!("{file}: byte-identical to the committed copy at 1 and 4 workers");
+    }
+}
+
+/// `repro gate lint`: clippy over every workspace target, with the levels
+/// in `[workspace.lints]` and the lists in `clippy.toml`, building into
+/// `target/clippy` so it never waits on another build's lock. It fails on
+/// any clippy error, and fails closed when cargo or clippy cannot be run.
+fn lint_gate(root: &Path) {
+    let status = std::process::Command::new("cargo")
+        .args(["clippy", "--offline", "--quiet", "--workspace", "--all-targets", "--target-dir"])
+        .arg(root.join("target/clippy"))
+        .current_dir(root)
+        .status();
+    match status {
+        Ok(s) if s.success() => println!("clippy: no errors in any workspace target"),
+        Ok(s) => gate_failed("cargo clippy", &format!("it failed ({s}); its errors are above")),
+        Err(e) => gate_failed("cargo clippy", &format!("cannot run cargo: {e}")),
     }
 }
 
@@ -788,18 +792,18 @@ mod tests {
     fn report_writing_commands_have_a_default_out() {
         let writers: Vec<&str> =
             COMMANDS.iter().filter(|c| matches!(c.run, Run::Report(..))).map(|c| c.name).collect();
-        assert_eq!(writers, ["chaos", "federation", "scale", "lint"]);
+        assert_eq!(writers, ["chaos", "federation", "scale"]);
         let gated: Vec<&str> = GATES.iter().map(|g| g.0).collect();
-        assert_eq!(gated, ["lint", "chaos", "federation", "scale"], "`repro gate` checks every one");
+        assert_eq!(gated, ["lint", "chaos", "federation", "scale"], "clippy, then every report");
     }
 
     #[test]
     fn flags_land_in_their_fields_and_the_last_command_wins() {
-        let argv = "fig2 --runs 7 --seed 9 --out x.json --workers 3 --rules chaos";
+        let argv = "fig2 --runs 7 --seed 9 --out x.json --workers 3 chaos";
         let args = parse_args(argv.split(' ').map(String::from));
         assert_eq!((args.cmd.as_str(), args.runs, args.seed), ("chaos", 7, 9));
         assert_eq!(args.out, Some(PathBuf::from("x.json")));
-        assert_eq!((args.workers, args.rules), (Some(3), true));
+        assert_eq!(args.workers, Some(3));
         let gate = parse_args("gate scale".split(' ').map(String::from));
         assert_eq!((gate.cmd.as_str(), gate.target.as_deref()), ("gate", Some("scale")));
     }

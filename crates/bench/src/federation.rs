@@ -60,7 +60,7 @@ pub struct BdnReport {
     pub live_leases: usize,
     /// Anti-entropy counters.
     pub stats: FederationStats,
-    /// Malformed (or oversized) sync payloads rejected (D004).
+    /// Malformed (or oversized) sync payloads rejected.
     pub malformed_messages: u64,
 }
 

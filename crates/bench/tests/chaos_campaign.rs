@@ -77,7 +77,7 @@ fn chaos_smoke_three_fixed_seeds() {
 /// Pinned digest of the seed-11 three-scenario report, captured before
 /// the determinism-hardening pass that replaced `HashMap` state with
 /// ordered collections across `net/{sim,link}.rs` and
-/// `core/{responder,client,entity,bdn}.rs` (lint rule D002). The maps
+/// `core/{responder,client,entity,bdn}.rs`. The maps
 /// were only ever iterated in sorted or order-insensitive ways, so the
 /// swap must not move a single byte of the report — this pin is the
 /// regression proof, and any future reordering of sim-visible state

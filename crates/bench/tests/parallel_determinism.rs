@@ -34,7 +34,7 @@ fn client_sites() -> impl Strategy<Value = usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Parallel outcomes equal serial outcomes element-for-element, in
     /// the same order, for arbitrary topology/site/seed/worker-count.

@@ -1,6 +1,7 @@
 //! The `repro` binary's command-line contract: help comes from the
 //! dispatch table, usage errors exit 2, `--out` is the only place a
-//! report lands, and `repro gate` writes nothing.
+//! report lands, `repro gate` writes nothing, and its clippy gate passes
+//! on the tree and fails closed without cargo.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -22,11 +23,11 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// `repro.rs`'s dispatch table, by name.
-const COMMANDS: [&str; 32] = [
+const COMMANDS: [&str; 31] = [
     "help", "all", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
     "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock", "ablation-topology",
-    "ablation-bulk", "check", "trace", "chaos", "federation", "scale", "lint", "gate",
+    "ablation-bulk", "check", "trace", "chaos", "federation", "scale", "gate",
 ];
 
 #[test]
@@ -58,6 +59,8 @@ fn usage_errors_exit_two() {
         &["chaos", "--out", "/proc/nope/x.json", "--scenarios", "1"],
         &["gate", "frobnicate"],
         &["gate", "--out", "x.json"],
+        &["lint"],
+        &["lint", "--rules"],
     ] {
         let out = repro(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -114,4 +117,26 @@ fn gate_fails_on_one_changed_byte_and_leaves_the_directory_as_it_found_it() {
     std::fs::write(dir.join("CHAOS_campaign.json"), &committed).expect("restore the copy");
     let out = repro(&dir, &["gate", "chaos"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn gate_lint_passes_on_the_tree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = repro(&root, &["gate", "lint"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn gate_lint_fails_closed_when_cargo_cannot_be_run() {
+    let dir = scratch("repro_cli_no_cargo");
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["gate", "lint"])
+        .current_dir(&dir)
+        .env("PATH", &dir)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1), "a gate that cannot run must not pass");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot run cargo"), "the failure says why: {stderr}");
 }

@@ -168,7 +168,7 @@ fn client_sites() -> impl Strategy<Value = usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random geometric topologies: the digest is invariant to both
     /// the worker count and the shard count, chaos plan or not.

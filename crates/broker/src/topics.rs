@@ -562,7 +562,7 @@ mod tests {
         }
 
         fn dest(i: u8) -> Destination {
-            if i % 2 == 0 {
+            if i.is_multiple_of(2) {
                 Destination::Client(NodeId(u32::from(i)))
             } else {
                 Destination::Link(NodeId(u32::from(i)))

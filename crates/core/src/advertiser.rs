@@ -115,7 +115,7 @@ impl Advertiser {
             self.ads_sent += 1;
         }
         if self.use_topic {
-            let topic = Topic::parse(BROKER_ADVERTISEMENT_TOPIC).expect("well-known topic");
+            let topic = crate::well_known(Topic::parse, BROKER_ADVERTISEMENT_TOPIC);
             let payload = Message::Advertisement(ad).to_bytes();
             let _ = broker.publish_local(topic, payload, ctx);
             self.ads_sent += 1;

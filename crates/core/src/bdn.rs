@@ -146,7 +146,7 @@ pub struct Bdn {
     ping_nonces: HashMap<u64, (NodeId, SimTime)>,
     next_nonce: u64,
     /// Well-known topics, parsed once at construction so receive paths
-    /// never carry a panicking parse (lint rule D004).
+    /// never carry a panicking parse.
     flood_topic: Topic,
     ad_filter: TopicFilter,
     bdn_ad_topic: Topic,
@@ -194,9 +194,9 @@ impl Bdn {
             dedup,
             ping_nonces: HashMap::new(),
             next_nonce: 1,
-            flood_topic: crate::well_known_topic(DISCOVERY_REQUEST_TOPIC),
-            ad_filter: crate::well_known_filter(BROKER_ADVERTISEMENT_TOPIC),
-            bdn_ad_topic: crate::well_known_topic(BDN_ADVERTISEMENT_TOPIC),
+            flood_topic: crate::well_known(Topic::parse, DISCOVERY_REQUEST_TOPIC),
+            ad_filter: crate::well_known(TopicFilter::parse, BROKER_ADVERTISEMENT_TOPIC),
+            bdn_ad_topic: crate::well_known(Topic::parse, BDN_ADVERTISEMENT_TOPIC),
             inject_queue: VecDeque::new(),
             inject_timer_armed: false,
             requests_handled: 0,
@@ -459,7 +459,7 @@ impl Bdn {
     /// Handles one leg of a peer's anti-entropy exchange. Everything in
     /// `sync` is peer-supplied: record counts are bounded and every
     /// record goes through the registry's merge — malformed or oversized
-    /// payloads are counted, never panicked on (lint D004).
+    /// payloads are counted, never panicked on.
     fn on_federation_sync(&mut self, sync: FederationSync, peer: NodeId, ctx: &mut dyn Context) {
         let Some(cap) = self.federation.as_ref().map(|f| f.cfg.max_sync_entries) else {
             // Not federated: sync traffic is unexpected noise.
@@ -608,7 +608,7 @@ impl Actor for Bdn {
                 Message::Publish(ev)
                     if ev.topic.as_str() == BROKER_ADVERTISEMENT_TOPIC => {
                         // Malformed payloads on the advertisement topic
-                        // are counted, never panicked on (lint D004).
+                        // are counted, never panicked on.
                         match Message::from_shared(&ev.payload) {
                             Ok(Message::Advertisement(ad)) => self.register_ad(ad, ctx),
                             _ => self.malformed_messages += 1,

@@ -32,7 +32,7 @@ impl DiscoveryBrokerActor {
     pub fn new(mut cfg: BrokerConfig, bdns: Vec<NodeId>, policy: ResponsePolicy) -> Self {
         // The broker floods the discovery-plane topics.
         for topic in [DISCOVERY_REQUEST_TOPIC, BDN_ADVERTISEMENT_TOPIC] {
-            let filter = TopicFilter::parse(topic).expect("well-known topic");
+            let filter = crate::well_known(TopicFilter::parse, topic);
             if !cfg.flood_topics.contains(&filter) {
                 cfg.flood_topics.push(filter);
             }

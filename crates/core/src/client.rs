@@ -163,8 +163,7 @@ pub struct DiscoveryClient {
     pub runs_started: u64,
     /// Inconsistent internal state observed on a receive path (e.g. a
     /// connect index past the order list). Counted instead of panicking:
-    /// malformed or unexpected traffic must never take the client down
-    /// (lint rule D004).
+    /// malformed or unexpected traffic must never take the client down.
     pub internal_errors: u64,
 }
 
@@ -748,8 +747,7 @@ mod tests {
 
     #[test]
     fn federate_bdns_extends_rotation_without_duplicates() {
-        let mut cfg = DiscoveryConfig::default();
-        cfg.bdns = vec![NodeId(100)];
+        let cfg = DiscoveryConfig { bdns: vec![NodeId(100)], ..DiscoveryConfig::default() };
         let mut client = DiscoveryClient::new(cfg);
         client.federate_bdns(&[NodeId(100), NodeId(101), NodeId(102), NodeId(101)]);
         assert_eq!(client.config().bdns, vec![NodeId(100), NodeId(101), NodeId(102)]);

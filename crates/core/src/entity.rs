@@ -84,7 +84,7 @@ pub struct Entity {
     /// Duplicate event deliveries suppressed by the dedup cache.
     pub duplicates_dropped: u64,
     /// Inconsistent internal state observed on a receive path (counted
-    /// instead of panicking; lint rule D004).
+    /// instead of panicking).
     pub internal_errors: u64,
 }
 
@@ -272,7 +272,7 @@ impl Entity {
         match self.discovery.phase() {
             Phase::Done => {
                 // `Done` should imply a chosen broker; if the invariant
-                // ever breaks, strand and retry rather than panic (D004).
+                // ever breaks, strand and retry rather than panic.
                 let Some(chosen) = self.discovery.outcome().and_then(|o| o.chosen) else {
                     self.internal_errors += 1;
                     self.state = EntityState::Stranded;

@@ -73,11 +73,11 @@ pub struct FederationConfig {
     /// Bounded tombstone cache: oldest retired stamps evicted first.
     pub max_tombstones: usize,
     /// Upper bound on lease/tombstone records accepted in one sync
-    /// (peer-supplied — anything larger is counted malformed, D004).
+    /// (peer-supplied — anything larger is counted malformed).
     pub max_sync_entries: usize,
     /// Seed for the partner-selection stream. Each BDN derives a private
     /// RNG from `seed ^ node_id`, so partner choice is deterministic and
-    /// never perturbs the node's main RNG stream (D003/D008).
+    /// never perturbs the node's main RNG stream.
     pub seed: u64,
 }
 
@@ -195,7 +195,7 @@ fn tombstone_blocks(t: u64, issued_at: u64) -> bool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseBook {
     /// Ordered so that sweeps, snapshots and the digest are deterministic
-    /// regardless of insertion history (lint rule D002).
+    /// regardless of insertion history.
     leases: BTreeMap<NodeId, Registered>,
     tombstones: BTreeMap<NodeId, u64>,
     max_tombstones: usize,

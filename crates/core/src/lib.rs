@@ -31,6 +31,22 @@
 //!   advertiser,
 //! * [`scenario`] — harness builders assembling the paper's WAN testbed
 //!   topologies inside the simulator (§9).
+//!
+//! Every actor here parses and reacts to bytes from the network, so
+//! nothing outside the tests may panic: malformed input is counted and
+//! dropped. Clippy holds that for the whole crate.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod advertiser;
 pub mod bdn;
@@ -45,18 +61,15 @@ pub mod responder;
 pub mod scenario;
 pub mod selection;
 
-/// Parses a compile-time well-known topic constant. Lives outside the
-/// protocol-handler files so the actors can pre-build topics at
-/// construction time instead of parsing (and potentially panicking) on
-/// every receive path (lint rule D004).
-pub(crate) fn well_known_topic(s: &str) -> nb_wire::Topic {
-    nb_wire::Topic::parse(s).expect("well-known topic constant")
-}
-
-/// Parses a compile-time well-known topic filter (see
-/// [`well_known_topic`]).
-pub(crate) fn well_known_filter(s: &str) -> nb_wire::TopicFilter {
-    nb_wire::TopicFilter::parse(s).expect("well-known topic-filter constant")
+/// Parses one of nb-wire's well-known topic constants as a topic or as a
+/// filter (`parse` is `Topic::parse` or `TopicFilter::parse`).
+#[expect(
+    clippy::expect_used,
+    reason = "only ever given a compile-time constant, and nb-wire's \
+              `well_known_topics_are_valid` parses each one both ways"
+)]
+pub(crate) fn well_known<T>(parse: fn(&str) -> Result<T, nb_wire::TopicError>, s: &str) -> T {
+    parse(s).expect("well-known topic constant")
 }
 
 pub use advertiser::Advertiser;

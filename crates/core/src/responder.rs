@@ -52,7 +52,8 @@ pub struct Responder {
     pending: VecDeque<Option<(Endpoint, WireMsg)>>,
     pending_head: u64,
     /// The re-flood topic, parsed once at construction so the multicast
-    /// receive path never carries a panicking parse (lint rule D004).
+    /// receive path never carries a panicking parse (the crate denies
+    /// panics outside its tests).
     flood_topic: Topic,
     /// Responses actually sent.
     pub responses_sent: u64,
@@ -75,7 +76,7 @@ impl Responder {
             service_time: Duration::from_millis(40),
             pending: VecDeque::new(),
             pending_head: 0,
-            flood_topic: crate::well_known_topic(DISCOVERY_REQUEST_TOPIC),
+            flood_topic: crate::well_known(Topic::parse, DISCOVERY_REQUEST_TOPIC),
             responses_sent: 0,
             duplicates_suppressed: 0,
             rejected_by_policy: 0,

@@ -16,6 +16,13 @@
 //! [`ScenarioBuilder::multicast`] builds the Figure-12 configuration:
 //! no BDN path, multicast-only discovery, with only some brokers inside
 //! the client's realm.
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    reason = "a test harness that builds fixed deployments, not a receive path: \
+              a misbuilt scenario should stop the run that built it"
+)]
 
 use std::time::Duration;
 

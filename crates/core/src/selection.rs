@@ -112,7 +112,7 @@ pub fn choose_by_rtt(targets: &[Candidate], rtts_us: &[(NodeId, u64)]) -> Option
             best = Some((avg, idx));
         }
     }
-    best.map(|(_, idx)| targets[idx].response.broker)
+    best.and_then(|(_, idx)| targets.get(idx)).map(|t| t.response.broker)
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ pub enum DatagramFate {
 ///
 /// All interior collections are ordered (`BTreeMap`/`BTreeSet`) so that
 /// every sweep or fan-out over them is deterministic regardless of
-/// insertion history (lint rule D002).
+/// insertion history (clippy.toml bans hash-order walks).
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     /// `realms[node id]`; node ids are dense from zero, and every send

@@ -59,8 +59,9 @@
 //! scoped worker pool on `std::sync::mpsc`, moving whole LP groups
 //! through per-worker channels each epoch. Workers share nothing
 //! mutable — they own the LPs they were handed and borrow an immutable
-//! snapshot of the network — which is why this module is the only
-//! sanctioned home for thread primitives in nb-net (lint rule D008).
+//! snapshot of the network — which is why that function is the only
+//! sanctioned home for thread primitives in nb-net (clippy.toml bans
+//! them everywhere else).
 
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
@@ -951,9 +952,14 @@ impl ShardedSim {
     /// channels: a worker owns the group for the duration of one epoch
     /// and hands it back, so there is no shared mutable state at all —
     /// the coordinator is the only thread alive at every barrier.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the shard executor is the one sanctioned thread pool in the simulated crates; \
+                  the epoch barrier keeps its result independent of scheduling (DESIGN.md §13)"
+    )]
     fn run_epochs_threaded(
         &mut self,
-        groups: &mut Vec<Vec<Lp>>,
+        groups: &mut [Vec<Lp>],
         cap: usize,
         deadline: SimTime,
         lookahead: Duration,

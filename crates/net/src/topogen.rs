@@ -131,25 +131,6 @@ fn us(v: u64) -> Duration {
     Duration::from_micros(v)
 }
 
-/// Integer square root (largest `r` with `r·r <= v`); avoids floating
-/// point in the deterministic zone.
-fn isqrt(v: u64) -> u64 {
-    if v < 2 {
-        return v;
-    }
-    let mut lo = 1u64;
-    let mut hi = 1u64 << (v.ilog2() / 2 + 1);
-    while lo < hi {
-        let mid = (lo + hi + 1) / 2;
-        if mid.checked_mul(mid).is_some_and(|sq| sq <= v) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    lo
-}
-
 const GRID: i64 = 1 << 16;
 
 fn generate_geometric(
@@ -172,7 +153,7 @@ fn generate_geometric(
             }
             // Latency ∝ distance: the full grid diagonal maps to ~60 ms
             // one-way, floor 200 µs.
-            let dist = isqrt(d2 as u64);
+            let dist = (d2 as u64).isqrt();
             let lat = 200 + dist * 60_000 / (GRID as u64 * 3 / 2);
             edges.push((i, j, us(lat)));
         }
@@ -192,8 +173,7 @@ fn generate_isp(
 ) {
     // Gateway of region r: its first (lowest-index) broker.
     let mut gateway = vec![usize::MAX; regions];
-    for i in 0..n {
-        let r = region_of[i];
+    for (i, &r) in region_of.iter().enumerate().take(n) {
         if gateway[r] == usize::MAX {
             gateway[r] = i;
         }

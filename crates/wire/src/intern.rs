@@ -27,8 +27,8 @@
 //! output), and every destination list the broker emits is ordered by
 //! [`Destination`](../../nb_broker/topics/enum.Destination.html)'s own
 //! `Ord`, not by segment id. The lookup index is a `BTreeMap`, so there
-//! is no hash-iteration order to leak either (nb-lint rule D002 applies
-//! to this module — `crates/wire/src/` is a deterministic zone).
+//! is no hash-iteration order to leak either (clippy.toml's hash-map
+//! method list applies to this module as to every simulated crate).
 //!
 //! Wildcard filter segments are represented by two reserved sentinel ids
 //! at the top of the id space ([`SegId::STAR`], [`SegId::MULTI`]);
@@ -46,6 +46,11 @@
 //! it is interned). The per-link views stay capped at
 //! [`MAX_SYMBOLS`](crate::symtab::MAX_SYMBOLS) entries each, so the
 //! symbol table adds no new class of exposure.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the two process-wide tables are shared by the sharded engine's workers; \
+              ids never reach anything observable (see Determinism above)"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};

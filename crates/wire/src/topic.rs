@@ -378,6 +378,7 @@ mod tests {
     fn well_known_topics_are_valid() {
         for s in [BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC, BDN_ADVERTISEMENT_TOPIC] {
             Topic::parse(s).unwrap();
+            TopicFilter::parse(s).unwrap();
         }
     }
 

@@ -623,7 +623,7 @@ mod tests {
     fn segment_roundtrip_preserves_order_ttl_and_lens() {
         let base = 5_000u64;
         let msgs =
-            vec![publish("a/b"), Message::Heartbeat { from: NodeId(1), seq: 1 }, publish("a/b")];
+            [publish("a/b"), Message::Heartbeat { from: NodeId(1), seq: 1 }, publish("a/b")];
         let items: Vec<(u8, u8, &Message)> =
             msgs.iter().enumerate().map(|(i, m)| (30 - i as u8, i as u8, m)).collect();
         let mut sw = SymTabWriter::new();
@@ -831,7 +831,7 @@ mod tests {
     #[test]
     fn truncated_segment_errors_and_rolls_back_symbols() {
         let base = 0u64;
-        let msgs = vec![publish("t/1"), publish("t/2")];
+        let msgs = [publish("t/1"), publish("t/2")];
         let items: Vec<(u8, u8, &Message)> = msgs.iter().map(|m| (32, 0, m)).collect();
         let mut sw = SymTabWriter::new();
         let (seg, _) = encode_segment(&items, base, &mut sw);

@@ -93,3 +93,8 @@ fn main() {
     assert!(sim.is_up(second));
     println!("rediscovery landed on the survivor");
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

@@ -70,3 +70,8 @@ fn main() {
         sim.now()
     );
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

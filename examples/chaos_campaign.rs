@@ -142,3 +142,8 @@ fn main() {
     assert_eq!(sub.received.len(), 1, "the post-recovery event must arrive exactly once");
     println!("\nrecovered: the lease registry was rebuilt from heartbeats alone");
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

@@ -99,3 +99,8 @@ fn main() {
     // brokers and discovery-enabled brokers share the same substrate.
     let _ = BrokerActor::new(BrokerConfig::default());
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

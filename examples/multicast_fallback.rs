@@ -56,3 +56,8 @@ fn main() {
         fallback.phases.issue
     );
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

@@ -49,3 +49,8 @@ fn main() {
         println!("  {broker} ({label:<12}) {:>8.2} ms", rtt as f64 / 1e3);
     }
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

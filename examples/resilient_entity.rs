@@ -89,3 +89,8 @@ fn main() {
     println!("subscriber received {received} event(s) in total — subscriptions survived");
     assert_eq!(received, 2);
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

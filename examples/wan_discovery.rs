@@ -71,3 +71,8 @@ fn main() {
         println!("\n");
     }
 }
+
+#[test]
+fn runs_to_completion() {
+    main();
+}

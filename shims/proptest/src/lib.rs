@@ -32,6 +32,10 @@ pub mod test_runner {
     }
 
     impl Default for ProptestConfig {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test-run knob, as in the real crate; no simulated result reads it"
+        )]
         fn default() -> Self {
             let cases = std::env::var("PROPTEST_CASES")
                 .ok()
@@ -479,18 +483,17 @@ pub mod string {
             i += 1;
         }
         let min: usize = first.parse().expect("bad {m,n} in string strategy");
-        let max;
-        if chars[i] == ',' {
+        let max = if chars[i] == ',' {
             i += 1;
             let mut second = String::new();
             while i < chars.len() && chars[i].is_ascii_digit() {
                 second.push(chars[i]);
                 i += 1;
             }
-            max = second.parse().expect("bad {m,n} in string strategy");
+            second.parse().expect("bad {m,n} in string strategy")
         } else {
-            max = min;
-        }
+            min
+        };
         assert!(chars[i] == '}', "unterminated {{m,n}} in string strategy");
         (min, max, i + 1)
     }

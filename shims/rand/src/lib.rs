@@ -315,7 +315,7 @@ pub mod seq {
 
         fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
             for i in (1..self.len()).rev() {
-                let j = (&mut *rng).gen_range(0..=i);
+                let j = (*rng).gen_range(0..=i);
                 self.swap(i, j);
             }
         }
@@ -324,7 +324,7 @@ pub mod seq {
             if self.is_empty() {
                 None
             } else {
-                let i = (&mut *rng).gen_range(0..self.len());
+                let i = (*rng).gen_range(0..self.len());
                 Some(&self[i])
             }
         }
