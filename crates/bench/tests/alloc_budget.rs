@@ -1,15 +1,16 @@
-//! Allocation budgets for the attach path and the data plane, in
-//! tier-1.
+//! Allocation budgets for the attach path, the data plane and the
+//! paper's own discovery, in tier-1.
 //!
-//! Two small deployments counted by this binary's own
+//! Three small deployments counted by this binary's own
 //! `#[global_allocator]`: a sharded attach — 10 brokers, 1 BDN, 200
-//! entities, 1 worker — and a meshed pub/sub run — 8 brokers, 64
-//! subscribers, 8 publishers. The counts are exact and repeat, so a new
-//! allocation on the flood hop, the responder, the epoch barrier, the
-//! match memo or the per-publisher route state shows here as a failed
-//! test instead of needing an `LD_PRELOAD` census to find. This file
-//! must stay one test, the only one in its binary: libtest runs tests
-//! on parallel threads, and a sibling would allocate into the same
+//! entities, 1 worker — a meshed pub/sub run — 8 brokers, 64
+//! subscribers, 8 publishers — and one Fig 2 discovery on `Sim`. The
+//! counts are exact and repeat, so a new allocation on the flood hop,
+//! the responder, the epoch barrier, the match memo, the per-publisher
+//! route state or the client's rounds shows here as a failed test
+//! instead of needing an `LD_PRELOAD` census to find. This file must
+//! stay one test, the only one in its binary: libtest runs tests on
+//! parallel threads, and a sibling would allocate into the same
 //! counter.
 
 use std::time::Duration;
@@ -17,8 +18,9 @@ use std::time::Duration;
 use nb_bench::alloc::{calls, CountingAlloc};
 use nb_bench::scale::{build_tier, TierSpec, SCALE_SHARDS};
 use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology};
-use nb_discovery::{Entity, EntityState};
+use nb_discovery::{Entity, EntityState, ScenarioBuilder};
 use nb_net::topogen::TopologyKind;
+use nb_net::wan::BLOOMINGTON;
 use nb_net::{ClockProfile, LinkSpec, NodeId, RealmId, Sim};
 use nb_wire::{Topic, TopicFilter};
 
@@ -34,8 +36,10 @@ const ENTITIES: usize = 200;
 /// all, 39 283 before). Since a send is sized by counting instead of
 /// encoding a frame nobody reads, and senders hand `NodeCtx` the
 /// message they built instead of a copy, it is 149 (29 904 in all,
-/// 38 457 before). The budget is the 149 plus 10 %.
-const BUDGET_PER_ATTACH: u64 = 164;
+/// 38 457 before). Since the discovery client reserves its rounds once
+/// and the BDN reads a request where it lies, it is 139 (27 896 in
+/// all). The budget is the 139 plus 10 %.
+const BUDGET_PER_ATTACH: u64 = 152;
 
 /// Boots the deployment uncounted, then counts the allocator calls of
 /// the window in which the whole fleet discovers, attaches and
@@ -129,6 +133,28 @@ fn allocations_of_one_pubsub_run() -> u64 {
     counted
 }
 
+/// Allocations of one paper discovery — BDN injection, the response
+/// fan-in, the UDP pings, the connect — everything in it counted:
+/// client, BDN, brokers, engine and the harness's own outcome. The
+/// change that added this case reaches 77 under `cargo test` where its
+/// parent made 104: the shared empty match set, the ping round as a
+/// `Vec` reserved once, averages taken in place, the request wrapped
+/// once and read where it lies, the injection order sorted in one
+/// buffer. The budget is the 77 plus 10 %.
+const BUDGET_PER_DISCOVERY: u64 = 84;
+
+/// Builds the Fig 2 deployment (unconnected, client at Bloomington,
+/// seed 2005) and its 6 s warm-up uncounted, then counts
+/// `run_discovery_once`.
+fn allocations_of_one_paper_discovery() -> u64 {
+    let mut scenario = ScenarioBuilder::new(nb_broker::TopologyKind::Unconnected, BLOOMINGTON, 2005).build();
+    let before = calls();
+    let outcome = scenario.run_discovery_once();
+    let counted = calls() - before;
+    assert!(outcome.chosen.is_some(), "the discovery chose no broker");
+    counted
+}
+
 #[test]
 fn allocations_repeat_exactly_and_stay_under_budget() {
     // The first run also fills the process-wide topic intern tables;
@@ -151,5 +177,14 @@ fn allocations_repeat_exactly_and_stay_under_budget() {
     assert!(
         per_delivery <= BUDGET_PER_DELIVERY,
         "{per_delivery:.2} allocations per delivery, budget {BUDGET_PER_DELIVERY} ({first} in all)"
+    );
+
+    allocations_of_one_paper_discovery();
+    let first = allocations_of_one_paper_discovery();
+    let second = allocations_of_one_paper_discovery();
+    assert_eq!(first, second, "the allocation count is a pure function of the run");
+    assert!(
+        first <= BUDGET_PER_DISCOVERY,
+        "{first} allocations in one paper discovery, budget {BUDGET_PER_DISCOVERY}"
     );
 }

@@ -297,7 +297,9 @@ impl SubscriptionTable {
         self.root.collect(topic.seg_ids(), &mut out);
         out.sort_unstable();
         out.dedup();
-        let set: Arc<[Destination]> = out.as_slice().into();
+        // `Arc::default()` is std's one static empty slice: a topic
+        // nothing matches costs no allocation at any broker.
+        let set: Arc<[Destination]> = if out.is_empty() { Arc::default() } else { out.as_slice().into() };
         self.scratch = out;
         if self.memo.len() >= MEMO_CAP {
             self.memo.clear();

@@ -13,7 +13,7 @@ use std::time::Duration;
 use nb_broker::Broker;
 use nb_wire::addr::well_known;
 use nb_wire::topic::BROKER_ADVERTISEMENT_TOPIC;
-use nb_wire::{BrokerAdvertisement, Endpoint, Message, NodeId, Topic, Wire};
+use nb_wire::{BrokerAdvertisement, Endpoint, Message, NodeId, Topic, Wire, WireMsg};
 
 use nb_net::{Context, Incoming};
 
@@ -28,6 +28,8 @@ pub struct Advertiser {
     bdns: Vec<NodeId>,
     /// Also publish advertisements on the well-known topic.
     use_topic: bool,
+    /// That topic, parsed once at construction.
+    topic: Topic,
     /// Re-advertisement period (ads are fire-and-forget and can be lost).
     readvertise: Duration,
     /// Optional geographical information for the advertisement.
@@ -47,6 +49,7 @@ impl Advertiser {
         Advertiser {
             bdns,
             use_topic,
+            topic: crate::well_known(Topic::parse, BROKER_ADVERTISEMENT_TOPIC),
             readvertise,
             geography: None,
             institution: None,
@@ -103,21 +106,17 @@ impl Advertiser {
     }
 
     /// Issues the advertisement now: direct UDP to every known BDN, plus
-    /// a topic publish when configured.
+    /// a topic publish when configured. The ad is built and wrapped once;
+    /// every BDN is sent the same handle.
     pub fn advertise(&mut self, broker: &mut Broker, ctx: &mut dyn Context) {
-        let ad = self.build_ad(broker, ctx);
-        for bdn in self.all_bdns() {
-            ctx.send_udp(
-                well_known::BROKER,
-                Endpoint::new(bdn, well_known::BDN),
-                &Message::Advertisement(ad.clone()),
-            );
+        let ad = WireMsg::new(Message::Advertisement(self.build_ad(broker, ctx)));
+        for &bdn in self.bdns.iter().chain(&self.discovered_bdns) {
+            ctx.send_udp_wire(well_known::BROKER, Endpoint::new(bdn, well_known::BDN), &ad);
             self.ads_sent += 1;
         }
         if self.use_topic {
-            let topic = crate::well_known(Topic::parse, BROKER_ADVERTISEMENT_TOPIC);
-            let payload = Message::Advertisement(ad).to_bytes();
-            let _ = broker.publish_local(topic, payload, ctx);
+            let payload = ad.message().to_bytes();
+            let _ = broker.publish_local(self.topic.clone(), payload, ctx);
             self.ads_sent += 1;
         }
     }

@@ -27,7 +27,7 @@ use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
 use nb_wire::topic::{BDN_ADVERTISEMENT_TOPIC, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC};
 use nb_wire::{
-    BrokerAdvertisement, DiscoveryRequest, Endpoint, Event, FederationSync, Message, NodeId,
+    BrokerAdvertisement, Endpoint, Event, FederationSync, Message, NodeId,
     SyncPhase, Topic, TopicFilter, Wire, WireMsg,
 };
 
@@ -111,29 +111,16 @@ impl Default for BdnConfig {
     }
 }
 
-/// Orders injection targets: closest first, farthest second, the rest by
-/// ascending RTT, unknown-RTT targets last (paper §4).
-pub fn injection_order(targets: &[(NodeId, Option<u64>)]) -> Vec<NodeId> {
-    let mut known: Vec<(NodeId, u64)> =
-        targets.iter().filter_map(|(n, r)| r.map(|r| (*n, r))).collect();
-    known.sort_by_key(|&(n, r)| (r, n));
-    let mut unknown: Vec<NodeId> =
-        targets.iter().filter(|(_, r)| r.is_none()).map(|(n, _)| *n).collect();
-    unknown.sort_unstable();
-    let mut order = Vec::with_capacity(targets.len());
-    if let Some(&(closest, _)) = known.first() {
-        order.push(closest);
+/// Puts injection targets `(broker, rtt)` in injection order, in place:
+/// closest first, farthest second, the rest by ascending RTT, unknown-RTT
+/// targets last (paper §4). RTT ties and the unknowns go by node id.
+pub fn injection_order(targets: &mut [(NodeId, Option<u64>)]) {
+    targets.sort_unstable_by_key(|&(n, r)| (r.is_none(), r, n));
+    let known = targets.partition_point(|(_, r)| r.is_some());
+    // [closest, 2nd, …, farthest] → [closest, farthest, 2nd, …].
+    if let Some(rest) = targets.get_mut(1..known).filter(|rest| !rest.is_empty()) {
+        rest.rotate_right(1);
     }
-    if known.len() > 1 {
-        if let Some(&(farthest, _)) = known.last() {
-            order.push(farthest);
-        }
-    }
-    for &(n, _) in known.iter().skip(1).take(known.len().saturating_sub(2)) {
-        order.push(n);
-    }
-    order.extend(unknown);
-    order
 }
 
 /// The BDN actor.
@@ -349,7 +336,13 @@ impl Bdn {
         ctx.set_timer(self.cfg.ping_interval, TIMER_PING);
     }
 
-    fn on_discovery_request(&mut self, req: DiscoveryRequest, ctx: &mut dyn Context) {
+    /// Handles `request`, a `Message::Discovery`, where it lies: the
+    /// requester keeps its handle to retransmit, so nothing here takes
+    /// the request apart or copies it.
+    fn on_discovery_request(&mut self, request: &Message, ctx: &mut dyn Context) {
+        let Message::Discovery(req) = request else {
+            return;
+        };
         // Always ack — "a BDN is expected to acknowledge the receipt of a
         // discovery request in a timely manner"; retransmissions are
         // idempotent (§3).
@@ -359,7 +352,7 @@ impl Bdn {
             self.duplicate_requests += 1;
             return;
         }
-        if !self.cfg.policy.permits(&req) {
+        if !self.cfg.policy.permits(req) {
             self.rejected_requests += 1;
             return;
         }
@@ -380,12 +373,12 @@ impl Bdn {
                 None => targets.push((b, None)),
             }
         }
+        injection_order(&mut targets);
         // Encode the flooded request body once; every queued injection
         // (closest, farthest, the rest) shares the same bytes.
-        let payload = Message::Discovery(req).to_bytes();
-        for target in injection_order(&targets) {
-            self.inject_queue.push_back((target, payload.clone()));
-        }
+        let payload = request.to_bytes();
+        self.inject_queue.reserve(targets.len());
+        self.inject_queue.extend(targets.iter().map(|&(target, _)| (target, payload.clone())));
         self.pump_injections(ctx);
     }
 
@@ -404,11 +397,8 @@ impl Bdn {
             source: ctx.me(),
             payload,
         };
-        ctx.send_stream(
-            well_known::BDN,
-            Endpoint::new(target, well_known::BROKER),
-            &Message::Publish(event),
-        );
+        let to = Endpoint::new(target, well_known::BROKER);
+        ctx.send_stream_wire(well_known::BDN, to, &WireMsg::new(Message::Publish(event)));
         if !self.inject_queue.is_empty() {
             self.inject_timer_armed = true;
             ctx.set_timer(self.cfg.per_send_delay, TIMER_INJECT);
@@ -546,9 +536,13 @@ impl Actor for Bdn {
                 self.inject_timer_armed = false;
                 self.pump_injections(ctx);
             }
+            Incoming::Datagram { msg, .. } | Incoming::Stream { msg, .. }
+                if matches!(msg.message(), Message::Discovery(_)) =>
+            {
+                self.on_discovery_request(msg.message(), ctx);
+            }
             Incoming::Datagram { from, msg, .. } | Incoming::Stream { from, msg, .. } => match msg.into_message() {
                 Message::Advertisement(ad) => self.register_ad(ad, ctx),
-                Message::Discovery(req) => self.on_discovery_request(req, ctx),
                 Message::FederationSync(sync) => self.on_federation_sync(sync, from.node, ctx),
                 Message::Secure(env) => {
                     let Some(suite) = &self.cfg.security else {
@@ -561,9 +555,9 @@ impl Actor for Bdn {
                         &suite.trust_root,
                         ctx.utc_micros(),
                     ) {
-                        Ok(Message::Discovery(req)) => {
+                        Ok(request @ Message::Discovery(_)) => {
                             self.secured_requests += 1;
-                            self.on_discovery_request(req, ctx);
+                            self.on_discovery_request(&request, ctx);
                         }
                         _ => self.rejected_envelopes += 1,
                     }
@@ -627,7 +621,7 @@ impl Actor for Bdn {
 mod tests {
     use super::*;
     use crate::test_ctx::TestCtx;
-    use nb_wire::{LeaseRecord, Port, RealmId, TombstoneRecord};
+    use nb_wire::{DiscoveryRequest, LeaseRecord, Port, RealmId, TombstoneRecord};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -696,7 +690,7 @@ mod tests {
             credentials: None,
             issued_at_utc: now_us,
         };
-        bdn.on_discovery_request(req, &mut ctx);
+        bdn.on_discovery_request(&Message::Discovery(req), &mut ctx);
         assert_eq!(bdn.stale_targets_skipped, 1);
         assert_eq!(bdn.requests_handled, 1);
     }
@@ -801,6 +795,38 @@ mod tests {
         assert_eq!(measured, BROKERS as usize, "every pong of the sweep was matched");
     }
 
+    /// The order the three-`Vec` implementation gave, kept as the
+    /// oracle the in-place [`injection_order`] is held to.
+    fn reference_injection_order(targets: &[(NodeId, Option<u64>)]) -> Vec<NodeId> {
+        let mut known: Vec<(NodeId, u64)> =
+            targets.iter().filter_map(|(n, r)| r.map(|r| (*n, r))).collect();
+        known.sort_by_key(|&(n, r)| (r, n));
+        let mut unknown: Vec<NodeId> =
+            targets.iter().filter(|(_, r)| r.is_none()).map(|(n, _)| *n).collect();
+        unknown.sort_unstable();
+        let mut order = Vec::with_capacity(targets.len());
+        if let Some(&(closest, _)) = known.first() {
+            order.push(closest);
+        }
+        if known.len() > 1 {
+            if let Some(&(farthest, _)) = known.last() {
+                order.push(farthest);
+            }
+        }
+        for &(n, _) in known.iter().skip(1).take(known.len().saturating_sub(2)) {
+            order.push(n);
+        }
+        order.extend(unknown);
+        order
+    }
+
+    /// [`injection_order`] on a copy, as node ids.
+    fn ordered(targets: &[(NodeId, Option<u64>)]) -> Vec<NodeId> {
+        let mut order = targets.to_vec();
+        injection_order(&mut order);
+        order.into_iter().map(|(n, _)| n).collect()
+    }
+
     #[test]
     fn injection_order_closest_then_farthest() {
         let targets = vec![
@@ -809,7 +835,7 @@ mod tests {
             (NodeId(3), Some(120_000)),
             (NodeId(4), Some(80_000)),
         ];
-        let order = injection_order(&targets);
+        let order = ordered(&targets);
         assert_eq!(order[0], NodeId(2), "closest first");
         assert_eq!(order[1], NodeId(3), "farthest second");
         assert_eq!(order.len(), 4);
@@ -824,21 +850,18 @@ mod tests {
             (NodeId(2), Some(10_000)),
             (NodeId(3), None),
         ];
-        let order = injection_order(&targets);
+        let order = ordered(&targets);
         assert_eq!(order, vec![NodeId(2), NodeId(1), NodeId(3)]);
     }
 
     #[test]
     fn injection_order_degenerate_cases() {
-        assert!(injection_order(&[]).is_empty());
-        assert_eq!(injection_order(&[(NodeId(5), Some(1))]), vec![NodeId(5)]);
-        assert_eq!(
-            injection_order(&[(NodeId(5), None), (NodeId(6), None)]),
-            vec![NodeId(5), NodeId(6)]
-        );
+        assert!(ordered(&[]).is_empty());
+        assert_eq!(ordered(&[(NodeId(5), Some(1))]), vec![NodeId(5)]);
+        assert_eq!(ordered(&[(NodeId(5), None), (NodeId(6), None)]), vec![NodeId(5), NodeId(6)]);
         // two known: closest then farthest, no repeats
         assert_eq!(
-            injection_order(&[(NodeId(1), Some(5)), (NodeId(2), Some(9))]),
+            ordered(&[(NodeId(1), Some(5)), (NodeId(2), Some(9))]),
             vec![NodeId(1), NodeId(2)]
         );
     }
@@ -927,6 +950,18 @@ mod tests {
     }
 
     proptest! {
+        /// Few node ids and fewer RTT values, so ties, repeated ids and
+        /// unknowns are common.
+        #[test]
+        fn injection_order_in_place_equals_the_reference(
+            targets in prop::collection::vec(
+                (0u32..12, prop::option::of(0u64..6)).prop_map(|(n, r)| (NodeId(n), r)),
+                0..16,
+            ),
+        ) {
+            prop_assert_eq!(ordered(&targets), reference_injection_order(&targets));
+        }
+
         #[test]
         fn federated_bdns_converge_under_any_delivery_order(
             ops in arb_ops(),

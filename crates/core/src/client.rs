@@ -23,7 +23,6 @@
 //! Every phase is timed — these timings are exactly the "percentage of
 //! time spent in various sub-activities" of Figures 2, 9 and 11.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use nb_util::Uuid;
@@ -46,6 +45,9 @@ const TIMER_ACK: u64 = 0xD15C_0000_0000_0002;
 const TIMER_WINDOW: u64 = 0xD15C_0000_0000_0003;
 const TIMER_PING: u64 = 0xD15C_0000_0000_0004;
 const TIMER_CONNECT: u64 = 0xD15C_0000_0000_0005;
+/// The most responses a collection round reserves room for up front; a
+/// larger `max_responses` still collects them all, growing as they come.
+const RESERVED_RESPONSES: usize = 64;
 
 /// Where the client is in the discovery process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +138,9 @@ pub struct DiscoveryClient {
     run_started: SimTime,
     phase_started: SimTime,
     times: PhaseTimes,
-    request: Option<DiscoveryRequest>,
+    /// This run's request (`Message::Discovery`), wrapped once: every
+    /// retransmission sends this handle, or seals its message afresh.
+    request: Option<WireMsg>,
     bdn_idx: usize,
     retransmits: u32,
     /// Total request sends this run (drives the backoff schedule and the
@@ -147,10 +151,14 @@ pub struct DiscoveryClient {
     used_multicast: bool,
     used_cache: bool,
     bdn_used: Option<NodeId>,
-    ping_nonces: HashMap<u64, (NodeId, SimTime)>,
+    /// The ping round: slot `i` is the target pinged with nonce
+    /// `ping_base + i`, emptied when its pong is recorded.
+    pings: Vec<Option<NodeId>>,
+    ping_base: u64,
+    /// When the round's pings went out (all in one handler).
+    pings_sent_at: SimTime,
     next_nonce: u64,
     rtts: Vec<(NodeId, u64)>,
-    expected_pongs: usize,
     connect_order: Vec<(NodeId, Endpoint)>,
     connect_idx: usize,
     responses_count: usize,
@@ -193,10 +201,11 @@ impl DiscoveryClient {
             used_multicast: false,
             used_cache: false,
             bdn_used: None,
-            ping_nonces: HashMap::new(),
+            pings: Vec::new(),
+            ping_base: 0,
+            pings_sent_at: SimTime::ZERO,
             next_nonce: 1,
             rtts: Vec::new(),
-            expected_pongs: 0,
             connect_order: Vec::new(),
             connect_idx: 0,
             responses_count: 0,
@@ -241,6 +250,14 @@ impl DiscoveryClient {
         }
     }
 
+    /// The current run's request id.
+    fn request_id(&self) -> Option<Uuid> {
+        match self.request.as_ref().map(WireMsg::message) {
+            Some(Message::Discovery(req)) => Some(req.request_id),
+            _ => None,
+        }
+    }
+
     /// Whether this client may use multicast at all.
     fn multicast_available(&self) -> bool {
         self.cfg.multicast_enabled
@@ -265,7 +282,7 @@ impl DiscoveryClient {
         self.candidates.clear();
         self.targets.clear();
         self.rtts.clear();
-        self.ping_nonces.clear();
+        self.pings.clear();
         self.connect_order.clear();
         self.connect_idx = 0;
         self.responses_count = 0;
@@ -275,7 +292,7 @@ impl DiscoveryClient {
         self.used_multicast = false;
         self.used_cache = false;
         self.bdn_used = None;
-        self.request = Some(self.build_request(ctx));
+        self.request = Some(WireMsg::new(Message::Discovery(self.build_request(ctx))));
         if (self.cfg.multicast_only && self.multicast_available()) || self.cfg.bdns.is_empty() {
             if self.multicast_available() {
                 self.go_multicast(ctx);
@@ -314,26 +331,27 @@ impl DiscoveryClient {
             self.finish(None, ctx);
             return;
         };
-        let Some(req) = self.request.clone() else {
+        let Some(request) = &self.request else {
             self.internal_errors += 1;
             self.finish(None, ctx);
             return;
         };
-        let msg = Message::Discovery(req);
-        // Secured configuration (§9.1): sign + encrypt the request to the
-        // BDN's key. The multicast fallback stays in the clear, matching
-        // the paper's prototype.
-        let msg = match &self.cfg.security {
-            None => msg,
-            Some(suite) => Message::Secure(nb_security::seal_envelope(
-                &msg,
-                &suite.identity,
-                suite.peer_public,
-                ctx.rng(),
-            )),
-        };
         let to = Endpoint::new(bdn, well_known::BDN);
-        ctx.send_udp_wire(well_known::DISCOVERY_REPLY, to, &WireMsg::new(msg));
+        // Secured configuration (§9.1): sign + encrypt the request to the
+        // BDN's key, afresh on every send. The multicast fallback stays in
+        // the clear, matching the paper's prototype.
+        match &self.cfg.security {
+            None => ctx.send_udp_wire(well_known::DISCOVERY_REPLY, to, request),
+            Some(suite) => {
+                let sealed = nb_security::seal_envelope(
+                    request.message(),
+                    &suite.identity,
+                    suite.peer_public,
+                    ctx.rng(),
+                );
+                ctx.send_udp_wire(well_known::DISCOVERY_REPLY, to, &WireMsg::new(Message::Secure(sealed)));
+            }
+        }
         // Legacy: fixed ack timeout. With a backoff policy, each attempt
         // waits the jittered capped-exponential delay instead, so a herd
         // of clients losing the same BDN desynchronises its retries.
@@ -351,30 +369,28 @@ impl DiscoveryClient {
         // still answer the multicast retry.
         let mut req = self.build_request(ctx);
         req.issued_at_utc = ctx.utc_micros();
-        self.request = Some(req.clone());
+        let request = WireMsg::new(Message::Discovery(req));
         ctx.send_multicast(
             well_known::DISCOVERY_REPLY,
             DISCOVERY_GROUP,
             well_known::MULTICAST_DISCOVERY,
-            &Message::Discovery(req),
+            request.message(),
         );
+        self.request = Some(request);
         // Multicast has no ack; the issue phase ends immediately.
-        { let spent = self.mark_phase(ctx); self.times.issue += spent; }
-        self.phase = Phase::Collecting;
-        ctx.cancel_timer(TIMER_ACK);
-        ctx.set_timer(self.cfg.collection_window, TIMER_WINDOW);
+        self.start_collecting(ctx);
     }
 
     fn start_collecting(&mut self, ctx: &mut dyn Context) {
         { let spent = self.mark_phase(ctx); self.times.issue += spent; }
         self.phase = Phase::Collecting;
+        self.candidates.reserve(self.cfg.max_responses.min(RESERVED_RESPONSES));
         ctx.cancel_timer(TIMER_ACK);
         ctx.set_timer(self.cfg.collection_window, TIMER_WINDOW);
     }
 
     fn on_response(&mut self, resp: DiscoveryResponse, ctx: &mut dyn Context) {
-        let current_id = self.request.as_ref().map(|r| r.request_id);
-        if Some(resp.request_id) != current_id {
+        if Some(resp.request_id) != self.request_id() {
             return; // stale response from an earlier run/request
         }
         if resp.broker == ctx.me() {
@@ -409,7 +425,6 @@ impl DiscoveryClient {
             self.cfg.max_responses,
             self.cfg.target_set_size,
         );
-        self.candidates = Vec::new();
         { let spent = self.mark_phase(ctx); self.times.select += spent; }
         if self.targets.is_empty() {
             // No broker answered (§7 fallbacks).
@@ -434,13 +449,13 @@ impl DiscoveryClient {
     /// remembered target set directly.
     fn ping_cached_targets(&mut self, ctx: &mut dyn Context) {
         self.used_cache = true;
+        let request_id = self.request_id().unwrap_or(Uuid::NIL);
         self.targets = self
             .last_target_set
-            .clone()
-            .into_iter()
-            .map(|broker| Candidate {
+            .iter()
+            .map(|&broker| Candidate {
                 response: DiscoveryResponse {
-                    request_id: self.request.as_ref().map(|r| r.request_id).unwrap_or(Uuid::NIL),
+                    request_id,
                     broker,
                     hostname: String::new(),
                     realm: RealmId(0),
@@ -466,42 +481,41 @@ impl DiscoveryClient {
 
     fn start_pinging(&mut self, ctx: &mut dyn Context) {
         self.phase = Phase::Pinging;
+        let round = self.targets.len().saturating_mul(self.cfg.ping_count as usize);
         self.rtts.clear();
-        self.ping_nonces.clear();
-        self.expected_pongs = 0;
-        let targets: Vec<(NodeId, Endpoint)> = self
-            .targets
-            .iter()
-            .map(|t| {
-                let port = t.response.port_for(TransportKind::Udp).unwrap_or(well_known::PING);
-                (t.response.broker, Endpoint::new(t.response.broker, port))
-            })
-            .collect();
-        for (broker, ep) in targets {
+        self.rtts.reserve(round);
+        self.pings.clear();
+        self.pings.reserve(round);
+        self.ping_base = self.next_nonce;
+        self.pings_sent_at = ctx.now();
+        let reply_to = Endpoint::new(ctx.me(), well_known::PING);
+        for t in &self.targets {
+            let broker = t.response.broker;
+            let port = t.response.port_for(TransportKind::Udp).unwrap_or(well_known::PING);
             for _ in 0..self.cfg.ping_count {
-                let nonce = self.next_nonce;
+                let ping = Message::Ping { nonce: self.next_nonce, sent_at: ctx.now().as_micros(), reply_to };
                 self.next_nonce += 1;
-                self.ping_nonces.insert(nonce, (broker, ctx.now()));
-                self.expected_pongs += 1;
-                let ping = Message::Ping {
-                    nonce,
-                    sent_at: ctx.now().as_micros(),
-                    reply_to: Endpoint::new(ctx.me(), well_known::PING),
-                };
-                ctx.send_udp_wire(well_known::PING, ep, &WireMsg::new(ping));
+                self.pings.push(Some(broker));
+                ctx.send_udp_wire(well_known::PING, Endpoint::new(broker, port), &WireMsg::new(ping));
             }
         }
         ctx.set_timer(self.cfg.ping_window, TIMER_PING);
     }
 
+    /// Records a pong of this round's, once: a nonce from an earlier
+    /// round, one never sent and a repeat all find no slot.
     fn on_pong(&mut self, nonce: u64, ctx: &mut dyn Context) {
         if self.phase != Phase::Pinging {
             return;
         }
-        if let Some((broker, sent)) = self.ping_nonces.remove(&nonce) {
-            let rtt = (ctx.now() - sent).as_micros() as u64;
+        let slot = nonce
+            .checked_sub(self.ping_base)
+            .and_then(|i| usize::try_from(i).ok())
+            .and_then(|i| self.pings.get_mut(i));
+        if let Some(broker) = slot.and_then(Option::take) {
+            let rtt = (ctx.now() - self.pings_sent_at).as_micros() as u64;
             self.rtts.push((broker, rtt));
-            if self.rtts.len() >= self.expected_pongs {
+            if self.rtts.len() >= self.pings.len() {
                 self.end_pinging(ctx);
             }
         }
@@ -514,7 +528,7 @@ impl DiscoveryClient {
         // target set by weight (so refused connections walk down the
         // list).
         let winner = choose_by_rtt(&self.targets, &self.rtts);
-        let mut order: Vec<(NodeId, Endpoint)> = Vec::new();
+        let mut order: Vec<(NodeId, Endpoint)> = Vec::with_capacity(self.targets.len());
         if let Some(w) = winner {
             if let Some(t) = self.targets.iter().find(|t| t.response.broker == w) {
                 let port = t.response.port_for(TransportKind::Tcp).unwrap_or(well_known::BROKER);
@@ -595,7 +609,7 @@ impl DiscoveryClient {
         }
         let target_set: Vec<NodeId> = self.targets.iter().map(|t| t.response.broker).collect();
         if !target_set.is_empty() {
-            self.last_target_set = target_set.clone();
+            self.last_target_set.clone_from(&target_set);
         }
         let outcome = DiscoveryOutcome {
             chosen: chosen.map(|(b, _)| b),
@@ -603,7 +617,7 @@ impl DiscoveryClient {
             phases: self.times,
             responses_received: self.responses_count.max(self.candidates.len()),
             target_set,
-            rtts_us: self.rtts.clone(),
+            rtts_us: std::mem::take(&mut self.rtts),
             used_multicast: self.used_multicast,
             used_cached_targets: self.used_cache,
             bdn_used: self.bdn_used,
@@ -690,12 +704,11 @@ impl Actor for DiscoveryClient {
                 _ => {}
             },
             Incoming::Datagram { msg, .. } => match msg.into_message() {
-                Message::DiscoveryAck { request_id, bdn } => {
-                    let current = self.request.as_ref().map(|r| r.request_id);
-                    if self.phase == Phase::AwaitingAck && Some(request_id) == current {
-                        self.bdn_used = Some(bdn);
-                        self.start_collecting(ctx);
-                    }
+                Message::DiscoveryAck { request_id, bdn }
+                    if self.phase == Phase::AwaitingAck && Some(request_id) == self.request_id() =>
+                {
+                    self.bdn_used = Some(bdn);
+                    self.start_collecting(ctx);
                 }
                 Message::Response(resp) => self.on_response(resp, ctx),
                 Message::Pong { nonce, .. } => self.on_pong(nonce, ctx),
@@ -814,7 +827,7 @@ mod state_machine_tests {
         c.begin(&mut ctx);
         assert_eq!(c.phase(), Phase::AwaitingAck);
         assert_eq!(ctx.last_kind(), "discovery-request");
-        let rid = c.request.as_ref().unwrap().request_id;
+        let rid = c.request_id().unwrap();
 
         // A response lands before any ack: implicit transition into
         // Collecting (the paper's ack is a receipt, not a gate).
@@ -865,6 +878,59 @@ mod state_machine_tests {
         assert_eq!(outcome.responses_received, 2);
         assert_eq!(outcome.phases.total(), Duration::from_millis(80));
         assert_eq!(c.last_target_set.len(), 2, "target set cached for §7 reconnects");
+    }
+
+    /// Begins a run, answers it from brokers 1 and 2 and returns the
+    /// nonces of the pings that sent.
+    fn run_to_pinging(c: &mut DiscoveryClient, ctx: &mut TestCtx) -> Vec<u64> {
+        c.begin(ctx);
+        let rid = c.request_id().unwrap();
+        let sent_before = ctx.sent.len();
+        c.on_incoming(datagram(response_from(1, rid, 1000)), ctx);
+        c.on_incoming(datagram(response_from(2, rid, 2000)), ctx);
+        assert_eq!(c.phase(), Phase::Pinging);
+        ctx.sent[sent_before..]
+            .iter()
+            .filter_map(|(_, _, m)| match m {
+                Message::Ping { nonce, .. } => Some(*nonce),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn pong(nonce: u64) -> Incoming {
+        datagram(Message::Pong { nonce, echoed_sent_at: 0, responder: NodeId(1) })
+    }
+
+    #[test]
+    fn stale_unknown_and_repeated_pongs_record_no_rtt() {
+        let mut ctx = new_ctx();
+        let mut c = client_with(2);
+        // Round one runs out its ping window, connects and finishes.
+        let earlier = run_to_pinging(&mut c, &mut ctx);
+        c.on_incoming(Incoming::Timer { token: TIMER_PING }, &mut ctx);
+        let first = c.connect_order[0].0;
+        let ack = Message::ClientConnectAck { broker: first, accepted: true };
+        let from = Endpoint::new(first, well_known::BROKER);
+        c.on_incoming(Incoming::Stream { from, to_port: well_known::BROKER, msg: ack.into() }, &mut ctx);
+        assert_eq!(c.phase(), Phase::Done);
+
+        let nonces = run_to_pinging(&mut c, &mut ctx);
+        assert_eq!(nonces.len(), 2);
+        ctx.now = SimTime::from_millis(30);
+        let never_sent = nonces.iter().max().unwrap() + 1;
+        for nonce in [earlier[0], earlier[1], never_sent, u64::MAX, 0] {
+            c.on_incoming(pong(nonce), &mut ctx);
+        }
+        assert!(c.rtts.is_empty(), "no pong of this round arrived yet: {:?}", c.rtts);
+        assert_eq!(c.phase(), Phase::Pinging);
+        c.on_incoming(pong(nonces[0]), &mut ctx);
+        c.on_incoming(pong(nonces[0]), &mut ctx);
+        assert_eq!(c.rtts.len(), 1, "a repeated pong is recorded once");
+        assert_eq!(c.phase(), Phase::Pinging, "the round still waits for its second pong");
+        c.on_incoming(pong(nonces[1]), &mut ctx);
+        assert_eq!(c.phase(), Phase::Connecting);
+        assert_eq!(c.rtts.len(), 2);
     }
 
     #[test]
@@ -983,7 +1049,7 @@ mod state_machine_tests {
         let mut ctx = new_ctx();
         let mut c = client_with(2);
         c.begin(&mut ctx);
-        let rid = c.request.as_ref().unwrap().request_id;
+        let rid = c.request_id().unwrap();
         c.on_incoming(datagram(response_from(1, rid, 1000)), &mut ctx);
         c.on_incoming(datagram(response_from(2, rid, 2000)), &mut ctx);
         // Skip pongs entirely: the ping window expires, the client falls

@@ -312,40 +312,32 @@ pub struct Scenario<E: DiscoveryEngine = Sim> {
 impl<E: DiscoveryEngine> Scenario<E> {
     /// Runs one discovery and returns its outcome.
     pub fn run_discovery_once(&mut self) -> DiscoveryOutcome {
-        self.run_discovery(1).pop().expect("one outcome")
+        let before = self.client_actor().completed.len();
+        self.sim.inject(self.client, Duration::from_millis(1), nb_net::Incoming::Timer { token: TIMER_START });
+        // Run until the outcome lands, bounded by a generous cap.
+        let cap = self.sim.now() + Duration::from_secs(60);
+        loop {
+            self.sim.run_for(Duration::from_millis(100));
+            let client = self.client_actor();
+            if client.completed.len() > before {
+                break;
+            }
+            if self.sim.now() > cap {
+                panic!(
+                    "discovery run did not complete within 60s of virtual time (phase {:?})",
+                    client.phase()
+                );
+            }
+        }
+        // Small gap between runs.
+        self.sim.run_for(Duration::from_millis(200));
+        self.client_actor().completed.last().expect("outcome").clone()
     }
 
     /// Runs `count` back-to-back discoveries (the paper ran 120),
     /// returning the outcomes in order.
     pub fn run_discovery(&mut self, count: usize) -> Vec<DiscoveryOutcome> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let before = self.client_actor().completed.len();
-            self.sim.inject(
-                self.client,
-                Duration::from_millis(1),
-                nb_net::Incoming::Timer { token: TIMER_START },
-            );
-            // Run until the outcome lands, bounded by a generous cap.
-            let cap = self.sim.now() + Duration::from_secs(60);
-            loop {
-                self.sim.run_for(Duration::from_millis(100));
-                let client = self.client_actor();
-                if client.completed.len() > before {
-                    break;
-                }
-                if self.sim.now() > cap {
-                    panic!(
-                        "discovery run did not complete within 60s of virtual time (phase {:?})",
-                        client.phase()
-                    );
-                }
-            }
-            // Small gap between runs.
-            self.sim.run_for(Duration::from_millis(200));
-            out.push(self.client_actor().completed.last().expect("outcome").clone());
-        }
-        out
+        (0..count).map(|_| self.run_discovery_once()).collect()
     }
 
     fn client_actor(&self) -> &DiscoveryClient {

@@ -97,22 +97,22 @@ pub fn shortlist(
 /// wins (paper §6); brokers that answered no pings are skipped. Ties
 /// break on target-set order (higher weight first).
 pub fn choose_by_rtt(targets: &[Candidate], rtts_us: &[(NodeId, u64)]) -> Option<NodeId> {
-    let mut best: Option<(u64, usize)> = None; // (rtt, target index)
-    for (idx, t) in targets.iter().enumerate() {
-        let samples: Vec<u64> = rtts_us
+    let mut best: Option<(u64, NodeId)> = None;
+    for t in targets {
+        let broker = t.response.broker;
+        let (sum, count) = rtts_us
             .iter()
-            .filter(|(n, _)| *n == t.response.broker)
-            .map(|(_, rtt)| *rtt)
-            .collect();
-        if samples.is_empty() {
+            .filter(|(n, _)| *n == broker)
+            .fold((0u64, 0u64), |(sum, count), &(_, rtt)| (sum + rtt, count + 1));
+        if count == 0 {
             continue;
         }
-        let avg = samples.iter().sum::<u64>() / samples.len() as u64;
+        let avg = sum / count;
         if best.is_none_or(|(b, _)| avg < b) {
-            best = Some((avg, idx));
+            best = Some((avg, broker));
         }
     }
-    best.and_then(|(_, idx)| targets.get(idx)).map(|t| t.response.broker)
+    best.map(|(_, broker)| broker)
 }
 
 #[cfg(test)]

@@ -57,6 +57,13 @@ fn arb_weights() -> impl Strategy<Value = SelectionWeights> {
     )
 }
 
+/// [`injection_order`] on a copy, as node ids.
+fn ordered(targets: &[(NodeId, Option<u64>)]) -> Vec<NodeId> {
+    let mut order = targets.to_vec();
+    injection_order(&mut order);
+    order.into_iter().map(|(n, _)| n).collect()
+}
+
 proptest! {
     #[test]
     fn shortlist_output_is_bounded_and_from_input(
@@ -152,7 +159,7 @@ proptest! {
     ) {
         let targets: Vec<(NodeId, Option<u64>)> =
             rtts.iter().enumerate().map(|(i, &r)| (NodeId(i as u32), r)).collect();
-        let order = injection_order(&targets);
+        let order = ordered(&targets);
         prop_assert_eq!(order.len(), targets.len());
         let mut sorted = order.clone();
         sorted.sort_unstable();
@@ -166,7 +173,7 @@ proptest! {
     ) {
         let targets: Vec<(NodeId, Option<u64>)> =
             rtts.iter().enumerate().map(|(i, &r)| (NodeId(i as u32), Some(r))).collect();
-        let order = injection_order(&targets);
+        let order = ordered(&targets);
         let min = targets.iter().min_by_key(|(n, r)| (r.unwrap(), *n)).unwrap().0;
         let max_rtt = targets.iter().map(|(_, r)| r.unwrap()).max().unwrap();
         prop_assert_eq!(order[0], min, "closest first");

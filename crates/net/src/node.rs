@@ -339,8 +339,7 @@ impl<S: Scheduler> NodeCtx<'_, S> {
             for f in frames.drain(..) {
                 self.link.stats.count_delivery(&f.msg, true);
                 self.record(from, to_port, f.msg.kind(), f.encoded_len, true);
-                let mut msg = WireMsg::from_decoded(f.msg, f.ttl, f.hops);
-                msg.set_encoded_len(f.encoded_len);
+                let msg = WireMsg::from_v2_frame(f.msg, f.ttl, f.hops, f.encoded_len);
                 self.dispatch(Incoming::Stream { from, to_port, msg });
             }
         }

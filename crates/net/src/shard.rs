@@ -1396,15 +1396,17 @@ mod tests {
         assert_eq!(dealt(0, 4), (vec![], 1));
     }
 
-    /// ROADMAP item 4 wants these smaller, never larger, than they
-    /// were: `Lp` is what `mem_bytes_per_entity` in BENCH_scale.json
-    /// mostly counts (496 bytes until its transport held one
-    /// connection table where it had three books).
+    /// ROADMAP items 3 and 6 want these smaller, never larger, than
+    /// they were: `Lp` is what `mem_bytes_per_entity` in
+    /// BENCH_scale.json mostly counts (496 bytes until its transport
+    /// held one connection table where it had three books); a heap
+    /// entry was 72 bytes until a `WireMsg` stopped carrying its own
+    /// v2 length.
     #[test]
     fn heap_entry_and_lp_are_no_larger_than_at_the_parent() {
         use std::mem::size_of;
-        assert!(size_of::<crate::node::Queued<NodeEvent>>() <= 72);
-        assert!(size_of::<OutMsg>() <= 72);
+        assert!(size_of::<crate::node::Queued<NodeEvent>>() <= 64);
+        assert!(size_of::<OutMsg>() <= 64);
         assert!(size_of::<Lp>() <= 440);
     }
 

@@ -402,8 +402,9 @@ pub struct SegmentFrame {
     /// The decoded message.
     pub msg: Message,
     /// This frame's encoded length inside the segment (hop bytes
-    /// included) — what the negotiated encoding actually cost, fed to
-    /// [`WireMsg::set_encoded_len`](crate::WireMsg::set_encoded_len).
+    /// included) — what the negotiated encoding actually cost, the
+    /// charge [`WireMsg::from_v2_frame`](crate::WireMsg::from_v2_frame)
+    /// gives the delivered message.
     pub encoded_len: usize,
 }
 

@@ -1,14 +1,22 @@
-//! A message plus its hop counters, shared and sized at most once.
+//! A message plus its hop counters, shared and sized once.
 //!
 //! [`WireMsg`] is what the runtimes move around: the decoded
 //! [`Message`] behind an `Arc`, the per-hop TTL/hop counters, and the
-//! message's v1 body length, counted on first use and shared by every
-//! clone and every forwarded hop. The invariants the send path rests on:
+//! length the message is charged on the wire, fixed when the handle is
+//! built and shared by every clone and every forwarded hop. The
+//! invariants the send path rests on:
 //!
-//! * **Size is counted.** [`WireMsg::body_len`] — what the simulators
-//!   charge transmission on — runs the message's one `encode` against a
-//!   counting [`WireWriter`](crate::WireWriter) once per message and
-//!   caches the `u32`: no bytes are written and nothing is allocated.
+//! * **Size is counted once, at construction.** [`WireMsg::new`],
+//!   [`from_decoded`](WireMsg::from_decoded) and
+//!   [`from_frame`](WireMsg::from_frame) run the message's one `encode`
+//!   against a counting [`WireWriter`](crate::WireWriter) and store the
+//!   `u32`: no bytes are written and nothing is allocated.
+//!   [`body_len`](WireMsg::body_len) — what the simulators charge
+//!   transmission on — is a field read.
+//! * **A v2-decoded message carries its frame length.**
+//!   [`from_v2_frame`](WireMsg::from_v2_frame) is the one constructor
+//!   that stores a length it did not count: the size the frame occupied
+//!   in its v2 segment.
 //! * **Bytes materialise only on [`frame`](WireMsg::frame).** A caller
 //!   that wants the wire bytes gets a fresh encode at its handle's own
 //!   ttl/hops/flags. Nothing is cached, and inside the simulators
@@ -18,9 +26,9 @@
 //!   an actor. It keeps no bytes; its size is counted like any other.
 //! * **Forwarding touches no bytes.** [`WireMsg::forward_hop`] is a
 //!   handle with the hop counters bumped: one `Arc` clone. Every hop
-//!   carries the same body, so every hop shares the one counted length.
+//!   carries the same body, so every hop shares the one length.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -29,18 +37,18 @@ use crate::frame::{decode_framed, frame_message_flags, FrameHeader, DEFAULT_TTL}
 use crate::message::{Event, Message};
 
 /// What every hop and every clone of one message shares: the decoded
-/// message and its v1 body length. One allocation per message received
-/// or originated.
+/// message and the length it is charged. One allocation per message
+/// received or originated.
 #[derive(Debug)]
 struct Shared {
     msg: Message,
-    /// `msg.wire_len()`, counted on the first
-    /// [`body_len`](WireMsg::body_len).
-    body_len: OnceLock<u32>,
+    /// `msg.wire_len()`, counted at construction — or, for a message
+    /// decoded out of a v2 segment, its frame's length there.
+    body_len: u32,
 }
 
-/// A [`Message`] bundled with its per-hop prelude fields and its
-/// (lazily counted) body length. Cheap to clone: an `Arc` bump only.
+/// A [`Message`] bundled with its per-hop prelude fields and the length
+/// it is charged. Cheap to clone: an `Arc` bump only.
 #[derive(Debug, Clone)]
 pub struct WireMsg {
     shared: Arc<Shared>,
@@ -49,11 +57,6 @@ pub struct WireMsg {
     /// Prelude flag bits stamped on the frame (v2 capability
     /// announcement); zero for plain v1 traffic.
     flags: u8,
-    /// The size the *negotiated* encoding of this message actually
-    /// occupied on the wire, when that was not the v1 body ([`None`]
-    /// for v1 traffic). Set by the v2 segment path so timing charges
-    /// reflect the compact encoding.
-    encoded_len: Option<usize>,
 }
 
 impl WireMsg {
@@ -63,11 +66,23 @@ impl WireMsg {
     }
 
     /// Wraps a message that already travelled: `ttl`/`hops` as carried
-    /// on the wire. The v2 segment delivery path rebuilds per-frame
-    /// [`WireMsg`]s with this.
+    /// on the wire, its v1 body counted now.
     pub fn from_decoded(msg: Message, ttl: u8, hops: u8) -> Self {
-        let shared = Arc::new(Shared { msg, body_len: OnceLock::new() });
-        WireMsg { shared, ttl, hops, flags: 0, encoded_len: None }
+        let body_len = u32::try_from(msg.wire_len()).expect("a body fits in u32");
+        WireMsg::sized(msg, ttl, hops, body_len)
+    }
+
+    /// Wraps a frame decoded out of a v2 segment, charged `len` — the
+    /// bytes the frame occupied in its segment — instead of its v1
+    /// body. Every clone and forwarded hop keeps that charge, a v1 hop
+    /// included (ROADMAP item 4(a)); this is the one place it is set.
+    pub fn from_v2_frame(msg: Message, ttl: u8, hops: u8, len: usize) -> Self {
+        let len = u32::try_from(len).expect("a v2 frame fits in u32");
+        WireMsg::sized(msg, ttl, hops, len)
+    }
+
+    fn sized(msg: Message, ttl: u8, hops: u8, body_len: u32) -> Self {
+        WireMsg { shared: Arc::new(Shared { msg, body_len }), ttl, hops, flags: 0 }
     }
 
     /// Decodes a received frame, keeping its prelude counters and flags
@@ -115,20 +130,6 @@ impl WireMsg {
         self
     }
 
-    /// The on-wire size of the negotiated (non-v1) encoding, if this
-    /// message travelled one.
-    pub fn encoded_len(&self) -> Option<usize> {
-        self.encoded_len
-    }
-
-    /// Records the negotiated encoding's on-wire size, so
-    /// [`body_len`](WireMsg::body_len) — and with it the sim's
-    /// transmission-delay accounting — reflects v2 compaction instead
-    /// of the v1 length.
-    pub fn set_encoded_len(&mut self, len: usize) {
-        self.encoded_len = Some(len);
-    }
-
     /// The header a receiver would [`frame::peek`] off this message's
     /// frame — synthesised from the decoded fields, so calling it never
     /// forces an encode.
@@ -156,17 +157,13 @@ impl WireMsg {
         frame_message_flags(&self.shared.msg, self.ttl, self.hops, self.flags)
     }
 
-    /// On-wire size of this message's body under the encoding it
-    /// travelled (the sim charges transmission delay on this): the v2
-    /// size recorded by [`set_encoded_len`](WireMsg::set_encoded_len)
-    /// when the message crossed a negotiated link, otherwise the v1
-    /// body length — `Message::to_bytes().len()`, counted once and the
-    /// same at every hop.
+    /// On-wire size of this message's body (the sim charges
+    /// transmission delay on this): the v1 body length —
+    /// `Message::to_bytes().len()`, counted when the handle was built —
+    /// or, for a message built by [`from_v2_frame`](WireMsg::from_v2_frame),
+    /// its v2 frame length. The same at every hop.
     pub fn body_len(&self) -> usize {
-        self.encoded_len.unwrap_or_else(|| {
-            let counted = || u32::try_from(self.shared.msg.wire_len()).expect("a body fits in u32");
-            *self.shared.body_len.get_or_init(counted) as usize
-        })
+        self.shared.body_len as usize
     }
 
     /// The handle this message would be forwarded as: TTL spent, hop
@@ -179,7 +176,6 @@ impl WireMsg {
             ttl,
             hops: self.hops.saturating_add(1),
             flags: self.flags,
-            encoded_len: self.encoded_len,
         })
     }
 }
@@ -277,13 +273,19 @@ mod tests {
 
     #[test]
     fn encoded_len_overrides_body_len_and_survives_forwarding() {
-        let mut wire = WireMsg::new(publish());
-        let v1 = wire.body_len();
-        wire.set_encoded_len(9);
+        let v1 = WireMsg::new(publish()).body_len();
+        let wire = WireMsg::from_v2_frame(publish(), DEFAULT_TTL, 0, 9);
         assert!(v1 > 9);
         assert_eq!(wire.body_len(), 9, "negotiated size wins");
         let next = wire.forward_hop().unwrap();
         assert_eq!(next.body_len(), 9, "forward keeps the negotiated size");
+    }
+
+    /// A handle is a pointer and three counter bytes: what the event
+    /// heap and every queued delivery carry per message.
+    #[test]
+    fn a_handle_is_no_larger_than_two_words() {
+        assert!(std::mem::size_of::<WireMsg>() <= 16);
     }
 
     #[test]

@@ -86,9 +86,12 @@ impl std::borrow::Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Copies the contents into the shared buffer: one allocation, where
+    /// going through a boxed slice first would shrink the `Vec` in place
+    /// (a second allocator call) only to copy it anyway.
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
-        Bytes { data: Arc::from(v.into_boxed_slice()), start: 0, end: len }
+        Bytes { data: Arc::from(v), start: 0, end: len }
     }
 }
 
