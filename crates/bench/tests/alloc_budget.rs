@@ -1,12 +1,13 @@
-//! Allocation budgets for the attach path, the data plane and the
-//! paper's own discovery, in tier-1.
+//! Allocation budgets for the attach path, subscription writes, the
+//! data plane and the paper's own discovery, in tier-1.
 //!
 //! Three small deployments counted by this binary's own
 //! `#[global_allocator]`: a sharded attach — 10 brokers, 1 BDN, 200
 //! entities, 1 worker — a meshed pub/sub run — 8 brokers, 64
-//! subscribers, 8 publishers — and one Fig 2 discovery on `Sim`. The
-//! counts are exact and repeat, so a new allocation on the flood hop,
-//! the responder, the epoch barrier, the match memo, the per-publisher
+//! subscribers, 8 publishers, counted while it subscribes and while it
+//! publishes — and one Fig 2 discovery on `Sim`. The counts are exact
+//! and repeat, so a new allocation on the flood hop, the responder, the
+//! epoch barrier, the interest state, the match memo, the per-publisher
 //! route state or the client's rounds shows here as a failed test
 //! instead of needing an `LD_PRELOAD` census to find. This file must
 //! stay one test, the only one in its binary: libtest runs tests on
@@ -83,11 +84,24 @@ const DELIVERIES: u64 = (PUBLISHERS * EVENTS_PER_PUBLISHER * 4) as u64;
 /// duplicate.
 const BUDGET_PER_DELIVERY: f64 = 1.55;
 
-/// An eight-broker ring with three chords, 64 subscribers over 16
-/// filters, boots and subscribes uncounted; then counts the window in
-/// which 8 publishers emit 40 events each, one a publisher every 50 ms,
-/// over 32 topics.
-fn allocations_of_one_pubsub_run() -> u64 {
+const SUBSCRIBERS: u64 = 64;
+/// Allocations per client subscription over the window in which the
+/// ring absorbs them: the subscribers' connects, their subscribes, every
+/// broker's trie and interest writes and the advertisements that carry
+/// each filter round the ring (the window also holds the eight
+/// publishers' connects). The change that added this case reaches
+/// 22.45 under `cargo test` (1 437 in all) where its parent made 22.83
+/// (1 461): each filter's entry carries its advertised list, one
+/// allocation sized to the link count, where a second map kept a set.
+/// The budget is the 22.45 plus 10 %.
+const BUDGET_PER_SUBSCRIPTION: f64 = 24.7;
+
+/// An eight-broker ring with three chords boots uncounted; 64
+/// subscribers over 16 filters join it, and the window in which they
+/// subscribe is counted; then the window in which 8 publishers emit 40
+/// events each, one a publisher every 50 ms, over 32 topics. Returns
+/// both counts, subscription window first.
+fn allocations_of_one_pubsub_run() -> (u64, u64) {
     let mut sim = Sim::with_clock_profile(2005, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     let mut edges = Topology::build(nb_broker::TopologyKind::Ring, 8).edges().to_vec();
@@ -99,7 +113,8 @@ fn allocations_of_one_pubsub_run() -> u64 {
         let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
         brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
     }
-    let subs: Vec<NodeId> = (0..64)
+    sim.run_for(Duration::from_secs(1));
+    let subs: Vec<NodeId> = (0..SUBSCRIBERS as usize)
         .map(|i| {
             let filter = TopicFilter::parse(&format!("budget/t{}/**", i % 16)).expect("filter");
             let client = PubSubClient::new(brokers[i % 8], vec![filter]);
@@ -115,7 +130,9 @@ fn allocations_of_one_pubsub_run() -> u64 {
     let topics: Vec<Topic> = (0..32)
         .map(|t| Topic::parse(&format!("budget/t{}/{}", t % 16, t / 16)).expect("topic"))
         .collect();
-    sim.run_for(Duration::from_secs(3));
+    let before = calls();
+    sim.run_for(Duration::from_secs(2));
+    let subscribing = calls() - before;
 
     let before = calls();
     for round in 0..EVENTS_PER_PUBLISHER {
@@ -130,7 +147,7 @@ fn allocations_of_one_pubsub_run() -> u64 {
     let delivered: usize =
         subs.iter().map(|&s| sim.actor::<PubSubClient>(s).expect("subscriber").received.len()).sum();
     assert_eq!(delivered as u64, DELIVERIES);
-    counted
+    (subscribing, counted)
 }
 
 /// Allocations of one paper discovery — BDN injection, the response
@@ -170,9 +187,14 @@ fn allocations_repeat_exactly_and_stay_under_budget() {
     );
 
     allocations_of_one_pubsub_run();
-    let first = allocations_of_one_pubsub_run();
-    let second = allocations_of_one_pubsub_run();
-    assert_eq!(first, second, "the allocation count is a pure function of the run");
+    let (subscribing, first) = allocations_of_one_pubsub_run();
+    let (subscribing_again, second) = allocations_of_one_pubsub_run();
+    assert_eq!((subscribing, first), (subscribing_again, second), "the allocation count is a pure function of the run");
+    let per_subscription = subscribing as f64 / SUBSCRIBERS as f64;
+    assert!(
+        per_subscription <= BUDGET_PER_SUBSCRIPTION,
+        "{per_subscription:.2} allocations per subscription, budget {BUDGET_PER_SUBSCRIPTION} ({subscribing} in all)"
+    );
     let per_delivery = first as f64 / DELIVERIES as f64;
     assert!(
         per_delivery <= BUDGET_PER_DELIVERY,

@@ -16,7 +16,7 @@
 //! says otherwise, and the duplicate cache stays underneath as the
 //! safety net, so delivery never depends on the tree being right.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -110,10 +110,11 @@ impl BrokerConfig {
     }
 }
 
+/// An established overlay link: `link_up` is the only place one is
+/// made, and `link_down` the only place one goes.
 #[derive(Debug)]
 struct LinkState {
     endpoint: Endpoint,
-    established: bool,
     last_heard: SimTime,
     /// Whether the peer announced v2 wire-codec capability on its
     /// handshake; only then does traffic to it take the v2 path.
@@ -121,14 +122,10 @@ struct LinkState {
 }
 
 impl LinkState {
-    /// Sends a control message to the peer, on the codec the link
-    /// negotiated.
+    /// Sends a control message to the peer, wrapped once, on the codec
+    /// the link negotiated.
     fn send(&self, msg: Message, ctx: &mut dyn Context) {
-        if self.peer_v2 {
-            ctx.send_stream_v2(well_known::BROKER, self.endpoint, &WireMsg::new(msg));
-        } else {
-            ctx.send_stream(well_known::BROKER, self.endpoint, &msg);
-        }
+        self.forward(&WireMsg::new(msg), ctx);
     }
 
     /// Forwards an already-wrapped event to the peer, on the codec the
@@ -147,13 +144,18 @@ struct ClientState {
     endpoint: Endpoint,
 }
 
-/// Where interest in one filter comes from.
-#[derive(Debug, Default, Clone)]
+/// Where interest in one filter comes from, and which neighbours it is
+/// advertised to.
+#[derive(Debug, Default)]
 struct InterestState {
     /// Registrations from locally connected clients (and the owner).
     local: usize,
     /// Registrations learned from each overlay link.
     links: BTreeMap<NodeId, usize>,
+    /// The links the filter is advertised to, ascending. The first
+    /// advertisement sizes it to the link count; `link_down` takes its
+    /// peer out of every list, so each entry is a live link.
+    advertised: Vec<NodeId>,
 }
 
 impl InterestState {
@@ -161,10 +163,48 @@ impl InterestState {
         self.local + self.links.values().sum::<usize>()
     }
 
-    /// Interest visible to neighbour `l`: everything except what `l`
-    /// itself told us (per-neighbour split horizon).
-    fn excluding(&self, l: NodeId) -> usize {
-        self.local + self.links.iter().filter(|(&n, _)| n != l).map(|(_, c)| c).sum::<usize>()
+    /// Nothing registers the filter and no neighbour is told of it: the
+    /// entry can go.
+    fn is_idle(&self) -> bool {
+        self.total() == 0 && self.advertised.is_empty()
+    }
+
+    /// Brings the advertisement of `filter` to each of `links` in line
+    /// with its interest sources: neighbour `L` should see it advertised
+    /// iff the interest *excluding L's own contribution* is non-zero
+    /// (per-neighbour split horizon). Each message sent takes the next
+    /// `seq`.
+    fn reconcile(
+        &mut self,
+        filter: &TopicFilter,
+        links: &DenseNodeTable<LinkState>,
+        seq: &mut u64,
+        ctx: &mut dyn Context,
+    ) {
+        let me = ctx.me();
+        let total = self.total();
+        for (peer, link) in links.iter() {
+            let should = total > self.links.get(&peer).copied().unwrap_or(0);
+            let at = self.advertised.binary_search(&peer);
+            if should == at.is_ok() {
+                continue;
+            }
+            *seq += 1;
+            let msg = match at {
+                Err(i) => {
+                    if self.advertised.capacity() == 0 {
+                        self.advertised.reserve_exact(links.len());
+                    }
+                    self.advertised.insert(i, peer);
+                    Message::Subscribe { filter: filter.clone(), origin: me, seq: *seq }
+                }
+                Ok(i) => {
+                    self.advertised.remove(i);
+                    Message::Unsubscribe { filter: filter.clone(), origin: me, seq: *seq }
+                }
+            };
+            link.send(msg, ctx);
+        }
     }
 }
 
@@ -294,14 +334,11 @@ pub struct Broker {
     links: DenseNodeTable<LinkState>,
     clients: DenseNodeTable<ClientState>,
     subs: SubscriptionTable,
-    /// Per-filter interest sources (local clients + per-link counts),
-    /// driving per-neighbour split-horizon advertisement: filter `F` is
-    /// advertised to neighbour `L` iff interest *excluding L's own
-    /// contribution* is non-zero. Ordered maps keep message emission
-    /// deterministic under a fixed seed.
+    /// Per-filter interest sources (local clients + per-link counts) and
+    /// the neighbours each filter is advertised to
+    /// ([`InterestState::reconcile`]). An ordered map keeps message
+    /// emission deterministic under a fixed seed.
     interest: BTreeMap<TopicFilter, InterestState>,
-    /// The neighbours each filter is currently advertised to.
-    advertised: BTreeMap<TopicFilter, BTreeSet<NodeId>>,
     event_dedup: BoundedDedup<Uuid>,
     /// Per-publisher reverse-path state, allocated by the first
     /// non-flood event that crosses a link.
@@ -331,7 +368,6 @@ impl Broker {
             clients: DenseNodeTable::new(),
             subs: SubscriptionTable::new(),
             interest: BTreeMap::new(),
-            advertised: BTreeMap::new(),
             event_dedup: BoundedDedup::new(dedup),
             routes: None,
             meter,
@@ -351,7 +387,7 @@ impl Broker {
 
     /// Established overlay link count.
     pub fn num_links(&self) -> u32 {
-        self.links.values().filter(|l| l.established).count() as u32
+        self.links.len() as u32
     }
 
     /// Connected client count.
@@ -361,7 +397,7 @@ impl Broker {
 
     /// Whether an established link to `peer` exists.
     pub fn is_linked(&self, peer: NodeId) -> bool {
-        self.links.get(peer).is_some_and(|l| l.established)
+        self.links.contains_key(peer)
     }
 
     /// Whether `client` is connected.
@@ -577,26 +613,18 @@ impl Broker {
     }
 
     fn link_up(&mut self, peer: NodeId, peer_v2: bool, ctx: &mut dyn Context) {
-        let now = ctx.now();
-        let entry = self.links.get_or_insert_with(peer, || LinkState {
-            endpoint: Endpoint::new(peer, well_known::BROKER),
-            established: false,
-            last_heard: now,
-            peer_v2: false,
-        });
         // Capability can only be granted by a handshake frame; a repeat
         // handshake may upgrade an existing link but never downgrades it.
-        entry.peer_v2 |= peer_v2;
-        if entry.established {
+        if let Some(link) = self.links.get_mut(peer) {
+            link.peer_v2 |= peer_v2;
             return;
         }
-        entry.established = true;
-        entry.last_heard = now;
-        // Sync interest to the new neighbour. The filters are collected
-        // first because reconciling borrows the broker mutably; it never
-        // changes the filter *set*.
-        for filter in self.interest_filters() {
-            self.reconcile_advertisements(&filter, ctx);
+        let endpoint = Endpoint::new(peer, well_known::BROKER);
+        self.links.insert(peer, LinkState { endpoint, last_heard: ctx.now(), peer_v2 });
+        // Sync interest to the new neighbour. Every filter keeps the
+        // interest it had, so none falls idle here.
+        for (filter, state) in self.interest.iter_mut() {
+            state.reconcile(filter, &self.links, &mut self.hb_seq, ctx);
         }
     }
 
@@ -608,21 +636,17 @@ impl Broker {
         for route in self.routes.iter_mut().flat_map(|routes| routes.by_source.values_mut()) {
             route.forget_link(peer, slot);
         }
-        self.advertised.retain(|_, peers| {
-            peers.remove(&peer);
-            !peers.is_empty()
-        });
+        for state in self.interest.values_mut() {
+            if let Ok(i) = state.advertised.binary_search(&peer) {
+                state.advertised.remove(i);
+            }
+        }
         // Drop every interest contribution learned from that link, then
         // reconcile the affected filters towards the survivors.
-        let filters = self.subs.remove_destination(Destination::Link(peer));
-        for filter in filters {
-            if let Some(state) = self.interest.get_mut(&filter) {
+        for filter in self.subs.remove_destination(Destination::Link(peer)) {
+            self.interest_changed(&filter, ctx, |state| {
                 state.links.remove(&peer);
-                if state.total() == 0 {
-                    self.interest.remove(&filter);
-                }
-            }
-            self.reconcile_advertisements(&filter, ctx);
+            });
         }
     }
 
@@ -635,15 +659,12 @@ impl Broker {
             None => state.local += 1,
             Some(l) => *state.links.entry(l).or_insert(0) += 1,
         }
-        self.reconcile_advertisements(&filter, ctx);
+        state.reconcile(&filter, &self.links, &mut self.hb_seq, ctx);
     }
 
     /// Withdraws one interest source for `filter` and reconciles.
     fn interest_lost(&mut self, filter: TopicFilter, source: Option<NodeId>, ctx: &mut dyn Context) {
-        let Some(state) = self.interest.get_mut(&filter) else {
-            return;
-        };
-        match source {
+        self.interest_changed(&filter, ctx, |state| match source {
             None => state.local = state.local.saturating_sub(1),
             Some(l) => {
                 if let Some(c) = state.links.get_mut(&l) {
@@ -653,43 +674,24 @@ impl Broker {
                     }
                 }
             }
-        }
-        if state.total() == 0 {
-            self.interest.remove(&filter);
-        }
-        self.reconcile_advertisements(&filter, ctx);
+        });
     }
 
-    /// Brings the per-neighbour advertisement state of `filter` in line
-    /// with the interest sources: neighbour `L` should see the filter
-    /// advertised iff interest excluding `L` is non-zero.
-    fn reconcile_advertisements(&mut self, filter: &TopicFilter, ctx: &mut dyn Context) {
-        let me = ctx.me();
-        let state = self.interest.get(filter);
-        for (peer, link) in self.links.iter() {
-            if !link.established {
-                continue;
-            }
-            let should = state.is_some_and(|state| state.excluding(peer) > 0);
-            let is = self.advertised.get(filter).is_some_and(|peers| peers.contains(&peer));
-            if should == is {
-                continue;
-            }
-            self.hb_seq += 1;
-            let seq = self.hb_seq;
-            let msg = if should {
-                self.advertised.entry(filter.clone()).or_default().insert(peer);
-                Message::Subscribe { filter: filter.clone(), origin: me, seq }
-            } else {
-                if let Some(peers) = self.advertised.get_mut(filter) {
-                    peers.remove(&peer);
-                    if peers.is_empty() {
-                        self.advertised.remove(filter);
-                    }
-                }
-                Message::Unsubscribe { filter: filter.clone(), origin: me, seq }
-            };
-            link.send(msg, ctx);
+    /// Applies `change` to the interest in `filter`, if there is any,
+    /// reconciles its advertisements and drops the entry once idle.
+    fn interest_changed(
+        &mut self,
+        filter: &TopicFilter,
+        ctx: &mut dyn Context,
+        change: impl FnOnce(&mut InterestState),
+    ) {
+        let Some(state) = self.interest.get_mut(filter) else {
+            return;
+        };
+        change(state);
+        state.reconcile(filter, &self.links, &mut self.hb_seq, ctx);
+        if state.is_idle() {
+            self.interest.remove(filter);
         }
     }
 
@@ -773,7 +775,7 @@ impl Broker {
                         // R1: not to a link that asked, within the
                         // lease, not to be sent this publisher's events.
                         let muted = route.as_ref().is_some_and(|r| r.lease(slot).muted_until > now);
-                        if link.established && !muted {
+                        if !muted {
                             crossed_link = true;
                             link.forward(fwd, ctx);
                         }
@@ -794,10 +796,9 @@ impl Broker {
         }
         if let Some(fwd) = fwd.as_ref() {
             for (peer, link) in self.links.iter() {
-                if !link.established || Some(peer) == source {
-                    continue;
+                if Some(peer) != source {
+                    link.forward(fwd, ctx);
                 }
-                link.forward(fwd, ctx);
             }
         }
         Some(msg)
@@ -851,9 +852,6 @@ impl Broker {
         let now = ctx.now();
         let mut dead: Vec<NodeId> = Vec::new();
         for (peer, link) in self.links.iter() {
-            if !link.established {
-                continue;
-            }
             if now - link.last_heard > deadline {
                 dead.push(peer);
             } else {
@@ -1423,5 +1421,344 @@ broker.wire.v2 = true
         assert_eq!(cfg.heartbeat_misses, 5);
         assert_eq!(cfg.max_clients, Some(7));
         assert!(cfg.wire_v2);
+    }
+
+    /// The merged interest state against the two-map version it
+    /// replaced: over any script of registrations, withdrawals, link
+    /// losses and repeat hellos, the broker sends the same
+    /// advertisements, with the same sequence numbers, and keeps the
+    /// same filters.
+    mod two_map_oracle {
+        use super::*;
+        use nb_wire::{GroupId, Port};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        use std::collections::BTreeSet;
+
+        /// A `Subscribe` (`true`) or an `Unsubscribe` sent to a peer,
+        /// with its filter and sequence number.
+        type Advert = (NodeId, bool, TopicFilter, u64);
+
+        fn advert(to: NodeId, msg: &Message) -> Option<Advert> {
+            match msg {
+                Message::Subscribe { filter, seq, .. } => Some((to, true, filter.clone(), *seq)),
+                Message::Unsubscribe { filter, seq, .. } => Some((to, false, filter.clone(), *seq)),
+                _ => None,
+            }
+        }
+
+        #[derive(Debug, Default)]
+        struct RefInterest {
+            local: usize,
+            links: BTreeMap<NodeId, usize>,
+        }
+
+        impl RefInterest {
+            fn total(&self) -> usize {
+                self.local + self.links.values().sum::<usize>()
+            }
+
+            fn excluding(&self, l: NodeId) -> usize {
+                self.local + self.links.iter().filter(|(&n, _)| n != l).map(|(_, c)| c).sum::<usize>()
+            }
+        }
+
+        /// The broker before its interest state was merged, reduced to
+        /// its interest plane: interest and advertisement in two maps,
+        /// and a per-neighbour sum.
+        #[derive(Default)]
+        struct Reference {
+            links: BTreeSet<NodeId>,
+            clients: BTreeSet<NodeId>,
+            registrations: BTreeMap<(Destination, TopicFilter), usize>,
+            interest: BTreeMap<TopicFilter, RefInterest>,
+            advertised: BTreeMap<TopicFilter, BTreeSet<NodeId>>,
+            seq: u64,
+            sent: Vec<Advert>,
+        }
+
+        impl Reference {
+            fn handle(&mut self, from: NodeId, msg: &Message) {
+                match msg {
+                    Message::LinkHello { from: peer, .. } => {
+                        self.link_down(*peer);
+                        self.link_up(*peer);
+                    }
+                    Message::LinkClose { from: peer } => self.link_down(*peer),
+                    Message::Subscribe { filter, .. }
+                        if self.links.contains(&from) && self.register(Destination::Link(from), filter) =>
+                    {
+                        self.gained(filter, Some(from));
+                    }
+                    Message::Unsubscribe { filter, .. }
+                        if self.links.contains(&from) && self.withdraw(Destination::Link(from), filter) =>
+                    {
+                        self.lost(filter, Some(from));
+                    }
+                    Message::ClientConnect { client, .. } => {
+                        self.clients.insert(*client);
+                    }
+                    Message::ClientSubscribe { filter }
+                        if self.clients.contains(&from) && self.register(Destination::Client(from), filter) =>
+                    {
+                        self.gained(filter, None);
+                    }
+                    Message::ClientUnsubscribe { filter }
+                        if self.clients.contains(&from) && self.withdraw(Destination::Client(from), filter) =>
+                    {
+                        self.lost(filter, None);
+                    }
+                    Message::ClientDisconnect { client } if self.clients.remove(client) => {
+                        for filter in self.remove_destination(Destination::Client(*client)) {
+                            self.lost(&filter, None);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+
+            fn register(&mut self, dest: Destination, filter: &TopicFilter) -> bool {
+                let count = self.registrations.entry((dest, filter.clone())).or_insert(0);
+                *count += 1;
+                *count == 1
+            }
+
+            fn withdraw(&mut self, dest: Destination, filter: &TopicFilter) -> bool {
+                let key = (dest, filter.clone());
+                let Some(count) = self.registrations.get_mut(&key) else {
+                    return false;
+                };
+                *count -= 1;
+                if *count > 0 {
+                    return false;
+                }
+                self.registrations.remove(&key);
+                true
+            }
+
+            fn remove_destination(&mut self, dest: Destination) -> Vec<TopicFilter> {
+                let filters: Vec<TopicFilter> =
+                    self.registrations.keys().filter(|(d, _)| *d == dest).map(|(_, f)| f.clone()).collect();
+                self.registrations.retain(|(d, _), _| *d != dest);
+                filters
+            }
+
+            fn link_up(&mut self, peer: NodeId) {
+                if self.links.insert(peer) {
+                    for filter in self.interest.keys().cloned().collect::<Vec<_>>() {
+                        self.reconcile(&filter);
+                    }
+                }
+            }
+
+            fn link_down(&mut self, peer: NodeId) {
+                if !self.links.remove(&peer) {
+                    return;
+                }
+                self.advertised.retain(|_, peers| {
+                    peers.remove(&peer);
+                    !peers.is_empty()
+                });
+                for filter in self.remove_destination(Destination::Link(peer)) {
+                    if let Some(state) = self.interest.get_mut(&filter) {
+                        state.links.remove(&peer);
+                        if state.total() == 0 {
+                            self.interest.remove(&filter);
+                        }
+                    }
+                    self.reconcile(&filter);
+                }
+            }
+
+            fn gained(&mut self, filter: &TopicFilter, source: Option<NodeId>) {
+                let state = self.interest.entry(filter.clone()).or_default();
+                match source {
+                    None => state.local += 1,
+                    Some(l) => *state.links.entry(l).or_insert(0) += 1,
+                }
+                self.reconcile(filter);
+            }
+
+            fn lost(&mut self, filter: &TopicFilter, source: Option<NodeId>) {
+                let Some(state) = self.interest.get_mut(filter) else {
+                    return;
+                };
+                match source {
+                    None => state.local = state.local.saturating_sub(1),
+                    Some(l) => {
+                        if let Some(c) = state.links.get_mut(&l) {
+                            *c -= 1;
+                            if *c == 0 {
+                                state.links.remove(&l);
+                            }
+                        }
+                    }
+                }
+                if state.total() == 0 {
+                    self.interest.remove(filter);
+                }
+                self.reconcile(filter);
+            }
+
+            /// `reconcile_advertisements` as it was.
+            fn reconcile(&mut self, filter: &TopicFilter) {
+                let state = self.interest.get(filter);
+                for &peer in &self.links {
+                    let should = state.is_some_and(|state| state.excluding(peer) > 0);
+                    let is = self.advertised.get(filter).is_some_and(|peers| peers.contains(&peer));
+                    if should == is {
+                        continue;
+                    }
+                    self.seq += 1;
+                    if should {
+                        self.advertised.entry(filter.clone()).or_default().insert(peer);
+                    } else if let Some(peers) = self.advertised.get_mut(filter) {
+                        peers.remove(&peer);
+                        if peers.is_empty() {
+                            self.advertised.remove(filter);
+                        }
+                    }
+                    self.sent.push((peer, should, filter.clone(), self.seq));
+                }
+            }
+        }
+
+        /// A context that keeps the advertisements a broker sends.
+        struct Recorder {
+            rng: StdRng,
+            sent: Vec<Advert>,
+        }
+
+        const ME: NodeId = NodeId(1);
+
+        impl Context for Recorder {
+            fn me(&self) -> NodeId {
+                ME
+            }
+            fn realm(&self) -> RealmId {
+                RealmId(0)
+            }
+            fn now(&self) -> SimTime {
+                SimTime::ZERO
+            }
+            fn utc_micros(&self) -> u64 {
+                0
+            }
+            fn clock_synced(&self) -> bool {
+                true
+            }
+            fn raw_local_micros(&self) -> u64 {
+                0
+            }
+            fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
+            fn send_udp(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
+            fn send_stream(&mut self, _from_port: Port, to: Endpoint, msg: &Message) {
+                self.sent.extend(advert(to.node, msg));
+            }
+            fn send_multicast(&mut self, _from: Port, _group: GroupId, _to: Port, _msg: &Message) {}
+            fn join_group(&mut self, _group: GroupId) {}
+            fn leave_group(&mut self, _group: GroupId) {}
+            fn set_timer(&mut self, _delay: Duration, _token: u64) {}
+            fn cancel_timer(&mut self, _token: u64) {}
+            fn rng(&mut self) -> &mut dyn RngCore {
+                &mut self.rng
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Client `c` subscribes (`true`) to or withdraws filter `f`.
+            Client(bool, u8, u8),
+            /// Link `l` advertises (`true`) or withdraws filter `f`.
+            Link(bool, u8, u8),
+            /// Client `c` disconnects, or connects if it is not connected.
+            Toggle(u8),
+            /// Link `l`'s peer closes it.
+            Close(u8),
+            /// Link `l`'s peer says hello, on a link that is up or down.
+            Hello(u8),
+        }
+
+        fn client_op() -> impl Strategy<Value = Op> {
+            (0u8..2, 0u8..3, 0u8..5).prop_map(|(sub, c, f)| Op::Client(sub == 1, c, f))
+        }
+
+        fn link_op() -> impl Strategy<Value = Op> {
+            (0u8..2, 0u8..6, 0u8..5).prop_map(|(sub, l, f)| Op::Link(sub == 1, l, f))
+        }
+
+        /// Registrations twice as often as each of the other ops.
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                client_op(),
+                client_op(),
+                link_op(),
+                link_op(),
+                (0u8..3).prop_map(Op::Toggle),
+                (0u8..6).prop_map(Op::Close),
+                (0u8..6).prop_map(Op::Hello),
+            ]
+        }
+
+        fn filters() -> Vec<TopicFilter> {
+            ["a", "a/*", "a/**", "b/c", "**"].map(|s| TopicFilter::parse(s).unwrap()).to_vec()
+        }
+
+        proptest! {
+            #[test]
+            fn merged_interest_sends_what_the_two_maps_sent(
+                links in 3usize..7,
+                ops in prop::collection::vec(arb_op(), 0..120),
+            ) {
+                let fs = filters();
+                let filter = |f: u8| fs[usize::from(f)].clone();
+                let client = |c: u8| NodeId(100 + u32::from(c));
+                let link = |l: u8| NodeId(10 + u32::from(l) % links as u32);
+                let hello = |l: u8| Message::LinkHello { from: link(l), realm: RealmId(0) };
+                let connect = |c: u8| Message::ClientConnect { client: client(c), reply_port: well_known::BROKER };
+                let mut broker = Broker::new(broker_cfg(vec![]));
+                let mut ctx = Recorder { rng: StdRng::seed_from_u64(7), sent: Vec::new() };
+                let mut reference = Reference::default();
+                let mut feed = |from: NodeId, msg: Message, broker: &mut Broker, ctx: &mut Recorder| {
+                    reference.handle(from, &msg);
+                    let from = Endpoint::new(from, well_known::BROKER);
+                    let msg = msg.into();
+                    broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg }, ctx);
+                    reference.interest.keys().cloned().collect::<Vec<_>>() == broker.interest_filters()
+                        && reference.sent == ctx.sent
+                };
+                let mut script: Vec<(NodeId, Message)> = (0..links as u8).map(|l| (link(l), hello(l))).collect();
+                script.extend((0..2).map(|c| (client(c), connect(c))));
+                let mut connected = [true, true, false];
+                for op in ops {
+                    script.push(match op {
+                        Op::Client(true, c, f) => (client(c), Message::ClientSubscribe { filter: filter(f) }),
+                        Op::Client(false, c, f) => (client(c), Message::ClientUnsubscribe { filter: filter(f) }),
+                        Op::Link(true, l, f) => {
+                            (link(l), Message::Subscribe { filter: filter(f), origin: link(l), seq: 0 })
+                        }
+                        Op::Link(false, l, f) => {
+                            (link(l), Message::Unsubscribe { filter: filter(f), origin: link(l), seq: 0 })
+                        }
+                        Op::Toggle(c) => {
+                            let on = &mut connected[usize::from(c)];
+                            *on = !*on;
+                            let msg = if *on { connect(c) } else { Message::ClientDisconnect { client: client(c) } };
+                            (client(c), msg)
+                        }
+                        Op::Close(l) => (link(l), Message::LinkClose { from: link(l) }),
+                        Op::Hello(l) => (link(l), hello(l)),
+                    });
+                }
+                for (i, (from, msg)) in script.into_iter().enumerate() {
+                    let kind = msg.kind();
+                    prop_assert!(
+                        feed(from, msg, &mut broker, &mut ctx),
+                        "step {} ({} from {:?}) diverged from the two-map reference", i, kind, from
+                    );
+                }
+            }
+        }
     }
 }

@@ -110,28 +110,6 @@ impl<V> DenseNodeTable<V> {
         }
     }
 
-    /// The value for `node`, inserting `default()` first when absent.
-    pub fn get_or_insert_with(&mut self, node: NodeId, default: impl FnOnce() -> V) -> &mut V {
-        let slot = match self.pos(node) {
-            Ok(i) => self.index[i].1,
-            Err(i) => {
-                let slot = match self.free.pop() {
-                    Some(s) => {
-                        self.slots[s as usize] = Some(default());
-                        s
-                    }
-                    None => {
-                        self.slots.push(Some(default()));
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.index.insert(i, (node, slot));
-                slot
-            }
-        };
-        self.slots[slot as usize].as_mut().expect("indexed slot is occupied")
-    }
-
     /// Removes and returns the value for `node`, freeing its slot.
     pub fn remove(&mut self, node: NodeId) -> Option<V> {
         let i = self.pos(node).ok()?;
@@ -196,7 +174,10 @@ mod tests {
                     assert_eq!(table.contains_key(node), oracle.contains_key(&node));
                 }
                 _ => {
-                    *table.get_or_insert_with(node, || 0) += 1;
+                    match table.get_mut(node) {
+                        Some(count) => *count += 1,
+                        None => assert_eq!(table.insert(node, 1), None),
+                    }
                     *oracle.entry(node).or_insert(0) += 1;
                 }
             }

@@ -23,13 +23,13 @@
 //! as a shared `Arc<[Destination]>`. The dominant traffic pattern —
 //! heartbeats, advertisements and discovery floods republished on the
 //! same few well-known topics — therefore routes with **zero allocation
-//! and zero trie walk**, and the first event on a topic allocates its
-//! match set and nothing else: the key holds the topic's segment ids
-//! inline ([`MemoKey`]; boxed past five). The memo is invalidated
-//! precisely: a subscribe/unsubscribe that changes membership (first
-//! registration or last withdrawal of a filter at a destination) drops
-//! exactly the memo entries whose topic that filter matches;
-//! refcount-only changes keep the memo intact.
+//! and zero trie walk**: one hashed probe on the topic's segment ids.
+//! The first event on a topic allocates its match set and nothing else:
+//! the key holds the ids inline ([`MemoKey`]; boxed past five). The memo
+//! is invalidated precisely: a subscribe/unsubscribe that changes
+//! membership (first registration or last withdrawal of a filter at a
+//! destination) drops exactly the memo entries whose topic that filter
+//! matches; refcount-only changes keep the memo intact.
 //!
 //! # Determinism
 //!
@@ -38,12 +38,18 @@
 //! (pinned by the chaos seed-11 report digest in
 //! `crates/bench/tests/chaos_campaign.rs`). Segment-id *values* vary
 //! with interning order but never reach the output: trie edges are
-//! looked up by key, never iterated into results.
+//! looked up by key, never iterated into results, and the memo is a hash
+//! map only ever probed by key — its one walk, `invalidate`, drops
+//! entries by a test on each key alone, so which survive does not depend
+//! on the order it visits them in.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
+use nb_util::FoldHasher;
 use nb_wire::{NodeId, SegId, Topic, TopicFilter};
 
 /// Memo entries kept before the cache is wholesale reset (a backstop
@@ -58,7 +64,7 @@ const MEMO_INLINE: usize = 5;
 /// A memo key: a topic's segment ids — inline up to [`MEMO_INLINE`] of
 /// them (every well-known topic is three deep), so that caching a match
 /// set costs no allocation beyond the set, and boxed past that, as all
-/// of them used to be. Compared and ordered as the ids it holds, so a
+/// of them used to be. Compared and hashed as the ids it holds, so a
 /// lookup borrows the topic's own and builds no key.
 #[derive(Debug, Clone)]
 enum MemoKey {
@@ -98,15 +104,28 @@ impl PartialEq for MemoKey {
     }
 }
 impl Eq for MemoKey {}
-impl PartialOrd for MemoKey {
-    fn partial_cmp(&self, other: &MemoKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Hash for MemoKey {
+    // Exactly as the `[SegId]` it borrows as, or a probe would miss.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.ids().hash(state);
     }
 }
-impl Ord for MemoKey {
-    fn cmp(&self, other: &MemoKey) -> std::cmp::Ordering {
-        self.ids().cmp(other.ids())
-    }
+
+/// The match memo, hashed by the multiply-rotate fold `BoundedDedup`
+/// uses, one word per segment id. A publisher picks topic strings, not
+/// ids — the interner numbers segments in the order it first meets them
+/// — and the memo holds at most [`MEMO_CAP`] keys, so even keys that all
+/// collided would cost a probe no more than that many compares.
+type Memo = HashMap<MemoKey, Arc<[Destination]>, BuildHasherDefault<FoldHasher>>;
+
+/// Drops exactly the memo entries whose topic `filter` matches — the
+/// only match sets a membership change to `filter` can affect.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "whether an entry survives depends on its key alone, so the visit order cannot show"
+)]
+fn invalidate(memo: &mut Memo, filter: &TopicFilter) {
+    memo.retain(|topic, _| !filter.matches_ids(topic.ids()));
 }
 
 /// A routing destination for matched events.
@@ -216,7 +235,7 @@ impl TrieNode {
 pub struct SubscriptionTable {
     by_dest: BTreeMap<Destination, BTreeMap<TopicFilter, usize>>,
     root: TrieNode,
-    memo: BTreeMap<MemoKey, Arc<[Destination]>>,
+    memo: Memo,
     /// Reused collection buffer for memo misses: the cold path allocates
     /// only the `Arc` result, never a scratch `Vec`.
     scratch: Vec<Destination>,
@@ -231,19 +250,20 @@ impl SubscriptionTable {
     /// Registers `filter` for `dest`; returns `true` if this is the first
     /// registration of that filter at that destination.
     pub fn subscribe(&mut self, dest: Destination, filter: TopicFilter) -> bool {
-        {
-            let filters = self.by_dest.entry(dest).or_default();
-            if let Some(count) = filters.get_mut(&filter) {
+        match self.by_dest.entry(dest).or_default().entry(filter) {
+            Entry::Occupied(mut count) => {
                 // Refcount bump only: membership (and thus every match
                 // set) is unchanged — the memo stays warm.
-                *count += 1;
-                return false;
+                *count.get_mut() += 1;
+                false
             }
-            filters.insert(filter.clone(), 1);
+            Entry::Vacant(slot) => {
+                self.root.insert(slot.key().seg_ids(), dest);
+                invalidate(&mut self.memo, slot.key());
+                slot.insert(1);
+                true
+            }
         }
-        self.root.insert(filter.seg_ids(), dest);
-        self.invalidate(&filter);
-        true
     }
 
     /// Withdraws one registration of `filter` at `dest`; returns `true`
@@ -264,7 +284,7 @@ impl SubscriptionTable {
             self.by_dest.remove(&dest);
         }
         self.root.remove(filter.seg_ids(), dest);
-        self.invalidate(filter);
+        invalidate(&mut self.memo, filter);
         true
     }
 
@@ -277,7 +297,7 @@ impl SubscriptionTable {
         let out: Vec<TopicFilter> = filters.into_keys().collect();
         for filter in &out {
             self.root.remove(filter.seg_ids(), dest);
-            self.invalidate(filter);
+            invalidate(&mut self.memo, filter);
         }
         out
     }
@@ -352,12 +372,6 @@ impl SubscriptionTable {
     /// with this; routing correctness never needs it).
     pub fn flush_memo(&mut self) {
         self.memo.clear();
-    }
-
-    /// Drops exactly the memo entries whose topic `filter` matches —
-    /// the only match sets a membership change to `filter` can affect.
-    fn invalidate(&mut self, filter: &TopicFilter) {
-        self.memo.retain(|topic, _| !filter.matches_ids(topic.ids()));
     }
 }
 
@@ -538,6 +552,59 @@ mod tests {
         tab.flush_memo();
         assert_eq!(tab.memo_len(), 0);
         assert_eq!(tab.matches(&t("s/x")).to_vec(), vec![c]);
+    }
+
+    /// Past `MEMO_CAP` distinct topics, with membership changes in
+    /// between: every `matches` equals the uncached walk, and the hashed
+    /// memo holds as many entries as an ordered model of its three rules
+    /// — filled on a miss, wiped whole at the cap, and cut by exactly the
+    /// topics a changed filter matches.
+    #[test]
+    fn hashed_memo_agrees_with_an_ordered_model_past_its_cap() {
+        const TOPICS: usize = 1_500;
+        let topics: Vec<Topic> = (0..TOPICS).map(|k| t(&format!("m/a{}/{k}", k % 5))).collect();
+        let mut filters: Vec<TopicFilter> = (0..30).map(|k| f(&format!("m/a{}/{}", k % 5, k * 37))).collect();
+        filters.extend((0..5).map(|j| f(&format!("m/a{j}/**"))));
+        filters.extend((0..4).map(|k| f(&format!("m/*/{}", k * 11))));
+        filters.push(f("m/**"));
+        let mut tab = SubscriptionTable::new();
+        let mut model: BTreeMap<Topic, ()> = BTreeMap::new();
+        let mut wiped = 0;
+        let mut s: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = move |n: usize| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as usize % n
+        };
+        for _ in 0..20_000 {
+            let dest = Destination::Client(NodeId(next(3) as u32));
+            let changed = match next(100) {
+                0..=2 => {
+                    let filter = &filters[next(filters.len())];
+                    tab.subscribe(dest, filter.clone()).then_some(filter)
+                }
+                3..=5 => {
+                    let filter = &filters[next(filters.len())];
+                    tab.unsubscribe(dest, filter).then_some(filter)
+                }
+                _ => {
+                    let topic = &topics[next(TOPICS)];
+                    assert_eq!(tab.matches(topic).to_vec(), tab.matches_uncached(topic), "{topic}");
+                    if !model.contains_key(topic) {
+                        if model.len() >= MEMO_CAP {
+                            model.clear();
+                            wiped += 1;
+                        }
+                        model.insert(topic.clone(), ());
+                    }
+                    None
+                }
+            };
+            if let Some(filter) = changed {
+                model.retain(|topic, _| !filter.matches(topic));
+            }
+            assert_eq!(tab.memo_len(), model.len());
+        }
+        assert!(wiped > 0, "the script never filled the memo");
     }
 
     mod trie_vs_linear_oracle {

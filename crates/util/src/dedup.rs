@@ -19,9 +19,11 @@
 use std::collections::{HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Word-at-a-time multiply-rotate hasher (the FxHash recurrence).
+/// Word-at-a-time multiply-rotate hasher (the FxHash recurrence), for
+/// keys no adversary picks, in a container nothing iterates into output.
+/// The broker's match memo hashes its segment ids with it too.
 #[derive(Debug, Clone, Copy, Default)]
-struct FoldHasher(u64);
+pub struct FoldHasher(u64);
 
 impl FoldHasher {
     const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -54,6 +56,15 @@ impl Hasher for FoldHasher {
     fn write_u128(&mut self, word: u128) {
         self.fold(word as u64);
         self.fold((word >> 64) as u64);
+    }
+
+    // A `[SegId]` memo key hashes as its length and then one `u32` an id.
+    fn write_u32(&mut self, word: u32) {
+        self.fold(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.fold(word as u64);
     }
 
     fn finish(&self) -> u64 {

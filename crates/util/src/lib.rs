@@ -23,7 +23,7 @@ pub mod stats;
 pub mod uuid;
 
 pub use config::{Config, ConfigError};
-pub use dedup::BoundedDedup;
+pub use dedup::{BoundedDedup, FoldHasher};
 pub use rate::RateMeter;
 pub use stats::{trim_outliers, Summary};
 pub use uuid::Uuid;
