@@ -1,8 +1,8 @@
 //! `repro` — regenerates every table and figure of the paper and runs
 //! the seed-pure campaigns (`chaos`, `federation`, `scale`); `repro gate`
 //! runs clippy over the workspace and checks that the tree still
-//! regenerates every committed report. `repro help` prints the command
-//! table ([`COMMANDS`]) and the flags.
+//! regenerates every committed figure and report. `repro help` prints the
+//! command table ([`COMMANDS`]) and the flags.
 
 use std::path::{Path, PathBuf};
 
@@ -44,6 +44,13 @@ const FLAGS: &str = "  --runs N         runs per experiment (default 120, the pa
 
 /// What a `repro` sub-command does.
 enum Run {
+    /// A table, figure or ablation: `repro all` runs each, in table
+    /// order, and `--csv DIR` also writes it to `DIR/<name>.csv`. A
+    /// `pinned` table is seeded, so `repro gate figs` compares it with
+    /// `artifacts/csv/<name>.csv`; the others time the host.
+    Table { make: fn(&str, &Args) -> Table, pinned: bool },
+    /// A topology diagram, which `repro all` also prints.
+    Diagram(TopologyKind),
     /// Prints only.
     Print(fn(&str, &Args)),
     /// Writes a JSON report: its default `--out`, which is also the
@@ -63,6 +70,18 @@ const fn cmd(name: &'static str, help: &'static str, run: fn(&str, &Args)) -> Co
     Command { name, help, run: Run::Print(run) }
 }
 
+const fn table(name: &'static str, help: &'static str, make: fn(&str, &Args) -> Table) -> Command {
+    Command { name, help, run: Run::Table { make, pinned: true } }
+}
+
+const fn timed(name: &'static str, help: &'static str, make: fn(&str, &Args) -> Table) -> Command {
+    Command { name, help, run: Run::Table { make, pinned: false } }
+}
+
+const fn diagram(name: &'static str, help: &'static str, kind: TopologyKind) -> Command {
+    Command { name, help, run: Run::Diagram(kind) }
+}
+
 const fn report(
     name: &'static str,
     help: &'static str,
@@ -74,32 +93,31 @@ const fn report(
 
 const COMMANDS: &[Command] = &[
     cmd("help", "this listing", print_help),
-    cmd("all", "every table, figure and ablation below, in paper order", run_all),
-    cmd("table1", "machine inventory", run_table1),
-    cmd("fig1", "unconnected topology diagram", run_topology_figure),
-    cmd("fig2", "sub-activity breakdown, unconnected topology", run_breakdown),
-    cmd("fig3", "discovery time, client at FSU", run_site_times),
-    cmd("fig4", "discovery time, client at Cardiff", run_site_times),
-    cmd("fig5", "discovery time, client at UMN", run_site_times),
-    cmd("fig6", "discovery time, client at NCSA", run_site_times),
-    cmd("fig7", "discovery time, client at Bloomington", run_site_times),
-    cmd("fig8", "star topology diagram", run_topology_figure),
-    cmd("fig9", "sub-activity breakdown, star topology", run_breakdown),
-    cmd("fig10", "linear topology diagram", run_topology_figure),
-    cmd("fig11", "sub-activity breakdown, linear topology", run_breakdown),
-    cmd("fig12", "multicast-only discovery", run_multicast),
-    cmd("fig13", "certificate validation cost (host wall clock)", run_security),
-    cmd("fig14", "sign+encrypt+extract cost (host wall clock)", run_security),
-    cmd("ablation-timeout", "collection-timeout sweep", run_ablation_timeout),
-    cmd("ablation-maxresp", "max-responses cap sweep", run_ablation_maxresp),
-    cmd("ablation-weights", "selection-weight presets", run_ablation_weights),
-    cmd("ablation-scale", "broker-count scaling", run_ablation_scale),
-    cmd("ablation-loss", "UDP loss sensitivity", run_ablation_loss),
-    cmd("ablation-clock", "NTP residual sensitivity", run_ablation_clock),
-    cmd("ablation-topology", "overlay shapes at 10 brokers", run_ablation_topology),
-    cmd("ablation-bulk", "bulk transfer across the overlay", run_ablation_bulk),
+    cmd("all", "every table, figure and ablation below, in this order", run_all),
+    table("table1", "machine inventory", |_, _| table1()),
+    diagram("fig1", "unconnected topology diagram", TopologyKind::Unconnected),
+    table("fig2", "sub-activity breakdown, unconnected topology", breakdown),
+    table("fig3", "discovery time, client at FSU", site_times),
+    table("fig4", "discovery time, client at Cardiff", site_times),
+    table("fig5", "discovery time, client at UMN", site_times),
+    table("fig6", "discovery time, client at NCSA", site_times),
+    table("fig7", "discovery time, client at Bloomington", site_times),
+    diagram("fig8", "star topology diagram", TopologyKind::Star),
+    table("fig9", "sub-activity breakdown, star topology", breakdown),
+    diagram("fig10", "linear topology diagram", TopologyKind::Linear),
+    table("fig11", "sub-activity breakdown, linear topology", breakdown),
+    table("fig12", "multicast-only discovery", multicast),
+    timed("fig13", "certificate validation cost (host wall clock)", security),
+    timed("fig14", "sign+encrypt+extract cost (host wall clock)", security),
+    table("ablation-timeout", "collection-timeout sweep", ablation_timeout_table),
+    table("ablation-maxresp", "max-responses cap sweep", ablation_maxresp_table),
+    table("ablation-weights", "selection-weight presets", ablation_weights_table),
+    table("ablation-scale", "broker-count scaling", ablation_scale_table),
+    table("ablation-loss", "UDP loss sensitivity", ablation_loss_table),
+    table("ablation-clock", "NTP residual sensitivity", ablation_clock_table),
+    table("ablation-topology", "overlay shapes at 10 brokers", ablation_topology_table),
     cmd("check", "self-verify every qualitative claim (exit 1 on failure)", run_check),
-    cmd("trace", "message-flow trace of one discovery", run_trace),
+    cmd("trace", "message-flow trace of one discovery", |_, args| print!("{}", trace(args.seed))),
     report(
         "chaos",
         "seeded fault-injection campaign (exit 1 if an invariant fails)",
@@ -120,18 +138,11 @@ const COMMANDS: &[Command] = &[
     ),
     cmd(
         "gate",
-        "[lint|chaos|federation|scale] run clippy, then regenerate the committed reports at \
-         1 and 4 workers; exit 1 on a clippy error or any byte of difference",
+        "[lint|figs|chaos|federation|scale] run clippy, then regenerate the committed figures \
+         and reports (reports at 1 and 4 workers); exit 1 on a clippy error or any byte of \
+         difference",
         run_gate,
     ),
-];
-
-/// What `repro all` expands to, paper order.
-const ALL: [&str; 23] = [
-    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
-    "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock",
-    "ablation-topology", "ablation-bulk",
 ];
 
 fn find(name: &str) -> Option<&'static Command> {
@@ -196,285 +207,177 @@ fn print_help(_: &str, _: &Args) {
     for c in COMMANDS {
         match c.run {
             Run::Report(out, _) => println!("  {:<18} {} [--out {out}]", c.name, c.help),
-            Run::Print(_) => println!("  {:<18} {}", c.name, c.help),
+            _ => println!("  {:<18} {}", c.name, c.help),
         }
     }
     println!("\nflags:\n{FLAGS}");
 }
 
 fn run_all(_: &str, args: &Args) {
-    for name in ALL {
-        let Some(Command { run: Run::Print(run), .. }) = find(name) else {
-            unreachable!("ALL names a printing table entry");
-        };
-        run(name, args);
+    for c in COMMANDS {
+        match c.run {
+            Run::Table { make, .. } => show(c.name, args, &make(c.name, args)),
+            Run::Diagram(kind) => print_diagram(c.name, kind),
+            Run::Print(_) | Run::Report(..) => {}
+        }
     }
 }
 
-/// Writes `rows` as `<dir>/<name>.csv` when CSV export is active.
-fn write_csv(args: &Args, name: &str, header: &str, rows: impl Iterator<Item = String>) {
-    let Some(dir) = &args.csv else { return };
+/// Prints `table`, then writes it as `<dir>/<name>.csv` under `--csv DIR`.
+fn show(name: &str, args: &Args, table: &Table) {
+    println!("{table}");
+    if let Some(dir) = &args.csv {
+        write_csv(dir, name, table);
+    }
+}
+
+/// Writes `table` as `<dir>/<name>.csv`; exits 2 when it cannot.
+fn write_csv(dir: &Path, name: &str, table: &Table) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         fail(&format!("cannot create {}: {e}", dir.display()));
     }
     let path = dir.join(format!("{name}.csv"));
-    let body: String =
-        std::iter::once(header.to_string()).chain(rows).map(|line| line + "\n").collect();
-    if let Err(e) = std::fs::write(&path, body) {
+    if let Err(e) = std::fs::write(&path, table.to_csv()) {
         fail(&format!("cannot write {}: {e}", path.display()));
     }
-    println!("wrote {}", path.display());
+    println!("wrote {}\n", path.display());
 }
 
-/// CSV + the paper's five-metric table for one summary figure.
-fn print_summary(name: &str, args: &Args, title: &str, s: &nb_util::Summary) {
-    write_csv(
-        args,
-        name,
-        "n,mean_ms,std_dev,max,min,error",
-        [format!("{},{},{},{},{},{}", s.n, s.mean, s.std_dev, s.max, s.min, s.error)].into_iter(),
-    );
-    println!("{}", format_summary(&format!("=== {title} ==="), s));
-}
-
-fn run_table1(_: &str, _: &Args) {
-    println!("=== Table 1: machines used in the testing process ===");
-    println!("{}", table1());
-}
-
-/// The paper topology behind a diagram (1/8/10) or breakdown (2/9/11)
-/// figure, with the figure number.
-fn figure_topology(name: &str) -> (TopologyKind, u32) {
-    let figno: u32 = name[3..].parse().expect("figN");
-    let kind = match figno {
-        1 | 2 => TopologyKind::Unconnected,
-        8 | 9 => TopologyKind::Star,
-        _ => TopologyKind::Linear,
-    };
-    (kind, figno)
-}
-
-fn run_topology_figure(name: &str, _: &Args) {
-    let (kind, figno) = figure_topology(name);
-    println!("=== Figure {figno}: {} topology ===", kind.label());
+fn print_diagram(name: &str, kind: TopologyKind) {
+    println!("=== Figure {}: {} topology ===", &name[3..], kind.label());
     println!("{}", topology_figure(kind));
 }
 
-fn run_breakdown(name: &str, args: &Args) {
-    let (kind, figno) = figure_topology(name);
-    let rows = figure_breakdown(kind, args.seed, args.runs);
-    write_csv(args, name, "phase,share", rows.iter().map(|(l, s)| format!("{l},{s}")));
-    println!(
-        "{}",
-        format_breakdown(
-            &format!(
-                "=== Figure {figno}: % time per discovery sub-activity, {} topology \
-                 (client in Bloomington, {} runs, seed {}) ===",
-                kind.label(),
-                args.runs,
-                args.seed
-            ),
-            &rows
-        )
-    );
+/// The paper's five metrics for one timing figure.
+fn summary(title: String, s: &nb_util::Summary) -> Table {
+    let columns = [("n", 0), ("mean_ms", 3), ("std_dev", 3), ("max", 3), ("min", 3), ("error", 3)];
+    Table::new(title, &columns, [row![s.n, s.mean, s.std_dev, s.max, s.min, s.error]])
 }
 
-fn run_site_times(name: &str, args: &Args) {
+fn breakdown(name: &str, args: &Args) -> Table {
+    let (figno, kind) = match name {
+        "fig2" => (2, TopologyKind::Unconnected),
+        "fig9" => (9, TopologyKind::Star),
+        _ => (11, TopologyKind::Linear),
+    };
+    let title = format!(
+        "Figure {figno}: share of time per discovery sub-activity, {} topology \
+         (client in Bloomington, {} runs, seed {})",
+        kind.label(),
+        args.runs,
+        args.seed
+    );
+    let rows = figure_breakdown(kind, args.seed, args.runs).into_iter().map(|(l, s)| row![l, s]);
+    Table::new(title, &[("phase", 0), ("share", 3)], rows)
+}
+
+fn site_times(name: &str, args: &Args) -> Table {
     let figno: u32 = name[3..].parse().expect("figN");
     let (_, site, label) =
         site_figures().into_iter().find(|(f, _, _)| *f == figno).expect("figs 3-7");
-    let s = figure_site_times(site, args.seed, args.runs);
     let title = format!(
         "Figure {figno}: discovery time, client in {label} \
          (unconnected topology, {} runs, seed {})",
         args.runs, args.seed
     );
-    print_summary(name, args, &title, &s);
+    summary(title, &figure_site_times(site, args.seed, args.runs))
 }
 
-fn run_multicast(name: &str, args: &Args) {
-    let s = figure_multicast(args.seed, args.runs, 2);
+fn multicast(_: &str, args: &Args) -> Table {
     let title = format!(
         "Figure 12: broker discovery using ONLY multicast \
          (2 lab brokers reachable, {} runs, seed {})",
         args.runs, args.seed
     );
-    print_summary(name, args, &title, &s);
+    summary(title, &figure_multicast(args.seed, args.runs, 2))
 }
 
-fn run_security(name: &str, args: &Args) {
+fn security(name: &str, args: &Args) -> Table {
     let iters = args.runs.max(PAPER_RUNS);
-    let (s, title) = if name == "fig13" {
-        (
-            figure_cert_validation(args.seed, iters),
-            format!("Figure 13: time to validate an X.509-style certificate ({iters} iterations)"),
-        )
-    } else {
-        (
+    let (what, s) = match name {
+        "fig13" => {
+            ("validate an X.509-style certificate", figure_cert_validation(args.seed, iters))
+        }
+        _ => (
+            "sign+encrypt and later extract the BrokerDiscoveryRequest",
             figure_sign_encrypt(args.seed, iters),
-            format!(
-                "Figure 14: time to sign+encrypt and later extract the \
-                 BrokerDiscoveryRequest ({iters} iterations)"
-            ),
-        )
+        ),
     };
-    print_summary(name, args, &title, &s);
+    summary(format!("Figure {}: time to {what} ({iters} iterations)", &name[3..]), &s)
 }
 
-fn run_ablation_timeout(name: &str, args: &Args) {
-    println!("=== Ablation: collection-timeout sweep (star topology) ===");
-    println!("{:>12} {:>14} {:>16}", "timeout (ms)", "total (ms)", "responses");
+fn ablation_timeout_table(_: &str, args: &Args) -> Table {
+    let title = "Ablation: collection-timeout sweep (star topology)";
     let rows = ablation_timeout(args.seed, args.runs.min(30));
-    write_csv(
-        args,
-        name,
-        "timeout_ms,total_ms,responses",
-        rows.iter().map(|(t, x, y)| format!("{t},{x},{y}")),
-    );
-    for (t, total, resp) in rows {
-        println!("{t:>12} {total:>14.1} {resp:>16.2}");
-    }
-    println!();
+    let rows = rows.into_iter().map(|(t, total, resp)| row![t, total, resp]);
+    Table::new(title, &[("timeout_ms", 0), ("total_ms", 1), ("responses", 2)], rows)
 }
 
-fn run_ablation_maxresp(name: &str, args: &Args) {
-    println!("=== Ablation: max-responses cap sweep (star topology) ===");
-    println!("{:>12} {:>14} {:>16}", "cap", "total (ms)", "responses");
+fn ablation_maxresp_table(_: &str, args: &Args) -> Table {
+    let title = "Ablation: max-responses cap sweep (star topology)";
     let rows = ablation_max_responses(args.seed, args.runs.min(30));
-    write_csv(
-        args,
-        name,
-        "cap,total_ms,responses",
-        rows.iter().map(|(c, x, y)| format!("{c},{x},{y}")),
-    );
-    for (cap, total, resp) in rows {
-        println!("{cap:>12} {total:>14.1} {resp:>16.2}");
-    }
-    println!();
+    let rows = rows.into_iter().map(|(cap, total, resp)| row![cap, total, resp]);
+    Table::new(title, &[("cap", 0), ("total_ms", 1), ("responses", 2)], rows)
 }
 
-fn run_ablation_weights(_: &str, args: &Args) {
-    println!("=== Ablation: selection-weight presets (winning site, star) ===");
-    for (preset, wins) in ablation_weights(args.seed, args.runs.min(30)) {
-        let row: Vec<String> = wins.iter().map(|(site, c)| format!("{site}:{c}")).collect();
-        println!("  {preset:<16} {}", row.join("  "));
-    }
-    println!();
+fn ablation_weights_table(_: &str, args: &Args) -> Table {
+    let title = "Ablation: selection-weight presets (winning site, star topology)";
+    let presets = ablation_weights(args.seed, args.runs.min(30));
+    let rows = presets
+        .into_iter()
+        .flat_map(|(preset, wins)| wins.into_iter().map(move |(site, n)| row![preset, site, n]));
+    Table::new(title, &[("preset", 0), ("site", 0), ("wins", 0)], rows)
 }
 
-fn run_ablation_loss(name: &str, args: &Args) {
-    println!("=== Ablation: UDP loss sensitivity (unconnected topology) ===");
-    println!("{:>12} {:>10} {:>12} {:>12}", "loss factor", "success", "responses", "total (ms)");
-    let rows = ablation_loss(args.seed, args.runs.min(30));
-    write_csv(
-        args,
-        name,
-        "loss_factor,success_rate,responses,total_ms",
-        rows.iter().map(|(f, s, r, t)| format!("{f},{s},{r},{t}")),
-    );
-    for (f, succ, resp, total) in rows {
-        println!("{f:>12.1} {:>9.0}% {resp:>12.2} {total:>12.1}", succ * 100.0);
-    }
-    println!();
-}
-
-fn run_ablation_clock(name: &str, args: &Args) {
-    println!(
-        "=== Ablation: NTP residual sensitivity (proximity-only selection, \
-         target set of 1 — no ping disambiguation) ==="
-    );
-    println!("{:>16} {:>16} {:>20}", "residual", "nearest chosen", "extra distance (ms)");
-    let rows = ablation_clock(args.seed, args.runs.min(40) as u64);
-    write_csv(
-        args,
-        name,
-        "residual,nearest_rate,extra_distance_ms",
-        rows.iter().map(|(l, r, e)| format!("{l},{r},{e}")),
-    );
-    for (label, rate, err) in rows {
-        println!("{label:>16} {:>15.0}% {err:>20.1}", rate * 100.0);
-    }
-    println!();
-}
-
-fn run_ablation_bulk(name: &str, args: &Args) {
-    println!(
-        "=== Ablation: bulk transfer across the overlay \
-         (10 Mbit/s WAN, fragmentation + optional LZSS) ==="
-    );
-    println!(
-        "{:>12} {:>12} {:>12} {:>14}",
-        "size (KiB)", "compressed", "fragments", "virtual (ms)"
-    );
-    let rows = ablation_bulk(args.seed);
-    write_csv(
-        args,
-        name,
-        "size_bytes,compressed,fragments,virtual_ms",
-        rows.iter().map(|(s, c, f, t)| format!("{s},{c},{f},{t}")),
-    );
-    for (size, compressed, frags, t) in rows {
-        println!(
-            "{:>12} {:>12} {frags:>12} {t:>14.1}",
-            size / 1024,
-            if compressed { "lzss" } else { "raw" }
-        );
-    }
-    println!();
-}
-
-fn run_ablation_topology(name: &str, args: &Args) {
-    println!("=== Ablation: overlay shapes at 10 brokers ===");
-    println!("{:>14} {:>12} {:>12} {:>10}", "topology", "total (ms)", "wait share", "diameter");
-    let rows = ablation_topology(args.seed, args.runs.min(20));
-    write_csv(
-        args,
-        name,
-        "topology,total_ms,wait_share,diameter",
-        rows.iter().map(|(k, t, w, d)| {
-            format!("{k},{t},{w},{}", d.map(|d| d.to_string()).unwrap_or_default())
-        }),
-    );
-    for (kind, total, wait, diam) in rows {
-        let d = diam.map(|d| d.to_string()).unwrap_or_else(|| "-".into());
-        println!("{kind:>14} {total:>12.1} {:>11.0}% {d:>10}", wait * 100.0);
-    }
-    println!();
-}
-
-fn run_ablation_scale(name: &str, args: &Args) {
-    println!("=== Ablation: broker-count scaling (mean total ms) ===");
-    println!("{:>10} {:>14} {:>14}", "brokers", "topology", "total (ms)");
+fn ablation_scale_table(_: &str, args: &Args) -> Table {
+    let title = "Ablation: broker-count scaling";
     let rows = ablation_scale(args.seed, args.runs.min(20));
-    write_csv(
-        args,
-        name,
-        "brokers,topology,total_ms",
-        rows.iter().map(|(n, k, t)| format!("{n},{k},{t}")),
-    );
-    for (n, kind, total) in rows {
-        println!("{n:>10} {kind:>14} {total:>14.1}");
-    }
-    println!();
+    let rows = rows.into_iter().map(|(n, kind, total)| row![n, kind, total]);
+    Table::new(title, &[("brokers", 0), ("topology", 0), ("total_ms", 1)], rows)
 }
 
-fn run_trace(_: &str, args: &Args) {
+fn ablation_loss_table(_: &str, args: &Args) -> Table {
+    let title = "Ablation: UDP loss sensitivity (unconnected topology)";
+    let columns = [("loss_factor", 1), ("success_rate", 3), ("responses", 2), ("total_ms", 1)];
+    let rows = ablation_loss(args.seed, args.runs.min(30));
+    Table::new(title, &columns, rows.into_iter().map(|(f, ok, r, t)| row![f, ok, r, t]))
+}
+
+fn ablation_clock_table(_: &str, args: &Args) -> Table {
+    let title = "Ablation: NTP residual sensitivity (proximity-only selection, \
+                 target set of 1 — no ping disambiguation)";
+    let rows = ablation_clock(args.seed, args.runs.min(40) as u64);
+    let rows = rows.into_iter().map(|(label, rate, err)| row![label, rate, err]);
+    Table::new(title, &[("residual", 0), ("nearest_rate", 3), ("extra_distance_ms", 1)], rows)
+}
+
+fn ablation_topology_table(_: &str, args: &Args) -> Table {
+    let title = "Ablation: overlay shapes at 10 brokers";
+    let columns = [("topology", 0), ("total_ms", 1), ("wait_share", 3), ("diameter", 0)];
+    let rows = ablation_topology(args.seed, args.runs.min(20));
+    Table::new(title, &columns, rows.into_iter().map(|(k, t, w, d)| row![k, t, w, d]))
+}
+
+/// The message flow of one star-topology discovery, as `repro trace`
+/// prints it and `artifacts/trace_output.txt` pins it.
+fn trace(seed: u64) -> String {
     use nb_discovery::scenario::ScenarioBuilder;
     use nb_net::wan::BLOOMINGTON;
-    let seed = args.seed;
+    use std::fmt::Write;
     let mut scenario = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed).build();
     scenario.sim.enable_trace();
     let outcome = scenario.run_discovery_once();
     let trace = scenario.sim.take_trace();
-    println!(
+    let mut out = format!(
         "=== Message flow of one discovery (star topology, seed {seed}) ===\n\
-         {:<12} {:<22} {:<24} {:<8} {:>6}",
+         {:<12} {:<22} {:<24} {:<8} {:>6}\n",
         "t (ms)", "from", "to", "via", "bytes"
     );
     let t0 = trace.first().map(|r| r.at).unwrap_or_default();
     let name = |n: nb_wire::NodeId| scenario.sim.node_name(n).to_string();
     for rec in &trace {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<12.2} {:<22} {:<24} {:<8} {:>6}  {}",
             (rec.at - t0).as_secs_f64() * 1e3,
             name(rec.from.node),
@@ -484,12 +387,14 @@ fn run_trace(_: &str, args: &Args) {
             rec.kind,
         );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "\n{} messages; discovered {:?} in {:?}",
         trace.len(),
         outcome.chosen.map(name),
         outcome.phases.total()
     );
+    out
 }
 
 fn run_check(_: &str, args: &Args) {
@@ -658,57 +563,105 @@ fn workspace_root() -> PathBuf {
     root.to_path_buf()
 }
 
-/// What `repro gate` checks, in order: `lint` runs clippy, every other
-/// entry is a committed report and the flags it is regenerated with.
-const GATES: [(&str, &str); 4] = [
+/// What `repro gate` checks, in order: `lint` runs clippy, `figs` the
+/// committed figures, every other entry is a committed report and the
+/// flags it is regenerated with.
+const GATES: [(&str, &str); 5] = [
     ("lint", ""),
+    ("figs", ""),
     ("chaos", "--scenarios 3 --seed 11"),
     ("federation", "--scenarios 10 --seed 2005"),
     ("scale", "--tier small --seed 2005"),
 ];
 
-/// `repro gate [NAME]`: runs [`lint_gate`], then regenerates each
-/// committed report (all of [`GATES`] without a name) in memory at 1 and
-/// 4 workers, writing nothing, and exits 1 naming the file on a failed
-/// invariant, a 1-vs-4 difference or any byte that differs from the
-/// committed copy.
+/// `repro gate [NAME]`: runs [`lint_gate`] and [`figs_gate`], then
+/// regenerates each committed report (all of [`GATES`] without a name)
+/// in memory at 1 and 4 workers, writing nothing, and exits 1 naming the
+/// file on a failed invariant, a 1-vs-4 difference or any byte that
+/// differs from the committed copy.
 fn run_gate(_: &str, args: &Args) {
     let target = args.target.as_deref();
     let gates: Vec<(&str, &str)> =
         GATES.into_iter().filter(|&(name, _)| target.is_none_or(|t| t == name)).collect();
     if gates.is_empty() {
-        fail(&format!("gate {:?}: expected lint|chaos|federation|scale", target.unwrap_or("")));
+        fail(&format!(
+            "gate {:?}: expected lint|figs|chaos|federation|scale",
+            target.unwrap_or("")
+        ));
     }
     let root = workspace_root();
     for (name, flags) in gates {
-        if name == "lint" {
-            lint_gate(&root);
-            continue;
+        match name {
+            "lint" => lint_gate(&root),
+            "figs" => figs_gate(&root),
+            _ => report_gate(&root, name, flags),
         }
-        let Some(Command { run: Run::Report(file, report), .. }) = find(name) else {
-            unreachable!("GATES names a report-writing command");
-        };
+    }
+}
+
+/// Regenerates the committed report `name` with `flags` at 1 and 4
+/// workers and compares each with the committed bytes.
+fn report_gate(root: &Path, name: &str, flags: &str) {
+    let Some(Command { run: Run::Report(file, report), .. }) = find(name) else {
+        unreachable!("GATES names a report-writing command");
+    };
+    let committed = std::fs::read_to_string(root.join(file))
+        .unwrap_or_else(|e| gate_failed(file, &format!("cannot read the committed copy: {e}")));
+    for workers in [1, 4] {
+        let argv = format!("{name} {flags} --workers {workers}");
+        let (json, passed) = report(&parse_args(argv.split_whitespace().map(String::from)));
+        if !passed {
+            gate_failed(file, &format!("an invariant failed at {workers} worker(s)"));
+        }
+        if let Some(line) = first_difference(&committed, &json) {
+            gate_failed(
+                file,
+                &if workers == 1 {
+                    format!("the tree regenerates it differently from line {line} on")
+                } else {
+                    format!("it differs between 1 and 4 workers from line {line} on")
+                },
+            );
+        }
+    }
+    println!("{file}: byte-identical to the committed copy at 1 and 4 workers");
+}
+
+/// `repro gate figs`: regenerates every pinned table's CSV and the trace
+/// at the defaults (`--runs 120 --seed 2005`) in memory and compares each
+/// with its committed copy under `artifacts/`; a committed CSV that no
+/// pinned table writes fails too.
+fn figs_gate(root: &Path) {
+    let args = parse_args(std::iter::empty());
+    let mut pins: Vec<(String, String)> = COMMANDS
+        .iter()
+        .filter_map(|c| match c.run {
+            Run::Table { make, pinned: true } => {
+                Some((format!("artifacts/csv/{}.csv", c.name), make(c.name, &args).to_csv()))
+            }
+            _ => None,
+        })
+        .collect();
+    pins.push(("artifacts/trace_output.txt".to_string(), trace(args.seed)));
+    for (file, fresh) in &pins {
         let committed = std::fs::read_to_string(root.join(file))
             .unwrap_or_else(|e| gate_failed(file, &format!("cannot read the committed copy: {e}")));
-        for workers in [1, 4] {
-            let argv = format!("{name} {flags} --workers {workers}");
-            let (json, passed) = report(&parse_args(argv.split_whitespace().map(String::from)));
-            if !passed {
-                gate_failed(file, &format!("an invariant failed at {workers} worker(s)"));
-            }
-            if let Some(line) = first_difference(&committed, &json) {
-                gate_failed(
-                    file,
-                    &if workers == 1 {
-                        format!("the tree regenerates it differently from line {line} on")
-                    } else {
-                        format!("it differs between 1 and 4 workers from line {line} on")
-                    },
-                );
-            }
+        if let Some(line) = first_difference(&committed, fresh) {
+            gate_failed(file, &format!("the tree regenerates it differently from line {line} on"));
         }
-        println!("{file}: byte-identical to the committed copy at 1 and 4 workers");
     }
+    let committed = std::fs::read_dir(root.join("artifacts/csv"))
+        .unwrap_or_else(|e| gate_failed("artifacts/csv", &format!("cannot list it: {e}")));
+    for entry in committed.flatten() {
+        let file = format!("artifacts/csv/{}", entry.file_name().to_string_lossy());
+        if !pins.iter().any(|(pinned, _)| *pinned == file) {
+            gate_failed(&file, "no pinned table writes it");
+        }
+    }
+    println!(
+        "artifacts/: {} figure CSVs and trace_output.txt byte-identical to the committed copies",
+        pins.len() - 1
+    );
 }
 
 /// `repro gate lint`: clippy over every workspace target, with the levels
@@ -745,12 +698,6 @@ fn main() {
         fail(&format!("unknown command {:?}; try `repro help`", args.cmd));
     };
     match command.run {
-        Run::Print(run) => {
-            if args.out.is_some() {
-                fail(&format!("{} writes no report; --out does not apply", args.cmd));
-            }
-            run(command.name, &args);
-        }
         Run::Report(default, report) => {
             let path = args.out.clone().unwrap_or_else(|| PathBuf::from(default));
             let (json, passed) = report(&args);
@@ -763,6 +710,12 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        _ if args.out.is_some() => {
+            fail(&format!("{} writes no report; --out does not apply", args.cmd))
+        }
+        Run::Table { make, .. } => show(command.name, &args, &make(command.name, &args)),
+        Run::Diagram(kind) => print_diagram(command.name, kind),
+        Run::Print(run) => run(command.name, &args),
     }
 }
 
@@ -779,13 +732,18 @@ mod tests {
 
     #[test]
     fn all_expands_only_to_printing_table_entries() {
-        for name in ALL {
-            let c = find(name).unwrap_or_else(|| panic!("`all` names {name}, not in the table"));
-            assert!(
-                matches!(c.run, Run::Print(_)),
-                "`all` must not rewrite the committed {name} report"
-            );
-        }
+        let in_all = |c: &Command| matches!(c.run, Run::Table { .. } | Run::Diagram(_));
+        let first = COMMANDS.iter().position(in_all).expect("a figure command");
+        let count = COMMANDS.iter().filter(|c| in_all(c)).count();
+        let run: Vec<&str> = COMMANDS[first..first + count].iter().map(|c| c.name).collect();
+        assert!(COMMANDS[first..first + count].iter().all(in_all), "one block: {run:?}");
+        assert_eq!((run[0], run[count - 1]), ("table1", "ablation-topology"), "paper order");
+        let unpinned: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| matches!(c.run, Run::Table { pinned: false, .. }))
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(unpinned, ["fig13", "fig14"], "only the host wall-clock figures go unpinned");
     }
 
     #[test]
@@ -794,7 +752,11 @@ mod tests {
             COMMANDS.iter().filter(|c| matches!(c.run, Run::Report(..))).map(|c| c.name).collect();
         assert_eq!(writers, ["chaos", "federation", "scale"]);
         let gated: Vec<&str> = GATES.iter().map(|g| g.0).collect();
-        assert_eq!(gated, ["lint", "chaos", "federation", "scale"], "clippy, then every report");
+        assert_eq!(
+            gated,
+            ["lint", "figs", "chaos", "federation", "scale"],
+            "clippy, the figures, then every report"
+        );
     }
 
     #[test]

@@ -13,16 +13,19 @@ pub mod chaos;
 pub mod federation;
 pub mod parallel;
 pub mod scale;
+pub mod table;
+
+pub use table::{Cell, Table};
 
 use std::time::{Duration, Instant};
 
 use crate::parallel::{seeded, ParallelExecutor};
 use nb_broker::TopologyKind;
 use nb_discovery::scenario::ScenarioBuilder;
-use nb_discovery::{DiscoveryOutcome, SelectionWeights};
+use nb_discovery::{DiscoveryConfig, DiscoveryOutcome, SelectionWeights};
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
 use nb_security::{open_envelope, seal_envelope, Authority, Certificate, Identity};
-use nb_util::stats::{paper_protocol, Summary};
+use nb_util::stats::{paper_protocol, paper_protocol_indices, Summary};
 use nb_util::Uuid;
 use nb_wire::{Credential, DiscoveryRequest, Endpoint, Message, NodeId, Port, RealmId};
 
@@ -34,9 +37,13 @@ pub const PAPER_RUNS: usize = 120;
 /// Samples kept after outlier trimming.
 pub const PAPER_KEEP: usize = 100;
 
-/// Renders the Table-1 machine inventory.
-pub fn table1() -> String {
-    WanModel::paper().to_string()
+/// The Table-1 machine inventory.
+pub fn table1() -> Table {
+    let columns = [("site", 0), ("host", 0), ("machine", 0), ("memory_mib", 0)];
+    let wan = WanModel::paper();
+    let rows =
+        wan.sites().iter().map(|s| row![s.name, s.host, s.machine, s.total_memory / (1024 * 1024)]);
+    Table::new("Table 1: machines used in the testing process", &columns, rows)
 }
 
 /// Renders the topology diagram figures (1, 8, 10).
@@ -62,8 +69,13 @@ pub fn run_topology(
     seed: u64,
     runs: usize,
 ) -> Vec<DiscoveryOutcome> {
-    let builder = ScenarioBuilder::new(kind, client_site, seed);
-    ParallelExecutor::new().run_discoveries(seed, runs, seeded(&builder))
+    discoveries(&ScenarioBuilder::new(kind, client_site, seed), seed, runs)
+}
+
+/// `runs` discoveries, run `i` an independent deployment of `builder`
+/// seeded `seed.wrapping_add(i)`.
+fn discoveries(builder: &ScenarioBuilder, seed: u64, runs: usize) -> Vec<DiscoveryOutcome> {
+    ParallelExecutor::new().run_discoveries(seed, runs, seeded(builder))
 }
 
 /// The sub-activity percentage breakdown (Figures 2, 9, 11): average
@@ -72,7 +84,7 @@ pub fn figure_breakdown(kind: TopologyKind, seed: u64, runs: usize) -> Vec<(&'st
     let outcomes = run_topology(kind, BLOOMINGTON, seed, runs);
     let totals: Vec<f64> =
         outcomes.iter().map(|o| o.phases.total().as_secs_f64() * 1e3).collect();
-    let kept = keep_indices(&totals, PAPER_KEEP);
+    let kept = paper_protocol_indices(&totals, PAPER_KEEP);
     let labels = ["issue+ack", "await responses", "selection", "ping measurement", "connect"];
     let mut sums = [0.0f64; 5];
     let mut total_sum = 0.0;
@@ -103,8 +115,7 @@ pub fn figure_site_times(client_site: SiteIdx, seed: u64, runs: usize) -> Summar
 /// Multicast-only discovery time statistics (Figure 12): no BDN, only
 /// the brokers inside the client's lab realm are reachable.
 pub fn figure_multicast(seed: u64, runs: usize, local_brokers: usize) -> Summary {
-    let builder = ScenarioBuilder::multicast(seed, local_brokers);
-    let outcomes = ParallelExecutor::new().run_discoveries(seed, runs, seeded(&builder));
+    let outcomes = discoveries(&ScenarioBuilder::multicast(seed, local_brokers), seed, runs);
     assert!(
         outcomes.iter().all(|o| o.used_multicast),
         "figure 12 must exercise the multicast path"
@@ -131,21 +142,6 @@ fn summarize_totals(outcomes: &[DiscoveryOutcome]) -> Summary {
         .collect();
     let kept = paper_protocol(&totals_ms, PAPER_KEEP);
     Summary::of(&kept).expect("non-empty sample")
-}
-
-/// Indices of the samples the paper protocol keeps (3σ trim, first 100).
-fn keep_indices(samples: &[f64], keep: usize) -> Vec<usize> {
-    let Some(s) = Summary::of(samples) else {
-        return Vec::new();
-    };
-    let keep_all = samples.len() < 3 || s.std_dev == 0.0;
-    samples
-        .iter()
-        .enumerate()
-        .filter(|(_, &x)| keep_all || (x - s.mean).abs() <= 3.0 * s.std_dev)
-        .map(|(i, _)| i)
-        .take(keep)
-        .collect()
 }
 
 // --------------------------------------------------------------------
@@ -235,31 +231,33 @@ pub fn figure_sign_encrypt(seed: u64, iters: usize) -> Summary {
 /// `(timeout_ms, mean total_ms, mean responses)` rows. `max_responses`
 /// is set above the broker count so the window length binds.
 pub fn ablation_timeout(seed: u64, runs: usize) -> Vec<(u64, f64, f64)> {
-    let mut rows = Vec::new();
-    for timeout_ms in [250u64, 500, 1000, 2000, 4000] {
-        let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
-        builder.discovery.collection_window = Duration::from_millis(timeout_ms);
-        builder.discovery.max_responses = 100; // window-bound
-        let outcomes = ParallelExecutor::new().run_discoveries(seed, runs, seeded(&builder));
-        let mean_total = mean(outcomes.iter().map(|o| o.phases.total().as_secs_f64() * 1e3));
-        let mean_resp = mean(outcomes.iter().map(|o| o.responses_received as f64));
-        rows.push((timeout_ms, mean_total, mean_resp));
-    }
-    rows
+    star_sweep(seed, runs, [250u64, 500, 1000, 2000, 4000], |d, timeout_ms| {
+        d.collection_window = Duration::from_millis(timeout_ms);
+        d.max_responses = 100; // window-bound
+    })
 }
 
 /// Sweep of the max-responses cap: `(cap, mean total_ms, mean responses)`.
 pub fn ablation_max_responses(seed: u64, runs: usize) -> Vec<(usize, f64, f64)> {
-    let mut rows = Vec::new();
-    for cap in [1usize, 2, 3, 5, 100] {
+    star_sweep(seed, runs, [1usize, 2, 3, 5, 100], |d, cap| d.max_responses = cap)
+}
+
+/// One `(value, mean total_ms, mean responses)` row per value: `runs`
+/// star-topology discoveries with `set` applying the value.
+fn star_sweep<T: Copy>(
+    seed: u64,
+    runs: usize,
+    values: impl IntoIterator<Item = T>,
+    set: impl Fn(&mut DiscoveryConfig, T),
+) -> Vec<(T, f64, f64)> {
+    let row = |value| {
         let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
-        builder.discovery.max_responses = cap;
-        let outcomes = ParallelExecutor::new().run_discoveries(seed, runs, seeded(&builder));
-        let mean_total = mean(outcomes.iter().map(|o| o.phases.total().as_secs_f64() * 1e3));
+        set(&mut builder.discovery, value);
+        let outcomes = discoveries(&builder, seed, runs);
         let mean_resp = mean(outcomes.iter().map(|o| o.responses_received as f64));
-        rows.push((cap, mean_total, mean_resp));
-    }
-    rows
+        (value, mean_total_ms(&outcomes), mean_resp)
+    };
+    values.into_iter().map(row).collect()
 }
 
 /// Weighting ablation: how often each broker site wins under different
@@ -275,7 +273,7 @@ pub fn ablation_weights(seed: u64, runs: usize) -> Vec<(&'static str, Vec<(Strin
     for (name, weights) in presets {
         let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
         builder.discovery.weights = weights;
-        let outcomes = ParallelExecutor::new().run_discoveries(seed, runs, seeded(&builder));
+        let outcomes = discoveries(&builder, seed, runs);
         // Broker ids and sites are fixed by the builder config, not the
         // seed, so one reference deployment maps winners to sites.
         let scenario = builder.build();
@@ -300,20 +298,23 @@ pub fn ablation_weights(seed: u64, runs: usize) -> Vec<(&'static str, Vec<(Strin
 /// the three paper topologies. Extra brokers cycle over the WAN sites.
 pub fn ablation_scale(seed: u64, runs: usize) -> Vec<(usize, &'static str, f64)> {
     let kinds = [TopologyKind::Unconnected, TopologyKind::Star, TopologyKind::Linear];
-    let site_cycle = [1usize, 2, 3, 4, 5];
     let mut rows = Vec::new();
     for n in [5usize, 10, 20] {
         for kind in kinds {
-            let mut builder = ScenarioBuilder::new(kind, BLOOMINGTON, seed);
-            builder.broker_sites = (0..n).map(|i| site_cycle[i % site_cycle.len()]).collect();
-            builder.discovery.max_responses = n;
-            let outcomes = ParallelExecutor::new().run_discoveries(seed, runs, seeded(&builder));
-            let mean_total =
-                mean(outcomes.iter().map(|o| o.phases.total().as_secs_f64() * 1e3));
-            rows.push((n, kind.label(), mean_total));
+            let outcomes = discoveries(&brokers_on_every_site(kind, n, seed), seed, runs);
+            rows.push((n, kind.label(), mean_total_ms(&outcomes)));
         }
     }
     rows
+}
+
+/// `n` brokers cycling over the five broker sites in a `kind` overlay,
+/// every one of them counted in the responses awaited.
+fn brokers_on_every_site(kind: TopologyKind, n: usize, seed: u64) -> ScenarioBuilder {
+    let mut builder = ScenarioBuilder::new(kind, BLOOMINGTON, seed);
+    builder.broker_sites = (0..n).map(|i| 1 + i % 5).collect();
+    builder.discovery.max_responses = n;
+    builder
 }
 
 /// UDP-loss sensitivity sweep (the §5.2 design rationale: responses are
@@ -330,15 +331,10 @@ pub fn ablation_loss(seed: u64, runs: usize) -> Vec<(f64, f64, f64, f64)> {
         builder.discovery.ping_window = Duration::from_millis(500);
         builder.discovery.ack_timeout = Duration::from_millis(400);
         builder.discovery.retransmits_per_bdn = 3;
-        let outcomes = ParallelExecutor::new().run_discoveries(seed, runs, seeded(&builder));
+        let outcomes = discoveries(&builder, seed, runs);
         let successes = outcomes.iter().filter(|o| o.chosen.is_some()).count();
         let mean_resp = mean(outcomes.iter().map(|o| o.responses_received as f64));
-        let mean_total = mean(
-            outcomes
-                .iter()
-                .filter(|o| o.chosen.is_some())
-                .map(|o| o.phases.total().as_secs_f64() * 1e3),
-        );
+        let mean_total = mean_total_ms(outcomes.iter().filter(|o| o.chosen.is_some()));
         rows.push((factor, successes as f64 / runs as f64, mean_resp, mean_total));
     }
     rows
@@ -410,17 +406,12 @@ pub fn ablation_clock(base_seed: u64, seeds: u64) -> Vec<(&'static str, f64, f64
 /// discovery time and waiting share across all built-in topologies at 10
 /// brokers. Returns `(kind, mean total_ms, wait share, diameter)`.
 pub fn ablation_topology(seed: u64, runs: usize) -> Vec<(&'static str, f64, f64, Option<usize>)> {
-    let site_cycle = [1usize, 2, 3, 4, 5];
-    let n = 10;
     let mut rows = Vec::new();
     for kind in TopologyKind::ALL {
-        let mut builder = ScenarioBuilder::new(kind, BLOOMINGTON, seed);
-        builder.broker_sites = (0..n).map(|i| site_cycle[i % site_cycle.len()]).collect();
-        builder.discovery.max_responses = n;
-        let mut scenario = builder.build();
+        let mut scenario = brokers_on_every_site(kind, 10, seed).build();
         let diameter = scenario.topology.diameter();
         let outcomes = scenario.run_discovery(runs);
-        let mean_total = mean(outcomes.iter().map(|o| o.phases.total().as_secs_f64() * 1e3));
+        let mean_total = mean_total_ms(&outcomes);
         let wait_share = {
             let wait: f64 = outcomes.iter().map(|o| o.phases.collect.as_secs_f64()).sum();
             let total: f64 = outcomes.iter().map(|o| o.phases.total().as_secs_f64()).sum();
@@ -431,76 +422,9 @@ pub fn ablation_topology(seed: u64, runs: usize) -> Vec<(&'static str, f64, f64,
     rows
 }
 
-/// Bulk-transfer scaling over the overlay: how long moving a dataset
-/// from a producer behind broker A to a consumer behind broker B takes,
-/// with and without LZSS compression, under the 10 Mbit/s WAN bandwidth
-/// model. Returns `(size_bytes, compressed, fragments, virtual_ms)`.
-pub fn ablation_bulk(seed: u64) -> Vec<(usize, bool, usize, f64)> {
-    use nb_broker::{BrokerActor, BrokerConfig, PubSubClient};
-    use nb_net::{ClockProfile, LinkSpec, Sim};
-    use nb_services::compress::compress_payload;
-    use nb_services::fragment::fragment_payload;
-    use nb_wire::{RealmId, Topic, TopicFilter, Wire};
-
-    let mut rows = Vec::new();
-    for size in [64 * 1024usize, 256 * 1024, 1024 * 1024] {
-        for compressed in [false, true] {
-            let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
-            sim.network_mut().inter_realm_spec =
-                LinkSpec::wan(Duration::from_millis(20)).with_loss(0.0);
-            let a = sim.add_node(
-                "a",
-                RealmId(0),
-                Box::new(BrokerActor::new(BrokerConfig::default())),
-            );
-            let b = sim.add_node(
-                "b",
-                RealmId(1),
-                Box::new(BrokerActor::new(BrokerConfig {
-                    neighbors: vec![a],
-                    ..BrokerConfig::default()
-                })),
-            );
-            let filter = TopicFilter::parse("bulk/**").unwrap();
-            let rx = sim.add_node("rx", RealmId(1), Box::new(PubSubClient::new(b, vec![filter])));
-            let tx = sim.add_node("tx", RealmId(0), Box::new(PubSubClient::new(a, vec![])));
-            sim.run_for(Duration::from_secs(3));
-
-            // A log-like payload (compressible).
-            let dataset =
-                b"2005-06-29T12:00:00Z,sensor-42,temperature,21.5,C\n".repeat(size / 50);
-            let wire_payload =
-                if compressed { compress_payload(&dataset) } else { dataset.clone() };
-            let frags =
-                fragment_payload(nb_util::Uuid::from_u128(1), &wire_payload, 1400);
-            let n_frags = frags.len();
-            let start = sim.now();
-            {
-                let sender = sim.actor_mut::<PubSubClient>(tx).unwrap();
-                for f in frags {
-                    sender.queue_publish(
-                        Topic::parse("bulk/data").unwrap(),
-                        f.to_bytes().to_vec(),
-                    );
-                }
-            }
-            // Run until every fragment lands (fine-grained steps so the
-            // reported duration is not quantised by the polling).
-            let mut waited = 0u32;
-            loop {
-                sim.run_for(Duration::from_millis(2));
-                let got = sim.actor::<PubSubClient>(rx).unwrap().received.len();
-                if got >= n_frags {
-                    break;
-                }
-                waited += 1;
-                assert!(waited < 600_000, "bulk transfer stalled at {got}/{n_frags}");
-            }
-            let elapsed = (sim.now() - start).as_secs_f64() * 1e3;
-            rows.push((dataset.len(), compressed, n_frags, elapsed));
-        }
-    }
-    rows
+/// The mean total discovery time, in ms.
+fn mean_total_ms<'a>(outcomes: impl IntoIterator<Item = &'a DiscoveryOutcome>) -> f64 {
+    mean(outcomes.into_iter().map(|o| o.phases.total().as_secs_f64() * 1e3))
 }
 
 fn mean(iter: impl Iterator<Item = f64>) -> f64 {
@@ -551,18 +475,14 @@ pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
         evidence: format!("unconnected {:.0}%, linear {:.0}%, star {:.0}%", wu * 100.0, wl * 100.0, ws * 100.0),
         passed: wu > wl && wl > ws,
     });
-    for (kind, fig) in [
-        (TopologyKind::Unconnected, "Fig 2"),
-        (TopologyKind::Star, "Fig 9"),
-        (TopologyKind::Linear, "Fig 11"),
+    for (kind, claim) in [
+        (TopologyKind::Unconnected, "Fig 2: the maximum time is spent awaiting responses (unconnected)"),
+        (TopologyKind::Star, "Fig 9: the maximum time is spent awaiting responses (star)"),
+        (TopologyKind::Linear, "Fig 11: the maximum time is spent awaiting responses (linear)"),
     ] {
         let (label, share) = breakdown_max(kind);
         out.push(ShapeCheck {
-            claim: match fig {
-                "Fig 2" => "Fig 2: the maximum time is spent awaiting responses (unconnected)",
-                "Fig 9" => "Fig 9: the maximum time is spent awaiting responses (star)",
-                _ => "Fig 11: the maximum time is spent awaiting responses (linear)",
-            },
+            claim,
             evidence: format!("max slice = {label} at {:.0}%", share * 100.0),
             passed: label == "await responses",
         });
@@ -604,30 +524,6 @@ pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
         ),
         passed: u20 > u5 * 1.5 && s20 < s5 * 1.4,
     });
-    out
-}
-
-/// Formats a [`Summary`] as the paper's metric table.
-pub fn format_summary(title: &str, s: &Summary) -> String {
-    format!(
-        "{title}\n\
-         {:<18} {:>12}\n\
-         {:<18} {:>12.3}\n\
-         {:<18} {:>12.3}\n\
-         {:<18} {:>12.3}\n\
-         {:<18} {:>12.3}\n\
-         {:<18} {:>12.3}\n",
-        "Metric", "Time (ms)", "Mean", s.mean, "Std deviation", s.std_dev, "Maximum", s.max,
-        "Minimum", s.min, "Error", s.error
-    )
-}
-
-/// Formats a breakdown as percentage rows.
-pub fn format_breakdown(title: &str, rows: &[(&'static str, f64)]) -> String {
-    let mut out = format!("{title}\n");
-    for (label, share) in rows {
-        out.push_str(&format!("  {:<18} {:>6.1} %\n", label, share * 100.0));
-    }
     out
 }
 
@@ -743,25 +639,6 @@ mod tests {
             "±0.5-2s residuals must visibly corrupt proximity selection \
              (perfect {perfect} vs broken {broken})"
         );
-    }
-
-    #[test]
-    fn bulk_ablation_compression_wins_on_the_wan() {
-        let rows = ablation_bulk(6);
-        assert_eq!(rows.len(), 6);
-        for pair in rows.chunks(2) {
-            let (size, comp0, _, t_raw) = pair[0];
-            let (_, comp1, _, t_lz) = pair[1];
-            assert!(!comp0 && comp1);
-            assert!(
-                t_lz < t_raw,
-                "{size}B: compressed transfer ({t_lz:.0} ms) must beat raw ({t_raw:.0} ms)"
-            );
-        }
-        // Raw transfer time grows roughly with size (bandwidth-bound).
-        let t64 = rows[0].3;
-        let t1m = rows[4].3;
-        assert!(t1m > t64 * 4.0, "1 MiB ({t1m:.0} ms) ≫ 64 KiB ({t64:.0} ms)");
     }
 
     #[test]

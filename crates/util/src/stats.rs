@@ -88,17 +88,15 @@ impl fmt::Display for Summary {
 /// With fewer than 3 samples, or zero variance, the input is returned
 /// unchanged (there is no meaningful notion of an outlier).
 pub fn trim_outliers(samples: &[f64], k_sigma: f64) -> Vec<f64> {
-    let Some(s) = Summary::of(samples) else {
-        return Vec::new();
-    };
-    if samples.len() < 3 || s.std_dev == 0.0 {
-        return samples.to_vec();
-    }
-    samples
-        .iter()
-        .copied()
-        .filter(|x| (x - s.mean).abs() <= k_sigma * s.std_dev)
-        .collect()
+    inliers(samples, k_sigma).map(|i| samples[i]).collect()
+}
+
+/// The indices [`trim_outliers`] keeps, in order: the one trim rule.
+fn inliers(samples: &[f64], k_sigma: f64) -> impl Iterator<Item = usize> + '_ {
+    let (mean, sd) = Summary::of(samples).map_or((0.0, 0.0), |s| (s.mean, s.std_dev));
+    let keep_all = samples.len() < 3 || sd == 0.0;
+    let keep = move |x: f64| keep_all || (x - mean).abs() <= k_sigma * sd;
+    samples.iter().enumerate().filter(move |&(_, &x)| keep(x)).map(|(i, _)| i)
 }
 
 /// The paper's sampling protocol: run the experiment `samples.len()`
@@ -107,9 +105,13 @@ pub fn trim_outliers(samples: &[f64], k_sigma: f64) -> Vec<f64> {
 ///
 /// If fewer than `keep` samples survive, all survivors are returned.
 pub fn paper_protocol(samples: &[f64], keep: usize) -> Vec<f64> {
-    let mut trimmed = trim_outliers(samples, 3.0);
-    trimmed.truncate(keep);
-    trimmed
+    paper_protocol_indices(samples, keep).into_iter().map(|i| samples[i]).collect()
+}
+
+/// The indices of the samples [`paper_protocol`] keeps, in order, for a
+/// caller that summarises something other than the samples themselves.
+pub fn paper_protocol_indices(samples: &[f64], keep: usize) -> Vec<usize> {
+    inliers(samples, 3.0).take(keep).collect()
 }
 
 #[cfg(test)]

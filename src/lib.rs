@@ -13,7 +13,6 @@
 //! | [`net`] | `nb-net` | actor runtime, the discrete-event and sharded simulators, WAN model, clocks with the NTP sync model |
 //! | [`broker`] | `nb-broker` | publish/subscribe broker overlay |
 //! | [`security`] | `nb-security` | SHA-256, HMAC, XTEA, Schnorr, certificates, envelopes |
-//! | [`services`] | `nb-services` | payload compression, fragmentation |
 //! | [`discovery`] | `nb-discovery` | **the paper's contribution**: BDNs, advertisements, the discovery protocol and selection |
 //!
 //! ## Quickstart
@@ -41,6 +40,5 @@ pub use nb_broker as broker;
 pub use nb_discovery as discovery;
 pub use nb_net as net;
 pub use nb_security as security;
-pub use nb_services as services;
 pub use nb_util as util;
 pub use nb_wire as wire;
