@@ -3,10 +3,11 @@
 //! the campaign's own counters; a campaign is its root seed and its
 //! rows, rendered as wall-clock-free JSON. The two fault campaigns
 //! ([`crate::chaos`], [`crate::federation`]) also share one testbed
-//! ([`build_testbed`]), one scenario skeleton ([`fault_scenario`]) and
+//! ([`describe_testbed`]), one scenario skeleton ([`fault_scenario`]) and
 //! one `attached` checker; each keeps only its constants, its scripted
 //! plan, its own invariants and its counters. A scale tier
-//! ([`crate::scale`]) is a row with an empty plan.
+//! ([`crate::scale`]) is a row with an empty plan, over a [`Testbed`] of
+//! its own.
 
 use std::time::Duration;
 
@@ -15,10 +16,10 @@ use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_discovery::bdn::{Bdn, BdnConfig};
 use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
 use nb_discovery::{
-    DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, FederationConfig, ResponsePolicy,
-    RetryPolicy,
+    Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, FederationConfig,
+    Network, ResponsePolicy, RetryPolicy,
 };
-use nb_net::{Actor, ChaosProfile, ChaosTargets, ClockProfile, FaultPlan, LinkSpec, Sim};
+use nb_net::{ChaosProfile, ChaosTargets, ClockProfile, DiscoveryEngine, FaultPlan, LinkSpec, Sim};
 use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
 
 /// One invariant checker's verdict.
@@ -174,30 +175,43 @@ pub trait FaultCampaign: CampaignStats + Sized {
     /// Scenario 0's name.
     const SCRIPTED: &'static str;
 
-    /// Scenario 0's scripted plan.
-    fn scripted_plan(tb: &Testbed) -> FaultPlan;
+    /// Scenario 0's scripted plan, over the testbed's node ids.
+    fn scripted_plan<E>(tb: &Testbed<E>) -> FaultPlan;
 
     /// The invariant verdicts and counters once the second round of
     /// traffic has landed.
     fn check(tb: &mut Testbed) -> (Vec<InvariantResult>, Self);
 }
 
-/// The fault campaigns' testbed.
-pub struct Testbed {
-    /// The simulator (owns every actor).
-    pub sim: Sim,
-    /// The BDNs: one, or a federation.
+/// A deployment and the ids of its roles: the fault campaigns' testbed
+/// and a scale tier. `E` is the engine it was built on, or
+/// [`Deployment`] while it is only described.
+pub struct Testbed<E = Sim> {
+    /// The simulator (owns every actor), or the description.
+    pub sim: E,
+    /// The BDNs.
     pub bdns: Vec<NodeId>,
-    /// The six brokers.
+    /// The brokers.
     pub brokers: Vec<NodeId>,
-    /// The four entities.
+    /// The entities.
     pub entities: Vec<NodeId>,
 }
 
-impl Testbed {
+impl Testbed<Deployment> {
+    /// Builds the described deployment on the engine `engine` makes.
+    pub fn build<E: DiscoveryEngine>(
+        self,
+        engine: impl FnOnce(u64, ClockProfile) -> E,
+    ) -> Testbed<E> {
+        let Testbed { sim, bdns, brokers, entities } = self;
+        Testbed { sim: sim.build(engine), bdns, brokers, entities }
+    }
+}
+
+impl<E: DiscoveryEngine> Testbed<E> {
     /// Entity `e`'s actor.
     pub fn entity(&self, e: NodeId) -> &Entity {
-        self.sim.actor::<Entity>(e).expect("entity")
+        self.sim.actor_dyn(e).and_then(|a| a.as_any().downcast_ref()).expect("entity")
     }
 
     /// Rediscoveries entities performed because a broker went silent.
@@ -206,35 +220,50 @@ impl Testbed {
     }
 }
 
-/// Builds campaign `C`'s testbed: `C::BDNS` BDNs first (short 30 s
-/// advertisement leases, strict lease mode; a federation adds 2 s
-/// anti-entropy rounds), then six brokers on a star overlay over three
-/// realms (10 s re-advertisement heartbeats — three a lease — to *every*
-/// BDN, so origin stamps agree across replicas), then four entities
-/// subscribed to `C::PREFIX/**` (exponential-backoff discovery, short
-/// stranded-retry cap; one home BDN each, extended to the whole
-/// federation by [`Entity::federate_bdns`], a no-op for one BDN). Every
-/// restartable node gets a respawn factory so `lose_state` restarts
-/// rebuild it from configuration alone.
-pub fn build_testbed<C: FaultCampaign>(seed: u64) -> Testbed {
-    let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
-    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0005);
-    sim.network_mut().inter_realm_spec =
-        LinkSpec::wan(Duration::from_millis(12)).with_loss(0.001);
+/// Appends broker `b{i}`, which dials `neighbors`, advertises to `bdns`
+/// and re-advertises every `readvertise`.
+pub(crate) fn add_broker(
+    d: &mut Deployment,
+    i: usize,
+    realm: RealmId,
+    restartable: bool,
+    neighbors: Vec<NodeId>,
+    bdns: Vec<NodeId>,
+    readvertise: Duration,
+) {
+    let cfg = BrokerConfig {
+        hostname: format!("b{i}"),
+        machine: MachineProfile::default_2005(),
+        neighbors,
+        ..BrokerConfig::default()
+    };
+    d.add(format!("b{i}"), realm, restartable, move || {
+        let mut actor =
+            DiscoveryBrokerActor::new(cfg.clone(), bdns.clone(), ResponsePolicy::open());
+        actor.advertiser.set_readvertise(readvertise);
+        Box::new(actor)
+    });
+}
 
-    // BDN node ids are only known after `add_node`, but a federation's
-    // peer list needs all of them — add placeholders first, then swap in
-    // the real configuration (the scenario-builder idiom).
-    let bdns: Vec<NodeId> = (0..C::BDNS)
-        .map(|i| {
-            sim.add_node(
-                &format!("bdn{i}"),
-                RealmId(i as u16 % N_REALMS),
-                Box::new(Bdn::new(BdnConfig::default())),
-            )
-        })
-        .collect();
-    for &b in &bdns {
+/// Describes campaign `C`'s testbed: `C::BDNS` BDNs (30 s leases,
+/// strict lease mode; a federation adds 2 s anti-entropy rounds), six
+/// brokers on a star over three realms re-advertising every 10 s — three
+/// times a lease — to *every* BDN, so origin stamps agree across
+/// replicas, and four entities subscribed to `C::PREFIX/**` (backoff
+/// discovery; one home BDN each, extended to the whole federation by
+/// [`Entity::federate_bdns`]). A lossy restart rebuilds a BDN or broker
+/// from configuration alone.
+pub fn describe_testbed<C: FaultCampaign>(seed: u64) -> Testbed<Deployment> {
+    let intra = LinkSpec::lan().with_loss(0.0005);
+    let inter = LinkSpec::wan(Duration::from_millis(12)).with_loss(0.001);
+    let network = Network::Realms { intra, inter, wan: None };
+    let mut d = Deployment { seed, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+    let realm = |i: usize| RealmId(i as u16 % N_REALMS);
+    let id = |i: usize| NodeId(i as u32);
+    let bdns: Vec<NodeId> = (0..C::BDNS).map(id).collect();
+    let brokers: Vec<NodeId> = (C::BDNS..C::BDNS + N_BROKERS).map(id).collect();
+
+    for i in 0..C::BDNS {
         let cfg = BdnConfig {
             ad_ttl: Duration::from_secs(30),
             ping_interval: Duration::from_secs(5),
@@ -248,31 +277,13 @@ pub fn build_testbed<C: FaultCampaign>(seed: u64) -> Testbed {
             }),
             ..BdnConfig::default()
         };
-        *sim.actor_mut::<Bdn>(b).expect("bdn actor") = Bdn::new(cfg.clone());
-        sim.set_respawn(b, Box::new(move || Box::new(Bdn::new(cfg.clone()))));
+        d.add(format!("bdn{i}"), realm(i), true, move || Box::new(Bdn::new(cfg.clone())));
     }
 
-    let heartbeat = Duration::from_secs(10);
     let topo = Topology::build(TopologyKind::Star, N_BROKERS);
-    let mut brokers: Vec<NodeId> = Vec::new();
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
-        let neighbors: Vec<NodeId> = dials.iter().map(|&j| brokers[j]).collect();
-        let cfg = BrokerConfig {
-            hostname: format!("b{i}"),
-            machine: MachineProfile::default_2005(),
-            neighbors,
-            ..BrokerConfig::default()
-        };
-        let ad_targets = bdns.clone();
-        let broker = move || -> Box<dyn Actor> {
-            let mut actor =
-                DiscoveryBrokerActor::new(cfg.clone(), ad_targets.clone(), ResponsePolicy::open());
-            actor.advertiser.set_readvertise(heartbeat);
-            Box::new(actor)
-        };
-        let node = sim.add_node(&format!("b{i}"), RealmId(i as u16 % N_REALMS), broker());
-        sim.set_respawn(node, Box::new(broker));
-        brokers.push(node);
+        let neighbors = dials.iter().map(|&j| brokers[j]).collect();
+        add_broker(&mut d, i, realm(i), true, neighbors, bdns.clone(), Duration::from_secs(10));
     }
 
     let discovery = DiscoveryConfig {
@@ -297,19 +308,18 @@ pub fn build_testbed<C: FaultCampaign>(seed: u64) -> Testbed {
             // the retry budget ((retransmits+1) × BDNs) spans every
             // replica.
             let cfg = DiscoveryConfig { bdns: vec![bdns[i % bdns.len()]], ..discovery.clone() };
-            let mut entity = Entity::new(cfg, vec![filter.clone()]);
-            entity.set_retry_policy(RetryPolicy::new(
-                Duration::from_secs(2),
-                2.0,
-                Duration::from_secs(15),
-                0.2,
-            ));
-            entity.federate_bdns(&bdns);
-            sim.add_node(&format!("e{i}"), RealmId(i as u16 % N_REALMS), Box::new(entity))
+            let (filter, federation) = (filter.clone(), bdns.clone());
+            d.add(format!("e{i}"), realm(i), false, move || {
+                let mut entity = Entity::new(cfg.clone(), vec![filter.clone()]);
+                let (base, cap) = (Duration::from_secs(2), Duration::from_secs(15));
+                entity.set_retry_policy(RetryPolicy::new(base, 2.0, cap, 0.2));
+                entity.federate_bdns(&federation);
+                Box::new(entity)
+            })
         })
         .collect();
 
-    Testbed { sim, bdns, brokers, entities }
+    Testbed { sim: d, bdns, brokers, entities }
 }
 
 /// Scenario `i` of campaign `C`, under seed `base_seed + i`: boot and
@@ -326,7 +336,7 @@ pub fn fault_scenario<C: FaultCampaign>(base_seed: u64, i: usize) -> ScenarioRes
         _ if i % 2 == 1 => ("generated_light", Some(ChaosProfile::light())),
         _ => ("generated_heavy", Some(ChaosProfile::heavy())),
     };
-    let mut tb = build_testbed::<C>(seed);
+    let mut tb = describe_testbed::<C>(seed).build(Sim::with_clock_profile);
     let publish = |tb: &mut Testbed, round: &str| {
         for (i, &e) in tb.entities.iter().enumerate() {
             let topic = Topic::parse(&format!("{}/{round}/e{i}", C::PREFIX)).expect("valid topic");

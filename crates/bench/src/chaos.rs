@@ -89,7 +89,7 @@ impl FaultCampaign for ScenarioStats {
     /// too), so each entity's broker dies at some point and its
     /// rediscovery must be served by the heartbeat-rebuilt registry. A
     /// one-way WAN flap and an unruly packet window run over the tail.
-    fn scripted_plan(tb: &Testbed) -> FaultPlan {
+    fn scripted_plan<E>(tb: &Testbed<E>) -> FaultPlan {
         let bdn = tb.bdns[0];
         let mut plan = FaultPlan::new().crash_at(Duration::from_secs(10), bdn).restart_at(
             Duration::from_secs(25),
@@ -180,11 +180,11 @@ impl FaultCampaign for ScenarioStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_testbed, fault_scenario, N_BROKERS, N_ENTITIES};
+    use crate::campaign::{describe_testbed, fault_scenario, N_BROKERS, N_ENTITIES};
 
     #[test]
     fn acceptance_plan_bounces_everything() {
-        let plan = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(7));
+        let plan = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(7));
         // BDN crash+lossy restart, every broker crash+restart, one-way
         // flap (2 events), packet window (2 events).
         assert_eq!(plan.len(), 2 + 2 * N_BROKERS + 2 + 2);

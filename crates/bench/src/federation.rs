@@ -152,7 +152,7 @@ impl FaultCampaign for ScenarioStats {
     ///   entirely by anti-entropy,
     /// * t=55 s: a one-way flap severs BDN 0 → BDN 1 for 8 s, exercising
     ///   sync under partial partition.
-    fn scripted_plan(tb: &Testbed) -> FaultPlan {
+    fn scripted_plan<E>(tb: &Testbed<E>) -> FaultPlan {
         FaultPlan::new()
             .crash_at(Duration::from_secs(20), tb.bdns[2])
             .crash_at(Duration::from_secs(25), tb.bdns[1])
@@ -292,11 +292,11 @@ fn live_digests(tb: &Testbed) -> Vec<(NodeId, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{build_testbed, fault_scenario, N_ENTITIES};
+    use crate::campaign::{describe_testbed, fault_scenario, N_ENTITIES};
 
     #[test]
     fn acceptance_plan_kills_n_minus_one_bdns() {
-        let plan = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(7));
+        let plan = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(7));
         // 2 BDN crashes + 1 broker crash + 2 restarts + flap (2 events).
         assert_eq!(plan.len(), 7);
         let text = plan.describe();

@@ -18,16 +18,15 @@
 //! goes to stdout only; the perf record is `BENCHMARK.json`
 //! (`ops_per_s` on `attach_geo`).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::campaign::{
-    self, plan_digest, CampaignReport, CampaignStats, InvariantResult, ScenarioResult,
+    self, add_broker, plan_digest, CampaignReport, CampaignStats, InvariantResult, ScenarioResult,
+    Testbed,
 };
-use nb_broker::{BrokerConfig, MachineProfile};
 use nb_discovery::bdn::{Bdn, BdnConfig};
-use nb_discovery::{
-    DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, ResponsePolicy, RetryPolicy,
-};
+use nb_discovery::{Deployment, DiscoveryConfig, Entity, EntityState, Network, RetryPolicy};
 use nb_net::topogen::{TopologyKind as WanKind, TopologySpec};
 use nb_net::{ClockProfile, FaultPlan, LinkSpec, ShardedSim, SimTime};
 use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
@@ -114,87 +113,45 @@ pub fn default_tiers(selection: &str) -> Option<Vec<TierSpec>> {
     }
 }
 
-/// A built tier deployment on the sharded engine.
-pub struct ScaleDeployment {
-    /// The sharded simulator.
-    pub sim: ShardedSim,
-    /// One BDN per topology region.
-    pub bdns: Vec<NodeId>,
-    /// The broker overlay, index-aligned with the generated topology.
-    pub brokers: Vec<NodeId>,
-    /// The entity fleet.
-    pub entities: Vec<NodeId>,
-    /// Digest of the generated topology ([`nb_net::WanTopology::digest`]).
-    pub topology_digest: u64,
-    /// Regions (== realms == BDNs).
-    pub regions: usize,
-}
-
-/// Builds one tier: generate the WAN topology, then one BDN per region,
-/// then the broker overlay (brokers advertise only to their in-region
-/// BDN, so each registry and each discovery fan-out stays
-/// region-bounded as the tier grows), then the entity fleet with
-/// staggered starts and stretched keepalive/flush cadences.
-pub fn build_tier(spec: &TierSpec, seed: u64) -> ScaleDeployment {
+/// Describes one tier, with its topology's digest: one BDN per region,
+/// injecting at the region's first [`INJECTION_POINTS`] brokers (the
+/// overlay flood reaches the rest), then the region-scoped broker
+/// overlay (each broker advertises to its region's BDN only), then the
+/// entity fleet with staggered starts and stretched cadences.
+pub fn describe_tier(spec: &TierSpec, seed: u64) -> (Testbed<Deployment>, u64) {
     let topo = TopologySpec::new(spec.kind, spec.brokers, seed).generate();
-    let topology_digest = topo.digest();
-    let regions = topo.regions;
-    let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
-    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-    sim.network_mut().inter_realm_spec =
-        LinkSpec::wan(Duration::from_millis(25)).with_loss(0.0);
+    let (topology_digest, regions) = (topo.digest(), topo.regions);
+    let id = |i: usize| NodeId(i as u32);
+    let bdns: Vec<NodeId> = (0..regions).map(id).collect();
+    let brokers: Vec<NodeId> = (regions..regions + spec.brokers).map(id).collect();
+    let (dials, region_of) = (topo.overlay_dials(), topo.region_of.clone());
+    let intra = LinkSpec::lan().with_loss(0.0);
+    let inter = LinkSpec::wan(Duration::from_millis(25)).with_loss(0.0);
+    let network = Network::Realms { intra, inter, wan: Some((topo, brokers.clone())) };
+    let mut d = Deployment { seed, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
 
-    // BDNs first (brokers need their ids to advertise at); injection
-    // lists are patched once broker ids exist, scenario-builder style.
-    let bdn_cfg = |attached: Vec<NodeId>| BdnConfig {
-        attached_brokers: attached,
-        auto_attach: false,
-        per_send_delay: INJECT_SPACING,
-        ad_ttl: Duration::from_secs(600),
-        ping_interval: Duration::from_secs(120),
-        ..BdnConfig::default()
-    };
-    let bdns: Vec<NodeId> = (0..regions)
-        .map(|r| {
-            sim.add_node(&format!("bdn{r}"), RealmId(r as u16), Box::new(Bdn::new(bdn_cfg(Vec::new()))))
-        })
-        .collect();
-
-    // The region-scoped broker overlay; cross-region edges become
-    // network links only (`topo.install` below).
-    let mut brokers: Vec<NodeId> = Vec::with_capacity(spec.brokers);
-    for (i, dials) in topo.overlay_dials().iter().enumerate() {
-        let region = topo.region_of[i];
-        let neighbors: Vec<NodeId> = dials.iter().map(|&j| brokers[j]).collect();
-        let cfg = BrokerConfig {
-            hostname: format!("b{i}"),
-            machine: MachineProfile::default_2005(),
-            neighbors,
-            ..BrokerConfig::default()
+    for r in 0..regions {
+        let in_region = brokers.iter().zip(&region_of).filter(|&(_, &g)| g == r);
+        let cfg = BdnConfig {
+            attached_brokers: in_region.map(|(&b, _)| b).take(INJECTION_POINTS).collect(),
+            auto_attach: false,
+            per_send_delay: INJECT_SPACING,
+            ad_ttl: Duration::from_secs(600),
+            ping_interval: Duration::from_secs(120),
+            ..BdnConfig::default()
         };
-        let mut actor =
-            DiscoveryBrokerActor::new(cfg, vec![bdns[region]], ResponsePolicy::open());
-        actor.advertiser.set_readvertise(Duration::from_secs(120));
-        brokers.push(sim.add_node(&format!("b{i}"), RealmId(region as u16), Box::new(actor)));
-    }
-    topo.install(sim.network_mut(), &brokers);
-
-    // Patch injection lists: the first INJECTION_POINTS brokers of each
-    // region. The flood through the broker overlay reaches the rest, so
-    // the per-request injection cost stays O(1) as the tier grows.
-    let mut injection: Vec<Vec<NodeId>> = vec![Vec::new(); regions];
-    for (i, &b) in brokers.iter().enumerate() {
-        let r = topo.region_of[i];
-        if injection[r].len() < INJECTION_POINTS {
-            injection[r].push(b);
-        }
-    }
-    for (r, &bdn) in bdns.iter().enumerate() {
-        let attached = std::mem::take(&mut injection[r]);
-        *sim.actor_mut::<Bdn>(bdn).expect("bdn actor") = Bdn::new(bdn_cfg(attached));
+        d.add(format!("bdn{r}"), RealmId(r as u16), false, move || Box::new(Bdn::new(cfg.clone())));
     }
 
-    let discovery = DiscoveryConfig {
+    // The region-scoped broker overlay; cross-region edges are network
+    // links only.
+    for (i, (dials, &region)) in dials.iter().zip(&region_of).enumerate() {
+        let neighbors = dials.iter().map(|&j| brokers[j]).collect();
+        let (realm, bdns) = (RealmId(region as u16), vec![bdns[region]]);
+        add_broker(&mut d, i, realm, false, neighbors, bdns, Duration::from_secs(120));
+    }
+
+    let discovery = Arc::new(DiscoveryConfig {
         collection_window: Duration::from_millis(600),
         max_responses: 6,
         target_set_size: 2,
@@ -210,24 +167,32 @@ pub fn build_tier(spec: &TierSpec, seed: u64) -> ScaleDeployment {
             0.2,
         )),
         ..DiscoveryConfig::default()
-    };
+    });
     let entities: Vec<NodeId> = (0..spec.entities)
         .map(|i| {
             let region = i % regions;
-            let mut cfg = discovery.clone();
-            cfg.bdns = vec![bdns[region]];
-            let filter = TopicFilter::parse(&format!("scale/t{}/**", i % TOPIC_POOL))
-                .expect("pool filter parses");
-            let mut entity = Entity::new(cfg, vec![filter]);
-            entity.set_keepalive_interval(Duration::from_secs(60));
-            entity.set_flush_interval(Duration::from_secs(2));
-            entity.set_dedup_capacity(64, 64);
-            entity.set_start_delay(BOOT + tier_stagger(regions) * i as u32);
-            sim.add_node(&format!("e{i}"), RealmId(region as u16), Box::new(entity))
+            let (discovery, bdn) = (Arc::clone(&discovery), bdns[region]);
+            d.add(format!("e{i}"), RealmId(region as u16), false, move || {
+                let mut cfg = DiscoveryConfig::clone(&discovery);
+                cfg.bdns = vec![bdn];
+                let filter = TopicFilter::parse(&format!("scale/t{}/**", i % TOPIC_POOL))
+                    .expect("pool filter parses");
+                let mut entity = Entity::new(cfg, vec![filter]);
+                entity.set_keepalive_interval(Duration::from_secs(60));
+                entity.set_flush_interval(Duration::from_secs(2));
+                entity.set_dedup_capacity(64, 64);
+                entity.set_start_delay(BOOT + tier_stagger(regions) * i as u32);
+                Box::new(entity)
+            })
         })
         .collect();
 
-    ScaleDeployment { sim, bdns, brokers, entities, topology_digest, regions }
+    (Testbed { sim: d, bdns, brokers, entities }, topology_digest)
+}
+
+/// One tier ([`describe_tier`]) built on the sharded engine.
+pub fn build_tier(spec: &TierSpec, seed: u64) -> Testbed<ShardedSim> {
+    describe_tier(spec, seed).0.build(ShardedSim::with_clock_profile)
 }
 
 /// One tier's columns, the `stats` of its campaign row. Wall time is
@@ -348,7 +313,8 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
     // destructors included, before its run returns.
     drop(build_tier(&TierSpec { brokers: 1, entities: TOPIC_POOL, ..*spec }, seed));
     let live0 = crate::alloc::live_bytes();
-    let mut dep = build_tier(spec, seed);
+    let (tier, topology_digest) = describe_tier(spec, seed);
+    let mut dep = tier.build(ShardedSim::with_clock_profile);
     let live1 = crate::alloc::live_bytes();
     let alloc_counting = live1 > live0;
     dep.sim.set_workers(workers.max(1));
@@ -360,21 +326,15 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
     // Attach: poll in fixed steps until the fleet is attached. The last
     // entity starts at BOOT + entities·STAGGER; allow a bounded number
     // of extra polls past that before giving up.
-    let last_start = BOOT + tier_stagger(dep.regions) * spec.entities as u32;
+    let last_start = BOOT + tier_stagger(dep.bdns.len()) * spec.entities as u32;
     let mut polls_past_start = 0usize;
     let mut attached;
     loop {
         dep.sim.run_for(POLL_STEP);
-        attached = dep
-            .entities
-            .iter()
-            .filter(|&&e| {
-                matches!(
-                    dep.sim.actor::<Entity>(e).expect("entity").state(),
-                    EntityState::Attached(b) if dep.sim.is_up(b)
-                )
-            })
-            .count();
+        let live = |e: &&NodeId| {
+            matches!(dep.entity(**e).state(), EntityState::Attached(b) if dep.sim.is_up(b))
+        };
+        attached = dep.entities.iter().filter(live).count();
         if attached == dep.entities.len() {
             break;
         }
@@ -412,7 +372,7 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
     let mut deliveries = 0u64;
     let mut failovers = 0u64;
     for &e in &dep.entities {
-        let entity = dep.sim.actor::<Entity>(e).expect("entity");
+        let entity = dep.entity(e);
         if let Some(outcome) = entity.discovery().completed.first() {
             latencies.push(outcome.phases.total().as_micros() as u64);
         }
@@ -453,8 +413,8 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
             topology: spec.kind.name(),
             brokers: spec.brokers,
             entities: spec.entities,
-            regions: dep.regions,
-            topology_digest: dep.topology_digest,
+            regions: dep.bdns.len(),
+            topology_digest,
             digest: dep.sim.digest(),
             events: dep.sim.events_processed(),
             attached,

@@ -9,7 +9,7 @@
 //!   three-scenario report `repro gate chaos` checks.
 
 use nb_bench::campaign::{
-    build_testbed, fault_scenario, run_campaign, CampaignReport, FaultCampaign, N_BROKERS,
+    describe_testbed, fault_scenario, run_campaign, CampaignReport, FaultCampaign, N_BROKERS,
     N_ENTITIES,
 };
 use nb_bench::chaos::ScenarioStats;
@@ -22,8 +22,8 @@ fn campaign(base_seed: u64, scenarios: usize, workers: usize) -> CampaignReport<
 #[test]
 fn same_seed_produces_byte_identical_schedule_and_report() {
     // The fault schedule alone must already be reproducible…
-    let plan_a = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
-    let plan_b = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
+    let plan_a = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(77));
+    let plan_b = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(77));
     assert_eq!(plan_a.describe(), plan_b.describe(), "fault schedules diverged");
 
     // …and so must the whole campaign report, which folds in every

@@ -13,7 +13,7 @@
 //!   that anti-entropy message flow is worker-invariant.
 
 use nb_bench::campaign::{
-    build_testbed, fault_scenario, run_campaign, CampaignReport, FaultCampaign, N_ENTITIES,
+    describe_testbed, fault_scenario, run_campaign, CampaignReport, FaultCampaign, N_ENTITIES,
 };
 use nb_bench::federation::ScenarioStats;
 use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
@@ -24,8 +24,8 @@ fn campaign(base_seed: u64, scenarios: usize, workers: usize) -> CampaignReport<
 
 #[test]
 fn same_seed_produces_byte_identical_schedule_and_report() {
-    let plan_a = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
-    let plan_b = ScenarioStats::scripted_plan(&build_testbed::<ScenarioStats>(77));
+    let plan_a = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(77));
+    let plan_b = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(77));
     assert_eq!(plan_a.describe(), plan_b.describe(), "fault schedules diverged");
 
     let first = campaign(77, 2, 1).to_json();

@@ -29,6 +29,8 @@
 //!   target set for reconnects (§3, §6, §7),
 //! * [`broker_actor`] — the combined actor: pub/sub broker + responder +
 //!   advertiser,
+//! * [`deployment`] — a deployment described as one value (nodes in id
+//!   order, network) and built on either engine,
 //! * [`scenario`] — harness builders assembling the paper's WAN testbed
 //!   topologies inside the simulator (§9).
 //!
@@ -53,6 +55,7 @@ pub mod bdn;
 pub mod broker_actor;
 pub mod client;
 pub mod config;
+pub mod deployment;
 pub mod entity;
 pub mod federation;
 pub mod joining;
@@ -66,6 +69,7 @@ pub use bdn::{Bdn, BdnConfig};
 pub use broker_actor::DiscoveryBrokerActor;
 pub use client::{DiscoveryClient, DiscoveryOutcome, Phase, PhaseTimes};
 pub use config::{DiscoveryConfig, RetryPolicy, SelectionWeights};
+pub use deployment::{Deployment, DeploymentNode, Network};
 pub use entity::{Entity, EntityState};
 pub use federation::{Federation, FederationConfig, FederationStats, LeaseBook, LeaseOutcome};
 pub use joining::JoiningBroker;

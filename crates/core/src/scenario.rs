@@ -36,6 +36,7 @@ use crate::bdn::{Bdn, BdnConfig};
 use crate::broker_actor::DiscoveryBrokerActor;
 use crate::client::{DiscoveryClient, DiscoveryOutcome, Phase, TIMER_START};
 use crate::config::DiscoveryConfig;
+use crate::deployment::{Deployment, Network};
 use crate::federation::FederationConfig;
 use crate::policy::ResponsePolicy;
 
@@ -115,26 +116,9 @@ impl ScenarioBuilder {
         b
     }
 
-    /// Builds the simulator, nodes and links (reference serial engine).
+    /// Builds the testbed on the reference serial engine.
     pub fn build(self) -> Scenario {
-        let wan = WanModel::paper();
-        let mut sim = Sim::with_clock_profile(self.seed, self.clock);
-        let (bdns, brokers, client, topology) = self.build_into(&mut sim, &wan);
-        let warmup = self.warmup;
-        let mut scenario = Scenario {
-            sim,
-            wan,
-            topology,
-            kind: self.kind,
-            bdn: bdns.first().copied(),
-            bdns,
-            brokers,
-            client,
-            broker_sites: self.broker_sites,
-            client_site: self.client_site,
-        };
-        scenario.sim.run_for(warmup);
-        scenario
+        self.build_on(Sim::with_clock_profile)
     }
 
     /// Builds the same testbed on the conservative-lookahead sharded
@@ -142,16 +126,96 @@ impl ScenarioBuilder {
     /// combination (pass `0` for `shards` to default to one group per
     /// worker); only wall time changes.
     pub fn build_sharded(self, workers: usize, shards: usize) -> Scenario<ShardedSim> {
+        self.build_on(|seed, clock| {
+            let mut sim = ShardedSim::with_clock_profile(seed, clock);
+            sim.set_workers(workers.max(1));
+            if shards > 0 {
+                sim.set_shards(shards);
+            }
+            sim
+        })
+    }
+
+    /// Describes the testbed as a [`Deployment`] (the BDNs, then the
+    /// brokers in index order, then the client), builds it on `engine`
+    /// and runs the warm-up.
+    fn build_on<E: DiscoveryEngine>(
+        self,
+        engine: impl FnOnce(u64, ClockProfile) -> E,
+    ) -> Scenario<E> {
         let wan = WanModel::paper();
-        let mut sim = ShardedSim::with_clock_profile(self.seed, self.clock);
-        sim.set_workers(workers.max(1));
-        if shards > 0 {
-            sim.set_shards(shards);
+        let n = self.broker_sites.len();
+        let n_bdns = if self.without_bdn { 0 } else { self.n_bdns.max(1) };
+        let node_id = |i: usize| NodeId(i as u32);
+        let bdns: Vec<NodeId> = (0..n_bdns).map(node_id).collect();
+        let brokers: Vec<NodeId> = (n_bdns..n_bdns + n).map(node_id).collect();
+        let client = node_id(n_bdns + n);
+        let sites: Vec<SiteIdx> = std::iter::repeat_n(INDIANAPOLIS, n_bdns)
+            .chain(self.broker_sites.iter().copied())
+            .chain([self.client_site])
+            .collect();
+        let mut d = Deployment {
+            seed: self.seed,
+            clock: self.clock,
+            nodes: Vec::with_capacity(sites.len()),
+            network: Network::PaperSites { sites, loss_factor: self.loss_factor },
+        };
+
+        // Unconnected: the BDN attaches to every broker; otherwise it
+        // injects at the first (the hub, or the head of the chain).
+        let unconnected = self.kind == TopologyKind::Unconnected;
+        let attached = if unconnected { brokers.clone() } else { brokers[..1].to_vec() };
+        let federation =
+            self.federation.clone().map(|f| FederationConfig { peers: bdns.clone(), ..f });
+        for i in 0..n_bdns {
+            let cfg = BdnConfig {
+                attached_brokers: attached.clone(),
+                auto_attach: false,
+                federation: federation.clone(),
+                ..self.bdn.clone()
+            };
+            // BDN 0 keeps the paper's hostname.
+            let name = match i {
+                0 => "bdn.gridservicelocator.org".to_string(),
+                _ => format!("bdn{i}.gridservicelocator.org"),
+            };
+            let realm = wan.site(INDIANAPOLIS).realm;
+            d.add(name, realm, false, move || Box::new(Bdn::new(cfg.clone())));
         }
-        let (bdns, brokers, client, topology) = self.build_into(&mut sim, &wan);
-        let warmup = self.warmup;
+
+        let topology = Topology::build(self.kind, n);
+        let sites_and_dials = self.broker_sites.iter().zip(topology.dial_lists());
+        for (i, (&site_idx, dials)) in sites_and_dials.enumerate() {
+            let site = wan.site(site_idx);
+            let neighbors: Vec<NodeId> = dials.iter().map(|&j| brokers[j]).collect();
+            // Figure 10: "only one broker is registered with the BDN".
+            // Registering brokers advertise to the whole federation, so
+            // every registry holds the same origin-stamped lease.
+            let registers = self.kind != TopologyKind::Linear || i == 0;
+            let policy = self.policy.clone();
+            let (host, memory) = (site.host, site.total_memory);
+            d.add(format!("broker-{i}@{}", site.name), site.realm, false, move || {
+                let cfg = BrokerConfig {
+                    hostname: host.to_string(),
+                    logical_address: format!("nb://paper/broker-{i}"),
+                    machine: MachineProfile::with_memory(memory),
+                    neighbors: neighbors.clone(),
+                    ..BrokerConfig::default()
+                };
+                let bdns = if registers { (0..n_bdns).map(node_id).collect() } else { Vec::new() };
+                Box::new(DiscoveryBrokerActor::new(cfg, bdns, policy.clone()))
+            });
+        }
+
+        // Discovery client: every federation member is in the rotation.
+        let discovery = DiscoveryConfig { bdns: bdns.clone(), ..self.discovery };
+        let site = wan.site(self.client_site);
+        d.add(format!("client@{}", site.name), site.realm, false, move || {
+            Box::new(DiscoveryClient::with_auto_start(discovery.clone(), false))
+        });
+
         let mut scenario = Scenario {
-            sim,
+            sim: d.build(engine),
             wan,
             topology,
             kind: self.kind,
@@ -162,110 +226,8 @@ impl ScenarioBuilder {
             broker_sites: self.broker_sites,
             client_site: self.client_site,
         };
-        scenario.sim.run_for(warmup);
+        scenario.sim.run_for(self.warmup);
         scenario
-    }
-
-    /// Engine-agnostic node/link construction, shared between
-    /// [`ScenarioBuilder::build`] and [`ScenarioBuilder::build_sharded`].
-    fn build_into<E: DiscoveryEngine>(
-        &self,
-        sim: &mut E,
-        wan: &WanModel,
-    ) -> (Vec<NodeId>, Vec<NodeId>, NodeId, Topology) {
-        let n = self.broker_sites.len();
-        let topology = Topology::build(self.kind, n);
-        let dial_lists = topology.dial_lists();
-
-        // Which brokers attach to / register with the BDN.
-        let attached_idx: Vec<usize> = match self.kind {
-            TopologyKind::Unconnected => (0..n).collect(),
-            _ => vec![0],
-        };
-        let registers_with_bdn: Vec<bool> = match self.kind {
-            // Figure 10: "only one broker is registered with the BDN".
-            TopologyKind::Linear => (0..n).map(|i| i == 0).collect(),
-            _ => vec![true; n],
-        };
-
-        // Node ids are handed out in insertion order on the fresh engine
-        // both callers pass: the BDNs first, then the brokers in index
-        // order (so dial lists reference existing nodes), then the
-        // client. Knowing the broker ids up front builds each BDN once,
-        // with its final attachment list and federation peers.
-        let bdn_site = INDIANAPOLIS;
-        let n_bdns = if self.without_bdn { 0 } else { self.n_bdns.max(1) };
-        let node_id = |i: usize| NodeId(u32::try_from(i).expect("node index fits in u32"));
-        let bdn_ids: Vec<NodeId> = (0..n_bdns).map(node_id).collect();
-        let broker_ids: Vec<NodeId> = (n_bdns..n_bdns + n).map(node_id).collect();
-        let attached: Vec<NodeId> = attached_idx.iter().map(|&i| broker_ids[i]).collect();
-        for (i, &id) in bdn_ids.iter().enumerate() {
-            let federation = self
-                .federation
-                .clone()
-                .map(|f| FederationConfig { peers: bdn_ids.clone(), ..f });
-            let bdn_cfg = BdnConfig {
-                attached_brokers: attached.clone(),
-                auto_attach: false,
-                federation,
-                ..self.bdn.clone()
-            };
-            // BDN 0 keeps the paper's hostname so single-BDN builds are
-            // unchanged.
-            let name = if i == 0 {
-                "bdn.gridservicelocator.org".to_string()
-            } else {
-                format!("bdn{i}.gridservicelocator.org")
-            };
-            let added = sim.add_node(&name, wan.site(bdn_site).realm, Box::new(Bdn::new(bdn_cfg)));
-            assert_eq!(added, id, "build_into needs a fresh engine");
-        }
-
-        for (i, &site_idx) in self.broker_sites.iter().enumerate() {
-            let site = wan.site(site_idx);
-            let neighbors: Vec<NodeId> = dial_lists[i].iter().map(|&j| broker_ids[j]).collect();
-            let cfg = BrokerConfig {
-                hostname: site.host.to_string(),
-                logical_address: format!("nb://paper/broker-{i}"),
-                machine: MachineProfile::with_memory(site.total_memory),
-                neighbors,
-                ..BrokerConfig::default()
-            };
-            // Registering brokers advertise to the whole federation so
-            // every registry holds the same origin-stamped lease.
-            let bdns = if registers_with_bdn[i] { bdn_ids.clone() } else { Vec::new() };
-            let actor = DiscoveryBrokerActor::new(cfg, bdns, self.policy.clone());
-            let name = format!("broker-{i}@{}", site.name);
-            let added = sim.add_node(&name, site.realm, Box::new(actor));
-            assert_eq!(added, broker_ids[i], "build_into needs a fresh engine");
-        }
-        let brokers = broker_ids;
-
-        // Discovery client: every federation member is in the rotation.
-        let mut discovery = self.discovery.clone();
-        discovery.bdns = bdn_ids.clone();
-        let client_site = wan.site(self.client_site);
-        let client = sim.add_node(
-            &format!("client@{}", client_site.name),
-            client_site.realm,
-            Box::new(DiscoveryClient::with_auto_start(discovery, false)),
-        );
-
-        // WAN links between every pair of placed nodes.
-        let mut placement: Vec<(NodeId, SiteIdx)> = Vec::new();
-        for &b in &bdn_ids {
-            placement.push((b, bdn_site));
-        }
-        for (i, &site) in self.broker_sites.iter().enumerate() {
-            placement.push((brokers[i], site));
-        }
-        placement.push((client, self.client_site));
-        wan.install(sim.network_mut(), &placement);
-        if (self.loss_factor - 1.0).abs() > f64::EPSILON {
-            sim.network_mut().scale_loss(self.loss_factor);
-        }
-
-        (bdn_ids, brokers, client, topology)
     }
 }
 

@@ -1039,13 +1039,15 @@ impl ShardedSim {
     }
 }
 
-/// The engine surface scenario builders program against, so one
-/// topology-construction path can target both the reference serial
-/// engine and the sharded engine (`crates/core`'s `ScenarioBuilder`
-/// builds through this trait).
+/// The engine surface deployments are built through, so one
+/// construction path targets both the reference serial engine and the
+/// sharded engine (`crates/core`'s `Deployment::build`).
 pub trait DiscoveryEngine {
     /// Adds a node running `actor` in `realm`.
     fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId;
+    /// Registers the factory that rebuilds `node`'s actor on a restart
+    /// with state loss.
+    fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn);
     /// The mutable network model (coordinator time).
     fn network_mut(&mut self) -> &mut NetworkModel;
     /// A node's actor as a trait object.
@@ -1063,6 +1065,9 @@ pub trait DiscoveryEngine {
 impl DiscoveryEngine for Sim {
     fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
         Sim::add_node(self, name, realm, actor)
+    }
+    fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
+        Sim::set_respawn(self, node, factory);
     }
     fn network_mut(&mut self) -> &mut NetworkModel {
         Sim::network_mut(self)
@@ -1087,6 +1092,9 @@ impl DiscoveryEngine for Sim {
 impl DiscoveryEngine for ShardedSim {
     fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
         ShardedSim::add_node(self, name, realm, actor)
+    }
+    fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
+        ShardedSim::set_respawn(self, node, factory);
     }
     fn network_mut(&mut self) -> &mut NetworkModel {
         ShardedSim::network_mut(self)

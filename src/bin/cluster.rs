@@ -15,36 +15,30 @@
 //! cluster.wan.ms = 15         # inter-realm one-way latency
 //! ```
 //!
-//! Each node is declared by a `node.<name>.role` key plus per-role
-//! settings:
+//! Each node is declared by a `node.<name>.role` key (`bdn`, `broker` or
+//! `client`) plus per-role settings; `examples/cluster.conf` is a whole
+//! deployment:
 //!
 //! ```text
-//! node.locator.role = bdn
-//! node.locator.realm = 0
-//!
-//! node.hub.role = broker
-//! node.hub.realm = 0
-//! node.hub.bdns = locator
-//! node.hub.neighbors =
-//!
 //! node.edge.role = broker
-//! node.edge.realm = 1
-//! node.edge.bdns = locator
-//! node.edge.neighbors = hub
-//!
-//! node.app.role = client
-//! node.app.realm = 0
-//! node.app.bdns = locator
-//! node.app.discover.after.ms = 900   # virtual time of the discovery
+//! node.edge.realm = 1                # default 0
+//! node.edge.bdns = locator           # bdn nodes to advertise to / ask
+//! node.edge.neighbors = hub          # brokers this one dials
+//! node.app.discover.after.ms = 900   # a client's discovery (default 1000)
 //! ```
+//!
+//! A malformed number, a reference to an undeclared node or a `bdns`
+//! entry that is not a bdn exits 2 with the key or node named.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::client::TIMER_START;
-use nb::discovery::{DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, ResponsePolicy};
+use nb::discovery::{
+    Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, Network, ResponsePolicy,
+};
 use nb::net::{ClockProfile, Incoming, LinkSpec, Sim};
 use nb::util::Config;
 use nb::wire::{NodeId, RealmId};
@@ -81,89 +75,71 @@ fn parse_decls(cfg: &Config) -> Vec<NodeDecl> {
         })
         .collect();
     names.sort();
-    names.dedup();
     if names.is_empty() {
         fail("no `node.<name>.role` declarations found");
     }
     let mut decls: Vec<NodeDecl> = names
         .into_iter()
         .map(|name| {
-            let get = |key: &str| cfg.get(&format!("node.{name}.{key}"));
-            let role = match get("role") {
+            let key = |key: &str| format!("node.{name}.{key}");
+            let role = match cfg.get(&key("role")) {
                 Some("bdn") => Role::Bdn,
                 Some("broker") => Role::Broker,
                 Some("client") => Role::Client,
                 other => fail(&format!("node {name}: unknown role {other:?}")),
             };
-            let realm = RealmId(
-                get("realm").and_then(|v| v.parse().ok()).unwrap_or(0u16),
-            );
-            let list = |key: &str| cfg.get_list(&format!("node.{name}.{key}"));
-            let discover_after = Duration::from_millis(
-                get("discover.after.ms").and_then(|v| v.parse().ok()).unwrap_or(1000u64),
-            );
-            let bdns = list("bdns");
-            let neighbors = list("neighbors");
-            NodeDecl { name, role, realm, bdns, neighbors, discover_after }
+            let number = |k: &str, default: u64| {
+                cfg.get_u64(&key(k), default).unwrap_or_else(|e| fail(&e.to_string()))
+            };
+            let realm = u16::try_from(number("realm", 0)).unwrap_or_else(|_| {
+                fail(&format!("config key {:?} is not a realm (0-65535)", key("realm")))
+            });
+            let discover_after = Duration::from_millis(number("discover.after.ms", 1000));
+            let bdns = cfg.get_list(&key("bdns"));
+            let neighbors = cfg.get_list(&key("neighbors"));
+            NodeDecl { name, role, realm: RealmId(realm), bdns, neighbors, discover_after }
         })
         .collect();
     // Every referenced name must be a declared node — catch typos here
-    // rather than silently dropping them during cycle-breaking below.
-    let declared: std::collections::BTreeSet<&str> =
-        decls.iter().map(|d| d.name.as_str()).collect();
+    // rather than silently dropping them during cycle-breaking below —
+    // and every `bdns` entry must name a bdn.
+    let roles: BTreeMap<&str, Role> = decls.iter().map(|d| (d.name.as_str(), d.role)).collect();
     for d in &decls {
-        for r in d.bdns.iter().chain(d.neighbors.iter()) {
-            if !declared.contains(r.as_str()) {
+        for r in d.bdns.iter().chain(&d.neighbors) {
+            if !roles.contains_key(r.as_str()) {
                 fail(&format!("node {}: reference to undeclared node {r:?}", d.name));
             }
         }
-    }
-    // Creation order: BDNs, then brokers, then clients — so every name a
-    // node references already has an id. Brokers are additionally
-    // topologically ordered by their neighbor references (links are
-    // mutual once established, so each edge only needs one dialler; on a
-    // declaration cycle the remaining brokers are created in name order
-    // and dial the neighbours that already exist).
-    decls.sort_by(|a, b| a.role.cmp(&b.role).then(a.name.cmp(&b.name)));
-    let mut ordered: Vec<NodeDecl> = Vec::with_capacity(decls.len());
-    let mut pending: Vec<NodeDecl> = Vec::new();
-    let mut created: std::collections::BTreeSet<String> = Default::default();
-    for decl in decls {
-        if decl.role == Role::Broker {
-            pending.push(decl);
-        } else {
-            created.insert(decl.name.clone());
-            ordered.push(decl);
+        if let Some(r) = d.bdns.iter().find(|r| roles[r.as_str()] != Role::Bdn) {
+            let role = format!("{:?}", roles[r.as_str()]).to_lowercase();
+            fail(&format!("node {}: bdns entry {r:?} is a {role}, not a bdn", d.name));
         }
     }
-    // BDNs sorted first already (Role ordering); slot brokers before
-    // clients: remember where clients start.
+    // Creation order: BDNs, then brokers, then clients, each in name
+    // order. Brokers are also ordered by their neighbor references (links
+    // are mutual once established, so each edge needs one dialler): each
+    // pass creates every broker whose neighbours all exist; on a
+    // declaration cycle the first pending broker is created dialling only
+    // those that exist (the rest dial it if they declare the edge too).
+    decls.sort_by_key(|d| d.role);
+    let (mut pending, mut ordered): (Vec<NodeDecl>, Vec<NodeDecl>) =
+        decls.into_iter().partition(|d| d.role == Role::Broker);
+    let mut created: BTreeSet<String> = ordered.iter().map(|d| d.name.clone()).collect();
     while !pending.is_empty() {
-        let ready: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.neighbors.iter().all(|n| created.contains(n)))
-            .map(|(i, _)| i)
+        let ready: Vec<usize> = (0..pending.len())
+            .filter(|&i| pending[i].neighbors.iter().all(|n| created.contains(n)))
             .collect();
-        if ready.is_empty() {
-            // Cycle: create the first pending broker, dropping the dials
-            // to not-yet-created peers (they will dial us instead if the
-            // edge is declared on their side too).
+        let picked: Vec<NodeDecl> = if ready.is_empty() {
             let mut d = pending.remove(0);
             d.neighbors.retain(|n| created.contains(n));
-            created.insert(d.name.clone());
-            ordered.push(d);
-            continue;
-        }
-        for i in ready.into_iter().rev() {
-            let d = pending.remove(i);
-            created.insert(d.name.clone());
-            ordered.push(d);
-        }
+            vec![d]
+        } else {
+            ready.into_iter().rev().map(|i| pending.remove(i)).collect()
+        };
+        created.extend(picked.iter().map(|d| d.name.clone()));
+        ordered.extend(picked);
     }
-    // Re-sort so clients still come last (topological pass appended
-    // brokers after them).
-    ordered.sort_by_key(|a| a.role);
+    ordered.sort_by_key(|d| d.role);
     ordered
 }
 
@@ -182,76 +158,71 @@ fn main() {
     let decls = parse_decls(&cfg);
     println!("cluster: {} nodes from {path} (seed {seed})", decls.len());
 
+    // A node's id is its index in creation order.
+    let ids: BTreeMap<&str, NodeId> =
+        decls.iter().enumerate().map(|(i, d)| (d.name.as_str(), NodeId(i as u32))).collect();
     // Fast clock sync so short demo runs see synced timestamps.
-    let clocks = ClockProfile {
+    let clock = ClockProfile {
         max_true_offset: Duration::from_millis(250),
         min_residual: Duration::from_millis(1),
         max_residual: Duration::from_millis(10),
         min_sync_delay: Duration::from_millis(60),
         max_sync_delay: Duration::from_millis(150),
     };
-    let mut sim = Sim::with_clock_profile(seed, clocks);
-    sim.network_mut().intra_realm_spec = LinkSpec::lan();
-    sim.network_mut().inter_realm_spec = LinkSpec::wan(Duration::from_millis(wan_ms));
-
-    let mut ids: BTreeMap<String, NodeId> = BTreeMap::new();
-    let mut clients: Vec<(String, NodeId, Duration)> = Vec::new();
-    let resolve = |ids: &BTreeMap<String, NodeId>, names: &[String], me: &str| -> Vec<NodeId> {
-        names
-            .iter()
-            .map(|n| {
-                *ids.get(n).unwrap_or_else(|| {
-                    fail(&format!(
-                        "node {me}: reference to {n:?} (not created yet or unknown — \
-                         note creation order is bdn < broker < client)"
-                    ))
-                })
-            })
-            .collect()
-    };
-
+    let inter = LinkSpec::wan(Duration::from_millis(wan_ms));
+    let network = Network::Realms { intra: LinkSpec::lan(), inter, wan: None };
+    let mut deployment = Deployment { seed, clock, nodes: Vec::new(), network };
+    let mut clients: Vec<(&str, NodeId, Duration)> = Vec::new();
     for decl in &decls {
-        let id = match decl.role {
+        let me = ids[decl.name.as_str()];
+        // A broker dials only nodes created before it.
+        let resolve = |names: &[String]| -> Vec<NodeId> {
+            let resolved = |n: &String| match ids[n.as_str()] {
+                id if id < me => id,
+                _ => fail(&format!(
+                    "node {}: reference to {n:?} (not created yet or unknown — \
+                     note creation order is bdn < broker < client)",
+                    decl.name
+                )),
+            };
+            names.iter().map(resolved).collect()
+        };
+        let (name, realm) = (decl.name.clone(), decl.realm);
+        match decl.role {
             Role::Bdn => {
-                sim.add_node(&decl.name, decl.realm, Box::new(Bdn::new(BdnConfig::default())))
+                deployment.add(name, realm, false, || Box::new(Bdn::new(BdnConfig::default())))
             }
             Role::Broker => {
-                let bdns = resolve(&ids, &decl.bdns, &decl.name);
-                let neighbors = resolve(&ids, &decl.neighbors, &decl.name);
-                let actor = DiscoveryBrokerActor::new(
-                    BrokerConfig {
-                        hostname: format!("{}.cluster.local", decl.name),
-                        machine: MachineProfile::default_2005(),
-                        neighbors,
-                        ..BrokerConfig::default()
-                    },
-                    bdns,
-                    ResponsePolicy::open(),
-                );
-                sim.add_node(&decl.name, decl.realm, Box::new(actor))
+                let (bdns, neighbors) = (resolve(&decl.bdns), resolve(&decl.neighbors));
+                let cfg = BrokerConfig {
+                    hostname: format!("{}.cluster.local", decl.name),
+                    machine: MachineProfile::default_2005(),
+                    neighbors,
+                    ..BrokerConfig::default()
+                };
+                let policy = ResponsePolicy::open();
+                deployment.add(name, realm, false, move || {
+                    Box::new(DiscoveryBrokerActor::new(cfg.clone(), bdns.clone(), policy.clone()))
+                })
             }
             Role::Client => {
-                let bdns = resolve(&ids, &decl.bdns, &decl.name);
-                let dcfg = DiscoveryConfig {
-                    bdns,
+                let cfg = DiscoveryConfig {
+                    bdns: resolve(&decl.bdns),
                     collection_window: Duration::from_millis(1500),
                     max_responses: 8,
                     ping_window: Duration::from_millis(500),
                     ack_timeout: Duration::from_millis(700),
                     ..DiscoveryConfig::default()
                 };
-                let id = sim.add_node(
-                    &decl.name,
-                    decl.realm,
-                    Box::new(DiscoveryClient::with_auto_start(dcfg, false)),
-                );
-                clients.push((decl.name.clone(), id, decl.discover_after));
-                id
+                clients.push((&decl.name, me, decl.discover_after));
+                deployment.add(name, realm, false, move || {
+                    Box::new(DiscoveryClient::with_auto_start(cfg.clone(), false))
+                })
             }
         };
-        println!("  + {:<12} {:?} as {id}", decl.name, decl.role);
-        ids.insert(decl.name.clone(), id);
+        println!("  + {:<12} {:?} as {me}", decl.name, decl.role);
     }
+    let mut sim = deployment.build(Sim::with_clock_profile);
 
     // Queue each client's discovery at its configured delay, then run.
     clients.sort_by_key(|(_, _, after)| *after);
@@ -262,9 +233,9 @@ fn main() {
     sim.run_for(duration);
 
     println!("\n=== cluster summary ===");
-    let by_id: BTreeMap<NodeId, String> = ids.iter().map(|(n, i)| (*i, n.clone())).collect();
-    for (id, name) in &by_id {
-        let any = sim.actor_dyn(*id).expect("every declared node is up").as_any();
+    let name_of = |id: NodeId| decls.get(id.0 as usize).map(|d| d.name.as_str());
+    for (i, NodeDecl { name, .. }) in decls.iter().enumerate() {
+        let any = sim.actor_dyn(NodeId(i as u32)).expect("every declared node is up").as_any();
         if let Some(b) = any.downcast_ref::<Bdn>() {
             println!(
                 "  {name:<12} bdn     registry={} requests={} dupes={}",
@@ -282,10 +253,7 @@ fn main() {
             );
         } else if let Some(c) = any.downcast_ref::<DiscoveryClient>() {
             for (i, o) in c.completed.iter().enumerate() {
-                let chosen = o
-                    .chosen
-                    .and_then(|b| by_id.get(&b).cloned())
-                    .unwrap_or_else(|| "-".to_string());
+                let chosen = o.chosen.and_then(name_of).unwrap_or("-");
                 println!(
                     "  {name:<12} client  run {i}: -> {chosen} in {:?} ({} responses{})",
                     o.phases.total(),
