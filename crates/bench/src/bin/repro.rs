@@ -516,11 +516,10 @@ fn scale_report(args: &Args) -> (String, bool) {
     };
 
     println!(
-        "=== Scale campaign: {} tier(s), seed {}, {} worker(s), {} shards ===",
+        "=== Scale campaign: {} tier(s), seed {}, {} worker(s) ===",
         tiers.len(),
         args.seed,
-        workers,
-        scale::SCALE_SHARDS
+        workers
     );
     let report = scale::run_campaign(&tiers, args.seed, workers);
     println!(

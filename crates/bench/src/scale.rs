@@ -27,6 +27,7 @@ use crate::campaign::{
 };
 use nb_discovery::bdn::{Bdn, BdnConfig};
 use nb_discovery::{Deployment, DiscoveryConfig, Entity, EntityState, Network, RetryPolicy};
+use nb_net::shard::BOUND_WORKERS;
 use nb_net::topogen::{TopologyKind as WanKind, TopologySpec};
 use nb_net::{ClockProfile, FaultPlan, LinkSpec, ShardedSim, SimTime};
 use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
@@ -38,10 +39,6 @@ pub const TOPIC_POOL: usize = 256;
 /// One entity in `PUBLISH_EVERY` publishes during the steady-state
 /// window (deterministic sample, prime so it cycles the topic pool).
 pub const PUBLISH_EVERY: usize = 509;
-/// Executor groups every tier is partitioned into. A group is
-/// `node / ceil(n / shards)`, and neither this count nor the worker
-/// count changes a report byte.
-pub const SCALE_SHARDS: usize = 8;
 /// Boot window before the first entity starts discovering.
 const BOOT: Duration = Duration::from_secs(5);
 /// Injection points per BDN (closest/farthest, paper §4); the overlay
@@ -215,6 +212,10 @@ pub struct TierOutcome {
     pub digest: u64,
     /// Engine events processed.
     pub events: u64,
+    /// [`ShardedSim::parallel_bound_milli`]: the speed-up, in
+    /// thousandths, that 1, 2, 4 and 8 workers reach if a barrier costs
+    /// nothing. Counted from events, so worker-count-invariant.
+    pub parallel_bound_milli: [u64; 4],
     /// Entities attached to a live broker at the end.
     pub attached: usize,
     /// Virtual µs until every entity was attached (quantised to the
@@ -266,6 +267,12 @@ impl CampaignStats for TierOutcome {
             "       \"topology_digest\": \"{:016x}\", \"digest\": \"{:016x}\", \"events\": {},\n",
             self.topology_digest, self.digest, self.events
         ));
+        let bound: Vec<String> = BOUND_WORKERS
+            .iter()
+            .zip(self.parallel_bound_milli)
+            .map(|(w, milli)| format!("\"w{w}\": {milli}"))
+            .collect();
+        out.push_str(&format!("       \"parallel_bound_milli\": {{{}}},\n", bound.join(", ")));
         out.push_str(&format!(
             "       \"attached\": {}, \"time_to_all_attached_us\": {}, \"failovers\": {},\n",
             self.attached, self.time_to_all_attached_us, self.failovers
@@ -318,7 +325,6 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
     let live1 = crate::alloc::live_bytes();
     let alloc_counting = live1 > live0;
     dep.sim.set_workers(workers.max(1));
-    dep.sim.set_shards(SCALE_SHARDS);
 
     // Boot: brokers link up and advertise; BDNs fill their registries.
     dep.sim.run_for(BOOT);
@@ -417,6 +423,7 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
             topology_digest,
             digest: dep.sim.digest(),
             events: dep.sim.events_processed(),
+            parallel_bound_milli: dep.sim.parallel_bound_milli(),
             attached,
             time_to_all_attached_us,
             discovery_p50_us: percentile(&latencies, 50, 100),
@@ -466,6 +473,8 @@ mod tests {
         let b = run_tier(&spec, 2005, 2).stats;
         assert_eq!(a.digest, b.digest, "digest must not move with the worker count");
         assert_eq!(a.events, b.events);
+        assert_eq!(a.parallel_bound_milli, b.parallel_bound_milli, "the bound counts events only");
+        assert_eq!(a.parallel_bound_milli[0], 1000, "one worker runs every event itself");
         assert_eq!(a.time_to_all_attached_us, b.time_to_all_attached_us);
         assert_eq!(
             (a.discovery_p50_us, a.discovery_p99_us, a.discovery_p999_us),
@@ -494,6 +503,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"campaign\": \"scale\""));
         assert!(json.contains("\"heap_ceiling\""));
+        assert!(json.contains("\"parallel_bound_milli\": {\"w1\": 1000, \"w2\": "));
         assert!(!json.contains("wall"), "wall-clock fields must stay out of the report");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

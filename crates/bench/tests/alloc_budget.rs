@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use nb_bench::alloc::{calls, CountingAlloc};
-use nb_bench::scale::{build_tier, TierSpec, SCALE_SHARDS};
+use nb_bench::scale::{build_tier, TierSpec};
 use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology};
 use nb_discovery::{Entity, EntityState, ScenarioBuilder};
 use nb_net::topogen::TopologyKind;
@@ -56,7 +56,6 @@ fn allocations_of_one_attach_run() -> u64 {
     let mut dep = build_tier(&spec, 2005);
     assert_eq!(dep.bdns.len(), 1);
     dep.sim.set_workers(1);
-    dep.sim.set_shards(SCALE_SHARDS);
     dep.sim.run_for(Duration::from_secs(5));
     let before = calls();
     dep.sim.run_for(Duration::from_secs(10));

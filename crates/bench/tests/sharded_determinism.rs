@@ -1,9 +1,9 @@
 //! Determinism contract of the sharded engine.
 //!
 //! The conservative-lookahead engine promises byte-identical digests
-//! for every `(workers, shards)` combination: RNG streams key on node
-//! id, cross-LP deliveries merge in node order at epoch barriers, and
-//! the partition only chooses *where* an LP executes, never *what* it
+//! for every worker count: RNG streams key on node id, cross-LP
+//! deliveries merge in node order at epoch barriers, and the deal of
+//! LPs to workers only chooses *where* an LP executes, never *what* it
 //! observes. These properties pin that contract over two topology
 //! families — random geometric graphs (latencies drawn from node
 //! placement) and the paper's star overlay under a full discovery —
@@ -88,11 +88,9 @@ fn geometric_fingerprint(
     points: &[(u16, u16)],
     chaos: bool,
     workers: usize,
-    shards: usize,
 ) -> (u64, u64) {
     let mut sim = ShardedSim::new(seed);
     sim.set_workers(workers);
-    sim.set_shards(shards);
     let mut nodes: Vec<NodeId> = Vec::new();
     for (i, _) in points.iter().enumerate() {
         // Node 0 has no predecessor and gossips with itself (loopback
@@ -138,15 +136,8 @@ fn geometric_fingerprint(
 /// `(digest, events, now_ns)`. Without chaos it runs one full
 /// discovery; with chaos it applies a generated plan over the booted
 /// deployment and lets it fight through.
-fn star_fingerprint(
-    seed: u64,
-    site: usize,
-    chaos: bool,
-    workers: usize,
-    shards: usize,
-) -> (u64, u64) {
-    let mut scenario =
-        ScenarioBuilder::new(TopologyKind::Star, site, seed).build_sharded(workers, shards);
+fn star_fingerprint(seed: u64, site: usize, chaos: bool, workers: usize) -> (u64, u64) {
+    let mut scenario = ScenarioBuilder::new(TopologyKind::Star, site, seed).build_sharded(workers);
     if chaos {
         let targets = ChaosTargets {
             bdns: scenario.bdn.into_iter().collect(),
@@ -170,21 +161,18 @@ fn client_sites() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random geometric topologies: the digest is invariant to both
-    /// the worker count and the shard count, chaos plan or not.
+    /// Random geometric topologies: the digest is invariant to the
+    /// worker count, chaos plan or not.
     #[test]
     fn geometric_digest_invariant_across_workers_and_shards(
         seed in any::<u64>(),
         points in prop::collection::vec((0u16..100, 0u16..100), 4..8),
         chaos in any::<bool>(),
     ) {
-        let reference = geometric_fingerprint(seed, &points, chaos, 1, 1);
-        for &(workers, shards) in &[(2usize, 2usize), (4, 4), (1, 3), (4, 1)] {
-            let got = geometric_fingerprint(seed, &points, chaos, workers, shards);
-            prop_assert_eq!(
-                got, reference,
-                "diverged at workers={} shards={} chaos={}", workers, shards, chaos
-            );
+        let reference = geometric_fingerprint(seed, &points, chaos, 1);
+        for workers in [2usize, 3, 4] {
+            let got = geometric_fingerprint(seed, &points, chaos, workers);
+            prop_assert_eq!(got, reference, "diverged at workers={} chaos={}", workers, chaos);
         }
     }
 
@@ -196,13 +184,10 @@ proptest! {
         site in client_sites(),
         chaos in any::<bool>(),
     ) {
-        let reference = star_fingerprint(seed, site, chaos, 1, 1);
-        for &(workers, shards) in &[(2usize, 2usize), (4, 4), (4, 2)] {
-            let got = star_fingerprint(seed, site, chaos, workers, shards);
-            prop_assert_eq!(
-                got, reference,
-                "diverged at workers={} shards={} chaos={}", workers, shards, chaos
-            );
+        let reference = star_fingerprint(seed, site, chaos, 1);
+        for workers in [2usize, 4] {
+            let got = star_fingerprint(seed, site, chaos, workers);
+            prop_assert_eq!(got, reference, "diverged at workers={} chaos={}", workers, chaos);
         }
     }
 }
@@ -213,10 +198,9 @@ proptest! {
 /// `Prune` answers a duplicate; which copy of an event is the duplicate
 /// is an arrival order) is under the contract too. Returns `(digest,
 /// events, deliveries, prunes sent)`.
-fn meshed_pubsub_fingerprint(workers: usize, shards: usize) -> (u64, u64, usize, u64) {
+fn meshed_pubsub_fingerprint(workers: usize) -> (u64, u64, usize, u64) {
     let mut sim = ShardedSim::new(77);
     sim.set_workers(workers);
-    sim.set_shards(shards);
     let mut edges = Topology::build(TopologyKind::Ring, 8).edges().to_vec();
     edges.extend([(0, 4), (1, 5), (2, 6)]);
     let topo = Topology::from_edges(8, edges);
@@ -260,16 +244,12 @@ fn meshed_pubsub_fingerprint(workers: usize, shards: usize) -> (u64, u64, usize,
 
 #[test]
 fn meshed_pubsub_digest_invariant_across_workers() {
-    let reference = meshed_pubsub_fingerprint(1, 1);
+    let reference = meshed_pubsub_fingerprint(1);
     assert!(reference.3 > 0, "the overlay has cycles: something was pruned");
     // 960 are owed; the flap may cost what one subtree misses in a lease.
     assert!((800..=960).contains(&reference.2), "{} deliveries", reference.2);
-    for &(workers, shards) in &[(2usize, 2usize), (4, 4)] {
-        assert_eq!(
-            meshed_pubsub_fingerprint(workers, shards),
-            reference,
-            "diverged at workers={workers} shards={shards}"
-        );
+    for workers in [2, 4] {
+        assert_eq!(meshed_pubsub_fingerprint(workers), reference, "diverged at workers={workers}");
     }
 }
 
@@ -278,7 +258,7 @@ fn meshed_pubsub_digest_invariant_across_workers() {
 #[test]
 fn repeat_sharded_invocations_are_stable() {
     let points = [(3u16, 4u16), (40, 8), (80, 77), (12, 60), (55, 30)];
-    let first = geometric_fingerprint(9, &points, true, 4, 4);
-    let second = geometric_fingerprint(9, &points, true, 4, 4);
+    let first = geometric_fingerprint(9, &points, true, 4);
+    let second = geometric_fingerprint(9, &points, true, 4);
     assert_eq!(first, second);
 }

@@ -122,16 +122,12 @@ impl ScenarioBuilder {
     }
 
     /// Builds the same testbed on the conservative-lookahead sharded
-    /// engine. Results are byte-identical for every `workers`/`shards`
-    /// combination (pass `0` for `shards` to default to one group per
-    /// worker); only wall time changes.
-    pub fn build_sharded(self, workers: usize, shards: usize) -> Scenario<ShardedSim> {
+    /// engine. Results are byte-identical for every `workers` count; only
+    /// wall time changes.
+    pub fn build_sharded(self, workers: usize) -> Scenario<ShardedSim> {
         self.build_on(|seed, clock| {
             let mut sim = ShardedSim::with_clock_profile(seed, clock);
-            sim.set_workers(workers.max(1));
-            if shards > 0 {
-                sim.set_shards(shards);
-            }
+            sim.set_workers(workers);
             sim
         })
     }
@@ -315,7 +311,7 @@ impl<E: DiscoveryEngine> Scenario<E> {
 
 impl Scenario<ShardedSim> {
     /// The run digest (see [`ShardedSim::digest`]): byte-identical
-    /// across worker and shard counts for a fixed builder + seed.
+    /// across worker counts for a fixed builder + seed.
     pub fn digest(&self) -> u64 {
         self.sim.digest()
     }
@@ -374,25 +370,24 @@ mod tests {
 
     #[test]
     fn sharded_build_discovers_and_is_worker_invariant() {
-        let run = |workers, shards| {
-            let mut s = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47)
-                .build_sharded(workers, shards);
+        let run = |workers| {
+            let mut s = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47).build_sharded(workers);
             let o = s.run_discovery_once();
             (o.chosen.is_some(), s.digest(), s.sim.events_processed())
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         assert!(reference.0, "sharded discovery completes");
-        assert_eq!(reference, run(2, 2));
-        assert_eq!(reference, run(4, 0));
+        assert_eq!(reference, run(2));
+        assert_eq!(reference, run(4));
     }
 
     #[test]
     fn federated_bdns_converge_and_stay_worker_invariant() {
-        let run = |workers, shards| {
+        let run = |workers| {
             let mut b = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 48);
             b.n_bdns = 3;
             b.federation = Some(FederationConfig::default());
-            let mut s = b.build_sharded(workers, shards);
+            let mut s = b.build_sharded(workers);
             let o = s.run_discovery_once();
             // Quiesce a few anti-entropy rounds past the discovery.
             s.sim.run_for(Duration::from_secs(10));
@@ -404,15 +399,15 @@ mod tests {
                 .collect();
             (o.chosen.is_some(), digests, s.digest(), s.sim.events_processed())
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         assert!(reference.0, "federated discovery completes");
         assert!(
             reference.1.windows(2).all(|w| w[0] == w[1]),
             "quiescent federated BDNs agree: {:x?}",
             reference.1
         );
-        assert_eq!(reference, run(2, 2), "sync traffic is worker-invariant");
-        assert_eq!(reference, run(4, 0));
+        assert_eq!(reference, run(2), "sync traffic is worker-invariant");
+        assert_eq!(reference, run(4));
     }
 
     #[test]

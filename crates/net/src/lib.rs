@@ -20,7 +20,7 @@
 //!   single-threaded, used by every figure reproduction,
 //! * [`shard`] — the conservative-lookahead scheduler over it: one
 //!   logical process per node, per-epoch safe horizons, byte-identical
-//!   digests at every worker/shard count (DESIGN.md §13),
+//!   digests at every worker count (DESIGN.md §13),
 //! * [`chaos`] — seeded fault plans both engines install,
 //! * [`topogen`] — generated WAN topologies for the scale tiers,
 //! * [`wan`] — the Table-1 site inventory and its latency matrix.

@@ -31,10 +31,10 @@
 //! exactly what [`StdRng::seed_from_u64`] expands the xor through), the
 //! lookahead window, the horizon sequence and the merge order are all
 //! pure functions of (topology, seed), the run — including its event
-//! digest — is **byte-identical for any worker count and any shard
-//! count**. The grouping — blocks of consecutive node ids — only
-//! decides which worker executes which LP, never what the LPs compute;
-//! with one worker the engine is the degenerate serial case of the same
+//! digest — is **byte-identical for any worker count**. The deal —
+//! worker `w` of `W` owns the LPs whose id ≡ w (mod W) — only decides
+//! which worker executes which LP, never what the LPs compute; with one
+//! worker the engine is the degenerate serial case of the same
 //! algorithm.
 //!
 //! What an actor can observe differently from `Sim` (digests are *not*
@@ -55,13 +55,12 @@
 //!   message *arrives* (each LP keeps its own connections), not when it
 //!   is sent: a reply sent before then pays its own handshake.
 //!
-//! Threading is confined to [`ShardedSim::run_epochs_threaded`]: a
-//! scoped worker pool on `std::sync::mpsc`, moving whole LP groups
-//! through per-worker channels each epoch. Workers share nothing
-//! mutable — they own the LPs they were handed and borrow an immutable
-//! snapshot of the network — which is why that function is the only
-//! sanctioned home for thread primitives in nb-net (clippy.toml bans
-//! them everywhere else).
+//! Threading is confined to [`with_pool`]: a scoped worker pool on
+//! `std::sync::mpsc`, moving each worker's LP group through its channel
+//! each epoch. Workers share nothing mutable — they own the LPs they
+//! were handed and borrow an immutable snapshot of the network — which
+//! is why that function is the only sanctioned home for thread
+//! primitives in nb-net (clippy.toml bans them everywhere else).
 
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
@@ -293,10 +292,21 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
     }
 }
 
-/// Where the blocks put `node`: its `(group, slot)`.
-fn place(node: u32, cap: usize) -> (usize, usize) {
-    (node as usize / cap, node as usize % cap)
+/// `node`'s LP among groups dealt round-robin ([`ShardedSim::deal`]):
+/// group `node % W`, slot `node / W`. One group skips the divisions,
+/// which the serial path would pay several times an active LP.
+fn lp_of(groups: &mut [Vec<Lp>], node: u32) -> &mut Lp {
+    match groups {
+        [lps] => &mut lps[node as usize],
+        _ => {
+            let w = groups.len();
+            &mut groups[node as usize % w][node as usize / w]
+        }
+    }
 }
+
+/// The worker counts [`ShardedSim::parallel_bound_milli`] is tallied for.
+pub const BOUND_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Applies one of `node`'s deferred ops to the model and the other LPs.
 fn apply_deferred<'a>(
@@ -493,11 +503,11 @@ impl HeadHeap {
     }
 }
 
-/// One epoch's worth of work handed to a worker: the LPs of one group,
-/// an immutable network snapshot and the horizon. Ownership-passing —
-/// nothing here is shared mutably across threads.
+/// One epoch's worth of work handed to a worker and handed back: the
+/// worker's LP group, an immutable network snapshot and the horizon.
+/// Ownership-passing — nothing here is shared mutably across threads.
 struct EpochTask {
-    gidx: usize,
+    worker: usize,
     lps: Vec<Lp>,
     /// Slots (within `lps`) that actually have events this epoch; the
     /// worker touches only these, so a mostly-idle group costs O(active)
@@ -508,10 +518,92 @@ struct EpochTask {
     horizon: SimTime,
 }
 
+/// An epoch's dispatch step: runs each active LP (ids ascending) of the
+/// dealt groups up to the horizon, on the network snapshot.
+type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &[u32], SimTime, &Arc<NetworkModel>, PacketFaults) + 'a;
+
+/// Runs `f` with the epoch dispatch for `workers` groups: inline at one
+/// worker, and otherwise through a pool of `workers` scoped threads —
+/// worker `w` runs group `w` — that is joined before this returns.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the shard executor is the one sanctioned thread pool in the simulated crates; \
+              the epoch barrier keeps its result independent of scheduling (DESIGN.md §13)"
+)]
+fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
+    if workers == 1 {
+        f(&mut |groups, active, horizon, net, pf| {
+            for &node in active {
+                lp_of(groups, node).process_until(horizon, net, pf);
+            }
+        });
+        return;
+    }
+    let (result_tx, results) = mpsc::channel::<EpochTask>();
+    std::thread::scope(|scope| {
+        let (tasks, handles): (Vec<mpsc::Sender<EpochTask>>, Vec<_>) = (0..workers)
+            .map(|_| {
+                let (task_tx, task_rx) = mpsc::channel::<EpochTask>();
+                let result_tx = result_tx.clone();
+                let handle = scope.spawn(move || {
+                    while let Ok(mut task) = task_rx.recv() {
+                        for &slot in &task.active_slots {
+                            task.lps[slot].process_until(task.horizon, &task.net, task.pf);
+                        }
+                        if result_tx.send(task).is_err() {
+                            break;
+                        }
+                    }
+                });
+                (task_tx, handle)
+            })
+            .unzip();
+        // Each worker's active slots; a bucket travels with its task.
+        let mut slots = vec![Vec::new(); workers];
+        f(&mut |groups, active, horizon, net, pf| {
+            for &node in active {
+                slots[node as usize % workers].push(node as usize / workers);
+            }
+            let mut outstanding = 0usize;
+            for (worker, (tx, slots)) in tasks.iter().zip(&mut slots).enumerate() {
+                if slots.is_empty() {
+                    continue;
+                }
+                let sent = tx.send(EpochTask {
+                    worker,
+                    lps: std::mem::take(&mut groups[worker]),
+                    active_slots: std::mem::take(slots),
+                    net: Arc::clone(net),
+                    pf,
+                    horizon,
+                });
+                assert!(sent.is_ok(), "workers outlive the epoch loop");
+                outstanding += 1;
+            }
+            for _ in 0..outstanding {
+                let mut task = results.recv().expect("worker returns its group");
+                groups[task.worker] = task.lps;
+                task.active_slots.clear();
+                slots[task.worker] = task.active_slots;
+            }
+        });
+        // Dropping the senders ends the workers' receive loops. The
+        // scope alone waits only for each closure to return; a join
+        // waits for the thread to exit, thread-local destructors
+        // included, so no worker frees heap after the run returns.
+        drop(tasks);
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
 /// The sharded simulator: [`Sim`]'s surface (construction, node
 /// management, faults, injection, `run_for`/`run_until`, actor access)
 /// without the trace, plus [`ShardedSim::digest`],
-/// [`ShardedSim::set_workers`] and [`ShardedSim::set_shards`].
+/// [`ShardedSim::set_workers`] and [`ShardedSim::parallel_bound_milli`].
 pub struct ShardedSim {
     seed: u64,
     now: SimTime,
@@ -524,7 +616,9 @@ pub struct ShardedSim {
     global_faults: BTreeMap<(SimTime, u64), Fault>,
     gseq: u64,
     workers: usize,
-    shards: Option<usize>,
+    /// Σ over epochs of the busiest worker's events, at each of
+    /// [`BOUND_WORKERS`].
+    busiest: [u64; 4],
     /// The lookahead window, a pure function of the network model:
     /// dropped whenever the model may have changed
     /// ([`ShardedSim::network_mut`], node additions), so every
@@ -552,27 +646,32 @@ impl ShardedSim {
             global_faults: BTreeMap::new(),
             gseq: 0,
             workers: 1,
-            shards: None,
+            busiest: [0; 4],
             lookahead: None,
         }
     }
 
-    /// Sets the worker-thread count (≥ 1). Results are identical for
-    /// every value; only wall time changes.
+    /// Sets the worker-thread count (≥ 1; more workers than LPs run one
+    /// LP each). Results are identical for every value; only wall time
+    /// changes.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
 
-    /// Pins the executor-group count independently of the worker count
-    /// (by default one group per worker). Results are identical for
-    /// every value.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = Some(shards.max(1));
-    }
+    /// Does nothing. Each worker runs one executor group, dealt
+    /// round-robin by node id, so there is no group count left to set.
+    /// Kept only because `benchmark/src/workload/attach_geo.rs` calls
+    /// it.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
+    /// The parallel bound at each of [`BOUND_WORKERS`], in thousandths,
+    /// over every epoch run so far: the events processed ÷ the Σ over
+    /// epochs of the busiest worker's events when worker `w` of `W` runs
+    /// the LPs whose id ≡ w (mod W). 1000 means no speed-up. It counts
+    /// events only, so it is identical for every worker count.
+    pub fn parallel_bound_milli(&self) -> [u64; 4] {
+        let events = self.events_processed();
+        self.busiest.map(|busiest| (events * 1000).checked_div(busiest).unwrap_or(0))
     }
 
     /// Current (coordinator) virtual time.
@@ -596,7 +695,7 @@ impl ShardedSim {
 
     /// The run digest: an FNV-1a fold, in node order, of every LP's
     /// event-stream digest and event count. Byte-identical across
-    /// worker and shard counts: `crates/bench/tests/sharded_determinism.rs`
+    /// worker counts: `crates/bench/tests/sharded_determinism.rs`
     /// compares exactly this value, and the scale campaign's tier rows
     /// carry it into the report `repro gate scale` byte-compares at 1
     /// and 4 workers.
@@ -624,26 +723,15 @@ impl ShardedSim {
         &self.network
     }
 
-    /// Adds a node running `actor` in `realm`.
-    pub fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
-        self.add_node_with_clock(name, realm, self.clock_profile, actor)
-    }
-
-    /// Adds a node with an explicit clock profile. The node's clock is
+    /// Adds a node running `actor` in `realm`. The node's clock is
     /// sampled from its *own* RNG stream (first draws), so it is a pure
     /// function of (seed, node id) — not of insertion interleaving with
     /// other nodes' traffic, and not of worker count.
-    pub fn add_node_with_clock(
-        &mut self,
-        name: &str,
-        realm: RealmId,
-        profile: ClockProfile,
-        actor: Box<dyn Actor>,
-    ) -> NodeId {
+    pub fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
         let id = NodeId(self.lps.len() as u32);
         self.lookahead = None;
         let mut rng = StdRng::seed_from_u64(self.seed ^ id.0 as u64);
-        let clock = profile.sample(self.now, &mut rng);
+        let clock = self.clock_profile.sample(self.now, &mut rng);
         let sync_at = clock.sync_at;
         Arc::make_mut(&mut self.network).register_node(id, realm);
         let mut events = EventHeap::new();
@@ -673,11 +761,6 @@ impl ShardedSim {
     /// Human-readable node name.
     pub fn node_name(&self, node: NodeId) -> &str {
         self.node(node).map_or("?", |n| n.name.as_str())
-    }
-
-    /// The node's UTC estimate right now (what its protocol code sees).
-    pub fn utc_of(&self, node: NodeId) -> Option<u64> {
-        self.node(node).map(|n| n.clock.utc_micros(self.now))
     }
 
     /// Immutable access to a node's actor, downcast to `T`.
@@ -751,7 +834,7 @@ impl ShardedSim {
     }
 
     /// Queues every fault in `plan`, offset from the current virtual
-    /// time. Node-scoped faults land in the owning node's shard queue;
+    /// time. Node-scoped faults land in the owning node's LP queue;
     /// globally-scoped ones go to the coordinator's schedule.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
@@ -782,11 +865,6 @@ impl ShardedSim {
         }
     }
 
-    /// Sets the per-datagram fault probabilities immediately.
-    pub fn set_packet_faults(&mut self, faults: PacketFaults) {
-        self.packet_faults = faults;
-    }
-
     /// Enables or disables multicast delivery network-wide.
     pub fn set_multicast_enabled(&mut self, enabled: bool) {
         Arc::make_mut(&mut self.network).multicast_enabled = enabled;
@@ -805,58 +883,78 @@ impl ShardedSim {
         self.run_until(self.now + d);
     }
 
-    /// Deals the LPs out to their executor groups — blocks of `cap`
-    /// consecutive node ids, `cap = ceil(n / shards)` — and returns
-    /// them with `cap`. Which group an LP runs in decides where it
-    /// executes, never what it sees or sends: everything but a
-    /// self-send goes through the outbox and the barrier whichever
-    /// group holds the destination, so no grouping saves a message.
-    fn deal(&mut self) -> (Vec<Vec<Lp>>, usize) {
-        let n = self.lps.len();
-        let shards = self.shards.unwrap_or(self.workers).clamp(1, n.max(1));
-        let cap = n.div_ceil(shards).max(1);
-        let mut lps = self.lps.drain(..);
-        let groups = (0..n.div_ceil(cap)).map(|_| lps.by_ref().take(cap).collect()).collect();
-        (groups, cap)
+    /// Deals the LPs out to the worker groups, round-robin: group `w` of
+    /// `W` holds the ids ≡ w (mod W), ascending, so [`lp_of`] finds each
+    /// LP. `W` is the worker count clamped to the LP count; one worker
+    /// takes the whole vector, moving no LP. Which group an LP runs in
+    /// decides where it executes, never what it sees or sends:
+    /// everything but a self-send goes through the outbox and the
+    /// barrier whichever group holds the destination.
+    fn deal(&mut self) -> Vec<Vec<Lp>> {
+        let workers = self.workers.clamp(1, self.lps.len().max(1));
+        let lps = std::mem::take(&mut self.lps);
+        if workers == 1 {
+            return vec![lps];
+        }
+        let mut groups: Vec<Vec<Lp>> =
+            (0..workers).map(|_| Vec::with_capacity(lps.len().div_ceil(workers))).collect();
+        for (i, lp) in lps.into_iter().enumerate() {
+            groups[i % workers].push(lp);
+        }
+        groups
+    }
+
+    /// Puts dealt groups back in node order: the inverse of
+    /// [`ShardedSim::deal`].
+    fn undeal(&mut self, mut groups: Vec<Vec<Lp>>) {
+        let workers = groups.len();
+        if workers == 1 {
+            self.lps = groups.pop().unwrap_or_default();
+            return;
+        }
+        let n = groups.iter().map(Vec::len).sum();
+        let mut dealt: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
+        self.lps = (0..n).map_while(|i| dealt[i % workers].next()).collect();
     }
 
     /// Runs until virtual time reaches `deadline`, processing every
-    /// event scheduled at or before it, epoch by epoch.
+    /// event scheduled at or before it, epoch by epoch, and folds each
+    /// epoch's per-LP event counts into the parallel bound.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let n = self.lps.len();
         let lookahead = *self.lookahead.get_or_insert_with(|| {
             self.network.min_cross_node_latency().max(Duration::from_nanos(1))
         });
-        let (mut groups, cap) = self.deal();
-
-        let mut heads = HeadHeap::new(n);
+        let mut heads = HeadHeap::new(self.lps.len());
+        let mut groups = self.deal();
         for lp in groups.iter().flatten() {
             heads.set(lp.node.id.0, lp.events.next_at());
         }
-        let workers = self.workers.min(groups.len()).max(1);
-        if workers == 1 {
-            let mut active: Vec<u32> = Vec::new();
+        with_pool(groups.len(), |dispatch| {
+            let (mut active, mut before) = (Vec::new(), Vec::new());
             while let Some(horizon) =
                 self.next_active_epoch(&groups, &mut heads, deadline, lookahead, &mut active)
             {
-                for &node in &active {
-                    let (g, s) = place(node, cap);
-                    let lp = &mut groups[g][s];
-                    lp.process_until(horizon, &self.network, self.packet_faults);
+                before.clear();
+                before.extend(active.iter().map(|&node| lp_of(&mut groups, node).events_processed));
+                dispatch(&mut groups, &active, horizon, &self.network, self.packet_faults);
+                let mut per_worker = [[0u64; 8]; 4];
+                for (&node, &start) in active.iter().zip(&before) {
+                    let lp = lp_of(&mut groups, node);
                     heads.set(node, lp.events.next_at());
+                    for (per, w) in per_worker.iter_mut().zip(BOUND_WORKERS) {
+                        per[node as usize % w] += lp.events_processed - start;
+                    }
                 }
-                self.barrier(&mut groups, cap, &active, &mut heads);
+                for (busiest, per) in self.busiest.iter_mut().zip(per_worker) {
+                    *busiest += per.into_iter().max().unwrap_or(0);
+                }
+                self.barrier(&mut groups, &active, &mut heads);
                 self.now = self.now.max(horizon.min(deadline));
             }
-        } else {
-            self.run_epochs_threaded(&mut groups, cap, deadline, lookahead, workers, &mut heads);
-        }
-
-        // Put the LPs back — the blocks are already in node order — and
-        // let their local clocks catch up to the coordinator's.
-        for group in groups {
-            self.lps.extend(group);
-        }
+        });
+        // Put the LPs back and let their local clocks catch up to the
+        // coordinator's.
+        self.undeal(groups);
         self.now = self.now.max(deadline);
         for lp in &mut self.lps {
             lp.now = lp.now.max(self.now);
@@ -924,118 +1022,20 @@ impl ShardedSim {
     /// no-ops. A merged delivery that becomes its destination's head
     /// re-keys the scheduler entry; outboxes are drained in place, so an
     /// LP that sends every epoch allocates its buffer once.
-    fn barrier(
-        &mut self,
-        groups: &mut [Vec<Lp>],
-        cap: usize,
-        active: &[u32],
-        heads: &mut HeadHeap,
-    ) {
+    fn barrier(&mut self, groups: &mut [Vec<Lp>], active: &[u32], heads: &mut HeadHeap) {
         for &node in active {
-            let (g, i) = place(node, cap);
-            for op in groups[g][i].take_deferred() {
+            for op in lp_of(groups, node).take_deferred() {
                 apply_deferred(&mut self.network, groups.iter_mut().flatten(), NodeId(node), op);
             }
             // Checked out so destinations can be borrowed while it
             // drains (a sender is never its own cross-LP destination).
-            let mut outbox = std::mem::take(&mut groups[g][i].outbox);
+            let mut outbox = std::mem::take(&mut lp_of(groups, node).outbox);
             for m in outbox.drain(..) {
-                let (dg, di) = place(m.to.0, cap);
                 heads.lower(m.to.0, m.at);
-                groups[dg][di].events.push(m.at, m.ev);
+                lp_of(groups, m.to.0).events.push(m.at, m.ev);
             }
-            groups[g][i].outbox = outbox;
+            lp_of(groups, node).outbox = outbox;
         }
-    }
-
-    /// The worker-pool epoch loop. Whole LP groups travel through
-    /// channels: a worker owns the group for the duration of one epoch
-    /// and hands it back, so there is no shared mutable state at all —
-    /// the coordinator is the only thread alive at every barrier.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the shard executor is the one sanctioned thread pool in the simulated crates; \
-                  the epoch barrier keeps its result independent of scheduling (DESIGN.md §13)"
-    )]
-    fn run_epochs_threaded(
-        &mut self,
-        groups: &mut [Vec<Lp>],
-        cap: usize,
-        deadline: SimTime,
-        lookahead: Duration,
-        workers: usize,
-        heads: &mut HeadHeap,
-    ) {
-        let mut active: Vec<u32> = Vec::new();
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Vec<Lp>, Vec<usize>)>();
-        // Per-group active-slot buckets, reused across epochs.
-        let mut group_slots: Vec<Vec<usize>> = (0..groups.len()).map(|_| Vec::new()).collect();
-        std::thread::scope(|scope| {
-            // One queue per worker; group `g` always runs on worker
-            // `g % workers`.
-            let (task_txs, handles): (Vec<mpsc::Sender<EpochTask>>, Vec<_>) = (0..workers)
-                .map(|_| {
-                    let (task_tx, task_rx) = mpsc::channel::<EpochTask>();
-                    let result_tx = result_tx.clone();
-                    let handle = scope.spawn(move || {
-                        while let Ok(mut task) = task_rx.recv() {
-                            for &slot in &task.active_slots {
-                                task.lps[slot].process_until(task.horizon, &task.net, task.pf);
-                            }
-                            if result_tx.send((task.gidx, task.lps, task.active_slots)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    (task_tx, handle)
-                })
-                .unzip();
-            while let Some(horizon) =
-                self.next_active_epoch(groups, heads, deadline, lookahead, &mut active)
-            {
-                for &node in &active {
-                    let (g, s) = place(node, cap);
-                    group_slots[g].push(s);
-                }
-                let mut outstanding = 0usize;
-                for (gidx, slots) in group_slots.iter_mut().enumerate() {
-                    if slots.is_empty() {
-                        continue;
-                    }
-                    let lps = std::mem::take(&mut groups[gidx]);
-                    let sent = task_txs[gidx % workers].send(EpochTask {
-                        gidx,
-                        lps,
-                        active_slots: std::mem::take(slots),
-                        net: Arc::clone(&self.network),
-                        pf: self.packet_faults,
-                        horizon,
-                    });
-                    assert!(sent.is_ok(), "workers outlive the epoch loop");
-                    outstanding += 1;
-                }
-                for _ in 0..outstanding {
-                    let (gidx, lps, slots) = result_rx.recv().expect("worker returns its group");
-                    groups[gidx] = lps;
-                    for slot in slots {
-                        let lp = &groups[gidx][slot];
-                        heads.set(lp.node.id.0, lp.events.next_at());
-                    }
-                }
-                self.barrier(groups, cap, &active, heads);
-                self.now = self.now.max(horizon.min(deadline));
-            }
-            // Dropping the senders ends the workers' receive loops. The
-            // scope alone waits only for each closure to return; a join
-            // waits for the thread to exit, thread-local destructors
-            // included, so no worker frees heap after the run returns.
-            drop(task_txs);
-            for handle in handles {
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        });
     }
 }
 
@@ -1201,10 +1201,9 @@ mod tests {
     /// Three echo/pinger pairs spread over three realms, paper clocks,
     /// a light chaos plan: a workload exercising RNG streams, timers,
     /// faults and cross-realm traffic.
-    fn mixed_workload(workers: usize, shards: usize) -> (u64, u64, u64) {
+    fn mixed_workload(workers: usize) -> (u64, u64, u64, [u64; 4]) {
         let mut sim = ShardedSim::new(42);
         sim.set_workers(workers);
-        sim.set_shards(shards);
         let mut echoes = Vec::new();
         for i in 0..3u32 {
             let echo = sim.add_node(&format!("echo-{i}"), RealmId(0), Box::new(Echo::default()));
@@ -1222,7 +1221,7 @@ mod tests {
             FaultPlan::generate(42, &ChaosProfile::light(), &targets, Duration::from_secs(6));
         sim.apply_fault_plan(&plan);
         sim.run_for(Duration::from_secs(8));
-        (sim.digest(), sim.events_processed(), sim.stats().datagrams_delivered)
+        (sim.digest(), sim.events_processed(), sim.stats().datagrams_delivered, sim.parallel_bound_milli())
     }
 
     /// The scheduler heap against a plain table of heads, under a
@@ -1270,14 +1269,11 @@ mod tests {
     }
 
     #[test]
-    fn digest_invariant_across_workers_and_shards() {
-        let reference = mixed_workload(1, 1);
-        for (workers, shards) in [(1, 2), (2, 2), (4, 4), (1, 4), (4, 2), (3, 3), (2, 6)] {
-            assert_eq!(
-                mixed_workload(workers, shards),
-                reference,
-                "diverged at workers={workers} shards={shards}"
-            );
+    fn digest_and_bound_invariant_across_workers() {
+        let reference = mixed_workload(1);
+        assert_eq!(reference.3[0], 1000, "one worker runs every event itself");
+        for workers in [2, 3, 4, 6, 8] {
+            assert_eq!(mixed_workload(workers), reference, "diverged at workers={workers}");
         }
     }
 
@@ -1285,7 +1281,6 @@ mod tests {
     fn ping_pong_rtt_matches_link_latency() {
         let mut sim = ShardedSim::with_clock_profile(1, ClockProfile::perfect());
         sim.set_workers(2);
-        sim.set_shards(2);
         lossless(&mut sim);
         let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
         let pinger = sim.add_node("pinger", RealmId(1), Box::new(Pinger::new(echo)));
@@ -1327,7 +1322,6 @@ mod tests {
     fn stall_defers_delivery_until_it_ends() {
         let mut sim = ShardedSim::with_clock_profile(4, ClockProfile::perfect());
         sim.set_workers(2);
-        sim.set_shards(2);
         lossless(&mut sim);
         let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
         let pinger = sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
@@ -1367,7 +1361,6 @@ mod tests {
         let run = |workers: usize| {
             let mut sim = ShardedSim::with_clock_profile(6, ClockProfile::perfect());
             sim.set_workers(workers);
-            sim.set_shards(4);
             lossless(&mut sim);
             let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
             sim.add_node("pinger", RealmId(1), Box::new(Pinger::new(echo)));
@@ -1383,25 +1376,50 @@ mod tests {
     }
 
     #[test]
-    fn shard_groups_are_balanced_blocks_of_consecutive_ids() {
-        let dealt = |n: usize, shards: usize| {
+    fn groups_deal_ids_round_robin_and_undeal_in_node_order() {
+        let dealt = |n: usize, workers: usize| {
             let mut sim = ShardedSim::new(0);
             for _ in 0..n {
                 sim.add_node("idle", RealmId(0), Box::new(crate::runtime::IdleActor));
             }
-            sim.set_shards(shards);
-            let (groups, cap) = sim.deal();
+            sim.set_workers(workers);
+            let groups = sim.deal();
             let ids = |g: &Vec<Lp>| g.iter().map(|lp| lp.node.id.0).collect::<Vec<_>>();
-            (groups.iter().map(ids).collect::<Vec<_>>(), cap)
+            let dealt: Vec<Vec<u32>> = groups.iter().map(ids).collect();
+            sim.undeal(groups);
+            let order: Vec<u32> = sim.lps.iter().map(|lp| lp.node.id.0).collect();
+            assert_eq!(order, (0..n as u32).collect::<Vec<_>>(), "undeal restores node order");
+            dealt
         };
-        // Every group but the last holds exactly ceil(n / shards) LPs.
-        assert_eq!(dealt(7, 3), (vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]], 3));
-        assert_eq!(dealt(6, 3), (vec![vec![0, 1], vec![2, 3], vec![4, 5]], 2));
-        // ceil can leave fewer groups than shards asked for...
-        assert_eq!(dealt(6, 4), (vec![vec![0, 1], vec![2, 3], vec![4, 5]], 2));
-        // ...and more shards than LPs clamps to one LP a group.
-        assert_eq!(dealt(3, 100), (vec![vec![0], vec![1], vec![2]], 1));
-        assert_eq!(dealt(0, 4), (vec![], 1));
+        // Group w holds the ids ≡ w (mod W), ascending.
+        assert_eq!(dealt(7, 3), vec![vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        assert_eq!(dealt(6, 2), vec![vec![0, 2, 4], vec![1, 3, 5]]);
+        assert_eq!(dealt(5, 1), vec![vec![0, 1, 2, 3, 4]]);
+        // More workers than LPs clamps to one LP a group.
+        assert_eq!(dealt(3, 100), vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(dealt(0, 4), vec![Vec::<u32>::new()]);
+    }
+
+    /// Two idle LPs with known per-epoch loads, through the bound tally.
+    /// Perfect clocks put each LP's `Start` and `ClockSync` at 0, so the
+    /// epochs are {0: 2, 1: 2}, then three injections on LP 0 at 1 s,
+    /// then one on LP 1 at 2 s: 8 events. One worker runs all 8; at
+    /// W ≥ 2 the busiest worker runs 2 + 3 + 1 = 6, a bound of 8/6.
+    #[test]
+    fn parallel_bound_tallies_the_busiest_worker_per_epoch() {
+        for workers in [1, 2, 4] {
+            let mut sim = ShardedSim::with_clock_profile(0, ClockProfile::perfect());
+            sim.set_workers(workers);
+            let a = sim.add_node("a", RealmId(0), Box::new(crate::runtime::IdleActor));
+            let b = sim.add_node("b", RealmId(0), Box::new(crate::runtime::IdleActor));
+            for (node, at, token) in [(a, 1, 1), (a, 1, 2), (a, 1, 3), (b, 2, 4)] {
+                sim.inject(node, Duration::from_secs(at), Incoming::Timer { token });
+            }
+            assert_eq!(sim.parallel_bound_milli(), [0; 4], "no event yet");
+            sim.run_for(Duration::from_secs(3));
+            assert_eq!(sim.events_processed(), 8);
+            assert_eq!(sim.parallel_bound_milli(), [1000, 1333, 1333, 1333], "workers={workers}");
+        }
     }
 
     /// ROADMAP items 3 and 6 want these smaller, never larger, than

@@ -213,7 +213,6 @@ fn run_gossip(kind: TopologyKind, brokers: usize, seed: u64, workers: usize) -> 
         .collect();
     topo.install(sim.network_mut(), &ids);
     sim.set_workers(workers);
-    sim.set_shards(4);
     sim.run_for(Duration::from_secs(2));
     (sim.digest(), sim.events_processed())
 }

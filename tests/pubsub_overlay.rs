@@ -136,7 +136,7 @@ fn unsubscribe_stops_delivery_overlay_wide() {
 /// still hold it and still route every matching event to each other.
 /// Pruning removes the duplicates of that traffic, not the traffic.
 #[test]
-#[ignore = "ROADMAP item 2: interest plane on cyclic overlays"]
+#[ignore = "ROADMAP item 5: interest plane on cyclic overlays"]
 fn unsubscribe_stops_delivery_on_a_triangle_too() {
     let (mut sim, brokers, publisher) =
         unsubscribe_stops_delivery(36, &Topology::build(TopologyKind::Ring, 3));
