@@ -7,6 +7,7 @@
 use std::path::{Path, PathBuf};
 
 use nb_bench::campaign::{fault_scenario, run_campaign, FaultCampaign, ScenarioResult};
+use nb_bench::parallel::ParallelExecutor;
 use nb_bench::*;
 use nb_broker::TopologyKind;
 
@@ -36,7 +37,8 @@ const FLAGS: &str = "  --runs N         runs per experiment (default 120, the pa
   --seed N         root seed (default 2005)
   --csv DIR        also write machine-readable CSVs of the figures into DIR
   --out PATH       where a report-writing command puts its JSON
-  --workers N      worker threads (chaos, federation, scale); never changes a report byte
+  --workers N      worker threads (default: one per core, at most 16; scale: 1);
+                   never changes a figure, table or report byte
   --scenarios N    campaign scenarios (chaos, federation; default 10)
   --tier T         scale: small|large|all (default all)
   --brokers N, --entities N, --topology star|linear|geo|isp
@@ -248,6 +250,11 @@ fn print_diagram(name: &str, kind: TopologyKind) {
     println!("{}", topology_figure(kind));
 }
 
+/// The executor `--workers N` asks for, or the default one.
+fn executor(args: &Args) -> ParallelExecutor {
+    args.workers.map_or_else(ParallelExecutor::new, ParallelExecutor::with_workers)
+}
+
 /// The paper's five metrics for one timing figure.
 fn summary(title: String, s: &nb_util::Summary) -> Table {
     let columns = [("n", 0), ("mean_ms", 3), ("std_dev", 3), ("max", 3), ("min", 3), ("error", 3)];
@@ -267,7 +274,8 @@ fn breakdown(name: &str, args: &Args) -> Table {
         args.runs,
         args.seed
     );
-    let rows = figure_breakdown(kind, args.seed, args.runs).into_iter().map(|(l, s)| row![l, s]);
+    let rows = figure_breakdown(executor(args), kind, args.seed, args.runs);
+    let rows = rows.into_iter().map(|(l, s)| row![l, s]);
     Table::new(title, &[("phase", 0), ("share", 3)], rows)
 }
 
@@ -280,7 +288,7 @@ fn site_times(name: &str, args: &Args) -> Table {
          (unconnected topology, {} runs, seed {})",
         args.runs, args.seed
     );
-    summary(title, &figure_site_times(site, args.seed, args.runs))
+    summary(title, &figure_site_times(executor(args), site, args.seed, args.runs))
 }
 
 fn multicast(_: &str, args: &Args) -> Table {
@@ -289,7 +297,7 @@ fn multicast(_: &str, args: &Args) -> Table {
          (2 lab brokers reachable, {} runs, seed {})",
         args.runs, args.seed
     );
-    summary(title, &figure_multicast(args.seed, args.runs, 2))
+    summary(title, &figure_multicast(executor(args), args.seed, args.runs, 2))
 }
 
 fn security(name: &str, args: &Args) -> Table {
@@ -308,21 +316,21 @@ fn security(name: &str, args: &Args) -> Table {
 
 fn ablation_timeout_table(_: &str, args: &Args) -> Table {
     let title = "Ablation: collection-timeout sweep (star topology)";
-    let rows = ablation_timeout(args.seed, args.runs.min(30));
+    let rows = ablation_timeout(executor(args), args.seed, args.runs.min(30));
     let rows = rows.into_iter().map(|(t, total, resp)| row![t, total, resp]);
     Table::new(title, &[("timeout_ms", 0), ("total_ms", 1), ("responses", 2)], rows)
 }
 
 fn ablation_maxresp_table(_: &str, args: &Args) -> Table {
     let title = "Ablation: max-responses cap sweep (star topology)";
-    let rows = ablation_max_responses(args.seed, args.runs.min(30));
+    let rows = ablation_max_responses(executor(args), args.seed, args.runs.min(30));
     let rows = rows.into_iter().map(|(cap, total, resp)| row![cap, total, resp]);
     Table::new(title, &[("cap", 0), ("total_ms", 1), ("responses", 2)], rows)
 }
 
 fn ablation_weights_table(_: &str, args: &Args) -> Table {
     let title = "Ablation: selection-weight presets (winning site, star topology)";
-    let presets = ablation_weights(args.seed, args.runs.min(30));
+    let presets = ablation_weights(executor(args), args.seed, args.runs.min(30));
     let rows = presets
         .into_iter()
         .flat_map(|(preset, wins)| wins.into_iter().map(move |(site, n)| row![preset, site, n]));
@@ -331,7 +339,7 @@ fn ablation_weights_table(_: &str, args: &Args) -> Table {
 
 fn ablation_scale_table(_: &str, args: &Args) -> Table {
     let title = "Ablation: broker-count scaling";
-    let rows = ablation_scale(args.seed, args.runs.min(20));
+    let rows = ablation_scale(executor(args), args.seed, args.runs.min(20));
     let rows = rows.into_iter().map(|(n, kind, total)| row![n, kind, total]);
     Table::new(title, &[("brokers", 0), ("topology", 0), ("total_ms", 1)], rows)
 }
@@ -339,14 +347,14 @@ fn ablation_scale_table(_: &str, args: &Args) -> Table {
 fn ablation_loss_table(_: &str, args: &Args) -> Table {
     let title = "Ablation: UDP loss sensitivity (unconnected topology)";
     let columns = [("loss_factor", 1), ("success_rate", 3), ("responses", 2), ("total_ms", 1)];
-    let rows = ablation_loss(args.seed, args.runs.min(30));
+    let rows = ablation_loss(executor(args), args.seed, args.runs.min(30));
     Table::new(title, &columns, rows.into_iter().map(|(f, ok, r, t)| row![f, ok, r, t]))
 }
 
 fn ablation_clock_table(_: &str, args: &Args) -> Table {
     let title = "Ablation: NTP residual sensitivity (proximity-only selection, \
                  target set of 1 — no ping disambiguation)";
-    let rows = ablation_clock(args.seed, args.runs.min(40) as u64);
+    let rows = ablation_clock(executor(args), args.seed, args.runs.min(40) as u64);
     let rows = rows.into_iter().map(|(label, rate, err)| row![label, rate, err]);
     Table::new(title, &[("residual", 0), ("nearest_rate", 3), ("extra_distance_ms", 1)], rows)
 }
@@ -403,7 +411,7 @@ fn run_check(_: &str, args: &Args) {
          ({} runs per experiment, seed {}) ===",
         args.runs, args.seed
     );
-    let checks = shape_checks(args.seed, args.runs.clamp(10, 40));
+    let checks = shape_checks(executor(args), args.seed, args.runs.clamp(10, 40));
     for c in &checks {
         println!("  [{}] {}", if c.passed { "PASS" } else { "FAIL" }, c.claim);
         println!("         {}", c.evidence);
@@ -435,9 +443,7 @@ fn fault_report<C: FaultCampaign + Send>(
 ) -> (String, bool) {
     // Scenarios are independent, so they shard across workers; the
     // report bytes are identical whatever count is used.
-    let workers = args
-        .workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(16)));
+    let workers = executor(args).workers();
     let report = run_campaign(args.seed, args.scenarios.max(1), workers, fault_scenario::<C>);
     let campaign = C::CAMPAIGN;
     println!(

@@ -245,8 +245,8 @@ pub(crate) fn add_broker(
     });
 }
 
-/// Describes campaign `C`'s testbed: `C::BDNS` BDNs (30 s leases,
-/// strict lease mode; a federation adds 2 s anti-entropy rounds), six
+/// Describes campaign `C`'s testbed: `C::BDNS` BDNs (30 s leases; a
+/// federation adds 2 s anti-entropy rounds), six
 /// brokers on a star over three realms re-advertising every 10 s — three
 /// times a lease — to *every* BDN, so origin stamps agree across
 /// replicas, and four entities subscribed to `C::PREFIX/**` (backoff
@@ -267,7 +267,6 @@ pub fn describe_testbed<C: FaultCampaign>(seed: u64) -> Testbed<Deployment> {
         let cfg = BdnConfig {
             ad_ttl: Duration::from_secs(30),
             ping_interval: Duration::from_secs(5),
-            require_lease: true,
             federation: (C::BDNS > 1).then(|| FederationConfig {
                 peers: bdns.clone(),
                 round_interval: ROUND_INTERVAL,

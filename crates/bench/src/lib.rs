@@ -19,7 +19,7 @@ pub use table::{Cell, Table};
 
 use std::time::{Duration, Instant};
 
-use crate::parallel::{seeded, ParallelExecutor};
+use crate::parallel::ParallelExecutor;
 use nb_broker::TopologyKind;
 use nb_discovery::scenario::ScenarioBuilder;
 use nb_discovery::{DiscoveryConfig, DiscoveryOutcome, SelectionWeights};
@@ -58,30 +58,43 @@ pub fn topology_figure(kind: TopologyKind) -> String {
 }
 
 /// Runs `runs` discoveries in the given topology with the client at
-/// `client_site`, returning the raw outcomes.
-///
-/// Run `i` is an independent deployment seeded `seed.wrapping_add(i)`,
-/// sharded across worker threads; the output is identical to a serial
-/// loop over the same seeds (see [`parallel::ParallelExecutor`]).
+/// `client_site`, returning the raw outcomes (see [`discoveries`]).
 pub fn run_topology(
+    ex: ParallelExecutor,
     kind: TopologyKind,
     client_site: SiteIdx,
     seed: u64,
     runs: usize,
 ) -> Vec<DiscoveryOutcome> {
-    discoveries(&ScenarioBuilder::new(kind, client_site, seed), seed, runs)
+    discoveries(ex, &ScenarioBuilder::new(kind, client_site, seed), seed, runs)
 }
 
-/// `runs` discoveries, run `i` an independent deployment of `builder`
-/// seeded `seed.wrapping_add(i)`.
-fn discoveries(builder: &ScenarioBuilder, seed: u64, runs: usize) -> Vec<DiscoveryOutcome> {
-    ParallelExecutor::new().run_discoveries(seed, runs, seeded(builder))
+/// `runs` discoveries, one each: run `i` builds an independent
+/// deployment of `builder` seeded `seed.wrapping_add(i)`. Runs shard
+/// across `ex`'s workers and come back in run order, so the outcomes
+/// are identical to a serial loop over the same seeds.
+pub fn discoveries(
+    ex: ParallelExecutor,
+    builder: &ScenarioBuilder,
+    seed: u64,
+    runs: usize,
+) -> Vec<DiscoveryOutcome> {
+    ex.run(runs, |i| {
+        let mut b = builder.clone();
+        b.seed = seed.wrapping_add(i as u64);
+        b.build().run_discovery_once()
+    })
 }
 
 /// The sub-activity percentage breakdown (Figures 2, 9, 11): average
 /// share of total discovery time per phase over the paper protocol.
-pub fn figure_breakdown(kind: TopologyKind, seed: u64, runs: usize) -> Vec<(&'static str, f64)> {
-    let outcomes = run_topology(kind, BLOOMINGTON, seed, runs);
+pub fn figure_breakdown(
+    ex: ParallelExecutor,
+    kind: TopologyKind,
+    seed: u64,
+    runs: usize,
+) -> Vec<(&'static str, f64)> {
+    let outcomes = run_topology(ex, kind, BLOOMINGTON, seed, runs);
     let totals: Vec<f64> =
         outcomes.iter().map(|o| o.phases.total().as_secs_f64() * 1e3).collect();
     let kept = paper_protocol_indices(&totals, PAPER_KEEP);
@@ -107,15 +120,25 @@ pub fn figure_breakdown(kind: TopologyKind, seed: u64, runs: usize) -> Vec<(&'st
 /// Total discovery time statistics with the client at `client_site`
 /// (Figures 3–7: FSU, Cardiff, UMN, NCSA, Bloomington over the
 /// unconnected topology).
-pub fn figure_site_times(client_site: SiteIdx, seed: u64, runs: usize) -> Summary {
-    let outcomes = run_topology(TopologyKind::Unconnected, client_site, seed, runs);
+pub fn figure_site_times(
+    ex: ParallelExecutor,
+    client_site: SiteIdx,
+    seed: u64,
+    runs: usize,
+) -> Summary {
+    let outcomes = run_topology(ex, TopologyKind::Unconnected, client_site, seed, runs);
     summarize_totals(&outcomes)
 }
 
 /// Multicast-only discovery time statistics (Figure 12): no BDN, only
 /// the brokers inside the client's lab realm are reachable.
-pub fn figure_multicast(seed: u64, runs: usize, local_brokers: usize) -> Summary {
-    let outcomes = discoveries(&ScenarioBuilder::multicast(seed, local_brokers), seed, runs);
+pub fn figure_multicast(
+    ex: ParallelExecutor,
+    seed: u64,
+    runs: usize,
+    local_brokers: usize,
+) -> Summary {
+    let outcomes = discoveries(ex, &ScenarioBuilder::multicast(seed, local_brokers), seed, runs);
     assert!(
         outcomes.iter().all(|o| o.used_multicast),
         "figure 12 must exercise the multicast path"
@@ -230,21 +253,26 @@ pub fn figure_sign_encrypt(seed: u64, iters: usize) -> Summary {
 /// Sweep of the collection timeout (§9's timeout trade-off): returns
 /// `(timeout_ms, mean total_ms, mean responses)` rows. `max_responses`
 /// is set above the broker count so the window length binds.
-pub fn ablation_timeout(seed: u64, runs: usize) -> Vec<(u64, f64, f64)> {
-    star_sweep(seed, runs, [250u64, 500, 1000, 2000, 4000], |d, timeout_ms| {
+pub fn ablation_timeout(ex: ParallelExecutor, seed: u64, runs: usize) -> Vec<(u64, f64, f64)> {
+    star_sweep(ex, seed, runs, [250u64, 500, 1000, 2000, 4000], |d, timeout_ms| {
         d.collection_window = Duration::from_millis(timeout_ms);
         d.max_responses = 100; // window-bound
     })
 }
 
 /// Sweep of the max-responses cap: `(cap, mean total_ms, mean responses)`.
-pub fn ablation_max_responses(seed: u64, runs: usize) -> Vec<(usize, f64, f64)> {
-    star_sweep(seed, runs, [1usize, 2, 3, 5, 100], |d, cap| d.max_responses = cap)
+pub fn ablation_max_responses(
+    ex: ParallelExecutor,
+    seed: u64,
+    runs: usize,
+) -> Vec<(usize, f64, f64)> {
+    star_sweep(ex, seed, runs, [1usize, 2, 3, 5, 100], |d, cap| d.max_responses = cap)
 }
 
 /// One `(value, mean total_ms, mean responses)` row per value: `runs`
 /// star-topology discoveries with `set` applying the value.
 fn star_sweep<T: Copy>(
+    ex: ParallelExecutor,
     seed: u64,
     runs: usize,
     values: impl IntoIterator<Item = T>,
@@ -253,7 +281,7 @@ fn star_sweep<T: Copy>(
     let row = |value| {
         let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
         set(&mut builder.discovery, value);
-        let outcomes = discoveries(&builder, seed, runs);
+        let outcomes = discoveries(ex, &builder, seed, runs);
         let mean_resp = mean(outcomes.iter().map(|o| o.responses_received as f64));
         (value, mean_total_ms(&outcomes), mean_resp)
     };
@@ -262,7 +290,11 @@ fn star_sweep<T: Copy>(
 
 /// Weighting ablation: how often each broker site wins under different
 /// weight presets. Returns `(preset, Vec<(site name, wins)>)`.
-pub fn ablation_weights(seed: u64, runs: usize) -> Vec<(&'static str, Vec<(String, usize)>)> {
+pub fn ablation_weights(
+    ex: ParallelExecutor,
+    seed: u64,
+    runs: usize,
+) -> Vec<(&'static str, Vec<(String, usize)>)> {
     let presets: [(&'static str, SelectionWeights); 3] = [
         ("default", SelectionWeights::default()),
         ("proximity-only", SelectionWeights::proximity_only()),
@@ -273,7 +305,7 @@ pub fn ablation_weights(seed: u64, runs: usize) -> Vec<(&'static str, Vec<(Strin
     for (name, weights) in presets {
         let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
         builder.discovery.weights = weights;
-        let outcomes = discoveries(&builder, seed, runs);
+        let outcomes = discoveries(ex, &builder, seed, runs);
         // Broker ids and sites are fixed by the builder config, not the
         // seed, so one reference deployment maps winners to sites.
         let scenario = builder.build();
@@ -296,12 +328,16 @@ pub fn ablation_weights(seed: u64, runs: usize) -> Vec<(&'static str, Vec<(Strin
 
 /// Broker-count scaling: `(n_brokers, kind, mean total_ms)` rows across
 /// the three paper topologies. Extra brokers cycle over the WAN sites.
-pub fn ablation_scale(seed: u64, runs: usize) -> Vec<(usize, &'static str, f64)> {
+pub fn ablation_scale(
+    ex: ParallelExecutor,
+    seed: u64,
+    runs: usize,
+) -> Vec<(usize, &'static str, f64)> {
     let kinds = [TopologyKind::Unconnected, TopologyKind::Star, TopologyKind::Linear];
     let mut rows = Vec::new();
     for n in [5usize, 10, 20] {
         for kind in kinds {
-            let outcomes = discoveries(&brokers_on_every_site(kind, n, seed), seed, runs);
+            let outcomes = discoveries(ex, &brokers_on_every_site(kind, n, seed), seed, runs);
             rows.push((n, kind.label(), mean_total_ms(&outcomes)));
         }
     }
@@ -321,7 +357,7 @@ fn brokers_on_every_site(kind: TopologyKind, n: usize, seed: u64) -> ScenarioBui
 /// UDP and loss filters distant brokers). Returns
 /// `(loss_factor, success_rate, mean responses, mean total_ms)` rows over
 /// the unconnected topology.
-pub fn ablation_loss(seed: u64, runs: usize) -> Vec<(f64, f64, f64, f64)> {
+pub fn ablation_loss(ex: ParallelExecutor, seed: u64, runs: usize) -> Vec<(f64, f64, f64, f64)> {
     let mut rows = Vec::new();
     for factor in [0.0, 1.0, 10.0, 50.0, 200.0] {
         let mut builder = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, seed);
@@ -331,7 +367,7 @@ pub fn ablation_loss(seed: u64, runs: usize) -> Vec<(f64, f64, f64, f64)> {
         builder.discovery.ping_window = Duration::from_millis(500);
         builder.discovery.ack_timeout = Duration::from_millis(400);
         builder.discovery.retransmits_per_bdn = 3;
-        let outcomes = discoveries(&builder, seed, runs);
+        let outcomes = discoveries(ex, &builder, seed, runs);
         let successes = outcomes.iter().filter(|o| o.chosen.is_some()).count();
         let mean_resp = mean(outcomes.iter().map(|o| o.responses_received as f64));
         let mean_total = mean_total_ms(outcomes.iter().filter(|o| o.chosen.is_some()));
@@ -350,7 +386,11 @@ pub fn ablation_loss(seed: u64, runs: usize) -> Vec<(f64, f64, f64, f64)> {
 /// disambiguation). Node residuals are sampled once per deployment, so
 /// the sweep runs `seeds` independent deployments per profile. Returns
 /// `(residual label, nearest-chosen rate, mean estimate error ms)`.
-pub fn ablation_clock(base_seed: u64, seeds: u64) -> Vec<(&'static str, f64, f64)> {
+pub fn ablation_clock(
+    ex: ParallelExecutor,
+    base_seed: u64,
+    seeds: u64,
+) -> Vec<(&'static str, f64, f64)> {
     use nb_net::ClockProfile;
     let profiles: [(&'static str, ClockProfile); 4] = [
         ("perfect", ClockProfile::perfect()),
@@ -375,29 +415,29 @@ pub fn ablation_clock(base_seed: u64, seeds: u64) -> Vec<(&'static str, f64, f64
     let wan = WanModel::paper();
     let mut rows = Vec::new();
     for (label, clock) in profiles {
-        // One independent deployment per seed, sharded across workers.
-        let samples = ParallelExecutor::new().run(seeds as usize, |i| {
-            let mut builder =
-                ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, base_seed + i as u64);
-            builder.clock = clock;
-            builder.discovery.weights = SelectionWeights::proximity_only();
-            builder.discovery.target_set_size = 1; // no ping disambiguation
-            let mut scenario = builder.build();
-            let outcome = scenario.run_discovery_once();
-            outcome.chosen.map(|chosen| {
-                // Estimate error: measured ping RTT/2 is ground truth-ish;
-                // compare against the true one-way latency of the chosen
-                // site instead (exact in the model).
-                let site = scenario.site_of_broker(chosen).unwrap();
+        let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, base_seed);
+        builder.clock = clock;
+        builder.discovery.weights = SelectionWeights::proximity_only();
+        builder.discovery.target_set_size = 1; // no ping disambiguation
+        let outcomes = discoveries(ex, &builder, base_seed, seeds as usize);
+        // Broker ids and sites are fixed by the builder config, not the
+        // seed, so one reference deployment maps winners to sites.
+        let scenario = builder.build();
+        // Estimate error: compare the true one-way latency of the chosen
+        // site against the true nearest, Indianapolis (site 1); both are
+        // exact in the model.
+        let nearest_one_way = wan.one_way(BLOOMINGTON, 1).as_secs_f64() * 1e3;
+        let samples: Vec<(bool, f64)> = outcomes
+            .iter()
+            .filter_map(|o| o.chosen)
+            .map(|chosen| {
+                let site = scenario.site_of_broker(chosen).expect("broker site");
                 let true_one_way = wan.one_way(BLOOMINGTON, site).as_secs_f64() * 1e3;
-                let nearest_one_way = wan.one_way(BLOOMINGTON, 1).as_secs_f64() * 1e3;
-                // Indianapolis (site 1) is the true nearest.
                 (site == 1, true_one_way - nearest_one_way)
             })
-        });
-        let hits = samples.iter().flatten().filter(|(nearest, _)| *nearest).count();
-        let est_err_ms: Vec<f64> = samples.iter().flatten().map(|(_, e)| *e).collect();
-        rows.push((label, hits as f64 / seeds as f64, mean(est_err_ms.into_iter())));
+            .collect();
+        let hits = samples.iter().filter(|(nearest, _)| *nearest).count();
+        rows.push((label, hits as f64 / seeds as f64, mean(samples.iter().map(|(_, e)| *e))));
     }
     rows
 }
@@ -453,17 +493,17 @@ pub struct ShapeCheck {
 
 /// Re-measures every qualitative claim of the evaluation at reduced run
 /// counts and reports pass/fail per claim (`repro check`).
-pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
+pub fn shape_checks(ex: ParallelExecutor, seed: u64, runs: usize) -> Vec<ShapeCheck> {
     let mut out = Vec::new();
     let wait = |kind| -> f64 {
-        figure_breakdown(kind, seed, runs)
+        figure_breakdown(ex, kind, seed, runs)
             .iter()
             .find(|(l, _)| *l == "await responses")
             .map(|(_, s)| *s)
             .unwrap_or(0.0)
     };
     let breakdown_max = |kind| -> (&'static str, f64) {
-        figure_breakdown(kind, seed, runs)
+        figure_breakdown(ex, kind, seed, runs)
             .into_iter()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap()
@@ -487,11 +527,11 @@ pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
             passed: label == "await responses",
         });
     }
-    let cardiff = figure_site_times(CARDIFF, seed, runs).mean;
+    let cardiff = figure_site_times(ex, CARDIFF, seed, runs).mean;
     let others: Vec<(f64, &str)> = site_figures()
         .into_iter()
         .filter(|(_, s, _)| *s != CARDIFF)
-        .map(|(_, s, l)| (figure_site_times(s, seed, runs).mean, l))
+        .map(|(_, s, l)| (figure_site_times(ex, s, seed, runs).mean, l))
         .collect();
     let worst_other = others.iter().cloned().fold((0.0, ""), |a, b| if b.0 > a.0 { b } else { a });
     out.push(ShapeCheck {
@@ -499,8 +539,8 @@ pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
         evidence: format!("cardiff {:.0} ms vs next-worst {} {:.0} ms", cardiff, worst_other.1, worst_other.0),
         passed: cardiff > worst_other.0,
     });
-    let mc = figure_multicast(seed, runs, 2).mean;
-    let blo = figure_site_times(BLOOMINGTON, seed, runs).mean;
+    let mc = figure_multicast(ex, seed, runs, 2).mean;
+    let blo = figure_site_times(ex, BLOOMINGTON, seed, runs).mean;
     out.push(ShapeCheck {
         claim: "Fig 12: multicast-only discovery is fast (local realm only)",
         evidence: format!("multicast {mc:.0} ms vs BDN-path {blo:.0} ms"),
@@ -513,7 +553,7 @@ pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
         evidence: format!("validate {cert:.3} ms, sign+encrypt+extract {env:.3} ms"),
         passed: cert > 0.0 && env > 0.0 && env < blo / 10.0,
     });
-    let scale = ablation_scale(seed, (runs / 4).max(3));
+    let scale = ablation_scale(ex, seed, (runs / 4).max(3));
     let get = |n: usize, k: &str| scale.iter().find(|(nn, kk, _)| *nn == n && *kk == k).map(|(_, _, t)| *t).unwrap_or(f64::NAN);
     let (u5, u20) = (get(5, "unconnected"), get(20, "unconnected"));
     let (s5, s20) = (get(5, "star"), get(20, "star"));
@@ -531,9 +571,13 @@ pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
 mod tests {
     use super::*;
 
+    fn ex() -> ParallelExecutor {
+        ParallelExecutor::new()
+    }
+
     #[test]
     fn breakdown_shares_sum_to_one() {
-        let rows = figure_breakdown(TopologyKind::Star, 1, 10);
+        let rows = figure_breakdown(ex(), TopologyKind::Star, 1, 10);
         let sum: f64 = rows.iter().map(|(_, s)| s).sum();
         assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
     }
@@ -543,7 +587,7 @@ mod tests {
         // §9: waiting dominates in the unconnected topology; the star
         // topology reduces it significantly; linear sits between.
         let wait = |kind| {
-            figure_breakdown(kind, 7, 30)
+            figure_breakdown(ex(), kind, 7, 30)
                 .iter()
                 .find(|(l, _)| *l == "await responses")
                 .map(|(_, s)| *s)
@@ -566,12 +610,12 @@ mod tests {
         // (Figures 3-7's robust ordering); intra-US differences are
         // within noise because the BDN's O(N) distribution cost is
         // client-independent.
-        let cardiff = figure_site_times(CARDIFF, 11, 20).mean;
+        let cardiff = figure_site_times(ex(), CARDIFF, 11, 20).mean;
         for (fig, site, label) in site_figures() {
             if site == CARDIFF {
                 continue;
             }
-            let mean = figure_site_times(site, 11, 20).mean;
+            let mean = figure_site_times(ex(), site, 11, 20).mean;
             assert!(
                 cardiff > mean,
                 "fig{fig} {label}: cardiff {cardiff:.1} must exceed {mean:.1}"
@@ -581,7 +625,7 @@ mod tests {
 
     #[test]
     fn multicast_discovery_is_fast_and_local() {
-        let s = figure_multicast(13, 20, 2);
+        let s = figure_multicast(ex(), 13, 20, 2);
         // Only lab brokers answer: LAN RTTs, no BDN hop — a few ms.
         assert!(s.mean < 100.0, "multicast mean {} ms", s.mean);
         assert!(s.min >= 0.0);
@@ -599,14 +643,14 @@ mod tests {
 
     #[test]
     fn timeout_ablation_monotone_total() {
-        let rows = ablation_timeout(3, 5);
+        let rows = ablation_timeout(ex(), 3, 5);
         assert_eq!(rows.len(), 5);
         assert!(rows.last().unwrap().1 > rows.first().unwrap().1);
     }
 
     #[test]
     fn loss_ablation_degrades_gracefully() {
-        let rows = ablation_loss(9, 12);
+        let rows = ablation_loss(ex(), 9, 12);
         assert_eq!(rows.len(), 5);
         let lossless = rows[0];
         let heavy = rows[4];
@@ -622,7 +666,7 @@ mod tests {
 
     #[test]
     fn clock_ablation_accuracy_degrades_with_residual() {
-        let rows = ablation_clock(9, 12);
+        let rows = ablation_clock(ex(), 9, 12);
         assert_eq!(rows.len(), 4);
         let perfect = rows[0].1;
         let broken = rows[3].1;
@@ -661,7 +705,7 @@ mod tests {
 
     #[test]
     fn weight_ablation_produces_winners() {
-        let rows = ablation_weights(5, 10);
+        let rows = ablation_weights(ex(), 5, 10);
         assert_eq!(rows.len(), 3);
         for (preset, wins) in &rows {
             let total: usize = wins.iter().map(|(_, c)| c).sum();

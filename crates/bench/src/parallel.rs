@@ -1,18 +1,15 @@
 //! Parallel scenario execution.
 //!
 //! The figure suite runs each experiment 120 times; the runs are
-//! independent deployments, so they shard across worker threads. Run
-//! `i` always uses seed `seed_root.wrapping_add(i)` and results merge
-//! back in run order, which makes the output a pure function of
-//! `(seed_root, runs)` — byte-identical whether the executor uses one
-//! worker or sixteen. The determinism property test in
+//! independent deployments, so they shard across worker threads
+//! ([`crate::discoveries`]), as do campaign scenarios. Results merge
+//! back in index order, which makes the output a pure function of the
+//! jobs — byte-identical whether the executor uses one worker or
+//! sixteen. The determinism property test in
 //! `tests/parallel_determinism.rs` holds the executor to exactly that.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-use nb_discovery::scenario::{Scenario, ScenarioBuilder};
-use nb_discovery::DiscoveryOutcome;
 
 /// Shards independent runs across worker threads.
 #[derive(Debug, Clone, Copy)]
@@ -27,16 +24,9 @@ impl Default for ParallelExecutor {
 }
 
 impl ParallelExecutor {
-    /// An executor using every available core (capped at 16; override
-    /// with `NB_BENCH_THREADS`).
+    /// The default executor: one worker per visible core, capped at 16.
     pub fn new() -> ParallelExecutor {
-        let workers = std::env::var("NB_BENCH_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, |n| n.get().min(16))
-            });
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(16));
         ParallelExecutor { workers }
     }
 
@@ -105,38 +95,14 @@ impl ParallelExecutor {
                 .collect()
         })
     }
-
-    /// Runs `runs` independent discoveries: run `i` builds a fresh
-    /// scenario from `factory(seed_root.wrapping_add(i))` and performs
-    /// one discovery in it. Outcomes come back in run order.
-    pub fn run_discoveries<F>(
-        &self,
-        seed_root: u64,
-        runs: usize,
-        factory: F,
-    ) -> Vec<DiscoveryOutcome>
-    where
-        F: Fn(u64) -> Scenario + Sync,
-    {
-        self.run(runs, |i| factory(seed_root.wrapping_add(i as u64)).run_discovery_once())
-    }
-}
-
-/// A factory for the standard builder-driven scenarios: clones `builder`
-/// per run and swaps in the run seed. Use with
-/// [`ParallelExecutor::run_discoveries`].
-pub fn seeded(builder: &ScenarioBuilder) -> impl Fn(u64) -> Scenario + Sync + '_ {
-    move |seed| {
-        let mut b = builder.clone();
-        b.seed = seed;
-        b.build()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discoveries;
     use nb_broker::TopologyKind;
+    use nb_discovery::scenario::ScenarioBuilder;
     use nb_net::wan::BLOOMINGTON;
 
     #[test]
@@ -156,9 +122,8 @@ mod tests {
     #[test]
     fn parallel_discoveries_match_serial_exactly() {
         let builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 0);
-        let serial = ParallelExecutor::serial().run_discoveries(41, 6, seeded(&builder));
-        let parallel =
-            ParallelExecutor::with_workers(4).run_discoveries(41, 6, seeded(&builder));
+        let serial = discoveries(ParallelExecutor::serial(), &builder, 41, 6);
+        let parallel = discoveries(ParallelExecutor::with_workers(4), &builder, 41, 6);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s, p);

@@ -8,7 +8,8 @@
 //! executor must reproduce the serial executor's outcome vector
 //! *exactly*, ordering included.
 
-use nb_bench::parallel::{seeded, ParallelExecutor};
+use nb_bench::discoveries;
+use nb_bench::parallel::ParallelExecutor;
 use nb_broker::TopologyKind;
 use nb_net::wan::{BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
 use proptest::prelude::*;
@@ -47,9 +48,9 @@ proptest! {
         workers in 2usize..6,
     ) {
         let builder = nb_discovery::scenario::ScenarioBuilder::new(kind, site, 0);
-        let serial = ParallelExecutor::serial().run_discoveries(seed_root, runs, seeded(&builder));
+        let serial = discoveries(ParallelExecutor::serial(), &builder, seed_root, runs);
         let parallel =
-            ParallelExecutor::with_workers(workers).run_discoveries(seed_root, runs, seeded(&builder));
+            discoveries(ParallelExecutor::with_workers(workers), &builder, seed_root, runs);
         prop_assert_eq!(serial, parallel);
     }
 
@@ -63,8 +64,8 @@ proptest! {
     ) {
         let builder =
             nb_discovery::scenario::ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 0);
-        let a = ParallelExecutor::with_workers(wa).run_discoveries(seed_root, 5, seeded(&builder));
-        let b = ParallelExecutor::with_workers(wb).run_discoveries(seed_root, 5, seeded(&builder));
+        let a = discoveries(ParallelExecutor::with_workers(wa), &builder, seed_root, 5);
+        let b = discoveries(ParallelExecutor::with_workers(wb), &builder, seed_root, 5);
         prop_assert_eq!(a, b);
     }
 
@@ -75,15 +76,16 @@ proptest! {
     fn counted_runs_agree(seed_root in any::<u64>(), workers in 2usize..6) {
         let builder =
             nb_discovery::scenario::ScenarioBuilder::new(TopologyKind::Ring, UMN, 0);
-        let factory = seeded(&builder);
         let counted = |ex: ParallelExecutor| {
             ex.run(4, |i| {
-                let mut scenario = factory(seed_root.wrapping_add(i as u64));
+                let mut b = builder.clone();
+                b.seed = seed_root.wrapping_add(i as u64);
+                let mut scenario = b.build();
                 let outcome = scenario.run_discovery_once();
                 (outcome, scenario.sim.events_processed())
             })
         };
-        let plain = ParallelExecutor::serial().run_discoveries(seed_root, 4, seeded(&builder));
+        let plain = discoveries(ParallelExecutor::serial(), &builder, seed_root, 4);
         let par = counted(ParallelExecutor::with_workers(workers));
         let ser = counted(ParallelExecutor::serial());
         prop_assert_eq!(plain, par.iter().map(|(o, _)| o.clone()).collect::<Vec<_>>());
@@ -99,7 +101,7 @@ fn repeat_invocations_are_stable() {
     let builder =
         nb_discovery::scenario::ScenarioBuilder::new(TopologyKind::Tree, NCSA, 0);
     let ex = ParallelExecutor::with_workers(4);
-    let first = ex.run_discoveries(7, 6, seeded(&builder));
-    let second = ex.run_discoveries(7, 6, seeded(&builder));
+    let first = discoveries(ex, &builder, 7, 6);
+    let second = discoveries(ex, &builder, 7, 6);
     assert_eq!(first, second);
 }

@@ -69,6 +69,21 @@ fn usage_errors_exit_two() {
     assert_eq!(std::fs::read_dir(&dir).expect("scratch dir").count(), 0);
 }
 
+/// `--workers` sets how many threads the figures' runs shard across,
+/// never what they print.
+#[test]
+fn figures_print_the_same_bytes_at_any_worker_count() {
+    let dir = scratch("repro_cli_workers");
+    let fig3 = |workers: &str| {
+        let out = repro(&dir, &["fig3", "--runs", "12", "--workers", workers]);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let serial = fig3("1");
+    assert!(String::from_utf8_lossy(&serial).contains("Figure 3"));
+    assert_eq!(serial, fig3("3"));
+}
+
 #[test]
 fn chaos_writes_exactly_the_out_path() {
     let dir = scratch("repro_cli_chaos");

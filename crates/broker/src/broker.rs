@@ -82,34 +82,6 @@ impl Default for BrokerConfig {
     }
 }
 
-impl BrokerConfig {
-    /// Loads overrides from a parsed configuration file. Recognised keys:
-    /// `broker.hostname`, `broker.logical_address`,
-    /// `broker.dedup.capacity`, `broker.heartbeat.interval.ms`,
-    /// `broker.heartbeat.misses`, `broker.max_clients`,
-    /// `broker.wire.v2`.
-    pub fn apply_config(mut self, cfg: &nb_util::Config) -> Result<Self, nb_util::ConfigError> {
-        if let Some(h) = cfg.get("broker.hostname") {
-            self.hostname = h.to_string();
-        }
-        if let Some(a) = cfg.get("broker.logical_address") {
-            self.logical_address = a.to_string();
-        }
-        self.dedup_capacity = cfg.get_u64("broker.dedup.capacity", self.dedup_capacity as u64)? as usize;
-        self.heartbeat_interval = Duration::from_millis(
-            cfg.get_u64("broker.heartbeat.interval.ms", self.heartbeat_interval.as_millis() as u64)?,
-        );
-        self.heartbeat_misses =
-            cfg.get_u64("broker.heartbeat.misses", u64::from(self.heartbeat_misses))? as u32;
-        let max = cfg.get_u64("broker.max_clients", 0)?;
-        if max > 0 {
-            self.max_clients = Some(max as u32);
-        }
-        self.wire_v2 = cfg.get_bool("broker.wire.v2", self.wire_v2)?;
-        Ok(self)
-    }
-}
-
 /// An established overlay link: `link_up` is the only place one is
 /// made, and `link_down` the only place one goes.
 #[derive(Debug)]
@@ -403,12 +375,6 @@ impl Broker {
     /// Whether `client` is connected.
     pub fn has_client(&self, client: NodeId) -> bool {
         self.clients.contains_key(client)
-    }
-
-    /// Overrides the client-connection cap at runtime (tests and
-    /// operational tooling; takes effect for subsequent connects).
-    pub fn set_max_clients_for_test(&mut self, max: Option<u32>) {
-        self.cfg.max_clients = max;
     }
 
     /// The distinct filters in this broker's aggregate interest, sorted.
@@ -1401,26 +1367,6 @@ mod tests {
         let blank = routes.live(NodeId(1), at(8), lease).unwrap();
         assert_eq!((blank.parent, blank.feed, blank.leases.len()), (None, None, 0));
         assert_eq!(blank.lease(1).muted_until, SimTime::ZERO);
-    }
-
-    #[test]
-    fn config_file_overrides_apply() {
-        let cfg_text = "\
-broker.hostname = complexity.ucs.indiana.edu
-broker.dedup.capacity = 64
-broker.heartbeat.interval.ms = 500
-broker.heartbeat.misses = 5
-broker.max_clients = 7
-broker.wire.v2 = true
-";
-        let parsed = nb_util::Config::parse(cfg_text).unwrap();
-        let cfg = BrokerConfig::default().apply_config(&parsed).unwrap();
-        assert_eq!(cfg.hostname, "complexity.ucs.indiana.edu");
-        assert_eq!(cfg.dedup_capacity, 64);
-        assert_eq!(cfg.heartbeat_interval, Duration::from_millis(500));
-        assert_eq!(cfg.heartbeat_misses, 5);
-        assert_eq!(cfg.max_clients, Some(7));
-        assert!(cfg.wire_v2);
     }
 
     /// The merged interest state against the two-map version it

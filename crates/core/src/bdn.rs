@@ -76,15 +76,12 @@ pub struct BdnConfig {
     /// broker network at arbitrary times" — the registry must not serve
     /// ghosts). Brokers re-advertise every 120 s by default. Each
     /// advertisement is a **lease**: refreshing extends
-    /// [`Registered::expires_at`] by this TTL, and expired leases are
-    /// never injection targets even before the ping timer prunes them.
+    /// [`Registered::expires_at`] by this TTL. Only brokers holding a
+    /// live lease are injection targets: an attached broker whose lease
+    /// has lapsed, or that never advertised, is skipped (and counted in
+    /// [`Bdn::stale_targets_skipped`]) even before the ping timer prunes
+    /// it.
     pub ad_ttl: Duration,
-    /// Strict lease mode: injection targets must hold a *live* lease in
-    /// the registry. Pinned attachments without one are skipped (and
-    /// counted in [`Bdn::stale_targets_skipped`]) instead of trusted.
-    /// Off by default so scenario-pinned attachments keep working before
-    /// the first advertisement lands.
-    pub require_lease: bool,
     /// Anti-entropy federation with peer BDNs (see
     /// [`crate::federation`]). `None` — the default — disables the
     /// subsystem entirely: no timers, no RNG draws, no wire traffic, so
@@ -105,7 +102,6 @@ impl Default for BdnConfig {
             auto_attach: true,
             security: None,
             ad_ttl: Duration::from_secs(300),
-            require_lease: false,
             federation: None,
         }
     }
@@ -154,8 +150,8 @@ pub struct Bdn {
     pub ads_filtered: u64,
     /// Registry entries expired for lack of re-advertisement.
     pub ads_expired: u64,
-    /// Injection targets skipped because their lease was expired (or, in
-    /// strict mode, absent).
+    /// Injection targets skipped because their lease was expired or
+    /// absent.
     pub stale_targets_skipped: u64,
     /// Secured requests successfully opened.
     pub secured_requests: u64,
@@ -358,19 +354,15 @@ impl Bdn {
         }
         self.requests_handled += 1;
         // Injection order over attached brokers, closest/farthest first.
-        // Lease gate: a broker whose lease has lapsed is known-stale and
-        // is never injected at, even before the ping timer prunes it; in
-        // strict mode a missing lease disqualifies a pinned attachment
-        // too.
+        // Lease gate: a broker without a live lease is never injected at,
+        // even before the ping timer prunes it.
         let now = ctx.now();
         let mut targets: Vec<(NodeId, Option<u64>)> =
             Vec::with_capacity(self.cfg.attached_brokers.len());
         for &b in &self.cfg.attached_brokers {
             match self.registry.get(b) {
-                Some(reg) if now > reg.expires_at => self.stale_targets_skipped += 1,
-                Some(reg) => targets.push((b, reg.rtt_us)),
-                None if self.cfg.require_lease => self.stale_targets_skipped += 1,
-                None => targets.push((b, None)),
+                Some(reg) if now <= reg.expires_at => targets.push((b, reg.rtt_us)),
+                _ => self.stale_targets_skipped += 1,
             }
         }
         injection_order(&mut targets);
@@ -631,13 +623,12 @@ mod tests {
         TestCtx::new(NodeId(200), RealmId(1), SimTime::from_secs(100), 3)
     }
 
-    fn fed_bdn(require_lease: bool) -> Bdn {
+    fn fed_bdn() -> Bdn {
         Bdn::new(BdnConfig {
             federation: Some(FederationConfig {
                 peers: vec![NodeId(200), NodeId(201)],
                 ..FederationConfig::default()
             }),
-            require_lease,
             auto_attach: false,
             ..BdnConfig::default()
         })
@@ -667,8 +658,8 @@ mod tests {
     }
 
     #[test]
-    fn merged_expired_lease_becomes_tombstone_and_fails_require_lease() {
-        let mut bdn = fed_bdn(true);
+    fn merged_expired_lease_becomes_tombstone_and_is_never_injected_at() {
+        let mut bdn = fed_bdn();
         bdn.cfg.attached_brokers = vec![NodeId(5)];
         let mut ctx = new_ctx();
         let now_us = ctx.now.as_micros();
@@ -679,8 +670,14 @@ mod tests {
         assert_eq!(bdn.live_entries(ctx.now), 0);
         let tombstones: Vec<(NodeId, u64)> = bdn.registry().tombstones().collect();
         assert_eq!(tombstones, vec![(NodeId(5), 10)], "it tombstones instead");
-        // Strict mode then refuses to inject at the pinned attachment.
-        let req = DiscoveryRequest {
+        // The BDN then refuses to inject at the pinned attachment.
+        bdn.on_discovery_request(&discovery_request(now_us), &mut ctx);
+        assert_eq!(bdn.stale_targets_skipped, 1);
+        assert_eq!(bdn.requests_handled, 1);
+    }
+
+    fn discovery_request(issued_at_utc: u64) -> Message {
+        Message::Discovery(DiscoveryRequest {
             request_id: Uuid::from_u128(9),
             requester: NodeId(50),
             hostname: "c".into(),
@@ -688,16 +685,33 @@ mod tests {
             reply_to: Endpoint::new(NodeId(50), Port(4000)),
             transports: vec![],
             credentials: None,
-            issued_at_utc: now_us,
-        };
-        bdn.on_discovery_request(&Message::Discovery(req), &mut ctx);
+            issued_at_utc,
+        })
+    }
+
+    #[test]
+    fn attached_broker_that_never_advertised_is_never_injected_at() {
+        let mut bdn = Bdn::new(BdnConfig {
+            attached_brokers: vec![NodeId(5), NodeId(6)],
+            auto_attach: false,
+            ..BdnConfig::default()
+        });
+        let mut ctx = new_ctx();
+        bdn.register_ad(ad_for(6, 10), &mut ctx);
+        bdn.on_discovery_request(&discovery_request(ctx.now.as_micros()), &mut ctx);
+        let injected: Vec<NodeId> = ctx
+            .sent
+            .iter()
+            .filter(|(_, _, m)| matches!(m, Message::Publish(_)))
+            .map(|(_, to, _)| to.node)
+            .collect();
+        assert_eq!(injected, vec![NodeId(6)], "only the leased broker is a target");
         assert_eq!(bdn.stale_targets_skipped, 1);
-        assert_eq!(bdn.requests_handled, 1);
     }
 
     #[test]
     fn tombstone_blocks_direct_resurrection_until_fresher_ad() {
-        let mut bdn = fed_bdn(false);
+        let mut bdn = fed_bdn();
         let mut ctx = new_ctx();
         bdn.on_federation_sync(
             push_sync(vec![], vec![TombstoneRecord { broker: NodeId(5), lease_issued_utc: 50 }]),
@@ -737,8 +751,8 @@ mod tests {
 
     #[test]
     fn digest_match_skips_snapshot_exchange() {
-        let mut a = fed_bdn(false);
-        let mut b = fed_bdn(false);
+        let mut a = fed_bdn();
+        let mut b = fed_bdn();
         let mut ctx = new_ctx();
         let now_us = ctx.now.as_micros();
         let rec = LeaseRecord { ad: ad_for(5, 10), expires_at_us: now_us + 1_000_000 };
@@ -933,7 +947,7 @@ mod tests {
         seeds
             .iter()
             .map(|&seed| {
-                let mut bdn = fed_bdn(false);
+                let mut bdn = fed_bdn();
                 bdn.cfg.accept_geography = accept_geography.map(String::from);
                 let mut ctx = new_ctx();
                 let mut order = ops.to_vec();

@@ -3,8 +3,8 @@
 //! Implements the full client side of the paper's scheme:
 //!
 //! 1. **Issue** a UUID-tagged discovery request to one configured BDN
-//!    (§3), retransmitting on ack timeout and failing over down the BDN
-//!    list — requests are idempotent at the BDN.
+//!    (§3), retransmitting on each ack timeout to the next BDN of the
+//!    list, round-robin — requests are idempotent at the BDN.
 //! 2. **Collect** UDP discovery responses for a configurable window,
 //!    closing early once `max_responses` have arrived (§9's timeout /
 //!    max-responses trade-off).
@@ -142,9 +142,8 @@ pub struct DiscoveryClient {
     /// retransmission sends this handle, or seals its message afresh.
     request: Option<WireMsg>,
     bdn_idx: usize,
-    retransmits: u32,
-    /// Total request sends this run (drives the backoff schedule and the
-    /// rotation budget when `cfg.backoff` is set).
+    /// Request sends this run: the backoff attempt number and what the
+    /// send budget is counted against.
     attempts: u32,
     candidates: Vec<Candidate>,
     targets: Vec<Candidate>,
@@ -194,7 +193,6 @@ impl DiscoveryClient {
             times: PhaseTimes::default(),
             request: None,
             bdn_idx: 0,
-            retransmits: 0,
             attempts: 0,
             candidates: Vec::new(),
             targets: Vec::new(),
@@ -294,7 +292,6 @@ impl DiscoveryClient {
         self.connect_idx = 0;
         self.responses_count = 0;
         self.bdn_idx = 0;
-        self.retransmits = 0;
         self.attempts = 0;
         self.used_multicast = false;
         self.used_cache = false;
@@ -359,9 +356,9 @@ impl DiscoveryClient {
                 ctx.send_udp_wire(well_known::DISCOVERY_REPLY, to, &WireMsg::new(Message::Secure(sealed)));
             }
         }
-        // Legacy: fixed ack timeout. With a backoff policy, each attempt
-        // waits the jittered capped-exponential delay instead, so a herd
-        // of clients losing the same BDN desynchronises its retries.
+        // A fixed ack timeout, or with a backoff policy the jittered
+        // capped-exponential delay, so a herd of clients losing the same
+        // BDN desynchronises its retries.
         let delay = match self.cfg.backoff {
             None => self.cfg.ack_timeout,
             Some(policy) => policy.delay(self.attempts, ctx.rng()),
@@ -435,11 +432,7 @@ impl DiscoveryClient {
         { let spent = self.mark_phase(ctx); self.times.select += spent; }
         if self.targets.is_empty() {
             // No broker answered (§7 fallbacks).
-            if self.cfg.multicast_fallback
-                && self.multicast_available()
-                && !self.used_multicast
-                && n == 0
-            {
+            if self.multicast_available() && !self.used_multicast && n == 0 {
                 self.phase = Phase::AwaitingAck;
                 self.go_multicast(ctx);
             } else if !self.last_target_set.is_empty() && !self.used_cache {
@@ -637,38 +630,17 @@ impl DiscoveryClient {
         if self.phase != Phase::AwaitingAck {
             return;
         }
-        match self.cfg.backoff {
-            Some(_) => {
-                // Backoff mode rotates round-robin across the BDN list on
-                // every timeout — a down BDN costs one backoff step, not
-                // a full retransmit budget — with the same total send
-                // budget as the legacy path.
-                let budget =
-                    (self.cfg.retransmits_per_bdn + 1) * self.cfg.bdns.len().max(1) as u32;
-                if self.attempts < budget {
-                    self.bdn_idx = (self.bdn_idx + 1) % self.cfg.bdns.len();
-                    self.send_to_bdn(ctx);
-                    return;
-                }
-            }
-            None => {
-                self.retransmits += 1;
-                if self.retransmits <= self.cfg.retransmits_per_bdn {
-                    // Idempotent retransmission to the same BDN (§3).
-                    self.send_to_bdn(ctx);
-                    return;
-                }
-                // Fail over to the next configured BDN.
-                self.retransmits = 0;
-                self.bdn_idx += 1;
-                if self.bdn_idx < self.cfg.bdns.len() {
-                    self.send_to_bdn(ctx);
-                    return;
-                }
-            }
+        // Idempotent retransmission (§3), round-robin across the BDN list
+        // on every timeout: a down BDN costs one wait, not a full
+        // retransmit budget.
+        let budget = (self.cfg.retransmits_per_bdn + 1) * self.cfg.bdns.len().max(1) as u32;
+        if self.attempts < budget {
+            self.bdn_idx = (self.bdn_idx + 1) % self.cfg.bdns.len();
+            self.send_to_bdn(ctx);
+            return;
         }
         // Every BDN is unreachable (§7).
-        if self.cfg.multicast_fallback && self.multicast_available() && !self.used_multicast {
+        if self.multicast_available() && !self.used_multicast {
             self.go_multicast(ctx);
         } else if !self.last_target_set.is_empty() && !self.used_cache {
             { let spent = self.mark_phase(ctx); self.times.issue += spent; }
@@ -1011,6 +983,52 @@ mod state_machine_tests {
         // Budget exhausted: the 5th timeout fell back to multicast.
         assert!(c.used_multicast);
         assert_eq!(c.phase(), Phase::Collecting);
+    }
+
+    #[test]
+    fn fixed_schedule_rotates_bdns_then_multicasts_without_rng_draws() {
+        let mut ctx = new_ctx();
+        let ack_timeout = Duration::from_millis(700);
+        let mut c = DiscoveryClient::with_auto_start(
+            DiscoveryConfig {
+                bdns: vec![NodeId(100), NodeId(200)],
+                retransmits_per_bdn: 2, // budget: 3 sends per BDN = 6 total
+                ack_timeout,
+                backoff: None,
+                ..DiscoveryConfig::default()
+            },
+            false,
+        );
+        c.begin(&mut ctx);
+        let rng_after_begin = ctx.rng.clone();
+        // Neither BDN ever answers: each timeout fires `ack_timeout` after
+        // the send that armed it.
+        for _ in 0..5 {
+            ctx.now += ack_timeout;
+            c.on_incoming(Incoming::Timer { token: TIMER_ACK }, &mut ctx);
+        }
+        assert_eq!(ctx.rng, rng_after_begin, "retries draw nothing from the client's RNG");
+        let reqs: Vec<NodeId> = ctx
+            .sent
+            .iter()
+            .filter(|(_, _, m)| m.kind() == "discovery-request")
+            .map(|(_, to, _)| to.node)
+            .collect();
+        assert_eq!(reqs, [100, 200, 100, 200, 100, 200].map(NodeId));
+        let acks: Vec<Duration> =
+            ctx.timers.iter().filter(|(_, t)| *t == TIMER_ACK).map(|(d, _)| *d).collect();
+        assert_eq!(acks, vec![ack_timeout; 6], "every wait is exactly ack_timeout");
+        assert_eq!(c.phase(), Phase::AwaitingAck);
+        assert!(!c.used_multicast);
+        // The sixth send's timeout exhausts the budget: multicast starts.
+        ctx.now += ack_timeout;
+        c.on_incoming(Incoming::Timer { token: TIMER_ACK }, &mut ctx);
+        assert!(c.used_multicast);
+        assert_eq!(c.phase(), Phase::Collecting);
+        let (_, to, m) = ctx.sent.last().unwrap();
+        assert_eq!((to.node, m.kind()), (NodeId(u32::MAX), "discovery-request"));
+        assert_eq!(c.outcome(), None);
+        assert_eq!(c.times.issue, ack_timeout * 6);
     }
 
     #[test]

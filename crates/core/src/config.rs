@@ -9,7 +9,6 @@
 use std::time::Duration;
 
 use nb_security::{Certificate, Identity, PublicKey};
-use nb_util::{Config, ConfigError};
 use nb_wire::{Credential, NodeId};
 use rand::Rng;
 
@@ -104,12 +103,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The default discovery retry policy: 1 s base, doubling, 30 s cap,
-    /// ±25% jitter.
-    pub fn discovery_default() -> RetryPolicy {
-        RetryPolicy::new(Duration::from_secs(1), 2.0, Duration::from_secs(30), 0.25)
-    }
-
     /// The nominal (un-jittered) delay for the 0-based `attempt`:
     /// monotone non-decreasing in `attempt` and capped at `cap`.
     pub fn nominal(&self, attempt: u32) -> Duration {
@@ -165,22 +158,21 @@ pub struct DiscoveryConfig {
     pub ping_window: Duration,
     /// BDN ack timeout before retransmitting the request.
     pub ack_timeout: Duration,
-    /// Retransmissions per BDN before failing over to the next.
+    /// Retransmissions per BDN: a request is sent at most
+    /// `(retransmits_per_bdn + 1) × bdns.len()` times, round-robin over
+    /// the BDN list, before the client turns to §7's fallbacks.
     pub retransmits_per_bdn: u32,
-    /// Fall back to multicast when every configured BDN is unreachable.
-    pub multicast_fallback: bool,
     /// Skip BDNs entirely and discover via multicast only (Figure 12).
     pub multicast_only: bool,
-    /// Master multicast switch: when false the node behaves as if the
-    /// network had no multicast routing — `multicast_fallback` and
-    /// `multicast_only` are ignored and the client goes straight to its
-    /// cached-target fallback when BDNs fail.
+    /// Master multicast switch. When on, the client multicasts within
+    /// its realm once no BDN answers (§7); when off the node behaves as
+    /// if the network had no multicast routing — `multicast_only` is
+    /// ignored and the client goes straight to its cached-target
+    /// fallback when BDNs fail.
     pub multicast_enabled: bool,
-    /// Retry schedule for BDN request retransmission. `None` keeps the
-    /// legacy fixed-interval behaviour (every retry waits `ack_timeout`);
-    /// `Some` applies capped exponential backoff with jitter *and*
-    /// rotates across the configured BDNs round-robin instead of
-    /// exhausting each in turn.
+    /// The wait after each BDN request send. `None` waits exactly
+    /// `ack_timeout` every time; `Some` waits the policy's capped
+    /// exponential, jittered delay.
     pub backoff: Option<RetryPolicy>,
     /// Selection weights.
     pub weights: SelectionWeights,
@@ -209,7 +201,6 @@ impl Default for DiscoveryConfig {
             ping_window: Duration::from_secs(1),
             ack_timeout: Duration::from_secs(1),
             retransmits_per_bdn: 2,
-            multicast_fallback: true,
             multicast_only: false,
             multicast_enabled: true,
             backoff: None,
@@ -219,63 +210,6 @@ impl Default for DiscoveryConfig {
             security: None,
             join_as_broker: false,
         }
-    }
-}
-
-impl DiscoveryConfig {
-    /// Applies overrides from a node configuration file. Recognised keys
-    /// (all optional): `discovery.timeout.ms`, `discovery.max_responses`,
-    /// `discovery.target_set_size`, `discovery.ping.count`,
-    /// `discovery.ping.window.ms`, `discovery.ack.timeout.ms`,
-    /// `discovery.retransmits`, `discovery.multicast.fallback`,
-    /// `discovery.multicast.only`, `discovery.multicast.enabled`,
-    /// the `discovery.backoff.{base.ms,multiplier,cap.ms,jitter}`
-    /// group (presence of `base.ms` enables exponential backoff), and
-    /// the `selection.weight.*` factors.
-    pub fn apply_config(mut self, cfg: &Config) -> Result<Self, ConfigError> {
-        self.collection_window = Duration::from_millis(
-            cfg.get_u64("discovery.timeout.ms", self.collection_window.as_millis() as u64)?,
-        );
-        self.max_responses =
-            cfg.get_u64("discovery.max_responses", self.max_responses as u64)? as usize;
-        self.target_set_size =
-            cfg.get_u64("discovery.target_set_size", self.target_set_size as u64)? as usize;
-        self.ping_count = cfg.get_u64("discovery.ping.count", u64::from(self.ping_count))? as u32;
-        self.ping_window = Duration::from_millis(
-            cfg.get_u64("discovery.ping.window.ms", self.ping_window.as_millis() as u64)?,
-        );
-        self.ack_timeout = Duration::from_millis(
-            cfg.get_u64("discovery.ack.timeout.ms", self.ack_timeout.as_millis() as u64)?,
-        );
-        self.retransmits_per_bdn =
-            cfg.get_u64("discovery.retransmits", u64::from(self.retransmits_per_bdn))? as u32;
-        self.multicast_fallback =
-            cfg.get_bool("discovery.multicast.fallback", self.multicast_fallback)?;
-        self.multicast_only = cfg.get_bool("discovery.multicast.only", self.multicast_only)?;
-        self.multicast_enabled =
-            cfg.get_bool("discovery.multicast.enabled", self.multicast_enabled)?;
-        if cfg.get("discovery.backoff.base.ms").is_some() {
-            let seed = self.backoff.unwrap_or_else(RetryPolicy::discovery_default);
-            self.backoff = Some(RetryPolicy::new(
-                Duration::from_millis(
-                    cfg.get_u64("discovery.backoff.base.ms", seed.base.as_millis() as u64)?,
-                ),
-                cfg.get_f64("discovery.backoff.multiplier", seed.multiplier)?,
-                Duration::from_millis(
-                    cfg.get_u64("discovery.backoff.cap.ms", seed.cap.as_millis() as u64)?,
-                ),
-                cfg.get_f64("discovery.backoff.jitter", seed.jitter_frac)?,
-            ));
-        }
-        let w = &mut self.weights;
-        w.free_to_total_memory =
-            cfg.get_f64("selection.weight.free_to_total_memory", w.free_to_total_memory)?;
-        w.total_memory_mb = cfg.get_f64("selection.weight.total_memory_mb", w.total_memory_mb)?;
-        w.num_links = cfg.get_f64("selection.weight.num_links", w.num_links)?;
-        w.connections = cfg.get_f64("selection.weight.connections", w.connections)?;
-        w.cpu_load = cfg.get_f64("selection.weight.cpu_load", w.cpu_load)?;
-        w.delay_ms = cfg.get_f64("selection.weight.delay_ms", w.delay_ms)?;
-        Ok(self)
     }
 }
 
@@ -289,30 +223,8 @@ mod tests {
         let window_s = c.collection_window.as_secs_f64();
         assert!((4.0..=5.0).contains(&window_s), "paper: 4-5s window");
         assert!((5..=20).contains(&c.target_set_size), "paper: target set 5-20");
-        assert!(c.multicast_fallback);
+        assert!(c.multicast_enabled);
         assert!(!c.multicast_only);
-    }
-
-    #[test]
-    fn config_file_overrides() {
-        let text = "\
-discovery.timeout.ms = 2500
-discovery.max_responses = 8
-discovery.target_set_size = 6
-discovery.ping.count = 5
-discovery.multicast.only = true
-selection.weight.num_links = 3.5
-";
-        let parsed = Config::parse(text).unwrap();
-        let c = DiscoveryConfig::default().apply_config(&parsed).unwrap();
-        assert_eq!(c.collection_window, Duration::from_millis(2500));
-        assert_eq!(c.max_responses, 8);
-        assert_eq!(c.target_set_size, 6);
-        assert_eq!(c.ping_count, 5);
-        assert!(c.multicast_only);
-        assert!((c.weights.num_links - 3.5).abs() < 1e-12);
-        // untouched keys keep defaults
-        assert_eq!(c.retransmits_per_bdn, 2);
     }
 
     #[test]
@@ -327,29 +239,6 @@ selection.weight.num_links = 3.5
         }
         assert_eq!(p.nominal(0), Duration::from_millis(500));
         assert_eq!(p.nominal(63), Duration::from_secs(8));
-    }
-
-    #[test]
-    fn backoff_and_multicast_config_keys() {
-        let text = "\
-discovery.multicast.enabled = false
-discovery.backoff.base.ms = 500
-discovery.backoff.multiplier = 3.0
-discovery.backoff.cap.ms = 4000
-discovery.backoff.jitter = 0.1
-";
-        let parsed = Config::parse(text).unwrap();
-        let c = DiscoveryConfig::default().apply_config(&parsed).unwrap();
-        assert!(!c.multicast_enabled);
-        let b = c.backoff.expect("backoff enabled by base.ms key");
-        assert_eq!(b.base, Duration::from_millis(500));
-        assert!((b.multiplier - 3.0).abs() < 1e-12);
-        assert_eq!(b.cap, Duration::from_millis(4000));
-        assert!((b.jitter_frac - 0.1).abs() < 1e-12);
-        // absent keys leave backoff disabled
-        let c2 = DiscoveryConfig::default().apply_config(&Config::parse("").unwrap()).unwrap();
-        assert!(c2.backoff.is_none());
-        assert!(c2.multicast_enabled);
     }
 
     #[test]

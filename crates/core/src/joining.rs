@@ -33,12 +33,9 @@ pub struct JoiningBroker {
     finder: DiscoveryClient,
     /// The broker this node linked to, once joined.
     pub joined_to: Option<NodeId>,
-    /// Self-healing: when the established link count drops below this,
-    /// discovery runs again and a fresh overlay link is opened (§8.3's
-    /// "incorporation of brokers" applied to partition repair). `0`
-    /// disables healing.
-    pub heal_below: u32,
-    /// Healing rounds performed.
+    /// Healing rounds performed: each time the broker is left with no
+    /// overlay link, discovery runs again and a fresh link is opened
+    /// (§8.3's "incorporation of brokers" applied to partition repair).
     pub heals: u64,
     /// Set once the first join succeeds; healing retries (including
     /// after failed heal attempts) are gated on this, not on the
@@ -61,7 +58,6 @@ impl JoiningBroker {
             inner: DiscoveryBrokerActor::new(cfg, bdns, policy),
             finder: DiscoveryClient::new(discovery),
             joined_to: None,
-            heal_below: 1,
             heals: 0,
             ever_joined: false,
         }
@@ -87,8 +83,7 @@ impl JoiningBroker {
     }
 
     fn heal_tick(&mut self, ctx: &mut dyn Context) {
-        if self.heal_below > 0
-            && self.inner.broker.num_links() < self.heal_below
+        if self.inner.broker.num_links() == 0
             && matches!(self.finder.phase(), Phase::Idle | Phase::Done | Phase::Failed)
             && self.ever_joined
         {

@@ -37,7 +37,6 @@ use crate::broker_actor::DiscoveryBrokerActor;
 use crate::client::{DiscoveryClient, DiscoveryOutcome, Phase, TIMER_START};
 use crate::config::DiscoveryConfig;
 use crate::deployment::{Deployment, Network};
-use crate::federation::FederationConfig;
 use crate::policy::ResponsePolicy;
 
 /// Configures and builds a [`Scenario`].
@@ -68,13 +67,6 @@ pub struct ScenarioBuilder {
     /// Multiplies the loss probability of every link (1.0 = the WAN
     /// model's defaults; 0.0 = lossless).
     pub loss_factor: f64,
-    /// How many BDN nodes to build (the paper's testbed ran one; the
-    /// federation work replicates the registry across several).
-    pub n_bdns: usize,
-    /// When set, every BDN joins one federation: `peers` is filled with
-    /// the built BDN ids at construction, the rest of the template is
-    /// taken as-is.
-    pub federation: Option<FederationConfig>,
 }
 
 impl ScenarioBuilder {
@@ -92,8 +84,6 @@ impl ScenarioBuilder {
             without_bdn: false,
             clock: ClockProfile::paper(),
             loss_factor: 1.0,
-            n_bdns: 1,
-            federation: None,
         }
     }
 
@@ -132,21 +122,23 @@ impl ScenarioBuilder {
         })
     }
 
-    /// Describes the testbed as a [`Deployment`] (the BDNs, then the
-    /// brokers in index order, then the client), builds it on `engine`
-    /// and runs the warm-up.
+    /// Describes the testbed as a [`Deployment`] (the paper's one BDN
+    /// unless [`ScenarioBuilder::without_bdn`], then the brokers in index
+    /// order, then the client), builds it on `engine` and runs the
+    /// warm-up.
     fn build_on<E: DiscoveryEngine>(
         self,
         engine: impl FnOnce(u64, ClockProfile) -> E,
     ) -> Scenario<E> {
         let wan = WanModel::paper();
         let n = self.broker_sites.len();
-        let n_bdns = if self.without_bdn { 0 } else { self.n_bdns.max(1) };
+        let bdn_count = usize::from(!self.without_bdn);
         let node_id = |i: usize| NodeId(i as u32);
-        let bdns: Vec<NodeId> = (0..n_bdns).map(node_id).collect();
-        let brokers: Vec<NodeId> = (n_bdns..n_bdns + n).map(node_id).collect();
-        let client = node_id(n_bdns + n);
-        let sites: Vec<SiteIdx> = std::iter::repeat_n(INDIANAPOLIS, n_bdns)
+        let bdns: Vec<NodeId> = (0..bdn_count).map(node_id).collect();
+        let bdn = bdns.first().copied();
+        let brokers: Vec<NodeId> = (bdn_count..bdn_count + n).map(node_id).collect();
+        let client = node_id(bdn_count + n);
+        let sites: Vec<SiteIdx> = std::iter::repeat_n(INDIANAPOLIS, bdn_count)
             .chain(self.broker_sites.iter().copied())
             .chain([self.client_site])
             .collect();
@@ -161,21 +153,10 @@ impl ScenarioBuilder {
         // injects at the first (the hub, or the head of the chain).
         let unconnected = self.kind == TopologyKind::Unconnected;
         let attached = if unconnected { brokers.clone() } else { brokers[..1].to_vec() };
-        let federation =
-            self.federation.clone().map(|f| FederationConfig { peers: bdns.clone(), ..f });
-        for i in 0..n_bdns {
-            let cfg = BdnConfig {
-                attached_brokers: attached.clone(),
-                auto_attach: false,
-                federation: federation.clone(),
-                ..self.bdn.clone()
-            };
-            // BDN 0 keeps the paper's hostname.
-            let name = match i {
-                0 => "bdn.gridservicelocator.org".to_string(),
-                _ => format!("bdn{i}.gridservicelocator.org"),
-            };
-            let realm = wan.site(INDIANAPOLIS).realm;
+        if bdn.is_some() {
+            let cfg =
+                BdnConfig { attached_brokers: attached, auto_attach: false, ..self.bdn.clone() };
+            let (name, realm) = ("bdn.gridservicelocator.org".into(), wan.site(INDIANAPOLIS).realm);
             d.add(name, realm, false, move || Box::new(Bdn::new(cfg.clone())));
         }
 
@@ -185,8 +166,6 @@ impl ScenarioBuilder {
             let site = wan.site(site_idx);
             let neighbors: Vec<NodeId> = dials.iter().map(|&j| brokers[j]).collect();
             // Figure 10: "only one broker is registered with the BDN".
-            // Registering brokers advertise to the whole federation, so
-            // every registry holds the same origin-stamped lease.
             let registers = self.kind != TopologyKind::Linear || i == 0;
             let policy = self.policy.clone();
             let (host, memory) = (site.host, site.total_memory);
@@ -198,12 +177,11 @@ impl ScenarioBuilder {
                     neighbors: neighbors.clone(),
                     ..BrokerConfig::default()
                 };
-                let bdns = if registers { (0..n_bdns).map(node_id).collect() } else { Vec::new() };
+                let bdns = if registers { Vec::from_iter(bdn) } else { Vec::new() };
                 Box::new(DiscoveryBrokerActor::new(cfg, bdns, policy.clone()))
             });
         }
 
-        // Discovery client: every federation member is in the rotation.
         let discovery = DiscoveryConfig { bdns: bdns.clone(), ..self.discovery };
         let site = wan.site(self.client_site);
         d.add(format!("client@{}", site.name), site.realm, false, move || {
@@ -215,7 +193,7 @@ impl ScenarioBuilder {
             wan,
             topology,
             kind: self.kind,
-            bdn: bdns.first().copied(),
+            bdn,
             bdns,
             brokers,
             client,
@@ -243,7 +221,7 @@ pub struct Scenario<E: DiscoveryEngine = Sim> {
     /// The first BDN node (absent in multicast-only scenarios) — the
     /// paper's single-BDN role, kept for all the §9 reproductions.
     pub bdn: Option<NodeId>,
-    /// Every BDN node, in build order ([`ScenarioBuilder::n_bdns`]).
+    /// Every BDN node: the one in [`Scenario::bdn`], or none.
     pub bdns: Vec<NodeId>,
     /// Broker nodes, index-aligned with `broker_sites`.
     pub brokers: Vec<NodeId>,
@@ -379,50 +357,6 @@ mod tests {
         assert!(reference.0, "sharded discovery completes");
         assert_eq!(reference, run(2));
         assert_eq!(reference, run(4));
-    }
-
-    #[test]
-    fn federated_bdns_converge_and_stay_worker_invariant() {
-        let run = |workers| {
-            let mut b = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 48);
-            b.n_bdns = 3;
-            b.federation = Some(FederationConfig::default());
-            let mut s = b.build_sharded(workers);
-            let o = s.run_discovery_once();
-            // Quiesce a few anti-entropy rounds past the discovery.
-            s.sim.run_for(Duration::from_secs(10));
-            let now = s.now();
-            let digests: Vec<u64> = s
-                .bdns
-                .iter()
-                .map(|&b| s.sim.actor::<Bdn>(b).expect("bdn actor").registry_digest(now))
-                .collect();
-            (o.chosen.is_some(), digests, s.digest(), s.sim.events_processed())
-        };
-        let reference = run(1);
-        assert!(reference.0, "federated discovery completes");
-        assert!(
-            reference.1.windows(2).all(|w| w[0] == w[1]),
-            "quiescent federated BDNs agree: {:x?}",
-            reference.1
-        );
-        assert_eq!(reference, run(2), "sync traffic is worker-invariant");
-        assert_eq!(reference, run(4));
-    }
-
-    #[test]
-    fn federated_client_survives_primary_bdn_loss() {
-        let mut b = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 49);
-        b.n_bdns = 2;
-        b.federation = Some(FederationConfig::default());
-        let mut s = b.build();
-        // Let a couple of anti-entropy rounds replicate the registry,
-        // then kill the client's first-choice BDN outright.
-        s.sim.run_for(Duration::from_secs(6));
-        s.sim.crash(s.bdns[0]);
-        let outcome = s.run_discovery_once();
-        assert!(outcome.chosen.is_some(), "rotation reaches the surviving BDN");
-        assert_eq!(outcome.bdn_used, Some(s.bdns[1]));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! ```text
 //! # comment
-//! broker.dedup.capacity = 1000
-//! discovery.bdns = gridservicelocator.org, gridservicelocator.com
-//! discovery.timeout.ms = 4000
+//! cluster.seed = 7
+//! node.hub.bdns = gridservicelocator.org, gridservicelocator.com
+//! node.hub.realm = 0
 //! ```
 //!
 //! Keys are dotted lowercase identifiers; values are scalars or
@@ -106,34 +106,6 @@ impl Config {
         }
     }
 
-    /// Float lookup with a default.
-    pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, ConfigError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ConfigError::BadValue {
-                key: key.to_string(),
-                value: v.to_string(),
-                expected: "a number",
-            }),
-        }
-    }
-
-    /// Boolean lookup with a default; accepts `true/false/yes/no/on/off/1/0`.
-    pub fn get_bool(&self, key: &str, default: bool) -> Result<bool, ConfigError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => match v.to_ascii_lowercase().as_str() {
-                "true" | "yes" | "on" | "1" => Ok(true),
-                "false" | "no" | "off" | "0" => Ok(false),
-                _ => Err(ConfigError::BadValue {
-                    key: key.to_string(),
-                    value: v.to_string(),
-                    expected: "a boolean",
-                }),
-            },
-        }
-    }
-
     /// Comma-separated list lookup; absent key yields an empty list.
     pub fn get_list(&self, key: &str) -> Vec<String> {
         match self.get(key) {
@@ -177,24 +149,22 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = "\
-# broker configuration
-broker.dedup.capacity = 1000
-discovery.bdns = gridservicelocator.org, gridservicelocator.com,
-discovery.timeout.ms = 4000
-discovery.multicast = on
+# cluster configuration
+cluster.seed = 1000
+node.hub.bdns = gridservicelocator.org, gridservicelocator.com,
+node.hub.realm = 4
 
-selection.weight.mem_ratio = 1.5
+node.hub.role = broker
 ";
 
     #[test]
     fn parses_scalars_lists_and_comments() {
         let c = Config::parse(SAMPLE).unwrap();
-        assert_eq!(c.get_u64("broker.dedup.capacity", 0).unwrap(), 1000);
-        assert_eq!(c.get_u64("discovery.timeout.ms", 0).unwrap(), 4000);
-        assert!((c.get_f64("selection.weight.mem_ratio", 0.0).unwrap() - 1.5).abs() < 1e-12);
-        assert!(c.get_bool("discovery.multicast", false).unwrap());
+        assert_eq!(c.get_u64("cluster.seed", 0).unwrap(), 1000);
+        assert_eq!(c.get_u64("node.hub.realm", 0).unwrap(), 4);
+        assert_eq!(c.get("node.hub.role"), Some("broker"));
         assert_eq!(
-            c.get_list("discovery.bdns"),
+            c.get_list("node.hub.bdns"),
             vec!["gridservicelocator.org", "gridservicelocator.com"]
         );
     }
@@ -203,7 +173,6 @@ selection.weight.mem_ratio = 1.5
     fn defaults_apply_for_absent_keys() {
         let c = Config::parse("").unwrap();
         assert_eq!(c.get_u64("nope", 7).unwrap(), 7);
-        assert!(!c.get_bool("nope", false).unwrap());
         assert!(c.get_list("nope").is_empty());
         assert!(matches!(c.require("nope"), Err(ConfigError::Missing(_))));
     }
@@ -224,9 +193,9 @@ selection.weight.mem_ratio = 1.5
 
     #[test]
     fn bad_values_are_reported() {
-        let c = Config::parse("n = twelve\nb = maybe\n").unwrap();
+        let c = Config::parse("n = twelve\nm = -1\n").unwrap();
         assert!(matches!(c.get_u64("n", 0), Err(ConfigError::BadValue { .. })));
-        assert!(matches!(c.get_bool("b", true), Err(ConfigError::BadValue { .. })));
+        assert!(matches!(c.get_u64("m", 0), Err(ConfigError::BadValue { .. })));
     }
 
     #[test]

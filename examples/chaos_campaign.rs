@@ -25,12 +25,11 @@ fn main() {
     sim.network_mut().inter_realm_spec =
         LinkSpec::wan(Duration::from_millis(15)).with_loss(0.001);
 
-    // Short 20 s advertisement leases; strict lease mode means only
-    // heartbeating brokers are ever injection targets.
+    // Short 20 s advertisement leases: only heartbeating brokers are
+    // ever injection targets.
     let bdn_cfg = BdnConfig {
         ad_ttl: Duration::from_secs(20),
         ping_interval: Duration::from_secs(5),
-        require_lease: true,
         ..BdnConfig::default()
     };
     let bdn = sim.add_node("bdn", RealmId(0), Box::new(Bdn::new(bdn_cfg.clone())));

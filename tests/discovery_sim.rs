@@ -149,39 +149,58 @@ fn deterministic_reproduction_under_a_seed() {
 
 #[test]
 fn refused_connection_walks_down_the_target_set() {
-    // The ping winner refuses connections (at capacity); the client must
-    // walk down the target set instead of failing (§6's "arrive at the
-    // target broker" made robust).
-    use nb::discovery::DiscoveryBrokerActor;
-    let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 16);
-    let mut s = builder_build_with_full_hub(&mut builder);
-    let outcome = s.run_discovery_once();
-    let chosen = outcome.chosen.expect("an alternative broker accepted");
-    assert_ne!(
-        s.site_of_broker(chosen),
-        Some(INDIANAPOLIS),
-        "the saturated nearest broker was skipped"
-    );
-    let hub = s.brokers[0];
-    let hub_actor = s.sim.actor::<DiscoveryBrokerActor>(hub).unwrap();
-    assert!(
-        !hub_actor.broker.has_client(s.client),
-        "the saturated hub must not hold the discovery client"
-    );
-}
+    // The nearest broker is full: its one client slot holds the BDN's
+    // connection, so it refuses the discovery client, which must walk
+    // down the target set instead of failing (§6's "arrive at the target
+    // broker" made robust).
+    use nb::broker::{BrokerConfig, MachineProfile};
+    use nb::discovery::{BdnConfig, Deployment, DiscoveryClient, DiscoveryConfig, Network};
+    use nb::discovery::ResponsePolicy;
+    use nb::net::{ClockProfile, Sim};
+    use nb::wire::NodeId;
 
-/// Builds the scenario, then drops the hub broker's client capacity to
-/// its current occupancy (the attached BDN) so new connects are refused.
-fn builder_build_with_full_hub(
-    builder: &mut ScenarioBuilder,
-) -> nb::discovery::scenario::Scenario {
-    let mut s = builder.clone().build();
-    let hub = s.brokers[0];
-    let occupancy = {
-        let actor = s.sim.actor::<nb::discovery::DiscoveryBrokerActor>(hub).unwrap();
-        actor.broker.num_clients()
+    let wan = nb::net::wan::WanModel::paper();
+    let broker_sites = [INDIANAPOLIS, UMN, NCSA];
+    let (bdn, full, client) = (NodeId(0), NodeId(1), NodeId(4));
+    let brokers = [NodeId(1), NodeId(2), NodeId(3)];
+    let mut sites = vec![INDIANAPOLIS];
+    sites.extend(broker_sites);
+    sites.push(BLOOMINGTON);
+    let mut d = Deployment {
+        seed: 16,
+        clock: ClockProfile::paper(),
+        nodes: Vec::new(),
+        network: Network::PaperSites { sites, loss_factor: 1.0 },
     };
-    let actor = s.sim.actor_mut::<nb::discovery::DiscoveryBrokerActor>(hub).unwrap();
-    actor.broker.set_max_clients_for_test(Some(occupancy));
-    s
+    let attached_brokers = brokers.to_vec();
+    let cfg = BdnConfig { attached_brokers, auto_attach: false, ..BdnConfig::default() };
+    let realm = wan.site(INDIANAPOLIS).realm;
+    d.add("bdn".into(), realm, false, move || Box::new(Bdn::new(cfg.clone())));
+    for (i, &site) in broker_sites.iter().enumerate() {
+        let site = wan.site(site);
+        let cfg = BrokerConfig {
+            hostname: site.host.to_string(),
+            machine: MachineProfile::with_memory(site.total_memory),
+            max_clients: (i == 0).then_some(1),
+            ..BrokerConfig::default()
+        };
+        d.add(format!("broker-{i}"), site.realm, false, move || {
+            Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![bdn], ResponsePolicy::open()))
+        });
+    }
+    let discovery = DiscoveryConfig { bdns: vec![bdn], ..DiscoveryConfig::default() };
+    d.add("client".into(), wan.site(BLOOMINGTON).realm, false, move || {
+        Box::new(DiscoveryClient::new(discovery.clone()))
+    });
+    let mut sim = d.build(Sim::with_clock_profile);
+    sim.run_for(Duration::from_secs(30));
+
+    let outcome = sim.actor::<DiscoveryClient>(client).unwrap().outcome().cloned();
+    let outcome = outcome.expect("the client finished a discovery");
+    assert!(outcome.target_set.contains(&full), "the full broker answered discovery");
+    let chosen = outcome.chosen.expect("an alternative broker accepted");
+    assert_ne!(chosen, full, "the saturated nearest broker was skipped");
+    let full_actor = sim.actor::<DiscoveryBrokerActor>(full).unwrap();
+    assert!(full_actor.broker.has_client(bdn), "the BDN holds the full broker's one slot");
+    assert!(!full_actor.broker.has_client(client), "the full broker must not hold the client");
 }

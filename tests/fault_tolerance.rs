@@ -255,8 +255,8 @@ fn bdn_skips_stale_lease_targets_between_pings() {
 #[test]
 fn client_fails_over_to_the_second_bdn() {
     // §3: the node configuration file lists several BDNs
-    // (gridservicelocator.org/.com/…); when the first is down the client
-    // retransmits, then moves down the list.
+    // (gridservicelocator.org/.com/…); when the first is down the client's
+    // next send, round-robin down the list, reaches the second.
     use nb::broker::{BrokerConfig, MachineProfile};
     use nb::discovery::bdn::{Bdn, BdnConfig};
     use nb::discovery::{DiscoveryBrokerActor, DiscoveryConfig};
