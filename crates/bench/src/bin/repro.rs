@@ -33,7 +33,7 @@ struct Args {
     topology: Option<String>,
 }
 
-const FLAGS: &str = "  --runs N         runs per experiment (default 120, the paper protocol)
+const FLAGS: &str = "  --runs N         runs per experiment (default 120, the paper protocol; sweeps cap it)
   --seed N         root seed (default 2005)
   --csv DIR        also write machine-readable CSVs of the figures into DIR
   --out PATH       where a report-writing command puts its JSON
@@ -98,26 +98,26 @@ const COMMANDS: &[Command] = &[
     cmd("all", "every table, figure and ablation below, in this order", run_all),
     table("table1", "machine inventory", |_, _| table1()),
     diagram("fig1", "unconnected topology diagram", TopologyKind::Unconnected),
-    table("fig2", "sub-activity breakdown, unconnected topology", breakdown),
-    table("fig3", "discovery time, client at FSU", site_times),
-    table("fig4", "discovery time, client at Cardiff", site_times),
-    table("fig5", "discovery time, client at UMN", site_times),
-    table("fig6", "discovery time, client at NCSA", site_times),
-    table("fig7", "discovery time, client at Bloomington", site_times),
+    table("fig2", "sub-activity breakdown, unconnected topology", swept),
+    table("fig3", "discovery time, client at FSU", swept),
+    table("fig4", "discovery time, client at Cardiff", swept),
+    table("fig5", "discovery time, client at UMN", swept),
+    table("fig6", "discovery time, client at NCSA", swept),
+    table("fig7", "discovery time, client at Bloomington", swept),
     diagram("fig8", "star topology diagram", TopologyKind::Star),
-    table("fig9", "sub-activity breakdown, star topology", breakdown),
+    table("fig9", "sub-activity breakdown, star topology", swept),
     diagram("fig10", "linear topology diagram", TopologyKind::Linear),
-    table("fig11", "sub-activity breakdown, linear topology", breakdown),
-    table("fig12", "multicast-only discovery", multicast),
+    table("fig11", "sub-activity breakdown, linear topology", swept),
+    table("fig12", "multicast-only discovery", swept),
     timed("fig13", "certificate validation cost (host wall clock)", security),
     timed("fig14", "sign+encrypt+extract cost (host wall clock)", security),
-    table("ablation-timeout", "collection-timeout sweep", ablation_timeout_table),
-    table("ablation-maxresp", "max-responses cap sweep", ablation_maxresp_table),
-    table("ablation-weights", "selection-weight presets", ablation_weights_table),
-    table("ablation-scale", "broker-count scaling", ablation_scale_table),
-    table("ablation-loss", "UDP loss sensitivity", ablation_loss_table),
-    table("ablation-clock", "NTP residual sensitivity", ablation_clock_table),
-    table("ablation-topology", "overlay shapes at 10 brokers", ablation_topology_table),
+    table("ablation-timeout", "collection-timeout sweep", swept),
+    table("ablation-maxresp", "max-responses cap sweep", swept),
+    table("ablation-weights", "selection-weight presets", swept),
+    table("ablation-scale", "broker-count scaling", swept),
+    table("ablation-loss", "UDP loss sensitivity", swept),
+    table("ablation-clock", "NTP residual sensitivity", swept),
+    table("ablation-topology", "overlay shapes at 10 brokers", swept),
     cmd("check", "self-verify every qualitative claim (exit 1 on failure)", run_check),
     cmd("trace", "message-flow trace of one discovery", |_, args| print!("{}", trace(args.seed))),
     report(
@@ -261,43 +261,9 @@ fn summary(title: String, s: &nb_util::Summary) -> Table {
     Table::new(title, &columns, [row![s.n, s.mean, s.std_dev, s.max, s.min, s.error]])
 }
 
-fn breakdown(name: &str, args: &Args) -> Table {
-    let (figno, kind) = match name {
-        "fig2" => (2, TopologyKind::Unconnected),
-        "fig9" => (9, TopologyKind::Star),
-        _ => (11, TopologyKind::Linear),
-    };
-    let title = format!(
-        "Figure {figno}: share of time per discovery sub-activity, {} topology \
-         (client in Bloomington, {} runs, seed {})",
-        kind.label(),
-        args.runs,
-        args.seed
-    );
-    let rows = figure_breakdown(executor(args), kind, args.seed, args.runs);
-    let rows = rows.into_iter().map(|(l, s)| row![l, s]);
-    Table::new(title, &[("phase", 0), ("share", 3)], rows)
-}
-
-fn site_times(name: &str, args: &Args) -> Table {
-    let figno: u32 = name[3..].parse().expect("figN");
-    let (_, site, label) =
-        site_figures().into_iter().find(|(f, _, _)| *f == figno).expect("figs 3-7");
-    let title = format!(
-        "Figure {figno}: discovery time, client in {label} \
-         (unconnected topology, {} runs, seed {})",
-        args.runs, args.seed
-    );
-    summary(title, &figure_site_times(executor(args), site, args.seed, args.runs))
-}
-
-fn multicast(_: &str, args: &Args) -> Table {
-    let title = format!(
-        "Figure 12: broker discovery using ONLY multicast \
-         (2 lab brokers reachable, {} runs, seed {})",
-        args.runs, args.seed
-    );
-    summary(title, &figure_multicast(executor(args), args.seed, args.runs, 2))
+/// The discovery table command `name` prints: its [`Sweep`], run.
+fn swept(name: &str, args: &Args) -> Table {
+    Sweep::named(name).expect("a sweep command names a sweep").run(executor(args), args.seed, args.runs)
 }
 
 fn security(name: &str, args: &Args) -> Table {
@@ -312,58 +278,6 @@ fn security(name: &str, args: &Args) -> Table {
         ),
     };
     summary(format!("Figure {}: time to {what} ({iters} iterations)", &name[3..]), &s)
-}
-
-fn ablation_timeout_table(_: &str, args: &Args) -> Table {
-    let title = "Ablation: collection-timeout sweep (star topology)";
-    let rows = ablation_timeout(executor(args), args.seed, args.runs.min(30));
-    let rows = rows.into_iter().map(|(t, total, resp)| row![t, total, resp]);
-    Table::new(title, &[("timeout_ms", 0), ("total_ms", 1), ("responses", 2)], rows)
-}
-
-fn ablation_maxresp_table(_: &str, args: &Args) -> Table {
-    let title = "Ablation: max-responses cap sweep (star topology)";
-    let rows = ablation_max_responses(executor(args), args.seed, args.runs.min(30));
-    let rows = rows.into_iter().map(|(cap, total, resp)| row![cap, total, resp]);
-    Table::new(title, &[("cap", 0), ("total_ms", 1), ("responses", 2)], rows)
-}
-
-fn ablation_weights_table(_: &str, args: &Args) -> Table {
-    let title = "Ablation: selection-weight presets (winning site, star topology)";
-    let presets = ablation_weights(executor(args), args.seed, args.runs.min(30));
-    let rows = presets
-        .into_iter()
-        .flat_map(|(preset, wins)| wins.into_iter().map(move |(site, n)| row![preset, site, n]));
-    Table::new(title, &[("preset", 0), ("site", 0), ("wins", 0)], rows)
-}
-
-fn ablation_scale_table(_: &str, args: &Args) -> Table {
-    let title = "Ablation: broker-count scaling";
-    let rows = ablation_scale(executor(args), args.seed, args.runs.min(20));
-    let rows = rows.into_iter().map(|(n, kind, total)| row![n, kind, total]);
-    Table::new(title, &[("brokers", 0), ("topology", 0), ("total_ms", 1)], rows)
-}
-
-fn ablation_loss_table(_: &str, args: &Args) -> Table {
-    let title = "Ablation: UDP loss sensitivity (unconnected topology)";
-    let columns = [("loss_factor", 1), ("success_rate", 3), ("responses", 2), ("total_ms", 1)];
-    let rows = ablation_loss(executor(args), args.seed, args.runs.min(30));
-    Table::new(title, &columns, rows.into_iter().map(|(f, ok, r, t)| row![f, ok, r, t]))
-}
-
-fn ablation_clock_table(_: &str, args: &Args) -> Table {
-    let title = "Ablation: NTP residual sensitivity (proximity-only selection, \
-                 target set of 1 — no ping disambiguation)";
-    let rows = ablation_clock(executor(args), args.seed, args.runs.min(40) as u64);
-    let rows = rows.into_iter().map(|(label, rate, err)| row![label, rate, err]);
-    Table::new(title, &[("residual", 0), ("nearest_rate", 3), ("extra_distance_ms", 1)], rows)
-}
-
-fn ablation_topology_table(_: &str, args: &Args) -> Table {
-    let title = "Ablation: overlay shapes at 10 brokers";
-    let columns = [("topology", 0), ("total_ms", 1), ("wait_share", 3), ("diameter", 0)];
-    let rows = ablation_topology(args.seed, args.runs.min(20));
-    Table::new(title, &columns, rows.into_iter().map(|(k, t, w, d)| row![k, t, w, d]))
 }
 
 /// The message flow of one star-topology discovery, as `repro trace`
@@ -749,6 +663,10 @@ mod tests {
             .map(|c| c.name)
             .collect();
         assert_eq!(unpinned, ["fig13", "fig14"], "only the host wall-clock figures go unpinned");
+        let pinned = COMMANDS.iter().filter(|c| matches!(c.run, Run::Table { pinned: true, .. }));
+        let discovery: Vec<&str> = pinned.map(|c| c.name).filter(|&n| n != "table1").collect();
+        let sweeps: Vec<&str> = nb_bench::sweep::sweeps().iter().map(|s| s.name).collect();
+        assert_eq!(discovery, sweeps, "every discovery table is a sweep, in command order");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::fmt;
 
 /// One value of a row.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// No value: `-` in text, nothing in CSV.
     Empty,
@@ -51,6 +51,23 @@ macro_rules! row {
 }
 
 impl Cell {
+    /// The value as a number; `NaN` for a label or no value.
+    pub fn real(&self) -> f64 {
+        match self {
+            Cell::Int(v) => *v as f64,
+            Cell::Real(v) => *v,
+            Cell::Empty | Cell::Text(_) => f64::NAN,
+        }
+    }
+
+    /// The label; empty for a number or no value.
+    pub fn label(&self) -> &str {
+        match self {
+            Cell::Text(v) => v,
+            _ => "",
+        }
+    }
+
     /// The full value, as CSV writes it; a label holding a comma or a
     /// quote is quoted.
     fn csv(&self) -> String {
@@ -111,6 +128,16 @@ impl Table {
         let header = line(self.columns.iter().map(|(name, _)| name.to_string()).collect());
         let rows = self.rows.iter().map(|row| line(row.iter().map(Cell::csv).collect()));
         std::iter::once(header).chain(rows).collect()
+    }
+
+    /// Column `name`'s cells, top to bottom.
+    ///
+    /// # Panics
+    /// When the table has no such column.
+    pub fn column(&self, name: &str) -> Vec<&Cell> {
+        let i = self.columns.iter().position(|(n, _)| *n == name);
+        let i = i.unwrap_or_else(|| panic!("{}: no column {name}", self.title));
+        self.rows.iter().map(|row| &row[i]).collect()
     }
 }
 

@@ -70,18 +70,21 @@ fn usage_errors_exit_two() {
 }
 
 /// `--workers` sets how many threads the figures' runs shard across,
-/// never what they print.
+/// never what they print: a one-row-per-point figure, and an ablation
+/// whose points yield a row per winning site.
 #[test]
 fn figures_print_the_same_bytes_at_any_worker_count() {
     let dir = scratch("repro_cli_workers");
-    let fig3 = |workers: &str| {
-        let out = repro(&dir, &["fig3", "--runs", "12", "--workers", workers]);
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        out.stdout
-    };
-    let serial = fig3("1");
-    assert!(String::from_utf8_lossy(&serial).contains("Figure 3"));
-    assert_eq!(serial, fig3("3"));
+    for (cmd, runs, title) in [("fig3", "12", "Figure 3"), ("ablation-weights", "4", "4 runs, seed 2005")] {
+        let print = |workers: &str| {
+            let out = repro(&dir, &[cmd, "--runs", runs, "--workers", workers]);
+            assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+            out.stdout
+        };
+        let serial = print("1");
+        assert!(String::from_utf8_lossy(&serial).contains(title), "{cmd}");
+        assert_eq!(serial, print("3"), "{cmd}");
+    }
 }
 
 #[test]

@@ -24,6 +24,7 @@
               a misbuilt scenario should stop the run that built it"
 )]
 
+use std::ops::Range;
 use std::time::Duration;
 
 use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
@@ -122,23 +123,38 @@ impl ScenarioBuilder {
         })
     }
 
-    /// Describes the testbed as a [`Deployment`] (the paper's one BDN
-    /// unless [`ScenarioBuilder::without_bdn`], then the brokers in index
-    /// order, then the client), builds it on `engine` and runs the
-    /// warm-up.
+    /// The node ids every build gives the brokers, in `broker_sites`
+    /// order: after the paper's one BDN unless
+    /// [`ScenarioBuilder::without_bdn`], before the client.
+    fn broker_ids(&self) -> Range<usize> {
+        let first = usize::from(!self.without_bdn);
+        first..first + self.broker_sites.len()
+    }
+
+    /// The site of `broker` in every deployment this builder builds:
+    /// ids depend on the configuration, not on the seed.
+    pub fn site_of_broker(&self, broker: NodeId) -> Option<SiteIdx> {
+        let i = (broker.0 as usize).checked_sub(self.broker_ids().start)?;
+        self.broker_sites.get(i).copied()
+    }
+
+    /// Describes the testbed as a [`Deployment`] (the BDN, then the
+    /// brokers in index order, then the client; see
+    /// [`ScenarioBuilder::broker_ids`]), builds it on `engine` and runs
+    /// the warm-up.
     fn build_on<E: DiscoveryEngine>(
         self,
         engine: impl FnOnce(u64, ClockProfile) -> E,
     ) -> Scenario<E> {
         let wan = WanModel::paper();
         let n = self.broker_sites.len();
-        let bdn_count = usize::from(!self.without_bdn);
+        let ids = self.broker_ids();
         let node_id = |i: usize| NodeId(i as u32);
-        let bdns: Vec<NodeId> = (0..bdn_count).map(node_id).collect();
+        let bdns: Vec<NodeId> = (0..ids.start).map(node_id).collect();
         let bdn = bdns.first().copied();
-        let brokers: Vec<NodeId> = (bdn_count..bdn_count + n).map(node_id).collect();
-        let client = node_id(bdn_count + n);
-        let sites: Vec<SiteIdx> = std::iter::repeat_n(INDIANAPOLIS, bdn_count)
+        let brokers: Vec<NodeId> = ids.clone().map(node_id).collect();
+        let client = node_id(ids.end);
+        let sites: Vec<SiteIdx> = std::iter::repeat_n(INDIANAPOLIS, ids.start)
             .chain(self.broker_sites.iter().copied())
             .chain([self.client_site])
             .collect();
@@ -344,6 +360,16 @@ mod tests {
         assert_eq!(s.site_of_broker(chosen), Some(BLOOMINGTON));
         // Remote brokers are unreachable by multicast and unconnected.
         assert!(outcome.responses_received <= 2, "got {}", outcome.responses_received);
+    }
+
+    #[test]
+    fn the_builder_maps_broker_ids_to_sites_as_the_build_does() {
+        for builder in [ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 48), ScenarioBuilder::multicast(48, 2)] {
+            let s = builder.clone().build();
+            for id in 0..=s.client.0 {
+                assert_eq!(builder.site_of_broker(NodeId(id)), s.site_of_broker(NodeId(id)), "node {id}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The CI gates are `repro gate [lint|chaos|federation|scale]`: every
-# committed report, regenerated in memory at 1 and 4 workers, must match
-# its committed bytes. This wrapper stays because benchmark/README.md
-# names it.
+# The CI gates are `repro gate [lint|figs|chaos|federation|scale]`:
+# clippy, then every committed figure and report, regenerated in memory
+# (reports at 1 and 4 workers), must match its committed bytes. This
+# wrapper stays because benchmark/README.md names it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release -p nb-bench && exec ./target/release/repro gate "$@"
