@@ -65,7 +65,7 @@ const STEADY_STATE: Duration = Duration::from_secs(10);
 /// Attach polls abandoned after this many steps past the last start.
 const MAX_EXTRA_POLLS: usize = 24;
 /// Ceiling on the heap bytes a tier's build may retain per entity
-/// (counting allocator; measured 6.9–11.2 KiB).
+/// (counting allocator; measured 4.2–6.4 KiB).
 pub const MAX_MEM_BYTES_PER_ENTITY: u64 = 16_384;
 
 /// One campaign tier: a topology family at a population.
@@ -302,14 +302,29 @@ fn percentile(sorted: &[u64], num: usize, den: usize) -> u64 {
     sorted[idx]
 }
 
-/// Runs one tier at `workers` event workers, as a campaign row with an
-/// empty fault plan and three invariants: `attached` (the whole fleet),
-/// `no_failovers` (nothing faults here) and `heap_ceiling`
-/// ([`MAX_MEM_BYTES_PER_ENTITY`]). Every reported field except
-/// `wall_ms` is virtual-time-derived or taken before workers spawn, and
-/// therefore identical for every worker count — that is the campaign's
-/// determinism contract.
+/// Runs one tier ([`describe_tier`]) at `workers` event workers; see
+/// [`run_description`].
 pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<TierOutcome> {
+    run_description(spec, seed, workers, || describe_tier(spec, seed))
+}
+
+/// Runs the tier `describe` returns, with its topology digest, at
+/// `workers` event workers, as a campaign row with an empty fault plan
+/// and three invariants: `attached` (the whole fleet), `no_failovers`
+/// (nothing faults here) and `heap_ceiling`
+/// ([`MAX_MEM_BYTES_PER_ENTITY`]). `spec` names the row and sizes its
+/// per-entity columns; the heap column counts from before `describe`
+/// runs to after the build, which is why the description comes as a
+/// function. Every reported field except `wall_ms` is
+/// virtual-time-derived or taken before workers spawn, and therefore
+/// identical for every worker count — that is the campaign's
+/// determinism contract.
+pub fn run_description(
+    spec: &TierSpec,
+    seed: u64,
+    workers: usize,
+    describe: impl FnOnce() -> (Testbed<Deployment>, u64),
+) -> ScenarioResult<TierOutcome> {
     let wall = Instant::now();
     // The topic-segment interner is process-wide and never shrinks. A
     // throwaway build interns every segment this build will, so the
@@ -320,7 +335,7 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
     // destructors included, before its run returns.
     drop(build_tier(&TierSpec { brokers: 1, entities: TOPIC_POOL, ..*spec }, seed));
     let live0 = crate::alloc::live_bytes();
-    let (tier, topology_digest) = describe_tier(spec, seed);
+    let (tier, topology_digest) = describe();
     let mut dep = tier.build(ShardedSim::with_clock_profile);
     let live1 = crate::alloc::live_bytes();
     let alloc_counting = live1 > live0;

@@ -6,7 +6,9 @@
 //! entities, 1 worker — a meshed pub/sub run — 8 brokers, 64
 //! subscribers, 8 publishers, counted while it subscribes and while it
 //! publishes — and the Fig 2 deployment on `Sim`, counted while it is
-//! built and warmed up and while it runs one discovery. The counts are exact
+//! built and warmed up and while it runs one discovery; and the heap
+//! bytes two duplicate caches hold, the paper's last-1000 one and an
+//! entity's 64-key one. The counts are exact
 //! and repeat, so a new allocation on the flood hop, the responder, the
 //! epoch barrier, the interest state, the match memo, the per-publisher
 //! route state or the client's rounds shows here as a failed test
@@ -17,13 +19,14 @@
 
 use std::time::Duration;
 
-use nb_bench::alloc::{calls, CountingAlloc};
+use nb_bench::alloc::{calls, live_bytes, CountingAlloc};
 use nb_bench::scale::{build_tier, TierSpec};
 use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology};
 use nb_discovery::{Entity, EntityState, ScenarioBuilder};
 use nb_net::topogen::TopologyKind;
 use nb_net::wan::BLOOMINGTON;
 use nb_net::{ClockProfile, LinkSpec, NodeId, RealmId, Sim};
+use nb_util::{BoundedDedup, Uuid};
 use nb_wire::{Topic, TopicFilter};
 
 #[global_allocator]
@@ -192,6 +195,25 @@ fn allocations_of_one_paper_build() -> u64 {
     counted
 }
 
+/// Heap bytes of a broker's last-1000 cache of UUIDs and of an
+/// entity's 64-key one. Each key is held once, in a ring, plus a `u32`
+/// index at load ≤ ½: 16 000 + 8 192 and 1 024 + 512 bytes, where a
+/// `HashSet` beside a `VecDeque` held about 50 KiB and 3.2 KiB.
+const BUDGET_1000_KEY_CACHE: u64 = 26 * 1024;
+const BUDGET_64_KEY_CACHE: u64 = 1792;
+
+/// Live bytes and allocator calls of one filled pre-sized cache.
+fn bytes_and_calls_of_a_filled_cache(capacity: usize) -> (u64, u64) {
+    let (live, before) = (live_bytes(), calls());
+    let mut cache = BoundedDedup::<Uuid>::new(capacity);
+    for k in 0..3 * capacity as u128 {
+        cache.check_and_insert(Uuid::from_u128(k << 64 | k));
+    }
+    let counted = (live_bytes() - live, calls() - before);
+    drop(cache);
+    counted
+}
+
 #[test]
 fn allocations_repeat_exactly_and_stay_under_budget() {
     // The first run also fills the process-wide topic intern tables;
@@ -238,4 +260,10 @@ fn allocations_repeat_exactly_and_stay_under_budget() {
         first <= BUDGET_PER_BUILD,
         "{first} allocations in one paper build, budget {BUDGET_PER_BUILD}"
     );
+
+    for (capacity, budget) in [(1000, BUDGET_1000_KEY_CACHE), (64, BUDGET_64_KEY_CACHE)] {
+        let (bytes, calls) = bytes_and_calls_of_a_filled_cache(capacity);
+        assert_eq!(calls, 2, "a pre-sized {capacity}-key cache made {calls} allocator calls");
+        assert!(bytes <= budget, "a {capacity}-key cache holds {bytes} B, budget {budget} B");
+    }
 }
