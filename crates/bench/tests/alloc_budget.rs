@@ -6,9 +6,10 @@
 //! entities, 1 worker — a meshed pub/sub run — 8 brokers, 64
 //! subscribers, 8 publishers, counted while it subscribes and while it
 //! publishes — and the Fig 2 deployment on `Sim`, counted while it is
-//! built and warmed up and while it runs one discovery; and the heap
-//! bytes two duplicate caches hold, the paper's last-1000 one and an
-//! entity's 64-key one. The counts are exact
+//! built and warmed up and while it runs one discovery; the heap bytes
+//! two duplicate caches hold, the paper's last-1000 one and an entity's
+//! 64-key one; and the heap one broker's interest plane holds. The
+//! counts are exact
 //! and repeat, so a new allocation on the flood hop, the responder, the
 //! epoch barrier, the interest state, the match memo, the per-publisher
 //! route state or the client's rounds shows here as a failed test
@@ -21,13 +22,16 @@ use std::time::Duration;
 
 use nb_bench::alloc::{calls, live_bytes, CountingAlloc};
 use nb_bench::scale::{build_tier, TierSpec};
-use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology};
+use nb_broker::{Broker, BrokerActor, BrokerConfig, PubSubClient, Topology};
 use nb_discovery::{Entity, EntityState, ScenarioBuilder};
 use nb_net::topogen::TopologyKind;
 use nb_net::wan::BLOOMINGTON;
-use nb_net::{ClockProfile, LinkSpec, NodeId, RealmId, Sim};
+use nb_net::{ClockProfile, Context, Incoming, LinkSpec, NodeId, RealmId, Sim, SimTime};
 use nb_util::{BoundedDedup, Uuid};
-use nb_wire::{Topic, TopicFilter};
+use nb_wire::addr::well_known;
+use nb_wire::{Endpoint, GroupId, Message, Port, Topic, TopicFilter};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -96,7 +100,8 @@ const SUBSCRIBERS: u64 = 64;
 /// 22.45 under `cargo test` (1 437 in all) where its parent made 22.83
 /// (1 461): each filter's entry carries its advertised list, one
 /// allocation sized to the link count, where a second map kept a set.
-/// The budget is the 22.45 plus 10 %.
+/// The budget is the 22.45 plus 10 %. Since a broker keeps one record a
+/// filter, its registrations in one list, it is 20.17 (1 291).
 const BUDGET_PER_SUBSCRIPTION: f64 = 24.7;
 
 /// An eight-broker ring with three chords boots uncounted; 64
@@ -214,6 +219,86 @@ fn bytes_and_calls_of_a_filled_cache(capacity: usize) -> (u64, u64) {
     counted
 }
 
+/// Heap bytes of one broker's interest plane — the trie, one record a
+/// filter, each record's registrations and the links it is advertised
+/// to — with 128 `bench/t{k}/**` filters, each registered by all 9
+/// links and by one of 20 clients: 1 280 registrations, about what
+/// `attach_geo`'s busiest broker holds. The change that added this case
+/// measured 49 488 B under `cargo test`, where the three string-keyed
+/// structures it replaced held 289 088 B; the budget is the 49 488 plus
+/// 10 %.
+const BUDGET_INTEREST_PLANE: u64 = 54_437;
+
+/// A context that drops whatever the broker sends.
+struct Sink(StdRng);
+
+impl Context for Sink {
+    fn me(&self) -> NodeId {
+        NodeId(1)
+    }
+    fn realm(&self) -> RealmId {
+        RealmId(0)
+    }
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn utc_micros(&self) -> u64 {
+        0
+    }
+    fn clock_synced(&self) -> bool {
+        true
+    }
+    fn raw_local_micros(&self) -> u64 {
+        0
+    }
+    fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
+    fn send_udp(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
+    fn send_stream(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
+    fn send_multicast(&mut self, _from: Port, _group: GroupId, _to: Port, _msg: &Message) {}
+    fn join_group(&mut self, _group: GroupId) {}
+    fn leave_group(&mut self, _group: GroupId) {}
+    fn set_timer(&mut self, _delay: Duration, _token: u64) {}
+    fn cancel_timer(&mut self, _token: u64) {}
+    fn rng(&mut self) -> &mut dyn RngCore {
+        &mut self.0
+    }
+}
+
+/// Live bytes one broker's registrations add once its 9 links and 20
+/// clients are up, the filters parsed beforehand.
+fn bytes_of_one_interest_plane() -> u64 {
+    const LINKS: u32 = 9;
+    const CLIENTS: u32 = 20;
+    let filters: Vec<TopicFilter> =
+        (0..128).map(|k| TopicFilter::parse(&format!("bench/t{k}/**")).expect("filter")).collect();
+    let mut broker = Broker::new(BrokerConfig::default());
+    let mut ctx = Sink(StdRng::seed_from_u64(2005));
+    let mut feed = |broker: &mut Broker, from: NodeId, msg: Message| {
+        let from = Endpoint::new(from, well_known::BROKER);
+        broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() }, &mut ctx);
+    };
+    let links: Vec<NodeId> = (0..LINKS).map(|l| NodeId(10 + l)).collect();
+    let clients: Vec<NodeId> = (0..CLIENTS).map(|c| NodeId(100 + c)).collect();
+    for &l in &links {
+        feed(&mut broker, l, Message::LinkHello { from: l, realm: RealmId(0) });
+    }
+    for &c in &clients {
+        feed(&mut broker, c, Message::ClientConnect { client: c, reply_port: well_known::BROKER });
+    }
+    let live = live_bytes();
+    for (k, filter) in filters.iter().enumerate() {
+        for &l in &links {
+            feed(&mut broker, l, Message::Subscribe { filter: filter.clone(), origin: l, seq: 0 });
+        }
+        let c = clients[k % clients.len()];
+        feed(&mut broker, c, Message::ClientSubscribe { filter: filter.clone() });
+    }
+    assert_eq!(broker.interest_filters().len(), filters.len());
+    let bytes = live_bytes() - live;
+    drop(broker);
+    bytes
+}
+
 #[test]
 fn allocations_repeat_exactly_and_stay_under_budget() {
     // The first run also fills the process-wide topic intern tables;
@@ -266,4 +351,8 @@ fn allocations_repeat_exactly_and_stay_under_budget() {
         assert_eq!(calls, 2, "a pre-sized {capacity}-key cache made {calls} allocator calls");
         assert!(bytes <= budget, "a {capacity}-key cache holds {bytes} B, budget {budget} B");
     }
+
+    let bytes = bytes_of_one_interest_plane();
+    assert_eq!(bytes, bytes_of_one_interest_plane(), "the heap is a pure function of the registrations");
+    assert!(bytes <= BUDGET_INTEREST_PLANE, "one broker's interest plane holds {bytes} B, budget {BUDGET_INTEREST_PLANE} B");
 }

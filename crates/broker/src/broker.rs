@@ -16,7 +16,7 @@
 //! says otherwise, and the duplicate cache stays underneath as the
 //! safety net, so delivery never depends on the tree being right.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -28,7 +28,7 @@ use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
 
 use crate::metrics::{MachineProfile, UsageMeter};
 use crate::tables::DenseNodeTable;
-use crate::topics::{Destination, SubscriptionTable};
+use crate::topics::{Destination, Interest, SubscriptionTable};
 
 /// Timer token namespace reserved by the broker (owners embedding a
 /// [`Broker`] must not use tokens with this prefix).
@@ -116,66 +116,39 @@ struct ClientState {
     endpoint: Endpoint,
 }
 
-/// Where interest in one filter comes from, and which neighbours it is
-/// advertised to.
-#[derive(Debug, Default)]
-struct InterestState {
-    /// Registrations from locally connected clients (and the owner).
-    local: usize,
-    /// Registrations learned from each overlay link.
-    links: BTreeMap<NodeId, usize>,
-    /// The links the filter is advertised to, ascending. The first
-    /// advertisement sizes it to the link count; `link_down` takes its
-    /// peer out of every list, so each entry is a live link.
-    advertised: Vec<NodeId>,
-}
-
-impl InterestState {
-    fn total(&self) -> usize {
-        self.local + self.links.values().sum::<usize>()
-    }
-
-    /// Nothing registers the filter and no neighbour is told of it: the
-    /// entry can go.
-    fn is_idle(&self) -> bool {
-        self.total() == 0 && self.advertised.is_empty()
-    }
-
-    /// Brings the advertisement of `filter` to each of `links` in line
-    /// with its interest sources: neighbour `L` should see it advertised
-    /// iff the interest *excluding L's own contribution* is non-zero
+impl Interest {
+    /// Brings the advertisement of the filter to each of `links` in line
+    /// with its registrations: neighbour `L` should see it advertised
+    /// iff a destination other than `L` itself registers it
     /// (per-neighbour split horizon). Each message sent takes the next
     /// `seq`.
-    fn reconcile(
-        &mut self,
-        filter: &TopicFilter,
-        links: &DenseNodeTable<LinkState>,
-        seq: &mut u64,
-        ctx: &mut dyn Context,
-    ) {
+    fn reconcile(&mut self, links: &DenseNodeTable<LinkState>, seq: &mut u64, ctx: &mut dyn Context) {
         let me = ctx.me();
-        let total = self.total();
         for (peer, link) in links.iter() {
-            let should = total > self.links.get(&peer).copied().unwrap_or(0);
+            let should = self.wanted_beyond(peer);
             let at = self.advertised.binary_search(&peer);
             if should == at.is_ok() {
                 continue;
             }
             *seq += 1;
+            let filter = self.filter().clone();
             let msg = match at {
                 Err(i) => {
                     if self.advertised.capacity() == 0 {
                         self.advertised.reserve_exact(links.len());
                     }
                     self.advertised.insert(i, peer);
-                    Message::Subscribe { filter: filter.clone(), origin: me, seq: *seq }
+                    Message::Subscribe { filter, origin: me, seq: *seq }
                 }
                 Ok(i) => {
                     self.advertised.remove(i);
-                    Message::Unsubscribe { filter: filter.clone(), origin: me, seq: *seq }
+                    Message::Unsubscribe { filter, origin: me, seq: *seq }
                 }
             };
             link.send(msg, ctx);
+        }
+        if cfg!(debug_assertions) {
+            self.assert_matches_recount(links.iter().map(|(peer, _)| peer));
         }
     }
 }
@@ -305,12 +278,9 @@ pub struct Broker {
     cfg: BrokerConfig,
     links: DenseNodeTable<LinkState>,
     clients: DenseNodeTable<ClientState>,
+    /// Who registers each filter and which neighbours it is advertised
+    /// to, one record a filter ([`Interest::reconcile`]).
     subs: SubscriptionTable,
-    /// Per-filter interest sources (local clients + per-link counts) and
-    /// the neighbours each filter is advertised to
-    /// ([`InterestState::reconcile`]). An ordered map keeps message
-    /// emission deterministic under a fixed seed.
-    interest: BTreeMap<TopicFilter, InterestState>,
     event_dedup: BoundedDedup<Uuid>,
     /// Per-publisher reverse-path state, allocated by the first
     /// non-flood event that crosses a link.
@@ -327,6 +297,9 @@ pub struct Broker {
     pub prunes_received: u64,
     /// Times a publisher's parent moved to a faster feed (observability).
     pub reparented: u64,
+    /// `Publish`es dropped because a sender that is not an overlay link
+    /// named another node as the event's source (observability).
+    pub forged_sources_dropped: u64,
 }
 
 impl Broker {
@@ -339,7 +312,6 @@ impl Broker {
             links: DenseNodeTable::new(),
             clients: DenseNodeTable::new(),
             subs: SubscriptionTable::new(),
-            interest: BTreeMap::new(),
             event_dedup: BoundedDedup::new(dedup),
             routes: None,
             meter,
@@ -349,6 +321,7 @@ impl Broker {
             prunes_sent: 0,
             prunes_received: 0,
             reparented: 0,
+            forged_sources_dropped: 0,
         }
     }
 
@@ -379,7 +352,7 @@ impl Broker {
 
     /// The distinct filters in this broker's aggregate interest, sorted.
     pub fn interest_filters(&self) -> Vec<TopicFilter> {
-        self.interest.keys().cloned().collect()
+        self.subs.filters()
     }
 
     /// Diagnostic: the neighbour `source`'s events are expected from —
@@ -471,9 +444,13 @@ impl Broker {
         msg: WireMsg,
         ctx: &mut dyn Context,
     ) -> Option<WireMsg> {
-        if let Some(link) = self.links.get_mut(from.node) {
-            link.last_heard = ctx.now();
-        }
+        let from_link = match self.links.get_mut(from.node) {
+            Some(link) => {
+                link.last_heard = ctx.now();
+                true
+            }
+            None => false,
+        };
         // Peek-dedup fast path (paper §4's last-1000 cache): a `Publish`
         // frame carries its event UUID at a fixed header offset, so a
         // duplicate is recognised and dropped from the header alone —
@@ -482,6 +459,13 @@ impl Broker {
         // into the cache again.
         let header = msg.peek();
         if header.is_publish() {
+            // Only a link relays others' events; any other sender speaks
+            // for itself, or it could steer another publisher's reverse
+            // path. Checked before the cache, so a forgery claims no id.
+            if !from_link && matches!(msg.message(), Message::Publish(ev) if ev.source != from.node) {
+                self.forged_sources_dropped += 1;
+                return None;
+            }
             let id = header.uuid.expect("publish frames carry an event id");
             if !self.event_dedup.check_and_insert(id) {
                 self.duplicates_suppressed += 1;
@@ -527,20 +511,12 @@ impl Broker {
                     self.prunes_received += 1;
                 }
             }
-            Message::Subscribe { filter, .. }
-                if self.links.contains_key(from.node) => {
-                    let first = self.subs.subscribe(Destination::Link(from.node), filter.clone());
-                    if first {
-                        self.interest_gained(filter, Some(from.node), ctx);
-                    }
-                }
-            Message::Unsubscribe { filter, .. }
-                if self.links.contains_key(from.node) => {
-                    let gone = self.subs.unsubscribe(Destination::Link(from.node), &filter);
-                    if gone {
-                        self.interest_lost(filter, Some(from.node), ctx);
-                    }
-                }
+            Message::Subscribe { filter, .. } if from_link => {
+                self.subscribe(Destination::Link(from.node), filter, ctx);
+            }
+            Message::Unsubscribe { filter, .. } if from_link => {
+                self.unsubscribe(Destination::Link(from.node), &filter, ctx);
+            }
             Message::ClientConnect { client, reply_port } => {
                 let accepted = self
                     .cfg
@@ -553,26 +529,18 @@ impl Broker {
                 let ack = Message::ClientConnectAck { broker: ctx.me(), accepted };
                 ctx.send_stream(well_known::BROKER, Endpoint::new(client, reply_port), &ack);
             }
-            Message::ClientSubscribe { filter }
-                if self.clients.contains_key(from.node) => {
-                    let first = self.subs.subscribe(Destination::Client(from.node), filter.clone());
-                    if first {
-                        self.interest_gained(filter, None, ctx);
-                    }
-                }
-            Message::ClientUnsubscribe { filter }
-                if self.clients.contains_key(from.node) => {
-                    let gone = self.subs.unsubscribe(Destination::Client(from.node), &filter);
-                    if gone {
-                        self.interest_lost(filter, None, ctx);
-                    }
-                }
-            Message::ClientDisconnect { client }
-                if self.clients.remove(client).is_some() => {
-                    for filter in self.subs.remove_destination(Destination::Client(client)) {
-                        self.interest_lost(filter, None, ctx);
-                    }
-                }
+            Message::ClientSubscribe { filter } if self.clients.contains_key(from.node) => {
+                self.subscribe(Destination::Client(from.node), filter, ctx);
+            }
+            Message::ClientUnsubscribe { filter } if self.clients.contains_key(from.node) => {
+                self.unsubscribe(Destination::Client(from.node), &filter, ctx);
+            }
+            Message::ClientDisconnect { client } if self.clients.remove(client).is_some() => {
+                let (links, seq) = (&self.links, &mut self.hb_seq);
+                self.subs.remove_destination_with(Destination::Client(client), |rec| {
+                    rec.reconcile(links, seq, ctx);
+                });
+            }
             _ => {}
         }
         None
@@ -588,9 +556,9 @@ impl Broker {
         let endpoint = Endpoint::new(peer, well_known::BROKER);
         self.links.insert(peer, LinkState { endpoint, last_heard: ctx.now(), peer_v2 });
         // Sync interest to the new neighbour. Every filter keeps the
-        // interest it had, so none falls idle here.
-        for (filter, state) in self.interest.iter_mut() {
-            state.reconcile(filter, &self.links, &mut self.hb_seq, ctx);
+        // registrations it had, so none falls idle here.
+        for rec in self.subs.records_sorted() {
+            rec.reconcile(&self.links, &mut self.hb_seq, ctx);
         }
     }
 
@@ -602,63 +570,31 @@ impl Broker {
         for route in self.routes.iter_mut().flat_map(|routes| routes.by_source.values_mut()) {
             route.forget_link(peer, slot);
         }
-        for state in self.interest.values_mut() {
-            if let Ok(i) = state.advertised.binary_search(&peer) {
-                state.advertised.remove(i);
+        for rec in self.subs.records_sorted() {
+            if let Ok(i) = rec.advertised.binary_search(&peer) {
+                rec.advertised.remove(i);
             }
         }
-        // Drop every interest contribution learned from that link, then
-        // reconcile the affected filters towards the survivors.
-        for filter in self.subs.remove_destination(Destination::Link(peer)) {
-            self.interest_changed(&filter, ctx, |state| {
-                state.links.remove(&peer);
-            });
-        }
+        // Drop every registration learned from that link, then reconcile
+        // the affected filters towards the survivors.
+        let (links, seq) = (&self.links, &mut self.hb_seq);
+        self.subs.remove_destination_with(Destination::Link(peer), |rec| rec.reconcile(links, seq, ctx));
     }
 
-    /// Registers one interest source for `filter` (a local client when
-    /// `source` is `None`, otherwise the link it arrived on) and
-    /// reconciles the per-neighbour advertisements.
-    fn interest_gained(&mut self, filter: TopicFilter, source: Option<NodeId>, ctx: &mut dyn Context) {
-        let state = self.interest.entry(filter.clone()).or_default();
-        match source {
-            None => state.local += 1,
-            Some(l) => *state.links.entry(l).or_insert(0) += 1,
-        }
-        state.reconcile(&filter, &self.links, &mut self.hb_seq, ctx);
+    /// Registers `filter` for `dest` and, when it is the destination's
+    /// first registration of it, reconciles the per-neighbour
+    /// advertisements. A new record has room for every link and one
+    /// local client.
+    fn subscribe(&mut self, dest: Destination, filter: TopicFilter, ctx: &mut dyn Context) {
+        let (links, seq) = (&self.links, &mut self.hb_seq);
+        self.subs.subscribe_with(dest, filter, links.len() + 1, |rec| rec.reconcile(links, seq, ctx));
     }
 
-    /// Withdraws one interest source for `filter` and reconciles.
-    fn interest_lost(&mut self, filter: TopicFilter, source: Option<NodeId>, ctx: &mut dyn Context) {
-        self.interest_changed(&filter, ctx, |state| match source {
-            None => state.local = state.local.saturating_sub(1),
-            Some(l) => {
-                if let Some(c) = state.links.get_mut(&l) {
-                    *c -= 1;
-                    if *c == 0 {
-                        state.links.remove(&l);
-                    }
-                }
-            }
-        });
-    }
-
-    /// Applies `change` to the interest in `filter`, if there is any,
-    /// reconciles its advertisements and drops the entry once idle.
-    fn interest_changed(
-        &mut self,
-        filter: &TopicFilter,
-        ctx: &mut dyn Context,
-        change: impl FnOnce(&mut InterestState),
-    ) {
-        let Some(state) = self.interest.get_mut(filter) else {
-            return;
-        };
-        change(state);
-        state.reconcile(filter, &self.links, &mut self.hb_seq, ctx);
-        if state.is_idle() {
-            self.interest.remove(filter);
-        }
+    /// Withdraws one registration of `filter` at `dest` and, when it was
+    /// the last, reconciles.
+    fn unsubscribe(&mut self, dest: Destination, filter: &TopicFilter, ctx: &mut dyn Context) {
+        let (links, seq) = (&self.links, &mut self.hb_seq);
+        self.subs.unsubscribe_with(dest, filter, |rec| rec.reconcile(links, seq, ctx));
     }
 
     fn is_flood_topic(&self, topic: &Topic) -> bool {
@@ -1345,6 +1281,23 @@ mod tests {
     }
 
     #[test]
+    fn a_client_cannot_publish_in_another_nodes_name() {
+        let mut sim = quiet_sim();
+        let (x, l, m, client) = broker_between_two_peers(&mut sim);
+        let other = NodeId(900);
+        say(&mut sim, client, x, event(1, other));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (0, 0), "a forged source goes nowhere");
+        assert_eq!(broker(&sim, x).forged_sources_dropped, 1);
+        assert_eq!(broker(&sim, x).route_parent(other), None, "and steers no reverse path");
+        // The forgery claimed no event id: the real event still routes.
+        say(&mut sim, l, x, event(1, other));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (0, 1), "a link relays any source");
+        say(&mut sim, client, x, event(2, client));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 2), "a client speaks for itself");
+        assert_eq!(broker(&sim, x).forged_sources_dropped, 1);
+    }
+
+    #[test]
     fn routes_die_after_a_lease_of_silence_and_stay_under_their_cap() {
         let lease = Duration::from_secs(6);
         let at = SimTime::from_secs;
@@ -1369,7 +1322,7 @@ mod tests {
         assert_eq!(blank.lease(1).muted_until, SimTime::ZERO);
     }
 
-    /// The merged interest state against the two-map version it
+    /// The one-record interest plane against the two-map version it
     /// replaced: over any script of registrations, withdrawals, link
     /// losses and repeat hellos, the broker sends the same
     /// advertisements, with the same sequence numbers, and keeps the
@@ -1380,7 +1333,7 @@ mod tests {
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{RngCore, SeedableRng};
-        use std::collections::BTreeSet;
+        use std::collections::{BTreeMap, BTreeSet};
 
         /// A `Subscribe` (`true`) or an `Unsubscribe` sent to a peer,
         /// with its filter and sequence number.
@@ -1649,6 +1602,61 @@ mod tests {
 
         fn filters() -> Vec<TopicFilter> {
             ["a", "a/*", "a/**", "b/c", "**"].map(|s| TopicFilter::parse(s).unwrap()).to_vec()
+        }
+
+        /// `link_up` to a fresh neighbour advertises every filter, and
+        /// `link_down` withdraws what only that neighbour registered, in
+        /// filter-string order with consecutive `seq`s, as the
+        /// string-keyed map did. The segments are interned in reverse
+        /// string order, so the trie's ids run against the strings.
+        #[test]
+        fn link_up_and_link_down_advertise_in_filter_string_order() {
+            let mut names = ["lud", "lud/*", "lud/**", "lud/lua", "lud/lub/**", "lud/luc/*"];
+            names.sort_unstable_by(|a, b| b.cmp(a));
+            let filters: Vec<TopicFilter> = names.iter().map(|s| TopicFilter::parse(s).unwrap()).collect();
+            let (b, a, c) = (NodeId(10), NodeId(11), NodeId(100));
+            let mut broker = Broker::new(broker_cfg(vec![]));
+            let mut ctx = Recorder { rng: StdRng::seed_from_u64(7), sent: Vec::new() };
+            let mut feed = |from: NodeId, msg: Message| {
+                let event = Incoming::Stream {
+                    from: Endpoint::new(from, well_known::BROKER),
+                    to_port: well_known::BROKER,
+                    msg: msg.into(),
+                };
+                broker.handle(event, &mut ctx);
+            };
+            feed(b, Message::LinkHello { from: b, realm: RealmId(0) });
+            feed(c, Message::ClientConnect { client: c, reply_port: well_known::BROKER });
+            // The client takes the three last in string order, the
+            // neighbour-to-be the three first, each in reverse order.
+            for filter in &filters[..3] {
+                feed(c, Message::ClientSubscribe { filter: filter.clone() });
+            }
+            feed(a, Message::LinkHello { from: a, realm: RealmId(0) });
+            for filter in &filters[3..] {
+                feed(a, Message::Subscribe { filter: filter.clone(), origin: a, seq: 0 });
+            }
+            feed(a, Message::LinkClose { from: a });
+            let expected: Vec<Advert> = [
+                (b, true, "lud/luc/*", 1),
+                (b, true, "lud/lub/**", 2),
+                (b, true, "lud/lua", 3),
+                // `link_up(a)`: every filter, in string order.
+                (a, true, "lud/lua", 4),
+                (a, true, "lud/lub/**", 5),
+                (a, true, "lud/luc/*", 6),
+                (b, true, "lud/**", 7),
+                (b, true, "lud/*", 8),
+                (b, true, "lud", 9),
+                // `link_down(a)`: what only `a` registered, in string order.
+                (b, false, "lud", 10),
+                (b, false, "lud/*", 11),
+                (b, false, "lud/**", 12),
+            ]
+            .map(|(to, sub, f, seq)| (to, sub, TopicFilter::parse(f).unwrap(), seq))
+            .to_vec();
+            assert_eq!(ctx.sent, expected);
+            assert_eq!(broker.interest_filters(), filters[..3].iter().rev().cloned().collect::<Vec<_>>());
         }
 
         proptest! {

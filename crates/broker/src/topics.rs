@@ -8,14 +8,17 @@
 //!
 //! # Index layout
 //!
-//! Filters are indexed in a trie keyed on interned segment ids
+//! Each filter has one record ([`Interest`]): its registrations as a
+//! sorted `(Destination, count)` list and, at a broker, the links it is
+//! advertised to. Records live in a trie keyed on interned segment ids
 //! ([`nb_wire::SegId`]): one child edge per concrete segment, one `star`
-//! edge for `*`, and two destination sets per node — `exact` for filters
-//! ending at that node and `multi` for `prefix/**` filters anchored
-//! there. Matching a topic of depth *d* walks at most `2^d` narrow paths
-//! (in practice a handful), instead of evaluating every registered
-//! filter: the classic Siena-style content-matching index, O(depth)
-//! rather than O(subscriptions).
+//! edge for `*`, and two record slots per node — `exact` for the filter
+//! ending at that node and `multi` for the `prefix/**` filter anchored
+//! there — so a filter is found by walking its own ids, never by
+//! comparing strings. Matching a topic of depth *d* walks at most `2^d`
+//! narrow paths (in practice a handful), instead of evaluating every
+//! registered filter: the classic Siena-style content-matching index,
+//! O(depth) rather than O(subscriptions).
 //!
 //! # Memoization
 //!
@@ -37,15 +40,15 @@
 //! the emitted order is byte-identical to the old sorted linear scan
 //! (pinned by the chaos seed-11 report digest in
 //! `crates/bench/tests/chaos_campaign.rs`). Segment-id *values* vary
-//! with interning order but never reach the output: trie edges are
-//! looked up by key, never iterated into results, and the memo is a hash
+//! with interning order but never reach the output: a walk over the
+//! records sorts them by filter string before it emits anything or
+//! returns them, and the memo is a hash
 //! map only ever probed by key — its one walk, `invalidate`, drops
 //! entries by a test on each key alone, so which survive does not depend
 //! on the order it visits them in.
 
 use std::borrow::Borrow;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
@@ -137,71 +140,169 @@ pub enum Destination {
     Link(NodeId),
 }
 
-/// One trie node: concrete-segment edges, the `*` edge, and the
-/// destination sets of filters terminating here.
+/// Everything known about one filter: the destinations that register
+/// it, how often each, and — at a broker — the links it is advertised
+/// to. The one record of the filter; the trie holds it at the node its
+/// segment ids lead to.
+#[derive(Debug)]
+pub(crate) struct Interest {
+    filter: TopicFilter,
+    /// Registrations per destination, ascending by destination, each
+    /// count at least one.
+    regs: Vec<(Destination, u32)>,
+    /// The links the filter is advertised to, ascending. The broker's
+    /// reconcile keeps it: the first advertisement sizes it to the link
+    /// count, and `link_down` takes its peer out of every list, so each
+    /// entry is a live link.
+    pub(crate) advertised: Vec<NodeId>,
+}
+
+impl Interest {
+    pub(crate) fn filter(&self) -> &TopicFilter {
+        &self.filter
+    }
+
+    fn position(&self, dest: Destination) -> Result<usize, usize> {
+        self.regs.binary_search_by_key(&dest, |&(d, _)| d)
+    }
+
+    fn has(&self, dest: Destination) -> bool {
+        self.position(dest).is_ok()
+    }
+
+    fn destinations(&self) -> impl Iterator<Item = Destination> + '_ {
+        self.regs.iter().map(|&(d, _)| d)
+    }
+
+    /// Whether a destination other than the link to `peer` registers
+    /// the filter: the split horizon, registrations in all minus the
+    /// link's own (zero or one), read off the list.
+    pub(crate) fn wanted_beyond(&self, peer: NodeId) -> bool {
+        match self.regs.as_slice() {
+            [] => false,
+            [(only, _)] => *only != Destination::Link(peer),
+            _ => true,
+        }
+    }
+
+    /// Nothing registers the filter and no neighbour is told of it: the
+    /// record can go.
+    fn is_idle(&self) -> bool {
+        self.regs.is_empty() && self.advertised.is_empty()
+    }
+
+    /// The oracle a broker checks each record against after a change in
+    /// debug builds (every `cargo test`): the list is strictly ascending
+    /// with no zero count, the split horizon equals the recount the
+    /// per-source totals gave — local registrations plus one a link,
+    /// against the link's own — and the record is advertised to exactly
+    /// the `links` that recount says should see it.
+    pub(crate) fn assert_matches_recount(&self, links: impl Iterator<Item = NodeId>) {
+        assert!(self.regs.windows(2).all(|w| w[0].0 < w[1].0), "{}: registrations out of order", self.filter);
+        assert!(self.regs.iter().all(|&(_, n)| n > 0), "{}: a zero registration count", self.filter);
+        let local = self.destinations().filter(|d| matches!(d, Destination::Client(_))).count();
+        let total = local + self.destinations().filter(|d| matches!(d, Destination::Link(_))).count();
+        assert!(self.advertised.windows(2).all(|w| w[0] < w[1]), "{}: advertised out of order", self.filter);
+        let mut should = 0;
+        for peer in links {
+            let own = usize::from(self.has(Destination::Link(peer)));
+            assert_eq!(self.wanted_beyond(peer), total > own, "{}: split horizon towards {peer:?}", self.filter);
+            let advertised = self.advertised.binary_search(&peer).is_ok();
+            assert_eq!(advertised, total > own, "{}: advertisement towards {peer:?}", self.filter);
+            should += usize::from(advertised);
+        }
+        assert_eq!(self.advertised.len(), should, "{}: advertised to a link that is down", self.filter);
+    }
+}
+
+/// One trie node: concrete-segment edges, the `*` edge, and the records
+/// of the filters that end here.
 #[derive(Debug, Default)]
 struct TrieNode {
     children: BTreeMap<SegId, TrieNode>,
     star: Option<Box<TrieNode>>,
-    /// Destinations whose filter ends exactly at this node.
-    exact: BTreeSet<Destination>,
-    /// Destinations with a `prefix/**` filter anchored at this node
-    /// (matches zero or more further segments).
-    multi: BTreeSet<Destination>,
+    /// The filter ending exactly at this node.
+    exact: Option<Box<Interest>>,
+    /// The `prefix/**` filter anchored at this node (matches zero or
+    /// more further segments).
+    multi: Option<Box<Interest>>,
 }
 
 impl TrieNode {
     fn is_unused(&self) -> bool {
-        self.children.is_empty()
-            && self.star.is_none()
-            && self.exact.is_empty()
-            && self.multi.is_empty()
+        self.children.is_empty() && self.star.is_none() && self.exact.is_none() && self.multi.is_none()
     }
 
-    fn insert(&mut self, path: &[SegId], dest: Destination) {
+    /// The record slot `path` ends at, creating the nodes on the way.
+    fn slot_mut(&mut self, path: &[SegId]) -> &mut Option<Box<Interest>> {
         match path.split_first() {
-            None => {
-                self.exact.insert(dest);
-            }
-            Some((&SegId::MULTI, _)) => {
-                // `**` is validated to be final; it anchors here.
-                self.multi.insert(dest);
-            }
+            None => &mut self.exact,
+            // `**` is validated to be final; it anchors here.
+            Some((&SegId::MULTI, _)) => &mut self.multi,
+            Some((&SegId::STAR, rest)) => self.star.get_or_insert_with(Default::default).slot_mut(rest),
+            Some((&id, rest)) => self.children.entry(id).or_default().slot_mut(rest),
+        }
+    }
+
+    /// Runs `edit` on the record slot `path` ends at, if the path
+    /// exists, and prunes the nodes it leaves unused on the way back, so
+    /// a long-lived broker's trie tracks its live subscriptions.
+    fn edit<R>(&mut self, path: &[SegId], edit: impl FnOnce(&mut Option<Box<Interest>>) -> R) -> Option<R> {
+        match path.split_first() {
+            None => Some(edit(&mut self.exact)),
+            Some((&SegId::MULTI, _)) => Some(edit(&mut self.multi)),
             Some((&SegId::STAR, rest)) => {
-                self.star.get_or_insert_with(Default::default).insert(rest, dest);
+                let star = self.star.as_mut()?;
+                let out = star.edit(rest, edit);
+                if star.is_unused() {
+                    self.star = None;
+                }
+                out
             }
             Some((&id, rest)) => {
-                self.children.entry(id).or_default().insert(rest, dest);
+                let child = self.children.get_mut(&id)?;
+                let out = child.edit(rest, edit);
+                if child.is_unused() {
+                    self.children.remove(&id);
+                }
+                out
             }
         }
     }
 
-    /// Removes `dest`'s registration along `path`, pruning emptied nodes
-    /// so a long-lived broker's trie tracks its live subscriptions.
-    fn remove(&mut self, path: &[SegId], dest: Destination) {
-        match path.split_first() {
-            None => {
-                self.exact.remove(&dest);
+    /// Drops every idle record and every node left unused.
+    fn prune(&mut self) {
+        for slot in [&mut self.exact, &mut self.multi] {
+            if slot.as_deref().is_some_and(Interest::is_idle) {
+                *slot = None;
             }
-            Some((&SegId::MULTI, _)) => {
-                self.multi.remove(&dest);
+        }
+        self.children.retain(|_, child| {
+            child.prune();
+            !child.is_unused()
+        });
+        if let Some(star) = self.star.as_mut() {
+            star.prune();
+            if star.is_unused() {
+                self.star = None;
             }
-            Some((&SegId::STAR, rest)) => {
-                if let Some(star) = self.star.as_mut() {
-                    star.remove(rest, dest);
-                    if star.is_unused() {
-                        self.star = None;
-                    }
-                }
-            }
-            Some((&id, rest)) => {
-                if let Some(child) = self.children.get_mut(&id) {
-                    child.remove(rest, dest);
-                    if child.is_unused() {
-                        self.children.remove(&id);
-                    }
-                }
-            }
+        }
+    }
+
+    /// Every record `keep` accepts, in trie order.
+    fn records<'a>(&'a self, keep: &impl Fn(&Interest) -> bool, out: &mut Vec<&'a Interest>) {
+        out.extend([&self.exact, &self.multi].into_iter().flatten().map(|rec| &**rec).filter(|rec| keep(rec)));
+        for child in self.children.values().chain(self.star.as_deref()) {
+            child.records(keep, out);
+        }
+    }
+
+    /// [`TrieNode::records`], mutably.
+    fn records_mut<'a>(&'a mut self, keep: &impl Fn(&Interest) -> bool, out: &mut Vec<&'a mut Interest>) {
+        let here = [&mut self.exact, &mut self.multi].into_iter().flatten().map(|rec| &mut **rec);
+        out.extend(here.filter(|rec| keep(rec)));
+        for child in self.children.values_mut().chain(self.star.as_deref_mut()) {
+            child.records_mut(keep, out);
         }
     }
 
@@ -209,11 +310,11 @@ impl TrieNode {
     /// `topic` suffix into `out` (unsorted, may contain duplicates).
     fn collect(&self, topic: &[SegId], out: &mut Vec<Destination>) {
         // `prefix/**` matches zero or more remaining segments, so every
-        // node on the walk contributes its `multi` set…
-        out.extend(self.multi.iter().copied());
+        // node on the walk contributes its `multi` record…
+        out.extend(self.multi.iter().flat_map(|rec| rec.destinations()));
         match topic.split_first() {
             // …and the end node additionally contributes exact endings.
-            None => out.extend(self.exact.iter().copied()),
+            None => out.extend(self.exact.iter().flat_map(|rec| rec.destinations())),
             Some((&id, rest)) => {
                 if let Some(child) = self.children.get(&id) {
                     child.collect(rest, out);
@@ -226,15 +327,22 @@ impl TrieNode {
     }
 }
 
-/// Filter registrations per destination (refcounted, the source of
-/// truth) plus the trie index and the per-topic match-set memo derived
-/// from it. Ordered maps keep iteration (and therefore downstream
-/// message emission and RNG consumption) deterministic under a fixed
-/// simulation seed.
+/// Puts records in filter-string order, the order every walk that
+/// emits messages takes (segment ids follow interning order instead).
+fn by_filter<T: std::ops::Deref<Target = Interest>>(records: &mut [T]) {
+    records.sort_unstable_by(|a, b| a.filter.cmp(&b.filter));
+}
+
+/// One record per filter in a trie on its segment ids, the count of
+/// (destination, filter) registrations, and the per-topic match-set
+/// memo derived from the records. Walks that feed messages or results
+/// run in filter-string order, so emission (and the RNG consumption
+/// behind it) is deterministic under a fixed simulation seed.
 #[derive(Debug, Default)]
 pub struct SubscriptionTable {
-    by_dest: BTreeMap<Destination, BTreeMap<TopicFilter, usize>>,
     root: TrieNode,
+    /// Distinct (destination, filter) registrations.
+    len: usize,
     memo: Memo,
     /// Reused collection buffer for memo misses: the cold path allocates
     /// only the `Arc` result, never a scratch `Vec`.
@@ -250,17 +358,35 @@ impl SubscriptionTable {
     /// Registers `filter` for `dest`; returns `true` if this is the first
     /// registration of that filter at that destination.
     pub fn subscribe(&mut self, dest: Destination, filter: TopicFilter) -> bool {
-        match self.by_dest.entry(dest).or_default().entry(filter) {
-            Entry::Occupied(mut count) => {
+        self.subscribe_with(dest, filter, 1, |_| {})
+    }
+
+    /// [`SubscriptionTable::subscribe`], running `then` on the filter's
+    /// record when the registration is the destination's first. A new
+    /// record's list is sized for `room` destinations.
+    pub(crate) fn subscribe_with(
+        &mut self,
+        dest: Destination,
+        filter: TopicFilter,
+        room: usize,
+        then: impl FnOnce(&mut Interest),
+    ) -> bool {
+        let slot = self.root.slot_mut(filter.seg_ids());
+        let rec = slot.get_or_insert_with(|| {
+            Box::new(Interest { filter, regs: Vec::with_capacity(room), advertised: Vec::new() })
+        });
+        match rec.position(dest) {
+            Ok(i) => {
                 // Refcount bump only: membership (and thus every match
                 // set) is unchanged — the memo stays warm.
-                *count.get_mut() += 1;
+                rec.regs[i].1 += 1;
                 false
             }
-            Entry::Vacant(slot) => {
-                self.root.insert(slot.key().seg_ids(), dest);
-                invalidate(&mut self.memo, slot.key());
-                slot.insert(1);
+            Err(i) => {
+                rec.regs.insert(i, (dest, 1));
+                self.len += 1;
+                invalidate(&mut self.memo, &rec.filter);
+                then(rec);
                 true
             }
         }
@@ -269,37 +395,89 @@ impl SubscriptionTable {
     /// Withdraws one registration of `filter` at `dest`; returns `true`
     /// if the filter is now gone from that destination.
     pub fn unsubscribe(&mut self, dest: Destination, filter: &TopicFilter) -> bool {
-        let Some(filters) = self.by_dest.get_mut(&dest) else {
-            return false;
-        };
-        let Some(count) = filters.get_mut(filter) else {
-            return false;
-        };
-        *count -= 1;
-        if *count != 0 {
-            return false;
-        }
-        filters.remove(filter);
-        if filters.is_empty() {
-            self.by_dest.remove(&dest);
-        }
-        self.root.remove(filter.seg_ids(), dest);
-        invalidate(&mut self.memo, filter);
-        true
+        self.unsubscribe_with(dest, filter, |_| {})
+    }
+
+    /// [`SubscriptionTable::unsubscribe`], running `then` on the
+    /// filter's record when the withdrawal was the destination's last;
+    /// a record left idle goes.
+    pub(crate) fn unsubscribe_with(
+        &mut self,
+        dest: Destination,
+        filter: &TopicFilter,
+        then: impl FnOnce(&mut Interest),
+    ) -> bool {
+        let Self { root, len, memo, .. } = self;
+        let gone = root.edit(filter.seg_ids(), |slot| {
+            let Some(rec) = slot.as_deref_mut() else {
+                return false;
+            };
+            let Ok(i) = rec.position(dest) else {
+                return false;
+            };
+            rec.regs[i].1 -= 1;
+            if rec.regs[i].1 != 0 {
+                return false;
+            }
+            rec.regs.remove(i);
+            *len -= 1;
+            invalidate(memo, filter);
+            then(rec);
+            if rec.is_idle() {
+                *slot = None;
+            }
+            true
+        });
+        gone == Some(true)
     }
 
     /// Removes every registration for `dest` (client disconnect or link
-    /// down), returning the filters that were registered there.
+    /// down), returning the filters that were registered there, in
+    /// string order.
     pub fn remove_destination(&mut self, dest: Destination) -> Vec<TopicFilter> {
-        let Some(filters) = self.by_dest.remove(&dest) else {
-            return Vec::new();
-        };
-        let out: Vec<TopicFilter> = filters.into_keys().collect();
-        for filter in &out {
-            self.root.remove(filter.seg_ids(), dest);
-            invalidate(&mut self.memo, filter);
-        }
+        let mut out = Vec::new();
+        self.remove_destination_with(dest, |rec| out.push(rec.filter.clone()));
         out
+    }
+
+    /// [`SubscriptionTable::remove_destination`], running `then` on each
+    /// record `dest` was registered at, in filter-string order, once the
+    /// registration is gone; records left idle go.
+    pub(crate) fn remove_destination_with(&mut self, dest: Destination, mut then: impl FnMut(&mut Interest)) {
+        let mut hit = Vec::new();
+        self.root.records_mut(&|rec| rec.has(dest), &mut hit);
+        if hit.is_empty() {
+            return;
+        }
+        by_filter(&mut hit);
+        for rec in hit {
+            let i = rec.position(dest).expect("collected for registering `dest`");
+            rec.regs.remove(i);
+            self.len -= 1;
+            invalidate(&mut self.memo, &rec.filter);
+            then(rec);
+        }
+        self.root.prune();
+    }
+
+    /// Every record, in filter-string order.
+    pub(crate) fn records_sorted(&mut self) -> Vec<&mut Interest> {
+        let mut all = Vec::new();
+        self.root.records_mut(&|_| true, &mut all);
+        by_filter(&mut all);
+        all
+    }
+
+    /// Every filter some destination registers, in string order.
+    pub(crate) fn filters(&self) -> Vec<TopicFilter> {
+        self.filters_where(|_| true)
+    }
+
+    fn filters_where(&self, keep: impl Fn(&Interest) -> bool) -> Vec<TopicFilter> {
+        let mut hit = Vec::new();
+        self.root.records(&keep, &mut hit);
+        by_filter(&mut hit);
+        hit.into_iter().map(|rec| rec.filter.clone()).collect()
     }
 
     /// Destinations whose filters match `topic`, sorted for determinism.
@@ -340,27 +518,22 @@ impl SubscriptionTable {
 
     /// Whether `dest` has any filter matching `topic`.
     pub fn dest_matches(&self, dest: Destination, topic: &Topic) -> bool {
-        self.by_dest
-            .get(&dest)
-            .is_some_and(|filters| filters.keys().any(|f| f.matches(topic)))
+        self.matches_uncached(topic).binary_search(&dest).is_ok()
     }
 
-    /// All distinct filters registered at `dest`.
+    /// All distinct filters registered at `dest`, in string order.
     pub fn filters_of(&self, dest: Destination) -> Vec<TopicFilter> {
-        self.by_dest
-            .get(&dest)
-            .map(|filters| filters.keys().cloned().collect())
-            .unwrap_or_default()
+        self.filters_where(|rec| rec.has(dest))
     }
 
     /// Total number of distinct (destination, filter) registrations.
     pub fn len(&self) -> usize {
-        self.by_dest.values().map(BTreeMap::len).sum()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.by_dest.is_empty()
+        self.len == 0
     }
 
     /// Cached match sets currently held (observability/tests).
@@ -386,19 +559,18 @@ mod tests {
         Topic::parse(s).unwrap()
     }
 
-    /// The pre-trie reference implementation, kept verbatim as the
-    /// oracle: evaluate every filter of every destination linearly and
-    /// sort. The trie + memo must be extensionally equal to this under
-    /// any operation sequence (see the proptests below).
+    /// The pre-trie reference implementation as the oracle: evaluate
+    /// every registered filter linearly and sort. The trie + memo must
+    /// be extensionally equal to this under any operation sequence (see
+    /// the proptests below).
     impl SubscriptionTable {
         fn matches_linear(&self, topic: &Topic) -> Vec<Destination> {
-            let mut out: Vec<Destination> = self
-                .by_dest
-                .iter()
-                .filter(|(_, filters)| filters.keys().any(|f| f.matches(topic)))
-                .map(|(dest, _)| *dest)
-                .collect();
+            let mut all = Vec::new();
+            self.root.records(&|_| true, &mut all);
+            let mut out: Vec<Destination> =
+                all.iter().filter(|rec| rec.filter.matches(topic)).flat_map(|rec| rec.destinations()).collect();
             out.sort_unstable();
+            out.dedup();
             out
         }
     }

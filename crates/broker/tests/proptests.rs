@@ -39,14 +39,38 @@ fn filters() -> Vec<TopicFilter> {
         .collect()
 }
 
+/// The model test's filters, ascending by string. Their segments appear
+/// in no other test of this binary and are interned here first, in
+/// reverse string order, so the trie's segment ids run against the
+/// strings: a walk that handed records back in id order instead of
+/// sorting them fails the test.
+fn model_filters() -> Vec<TopicFilter> {
+    let mut names = ["mq", "mq/mb", "mq/*", "mq/**", "mq/ma/mc", "mq/ma/*", "**", "mc"];
+    names.sort_unstable_by(|a, b| b.cmp(a));
+    let mut fs: Vec<TopicFilter> = names.iter().map(|s| TopicFilter::parse(s).unwrap()).collect();
+    fs.sort();
+    fs
+}
+
+fn model_topics() -> Vec<Topic> {
+    ["mq", "mq/mb", "mq/ma/mc", "mq/mz", "mc", "mc/mq"].iter().map(|s| Topic::parse(s).unwrap()).collect()
+}
+
 proptest! {
     /// The table behaves exactly like a naive refcount map under any
-    /// operation sequence.
+    /// operation sequence: what each call returns — `remove_destination`'s
+    /// filters in string order included — and, after every op, `len`,
+    /// `filters_of` and `dest_matches` for every destination.
     #[test]
     fn subscription_table_matches_reference_model(ops in prop::collection::vec(arb_op(), 0..200)) {
-        let fs = filters();
+        let fs = model_filters();
+        let topics = model_topics();
         let mut table = SubscriptionTable::new();
         let mut model: BTreeMap<(u8, u8), usize> = BTreeMap::new();
+        // The model's filters at `d`, in string order: `fs` is sorted.
+        let filters_at = |model: &BTreeMap<(u8, u8), usize>, d: u8| -> Vec<TopicFilter> {
+            model.keys().filter(|(dd, _)| *dd == d).map(|(_, f)| fs[*f as usize].clone()).collect()
+        };
         for op in ops {
             match op {
                 Op::Subscribe(d, f) => {
@@ -70,22 +94,20 @@ proptest! {
                     }
                 }
                 Op::RemoveDest(d) => {
-                    let mut removed = table.remove_destination(dest(d));
-                    removed.sort();
-                    let mut expected: Vec<TopicFilter> = model
-                        .keys()
-                        .filter(|(dd, _)| *dd == d)
-                        .map(|(_, f)| fs[*f as usize].clone())
-                        .collect();
-                    expected.sort();
-                    expected.dedup();
-                    prop_assert_eq!(removed, expected);
+                    let removed = table.remove_destination(dest(d));
+                    prop_assert_eq!(removed, filters_at(&model, d));
                     model.retain(|(dd, _), _| *dd != d);
                 }
             }
-            // Size invariant.
-            let distinct: BTreeSet<(u8, u8)> = model.keys().copied().collect();
-            prop_assert_eq!(table.len(), distinct.len());
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.is_empty(), model.is_empty());
+            for d in 0..6 {
+                prop_assert_eq!(table.filters_of(dest(d)), filters_at(&model, d));
+                for topic in &topics {
+                    let expected = model.keys().any(|&(dd, f)| dd == d && fs[f as usize].matches(topic));
+                    prop_assert_eq!(table.dest_matches(dest(d), topic), expected, "{:?} on {}", dest(d), topic);
+                }
+            }
         }
     }
 
