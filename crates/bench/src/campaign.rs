@@ -206,12 +206,19 @@ impl Testbed<Deployment> {
         let Testbed { sim, bdns, brokers, entities } = self;
         Testbed { sim: sim.build(engine), bdns, brokers, entities }
     }
+
+    /// The described roles on `sim`, an engine this testbed's deployment
+    /// was built on.
+    pub fn on<E: DiscoveryEngine>(self, sim: E) -> Testbed<E> {
+        let Testbed { bdns, brokers, entities, .. } = self;
+        Testbed { sim, bdns, brokers, entities }
+    }
 }
 
 impl<E: DiscoveryEngine> Testbed<E> {
     /// Entity `e`'s actor.
     pub fn entity(&self, e: NodeId) -> &Entity {
-        self.sim.actor_dyn(e).and_then(|a| a.as_any().downcast_ref()).expect("entity")
+        <dyn DiscoveryEngine>::actor(&self.sim, e).expect("entity")
     }
 
     /// Rediscoveries entities performed because a broker went silent.

@@ -1,77 +1,59 @@
-//! One deployment description builds on both engines. The chaos
+//! One deployment description builds on every engine. The chaos
 //! testbed (one BDN), the federation testbed (three BDNs) and a
 //! 20-broker / 60-entity scale tier are each described once and built
-//! on `Sim` and on `ShardedSim` at one worker: both engines hold the
-//! same nodes under the same names in the same realms, and every
-//! entity attaches on both. Digests are not compared: the engines draw
-//! from different RNG streams (DESIGN.md §8).
+//! on `Sim` and on `ShardedSim` at one and at four workers: every
+//! engine holds the same nodes under the same names in the same realms,
+//! and every entity attaches on each. `Sim`'s digest is not compared:
+//! the engines draw from different RNG streams (DESIGN.md §8).
 
 use std::time::Duration;
 
 use nb_bench::campaign::{describe_testbed, Testbed};
 use nb_bench::scale::{describe_tier, TierSpec};
 use nb_bench::{chaos, federation};
-use nb_discovery::{Deployment, EntityState};
+use nb_discovery::{on_every_engine, Deployment, EntityState};
 use nb_net::topogen::TopologyKind;
-use nb_net::{ShardedSim, Sim};
+use nb_net::DiscoveryEngine;
 use nb_wire::{NodeId, RealmId};
 
 /// Long enough for every entity of every description to attach.
 const RUN: Duration = Duration::from_secs(20);
 
 /// Each node's `(name, realm)`, in id order.
-macro_rules! node_table {
-    ($sim:expr, $nodes:expr) => {
-        (0..$nodes)
-            .map(|i| {
-                let id = NodeId(i as u32);
-                ($sim.node_name(id).to_string(), $sim.network().realm_of(id))
-            })
-            .collect::<Vec<(String, Option<RealmId>)>>()
-    };
+fn node_table(sim: &dyn DiscoveryEngine, nodes: usize) -> Vec<(String, Option<RealmId>)> {
+    (0..nodes as u32).map(|i| (sim.node_name(NodeId(i)).to_string(), sim.network().realm_of(NodeId(i)))).collect()
 }
 
 /// Entities not attached to a live broker, by name.
-macro_rules! unattached {
-    ($tb:expr) => {
-        $tb.entities
-            .iter()
-            .filter(|&&e| {
-                !matches!($tb.entity(e).state(), EntityState::Attached(b) if $tb.sim.is_up(b))
-            })
-            .map(|&e| $tb.sim.node_name(e).to_string())
-            .collect::<Vec<String>>()
-    };
+fn unattached(tb: &Testbed<&mut dyn DiscoveryEngine>) -> Vec<String> {
+    let live = |e| matches!(tb.entity(e).state(), EntityState::Attached(b) if tb.sim.is_up(b));
+    tb.entities.iter().filter(|&&e| !live(e)).map(|&e| tb.sim.node_name(e).to_string()).collect()
 }
 
-fn on_both_engines(what: &str, describe: impl Fn() -> Testbed<Deployment>) {
+fn on_every_engine_builds(what: &str, describe: impl Fn() -> Testbed<Deployment>) {
     let nodes = describe().sim.nodes.len();
-    let mut sim = describe().build(Sim::with_clock_profile);
-    let mut sharded = describe().build(|seed, clock| {
-        let mut sim = ShardedSim::with_clock_profile(seed, clock);
-        sim.set_workers(1);
-        sim
-    });
-    assert_eq!(
-        node_table!(sim.sim, nodes),
-        node_table!(sharded.sim, nodes),
-        "{what}: the engines hold different nodes"
+    let tables = on_every_engine(
+        || describe().sim,
+        |sim| {
+            let table = node_table(sim, nodes);
+            let tb = describe().on(sim);
+            tb.sim.run_for(RUN);
+            assert!(!tb.entities.is_empty(), "{what}: no entities");
+            assert_eq!(unattached(&tb), Vec::<String>::new(), "{what}");
+            table
+        },
     );
-    sim.sim.run_for(RUN);
-    sharded.sim.run_for(RUN);
-    assert!(!sim.entities.is_empty(), "{what}: no entities");
-    assert_eq!(unattached!(sim), Vec::<String>::new(), "{what} on Sim");
-    assert_eq!(unattached!(sharded), Vec::<String>::new(), "{what} on ShardedSim");
+    assert!(tables.windows(2).all(|w| w[0] == w[1]), "{what}: the engines hold different nodes");
 }
 
 #[test]
 fn chaos_testbed_builds_on_both_engines() {
-    on_both_engines("chaos testbed", || describe_testbed::<chaos::ScenarioStats>(2005));
+    on_every_engine_builds("chaos testbed", || describe_testbed::<chaos::ScenarioStats>(2005));
 }
 
 #[test]
 fn federation_testbed_builds_on_both_engines() {
-    on_both_engines("federation testbed", || describe_testbed::<federation::ScenarioStats>(2005));
+    on_every_engine_builds("federation testbed", || describe_testbed::<federation::ScenarioStats>(2005));
 }
 
 #[test]
@@ -82,5 +64,5 @@ fn scale_tier_builds_on_both_engines() {
         brokers: 20,
         entities: 60,
     };
-    on_both_engines("scale tier", || describe_tier(&spec, 2005).0);
+    on_every_engine_builds("scale tier", || describe_tier(&spec, 2005).0);
 }

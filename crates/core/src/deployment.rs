@@ -5,11 +5,14 @@
 //! fixed while the deployment is described, and a BDN's attachment list
 //! may name brokers that come after it. A node's factory makes its actor
 //! and, when the node is restartable, is also what a lossy restart
-//! calls. [`Deployment::build`] makes one value on either engine.
+//! calls. [`Deployment::build`] makes one value on either engine, and
+//! [`on_every_engine`] runs one test body on every engine.
+
+use std::panic::{self, AssertUnwindSafe};
 
 use nb_net::topogen::WanTopology;
 use nb_net::wan::{SiteIdx, WanModel};
-use nb_net::{Actor, ClockProfile, DiscoveryEngine, LinkSpec, ShardRespawnFn};
+use nb_net::{Actor, ClockProfile, DiscoveryEngine, LinkSpec, ShardRespawnFn, ShardedSim, Sim};
 use nb_wire::{NodeId, RealmId};
 
 /// One node of a [`Deployment`].
@@ -94,5 +97,72 @@ impl Deployment {
             }
         }
         sim
+    }
+}
+
+/// Builds `describe()`'s deployment on `Sim`, on `ShardedSim` at one
+/// worker and on `ShardedSim` at four, and runs `body` on each in that
+/// order; returns what each run returned. A panic in `body` is raised
+/// again with the engine's name in front of its message. The two
+/// `ShardedSim` runs must then end with equal digests and event counts:
+/// the worker count decides where an LP runs, never what it does.
+#[expect(clippy::panic, reason = "a test harness: a failing body fails the test that runs it")]
+pub fn on_every_engine<T>(
+    describe: impl Fn() -> Deployment,
+    mut body: impl FnMut(&mut dyn DiscoveryEngine) -> T,
+) -> Vec<T> {
+    let mut run = |engine: &str, sim: &mut dyn DiscoveryEngine| {
+        panic::catch_unwind(AssertUnwindSafe(|| body(sim))).unwrap_or_else(|cause| {
+            let text = cause.downcast_ref::<String>().map(String::as_str);
+            let text = text.or(cause.downcast_ref::<&str>().copied()).unwrap_or("a panic");
+            panic!("on {engine}: {text}")
+        })
+    };
+    let mut out = vec![run("Sim", &mut describe().build(Sim::with_clock_profile))];
+    let mut ends = [(0, 0); 2];
+    let sharded = [(1, "ShardedSim at 1 worker"), (4, "ShardedSim at 4 workers")];
+    for (end, (workers, engine)) in ends.iter_mut().zip(sharded) {
+        let mut sim = describe().build(|seed, clock| {
+            let mut sim = ShardedSim::with_clock_profile(seed, clock);
+            sim.set_workers(workers);
+            sim
+        });
+        out.push(run(engine, &mut sim));
+        *end = (sim.digest(), sim.events_processed());
+    }
+    let [one, four] = ends;
+    assert_eq!(one, four, "(digest, events) of ShardedSim at 1 and at 4 workers");
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn one_idle_node() -> Deployment {
+        let network = Network::Realms { intra: LinkSpec::lan(), inter: LinkSpec::lan(), wan: None };
+        let mut d = Deployment { seed: 1, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+        d.add("idle".into(), RealmId(0), false, || Box::new(nb_net::runtime::IdleActor));
+        d
+    }
+
+    #[test]
+    fn the_body_runs_once_on_each_engine() {
+        let ran = on_every_engine(one_idle_node, |sim| {
+            sim.run_for(Duration::from_secs(1));
+            (sim.node_name(NodeId(0)).to_string(), sim.now())
+        });
+        assert_eq!(ran, vec![("idle".to_string(), nb_net::SimTime::from_millis(1000)); 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "on ShardedSim at 4 workers: the third run fails")]
+    fn a_body_that_fails_on_one_engine_names_it() {
+        let mut runs = 0;
+        on_every_engine(one_idle_node, |_| {
+            runs += 1;
+            assert!(runs < 3, "the third run fails");
+        });
     }
 }

@@ -125,8 +125,10 @@ impl Actor for JoiningBroker {
 mod tests {
     use super::*;
     use crate::bdn::{Bdn, BdnConfig};
+    use crate::client::DiscoveryClient;
+    use crate::deployment::{on_every_engine, Deployment, Network};
     use nb_broker::MachineProfile;
-    use nb_net::{ClockProfile, LinkSpec, Sim};
+    use nb_net::{ClockProfile, LinkSpec};
     use nb_wire::RealmId;
     use std::time::Duration;
 
@@ -143,78 +145,51 @@ mod tests {
 
     #[test]
     fn a_new_broker_discovers_and_links_into_the_overlay() {
-        let mut sim = Sim::with_clock_profile(81, ClockProfile::perfect());
-        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-        sim.network_mut().inter_realm_spec =
-            LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0);
-        let bdn = sim.add_node("bdn", RealmId(0), Box::new(Bdn::new(BdnConfig::default())));
-        let b0 = sim.add_node(
-            "b0",
-            RealmId(0),
-            Box::new(DiscoveryBrokerActor::new(
-                BrokerConfig { hostname: "b0".into(), ..BrokerConfig::default() },
-                vec![bdn],
-                ResponsePolicy::open(),
-            )),
-        );
-        let _b1 = sim.add_node(
-            "b1",
-            RealmId(1), // farther away
-            Box::new(DiscoveryBrokerActor::new(
-                BrokerConfig {
-                    hostname: "b1".into(),
-                    neighbors: vec![b0],
-                    ..BrokerConfig::default()
-                },
-                vec![bdn],
-                ResponsePolicy::open(),
-            )),
-        );
-        sim.run_for(Duration::from_secs(2));
+        let describe = || {
+            let intra = LinkSpec::lan().with_loss(0.0);
+            let inter = LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0);
+            let network = Network::Realms { intra, inter, wan: None };
+            let mut d = Deployment { seed: 81, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+            let bdn = d.add("bdn".into(), RealmId(0), false, || Box::new(Bdn::new(BdnConfig::default())));
+            for (i, realm) in [0, 1].into_iter().enumerate() {
+                // b1 is farther away, and dials b0.
+                let neighbors = if i == 0 { vec![] } else { vec![NodeId(1)] };
+                let cfg = BrokerConfig { hostname: format!("b{i}"), neighbors, ..BrokerConfig::default() };
+                d.add(format!("b{i}"), RealmId(realm), false, move || {
+                    Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![bdn], ResponsePolicy::open()))
+                });
+            }
+            d
+        };
+        let (bdn, b0) = (NodeId(0), NodeId(1));
+        on_every_engine(describe, |sim| {
+            sim.run_for(Duration::from_secs(2));
+            // The newcomer joins from the same realm as b0.
+            let cfg = BrokerConfig {
+                hostname: "new.broker".into(),
+                machine: MachineProfile::default_2005(),
+                ..BrokerConfig::default()
+            };
+            let joining = JoiningBroker::new(cfg, vec![bdn], ResponsePolicy::open(), discovery_cfg(bdn));
+            let newcomer = sim.add_node("newcomer", RealmId(0), Box::new(joining));
+            sim.run_for(Duration::from_secs(8));
 
-        // The newcomer joins from the same realm as b0.
-        let newcomer = sim.add_node(
-            "newcomer",
-            RealmId(0),
-            Box::new(JoiningBroker::new(
-                BrokerConfig {
-                    hostname: "new.broker".into(),
-                    machine: MachineProfile::default_2005(),
-                    ..BrokerConfig::default()
-                },
-                vec![bdn],
-                ResponsePolicy::open(),
-                discovery_cfg(bdn),
-            )),
-        );
-        sim.run_for(Duration::from_secs(8));
+            let joining = sim.actor::<JoiningBroker>(newcomer).unwrap();
+            assert!(joining.joined(), "join completed (finder {:?})", joining.finder().phase());
+            assert_eq!(joining.joined_to, Some(b0), "linked to the nearest broker");
+            assert!(joining.inner.broker.is_linked(b0), "overlay link up on the newcomer's side");
+            let b0_actor = sim.actor::<DiscoveryBrokerActor>(b0).unwrap();
+            assert!(b0_actor.broker.is_linked(newcomer), "…and on the existing broker's side");
 
-        let joining = sim.actor::<JoiningBroker>(newcomer).unwrap();
-        assert!(joining.joined(), "join completed (finder {:?})", joining.finder().phase());
-        assert_eq!(joining.joined_to, Some(b0), "linked to the nearest broker");
-        assert!(joining.inner.broker.is_linked(b0), "overlay link up on the newcomer's side");
-        let b0_actor = sim.actor::<DiscoveryBrokerActor>(b0).unwrap();
-        assert!(b0_actor.broker.is_linked(newcomer), "…and on the existing broker's side");
-
-        // The newcomer now participates in discovery: a later client run
-        // receives a response from it too.
-        use crate::client::DiscoveryClient;
-        let client = sim.add_node(
-            "client",
-            RealmId(0),
-            Box::new(DiscoveryClient::with_auto_start(
-                DiscoveryConfig { max_responses: 3, ..discovery_cfg(bdn) },
-                true,
-            )),
-        );
-        sim.run_for(Duration::from_secs(6));
-        let outcome = sim
-            .actor::<DiscoveryClient>(client)
-            .unwrap()
-            .outcome()
-            .cloned()
-            .expect("client discovery finished");
-        assert_eq!(outcome.responses_received, 3, "the newcomer answered as well");
-        assert!(outcome.chosen.is_some());
+            // The newcomer now participates in discovery: a later client
+            // run receives a response from it too.
+            let cfg = DiscoveryConfig { max_responses: 3, ..discovery_cfg(bdn) };
+            let client = sim.add_node("client", RealmId(0), Box::new(DiscoveryClient::with_auto_start(cfg, true)));
+            sim.run_for(Duration::from_secs(6));
+            let client = sim.actor::<DiscoveryClient>(client).unwrap();
+            let outcome = client.outcome().cloned().expect("client discovery finished");
+            assert_eq!(outcome.responses_received, 3, "the newcomer answered as well");
+            assert!(outcome.chosen.is_some());
+        });
     }
 }

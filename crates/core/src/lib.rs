@@ -30,7 +30,8 @@
 //! * [`broker_actor`] — the combined actor: pub/sub broker + responder +
 //!   advertiser,
 //! * [`deployment`] — a deployment described as one value (nodes in id
-//!   order, network) and built on either engine,
+//!   order, network), built on either engine, and the one helper that
+//!   runs a test body on every engine,
 //! * [`scenario`] — harness builders assembling the paper's WAN testbed
 //!   topologies inside the simulator (§9).
 //!
@@ -69,7 +70,7 @@ pub use bdn::{Bdn, BdnConfig};
 pub use broker_actor::DiscoveryBrokerActor;
 pub use client::{DiscoveryClient, DiscoveryOutcome, Phase, PhaseTimes};
 pub use config::{DiscoveryConfig, RetryPolicy, SelectionWeights};
-pub use deployment::{Deployment, DeploymentNode, Network};
+pub use deployment::{on_every_engine, Deployment, DeploymentNode, Network};
 pub use entity::{Entity, EntityState};
 pub use federation::{Federation, FederationConfig, FederationStats, LeaseBook, LeaseOutcome};
 pub use joining::JoiningBroker;

@@ -109,24 +109,26 @@ impl ScenarioBuilder {
 
     /// Builds the testbed on the reference serial engine.
     pub fn build(self) -> Scenario {
-        self.build_on(Sim::with_clock_profile)
+        let sim = self.describe().build(Sim::with_clock_profile);
+        self.scenario(sim)
     }
 
     /// Builds the same testbed on the conservative-lookahead sharded
     /// engine. Results are byte-identical for every `workers` count; only
     /// wall time changes.
     pub fn build_sharded(self, workers: usize) -> Scenario<ShardedSim> {
-        self.build_on(|seed, clock| {
+        let sim = self.describe().build(|seed, clock| {
             let mut sim = ShardedSim::with_clock_profile(seed, clock);
             sim.set_workers(workers);
             sim
-        })
+        });
+        self.scenario(sim)
     }
 
     /// The node ids every build gives the brokers, in `broker_sites`
     /// order: after the paper's one BDN unless
     /// [`ScenarioBuilder::without_bdn`], before the client.
-    fn broker_ids(&self) -> Range<usize> {
+    pub fn broker_ids(&self) -> Range<usize> {
         let first = usize::from(!self.without_bdn);
         first..first + self.broker_sites.len()
     }
@@ -138,22 +140,15 @@ impl ScenarioBuilder {
         self.broker_sites.get(i).copied()
     }
 
-    /// Describes the testbed as a [`Deployment`] (the BDN, then the
-    /// brokers in index order, then the client; see
-    /// [`ScenarioBuilder::broker_ids`]), builds it on `engine` and runs
-    /// the warm-up.
-    fn build_on<E: DiscoveryEngine>(
-        self,
-        engine: impl FnOnce(u64, ClockProfile) -> E,
-    ) -> Scenario<E> {
+    /// Describes the testbed as a [`Deployment`]: the BDN, then the
+    /// brokers in index order, then the client (see
+    /// [`ScenarioBuilder::broker_ids`]). Nodes a caller adds come after.
+    pub fn describe(&self) -> Deployment {
         let wan = WanModel::paper();
-        let n = self.broker_sites.len();
         let ids = self.broker_ids();
         let node_id = |i: usize| NodeId(i as u32);
-        let bdns: Vec<NodeId> = (0..ids.start).map(node_id).collect();
-        let bdn = bdns.first().copied();
+        let bdn = (ids.start > 0).then_some(node_id(0));
         let brokers: Vec<NodeId> = ids.clone().map(node_id).collect();
-        let client = node_id(ids.end);
         let sites: Vec<SiteIdx> = std::iter::repeat_n(INDIANAPOLIS, ids.start)
             .chain(self.broker_sites.iter().copied())
             .chain([self.client_site])
@@ -176,7 +171,7 @@ impl ScenarioBuilder {
             d.add(name, realm, false, move || Box::new(Bdn::new(cfg.clone())));
         }
 
-        let topology = Topology::build(self.kind, n);
+        let topology = Topology::build(self.kind, self.broker_sites.len());
         let sites_and_dials = self.broker_sites.iter().zip(topology.dial_lists());
         for (i, (&site_idx, dials)) in sites_and_dials.enumerate() {
             let site = wan.site(site_idx);
@@ -198,21 +193,29 @@ impl ScenarioBuilder {
             });
         }
 
-        let discovery = DiscoveryConfig { bdns: bdns.clone(), ..self.discovery };
+        let discovery = DiscoveryConfig { bdns: Vec::from_iter(bdn), ..self.discovery.clone() };
         let site = wan.site(self.client_site);
         d.add(format!("client@{}", site.name), site.realm, false, move || {
             Box::new(DiscoveryClient::with_auto_start(discovery.clone(), false))
         });
+        d
+    }
 
+    /// The testbed on `sim`, an engine [`ScenarioBuilder::describe`]'s
+    /// deployment was built on, after the warm-up.
+    pub fn scenario<E: DiscoveryEngine>(self, sim: E) -> Scenario<E> {
+        let ids = self.broker_ids();
+        let node_id = |i: usize| NodeId(i as u32);
+        let bdns: Vec<NodeId> = (0..ids.start).map(node_id).collect();
         let mut scenario = Scenario {
-            sim: d.build(engine),
-            wan,
-            topology,
+            sim,
+            wan: WanModel::paper(),
+            topology: Topology::build(self.kind, self.broker_sites.len()),
             kind: self.kind,
-            bdn,
+            bdn: bdns.first().copied(),
             bdns,
-            brokers,
-            client,
+            brokers: ids.clone().map(node_id).collect(),
+            client: node_id(ids.end),
             broker_sites: self.broker_sites,
             client_site: self.client_site,
         };
@@ -281,10 +284,7 @@ impl<E: DiscoveryEngine> Scenario<E> {
     }
 
     fn client_actor(&self) -> &DiscoveryClient {
-        self.sim
-            .actor_dyn(self.client)
-            .and_then(|a| a.as_any().downcast_ref::<DiscoveryClient>())
-            .expect("client actor")
+        <dyn DiscoveryEngine>::actor(&self.sim, self.client).expect("client actor")
     }
 
     /// The client's discovery state (for assertions).

@@ -539,6 +539,7 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::FaultPlan;
     use crate::clock::ClockProfile;
     use crate::impl_actor_any;
     use crate::link::LinkSpec;
@@ -623,7 +624,7 @@ mod tests {
     /// Runs the script on `engine` — with `cut`, behind a one-way
     /// partition that severs its streams and nothing else; every node's
     /// arrival log, by node.
-    fn arrivals(engine: &mut impl DiscoveryEngine, cut: bool) -> Vec<Vec<Logged>> {
+    fn arrivals(engine: &mut dyn DiscoveryEngine, cut: bool) -> Vec<Vec<Logged>> {
         let still = |spec: LinkSpec| spec.with_loss(0.0).with_jitter(Duration::ZERO);
         let net = engine.network_mut();
         net.local_spec = still(LinkSpec::local());
@@ -638,8 +639,8 @@ mod tests {
             engine.network_mut().partition_one_way(r1, nodes[2]);
         }
         engine.run_for(Duration::from_secs(1));
-        let log = |&n| engine.actor_dyn(n).and_then(|a| a.as_any().downcast_ref::<Scripted>());
-        nodes.iter().map(|n| log(n).expect("a scripted node").arrivals.clone()).collect()
+        let log = |&n| engine.actor::<Scripted>(n).expect("a scripted node").arrivals.clone();
+        nodes.iter().map(log).collect()
     }
 
     /// The engines share the send path, so on a net with no dice to
@@ -737,18 +738,17 @@ mod tests {
         impl_actor_any!();
     }
 
-    /// What the sink receives when `restart` restarts it while the
-    /// sender's first, symbol-defining frame is on the wire.
-    fn topics_across_a_reset<E: DiscoveryEngine>(engine: &mut E, restart: impl FnOnce(&mut E, Fault)) -> Vec<String> {
+    /// What the sink receives when it is restarted while the sender's
+    /// first, symbol-defining frame is on the wire.
+    fn topics_across_a_reset(engine: &mut dyn DiscoveryEngine) -> Vec<String> {
         let still = LinkSpec::lan().with_loss(0.0).with_jitter(Duration::ZERO);
         engine.network_mut().intra_realm_spec = still;
         let sink = engine.add_node("sink", RealmId(0), Box::new(TopicSink::default()));
         engine.add_node("sender", RealmId(0), Box::new(TopicSender { to: sink, sent: 0 }));
         // The frame sent at 100 ms pays a handshake: it lands ~1 ms later.
-        restart(engine, Fault::Restart { node: sink, lose_state: false });
+        engine.apply_fault_plan(&FaultPlan::new().restart_at(Duration::from_micros(100_001), sink, false));
         engine.run_for(Duration::from_secs(1));
-        let sink = engine.actor_dyn(sink).and_then(|a| a.as_any().downcast_ref::<TopicSink>());
-        sink.expect("the sink").topics.clone()
+        engine.actor::<TopicSink>(sink).expect("the sink").topics.clone()
     }
 
     /// v2 symbol definitions are positional — a link's n-th definition
@@ -763,11 +763,10 @@ mod tests {
     #[test]
     #[ignore = "ROADMAP item 3: a v2 segment in flight across a reset shifts the fresh reader's symbol ids"]
     fn a_v2_segment_in_flight_across_a_reset_does_not_shift_later_topics() {
-        let at = Duration::from_micros(100_001);
         let mut serial = Sim::with_clock_profile(5, ClockProfile::perfect());
-        let serial_got = topics_across_a_reset(&mut serial, |sim, fault| sim.schedule_fault(at, fault));
+        let serial_got = topics_across_a_reset(&mut serial);
         let mut sharded = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
-        let sharded_got = topics_across_a_reset(&mut sharded, |sim, fault| sim.schedule_fault(at, fault));
+        let sharded_got = topics_across_a_reset(&mut sharded);
         let errors = [serial.stats().segment_decode_errors, sharded.stats().segment_decode_errors];
         // Today both engines deliver `a/x`, `a/y`, `a/x`, with no error.
         assert_eq!(errors, [0, 0]);

@@ -865,11 +865,6 @@ impl ShardedSim {
         }
     }
 
-    /// Enables or disables multicast delivery network-wide.
-    pub fn set_multicast_enabled(&mut self, enabled: bool) {
-        Arc::make_mut(&mut self.network).multicast_enabled = enabled;
-    }
-
     /// Queues an [`Incoming`] for delivery to `node` after `delay`.
     pub fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
         let at = self.now + delay;
@@ -1039,81 +1034,98 @@ impl ShardedSim {
     }
 }
 
-/// The engine surface deployments are built through, so one
-/// construction path targets both the reference serial engine and the
-/// sharded engine (`crates/core`'s `Deployment::build`).
+/// The engine surface deployments are built through and tests run on,
+/// so one construction path (`crates/core`'s `Deployment::build`) and
+/// one test body (its `on_every_engine`) target both engines. A
+/// borrowed engine is an engine too, so a testbed type can hold one.
 pub trait DiscoveryEngine {
     /// Adds a node running `actor` in `realm`.
     fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId;
     /// Registers the factory that rebuilds `node`'s actor on a restart
     /// with state loss.
     fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn);
+    /// The network model.
+    fn network(&self) -> &NetworkModel;
     /// The mutable network model (coordinator time).
     fn network_mut(&mut self) -> &mut NetworkModel;
+    /// A node's name.
+    fn node_name(&self, node: NodeId) -> &str;
     /// A node's actor as a trait object.
     fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor>;
     /// Mutable counterpart of [`DiscoveryEngine::actor_dyn`].
     fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor>;
+    /// Whether `node` is up.
+    fn is_up(&self, node: NodeId) -> bool;
+    /// Marks `node` down now.
+    fn crash(&mut self, node: NodeId);
+    /// Revives a crashed `node` and re-runs its `on_start`.
+    fn revive(&mut self, node: NodeId);
+    /// Restarts `node` now; with `lose_state` from its respawn factory.
+    fn restart(&mut self, node: NodeId, lose_state: bool);
+    /// Queues every fault in `plan`, offset from now.
+    fn apply_fault_plan(&mut self, plan: &FaultPlan);
     /// Queues an [`Incoming`] for `node` after `delay`.
     fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming);
     /// Runs for `d` of virtual time.
     fn run_for(&mut self, d: Duration);
     /// Current virtual time.
     fn now(&self) -> SimTime;
+    /// Traffic counters.
+    fn stats(&self) -> NetStats;
+    /// Events processed so far.
+    fn events_processed(&self) -> u64;
 }
 
-impl DiscoveryEngine for Sim {
-    fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
-        Sim::add_node(self, name, realm, actor)
+impl dyn DiscoveryEngine + '_ {
+    /// A node's actor, downcast to `T`.
+    pub fn actor<T: 'static>(&self, node: NodeId) -> Option<&T> {
+        self.actor_dyn(node)?.as_any().downcast_ref()
     }
-    fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
-        Sim::set_respawn(self, node, factory);
-    }
-    fn network_mut(&mut self) -> &mut NetworkModel {
-        Sim::network_mut(self)
-    }
-    fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> {
-        Sim::actor_dyn(self, node)
-    }
-    fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        Sim::actor_dyn_mut(self, node)
-    }
-    fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
-        Sim::inject(self, node, delay, incoming);
-    }
-    fn run_for(&mut self, d: Duration) {
-        Sim::run_for(self, d);
-    }
-    fn now(&self) -> SimTime {
-        Sim::now(self)
+
+    /// Mutable counterpart of `actor`.
+    pub fn actor_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
+        self.actor_dyn_mut(node)?.as_any_mut().downcast_mut()
     }
 }
 
-impl DiscoveryEngine for ShardedSim {
-    fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
-        ShardedSim::add_node(self, name, realm, actor)
-    }
-    fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
-        ShardedSim::set_respawn(self, node, factory);
-    }
-    fn network_mut(&mut self) -> &mut NetworkModel {
-        ShardedSim::network_mut(self)
-    }
-    fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> {
-        ShardedSim::actor_dyn(self, node)
-    }
-    fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        ShardedSim::actor_dyn_mut(self, node)
-    }
-    fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
-        ShardedSim::inject(self, node, delay, incoming);
-    }
-    fn run_for(&mut self, d: Duration) {
-        ShardedSim::run_for(self, d);
-    }
-    fn now(&self) -> SimTime {
-        ShardedSim::now(self)
-    }
+/// Implements [`DiscoveryEngine`] for `$engine` with `$to`'s method of
+/// each name: an engine's own, or, through `[*]`, the borrowed engine's.
+macro_rules! discovery_engine {
+    ($([$($g:tt)*] $engine:ty => $to:ty, [$($d:tt)?];)*) => {$(
+        impl<$($g)*> DiscoveryEngine for $engine {
+            fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
+                <$to>::add_node($($d)? self, name, realm, actor)
+            }
+            fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
+                <$to>::set_respawn($($d)? self, node, factory)
+            }
+            fn network(&self) -> &NetworkModel { <$to>::network($($d)? self) }
+            fn network_mut(&mut self) -> &mut NetworkModel { <$to>::network_mut($($d)? self) }
+            fn node_name(&self, node: NodeId) -> &str { <$to>::node_name($($d)? self, node) }
+            fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> { <$to>::actor_dyn($($d)? self, node) }
+            fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
+                <$to>::actor_dyn_mut($($d)? self, node)
+            }
+            fn is_up(&self, node: NodeId) -> bool { <$to>::is_up($($d)? self, node) }
+            fn crash(&mut self, node: NodeId) { <$to>::crash($($d)? self, node) }
+            fn revive(&mut self, node: NodeId) { <$to>::revive($($d)? self, node) }
+            fn restart(&mut self, node: NodeId, lose_state: bool) { <$to>::restart($($d)? self, node, lose_state) }
+            fn apply_fault_plan(&mut self, plan: &FaultPlan) { <$to>::apply_fault_plan($($d)? self, plan) }
+            fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
+                <$to>::inject($($d)? self, node, delay, incoming)
+            }
+            fn run_for(&mut self, d: Duration) { <$to>::run_for($($d)? self, d) }
+            fn now(&self) -> SimTime { <$to>::now($($d)? self) }
+            fn stats(&self) -> NetStats { <$to>::stats($($d)? self).clone() }
+            fn events_processed(&self) -> u64 { <$to>::events_processed($($d)? self) }
+        }
+    )*};
+}
+
+discovery_engine! {
+    [] Sim => Sim, [];
+    [] ShardedSim => ShardedSim, [];
+    [E: DiscoveryEngine + ?Sized] &mut E => E, [*];
 }
 
 #[cfg(test)]
@@ -1476,7 +1488,7 @@ mod tests {
         let mut sim = ShardedSim::with_clock_profile(8, ClockProfile::perfect());
         sim.set_workers(2);
         lossless(&mut sim);
-        sim.set_multicast_enabled(true);
+        sim.network_mut().multicast_enabled = true;
         let a = sim.add_node("a", RealmId(0), Box::new(Caster { group, heard: 0 }));
         let b = sim.add_node("b", RealmId(0), Box::new(Caster { group, heard: 0 }));
         sim.run_for(Duration::from_secs(1));

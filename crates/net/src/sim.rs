@@ -428,18 +428,6 @@ impl Sim {
         self.push(self.now + delay, NodeEvent::Fault { fault });
     }
 
-    /// Sets the per-datagram fault probabilities immediately (plans do
-    /// this via [`Fault::SetPacketFaults`]).
-    pub fn set_packet_faults(&mut self, faults: PacketFaults) {
-        self.packet_faults = faults;
-    }
-
-    /// Enables or disables multicast delivery network-wide (see
-    /// [`NetworkModel::multicast_enabled`]).
-    pub fn set_multicast_enabled(&mut self, enabled: bool) {
-        self.network.multicast_enabled = enabled;
-    }
-
     /// Does nothing. A link speaks v2 when both its ends negotiated it
     /// (`BrokerConfig::wire_v2`) or a caller sends on it with
     /// [`crate::Context::send_stream_v2`], on either engine; there is no
@@ -476,7 +464,7 @@ impl Sim {
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         let Some(Queued { at, ev, .. }) = self.events.pop() else {
             return false;
         };
@@ -809,14 +797,12 @@ mod tests {
     fn packet_duplication_delivers_extra_copies() {
         let mut sim = Sim::with_clock_profile(6, ClockProfile::perfect());
         lossless(&mut sim);
+        let faults =
+            PacketFaults { duplicate: 1.0, corrupt: 0.0, reorder: 0.0, extra_delay: Duration::from_millis(5) };
+        // Queued before the nodes start, so their first sends roll it.
+        sim.schedule_fault(Duration::ZERO, Fault::SetPacketFaults { faults });
         let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
         sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
-        sim.set_packet_faults(PacketFaults {
-            duplicate: 1.0,
-            corrupt: 0.0,
-            reorder: 0.0,
-            extra_delay: Duration::from_millis(5),
-        });
         sim.run_for(Duration::from_secs(2));
         // Every ping arrives twice, so the echo answers 10 pongs (each
         // also duplicated in flight).
@@ -829,14 +815,11 @@ mod tests {
     fn packet_corruption_drops_and_counts() {
         let mut sim = Sim::with_clock_profile(6, ClockProfile::perfect());
         lossless(&mut sim);
+        let faults = PacketFaults { duplicate: 0.0, corrupt: 1.0, reorder: 0.0, extra_delay: Duration::ZERO };
+        // Queued before the nodes start, so their first sends roll it.
+        sim.schedule_fault(Duration::ZERO, Fault::SetPacketFaults { faults });
         let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
         sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
-        sim.set_packet_faults(PacketFaults {
-            duplicate: 0.0,
-            corrupt: 1.0,
-            reorder: 0.0,
-            extra_delay: Duration::ZERO,
-        });
         sim.run_for(Duration::from_secs(2));
         assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 0);
         assert_eq!(sim.stats().datagrams_corrupted, 5);

@@ -3,10 +3,11 @@
 //! [`crate::node::TimerSlots`] keeps a slot only while its token is
 //! armed and stamps generations from a per-node counter that never
 //! restarts. Each scenario below runs on `Sim` and on `ShardedSim`
-//! through [`Engine`], so the engines cannot drift apart on timer
+//! through [`DiscoveryEngine`], so the engines cannot drift apart on timer
 //! semantics: a slot count bounded by the timers in flight, no firing
 //! resurrected by re-arming or by a crash, cancel of nothing a no-op.
 
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -19,44 +20,17 @@ use crate::shard::{DiscoveryEngine, ShardedSim};
 use crate::sim::Sim;
 use crate::time::SimTime;
 
-/// What the scenarios need from an engine beyond [`DiscoveryEngine`].
-trait Engine: DiscoveryEngine {
-    fn crash(&mut self, node: NodeId);
-    fn revive(&mut self, node: NodeId);
-    fn armed_slots(&self, node: NodeId) -> usize;
-
-    fn add(&mut self, actor: Box<dyn Actor>) -> NodeId {
-        self.add_node("n", RealmId(0), actor)
-    }
-
-    fn actor<T: 'static>(&self, node: NodeId) -> &T {
-        let actor = self.actor_dyn(node).expect("node exists");
-        actor.as_any().downcast_ref().expect("actor type")
+/// `node`'s armed timer slots on `engine`, a `Sim` or a `ShardedSim`.
+fn armed_slots(engine: &dyn Any, node: NodeId) -> usize {
+    match engine.downcast_ref::<Sim>() {
+        Some(sim) => sim.armed_timer_slots(node),
+        None => engine.downcast_ref::<ShardedSim>().expect("an engine").armed_timer_slots(node),
     }
 }
 
-impl Engine for Sim {
-    fn crash(&mut self, node: NodeId) {
-        Sim::crash(self, node);
-    }
-    fn revive(&mut self, node: NodeId) {
-        Sim::revive(self, node);
-    }
-    fn armed_slots(&self, node: NodeId) -> usize {
-        self.armed_timer_slots(node)
-    }
-}
-
-impl Engine for ShardedSim {
-    fn crash(&mut self, node: NodeId) {
-        ShardedSim::crash(self, node);
-    }
-    fn revive(&mut self, node: NodeId) {
-        ShardedSim::revive(self, node);
-    }
-    fn armed_slots(&self, node: NodeId) -> usize {
-        self.armed_timer_slots(node)
-    }
+/// Adds a node running `actor`.
+fn add(engine: &mut dyn DiscoveryEngine, actor: Box<dyn Actor>) -> NodeId {
+    engine.add_node("n", RealmId(0), actor)
 }
 
 fn sim() -> Sim {
@@ -105,19 +79,20 @@ impl Actor for Churn {
     impl_actor_any!();
 }
 
-fn slots_never_outgrow_the_timers_in_flight(mut e: impl Engine) {
-    let node = e.add(Box::new(Churn::default()));
+fn slots_never_outgrow_the_timers_in_flight(mut engine: impl DiscoveryEngine + 'static) {
+    let node = add(&mut engine, Box::new(Churn::default()));
+    let churn = |e: &dyn DiscoveryEngine| e.actor::<Churn>(node).map(|c| (c.next_token, c.fired.len()));
     let mut steps = 0;
-    while e.actor::<Churn>(node).fired.len() < Churn::TOKENS as usize {
-        e.run_for(MS);
+    while churn(&engine).expect("a churn").1 < Churn::TOKENS as usize {
+        engine.run_for(MS);
         steps += 1;
         assert!(steps < 10_000, "churn stalled");
-        let churn = e.actor::<Churn>(node);
-        let in_flight = churn.next_token as usize - churn.fired.len();
+        let (armed, fired) = churn(&engine).expect("a churn");
+        let in_flight = armed as usize - fired;
         assert!(in_flight <= Churn::WINDOW as usize);
-        assert_eq!(e.armed_slots(node), in_flight, "after {steps} ms");
+        assert_eq!(armed_slots(&engine, node), in_flight, "after {steps} ms");
     }
-    assert_eq!(e.armed_slots(node), 0, "every slot released");
+    assert_eq!(armed_slots(&engine, node), 0, "every slot released");
 }
 
 /// Arms token 1 to a script and records when each firing of it was
@@ -131,10 +106,10 @@ struct Recorder {
     fired_at: Vec<SimTime>,
 }
 
-impl Recorder {
-    fn fired_at_ms(&self) -> Vec<u64> {
-        self.fired_at.iter().map(|t| t.as_millis()).collect()
-    }
+/// When the [`Recorder`] at `node` saw each firing, in ms.
+fn fired_at_ms(engine: &dyn DiscoveryEngine, node: NodeId) -> Vec<u64> {
+    let recorder = engine.actor::<Recorder>(node).expect("a recorder");
+    recorder.fired_at.iter().map(|t| t.as_millis()).collect()
 }
 
 impl Actor for Recorder {
@@ -159,34 +134,32 @@ impl Actor for Recorder {
 /// queued), re-armed near, the near firing releases the slot, T armed
 /// again past the first deadline. The stale far firing must not pass
 /// for the new arming.
-fn rearming_after_a_firing_never_resurrects_a_replaced_one(mut e: impl Engine) {
-    let node = e.add(Box::new(Recorder {
+fn rearming_after_a_firing_never_resurrects_a_replaced_one(mut e: impl DiscoveryEngine + 'static) {
+    let node = add(&mut e, Box::new(Recorder {
         arm_on_start: vec![MS * 100, MS * 10],
         rearm_on_firing: vec![MS * 200],
         fired_at: Vec::new(),
     }));
     e.run_for(Duration::from_secs(1));
-    let fired = e.actor::<Recorder>(node).fired_at_ms();
-    assert_eq!(fired, [10, 210], "the replaced 100 ms firing stays dead");
-    assert_eq!(e.armed_slots(node), 0);
+    assert_eq!(fired_at_ms(&e, node), [10, 210], "the replaced 100 ms firing stays dead");
+    assert_eq!(armed_slots(&e, node), 0);
 }
 
 /// A crash drops the slots; the restarted node arms the same token
 /// while the pre-crash firing is still queued.
-fn crash_then_revive_never_delivers_a_pre_crash_firing(mut e: impl Engine) {
-    let node = e.add(Box::new(Recorder {
+fn crash_then_revive_never_delivers_a_pre_crash_firing(mut e: impl DiscoveryEngine + 'static) {
+    let node = add(&mut e, Box::new(Recorder {
         arm_on_start: vec![MS * 100],
         rearm_on_firing: Vec::new(),
         fired_at: Vec::new(),
     }));
     e.run_for(MS * 50);
     e.crash(node);
-    assert_eq!(e.armed_slots(node), 0, "a crash releases every slot");
+    assert_eq!(armed_slots(&e, node), 0, "a crash releases every slot");
     e.run_for(MS * 10);
     e.revive(node); // `on_start` again: armed for 160 ms
     e.run_for(Duration::from_secs(1));
-    let fired = e.actor::<Recorder>(node).fired_at_ms();
-    assert_eq!(fired, [160], "only the post-revive arming fires");
+    assert_eq!(fired_at_ms(&e, node), [160], "only the post-revive arming fires");
 }
 
 /// Cancels tokens that are not armed, around one that is.
@@ -213,13 +186,14 @@ impl Actor for CancelsNothing {
     impl_actor_any!();
 }
 
-fn cancelling_an_unarmed_token_is_a_no_op(mut e: impl Engine) {
-    let node = e.add(Box::new(CancelsNothing { fired: 0 }));
+fn cancelling_an_unarmed_token_is_a_no_op(mut e: impl DiscoveryEngine + 'static) {
+    let node = add(&mut e, Box::new(CancelsNothing { fired: 0 }));
     e.run_for(MS);
-    assert_eq!(e.armed_slots(node), 1, "only token 1 is armed");
+    assert_eq!(armed_slots(&e, node), 1, "only token 1 is armed");
     e.run_for(Duration::from_secs(1));
-    assert_eq!(e.actor::<CancelsNothing>(node).fired, 1);
-    assert_eq!(e.armed_slots(node), 0);
+    let view: &dyn DiscoveryEngine = &e;
+    assert_eq!(view.actor::<CancelsNothing>(node).expect("the node").fired, 1);
+    assert_eq!(armed_slots(&e, node), 0);
 }
 
 macro_rules! on_both_engines {

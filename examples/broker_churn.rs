@@ -16,16 +16,60 @@ use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::client::TIMER_START;
 use nb::discovery::{
-    DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome, ResponsePolicy,
+    Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome,
+    Network, ResponsePolicy,
 };
-use nb::net::{ClockProfile, Incoming, LinkSpec, Sim};
+use nb::net::{ClockProfile, DiscoveryEngine, Incoming, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId};
 
-fn discover(sim: &mut Sim, client: NodeId, run: usize) -> DiscoveryOutcome {
-    sim.inject(client, Duration::from_millis(1), Incoming::Timer { token: TIMER_START });
+const BDN: NodeId = NodeId(0);
+const CLIENT: NodeId = NodeId(3);
+
+/// A BDN, two linked brokers and a client on one LAN.
+fn describe() -> Deployment {
+    // Fast clocks (sync within ~100 ms) so a second of warm-up is enough.
+    let clock = ClockProfile {
+        max_true_offset: Duration::from_millis(200),
+        min_residual: Duration::from_millis(1),
+        max_residual: Duration::from_millis(5),
+        min_sync_delay: Duration::from_millis(50),
+        max_sync_delay: Duration::from_millis(120),
+    };
+    let inter = LinkSpec::wan(Duration::from_millis(40));
+    let network = Network::Realms { intra: LinkSpec::lan(), inter, wan: None };
+    let mut d = Deployment { seed: 11, clock, nodes: Vec::new(), network };
+    let realm = RealmId(0);
+    // The BDN's default `auto_attach` makes it maintain connections to
+    // every broker that registers — no manual wiring needed.
+    d.add("bdn".into(), realm, false, || Box::new(Bdn::new(BdnConfig::default())));
+    for (i, neighbors) in [vec![], vec![NodeId(1)]].into_iter().enumerate() {
+        let cfg = BrokerConfig {
+            hostname: format!("broker-{i}.local"),
+            machine: MachineProfile::default_2005(),
+            neighbors,
+            ..BrokerConfig::default()
+        };
+        d.add(format!("broker-{i}"), realm, false, move || {
+            Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![BDN], ResponsePolicy::open()))
+        });
+    }
+    let cfg = DiscoveryConfig {
+        bdns: vec![BDN],
+        collection_window: Duration::from_millis(1500),
+        max_responses: 2,
+        ping_window: Duration::from_millis(500),
+        ack_timeout: Duration::from_millis(700),
+        ..DiscoveryConfig::default()
+    };
+    d.add("client".into(), realm, false, move || Box::new(DiscoveryClient::with_auto_start(cfg.clone(), false)));
+    d
+}
+
+fn discover(sim: &mut dyn DiscoveryEngine, run: usize) -> DiscoveryOutcome {
+    sim.inject(CLIENT, Duration::from_millis(1), Incoming::Timer { token: TIMER_START });
     sim.run_for(Duration::from_secs(4));
     let o = sim
-        .actor::<DiscoveryClient>(client)
+        .actor::<DiscoveryClient>(CLIENT)
         .and_then(|c| c.completed.get(run))
         .unwrap_or_else(|| panic!("discovery #{} completes within 4 s", run + 1))
         .clone();
@@ -39,62 +83,25 @@ fn discover(sim: &mut Sim, client: NodeId, run: usize) -> DiscoveryOutcome {
     o
 }
 
-fn main() {
-    // Fast clocks (sync within ~100 ms) so a second of warm-up is enough.
-    let clocks = ClockProfile {
-        max_true_offset: Duration::from_millis(200),
-        min_residual: Duration::from_millis(1),
-        max_residual: Duration::from_millis(5),
-        min_sync_delay: Duration::from_millis(50),
-        max_sync_delay: Duration::from_millis(120),
-    };
-    let mut sim = Sim::with_clock_profile(11, clocks);
-    sim.network_mut().intra_realm_spec = LinkSpec::lan();
-
-    let realm = RealmId(0);
-    // The BDN's default `auto_attach` makes it maintain connections to
-    // every broker that registers — no manual wiring needed.
-    let bdn = sim.add_node("bdn", realm, Box::new(Bdn::new(BdnConfig::default())));
-    let mk_broker = |name: &str, neighbors| {
-        DiscoveryBrokerActor::new(
-            BrokerConfig {
-                hostname: name.to_string(),
-                machine: MachineProfile::default_2005(),
-                neighbors,
-                ..BrokerConfig::default()
-            },
-            vec![bdn],
-            ResponsePolicy::open(),
-        )
-    };
-    let b0 = sim.add_node("broker-0", realm, Box::new(mk_broker("broker-0.local", vec![])));
-    sim.add_node("broker-1", realm, Box::new(mk_broker("broker-1.local", vec![b0])));
-
-    let cfg = DiscoveryConfig {
-        bdns: vec![bdn],
-        collection_window: Duration::from_millis(1500),
-        max_responses: 2,
-        ping_window: Duration::from_millis(500),
-        ack_timeout: Duration::from_millis(700),
-        ..DiscoveryConfig::default()
-    };
-    let client =
-        sim.add_node("client", realm, Box::new(DiscoveryClient::with_auto_start(cfg, false)));
-
+fn churn(sim: &mut dyn DiscoveryEngine) {
     // Clocks sync and brokers advertise.
     sim.run_for(Duration::from_millis(800));
 
-    let first = discover(&mut sim, client, 0).chosen.expect("discovery #1 finds a broker");
+    let first = discover(sim, 0).chosen.expect("discovery #1 finds a broker");
     println!("{} crashes", sim.node_name(first));
     sim.crash(first);
-    let second = discover(&mut sim, client, 1).chosen.expect("discovery #2 finds a broker");
+    let second = discover(sim, 1).chosen.expect("discovery #2 finds a broker");
 
     assert_ne!(second, first, "rediscovery must not choose the dead broker");
     assert!(sim.is_up(second));
     println!("rediscovery landed on the survivor");
 }
 
+fn main() {
+    churn(&mut describe().build(ShardedSim::with_clock_profile));
+}
+
 #[test]
 fn runs_to_completion() {
-    main();
+    nb::discovery::on_every_engine(describe, churn);
 }

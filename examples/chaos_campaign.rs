@@ -14,16 +14,23 @@ use std::time::Duration;
 use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{
-    DiscoveryBrokerActor, DiscoveryConfig, Entity, ResponsePolicy, RetryPolicy,
+    Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, Network, ResponsePolicy,
+    RetryPolicy,
 };
-use nb::net::{ClockProfile, FaultPlan, LinkSpec, PacketFaults, Sim};
+use nb::net::{ClockProfile, DiscoveryEngine, FaultPlan, LinkSpec, PacketFaults, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
-fn main() {
-    let mut sim = Sim::with_clock_profile(42, ClockProfile::perfect());
-    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0005);
-    sim.network_mut().inter_realm_spec =
-        LinkSpec::wan(Duration::from_millis(15)).with_loss(0.001);
+const BDN: NodeId = NodeId(0);
+const SUBSCRIBER: NodeId = NodeId(4);
+const PUBLISHER: NodeId = NodeId(5);
+
+/// A restartable BDN and three brokers over two realms, a subscriber to
+/// `alerts/**` and a publisher.
+fn describe() -> Deployment {
+    let intra = LinkSpec::lan().with_loss(0.0005);
+    let inter = LinkSpec::wan(Duration::from_millis(15)).with_loss(0.001);
+    let network = Network::Realms { intra, inter, wan: None };
+    let mut d = Deployment { seed: 42, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
 
     // Short 20 s advertisement leases: only heartbeating brokers are
     // ever injection targets.
@@ -32,36 +39,27 @@ fn main() {
         ping_interval: Duration::from_secs(5),
         ..BdnConfig::default()
     };
-    let bdn = sim.add_node("bdn", RealmId(0), Box::new(Bdn::new(bdn_cfg.clone())));
-    sim.set_respawn(bdn, Box::new(move || Box::new(Bdn::new(bdn_cfg.clone()))));
+    d.add("bdn".into(), RealmId(0), true, move || Box::new(Bdn::new(bdn_cfg.clone())));
 
-    // Three brokers re-advertising every 5 s (four heartbeats per lease).
-    let mut brokers: Vec<NodeId> = Vec::new();
+    // Three brokers re-advertising every 5 s (four heartbeats per lease),
+    // each rebuilt from its configuration by a lossy restart.
     for i in 0..3u16 {
         let cfg = BrokerConfig {
             hostname: format!("broker-{i}.local"),
             machine: MachineProfile::default_2005(),
-            neighbors: brokers.clone(),
+            neighbors: (1..=i as u32).map(NodeId).collect(),
             ..BrokerConfig::default()
         };
-        let mut actor = DiscoveryBrokerActor::new(cfg.clone(), vec![bdn], ResponsePolicy::open());
-        actor.advertiser.set_readvertise(Duration::from_secs(5));
-        let node = sim.add_node(&format!("broker-{i}"), RealmId(i % 2), Box::new(actor));
-        sim.set_respawn(
-            node,
-            Box::new(move || {
-                let mut fresh =
-                    DiscoveryBrokerActor::new(cfg.clone(), vec![bdn], ResponsePolicy::open());
-                fresh.advertiser.set_readvertise(Duration::from_secs(5));
-                Box::new(fresh)
-            }),
-        );
-        brokers.push(node);
+        d.add(format!("broker-{i}"), RealmId(i % 2), true, move || {
+            let mut actor = DiscoveryBrokerActor::new(cfg.clone(), vec![BDN], ResponsePolicy::open());
+            actor.advertiser.set_readvertise(Duration::from_secs(5));
+            Box::new(actor)
+        });
     }
 
     // Entities with capped-exponential request backoff (300 ms → 3 s).
     let cfg = DiscoveryConfig {
-        bdns: vec![bdn],
+        bdns: vec![BDN],
         collection_window: Duration::from_millis(1000),
         max_responses: 5,
         ping_window: Duration::from_millis(400),
@@ -75,27 +73,32 @@ fn main() {
         ..DiscoveryConfig::default()
     };
     let filter = TopicFilter::parse("alerts/**").unwrap();
-    let subscriber =
-        sim.add_node("subscriber", RealmId(0), Box::new(Entity::new(cfg.clone(), vec![filter])));
-    let publisher = sim.add_node("publisher", RealmId(1), Box::new(Entity::new(cfg, vec![])));
+    for (name, realm, filters) in [("subscriber", 0, vec![filter]), ("publisher", 1, vec![])] {
+        let cfg = cfg.clone();
+        d.add(name.into(), RealmId(realm), false, move || Box::new(Entity::new(cfg.clone(), filters.clone())));
+    }
+    d
+}
 
+fn entity(sim: &dyn DiscoveryEngine, node: NodeId) -> &Entity {
+    sim.actor::<Entity>(node).unwrap()
+}
+
+fn storm(sim: &mut dyn DiscoveryEngine) {
     sim.run_for(Duration::from_secs(8));
-    let sub_broker = sim.actor::<Entity>(subscriber).unwrap().broker().expect("attached");
+    let sub_broker = entity(sim, SUBSCRIBER).broker().expect("attached");
     println!(
         "attached: subscriber -> {}, publisher -> {}",
         sim.node_name(sub_broker),
-        sim.node_name(sim.actor::<Entity>(publisher).unwrap().broker().unwrap()),
+        sim.node_name(entity(sim, PUBLISHER).broker().unwrap()),
     );
-    println!(
-        "registry before the storm: {} leases\n",
-        sim.actor::<Bdn>(bdn).unwrap().registry_len()
-    );
+    println!("registry before the storm: {} leases\n", sim.actor::<Bdn>(BDN).unwrap().registry_len());
 
     // The storm: BDN loses its registry, the subscriber's broker link
     // flaps for 10 s, and packets get duplicated/corrupted/reordered.
     let plan = FaultPlan::new()
-        .lossy_restart_at(Duration::from_secs(2), bdn, Duration::from_secs(10))
-        .flap_at(Duration::from_secs(15), subscriber, sub_broker, Duration::from_secs(10))
+        .lossy_restart_at(Duration::from_secs(2), BDN, Duration::from_secs(10))
+        .flap_at(Duration::from_secs(15), SUBSCRIBER, sub_broker, Duration::from_secs(10))
         .packet_fault_window(
             Duration::from_secs(15),
             Duration::from_secs(10),
@@ -107,19 +110,18 @@ fn main() {
     sim.run_for(Duration::from_secs(60));
 
     // Post-recovery traffic proves the system healed.
-    sim.actor_mut::<Entity>(publisher)
-        .unwrap()
-        .queue_publish(Topic::parse("alerts/recovered").unwrap(), b"all clear".to_vec());
+    let publisher = sim.actor_mut::<Entity>(PUBLISHER).unwrap();
+    publisher.queue_publish(Topic::parse("alerts/recovered").unwrap(), b"all clear".to_vec());
     sim.run_for(Duration::from_secs(5));
 
-    let bdn_actor = sim.actor::<Bdn>(bdn).unwrap();
+    let bdn_actor = sim.actor::<Bdn>(BDN).unwrap();
     println!(
         "registry after heartbeat-driven recovery: {} leases \
          ({} stale targets skipped along the way)",
         bdn_actor.registry_len(),
         bdn_actor.stale_targets_skipped,
     );
-    let sub = sim.actor::<Entity>(subscriber).unwrap();
+    let sub = entity(sim, SUBSCRIBER);
     println!(
         "subscriber: attached to {}, {} failover(s), received {} event(s), \
          {} duplicate(s) suppressed",
@@ -142,7 +144,11 @@ fn main() {
     println!("\nrecovered: the lease registry was rebuilt from heartbeats alone");
 }
 
+fn main() {
+    storm(&mut describe().build(ShardedSim::with_clock_profile));
+}
+
 #[test]
 fn runs_to_completion() {
-    main();
+    nb::discovery::on_every_engine(describe, storm);
 }

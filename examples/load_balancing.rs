@@ -12,12 +12,14 @@
 
 use std::time::Duration;
 
-use nb::broker::{BrokerActor, BrokerConfig, MachineProfile, PubSubClient, TopologyKind};
+use nb::broker::{BrokerConfig, MachineProfile, PubSubClient, TopologyKind};
 use nb::discovery::scenario::ScenarioBuilder;
-use nb::discovery::{DiscoveryBrokerActor, ResponsePolicy, SelectionWeights};
-use nb::net::wan::{INDIANAPOLIS, BLOOMINGTON};
+use nb::discovery::{Deployment, DiscoveryBrokerActor, ResponsePolicy, SelectionWeights};
+use nb::net::wan::{BLOOMINGTON, INDIANAPOLIS};
+use nb::net::{DiscoveryEngine, ShardedSim};
+use nb::wire::NodeId;
 
-fn main() {
+fn builder() -> ScenarioBuilder {
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 7);
     // Ignore proximity; choose on load alone so the effect is starkly
     // visible (the default weights blend both). The paper's *final*
@@ -26,22 +28,28 @@ fn main() {
     builder.discovery.weights = SelectionWeights::load_only();
     builder.discovery.target_set_size = 1;
     builder.discovery.max_responses = 10;
-    let mut scenario = builder.build();
+    builder
+}
 
-    // Saturate the hub broker (Indianapolis) with client connections.
-    let hub = scenario.brokers[0];
+/// The star testbed, its hub broker (Indianapolis) saturated with 60
+/// client connections.
+fn describe() -> Deployment {
+    let b = builder();
+    let mut d = b.describe();
+    let hub = NodeId(b.broker_ids().start as u32);
+    let realm = nb::net::wan::WanModel::paper().site(INDIANAPOLIS).realm;
     for i in 0..60 {
-        scenario.sim.add_node(
-            &format!("load-client-{i}"),
-            scenario.wan.site(INDIANAPOLIS).realm,
-            Box::new(PubSubClient::new(hub, vec![])),
-        );
+        d.add(format!("load-client-{i}"), realm, false, move || Box::new(PubSubClient::new(hub, vec![])));
     }
+    d
+}
+
+fn balance(sim: &mut dyn DiscoveryEngine) {
+    let mut scenario = builder().scenario(sim);
+    let hub = scenario.brokers[0];
     scenario.sim.run_for(Duration::from_secs(8));
-    {
-        let hub_actor = scenario.sim.actor::<DiscoveryBrokerActor>(hub).unwrap();
-        println!("hub broker now carries {} client connections", hub_actor.broker.num_clients());
-    }
+    let hub_actor = scenario.sim.actor::<DiscoveryBrokerActor>(hub).unwrap();
+    println!("hub broker now carries {} client connections", hub_actor.broker.num_clients());
 
     let before = scenario.run_discovery_once();
     let before_site = scenario.site_of_broker(before.chosen.unwrap()).unwrap();
@@ -62,19 +70,11 @@ fn main() {
         ..BrokerConfig::default()
     };
     let bdns = scenario.bdn.into_iter().collect();
-    let fresh = scenario.sim.add_node(
-        "broker-new@Indianapolis",
-        site.realm,
-        Box::new(DiscoveryBrokerActor::new(cfg, bdns, ResponsePolicy::open())),
-    );
+    let actor = DiscoveryBrokerActor::new(cfg, bdns, ResponsePolicy::open());
+    let fresh = scenario.sim.add_node("broker-new@Indianapolis", site.realm, Box::new(actor));
     // Wire its WAN links like any Indianapolis host.
-    let placements: Vec<(nb::wire::NodeId, usize)> = scenario
-        .brokers
-        .iter()
-        .copied()
-        .zip(scenario.broker_sites.iter().copied())
-        .chain([(scenario.client, scenario.client_site)])
-        .collect();
+    let placements = scenario.brokers.iter().copied().zip(scenario.broker_sites.iter().copied());
+    let placements: Vec<(NodeId, usize)> = placements.chain([(scenario.client, scenario.client_site)]).collect();
     for (node, s) in placements {
         let spec = scenario.wan.link_spec(INDIANAPOLIS, s);
         scenario.sim.network_mut().set_link(fresh, node, spec);
@@ -94,13 +94,13 @@ fn main() {
         if chosen == fresh { " — the freshly added broker" } else { "" }
     );
     assert_eq!(chosen, fresh, "the idle newcomer must win under load-aware selection");
+}
 
-    // BrokerActor is unused in this example but demonstrates that plain
-    // brokers and discovery-enabled brokers share the same substrate.
-    let _ = BrokerActor::new(BrokerConfig::default());
+fn main() {
+    balance(&mut describe().build(ShardedSim::with_clock_profile));
 }
 
 #[test]
 fn runs_to_completion() {
-    main();
+    nb::discovery::on_every_engine(describe, balance);
 }

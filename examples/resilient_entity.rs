@@ -11,31 +11,36 @@ use std::time::Duration;
 
 use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
-use nb::discovery::{DiscoveryBrokerActor, DiscoveryConfig, Entity, ResponsePolicy};
-use nb::net::{ClockProfile, LinkSpec, Sim};
+use nb::discovery::{
+    Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, Network, ResponsePolicy,
+};
+use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
-fn main() {
-    let mut sim = Sim::with_clock_profile(17, ClockProfile::perfect());
-    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-    let bdn = sim.add_node("bdn", RealmId(0), Box::new(Bdn::new(BdnConfig::default())));
-    let mk = |name: &str, neighbors: Vec<NodeId>| {
-        DiscoveryBrokerActor::new(
-            BrokerConfig {
-                hostname: name.to_string(),
-                machine: MachineProfile::default_2005(),
-                neighbors,
-                ..BrokerConfig::default()
-            },
-            vec![bdn],
-            ResponsePolicy::open(),
-        )
-    };
-    let b0 = sim.add_node("broker-0", RealmId(0), Box::new(mk("broker-0.local", vec![])));
-    let _b1 = sim.add_node("broker-1", RealmId(0), Box::new(mk("broker-1.local", vec![b0])));
+const BDN: NodeId = NodeId(0);
+const SUBSCRIBER: NodeId = NodeId(3);
+const PUBLISHER: NodeId = NodeId(4);
 
+/// A BDN, two linked brokers, a subscriber to `alerts/**` and a
+/// publisher on one lossless LAN.
+fn describe() -> Deployment {
+    let intra = LinkSpec::lan().with_loss(0.0);
+    let network = Network::Realms { intra, inter: LinkSpec::wan(Duration::from_millis(40)), wan: None };
+    let mut d = Deployment { seed: 17, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+    d.add("bdn".into(), RealmId(0), false, || Box::new(Bdn::new(BdnConfig::default())));
+    for (i, neighbors) in [vec![], vec![NodeId(1)]].into_iter().enumerate() {
+        let cfg = BrokerConfig {
+            hostname: format!("broker-{i}.local"),
+            machine: MachineProfile::default_2005(),
+            neighbors,
+            ..BrokerConfig::default()
+        };
+        d.add(format!("broker-{i}"), RealmId(0), false, move || {
+            Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![BDN], ResponsePolicy::open()))
+        });
+    }
     let cfg = DiscoveryConfig {
-        bdns: vec![bdn],
+        bdns: vec![BDN],
         collection_window: Duration::from_millis(1000),
         max_responses: 2,
         ping_window: Duration::from_millis(400),
@@ -43,54 +48,61 @@ fn main() {
         ..DiscoveryConfig::default()
     };
     let filter = TopicFilter::parse("alerts/**").unwrap();
-    let subscriber =
-        sim.add_node("subscriber", RealmId(0), Box::new(Entity::new(cfg.clone(), vec![filter])));
-    let publisher = sim.add_node("publisher", RealmId(0), Box::new(Entity::new(cfg, vec![])));
+    for (name, filters) in [("subscriber", vec![filter]), ("publisher", vec![])] {
+        let cfg = cfg.clone();
+        d.add(name.into(), RealmId(0), false, move || Box::new(Entity::new(cfg.clone(), filters.clone())));
+    }
+    d
+}
 
+fn entity(sim: &dyn DiscoveryEngine, node: NodeId) -> &Entity {
+    sim.actor::<Entity>(node).unwrap()
+}
+
+fn publish(sim: &mut dyn DiscoveryEngine, topic: &str, payload: &[u8]) {
+    let publisher = sim.actor_mut::<Entity>(PUBLISHER).unwrap();
+    publisher.queue_publish(Topic::parse(topic).unwrap(), payload.to_vec());
+}
+
+fn life_cycle(sim: &mut dyn DiscoveryEngine) {
     sim.run_for(Duration::from_secs(4));
-    let sub_broker = sim.actor::<Entity>(subscriber).unwrap().broker().expect("attached");
+    let sub_broker = entity(sim, SUBSCRIBER).broker().expect("attached");
     println!("subscriber attached to {} ({})", sub_broker, sim.node_name(sub_broker));
-    println!(
-        "publisher attached to {}",
-        sim.node_name(sim.actor::<Entity>(publisher).unwrap().broker().unwrap())
-    );
+    println!("publisher attached to {}", sim.node_name(entity(sim, PUBLISHER).broker().unwrap()));
 
-    sim.actor_mut::<Entity>(publisher)
-        .unwrap()
-        .queue_publish(Topic::parse("alerts/disk").unwrap(), b"disk full".to_vec());
+    publish(sim, "alerts/disk", b"disk full");
     sim.run_for(Duration::from_secs(2));
-    println!(
-        "subscriber received {} event(s) before the failure",
-        sim.actor::<Entity>(subscriber).unwrap().received.len()
-    );
+    println!("subscriber received {} event(s) before the failure", entity(sim, SUBSCRIBER).received.len());
 
     println!("\ncrashing {} …", sim.node_name(sub_broker));
     sim.crash(sub_broker);
     sim.run_for(Duration::from_secs(30));
 
-    let entity = sim.actor::<Entity>(subscriber).unwrap();
-    let new_broker = entity.broker().expect("reattached");
+    let sub = entity(sim, SUBSCRIBER);
+    let new_broker = sub.broker().expect("reattached");
     println!(
         "subscriber failed over to {} after {} keepalive losses (attachment history: {:?})",
         sim.node_name(new_broker),
-        entity.failovers,
-        entity.attachments
+        sub.failovers,
+        sub.attachments
     );
     assert_ne!(new_broker, sub_broker);
 
     // The publisher may also have lived on the dead broker; give it time,
     // then prove the subscription survived the move.
     sim.run_for(Duration::from_secs(10));
-    sim.actor_mut::<Entity>(publisher)
-        .unwrap()
-        .queue_publish(Topic::parse("alerts/cpu").unwrap(), b"cpu hot".to_vec());
+    publish(sim, "alerts/cpu", b"cpu hot");
     sim.run_for(Duration::from_secs(3));
-    let received = sim.actor::<Entity>(subscriber).unwrap().received.len();
+    let received = entity(sim, SUBSCRIBER).received.len();
     println!("subscriber received {received} event(s) in total — subscriptions survived");
     assert_eq!(received, 2);
 }
 
+fn main() {
+    life_cycle(&mut describe().build(ShardedSim::with_clock_profile));
+}
+
 #[test]
 fn runs_to_completion() {
-    main();
+    nb::discovery::on_every_engine(describe, life_cycle);
 }

@@ -10,9 +10,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use nb::broker::{BrokerActor, BrokerConfig, Topology, TopologyKind};
+use nb::discovery::{on_every_engine, Deployment, Network};
 use nb::net::runtime::IdleActor;
 use nb::net::{
-    impl_actor_any, Actor, ClockProfile, Context, Fault, FaultPlan, Incoming, LinkSpec, Sim, SimTime,
+    impl_actor_any, Actor, ClockProfile, Context, DiscoveryEngine, Fault, FaultPlan, Incoming, LinkSpec,
+    SimTime,
 };
 use nb::util::Uuid;
 use nb::wire::addr::well_known;
@@ -132,41 +134,60 @@ fn random_overlay() -> Topology {
     Topology::random(20, 6, &mut rand::rngs::StdRng::seed_from_u64(9))
 }
 
-/// A deployment: the overlay, one subscriber per broker, publishers.
-struct Net {
-    sim: Sim,
-    topo: Topology,
+/// A lossless LAN.
+fn lan(seed: u64) -> Deployment {
+    let intra = LinkSpec::lan().with_loss(0.0);
+    let network = Network::Realms { intra, inter: LinkSpec::wan(Duration::from_millis(40)), wan: None };
+    Deployment { seed, clock: ClockProfile::perfect(), nodes: Vec::new(), network }
+}
+
+/// Runs `body` on every engine, on the overlay `topo` with one
+/// subscriber per broker and a station at each broker of `publishers`
+/// that starts publishing once the overlay has settled (see
+/// [`Net::start`]); hands it the stations' ids.
+fn on_every_net<const P: usize>(
+    seed: u64,
+    topo: &Topology,
+    publishers: [usize; P],
+    mut body: impl FnMut(Net<'_>, [NodeId; P]),
+) {
+    let n = topo.dial_lists().len();
+    let describe = || {
+        let mut d = lan(seed);
+        for (i, dials) in topo.dial_lists().into_iter().enumerate() {
+            let neighbors = dials.iter().map(|&j| NodeId(j as u32)).collect();
+            let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
+            d.add(format!("b{i}"), RealmId(0), false, move || Box::new(BrokerActor::new(cfg.clone())));
+        }
+        for i in 0..n {
+            d.add(format!("s{i}"), RealmId(0), false, move || Box::new(Station::subscriber(NodeId(i as u32))));
+        }
+        for at in publishers {
+            let broker = NodeId(at as u32);
+            d.add(format!("p{at}"), RealmId(0), false, move || Box::new(Station::new(broker, Vec::new())));
+        }
+        d
+    };
+    let ids = |range: std::ops::Range<usize>| range.map(|i| NodeId(i as u32)).collect::<Vec<_>>();
+    on_every_engine(describe, |sim| {
+        let net = Net { sim, topo, brokers: ids(0..n), subs: ids(n..2 * n) };
+        body(net, std::array::from_fn(|k| NodeId((2 * n + k) as u32)));
+    });
+}
+
+/// A deployment on one engine: the overlay, one subscriber per broker,
+/// publishers.
+struct Net<'a> {
+    sim: &'a mut dyn DiscoveryEngine,
+    topo: &'a Topology,
     brokers: Vec<NodeId>,
     subs: Vec<NodeId>,
 }
 
-impl Net {
-    fn new(seed: u64, topo: Topology) -> Net {
-        let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
-        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-        let mut brokers: Vec<NodeId> = Vec::new();
-        for (i, dials) in topo.dial_lists().into_iter().enumerate() {
-            let neighbors = dials.iter().map(|&j| brokers[j]).collect();
-            let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
-            brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
-        }
-        let subs = brokers
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| sim.add_node(&format!("s{i}"), RealmId(0), Box::new(Station::subscriber(b))))
-            .collect();
-        Net { sim, topo, brokers, subs }
-    }
-
-    /// A station at broker `at` that starts publishing once the overlay
-    /// has settled (see [`Net::start`]).
-    fn publisher(&mut self, at: usize) -> NodeId {
-        let name = format!("p{at}");
-        self.sim.add_node(&name, RealmId(0), Box::new(Station::new(self.brokers[at], Vec::new())))
-    }
-
+impl Net<'_> {
     fn run_to(&mut self, secs: f64) {
-        self.sim.run_until(SimTime::from_nanos((secs * 1e9) as u64));
+        let to = SimTime::from_nanos((secs * 1e9) as u64);
+        self.sim.run_for(to.since(self.sim.now()));
     }
 
     /// Links and interest settle for four seconds, then `publishers`
@@ -265,14 +286,14 @@ impl Net {
 
 /// Runs `net` to `to` seconds and returns the share of broker arrivals
 /// since `from` (now) that were duplicates.
-fn duplicate_ratio(net: &mut Net, to: f64) -> f64 {
+fn duplicate_ratio(net: &mut Net<'_>, to: f64) -> f64 {
     let (d0, r0) = net.broker_counts();
     net.run_to(to);
     let (d1, r1) = net.broker_counts();
     (d1 - d0) as f64 / ((d1 - d0) + (r1 - r0)) as f64
 }
 
-fn all_subs(net: &Net) -> Vec<usize> {
+fn all_subs(net: &Net<'_>) -> Vec<usize> {
     (0..net.subs.len()).collect()
 }
 
@@ -281,31 +302,31 @@ fn all_subs(net: &Net) -> Vec<usize> {
 #[test]
 fn steady_state_is_the_floods_deliveries_with_a_fraction_of_its_frames() {
     for (topo, seed) in [(ring_with_chords(), 41), (random_overlay(), 42)] {
-        let mut net = Net::new(seed, topo);
-        let far = net.brokers.len() / 2;
-        let publishers = [net.publisher(0), net.publisher(far)];
-        net.start(&publishers);
-        // The first event of each publisher floods and is what prunes;
-        // from the second second on the tree carries the stream — across
-        // two renewals of every mute (16 s is more than two leases).
-        net.run_to(5.0);
-        let ratio = duplicate_ratio(&mut net, 20.0);
-        for &p in &publishers {
-            net.station_mut(p).publishing = false;
-        }
-        net.run_to(21.0);
-        for &p in &publishers {
-            assert_eq!(net.station(p).sent.len(), 80);
-            net.assert_exactly_once(&all_subs(&net), p, 0.0, 21.0, "steady state");
-        }
-        net.assert_no_duplicates(&publishers);
-        assert!(ratio < 0.15, "duplicate ratio {ratio:.3} after the first second");
-        let brokers = 0..net.brokers.len();
-        let (sent, received, dropped) = brokers.map(|i| net.broker(i)).fold((0, 0, 0), |acc, b| {
-            (acc.0 + b.prunes_sent, acc.1 + b.prunes_received, acc.2 + b.duplicates_suppressed)
+        let far = topo.dial_lists().len() / 2;
+        on_every_net(seed, &topo, [0, far], |mut net, publishers| {
+            net.start(&publishers);
+            // The first event of each publisher floods and is what prunes;
+            // from the second second on the tree carries the stream — across
+            // two renewals of every mute (16 s is more than two leases).
+            net.run_to(5.0);
+            let ratio = duplicate_ratio(&mut net, 20.0);
+            for &p in &publishers {
+                net.station_mut(p).publishing = false;
+            }
+            net.run_to(21.0);
+            for &p in &publishers {
+                assert_eq!(net.station(p).sent.len(), 80);
+                net.assert_exactly_once(&all_subs(&net), p, 0.0, 21.0, "steady state");
+            }
+            net.assert_no_duplicates(&publishers);
+            assert!(ratio < 0.15, "duplicate ratio {ratio:.3} after the first second");
+            let brokers = 0..net.brokers.len();
+            let (sent, received, dropped) = brokers.map(|i| net.broker(i)).fold((0, 0, 0), |acc, b| {
+                (acc.0 + b.prunes_sent, acc.1 + b.prunes_received, acc.2 + b.duplicates_suppressed)
+            });
+            assert!(sent > 0 && sent == received, "{sent} prunes sent, {received} received");
+            assert!(sent <= dropped, "a prune answers a duplicate: {sent} prunes, {dropped} duplicates");
         });
-        assert!(sent > 0 && sent == received, "{sent} prunes sent, {received} received");
-        assert!(sent <= dropped, "a prune answers a duplicate: {sent} prunes, {dropped} duplicates");
     }
 }
 
@@ -314,7 +335,7 @@ fn steady_state_is_the_floods_deliveries_with_a_fraction_of_its_frames() {
 /// The first broker (not the ingress, broker 0) whose parent for
 /// `source` is a link the overlay stays connected without; returns
 /// `(child, parent)` as broker indices.
-fn redundant_tree_link(net: &Net, source: NodeId) -> (usize, usize) {
+fn redundant_tree_link(net: &Net<'_>, source: NodeId) -> (usize, usize) {
     let index_of = |n: NodeId| net.brokers.iter().position(|&b| b == n);
     (1..net.brokers.len())
         .filter_map(|c| Some((c, index_of(net.broker(c).route_parent(source)?)?)))
@@ -322,80 +343,80 @@ fn redundant_tree_link(net: &Net, source: NodeId) -> (usize, usize) {
         .expect("a meshed overlay has a tree link that is not a bridge")
 }
 
-/// A deployment with one publisher at broker 0, run to 20.5 s — half a
+/// Runs `net`, with one `publisher` at broker 0, to 20.5 s — half a
 /// second after a heartbeat crossed every link, so that no link can be
-/// called dead before 28.0 — with the pre-fault duplicate ratio and mean
-/// latency of 5–17 s, and a tree link to fail.
-fn streaming_until_the_fault(topo: Topology, seed: u64) -> (Net, NodeId, f64, f64, (usize, usize)) {
-    let mut net = Net::new(seed, topo);
-    let publisher = net.publisher(0);
+/// called dead before 28.0; returns the pre-fault duplicate ratio and
+/// mean latency of 5–17 s, and a tree link to fail.
+fn streaming_until_the_fault(net: &mut Net<'_>, publisher: NodeId) -> (f64, f64, (usize, usize)) {
     net.start(&[publisher]);
     net.run_to(5.0);
-    let ratio = duplicate_ratio(&mut net, 17.0);
+    let ratio = duplicate_ratio(net, 17.0);
     let latency = net.mean_latency_us(5.0, 17.0);
     net.run_to(20.5);
-    let link = redundant_tree_link(&net, publisher);
-    (net, publisher, ratio, latency, link)
+    (ratio, latency, redundant_tree_link(net, publisher))
 }
 
 #[test]
 fn a_silent_link_loss_is_routed_around_inside_one_lease_with_no_failure_detection() {
     for (topo, seed) in [(ring_with_chords(), 43), (random_overlay(), 44)] {
-        let (mut net, publisher, _, _, (child, parent)) = streaming_until_the_fault(topo, seed);
-        let (c, p) = (net.brokers[child], net.brokers[parent]);
-        net.sim.network_mut().partition(c, p);
-        let lapsed = 20.5 + LEASE.as_secs_f64();
-        net.run_to(27.9);
-        // Both ends still believe in the link: what routed around it is
-        // a mute running out, not a heartbeat going missing.
-        assert!(net.broker(child).is_linked(p) && net.broker(parent).is_linked(c));
-        let subs = all_subs(&net);
-        net.assert_exactly_once(&subs, publisher, lapsed, 27.8, "one lease after, link still up");
-        net.assert_exactly_once(&subs, publisher, 0.0, 20.3, "before the fault");
-        let fed = net.counts(child, publisher).len();
-        assert!(fed < net.station(publisher).sent.len() - 2, "the fault did cut a feed");
-        // Failure detection, when it comes, loses nothing either.
-        net.run_to(40.0);
-        assert!(!net.broker(child).is_linked(p) && !net.broker(parent).is_linked(c));
-        net.station_mut(publisher).publishing = false;
-        net.run_to(41.0);
-        net.assert_exactly_once(&subs, publisher, lapsed, 41.0, "through link_down");
-        net.assert_no_duplicates(&[publisher]);
+        on_every_net(seed, &topo, [0], |mut net, [publisher]| {
+            let (_, _, (child, parent)) = streaming_until_the_fault(&mut net, publisher);
+            let (c, p) = (net.brokers[child], net.brokers[parent]);
+            net.sim.network_mut().partition(c, p);
+            let lapsed = 20.5 + LEASE.as_secs_f64();
+            net.run_to(27.9);
+            // Both ends still believe in the link: what routed around it is
+            // a mute running out, not a heartbeat going missing.
+            assert!(net.broker(child).is_linked(p) && net.broker(parent).is_linked(c));
+            let subs = all_subs(&net);
+            net.assert_exactly_once(&subs, publisher, lapsed, 27.8, "one lease after, link still up");
+            net.assert_exactly_once(&subs, publisher, 0.0, 20.3, "before the fault");
+            let fed = net.counts(child, publisher).len();
+            assert!(fed < net.station(publisher).sent.len() - 2, "the fault did cut a feed");
+            // Failure detection, when it comes, loses nothing either.
+            net.run_to(40.0);
+            assert!(!net.broker(child).is_linked(p) && !net.broker(parent).is_linked(c));
+            net.station_mut(publisher).publishing = false;
+            net.run_to(41.0);
+            net.assert_exactly_once(&subs, publisher, lapsed, 41.0, "through link_down");
+            net.assert_no_duplicates(&[publisher]);
+        });
     }
 }
 
 #[test]
 fn after_a_flap_the_tree_is_back_to_one_copy_a_broker_inside_two_leases() {
     for (topo, seed) in [(ring_with_chords(), 43), (random_overlay(), 44)] {
-        let (mut net, publisher, before_ratio, before_latency, (child, parent)) =
-            streaming_until_the_fault(topo, seed);
-        let (c, p) = (net.brokers[child], net.brokers[parent]);
-        // Three seconds: feeds move (every mute that lapses meanwhile
-        // opens one), but a heartbeat crosses before either end gives up.
-        net.sim.network_mut().partition(c, p);
-        net.run_to(23.5);
-        net.sim.network_mut().heal(c, p);
-        let settled = 23.5 + 2.0 * LEASE.as_secs_f64();
-        net.run_to(settled);
-        let after_ratio = duplicate_ratio(&mut net, settled + 12.0);
-        let after_latency = net.mean_latency_us(settled, settled + 12.0);
-        net.station_mut(publisher).publishing = false;
-        net.run_to(settled + 13.0);
-        assert!(net.broker(child).is_linked(p) && net.broker(parent).is_linked(c));
-        let subs = all_subs(&net);
-        net.assert_exactly_once(&subs, publisher, 0.0, 20.3, "before the flap");
-        let calm = 23.5 + LEASE.as_secs_f64();
-        net.assert_exactly_once(&subs, publisher, calm, settled + 13.0, "a lease after the heal");
-        net.assert_no_duplicates(&[publisher]);
-        assert!(before_ratio < 0.15, "duplicate ratio {before_ratio:.3} before the fault");
-        assert!(
-            after_ratio <= before_ratio * 1.5 + 0.01,
-            "duplicate ratio {before_ratio:.3} before the flap, {after_ratio:.3} two leases after"
-        );
-        assert!(
-            after_latency <= before_latency * 1.02,
-            "mean latency {before_latency:.0} µs before the flap, {after_latency:.0} µs two leases after"
-        );
+        on_every_net(seed, &topo, [0], |mut net, [publisher]| {
+            let (before_ratio, before_latency, (child, parent)) = streaming_until_the_fault(&mut net, publisher);
+            let (c, p) = (net.brokers[child], net.brokers[parent]);
+            // Three seconds: feeds move (every mute that lapses meanwhile
+            // opens one), but a heartbeat crosses before either end gives up.
+            net.sim.network_mut().partition(c, p);
+            net.run_to(23.5);
+            net.sim.network_mut().heal(c, p);
+            let settled = 23.5 + 2.0 * LEASE.as_secs_f64();
+            net.run_to(settled);
+            let after_ratio = duplicate_ratio(&mut net, settled + 12.0);
+            let after_latency = net.mean_latency_us(settled, settled + 12.0);
+            net.station_mut(publisher).publishing = false;
+            net.run_to(settled + 13.0);
+            assert!(net.broker(child).is_linked(p) && net.broker(parent).is_linked(c));
+            let subs = all_subs(&net);
+            net.assert_exactly_once(&subs, publisher, 0.0, 20.3, "before the flap");
+            let calm = 23.5 + LEASE.as_secs_f64();
+            net.assert_exactly_once(&subs, publisher, calm, settled + 13.0, "a lease after the heal");
+            net.assert_no_duplicates(&[publisher]);
+            assert!(before_ratio < 0.15, "duplicate ratio {before_ratio:.3} before the fault");
+            assert!(
+                after_ratio <= before_ratio * 1.5 + 0.01,
+                "duplicate ratio {before_ratio:.3} before the flap, {after_ratio:.3} two leases after"
+            );
+            assert!(
+                after_latency <= before_latency * 1.02,
+                "mean latency {before_latency:.0} µs before the flap, {after_latency:.0} µs two leases after"
+            );
+        });
     }
 }
 
@@ -404,23 +425,23 @@ fn after_a_flap_the_tree_is_back_to_one_copy_a_broker_inside_two_leases() {
 #[test]
 fn a_publisher_that_re_homes_is_followed_at_once() {
     for (topo, seed) in [(ring_with_chords(), 45), (random_overlay(), 46)] {
-        let mut net = Net::new(seed, topo);
-        let publisher = net.publisher(0);
-        net.start(&[publisher]);
-        net.run_to(15.0);
-        // The farthest-numbered broker. No broker ever sent its parent a
-        // copy, so no parent ever muted its child: the old tree, walked
-        // upwards from the new home and down every other branch, is open
-        // — the one-lease allowance is not even drawn on.
-        let new_home = net.brokers[net.brokers.len() - 1];
-        net.station_mut(publisher).broker = new_home;
-        net.run_to(15.0 + 2.0 * LEASE.as_secs_f64());
-        let ratio = duplicate_ratio(&mut net, 40.0);
-        net.station_mut(publisher).publishing = false;
-        net.run_to(41.0);
-        net.assert_exactly_once(&all_subs(&net), publisher, 0.0, 41.0, "old home and new");
-        net.assert_no_duplicates(&[publisher]);
-        assert!(ratio < 0.15, "duplicate ratio {ratio:.3} two leases after the move");
+        on_every_net(seed, &topo, [0], |mut net, [publisher]| {
+            net.start(&[publisher]);
+            net.run_to(15.0);
+            // The farthest-numbered broker. No broker ever sent its parent a
+            // copy, so no parent ever muted its child: the old tree, walked
+            // upwards from the new home and down every other branch, is open
+            // — the one-lease allowance is not even drawn on.
+            let new_home = net.brokers[net.brokers.len() - 1];
+            net.station_mut(publisher).broker = new_home;
+            net.run_to(15.0 + 2.0 * LEASE.as_secs_f64());
+            let ratio = duplicate_ratio(&mut net, 40.0);
+            net.station_mut(publisher).publishing = false;
+            net.run_to(41.0);
+            net.assert_exactly_once(&all_subs(&net), publisher, 0.0, 41.0, "old home and new");
+            net.assert_no_duplicates(&[publisher]);
+            assert!(ratio < 0.15, "duplicate ratio {ratio:.3} two leases after the move");
+        });
     }
 }
 
@@ -429,44 +450,44 @@ fn a_publisher_that_re_homes_is_followed_at_once() {
 #[test]
 fn a_tree_broker_that_restarts_with_state_loss_is_routed_through_again() {
     for (topo, seed) in [(ring_with_chords(), 47), (random_overlay(), 48)] {
-        let mut net = Net::new(seed, topo);
-        let publisher = net.publisher(0);
-        net.start(&[publisher]);
-        net.run_to(20.3);
-        // A broker some other broker is fed through.
-        let index_of = |n: NodeId| net.brokers.iter().position(|&b| b == n);
-        let parents = (1..net.brokers.len()).filter_map(|c| index_of(net.broker(c).route_parent(publisher)?));
-        let victim = parents.filter(|&p| p != 0).min().expect("a tree deeper than one hop");
-        // It comes back knowing nothing and dials every neighbour, inside
-        // the heartbeat deadline: only its hello says it started over.
-        let neighbours: Vec<NodeId> =
-            net.topo.neighbors(victim).iter().map(|&j| net.brokers[j]).collect();
-        let cfg = BrokerConfig { neighbors: neighbours, ..BrokerConfig::default() };
-        let respawn = move || Box::new(BrokerActor::new(cfg.clone())) as Box<dyn Actor>;
-        net.sim.set_respawn(net.brokers[victim], Box::new(respawn));
-        net.sim.crash(net.brokers[victim]);
-        net.run_to(20.8);
-        net.sim.restart(net.brokers[victim], true);
-        let back = 20.8;
-        net.run_to(back + 2.0 * LEASE.as_secs_f64());
-        let ratio = duplicate_ratio(&mut net, 45.0);
-        net.station_mut(publisher).publishing = false;
-        net.run_to(46.0);
-        // Its own subscriber's connection died with it.
-        let subs: Vec<usize> = all_subs(&net).into_iter().filter(|&s| s != victim).collect();
-        net.assert_exactly_once(&subs, publisher, 0.0, 20.0, "before the crash");
-        net.assert_exactly_once(&subs, publisher, back + LEASE.as_secs_f64(), 46.0, "after the restart");
-        net.assert_no_duplicates(&[publisher]);
-        assert!(ratio < 0.15, "duplicate ratio {ratio:.3} two leases after the restart");
-        let links = net.topo.neighbors(victim).len() as u32;
-        assert_eq!(net.broker(victim).num_links(), links, "every neighbour took the hello");
+        on_every_net(seed, &topo, [0], |mut net, [publisher]| {
+            net.start(&[publisher]);
+            net.run_to(20.3);
+            // A broker some other broker is fed through.
+            let index_of = |n: NodeId| net.brokers.iter().position(|&b| b == n);
+            let parents = (1..net.brokers.len()).filter_map(|c| index_of(net.broker(c).route_parent(publisher)?));
+            let victim = parents.filter(|&p| p != 0).min().expect("a tree deeper than one hop");
+            // It comes back knowing nothing and dials every neighbour, inside
+            // the heartbeat deadline: only its hello says it started over.
+            let neighbours: Vec<NodeId> =
+                net.topo.neighbors(victim).iter().map(|&j| net.brokers[j]).collect();
+            let cfg = BrokerConfig { neighbors: neighbours, ..BrokerConfig::default() };
+            let respawn = move || Box::new(BrokerActor::new(cfg.clone())) as Box<dyn Actor>;
+            net.sim.set_respawn(net.brokers[victim], Box::new(respawn));
+            net.sim.crash(net.brokers[victim]);
+            net.run_to(20.8);
+            net.sim.restart(net.brokers[victim], true);
+            let back = 20.8;
+            net.run_to(back + 2.0 * LEASE.as_secs_f64());
+            let ratio = duplicate_ratio(&mut net, 45.0);
+            net.station_mut(publisher).publishing = false;
+            net.run_to(46.0);
+            // Its own subscriber's connection died with it.
+            let subs: Vec<usize> = all_subs(&net).into_iter().filter(|&s| s != victim).collect();
+            net.assert_exactly_once(&subs, publisher, 0.0, 20.0, "before the crash");
+            net.assert_exactly_once(&subs, publisher, back + LEASE.as_secs_f64(), 46.0, "after the restart");
+            net.assert_no_duplicates(&[publisher]);
+            assert!(ratio < 0.15, "duplicate ratio {ratio:.3} two leases after the restart");
+            let links = net.topo.neighbors(victim).len() as u32;
+            assert_eq!(net.broker(victim).num_links(), links, "every neighbour took the hello");
+        });
     }
 }
 
 // (e) -----------------------------------------------------------------
 
 /// Delivers `msg` to broker `to` as if `from` had sent it.
-fn say(sim: &mut Sim, from: NodeId, to: NodeId, msg: Message) {
+fn say(sim: &mut dyn DiscoveryEngine, from: NodeId, to: NodeId, msg: Message) {
     let from = Endpoint::new(from, well_known::BROKER);
     sim.inject(to, Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() });
     sim.run_for(Duration::from_millis(50));
@@ -474,65 +495,71 @@ fn say(sim: &mut Sim, from: NodeId, to: NodeId, msg: Message) {
 
 #[test]
 fn a_prune_in_flight_when_the_faster_feed_flips_never_mutes_both_feeds() {
-    let mut sim = Sim::with_clock_profile(49, ClockProfile::perfect());
-    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     // Broker `x`, a subscriber on it, and two feeds of near-equal
     // latency played by hand.
-    let x = sim.add_node("x", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
-    let sub = sim.add_node("sub", RealmId(0), Box::new(Station::subscriber(x)));
-    let l = sim.add_node("l", RealmId(0), Box::new(IdleActor));
-    let m = sim.add_node("m", RealmId(0), Box::new(IdleActor));
-    let source = NodeId(900);
-    sim.run_for(Duration::from_secs(1));
-    for feed in [l, m] {
-        say(&mut sim, feed, x, Message::LinkHello { from: feed, realm: RealmId(0) });
-    }
-    let mut seq = 0u64;
-    // The next event, a copy from each of `feeds` in that order.
-    let mut copies = |sim: &mut Sim, feeds: &[NodeId]| {
-        let mut payload = seq.to_le_bytes().to_vec();
-        payload.extend_from_slice(&sim.now().as_nanos().to_le_bytes());
-        let topic = Topic::parse("feed/x").unwrap();
-        let ev = Event { id: Uuid::from_u128(seq.into()), topic, source, payload: payload.into() };
-        seq += 1;
-        for &feed in feeds {
-            say(sim, feed, x, Message::Publish(ev.clone()));
+    let (x, sub, l, m) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let describe = || {
+        let mut d = lan(49);
+        d.add("x".into(), RealmId(0), false, || Box::new(BrokerActor::new(BrokerConfig::default())));
+        d.add("sub".into(), RealmId(0), false, move || Box::new(Station::subscriber(x)));
+        for feed in ["l", "m"] {
+            d.add(feed.into(), RealmId(0), false, || Box::new(IdleActor));
         }
+        d
     };
-    let broker = |sim: &Sim| {
-        let b = &sim.actor::<BrokerActor>(x).unwrap().broker;
-        (b.route_parent(source), b.prunes_sent, b.reparented)
-    };
+    let source = NodeId(900);
+    on_every_engine(describe, |sim| {
+        sim.run_for(Duration::from_secs(1));
+        for feed in [l, m] {
+            say(sim, feed, x, Message::LinkHello { from: feed, realm: RealmId(0) });
+        }
+        let mut seq = 0u64;
+        // The next event, a copy from each of `feeds` in that order.
+        let mut copies = |sim: &mut dyn DiscoveryEngine, feeds: &[NodeId]| {
+            let mut payload = seq.to_le_bytes().to_vec();
+            payload.extend_from_slice(&sim.now().as_nanos().to_le_bytes());
+            let topic = Topic::parse("feed/x").unwrap();
+            let ev = Event { id: Uuid::from_u128(seq.into()), topic, source, payload: payload.into() };
+            seq += 1;
+            for &feed in feeds {
+                say(sim, feed, x, Message::Publish(ev.clone()));
+            }
+        };
+        let broker = |sim: &dyn DiscoveryEngine| {
+            let b = &sim.actor::<BrokerActor>(x).unwrap().broker;
+            (b.route_parent(source), b.prunes_sent, b.reparented)
+        };
 
-    copies(&mut sim, &[m, l]);
-    assert_eq!(broker(&sim), (Some(m), 1, 0), "R2: m is the parent, l is asked to stop");
-    // l's next copy was sent before the prune reached it, and this time
-    // it wins. Muting m now would leave no feed once l complies.
-    copies(&mut sim, &[l, m]);
-    assert_eq!(broker(&sim), (Some(m), 1, 0), "R4's hold-down: l won once, and has been asked; m stays");
-    copies(&mut sim, &[m, l]);
-    assert_eq!(broker(&sim), (Some(m), 1, 0), "one ask a lease, however many duplicates");
+        copies(sim, &[m, l]);
+        assert_eq!(broker(sim), (Some(m), 1, 0), "R2: m is the parent, l is asked to stop");
+        // l's next copy was sent before the prune reached it, and this time
+        // it wins. Muting m now would leave no feed once l complies.
+        copies(sim, &[l, m]);
+        assert_eq!(broker(sim), (Some(m), 1, 0), "R4's hold-down: l won once, and has been asked; m stays");
+        copies(sim, &[m, l]);
+        assert_eq!(broker(sim), (Some(m), 1, 0), "one ask a lease, however many duplicates");
 
-    // l complies. A lease on, its mute has lapsed and it is the faster
-    // feed. Winning once proves nothing — that is how the race above
-    // began; winning for a whole lease does: the parent moves, and it is
-    // m that is asked.
-    for _ in 0..3 {
-        sim.run_for(Duration::from_secs(2));
-        say(&mut sim, l, x, Message::Heartbeat { from: l, seq: 0 });
-        copies(&mut sim, &[m]);
-    }
-    copies(&mut sim, &[l, m]);
-    assert_eq!(broker(&sim), (Some(m), 1, 0), "R4's hold-down: one win moves nothing");
-    for _ in 0..3 {
-        sim.run_for(Duration::from_secs(2));
-        copies(&mut sim, &[l, m]);
-    }
-    assert_eq!(broker(&sim), (Some(l), 2, 1), "R4: re-parented to the feed that beat the parent for a lease");
-    copies(&mut sim, &[l, m]);
-    assert_eq!(broker(&sim), (Some(l), 2, 1), "m has been asked; its copies in flight change nothing");
-    let got: Vec<u64> = sim.actor::<Station>(sub).unwrap().got.iter().map(|d| d.seq).collect();
-    assert_eq!(got, (0..11).collect::<Vec<u64>>(), "the subscriber saw every event once");
+        // l complies. A lease on, its mute has lapsed and it is the faster
+        // feed. Winning once proves nothing — that is how the race above
+        // began; winning for a whole lease does: the parent moves, and it is
+        // m that is asked.
+        for _ in 0..3 {
+            sim.run_for(Duration::from_secs(2));
+            say(sim, l, x, Message::Heartbeat { from: l, seq: 0 });
+            copies(sim, &[m]);
+        }
+        copies(sim, &[l, m]);
+        assert_eq!(broker(sim), (Some(m), 1, 0), "R4's hold-down: one win moves nothing");
+        for _ in 0..3 {
+            sim.run_for(Duration::from_secs(2));
+            copies(sim, &[l, m]);
+        }
+        assert_eq!(broker(sim), (Some(l), 2, 1), "R4: re-parented to the feed that beat the parent for a lease");
+        copies(sim, &[l, m]);
+        assert_eq!(broker(sim), (Some(l), 2, 1), "m has been asked; its copies in flight change nothing");
+        let got: Vec<u64> = sim.actor::<Station>(sub).unwrap().got.iter().map(|d| d.seq).collect();
+        assert_eq!(got, (0..11).collect::<Vec<u64>>(), "the subscriber saw every event once");
+    });
 }
 
 /// A stand-in ingress broker: keeps who sent it a `Prune`.
@@ -555,71 +582,78 @@ impl Actor for Ingress {
 
 #[test]
 fn two_neighbours_that_each_beat_the_ingress_once_never_take_each_other_for_parent() {
-    let mut sim = Sim::with_clock_profile(50, ClockProfile::perfect());
-    sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     // A triangle with no fault anywhere: brokers `a` and `b`, linked, a
     // subscriber on each, and their common upstream `i` played by hand.
-    let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
-    let cfg = BrokerConfig { neighbors: vec![a], ..BrokerConfig::default() };
-    let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(cfg)));
-    let subs = [a, b].map(|x| sim.add_node("s", RealmId(0), Box::new(Station::subscriber(x))));
-    let i = sim.add_node("i", RealmId(0), Box::new(Ingress::default()));
-    let source = NodeId(900);
-    sim.run_for(Duration::from_secs(1));
-    for x in [a, b] {
-        say(&mut sim, i, x, Message::LinkHello { from: i, realm: RealmId(0) });
-    }
-    let mut seq = 0u64;
-    // The next event: `i`'s copies to `first`, all at once, and 50 ms
-    // later — the neighbour's copy has crossed by then — to `then`.
-    let mut publish = |sim: &mut Sim, first: &[NodeId], then: &[NodeId]| {
-        let mut payload = seq.to_le_bytes().to_vec();
-        payload.extend_from_slice(&sim.now().as_nanos().to_le_bytes());
-        let topic = Topic::parse("feed/x").unwrap();
-        let ev = Event { id: Uuid::from_u128(seq.into()), topic, source, payload: payload.into() };
-        seq += 1;
-        let from = Endpoint::new(i, well_known::BROKER);
-        for wave in [first, then] {
-            for &to in wave {
-                let msg = Message::Publish(ev.clone()).into();
-                sim.inject(to, Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg });
-            }
-            sim.run_for(Duration::from_millis(50));
+    let (a, b, subs, i) = (NodeId(0), NodeId(1), [NodeId(2), NodeId(3)], NodeId(4));
+    let describe = || {
+        let mut d = lan(50);
+        d.add("a".into(), RealmId(0), false, || Box::new(BrokerActor::new(BrokerConfig::default())));
+        let cfg = BrokerConfig { neighbors: vec![a], ..BrokerConfig::default() };
+        d.add("b".into(), RealmId(0), false, move || Box::new(BrokerActor::new(cfg.clone())));
+        for x in [a, b] {
+            d.add("s".into(), RealmId(0), false, move || Box::new(Station::subscriber(x)));
         }
+        d.add("i".into(), RealmId(0), false, || Box::new(Ingress::default()));
+        d
     };
-    let state = |sim: &Sim, x: NodeId| {
-        let broker = &sim.actor::<BrokerActor>(x).unwrap().broker;
-        (broker.route_parent(source), broker.prunes_sent, broker.reparented)
-    };
+    let source = NodeId(900);
+    on_every_engine(describe, |sim| {
+        sim.run_for(Duration::from_secs(1));
+        for x in [a, b] {
+            say(sim, i, x, Message::LinkHello { from: i, realm: RealmId(0) });
+        }
+        let mut seq = 0u64;
+        // The next event: `i`'s copies to `first`, all at once, and 50 ms
+        // later — the neighbour's copy has crossed by then — to `then`.
+        let mut publish = |sim: &mut dyn DiscoveryEngine, first: &[NodeId], then: &[NodeId]| {
+            let mut payload = seq.to_le_bytes().to_vec();
+            payload.extend_from_slice(&sim.now().as_nanos().to_le_bytes());
+            let topic = Topic::parse("feed/x").unwrap();
+            let ev = Event { id: Uuid::from_u128(seq.into()), topic, source, payload: payload.into() };
+            seq += 1;
+            let from = Endpoint::new(i, well_known::BROKER);
+            for wave in [first, then] {
+                for &to in wave {
+                    let msg = Message::Publish(ev.clone()).into();
+                    sim.inject(to, Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg });
+                }
+                sim.run_for(Duration::from_millis(50));
+            }
+        };
+        let state = |sim: &dyn DiscoveryEngine, x: NodeId| {
+            let broker = &sim.actor::<BrokerActor>(x).unwrap().broker;
+            (broker.route_parent(source), broker.prunes_sent, broker.reparented)
+        };
 
-    // `i` feeds both; their copies to each other are duplicates, and
-    // each asks the other to stop for a lease.
-    publish(&mut sim, &[a, b], &[]);
-    for _ in 0..2 {
+        // `i` feeds both; their copies to each other are duplicates, and
+        // each asks the other to stop for a lease.
+        publish(sim, &[a, b], &[]);
+        for _ in 0..2 {
+            sim.run_for(Duration::from_secs(2));
+            publish(sim, &[a, b], &[]);
+        }
+        assert_eq!((state(sim, a), state(sim, b)), ((Some(i), 1, 0), (Some(i), 1, 0)));
+        // Both mutes lapse together. The next event reaches `a` through `b`
+        // first: were `a` to move to `b` now and prune `i` …
         sim.run_for(Duration::from_secs(2));
-        publish(&mut sim, &[a, b], &[]);
-    }
-    assert_eq!((state(&sim, a), state(&sim, b)), ((Some(i), 1, 0), (Some(i), 1, 0)));
-    // Both mutes lapse together. The next event reaches `a` through `b`
-    // first: were `a` to move to `b` now and prune `i` …
-    sim.run_for(Duration::from_secs(2));
-    publish(&mut sim, &[b], &[a]);
-    // … then with that `Prune` in flight, the event after — `i`'s copy
-    // fresh at `a`, forwarded, and at `b` ahead of `i`'s own — would
-    // move `b` to `a`: each the other's parent, `i` muting both, and
-    // both subscribers starved until a lease runs out.
-    publish(&mut sim, &[a], &[b]);
-    assert!(sim.actor::<Ingress>(i).unwrap().pruned_by.is_empty(), "the only real feed was asked to stop");
-    assert_eq!((state(&sim, a), state(&sim, b)), ((Some(i), 1, 0), (Some(i), 1, 0)));
-    // The copies that crossed were fresh, so nobody was asked anything;
-    // the next pair of duplicates renews the asks, as every lease does.
-    publish(&mut sim, &[a, b], &[]);
-    assert_eq!((state(&sim, a), state(&sim, b)), ((Some(i), 2, 0), (Some(i), 2, 0)));
-    assert!(sim.actor::<Ingress>(i).unwrap().pruned_by.is_empty());
-    for sub in subs {
-        let got: Vec<u64> = sim.actor::<Station>(sub).unwrap().got.iter().map(|d| d.seq).collect();
-        assert_eq!(got, (0..6).collect::<Vec<u64>>(), "every event, once");
-    }
+        publish(sim, &[b], &[a]);
+        // … then with that `Prune` in flight, the event after — `i`'s copy
+        // fresh at `a`, forwarded, and at `b` ahead of `i`'s own — would
+        // move `b` to `a`: each the other's parent, `i` muting both, and
+        // both subscribers starved until a lease runs out.
+        publish(sim, &[a], &[b]);
+        assert!(sim.actor::<Ingress>(i).unwrap().pruned_by.is_empty(), "the only real feed was asked to stop");
+        assert_eq!((state(sim, a), state(sim, b)), ((Some(i), 1, 0), (Some(i), 1, 0)));
+        // The copies that crossed were fresh, so nobody was asked anything;
+        // the next pair of duplicates renews the asks, as every lease does.
+        publish(sim, &[a, b], &[]);
+        assert_eq!((state(sim, a), state(sim, b)), ((Some(i), 2, 0), (Some(i), 2, 0)));
+        assert!(sim.actor::<Ingress>(i).unwrap().pruned_by.is_empty());
+        for sub in subs {
+            let got: Vec<u64> = sim.actor::<Station>(sub).unwrap().got.iter().map(|d| d.seq).collect();
+            assert_eq!(got, (0..6).collect::<Vec<u64>>(), "every event, once");
+        }
+    });
 }
 
 // proptest ------------------------------------------------------------
@@ -659,49 +693,49 @@ mod any_overlay_any_schedule_one_link_fault {
             let cut = topo.edges()[link.index(topo.edges().len())];
             let home = home.index(n);
 
-            let mut net = Net::new(seed, topo);
-            let publisher = net.publisher(home);
-            let (a, b) = (net.brokers[cut.0], net.brokers[cut.1]);
-            let at = Duration::from_millis(fault_ds * 100);
-            let fault = at.as_secs_f64();
-            let (plan, heal) = match flap_ds {
-                Some(ds) => {
-                    let down = Duration::from_millis(ds * 100);
-                    (FaultPlan::new().flap_at(at, a, b, down), Some(fault + down.as_secs_f64()))
-                }
-                None => (FaultPlan::new().fault_at(at, Fault::Partition { a, b }), None),
-            };
-            net.sim.apply_fault_plan(&plan);
-            net.start(&[publisher]);
-            let quiet = 4.0 + quiet_from_ds as f64 / 10.0;
-            net.run_to(quiet);
-            net.station_mut(publisher).publishing = false;
-            net.run_to(quiet + quiet_ds as f64 / 10.0);
-            net.station_mut(publisher).publishing = true;
-            let lease = LEASE.as_secs_f64();
-            let end = (fault + 3.5).max(quiet + quiet_ds as f64 / 10.0) + 2.0 * lease + 2.0;
-            net.run_to(end);
-            net.station_mut(publisher).publishing = false;
-            net.run_to(end + 1.0);
+            on_every_net(seed, &topo, [home], |mut net, [publisher]| {
+                let (a, b) = (net.brokers[cut.0], net.brokers[cut.1]);
+                let at = Duration::from_millis(fault_ds * 100);
+                let fault = at.as_secs_f64();
+                let (plan, heal) = match flap_ds {
+                    Some(ds) => {
+                        let down = Duration::from_millis(ds * 100);
+                        (FaultPlan::new().flap_at(at, a, b, down), Some(fault + down.as_secs_f64()))
+                    }
+                    None => (FaultPlan::new().fault_at(at, Fault::Partition { a, b }), None),
+                };
+                net.sim.apply_fault_plan(&plan);
+                net.start(&[publisher]);
+                let quiet = 4.0 + quiet_from_ds as f64 / 10.0;
+                net.run_to(quiet);
+                net.station_mut(publisher).publishing = false;
+                net.run_to(quiet + quiet_ds as f64 / 10.0);
+                net.station_mut(publisher).publishing = true;
+                let lease = LEASE.as_secs_f64();
+                let end = (fault + 3.5).max(quiet + quiet_ds as f64 / 10.0) + 2.0 * lease + 2.0;
+                net.run_to(end);
+                net.station_mut(publisher).publishing = false;
+                net.run_to(end + 1.0);
 
-            net.assert_no_duplicates(&[publisher]);
-            let near = |t: f64, fault: f64| (fault - 0.2..fault + lease + 0.05).contains(&t);
-            let connected = net.reachable_without(home, cut);
-            let sent = net.station(publisher).sent.clone();
-            for sub in 0..n {
-                let counts = net.counts(sub, publisher);
-                for (seq, at) in sent.iter().enumerate() {
-                    let at = at.as_secs_f64();
-                    let calm = !near(at, fault) && !heal.is_some_and(|heal| near(at, heal));
-                    let owed = calm && (at < fault || connected.contains(&sub));
-                    let n = counts.get(&(seq as u64)).copied().unwrap_or(0);
-                    prop_assert!(
-                        n == 1 || !owed,
-                        "subscriber {} missed event {} published at {:.1} s (link {:?} down at {:.1} s, up at {:?}, publisher at {})",
-                        sub, seq, at, cut, fault, heal, home
-                    );
+                net.assert_no_duplicates(&[publisher]);
+                let near = |t: f64, fault: f64| (fault - 0.2..fault + lease + 0.05).contains(&t);
+                let connected = net.reachable_without(home, cut);
+                let sent = net.station(publisher).sent.clone();
+                for sub in 0..n {
+                    let counts = net.counts(sub, publisher);
+                    for (seq, at) in sent.iter().enumerate() {
+                        let at = at.as_secs_f64();
+                        let calm = !near(at, fault) && !heal.is_some_and(|heal| near(at, heal));
+                        let owed = calm && (at < fault || connected.contains(&sub));
+                        let n = counts.get(&(seq as u64)).copied().unwrap_or(0);
+                        assert!(
+                            n == 1 || !owed,
+                            "subscriber {} missed event {} published at {:.1} s (link {:?} down at {:.1} s, up at {:?}, publisher at {}, seed {})",
+                            sub, seq, at, cut, fault, heal, home, seed
+                        );
+                    }
                 }
-            }
+            });
         }
     }
 }

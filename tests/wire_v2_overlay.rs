@@ -8,15 +8,16 @@
 //! relay broker mid-run: the links it re-dials start from empty symbol
 //! tables on both sides, and v2 must still deliver what v1 does.
 //!
-//! Both engines run the codec. `Sim` carries the pins and everything
-//! read off its trace; `ShardedSim`, which has no trace, must give one
-//! digest at 1 and 4 workers and deliver what its own v1 run delivers.
+//! Every engine runs the codec and must deliver what its own v1 run
+//! delivers. `Sim` alone carries the pins and everything read off its
+//! trace, because only `Sim` records one (`Sim::enable_trace`).
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use nb::broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
-use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, ShardedSim, Sim, SimTime};
+use nb::discovery::{on_every_engine, Deployment, Network};
+use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, Sim, SimTime};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BROKERS: usize = 6;
@@ -58,102 +59,80 @@ struct Run {
     relayed_after_restart: usize,
 }
 
-/// What the overlay needs of an engine beyond what builds on it.
-trait Engine: DiscoveryEngine {
-    /// Restarts `node`, keeping its actor's state.
-    fn restart_keeping_state(&mut self, node: NodeId);
+/// Node `i`, for `i` in `range`.
+fn ids(range: std::ops::Range<usize>) -> Vec<NodeId> {
+    range.map(|i| NodeId(i as u32)).collect()
 }
 
-impl Engine for Sim {
-    fn restart_keeping_state(&mut self, node: NodeId) {
-        self.restart(node, false);
-    }
+/// The brokers, then the subscribers, then publishers at brokers 0, 2
+/// and 5.
+fn brokers() -> Vec<NodeId> {
+    ids(0..BROKERS)
 }
 
-impl Engine for ShardedSim {
-    fn restart_keeping_state(&mut self, node: NodeId) {
-        self.restart(node, false);
-    }
+fn subscribers() -> Vec<NodeId> {
+    ids(BROKERS..BROKERS + SUBSCRIBERS)
 }
 
-/// `node`'s actor, as the `T` it is.
-fn actor<T: 'static>(engine: &impl DiscoveryEngine, node: NodeId) -> &T {
-    engine.actor_dyn(node).and_then(|a| a.as_any().downcast_ref()).expect("an actor of its type")
-}
-
-/// Who is who in a deployment that has run.
-struct Overlay {
-    brokers: Vec<NodeId>,
-    subscribers: Vec<NodeId>,
-    /// When [`RELAY`] was back up, if it was restarted.
-    restarted_at: Option<SimTime>,
-}
-
-/// Builds the overlay on `engine` and runs every round of traffic.
-fn drive<E: Engine>(engine: &mut E, wire_v2: bool, restart_relay: bool) -> Overlay {
-    engine.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-
-    // A ring plus two chords: a publisher's first event reaches most
-    // brokers twice, and what each duplicate prunes keeps the rest to
-    // one copy a broker.
+/// A ring plus two chords — a publisher's first event reaches most
+/// brokers twice, and what each duplicate prunes keeps the rest to one
+/// copy a broker — on a lossless LAN, every broker link on `wire_v2`.
+fn overlay(wire_v2: bool) -> Deployment {
+    let intra = LinkSpec::lan().with_loss(0.0);
+    let network = Network::Realms { intra, inter: LinkSpec::wan(Duration::from_millis(40)), wan: None };
+    let mut d = Deployment { seed: SEED, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
     let mut edges = Topology::build(TopologyKind::Ring, BROKERS).edges().to_vec();
     edges.extend([(0, 3), (1, 4)]);
     let topo = Topology::from_edges(BROKERS, edges);
-    let mut brokers: Vec<NodeId> = Vec::new();
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
-        let neighbors = dials.iter().map(|&j| brokers[j]).collect();
+        let neighbors = dials.iter().map(|&j| NodeId(j as u32)).collect();
         let cfg = BrokerConfig { neighbors, wire_v2, ..BrokerConfig::default() };
-        brokers.push(engine.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+        d.add(format!("b{i}"), RealmId(0), false, move || Box::new(BrokerActor::new(cfg.clone())));
     }
-    let subscribers: Vec<NodeId> = (0..SUBSCRIBERS)
-        .map(|i| {
-            let filter = TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap();
-            let client = PubSubClient::new(brokers[i % BROKERS], vec![filter]);
-            engine.add_node(&format!("s{i}"), RealmId(0), Box::new(client))
-        })
-        .collect();
-    let publishers: Vec<NodeId> = [0, 2, 5]
-        .iter()
-        .map(|&b| {
-            let client = PubSubClient::new(brokers[b], vec![]);
-            engine.add_node(&format!("p{b}"), RealmId(0), Box::new(client))
-        })
-        .collect();
-    engine.run_for(Duration::from_secs(5));
+    for i in 0..SUBSCRIBERS {
+        let broker = NodeId((i % BROKERS) as u32);
+        let filters = vec![TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap()];
+        d.add(format!("s{i}"), RealmId(0), false, move || Box::new(PubSubClient::new(broker, filters.clone())));
+    }
+    for b in [0, 2, 5] {
+        d.add(format!("p{b}"), RealmId(0), false, move || Box::new(PubSubClient::new(NodeId(b), vec![])));
+    }
+    d
+}
 
+/// Runs every round of traffic on [`overlay`]; returns when [`RELAY`]
+/// was back up, if it was restarted.
+fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTime> {
+    let publishers = ids(BROKERS + SUBSCRIBERS..BROKERS + SUBSCRIBERS + 3);
+    engine.run_for(Duration::from_secs(5));
     let mut restarted_at = None;
     for round in 0..ROUNDS {
         if restart_relay && round == RESTART_BEFORE_ROUND {
             // A quiet instant: the last round's traffic drained 200 ms
             // of LAN ago. The broker keeps its state, its links do not.
-            engine.restart_keeping_state(brokers[RELAY]);
+            engine.restart(brokers()[RELAY], false);
             engine.run_for(LEASE);
             restarted_at = Some(engine.now());
         }
         for (p, &publisher) in publishers.iter().enumerate() {
             let topic = Topic::parse(TOPICS[(round as usize + p) % TOPICS.len()]).unwrap();
-            let client = engine.actor_dyn_mut(publisher).and_then(|a| a.as_any_mut().downcast_mut());
-            let client: &mut PubSubClient = client.expect("a publisher");
+            let client = engine.actor_mut::<PubSubClient>(publisher).expect("a publisher");
             client.queue_publish(topic, vec![p as u8, round]);
         }
         engine.run_for(Duration::from_millis(200));
     }
     engine.run_for(Duration::from_secs(5));
-    Overlay { brokers, subscribers, restarted_at }
+    restarted_at
 }
 
 /// Sorted deliveries per subscriber.
-fn delivered(engine: &impl DiscoveryEngine, overlay: &Overlay) -> Vec<Vec<Delivery>> {
-    overlay
-        .subscribers
+fn delivered(engine: &dyn DiscoveryEngine) -> Vec<Vec<Delivery>> {
+    subscribers()
         .iter()
         .map(|&s| {
-            let client: &PubSubClient = actor(engine, s);
-            let mut got: Vec<Delivery> = client
-                .received
-                .iter()
-                .map(|ev| (ev.topic.as_str().to_string(), ev.payload.to_vec()))
-                .collect();
+            let client = engine.actor::<PubSubClient>(s).expect("a subscriber");
+            let mut got: Vec<Delivery> =
+                client.received.iter().map(|ev| (ev.topic.as_str().to_string(), ev.payload.to_vec())).collect();
             got.sort();
             got
         })
@@ -166,11 +145,12 @@ fn from_round(delivered: &[Vec<Delivery>], first: u8) -> Vec<Vec<Delivery>> {
     delivered.iter().map(|got| got.iter().filter(keep).cloned().collect()).collect()
 }
 
+/// One traced `Sim` run.
 fn run(wire_v2: bool, restart_relay: bool) -> Run {
-    let mut sim = Sim::with_clock_profile(SEED, ClockProfile::perfect());
+    let mut sim = overlay(wire_v2).build(Sim::with_clock_profile);
     sim.enable_trace();
-    let overlay = drive(&mut sim, wire_v2, restart_relay);
-    let Overlay { brokers, subscribers, restarted_at } = &overlay;
+    let restarted_at = drive(&mut sim, restart_relay);
+    let (brokers, subscribers) = (brokers(), subscribers());
 
     let broker_set: BTreeSet<NodeId> = brokers.iter().copied().collect();
     let trace = sim.take_trace();
@@ -191,9 +171,9 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
         .filter(|r| broker_set.contains(&r.to.node) && restarted_at.is_some_and(|t| r.at > t))
         .count();
     let duplicates_suppressed =
-        brokers.iter().map(|&b| actor::<BrokerActor>(&sim, b).broker.duplicates_suppressed).sum();
+        brokers.iter().map(|&b| sim.actor::<BrokerActor>(b).expect("a broker").broker.duplicates_suppressed).sum();
     Run {
-        delivered: delivered(&sim, &overlay),
+        delivered: delivered(&sim),
         stats: sim.stats().clone(),
         events_processed: sim.events_processed(),
         post_handshake_link_msgs,
@@ -203,42 +183,33 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
     }
 }
 
-/// One `ShardedSim` run.
-struct ShardedRun {
-    delivered: Vec<Vec<Delivery>>,
-    stats: NetStats,
-    digest: u64,
-}
-
-fn run_sharded(workers: usize, wire_v2: bool, restart_relay: bool) -> ShardedRun {
-    let mut sim = ShardedSim::with_clock_profile(SEED, ClockProfile::perfect());
-    sim.set_workers(workers);
-    let overlay = drive(&mut sim, wire_v2, restart_relay);
-    ShardedRun { delivered: delivered(&sim, &overlay), stats: sim.stats(), digest: sim.digest() }
-}
-
-/// The `ShardedSim` arm of a case, whose rounds from `first` on are
-/// compared: v2 gives one digest at 1 and 4 workers, delivers what this
-/// engine's own v1 run delivers — the right events, exactly once —
-/// decodes every segment, and moves fewer bytes.
-fn sharded_v2_delivers_what_its_v1_run_delivers(restart_relay: bool, first: u8) {
-    let v1 = run_sharded(1, false, restart_relay);
-    let v2 = run_sharded(1, true, restart_relay);
-    assert_eq!(v2.digest, run_sharded(4, true, restart_relay).digest, "v2 digest at 1 and 4 workers");
-    let (got_v1, got_v2) = (from_round(&v1.delivered, first), from_round(&v2.delivered, first));
-    assert_eq!(got_v1, got_v2);
-    for (i, got) in got_v2.iter().enumerate() {
-        assert_eq!(got, &expected(i, first..ROUNDS), "subscriber {i}");
-    }
-    assert_eq!((v1.stats.segments_sent, v1.stats.frames_coalesced), (0, 0));
-    assert!(v2.stats.segments_delivered > 0, "no segments crossed the overlay");
-    assert_eq!(v2.stats.segment_decode_errors, 0);
-    assert_eq!(v2.stats.frames_coalesced, v2.stats.segments_delivered);
-    assert!(
-        v2.stats.bytes_delivered < v1.stats.bytes_delivered,
-        "v2 moved {} bytes, v1 {}",
-        v2.stats.bytes_delivered,
-        v1.stats.bytes_delivered
+/// A case on every engine, whose rounds from `first` on are compared:
+/// v2 delivers what the same engine's v1 run delivers — the right
+/// events, exactly once — decodes every segment, and moves fewer bytes.
+fn v2_delivers_what_its_v1_run_delivers(restart_relay: bool, first: u8) {
+    let v1_run = |sim: &mut dyn DiscoveryEngine| {
+        drive(sim, restart_relay);
+        (delivered(sim), sim.stats())
+    };
+    let mut v1 = on_every_engine(|| overlay(false), v1_run).into_iter();
+    on_every_engine(
+        || overlay(true),
+        |sim| {
+            drive(sim, restart_relay);
+            let (v1_delivered, v1_stats) = v1.next().expect("a v1 run on this engine");
+            let (got_v1, got_v2) = (from_round(&v1_delivered, first), from_round(&delivered(sim), first));
+            assert_eq!(got_v1, got_v2);
+            for (i, got) in got_v2.iter().enumerate() {
+                assert_eq!(got, &expected(i, first..ROUNDS), "subscriber {i}");
+            }
+            let v2_stats = sim.stats();
+            assert_eq!((v1_stats.segments_sent, v1_stats.frames_coalesced), (0, 0));
+            assert!(v2_stats.segments_delivered > 0, "no segments crossed the overlay");
+            assert_eq!(v2_stats.segment_decode_errors, 0);
+            assert_eq!(v2_stats.frames_coalesced, v2_stats.segments_delivered);
+            let (bytes_v1, bytes_v2) = (v1_stats.bytes_delivered, v2_stats.bytes_delivered);
+            assert!(bytes_v2 < bytes_v1, "v2 moved {bytes_v2} bytes, v1 {bytes_v1}");
+        },
     );
 }
 
@@ -317,10 +288,10 @@ fn v2_delivers_what_v1_delivers_after_a_relay_broker_restarts() {
 
 #[test]
 fn sharded_v2_delivers_what_its_v1_run_delivers_at_1_and_4_workers() {
-    sharded_v2_delivers_what_its_v1_run_delivers(false, 0);
+    v2_delivers_what_its_v1_run_delivers(false, 0);
 }
 
 #[test]
 fn sharded_v2_delivers_what_its_v1_run_delivers_after_a_relay_broker_restarts() {
-    sharded_v2_delivers_what_its_v1_run_delivers(true, RESTART_BEFORE_ROUND);
+    v2_delivers_what_its_v1_run_delivers(true, RESTART_BEFORE_ROUND);
 }
