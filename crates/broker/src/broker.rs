@@ -16,7 +16,7 @@
 //! says otherwise, and the duplicate cache stays underneath as the
 //! safety net, so delivery never depends on the tree being right.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -27,13 +27,20 @@ use nb_wire::{Endpoint, Event, Message, NodeId, Topic, TopicFilter, WireMsg, FLA
 use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
 
 use crate::metrics::{MachineProfile, UsageMeter};
-use crate::tables::DenseNodeTable;
 use crate::topics::{Destination, Interest, SubscriptionTable};
 
 /// Timer token namespace reserved by the broker (owners embedding a
 /// [`Broker`] must not use tokens with this prefix).
 pub const BROKER_TIMER_BASE: u64 = 0xB00B_0000_0000_0000;
 const TIMER_HEARTBEAT: u64 = BROKER_TIMER_BASE | 1;
+
+/// Capacity of the event duplicate-suppression cache (paper §4's last
+/// 1000), and the most publishers [`Routes`] keeps reverse paths for.
+pub const DEDUP_CAPACITY: usize = 1000;
+/// Interval between link heartbeats.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(2);
+/// Consecutive missed heartbeats before a link is declared dead.
+const HEARTBEAT_MISSES: u32 = 3;
 
 /// Static broker configuration.
 #[derive(Debug, Clone)]
@@ -44,13 +51,6 @@ pub struct BrokerConfig {
     pub logical_address: String,
     /// Host machine model (memory, CPU scale).
     pub machine: MachineProfile,
-    /// Capacity of the event/request duplicate-suppression caches
-    /// (paper default: 1000, configurable).
-    pub dedup_capacity: usize,
-    /// Interval between link heartbeats.
-    pub heartbeat_interval: Duration,
-    /// Consecutive missed heartbeats before a link is declared dead.
-    pub heartbeat_misses: u32,
     /// Brokers to establish overlay links to at start.
     pub neighbors: Vec<NodeId>,
     /// System topics whose events are flooded to every link and surfaced
@@ -71,9 +71,6 @@ impl Default for BrokerConfig {
             hostname: "broker.local".into(),
             logical_address: "nb://default/broker".into(),
             machine: MachineProfile::default_2005(),
-            dedup_capacity: 1000,
-            heartbeat_interval: Duration::from_secs(2),
-            heartbeat_misses: 3,
             neighbors: Vec::new(),
             flood_topics: Vec::new(),
             max_clients: None,
@@ -122,9 +119,9 @@ impl Interest {
     /// iff a destination other than `L` itself registers it
     /// (per-neighbour split horizon). Each message sent takes the next
     /// `seq`.
-    fn reconcile(&mut self, links: &DenseNodeTable<LinkState>, seq: &mut u64, ctx: &mut dyn Context) {
+    fn reconcile(&mut self, links: &BTreeMap<NodeId, LinkState>, seq: &mut u64, ctx: &mut dyn Context) {
         let me = ctx.me();
-        for (peer, link) in links.iter() {
+        for (&peer, link) in links {
             let should = self.wanted_beyond(peer);
             let at = self.advertised.binary_search(&peer);
             if should == at.is_ok() {
@@ -148,7 +145,7 @@ impl Interest {
             link.send(msg, ctx);
         }
         if cfg!(debug_assertions) {
-            self.assert_matches_recount(links.iter().map(|(peer, _)| peer));
+            self.assert_matches_recount(links.keys().copied());
         }
     }
 }
@@ -179,8 +176,8 @@ struct SourceRoute {
     /// When the latest fresh copy arrived. One lease of silence later
     /// nothing here can still be live and the entry counts as gone.
     last_fresh: SimTime,
-    /// Indexed by link slot; allocated by the first lease written.
-    leases: Vec<LinkLease>,
+    /// Sorted by peer; sized for every link by the first lease written.
+    leases: Vec<(NodeId, LinkLease)>,
 }
 
 impl SourceRoute {
@@ -195,32 +192,38 @@ impl SourceRoute {
         self.last_fresh = now;
     }
 
-    fn lease(&self, slot: usize) -> LinkLease {
-        self.leases.get(slot).copied().unwrap_or_default()
+    fn find(&self, peer: NodeId) -> Result<usize, usize> {
+        self.leases.binary_search_by_key(&peer, |&(p, _)| p)
     }
 
-    /// The lease in `slot`, of the `slots` the link table holds: the
-    /// first write sizes the vector for all of them, exactly and once.
-    fn lease_mut(&mut self, slot: usize, slots: usize) -> &mut LinkLease {
-        if self.leases.len() <= slot {
-            let len = slots.max(slot + 1);
-            self.leases.reserve_exact(len - self.leases.len());
-            self.leases.resize(len, LinkLease::default());
-        }
-        &mut self.leases[slot]
+    fn lease(&self, peer: NodeId) -> LinkLease {
+        self.find(peer).map(|i| self.leases[i].1).unwrap_or_default()
     }
 
-    /// R5: whatever was known through or about the link in `slot` is
+    /// The lease of `peer`, one of `links` links: the first write sizes
+    /// the vector for all of them, exactly and once.
+    fn lease_mut(&mut self, peer: NodeId, links: usize) -> &mut LinkLease {
+        let i = self.find(peer).unwrap_or_else(|i| {
+            if self.leases.capacity() == 0 {
+                self.leases.reserve_exact(links);
+            }
+            self.leases.insert(i, (peer, LinkLease::default()));
+            i
+        });
+        &mut self.leases[i].1
+    }
+
+    /// R5: whatever was known through or about the link to `peer` is
     /// forgotten; a lost parent is simply unset.
-    fn forget_link(&mut self, peer: NodeId, slot: usize) {
+    fn forget_link(&mut self, peer: NodeId) {
         if self.parent == Some(peer) {
             self.parent = None;
         }
         if self.feed == Some(peer) {
             self.feed = None;
         }
-        if let Some(lease) = self.leases.get_mut(slot) {
-            *lease = LinkLease::default();
+        if let Ok(i) = self.find(peer) {
+            self.leases.remove(i);
         }
     }
 }
@@ -229,7 +232,7 @@ impl SourceRoute {
 /// whose links no event has crossed yet carries no table.
 #[derive(Debug, Default)]
 struct Routes {
-    by_source: DenseNodeTable<SourceRoute>,
+    by_source: BTreeMap<NodeId, SourceRoute>,
     /// The publishers in `by_source`, oldest entry first.
     order: VecDeque<NodeId>,
 }
@@ -238,7 +241,7 @@ impl Routes {
     /// The live entry of `source`: one silent for longer than `lease`
     /// starts over (its allocation kept), an unknown one is not created.
     fn live(&mut self, source: NodeId, now: SimTime, lease: Duration) -> Option<&mut SourceRoute> {
-        let route = self.by_source.get_mut(source)?;
+        let route = self.by_source.get_mut(&source)?;
         if now - route.last_fresh > lease {
             route.parent = None;
             route.feed = None;
@@ -252,10 +255,10 @@ impl Routes {
     /// publishers the oldest entry makes room, as in `BoundedDedup` —
     /// all it costs is that its publisher's next event floods again.
     fn entry(&mut self, source: NodeId, now: SimTime, lease: Duration, cap: usize) -> &mut SourceRoute {
-        if !self.by_source.contains_key(source) {
+        if !self.by_source.contains_key(&source) {
             if self.by_source.len() >= cap.max(1) {
                 let oldest = self.order.pop_front().expect("at capacity, so not empty");
-                self.by_source.remove(oldest);
+                self.by_source.remove(&oldest);
             }
             self.order.push_back(source);
             let route = SourceRoute {
@@ -276,8 +279,8 @@ impl Routes {
 /// the frame it travels in, for the owner to act on.
 pub struct Broker {
     cfg: BrokerConfig,
-    links: DenseNodeTable<LinkState>,
-    clients: DenseNodeTable<ClientState>,
+    links: BTreeMap<NodeId, LinkState>,
+    clients: BTreeMap<NodeId, ClientState>,
     /// Who registers each filter and which neighbours it is advertised
     /// to, one record a filter ([`Interest::reconcile`]).
     subs: SubscriptionTable,
@@ -306,13 +309,12 @@ impl Broker {
     /// A broker from `cfg`.
     pub fn new(cfg: BrokerConfig) -> Broker {
         let meter = UsageMeter::new(cfg.machine);
-        let dedup = cfg.dedup_capacity;
         Broker {
             cfg,
-            links: DenseNodeTable::new(),
-            clients: DenseNodeTable::new(),
+            links: BTreeMap::new(),
+            clients: BTreeMap::new(),
             subs: SubscriptionTable::new(),
-            event_dedup: BoundedDedup::new(dedup),
+            event_dedup: BoundedDedup::new(DEDUP_CAPACITY),
             routes: None,
             meter,
             hb_seq: 0,
@@ -342,12 +344,12 @@ impl Broker {
 
     /// Whether an established link to `peer` exists.
     pub fn is_linked(&self, peer: NodeId) -> bool {
-        self.links.contains_key(peer)
+        self.links.contains_key(&peer)
     }
 
     /// Whether `client` is connected.
     pub fn has_client(&self, client: NodeId) -> bool {
-        self.clients.contains_key(client)
+        self.clients.contains_key(&client)
     }
 
     /// The distinct filters in this broker's aggregate interest, sorted.
@@ -359,7 +361,7 @@ impl Broker {
     /// the link or local client its first fresh copy came from — while
     /// this broker holds reverse-path state for that publisher.
     pub fn route_parent(&self, source: NodeId) -> Option<NodeId> {
-        self.routes.as_ref()?.by_source.get(source)?.parent
+        self.routes.as_ref()?.by_source.get(&source)?.parent
     }
 
     /// Current usage metric snapshot (paper §5.1(c)).
@@ -372,7 +374,7 @@ impl Broker {
     /// `Prune` is believed: a mute is trusted exactly as long as the
     /// link it arrived on would be.
     fn lease(&self) -> Duration {
-        self.cfg.heartbeat_interval * self.cfg.heartbeat_misses
+        HEARTBEAT_INTERVAL * HEARTBEAT_MISSES
     }
 
     /// Sends a link handshake message, announcing v2 wire capability on
@@ -394,7 +396,7 @@ impl Broker {
         for peer in self.cfg.neighbors.clone() {
             self.link_to(peer, ctx);
         }
-        ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
     }
 
     /// Opens a link to `peer` at runtime (topology growth). Dialling a
@@ -444,7 +446,7 @@ impl Broker {
         msg: WireMsg,
         ctx: &mut dyn Context,
     ) -> Option<WireMsg> {
-        let from_link = match self.links.get_mut(from.node) {
+        let from_link = match self.links.get_mut(&from.node) {
             Some(link) => {
                 link.last_heard = ctx.now();
                 true
@@ -501,15 +503,13 @@ impl Broker {
             Message::Heartbeat { .. } => { /* freshness already recorded */ }
             // R3: the neighbour has a faster feed for `source`; nothing
             // of that publisher goes to it until the lease runs out.
-            Message::Prune { source, lease_ms } => {
-                if let Some((slot, _)) = self.links.get_with_slot(from.node) {
-                    let (now, lease) = (ctx.now(), self.lease());
-                    let routes = self.routes.get_or_insert_with(Default::default);
-                    let route = routes.entry(source, now, lease, self.cfg.dedup_capacity);
-                    route.lease_mut(slot, self.links.slot_count()).muted_until =
-                        now + lease.min(Duration::from_millis(lease_ms.into()));
-                    self.prunes_received += 1;
-                }
+            Message::Prune { source, lease_ms } if from_link => {
+                let (now, lease) = (ctx.now(), self.lease());
+                let routes = self.routes.get_or_insert_with(Default::default);
+                let route = routes.entry(source, now, lease, DEDUP_CAPACITY);
+                route.lease_mut(from.node, self.links.len()).muted_until =
+                    now + lease.min(Duration::from_millis(lease_ms.into()));
+                self.prunes_received += 1;
             }
             Message::Subscribe { filter, .. } if from_link => {
                 self.subscribe(Destination::Link(from.node), filter, ctx);
@@ -529,13 +529,13 @@ impl Broker {
                 let ack = Message::ClientConnectAck { broker: ctx.me(), accepted };
                 ctx.send_stream(well_known::BROKER, Endpoint::new(client, reply_port), &ack);
             }
-            Message::ClientSubscribe { filter } if self.clients.contains_key(from.node) => {
+            Message::ClientSubscribe { filter } if self.clients.contains_key(&from.node) => {
                 self.subscribe(Destination::Client(from.node), filter, ctx);
             }
-            Message::ClientUnsubscribe { filter } if self.clients.contains_key(from.node) => {
+            Message::ClientUnsubscribe { filter } if self.clients.contains_key(&from.node) => {
                 self.unsubscribe(Destination::Client(from.node), &filter, ctx);
             }
-            Message::ClientDisconnect { client } if self.clients.remove(client).is_some() => {
+            Message::ClientDisconnect { client } if self.clients.remove(&client).is_some() => {
                 let (links, seq) = (&self.links, &mut self.hb_seq);
                 self.subs.remove_destination_with(Destination::Client(client), |rec| {
                     rec.reconcile(links, seq, ctx);
@@ -549,7 +549,7 @@ impl Broker {
     fn link_up(&mut self, peer: NodeId, peer_v2: bool, ctx: &mut dyn Context) {
         // Capability can only be granted by a handshake frame; a repeat
         // handshake may upgrade an existing link but never downgrades it.
-        if let Some(link) = self.links.get_mut(peer) {
+        if let Some(link) = self.links.get_mut(&peer) {
             link.peer_v2 |= peer_v2;
             return;
         }
@@ -563,12 +563,11 @@ impl Broker {
     }
 
     fn link_down(&mut self, peer: NodeId, ctx: &mut dyn Context) {
-        let Some((slot, _)) = self.links.get_with_slot(peer) else {
+        if self.links.remove(&peer).is_none() {
             return;
-        };
-        self.links.remove(peer);
+        }
         for route in self.routes.iter_mut().flat_map(|routes| routes.by_source.values_mut()) {
-            route.forget_link(peer, slot);
+            route.forget_link(peer);
         }
         for rec in self.subs.records_sorted() {
             if let Ok(i) = rec.advertised.binary_search(&peer) {
@@ -660,7 +659,7 @@ impl Broker {
                     if Some(c) == source {
                         continue;
                     }
-                    if let Some(client) = self.clients.get(c) {
+                    if let Some(client) = self.clients.get(&c) {
                         ctx.send_stream_wire(well_known::BROKER, client.endpoint, &msg);
                     }
                 }
@@ -671,12 +670,10 @@ impl Broker {
                     if Some(l) == source {
                         continue;
                     }
-                    if let (Some((slot, link)), Some(fwd)) =
-                        (self.links.get_with_slot(l), fwd.as_ref())
-                    {
+                    if let (Some(link), Some(fwd)) = (self.links.get(&l), fwd.as_ref()) {
                         // R1: not to a link that asked, within the
                         // lease, not to be sent this publisher's events.
-                        let muted = route.as_ref().is_some_and(|r| r.lease(slot).muted_until > now);
+                        let muted = route.as_ref().is_some_and(|r| r.lease(l).muted_until > now);
                         if !muted {
                             crossed_link = true;
                             link.forward(fwd, ctx);
@@ -689,15 +686,15 @@ impl Broker {
             // State starts with the first event that crosses a link,
             // either way: before that no copy can come back.
             if route.is_none()
-                && (crossed_link || source.is_some_and(|n| self.links.contains_key(n)))
+                && (crossed_link || source.is_some_and(|n| self.links.contains_key(&n)))
             {
                 let routes = self.routes.get_or_insert_with(Default::default);
-                routes.entry(ev.source, now, lease, self.cfg.dedup_capacity).fresh_from(neighbour, now);
+                routes.entry(ev.source, now, lease, DEDUP_CAPACITY).fresh_from(neighbour, now);
             }
             return None;
         }
         if let Some(fwd) = fwd.as_ref() {
-            for (peer, link) in self.links.iter() {
+            for (&peer, link) in &self.links {
                 if Some(peer) != source {
                     link.forward(fwd, ctx);
                 }
@@ -715,7 +712,7 @@ impl Broker {
         let Message::Publish(ev) = msg.message() else {
             return;
         };
-        let Some((slot, link)) = self.links.get_with_slot(from) else {
+        let Some(link) = self.links.get(&from) else {
             return;
         };
         if self.is_flood_topic(&ev.topic) {
@@ -723,7 +720,7 @@ impl Broker {
         }
         let (now, lease) = (ctx.now(), self.lease());
         let routes = self.routes.get_or_insert_with(Default::default);
-        let route = routes.entry(ev.source, now, lease, self.cfg.dedup_capacity);
+        let route = routes.entry(ev.source, now, lease, DEDUP_CAPACITY);
         if route.parent == Some(from) {
             // The hold-down: a feed that won once may have been asked to
             // stop (the `Prune` still in flight), or may be a neighbour
@@ -738,10 +735,10 @@ impl Broker {
                 }
                 _ => return,
             }
-        } else if route.lease(slot).asked_until > now {
+        } else if route.lease(from).asked_until > now {
             return;
         }
-        route.lease_mut(slot, self.links.slot_count()).asked_until = now + lease;
+        route.lease_mut(from, self.links.len()).asked_until = now + lease;
         self.prunes_sent += 1;
         let lease_ms = u32::try_from(lease.as_millis()).unwrap_or(u32::MAX);
         link.send(Message::Prune { source: ev.source, lease_ms }, ctx);
@@ -753,7 +750,7 @@ impl Broker {
         let deadline = self.lease();
         let now = ctx.now();
         let mut dead: Vec<NodeId> = Vec::new();
-        for (peer, link) in self.links.iter() {
+        for (&peer, link) in &self.links {
             if now - link.last_heard > deadline {
                 dead.push(peer);
             } else {
@@ -764,7 +761,7 @@ impl Broker {
         for peer in dead {
             self.link_down(peer, ctx);
         }
-        ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
     }
 }
 
@@ -1270,7 +1267,7 @@ mod tests {
         say(&mut sim, l, x, Message::LinkClose { from: l });
         assert_eq!(broker(&sim, x).route_parent(client), None, "R5: a lost parent is unset");
         say(&mut sim, m, x, Message::LinkClose { from: m });
-        // A new link takes the freed slot and none of its leases.
+        // A peer that links again starts with none of its old leases.
         say(&mut sim, m, x, Message::LinkHello { from: m, realm: RealmId(0) });
         let filter = TopicFilter::parse("t/**").unwrap();
         say(&mut sim, m, x, Message::Subscribe { filter, origin: m, seq: 2 });
@@ -1305,21 +1302,47 @@ mod tests {
         for source in 0..4 {
             let route = routes.entry(NodeId(source), at(u64::from(source)), lease, 4);
             route.parent = Some(NodeId(100 + source));
-            route.lease_mut(1, 3).muted_until = at(u64::from(source)) + lease;
+            route.lease_mut(NodeId(7), 3).muted_until = at(u64::from(source)) + lease;
         }
         assert!(routes.live(NodeId(9), at(3), lease).is_none(), "reading creates nothing");
         // A fifth publisher: the oldest entry makes room.
         routes.entry(NodeId(4), at(4), lease, 4);
         assert_eq!(routes.by_source.len(), 4);
-        assert!(routes.by_source.get(NodeId(0)).is_none());
+        assert!(!routes.by_source.contains_key(&NodeId(0)));
         assert_eq!(routes.order, [1, 2, 3, 4].map(NodeId));
         // Heard of within the lease: kept as it is. Later: blank.
         let kept = routes.live(NodeId(1), at(7), lease).unwrap();
         assert_eq!(kept.parent, Some(NodeId(101)));
-        assert_eq!(kept.leases.len(), 3, "sized once for every slot");
+        assert_eq!(kept.leases.len(), 1, "one entry, for the one peer written");
+        assert_eq!(kept.leases.capacity(), 3, "sized once for every link");
         let blank = routes.live(NodeId(1), at(8), lease).unwrap();
         assert_eq!((blank.parent, blank.feed, blank.leases.len()), (None, None, 0));
-        assert_eq!(blank.lease(1).muted_until, SimTime::ZERO);
+        assert_eq!(blank.lease(NodeId(7)).muted_until, SimTime::ZERO);
+    }
+
+    #[test]
+    fn a_mute_outlives_the_loss_of_a_lower_peer_and_not_its_own_link() {
+        let mut sim = quiet_sim();
+        let (x, l, m, client) = broker_between_two_peers(&mut sim);
+        assert!(l < m, "l's lease sorts first");
+        say(&mut sim, client, x, event(1, client));
+        for peer in [l, m] {
+            say(&mut sim, peer, x, Message::Prune { source: client, lease_ms: 6_000 });
+        }
+        say(&mut sim, client, x, event(2, client));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 1), "both links muted");
+
+        // l's entry leaves the sorted leases and m's shifts down.
+        say(&mut sim, l, x, Message::LinkClose { from: l });
+        say(&mut sim, client, x, event(3, client));
+        assert_eq!(publishes(&sim, m), 1, "m's mute holds after the shift");
+
+        // l links again under the same id: no lease, so it is sent to.
+        say(&mut sim, l, x, Message::LinkHello { from: l, realm: RealmId(0) });
+        let filter = TopicFilter::parse("t/**").unwrap();
+        say(&mut sim, l, x, Message::Subscribe { filter, origin: l, seq: 2 });
+        say(&mut sim, client, x, event(4, client));
+        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (2, 1), "only the old mute went");
     }
 
     /// The one-record interest plane against the two-map version it

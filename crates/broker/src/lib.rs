@@ -14,8 +14,6 @@
 //! * [`topics`] — the subscription table mapping filters to local clients
 //!   and remote links,
 //! * [`client`] — a publish/subscribe client actor,
-//! * [`tables`] — the slab-indexed [`DenseNodeTable`] backing the
-//!   broker's per-node link/client state at scale-suite populations,
 //! * [`topology`] — overlay topology builders for the paper's three
 //!   experimental configurations (unconnected, star, linear) and more,
 //!   with ASCII renderings for Figures 1, 8 and 10.
@@ -28,13 +26,11 @@
 pub mod broker;
 pub mod client;
 pub mod metrics;
-pub mod tables;
 pub mod topics;
 pub mod topology;
 
-pub use broker::{Broker, BrokerActor, BrokerConfig};
+pub use broker::{Broker, BrokerActor, BrokerConfig, DEDUP_CAPACITY};
 pub use client::PubSubClient;
 pub use metrics::{MachineProfile, UsageMeter};
-pub use tables::DenseNodeTable;
 pub use topics::{Destination, SubscriptionTable};
 pub use topology::{Topology, TopologyKind};

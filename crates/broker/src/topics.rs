@@ -536,15 +536,10 @@ impl SubscriptionTable {
         self.len == 0
     }
 
-    /// Cached match sets currently held (observability/tests).
-    pub fn memo_len(&self) -> usize {
+    /// Cached match sets currently held.
+    #[cfg(test)]
+    fn memo_len(&self) -> usize {
         self.memo.len()
-    }
-
-    /// Drops every cached match set (benchmarks measure the cold path
-    /// with this; routing correctness never needs it).
-    pub fn flush_memo(&mut self) {
-        self.memo.clear();
     }
 }
 
@@ -712,18 +707,6 @@ mod tests {
         assert!(tab.unsubscribe(c, &f("d/**")));
         assert_eq!(tab.memo_len(), 0, "invalidation reads either kind of key");
         assert!(tab.matches(&inline).is_empty() && tab.matches(&boxed).is_empty());
-    }
-
-    #[test]
-    fn flush_memo_only_drops_the_cache() {
-        let mut tab = SubscriptionTable::new();
-        let c = Destination::Client(NodeId(5));
-        tab.subscribe(c, f("s/**"));
-        assert_eq!(tab.matches(&t("s/x")).to_vec(), vec![c]);
-        assert_eq!(tab.memo_len(), 1);
-        tab.flush_memo();
-        assert_eq!(tab.memo_len(), 0);
-        assert_eq!(tab.matches(&t("s/x")).to_vec(), vec![c]);
     }
 
     /// Past `MEMO_CAP` distinct topics, with membership changes in

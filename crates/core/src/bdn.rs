@@ -41,6 +41,9 @@ const TIMER_PING: u64 = 0xBD00_0000_0000_0001;
 const TIMER_INJECT: u64 = 0xBD00_0000_0000_0002;
 const TIMER_FEDERATION: u64 = 0xBD00_0000_0000_0003;
 
+/// Capacity of the request-UUID duplicate cache (paper §4's last 1000).
+const DEDUP_CAPACITY: usize = 1000;
+
 /// BDN configuration.
 #[derive(Debug, Clone)]
 pub struct BdnConfig {
@@ -53,8 +56,6 @@ pub struct BdnConfig {
     /// brokers (serialisation at the BDN; drives the O(N) behaviour of
     /// the unconnected topology).
     pub per_send_delay: Duration,
-    /// Dedup-cache capacity for request UUIDs.
-    pub dedup_capacity: usize,
     /// Policy gating dissemination (private BDNs require credentials).
     pub policy: ResponsePolicy,
     /// Only store advertisements whose geography contains this substring.
@@ -95,7 +96,6 @@ impl Default for BdnConfig {
             attached_brokers: Vec::new(),
             ping_interval: Duration::from_secs(5),
             per_send_delay: Duration::from_millis(60),
-            dedup_capacity: 1000,
             policy: ResponsePolicy::open(),
             accept_geography: None,
             advertise_as_private: false,
@@ -167,7 +167,7 @@ pub struct Bdn {
 impl Bdn {
     /// A BDN from `cfg`.
     pub fn new(cfg: BdnConfig) -> Bdn {
-        let dedup = BoundedDedup::new(cfg.dedup_capacity);
+        let dedup = BoundedDedup::new(DEDUP_CAPACITY);
         let federation = cfg.federation.clone().map(Federation::new);
         // Only a federated registry keeps tombstones.
         let registry = LeaseBook::new(cfg.federation.as_ref().map_or(0, |f| f.max_tombstones));

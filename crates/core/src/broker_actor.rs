@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use nb_broker::{Broker, BrokerConfig};
+use nb_broker::{Broker, BrokerConfig, DEDUP_CAPACITY};
 use nb_wire::topic::{BDN_ADVERTISEMENT, BDN_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST, DISCOVERY_REQUEST_TOPIC};
 use nb_wire::{Message, NodeId, Wire, WireMsg};
 
@@ -37,10 +37,9 @@ impl DiscoveryBrokerActor {
                 cfg.flood_topics.push(filter);
             }
         }
-        let dedup = cfg.dedup_capacity;
         DiscoveryBrokerActor {
             broker: Broker::new(cfg),
-            responder: Responder::new(policy, dedup, true),
+            responder: Responder::new(policy, DEDUP_CAPACITY, true),
             advertiser: Advertiser::new(bdns, true, Duration::from_secs(120)),
         }
     }

@@ -57,6 +57,8 @@ use nb_wire::{BrokerAdvertisement, LeaseRecord, NodeId, TombstoneRecord, Wire, W
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+pub use nb_util::{fnv1a64_step, FNV_OFFSET};
+
 /// Federation configuration. `None` in [`crate::BdnConfig::federation`]
 /// disables the subsystem entirely: no timers, no RNG draws, no wire
 /// traffic — a non-federated BDN is byte-identical to the pre-federation
@@ -114,19 +116,6 @@ pub struct FederationStats {
     pub tombstones_expired: u64,
     /// Stale advertisements or lease records rejected by a tombstone.
     pub resurrections_blocked: u64,
-}
-
-/// FNV-1a-64 over `bytes`, continuing from `hash` (offset-basis to start).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// One FNV-1a-64 step over a byte slice.
-pub fn fnv1a64_step(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// A registry entry for one advertised broker.

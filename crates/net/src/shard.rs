@@ -66,6 +66,7 @@ use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use nb_util::{fnv1a64_step, fnv1a64_word, FNV_OFFSET};
 use nb_wire::{Endpoint, GroupId, NodeId, RealmId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,18 +85,9 @@ use crate::time::SimTime;
 /// across worker threads.
 pub type ShardRespawnFn = Box<dyn FnMut() -> Box<dyn Actor> + Send>;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
+/// Folds one word into an LP's FNV-1a digest.
 fn mix(h: &mut u64, x: u64) {
-    *h ^= x;
-    *h = h.wrapping_mul(FNV_PRIME);
-}
-
-fn mix_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        mix(h, b as u64);
-    }
+    *h = fnv1a64_word(*h, x);
 }
 
 /// A cross-LP delivery buffered in the sender's outbox until the epoch
@@ -260,7 +252,7 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
                     mix(h, from.node.0 as u64);
                     mix(h, from.port.0 as u64);
                     mix(h, to_port.0 as u64);
-                    mix_bytes(h, msg.kind().as_bytes());
+                    *h = fnv1a64_step(*h, msg.kind().as_bytes());
                 }
                 Incoming::Timer { token } => {
                     mix(h, 42);
@@ -271,7 +263,7 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
         }
         NodeEvent::Fault { fault } => {
             mix(h, 5);
-            mix_bytes(h, fault.to_string().as_bytes());
+            *h = fnv1a64_step(*h, fault.to_string().as_bytes());
         }
         NodeEvent::Deliver { from, to_port, msg, len, stream, .. } => {
             mix(h, 6);
@@ -280,7 +272,7 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
             mix(h, to_port.0 as u64);
             mix(h, *len as u64);
             mix(h, *stream as u64);
-            mix_bytes(h, msg.kind().as_bytes());
+            *h = fnv1a64_step(*h, msg.kind().as_bytes());
         }
         NodeEvent::Segment { from, to_port, seg, .. } => {
             mix(h, 7);

@@ -28,14 +28,12 @@
 
 use std::time::Duration;
 
+use nb_util::{fnv1a64_word, FNV_OFFSET};
 use nb_wire::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::link::{LinkSpec, NetworkModel};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The generator family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,10 +325,7 @@ impl WanTopology {
     /// identity the generator proptests pin across reruns.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
+        let mut mix = |x: u64| h = fnv1a64_word(h, x);
         mix(self.kind.tag());
         mix(self.regions as u64);
         for &r in &self.region_of {

@@ -20,8 +20,8 @@ use nb::util::Uuid;
 use nb::wire::addr::well_known;
 use nb::wire::{Endpoint, Event, Message, NodeId, RealmId, Topic, TopicFilter};
 
-/// `heartbeat_interval × heartbeat_misses` of the default configuration:
-/// how long a `Prune` is honoured.
+/// The broker's heartbeat interval times the heartbeats a link may miss
+/// (2 s × 3): how long a `Prune` is honoured.
 const LEASE: Duration = Duration::from_secs(6);
 /// A publishing station's inter-event gap.
 const EVERY: Duration = Duration::from_millis(200);
