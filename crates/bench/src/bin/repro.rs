@@ -4,6 +4,7 @@
 //! regenerates every committed figure and report. `repro help` prints the
 //! command table ([`COMMANDS`]) and the flags.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use nb_bench::campaign::{fault_scenario, run_campaign, FaultCampaign, ScenarioResult};
@@ -549,7 +550,8 @@ fn report_gate(root: &Path, name: &str, flags: &str) {
 /// `repro gate figs`: regenerates every pinned table's CSV and the trace
 /// at the defaults (`--runs 120 --seed 2005`) in memory and compares each
 /// with its committed copy under `artifacts/`; a committed CSV that no
-/// pinned table writes fails too.
+/// pinned table writes fails too. It names every file that fails before
+/// it exits, so one run lists a whole re-pin.
 fn figs_gate(root: &Path) {
     let args = parse_args(std::iter::empty());
     let mut pins: Vec<(String, String)> = COMMANDS
@@ -561,26 +563,69 @@ fn figs_gate(root: &Path) {
             _ => None,
         })
         .collect();
-    pins.push(("artifacts/trace_output.txt".to_string(), trace(args.seed)));
-    for (file, fresh) in &pins {
-        let committed = std::fs::read_to_string(root.join(file))
-            .unwrap_or_else(|e| gate_failed(file, &format!("cannot read the committed copy: {e}")));
-        if let Some(line) = first_difference(&committed, fresh) {
-            gate_failed(file, &format!("the tree regenerates it differently from line {line} on"));
-        }
-    }
-    let committed = std::fs::read_dir(root.join("artifacts/csv"))
+    pins.push((TRACE_PIN.to_string(), trace(args.seed)));
+    let listing = std::fs::read_dir(root.join("artifacts/csv"))
         .unwrap_or_else(|e| gate_failed("artifacts/csv", &format!("cannot list it: {e}")));
-    for entry in committed.flatten() {
-        let file = format!("artifacts/csv/{}", entry.file_name().to_string_lossy());
-        if !pins.iter().any(|(pinned, _)| *pinned == file) {
-            gate_failed(&file, "no pinned table writes it");
-        }
+    let committed: BTreeMap<String, Result<String, String>> = listing
+        .flatten()
+        .map(|entry| format!("artifacts/csv/{}", entry.file_name().to_string_lossy()))
+        .chain([TRACE_PIN.to_string()])
+        .map(|file| {
+            let text = std::fs::read_to_string(root.join(&file)).map_err(|e| e.to_string());
+            (file, text)
+        })
+        .collect();
+    let failures = pin_failures(&pins, &committed);
+    for (file, why) in &failures {
+        eprintln!("FAIL: {file}: {why}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
     println!(
         "artifacts/: {} figure CSVs and trace_output.txt byte-identical to the committed copies",
         pins.len() - 1
     );
+}
+
+/// The trace `repro gate figs` holds beside the CSVs.
+const TRACE_PIN: &str = "artifacts/trace_output.txt";
+
+/// Every way the regenerated `pins` (file, text) fail their committed
+/// copies (file → text, or why it could not be read), as (file, why):
+/// first each pin that is missing, unreadable or different (with its
+/// first differing line), in pin order, then each committed file no pin
+/// writes.
+fn pin_failures(
+    pins: &[(String, String)],
+    committed: &BTreeMap<String, Result<String, String>>,
+) -> Vec<(String, String)> {
+    let mut failures: Vec<(String, String)> = pins
+        .iter()
+        .filter_map(|(file, fresh)| {
+            let why = match committed.get(file) {
+                None => "there is no committed copy".to_string(),
+                Some(Err(e)) => format!("cannot read the committed copy: {e}"),
+                Some(Ok(old)) => {
+                    let line = first_difference(old, fresh)?;
+                    let [was, now] = [old.as_str(), fresh.as_str()]
+                        .map(|text| text.lines().nth(line - 1).unwrap_or("<end of file>"));
+                    format!(
+                        "the tree regenerates it differently from line {line} on\n  \
+                         committed:   {was}\n  regenerated: {now}"
+                    )
+                }
+            };
+            Some((file.clone(), why))
+        })
+        .collect();
+    failures.extend(
+        committed
+            .keys()
+            .filter(|file| !pins.iter().any(|(pinned, _)| pinned == *file))
+            .map(|file| (file.clone(), "no pinned table writes it".to_string())),
+    );
+    failures
 }
 
 /// `repro gate lint`: clippy over every workspace target, with the levels
@@ -691,5 +736,40 @@ mod tests {
         assert_eq!(args.workers, Some(3));
         let gate = parse_args("gate scale".split(' ').map(String::from));
         assert_eq!((gate.cmd.as_str(), gate.target.as_deref()), ("gate", Some("scale")));
+    }
+
+    #[test]
+    fn the_figs_comparison_names_every_failing_file() {
+        let pin = |file: &str, text: &str| (file.to_string(), text.to_string());
+        let pins = [
+            pin("a.csv", "h\n1\n"),
+            pin("b.csv", "h\n2\n3\n"),
+            pin("c.csv", "h\n"),
+            pin("d.csv", "h\n"),
+            pin("e.csv", "h\nx\n"),
+        ];
+        let committed: BTreeMap<String, Result<String, String>> = [
+            ("a.csv", Ok("h\n1\n")),
+            ("b.csv", Ok("h\n2\n4\n")),
+            ("d.csv", Err("denied")),
+            ("e.csv", Ok("h\n")),
+            ("stray.csv", Ok("h\n")),
+        ]
+        .into_iter()
+        .map(|(file, text)| (file.to_string(), text.map(String::from).map_err(String::from)))
+        .collect();
+        let failures = pin_failures(&pins, &committed);
+        let expected = [
+            ("b.csv", "the tree regenerates it differently from line 3 on\n  committed:   4\n  regenerated: 3"),
+            ("c.csv", "there is no committed copy"),
+            ("d.csv", "cannot read the committed copy: denied"),
+            ("e.csv", "the tree regenerates it differently from line 2 on\n  committed:   <end of file>\n  regenerated: x"),
+            ("stray.csv", "no pinned table writes it"),
+        ]
+        .map(|(file, why)| (file.to_string(), why.to_string()));
+        assert_eq!(failures, expected);
+        let clean: BTreeMap<String, Result<String, String>> =
+            pins.iter().map(|(file, text)| (file.clone(), Ok(text.clone()))).collect();
+        assert!(pin_failures(&pins, &clean).is_empty());
     }
 }

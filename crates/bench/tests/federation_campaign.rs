@@ -86,9 +86,12 @@ fn ten_seed_campaign_passes_every_invariant() {
 /// And once more (`0xd8628ea83fdb2360` until then), again with the
 /// chaos pin: stream sends a partition ate now count in the report's
 /// `unreachable_partitioned` column (DESIGN.md §9); nothing else moved.
+/// And once more (`0xa9034d72b101e9cb` until then), with the chaos pin
+/// again: a BDN's injections of one request share one event id, so the
+/// request floods once (DESIGN.md §17).
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0xa903_4d72_b101_e9cb;
+    const PINNED_FNV1A64: u64 = 0x1c2c_8ffe_1a4a_3570;
     for workers in [1, 4] {
         let json = campaign(11, 3, workers).to_json();
         let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());

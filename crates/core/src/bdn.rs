@@ -22,7 +22,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use bytes::Bytes;
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
 use nb_wire::topic::{BDN_ADVERTISEMENT, BROKER_ADVERTISEMENT, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST};
@@ -133,10 +132,11 @@ pub struct Bdn {
     flood_topic: Topic,
     ad_filter: TopicFilter,
     bdn_ad_topic: Topic,
-    /// Injections queued behind the per-send processing delay. The
-    /// request body is encoded once when the queue is filled; each
-    /// queued entry shares the same payload bytes.
-    inject_queue: VecDeque<(NodeId, Bytes)>,
+    /// Injections queued behind the per-send processing delay, each a
+    /// handle to its request's one `Publish`: every injection of a
+    /// request carries the same event id, so the brokers' last-1000
+    /// cache merges them into one flood (paper §4).
+    inject_queue: VecDeque<(NodeId, WireMsg)>,
     inject_timer_armed: bool,
     /// Requests accepted for dissemination.
     pub requests_handled: u64,
@@ -366,31 +366,37 @@ impl Bdn {
             }
         }
         injection_order(&mut targets);
-        // Encode the flooded request body once; every queued injection
-        // (closest, farthest, the rest) shares the same bytes.
-        let payload = request.to_bytes();
-        self.inject_queue.reserve(targets.len());
-        self.inject_queue.extend(targets.iter().map(|&(target, _)| (target, payload.clone())));
-        self.pump_injections(ctx);
-    }
-
-    /// Sends the next queued injection, charging the per-send delay
-    /// between consecutive sends (the O(N) distribution cost).
-    fn pump_injections(&mut self, ctx: &mut dyn Context) {
-        if self.inject_timer_armed {
+        if targets.is_empty() {
             return;
         }
-        let Some((target, payload)) = self.inject_queue.pop_front() else {
-            return;
-        };
+        // One event, one id, for every injection (closest, farthest, the
+        // rest): a broker drops a copy whose id it has seen, so the
+        // request floods once however many brokers it is injected at.
         let event = Event {
             id: Uuid::random(ctx.rng()),
             topic: self.flood_topic.clone(),
             source: ctx.me(),
-            payload,
+            payload: request.to_bytes(),
+        };
+        let publish = WireMsg::new(Message::Publish(event));
+        self.inject_queue.reserve(targets.len());
+        self.inject_queue.extend(targets.iter().map(|&(target, _)| (target, publish.clone())));
+        self.pump_injections(ctx);
+    }
+
+    /// Sends the next queued injection, charging the per-send delay
+    /// between consecutive sends (the O(N) distribution cost). Each send
+    /// is a handle to its request's one `Publish`, so it encodes and
+    /// draws nothing.
+    fn pump_injections(&mut self, ctx: &mut dyn Context) {
+        if self.inject_timer_armed {
+            return;
+        }
+        let Some((target, publish)) = self.inject_queue.pop_front() else {
+            return;
         };
         let to = Endpoint::new(target, well_known::BROKER);
-        ctx.send_stream_wire(well_known::BDN, to, &WireMsg::new(Message::Publish(event)));
+        ctx.send_stream_wire(well_known::BDN, to, &publish);
         if !self.inject_queue.is_empty() {
             self.inject_timer_armed = true;
             ctx.set_timer(self.cfg.per_send_delay, TIMER_INJECT);

@@ -408,6 +408,13 @@ impl DiscoveryClient {
             Phase::Collecting => {}
             _ => return,
         }
+        // A second copy of one broker's answer (a duplicated datagram, or
+        // a broker restarted without its dedup cache) is not a second
+        // response toward `max_responses`: keep the first copy, which for a
+        // duplicated datagram is the lowest-delay one `shortlist` keeps.
+        if self.candidates.iter().any(|c| c.response.broker == resp.broker) {
+            return;
+        }
         let est = estimate_delay_us(ctx.utc_micros(), &resp);
         self.candidates.push(Candidate { response: resp, est_delay_us: est, weight: 0.0 });
         if self.candidates.len() >= self.cfg.max_responses {
@@ -910,6 +917,34 @@ mod state_machine_tests {
         c.on_incoming(pong(nonces[1]), &mut ctx);
         assert_eq!(c.phase(), Phase::Connecting);
         assert_eq!(c.rtts.len(), 2);
+    }
+
+    #[test]
+    fn a_duplicated_response_does_not_count_toward_max_responses() {
+        let mut ctx = new_ctx();
+        let mut c = client_with(2);
+        c.begin(&mut ctx);
+        let rid = c.request_id().unwrap();
+        ctx.now = SimTime::from_millis(20);
+        c.on_incoming(datagram(response_from(1, rid, 15_000)), &mut ctx);
+        let first_delay = c.candidates[0].est_delay_us;
+        ctx.now = SimTime::from_millis(25);
+        c.on_incoming(datagram(response_from(1, rid, 15_000)), &mut ctx);
+        assert_eq!(c.phase(), Phase::Collecting, "two copies of broker 1's answer are one response");
+        assert_eq!(c.candidates.len(), 1);
+        assert_eq!(c.candidates[0].est_delay_us, first_delay, "the first copy is kept");
+
+        ctx.now = SimTime::from_millis(40);
+        c.on_incoming(datagram(response_from(2, rid, 30_000)), &mut ctx);
+        assert_eq!(c.phase(), Phase::Pinging);
+        let mut pinged: Vec<NodeId> = ctx
+            .sent
+            .iter()
+            .filter(|(_, _, m)| m.kind() == "ping")
+            .map(|(_, to, _)| to.node)
+            .collect();
+        pinged.sort_unstable();
+        assert_eq!(pinged, vec![NodeId(1), NodeId(2)], "both brokers are in the target set");
     }
 
     #[test]

@@ -219,3 +219,82 @@ fn refused_connection_walks_down_the_target_set() {
         assert!(!full_actor.broker.has_client(client), "the full broker must not hold the client");
     });
 }
+
+#[test]
+fn one_request_floods_once_however_many_brokers_it_is_injected_at() {
+    // §4: the BDN injects a request at several brokers, and a broker drops
+    // an event whose id it has seen, so the request makes one flood: over
+    // a ring with chords, every broker routes it once and answers it once.
+    use nb::broker::BrokerConfig;
+    use nb::discovery::client::TIMER_START;
+    use nb::discovery::{BdnConfig, Deployment, DiscoveryClient, DiscoveryConfig, Network};
+    use nb::discovery::ResponsePolicy;
+    use nb::net::{ClockProfile, Incoming, LinkSpec};
+    use nb::wire::{NodeId, RealmId};
+
+    const BROKERS: u32 = 6;
+    let bdn = NodeId(0);
+    let brokers: Vec<NodeId> = (1..=BROKERS).map(NodeId).collect();
+    let client = NodeId(BROKERS + 1);
+    // A ring b0–…–b5–b0 with chords b0–b3 and b1–b4; each broker dials
+    // the neighbours added before it.
+    let dials = |i: usize| -> Vec<usize> {
+        match i {
+            0 => vec![],
+            3 => vec![2, 0],
+            4 => vec![3, 1],
+            5 => vec![4, 0],
+            _ => vec![i - 1],
+        }
+    };
+    let describe = || {
+        let intra = LinkSpec::lan().with_loss(0.0);
+        let inter = LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0);
+        let network = Network::Realms { intra, inter, wan: None };
+        let mut d = Deployment { seed: 17, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+        let attached_brokers = vec![brokers[0], brokers[2], brokers[4]];
+        let cfg = BdnConfig { attached_brokers, auto_attach: false, ..BdnConfig::default() };
+        d.add("bdn".into(), RealmId(0), false, move || Box::new(Bdn::new(cfg.clone())));
+        for i in 0..brokers.len() {
+            let neighbors = dials(i).into_iter().map(|j| brokers[j]).collect();
+            let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
+            d.add(format!("b{i}"), RealmId(0), false, move || {
+                Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![bdn], ResponsePolicy::open()))
+            });
+        }
+        let discovery = DiscoveryConfig { bdns: vec![bdn], ..DiscoveryConfig::default() };
+        d.add("client".into(), RealmId(0), false, move || {
+            Box::new(DiscoveryClient::with_auto_start(discovery.clone(), false))
+        });
+        d
+    };
+    on_every_engine(describe, |sim| {
+        // Warm up: links up, every broker registered with the BDN. The
+        // brokers' next topic advertisement is due at 120 s, after the
+        // window below.
+        sim.run_for(Duration::from_secs(10));
+        let counts = |sim: &dyn DiscoveryEngine| -> Vec<(u64, u64)> {
+            brokers
+                .iter()
+                .map(|&b| {
+                    let actor = sim.actor::<DiscoveryBrokerActor>(b).unwrap();
+                    (actor.broker.events_routed, actor.responder.responses_sent)
+                })
+                .collect()
+        };
+        let before = counts(&*sim);
+        sim.inject(client, Duration::ZERO, Incoming::Timer { token: TIMER_START });
+        sim.run_for(Duration::from_secs(20));
+        let outcome = sim.actor::<DiscoveryClient>(client).unwrap().outcome().cloned();
+        let outcome = outcome.expect("the client finished its discovery");
+        assert!(outcome.chosen.is_some(), "the discovery chose a broker");
+        assert_eq!(sim.actor::<Bdn>(bdn).unwrap().requests_handled, 1);
+        let grew: Vec<(u64, u64)> =
+            counts(&*sim).iter().zip(&before).map(|(a, b)| (a.0 - b.0, a.1 - b.1)).collect();
+        assert_eq!(
+            grew,
+            vec![(1, 1); brokers.len()],
+            "(events routed, responses sent) per broker over one discovery"
+        );
+    });
+}
