@@ -1,8 +1,9 @@
 //! `repro` — regenerates every table and figure of the paper and runs
-//! the seed-pure campaigns (`chaos`, `federation`, `scale`); `repro gate`
-//! runs clippy over the workspace and checks that the tree still
-//! regenerates every committed figure and report. `repro help` prints the
-//! command table ([`COMMANDS`]) and the flags.
+//! the seed-pure campaigns (`chaos`, `federation`, `scale`); `repro census`
+//! counts the tree; `repro gate` runs clippy over the workspace and checks
+//! that the tree still regenerates every committed figure, report and
+//! count. `repro help` prints the command table ([`COMMANDS`]) and the
+//! flags.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -139,11 +140,18 @@ const COMMANDS: &[Command] = &[
         "BENCH_scale.json",
         scale_report,
     ),
+    report(
+        "census",
+        "the tree's lines, test-only pub items, trait implementors, config knobs, \
+         #[ignore]s and #[expect]s, read from the source",
+        CENSUS_PIN,
+        |_| (census_of(&workspace_root()).unwrap_or_else(|e| fail(&e)), true),
+    ),
     cmd(
         "gate",
-        "[lint|figs|chaos|federation|scale] run clippy, then regenerate the committed figures \
-         and reports (reports at 1 and 4 workers); exit 1 on a clippy error or any byte of \
-         difference",
+        "[lint|figs|chaos|federation|scale|census] run clippy, then regenerate the committed \
+         figures, reports (at 1 and 4 workers) and census; exit 1 on a clippy error or any \
+         byte of difference",
         run_gate,
     ),
 ];
@@ -484,28 +492,29 @@ fn workspace_root() -> PathBuf {
 }
 
 /// What `repro gate` checks, in order: `lint` runs clippy, `figs` the
-/// committed figures, every other entry is a committed report and the
-/// flags it is regenerated with.
-const GATES: [(&str, &str); 5] = [
+/// committed figures, `census` the committed count, every other entry is
+/// a committed report and the flags it is regenerated with.
+const GATES: [(&str, &str); 6] = [
     ("lint", ""),
     ("figs", ""),
     ("chaos", "--scenarios 3 --seed 11"),
     ("federation", "--scenarios 10 --seed 2005"),
     ("scale", "--tier small --seed 2005"),
+    ("census", ""),
 ];
 
 /// `repro gate [NAME]`: runs [`lint_gate`] and [`figs_gate`], then
 /// regenerates each committed report (all of [`GATES`] without a name)
-/// in memory at 1 and 4 workers, writing nothing, and exits 1 naming the
-/// file on a failed invariant, a 1-vs-4 difference or any byte that
-/// differs from the committed copy.
+/// in memory at 1 and 4 workers, then [`census_gate`], writing nothing,
+/// and exits 1 naming the file on a failed invariant, a 1-vs-4
+/// difference or any byte that differs from the committed copy.
 fn run_gate(_: &str, args: &Args) {
     let target = args.target.as_deref();
     let gates: Vec<(&str, &str)> =
         GATES.into_iter().filter(|&(name, _)| target.is_none_or(|t| t == name)).collect();
     if gates.is_empty() {
         fail(&format!(
-            "gate {:?}: expected lint|figs|chaos|federation|scale",
+            "gate {:?}: expected lint|figs|chaos|federation|scale|census",
             target.unwrap_or("")
         ));
     }
@@ -514,6 +523,7 @@ fn run_gate(_: &str, args: &Args) {
         match name {
             "lint" => lint_gate(&root),
             "figs" => figs_gate(&root),
+            "census" => census_gate(&root),
             _ => report_gate(&root, name, flags),
         }
     }
@@ -590,6 +600,29 @@ fn figs_gate(root: &Path) {
 
 /// The trace `repro gate figs` holds beside the CSVs.
 const TRACE_PIN: &str = "artifacts/trace_output.txt";
+
+/// What `repro census` writes and `repro gate census` holds.
+const CENSUS_PIN: &str = "CENSUS.json";
+
+/// [`nb_bench::census::census`] of the tree under `root`, or why it
+/// could not be read.
+fn census_of(root: &Path) -> Result<String, String> {
+    nb_bench::census::census(root).map_err(|e| format!("cannot read the tree: {e}"))
+}
+
+/// `repro gate census`: recounts the tree under `root` and compares the
+/// count with the committed `CENSUS.json`.
+fn census_gate(root: &Path) {
+    let fresh = census_of(root).unwrap_or_else(|e| gate_failed(CENSUS_PIN, &e));
+    let committed = std::fs::read_to_string(root.join(CENSUS_PIN)).map_err(|e| e.to_string());
+    let pins = [(CENSUS_PIN.to_string(), fresh)];
+    if let Some((file, why)) =
+        pin_failures(&pins, &BTreeMap::from([(CENSUS_PIN.to_string(), committed)])).first()
+    {
+        gate_failed(file, &format!("{why}\n  `repro census` rewrites it"));
+    }
+    println!("{CENSUS_PIN}: byte-identical to the committed copy");
+}
 
 /// Every way the regenerated `pins` (file, text) fail their committed
 /// copies (file → text, or why it could not be read), as (file, why):
@@ -718,12 +751,12 @@ mod tests {
     fn report_writing_commands_have_a_default_out() {
         let writers: Vec<&str> =
             COMMANDS.iter().filter(|c| matches!(c.run, Run::Report(..))).map(|c| c.name).collect();
-        assert_eq!(writers, ["chaos", "federation", "scale"]);
+        assert_eq!(writers, ["chaos", "federation", "scale", "census"]);
         let gated: Vec<&str> = GATES.iter().map(|g| g.0).collect();
         assert_eq!(
             gated,
-            ["lint", "figs", "chaos", "federation", "scale"],
-            "clippy, the figures, then every report"
+            ["lint", "figs", "chaos", "federation", "scale", "census"],
+            "clippy, the figures, every report, then the census"
         );
     }
 

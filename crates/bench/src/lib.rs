@@ -12,6 +12,7 @@
 
 pub mod alloc;
 pub mod campaign;
+pub mod census;
 pub mod chaos;
 pub mod federation;
 pub mod parallel;

@@ -1,7 +1,8 @@
 //! The `repro` binary's command-line contract: help comes from the
 //! dispatch table, usage errors exit 2, `--out` is the only place a
-//! report lands, `repro gate` writes nothing, and its clippy and figure
-//! gates pass on the tree; the clippy gate fails closed without cargo.
+//! report lands, `repro gate` writes nothing, and its clippy, figure and
+//! census gates pass on the tree; the clippy gate fails closed without
+//! cargo.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -23,11 +24,11 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// `repro.rs`'s dispatch table, by name.
-const COMMANDS: [&str; 30] = [
+const COMMANDS: [&str; 31] = [
     "help", "all", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
     "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock", "ablation-topology",
-    "check", "trace", "chaos", "federation", "scale", "gate",
+    "check", "trace", "chaos", "federation", "scale", "census", "gate",
 ];
 
 #[test]
@@ -148,6 +149,15 @@ fn gate_lint_passes_on_the_tree() {
 fn gate_figs_passes_on_the_tree() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out = repro(&root, &["gate", "figs"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// The census reads the tree and nothing else, so it is the cheapest
+/// gate: the committed `CENSUS.json` must match a recount.
+#[test]
+fn gate_census_passes_on_the_tree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = repro(&root, &["gate", "census"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 

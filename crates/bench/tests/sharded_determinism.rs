@@ -137,7 +137,13 @@ fn geometric_fingerprint(
 /// discovery; with chaos it applies a generated plan over the booted
 /// deployment and lets it fight through.
 fn star_fingerprint(seed: u64, site: usize, chaos: bool, workers: usize) -> (u64, u64) {
-    let mut scenario = ScenarioBuilder::new(TopologyKind::Star, site, seed).build_sharded(workers);
+    let builder = ScenarioBuilder::new(TopologyKind::Star, site, seed);
+    let sim = builder.describe().build(|seed, clock| {
+        let mut sim = ShardedSim::with_clock_profile(seed, clock);
+        sim.set_workers(workers);
+        sim
+    });
+    let mut scenario = builder.scenario(sim);
     if chaos {
         let targets = ChaosTargets {
             bdns: scenario.bdn.into_iter().collect(),
@@ -151,7 +157,7 @@ fn star_fingerprint(seed: u64, site: usize, chaos: bool, workers: usize) -> (u64
     } else {
         let _ = scenario.run_discovery_once();
     }
-    (scenario.digest(), scenario.sim.events_processed())
+    (scenario.sim.digest(), scenario.sim.events_processed())
 }
 
 fn client_sites() -> impl Strategy<Value = usize> {

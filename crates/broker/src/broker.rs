@@ -757,7 +757,6 @@ impl Broker {
                 link.send(Message::Heartbeat { from: ctx.me(), seq }, ctx);
             }
         }
-        dead.sort_unstable();
         for peer in dead {
             self.link_down(peer, ctx);
         }

@@ -72,25 +72,6 @@ impl Advertiser {
         self.readvertise
     }
 
-    /// The BDNs currently advertised to (configured + discovered).
-    pub fn all_bdns(&self) -> Vec<NodeId> {
-        let mut out = self.bdns.clone();
-        out.extend(self.discovered_bdns.iter().copied());
-        out
-    }
-
-    /// Adds federated peer BDNs to the configured set (dedup against
-    /// both the configured and the discovered lists). Advertising to
-    /// every federation member keeps each origin stamp identical across
-    /// registries, which is what lets anti-entropy digests agree.
-    pub fn add_federated_bdns(&mut self, peers: &[NodeId]) {
-        for &peer in peers {
-            if !self.bdns.contains(&peer) && !self.discovered_bdns.contains(&peer) {
-                self.bdns.push(peer);
-            }
-        }
-    }
-
     /// Builds this broker's advertisement.
     pub fn build_ad(&self, broker: &Broker, ctx: &mut dyn Context) -> BrokerAdvertisement {
         BrokerAdvertisement {
@@ -230,18 +211,6 @@ mod tests {
         // Known/configured BDNs are not re-added.
         adv.on_bdn_advertisement(NodeId(100), &mut broker, &mut ctx);
         assert!(adv.discovered_bdns.len() == 1);
-    }
-
-    #[test]
-    fn federated_bdns_merge_without_duplicates() {
-        let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
-        let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = new_ctx();
-        adv.on_bdn_advertisement(NodeId(200), &mut broker, &mut ctx);
-        adv.add_federated_bdns(&[NodeId(100), NodeId(200), NodeId(101), NodeId(101)]);
-        assert_eq!(adv.all_bdns(), vec![NodeId(100), NodeId(101), NodeId(200)]);
-        adv.advertise(&mut broker, &mut ctx);
-        assert_eq!(adv.ads_sent as usize, 2 + 3, "one ad per federated BDN");
     }
 
     #[test]

@@ -31,11 +31,11 @@ use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_wire::NodeId;
 
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
-use nb_net::{ClockProfile, DiscoveryEngine, ShardedSim, Sim, SimTime};
+use nb_net::{ClockProfile, DiscoveryEngine, Sim, SimTime};
 
 use crate::bdn::{Bdn, BdnConfig};
 use crate::broker_actor::DiscoveryBrokerActor;
-use crate::client::{DiscoveryClient, DiscoveryOutcome, Phase, TIMER_START};
+use crate::client::{DiscoveryClient, DiscoveryOutcome, TIMER_START};
 use crate::config::DiscoveryConfig;
 use crate::deployment::{Deployment, Network};
 use crate::policy::ResponsePolicy;
@@ -110,18 +110,6 @@ impl ScenarioBuilder {
     /// Builds the testbed on the reference serial engine.
     pub fn build(self) -> Scenario {
         let sim = self.describe().build(Sim::with_clock_profile);
-        self.scenario(sim)
-    }
-
-    /// Builds the same testbed on the conservative-lookahead sharded
-    /// engine. Results are byte-identical for every `workers` count; only
-    /// wall time changes.
-    pub fn build_sharded(self, workers: usize) -> Scenario<ShardedSim> {
-        let sim = self.describe().build(|seed, clock| {
-            let mut sim = ShardedSim::with_clock_profile(seed, clock);
-            sim.set_workers(workers);
-            sim
-        });
         self.scenario(sim)
     }
 
@@ -226,8 +214,8 @@ impl ScenarioBuilder {
 
 /// A built testbed: simulator plus the node ids of every role. The
 /// same type serves both engines — [`ScenarioBuilder::build`] yields
-/// `Scenario<Sim>`, [`ScenarioBuilder::build_sharded`] yields
-/// `Scenario<ShardedSim>`.
+/// `Scenario<Sim>`, and [`ScenarioBuilder::scenario`] wraps any engine
+/// [`ScenarioBuilder::describe`]'s deployment was built on.
 pub struct Scenario<E: DiscoveryEngine = Sim> {
     /// The simulator.
     pub sim: E,
@@ -287,11 +275,6 @@ impl<E: DiscoveryEngine> Scenario<E> {
         <dyn DiscoveryEngine>::actor(&self.sim, self.client).expect("client actor")
     }
 
-    /// The client's discovery state (for assertions).
-    pub fn client_phase(&self) -> Phase {
-        self.client_actor().phase()
-    }
-
     /// Maps a broker node id back to its site index.
     pub fn site_of_broker(&self, broker: NodeId) -> Option<SiteIdx> {
         self.brokers.iter().position(|&b| b == broker).map(|i| self.broker_sites[i])
@@ -300,14 +283,6 @@ impl<E: DiscoveryEngine> Scenario<E> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
-    }
-}
-
-impl Scenario<ShardedSim> {
-    /// The run digest (see [`ShardedSim::digest`]): byte-identical
-    /// across worker counts for a fixed builder + seed.
-    pub fn digest(&self) -> u64 {
-        self.sim.digest()
     }
 }
 
@@ -375,9 +350,15 @@ mod tests {
     #[test]
     fn sharded_build_discovers_and_is_worker_invariant() {
         let run = |workers| {
-            let mut s = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47).build_sharded(workers);
+            let builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47);
+            let sim = builder.describe().build(|seed, clock| {
+                let mut sim = nb_net::ShardedSim::with_clock_profile(seed, clock);
+                sim.set_workers(workers);
+                sim
+            });
+            let mut s = builder.scenario(sim);
             let o = s.run_discovery_once();
-            (o.chosen.is_some(), s.digest(), s.sim.events_processed())
+            (o.chosen.is_some(), s.sim.digest(), s.sim.events_processed())
         };
         let reference = run(1);
         assert!(reference.0, "sharded discovery completes");

@@ -315,14 +315,6 @@ impl NetworkModel {
         min
     }
 
-    /// Explicit per-pair link overrides, ascending by normalised
-    /// `(low, high)` key: the edge list a topology generator installed,
-    /// without probing all O(n²) pairs through
-    /// [`NetworkModel::spec_between`].
-    pub fn link_overrides(&self) -> impl Iterator<Item = (NodeId, NodeId, &LinkSpec)> + '_ {
-        self.overrides.iter().map(|(&(a, b), s)| (a, b, s))
-    }
-
     /// Applies a link-scoped fault (a partition or a heal, symmetric or
     /// one-way); any other fault is not the model's and is ignored.
     pub(crate) fn apply_fault(&mut self, fault: &Fault) {

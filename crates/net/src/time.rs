@@ -84,7 +84,7 @@ impl SimTime {
 impl Add<Duration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: Duration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.as_nanos() as u64))
+        SimTime(self.0.saturating_add(u64::try_from(rhs.as_nanos()).unwrap_or(u64::MAX)))
     }
 }
 
@@ -129,6 +129,23 @@ mod tests {
         assert_eq!(t - SimTime::from_millis(10), Duration::from_millis(5));
         // saturating subtraction
         assert_eq!(SimTime::ZERO - SimTime::from_millis(1), Duration::ZERO);
+    }
+
+    #[test]
+    fn adding_a_longer_duration_never_gives_an_earlier_instant() {
+        // 2^64 ns is about 584 years: a longer duration saturates at
+        // `u64::MAX` instead of wrapping to its low 64 bits (0.29 s here).
+        let wraps = Duration::from_secs(18_446_744_074);
+        let durations =
+            [Duration::from_secs(1), Duration::from_nanos(u64::MAX), wraps, Duration::MAX];
+        for pair in durations.windows(2) {
+            let (shorter, longer) = (SimTime::ZERO + pair[0], SimTime::ZERO + pair[1]);
+            let (a, b) = (pair[0], pair[1]);
+            assert!(longer >= shorter, "+{b:?} gives {longer}, before +{a:?}'s {shorter}");
+        }
+        let mut t = SimTime::from_secs(1);
+        t += wraps;
+        assert_eq!(t.as_nanos(), u64::MAX);
     }
 
     #[test]

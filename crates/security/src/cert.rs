@@ -234,20 +234,6 @@ impl Authority {
             signature,
         }
     }
-
-    /// Creates a subordinate CA whose certificate is issued by `self`.
-    pub fn issue_sub_authority<R: Rng + ?Sized>(
-        &self,
-        name: &str,
-        valid_from: u64,
-        valid_until: u64,
-        rng: &mut R,
-    ) -> (Authority, Certificate) {
-        let keys = KeyPair::generate(rng);
-        let cert = self.issue(name, keys.public, valid_from, valid_until, rng);
-        let sub = Authority { name: name.to_string(), keys, root_cert: cert.clone() };
-        (sub, cert)
-    }
 }
 
 #[cfg(test)]
@@ -268,6 +254,18 @@ mod tests {
         (ca, client_keys, cert, rng)
     }
 
+    /// A subordinate CA named `name` whose certificate `ca` issues.
+    fn issue_sub_authority(
+        ca: &Authority,
+        name: &str,
+        rng: &mut StdRng,
+    ) -> (Authority, Certificate) {
+        let keys = KeyPair::generate(rng);
+        let cert = ca.issue(name, keys.public, FROM, UNTIL, rng);
+        let sub = Authority { name: name.to_string(), keys, root_cert: cert.clone() };
+        (sub, cert)
+    }
+
     #[test]
     fn direct_chain_validates() {
         let (ca, _keys, cert, _) = setup();
@@ -277,7 +275,7 @@ mod tests {
     #[test]
     fn intermediate_chain_validates() {
         let (ca, _keys, _cert, mut rng) = setup();
-        let (sub, sub_cert) = ca.issue_sub_authority("Regional CA", FROM, UNTIL, &mut rng);
+        let (sub, sub_cert) = issue_sub_authority(&ca, "Regional CA", &mut rng);
         let leaf_keys = KeyPair::generate(&mut rng);
         let leaf = sub.issue("bob", leaf_keys.public, FROM, UNTIL, &mut rng);
         Certificate::validate_chain(&[leaf, sub_cert], &ca.root_cert, NOW).unwrap();

@@ -7,7 +7,6 @@
 //! those costs are *real CPU work*, not stubs:
 //!
 //! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256,
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104),
 //! * [`cipher`] — the XTEA block cipher in CBC mode with PKCS#7 padding,
 //! * [`keys`] — a Schnorr group over a 64-bit safe prime with modular
 //!   exponentiation, key pairs and Diffie–Hellman agreement,
@@ -15,6 +14,9 @@
 //! * [`cert`] — X.509-style certificates and chain validation,
 //! * [`envelope`] — sign-then-encrypt envelopes around wire messages
 //!   ([`nb_wire::Message::Secure`]).
+//!
+//! There is no MAC: the paper secures a request by signing and then
+//! encrypting it, which is what [`envelope`] does.
 //!
 //! **Substitution note** (documented in DESIGN.md): the paper used JCE
 //! X.509/PKI on a 2005 JVM. A 64-bit Schnorr group is *not* secure by
@@ -25,7 +27,6 @@
 pub mod cert;
 pub mod cipher;
 pub mod envelope;
-pub mod hmac;
 pub mod keys;
 pub mod sha256;
 pub mod sig;
@@ -33,7 +34,6 @@ pub mod sig;
 pub use cert::{Authority, Certificate, CertificateError};
 pub use cipher::{decrypt_cbc, encrypt_cbc, CipherError};
 pub use envelope::{open_envelope, seal_envelope, EnvelopeError, Identity};
-pub use hmac::hmac_sha256;
 pub use keys::{KeyPair, PublicKey};
 pub use sha256::{sha256, Sha256};
 pub use sig::{sign, verify, Signature};

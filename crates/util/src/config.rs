@@ -30,8 +30,6 @@ pub struct Config {
 pub enum ConfigError {
     /// A line was not `key = value` or a comment/blank.
     Syntax { line: usize, text: String },
-    /// A required key was absent.
-    Missing(String),
     /// A value could not be interpreted at the requested type.
     BadValue { key: String, value: String, expected: &'static str },
 }
@@ -42,7 +40,6 @@ impl fmt::Display for ConfigError {
             ConfigError::Syntax { line, text } => {
                 write!(f, "config syntax error on line {line}: {text:?}")
             }
-            ConfigError::Missing(key) => write!(f, "missing config key {key:?}"),
             ConfigError::BadValue { key, value, expected } => {
                 write!(f, "config key {key:?} has value {value:?}, expected {expected}")
             }
@@ -87,11 +84,6 @@ impl Config {
     /// Raw string lookup.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.entries.get(key).map(String::as_str)
-    }
-
-    /// Required string lookup.
-    pub fn require(&self, key: &str) -> Result<&str, ConfigError> {
-        self.get(key).ok_or_else(|| ConfigError::Missing(key.to_string()))
     }
 
     /// Integer lookup with a default.
@@ -174,7 +166,6 @@ node.hub.role = broker
         let c = Config::parse("").unwrap();
         assert_eq!(c.get_u64("nope", 7).unwrap(), 7);
         assert!(c.get_list("nope").is_empty());
-        assert!(matches!(c.require("nope"), Err(ConfigError::Missing(_))));
     }
 
     #[test]

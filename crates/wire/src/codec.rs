@@ -135,15 +135,7 @@ impl WireWriter {
         self.put_raw(&v.to_be_bytes());
     }
 
-    pub fn put_i64(&mut self, v: i64) {
-        self.put_raw(&v.to_be_bytes());
-    }
-
     pub fn put_u128(&mut self, v: u128) {
-        self.put_raw(&v.to_be_bytes());
-    }
-
-    pub fn put_f64(&mut self, v: f64) {
         self.put_raw(&v.to_be_bytes());
     }
 
@@ -293,16 +285,8 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn get_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     pub fn get_u128(&mut self) -> Result<u128, WireError> {
         Ok(u128::from_be_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     pub fn get_uuid(&mut self) -> Result<Uuid, WireError> {
@@ -505,9 +489,7 @@ mod tests {
         w.put_u16(0x1234);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
-        w.put_i64(-42);
         w.put_u128(1 << 100);
-        w.put_f64(3.25);
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xAB);
@@ -515,9 +497,7 @@ mod tests {
         assert_eq!(r.get_u16().unwrap(), 0x1234);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_u128().unwrap(), 1 << 100);
-        assert_eq!(r.get_f64().unwrap(), 3.25);
         r.expect_end().unwrap();
     }
 
@@ -634,9 +614,7 @@ mod tests {
             w.put_u16(2);
             w.put_u32(3);
             w.put_u64(4);
-            w.put_i64(-5);
             w.put_u128(6);
-            w.put_f64(7.5);
             w.put_uuid(Uuid::from_u128(8));
             w.put_raw(b"raw");
             w.put_str("héllo");

@@ -670,42 +670,15 @@ pub(crate) const TAG_SECURE: u8 = 22;
 pub(crate) const TAG_FEDERATION_SYNC: u8 = 26;
 pub(crate) const TAG_PRUNE: u8 = 27;
 
-/// Every wire tag, in tag order. New message kinds must be added here
-/// as well as to the encode/decode/`tag()` arms. The tests below hold
-/// the registry to the code that runs: `wire_tag_registry_complete_and_unique`
-/// encodes a sample of every variant, and the test module's
-/// exhaustive-match witness stops compiling until a new variant is
-/// sampled, so a forgotten registration fails `cargo test` instead of
-/// surfacing as a protocol drift in the field.
-pub const ALL_TAGS: [u8; 22] = [
-    TAG_LINK_HELLO,
-    TAG_LINK_ACCEPT,
-    TAG_LINK_CLOSE,
-    TAG_HEARTBEAT,
-    TAG_SUBSCRIBE,
-    TAG_UNSUBSCRIBE,
-    TAG_PUBLISH,
-    TAG_CLIENT_CONNECT,
-    TAG_CLIENT_CONNECT_ACK,
-    TAG_CLIENT_SUBSCRIBE,
-    TAG_CLIENT_UNSUBSCRIBE,
-    TAG_CLIENT_DISCONNECT,
-    TAG_ADVERTISEMENT,
-    TAG_BDN_ADVERTISEMENT,
-    TAG_DISCOVERY,
-    TAG_DISCOVERY_ACK,
-    TAG_RESPONSE,
-    TAG_PING,
-    TAG_PONG,
-    TAG_SECURE,
-    TAG_FEDERATION_SYNC,
-    TAG_PRUNE,
-];
-
 /// Every [`Message::kind`] label with its wire tag, in label order: the
-/// way from a tag-indexed tally back to names, already sorted for
-/// rendering. The conformance test below holds it to `kind()` and
-/// `tag()`.
+/// wire's one tag registry, and the way from a tag-indexed tally back to
+/// names, already sorted for rendering. A new message kind is added here
+/// as well as to the encode/decode/`kind()`/`tag()` arms. The tests below
+/// hold the registry to the code that runs:
+/// `wire_tag_registry_complete_and_unique` encodes a sample of every
+/// variant, and the test module's exhaustive-match witness stops
+/// compiling until a new variant is sampled, so a forgotten registration
+/// fails `cargo test` instead of surfacing as a protocol drift.
 pub const KINDS: [(&str, u8); 22] = [
     ("advertisement", TAG_ADVERTISEMENT),
     ("bdn-advertisement", TAG_BDN_ADVERTISEMENT),
@@ -1068,7 +1041,6 @@ mod tests {
         assert!(missing.is_empty(), "all_messages() samples no variant numbered {missing:?}");
         assert_eq!(msgs.len(), VARIANTS, "all_messages() samples some variant twice");
         assert_eq!(KINDS.len(), VARIANTS, "KINDS names every variant");
-        assert_eq!(ALL_TAGS.len(), VARIANTS, "ALL_TAGS lists every variant's tag");
     }
 
     #[test]
@@ -1084,9 +1056,9 @@ mod tests {
     #[test]
     fn wire_tag_registry_complete_and_unique() {
         use std::collections::BTreeSet;
-        // Every tag in ALL_TAGS is unique.
-        let registry: BTreeSet<u8> = ALL_TAGS.iter().copied().collect();
-        assert_eq!(registry.len(), ALL_TAGS.len(), "duplicate tag value in ALL_TAGS");
+        // Every tag in KINDS is unique.
+        let registry: BTreeSet<u8> = KINDS.iter().map(|&(_, tag)| tag).collect();
+        assert_eq!(registry.len(), KINDS.len(), "duplicate tag value in KINDS");
 
         // Every variant encodes the tag `tag()` reports, that tag is
         // registered, and — via `covered == registry` — every
@@ -1104,13 +1076,13 @@ mod tests {
             );
             assert!(
                 registry.contains(&bytes[0]),
-                "{} tag {} missing from ALL_TAGS",
+                "{} tag {} missing from KINDS",
                 msg.kind(),
                 bytes[0]
             );
             assert!(covered.insert(bytes[0]), "{} reuses an already-seen tag", msg.kind());
         }
-        assert_eq!(covered, registry, "ALL_TAGS lists tags no Message variant encodes");
+        assert_eq!(covered, registry, "KINDS lists tags no Message variant encodes");
     }
 
     #[test]
@@ -1134,7 +1106,7 @@ mod tests {
     fn unknown_tag_is_rejected() {
         // 20, 21 and 23–25 are retired kinds; 200 was never assigned.
         for tag in [20u8, 21, 23, 24, 25, 200] {
-            assert!(!ALL_TAGS.contains(&tag), "tag {tag} is registered");
+            assert!(KINDS.iter().all(|&(_, t)| t != tag), "tag {tag} is registered");
             assert!(
                 matches!(
                     Message::from_bytes(&[tag]),

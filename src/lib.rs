@@ -12,7 +12,7 @@
 //! | [`wire`] | `nb-wire` | binary codec, protocol messages, topics |
 //! | [`net`] | `nb-net` | actor runtime, the discrete-event and sharded simulators, WAN model, clocks with the NTP sync model |
 //! | [`broker`] | `nb-broker` | publish/subscribe broker overlay |
-//! | [`security`] | `nb-security` | SHA-256, HMAC, XTEA, Schnorr, certificates, envelopes |
+//! | [`security`] | `nb-security` | SHA-256, XTEA, Schnorr, certificates, envelopes |
 //! | [`discovery`] | `nb-discovery` | **the paper's contribution**: BDNs, advertisements, the discovery protocol and selection |
 //!
 //! ## Quickstart

@@ -105,7 +105,8 @@ fn no_brokers_at_all_fails_cleanly() {
         }
         let outcome = s.run_discovery_once();
         assert!(outcome.chosen.is_none(), "no broker can be discovered");
-        assert_eq!(s.client_phase(), Phase::Failed);
+        let client = s.sim.actor::<DiscoveryClient>(s.client).expect("client");
+        assert_eq!(client.phase(), Phase::Failed);
         assert!(outcome.used_multicast, "every fallback was attempted");
     });
 }
