@@ -149,9 +149,9 @@ const COMMANDS: &[Command] = &[
     ),
     cmd(
         "gate",
-        "[lint|figs|chaos|federation|scale|census] run clippy, then regenerate the committed \
-         figures, reports (at 1 and 4 workers) and census; exit 1 on a clippy error or any \
-         byte of difference",
+        "[lint|bench|figs|chaos|federation|scale|census] run clippy, check that benchmark/ \
+         builds, then regenerate the committed figures, reports (at 1 and 4 workers) and \
+         census; exit 1 on a clippy or build error or any byte of difference",
         run_gate,
     ),
 ];
@@ -491,11 +491,13 @@ fn workspace_root() -> PathBuf {
     root.to_path_buf()
 }
 
-/// What `repro gate` checks, in order: `lint` runs clippy, `figs` the
-/// committed figures, `census` the committed count, every other entry is
-/// a committed report and the flags it is regenerated with.
-const GATES: [(&str, &str); 6] = [
+/// What `repro gate` checks, in order: `lint` runs clippy, `bench`
+/// builds the benchmark, `figs` the committed figures, `census` the
+/// committed count, every other entry is a committed report and the
+/// flags it is regenerated with.
+const GATES: [(&str, &str); 7] = [
     ("lint", ""),
+    ("bench", ""),
     ("figs", ""),
     ("chaos", "--scenarios 3 --seed 11"),
     ("federation", "--scenarios 10 --seed 2005"),
@@ -503,18 +505,19 @@ const GATES: [(&str, &str); 6] = [
     ("census", ""),
 ];
 
-/// `repro gate [NAME]`: runs [`lint_gate`] and [`figs_gate`], then
-/// regenerates each committed report (all of [`GATES`] without a name)
-/// in memory at 1 and 4 workers, then [`census_gate`], writing nothing,
-/// and exits 1 naming the file on a failed invariant, a 1-vs-4
-/// difference or any byte that differs from the committed copy.
+/// `repro gate [NAME]`: runs [`lint_gate`], [`bench_gate`] and
+/// [`figs_gate`], then regenerates each committed report (all of
+/// [`GATES`] without a name) in memory at 1 and 4 workers, then
+/// [`census_gate`], writing nothing, and exits 1 naming the file on a
+/// failed invariant, a 1-vs-4 difference or any byte that differs from
+/// the committed copy.
 fn run_gate(_: &str, args: &Args) {
     let target = args.target.as_deref();
     let gates: Vec<(&str, &str)> =
         GATES.into_iter().filter(|&(name, _)| target.is_none_or(|t| t == name)).collect();
     if gates.is_empty() {
         fail(&format!(
-            "gate {:?}: expected lint|figs|chaos|federation|scale|census",
+            "gate {:?}: expected lint|bench|figs|chaos|federation|scale|census",
             target.unwrap_or("")
         ));
     }
@@ -522,6 +525,7 @@ fn run_gate(_: &str, args: &Args) {
     for (name, flags) in gates {
         match name {
             "lint" => lint_gate(&root),
+            "bench" => bench_gate(&root),
             "figs" => figs_gate(&root),
             "census" => census_gate(&root),
             _ => report_gate(&root, name, flags),
@@ -678,6 +682,33 @@ fn lint_gate(root: &Path) {
     }
 }
 
+/// `repro gate bench`: `cargo check` of every target of the benchmark
+/// crate under `benchmark/`, building into `target/bench-check`, so a
+/// library change cannot break the benchmark's build unnoticed. The
+/// check rewrites `benchmark/Cargo.lock` when the lock lags the tree,
+/// so the gate reads the lock's bytes first and puts them back after:
+/// it leaves `benchmark/` as it found it. Like the clippy gate it fails
+/// closed when cargo cannot be run.
+fn bench_gate(root: &Path) {
+    const LOCK: &str = "benchmark/Cargo.lock";
+    let lock = std::fs::read(root.join(LOCK))
+        .unwrap_or_else(|e| gate_failed(LOCK, &format!("cannot read it: {e}")));
+    let status = std::process::Command::new("cargo")
+        .args(["check", "--offline", "--quiet", "--all-targets"])
+        .args(["--manifest-path", "benchmark/Cargo.toml", "--target-dir", "target/bench-check"])
+        .current_dir(root)
+        .status();
+    if std::fs::read(root.join(LOCK)).ok().as_ref() != Some(&lock) {
+        std::fs::write(root.join(LOCK), &lock)
+            .unwrap_or_else(|e| gate_failed(LOCK, &format!("cannot put it back: {e}")));
+    }
+    match status {
+        Ok(s) if s.success() => println!("benchmark/: every target builds against the tree"),
+        Ok(s) => gate_failed("cargo check benchmark", &format!("it failed ({s}); its errors are above")),
+        Err(e) => gate_failed("cargo check benchmark", &format!("cannot run cargo: {e}")),
+    }
+}
+
 fn gate_failed(file: &str, why: &str) -> ! {
     eprintln!("FAIL: {file}: {why}");
     std::process::exit(1);
@@ -755,8 +786,8 @@ mod tests {
         let gated: Vec<&str> = GATES.iter().map(|g| g.0).collect();
         assert_eq!(
             gated,
-            ["lint", "figs", "chaos", "federation", "scale", "census"],
-            "clippy, the figures, every report, then the census"
+            ["lint", "bench", "figs", "chaos", "federation", "scale", "census"],
+            "clippy, the benchmark's build, the figures, every report, then the census"
         );
     }
 

@@ -279,7 +279,6 @@ pub fn describe_testbed<C: FaultCampaign>(seed: u64) -> Testbed<Deployment> {
                 round_interval: ROUND_INTERVAL,
                 tombstone_ttl: Duration::from_secs(300),
                 seed,
-                ..FederationConfig::default()
             }),
             ..BdnConfig::default()
         };

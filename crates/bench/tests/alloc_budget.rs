@@ -22,8 +22,8 @@ use std::time::Duration;
 
 use nb_bench::alloc::{calls, live_bytes, CountingAlloc};
 use nb_bench::scale::{build_tier, TierSpec};
-use nb_broker::{Broker, BrokerActor, BrokerConfig, PubSubClient, Topology};
-use nb_discovery::{Entity, EntityState, ScenarioBuilder};
+use nb_broker::{Broker, BrokerConfig, PubSubClient, Topology};
+use nb_discovery::{DiscoveryBrokerActor, Entity, EntityState, ResponsePolicy, ScenarioBuilder};
 use nb_net::topogen::TopologyKind;
 use nb_net::wan::BLOOMINGTON;
 use nb_net::{ClockProfile, Context, Incoming, LinkSpec, NodeId, RealmId, Sim, SimTime};
@@ -121,7 +121,8 @@ fn allocations_of_one_pubsub_run() -> (u64, u64) {
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
         let neighbors = dials.iter().map(|&j| brokers[j]).collect();
         let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
-        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+        let broker = DiscoveryBrokerActor::new(cfg, Vec::new(), ResponsePolicy::open());
+        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(broker)));
     }
     sim.run_for(Duration::from_secs(1));
     let subs: Vec<NodeId> = (0..SUBSCRIBERS as usize)

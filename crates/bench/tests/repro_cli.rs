@@ -1,8 +1,8 @@
 //! The `repro` binary's command-line contract: help comes from the
 //! dispatch table, usage errors exit 2, `--out` is the only place a
 //! report lands, `repro gate` writes nothing, and its clippy, figure and
-//! census gates pass on the tree; the clippy gate fails closed without
-//! cargo.
+//! census gates pass on the tree; the clippy and benchmark-build gates
+//! fail closed without cargo.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -174,4 +174,23 @@ fn gate_lint_fails_closed_when_cargo_cannot_be_run() {
     assert_eq!(out.status.code(), Some(1), "a gate that cannot run must not pass");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot run cargo"), "the failure says why: {stderr}");
+}
+
+#[test]
+fn gate_bench_fails_closed_when_cargo_cannot_be_run() {
+    let dir = scratch("repro_cli_no_cargo_bench");
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    std::fs::create_dir_all(dir.join("benchmark")).expect("create benchmark/");
+    std::fs::write(dir.join("benchmark/Cargo.lock"), "# a lock\n").expect("write lock");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["gate", "bench"])
+        .current_dir(&dir)
+        .env("PATH", &dir)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1), "a gate that cannot run must not pass");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot run cargo"), "the failure says why: {stderr}");
+    let lock = std::fs::read_to_string(dir.join("benchmark/Cargo.lock")).expect("read lock");
+    assert_eq!(lock, "# a lock\n", "the lock is left as it was");
 }

@@ -17,8 +17,9 @@
 
 use std::time::Duration;
 
-use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
+use nb_broker::{BrokerConfig, PubSubClient, Topology, TopologyKind};
 use nb_discovery::scenario::ScenarioBuilder;
+use nb_discovery::{DiscoveryBrokerActor, ResponsePolicy};
 use nb_net::wan::{BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
 use nb_net::{
     impl_actor_any, Actor, ChaosProfile, ChaosTargets, Context, FaultPlan, Incoming, LinkSpec,
@@ -214,7 +215,8 @@ fn meshed_pubsub_fingerprint(workers: usize) -> (u64, u64, usize, u64) {
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
         let neighbors = dials.iter().map(|&j| brokers[j]).collect();
         let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
-        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+        let broker = DiscoveryBrokerActor::new(cfg, Vec::new(), ResponsePolicy::open());
+        brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(broker)));
     }
     let client = |sim: &mut ShardedSim, name: String, broker: NodeId, filters: Vec<TopicFilter>| {
         sim.add_node(&name, RealmId(0), Box::new(PubSubClient::new(broker, filters)))
@@ -244,7 +246,7 @@ fn meshed_pubsub_fingerprint(workers: usize) -> (u64, u64, usize, u64) {
     }
     sim.run_for(Duration::from_secs(2));
     let deliveries = subs.iter().map(|&s| sim.actor::<PubSubClient>(s).expect("sub").received.len()).sum();
-    let prunes = brokers.iter().map(|&b| sim.actor::<BrokerActor>(b).expect("broker").broker.prunes_sent).sum();
+    let prunes = brokers.iter().map(|&b| sim.actor::<DiscoveryBrokerActor>(b).expect("broker").broker.prunes_sent).sum();
     (sim.digest(), sim.events_processed(), deliveries, prunes)
 }
 

@@ -3,10 +3,11 @@
 //! A broker maintains overlay **links** to neighbouring brokers and
 //! **client** connections, routes published events to interested parties
 //! (subscription-based routing with split-horizon interest propagation),
-//! and *floods* events on configured system topics — the mechanism the
-//! discovery scheme uses so that "the request can reach each broker
-//! connected in the network" (paper §10) — with UUID duplicate
-//! suppression bounding the cost (paper §4's last-1000 cache).
+//! and *floods* events on the two discovery-plane topics, the discovery
+//! request and the BDN advertisement — the mechanism the discovery
+//! scheme uses so that "the request can reach each broker connected in
+//! the network" (paper §10) — with UUID duplicate suppression bounding
+//! the cost (paper §4's last-1000 cache).
 //!
 //! On every other topic a cyclic overlay would pay for that cache with
 //! two discarded copies in three, so the data path prunes per publisher
@@ -22,9 +23,10 @@ use std::time::Duration;
 use bytes::Bytes;
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
+use nb_wire::topic::{BDN_ADVERTISEMENT, DISCOVERY_REQUEST};
 use nb_wire::{Endpoint, Event, Message, NodeId, Topic, TopicFilter, WireMsg, FLAG_V2_CAPABLE};
 
-use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
+use nb_net::{Context, Incoming, SimTime};
 
 use crate::metrics::{MachineProfile, UsageMeter};
 use crate::topics::{Destination, Interest, SubscriptionTable};
@@ -53,9 +55,6 @@ pub struct BrokerConfig {
     pub machine: MachineProfile,
     /// Brokers to establish overlay links to at start.
     pub neighbors: Vec<NodeId>,
-    /// System topics whose events are flooded to every link and surfaced
-    /// to the owning actor.
-    pub flood_topics: Vec<TopicFilter>,
     /// Maximum concurrent client connections (`None` = unlimited).
     pub max_clients: Option<u32>,
     /// Announce v2 wire-codec capability on link handshakes and use the
@@ -72,7 +71,6 @@ impl Default for BrokerConfig {
             logical_address: "nb://default/broker".into(),
             machine: MachineProfile::default_2005(),
             neighbors: Vec::new(),
-            flood_topics: Vec::new(),
             max_clients: None,
             wire_v2: false,
         }
@@ -279,6 +277,9 @@ impl Routes {
 /// the frame it travels in, for the owner to act on.
 pub struct Broker {
     cfg: BrokerConfig,
+    /// The discovery-plane topics: their events go to every link and
+    /// back to the owning actor.
+    flood: [TopicFilter; 2],
     links: BTreeMap<NodeId, LinkState>,
     clients: BTreeMap<NodeId, ClientState>,
     /// Who registers each filter and which neighbours it is advertised
@@ -311,6 +312,7 @@ impl Broker {
         let meter = UsageMeter::new(cfg.machine);
         Broker {
             cfg,
+            flood: [DISCOVERY_REQUEST.filter(), BDN_ADVERTISEMENT.filter()],
             links: BTreeMap::new(),
             clients: BTreeMap::new(),
             subs: SubscriptionTable::new(),
@@ -597,7 +599,7 @@ impl Broker {
     }
 
     fn is_flood_topic(&self, topic: &Topic) -> bool {
-        self.cfg.flood_topics.iter().any(|f| f.matches(topic))
+        self.flood.iter().any(|f| f.matches(topic))
     }
 
     /// Routes a locally originated event: dedup-inserts its UUID, then
@@ -764,533 +766,93 @@ impl Broker {
     }
 }
 
-/// A standalone broker actor (no attached services); flood-topic events
-/// it routes are kept but otherwise ignored.
-pub struct BrokerActor {
-    /// The wrapped broker.
-    pub broker: Broker,
-    /// Flood-topic `Publish` frames surfaced to this actor.
-    pub surfaced: Vec<WireMsg>,
-}
-
-impl BrokerActor {
-    /// Wraps a new broker built from `cfg`.
-    pub fn new(cfg: BrokerConfig) -> BrokerActor {
-        BrokerActor { broker: Broker::new(cfg), surfaced: Vec::new() }
-    }
-}
-
-impl Actor for BrokerActor {
-    fn on_start(&mut self, ctx: &mut dyn Context) {
-        self.broker.on_start(ctx);
-    }
-    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-        self.surfaced.extend(self.broker.handle(event, ctx));
-    }
-    impl_actor_any!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nb_net::{ClockProfile, LinkSpec, Sim};
-    use nb_wire::RealmId;
-
-    fn quiet_sim() -> Sim {
-        let mut sim = Sim::with_clock_profile(1234, ClockProfile::perfect());
-        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-        sim.network_mut().inter_realm_spec =
-            LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0);
-        sim
-    }
+    use nb_wire::{GroupId, Port, RealmId};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn broker_cfg(neighbors: Vec<NodeId>) -> BrokerConfig {
         BrokerConfig { neighbors, ..BrokerConfig::default() }
     }
 
-    #[test]
-    fn links_establish_both_ways() {
-        let mut sim = quiet_sim();
-        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let b_cfg = broker_cfg(vec![a]);
-        let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(b_cfg)));
-        sim.run_for(Duration::from_secs(1));
-        assert!(sim.actor::<BrokerActor>(a).unwrap().broker.is_linked(b));
-        assert!(sim.actor::<BrokerActor>(b).unwrap().broker.is_linked(a));
-        assert_eq!(sim.actor::<BrokerActor>(a).unwrap().broker.num_links(), 1);
+    const ME: NodeId = NodeId(1);
+
+    /// A context at the epoch that keeps every stream message a broker
+    /// sends, with its destination.
+    struct Recorder {
+        rng: StdRng,
+        sent: Vec<(NodeId, Message)>,
     }
 
-    #[test]
-    fn heartbeats_detect_dead_peer() {
-        let mut sim = quiet_sim();
-        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![a]))));
-        sim.run_for(Duration::from_secs(1));
-        assert!(sim.actor::<BrokerActor>(a).unwrap().broker.is_linked(b));
-        sim.crash(b);
-        sim.run_for(Duration::from_secs(30));
-        assert!(!sim.actor::<BrokerActor>(a).unwrap().broker.is_linked(b));
-        assert_eq!(sim.actor::<BrokerActor>(a).unwrap().broker.num_links(), 0);
-    }
-
-    #[test]
-    fn flood_topic_reaches_every_broker_in_a_chain_once() {
-        let mut sim = quiet_sim();
-        let flood = TopicFilter::parse("Services/**").unwrap();
-        let mk = |neighbors: Vec<NodeId>| {
-            let mut cfg = broker_cfg(neighbors);
-            cfg.flood_topics = vec![flood.clone()];
-            Box::new(BrokerActor::new(cfg))
-        };
-        // chain a - b - c - d
-        let a = sim.add_node("a", RealmId(0), mk(vec![]));
-        let b = sim.add_node("b", RealmId(0), mk(vec![a]));
-        let c = sim.add_node("c", RealmId(0), mk(vec![b]));
-        let d = sim.add_node("d", RealmId(0), mk(vec![c]));
-        sim.run_for(Duration::from_secs(1));
-        // Publish a system event through a client attached to broker a.
-        let topic = Topic::parse("Services/BrokerDiscoveryNodes/DiscoveryRequest").unwrap();
-        use crate::client::PubSubClient;
-        let client = sim.add_node(
-            "client",
-            RealmId(0),
-            Box::new(PubSubClient::new(a, vec![])),
-        );
-        sim.run_for(Duration::from_secs(1));
-        let ev_payload = b"request".to_vec();
-        {
-            let cl = sim.actor_mut::<PubSubClient>(client).unwrap();
-            cl.queue_publish(topic.clone(), ev_payload);
-        }
-        sim.run_for(Duration::from_secs(2));
-        for (node, label) in [(a, "a"), (b, "b"), (c, "c"), (d, "d")] {
-            let surfaced = &sim.actor::<BrokerActor>(node).unwrap().surfaced;
-            assert_eq!(surfaced.len(), 1, "broker {label} surfaced {}", surfaced.len());
-            let Message::Publish(ev) = surfaced[0].message() else {
-                panic!("broker {label} surfaced a {}", surfaced[0].kind());
-            };
-            assert_eq!(ev.topic, topic);
+    impl Recorder {
+        fn new() -> Recorder {
+            Recorder { rng: StdRng::seed_from_u64(7), sent: Vec::new() }
         }
     }
 
-    #[test]
-    fn subscription_routing_across_two_brokers() {
-        use crate::client::PubSubClient;
-        let mut sim = quiet_sim();
-        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![a]))));
-        let sub_filter = TopicFilter::parse("sports/*").unwrap();
-        let subscriber =
-            sim.add_node("sub", RealmId(0), Box::new(PubSubClient::new(a, vec![sub_filter])));
-        let publisher = sim.add_node("pub", RealmId(0), Box::new(PubSubClient::new(b, vec![])));
-        sim.run_for(Duration::from_secs(2));
-        {
-            let p = sim.actor_mut::<PubSubClient>(publisher).unwrap();
-            p.queue_publish(Topic::parse("sports/nba").unwrap(), b"42".to_vec());
-            p.queue_publish(Topic::parse("news/world").unwrap(), b"x".to_vec());
+    impl Context for Recorder {
+        fn me(&self) -> NodeId {
+            ME
         }
-        sim.run_for(Duration::from_secs(2));
-        let s = sim.actor::<PubSubClient>(subscriber).unwrap();
-        assert_eq!(s.received.len(), 1, "only the matching event arrives");
-        assert_eq!(s.received[0].topic.as_str(), "sports/nba");
-        assert_eq!(&s.received[0].payload[..], b"42");
-    }
-
-    #[test]
-    fn duplicate_events_suppressed_in_a_cycle() {
-        let mut sim = quiet_sim();
-        let flood = TopicFilter::parse("sys/**").unwrap();
-        let mk = |neighbors: Vec<NodeId>, flood: TopicFilter| {
-            let mut cfg = broker_cfg(neighbors);
-            cfg.flood_topics = vec![flood];
-            Box::new(BrokerActor::new(cfg))
-        };
-        // triangle a - b - c - a
-        let a = sim.add_node("a", RealmId(0), mk(vec![], flood.clone()));
-        let b = sim.add_node("b", RealmId(0), mk(vec![a], flood.clone()));
-        let c = sim.add_node("c", RealmId(0), mk(vec![a, b], flood.clone()));
-        sim.run_for(Duration::from_secs(1));
-        use crate::client::PubSubClient;
-        let client = sim.add_node("cl", RealmId(0), Box::new(PubSubClient::new(a, vec![])));
-        sim.run_for(Duration::from_secs(1));
-        sim.actor_mut::<PubSubClient>(client)
-            .unwrap()
-            .queue_publish(Topic::parse("sys/x").unwrap(), vec![1]);
-        sim.run_for(Duration::from_secs(2));
-        for node in [a, b, c] {
-            assert_eq!(sim.actor::<BrokerActor>(node).unwrap().surfaced.len(), 1);
+        fn realm(&self) -> RealmId {
+            RealmId(0)
         }
-        let total_dupes: u64 = [a, b, c]
-            .iter()
-            .map(|n| sim.actor::<BrokerActor>(*n).unwrap().broker.duplicates_suppressed)
-            .sum();
-        assert!(total_dupes >= 1, "the cycle must have produced suppressed duplicates");
-    }
-
-    #[test]
-    fn client_connect_limit_enforced() {
-        use crate::client::PubSubClient;
-        let mut sim = quiet_sim();
-        let mut cfg = broker_cfg(vec![]);
-        cfg.max_clients = Some(1);
-        let broker = sim.add_node("bk", RealmId(0), Box::new(BrokerActor::new(cfg)));
-        let c1 = sim.add_node("c1", RealmId(0), Box::new(PubSubClient::new(broker, vec![])));
-        sim.run_for(Duration::from_secs(1));
-        let c2 = sim.add_node("c2", RealmId(0), Box::new(PubSubClient::new(broker, vec![])));
-        sim.run_for(Duration::from_secs(1));
-        assert!(sim.actor::<PubSubClient>(c1).unwrap().connected());
-        assert!(!sim.actor::<PubSubClient>(c2).unwrap().connected());
-        assert_eq!(sim.actor::<BrokerActor>(broker).unwrap().broker.num_clients(), 1);
-    }
-
-    #[test]
-    fn metrics_reflect_connections_and_links() {
-        use crate::client::PubSubClient;
-        let mut sim = quiet_sim();
-        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let _b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![a]))));
-        let _c1 = sim.add_node("c1", RealmId(0), Box::new(PubSubClient::new(a, vec![])));
-        let _c2 = sim.add_node("c2", RealmId(0), Box::new(PubSubClient::new(a, vec![])));
-        sim.run_for(Duration::from_secs(2));
-        let actor = sim.actor_mut::<BrokerActor>(a).unwrap();
-        assert_eq!(actor.broker.num_clients(), 2);
-        assert_eq!(actor.broker.num_links(), 1);
-    }
-
-    #[test]
-    fn v2_links_negotiate_and_route_through_segments() {
-        use crate::client::PubSubClient;
-        let mut sim = quiet_sim();
-        let mk = |neighbors: Vec<NodeId>| {
-            let cfg = BrokerConfig { wire_v2: true, ..broker_cfg(neighbors) };
-            Box::new(BrokerActor::new(cfg))
-        };
-        let a = sim.add_node("a", RealmId(0), mk(vec![]));
-        let b = sim.add_node("b", RealmId(0), mk(vec![a]));
-        let sub_filter = TopicFilter::parse("sports/*").unwrap();
-        let subscriber =
-            sim.add_node("sub", RealmId(0), Box::new(PubSubClient::new(a, vec![sub_filter])));
-        let publisher = sim.add_node("pub", RealmId(0), Box::new(PubSubClient::new(b, vec![])));
-        sim.run_for(Duration::from_secs(2));
-        assert!(sim.actor::<BrokerActor>(a).unwrap().broker.is_linked(b));
-        {
-            let p = sim.actor_mut::<PubSubClient>(publisher).unwrap();
-            p.queue_publish(Topic::parse("sports/nba").unwrap(), b"42".to_vec());
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
         }
-        sim.run_for(Duration::from_secs(8));
-        let s = sim.actor::<PubSubClient>(subscriber).unwrap();
-        assert_eq!(s.received.len(), 1, "event crossed the v2 link");
-        assert_eq!(s.received[0].topic.as_str(), "sports/nba");
-        // Broker-to-broker traffic (interest advertisement, heartbeats,
-        // the forwarded publish) travelled in segments, one frame each.
-        assert!(sim.stats().segments_delivered > 0, "no segments crossed the overlay");
-        assert_eq!(sim.stats().frames_coalesced, sim.stats().segments_delivered);
-        assert_eq!(sim.stats().segment_decode_errors, 0);
-    }
-
-    #[test]
-    fn v1_peer_on_a_v2_broker_stays_on_v1() {
-        let mut sim = quiet_sim();
-        // Only `b` is v2-configured; `a` never announces, so the link
-        // negotiates down to v1 and no segments flow.
-        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let b_cfg = BrokerConfig { wire_v2: true, ..broker_cfg(vec![a]) };
-        let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(b_cfg)));
-        sim.run_for(Duration::from_secs(10));
-        assert!(sim.actor::<BrokerActor>(a).unwrap().broker.is_linked(b));
-        assert!(sim.actor::<BrokerActor>(b).unwrap().broker.is_linked(a));
-        assert_eq!(sim.stats().segments_sent, 0, "mixed-version link must stay v1");
-    }
-
-    #[test]
-    fn interest_filters_follow_growth_and_shrink() {
-        use crate::client::PubSubClient;
-        let mut sim = quiet_sim();
-        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let b = sim.add_node("b", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![a]))));
-        let f1 = TopicFilter::parse("sports/*").unwrap();
-        let f2 = TopicFilter::parse("news/**").unwrap();
-        let _s1 = sim.add_node("s1", RealmId(0), Box::new(PubSubClient::new(a, vec![f1.clone()])));
-        let _s2 = sim.add_node("s2", RealmId(0), Box::new(PubSubClient::new(b, vec![f2.clone()])));
-        sim.run_for(Duration::from_secs(2));
-        // Growth: both brokers hold local + link-learned interest.
-        let mut both = vec![f1.clone(), f2];
-        both.sort();
-        for node in [a, b] {
-            assert_eq!(broker(&sim, node).interest_filters(), both, "sorted, after growth");
+        fn utc_micros(&self) -> u64 {
+            0
         }
-        // Shrink: kill b, let a's heartbeats reap the link and its
-        // interest contribution.
-        sim.crash(b);
-        sim.run_for(Duration::from_secs(30));
-        assert_eq!(broker(&sim, a).interest_filters(), vec![f1], "link-learned filter must be gone");
-    }
-
-    /// Brokers wired by `dials` (each entry lists the earlier brokers
-    /// that one dials); returns their ids.
-    fn overlay(sim: &mut Sim, dials: &[&[usize]]) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = Vec::new();
-        for (i, dial) in dials.iter().enumerate() {
-            let cfg = broker_cfg(dial.iter().map(|&j| ids[j]).collect());
-            ids.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(BrokerActor::new(cfg))));
+        fn clock_synced(&self) -> bool {
+            true
         }
-        ids
+        fn raw_local_micros(&self) -> u64 {
+            0
+        }
+        fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
+        fn send_udp(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
+        fn send_stream(&mut self, _from_port: Port, to: Endpoint, msg: &Message) {
+            self.sent.push((to.node, msg.clone()));
+        }
+        fn send_multicast(&mut self, _from: Port, _group: GroupId, _to: Port, _msg: &Message) {}
+        fn join_group(&mut self, _group: GroupId) {}
+        fn leave_group(&mut self, _group: GroupId) {}
+        fn set_timer(&mut self, _delay: Duration, _token: u64) {}
+        fn cancel_timer(&mut self, _token: u64) {}
+        fn rng(&mut self) -> &mut dyn RngCore {
+            &mut self.rng
+        }
     }
 
-    fn broker(sim: &Sim, node: NodeId) -> &Broker {
-        &sim.actor::<BrokerActor>(node).unwrap().broker
-    }
-
-    /// Delivers `msg` to `to`'s broker port as if `from` had sent it.
-    fn say(sim: &mut Sim, from: NodeId, to: NodeId, msg: Message) {
+    /// Hands `broker` `msg` on its broker port as if `from` had sent it.
+    fn feed(broker: &mut Broker, ctx: &mut Recorder, from: NodeId, msg: Message) {
         let from = Endpoint::new(from, well_known::BROKER);
-        let event = Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() };
-        sim.inject(to, Duration::ZERO, event);
-        sim.run_for(Duration::from_millis(100));
+        broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() }, ctx);
     }
 
     #[test]
-    fn restarted_peer_is_told_its_neighbours_interest_again() {
-        use crate::client::PubSubClient;
-        let mut sim = quiet_sim();
-        let ids = overlay(&mut sim, &[&[], &[0]]);
-        let (a, b) = (ids[0], ids[1]);
-        let filter = TopicFilter::parse("sports/*").unwrap();
-        let sub =
-            sim.add_node("sub", RealmId(0), Box::new(PubSubClient::new(a, vec![filter.clone()])));
-        sim.run_for(Duration::from_secs(2));
-        assert_eq!(broker(&sim, b).interest_filters(), vec![filter.clone()]);
-        // `b` loses its state and is back, dialling `a` again, long
-        // before `a` could miss a heartbeat: to `a` the link never went
-        // away, and only the hello says that its peer knows nothing.
-        sim.set_respawn(b, Box::new(move || Box::new(BrokerActor::new(broker_cfg(vec![a])))));
-        sim.restart(b, true);
-        sim.run_for(Duration::from_secs(20));
-        assert!(broker(&sim, a).is_linked(b) && broker(&sim, b).is_linked(a));
-        assert_eq!(broker(&sim, b).interest_filters(), vec![filter], "a advertised again");
-        let publisher = sim.add_node("pub", RealmId(0), Box::new(PubSubClient::new(b, vec![])));
-        sim.run_for(Duration::from_secs(1));
-        sim.actor_mut::<PubSubClient>(publisher)
-            .unwrap()
-            .queue_publish(Topic::parse("sports/nba").unwrap(), vec![1]);
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(sim.actor::<PubSubClient>(sub).unwrap().received.len(), 1);
-    }
-
-    #[test]
-    fn dialling_a_linked_peer_again_counts_its_interest_once() {
-        use crate::client::PubSubClient;
-        /// A broker whose owner dials `peer` again when poked.
-        struct Redialler {
-            broker: Broker,
-            peer: NodeId,
+    fn the_default_broker_floods_the_discovery_plane_topics_and_nothing_else() {
+        let mut broker = Broker::new(BrokerConfig::default());
+        let mut ctx = Recorder::new();
+        let links = [NodeId(10), NodeId(11), NodeId(12)];
+        for l in links {
+            feed(&mut broker, &mut ctx, l, Message::LinkHello { from: l, realm: RealmId(0) });
         }
-        const REDIAL: u64 = 7;
-        impl Actor for Redialler {
-            fn on_start(&mut self, ctx: &mut dyn Context) {
-                self.broker.on_start(ctx);
-            }
-            fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-                if matches!(event, Incoming::Timer { token: REDIAL }) {
-                    self.broker.link_to(self.peer, ctx);
-                } else {
-                    self.broker.handle(event, ctx);
-                }
-            }
-            impl_actor_any!();
+        let publishes_to = |ctx: &mut Recorder| -> Vec<NodeId> {
+            let sent = std::mem::take(&mut ctx.sent);
+            sent.into_iter().filter(|(_, m)| matches!(m, Message::Publish(_))).map(|(to, _)| to).collect()
+        };
+        publishes_to(&mut ctx);
+        for topic in [&DISCOVERY_REQUEST, &BDN_ADVERTISEMENT] {
+            let surfaced = broker.publish_local(topic.topic(), Bytes::from_static(b"request"), &mut ctx);
+            assert!(surfaced.is_some(), "{}: handed back to the owner", topic.topic());
+            assert_eq!(publishes_to(&mut ctx), links, "{}: to every link", topic.topic());
         }
-        let mut sim = quiet_sim();
-        let a = sim.add_node("a", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let redialler = Redialler { broker: Broker::new(broker_cfg(vec![a])), peer: a };
-        let b = sim.add_node("b", RealmId(0), Box::new(redialler));
-        let at_a = TopicFilter::parse("at/a").unwrap();
-        let at_b = TopicFilter::parse("at/b").unwrap();
-        let sub_a =
-            sim.add_node("sa", RealmId(0), Box::new(PubSubClient::new(a, vec![at_a.clone()])));
-        let sub_b =
-            sim.add_node("sb", RealmId(0), Box::new(PubSubClient::new(b, vec![at_b.clone()])));
-        sim.run_for(Duration::from_secs(2));
-        let filters = vec![at_a.clone(), at_b.clone()];
-        assert_eq!(broker(&sim, a).interest_filters(), filters);
-
-        sim.inject(b, Duration::ZERO, Incoming::Timer { token: REDIAL });
-        sim.run_for(Duration::from_secs(2));
-        assert!(broker(&sim, a).is_linked(b));
-        assert_eq!(broker(&sim, a).interest_filters(), filters);
-        assert_eq!(sim.actor::<Redialler>(b).unwrap().broker.interest_filters(), filters);
-        // Registered once on the far side, not twice: one withdrawal
-        // each way and neither broker holds the other's filter.
-        say(&mut sim, sub_a, a, Message::ClientUnsubscribe { filter: at_a });
-        say(&mut sim, sub_b, b, Message::ClientUnsubscribe { filter: at_b });
-        sim.run_for(Duration::from_secs(1));
-        assert!(broker(&sim, a).interest_filters().is_empty());
-        assert!(sim.actor::<Redialler>(b).unwrap().broker.interest_filters().is_empty());
-    }
-
-    #[test]
-    fn a_dialler_revived_with_its_state_starts_its_links_over_on_both_sides() {
-        use crate::client::PubSubClient;
-        let mut sim = quiet_sim();
-        let ids = overlay(&mut sim, &[&[], &[0]]);
-        let (a, b) = (ids[0], ids[1]);
-        let at_a = TopicFilter::parse("at/a").unwrap();
-        let at_b = TopicFilter::parse("at/b").unwrap();
-        let sub_a =
-            sim.add_node("sa", RealmId(0), Box::new(PubSubClient::new(a, vec![at_a.clone()])));
-        let sub_b =
-            sim.add_node("sb", RealmId(0), Box::new(PubSubClient::new(b, vec![at_b.clone()])));
-        let publisher = sim.add_node("pub", RealmId(0), Box::new(PubSubClient::new(a, vec![])));
-        sim.run_for(Duration::from_secs(2));
-        // `b` is down for two seconds — `a` misses no heartbeat deadline
-        // — and is back with all it knew, its `on_start` run again: the
-        // hello resets the link at `a`, so `b` must have reset it too, or
-        // it would neither re-advertise nor take `a`'s filters as new.
-        sim.crash(b);
-        sim.run_for(Duration::from_secs(2));
-        sim.restart(b, false);
-        sim.run_for(Duration::from_secs(2));
-        assert!(broker(&sim, a).is_linked(b) && broker(&sim, b).is_linked(a));
-        let filters = vec![at_a.clone(), at_b.clone()];
-        assert_eq!(broker(&sim, a).interest_filters(), filters, "b advertised again");
-        assert_eq!(broker(&sim, b).interest_filters(), filters);
-        sim.actor_mut::<PubSubClient>(publisher)
-            .unwrap()
-            .queue_publish(Topic::parse("at/b").unwrap(), vec![1]);
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(sim.actor::<PubSubClient>(sub_b).unwrap().received.len(), 1);
-        // Registered once each way: one withdrawal and it is gone.
-        say(&mut sim, sub_a, a, Message::ClientUnsubscribe { filter: at_a });
-        assert_eq!(broker(&sim, b).interest_filters(), vec![at_b.clone()]);
-        say(&mut sim, sub_b, b, Message::ClientUnsubscribe { filter: at_b });
-        assert!(broker(&sim, a).interest_filters().is_empty());
-        assert!(broker(&sim, b).interest_filters().is_empty());
-    }
-
-    /// A stand-in neighbour: keeps what the broker under test sends it.
-    #[derive(Default)]
-    struct Peer {
-        got: Vec<Message>,
-    }
-
-    impl Actor for Peer {
-        fn on_incoming(&mut self, event: Incoming, _ctx: &mut dyn Context) {
-            if let Incoming::Stream { msg, .. } = event {
-                self.got.push(msg.into_message());
-            }
-        }
-        impl_actor_any!();
-    }
-
-    fn publishes(sim: &Sim, peer: NodeId) -> usize {
-        let got = &sim.actor::<Peer>(peer).unwrap().got;
-        got.iter().filter(|m| matches!(m, Message::Publish(_))).count()
-    }
-
-    fn event(n: u128, source: NodeId) -> Message {
-        Message::Publish(Event {
-            id: Uuid::from_u128(n),
-            topic: Topic::parse("t/x").unwrap(),
-            source,
-            payload: Bytes::new(),
-        })
-    }
-
-    /// Broker `x` linked to two stand-ins that both want `t/**`, and a
-    /// node id to publish as.
-    fn broker_between_two_peers(sim: &mut Sim) -> (NodeId, NodeId, NodeId, NodeId) {
-        let x = sim.add_node("x", RealmId(0), Box::new(BrokerActor::new(broker_cfg(vec![]))));
-        let l = sim.add_node("l", RealmId(0), Box::new(Peer::default()));
-        let m = sim.add_node("m", RealmId(0), Box::new(Peer::default()));
-        let client = sim.add_node("c", RealmId(0), Box::new(Peer::default()));
-        for peer in [l, m] {
-            say(sim, peer, x, Message::LinkHello { from: peer, realm: RealmId(0) });
-            let filter = TopicFilter::parse("t/**").unwrap();
-            say(sim, peer, x, Message::Subscribe { filter, origin: peer, seq: 1 });
-        }
-        (x, l, m, client)
-    }
-
-    #[test]
-    fn a_prune_mutes_its_link_for_one_lease_and_no_longer() {
-        let mut sim = quiet_sim();
-        let (x, l, m, client) = broker_between_two_peers(&mut sim);
-        say(&mut sim, client, x, event(1, client));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 1), "no mute: every link");
-
-        say(&mut sim, l, x, Message::Prune { source: client, lease_ms: 6_000 });
-        assert_eq!(broker(&sim, x).prunes_received, 1);
-        say(&mut sim, client, x, event(2, client));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 2), "R1: not to the muted link");
-        say(&mut sim, l, x, event(3, l));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 3), "another publisher's event");
-        say(&mut sim, m, x, event(4, m));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (2, 3), "is none of that mute's business");
-
-        // Keep both links alive past the lease; the mute is not renewed.
-        for _ in 0..3 {
-            sim.run_for(Duration::from_secs(2));
-            for peer in [l, m] {
-                say(&mut sim, peer, x, Message::Heartbeat { from: peer, seq: 0 });
-            }
-            let fresh = event(sim.now().as_nanos().into(), client);
-            say(&mut sim, client, x, fresh);
-        }
-        assert_eq!(publishes(&sim, m), 6);
-        assert_eq!(publishes(&sim, l), 3, "flooding again once the lease is out");
-        // A peer cannot buy more than this broker's own lease.
-        say(&mut sim, l, x, Message::Prune { source: client, lease_ms: u32::MAX });
-        for _ in 0..3 {
-            sim.run_for(Duration::from_secs(2));
-            for peer in [l, m] {
-                say(&mut sim, peer, x, Message::Heartbeat { from: peer, seq: 0 });
-            }
-            let fresh = event(sim.now().as_nanos().into(), client);
-            say(&mut sim, client, x, fresh);
-        }
-        assert_eq!(publishes(&sim, l), 4, "two events muted, the third is past the lease");
-        // Nor does a `Prune` from a stranger mean anything.
-        say(&mut sim, client, x, Message::Prune { source: client, lease_ms: 6_000 });
-        assert_eq!(broker(&sim, x).prunes_received, 2);
-    }
-
-    #[test]
-    fn link_down_forgets_the_link_in_every_route() {
-        let mut sim = quiet_sim();
-        let (x, l, m, client) = broker_between_two_peers(&mut sim);
-        say(&mut sim, l, x, event(1, client));
-        say(&mut sim, m, x, event(1, client));
-        assert_eq!(broker(&sim, x).route_parent(client), Some(l));
-        assert_eq!(broker(&sim, x).prunes_sent, 1, "R2: the duplicate's link is asked to stop");
-        say(&mut sim, m, x, Message::Prune { source: client, lease_ms: 6_000 });
-
-        say(&mut sim, l, x, Message::LinkClose { from: l });
-        assert_eq!(broker(&sim, x).route_parent(client), None, "R5: a lost parent is unset");
-        say(&mut sim, m, x, Message::LinkClose { from: m });
-        // A peer that links again starts with none of its old leases.
-        say(&mut sim, m, x, Message::LinkHello { from: m, realm: RealmId(0) });
-        let filter = TopicFilter::parse("t/**").unwrap();
-        say(&mut sim, m, x, Message::Subscribe { filter, origin: m, seq: 2 });
-        let before = publishes(&sim, m);
-        say(&mut sim, client, x, event(2, client));
-        assert_eq!(publishes(&sim, m), before + 1, "the old link's mute went with it");
-        assert_eq!(broker(&sim, x).route_parent(client), Some(client));
-    }
-
-    #[test]
-    fn a_client_cannot_publish_in_another_nodes_name() {
-        let mut sim = quiet_sim();
-        let (x, l, m, client) = broker_between_two_peers(&mut sim);
-        let other = NodeId(900);
-        say(&mut sim, client, x, event(1, other));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (0, 0), "a forged source goes nowhere");
-        assert_eq!(broker(&sim, x).forged_sources_dropped, 1);
-        assert_eq!(broker(&sim, x).route_parent(other), None, "and steers no reverse path");
-        // The forgery claimed no event id: the real event still routes.
-        say(&mut sim, l, x, event(1, other));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (0, 1), "a link relays any source");
-        say(&mut sim, client, x, event(2, client));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 2), "a client speaks for itself");
-        assert_eq!(broker(&sim, x).forged_sources_dropped, 1);
+        let topic = Topic::parse("feed/x").unwrap();
+        assert!(broker.publish_local(topic, Bytes::new(), &mut ctx).is_none());
+        assert!(publishes_to(&mut ctx).is_empty(), "no link asked for it");
     }
 
     #[test]
@@ -1319,31 +881,6 @@ mod tests {
         assert_eq!(blank.lease(NodeId(7)).muted_until, SimTime::ZERO);
     }
 
-    #[test]
-    fn a_mute_outlives_the_loss_of_a_lower_peer_and_not_its_own_link() {
-        let mut sim = quiet_sim();
-        let (x, l, m, client) = broker_between_two_peers(&mut sim);
-        assert!(l < m, "l's lease sorts first");
-        say(&mut sim, client, x, event(1, client));
-        for peer in [l, m] {
-            say(&mut sim, peer, x, Message::Prune { source: client, lease_ms: 6_000 });
-        }
-        say(&mut sim, client, x, event(2, client));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (1, 1), "both links muted");
-
-        // l's entry leaves the sorted leases and m's shifts down.
-        say(&mut sim, l, x, Message::LinkClose { from: l });
-        say(&mut sim, client, x, event(3, client));
-        assert_eq!(publishes(&sim, m), 1, "m's mute holds after the shift");
-
-        // l links again under the same id: no lease, so it is sent to.
-        say(&mut sim, l, x, Message::LinkHello { from: l, realm: RealmId(0) });
-        let filter = TopicFilter::parse("t/**").unwrap();
-        say(&mut sim, l, x, Message::Subscribe { filter, origin: l, seq: 2 });
-        say(&mut sim, client, x, event(4, client));
-        assert_eq!((publishes(&sim, l), publishes(&sim, m)), (2, 1), "only the old mute went");
-    }
-
     /// The one-record interest plane against the two-map version it
     /// replaced: over any script of registrations, withdrawals, link
     /// losses and repeat hellos, the broker sends the same
@@ -1351,10 +888,7 @@ mod tests {
     /// same filters.
     mod two_map_oracle {
         use super::*;
-        use nb_wire::{GroupId, Port};
         use proptest::prelude::*;
-        use rand::rngs::StdRng;
-        use rand::{RngCore, SeedableRng};
         use std::collections::{BTreeMap, BTreeSet};
 
         /// A `Subscribe` (`true`) or an `Unsubscribe` sent to a peer,
@@ -1545,46 +1079,9 @@ mod tests {
             }
         }
 
-        /// A context that keeps the advertisements a broker sends.
-        struct Recorder {
-            rng: StdRng,
-            sent: Vec<Advert>,
-        }
-
-        const ME: NodeId = NodeId(1);
-
-        impl Context for Recorder {
-            fn me(&self) -> NodeId {
-                ME
-            }
-            fn realm(&self) -> RealmId {
-                RealmId(0)
-            }
-            fn now(&self) -> SimTime {
-                SimTime::ZERO
-            }
-            fn utc_micros(&self) -> u64 {
-                0
-            }
-            fn clock_synced(&self) -> bool {
-                true
-            }
-            fn raw_local_micros(&self) -> u64 {
-                0
-            }
-            fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
-            fn send_udp(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
-            fn send_stream(&mut self, _from_port: Port, to: Endpoint, msg: &Message) {
-                self.sent.extend(advert(to.node, msg));
-            }
-            fn send_multicast(&mut self, _from: Port, _group: GroupId, _to: Port, _msg: &Message) {}
-            fn join_group(&mut self, _group: GroupId) {}
-            fn leave_group(&mut self, _group: GroupId) {}
-            fn set_timer(&mut self, _delay: Duration, _token: u64) {}
-            fn cancel_timer(&mut self, _token: u64) {}
-            fn rng(&mut self) -> &mut dyn RngCore {
-                &mut self.rng
-            }
+        /// The advertisements among what `ctx` recorded.
+        fn adverts(ctx: &Recorder) -> Vec<Advert> {
+            ctx.sent.iter().filter_map(|(to, msg)| advert(*to, msg)).collect()
         }
 
         #[derive(Debug, Clone)]
@@ -1638,15 +1135,8 @@ mod tests {
             let filters: Vec<TopicFilter> = names.iter().map(|s| TopicFilter::parse(s).unwrap()).collect();
             let (b, a, c) = (NodeId(10), NodeId(11), NodeId(100));
             let mut broker = Broker::new(broker_cfg(vec![]));
-            let mut ctx = Recorder { rng: StdRng::seed_from_u64(7), sent: Vec::new() };
-            let mut feed = |from: NodeId, msg: Message| {
-                let event = Incoming::Stream {
-                    from: Endpoint::new(from, well_known::BROKER),
-                    to_port: well_known::BROKER,
-                    msg: msg.into(),
-                };
-                broker.handle(event, &mut ctx);
-            };
+            let mut ctx = Recorder::new();
+            let mut feed = |from: NodeId, msg: Message| feed(&mut broker, &mut ctx, from, msg);
             feed(b, Message::LinkHello { from: b, realm: RealmId(0) });
             feed(c, Message::ClientConnect { client: c, reply_port: well_known::BROKER });
             // The client takes the three last in string order, the
@@ -1677,7 +1167,7 @@ mod tests {
             ]
             .map(|(to, sub, f, seq)| (to, sub, TopicFilter::parse(f).unwrap(), seq))
             .to_vec();
-            assert_eq!(ctx.sent, expected);
+            assert_eq!(adverts(&ctx), expected);
             assert_eq!(broker.interest_filters(), filters[..3].iter().rev().cloned().collect::<Vec<_>>());
         }
 
@@ -1694,15 +1184,13 @@ mod tests {
                 let hello = |l: u8| Message::LinkHello { from: link(l), realm: RealmId(0) };
                 let connect = |c: u8| Message::ClientConnect { client: client(c), reply_port: well_known::BROKER };
                 let mut broker = Broker::new(broker_cfg(vec![]));
-                let mut ctx = Recorder { rng: StdRng::seed_from_u64(7), sent: Vec::new() };
+                let mut ctx = Recorder::new();
                 let mut reference = Reference::default();
-                let mut feed = |from: NodeId, msg: Message, broker: &mut Broker, ctx: &mut Recorder| {
+                let mut step = |from: NodeId, msg: Message, broker: &mut Broker, ctx: &mut Recorder| {
                     reference.handle(from, &msg);
-                    let from = Endpoint::new(from, well_known::BROKER);
-                    let msg = msg.into();
-                    broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg }, ctx);
+                    feed(broker, ctx, from, msg);
                     reference.interest.keys().cloned().collect::<Vec<_>>() == broker.interest_filters()
-                        && reference.sent == ctx.sent
+                        && reference.sent == adverts(ctx)
                 };
                 let mut script: Vec<(NodeId, Message)> = (0..links as u8).map(|l| (link(l), hello(l))).collect();
                 script.extend((0..2).map(|c| (client(c), connect(c))));
@@ -1730,7 +1218,7 @@ mod tests {
                 for (i, (from, msg)) in script.into_iter().enumerate() {
                     let kind = msg.kind();
                     prop_assert!(
-                        feed(from, msg, &mut broker, &mut ctx),
+                        step(from, msg, &mut broker, &mut ctx),
                         "step {} ({} from {:?}) diverged from the two-map reference", i, kind, from
                     );
                 }

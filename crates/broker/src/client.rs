@@ -124,64 +124,3 @@ impl Actor for PubSubClient {
     impl_actor_any!();
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::broker::{BrokerActor, BrokerConfig};
-    use nb_net::{ClockProfile, LinkSpec, Sim};
-    use nb_wire::RealmId;
-
-    #[test]
-    fn client_reconnects_after_lost_connect() {
-        // The broker comes up only after the client's first attempt; the
-        // retry timer must eventually connect it. (We simulate the broker
-        // being down by partitioning, then healing.)
-        let mut sim = Sim::with_clock_profile(7, ClockProfile::perfect());
-        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-        let broker =
-            sim.add_node("bk", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
-        let client = sim.add_node("cl", RealmId(0), Box::new(PubSubClient::new(broker, vec![])));
-        sim.network_mut().partition(broker, client);
-        sim.run_for(Duration::from_secs(3));
-        assert!(!sim.actor::<PubSubClient>(client).unwrap().connected());
-        sim.network_mut().heal(broker, client);
-        sim.run_for(Duration::from_secs(5));
-        assert!(sim.actor::<PubSubClient>(client).unwrap().connected());
-    }
-
-    #[test]
-    fn self_publish_not_echoed_back() {
-        let mut sim = Sim::with_clock_profile(8, ClockProfile::perfect());
-        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-        let broker =
-            sim.add_node("bk", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
-        let filter = TopicFilter::parse("a/**").unwrap();
-        let client =
-            sim.add_node("cl", RealmId(0), Box::new(PubSubClient::new(broker, vec![filter])));
-        sim.run_for(Duration::from_secs(1));
-        sim.actor_mut::<PubSubClient>(client)
-            .unwrap()
-            .queue_publish(Topic::parse("a/b").unwrap(), vec![1]);
-        sim.run_for(Duration::from_secs(1));
-        let c = sim.actor::<PubSubClient>(client).unwrap();
-        assert_eq!(c.published, 1);
-        assert!(c.received.is_empty(), "publisher must not receive its own event");
-    }
-
-    #[test]
-    fn two_subscribers_same_broker_both_receive() {
-        let mut sim = Sim::with_clock_profile(9, ClockProfile::perfect());
-        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-        let broker =
-            sim.add_node("bk", RealmId(0), Box::new(BrokerActor::new(BrokerConfig::default())));
-        let filter = TopicFilter::parse("t").unwrap();
-        let s1 = sim.add_node("s1", RealmId(0), Box::new(PubSubClient::new(broker, vec![filter.clone()])));
-        let s2 = sim.add_node("s2", RealmId(0), Box::new(PubSubClient::new(broker, vec![filter])));
-        let p = sim.add_node("p", RealmId(0), Box::new(PubSubClient::new(broker, vec![])));
-        sim.run_for(Duration::from_secs(1));
-        sim.actor_mut::<PubSubClient>(p).unwrap().queue_publish(Topic::parse("t").unwrap(), vec![9]);
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(sim.actor::<PubSubClient>(s1).unwrap().received.len(), 1);
-        assert_eq!(sim.actor::<PubSubClient>(s2).unwrap().received.len(), 1);
-    }
-}

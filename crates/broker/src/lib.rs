@@ -5,9 +5,10 @@
 //!
 //! * [`broker`] — the broker state machine: overlay links with
 //!   hello/accept/heartbeat management, client connections,
-//!   subscription-based event routing, flood dissemination (with
-//!   duplicate suppression) for system topics such as the discovery
-//!   request topic,
+//!   subscription-based event routing, and flood dissemination (with
+//!   duplicate suppression) of the two discovery-plane topics, the
+//!   discovery request and the BDN advertisement, which every link
+//!   carries; every other topic goes where subscriptions ask for it,
 //! * [`metrics`] — the usage-metric model (active connections, link
 //!   count, CPU load from message rate, memory from connection and
 //!   subscription state) reported in discovery responses,
@@ -21,7 +22,7 @@
 //! The broker is deliberately *not* an [`nb_net::Actor`] itself: it is a
 //! composable state machine ([`Broker::handle`]) so higher layers (the
 //! discovery crate) can wrap it together with their own services in one
-//! actor. [`BrokerActor`] is the trivial standalone wrapper.
+//! actor, as `nb_discovery::DiscoveryBrokerActor` does.
 
 pub mod broker;
 pub mod client;
@@ -29,7 +30,7 @@ pub mod metrics;
 pub mod topics;
 pub mod topology;
 
-pub use broker::{Broker, BrokerActor, BrokerConfig, DEDUP_CAPACITY};
+pub use broker::{Broker, BrokerConfig, DEDUP_CAPACITY};
 pub use client::PubSubClient;
 pub use metrics::{MachineProfile, UsageMeter};
 pub use topics::{Destination, SubscriptionTable};

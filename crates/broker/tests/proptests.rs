@@ -200,87 +200,3 @@ proptest! {
         }
     }
 }
-
-mod routing_convergence {
-    use std::time::Duration;
-
-    use proptest::prelude::*;
-
-    use nb_broker::{BrokerActor, BrokerConfig, PubSubClient, Topology};
-    use nb_net::{ClockProfile, LinkSpec, Sim};
-    use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
-
-    proptest! {
-        // Expensive sim runs: keep the case count modest.
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// The regression guard for the interest-propagation protocol:
-        /// on ANY connected overlay with ANY subscriber placement, every
-        /// subscriber receives every published event exactly once.
-        /// (The naive split-horizon protocol failed this whenever two
-        /// subscribers' interest floods met mid-overlay.)
-        #[test]
-        fn any_overlay_any_subscribers_exactly_once(
-            n in 3usize..16,
-            extra in 0usize..5,
-            topo_seed in any::<u64>(),
-            sim_seed in any::<u64>(),
-            sub_mask in 1u16..0x7FFF,
-            publisher_pick in any::<prop::sample::Index>(),
-        ) {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(topo_seed);
-            let topo = Topology::random(n, extra, &mut rng);
-            prop_assume!(topo.is_connected());
-
-            let mut sim = Sim::with_clock_profile(sim_seed, ClockProfile::perfect());
-            sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-            let mut brokers: Vec<NodeId> = Vec::new();
-            for (i, dials) in topo.dial_lists().into_iter().enumerate() {
-                let neighbors = dials.iter().map(|&j| brokers[j]).collect();
-                let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
-                brokers.push(sim.add_node(
-                    &format!("b{i}"),
-                    RealmId(0),
-                    Box::new(BrokerActor::new(cfg)),
-                ));
-            }
-            // Subscribers on the brokers selected by the mask bits.
-            let filter = TopicFilter::parse("t/**").unwrap();
-            let subs: Vec<NodeId> = (0..n)
-                .filter(|i| sub_mask & (1 << (i % 15)) != 0)
-                .map(|i| {
-                    sim.add_node(
-                        &format!("s{i}"),
-                        RealmId(0),
-                        Box::new(PubSubClient::new(brokers[i], vec![filter.clone()])),
-                    )
-                })
-                .collect();
-            prop_assume!(!subs.is_empty());
-            let publisher_broker = brokers[publisher_pick.index(n)];
-            let publisher = sim.add_node(
-                "p",
-                RealmId(0),
-                Box::new(PubSubClient::new(publisher_broker, vec![])),
-            );
-            // Links + interest propagation settle.
-            sim.run_for(Duration::from_secs(5));
-            for i in 0..3u8 {
-                sim.actor_mut::<PubSubClient>(publisher)
-                    .unwrap()
-                    .queue_publish(Topic::parse("t/x").unwrap(), vec![i]);
-            }
-            sim.run_for(Duration::from_secs(5));
-            for &s in &subs {
-                let client = sim.actor::<PubSubClient>(s).unwrap();
-                prop_assert_eq!(
-                    client.received.len(),
-                    3,
-                    "subscriber {} on overlay n={} extra={} seed={}",
-                    s, n, extra, topo_seed
-                );
-            }
-        }
-    }
-}

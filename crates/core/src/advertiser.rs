@@ -20,15 +20,16 @@ use nb_net::{Context, Incoming};
 use crate::responder::Responder;
 
 const TIMER_READVERTISE: u64 = 0xAD00_0000_0000_0001;
+/// The re-advertisement period a broker starts with.
+const READVERTISE: Duration = Duration::from_secs(120);
 
 /// The advertisement service embedded in a discovery-enabled broker.
 #[derive(Debug)]
 pub struct Advertiser {
     /// BDNs advertised to directly (from the broker configuration file).
     bdns: Vec<NodeId>,
-    /// Also publish advertisements on the well-known topic.
-    use_topic: bool,
-    /// That topic (a clone of nb-wire's process-wide value).
+    /// The well-known advertisement topic every advertisement is also
+    /// published on (a clone of nb-wire's process-wide value).
     topic: Topic,
     /// Re-advertisement period (ads are fire-and-forget and can be lost).
     readvertise: Duration,
@@ -43,14 +44,13 @@ pub struct Advertiser {
 }
 
 impl Advertiser {
-    /// Advertises to `bdns` directly every `readvertise`; also publishes
-    /// on the advertisement topic when `use_topic`.
-    pub fn new(bdns: Vec<NodeId>, use_topic: bool, readvertise: Duration) -> Advertiser {
+    /// Advertises to `bdns` directly and on the advertisement topic,
+    /// every 120 s until [`Advertiser::set_readvertise`] says otherwise.
+    pub fn new(bdns: Vec<NodeId>) -> Advertiser {
         Advertiser {
             bdns,
-            use_topic,
             topic: BROKER_ADVERTISEMENT.topic(),
-            readvertise,
+            readvertise: READVERTISE,
             geography: None,
             institution: None,
             ads_sent: 0,
@@ -87,19 +87,17 @@ impl Advertiser {
     }
 
     /// Issues the advertisement now: direct UDP to every known BDN, plus
-    /// a topic publish when configured. The ad is built and wrapped once;
-    /// every BDN is sent the same handle.
+    /// a topic publish. The ad is built and wrapped once; every BDN is
+    /// sent the same handle.
     pub fn advertise(&mut self, broker: &mut Broker, ctx: &mut dyn Context) {
         let ad = WireMsg::new(Message::Advertisement(self.build_ad(broker, ctx)));
         for &bdn in self.bdns.iter().chain(&self.discovered_bdns) {
             ctx.send_udp_wire(well_known::BROKER, Endpoint::new(bdn, well_known::BDN), &ad);
             self.ads_sent += 1;
         }
-        if self.use_topic {
-            let payload = ad.message().to_bytes();
-            let _ = broker.publish_local(self.topic.clone(), payload, ctx);
-            self.ads_sent += 1;
-        }
+        let payload = ad.message().to_bytes();
+        let _ = broker.publish_local(self.topic.clone(), payload, ctx);
+        self.ads_sent += 1;
     }
 
     /// Call from the owning actor's `on_start`.
@@ -155,12 +153,12 @@ mod tests {
 
     #[test]
     fn advertises_to_every_configured_bdn_on_start() {
-        let mut adv = Advertiser::new(vec![NodeId(100), NodeId(101)], false, Duration::from_secs(60));
+        let mut adv = Advertiser::new(vec![NodeId(100), NodeId(101)]);
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         adv.on_start(&mut broker, &mut ctx);
-        assert_eq!(adv.ads_sent, 2);
-        assert_eq!(ctx.sent.len(), 2);
+        assert_eq!(adv.ads_sent, 3, "two BDNs and the topic");
+        assert_eq!(ctx.sent.len(), 2, "no link or client asked for the topic");
         for (_, to, msg) in &ctx.sent {
             assert_eq!(to.port, well_known::BDN);
             let Message::Advertisement(ad) = msg else { panic!("expected ad") };
@@ -168,18 +166,18 @@ mod tests {
             assert_eq!(ad.realm, RealmId(3));
             assert_eq!(ad.issued_at_utc, 42);
         }
-        assert_eq!(ctx.tokens(), vec![TIMER_READVERTISE]);
+        assert_eq!(ctx.timers, vec![(Duration::from_secs(120), TIMER_READVERTISE)]);
     }
 
     #[test]
     fn readvertise_timer_consumed_and_rearmed() {
-        let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
+        let mut adv = Advertiser::new(vec![NodeId(100)]);
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         let consumed =
             adv.handle(&Incoming::Timer { token: TIMER_READVERTISE }, &mut broker, &mut ctx);
         assert!(consumed);
-        assert_eq!(adv.ads_sent, 1);
+        assert_eq!(adv.ads_sent, 2);
         assert_eq!(ctx.tokens(), vec![TIMER_READVERTISE]);
         // unrelated timers untouched
         assert!(!adv.handle(&Incoming::Timer { token: 5 }, &mut broker, &mut ctx));
@@ -187,7 +185,7 @@ mod tests {
 
     #[test]
     fn topic_publication_counts() {
-        let mut adv = Advertiser::new(vec![], true, Duration::from_secs(60));
+        let mut adv = Advertiser::new(vec![]);
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         adv.advertise(&mut broker, &mut ctx);
@@ -197,17 +195,18 @@ mod tests {
 
     #[test]
     fn private_bdn_discovery_triggers_readvertisement() {
-        let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
+        let mut adv = Advertiser::new(vec![NodeId(100)]);
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         adv.on_bdn_advertisement(NodeId(200), &mut broker, &mut ctx);
         assert_eq!(adv.discovered_bdns, vec![NodeId(200)]);
-        // Re-advertisement went to both the configured and the new BDN.
-        assert_eq!(adv.ads_sent, 2);
+        // Re-advertisement went to both the configured and the new BDN,
+        // and on the topic.
+        assert_eq!(adv.ads_sent, 3);
         // Duplicate announcements are ignored.
         adv.on_bdn_advertisement(NodeId(200), &mut broker, &mut ctx);
         assert_eq!(adv.discovered_bdns.len(), 1);
-        assert_eq!(adv.ads_sent, 2);
+        assert_eq!(adv.ads_sent, 3);
         // Known/configured BDNs are not re-added.
         adv.on_bdn_advertisement(NodeId(100), &mut broker, &mut ctx);
         assert!(adv.discovered_bdns.len() == 1);
@@ -215,10 +214,10 @@ mod tests {
 
     #[test]
     fn clock_sync_triggers_fresh_ad_but_is_not_consumed() {
-        let mut adv = Advertiser::new(vec![NodeId(100)], false, Duration::from_secs(60));
+        let mut adv = Advertiser::new(vec![NodeId(100)]);
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         assert!(!adv.handle(&Incoming::ClockSynced, &mut broker, &mut ctx));
-        assert_eq!(adv.ads_sent, 1);
+        assert_eq!(adv.ads_sent, 2);
     }
 }

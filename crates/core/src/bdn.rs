@@ -33,7 +33,9 @@ use nb_wire::{
 use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
 
 use crate::config::SecuritySuite;
-use crate::federation::{Federation, FederationConfig, LeaseBook, LeaseOutcome, Registered};
+use crate::federation::{
+    Federation, FederationConfig, LeaseBook, LeaseOutcome, Registered, MAX_SYNC_ENTRIES, MAX_TOMBSTONES,
+};
 use crate::policy::ResponsePolicy;
 
 const TIMER_PING: u64 = 0xBD00_0000_0000_0001;
@@ -170,7 +172,7 @@ impl Bdn {
         let dedup = BoundedDedup::new(DEDUP_CAPACITY);
         let federation = cfg.federation.clone().map(Federation::new);
         // Only a federated registry keeps tombstones.
-        let registry = LeaseBook::new(cfg.federation.as_ref().map_or(0, |f| f.max_tombstones));
+        let registry = LeaseBook::new(if cfg.federation.is_some() { MAX_TOMBSTONES } else { 0 });
         Bdn {
             cfg,
             registry,
@@ -449,11 +451,11 @@ impl Bdn {
     /// record goes through the registry's merge — malformed or oversized
     /// payloads are counted, never panicked on.
     fn on_federation_sync(&mut self, sync: FederationSync, peer: NodeId, ctx: &mut dyn Context) {
-        let Some(cap) = self.federation.as_ref().map(|f| f.cfg.max_sync_entries) else {
+        if self.federation.is_none() {
             // Not federated: sync traffic is unexpected noise.
             return;
-        };
-        if sync.leases.len() > cap || sync.tombstones.len() > cap {
+        }
+        if sync.leases.len() > MAX_SYNC_ENTRIES || sync.tombstones.len() > MAX_SYNC_ENTRIES {
             self.malformed_messages += 1;
             return;
         }
@@ -736,17 +738,10 @@ mod tests {
 
     #[test]
     fn oversized_sync_counts_malformed_and_merges_nothing() {
-        let mut bdn = Bdn::new(BdnConfig {
-            federation: Some(FederationConfig {
-                max_sync_entries: 2,
-                ..FederationConfig::default()
-            }),
-            auto_attach: false,
-            ..BdnConfig::default()
-        });
+        let mut bdn = fed_bdn();
         let mut ctx = new_ctx();
         let now_us = ctx.now.as_micros();
-        let leases: Vec<LeaseRecord> = (0..3)
+        let leases: Vec<LeaseRecord> = (0..MAX_SYNC_ENTRIES as u32 + 1)
             .map(|i| LeaseRecord { ad: ad_for(i, 10), expires_at_us: now_us + 1_000_000 })
             .collect();
         bdn.on_federation_sync(push_sync(leases, vec![]), NodeId(201), &mut ctx);

@@ -4,10 +4,8 @@
 //! [`Responder`] and [`Advertiser`] services, wired so that flood-topic
 //! events surfaced by the broker reach the right service.
 
-use std::time::Duration;
-
-use nb_broker::{Broker, BrokerConfig, DEDUP_CAPACITY};
-use nb_wire::topic::{BDN_ADVERTISEMENT, BDN_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST, DISCOVERY_REQUEST_TOPIC};
+use nb_broker::{Broker, BrokerConfig};
+use nb_wire::topic::{BDN_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC};
 use nb_wire::{Message, NodeId, Wire, WireMsg};
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming};
@@ -29,18 +27,11 @@ pub struct DiscoveryBrokerActor {
 impl DiscoveryBrokerActor {
     /// Builds the combined actor. `bdns` is the broker configuration
     /// file's BDN list (may be empty: registration is optional, §2.1).
-    pub fn new(mut cfg: BrokerConfig, bdns: Vec<NodeId>, policy: ResponsePolicy) -> Self {
-        // The broker floods the discovery-plane topics.
-        for topic in [&DISCOVERY_REQUEST, &BDN_ADVERTISEMENT] {
-            let filter = topic.filter();
-            if !cfg.flood_topics.contains(&filter) {
-                cfg.flood_topics.push(filter);
-            }
-        }
+    pub fn new(cfg: BrokerConfig, bdns: Vec<NodeId>, policy: ResponsePolicy) -> Self {
         DiscoveryBrokerActor {
             broker: Broker::new(cfg),
-            responder: Responder::new(policy, DEDUP_CAPACITY, true),
-            advertiser: Advertiser::new(bdns, true, Duration::from_secs(120)),
+            responder: Responder::new(policy),
+            advertiser: Advertiser::new(bdns),
         }
     }
 

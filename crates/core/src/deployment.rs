@@ -12,7 +12,7 @@ use std::panic::{self, AssertUnwindSafe};
 
 use nb_net::topogen::WanTopology;
 use nb_net::wan::{SiteIdx, WanModel};
-use nb_net::{Actor, ClockProfile, DiscoveryEngine, LinkSpec, ShardRespawnFn, ShardedSim, Sim};
+use nb_net::{Actor, ClockProfile, DiscoveryEngine, LinkSpec, RespawnFn, ShardedSim, Sim};
 use nb_wire::{NodeId, RealmId};
 
 /// One node of a [`Deployment`].
@@ -22,7 +22,7 @@ pub struct DeploymentNode {
     /// The realm the node lives in.
     pub realm: RealmId,
     /// Makes the node's actor.
-    pub make: ShardRespawnFn,
+    pub make: RespawnFn,
     /// Whether `make` is also the node's respawn factory; a lossy
     /// restart of any other node keeps its actor.
     pub restartable: bool,

@@ -59,6 +59,13 @@ use rand::{RngCore, SeedableRng};
 
 pub use nb_util::{fnv1a64_step, FNV_OFFSET};
 
+/// The most tombstones a federated BDN keeps: oldest retired stamps are
+/// evicted first.
+pub const MAX_TOMBSTONES: usize = 1024;
+/// The most lease or tombstone records a BDN accepts in one sync
+/// (peer-supplied — anything larger is counted malformed).
+pub const MAX_SYNC_ENTRIES: usize = 4096;
+
 /// Federation configuration. `None` in [`crate::BdnConfig::federation`]
 /// disables the subsystem entirely: no timers, no RNG draws, no wire
 /// traffic — a non-federated BDN is byte-identical to the pre-federation
@@ -72,11 +79,6 @@ pub struct FederationConfig {
     pub round_interval: Duration,
     /// How long a tombstone outlives the last lease it could block.
     pub tombstone_ttl: Duration,
-    /// Bounded tombstone cache: oldest retired stamps evicted first.
-    pub max_tombstones: usize,
-    /// Upper bound on lease/tombstone records accepted in one sync
-    /// (peer-supplied — anything larger is counted malformed).
-    pub max_sync_entries: usize,
     /// Seed for the partner-selection stream. Each BDN derives a private
     /// RNG from `seed ^ node_id`, so partner choice is deterministic and
     /// never perturbs the node's main RNG stream.
@@ -89,8 +91,6 @@ impl Default for FederationConfig {
             peers: Vec::new(),
             round_interval: Duration::from_secs(2),
             tombstone_ttl: Duration::from_secs(300),
-            max_tombstones: 1024,
-            max_sync_entries: 4096,
             seed: 0,
         }
     }

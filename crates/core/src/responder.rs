@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use nb_broker::Broker;
+use nb_broker::{Broker, DEDUP_CAPACITY};
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::{well_known, DISCOVERY_GROUP};
 use nb_wire::message::TransportEndpoint;
@@ -32,17 +32,16 @@ use crate::policy::ResponsePolicy;
 
 /// Timer-token namespace used for delayed responses.
 const RESPONDER_TIMER_BASE: u64 = 0x5E50_0000_0000_0000;
+/// Service time before a response leaves the broker: policy check,
+/// metrics collection and serialisation (the paper ran a 2005 JVM).
+/// Each response is delayed by `SERVICE_TIME + U(0, SERVICE_TIME/2)`.
+const SERVICE_TIME: Duration = Duration::from_millis(40);
 
 /// The responder service embedded in a discovery-enabled broker actor.
 #[derive(Debug)]
 pub struct Responder {
     policy: ResponsePolicy,
     dedup: BoundedDedup<Uuid>,
-    listen_multicast: bool,
-    /// Service time before a response leaves the broker: policy check,
-    /// metrics collection and serialisation (the paper ran a 2005 JVM).
-    /// Each response is delayed by `service_time + U(0, service_time/2)`.
-    pub service_time: Duration,
     /// Responses waiting out their service time, as they will go on the
     /// wire. Timer tokens carry a sequence number and slot `i` belongs
     /// to number `pending_head + i`, so a firing finds its response by
@@ -66,14 +65,12 @@ pub struct Responder {
 }
 
 impl Responder {
-    /// A responder with the given policy and dedup-cache capacity
-    /// (paper default: 1000).
-    pub fn new(policy: ResponsePolicy, dedup_capacity: usize, listen_multicast: bool) -> Responder {
+    /// A responder with the given policy and the paper's last-1000
+    /// request cache.
+    pub fn new(policy: ResponsePolicy) -> Responder {
         Responder {
             policy,
-            dedup: BoundedDedup::new(dedup_capacity),
-            listen_multicast,
-            service_time: Duration::from_millis(40),
+            dedup: BoundedDedup::new(DEDUP_CAPACITY),
             pending: VecDeque::new(),
             pending_head: 0,
             flood_topic: DISCOVERY_REQUEST.topic(),
@@ -93,15 +90,13 @@ impl Responder {
         ]
     }
 
-    /// Joins the discovery multicast group if configured. A (re)start
-    /// also abandons responses still waiting: their timers died with
-    /// the crash, so nothing would ever send them or free their slots.
+    /// Joins the discovery multicast group. A (re)start also abandons
+    /// responses still waiting: their timers died with the crash, so
+    /// nothing would ever send them or free their slots.
     pub fn on_start(&mut self, ctx: &mut dyn Context) {
         self.pending_head += self.pending.len() as u64;
         self.pending.clear();
-        if self.listen_multicast {
-            ctx.join_group(DISCOVERY_GROUP);
-        }
+        ctx.join_group(DISCOVERY_GROUP);
     }
 
     /// Offers an incoming runtime event; returns `true` if consumed.
@@ -223,19 +218,13 @@ impl Responder {
         // stamped — and wrapped for the wire — now but leaves after the
         // modelled service time, so the requester's delay estimate
         // honestly includes broker processing.
+        use rand::Rng;
         let msg = WireMsg::new(Message::Response(response));
-        if self.service_time.is_zero() {
-            ctx.send_udp_wire(well_known::DISCOVERY_REPLY, req.reply_to, &msg);
-            self.responses_sent += 1;
-        } else {
-            use rand::Rng;
-            let jitter = self.service_time.as_nanos() as u64 / 2;
-            let extra = if jitter == 0 { 0 } else { ctx.rng().gen_range(0..=jitter) };
-            let delay = self.service_time + Duration::from_nanos(extra);
-            let seq = self.pending_head + self.pending.len() as u64;
-            self.pending.push_back(Some((req.reply_to, msg)));
-            ctx.set_timer(delay, RESPONDER_TIMER_BASE | (seq & 0xFFFF_FFFF));
-        }
+        let jitter = SERVICE_TIME.as_nanos() as u64 / 2;
+        let delay = SERVICE_TIME + Duration::from_nanos(ctx.rng().gen_range(0..=jitter));
+        let seq = self.pending_head + self.pending.len() as u64;
+        self.pending.push_back(Some((req.reply_to, msg)));
+        ctx.set_timer(delay, RESPONDER_TIMER_BASE | (seq & 0xFFFF_FFFF));
     }
 }
 
@@ -250,6 +239,15 @@ mod tests {
     // end-to-end behaviour is covered in the scenario tests.
     fn new_ctx() -> TestCtx {
         TestCtx::new(NodeId(5), RealmId(2), nb_net::SimTime::from_micros(123_456_789), 1)
+    }
+
+    /// Fires every response timer armed so far, in arming order, and
+    /// forgets them.
+    fn fire_all(r: &mut Responder, broker: &mut Broker, ctx: &mut TestCtx) {
+        for token in ctx.tokens() {
+            assert!(r.handle(&Incoming::Timer { token }, broker, ctx));
+        }
+        ctx.timers.clear();
     }
 
     fn request(id: u128) -> DiscoveryRequest {
@@ -267,13 +265,13 @@ mod tests {
 
     #[test]
     fn responds_once_per_request_id() {
-        let mut r = Responder::new(ResponsePolicy::open(), 1000, false);
-        r.service_time = Duration::ZERO;
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         r.on_request(&request(1), &mut broker, &mut ctx);
         r.on_request(&request(1), &mut broker, &mut ctx);
         r.on_request(&request(2), &mut broker, &mut ctx);
+        fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 2);
         assert_eq!(r.duplicates_suppressed, 1);
         assert_eq!(ctx.sent.len(), 2);
@@ -288,27 +286,23 @@ mod tests {
 
     #[test]
     fn policy_rejection_counts_and_sends_nothing() {
-        let mut r = Responder::new(
-            ResponsePolicy::principals(vec!["alice".into()]),
-            1000,
-            false,
-        );
-        r.service_time = Duration::ZERO;
+        let mut r = Responder::new(ResponsePolicy::principals(vec!["alice".into()]));
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         r.on_request(&request(1), &mut broker, &mut ctx); // no credentials
         assert_eq!(r.rejected_by_policy, 1);
-        assert_eq!(r.responses_sent, 0);
-        assert!(ctx.sent.is_empty());
+        assert!(ctx.timers.is_empty(), "nothing waits to be sent");
         let mut ok = request(2);
         ok.credentials = Some(Credential { principal: "alice".into(), token: vec![] });
         r.on_request(&ok, &mut broker, &mut ctx);
+        fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);
+        assert_eq!(ctx.sent.len(), 1);
     }
 
     #[test]
     fn answers_pings_with_echoed_timestamp() {
-        let mut r = Responder::new(ResponsePolicy::open(), 10, false);
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         let consumed = r.handle(
@@ -335,8 +329,7 @@ mod tests {
 
     #[test]
     fn multicast_request_answered_and_reflooded() {
-        let mut r = Responder::new(ResponsePolicy::open(), 10, true);
-        r.service_time = Duration::ZERO;
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         r.on_start(&mut ctx);
@@ -351,6 +344,7 @@ mod tests {
             &mut ctx,
         );
         assert!(consumed);
+        fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);
         // With no links the reflood sends nothing over the wire, but the
         // broker must have routed the event locally exactly once.
@@ -359,7 +353,7 @@ mod tests {
 
     #[test]
     fn non_discovery_traffic_not_consumed() {
-        let mut r = Responder::new(ResponsePolicy::open(), 10, false);
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         let consumed = r.handle(
@@ -377,8 +371,7 @@ mod tests {
 
     #[test]
     fn service_time_delays_the_response_until_the_timer() {
-        let mut r = Responder::new(ResponsePolicy::open(), 10, false);
-        assert!(!r.service_time.is_zero(), "delayed by default");
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         r.on_request(&request(9), &mut broker, &mut ctx);
@@ -401,7 +394,7 @@ mod tests {
     fn pending_responses_fired_in_any_order_each_reach_their_own_requester_once() {
         use rand::Rng;
         const N: u32 = 1_000;
-        let mut r = Responder::new(ResponsePolicy::open(), 2_000, false);
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         for i in 0..N {
@@ -410,6 +403,8 @@ mod tests {
             r.on_request(&req, &mut broker, &mut ctx);
         }
         assert_eq!(r.pending.len(), N as usize);
+        let service = Duration::from_millis(40)..=Duration::from_millis(60);
+        assert!(ctx.timers.iter().all(|(delay, _)| service.contains(delay)), "40 ms plus up to half again");
         // Fisher-Yates over the armed tokens; each also fires a second
         // time somewhere later in the order, as a stale duplicate.
         let mut order = ctx.tokens();
@@ -439,7 +434,7 @@ mod tests {
 
     #[test]
     fn restart_abandons_pending_responses_and_keeps_the_ring_bounded() {
-        let mut r = Responder::new(ResponsePolicy::open(), 100, false);
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         for id in 1..=3 {
@@ -462,14 +457,14 @@ mod tests {
 
     #[test]
     fn flooded_request_is_answered_once_from_its_encoded_form() {
-        let mut r = Responder::new(ResponsePolicy::principals(vec!["alice".into()]), 10, false);
-        r.service_time = Duration::ZERO;
+        let mut r = Responder::new(ResponsePolicy::principals(vec!["alice".into()]));
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         let mut req = request(5);
         req.credentials = Some(Credential { principal: "alice".into(), token: vec![1, 2] });
         let payload = Message::Discovery(req.clone()).to_bytes();
         r.on_flooded(&payload, &mut broker, &mut ctx);
+        fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1, "the borrowed credential satisfied the policy");
         assert_eq!(ctx.sent[0].1, req.reply_to);
         let Message::Response(resp) = &ctx.sent[0].2 else {
@@ -481,16 +476,15 @@ mod tests {
         // ... and the same request arriving decoded (multicast) is the
         // same request.
         r.on_request(&req, &mut broker, &mut ctx);
-        assert_eq!((r.responses_sent, r.duplicates_suppressed), (1, 2));
         // No credential: rejected from the encoded form too.
         r.on_flooded(&Message::Discovery(request(6)).to_bytes(), &mut broker, &mut ctx);
-        assert_eq!((r.responses_sent, r.rejected_by_policy), (1, 1));
+        assert!(ctx.timers.is_empty(), "no second response was armed");
+        assert_eq!((r.responses_sent, r.duplicates_suppressed, r.rejected_by_policy), (1, 2, 1));
     }
 
     #[test]
     fn flooded_junk_and_truncated_requests_are_ignored() {
-        let mut r = Responder::new(ResponsePolicy::open(), 10, false);
-        r.service_time = Duration::ZERO;
+        let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         r.on_flooded(b"junk", &mut broker, &mut ctx);
@@ -499,10 +493,11 @@ mod tests {
         let payload = Message::Discovery(request(7)).to_bytes();
         // Long enough for the header peek, short of a whole request.
         r.on_flooded(&payload[..payload.len() - 1], &mut broker, &mut ctx);
-        assert_eq!((r.responses_sent, r.duplicates_suppressed), (0, 0));
-        assert!(ctx.sent.is_empty());
+        assert_eq!(r.duplicates_suppressed, 0);
+        assert!(ctx.timers.is_empty(), "nothing was answered");
         // A malformed copy must not poison the cache against the real one.
         r.on_flooded(&payload, &mut broker, &mut ctx);
+        fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);
     }
 }

@@ -298,7 +298,7 @@ fn arb_fed_op() -> impl Strategy<Value = FedOp> {
 
 /// A book as a federated BDN builds it (the default tombstone bound).
 fn book_from(ops: &[FedOp]) -> LeaseBook {
-    let mut book = LeaseBook::new(nb_discovery::FederationConfig::default().max_tombstones);
+    let mut book = LeaseBook::new(nb_discovery::federation::MAX_TOMBSTONES);
     for op in ops {
         match *op {
             FedOp::Lease { broker, issued, expires } => {

@@ -41,9 +41,10 @@ pub mod wan;
 pub use chaos::{ChaosProfile, ChaosTargets, Fault, FaultPlan, PacketFaults, TimedFault};
 pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
+pub use node::RespawnFn;
 pub use runtime::{Actor, Context, Incoming};
-pub use shard::{DiscoveryEngine, ShardRespawnFn, ShardedSim};
-pub use sim::{NetStats, RespawnFn, Sim, TraceRecord, WireV2Config};
+pub use shard::{DiscoveryEngine, ShardedSim};
+pub use sim::{NetStats, Sim, TraceRecord, WireV2Config};
 pub use time::SimTime;
 pub use topogen::{TopologyKind, TopologySpec, WanTopology};
 pub use wan::{Site, WanModel};

@@ -87,10 +87,13 @@ impl TimerSlots {
     }
 }
 
-/// One simulated node. `F` is the engine's respawn-factory type: `Sim`
-/// takes any closure, an LP's must be `Send` because the LP migrates
-/// between worker threads.
-pub(crate) struct Node<F> {
+/// Builds a fresh actor for a node restarted with state loss. It is
+/// `Send` on both engines: under the sharded one the factory lives inside
+/// its node's logical process, which migrates between worker threads.
+pub type RespawnFn = Box<dyn FnMut() -> Box<dyn Actor> + Send>;
+
+/// One simulated node.
+pub(crate) struct Node {
     pub(crate) id: NodeId,
     pub(crate) name: String,
     pub(crate) realm: RealmId,
@@ -103,17 +106,17 @@ pub(crate) struct Node<F> {
     /// `None` only while the actor is checked out for a dispatch.
     pub(crate) actor: Option<Box<dyn Actor>>,
     /// Rebuilds the actor on a restart with state loss.
-    pub(crate) respawn: Option<F>,
+    pub(crate) respawn: Option<RespawnFn>,
 }
 
-impl<F> Node<F> {
+impl Node {
     pub(crate) fn new(
         id: NodeId,
         name: &str,
         realm: RealmId,
         clock: ClockState,
         actor: Box<dyn Actor>,
-    ) -> Node<F> {
+    ) -> Node {
         Node {
             id,
             name: name.to_string(),
@@ -237,8 +240,6 @@ pub(crate) trait Scheduler {
     /// mutably (group changes land at once), an LP as the epoch's
     /// read-only snapshot (they wait for the barrier).
     type Net: Deref<Target = NetworkModel>;
-    /// The respawn-factory type of the engine's nodes.
-    type Respawn: FnMut() -> Box<dyn Actor>;
 
     /// Puts `ev` on the schedule at `at`. `Sim`: its one heap. An LP:
     /// its own heap if the event is its own, else its outbox, for the
@@ -254,7 +255,7 @@ pub(crate) trait Scheduler {
 /// admitted through, faults are applied through, and — as the one
 /// [`Context`] implementation — the node's actor acts through.
 pub(crate) struct NodeCtx<'a, S: Scheduler> {
-    pub(crate) node: &'a mut Node<S::Respawn>,
+    pub(crate) node: &'a mut Node,
     pub(crate) link: &'a mut Transport,
     pub(crate) net: S::Net,
     pub(crate) faults: PacketFaults,

@@ -74,16 +74,10 @@ use rand::SeedableRng;
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::ClockProfile;
 use crate::link::{NetworkModel, Transport};
-use crate::node::{EventHeap, Node, NodeCtx, NodeEvent, Scheduler};
+use crate::node::{EventHeap, Node, NodeCtx, NodeEvent, RespawnFn, Scheduler};
 use crate::runtime::{Actor, Incoming};
 use crate::sim::{NetStats, Sim};
 use crate::time::SimTime;
-
-/// Builds a fresh actor for a node restarted with state loss under the
-/// sharded engine. Unlike [`crate::sim::RespawnFn`] it must be `Send`:
-/// the factory lives inside its node's logical process, which migrates
-/// across worker threads.
-pub type ShardRespawnFn = Box<dyn FnMut() -> Box<dyn Actor> + Send>;
 
 /// Folds one word into an LP's FNV-1a digest.
 fn mix(h: &mut u64, x: u64) {
@@ -114,7 +108,7 @@ enum DeferredOp {
 /// One logical process: a node plus every piece of engine state that
 /// only it touches. `Send`, so whole LPs migrate between workers.
 struct Lp {
-    node: Node<ShardRespawnFn>,
+    node: Node,
     /// Private RNG stream (seeded `root_seed ^ node_id` — a function of
     /// the node's identity, never of which worker runs it), the node's
     /// row of the connection table and its counters.
@@ -138,7 +132,6 @@ struct LpSched<'a> {
 
 impl<'a> Scheduler for LpSched<'a> {
     type Net = &'a NetworkModel;
-    type Respawn = ShardRespawnFn;
 
     /// The LP's own events — timers, a restart's `Start`, self-sends —
     /// go straight into its heap (they never cross an LP boundary,
@@ -742,11 +735,11 @@ impl ShardedSim {
         id
     }
 
-    fn node(&self, node: NodeId) -> Option<&Node<ShardRespawnFn>> {
+    fn node(&self, node: NodeId) -> Option<&Node> {
         self.lps.get(node.0 as usize).map(|lp| &lp.node)
     }
 
-    fn node_mut(&mut self, node: NodeId) -> Option<&mut Node<ShardRespawnFn>> {
+    fn node_mut(&mut self, node: NodeId) -> Option<&mut Node> {
         self.lps.get_mut(node.0 as usize).map(|lp| &mut lp.node)
     }
 
@@ -813,7 +806,7 @@ impl ShardedSim {
 
     /// Registers the factory that rebuilds `node`'s actor on a lossy
     /// restart.
-    pub fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
+    pub fn set_respawn(&mut self, node: NodeId, factory: RespawnFn) {
         if let Some(n) = self.node_mut(node) {
             n.respawn = Some(factory);
         }
@@ -1035,7 +1028,7 @@ pub trait DiscoveryEngine {
     fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId;
     /// Registers the factory that rebuilds `node`'s actor on a restart
     /// with state loss.
-    fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn);
+    fn set_respawn(&mut self, node: NodeId, factory: RespawnFn);
     /// The network model.
     fn network(&self) -> &NetworkModel;
     /// The mutable network model (coordinator time).
@@ -1088,7 +1081,7 @@ macro_rules! discovery_engine {
             fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
                 <$to>::add_node($($d)? self, name, realm, actor)
             }
-            fn set_respawn(&mut self, node: NodeId, factory: ShardRespawnFn) {
+            fn set_respawn(&mut self, node: NodeId, factory: RespawnFn) {
                 <$to>::set_respawn($($d)? self, node, factory)
             }
             fn network(&self) -> &NetworkModel { <$to>::network($($d)? self) }

@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use nb_wire::message::KINDS;
+use nb_wire::message::{KINDS, LABELS_BY_TAG};
 use nb_wire::{Endpoint, GroupId, Message, NodeId, RealmId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ use rand::SeedableRng;
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::ClockProfile;
 use crate::link::{NetworkModel, Transport};
-use crate::node::{EventHeap, Node, NodeCtx, NodeEvent, Queued, Scheduler};
+use crate::node::{EventHeap, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
 use crate::runtime::{Actor, Incoming};
 use crate::time::SimTime;
 
@@ -109,16 +109,7 @@ pub struct KindCounts {
 }
 
 /// One slot per wire tag, the tag its index.
-const KIND_SLOTS: usize = {
-    let (mut slots, mut i) = (0, 0);
-    while i < KINDS.len() {
-        if KINDS[i].1 as usize >= slots {
-            slots = KINDS[i].1 as usize + 1;
-        }
-        i += 1;
-    }
-    slots
-};
+const KIND_SLOTS: usize = LABELS_BY_TAG.len();
 
 impl KindCounts {
     /// The slots, allocated at first use.
@@ -218,7 +209,6 @@ struct SimSched<'a> {
 
 impl<'a> Scheduler for SimSched<'a> {
     type Net = &'a mut NetworkModel;
-    type Respawn = RespawnFn;
 
     #[inline]
     fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
@@ -234,9 +224,6 @@ impl<'a> Scheduler for SimSched<'a> {
     }
 }
 
-/// Builds a fresh actor for a node restarted with state loss.
-pub type RespawnFn = Box<dyn FnMut() -> Box<dyn Actor>>;
-
 /// The simulator: virtual time, nodes, network, actors.
 pub struct Sim {
     now: SimTime,
@@ -244,7 +231,7 @@ pub struct Sim {
     network: NetworkModel,
     link: Transport,
     /// Indexed by `NodeId.0` (ids are assigned sequentially from zero).
-    nodes: Vec<Node<RespawnFn>>,
+    nodes: Vec<Node>,
     events_processed: u64,
     clock_profile: ClockProfile,
     trace: Option<Vec<TraceRecord>>,
@@ -329,11 +316,11 @@ impl Sim {
         self.events.push(at, ev);
     }
 
-    fn node(&self, node: NodeId) -> Option<&Node<RespawnFn>> {
+    fn node(&self, node: NodeId) -> Option<&Node> {
         self.nodes.get(node.0 as usize)
     }
 
-    fn node_mut(&mut self, node: NodeId) -> Option<&mut Node<RespawnFn>> {
+    fn node_mut(&mut self, node: NodeId) -> Option<&mut Node> {
         self.nodes.get_mut(node.0 as usize)
     }
 

@@ -587,32 +587,10 @@ pub enum Message {
 }
 
 impl Message {
-    /// Short human-readable kind label (logging, metrics).
+    /// Short human-readable kind label (logging, metrics): its tag's
+    /// entry in [`LABELS_BY_TAG`].
     pub fn kind(&self) -> &'static str {
-        match self {
-            Message::LinkHello { .. } => "link-hello",
-            Message::LinkAccept { .. } => "link-accept",
-            Message::LinkClose { .. } => "link-close",
-            Message::Heartbeat { .. } => "heartbeat",
-            Message::Subscribe { .. } => "subscribe",
-            Message::Unsubscribe { .. } => "unsubscribe",
-            Message::Publish(_) => "publish",
-            Message::Prune { .. } => "prune",
-            Message::ClientConnect { .. } => "client-connect",
-            Message::ClientConnectAck { .. } => "client-connect-ack",
-            Message::ClientSubscribe { .. } => "client-subscribe",
-            Message::ClientUnsubscribe { .. } => "client-unsubscribe",
-            Message::ClientDisconnect { .. } => "client-disconnect",
-            Message::Advertisement(_) => "advertisement",
-            Message::BdnAdvertisement { .. } => "bdn-advertisement",
-            Message::Discovery(_) => "discovery-request",
-            Message::DiscoveryAck { .. } => "discovery-ack",
-            Message::Response(_) => "discovery-response",
-            Message::FederationSync(_) => "federation-sync",
-            Message::Ping { .. } => "ping",
-            Message::Pong { .. } => "pong",
-            Message::Secure(_) => "secure",
-        }
+        LABELS_BY_TAG[usize::from(self.tag())]
     }
 
     /// The wire tag this message encodes with — the first body byte.
@@ -672,8 +650,9 @@ pub(crate) const TAG_PRUNE: u8 = 27;
 
 /// Every [`Message::kind`] label with its wire tag, in label order: the
 /// wire's one tag registry, and the way from a tag-indexed tally back to
-/// names, already sorted for rendering. A new message kind is added here
-/// as well as to the encode/decode/`kind()`/`tag()` arms. The tests below
+/// names, already sorted for rendering. A new message kind is added in
+/// three places: here, the encode/decode arms and `tag()`; its label
+/// reaches `kind()` through [`LABELS_BY_TAG`]. The tests below
 /// hold the registry to the code that runs:
 /// `wire_tag_registry_complete_and_unique` encodes a sample of every
 /// variant, and the test module's exhaustive-match witness stops
@@ -703,6 +682,29 @@ pub const KINDS: [(&str, u8); 22] = [
     ("subscribe", TAG_SUBSCRIBE),
     ("unsubscribe", TAG_UNSUBSCRIBE),
 ];
+
+/// One slot per wire tag up to the highest in [`KINDS`].
+const TAG_SLOTS: usize = {
+    let (mut slots, mut i) = (0, 0);
+    while i < KINDS.len() {
+        if KINDS[i].1 as usize >= slots {
+            slots = KINDS[i].1 as usize + 1;
+        }
+        i += 1;
+    }
+    slots
+};
+
+/// [`KINDS`] indexed by tag (`""` where no kind has the tag): what
+/// [`Message::kind`] reads, and the size of a tag-indexed tally.
+pub const LABELS_BY_TAG: [&str; TAG_SLOTS] = {
+    let (mut labels, mut i) = ([""; TAG_SLOTS], 0);
+    while i < KINDS.len() {
+        labels[KINDS[i].1 as usize] = KINDS[i].0;
+        i += 1;
+    }
+    labels
+};
 
 impl Wire for Message {
     fn encode(&self, w: &mut WireWriter) {

@@ -1,14 +1,20 @@
-//! The pub/sub substrate at scale: routing correctness over larger and
-//! randomly shaped overlays, advertisement dissemination over the
-//! well-known topic, and private-BDN bootstrap (§2.3, §2.4).
+//! The pub/sub substrate, from two brokers to larger and randomly
+//! shaped overlays: links and heartbeats, client connections, routing
+//! correctness, flooding of the discovery-plane topics, interest that
+//! follows links going and coming back, advertisement dissemination
+//! over the well-known topic, and private-BDN bootstrap (§2.3, §2.4).
+//! Every broker is the [`DiscoveryBrokerActor`] every program builds.
 
 use std::time::Duration;
 
-use nb::broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
+use nb::broker::{Broker, BrokerConfig, PubSubClient, Topology, TopologyKind};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Network, ResponsePolicy};
-use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec};
-use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
+use nb::net::{impl_actor_any, Actor, ClockProfile, Context, DiscoveryEngine, Incoming, LinkSpec};
+use nb::util::Uuid;
+use nb::wire::addr::well_known;
+use nb::wire::topic::DISCOVERY_REQUEST_TOPIC;
+use nb::wire::{DiscoveryRequest, Endpoint, Message, NodeId, RealmId, Topic, TopicFilter, Wire};
 
 /// A lossless LAN, and 10 ms lossless WAN links between realms.
 fn quiet(seed: u64) -> Deployment {
@@ -23,9 +29,342 @@ fn add_overlay(d: &mut Deployment, topo: &Topology) -> Vec<NodeId> {
     let mut ids: Vec<NodeId> = Vec::new();
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
         let cfg = BrokerConfig { neighbors: dials.iter().map(|&j| ids[j]).collect(), ..BrokerConfig::default() };
-        ids.push(d.add(format!("b{i}"), RealmId(0), false, move || Box::new(BrokerActor::new(cfg.clone()))));
+        ids.push(d.add(format!("b{i}"), RealmId(0), false, move || discovery_broker(cfg.clone(), vec![])));
     }
     ids
+}
+
+/// A lossless LAN (`seed`) with `topo`'s brokers, then a client of
+/// broker `at` for each `(at, filters)` of `clients`: brokers first,
+/// clients after them, in order.
+fn overlay_with_clients(seed: u64, topo: &Topology, clients: &[(usize, &[&str])]) -> Deployment {
+    let mut d = quiet(seed);
+    let brokers = add_overlay(&mut d, topo);
+    for (k, &(at, filters)) in clients.iter().enumerate() {
+        let filters = filters.iter().map(|f| TopicFilter::parse(f).unwrap()).collect();
+        add_client(&mut d, format!("c{k}"), brokers[at], filters);
+    }
+    d
+}
+
+/// The broker of the discovery broker `node`.
+fn broker_of(sim: &dyn DiscoveryEngine, node: NodeId) -> &Broker {
+    &sim.actor::<DiscoveryBrokerActor>(node).unwrap().broker
+}
+
+fn client_at(sim: &dyn DiscoveryEngine, node: NodeId) -> &PubSubClient {
+    sim.actor::<PubSubClient>(node).unwrap()
+}
+
+/// Delivers `msg` to `to`'s broker port as if `from` had sent it.
+fn say(sim: &mut dyn DiscoveryEngine, from: NodeId, to: NodeId, msg: Message) {
+    let from = Endpoint::new(from, well_known::BROKER);
+    sim.inject(to, Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() });
+    sim.run_for(Duration::from_millis(100));
+}
+
+#[test]
+fn links_establish_both_ways() {
+    let topo = Topology::build(TopologyKind::Linear, 2);
+    let (a, b) = (NodeId(0), NodeId(1));
+    on_every_engine(|| overlay_with_clients(1234, &topo, &[]), |sim| {
+        sim.run_for(Duration::from_secs(1));
+        assert!(broker_of(sim, a).is_linked(b));
+        assert!(broker_of(sim, b).is_linked(a));
+        assert_eq!(broker_of(sim, a).num_links(), 1);
+    });
+}
+
+#[test]
+fn heartbeats_detect_dead_peer() {
+    let topo = Topology::build(TopologyKind::Linear, 2);
+    let (a, b) = (NodeId(0), NodeId(1));
+    on_every_engine(|| overlay_with_clients(1234, &topo, &[]), |sim| {
+        sim.run_for(Duration::from_secs(1));
+        assert!(broker_of(sim, a).is_linked(b));
+        sim.crash(b);
+        sim.run_for(Duration::from_secs(30));
+        assert!(!broker_of(sim, a).is_linked(b));
+        assert_eq!(broker_of(sim, a).num_links(), 0);
+    });
+}
+
+/// Has the client `publisher` publish a discovery request on the
+/// well-known topic, and every broker of `brokers` must answer it once:
+/// the flood surfaced it at each of them exactly once.
+fn a_flooded_request_is_answered_once_by_each_of(sim: &mut dyn DiscoveryEngine, publisher: NodeId, brokers: &[NodeId]) {
+    let request = DiscoveryRequest {
+        request_id: Uuid::from_u128(1),
+        requester: publisher,
+        hostname: "client".into(),
+        realm: RealmId(0),
+        reply_to: Endpoint::new(publisher, well_known::DISCOVERY_REPLY),
+        transports: vec![],
+        credentials: None,
+        issued_at_utc: 0,
+    };
+    publish(sim, publisher, DISCOVERY_REQUEST_TOPIC, Message::Discovery(request).to_bytes().to_vec());
+    sim.run_for(Duration::from_secs(2));
+    for &b in brokers {
+        let responder = &sim.actor::<DiscoveryBrokerActor>(b).unwrap().responder;
+        let answered = (responder.responses_sent, responder.duplicates_suppressed);
+        assert_eq!(answered, (1, 0), "{} answered, duplicates", sim.node_name(b));
+    }
+}
+
+#[test]
+fn flood_topic_reaches_every_broker_in_a_chain_once() {
+    // chain b0 - b1 - b2 - b3, the requester on b0
+    let topo = Topology::build(TopologyKind::Linear, 4);
+    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &[])]), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        a_flooded_request_is_answered_once_by_each_of(sim, NodeId(4), &[0, 1, 2, 3].map(NodeId));
+    });
+}
+
+#[test]
+fn duplicate_events_suppressed_in_a_cycle() {
+    // triangle b0 - b1 - b2 - b0, the requester on b0
+    let topo = Topology::build(TopologyKind::Ring, 3);
+    let brokers = [0, 1, 2].map(NodeId);
+    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &[])]), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        a_flooded_request_is_answered_once_by_each_of(sim, NodeId(3), &brokers);
+        let dupes: u64 = brokers.iter().map(|&b| broker_of(sim, b).duplicates_suppressed).sum();
+        assert!(dupes >= 1, "the cycle must have produced suppressed duplicates");
+    });
+}
+
+#[test]
+fn subscription_routing_across_two_brokers() {
+    let topo = Topology::build(TopologyKind::Linear, 2);
+    let (subscriber, publisher) = (NodeId(2), NodeId(3));
+    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &["sports/*"]), (1, &[])]), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        publish(sim, publisher, "sports/nba", b"42".to_vec());
+        publish(sim, publisher, "news/world", b"x".to_vec());
+        sim.run_for(Duration::from_secs(2));
+        let s = client_at(sim, subscriber);
+        assert_eq!(s.received.len(), 1, "only the matching event arrives");
+        assert_eq!(s.received[0].topic.as_str(), "sports/nba");
+        assert_eq!(&s.received[0].payload[..], b"42");
+    });
+}
+
+#[test]
+fn client_connect_limit_enforced() {
+    let describe = || {
+        let mut d = quiet(1234);
+        let cfg = BrokerConfig { max_clients: Some(1), ..BrokerConfig::default() };
+        let broker = d.add("bk".into(), RealmId(0), false, move || discovery_broker(cfg.clone(), vec![]));
+        add_client(&mut d, "c1".into(), broker, vec![]);
+        d
+    };
+    let (broker, c1) = (NodeId(0), NodeId(1));
+    on_every_engine(describe, |sim| {
+        sim.run_for(Duration::from_secs(1));
+        let c2 = sim.add_node("c2", RealmId(0), Box::new(PubSubClient::new(broker, vec![])));
+        sim.run_for(Duration::from_secs(1));
+        assert!(client_at(sim, c1).connected());
+        assert!(!client_at(sim, c2).connected());
+        assert_eq!(broker_of(sim, broker).num_clients(), 1);
+    });
+}
+
+#[test]
+fn metrics_reflect_connections_and_links() {
+    let topo = Topology::build(TopologyKind::Linear, 2);
+    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &[]), (0, &[])]), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        let a = broker_of(sim, NodeId(0));
+        assert_eq!(a.num_clients(), 2);
+        assert_eq!(a.num_links(), 1);
+    });
+}
+
+#[test]
+fn interest_filters_follow_growth_and_shrink() {
+    let topo = Topology::build(TopologyKind::Linear, 2);
+    let (a, b) = (NodeId(0), NodeId(1));
+    let (f1, f2) = (TopicFilter::parse("sports/*").unwrap(), TopicFilter::parse("news/**").unwrap());
+    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &["sports/*"]), (1, &["news/**"])]), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        // Growth: both brokers hold local + link-learned interest.
+        let mut both = vec![f1.clone(), f2.clone()];
+        both.sort();
+        for node in [a, b] {
+            assert_eq!(broker_of(sim, node).interest_filters(), both, "sorted, after growth");
+        }
+        // Shrink: kill b, let a's heartbeats reap the link and its
+        // interest contribution.
+        sim.crash(b);
+        sim.run_for(Duration::from_secs(30));
+        assert_eq!(broker_of(sim, a).interest_filters(), vec![f1.clone()], "link-learned filter must be gone");
+    });
+}
+
+#[test]
+fn restarted_peer_is_told_its_neighbours_interest_again() {
+    let (a, b, sub) = (NodeId(0), NodeId(1), NodeId(2));
+    let filter = TopicFilter::parse("sports/*").unwrap();
+    let describe = || {
+        let mut d = quiet(1234);
+        d.add("a".into(), RealmId(0), false, || discovery_broker(BrokerConfig::default(), vec![]));
+        let cfg = BrokerConfig { neighbors: vec![a], ..BrokerConfig::default() };
+        d.add("b".into(), RealmId(0), true, move || discovery_broker(cfg.clone(), vec![]));
+        add_client(&mut d, "sub".into(), a, vec![filter.clone()]);
+        d
+    };
+    on_every_engine(describe, |sim| {
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(broker_of(sim, b).interest_filters(), vec![filter.clone()]);
+        // `b` loses its state and is back, dialling `a` again, long
+        // before `a` could miss a heartbeat: to `a` the link never went
+        // away, and only the hello says that its peer knows nothing.
+        sim.restart(b, true);
+        sim.run_for(Duration::from_secs(20));
+        assert!(broker_of(sim, a).is_linked(b) && broker_of(sim, b).is_linked(a));
+        assert_eq!(broker_of(sim, b).interest_filters(), vec![filter.clone()], "a advertised again");
+        let publisher = sim.add_node("pub", RealmId(0), Box::new(PubSubClient::new(b, vec![])));
+        sim.run_for(Duration::from_secs(1));
+        publish(sim, publisher, "sports/nba", vec![1]);
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(client_at(sim, sub).received.len(), 1);
+    });
+}
+
+/// A discovery broker whose owner dials `peer` again when poked.
+struct Redialler {
+    inner: DiscoveryBrokerActor,
+    peer: NodeId,
+}
+
+const REDIAL: u64 = 7;
+
+impl Actor for Redialler {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        if matches!(event, Incoming::Timer { token: REDIAL }) {
+            self.inner.broker.link_to(self.peer, ctx);
+        } else {
+            self.inner.on_incoming(event, ctx);
+        }
+    }
+
+    impl_actor_any!();
+}
+
+#[test]
+fn dialling_a_linked_peer_again_counts_its_interest_once() {
+    let (a, b, sub_a, sub_b) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let describe = || {
+        let mut d = quiet(1234);
+        d.add("a".into(), RealmId(0), false, || discovery_broker(BrokerConfig::default(), vec![]));
+        d.add("b".into(), RealmId(0), false, move || {
+            let cfg = BrokerConfig { neighbors: vec![a], ..BrokerConfig::default() };
+            let inner = DiscoveryBrokerActor::new(cfg, vec![], ResponsePolicy::open());
+            Box::new(Redialler { inner, peer: a })
+        });
+        add_client(&mut d, "sa".into(), a, vec![TopicFilter::parse("at/a").unwrap()]);
+        add_client(&mut d, "sb".into(), b, vec![TopicFilter::parse("at/b").unwrap()]);
+        d
+    };
+    let (at_a, at_b) = (TopicFilter::parse("at/a").unwrap(), TopicFilter::parse("at/b").unwrap());
+    let filters = vec![at_a.clone(), at_b.clone()];
+    let at_b_broker = |sim: &dyn DiscoveryEngine| sim.actor::<Redialler>(b).unwrap().inner.broker.interest_filters();
+    on_every_engine(describe, |sim| {
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(broker_of(sim, a).interest_filters(), filters);
+
+        sim.inject(b, Duration::ZERO, Incoming::Timer { token: REDIAL });
+        sim.run_for(Duration::from_secs(2));
+        assert!(broker_of(sim, a).is_linked(b));
+        assert_eq!(broker_of(sim, a).interest_filters(), filters);
+        assert_eq!(at_b_broker(sim), filters);
+        // Registered once on the far side, not twice: one withdrawal
+        // each way and neither broker holds the other's filter.
+        say(sim, sub_a, a, Message::ClientUnsubscribe { filter: at_a.clone() });
+        say(sim, sub_b, b, Message::ClientUnsubscribe { filter: at_b.clone() });
+        sim.run_for(Duration::from_secs(1));
+        assert!(broker_of(sim, a).interest_filters().is_empty());
+        assert!(at_b_broker(sim).is_empty());
+    });
+}
+
+#[test]
+fn a_dialler_revived_with_its_state_starts_its_links_over_on_both_sides() {
+    let topo = Topology::build(TopologyKind::Linear, 2);
+    let (a, b, sub_a, sub_b, publisher) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+    let (at_a, at_b) = (TopicFilter::parse("at/a").unwrap(), TopicFilter::parse("at/b").unwrap());
+    let clients: [(usize, &[&str]); 3] = [(0, &["at/a"]), (1, &["at/b"]), (0, &[])];
+    on_every_engine(|| overlay_with_clients(1234, &topo, &clients), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        // `b` is down for two seconds — `a` misses no heartbeat deadline
+        // — and is back with all it knew, its `on_start` run again: the
+        // hello resets the link at `a`, so `b` must have reset it too, or
+        // it would neither re-advertise nor take `a`'s filters as new.
+        sim.crash(b);
+        sim.run_for(Duration::from_secs(2));
+        sim.restart(b, false);
+        sim.run_for(Duration::from_secs(2));
+        assert!(broker_of(sim, a).is_linked(b) && broker_of(sim, b).is_linked(a));
+        let filters = vec![at_a.clone(), at_b.clone()];
+        assert_eq!(broker_of(sim, a).interest_filters(), filters, "b advertised again");
+        assert_eq!(broker_of(sim, b).interest_filters(), filters);
+        publish(sim, publisher, "at/b", vec![1]);
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(client_at(sim, sub_b).received.len(), 1);
+        // Registered once each way: one withdrawal and it is gone.
+        say(sim, sub_a, a, Message::ClientUnsubscribe { filter: at_a.clone() });
+        assert_eq!(broker_of(sim, b).interest_filters(), vec![at_b.clone()]);
+        say(sim, sub_b, b, Message::ClientUnsubscribe { filter: at_b.clone() });
+        assert!(broker_of(sim, a).interest_filters().is_empty());
+        assert!(broker_of(sim, b).interest_filters().is_empty());
+    });
+}
+
+#[test]
+fn client_reconnects_after_lost_connect() {
+    // The broker is unreachable for the client's first attempt; the
+    // retry timer must eventually connect it.
+    let (broker, client) = (NodeId(0), NodeId(1));
+    on_every_engine(|| overlay_with_clients(7, &Topology::build(TopologyKind::Linear, 1), &[(0, &[])]), |sim| {
+        sim.network_mut().partition(broker, client);
+        sim.run_for(Duration::from_secs(3));
+        assert!(!client_at(sim, client).connected());
+        sim.network_mut().heal(broker, client);
+        sim.run_for(Duration::from_secs(5));
+        assert!(client_at(sim, client).connected());
+    });
+}
+
+#[test]
+fn self_publish_not_echoed_back() {
+    let client = NodeId(1);
+    on_every_engine(|| overlay_with_clients(8, &Topology::build(TopologyKind::Linear, 1), &[(0, &["a/**"])]), |sim| {
+        sim.run_for(Duration::from_secs(1));
+        publish(sim, client, "a/b", vec![1]);
+        sim.run_for(Duration::from_secs(1));
+        let c = client_at(sim, client);
+        assert_eq!(c.published, 1);
+        assert!(c.received.is_empty(), "publisher must not receive its own event");
+    });
+}
+
+#[test]
+fn two_subscribers_same_broker_both_receive() {
+    let (s1, s2, p) = (NodeId(1), NodeId(2), NodeId(3));
+    let clients: [(usize, &[&str]); 3] = [(0, &["t"]), (0, &["t"]), (0, &[])];
+    on_every_engine(|| overlay_with_clients(9, &Topology::build(TopologyKind::Linear, 1), &clients), |sim| {
+        sim.run_for(Duration::from_secs(1));
+        publish(sim, p, "t", vec![9]);
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(client_at(sim, s1).received.len(), 1);
+        assert_eq!(client_at(sim, s2).received.len(), 1);
+    });
 }
 
 /// Appends a [`PubSubClient`] of `broker` subscribed to `filters`.
@@ -73,7 +412,7 @@ fn exactly_once_delivery_across_a_random_overlay() {
         }
         // The chords created duplicate paths; dedup must have fired somewhere.
         let dupes: u64 =
-            brokers.iter().map(|&b| sim.actor::<BrokerActor>(b).unwrap().broker.duplicates_suppressed).sum();
+            brokers.iter().map(|&b| broker_of(sim, b).duplicates_suppressed).sum();
         assert!(dupes > 0, "cyclic overlay must exercise duplicate suppression");
     });
 }
@@ -134,11 +473,11 @@ fn unsubscribe_stops_delivery_on_a_triangle_too() {
         let publisher = unsubscribe_stops_delivery(sim, 3);
         let brokers = [NodeId(0), NodeId(1), NodeId(2)];
         for b in brokers {
-            let held = sim.actor::<BrokerActor>(b).unwrap().broker.interest_filters();
+            let held = broker_of(sim, b).interest_filters();
             assert!(held.is_empty(), "{} still holds {held:?}", sim.node_name(b));
         }
         let routed = |sim: &dyn DiscoveryEngine| -> u64 {
-            brokers.iter().map(|&b| sim.actor::<BrokerActor>(b).unwrap().broker.events_routed).sum()
+            brokers.iter().map(|&b| broker_of(sim, b).events_routed).sum()
         };
         let before = routed(sim);
         publish(sim, publisher, "news/world", vec![3]);
@@ -247,4 +586,57 @@ fn private_bdn_announcement_triggers_readvertisement() {
         let private_actor = sim.actor::<Bdn>(private_bdn).unwrap();
         assert!(private_actor.registered(broker).is_some(), "broker re-advertised to the private BDN");
     });
+}
+
+mod routing_convergence {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        // Expensive sim runs: keep the case count modest.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The regression guard for the interest-propagation protocol:
+        /// on ANY connected overlay with ANY subscriber placement, every
+        /// subscriber receives every published event exactly once.
+        /// (The naive split-horizon protocol failed this whenever two
+        /// subscribers' interest floods met mid-overlay.)
+        #[test]
+        fn any_overlay_any_subscribers_exactly_once(
+            n in 3usize..16,
+            extra in 0usize..5,
+            topo_seed in any::<u64>(),
+            sim_seed in any::<u64>(),
+            sub_mask in 1u16..0x7FFF,
+            publisher_pick in any::<prop::sample::Index>(),
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(topo_seed);
+            let topo = Topology::random(n, extra, &mut rng);
+            prop_assume!(topo.is_connected());
+            // Subscribers on the brokers selected by the mask bits.
+            let subscribed: Vec<usize> = (0..n).filter(|i| sub_mask & (1 << (i % 15)) != 0).collect();
+            prop_assume!(!subscribed.is_empty());
+            let mut clients: Vec<(usize, &[&str])> = subscribed.iter().map(|&i| (i, &["t/**"][..])).collect();
+            clients.push((publisher_pick.index(n), &[]));
+            let publisher = NodeId((n + subscribed.len()) as u32);
+            on_every_engine(|| overlay_with_clients(sim_seed, &topo, &clients), |sim| {
+                // Links + interest propagation settle.
+                sim.run_for(Duration::from_secs(5));
+                for i in 0..3u8 {
+                    publish(sim, publisher, "t/x", vec![i]);
+                }
+                sim.run_for(Duration::from_secs(5));
+                for k in 0..subscribed.len() {
+                    let s = NodeId((n + k) as u32);
+                    assert_eq!(
+                        client_at(sim, s).received.len(),
+                        3,
+                        "subscriber {:?} on overlay n={} extra={} seed={}",
+                        s, n, extra, topo_seed
+                    );
+                }
+            });
+        }
+    }
 }

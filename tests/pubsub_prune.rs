@@ -9,8 +9,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use nb::broker::{BrokerActor, BrokerConfig, Topology, TopologyKind};
-use nb::discovery::{on_every_engine, Deployment, Network};
+use nb::broker::{BrokerConfig, Topology, TopologyKind};
+use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Network, ResponsePolicy};
 use nb::net::runtime::IdleActor;
 use nb::net::{
     impl_actor_any, Actor, ClockProfile, Context, DiscoveryEngine, Fault, FaultPlan, Incoming, LinkSpec,
@@ -120,6 +120,11 @@ impl Actor for Station {
     impl_actor_any!();
 }
 
+/// A broker from `cfg`, as every program builds one.
+fn broker(cfg: BrokerConfig) -> Box<DiscoveryBrokerActor> {
+    Box::new(DiscoveryBrokerActor::new(cfg, Vec::new(), ResponsePolicy::open()))
+}
+
 /// A six-broker ring with two chords: three links more than a tree.
 fn ring_with_chords() -> Topology {
     let mut edges = Topology::build(TopologyKind::Ring, 6).edges().to_vec();
@@ -157,7 +162,7 @@ fn on_every_net<const P: usize>(
         for (i, dials) in topo.dial_lists().into_iter().enumerate() {
             let neighbors = dials.iter().map(|&j| NodeId(j as u32)).collect();
             let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
-            d.add(format!("b{i}"), RealmId(0), false, move || Box::new(BrokerActor::new(cfg.clone())));
+            d.add(format!("b{i}"), RealmId(0), false, move || broker(cfg.clone()));
         }
         for i in 0..n {
             d.add(format!("s{i}"), RealmId(0), false, move || Box::new(Station::subscriber(NodeId(i as u32))));
@@ -208,7 +213,7 @@ impl Net<'_> {
     }
 
     fn broker(&self, i: usize) -> &nb::broker::Broker {
-        &self.sim.actor::<BrokerActor>(self.brokers[i]).unwrap().broker
+        broker_of(self.sim, self.brokers[i])
     }
 
     /// `(duplicates suppressed, events routed)` over every broker.
@@ -462,7 +467,7 @@ fn a_tree_broker_that_restarts_with_state_loss_is_routed_through_again() {
             let neighbours: Vec<NodeId> =
                 net.topo.neighbors(victim).iter().map(|&j| net.brokers[j]).collect();
             let cfg = BrokerConfig { neighbors: neighbours, ..BrokerConfig::default() };
-            let respawn = move || Box::new(BrokerActor::new(cfg.clone())) as Box<dyn Actor>;
+            let respawn = move || broker(cfg.clone()) as Box<dyn Actor>;
             net.sim.set_respawn(net.brokers[victim], Box::new(respawn));
             net.sim.crash(net.brokers[victim]);
             net.run_to(20.8);
@@ -493,6 +498,169 @@ fn say(sim: &mut dyn DiscoveryEngine, from: NodeId, to: NodeId, msg: Message) {
     sim.run_for(Duration::from_millis(50));
 }
 
+/// A stand-in neighbour: keeps what the broker under test sends it.
+#[derive(Default)]
+struct Peer {
+    got: Vec<Message>,
+}
+
+impl Actor for Peer {
+    fn on_incoming(&mut self, event: Incoming, _ctx: &mut dyn Context) {
+        if let Incoming::Stream { msg, .. } = event {
+            self.got.push(msg.into_message());
+        }
+    }
+
+    impl_actor_any!();
+}
+
+/// The `Publish`es the stand-in `peer` was sent.
+fn publishes(sim: &dyn DiscoveryEngine, peer: NodeId) -> usize {
+    let got = &sim.actor::<Peer>(peer).unwrap().got;
+    got.iter().filter(|m| matches!(m, Message::Publish(_))).count()
+}
+
+/// Event `n` of `source`, on `t/x`.
+fn event(n: u128, source: NodeId) -> Message {
+    let topic = Topic::parse("t/x").unwrap();
+    Message::Publish(Event { id: Uuid::from_u128(n), topic, source, payload: Default::default() })
+}
+
+/// Broker `x` and three stand-ins: `l` and `m`, which link to it and
+/// want `t/**` once the body calls [`link_the_peers`], and `c` to
+/// publish as. Returns the deployment and `(x, l, m, c)`.
+fn broker_between_two_peers() -> (Deployment, [NodeId; 4]) {
+    let mut d = lan(1234);
+    let x = d.add("x".into(), RealmId(0), false, || broker(BrokerConfig::default()));
+    let peers = ["l", "m", "c"].map(|name| d.add(name.into(), RealmId(0), false, || Box::new(Peer::default())));
+    (d, [x, peers[0], peers[1], peers[2]])
+}
+
+/// `l` and `m` say hello to `x` and subscribe to `t/**`.
+fn link_the_peers(sim: &mut dyn DiscoveryEngine, [x, l, m, _]: [NodeId; 4]) {
+    for peer in [l, m] {
+        say(sim, peer, x, Message::LinkHello { from: peer, realm: RealmId(0) });
+        let filter = TopicFilter::parse("t/**").unwrap();
+        say(sim, peer, x, Message::Subscribe { filter, origin: peer, seq: 1 });
+    }
+}
+
+fn broker_of(sim: &dyn DiscoveryEngine, x: NodeId) -> &nb::broker::Broker {
+    &sim.actor::<DiscoveryBrokerActor>(x).unwrap().broker
+}
+
+#[test]
+fn a_prune_mutes_its_link_for_one_lease_and_no_longer() {
+    let ids @ [x, l, m, client] = broker_between_two_peers().1;
+    on_every_engine(|| broker_between_two_peers().0, |sim| {
+        link_the_peers(sim, ids);
+        say(sim, client, x, event(1, client));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (1, 1), "no mute: every link");
+
+        say(sim, l, x, Message::Prune { source: client, lease_ms: 6_000 });
+        assert_eq!(broker_of(sim, x).prunes_received, 1);
+        say(sim, client, x, event(2, client));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (1, 2), "R1: not to the muted link");
+        say(sim, l, x, event(3, l));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (1, 3), "another publisher's event");
+        say(sim, m, x, event(4, m));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (2, 3), "is none of that mute's business");
+
+        // Keep both links alive past the lease; the mute is not renewed.
+        let lease_on = |sim: &mut dyn DiscoveryEngine| {
+            for _ in 0..3 {
+                sim.run_for(Duration::from_secs(2));
+                for peer in [l, m] {
+                    say(sim, peer, x, Message::Heartbeat { from: peer, seq: 0 });
+                }
+                let fresh = event(sim.now().as_nanos().into(), client);
+                say(sim, client, x, fresh);
+            }
+        };
+        lease_on(sim);
+        assert_eq!(publishes(sim, m), 6);
+        assert_eq!(publishes(sim, l), 3, "flooding again once the lease is out");
+        // A peer cannot buy more than this broker's own lease.
+        say(sim, l, x, Message::Prune { source: client, lease_ms: u32::MAX });
+        lease_on(sim);
+        assert_eq!(publishes(sim, l), 4, "two events muted, the third is past the lease");
+        // Nor does a `Prune` from a stranger mean anything.
+        say(sim, client, x, Message::Prune { source: client, lease_ms: 6_000 });
+        assert_eq!(broker_of(sim, x).prunes_received, 2);
+    });
+}
+
+#[test]
+fn link_down_forgets_the_link_in_every_route() {
+    let ids @ [x, l, m, client] = broker_between_two_peers().1;
+    on_every_engine(|| broker_between_two_peers().0, |sim| {
+        link_the_peers(sim, ids);
+        say(sim, l, x, event(1, client));
+        say(sim, m, x, event(1, client));
+        assert_eq!(broker_of(sim, x).route_parent(client), Some(l));
+        assert_eq!(broker_of(sim, x).prunes_sent, 1, "R2: the duplicate's link is asked to stop");
+        say(sim, m, x, Message::Prune { source: client, lease_ms: 6_000 });
+
+        say(sim, l, x, Message::LinkClose { from: l });
+        assert_eq!(broker_of(sim, x).route_parent(client), None, "R5: a lost parent is unset");
+        say(sim, m, x, Message::LinkClose { from: m });
+        // A peer that links again starts with none of its old leases.
+        say(sim, m, x, Message::LinkHello { from: m, realm: RealmId(0) });
+        let filter = TopicFilter::parse("t/**").unwrap();
+        say(sim, m, x, Message::Subscribe { filter, origin: m, seq: 2 });
+        let before = publishes(sim, m);
+        say(sim, client, x, event(2, client));
+        assert_eq!(publishes(sim, m), before + 1, "the old link's mute went with it");
+        assert_eq!(broker_of(sim, x).route_parent(client), Some(client));
+    });
+}
+
+#[test]
+fn a_client_cannot_publish_in_another_nodes_name() {
+    let ids @ [x, l, m, client] = broker_between_two_peers().1;
+    let other = NodeId(900);
+    on_every_engine(|| broker_between_two_peers().0, |sim| {
+        link_the_peers(sim, ids);
+        say(sim, client, x, event(1, other));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (0, 0), "a forged source goes nowhere");
+        assert_eq!(broker_of(sim, x).forged_sources_dropped, 1);
+        assert_eq!(broker_of(sim, x).route_parent(other), None, "and steers no reverse path");
+        // The forgery claimed no event id: the real event still routes.
+        say(sim, l, x, event(1, other));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (0, 1), "a link relays any source");
+        say(sim, client, x, event(2, client));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (1, 2), "a client speaks for itself");
+        assert_eq!(broker_of(sim, x).forged_sources_dropped, 1);
+    });
+}
+
+#[test]
+fn a_mute_outlives_the_loss_of_a_lower_peer_and_not_its_own_link() {
+    let ids @ [x, l, m, client] = broker_between_two_peers().1;
+    assert!(l < m, "l's lease sorts first");
+    on_every_engine(|| broker_between_two_peers().0, |sim| {
+        link_the_peers(sim, ids);
+        say(sim, client, x, event(1, client));
+        for peer in [l, m] {
+            say(sim, peer, x, Message::Prune { source: client, lease_ms: 6_000 });
+        }
+        say(sim, client, x, event(2, client));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (1, 1), "both links muted");
+
+        // l's entry leaves the sorted leases and m's shifts down.
+        say(sim, l, x, Message::LinkClose { from: l });
+        say(sim, client, x, event(3, client));
+        assert_eq!(publishes(sim, m), 1, "m's mute holds after the shift");
+
+        // l links again under the same id: no lease, so it is sent to.
+        say(sim, l, x, Message::LinkHello { from: l, realm: RealmId(0) });
+        let filter = TopicFilter::parse("t/**").unwrap();
+        say(sim, l, x, Message::Subscribe { filter, origin: l, seq: 2 });
+        say(sim, client, x, event(4, client));
+        assert_eq!((publishes(sim, l), publishes(sim, m)), (2, 1), "only the old mute went");
+    });
+}
+
 #[test]
 fn a_prune_in_flight_when_the_faster_feed_flips_never_mutes_both_feeds() {
     // Broker `x`, a subscriber on it, and two feeds of near-equal
@@ -500,7 +668,7 @@ fn a_prune_in_flight_when_the_faster_feed_flips_never_mutes_both_feeds() {
     let (x, sub, l, m) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
     let describe = || {
         let mut d = lan(49);
-        d.add("x".into(), RealmId(0), false, || Box::new(BrokerActor::new(BrokerConfig::default())));
+        d.add("x".into(), RealmId(0), false, || broker(BrokerConfig::default()));
         d.add("sub".into(), RealmId(0), false, move || Box::new(Station::subscriber(x)));
         for feed in ["l", "m"] {
             d.add(feed.into(), RealmId(0), false, || Box::new(IdleActor));
@@ -526,7 +694,7 @@ fn a_prune_in_flight_when_the_faster_feed_flips_never_mutes_both_feeds() {
             }
         };
         let broker = |sim: &dyn DiscoveryEngine| {
-            let b = &sim.actor::<BrokerActor>(x).unwrap().broker;
+            let b = broker_of(sim, x);
             (b.route_parent(source), b.prunes_sent, b.reparented)
         };
 
@@ -587,9 +755,9 @@ fn two_neighbours_that_each_beat_the_ingress_once_never_take_each_other_for_pare
     let (a, b, subs, i) = (NodeId(0), NodeId(1), [NodeId(2), NodeId(3)], NodeId(4));
     let describe = || {
         let mut d = lan(50);
-        d.add("a".into(), RealmId(0), false, || Box::new(BrokerActor::new(BrokerConfig::default())));
+        d.add("a".into(), RealmId(0), false, || broker(BrokerConfig::default()));
         let cfg = BrokerConfig { neighbors: vec![a], ..BrokerConfig::default() };
-        d.add("b".into(), RealmId(0), false, move || Box::new(BrokerActor::new(cfg.clone())));
+        d.add("b".into(), RealmId(0), false, move || broker(cfg.clone()));
         for x in [a, b] {
             d.add("s".into(), RealmId(0), false, move || Box::new(Station::subscriber(x)));
         }
@@ -621,8 +789,8 @@ fn two_neighbours_that_each_beat_the_ingress_once_never_take_each_other_for_pare
             }
         };
         let state = |sim: &dyn DiscoveryEngine, x: NodeId| {
-            let broker = &sim.actor::<BrokerActor>(x).unwrap().broker;
-            (broker.route_parent(source), broker.prunes_sent, broker.reparented)
+            let b = broker_of(sim, x);
+            (b.route_parent(source), b.prunes_sent, b.reparented)
         };
 
         // `i` feeds both; their copies to each other are duplicates, and

@@ -10,13 +10,15 @@
 //!
 //! Every engine runs the codec and must deliver what its own v1 run
 //! delivers. `Sim` alone carries the pins and everything read off its
-//! trace, because only `Sim` records one (`Sim::enable_trace`).
+//! trace, because only `Sim` records one (`Sim::enable_trace`). Two
+//! cases of two brokers check the handshake itself on every engine: v2
+//! when both ends ask for it, v1 when only one does.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use nb::broker::{BrokerActor, BrokerConfig, PubSubClient, Topology, TopologyKind};
-use nb::discovery::{on_every_engine, Deployment, Network};
+use nb::broker::{BrokerConfig, PubSubClient, Topology, TopologyKind};
+use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Network, ResponsePolicy};
 use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, Sim, SimTime};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
@@ -87,7 +89,9 @@ fn overlay(wire_v2: bool) -> Deployment {
     for (i, dials) in topo.dial_lists().into_iter().enumerate() {
         let neighbors = dials.iter().map(|&j| NodeId(j as u32)).collect();
         let cfg = BrokerConfig { neighbors, wire_v2, ..BrokerConfig::default() };
-        d.add(format!("b{i}"), RealmId(0), false, move || Box::new(BrokerActor::new(cfg.clone())));
+        d.add(format!("b{i}"), RealmId(0), false, move || {
+            Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![], ResponsePolicy::open()))
+        });
     }
     for i in 0..SUBSCRIBERS {
         let broker = NodeId((i % BROKERS) as u32);
@@ -171,7 +175,7 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
         .filter(|r| broker_set.contains(&r.to.node) && restarted_at.is_some_and(|t| r.at > t))
         .count();
     let duplicates_suppressed =
-        brokers.iter().map(|&b| sim.actor::<BrokerActor>(b).expect("a broker").broker.duplicates_suppressed).sum();
+        brokers.iter().map(|&b| sim.actor::<DiscoveryBrokerActor>(b).expect("a broker").broker.duplicates_suppressed).sum();
     Run {
         delivered: delivered(&sim),
         stats: sim.stats().clone(),
@@ -261,12 +265,15 @@ fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
     // (DESIGN.md §18 re-pinned it: fewer copies, a `Prune` per redundant
     // link). Retiring the flush epoch did not move it (§16): a broker
     // handler's link sends already came after its client sends, in peer
-    // order, one frame a link.
+    // order, one frame a link. They also move with what a broker draws
+    // from the run's one RNG stream: each broker's advertiser publishes
+    // its advertisement at start and at clock sync, an event id drawn
+    // each time, before any of the latency draws pinned here.
     assert_eq!(
         (v2.events_processed, v2.stats.bytes_delivered, v2.stats.segments_sent),
-        (4366, 15_520, 315),
+        (4366, 15_420, 315),
     );
-    assert_eq!(v2.arrival_micros, 883_381_870);
+    assert_eq!(v2.arrival_micros, 883_379_103);
 }
 
 #[test]
@@ -294,4 +301,61 @@ fn sharded_v2_delivers_what_its_v1_run_delivers_at_1_and_4_workers() {
 #[test]
 fn sharded_v2_delivers_what_its_v1_run_delivers_after_a_relay_broker_restarts() {
     v2_delivers_what_its_v1_run_delivers(true, RESTART_BEFORE_ROUND);
+}
+
+/// Brokers `b0` and `b1`, which dials `b0`, with `wire_v2` as given,
+/// on a lossless LAN; a subscriber to `sports/*` on `b0`, a publisher
+/// on `b1`.
+fn two_brokers(wire_v2: [bool; 2]) -> Deployment {
+    let intra = LinkSpec::lan().with_loss(0.0);
+    let network = Network::Realms { intra, inter: LinkSpec::wan(Duration::from_millis(10)), wan: None };
+    let mut d = Deployment { seed: 1234, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+    for (i, wire_v2) in wire_v2.into_iter().enumerate() {
+        let neighbors = (0..i).map(|j| NodeId(j as u32)).collect();
+        let cfg = BrokerConfig { neighbors, wire_v2, ..BrokerConfig::default() };
+        d.add(format!("b{i}"), RealmId(0), false, move || {
+            Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![], ResponsePolicy::open()))
+        });
+    }
+    let filter = TopicFilter::parse("sports/*").unwrap();
+    d.add("sub".into(), RealmId(0), false, move || Box::new(PubSubClient::new(NodeId(0), vec![filter.clone()])));
+    d.add("pub".into(), RealmId(0), false, || Box::new(PubSubClient::new(NodeId(1), vec![])));
+    d
+}
+
+fn linked(sim: &dyn DiscoveryEngine, a: NodeId, b: NodeId) -> bool {
+    sim.actor::<DiscoveryBrokerActor>(a).expect("a broker").broker.is_linked(b)
+}
+
+#[test]
+fn v2_links_negotiate_and_route_through_segments() {
+    let (a, b, subscriber, publisher) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    on_every_engine(|| two_brokers([true, true]), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        assert!(linked(sim, a, b));
+        let p = sim.actor_mut::<PubSubClient>(publisher).expect("the publisher");
+        p.queue_publish(Topic::parse("sports/nba").unwrap(), b"42".to_vec());
+        sim.run_for(Duration::from_secs(8));
+        let s = sim.actor::<PubSubClient>(subscriber).expect("the subscriber");
+        assert_eq!(s.received.len(), 1, "event crossed the v2 link");
+        assert_eq!(s.received[0].topic.as_str(), "sports/nba");
+        // Broker-to-broker traffic (interest advertisement, heartbeats,
+        // the forwarded publish) travelled in segments, one frame each.
+        let stats = sim.stats();
+        assert!(stats.segments_delivered > 0, "no segments crossed the overlay");
+        assert_eq!(stats.frames_coalesced, stats.segments_delivered);
+        assert_eq!(stats.segment_decode_errors, 0);
+    });
+}
+
+#[test]
+fn v1_peer_on_a_v2_broker_stays_on_v1() {
+    // Only `b1` is v2-configured; `b0` never announces, so the link
+    // negotiates down to v1 and no segments flow.
+    let (a, b) = (NodeId(0), NodeId(1));
+    on_every_engine(|| two_brokers([false, true]), |sim| {
+        sim.run_for(Duration::from_secs(10));
+        assert!(linked(sim, a, b) && linked(sim, b, a));
+        assert_eq!(sim.stats().segments_sent, 0, "mixed-version link must stay v1");
+    });
 }
