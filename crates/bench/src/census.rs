@@ -19,6 +19,9 @@
 //!   call it; `own_file_only_pub`: the ones only their own file's
 //!   non-test code calls. Examples and every file under `benchmark/`
 //!   count as non-test callers;
+//! * `pub_setters`: each `pub fn set_*` of those crates, the settable
+//!   knobs outside the `*Config` structs, with the files whose non-test
+//!   code calls it;
 //! * `context_impls` and `discovery_engine_impls`: the types that
 //!   implement the two traits, test doubles included;
 //! * `config_pub_fields`: the public fields of each `*Config` struct, the
@@ -98,21 +101,39 @@ impl Source {
     }
 }
 
-/// A `pub` item of a library crate that no non-test code outside its own
-/// file calls.
-struct Uncalled {
+/// A `pub fn` or `pub const` of a library crate and the files that call
+/// it.
+struct PubItem {
     /// `Type::name`, or `name` for a free item.
     item: String,
     file: String,
-    /// Whether its own file's non-test code calls it.
-    own_file_calls: bool,
+    /// The files whose non-test code calls it, its own included, in path
+    /// order.
+    callers: Vec<String>,
     /// The files whose test code calls it, in path order.
     test_callers: Vec<String>,
 }
 
-/// Every `pub fn` and `pub const` in the non-test code of [`LIBRARIES`]
-/// that no non-test code in another file names, in path order.
-fn uncalled_pub_items(sources: &[Source]) -> Vec<Uncalled> {
+impl PubItem {
+    /// Whether no non-test code outside its own file calls it.
+    fn uncalled(&self) -> bool {
+        self.callers.iter().all(|c| *c == self.file)
+    }
+
+    /// Whether its own file's non-test code calls it.
+    fn own_file_calls(&self) -> bool {
+        self.callers.contains(&self.file)
+    }
+
+    /// Whether it is a `set_*` method or function.
+    fn is_setter(&self) -> bool {
+        self.item.rsplit("::").next().is_some_and(|name| name.starts_with("set_"))
+    }
+}
+
+/// Every `pub fn` and `pub const` in the non-test code of [`LIBRARIES`],
+/// in path order.
+fn pub_items(sources: &[Source]) -> Vec<PubItem> {
     let words: Vec<Vec<(usize, &str, bool)>> = sources.iter().map(|src| words(&src.code)).collect();
     let mut defs: Vec<(usize, usize, &str)> = Vec::new();
     for (i, src) in sources.iter().enumerate() {
@@ -145,22 +166,21 @@ fn uncalled_pub_items(sources: &[Source]) -> Vec<Uncalled> {
     }
     let none = BTreeSet::new();
     defs.into_iter()
-        .filter_map(|(i, at, name)| {
+        .map(|(i, at, name)| {
             let refs = refs.get(name).unwrap_or(&none);
-            if refs.iter().any(|&(j, test)| j != i && !test) {
-                return None;
-            }
+            let files = |in_tests: bool| {
+                refs.iter()
+                    .filter(|&&(_, test)| test == in_tests)
+                    .map(|&(j, _)| sources[j].path.clone())
+                    .collect()
+            };
             let src = &sources[i];
-            Some(Uncalled {
+            PubItem {
                 item: owner(&src.code, at).map_or(name.to_string(), |ty| format!("{ty}::{name}")),
                 file: src.path.clone(),
-                own_file_calls: refs.contains(&(i, false)),
-                test_callers: refs
-                    .iter()
-                    .filter(|&&(_, test)| test)
-                    .map(|&(j, _)| sources[j].path.clone())
-                    .collect(),
-            })
+                callers: files(false),
+                test_callers: files(true),
+            }
         })
         .collect()
 }
@@ -236,11 +256,11 @@ fn render(sources: &[Source], design: &str) -> String {
         "\n  ],\n  \"rust_lines_outside_benchmark\": {{\"non_test\": {non_test}, \"test\": {test}}},\n"
     );
 
-    let uncalled = uncalled_pub_items(sources);
+    let items = pub_items(sources);
     for (section, own) in [("test_only_pub", false), ("own_file_only_pub", true)] {
-        let rows = uncalled
+        let rows = items
             .iter()
-            .filter(|u| u.own_file_calls == own)
+            .filter(|u| u.uncalled() && u.own_file_calls() == own)
             .map(|u| {
                 format!(
                     "{{\"item\": {}, \"file\": {}, \"test_callers\": {}}}",
@@ -251,6 +271,15 @@ fn render(sources: &[Source], design: &str) -> String {
             });
         write_section(&mut out, section, rows);
     }
+    let setters = items.iter().filter(|u| u.is_setter()).map(|u| {
+        format!(
+            "{{\"item\": {}, \"file\": {}, \"callers\": {}}}",
+            json(&u.item),
+            json(&u.file),
+            json_list(&u.callers)
+        )
+    });
+    write_section(&mut out, "pub_setters", setters);
     for (section, trait_name) in [
         ("context_impls", "Context"),
         ("discovery_engine_impls", "DiscoveryEngine"),
@@ -715,9 +744,13 @@ mod tests {
             source("crates/wire/src/lib.rs", lib),
             source("tests/it.rs", "fn t() { only_tests(); hidden(); }\n"),
         ];
-        let found: Vec<(String, bool, Vec<String>)> = uncalled_pub_items(&sources)
+        let found: Vec<(String, bool, Vec<String>)> = pub_items(&sources)
             .into_iter()
-            .map(|u| (u.item, u.own_file_calls, u.test_callers))
+            .filter(PubItem::uncalled)
+            .map(|u| {
+                let own = u.own_file_calls();
+                (u.item, own, u.test_callers)
+            })
             .collect();
         let expected = [
             (
@@ -741,6 +774,37 @@ mod tests {
             )
         });
         assert_eq!(found, expected);
+    }
+
+    #[test]
+    fn the_setter_census_lists_each_pub_setter_with_its_non_test_callers() {
+        let lib = "pub struct S;\n\
+                   impl S {\n    pub fn set_used(&mut self) { self.set_own() }\n    \
+                   pub fn set_own(&mut self) {}\n    pub fn set_benched(&mut self) {}\n    \
+                   pub fn set_tested(&mut self) {}\n    pub(crate) fn set_hidden(&mut self) {}\n    \
+                   pub fn settle(&self) {}\n}\n\
+                   pub fn set_free() {}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t(s: &mut super::S) { s.set_tested() }\n}\n";
+        let sources = [
+            source("benchmark/src/w.rs", "fn w(s: &mut S) { s.set_benched() }\n"),
+            source("crates/net/src/sim.rs", lib),
+            source("examples/e.rs", "fn main() { S.set_used(); set_free() }\n"),
+            source("tests/it.rs", "fn t(s: &mut S) { s.set_used(); s.settle() }\n"),
+        ];
+        let setters: Vec<(String, Vec<String>)> = pub_items(&sources)
+            .into_iter()
+            .filter(PubItem::is_setter)
+            .map(|u| (u.item, u.callers))
+            .collect();
+        let expected = [
+            ("S::set_used", vec!["examples/e.rs"]),
+            ("S::set_own", vec!["crates/net/src/sim.rs"]),
+            ("S::set_benched", vec!["benchmark/src/w.rs"]),
+            ("S::set_tested", vec![]),
+            ("set_free", vec!["examples/e.rs"]),
+        ]
+        .map(|(item, callers)| (item.to_string(), callers.into_iter().map(String::from).collect()));
+        assert_eq!(setters, expected);
     }
 
     #[test]

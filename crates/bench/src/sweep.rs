@@ -246,8 +246,8 @@ const SUMMARY: [Column; 6] = [
 
 fn summary(r: &Runs) -> Summary {
     assert!(
-        !r.builder.discovery.multicast_only || r.outcomes.iter().all(|o| o.used_multicast),
-        "a multicast-only deployment must exercise the multicast path"
+        !r.builder.without_bdn || r.outcomes.iter().all(|o| o.used_multicast),
+        "a deployment without a BDN must exercise the multicast path"
     );
     let ok = r.outcomes.iter().filter(|o| o.chosen.is_some());
     let totals_ms: Vec<f64> = ok.map(|o| o.phases.total().as_secs_f64() * 1e3).collect();

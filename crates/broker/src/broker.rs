@@ -33,7 +33,7 @@ use crate::topics::{Destination, Interest, SubscriptionTable};
 
 /// Timer token namespace reserved by the broker (owners embedding a
 /// [`Broker`] must not use tokens with this prefix).
-pub const BROKER_TIMER_BASE: u64 = 0xB00B_0000_0000_0000;
+const BROKER_TIMER_BASE: u64 = 0xB00B_0000_0000_0000;
 const TIMER_HEARTBEAT: u64 = BROKER_TIMER_BASE | 1;
 
 /// Capacity of the event duplicate-suppression cache (paper §4's last

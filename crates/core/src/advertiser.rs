@@ -35,8 +35,6 @@ pub struct Advertiser {
     readvertise: Duration,
     /// Optional geographical information for the advertisement.
     pub geography: Option<String>,
-    /// Optional institutional information.
-    pub institution: Option<String>,
     /// Advertisements issued (direct sends + topic publishes).
     pub ads_sent: u64,
     /// Private BDNs discovered at runtime via BDN advertisements.
@@ -52,7 +50,6 @@ impl Advertiser {
             topic: BROKER_ADVERTISEMENT.topic(),
             readvertise: READVERTISE,
             geography: None,
-            institution: None,
             ads_sent: 0,
             discovered_bdns: Vec::new(),
         }
@@ -73,7 +70,7 @@ impl Advertiser {
     }
 
     /// Builds this broker's advertisement.
-    pub fn build_ad(&self, broker: &Broker, ctx: &mut dyn Context) -> BrokerAdvertisement {
+    fn build_ad(&self, broker: &Broker, ctx: &mut dyn Context) -> BrokerAdvertisement {
         BrokerAdvertisement {
             broker: ctx.me(),
             hostname: broker.config().hostname.clone(),
@@ -81,7 +78,7 @@ impl Advertiser {
             realm: ctx.realm(),
             transports: Responder::transports(),
             geography: self.geography.clone(),
-            institution: self.institution.clone(),
+            institution: None,
             issued_at_utc: ctx.utc_micros(),
         }
     }
@@ -89,7 +86,7 @@ impl Advertiser {
     /// Issues the advertisement now: direct UDP to every known BDN, plus
     /// a topic publish. The ad is built and wrapped once; every BDN is
     /// sent the same handle.
-    pub fn advertise(&mut self, broker: &mut Broker, ctx: &mut dyn Context) {
+    fn advertise(&mut self, broker: &mut Broker, ctx: &mut dyn Context) {
         let ad = WireMsg::new(Message::Advertisement(self.build_ad(broker, ctx)));
         for &bdn in self.bdns.iter().chain(&self.discovered_bdns) {
             ctx.send_udp_wire(well_known::BROKER, Endpoint::new(bdn, well_known::BDN), &ad);

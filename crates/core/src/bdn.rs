@@ -718,6 +718,32 @@ mod tests {
     }
 
     #[test]
+    fn a_retransmitted_request_is_acked_again_and_injected_once() {
+        let mut bdn = Bdn::new(BdnConfig {
+            attached_brokers: vec![NodeId(5), NodeId(6)],
+            auto_attach: false,
+            ..BdnConfig::default()
+        });
+        let mut ctx = new_ctx();
+        bdn.register_ad(ad_for(5, 10), &mut ctx);
+        bdn.register_ad(ad_for(6, 10), &mut ctx);
+        let from = Endpoint::new(NodeId(50), Port(4000));
+        for _ in 0..2 {
+            let msg = discovery_request(ctx.now.as_micros()).into();
+            bdn.on_incoming(Incoming::Datagram { from, to_port: well_known::BDN, msg }, &mut ctx);
+        }
+        while ctx.armed.remove(&TIMER_INJECT) {
+            bdn.on_incoming(Incoming::Timer { token: TIMER_INJECT }, &mut ctx);
+        }
+        let sent = |kind: &str| -> Vec<NodeId> {
+            ctx.sent.iter().filter(|(_, _, m)| m.kind() == kind).map(|(_, to, _)| to.node).collect()
+        };
+        assert_eq!(sent("discovery-ack"), [NodeId(50); 2], "every copy is acked");
+        assert_eq!(sent("publish"), [NodeId(5), NodeId(6)], "one injection per live target");
+        assert_eq!((bdn.requests_handled, bdn.duplicate_requests), (1, 1));
+    }
+
+    #[test]
     fn tombstone_blocks_direct_resurrection_until_fresher_ad() {
         let mut bdn = fed_bdn();
         let mut ctx = new_ctx();

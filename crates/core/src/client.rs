@@ -134,8 +134,12 @@ pub struct DiscoveryClient {
     cfg: DiscoveryConfig,
     /// Start a discovery automatically once the clock syncs.
     auto_start: bool,
+    /// The requester is itself a broker joining the overlay (§1.1's
+    /// second case): the final step opens an overlay **link** to the
+    /// chosen broker (`LinkHello`/`LinkAccept`) instead of a client
+    /// connection.
+    joining: bool,
     phase: Phase,
-    run_started: SimTime,
     phase_started: SimTime,
     times: PhaseTimes,
     /// This run's request (`Message::Discovery`), wrapped once: every
@@ -187,8 +191,8 @@ impl DiscoveryClient {
         DiscoveryClient {
             cfg,
             auto_start,
+            joining: false,
             phase: Phase::Idle,
-            run_started: SimTime::ZERO,
             phase_started: SimTime::ZERO,
             times: PhaseTimes::default(),
             request: None,
@@ -219,6 +223,12 @@ impl DiscoveryClient {
         self.phase
     }
 
+    /// The finder of a [`crate::JoiningBroker`]: it discovers after NTP
+    /// sync and ends by linking to the chosen broker.
+    pub(crate) fn joining(cfg: DiscoveryConfig) -> DiscoveryClient {
+        DiscoveryClient { joining: true, ..DiscoveryClient::new(cfg) }
+    }
+
     /// The most recent completed outcome.
     pub fn outcome(&self) -> Option<&DiscoveryOutcome> {
         self.completed.last()
@@ -227,12 +237,6 @@ impl DiscoveryClient {
     /// The discovery configuration.
     pub fn config(&self) -> &DiscoveryConfig {
         &self.cfg
-    }
-
-    /// Mutable discovery configuration, for harness or entity tuning
-    /// between runs (e.g. enabling backoff, toggling multicast).
-    pub fn config_mut(&mut self) -> &mut DiscoveryConfig {
-        &mut self.cfg
     }
 
     /// Turns auto-start on or off (see
@@ -263,11 +267,6 @@ impl DiscoveryClient {
         }
     }
 
-    /// Whether this client may use multicast at all.
-    fn multicast_available(&self) -> bool {
-        self.cfg.multicast_enabled
-    }
-
     fn mark_phase(&mut self, ctx: &dyn Context) -> Duration {
         let now = ctx.now();
         let spent = now - self.phase_started;
@@ -281,7 +280,6 @@ impl DiscoveryClient {
             return; // a run is already in flight
         }
         self.runs_started += 1;
-        self.run_started = ctx.now();
         self.phase_started = ctx.now();
         self.times = PhaseTimes::default();
         self.candidates.clear();
@@ -297,11 +295,11 @@ impl DiscoveryClient {
         self.used_cache = false;
         self.bdn_used = None;
         self.request = Some(WireMsg::new(Message::Discovery(self.build_request(ctx))));
-        if (self.cfg.multicast_only && self.multicast_available()) || self.cfg.bdns.is_empty() {
-            if self.multicast_available() {
+        if self.cfg.bdns.is_empty() {
+            // No BDN configured: multicast (Figure 12), else §7's cache.
+            if self.cfg.multicast_enabled {
                 self.go_multicast(ctx);
             } else if !self.last_target_set.is_empty() {
-                // No BDNs and no multicast: straight to §7's cached set.
                 self.ping_cached_targets(ctx);
             } else {
                 self.phase = Phase::AwaitingAck;
@@ -439,7 +437,7 @@ impl DiscoveryClient {
         { let spent = self.mark_phase(ctx); self.times.select += spent; }
         if self.targets.is_empty() {
             // No broker answered (§7 fallbacks).
-            if self.multicast_available() && !self.used_multicast && n == 0 {
+            if self.cfg.multicast_enabled && !self.used_multicast && n == 0 {
                 self.phase = Phase::AwaitingAck;
                 self.go_multicast(ctx);
             } else if !self.last_target_set.is_empty() && !self.used_cache {
@@ -566,7 +564,7 @@ impl DiscoveryClient {
             self.finish(None, ctx);
             return;
         };
-        let msg = if self.cfg.join_as_broker {
+        let msg = if self.joining {
             // §1.1: a joining broker opens an overlay link instead.
             Message::LinkHello { from: ctx.me(), realm: ctx.realm() }
         } else {
@@ -647,7 +645,7 @@ impl DiscoveryClient {
             return;
         }
         // Every BDN is unreachable (§7).
-        if self.multicast_available() && !self.used_multicast {
+        if self.cfg.multicast_enabled && !self.used_multicast {
             self.go_multicast(ctx);
         } else if !self.last_target_set.is_empty() && !self.used_cache {
             { let spent = self.mark_phase(ctx); self.times.issue += spent; }
@@ -705,7 +703,7 @@ impl Actor for DiscoveryClient {
                     self.on_connect_ack(broker, accepted, ctx);
                 }
                 // Broker-join mode: the peer's LinkAccept seals the join.
-                Message::LinkAccept { from, .. } if self.cfg.join_as_broker => {
+                Message::LinkAccept { from, .. } if self.joining => {
                     self.on_connect_ack(from, true, ctx);
                 }
                 _ => {}
@@ -889,6 +887,20 @@ mod state_machine_tests {
     }
 
     #[test]
+    fn an_ended_phase_leaves_its_timer_disarmed() {
+        let mut ctx = new_ctx();
+        let mut c = client_with(2);
+        let nonces = run_to_pinging(&mut c, &mut ctx);
+        // The second response reached max_responses: the window closed early.
+        assert_eq!(ctx.armed, [TIMER_PING].into());
+        for nonce in nonces {
+            c.on_incoming(pong(nonce), &mut ctx);
+        }
+        assert_eq!(c.phase(), Phase::Connecting, "every pong is in");
+        assert_eq!(ctx.armed, [TIMER_CONNECT].into());
+    }
+
+    #[test]
     fn stale_unknown_and_repeated_pongs_record_no_rtt() {
         let mut ctx = new_ctx();
         let mut c = client_with(2);
@@ -958,15 +970,14 @@ mod state_machine_tests {
     }
 
     #[test]
-    fn multicast_only_begins_in_collecting() {
+    fn no_bdn_configured_begins_in_collecting() {
         let mut ctx = new_ctx();
-        let mut c = DiscoveryClient::with_auto_start(
-            DiscoveryConfig { multicast_only: true, ..DiscoveryConfig::default() },
-            false,
-        );
+        let mut c = DiscoveryClient::with_auto_start(DiscoveryConfig::default(), false);
         c.begin(&mut ctx);
         assert_eq!(c.phase(), Phase::Collecting);
-        assert_eq!(ctx.last_kind(), "discovery-request");
+        assert!(c.used_multicast);
+        let (_, to, m) = ctx.sent.last().unwrap();
+        assert_eq!((to.node, m.kind()), (NodeId(u32::MAX), "discovery-request"), "multicast");
         // The window timer is armed.
         assert!(ctx.timers.iter().any(|(_, t)| *t == TIMER_WINDOW));
     }

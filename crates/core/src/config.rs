@@ -162,13 +162,10 @@ pub struct DiscoveryConfig {
     /// `(retransmits_per_bdn + 1) × bdns.len()` times, round-robin over
     /// the BDN list, before the client turns to §7's fallbacks.
     pub retransmits_per_bdn: u32,
-    /// Skip BDNs entirely and discover via multicast only (Figure 12).
-    pub multicast_only: bool,
     /// Master multicast switch. When on, the client multicasts within
-    /// its realm once no BDN answers (§7); when off the node behaves as
-    /// if the network had no multicast routing — `multicast_only` is
-    /// ignored and the client goes straight to its cached-target
-    /// fallback when BDNs fail.
+    /// its realm when no BDN is configured (Figure 12) or none answers
+    /// (§7); when off the node behaves as if the network had no
+    /// multicast routing and goes straight to its cached-target fallback.
     pub multicast_enabled: bool,
     /// The wait after each BDN request send. `None` waits exactly
     /// `ack_timeout` every time; `Some` waits the policy's capped
@@ -183,11 +180,6 @@ pub struct DiscoveryConfig {
     pub cached_targets: Vec<NodeId>,
     /// When set, requests to BDNs are signed + encrypted (§9.1).
     pub security: Option<SecuritySuite>,
-    /// The requester is itself a broker joining the overlay (§1.1's
-    /// second case): the final step opens an overlay **link** to the
-    /// chosen broker (`LinkHello`/`LinkAccept`) instead of a client
-    /// connection.
-    pub join_as_broker: bool,
 }
 
 impl Default for DiscoveryConfig {
@@ -201,14 +193,12 @@ impl Default for DiscoveryConfig {
             ping_window: Duration::from_secs(1),
             ack_timeout: Duration::from_secs(1),
             retransmits_per_bdn: 2,
-            multicast_only: false,
             multicast_enabled: true,
             backoff: None,
             weights: SelectionWeights::default(),
             credentials: None,
             cached_targets: Vec::new(),
             security: None,
-            join_as_broker: false,
         }
     }
 }
@@ -224,7 +214,6 @@ mod tests {
         assert!((4.0..=5.0).contains(&window_s), "paper: 4-5s window");
         assert!((5..=20).contains(&c.target_set_size), "paper: target set 5-20");
         assert!(c.multicast_enabled);
-        assert!(!c.multicast_only);
     }
 
     #[test]

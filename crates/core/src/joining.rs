@@ -24,12 +24,15 @@ use crate::policy::ResponsePolicy;
 const TIMER_HEAL: u64 = 0x4EA1_0000_0000_0001;
 const HEAL_CHECK: Duration = Duration::from_secs(5);
 
-/// A broker that finds its attachment point via discovery.
+/// A broker that finds its attachment point via discovery: its finder
+/// is a joining [`DiscoveryClient`], whose last step opens an overlay
+/// link where a client's opens a client connection.
 pub struct JoiningBroker {
     /// The full broker (routing + responder + advertiser).
     pub inner: DiscoveryBrokerActor,
-    /// The embedded discovery state machine, configured with
-    /// `join_as_broker = true`.
+    /// The embedded discovery state machine, built by
+    /// `DiscoveryClient::joining`: its last step links to the chosen
+    /// broker.
     finder: DiscoveryClient,
     /// The broker this node linked to, once joined.
     pub joined_to: Option<NodeId>,
@@ -45,18 +48,17 @@ pub struct JoiningBroker {
 
 impl JoiningBroker {
     /// A joining broker: `cfg`/`bdns`/`policy` configure the broker side
-    /// (it advertises to `bdns` once up), `discovery` drives the join.
-    /// `discovery.join_as_broker` is forced on.
+    /// (it advertises to `bdns` once up), `discovery` drives the join,
+    /// which ends in an overlay link rather than a client connection.
     pub fn new(
         cfg: BrokerConfig,
         bdns: Vec<NodeId>,
         policy: ResponsePolicy,
-        mut discovery: DiscoveryConfig,
+        discovery: DiscoveryConfig,
     ) -> JoiningBroker {
-        discovery.join_as_broker = true;
         JoiningBroker {
             inner: DiscoveryBrokerActor::new(cfg, bdns, policy),
-            finder: DiscoveryClient::new(discovery),
+            finder: DiscoveryClient::joining(discovery),
             joined_to: None,
             heals: 0,
             ever_joined: false,
@@ -68,7 +70,7 @@ impl JoiningBroker {
         self.joined_to.is_some()
     }
 
-    /// The embedded finder (observability).
+    /// The embedded joining finder (observability).
     pub fn finder(&self) -> &DiscoveryClient {
         &self.finder
     }

@@ -85,6 +85,7 @@ pub use selection::{estimate_delay_us, shortlist, weigh, Candidate};
 /// only when a test sets `now`.
 #[cfg(test)]
 pub(crate) mod test_ctx {
+    use std::collections::BTreeSet;
     use std::time::Duration;
 
     use nb_net::{Context, SimTime};
@@ -101,6 +102,10 @@ pub(crate) mod test_ctx {
         pub sent: Vec<(Port, Endpoint, Message)>,
         /// Every armed timer `(delay, token)` in order.
         pub timers: Vec<(Duration, u64)>,
+        /// The tokens armed and not cancelled since. Arming an armed
+        /// token supersedes it, as the engines' timer slots do; a test
+        /// that fires a timer itself does not take it out.
+        pub armed: BTreeSet<u64>,
         pub joined: Vec<GroupId>,
         pub rng: StdRng,
     }
@@ -113,6 +118,7 @@ pub(crate) mod test_ctx {
                 now,
                 sent: Vec::new(),
                 timers: Vec::new(),
+                armed: BTreeSet::new(),
                 joined: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
             }
@@ -164,8 +170,11 @@ pub(crate) mod test_ctx {
         fn leave_group(&mut self, _group: GroupId) {}
         fn set_timer(&mut self, delay: Duration, token: u64) {
             self.timers.push((delay, token));
+            self.armed.insert(token);
         }
-        fn cancel_timer(&mut self, _token: u64) {}
+        fn cancel_timer(&mut self, token: u64) {
+            self.armed.remove(&token);
+        }
         fn rng(&mut self) -> &mut dyn RngCore {
             &mut self.rng
         }

@@ -144,7 +144,7 @@ impl Responder {
     ///
     /// The request's UUID sits at a fixed body offset, so one this
     /// broker already handled is dropped on a header peek alone.
-    /// State-equivalent to going through [`Responder::on_request`]:
+    /// State-equivalent to going through `Responder::on_request`:
     /// `check_and_insert` on a present key does not mutate the cache,
     /// so `contains` plus early-out leaves identical dedup state and the
     /// same suppression count. A fresh request is validated in full but
@@ -180,7 +180,7 @@ impl Responder {
 
     /// Processes a discovery request however it arrived (overlay flood or
     /// multicast).
-    pub fn on_request(
+    fn on_request(
         &mut self,
         req: &DiscoveryRequest,
         broker: &mut Broker,

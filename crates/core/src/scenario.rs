@@ -14,8 +14,8 @@
 //!   registered with the BDN.
 //!
 //! [`ScenarioBuilder::multicast`] builds the Figure-12 configuration:
-//! no BDN path, multicast-only discovery, with only some brokers inside
-//! the client's realm.
+//! no BDN configured, so the client discovers by multicast, with only
+//! some brokers inside the client's realm.
 #![expect(
     clippy::expect_used,
     clippy::panic,
@@ -88,16 +88,16 @@ impl ScenarioBuilder {
         }
     }
 
-    /// The Figure-12 configuration: multicast-only discovery from the
-    /// Bloomington lab, with `n_local` brokers inside the lab realm and
-    /// the rest on remote sites (unreachable by multicast).
+    /// The Figure-12 configuration: no BDN, so the client discovers by
+    /// multicast from the Bloomington lab, with `n_local` brokers inside
+    /// the lab realm and the rest on remote sites (unreachable by
+    /// multicast).
     pub fn multicast(seed: u64, n_local: usize) -> ScenarioBuilder {
         let mut b = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, seed);
         let remote = [UMN, FSU, CARDIFF, NCSA, INDIANAPOLIS];
         let mut sites = vec![BLOOMINGTON; n_local.min(5)];
         sites.extend(remote.iter().copied().take(5 - sites.len()));
         b.broker_sites = sites;
-        b.discovery.multicast_only = true;
         // Multicast cannot reach beyond the realm, so the client caps the
         // responses it waits for at the local broker count (the paper's
         // "only the first N responses must be considered" knob); the

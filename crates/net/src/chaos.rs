@@ -339,12 +339,12 @@ impl FaultPlan {
     }
 
     /// Stall `node` for `dur` starting at `at`.
-    pub fn stall_at(self, at: Duration, node: NodeId, dur: Duration) -> FaultPlan {
+    fn stall_at(self, at: Duration, node: NodeId, dur: Duration) -> FaultPlan {
         self.fault_at(at, Fault::Stall { node, dur })
     }
 
     /// Step `node`'s hardware clock by `delta_ns` at `at`.
-    pub fn clock_step_at(self, at: Duration, node: NodeId, delta_ns: i64) -> FaultPlan {
+    fn clock_step_at(self, at: Duration, node: NodeId, delta_ns: i64) -> FaultPlan {
         self.fault_at(at, Fault::ClockStep { node, delta_ns })
     }
 

@@ -73,7 +73,7 @@ impl LinkSpec {
     /// Serialisation delay for a message of `len` bytes. Every send
     /// asks, so it divides in `u64`: `len · 10⁹` fits for any frame
     /// (up to 18 GB).
-    pub fn transmission_delay(&self, len: usize) -> Duration {
+    fn transmission_delay(&self, len: usize) -> Duration {
         match self.bandwidth {
             None => Duration::ZERO,
             Some(bw) => Duration::from_nanos((len as u64).saturating_mul(1_000_000_000) / bw.max(1)),
@@ -213,7 +213,7 @@ impl NetworkModel {
     }
 
     /// Whether `a`↔`b` is currently severed.
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
+    fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
         self.partitions.contains(&Self::key(a, b))
     }
 
@@ -264,7 +264,7 @@ impl NetworkModel {
     /// directed partition either way stalls them. The send path looks
     /// this up once per send, then samples the latency and charges the
     /// wire from the same copy.
-    pub fn stream_spec(&self, a: NodeId, b: NodeId) -> Option<LinkSpec> {
+    fn stream_spec(&self, a: NodeId, b: NodeId) -> Option<LinkSpec> {
         if self.directed_partitions.contains(&(b, a)) {
             return None;
         }

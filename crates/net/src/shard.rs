@@ -764,7 +764,7 @@ impl ShardedSim {
     }
 
     /// Mutable access to a node's actor as a trait object.
-    pub fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
+    fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
         match self.node_mut(node)?.actor.as_mut() {
             Some(actor) => Some(actor.as_mut()),
             None => None,
@@ -828,7 +828,7 @@ impl ShardedSim {
     }
 
     /// Queues a single fault after `delay`.
-    pub fn schedule_fault(&mut self, delay: Duration, fault: Fault) {
+    fn schedule_fault(&mut self, delay: Duration, fault: Fault) {
         let at = self.now + delay;
         match fault.node() {
             Some(node) => {

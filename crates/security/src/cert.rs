@@ -104,7 +104,7 @@ impl Certificate {
     }
 
     /// Whether `now_utc_micros` falls inside the validity window.
-    pub fn is_valid_at(&self, now_utc_micros: u64) -> bool {
+    fn is_valid_at(&self, now_utc_micros: u64) -> bool {
         (self.valid_from..=self.valid_until).contains(&now_utc_micros)
     }
 

@@ -63,7 +63,7 @@ impl KeyPair {
 
     /// Diffie–Hellman: the shared group element `peer^x mod p`, hashed by
     /// callers into a symmetric key.
-    pub fn agree(&self, peer: PublicKey) -> u64 {
+    fn agree(&self, peer: PublicKey) -> u64 {
         modpow(peer.0, self.private, P)
     }
 

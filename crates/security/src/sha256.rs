@@ -1,7 +1,7 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 
 /// Output size in bytes.
-pub const DIGEST_LEN: usize = 32;
+const DIGEST_LEN: usize = 32;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,

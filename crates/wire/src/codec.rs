@@ -135,7 +135,7 @@ impl WireWriter {
         self.put_raw(&v.to_be_bytes());
     }
 
-    pub fn put_u128(&mut self, v: u128) {
+    fn put_u128(&mut self, v: u128) {
         self.put_raw(&v.to_be_bytes());
     }
 
@@ -285,7 +285,7 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn get_u128(&mut self) -> Result<u128, WireError> {
+    fn get_u128(&mut self) -> Result<u128, WireError> {
         Ok(u128::from_be_bytes(self.take(16)?.try_into().unwrap()))
     }
 

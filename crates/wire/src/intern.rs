@@ -44,7 +44,7 @@
 //! bounded the same way: by the bytes the peer manages to deliver (each
 //! definition is capped at `MAX_FRAME_LEN` and must be valid UTF-8 before
 //! it is interned). The per-link views stay capped at
-//! [`MAX_SYMBOLS`](crate::symtab::MAX_SYMBOLS) entries each, so the
+//! `MAX_SYMBOLS` entries each, so the
 //! symbol table adds no new class of exposure.
 #![expect(
     clippy::disallowed_types,
@@ -61,7 +61,7 @@ use crate::topic::{Topic, TopicError, TopicFilter};
 /// absurdly deep topics are rejected at decode time ([`TopicError::TooDeep`])
 /// instead of ballooning tries and match walks; the paper's well-known
 /// topics are depth 3.
-pub const MAX_TOPIC_DEPTH: usize = 32;
+pub(crate) const MAX_TOPIC_DEPTH: usize = 32;
 
 /// An interned topic segment (or a wildcard sentinel).
 ///
@@ -76,11 +76,6 @@ impl SegId {
     pub const STAR: SegId = SegId(u32::MAX);
     /// The `**` zero-or-more-trailing-segments wildcard (filters only).
     pub const MULTI: SegId = SegId(u32::MAX - 1);
-
-    /// Whether this id is one of the two wildcard sentinels.
-    pub fn is_wildcard(self) -> bool {
-        self == SegId::STAR || self == SegId::MULTI
-    }
 
     /// The raw id value (diagnostics).
     pub fn index(self) -> u32 {
@@ -337,16 +332,14 @@ mod tests {
         let a2 = intern("intern-test-alpha");
         assert_eq!(a1, a2, "same segment, same id");
         assert_ne!(a1, b, "distinct segments, distinct ids");
-        assert!(!a1.is_wildcard());
+        assert!(![SegId::STAR, SegId::MULTI].contains(&a1));
     }
 
     #[test]
     fn sentinels_are_wildcards_and_reserved() {
-        assert!(SegId::STAR.is_wildcard());
-        assert!(SegId::MULTI.is_wildcard());
         assert_ne!(SegId::STAR, SegId::MULTI);
         // A literal asterisk *inside* a segment is an ordinary segment.
-        assert!(!intern("a*b").is_wildcard());
+        assert!(![SegId::STAR, SegId::MULTI].contains(&intern("a*b")));
     }
 
     #[test]

@@ -55,12 +55,12 @@ pub use frame::{
     decode_framed, frame_message, frame_message_flags, peek_body, FrameHeader, DEFAULT_TTL,
     FLAG_SEGMENT, FLAG_V2_CAPABLE, MAX_FRAME_LEN, PRELUDE_LEN,
 };
-pub use intern::{SegId, SymId, MAX_TOPIC_DEPTH};
+pub use intern::{SegId, SymId};
 pub use message::{
     BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryRequestView, DiscoveryResponse,
     Event, FederationSync, LeaseRecord, Message, SyncPhase, TombstoneRecord, UsageMetrics,
 };
-pub use symtab::{SymTabReader, SymTabWriter, MAX_SYMBOLS};
+pub use symtab::{SymTabReader, SymTabWriter};
 pub use topic::{Topic, TopicError, TopicFilter, WellKnownTopic};
-pub use v2::{SegmentFrame, MAX_VARINT_BYTES};
+pub use v2::SegmentFrame;
 pub use wiremsg::WireMsg;

@@ -36,7 +36,7 @@ use crate::v2::{get_varint, get_varint_len, put_varint};
 /// Cap on distinct symbols per link. A hostile peer streaming endless
 /// definitions is cut off here rather than growing the table without
 /// bound; legitimate topic working sets are orders of magnitude smaller.
-pub const MAX_SYMBOLS: usize = 65_536;
+const MAX_SYMBOLS: usize = 65_536;
 
 /// Encoder side: maps process symbol ids to the link-local id this link
 /// assigned them, in first-use order.

@@ -81,7 +81,7 @@ pub enum TopicError {
     WildcardInTopic,
     /// `**` appeared somewhere other than the final segment.
     MultiWildcardNotLast,
-    /// More than [`intern::MAX_TOPIC_DEPTH`] segments (hostile frames).
+    /// More than `MAX_TOPIC_DEPTH` (32) segments (hostile frames).
     TooDeep,
 }
 
@@ -262,11 +262,6 @@ impl TopicFilter {
         }
     }
 
-    /// Whether this filter contains any wildcard.
-    pub fn is_wildcard(&self) -> bool {
-        self.segs.as_slice().iter().any(|s| s.is_wildcard())
-    }
-
     /// Whether every topic matched by `other` is also matched by `self`
     /// (filter covering). Brokers can use this to skip propagating a
     /// subscription already covered by a broader one.
@@ -355,6 +350,10 @@ mod tests {
     fn f(s: &str) -> TopicFilter {
         TopicFilter::parse(s).unwrap()
     }
+    /// Whether `s` is one of the two wildcard sentinels.
+    fn is_sentinel(s: &SegId) -> bool {
+        [SegId::STAR, SegId::MULTI].contains(s)
+    }
 
     #[test]
     fn exact_match() {
@@ -407,7 +406,7 @@ mod tests {
     fn exact_filter_matches_only_its_topic() {
         let topic = t("Services/BrokerDiscoveryNodes/BrokerAdvertisement");
         let filter = TopicFilter::exact(&topic);
-        assert!(!filter.is_wildcard());
+        assert_eq!(filter.seg_ids(), topic.seg_ids(), "no wildcard");
         assert!(filter.matches(&topic));
         assert!(!filter.matches(&t("Services/BrokerDiscoveryNodes/DiscoveryRequest")));
     }
@@ -491,7 +490,7 @@ mod tests {
         let topic = t("Services/BrokerDiscoveryNodes/BrokerAdvertisement");
         assert_eq!(topic.depth(), 3);
         assert_eq!(topic.seg_ids().len(), 3);
-        assert!(topic.seg_ids().iter().all(|s| !s.is_wildcard()));
+        assert!(!topic.seg_ids().iter().any(is_sentinel));
         // Shared segments intern to the same ids across values.
         let other = t("Services/BrokerDiscoveryNodes/DiscoveryRequest");
         assert_eq!(topic.seg_ids()[..2], other.seg_ids()[..2]);
@@ -499,7 +498,7 @@ mod tests {
         // Filters share the same table; sentinel wildcards are distinct.
         let filter = f("Services/*/BrokerAdvertisement");
         assert_eq!(filter.seg_ids()[0], topic.seg_ids()[0]);
-        assert_eq!(filter.seg_ids()[1], crate::intern::SegId::STAR);
+        assert_eq!(filter.seg_ids()[1], SegId::STAR);
         assert_eq!(filter.seg_ids()[2], topic.seg_ids()[2]);
     }
 
@@ -520,10 +519,11 @@ mod tests {
 
     #[test]
     fn is_wildcard_detection() {
-        assert!(f("a/*").is_wildcard());
-        assert!(f("**").is_wildcard());
-        assert!(!f("a/b").is_wildcard());
+        let wild = |s: &str| f(s).seg_ids().iter().any(is_sentinel);
+        assert!(wild("a/*"));
+        assert!(wild("**"));
+        assert!(!wild("a/b"));
         // a segment merely *containing* an asterisk is not a wildcard
-        assert!(!f("a*b/c").is_wildcard());
+        assert!(!wild("a*b/c"));
     }
 }

@@ -46,20 +46,20 @@ use crate::symtab::{SymTabReader, SymTabWriter};
 
 /// Most bytes one LEB128-encoded `u64` may occupy. Reading an eleventh
 /// continuation byte means the stream is corrupt, not the value large.
-pub const MAX_VARINT_BYTES: usize = 10;
+const MAX_VARINT_BYTES: usize = 10;
 
 /// v2 body kind: the v1-encoded body follows verbatim.
 pub const V2_EMBED_V1: u8 = 0;
 /// v2 body kind: compact `Publish`.
-pub const V2_PUBLISH: u8 = 1;
+const V2_PUBLISH: u8 = 1;
 /// v2 body kind: compact `Heartbeat`.
-pub const V2_HEARTBEAT: u8 = 2;
+const V2_HEARTBEAT: u8 = 2;
 /// v2 body kind: compact `Subscribe`.
-pub const V2_SUBSCRIBE: u8 = 3;
+const V2_SUBSCRIBE: u8 = 3;
 /// v2 body kind: compact `Unsubscribe`.
-pub const V2_UNSUBSCRIBE: u8 = 4;
+const V2_UNSUBSCRIBE: u8 = 4;
 /// v2 body kind: compact `Discovery` request.
-pub const V2_DISCOVERY: u8 = 5;
+const V2_DISCOVERY: u8 = 5;
 
 // ------------------------------------------------------------------
 // Varints.
@@ -88,7 +88,7 @@ pub fn put_varint(w: &mut WireWriter, v: u64) {
     w.put_raw(&buf[..n]);
 }
 
-/// Reads one LEB128 varint, reading at most [`MAX_VARINT_BYTES`] bytes.
+/// Reads one LEB128 varint, reading at most `MAX_VARINT_BYTES` (10) bytes.
 pub fn get_varint(r: &mut WireReader<'_>) -> Result<u64, WireError> {
     let mut out: u64 = 0;
     let mut shift = 0u32;
@@ -111,22 +111,22 @@ pub fn get_varint(r: &mut WireReader<'_>) -> Result<u64, WireError> {
 }
 
 /// Zigzag-maps `v` so small magnitudes (either sign) encode small.
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(u: u64) -> i64 {
+fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
 /// Appends a signed value as a zigzag varint.
-pub fn put_zigzag(w: &mut WireWriter, v: i64) {
+fn put_zigzag(w: &mut WireWriter, v: i64) {
     put_varint(w, zigzag(v));
 }
 
 /// Reads a zigzag varint.
-pub fn get_zigzag(r: &mut WireReader<'_>) -> Result<i64, WireError> {
+fn get_zigzag(r: &mut WireReader<'_>) -> Result<i64, WireError> {
     Ok(unzigzag(get_varint(r)?))
 }
 

@@ -103,11 +103,9 @@ fn lossy_bdn_path_is_survived_by_retransmission() {
         let outcome = s.run_discovery_once();
         assert!(outcome.chosen.is_some(), "discovery succeeds despite 50% loss to the BDN");
         let bdn_actor = s.sim.actor::<Bdn>(bdn).unwrap();
-        assert!(
-            bdn_actor.duplicate_requests > 0 || bdn_actor.requests_handled == 1,
-            "retransmissions must be idempotent at the BDN \
-             (handled {}, duplicates {})",
-            bdn_actor.requests_handled,
+        assert_eq!(
+            bdn_actor.requests_handled, 1,
+            "retransmissions must be idempotent at the BDN (duplicates {})",
             bdn_actor.duplicate_requests
         );
     });

@@ -54,22 +54,22 @@ fn dead_bdn_and_no_multicast_uses_cached_targets() {
     // [remembered] target set".
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 22);
     fast_failover(&mut builder);
+    // The client will not even try multicast; a healthy run uses the BDN
+    // and never consults it.
+    builder.discovery.multicast_enabled = false;
     on_every_engine_with(&builder, |mut s| {
         // First run (healthy): populates the cached target set.
         let first = s.run_discovery_once();
         assert!(first.chosen.is_some());
+        assert!(!first.used_multicast);
         assert!(!first.target_set.is_empty());
 
-        // Now the BDN dies and multicast is disabled outright — at the
-        // network model (no group delivery) and in the client's runtime
-        // config (it will not even try) — forcing the cached path.
+        // Now the BDN dies and the network model delivers no multicast
+        // either, forcing the cached path.
         s.sim.crash(s.bdn.unwrap());
         s.sim.network_mut().multicast_enabled = false;
-        {
-            let client = s.sim.actor_mut::<DiscoveryClient>(s.client).unwrap();
-            assert_eq!(client.last_target_set, first.target_set, "target set remembered");
-            client.config_mut().multicast_enabled = false;
-        }
+        let client = s.sim.actor::<DiscoveryClient>(s.client).unwrap();
+        assert_eq!(client.last_target_set, first.target_set, "target set remembered");
         let second = s.run_discovery_once();
         assert!(!second.used_multicast, "multicast is disabled and must not be attempted");
         assert!(second.used_cached_targets, "cached target set must be used");
