@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use nb_bench::campaign::{fault_scenario, run_campaign, FaultCampaign, ScenarioResult};
+use nb_bench::census::{ceiling_failures, Census, CEILINGS};
 use nb_bench::parallel::ParallelExecutor;
 use nb_bench::*;
 use nb_broker::TopologyKind;
@@ -145,7 +146,7 @@ const COMMANDS: &[Command] = &[
         "the tree's lines, test-only pub items, trait implementors, config knobs, \
          #[ignore]s and #[expect]s, read from the source",
         CENSUS_PIN,
-        |_| (census_of(&workspace_root()).unwrap_or_else(|e| fail(&e)), true),
+        |_| (census_of(&workspace_root()).unwrap_or_else(|e| fail(&e)).json, true),
     ),
     cmd(
         "gate",
@@ -610,22 +611,32 @@ const CENSUS_PIN: &str = "CENSUS.json";
 
 /// [`nb_bench::census::census`] of the tree under `root`, or why it
 /// could not be read.
-fn census_of(root: &Path) -> Result<String, String> {
+fn census_of(root: &Path) -> Result<Census, String> {
     nb_bench::census::census(root).map_err(|e| format!("cannot read the tree: {e}"))
 }
 
-/// `repro gate census`: recounts the tree under `root` and compares the
-/// count with the committed `CENSUS.json`.
+/// `repro gate census`: recounts the tree under `root`, compares the
+/// count with the committed `CENSUS.json`, then holds each count to its
+/// ceiling in [`CEILINGS`], naming every count that breaks one.
 fn census_gate(root: &Path) {
     let fresh = census_of(root).unwrap_or_else(|e| gate_failed(CENSUS_PIN, &e));
     let committed = std::fs::read_to_string(root.join(CENSUS_PIN)).map_err(|e| e.to_string());
-    let pins = [(CENSUS_PIN.to_string(), fresh)];
+    let pins = [(CENSUS_PIN.to_string(), fresh.json)];
     if let Some((file, why)) =
         pin_failures(&pins, &BTreeMap::from([(CENSUS_PIN.to_string(), committed)])).first()
     {
         gate_failed(file, &format!("{why}\n  `repro census` rewrites it"));
     }
-    println!("{CENSUS_PIN}: byte-identical to the committed copy");
+    let ceilings = std::fs::read_to_string(root.join(CEILINGS))
+        .unwrap_or_else(|e| gate_failed(CEILINGS, &format!("cannot read it: {e}")));
+    let failures = ceiling_failures(&fresh.counts, &ceilings);
+    for why in &failures {
+        eprintln!("FAIL: {CEILINGS}: {why}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+    println!("{CENSUS_PIN}: byte-identical to the committed copy, every count within {CEILINGS}");
 }
 
 /// Every way the regenerated `pins` (file, text) fail their committed

@@ -32,15 +32,31 @@
 //!
 //! Callers are matched by name: an identifier equal to the item's name,
 //! outside comments, literals and `use` declarations, that is not the
-//! name a `fn` or `const` defines. So a test-only item that shares its
-//! name with one the system calls is missed: `Scenario::digest`, whose
-//! only callers were tests, shared its name with `ShardedSim::digest` and
-//! was found by reading.
+//! name a `fn` or `const` defines. A `self.name(` call is the one
+//! exception: it calls the `name` of the type whose `impl` encloses it
+//! ([`owner`]), so it counts for that type's item alone. Otherwise a
+//! test-only item that shares its name with one the system calls is
+//! missed: `Scenario::digest`, whose only callers were tests, shared its
+//! name with `ShardedSim::digest` and was found by reading.
+//!
+//! `CENSUS_ceilings.conf`, beside `CENSUS.json`, bounds the counts that
+//! may only fall, in [`nb_util::Config`]'s `key = value` format: the
+//! non-test lines of each of the six library crates
+//! (`non_test_lines.crates/util`, …), `design_md_lines`, the row counts
+//! of `test_only_pub` and `own_file_only_pub`, the public fields of each
+//! `*Config` struct (`config_pub_fields.BrokerConfig`, …) and
+//! `ignored_tests`. [`ceiling_failures`] names each count above its
+//! ceiling, each ceiling with no count and each count with no ceiling, so
+//! a new crate or config struct cannot come in unbounded. A change that
+//! lowers a count lowers its ceiling to match; raising a ceiling loosens
+//! the check, and CHANGES.md says which ceiling, by how much and why.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
+
+use nb_util::Config;
 
 /// The directories, relative to the workspace root, whose `.rs` files
 /// the census reads.
@@ -131,6 +147,10 @@ impl PubItem {
     }
 }
 
+/// A use of a name: the file it is in, whether it is test code, and the
+/// type a `self.name(` call resolves to.
+type Ref<'a> = (usize, bool, Option<&'a str>);
+
 /// Every `pub fn` and `pub const` in the non-test code of [`LIBRARIES`],
 /// in path order.
 fn pub_items(sources: &[Source]) -> Vec<PubItem> {
@@ -156,27 +176,37 @@ fn pub_items(sources: &[Source]) -> Vec<PubItem> {
         }
     }
     let names: BTreeSet<&str> = defs.iter().map(|d| d.2).collect();
-    let mut refs: BTreeMap<&str, BTreeSet<(usize, bool)>> = BTreeMap::new();
+    let mut refs: BTreeMap<&str, BTreeSet<Ref<'_>>> = BTreeMap::new();
     for (j, src) in sources.iter().enumerate() {
         for &(at, word, refers) in &words[j] {
             if refers && names.contains(word) {
-                refs.entry(word).or_default().insert((j, src.test_at(at)));
+                let receiver = if self_call(&src.code, at, word) {
+                    owner(&src.code, at)
+                } else {
+                    None
+                };
+                refs.entry(word).or_default().insert((j, src.test_at(at), receiver));
             }
         }
     }
     let none = BTreeSet::new();
     defs.into_iter()
         .map(|(i, at, name)| {
+            let src = &sources[i];
+            let ty = owner(&src.code, at);
             let refs = refs.get(name).unwrap_or(&none);
             let files = |in_tests: bool| {
-                refs.iter()
-                    .filter(|&&(_, test)| test == in_tests)
-                    .map(|&(j, _)| sources[j].path.clone())
-                    .collect()
+                let files: BTreeSet<usize> = refs
+                    .iter()
+                    .filter(|&&(_, test, receiver)| {
+                        test == in_tests && (receiver.is_none() || receiver == ty)
+                    })
+                    .map(|&(j, _, _)| j)
+                    .collect();
+                files.into_iter().map(|j| sources[j].path.clone()).collect()
             };
-            let src = &sources[i];
             PubItem {
-                item: owner(&src.code, at).map_or(name.to_string(), |ty| format!("{ty}::{name}")),
+                item: ty.map_or(name.to_string(), |ty| format!("{ty}::{name}")),
                 file: src.path.clone(),
                 callers: files(false),
                 test_callers: files(true),
@@ -185,8 +215,19 @@ fn pub_items(sources: &[Source]) -> Vec<PubItem> {
         .collect()
 }
 
+/// The file beside `CENSUS.json` that bounds its counts.
+pub const CEILINGS: &str = "CENSUS_ceilings.conf";
+
+/// One reading of the tree.
+pub struct Census {
+    /// `CENSUS.json`'s text.
+    pub json: String,
+    /// The counts [`CEILINGS`] bounds, by key.
+    pub counts: BTreeMap<String, usize>,
+}
+
 /// Reads the tree under `root` and renders `CENSUS.json`.
-pub fn census(root: &Path) -> io::Result<String> {
+pub fn census(root: &Path) -> io::Result<Census> {
     let mut paths = Vec::new();
     for dir in ROOTS {
         rust_files(root, Path::new(dir), &mut paths)?;
@@ -230,13 +271,19 @@ fn package(path: &str) -> &str {
     }
 }
 
-fn render(sources: &[Source], design: &str) -> String {
+fn render(sources: &[Source], design: &str) -> Census {
     let mut lines: BTreeMap<(bool, &str), (usize, usize)> = BTreeMap::new();
     for src in sources {
         let pkg = package(&src.path);
         let (non_test, test) = src.lines();
         let row = lines.entry((pkg == "benchmark", pkg)).or_default();
         *row = (row.0 + non_test, row.1 + test);
+    }
+    let mut counts = BTreeMap::new();
+    for lib in LIBRARIES {
+        let pkg = lib.trim_end_matches("/src/");
+        let non_test = lines.get(&(false, pkg)).map_or(0, |row| row.0);
+        counts.insert(format!("non_test_lines.{pkg}"), non_test);
     }
     let mut out = String::from("{\n  \"rust_lines\": [\n");
     let rows: Vec<String> = lines
@@ -258,7 +305,7 @@ fn render(sources: &[Source], design: &str) -> String {
 
     let items = pub_items(sources);
     for (section, own) in [("test_only_pub", false), ("own_file_only_pub", true)] {
-        let rows = items
+        let rows: Vec<String> = items
             .iter()
             .filter(|u| u.uncalled() && u.own_file_calls() == own)
             .map(|u| {
@@ -268,7 +315,9 @@ fn render(sources: &[Source], design: &str) -> String {
                     json(&u.file),
                     json_list(&u.test_callers)
                 )
-            });
+            })
+            .collect();
+        counts.insert(section.to_string(), rows.len());
         write_section(&mut out, section, rows);
     }
     let setters = items.iter().filter(|u| u.is_setter()).map(|u| {
@@ -291,29 +340,33 @@ fn render(sources: &[Source], design: &str) -> String {
         });
         write_section(&mut out, section, impls);
     }
-    let configs = sources.iter().flat_map(|src| {
-        config_fields(&src.code[..src.cut])
-            .into_iter()
-            .map(|(name, fields)| {
+    let mut configs = Vec::new();
+    for src in sources {
+        for (name, fields) in config_fields(&src.code[..src.cut]) {
+            *counts.entry(format!("config_pub_fields.{name}")).or_default() += fields.len();
+            configs.push(format!(
+                "{{\"struct\": {}, \"file\": {}, \"count\": {}, \"fields\": {}}}",
+                json(name),
+                json(&src.path),
+                fields.len(),
+                json_list(&fields)
+            ));
+        }
+    }
+    write_section(&mut out, "config_pub_fields", configs);
+    let ignored: Vec<String> = sources
+        .iter()
+        .flat_map(|src| {
+            ignored_tests(src).into_iter().map(|(test, reason)| {
                 format!(
-                    "{{\"struct\": {}, \"file\": {}, \"count\": {}, \"fields\": {}}}",
-                    json(name),
-                    json(&src.path),
-                    fields.len(),
-                    json_list(&fields)
+                    "{{\"test\": {}, \"reason\": {}}}",
+                    json(&format!("{}::{test}", src.path)),
+                    json(reason)
                 )
             })
-    });
-    write_section(&mut out, "config_pub_fields", configs);
-    let ignored = sources.iter().flat_map(|src| {
-        ignored_tests(src).into_iter().map(|(test, reason)| {
-            format!(
-                "{{\"test\": {}, \"reason\": {}}}",
-                json(&format!("{}::{test}", src.path)),
-                json(reason)
-            )
         })
-    });
+        .collect();
+    counts.insert("ignored_tests".to_string(), ignored.len());
     write_section(&mut out, "ignored_tests", ignored);
     let expects = sources.iter().flat_map(|src| {
         expected_lints(&src.code).into_iter().map(|lints| {
@@ -325,16 +378,48 @@ fn render(sources: &[Source], design: &str) -> String {
         })
     });
     write_section(&mut out, "expects", expects);
-    let _ = write!(
-        out,
-        "  \"design_md_lines\": {}\n}}\n",
-        design.lines().count()
-    );
-    out
+    let design_md_lines = design.lines().count();
+    counts.insert("design_md_lines".to_string(), design_md_lines);
+    let _ = write!(out, "  \"design_md_lines\": {design_md_lines}\n}}\n");
+    Census { json: out, counts }
 }
 
-fn write_section(out: &mut String, name: &str, rows: impl Iterator<Item = String>) {
-    let rows: Vec<String> = rows.map(|row| format!("    {row}")).collect();
+/// Every way `counts` breaks the ceilings in `ceilings` (the text of
+/// [`CEILINGS`]), one line each: a count above its ceiling, a ceiling
+/// that bounds no count, a count with no ceiling, a ceiling that is no
+/// number. Empty when every count is at or under its ceiling.
+pub fn ceiling_failures(counts: &BTreeMap<String, usize>, ceilings: &str) -> Vec<String> {
+    let ceilings = match Config::parse(ceilings) {
+        Ok(ceilings) => ceilings,
+        Err(e) => return vec![e.to_string()],
+    };
+    let mut failures = Vec::new();
+    for (key, _) in ceilings.iter() {
+        let ceiling = match ceilings.get_u64(key, 0) {
+            Ok(ceiling) => ceiling,
+            Err(e) => {
+                failures.push(e.to_string());
+                continue;
+            }
+        };
+        match counts.get(key) {
+            None => failures.push(format!("{key}: the ceiling {ceiling} bounds no count")),
+            Some(&count) if count as u64 > ceiling => {
+                failures.push(format!("{key} = {count}, above its ceiling {ceiling}"));
+            }
+            Some(_) => {}
+        }
+    }
+    for (key, count) in counts {
+        if ceilings.get(key).is_none() {
+            failures.push(format!("{key} = {count} has no ceiling"));
+        }
+    }
+    failures
+}
+
+fn write_section(out: &mut String, name: &str, rows: impl IntoIterator<Item = String>) {
+    let rows: Vec<String> = rows.into_iter().map(|row| format!("    {row}")).collect();
     if rows.is_empty() {
         let _ = writeln!(out, "  \"{name}\": [],");
     } else {
@@ -513,6 +598,17 @@ fn words(code: &str) -> Vec<(usize, &str, bool)> {
         i = end;
     }
     out
+}
+
+/// Whether the identifier `word` at byte `at` of blanked `code` is the
+/// method of a `self.word(` call.
+fn self_call(code: &str, at: usize, word: &str) -> bool {
+    let receiver = code[..at].trim_end().strip_suffix('.').map(str::trim_end);
+    let on_self = receiver
+        .and_then(|r| r.strip_suffix("self"))
+        .is_some_and(|r| !r.bytes().next_back().is_some_and(is_word_byte));
+    let after = code[at + word.len()..].trim_start();
+    on_self && (after.starts_with('(') || after.starts_with("::<"))
 }
 
 /// The type or module an item at byte `at` of `code` belongs to: the
@@ -774,6 +870,87 @@ mod tests {
             )
         });
         assert_eq!(found, expected);
+    }
+
+    /// A type calling its own private `self.fault(…)` is no caller of
+    /// another type's `pub fn fault`; a call on any other receiver still
+    /// matches by name.
+    #[test]
+    fn a_self_call_counts_for_the_enclosing_impl_only() {
+        let sim = "pub struct Sim;\n\
+                   impl Sim {\n    pub fn fault(&mut self) {}\n    \
+                   pub fn run(&mut self) { self.step() }\n    pub fn step(&mut self) {}\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t(s: &mut super::Sim) { s.fault() }\n}\n";
+        let shard = "pub struct Shard;\n\
+                     impl Shard {\n    pub fn go(&mut self) { self.fault(); self . step ( ) }\n    \
+                     fn fault(&mut self) {}\n    fn step(&mut self) {}\n}\n";
+        let sources = [
+            source("crates/net/src/shard.rs", shard),
+            source("crates/net/src/sim.rs", sim),
+            source("examples/e.rs", "fn main(s: &mut Sim) { s.step(); Shard.go() }\n"),
+        ];
+        let found: Vec<(String, Vec<String>, Vec<String>)> = pub_items(&sources)
+            .into_iter()
+            .map(|u| (u.item, u.callers, u.test_callers))
+            .collect();
+        let files = |files: &[&str]| files.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        let expected = [
+            ("Shard::go", files(&["examples/e.rs"]), files(&[])),
+            ("Sim::fault", files(&[]), files(&["crates/net/src/sim.rs"])),
+            ("Sim::run", files(&[]), files(&[])),
+            ("Sim::step", files(&["crates/net/src/sim.rs", "examples/e.rs"]), files(&[])),
+        ]
+        .map(|(item, callers, tests)| (item.to_string(), callers, tests));
+        assert_eq!(found, expected);
+    }
+
+    fn counts(rows: &[(&str, usize)]) -> BTreeMap<String, usize> {
+        rows.iter().map(|&(key, count)| (key.to_string(), count)).collect()
+    }
+
+    #[test]
+    fn ceiling_failures_name_each_broken_bound() {
+        let found = counts(&[("design_md_lines", 1000), ("ignored_tests", 2)]);
+        let at = "# c\ndesign_md_lines = 1000\nignored_tests = 2\n";
+        assert!(ceiling_failures(&found, at).is_empty());
+        let found = counts(&[
+            ("config_pub_fields.NewConfig", 2),
+            ("design_md_lines", 1001),
+            ("ignored_tests", 2),
+        ]);
+        let ceilings = "design_md_lines = 1000\nignored_tests = 2\n\
+                        non_test_lines.crates/gone = 10\nbad = many\n";
+        assert_eq!(
+            ceiling_failures(&found, ceilings),
+            [
+                "config key \"bad\" has value \"many\", expected an unsigned integer",
+                "design_md_lines = 1001, above its ceiling 1000",
+                "non_test_lines.crates/gone: the ceiling 10 bounds no count",
+                "config_pub_fields.NewConfig = 2 has no ceiling",
+            ]
+        );
+        assert_eq!(ceiling_failures(&found, "no equals sign\n").len(), 1);
+    }
+
+    #[test]
+    fn the_census_counts_what_the_ceilings_bound() {
+        let lib = "pub struct NetConfig {\n    pub a: u8,\n}\npub fn only_tests() {}\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    #[ignore = \"later\"]\n    fn t() { super::only_tests() }\n}\n";
+        let census = render(&[source("crates/net/src/lib.rs", lib)], "# D\n\nx\n");
+        let expected = counts(&[
+            ("config_pub_fields.NetConfig", 1),
+            ("design_md_lines", 3),
+            ("ignored_tests", 1),
+            ("non_test_lines.crates/broker", 0),
+            ("non_test_lines.crates/core", 0),
+            ("non_test_lines.crates/net", 4),
+            ("non_test_lines.crates/security", 0),
+            ("non_test_lines.crates/util", 0),
+            ("non_test_lines.crates/wire", 0),
+            ("own_file_only_pub", 0),
+            ("test_only_pub", 1),
+        ]);
+        assert_eq!(census.counts, expected);
     }
 
     #[test]

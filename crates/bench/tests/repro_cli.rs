@@ -161,6 +161,38 @@ fn gate_census_passes_on_the_tree() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// The census gate holds every count to its committed ceiling: on a
+/// one-crate tree, a count at its ceiling passes and one over it fails,
+/// naming the count, its value and its ceiling.
+#[test]
+fn gate_census_fails_a_count_above_its_ceiling() {
+    let dir = scratch("repro_cli_ceilings");
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    std::fs::create_dir_all(dir.join("crates/util/src")).expect("create crate");
+    let lib = "pub struct UtilConfig {\n    pub a: u8,\n}\n";
+    std::fs::write(dir.join("crates/util/src/lib.rs"), lib).expect("write lib.rs");
+    std::fs::write(dir.join("DESIGN.md"), "# Design\n\nOne line.\n").expect("write DESIGN.md");
+    assert_eq!(repro(&dir, &["census"]).status.code(), Some(0), "repro census writes CENSUS.json");
+    let gate_with_design_ceiling = |ceiling: usize| {
+        let mut ceilings = format!("design_md_lines = {ceiling}\nnon_test_lines.crates/util = 3\n");
+        for lib in ["wire", "net", "broker", "core", "security"] {
+            ceilings.push_str(&format!("non_test_lines.crates/{lib} = 0\n"));
+        }
+        ceilings.push_str(
+            "test_only_pub = 0\nown_file_only_pub = 0\nconfig_pub_fields.UtilConfig = 1\n\
+             ignored_tests = 0\n",
+        );
+        std::fs::write(dir.join("CENSUS_ceilings.conf"), ceilings).expect("write ceilings");
+        repro(&dir, &["gate", "census"])
+    };
+    let at = gate_with_design_ceiling(3);
+    assert_eq!(at.status.code(), Some(0), "{}", String::from_utf8_lossy(&at.stderr));
+    let over = gate_with_design_ceiling(2);
+    assert_eq!(over.status.code(), Some(1), "a count above its ceiling fails the gate");
+    let stderr = String::from_utf8_lossy(&over.stderr);
+    assert!(stderr.contains("design_md_lines = 3, above its ceiling 2"), "{stderr}");
+}
+
 #[test]
 fn gate_lint_fails_closed_when_cargo_cannot_be_run() {
     let dir = scratch("repro_cli_no_cargo");

@@ -1118,82 +1118,11 @@ mod tests {
     use super::*;
     use crate::chaos::{ChaosProfile, ChaosTargets};
     use crate::impl_actor_any;
-    use crate::link::LinkSpec;
     use crate::runtime::Context;
+    use crate::timer_tests::{lossless, Echo, Pinger};
     use nb_wire::addr::well_known;
     use nb_wire::Message;
     use rand::Rng;
-    use std::collections::HashMap;
-
-    /// Echoes every ping as a pong from the same port.
-    #[derive(Default)]
-    struct Echo {
-        pings_seen: u32,
-    }
-
-    impl Actor for Echo {
-        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-            if let Incoming::Datagram { to_port, msg, .. } = event {
-                if let Message::Ping { nonce, sent_at, reply_to } = *msg.message() {
-                    self.pings_seen += 1;
-                    let pong =
-                        Message::Pong { nonce, echoed_sent_at: sent_at, responder: ctx.me() };
-                    ctx.send_udp(to_port, reply_to, &pong);
-                }
-            }
-        }
-        impl_actor_any!();
-    }
-
-    /// Sends pings on start, records the pong RTTs by its local clock.
-    struct Pinger {
-        target: NodeId,
-        rtts: Vec<Duration>,
-        sent: HashMap<u64, SimTime>,
-        timer_fired: u32,
-    }
-
-    impl Pinger {
-        fn new(target: NodeId) -> Pinger {
-            Pinger { target, rtts: Vec::new(), sent: HashMap::new(), timer_fired: 0 }
-        }
-    }
-
-    impl Actor for Pinger {
-        fn on_start(&mut self, ctx: &mut dyn Context) {
-            for nonce in 0..5u64 {
-                let ping = Message::Ping {
-                    nonce,
-                    sent_at: ctx.now().as_micros(),
-                    reply_to: Endpoint::new(ctx.me(), well_known::PING),
-                };
-                self.sent.insert(nonce, ctx.now());
-                ctx.send_udp(well_known::PING, Endpoint::new(self.target, well_known::PING), &ping);
-            }
-            ctx.set_timer(Duration::from_secs(1), 7);
-        }
-
-        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-            match event {
-                Incoming::Datagram { msg, .. } => {
-                    if let Message::Pong { nonce, .. } = msg.message() {
-                        let sent = self.sent[nonce];
-                        self.rtts.push(ctx.now() - sent);
-                    }
-                }
-                Incoming::Timer { token: 7 } => self.timer_fired += 1,
-                _ => {}
-            }
-        }
-        impl_actor_any!();
-    }
-
-    fn lossless(sim: &mut ShardedSim) {
-        sim.network_mut().local_spec = LinkSpec::local().with_loss(0.0);
-        sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
-        sim.network_mut().inter_realm_spec =
-            LinkSpec::wan(Duration::from_millis(40)).with_loss(0.0);
-    }
 
     /// Three echo/pinger pairs spread over three realms, paper clocks,
     /// a light chaos plan: a workload exercising RNG streams, timers,
@@ -1275,85 +1204,6 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_rtt_matches_link_latency() {
-        let mut sim = ShardedSim::with_clock_profile(1, ClockProfile::perfect());
-        sim.set_workers(2);
-        lossless(&mut sim);
-        let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
-        let pinger = sim.add_node("pinger", RealmId(1), Box::new(Pinger::new(echo)));
-        sim.run_for(Duration::from_secs(2));
-        let p: &Pinger = sim.actor(pinger).unwrap();
-        assert_eq!(p.rtts.len(), 5);
-        let spec = sim.network().inter_realm_spec;
-        for rtt in &p.rtts {
-            assert!(*rtt >= spec.latency * 2, "rtt {rtt:?}");
-            assert!(*rtt <= (spec.latency + spec.jitter) * 2, "rtt {rtt:?}");
-        }
-        assert_eq!(p.timer_fired, 1);
-        let e: &Echo = sim.actor(echo).unwrap();
-        assert_eq!(e.pings_seen, 5);
-    }
-
-    #[test]
-    fn crash_drops_traffic_and_revive_restores() {
-        let mut sim = ShardedSim::with_clock_profile(3, ClockProfile::perfect());
-        sim.set_workers(2);
-        lossless(&mut sim);
-        let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
-        let pinger = sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
-        sim.crash(echo);
-        assert!(!sim.is_up(echo));
-        sim.run_for(Duration::from_secs(2));
-        let p: &Pinger = sim.actor(pinger).unwrap();
-        assert!(p.rtts.is_empty());
-        assert!(sim.stats().dropped_node_down > 0);
-        sim.revive(echo);
-        assert!(sim.is_up(echo));
-        let pinger2 = sim.add_node("pinger2", RealmId(0), Box::new(Pinger::new(echo)));
-        sim.run_for(Duration::from_secs(2));
-        let p2: &Pinger = sim.actor(pinger2).unwrap();
-        assert_eq!(p2.rtts.len(), 5);
-    }
-
-    #[test]
-    fn stall_defers_delivery_until_it_ends() {
-        let mut sim = ShardedSim::with_clock_profile(4, ClockProfile::perfect());
-        sim.set_workers(2);
-        lossless(&mut sim);
-        let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
-        let pinger = sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
-        sim.schedule_fault(Duration::ZERO, Fault::Stall { node: echo, dur: Duration::from_secs(3) });
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 0, "stalled node is frozen");
-        sim.run_for(Duration::from_secs(4));
-        let p: &Pinger = sim.actor(pinger).unwrap();
-        assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5, "deferred events replay");
-        assert_eq!(p.rtts.len(), 5);
-        for rtt in &p.rtts {
-            assert!(*rtt >= Duration::from_secs(3), "replies waited out the stall: {rtt:?}");
-        }
-    }
-
-    #[test]
-    fn lossy_restart_rebuilds_actor_from_respawn_factory() {
-        let mut sim = ShardedSim::with_clock_profile(9, ClockProfile::perfect());
-        lossless(&mut sim);
-        let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
-        sim.set_respawn(echo, Box::new(|| Box::new(Echo::default())));
-        sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
-        sim.run_for(Duration::from_secs(2));
-        assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5);
-        sim.restart(echo, false);
-        assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5);
-        sim.restart(echo, true);
-        assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 0);
-        sim.run_for(Duration::from_secs(1));
-        let pinger2 = sim.add_node("pinger2", RealmId(0), Box::new(Pinger::new(echo)));
-        sim.run_for(Duration::from_secs(2));
-        assert_eq!(sim.actor::<Pinger>(pinger2).unwrap().rtts.len(), 5);
-    }
-
-    #[test]
     fn packet_fault_window_via_global_fault_is_deterministic() {
         let run = |workers: usize| {
             let mut sim = ShardedSim::with_clock_profile(6, ClockProfile::perfect());
@@ -1431,14 +1281,6 @@ mod tests {
         assert!(size_of::<crate::node::Queued<NodeEvent>>() <= 64);
         assert!(size_of::<OutMsg>() <= 64);
         assert!(size_of::<Lp>() <= 440);
-    }
-
-    #[test]
-    fn run_until_advances_time_even_when_idle() {
-        let mut sim = ShardedSim::new(0);
-        sim.add_node("idle", RealmId(0), Box::new(crate::runtime::IdleActor));
-        sim.run_until(SimTime::from_secs(30));
-        assert_eq!(sim.now(), SimTime::from_secs(30));
     }
 
     #[test]

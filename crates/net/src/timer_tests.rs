@@ -1,21 +1,29 @@
-//! Timer-slot scenarios both engines are held to.
+//! Scenarios both engines are held to, each run on `Sim` and on
+//! `ShardedSim` (2 workers) through [`DiscoveryEngine`] by
+//! [`on_both_engines!`], so the engines cannot drift apart on them.
 //!
-//! [`crate::node::TimerSlots`] keeps a slot only while its token is
-//! armed and stamps generations from a per-node counter that never
-//! restarts. Each scenario below runs on `Sim` and on `ShardedSim`
-//! through [`DiscoveryEngine`], so the engines cannot drift apart on timer
-//! semantics: a slot count bounded by the timers in flight, no firing
-//! resurrected by re-arming or by a crash, cancel of nothing a no-op.
+//! Timer slots: [`crate::node::TimerSlots`] keeps a slot only while its
+//! token is armed and stamps generations from a per-node counter that
+//! never restarts — a slot count bounded by the timers in flight, no
+//! firing resurrected by re-arming or by a crash, cancel of nothing a
+//! no-op. Node faults and time: a ping's RTT is the link's, a crash
+//! drops traffic and a revive restores it, a stall defers delivery, a
+//! lossy restart rebuilds the actor, `run_until` advances an idle clock.
+//! [`Echo`], [`Pinger`] and [`lossless`] serve `sim.rs`'s and
+//! `shard.rs`'s own tests too.
 
 use std::any::Any;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
-use nb_wire::{NodeId, RealmId};
+use nb_wire::addr::well_known;
+use nb_wire::{Endpoint, Message, NodeId, RealmId};
 
+use crate::chaos::{Fault, FaultPlan};
 use crate::clock::ClockProfile;
 use crate::impl_actor_any;
-use crate::runtime::{Actor, Context, Incoming};
+use crate::link::LinkSpec;
+use crate::runtime::{Actor, Context, IdleActor, Incoming};
 use crate::shard::{DiscoveryEngine, ShardedSim};
 use crate::sim::Sim;
 use crate::time::SimTime;
@@ -28,20 +36,184 @@ fn armed_slots(engine: &dyn Any, node: NodeId) -> usize {
     }
 }
 
+/// Runs `engine`, a `Sim` or a `ShardedSim`, until `deadline`.
+fn run_until(engine: &mut dyn Any, deadline: SimTime) {
+    match engine.downcast_mut::<Sim>() {
+        Some(sim) => sim.run_until(deadline),
+        None => engine.downcast_mut::<ShardedSim>().expect("an engine").run_until(deadline),
+    }
+}
+
 /// Adds a node running `actor`.
 fn add(engine: &mut dyn DiscoveryEngine, actor: Box<dyn Actor>) -> NodeId {
     engine.add_node("n", RealmId(0), actor)
 }
 
-fn sim() -> Sim {
-    Sim::with_clock_profile(7, ClockProfile::perfect())
+fn sim(seed: u64) -> Sim {
+    Sim::with_clock_profile(seed, ClockProfile::perfect())
 }
 
-fn sharded() -> ShardedSim {
-    ShardedSim::with_clock_profile(7, ClockProfile::perfect())
+fn sharded(seed: u64) -> ShardedSim {
+    let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
+    sim.set_workers(2);
+    sim
 }
 
 const MS: Duration = Duration::from_millis(1);
+
+/// Echoes every ping as a pong from the same port.
+#[derive(Default)]
+pub(crate) struct Echo {
+    pub(crate) pings_seen: u32,
+}
+
+impl Actor for Echo {
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        if let Incoming::Datagram { to_port, msg, .. } = event {
+            if let Message::Ping { nonce, sent_at, reply_to } = *msg.message() {
+                self.pings_seen += 1;
+                let pong = Message::Pong { nonce, echoed_sent_at: sent_at, responder: ctx.me() };
+                ctx.send_udp(to_port, reply_to, &pong);
+            }
+        }
+    }
+    impl_actor_any!();
+}
+
+/// Sends pings on start, records the pong RTTs by its local clock.
+pub(crate) struct Pinger {
+    target: NodeId,
+    pub(crate) rtts: Vec<Duration>,
+    sent: HashMap<u64, SimTime>,
+    timer_fired: u32,
+}
+
+impl Pinger {
+    pub(crate) fn new(target: NodeId) -> Pinger {
+        Pinger { target, rtts: Vec::new(), sent: HashMap::new(), timer_fired: 0 }
+    }
+}
+
+impl Actor for Pinger {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        for nonce in 0..5u64 {
+            let ping = Message::Ping {
+                nonce,
+                sent_at: ctx.now().as_micros(),
+                reply_to: Endpoint::new(ctx.me(), well_known::PING),
+            };
+            self.sent.insert(nonce, ctx.now());
+            ctx.send_udp(well_known::PING, Endpoint::new(self.target, well_known::PING), &ping);
+        }
+        ctx.set_timer(Duration::from_secs(1), 7);
+    }
+
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        match event {
+            Incoming::Datagram { msg, .. } => {
+                if let Message::Pong { nonce, .. } = msg.message() {
+                    let sent = self.sent[nonce];
+                    self.rtts.push(ctx.now() - sent);
+                }
+            }
+            Incoming::Timer { token: 7 } => self.timer_fired += 1,
+            _ => {}
+        }
+    }
+    impl_actor_any!();
+}
+
+/// Takes the loss out of every link class of `engine`'s network.
+pub(crate) fn lossless(engine: &mut dyn DiscoveryEngine) {
+    let net = engine.network_mut();
+    net.local_spec = LinkSpec::local().with_loss(0.0);
+    net.intra_realm_spec = LinkSpec::lan().with_loss(0.0);
+    net.inter_realm_spec = LinkSpec::wan(Duration::from_millis(40)).with_loss(0.0);
+}
+
+fn ping_pong_rtt_matches_link_latency(mut engine: impl DiscoveryEngine + 'static) {
+    let sim: &mut dyn DiscoveryEngine = &mut engine;
+    lossless(sim);
+    let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
+    let pinger = sim.add_node("pinger", RealmId(1), Box::new(Pinger::new(echo)));
+    sim.run_for(Duration::from_secs(2));
+    let p: &Pinger = sim.actor(pinger).unwrap();
+    assert_eq!(p.rtts.len(), 5);
+    let spec = sim.network().inter_realm_spec;
+    for rtt in &p.rtts {
+        assert!(*rtt >= spec.latency * 2, "rtt {rtt:?}");
+        assert!(*rtt <= (spec.latency + spec.jitter) * 2, "rtt {rtt:?}");
+    }
+    assert_eq!(p.timer_fired, 1);
+    let e: &Echo = sim.actor(echo).unwrap();
+    assert_eq!(e.pings_seen, 5);
+}
+
+fn crash_drops_traffic_and_revive_restores(mut engine: impl DiscoveryEngine + 'static) {
+    let sim: &mut dyn DiscoveryEngine = &mut engine;
+    lossless(sim);
+    let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
+    let pinger = sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
+    sim.crash(echo);
+    assert!(!sim.is_up(echo));
+    sim.run_for(Duration::from_secs(2));
+    let p: &Pinger = sim.actor(pinger).unwrap();
+    assert!(p.rtts.is_empty());
+    assert!(sim.stats().dropped_node_down > 0);
+    sim.revive(echo);
+    assert!(sim.is_up(echo));
+    // A fresh pinger run against the revived echo succeeds.
+    let pinger2 = sim.add_node("pinger2", RealmId(0), Box::new(Pinger::new(echo)));
+    sim.run_for(Duration::from_secs(2));
+    let p2: &Pinger = sim.actor(pinger2).unwrap();
+    assert_eq!(p2.rtts.len(), 5);
+}
+
+fn stall_defers_delivery_until_it_ends(mut engine: impl DiscoveryEngine + 'static) {
+    let sim: &mut dyn DiscoveryEngine = &mut engine;
+    lossless(sim);
+    let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
+    let pinger = sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
+    // Freeze the echo node for 3 s starting just before the pings land.
+    let stall = Fault::Stall { node: echo, dur: Duration::from_secs(3) };
+    sim.apply_fault_plan(&FaultPlan::new().fault_at(Duration::ZERO, stall));
+    sim.run_for(Duration::from_secs(1));
+    assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 0, "stalled node is frozen");
+    sim.run_for(Duration::from_secs(4));
+    let p: &Pinger = sim.actor(pinger).unwrap();
+    assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5, "deferred events replay");
+    assert_eq!(p.rtts.len(), 5);
+    for rtt in &p.rtts {
+        assert!(*rtt >= Duration::from_secs(3), "replies waited out the stall: {rtt:?}");
+    }
+}
+
+fn lossy_restart_rebuilds_actor_from_respawn_factory(mut engine: impl DiscoveryEngine + 'static) {
+    let sim: &mut dyn DiscoveryEngine = &mut engine;
+    lossless(sim);
+    let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
+    sim.set_respawn(echo, Box::new(|| Box::new(Echo::default())));
+    sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
+    sim.run_for(Duration::from_secs(2));
+    assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5);
+    // State-preserving restart keeps the counter...
+    sim.restart(echo, false);
+    assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5);
+    // ...a lossy restart wipes it.
+    sim.restart(echo, true);
+    assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 0);
+    // And the rebuilt actor still serves traffic.
+    sim.run_for(Duration::from_secs(1));
+    let pinger2 = sim.add_node("pinger2", RealmId(0), Box::new(Pinger::new(echo)));
+    sim.run_for(Duration::from_secs(2));
+    assert_eq!(sim.actor::<Pinger>(pinger2).unwrap().rtts.len(), 5);
+}
+
+fn run_until_advances_time_even_when_idle(mut sim: impl DiscoveryEngine + 'static) {
+    sim.add_node("idle", RealmId(0), Box::new(IdleActor));
+    run_until(&mut sim, SimTime::from_secs(30));
+    assert_eq!(sim.now(), SimTime::from_secs(30));
+}
 
 /// Keeps [`Churn::WINDOW`] one-shot timers in flight, each firing
 /// arming one never-used token, until [`Churn::TOKENS`] have fired —
@@ -196,30 +368,47 @@ fn cancelling_an_unarmed_token_is_a_no_op(mut e: impl DiscoveryEngine + 'static)
     assert_eq!(armed_slots(&e, node), 0);
 }
 
+/// A `#[test]` a scenario an engine: each scenario runs on a `Sim` and
+/// on a 2-worker `ShardedSim` built from the seed it names.
 macro_rules! on_both_engines {
-    ($($scenario:ident => $on_sim:ident, $on_sharded:ident;)*) => {$(
+    ($($scenario:ident($seed:expr) => $on_sim:ident, $on_sharded:ident;)*) => {$(
         #[test]
         fn $on_sim() {
-            $scenario(sim());
+            $scenario(sim($seed));
         }
         #[test]
         fn $on_sharded() {
-            $scenario(sharded());
+            $scenario(sharded($seed));
         }
     )*};
 }
 
 on_both_engines! {
-    slots_never_outgrow_the_timers_in_flight =>
+    slots_never_outgrow_the_timers_in_flight(7) =>
         sim_slots_never_outgrow_the_timers_in_flight,
         sharded_slots_never_outgrow_the_timers_in_flight;
-    rearming_after_a_firing_never_resurrects_a_replaced_one =>
+    rearming_after_a_firing_never_resurrects_a_replaced_one(7) =>
         sim_rearming_after_a_firing_never_resurrects_a_replaced_one,
         sharded_rearming_after_a_firing_never_resurrects_a_replaced_one;
-    crash_then_revive_never_delivers_a_pre_crash_firing =>
+    crash_then_revive_never_delivers_a_pre_crash_firing(7) =>
         sim_crash_then_revive_never_delivers_a_pre_crash_firing,
         sharded_crash_then_revive_never_delivers_a_pre_crash_firing;
-    cancelling_an_unarmed_token_is_a_no_op =>
+    cancelling_an_unarmed_token_is_a_no_op(7) =>
         sim_cancelling_an_unarmed_token_is_a_no_op,
         sharded_cancelling_an_unarmed_token_is_a_no_op;
+    ping_pong_rtt_matches_link_latency(1) =>
+        sim_ping_pong_rtt_matches_link_latency,
+        sharded_ping_pong_rtt_matches_link_latency;
+    crash_drops_traffic_and_revive_restores(3) =>
+        sim_crash_drops_traffic_and_revive_restores,
+        sharded_crash_drops_traffic_and_revive_restores;
+    stall_defers_delivery_until_it_ends(4) =>
+        sim_stall_defers_delivery_until_it_ends,
+        sharded_stall_defers_delivery_until_it_ends;
+    lossy_restart_rebuilds_actor_from_respawn_factory(9) =>
+        sim_lossy_restart_rebuilds_actor_from_respawn_factory,
+        sharded_lossy_restart_rebuilds_actor_from_respawn_factory;
+    run_until_advances_time_even_when_idle(0) =>
+        sim_run_until_advances_time_even_when_idle,
+        sharded_run_until_advances_time_even_when_idle;
 }

@@ -9,7 +9,7 @@ use nb::discovery::bdn::Bdn;
 use nb::discovery::scenario::{Scenario, ScenarioBuilder};
 use nb::discovery::{on_every_engine, DiscoveryBrokerActor};
 use nb::net::wan::{BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
-use nb::net::DiscoveryEngine;
+use nb::net::{DiscoveryEngine, FaultPlan};
 
 /// Runs `body` on the testbed `b` describes, on every engine.
 fn on_every_engine_with<T>(
@@ -108,6 +108,29 @@ fn lossy_bdn_path_is_survived_by_retransmission() {
             "retransmissions must be idempotent at the BDN (duplicates {})",
             bdn_actor.duplicate_requests
         );
+    });
+}
+
+#[test]
+fn a_request_retransmitted_to_the_same_bdn_floods_once() {
+    // §3: retransmission is idempotent at the BDN. Its acks to the
+    // client are cut, and the ack timeout (25 ms) is shorter than the
+    // wait for the first response (an implicit ack, 45–62 ms here), so
+    // the same request reaches the same BDN again: acked, counted, and
+    // not injected a second time.
+    let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 13);
+    builder.discovery.retransmits_per_bdn = 10;
+    builder.discovery.ack_timeout = Duration::from_millis(25);
+    on_every_engine_with(&builder, |mut s| {
+        let (bdn, client) = (s.bdn.unwrap(), s.client);
+        let acks_lost =
+            FaultPlan::new().one_way_flap_at(Duration::ZERO, bdn, client, Duration::from_secs(2));
+        s.sim.apply_fault_plan(&acks_lost);
+        let outcome = s.run_discovery_once();
+        assert!(outcome.chosen.is_some(), "discovery completes on responses alone");
+        let bdn_actor = s.sim.actor::<Bdn>(bdn).unwrap();
+        assert!(bdn_actor.duplicate_requests >= 1, "a retransmission reached the BDN");
+        assert_eq!(bdn_actor.requests_handled, 1, "and was not handled a second time");
     });
 }
 
