@@ -18,6 +18,7 @@
 //! goes to stdout only; the perf record is `BENCHMARK.json`
 //! (`ops_per_s` on `attach_geo`).
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,10 +27,13 @@ use crate::campaign::{
     Testbed,
 };
 use nb_discovery::bdn::{Bdn, BdnConfig};
-use nb_discovery::{Deployment, DiscoveryConfig, Entity, EntityState, Network, RetryPolicy};
+use nb_discovery::{
+    Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, Network, RetryPolicy,
+};
 use nb_net::shard::BOUND_WORKERS;
 use nb_net::topogen::{TopologyKind as WanKind, TopologySpec};
 use nb_net::{ClockProfile, FaultPlan, LinkSpec, ShardedSim, SimTime};
+use nb_wire::frame::DEFAULT_TTL;
 use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
 
 /// Topics the entity population shares; entity `i` subscribes to pool
@@ -308,10 +312,63 @@ pub fn run_tier(spec: &TierSpec, seed: u64, workers: usize) -> ScenarioResult<Ti
     run_description(spec, seed, workers, || describe_tier(spec, seed))
 }
 
+/// `answered_once`: every broker answered every request its region's
+/// BDN (the BDN in its realm) injected exactly once if the request's
+/// TTL reaches it — at most [`DEFAULT_TTL`] overlay hops from an
+/// injection point — and never otherwise. Nothing faults in a tier, so
+/// each broker is live for every request; its responder's last-1000
+/// cache answers a request at most once, so a broker whose answers
+/// number its region's requests answered each of them once.
+fn answered_once(tb: &Testbed<ShardedSim>) -> InvariantResult {
+    let sim = &tb.sim;
+    let broker = |b: NodeId| sim.actor::<DiscoveryBrokerActor>(b).expect("broker");
+    let bdn = |d: NodeId| sim.actor::<Bdn>(d).expect("bdn");
+    // The overlay: each broker's dials, both ways.
+    let mut adjacent: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for &b in &tb.brokers {
+        for &n in &broker(b).broker.config().neighbors {
+            adjacent.entry(b).or_default().push(n);
+            adjacent.entry(n).or_default().push(b);
+        }
+    }
+    let mut queue: VecDeque<NodeId> =
+        tb.bdns.iter().flat_map(|&d| bdn(d).attached_brokers()).copied().collect();
+    let mut hops: BTreeMap<NodeId, u8> = queue.iter().map(|&b| (b, 0)).collect();
+    while let Some(b) = queue.pop_front() {
+        let next = hops[&b] + 1;
+        for &n in adjacent.get(&b).into_iter().flatten() {
+            if next <= DEFAULT_TTL && !hops.contains_key(&n) {
+                hops.insert(n, next);
+                queue.push_back(n);
+            }
+        }
+    }
+    let realm = |node: NodeId| sim.network().realm_of(node);
+    let (mut answers, mut requests, mut off) = (0u64, 0u64, 0usize);
+    for &b in &tb.brokers {
+        let region = tb.bdns.iter().filter(|&&d| realm(d) == realm(b));
+        let asked: u64 = region.map(|&d| bdn(d).requests_handled).sum();
+        let asked = if hops.contains_key(&b) { asked } else { 0 };
+        let answered = broker(b).responder.responses_sent;
+        (answers, requests) = (answers + answered, requests + asked);
+        off += usize::from(answered != asked);
+    }
+    let beyond = tb.brokers.len() - hops.len();
+    InvariantResult {
+        name: "answered_once",
+        passed: off == 0,
+        detail: format!(
+            "{answers} answers to {requests} broker-requests; {off} of {} brokers off, \
+             {beyond} beyond the {DEFAULT_TTL}-hop TTL",
+            tb.brokers.len()
+        ),
+    }
+}
+
 /// Runs the tier `describe` returns, with its topology digest, at
 /// `workers` event workers, as a campaign row with an empty fault plan
-/// and three invariants: `attached` (the whole fleet), `no_failovers`
-/// (nothing faults here) and `heap_ceiling`
+/// and four invariants: `attached` (the whole fleet), `no_failovers`
+/// (nothing faults here), `answered_once` and `heap_ceiling`
 /// ([`MAX_MEM_BYTES_PER_ENTITY`]). `spec` names the row and sizes its
 /// per-entity columns; the heap column counts from before `describe`
 /// runs to after the build, which is why the description comes as a
@@ -416,6 +473,7 @@ pub fn run_description(
             passed: failovers == 0,
             detail: format!("{failovers} failovers"),
         },
+        answered_once(&dep),
         InvariantResult {
             name: "heap_ceiling",
             passed: mem_bytes_per_entity <= MAX_MEM_BYTES_PER_ENTITY,

@@ -9,13 +9,13 @@
 //! the network" (paper §10) — with UUID duplicate suppression bounding
 //! the cost (paper §4's last-1000 cache).
 //!
-//! On every other topic a cyclic overlay would pay for that cache with
-//! two discarded copies in three, so the data path prunes per publisher
-//! (DESIGN.md §18): the neighbour a duplicate came from is asked, with a
-//! leased [`Message::Prune`], to stop sending that publisher's events on
-//! this link. Flooding is what the same loop does wherever no live mute
-//! says otherwise, and the duplicate cache stays underneath as the
-//! safety net, so delivery never depends on the tree being right.
+//! A cyclic overlay pays for that cache with discarded copies, so every
+//! topic but the BDN advertisement prunes per publisher (DESIGN.md §18;
+//! a request's is the BDN that injected it): the neighbour a duplicate
+//! came from is asked, with a leased [`Message::Prune`], to stop sending
+//! that publisher's events on this link. Flooding is what the same loop
+//! does wherever no live mute says otherwise, and the duplicate cache
+//! stays underneath, so delivery never depends on the tree being right.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
@@ -277,8 +277,8 @@ impl Routes {
 /// the frame it travels in, for the owner to act on.
 pub struct Broker {
     cfg: BrokerConfig,
-    /// The discovery-plane topics: their events go to every link and
-    /// back to the owning actor.
+    /// The discovery-plane topics, request then BDN advertisement: their
+    /// events go to every link and back to the owning actor.
     flood: [TopicFilter; 2],
     links: BTreeMap<NodeId, LinkState>,
     clients: BTreeMap<NodeId, ClientState>,
@@ -287,7 +287,8 @@ pub struct Broker {
     subs: SubscriptionTable,
     event_dedup: BoundedDedup<Uuid>,
     /// Per-publisher reverse-path state, allocated by the first
-    /// non-flood event that crosses a link.
+    /// non-flood event that crosses a link or the first duplicate
+    /// request (so an acyclic overlay never holds a request's).
     routes: Option<Box<Routes>>,
     meter: UsageMeter,
     hb_seq: u64,
@@ -598,10 +599,6 @@ impl Broker {
         self.subs.unsubscribe_with(dest, filter, |rec| rec.reconcile(links, seq, ctx));
     }
 
-    fn is_flood_topic(&self, topic: &Topic) -> bool {
-        self.flood.iter().any(|f| f.matches(topic))
-    }
-
     /// Routes a locally originated event: dedup-inserts its UUID, then
     /// hands off to the shared zero-copy dispatch.
     fn route_event(
@@ -635,19 +632,20 @@ impl Broker {
         let Message::Publish(ev) = msg.message() else {
             return None;
         };
-        let flood = self.is_flood_topic(&ev.topic);
+        let flood = self.flood.iter().any(|f| f.matches(&ev.topic));
+        let pruned = !self.flood[1].matches(&ev.topic);
         // One memoized trie lookup; the shared set detaches the borrow on
         // `subs` so dispatch below can consult clients/links freely.
         let matched = self.subs.matches(&ev.topic);
         // `None` when the TTL is spent: local deliveries still happen
         // (they are terminal), link forwards stop.
         let fwd = msg.forward_hop();
-        // The publisher's reverse-path state, if it has any yet. Flood
-        // topics keep none — every link carries them.
+        // The publisher's reverse-path state, if it has any yet. The BDN
+        // advertisement keeps none — every link carries it.
         let neighbour = source.unwrap_or_else(|| ctx.me());
         let lease = self.lease();
         let mut route = match &mut self.routes {
-            Some(routes) if !flood => routes.live(ev.source, now, lease),
+            Some(routes) if pruned => routes.live(ev.source, now, lease),
             _ => None,
         };
         if let Some(route) = route.as_deref_mut() {
@@ -697,7 +695,8 @@ impl Broker {
         }
         if let Some(fwd) = fwd.as_ref() {
             for (&peer, link) in &self.links {
-                if Some(peer) != source {
+                let muted = route.as_ref().is_some_and(|r| r.lease(peer).muted_until > now);
+                if Some(peer) != source && !muted {
                     link.forward(fwd, ctx);
                 }
             }
@@ -707,9 +706,9 @@ impl Broker {
 
     /// A copy of an event already routed arrived from `from`. When that
     /// is a link, the copy need not have been sent: R2 asks the link to
-    /// stop, unless it is the publisher's parent or has been asked
-    /// within the lease; R4 moves the parent to a feed that has beaten
-    /// it for a whole lease and asks the old parent instead.
+    /// stop, unless it is the publisher's parent, no parent is known yet
+    /// or it was asked within the lease; R4 moves the parent to a feed
+    /// that has beaten it for a whole lease and asks the old parent.
     fn duplicate_from(&mut self, msg: &WireMsg, from: NodeId, ctx: &mut dyn Context) {
         let Message::Publish(ev) = msg.message() else {
             return;
@@ -717,7 +716,7 @@ impl Broker {
         let Some(link) = self.links.get(&from) else {
             return;
         };
-        if self.is_flood_topic(&ev.topic) {
+        if self.flood[1].matches(&ev.topic) {
             return;
         }
         let (now, lease) = (ctx.now(), self.lease());
@@ -737,7 +736,7 @@ impl Broker {
                 }
                 _ => return,
             }
-        } else if route.lease(from).asked_until > now {
+        } else if route.parent.is_none() || route.lease(from).asked_until > now {
             return;
         }
         route.lease_mut(from, self.links.len()).asked_until = now + lease;
@@ -833,26 +832,54 @@ mod tests {
     }
 
     #[test]
-    fn the_default_broker_floods_the_discovery_plane_topics_and_nothing_else() {
+    fn the_discovery_plane_floods_and_only_requests_are_pruned() {
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = Recorder::new();
         let links = [NodeId(10), NodeId(11), NodeId(12)];
         for l in links {
             feed(&mut broker, &mut ctx, l, Message::LinkHello { from: l, realm: RealmId(0) });
         }
-        let publishes_to = |ctx: &mut Recorder| -> Vec<NodeId> {
+        let sent_to = |ctx: &mut Recorder, kind: &str| -> Vec<NodeId> {
             let sent = std::mem::take(&mut ctx.sent);
-            sent.into_iter().filter(|(_, m)| matches!(m, Message::Publish(_))).map(|(to, _)| to).collect()
+            sent.into_iter().filter(|(_, m)| m.kind() == kind).map(|(to, _)| to).collect()
         };
-        publishes_to(&mut ctx);
+        ctx.sent.clear();
         for topic in [&DISCOVERY_REQUEST, &BDN_ADVERTISEMENT] {
             let surfaced = broker.publish_local(topic.topic(), Bytes::from_static(b"request"), &mut ctx);
             assert!(surfaced.is_some(), "{}: handed back to the owner", topic.topic());
-            assert_eq!(publishes_to(&mut ctx), links, "{}: to every link", topic.topic());
+            assert_eq!(sent_to(&mut ctx, "publish"), links, "{}: to every link", topic.topic());
         }
         let topic = Topic::parse("feed/x").unwrap();
         assert!(broker.publish_local(topic, Bytes::new(), &mut ctx).is_none());
-        assert!(publishes_to(&mut ctx).is_empty(), "no link asked for it");
+        assert!(sent_to(&mut ctx, "publish").is_empty(), "no link asked for it");
+        assert!(broker.routes.is_none(), "a copy that came back once is what makes route state");
+
+        // Events a BDN (node 50) published, each first over link 11, then
+        // again over link 12. The first duplicate request makes a route
+        // with no parent and asks nothing; the next, with the parent
+        // known, prunes link 12. An advertisement is never pruned.
+        let bdn = NodeId(50);
+        let event = |topic: &nb_wire::topic::WellKnownTopic, ctx: &mut Recorder| {
+            let id = Uuid::random(&mut ctx.rng);
+            Message::Publish(Event { id, topic: topic.topic(), source: bdn, payload: Bytes::new() })
+        };
+        let (ad, req) = (&BDN_ADVERTISEMENT, &DISCOVERY_REQUEST);
+        for (topic, prunes) in [(ad, vec![]), (ad, vec![]), (req, vec![]), (req, vec![NodeId(12)])] {
+            let publish = event(topic, &mut ctx);
+            feed(&mut broker, &mut ctx, NodeId(11), publish.clone());
+            assert_eq!(sent_to(&mut ctx, "publish"), [NodeId(10), NodeId(12)], "{}", topic.topic());
+            feed(&mut broker, &mut ctx, NodeId(12), publish);
+            assert_eq!(sent_to(&mut ctx, "prune"), prunes, "{}", topic.topic());
+        }
+        // Link 10 asks not to be sent the BDN's events: its requests
+        // skip that link, its advertisements still cross it.
+        feed(&mut broker, &mut ctx, NodeId(10), Message::Prune { source: bdn, lease_ms: 6_000 });
+        let (only_12, both) = (vec![NodeId(12)], vec![NodeId(10), NodeId(12)]);
+        for (topic, to) in [(&DISCOVERY_REQUEST, only_12), (&BDN_ADVERTISEMENT, both)] {
+            let publish = event(topic, &mut ctx);
+            feed(&mut broker, &mut ctx, NodeId(11), publish);
+            assert_eq!(sent_to(&mut ctx, "publish"), to, "{}", topic.topic());
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
 
 use crate::config::SecuritySuite;
 use crate::federation::{
-    Federation, FederationConfig, LeaseBook, LeaseOutcome, Registered, MAX_SYNC_ENTRIES, MAX_TOMBSTONES,
+    Federation, FederationConfig, LeaseBook, LeaseOutcome, MAX_SYNC_ENTRIES, MAX_TOMBSTONES,
 };
 use crate::policy::ResponsePolicy;
 
@@ -77,8 +77,8 @@ pub struct BdnConfig {
     /// period are dropped (§1.2: "broker processes may join and leave the
     /// broker network at arbitrary times" — the registry must not serve
     /// ghosts). Brokers re-advertise every 120 s by default. Each
-    /// advertisement is a **lease**: refreshing extends
-    /// [`Registered::expires_at`] by this TTL. Only brokers holding a
+    /// advertisement is a **lease**: refreshing extends its
+    /// `Registered::expires_at` by this TTL. Only brokers holding a
     /// live lease are injection targets: an attached broker whose lease
     /// has lapsed, or that never advertised, is skipped (and counted in
     /// [`Bdn::stale_targets_skipped`]) even before the ping timer prunes
@@ -198,14 +198,14 @@ impl Bdn {
         }
     }
 
+    /// The brokers requests are injected at, while their leases live.
+    pub fn attached_brokers(&self) -> &[NodeId] {
+        &self.cfg.attached_brokers
+    }
+
     /// Registered broker count.
     pub fn registry_len(&self) -> usize {
         self.registry.len()
-    }
-
-    /// The registry entry for `broker`.
-    pub fn registered(&self, broker: NodeId) -> Option<&Registered> {
-        self.registry.get(broker)
     }
 
     /// The whole registry.

@@ -86,12 +86,6 @@ impl LinkSpec {
         self
     }
 
-    /// Replaces the jitter.
-    pub fn with_jitter(mut self, jitter: Duration) -> LinkSpec {
-        self.jitter = jitter;
-        self
-    }
-
     /// Samples a one-way latency for one packet.
     pub fn sample_latency<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
         let j = self.jitter.as_nanos() as u64;
@@ -126,16 +120,15 @@ pub enum DatagramFate {
 }
 
 /// The static network model: who is where, and what the paths look like.
-///
-/// All interior collections are ordered (`BTreeMap`/`BTreeSet`) so that
-/// every sweep or fan-out over them is deterministic regardless of
-/// insertion history (clippy.toml bans hash-order walks).
+/// Its collections are ordered, so every walk of one is deterministic.
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     /// `realms[node id]`; node ids are dense from zero, and every send
     /// reads two of these.
     realms: Vec<Option<RealmId>>,
     overrides: BTreeMap<(NodeId, NodeId), LinkSpec>,
+    /// `overridden[node id]`: whether an override names the node at all.
+    overridden: Vec<bool>,
     partitions: BTreeSet<(NodeId, NodeId)>,
     /// Directed severed paths `(from, to)` — asymmetric partitions where
     /// traffic one way is black-holed while replies still flow.
@@ -165,6 +158,7 @@ impl NetworkModel {
         NetworkModel {
             realms: Vec::new(),
             overrides: BTreeMap::new(),
+            overridden: Vec::new(),
             partitions: BTreeSet::new(),
             directed_partitions: BTreeSet::new(),
             groups: BTreeMap::new(),
@@ -200,6 +194,9 @@ impl NetworkModel {
     /// Overrides the path between `a` and `b` (symmetric).
     pub fn set_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
         self.overrides.insert(Self::key(a, b), spec);
+        let len = self.overridden.len().max(a.0.max(b.0) as usize + 1);
+        self.overridden.resize(len, false);
+        (self.overridden[a.0 as usize], self.overridden[b.0 as usize]) = (true, true);
     }
 
     /// Severs the path between `a` and `b` (fault injection).
@@ -240,7 +237,8 @@ impl NetworkModel {
         if self.path_blocked(a, b) {
             return None;
         }
-        if let Some(s) = self.overrides.get(&Self::key(a, b)) {
+        let named = |n: NodeId| self.overridden.get(n.0 as usize) == Some(&true);
+        if let Some(s) = (named(a) && named(b)).then(|| self.overrides.get(&Self::key(a, b))).flatten() {
             return Some(*s);
         }
         if a == b {
@@ -1119,7 +1117,7 @@ mod tests {
         // link can lose, can jitter.
         assert_eq!(send(rolls, b, off).0, 2);
         assert_eq!(send(rolls.with_loss(0.0), b, off).0, 1);
-        assert_eq!(send(rolls.with_loss(0.0).with_jitter(Duration::ZERO), b, off).0, 0);
+        assert_eq!(send(LinkSpec { jitter: Duration::ZERO, ..rolls.with_loss(0.0) }, b, off).0, 0);
         // Corrupt at 1: its roll, and the send ends there.
         let (taken, sent, stats) = send(rolls, b, window(1.0, 1.0, 1.0, 80));
         assert_eq!((taken, sent, stats.datagrams_corrupted), (3, None, 1));

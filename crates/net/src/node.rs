@@ -626,7 +626,7 @@ mod tests {
     /// partition that severs its streams and nothing else; every node's
     /// arrival log, by node.
     fn arrivals(engine: &mut dyn DiscoveryEngine, cut: bool) -> Vec<Vec<Logged>> {
-        let still = |spec: LinkSpec| spec.with_loss(0.0).with_jitter(Duration::ZERO);
+        let still = |spec: LinkSpec| LinkSpec { jitter: Duration::ZERO, ..spec.with_loss(0.0) };
         let net = engine.network_mut();
         net.local_spec = still(LinkSpec::local());
         net.intra_realm_spec = still(LinkSpec::lan());
@@ -742,7 +742,7 @@ mod tests {
     /// What the sink receives when it is restarted while the sender's
     /// first, symbol-defining frame is on the wire.
     fn topics_across_a_reset(engine: &mut dyn DiscoveryEngine) -> Vec<String> {
-        let still = LinkSpec::lan().with_loss(0.0).with_jitter(Duration::ZERO);
+        let still = LinkSpec { jitter: Duration::ZERO, ..LinkSpec::lan().with_loss(0.0) };
         engine.network_mut().intra_realm_spec = still;
         let sink = engine.add_node("sink", RealmId(0), Box::new(TopicSink::default()));
         engine.add_node("sender", RealmId(0), Box::new(TopicSender { to: sink, sent: 0 }));

@@ -900,7 +900,7 @@ impl ShardedSim {
     /// Runs until virtual time reaches `deadline`, processing every
     /// event scheduled at or before it, epoch by epoch, and folds each
     /// epoch's per-LP event counts into the parallel bound.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    pub(crate) fn run_until(&mut self, deadline: SimTime) {
         let lookahead = *self.lookahead.get_or_insert_with(|| {
             self.network.min_cross_node_latency().max(Duration::from_nanos(1))
         });

@@ -84,7 +84,7 @@ proptest! {
         // protocol would see it: at the receiving actor.)
         let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec =
-            LinkSpec::lan().with_jitter(Duration::from_micros(jitter_us));
+            LinkSpec { jitter: Duration::from_micros(jitter_us), ..LinkSpec::lan() };
         let sink = sim.add_node("sink", RealmId(0), Box::new(stream_order::Sink::default()));
         let gaps = gaps_us.iter().map(|&us| Duration::from_micros(us)).collect();
         sim.add_node("paced", RealmId(0), Box::new(stream_order::Paced { to: sink, gaps, sent: 0 }));
@@ -313,9 +313,8 @@ mod bandwidth_end_to_end {
     #[test]
     fn bulk_traffic_delays_messages_queued_behind_it() {
         let mut sim = Sim::with_clock_profile(5, ClockProfile::perfect());
-        sim.network_mut().inter_realm_spec = LinkSpec::wan(Duration::from_millis(10))
-            .with_loss(0.0)
-            .with_jitter(Duration::ZERO);
+        sim.network_mut().inter_realm_spec =
+            LinkSpec { jitter: Duration::ZERO, ..LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0) };
         let rx = sim.add_node("rx", RealmId(0), Box::new(Recorder::default()));
         sim.add_node("tx", RealmId(1), Box::new(Sender { peer: rx }));
         sim.run_for(Duration::from_secs(2));

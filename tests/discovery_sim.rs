@@ -142,7 +142,7 @@ fn bdn_registry_learns_all_advertisers_and_measures_rtt() {
         let bdn_actor = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
         assert_eq!(bdn_actor.registry_len(), 5, "all brokers registered");
         for &broker in &s.brokers {
-            let reg = bdn_actor.registered(broker).expect("registered");
+            let reg = bdn_actor.registry().get(broker).expect("registered");
             let rtt = reg.rtt_us.expect("RTT measured by the BDN's ping loop");
             assert!(rtt > 0);
         }
@@ -317,5 +317,100 @@ fn one_request_floods_once_however_many_brokers_it_is_injected_at() {
             vec![(1, 1); brokers.len()],
             "(events routed, responses sent) per broker over one discovery"
         );
+    });
+}
+
+#[test]
+fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alone() {
+    // DESIGN.md §18: a discovery request prunes like any topic, with the
+    // BDN that injected it as its publisher. On a jitter-free ring
+    // b0–…–b5–b0 the BDN injects each request at b0 and, 60 ms later,
+    // at b3; the flood from b0 reaches b3 long before that, both ways
+    // round, so b3–b4 carries a copy each way and b3 gets the BDN's own
+    // injection late. The first request's duplicates make routes with
+    // no parent; the second's name the parents and prune the b3–b4 link.
+    use nb::broker::{Broker, BrokerConfig};
+    use nb::discovery::client::TIMER_START;
+    use nb::discovery::{BdnConfig, Deployment, DiscoveryClient, DiscoveryConfig, Network};
+    use nb::discovery::ResponsePolicy;
+    use nb::net::{ClockProfile, Incoming, LinkSpec};
+    use nb::util::Uuid;
+    use nb::wire::addr::well_known;
+    use nb::wire::topic::BDN_ADVERTISEMENT;
+    use nb::wire::{Bytes, Endpoint, Event, Message, NodeId, RealmId};
+
+    let bdn = NodeId(0);
+    let brokers: Vec<NodeId> = (1..=6).map(NodeId).collect();
+    let client = NodeId(7);
+    let describe = || {
+        let intra = LinkSpec { jitter: Duration::ZERO, ..LinkSpec::lan() }.with_loss(0.0);
+        let network = Network::Realms { intra, inter: intra, wan: None };
+        let mut d = Deployment { seed: 19, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+        let attached_brokers = vec![brokers[0], brokers[3]];
+        let cfg = BdnConfig { attached_brokers, auto_attach: false, ..BdnConfig::default() };
+        d.add("bdn".into(), RealmId(0), false, move || Box::new(Bdn::new(cfg.clone())));
+        for i in 0..brokers.len() {
+            let neighbors = match i {
+                0 => vec![],
+                5 => vec![brokers[4], brokers[0]],
+                _ => vec![brokers[i - 1]],
+            };
+            let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
+            d.add(format!("b{i}"), RealmId(0), false, move || {
+                Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![bdn], ResponsePolicy::open()))
+            });
+        }
+        let discovery = DiscoveryConfig { bdns: vec![bdn], max_responses: 6, ..DiscoveryConfig::default() };
+        d.add("client".into(), RealmId(0), false, move || {
+            Box::new(DiscoveryClient::with_auto_start(discovery.clone(), false))
+        });
+        d
+    };
+    on_every_engine(describe, |sim| {
+        sim.run_for(Duration::from_secs(10));
+        // (duplicates dropped, Prunes sent, Prunes received, events routed)
+        // summed over the brokers.
+        let totals = |sim: &dyn DiscoveryEngine| -> [u64; 4] {
+            let of = |b: &Broker| [b.duplicates_suppressed, b.prunes_sent, b.prunes_received, b.events_routed];
+            let each = brokers.iter().map(|&b| of(&sim.actor::<DiscoveryBrokerActor>(b).unwrap().broker));
+            each.fold([0; 4], |acc, x| std::array::from_fn(|i| acc[i] + x[i]))
+        };
+        let request = |sim: &mut dyn DiscoveryEngine| -> [u64; 4] {
+            let before = totals(sim);
+            sim.inject(client, Duration::ZERO, Incoming::Timer { token: TIMER_START });
+            sim.run_for(Duration::from_millis(1200));
+            std::array::from_fn(|i| totals(sim)[i] - before[i])
+        };
+        let [dups, prunes, ..] = request(sim);
+        assert_eq!((dups, prunes), (3, 0), "first request: both ends of b3–b4 and b3's late injection");
+        let [_, prunes, pruned, _] = request(sim);
+        assert_eq!((prunes, pruned), (2, 2), "second request: b3–b4 pruned both ways, the BDN never");
+        // While the mutes live (a lease, 6 s), a request crosses b3–b4 in
+        // neither direction, and the one duplicate left is the BDN's own
+        // injection at b3, which no broker answers with a `Prune`.
+        for _ in 0..3 {
+            assert_eq!(request(sim), [1, 0, 0, 6], "(dups, prunes, pruned, routed) a request");
+        }
+        for (i, &b) in brokers.iter().enumerate() {
+            let answered = sim.actor::<DiscoveryBrokerActor>(b).unwrap().responder.responses_sent;
+            assert_eq!(answered, 5, "broker {i} answers each of the five requests once");
+        }
+        let completed = sim.actor::<DiscoveryClient>(client).unwrap().completed.len();
+        assert_eq!(completed, 5, "every discovery finished");
+        // The BDN's advertisement, injected at b0 by the same BDN, still
+        // crosses b3–b4 both ways: a flood with nothing pruned.
+        let before = totals(sim);
+        let event = Event {
+            id: Uuid::from_u128(0xAD),
+            topic: BDN_ADVERTISEMENT.topic(),
+            source: bdn,
+            payload: Bytes::new(),
+        };
+        let from = Endpoint::new(bdn, well_known::BDN);
+        let msg = Message::Publish(event).into();
+        sim.inject(brokers[0], Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg });
+        sim.run_for(Duration::from_millis(100));
+        let grew: [u64; 4] = std::array::from_fn(|i| totals(sim)[i] - before[i]);
+        assert_eq!(grew, [2, 0, 0, 6], "(dups, prunes, pruned, routed) for the advertisement");
     });
 }
