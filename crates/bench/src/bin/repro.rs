@@ -453,14 +453,14 @@ fn scale_report(args: &Args) -> (String, bool) {
     );
     let report = scale::run_campaign(&tiers, args.seed, workers);
     println!(
-        "{:<14} {:>7} {:>8} {:>4} {:>12} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7}",
+        "{:<14} {:>7} {:>8} {:>4} {:>12} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
         "tier", "brokers", "entities", "rgns", "events", "evts/sec", "attach_ms",
-        "p50_us", "p99_us", "p999_us", "wire/e", "mem/e"
+        "p50_us", "p99_us", "p999_us", "wire/e", "mem/e", "dedup/e"
     );
     for row in &report.scenarios {
         let t = &row.stats;
         println!(
-            "{:<14} {:>7} {:>8} {:>4} {:>12} {:>9.0} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7}",
+            "{:<14} {:>7} {:>8} {:>4} {:>12} {:>9.0} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
             row.name,
             t.brokers,
             t.entities,
@@ -473,6 +473,7 @@ fn scale_report(args: &Args) -> (String, bool) {
             t.discovery_p999_us,
             t.wire_bytes_per_entity,
             t.mem_bytes_per_entity,
+            t.dedup_bytes_per_entity,
         );
         print_failures(row);
     }
@@ -548,13 +549,13 @@ fn report_gate(root: &Path, name: &str, flags: &str) {
         if !passed {
             gate_failed(file, &format!("an invariant failed at {workers} worker(s)"));
         }
-        if let Some(line) = first_difference(&committed, &json) {
+        if let Some(departure) = departure(&committed, &json) {
             gate_failed(
                 file,
                 &if workers == 1 {
-                    format!("the tree regenerates it differently from line {line} on")
+                    format!("the tree regenerates it differently {departure}")
                 } else {
-                    format!("it differs between 1 and 4 workers from line {line} on")
+                    format!("it differs between 1 and 4 workers {departure}")
                 },
             );
         }
@@ -654,15 +655,7 @@ fn pin_failures(
             let why = match committed.get(file) {
                 None => "there is no committed copy".to_string(),
                 Some(Err(e)) => format!("cannot read the committed copy: {e}"),
-                Some(Ok(old)) => {
-                    let line = first_difference(old, fresh)?;
-                    let [was, now] = [old.as_str(), fresh.as_str()]
-                        .map(|text| text.lines().nth(line - 1).unwrap_or("<end of file>"));
-                    format!(
-                        "the tree regenerates it differently from line {line} on\n  \
-                         committed:   {was}\n  regenerated: {now}"
-                    )
-                }
+                Some(Ok(old)) => format!("the tree regenerates it differently {}", departure(old, fresh)?),
             };
             Some((file.clone(), why))
         })
@@ -725,10 +718,14 @@ fn gate_failed(file: &str, why: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The 1-based line of `b` that first differs from `a`, `None` when the
-/// two are byte-identical.
-fn first_difference(a: &str, b: &str) -> Option<usize> {
-    (a != b).then(|| a.lines().zip(b.lines()).take_while(|(x, y)| x == y).count() + 1)
+/// Where `fresh` first departs from `committed`, as every gate reports
+/// it: the 1-based line and that line in each, `None` when the two are
+/// byte-identical.
+fn departure(committed: &str, fresh: &str) -> Option<String> {
+    let same = || committed.lines().zip(fresh.lines()).take_while(|(x, y)| x == y).count();
+    let line = (committed != fresh).then(|| same() + 1)?;
+    let [was, now] = [committed, fresh].map(|text| text.lines().nth(line - 1).unwrap_or("<end of file>"));
+    Some(format!("from line {line} on\n  committed:   {was}\n  regenerated: {now}"))
 }
 
 fn main() {

@@ -243,8 +243,13 @@ pub struct TierOutcome {
     /// Network payload bytes delivered, divided by the entity count.
     pub wire_bytes_per_entity: u64,
     /// Heap bytes the deployment build retained, divided by the entity
-    /// count (counting allocator; 0 when not installed).
+    /// count (counting allocator; 0 when not installed). The duplicate
+    /// caches grow after the build; `dedup_bytes_per_entity` has them.
     pub mem_bytes_per_entity: u64,
+    /// Heap bytes every node's duplicate caches hold after the run
+    /// ([`nb_util::BoundedDedup::heap_bytes`]), divided by the entity
+    /// count: brokers' event and request caches, BDNs', entities'.
+    pub dedup_bytes_per_entity: u64,
     /// Whether the counting allocator was active for the memory column.
     pub alloc_counting: bool,
     /// Wall milliseconds for the whole tier (stdout only).
@@ -292,8 +297,11 @@ impl CampaignStats for TierOutcome {
         ));
         out.push_str(&format!(
             "       \"wire_bytes_per_entity\": {}, \"mem_bytes_per_entity\": {}, \
-             \"alloc_counting\": {}}}",
-            self.wire_bytes_per_entity, self.mem_bytes_per_entity, self.alloc_counting
+             \"dedup_bytes_per_entity\": {}, \"alloc_counting\": {}}}",
+            self.wire_bytes_per_entity,
+            self.mem_bytes_per_entity,
+            self.dedup_bytes_per_entity,
+            self.alloc_counting
         ));
     }
 }
@@ -459,6 +467,14 @@ pub fn run_description(
         failovers += entity.failovers;
     }
     latencies.sort_unstable();
+    let sim = &dep.sim;
+    let broker_caches = |&b: &NodeId| {
+        let actor = sim.actor::<DiscoveryBrokerActor>(b).expect("broker");
+        actor.broker.dedup_bytes() + actor.responder.dedup_bytes()
+    };
+    let dedup_bytes = dep.brokers.iter().map(broker_caches).sum::<usize>()
+        + dep.bdns.iter().map(|&d| sim.actor::<Bdn>(d).expect("bdn").dedup_bytes()).sum::<usize>()
+        + dep.entities.iter().map(|&e| dep.entity(e).dedup_bytes()).sum::<usize>();
     let stats = dep.sim.stats();
     debug_assert!(publishes >= publishers, "queued publishes must flush");
     let mem_bytes_per_entity = live1.saturating_sub(live0) / spec.entities.max(1) as u64;
@@ -508,6 +524,7 @@ pub fn run_description(
             failovers,
             wire_bytes_per_entity: stats.bytes_delivered / spec.entities.max(1) as u64,
             mem_bytes_per_entity,
+            dedup_bytes_per_entity: dedup_bytes as u64 / spec.entities.max(1) as u64,
             alloc_counting,
             wall_ms: wall.elapsed().as_secs_f64() * 1e3,
         },
@@ -555,6 +572,8 @@ mod tests {
         );
         assert_eq!(a.deliveries, b.deliveries);
         assert_eq!(a.wire_bytes_per_entity, b.wire_bytes_per_entity);
+        assert_eq!(a.dedup_bytes_per_entity, b.dedup_bytes_per_entity);
+        assert!(a.dedup_bytes_per_entity > 0, "every node holds a duplicate cache");
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! subscribers, 8 publishers, counted while it subscribes and while it
 //! publishes — and the Fig 2 deployment on `Sim`, counted while it is
 //! built and warmed up and while it runs one discovery; the heap bytes
-//! two duplicate caches hold, the paper's last-1000 one and an entity's
-//! 64-key one; and the heap one broker's interest plane holds. The
-//! counts are exact
-//! and repeat, so a new allocation on the flood hop, the responder, the
-//! epoch barrier, the interest state, the match memo, the per-publisher
-//! route state or the client's rounds shows here as a failed test
-//! instead of needing an `LD_PRELOAD` census to find. This file must
+//! that deployment holds once warmed up, and its client once its
+//! discovery finished; the heap bytes two duplicate caches hold, the
+//! paper's last-1000 one and an entity's 64-key one, pre-sized and
+//! grown; and the heap one broker's interest plane holds. The counts
+//! are exact and repeat, so a new allocation on the flood hop, the
+//! responder, the epoch barrier, the interest state, the match memo,
+//! the per-publisher route state or the client's rounds, or a buffer a
+//! node keeps without using it, shows here as a failed test instead of
+//! needing an `LD_PRELOAD` census to find. This file must
 //! stay one test, the only one in its binary: libtest runs tests on
 //! parallel threads, and a sibling would allocate into the same
 //! counter.
@@ -23,7 +25,9 @@ use std::time::Duration;
 use nb_bench::alloc::{calls, live_bytes, CountingAlloc};
 use nb_bench::scale::{build_tier, TierSpec};
 use nb_broker::{Broker, BrokerConfig, PubSubClient, Topology};
-use nb_discovery::{DiscoveryBrokerActor, Entity, EntityState, ResponsePolicy, ScenarioBuilder};
+use nb_discovery::{
+    DiscoveryBrokerActor, DiscoveryClient, Entity, EntityState, ResponsePolicy, Scenario, ScenarioBuilder,
+};
 use nb_net::topogen::TopologyKind;
 use nb_net::wan::BLOOMINGTON;
 use nb_net::{ClockProfile, Context, Incoming, LinkSpec, NodeId, RealmId, Sim, SimTime};
@@ -212,16 +216,63 @@ fn allocations_of_one_paper_build() -> u64 {
 const BUDGET_1000_KEY_CACHE: u64 = 26 * 1024;
 const BUDGET_64_KEY_CACHE: u64 = 1792;
 
-/// Live bytes and allocator calls of one filled pre-sized cache.
-fn bytes_and_calls_of_a_filled_cache(capacity: usize) -> (u64, u64) {
+/// Live bytes and allocator calls of one cache built by `make` and
+/// filled with `keys` distinct keys; its `heap_bytes` must read the
+/// live bytes the allocator counted.
+fn bytes_and_calls_of_a_cache(make: impl FnOnce() -> BoundedDedup<Uuid>, keys: usize) -> (u64, u64) {
     let (live, before) = (live_bytes(), calls());
-    let mut cache = BoundedDedup::<Uuid>::new(capacity);
-    for k in 0..3 * capacity as u128 {
+    let mut cache = make();
+    for k in 0..keys as u128 {
         cache.check_and_insert(Uuid::from_u128(k << 64 | k));
     }
     let counted = (live_bytes() - live, calls() - before);
+    assert_eq!(cache.heap_bytes() as u64, counted.0, "heap_bytes of a cache after {keys} keys");
     drop(cache);
     counted
+}
+
+/// Live bytes one Fig 2 deployment (unconnected, client at
+/// Bloomington, seed 2005) holds once built and warmed up: WAN model,
+/// five brokers, the BDN, the client, their links and caches, the
+/// engine. The parent of the change that added this case held
+/// 296 261 B under `cargo test`, 266 112 B of them in eleven 1000-key
+/// duplicate caches (each broker's event and request caches, the
+/// BDN's request cache) allocated whole at build and holding a dozen
+/// keys each. Sized by what they hold, they take 384 B each and the
+/// deployment 34 373 B; the budget is that plus 10 %.
+const BUDGET_PAPER_BUILD_BYTES: u64 = 37_810;
+
+/// Live bytes a [`ScenarioBuilder::build`] of the Fig 2 deployment
+/// retains.
+fn bytes_of_one_paper_build() -> (u64, Scenario) {
+    let live = live_bytes();
+    let scenario = ScenarioBuilder::new(nb_broker::TopologyKind::Unconnected, BLOOMINGTON, 2005).build();
+    (live_bytes() - live, scenario)
+}
+
+/// Heap bytes the Fig 2 client holds after one finished discovery:
+/// its configuration, the outcome it keeps, its last target set and
+/// its emptied round buffers. The parent of the change that added this
+/// case held 2 148 B under `cargo test`: it kept the shortlisted
+/// candidates, with their hostnames and transports, until the next run
+/// began, and a four-slot outcome history. Letting go of the
+/// candidates and growing the history a slot at a time makes it
+/// 842 B; the budget is that plus 10 %.
+const BUDGET_FINISHED_CLIENT_BYTES: u64 = 926;
+
+/// Runs one discovery on a built Fig 2 deployment, swaps the client
+/// for a fresh one and counts the bytes the finished one frees.
+fn bytes_of_one_finished_client(mut scenario: Scenario) -> u64 {
+    let outcome = scenario.run_discovery_once();
+    assert!(outcome.chosen.is_some(), "the discovery chose no broker");
+    let client = scenario.client;
+    let cfg = scenario.sim.actor::<DiscoveryClient>(client).expect("client").config().clone();
+    let fresh = DiscoveryClient::with_auto_start(cfg, false);
+    let finished = std::mem::replace(scenario.sim.actor_mut::<DiscoveryClient>(client).expect("client"), fresh);
+    assert_eq!(finished.completed.len(), 1);
+    let live = live_bytes();
+    drop(finished);
+    live - live_bytes()
 }
 
 /// Heap bytes of one broker's interest plane — the trie, one record a
@@ -352,10 +403,33 @@ fn allocations_repeat_exactly_and_stay_under_budget() {
     );
 
     for (capacity, budget) in [(1000, BUDGET_1000_KEY_CACHE), (64, BUDGET_64_KEY_CACHE)] {
-        let (bytes, calls) = bytes_and_calls_of_a_filled_cache(capacity);
+        let (bytes, calls) =
+            bytes_and_calls_of_a_cache(|| BoundedDedup::with_expected(capacity, capacity), 3 * capacity);
         assert_eq!(calls, 2, "a pre-sized {capacity}-key cache made {calls} allocator calls");
         assert!(bytes <= budget, "a {capacity}-key cache holds {bytes} B, budget {budget} B");
+        // Built by `new`, the cache holds 16 keys in 384 B, and the 17th
+        // takes the whole capacity: the same bytes, two calls more.
+        let dozen = bytes_and_calls_of_a_cache(|| BoundedDedup::new(capacity), 12);
+        assert_eq!(dozen, (16 * 16 + 32 * 4, 2), "(bytes, calls) of a {capacity}-key cache holding 12 keys");
+        let grown = bytes_and_calls_of_a_cache(|| BoundedDedup::new(capacity), 3 * capacity);
+        assert_eq!(grown, (bytes, 4), "(bytes, calls) of a filled {capacity}-key cache built by `new`");
     }
+
+    drop(bytes_of_one_paper_build());
+    let (first, scenario) = bytes_of_one_paper_build();
+    drop(scenario);
+    let (second, scenario) = bytes_of_one_paper_build();
+    assert_eq!(first, second, "the heap is a pure function of the build");
+    assert!(
+        first <= BUDGET_PAPER_BUILD_BYTES,
+        "one paper build holds {first} B, budget {BUDGET_PAPER_BUILD_BYTES} B"
+    );
+    let client = bytes_of_one_finished_client(scenario);
+    assert_eq!(client, bytes_of_one_finished_client(bytes_of_one_paper_build().1), "the client's heap repeats");
+    assert!(
+        client <= BUDGET_FINISHED_CLIENT_BYTES,
+        "a finished client holds {client} B, budget {BUDGET_FINISHED_CLIENT_BYTES} B"
+    );
 
     let bytes = bytes_of_one_interest_plane();
     assert_eq!(bytes, bytes_of_one_interest_plane(), "the heap is a pure function of the registrations");

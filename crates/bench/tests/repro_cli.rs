@@ -131,6 +131,12 @@ fn gate_fails_on_one_changed_byte_and_leaves_the_directory_as_it_found_it() {
     assert_eq!(out.status.code(), Some(1), "a changed byte must fail the gate");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("CHAOS_campaign.json"), "the failure names the file: {stderr}");
+    // It shows the line that moved as the directory holds it and as the
+    // tree regenerates it.
+    let n = committed[..mid].iter().filter(|&&b| b == b'\n').count();
+    let line = |text: &[u8]| String::from_utf8_lossy(text).lines().nth(n).expect("the changed line").to_string();
+    assert!(stderr.contains(&format!("committed:   {}\n", line(&stale))), "{stderr}");
+    assert!(stderr.contains(&format!("regenerated: {}\n", line(&committed))), "{stderr}");
     assert_eq!(snapshot(&dir), before, "the gate writes nothing, even on failure");
 
     std::fs::write(dir.join("CHAOS_campaign.json"), &committed).expect("restore the copy");

@@ -335,6 +335,11 @@ impl Broker {
         &self.cfg
     }
 
+    /// Heap bytes of the event duplicate cache.
+    pub fn dedup_bytes(&self) -> usize {
+        self.event_dedup.heap_bytes()
+    }
+
     /// Established overlay link count.
     pub fn num_links(&self) -> u32 {
         self.links.len() as u32
@@ -385,11 +390,8 @@ impl Broker {
     /// flags byte is outside the body, so a v1 peer decodes the message
     /// unchanged and simply never reciprocates.
     fn send_handshake(&self, to: Endpoint, msg: Message, ctx: &mut dyn Context) {
-        let mut wire = WireMsg::new(msg);
-        if self.cfg.wire_v2 {
-            wire = wire.with_flags(FLAG_V2_CAPABLE);
-        }
-        ctx.send_stream_wire(well_known::BROKER, to, &wire);
+        let flags = if self.cfg.wire_v2 { FLAG_V2_CAPABLE } else { 0 };
+        ctx.send_stream_wire(well_known::BROKER, to, &WireMsg::new(msg).with_flags(flags));
     }
 
     /// Call from the owning actor's `on_start` — which a runtime also

@@ -4,11 +4,8 @@
 //! role in the paper):
 //!
 //! * [`broker`] — the broker state machine: overlay links with
-//!   hello/accept/heartbeat management, client connections,
-//!   subscription-based event routing, and flood dissemination (with
-//!   duplicate suppression) of the two discovery-plane topics, the
-//!   discovery request and the BDN advertisement, which every link
-//!   carries; every other topic goes where subscriptions ask for it,
+//!   hello/accept/heartbeat management, client connections, and event
+//!   routing with duplicate suppression and reverse-path pruning,
 //! * [`metrics`] — the usage-metric model (active connections, link
 //!   count, CPU load from message rate, memory from connection and
 //!   subscription state) reported in discovery responses,

@@ -203,6 +203,11 @@ impl Bdn {
         &self.cfg.attached_brokers
     }
 
+    /// Heap bytes of the request duplicate cache.
+    pub fn dedup_bytes(&self) -> usize {
+        self.dedup.heap_bytes()
+    }
+
     /// Registered broker count.
     pub fn registry_len(&self) -> usize {
         self.registry.len()

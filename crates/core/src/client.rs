@@ -612,7 +612,9 @@ impl DiscoveryClient {
                 { let spent = self.mark_phase(ctx); self.times.issue += spent; }
             }
         }
-        let target_set: Vec<NodeId> = self.targets.iter().map(|t| t.response.broker).collect();
+        // The outcome keeps the broker ids; the candidates' buffer goes.
+        let targets = std::mem::take(&mut self.targets);
+        let target_set: Vec<NodeId> = targets.iter().map(|t| t.response.broker).collect();
         if !target_set.is_empty() {
             self.last_target_set.clone_from(&target_set);
         }
@@ -628,6 +630,7 @@ impl DiscoveryClient {
             bdn_used: self.bdn_used,
         };
         self.phase = if outcome.chosen.is_some() { Phase::Done } else { Phase::Failed };
+        self.completed.reserve_exact(1); // a client finishes one run or two
         self.completed.push(outcome);
     }
 

@@ -179,6 +179,11 @@ impl Entity {
         self.dedup = BoundedDedup::with_expected(capacity, expected);
     }
 
+    /// Heap bytes of the receive-dedup cache.
+    pub fn dedup_bytes(&self) -> usize {
+        self.dedup.heap_bytes()
+    }
+
     /// Extends the discovery client's BDN rotation with federated peers
     /// (see [`DiscoveryClient::federate_bdns`]): entity discovery then
     /// survives the loss of every originally-configured BDN.

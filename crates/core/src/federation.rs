@@ -10,43 +10,16 @@
 //! snapshots ([`nb_wire::FederationSync`], three legs: Digest → Push →
 //! PushReply).
 //!
-//! ## The merge algebra
-//!
-//! Replication only converges if merge is a **join-semilattice**:
-//! commutative, associative, idempotent, so every BDN reaches the same
-//! fixed point regardless of gossip order or repetition. Per broker, the
-//! candidate states are totally ordered:
-//!
-//! * a lease sorts by `(ad.issued_at_utc, 0, encoded-ad-bytes,
-//!   expires_at)`,
-//! * a tombstone retiring leases issued at or before `t` sorts by
-//!   `(t, 1)` — it beats any lease it retires (ties included) and loses
-//!   to any strictly newer lease.
-//!
-//! Merge is the pointwise maximum under this order. The LWW key is the
-//! **origin-stamped** `issued_at_utc` — every BDN that hears the same
-//! heartbeat stores the same key — never the local arrival time, which
-//! differs by delivery jitter and would keep digests from ever agreeing.
-//!
-//! [`LeaseBook`] is that join, and it is the registry every
-//! [`crate::Bdn`] owns: a local advertisement and a peer's lease record
-//! pass the same rule ([`LeaseBook::apply_lease`]), a peer tombstone and a
-//! record that expired in flight the same tombstone operation, and the
-//! ping sweep one expiry operation. Federation adds only gossip and the
-//! tombstone an expiry leaves behind.
-//!
-//! ## Why tombstones
-//!
-//! Resurrection is the failure mode to kill: BDN *a* expires a dead
-//! broker's lease, then a stale peer *b* (crashed before the expiry, or
-//! partitioned) pushes the old advertisement back and the ghost returns
-//! to the registry. An expired lease therefore leaves a tombstone carrying
-//! the retired ad's `issued_at_utc`; merges drop any lease at or below
-//! that stamp. Tombstones live in a bounded cache with their own TTL: one
-//! is safe to forget once `t + ad_ttl + tombstone_ttl <= now`, because
-//! every lease it could still block expired at the latest at
-//! `t + delivery + ad_ttl` and expired leases never enter a registry on
-//! merge.
+//! [`LeaseBook`] is the registry every [`crate::Bdn`] owns, and the merge
+//! that lets replicas converge: a join-semilattice over each broker's
+//! states, ordered by the origin-stamped `issued_at_utc`, in which an
+//! expired lease leaves a tombstone so a stale peer cannot resurrect it
+//! (DESIGN.md §14 gives the order and why a tombstone may be forgotten).
+//! A local advertisement and a peer's lease record pass the same rule
+//! ([`LeaseBook::apply_lease`]), a peer tombstone and a record that
+//! expired in flight the same tombstone operation, and the ping sweep one
+//! expiry operation. Federation adds only gossip and the tombstone an
+//! expiry leaves behind.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

@@ -81,6 +81,11 @@ impl Responder {
         }
     }
 
+    /// Heap bytes of the request duplicate cache.
+    pub fn dedup_bytes(&self) -> usize {
+        self.dedup.heap_bytes()
+    }
+
     /// Transports this broker advertises: TCP broker service + UDP ping.
     pub fn transports() -> Vec<TransportEndpoint> {
         vec![

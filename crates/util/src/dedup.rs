@@ -6,17 +6,15 @@
 //! previously processed requests."*
 //!
 //! [`BoundedDedup`] remembers the most recent `capacity` distinct keys in
-//! insertion order; when full, the oldest key is evicted. All operations
-//! are O(1) expected.
-//!
-//! Each key is stored once, in a ring (`Vec<K>`) whose oldest slot is
+//! insertion order, evicting the oldest when full, in O(1) expected. Each
+//! key is stored once, in a ring (`Vec<K>`) whose oldest slot is
 //! overwritten at capacity. An open-addressed table of `u32` entries
 //! finds a key's slot: `slot + 1` in the low bits, the hash's low bits
 //! above as a tag, 0 for an empty bucket. The table keeps load ≤ ½,
 //! probes linearly and deletes by backward shift, so it holds no
-//! tombstones and, once sized for `capacity`, never rehashes. A
-//! 1000-key cache of UUIDs is 16 000 B of keys plus 8 KiB of index
-//! (24.2 B a key); a 64-key one 1 KiB plus 512 B.
+//! tombstones. A cache starts with room for 16 keys (384 B of UUIDs and
+//! index) and its 17th key takes the whole capacity (a 1000-key one:
+//! 16 000 B of keys, 8 KiB of index); a paper broker's see a dozen each.
 //!
 //! Every flood arrival, fresh or duplicate, probes one of these, so it
 //! hashes with a multiply-rotate fold instead of SipHash. The keys are
@@ -120,6 +118,9 @@ pub struct BoundedDedup<K: Hash + Eq + Clone> {
     slot_bits: u32,
 }
 
+/// Room a cache starts with; the key after these takes the capacity.
+const FIRST_ROOM: usize = 16;
+
 /// Index buckets for a ring of `keys` slots: load ≤ ½.
 fn index_len(keys: usize) -> usize {
     if keys == 0 {
@@ -136,21 +137,14 @@ fn hash_of<K: Hash>(key: &K) -> u64 {
 }
 
 impl<K: Hash + Eq + Clone> BoundedDedup<K> {
-    /// Creates a cache remembering at most `capacity` keys.
-    ///
-    /// A capacity of zero is allowed and makes every key "fresh"
-    /// (no suppression), which is useful for disabling the cache.
+    /// Creates a cache remembering at most `capacity` keys, with room for
+    /// 16; a capacity of zero makes every key "fresh" (no suppression).
     pub fn new(capacity: usize) -> Self {
-        Self::with_expected(capacity, capacity.min(4096))
+        Self::with_expected(capacity, FIRST_ROOM)
     }
 
-    /// Creates a cache remembering at most `capacity` keys, pre-sized
-    /// for an expected working set of `expected` keys. The scale-suite
-    /// sizing knob: a light client (one entity among 1e5+) passes a
-    /// small `expected` so it does not carry a full-capacity allocation
-    /// it will never fill, while a hot broker passes `capacity` itself
-    /// and never pays incremental rehash growth. Capacity semantics are
-    /// unchanged — only the up-front allocation differs.
+    /// Creates a cache remembering at most `capacity` keys, with room for
+    /// `expected` of them up front (`capacity` itself: no later allocation).
     pub fn with_expected(capacity: usize, expected: usize) -> Self {
         let pre = capacity.min(expected);
         BoundedDedup {
@@ -195,6 +189,11 @@ impl<K: Hash + Eq + Clone> BoundedDedup<K> {
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Heap bytes the ring and index reserve: all a cache of UUIDs holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.ring.capacity() * size_of::<K>() + self.index.capacity() * size_of::<u32>()
     }
 
     /// Forgets everything.
@@ -316,12 +315,13 @@ impl<K: Hash + Eq + Clone> BoundedDedup<K> {
         self.index[hole] = 0;
     }
 
-    /// Doubles the ring's room, up to `capacity`, and rebuilds the
-    /// index for it. Runs only before the ring first fills, so slots
-    /// are still in insertion order from 0.
+    /// Doubles the ring's room up to [`FIRST_ROOM`], then takes all of
+    /// `capacity`, and rebuilds the index for it. Runs only before the
+    /// ring first fills, so slots are still in insertion order from 0.
     fn grow(&mut self) {
         let len = self.ring.len();
-        let room = (2 * len).max(4).min(self.capacity);
+        let cap = self.capacity;
+        let room = if len < FIRST_ROOM { 2 * len } else { cap }.max(4).min(cap);
         self.ring.reserve_exact(room - len);
         self.index = vec![0; index_len(room)];
         for slot in 0..len {
@@ -370,6 +370,29 @@ mod tests {
         assert!(d.check_and_insert(3)); // evicts 0, exactly like new(3)
         assert!(!d.contains(&0));
         assert_eq!(d.len(), 3);
+    }
+
+    #[test]
+    fn a_new_cache_holds_sixteen_keys_until_the_seventeenth_takes_its_capacity() {
+        let mut d = BoundedDedup::<u128>::new(1000);
+        let small = 16 * 16 + 32 * 4;
+        for k in 0..16 {
+            assert_eq!(d.heap_bytes(), small, "after {k} keys");
+            d.check_and_insert(k);
+        }
+        assert_eq!(d.heap_bytes(), small);
+        d.check_and_insert(16);
+        assert_eq!(d.heap_bytes(), 1000 * 16 + 2048 * 4);
+        for k in 0..3000 {
+            d.check_and_insert(k);
+        }
+        assert_eq!((d.len(), d.heap_bytes()), (1000, 1000 * 16 + 2048 * 4));
+        // Below 16 keys a cache still doubles: 4, 8, then its capacity.
+        let mut d = BoundedDedup::<u128>::with_expected(10, 0);
+        let rooms: Vec<usize> = (0..10)
+            .map(|k| (d.check_and_insert(k), d.ring.capacity()).1)
+            .collect();
+        assert_eq!(rooms, [4, 4, 4, 4, 8, 8, 8, 8, 10, 10]);
     }
 
     #[test]

@@ -19,10 +19,10 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Length of the mutable per-hop prelude: `[ttl, hops, flags, reserved]`.
 pub const PRELUDE_LEN: usize = 4;
 
-/// TTL stamped on locally originated frames. Overlay diameters in the
-/// paper's deployments are single-digit; 32 hops is comfortably past any
-/// legitimate forwarding chain while still bounding routing loops.
-pub const DEFAULT_TTL: u8 = 32;
+/// TTL stamped on locally originated frames: past the 99 hops of the
+/// scale campaign's 100-broker chain, yet bounding routing loops, and one
+/// prelude byte on both codecs.
+pub const DEFAULT_TTL: u8 = 128;
 
 /// Prelude flag: the sender speaks wire protocol v2. Stamped on link
 /// handshake frames (`LinkHello`/`LinkAccept`) by v2-enabled peers;

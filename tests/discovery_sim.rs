@@ -4,12 +4,20 @@
 
 use std::time::Duration;
 
-use nb::broker::TopologyKind;
+use nb::broker::{Broker, BrokerConfig, TopologyKind};
 use nb::discovery::bdn::Bdn;
+use nb::discovery::client::TIMER_START;
 use nb::discovery::scenario::{Scenario, ScenarioBuilder};
-use nb::discovery::{on_every_engine, DiscoveryBrokerActor};
+use nb::discovery::{
+    on_every_engine, BdnConfig, Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, Network,
+    ResponsePolicy,
+};
 use nb::net::wan::{BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
-use nb::net::{DiscoveryEngine, FaultPlan};
+use nb::net::{ClockProfile, DiscoveryEngine, FaultPlan, Incoming, LinkSpec};
+use nb::util::Uuid;
+use nb::wire::addr::well_known;
+use nb::wire::topic::BDN_ADVERTISEMENT;
+use nb::wire::{Bytes, Endpoint, Event, Message, NodeId, RealmId};
 
 /// Runs `body` on the testbed `b` describes, on every engine.
 fn on_every_engine_with<T>(
@@ -186,11 +194,7 @@ fn refused_connection_walks_down_the_target_set() {
     // connection, so it refuses the discovery client, which must walk
     // down the target set instead of failing (§6's "arrive at the target
     // broker" made robust).
-    use nb::broker::{BrokerConfig, MachineProfile};
-    use nb::discovery::{BdnConfig, Deployment, DiscoveryClient, DiscoveryConfig, Network};
-    use nb::discovery::ResponsePolicy;
-    use nb::net::ClockProfile;
-    use nb::wire::NodeId;
+    use nb::broker::MachineProfile;
 
     let wan = nb::net::wan::WanModel::paper();
     let broker_sites = [INDIANAPOLIS, UMN, NCSA];
@@ -246,12 +250,6 @@ fn one_request_floods_once_however_many_brokers_it_is_injected_at() {
     // §4: the BDN injects a request at several brokers, and a broker drops
     // an event whose id it has seen, so the request makes one flood: over
     // a ring with chords, every broker routes it once and answers it once.
-    use nb::broker::BrokerConfig;
-    use nb::discovery::client::TIMER_START;
-    use nb::discovery::{BdnConfig, Deployment, DiscoveryClient, DiscoveryConfig, Network};
-    use nb::discovery::ResponsePolicy;
-    use nb::net::{ClockProfile, Incoming, LinkSpec};
-    use nb::wire::{NodeId, RealmId};
 
     const BROKERS: u32 = 6;
     let bdn = NodeId(0);
@@ -320,32 +318,16 @@ fn one_request_floods_once_however_many_brokers_it_is_injected_at() {
     });
 }
 
-#[test]
-fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alone() {
-    // DESIGN.md §18: a discovery request prunes like any topic, with the
-    // BDN that injected it as its publisher. On a jitter-free ring
-    // b0–…–b5–b0 the BDN injects each request at b0 and, 60 ms later,
-    // at b3; the flood from b0 reaches b3 long before that, both ways
-    // round, so b3–b4 carries a copy each way and b3 gets the BDN's own
-    // injection late. The first request's duplicates make routes with
-    // no parent; the second's name the parents and prune the b3–b4 link.
-    use nb::broker::{Broker, BrokerConfig};
-    use nb::discovery::client::TIMER_START;
-    use nb::discovery::{BdnConfig, Deployment, DiscoveryClient, DiscoveryConfig, Network};
-    use nb::discovery::ResponsePolicy;
-    use nb::net::{ClockProfile, Incoming, LinkSpec};
-    use nb::util::Uuid;
-    use nb::wire::addr::well_known;
-    use nb::wire::topic::BDN_ADVERTISEMENT;
-    use nb::wire::{Bytes, Endpoint, Event, Message, NodeId, RealmId};
-
-    let bdn = NodeId(0);
-    let brokers: Vec<NodeId> = (1..=6).map(NodeId).collect();
-    let client = NodeId(7);
-    let describe = || {
+/// The jitter-free ring b0–…–b5–b0 of DESIGN.md §18's request pruning:
+/// the BDN [`RING_BDN`] injects each request at b0 and, 60 ms later, at
+/// b3; [`RING_CLIENT`] discovers through it, collecting under
+/// `discovery` (its `bdns` filled in).
+fn pruned_ring(discovery: DiscoveryConfig) -> impl Fn() -> Deployment {
+    move || {
         let intra = LinkSpec { jitter: Duration::ZERO, ..LinkSpec::lan() }.with_loss(0.0);
         let network = Network::Realms { intra, inter: intra, wan: None };
         let mut d = Deployment { seed: 19, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+        let brokers = ring_brokers();
         let attached_brokers = vec![brokers[0], brokers[3]];
         let cfg = BdnConfig { attached_brokers, auto_attach: false, ..BdnConfig::default() };
         d.add("bdn".into(), RealmId(0), false, move || Box::new(Bdn::new(cfg.clone())));
@@ -357,16 +339,42 @@ fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alon
             };
             let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
             d.add(format!("b{i}"), RealmId(0), false, move || {
-                Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![bdn], ResponsePolicy::open()))
+                Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![RING_BDN], ResponsePolicy::open()))
             });
         }
-        let discovery = DiscoveryConfig { bdns: vec![bdn], max_responses: 6, ..DiscoveryConfig::default() };
+        let discovery = DiscoveryConfig { bdns: vec![RING_BDN], ..discovery.clone() };
         d.add("client".into(), RealmId(0), false, move || {
             Box::new(DiscoveryClient::with_auto_start(discovery.clone(), false))
         });
         d
-    };
-    on_every_engine(describe, |sim| {
+    }
+}
+
+const RING_BDN: NodeId = NodeId(0);
+const RING_CLIENT: NodeId = NodeId(7);
+
+/// b0–b5 of [`pruned_ring`].
+fn ring_brokers() -> Vec<NodeId> {
+    (1..=6).map(NodeId).collect()
+}
+
+/// Each broker's answers so far, b0 first.
+fn ring_answers(sim: &dyn DiscoveryEngine) -> Vec<u64> {
+    let answered = |b| sim.actor::<DiscoveryBrokerActor>(b).unwrap().responder.responses_sent;
+    ring_brokers().into_iter().map(answered).collect()
+}
+
+#[test]
+fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alone() {
+    // DESIGN.md §18: a discovery request prunes like any topic, with the
+    // BDN that injected it as its publisher. The flood from b0 reaches
+    // b3 long before the BDN's own injection there, both ways round, so
+    // b3–b4 carries a copy each way and b3 gets the BDN's injection
+    // late. The first request's duplicates make routes with no parent;
+    // the second's name the parents and prune the b3–b4 link.
+    let brokers = ring_brokers();
+    let discovery = DiscoveryConfig { max_responses: 6, ..DiscoveryConfig::default() };
+    on_every_engine(pruned_ring(discovery), |sim| {
         sim.run_for(Duration::from_secs(10));
         // (duplicates dropped, Prunes sent, Prunes received, events routed)
         // summed over the brokers.
@@ -377,7 +385,7 @@ fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alon
         };
         let request = |sim: &mut dyn DiscoveryEngine| -> [u64; 4] {
             let before = totals(sim);
-            sim.inject(client, Duration::ZERO, Incoming::Timer { token: TIMER_START });
+            sim.inject(RING_CLIENT, Duration::ZERO, Incoming::Timer { token: TIMER_START });
             sim.run_for(Duration::from_millis(1200));
             std::array::from_fn(|i| totals(sim)[i] - before[i])
         };
@@ -391,11 +399,8 @@ fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alon
         for _ in 0..3 {
             assert_eq!(request(sim), [1, 0, 0, 6], "(dups, prunes, pruned, routed) a request");
         }
-        for (i, &b) in brokers.iter().enumerate() {
-            let answered = sim.actor::<DiscoveryBrokerActor>(b).unwrap().responder.responses_sent;
-            assert_eq!(answered, 5, "broker {i} answers each of the five requests once");
-        }
-        let completed = sim.actor::<DiscoveryClient>(client).unwrap().completed.len();
+        assert_eq!(ring_answers(sim), [5; 6], "each broker answers each of the five requests once");
+        let completed = sim.actor::<DiscoveryClient>(RING_CLIENT).unwrap().completed.len();
         assert_eq!(completed, 5, "every discovery finished");
         // The BDN's advertisement, injected at b0 by the same BDN, still
         // crosses b3–b4 both ways: a flood with nothing pruned.
@@ -403,14 +408,76 @@ fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alon
         let event = Event {
             id: Uuid::from_u128(0xAD),
             topic: BDN_ADVERTISEMENT.topic(),
-            source: bdn,
+            source: RING_BDN,
             payload: Bytes::new(),
         };
-        let from = Endpoint::new(bdn, well_known::BDN);
+        let from = Endpoint::new(RING_BDN, well_known::BDN);
         let msg = Message::Publish(event).into();
         sim.inject(brokers[0], Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg });
         sim.run_for(Duration::from_millis(100));
         let grew: [u64; 4] = std::array::from_fn(|i| totals(sim)[i] - before[i]);
         assert_eq!(grew, [2, 0, 0, 6], "(dups, prunes, pruned, routed) for the advertisement");
     });
+}
+
+#[test]
+fn a_pruned_request_flood_answers_once_across_a_crash() {
+    // DESIGN.md §18 under a fault, on the ring above. Once the second
+    // request has pruned b3–b4 both ways (b3 mutes it towards b4, b4
+    // towards b3, for a lease), a broker crashes: b3, the upstream end
+    // of the b3→b4 mute and the BDN's second injection point, or b5,
+    // the parent through which b4 gets every request while b3 holds
+    // that mute. Requests then go out every 1.5 s. No live broker may
+    // answer a request twice, and each answers every request issued
+    // more than a lease after the crash; inside the lease a broker may
+    // miss one, and the test pins which. With b3 down nobody misses one:
+    // the mute died with it. With b5 down, b4 misses the four requests
+    // issued 0–4.5 s after the crash: b3's mute towards it, set by the
+    // second request's `Prune`, lapses 6 s after that, one hop after the
+    // fourth request reaches b3. A 1 s collection window ends each run
+    // before the next starts, however many brokers answer.
+    const LEASE: Duration = Duration::from_secs(6);
+    let brokers = ring_brokers();
+    let discovery = DiscoveryConfig {
+        max_responses: 6,
+        collection_window: Duration::from_secs(1),
+        ..DiscoveryConfig::default()
+    };
+    for (victim, missed) in [(3, vec![]), (5, vec![4; 4])] {
+        on_every_engine(pruned_ring(discovery.clone()), |sim| {
+            sim.run_for(Duration::from_secs(10));
+            // Issues one request and returns each broker's answers to it.
+            let request = |sim: &mut dyn DiscoveryEngine| -> Vec<u64> {
+                let before = ring_answers(sim);
+                sim.inject(RING_CLIENT, Duration::ZERO, Incoming::Timer { token: TIMER_START });
+                sim.run_for(Duration::from_millis(1500));
+                ring_answers(sim).iter().zip(&before).map(|(after, before)| after - before).collect()
+            };
+            assert_eq!(request(sim), [1; 6]);
+            assert_eq!(request(sim), [1; 6]);
+            let prunes: u64 = brokers
+                .iter()
+                .map(|&b| sim.actor::<DiscoveryBrokerActor>(b).unwrap().broker.prunes_received)
+                .sum();
+            assert_eq!(prunes, 2, "b3–b4 is pruned both ways before the crash");
+            sim.crash(brokers[victim]);
+            let crashed_at = sim.now();
+            let mut misses = Vec::new();
+            for k in 0..10 {
+                let issued = sim.now();
+                let answers = request(sim);
+                for (i, &n) in answers.iter().enumerate().filter(|&(i, _)| i != victim) {
+                    assert!(n <= 1, "b{i} answered request {k} after the crash {n} times");
+                    if n == 0 {
+                        assert!(issued - crashed_at <= LEASE, "b{i} missed request {k}, a lease after the crash");
+                        misses.push(i);
+                    }
+                }
+                assert_eq!(answers[victim], 0, "the crashed b{victim} answered");
+            }
+            assert_eq!(misses, missed, "live brokers that missed a request inside the lease, b{victim} down");
+            let completed = sim.actor::<DiscoveryClient>(RING_CLIENT).unwrap().completed.len();
+            assert_eq!(completed, 12, "every discovery finished");
+        });
+    }
 }
