@@ -150,9 +150,9 @@ const COMMANDS: &[Command] = &[
     ),
     cmd(
         "gate",
-        "[lint|bench|figs|chaos|federation|scale|census] run clippy, check that benchmark/ \
-         builds, then regenerate the committed figures, reports (at 1 and 4 workers) and \
-         census; exit 1 on a clippy or build error or any byte of difference",
+        "[lint|bench|figs|chaos|federation|scale|census] run clippy, build and test \
+         benchmark/, then regenerate the committed figures, reports (at 1 and 4 workers) and \
+         census; exit 1 on a clippy, build or test failure or any byte of difference",
         run_gate,
     ),
 ];
@@ -494,7 +494,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// What `repro gate` checks, in order: `lint` runs clippy, `bench`
-/// builds the benchmark, `figs` the committed figures, `census` the
+/// builds and tests the benchmark, `figs` the committed figures, `census` the
 /// committed count, every other entry is a committed report and the
 /// flags it is regenerated with.
 const GATES: [(&str, &str); 7] = [
@@ -686,19 +686,20 @@ fn lint_gate(root: &Path) {
     }
 }
 
-/// `repro gate bench`: `cargo check` of every target of the benchmark
-/// crate under `benchmark/`, building into `target/bench-check`, so a
-/// library change cannot break the benchmark's build unnoticed. The
-/// check rewrites `benchmark/Cargo.lock` when the lock lags the tree,
-/// so the gate reads the lock's bytes first and puts them back after:
-/// it leaves `benchmark/` as it found it. Like the clippy gate it fails
-/// closed when cargo cannot be run.
+/// `repro gate bench`: `cargo test` of the benchmark crate under
+/// `benchmark/`, building into `target/bench-check`, so a library change
+/// can neither break the benchmark's build nor its harness tests (a
+/// traced rep matching an untraced one, the traced Fig 2 build matching
+/// `ScenarioBuilder`'s) unnoticed. Cargo rewrites `benchmark/Cargo.lock`
+/// when the lock lags the tree, so the gate reads the lock's bytes first
+/// and puts them back after: it leaves `benchmark/` as it found it. Like
+/// the clippy gate it fails closed when cargo cannot be run.
 fn bench_gate(root: &Path) {
     const LOCK: &str = "benchmark/Cargo.lock";
     let lock = std::fs::read(root.join(LOCK))
         .unwrap_or_else(|e| gate_failed(LOCK, &format!("cannot read it: {e}")));
     let status = std::process::Command::new("cargo")
-        .args(["check", "--offline", "--quiet", "--all-targets"])
+        .args(["test", "--offline", "--quiet"])
         .args(["--manifest-path", "benchmark/Cargo.toml", "--target-dir", "target/bench-check"])
         .current_dir(root)
         .status();
@@ -707,9 +708,9 @@ fn bench_gate(root: &Path) {
             .unwrap_or_else(|e| gate_failed(LOCK, &format!("cannot put it back: {e}")));
     }
     match status {
-        Ok(s) if s.success() => println!("benchmark/: every target builds against the tree"),
-        Ok(s) => gate_failed("cargo check benchmark", &format!("it failed ({s}); its errors are above")),
-        Err(e) => gate_failed("cargo check benchmark", &format!("cannot run cargo: {e}")),
+        Ok(s) if s.success() => println!("benchmark/: builds against the tree and its tests pass"),
+        Ok(s) => gate_failed("cargo test benchmark", &format!("it failed ({s}); its errors are above")),
+        Err(e) => gate_failed("cargo test benchmark", &format!("cannot run cargo: {e}")),
     }
 }
 
@@ -795,7 +796,7 @@ mod tests {
         assert_eq!(
             gated,
             ["lint", "bench", "figs", "chaos", "federation", "scale", "census"],
-            "clippy, the benchmark's build, the figures, every report, then the census"
+            "clippy, the benchmark's build and tests, the figures, every report, then the census"
         );
     }
 

@@ -251,14 +251,16 @@ fn bytes_of_one_paper_build() -> (u64, Scenario) {
 }
 
 /// Heap bytes the Fig 2 client holds after one finished discovery:
-/// its configuration, the outcome it keeps, its last target set and
-/// its emptied round buffers. The parent of the change that added this
-/// case held 2 148 B under `cargo test`: it kept the shortlisted
-/// candidates, with their hostnames and transports, until the next run
-/// began, and a four-slot outcome history. Letting go of the
-/// candidates and growing the history a slot at a time makes it
-/// 842 B; the budget is that plus 10 %.
-const BUDGET_FINISHED_CLIENT_BYTES: u64 = 926;
+/// its configuration, the outcome it keeps and its last target set.
+/// The parent of the change that added this case held 2 148 B under
+/// `cargo test`: it kept the shortlisted candidates, with their
+/// hostnames and transports, until the next run began, and a four-slot
+/// outcome history. Letting go of the candidates and growing the
+/// history a slot at a time made it 842 B; dropping the run's request,
+/// ping slots and connect order at the finish, which nothing reads
+/// before the next `begin` builds them afresh, makes it 452 B. The
+/// budget is that plus 10 %.
+const BUDGET_FINISHED_CLIENT_BYTES: u64 = 497;
 
 /// Runs one discovery on a built Fig 2 deployment, swaps the client
 /// for a fresh one and counts the bytes the finished one frees.

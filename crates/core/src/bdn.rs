@@ -71,8 +71,8 @@ pub struct BdnConfig {
     pub auto_attach: bool,
     /// When set, [`nb_wire::Message::Secure`] envelopes are opened with
     /// this identity and the sender chain validated against the trust
-    /// root (§9.1). `peer_public` is unused on the BDN side.
-    pub security: Option<SecuritySuite>,
+    /// root (§9.1); boxed. `peer_public` is unused on the BDN side.
+    pub security: Option<Box<SecuritySuite>>,
     /// Registry entries not refreshed by a new advertisement within this
     /// period are dropped (§1.2: "broker processes may join and leave the
     /// broker network at arbitrary times" — the registry must not serve

@@ -283,10 +283,6 @@ impl DiscoveryClient {
         self.phase_started = ctx.now();
         self.times = PhaseTimes::default();
         self.candidates.clear();
-        self.targets.clear();
-        self.rtts.clear();
-        self.pings.clear();
-        self.connect_order.clear();
         self.connect_idx = 0;
         self.responses_count = 0;
         self.bdn_idx = 0;
@@ -322,7 +318,7 @@ impl DiscoveryClient {
                 TransportEndpoint { kind: TransportKind::Udp, port: well_known::DISCOVERY_REPLY },
                 TransportEndpoint { kind: TransportKind::Tcp, port: well_known::BROKER },
             ],
-            credentials: self.cfg.credentials.clone(),
+            credentials: self.cfg.credentials.as_deref().cloned(),
             issued_at_utc: ctx.utc_micros(),
         }
     }
@@ -612,7 +608,11 @@ impl DiscoveryClient {
                 { let spent = self.mark_phase(ctx); self.times.issue += spent; }
             }
         }
-        // The outcome keeps the broker ids; the candidates' buffer goes.
+        // The outcome keeps the broker ids; the run's buffers go (a `Done`
+        // or `Failed` client drops late traffic by its phase).
+        self.request = None;
+        self.pings = Vec::new();
+        self.connect_order = Vec::new();
         let targets = std::mem::take(&mut self.targets);
         let target_set: Vec<NodeId> = targets.iter().map(|t| t.response.broker).collect();
         if !target_set.is_empty() {

@@ -173,13 +173,13 @@ pub struct DiscoveryConfig {
     pub backoff: Option<RetryPolicy>,
     /// Selection weights.
     pub weights: SelectionWeights,
-    /// Credentials presented with requests (§3).
-    pub credentials: Option<Credential>,
+    /// Credentials presented with requests (§3); boxed, 8 bytes unset.
+    pub credentials: Option<Box<Credential>>,
     /// A remembered target set from a previous session (§7): pinged
     /// directly when BDNs and multicast both fail.
     pub cached_targets: Vec<NodeId>,
-    /// When set, requests to BDNs are signed + encrypted (§9.1).
-    pub security: Option<SecuritySuite>,
+    /// When set, requests to BDNs are signed + encrypted (§9.1); boxed.
+    pub security: Option<Box<SecuritySuite>>,
 }
 
 impl Default for DiscoveryConfig {
@@ -214,6 +214,18 @@ mod tests {
         assert!((4.0..=5.0).contains(&window_s), "paper: 4-5s window");
         assert!((5..=20).contains(&c.target_set_size), "paper: target set 5-20");
         assert!(c.multicast_enabled);
+    }
+
+    /// Cold configuration stays out of line: `DiscoveryConfig`'s
+    /// `security` and `credentials` and `BdnConfig`'s `security` are
+    /// boxed, so an unsecured node pays 8 bytes for each, not 160 + 48
+    /// inline. Every entity of a population carries a `DiscoveryConfig`.
+    #[test]
+    fn configs_and_entity_are_no_larger_than_with_cold_fields_boxed() {
+        use std::mem::size_of;
+        assert!(size_of::<DiscoveryConfig>() <= 240);
+        assert!(size_of::<crate::bdn::BdnConfig>() <= 248);
+        assert!(size_of::<crate::Entity>() <= 992);
     }
 
     #[test]

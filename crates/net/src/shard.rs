@@ -765,10 +765,7 @@ impl ShardedSim {
 
     /// Mutable access to a node's actor as a trait object.
     fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        match self.node_mut(node)?.actor.as_mut() {
-            Some(actor) => Some(actor.as_mut()),
-            None => None,
-        }
+        Some(self.node_mut(node)?.actor.as_mut()?.as_mut())
     }
 
     /// Whether the node is currently up.
@@ -866,14 +863,16 @@ impl ShardedSim {
     /// Deals the LPs out to the worker groups, round-robin: group `w` of
     /// `W` holds the ids ≡ w (mod W), ascending, so [`lp_of`] finds each
     /// LP. `W` is the worker count clamped to the LP count; one worker
-    /// takes the whole vector, moving no LP. Which group an LP runs in
+    /// takes the whole vector, moving no LP, and sheds its growth slack
+    /// (a no-op until nodes join again). Which group an LP runs in
     /// decides where it executes, never what it sees or sends:
     /// everything but a self-send goes through the outbox and the
     /// barrier whichever group holds the destination.
     fn deal(&mut self) -> Vec<Vec<Lp>> {
         let workers = self.workers.clamp(1, self.lps.len().max(1));
-        let lps = std::mem::take(&mut self.lps);
+        let mut lps = std::mem::take(&mut self.lps);
         if workers == 1 {
+            lps.shrink_to_fit();
             return vec![lps];
         }
         let mut groups: Vec<Vec<Lp>> =
@@ -884,8 +883,8 @@ impl ShardedSim {
         groups
     }
 
-    /// Puts dealt groups back in node order: the inverse of
-    /// [`ShardedSim::deal`].
+    /// Puts dealt groups back in node order, at exact capacity: the
+    /// inverse of [`ShardedSim::deal`].
     fn undeal(&mut self, mut groups: Vec<Vec<Lp>>) {
         let workers = groups.len();
         if workers == 1 {
@@ -894,7 +893,8 @@ impl ShardedSim {
         }
         let n = groups.iter().map(Vec::len).sum();
         let mut dealt: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
-        self.lps = (0..n).map_while(|i| dealt[i % workers].next()).collect();
+        self.lps = Vec::with_capacity(n);
+        self.lps.extend((0..n).map_while(|i| dealt[i % workers].next()));
     }
 
     /// Runs until virtual time reaches `deadline`, processing every
@@ -1245,6 +1245,22 @@ mod tests {
         // More workers than LPs clamps to one LP a group.
         assert_eq!(dealt(3, 100), vec![vec![0], vec![1], vec![2]]);
         assert_eq!(dealt(0, 4), vec![Vec::<u32>::new()]);
+    }
+
+    /// 2 049 nodes leave `add_node`'s table at capacity 4 096; a run
+    /// holds it at its length, on the one-group path and the dealt one.
+    #[test]
+    fn a_run_holds_the_lp_table_at_its_length() {
+        for workers in [1, 3] {
+            let mut sim = ShardedSim::with_clock_profile(0, ClockProfile::perfect());
+            sim.set_workers(workers);
+            for _ in 0..2_049 {
+                sim.add_node("idle", RealmId(0), Box::new(crate::runtime::IdleActor));
+            }
+            assert!(sim.lps.capacity() > sim.lps.len(), "add_node grows by doubling");
+            sim.run_for(Duration::from_millis(1));
+            assert_eq!(sim.lps.capacity(), sim.lps.len(), "workers={workers}");
+        }
     }
 
     /// Two idle LPs with known per-epoch loads, through the bound tally.

@@ -361,10 +361,7 @@ impl Sim {
 
     /// Mutable counterpart of [`Sim::actor_dyn`].
     pub fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        match self.node_mut(node)?.actor.as_mut() {
-            Some(actor) => Some(actor.as_mut()),
-            None => None,
-        }
+        Some(self.node_mut(node)?.actor.as_mut()?.as_mut())
     }
 
     /// Marks a node down: queued and future deliveries/timers are dropped
@@ -470,8 +467,10 @@ impl Sim {
     }
 
     /// Runs until virtual time reaches `deadline` (processing every event
-    /// scheduled at or before it) or the queue empties.
+    /// scheduled at or before it) or the queue empties. Nodes join only
+    /// between runs, so the node table sheds its growth slack once.
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
+        self.nodes.shrink_to_fit();
         while self.events.next_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
@@ -506,6 +505,19 @@ mod tests {
         assert_eq!(run(99), run(99));
         // and (overwhelmingly likely) different across seeds
         assert_ne!(run(1).0, run(2).0);
+    }
+
+    /// 2 049 nodes leave `add_node`'s table at capacity 4 096; a run
+    /// holds it at its length.
+    #[test]
+    fn a_run_holds_the_node_table_at_its_length() {
+        let mut sim = Sim::with_clock_profile(0, ClockProfile::perfect());
+        for _ in 0..2_049 {
+            sim.add_node("idle", RealmId(0), Box::new(crate::runtime::IdleActor));
+        }
+        assert!(sim.nodes.capacity() > sim.nodes.len(), "add_node grows by doubling");
+        sim.run_for(Duration::from_millis(1));
+        assert_eq!(sim.nodes.capacity(), sim.nodes.len());
     }
 
     #[test]

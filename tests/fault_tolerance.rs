@@ -130,7 +130,7 @@ fn credential_policy_admits_the_right_principal() {
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 26);
     builder.policy = ResponsePolicy::principals(vec!["alice".into()]);
     builder.discovery.credentials =
-        Some(Credential { principal: "alice".into(), token: b"tok".to_vec() });
+        Some(Box::new(Credential { principal: "alice".into(), token: b"tok".to_vec() }));
     on_every_engine_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         assert!(outcome.chosen.is_some(), "credentialed client is served");
@@ -143,7 +143,7 @@ fn credential_policy_rejects_the_wrong_principal() {
     let mut builder = quick_to_fail(27);
     builder.policy = ResponsePolicy::principals(vec!["alice".into()]);
     builder.discovery.credentials =
-        Some(Credential { principal: "mallory".into(), token: b"tok".to_vec() });
+        Some(Box::new(Credential { principal: "mallory".into(), token: b"tok".to_vec() }));
     on_every_engine_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         assert_eq!(outcome.responses_received, 0, "mallory gets no responses");
@@ -204,7 +204,7 @@ fn private_bdn_refuses_to_disseminate_without_credentials() {
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 30);
     builder.bdn.policy = ResponsePolicy::principals(vec!["alice".into()]);
     builder.discovery.credentials =
-        Some(Credential { principal: "alice".into(), token: vec![] });
+        Some(Box::new(Credential { principal: "alice".into(), token: vec![] }));
     on_every_engine_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         assert!(outcome.chosen.is_some());

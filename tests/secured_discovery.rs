@@ -33,16 +33,16 @@ fn pki(seed: u64) -> Pki {
 fn secured_request_is_opened_and_served() {
     let p = pki(1);
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 51);
-    builder.discovery.security = Some(SecuritySuite {
+    builder.discovery.security = Some(Box::new(SecuritySuite {
         identity: p.client.clone(),
         trust_root: p.ca.root_cert.clone(),
         peer_public: p.bdn.public(),
-    });
-    builder.bdn.security = Some(SecuritySuite {
+    }));
+    builder.bdn.security = Some(Box::new(SecuritySuite {
         identity: p.bdn.clone(),
         trust_root: p.ca.root_cert.clone(),
         peer_public: p.client.public(), // unused on the BDN side
-    });
+    }));
     let mut s = builder.build();
     let outcome = s.run_discovery_once();
     assert!(outcome.chosen.is_some(), "secured discovery succeeds");
@@ -68,16 +68,16 @@ fn untrusted_client_falls_back_to_multicast() {
     builder.broker_sites = vec![BLOOMINGTON, 2, 3, 4, 5];
     builder.discovery.ack_timeout = Duration::from_millis(400);
     builder.discovery.retransmits_per_bdn = 1;
-    builder.discovery.security = Some(SecuritySuite {
+    builder.discovery.security = Some(Box::new(SecuritySuite {
         identity: rogue_client,
         trust_root: rogue_ca.root_cert.clone(),
         peer_public: p.bdn.public(),
-    });
-    builder.bdn.security = Some(SecuritySuite {
+    }));
+    builder.bdn.security = Some(Box::new(SecuritySuite {
         identity: p.bdn.clone(),
         trust_root: p.ca.root_cert.clone(),
         peer_public: p.client.public(),
-    });
+    }));
     let mut s = builder.build();
     let outcome = s.run_discovery_once();
     let bdn = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
@@ -99,11 +99,11 @@ fn unsecured_bdn_drops_secured_requests() {
     builder.broker_sites = vec![BLOOMINGTON, BLOOMINGTON, 3, 4, 5];
     builder.discovery.ack_timeout = Duration::from_millis(400);
     builder.discovery.retransmits_per_bdn = 1;
-    builder.discovery.security = Some(SecuritySuite {
+    builder.discovery.security = Some(Box::new(SecuritySuite {
         identity: p.client.clone(),
         trust_root: p.ca.root_cert.clone(),
         peer_public: p.bdn.public(),
-    });
+    }));
     // builder.bdn.security stays None.
     let mut s = builder.build();
     let outcome = s.run_discovery_once();
