@@ -1,9 +1,10 @@
 //! `repro` — regenerates every table and figure of the paper and runs
-//! the seed-pure campaigns (`chaos`, `federation`, `scale`); `repro census`
-//! counts the tree; `repro gate` runs clippy over the workspace and checks
-//! that the tree still regenerates every committed figure, report and
-//! count. `repro help` prints the command table ([`COMMANDS`]) and the
-//! flags.
+//! the seed-pure campaigns (`chaos`, `federation`, `scale`); `repro
+//! experiments` writes EXPERIMENTS.md's tables from the pinned ones;
+//! `repro census` counts the tree; `repro gate` runs clippy over the
+//! workspace and checks that the tree still regenerates every committed
+//! figure, report, EXPERIMENTS.md table and count. `repro help` prints
+//! the command table ([`COMMANDS`]) and the flags.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -11,6 +12,7 @@ use std::path::{Path, PathBuf};
 use nb_bench::campaign::{fault_scenario, run_campaign, FaultCampaign, ScenarioResult};
 use nb_bench::census::{ceiling_failures, Census, CEILINGS};
 use nb_bench::parallel::ParallelExecutor;
+use nb_bench::table::fill_blocks;
 use nb_bench::*;
 use nb_broker::TopologyKind;
 
@@ -122,6 +124,11 @@ const COMMANDS: &[Command] = &[
     table("ablation-clock", "NTP residual sensitivity", swept),
     table("ablation-topology", "overlay shapes at 10 brokers", swept),
     cmd("check", "self-verify every qualitative claim (exit 1 on failure)", run_check),
+    cmd(
+        "experiments",
+        "rewrite EXPERIMENTS.md's generated tables from the pinned ones (--runs 120 --seed 2005)",
+        run_experiments,
+    ),
     cmd("trace", "message-flow trace of one discovery", |_, args| print!("{}", trace(args.seed))),
     report(
         "chaos",
@@ -563,34 +570,66 @@ fn report_gate(root: &Path, name: &str, flags: &str) {
     println!("{file}: byte-identical to the committed copy at 1 and 4 workers");
 }
 
-/// `repro gate figs`: regenerates every pinned table's CSV and the trace
-/// at the defaults (`--runs 120 --seed 2005`) in memory and compares each
-/// with its committed copy under `artifacts/`; a committed CSV that no
-/// pinned table writes fails too. It names every file that fails before
-/// it exits, so one run lists a whole re-pin.
-fn figs_gate(root: &Path) {
+/// Every pinned (seeded) table, by command name, at the defaults the
+/// pins are made at: `--runs 120 --seed 2005`.
+fn pinned_tables() -> Vec<(&'static str, Table)> {
     let args = parse_args(std::iter::empty());
-    let mut pins: Vec<(String, String)> = COMMANDS
+    COMMANDS
         .iter()
         .filter_map(|c| match c.run {
-            Run::Table { make, pinned: true } => {
-                Some((format!("artifacts/csv/{}.csv", c.name), make(c.name, &args).to_csv()))
-            }
+            Run::Table { make, pinned: true } => Some((c.name, make(c.name, &args))),
             _ => None,
         })
-        .collect();
-    pins.push((TRACE_PIN.to_string(), trace(args.seed)));
+        .collect()
+}
+
+/// `doc` (EXPERIMENTS.md) with each `<!-- table NAME -->` block rendered
+/// from pinned table NAME.
+fn render_experiments(doc: &str, tables: &[(&str, Table)]) -> Result<String, String> {
+    fill_blocks(doc, |name| tables.iter().find(|(n, _)| *n == name).map(|(_, t)| t.to_markdown()))
+}
+
+/// `repro experiments`: rewrites EXPERIMENTS.md's generated blocks in
+/// place; exits 2 when the file cannot be read or written or names a
+/// table that is not pinned.
+fn run_experiments(_: &str, _: &Args) {
+    let path = workspace_root().join(EXPERIMENTS);
+    let doc = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
+    let filled = render_experiments(&doc, &pinned_tables()).unwrap_or_else(|e| fail(&format!("{EXPERIMENTS}: {e}")));
+    if let Err(e) = std::fs::write(&path, filled) {
+        fail(&format!("cannot write {}: {e}", path.display()));
+    }
+    println!("wrote {}", path.display());
+}
+
+/// `repro gate figs`: regenerates every pinned table's CSV and the trace
+/// at the defaults (`--runs 120 --seed 2005`) in memory and compares each
+/// with its committed copy under `artifacts/`, and EXPERIMENTS.md with
+/// its rendering from the same tables; a committed CSV that no pinned
+/// table writes fails too. It names every file that fails before it
+/// exits, so one run lists a whole re-pin.
+fn figs_gate(root: &Path) {
+    let tables = pinned_tables();
+    let mut pins: Vec<(String, String)> =
+        tables.iter().map(|(name, table)| (format!("artifacts/csv/{name}.csv"), table.to_csv())).collect();
+    pins.push((TRACE_PIN.to_string(), trace(parse_args(std::iter::empty()).seed)));
     let listing = std::fs::read_dir(root.join("artifacts/csv"))
         .unwrap_or_else(|e| gate_failed("artifacts/csv", &format!("cannot list it: {e}")));
     let committed: BTreeMap<String, Result<String, String>> = listing
         .flatten()
         .map(|entry| format!("artifacts/csv/{}", entry.file_name().to_string_lossy()))
-        .chain([TRACE_PIN.to_string()])
+        .chain([TRACE_PIN.to_string(), EXPERIMENTS.to_string()])
         .map(|file| {
             let text = std::fs::read_to_string(root.join(&file)).map_err(|e| e.to_string());
             (file, text)
         })
         .collect();
+    let rendered = match committed.get(EXPERIMENTS) {
+        Some(Ok(doc)) => render_experiments(doc, &tables).unwrap_or_else(|e| gate_failed(EXPERIMENTS, &e)),
+        _ => String::new(),
+    };
+    pins.push((EXPERIMENTS.to_string(), rendered));
     let failures = pin_failures(&pins, &committed);
     for (file, why) in &failures {
         eprintln!("FAIL: {file}: {why}");
@@ -599,13 +638,18 @@ fn figs_gate(root: &Path) {
         std::process::exit(1);
     }
     println!(
-        "artifacts/: {} figure CSVs and trace_output.txt byte-identical to the committed copies",
-        pins.len() - 1
+        "artifacts/: {} figure CSVs and trace_output.txt byte-identical to the committed copies, \
+         and {EXPERIMENTS}'s tables to their rendering",
+        tables.len()
     );
 }
 
 /// The trace `repro gate figs` holds beside the CSVs.
 const TRACE_PIN: &str = "artifacts/trace_output.txt";
+
+/// The document whose generated tables `repro experiments` writes and
+/// `repro gate figs` holds.
+const EXPERIMENTS: &str = "EXPERIMENTS.md";
 
 /// What `repro census` writes and `repro gate census` holds.
 const CENSUS_PIN: &str = "CENSUS.json";

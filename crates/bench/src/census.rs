@@ -43,7 +43,7 @@
 //! may only fall, in [`nb_util::Config`]'s `key = value` format: the
 //! non-test lines of each of the six library crates
 //! (`non_test_lines.crates/util`, …), `design_md_lines`, the row counts
-//! of `test_only_pub` and `own_file_only_pub`, the public fields of each
+//! of `test_only_pub`, `own_file_only_pub` and `pub_setters`, the public fields of each
 //! `*Config` struct (`config_pub_fields.BrokerConfig`, …) and
 //! `ignored_tests`. [`ceiling_failures`] names each count above its
 //! ceiling, each ceiling with no count and each count with no ceiling, so
@@ -320,14 +320,19 @@ fn render(sources: &[Source], design: &str) -> Census {
         counts.insert(section.to_string(), rows.len());
         write_section(&mut out, section, rows);
     }
-    let setters = items.iter().filter(|u| u.is_setter()).map(|u| {
-        format!(
-            "{{\"item\": {}, \"file\": {}, \"callers\": {}}}",
-            json(&u.item),
-            json(&u.file),
-            json_list(&u.callers)
-        )
-    });
+    let setters: Vec<String> = items
+        .iter()
+        .filter(|u| u.is_setter())
+        .map(|u| {
+            format!(
+                "{{\"item\": {}, \"file\": {}, \"callers\": {}}}",
+                json(&u.item),
+                json(&u.file),
+                json_list(&u.callers)
+            )
+        })
+        .collect();
+    counts.insert("pub_setters".to_string(), setters.len());
     write_section(&mut out, "pub_setters", setters);
     for (section, trait_name) in [
         ("context_impls", "Context"),
@@ -948,6 +953,7 @@ mod tests {
             ("non_test_lines.crates/util", 0),
             ("non_test_lines.crates/wire", 0),
             ("own_file_only_pub", 0),
+            ("pub_setters", 0),
             ("test_only_pub", 1),
         ]);
         assert_eq!(census.counts, expected);

@@ -242,13 +242,15 @@ pub struct TierOutcome {
     pub failovers: u64,
     /// Network payload bytes delivered, divided by the entity count.
     pub wire_bytes_per_entity: u64,
-    /// Heap bytes the deployment build retained, divided by the entity
-    /// count (counting allocator; 0 when not installed). The duplicate
+    /// Heap bytes the deployment build retained once the engine shed its
+    /// node table's growth slack, divided by the entity count (counting
+    /// allocator; 0 when not installed). The duplicate
     /// caches grow after the build; `dedup_bytes_per_entity` has them.
     pub mem_bytes_per_entity: u64,
     /// Heap bytes every node's duplicate caches hold after the run
     /// ([`nb_util::BoundedDedup::heap_bytes`]), divided by the entity
-    /// count: brokers' event and request caches, BDNs', entities'.
+    /// count: brokers' last-1000 caches (events and requests alike),
+    /// BDNs', entities'.
     pub dedup_bytes_per_entity: u64,
     /// Whether the counting allocator was active for the memory column.
     pub alloc_counting: bool,
@@ -379,7 +381,8 @@ fn answered_once(tb: &Testbed<ShardedSim>) -> InvariantResult {
 /// (nothing faults here), `answered_once` and `heap_ceiling`
 /// ([`MAX_MEM_BYTES_PER_ENTITY`]). `spec` names the row and sizes its
 /// per-entity columns; the heap column counts from before `describe`
-/// runs to after the build, which is why the description comes as a
+/// runs to after the build has shed its growth slack
+/// ([`ShardedSim::shed_slack`]), which is why the description comes as a
 /// function. Every reported field except `wall_ms` is
 /// virtual-time-derived or taken before workers spawn, and therefore
 /// identical for every worker count — that is the campaign's
@@ -402,6 +405,7 @@ pub fn run_description(
     let live0 = crate::alloc::live_bytes();
     let (tier, topology_digest) = describe();
     let mut dep = tier.build(ShardedSim::with_clock_profile);
+    dep.sim.shed_slack();
     let live1 = crate::alloc::live_bytes();
     let alloc_counting = live1 > live0;
     dep.sim.set_workers(workers.max(1));
@@ -468,11 +472,8 @@ pub fn run_description(
     }
     latencies.sort_unstable();
     let sim = &dep.sim;
-    let broker_caches = |&b: &NodeId| {
-        let actor = sim.actor::<DiscoveryBrokerActor>(b).expect("broker");
-        actor.broker.dedup_bytes() + actor.responder.dedup_bytes()
-    };
-    let dedup_bytes = dep.brokers.iter().map(broker_caches).sum::<usize>()
+    let broker_cache = |&b: &NodeId| sim.actor::<DiscoveryBrokerActor>(b).expect("broker").broker.dedup_bytes();
+    let dedup_bytes = dep.brokers.iter().map(broker_cache).sum::<usize>()
         + dep.bdns.iter().map(|&d| sim.actor::<Bdn>(d).expect("bdn").dedup_bytes()).sum::<usize>()
         + dep.entities.iter().map(|&e| dep.entity(e).dedup_bytes()).sum::<usize>();
     let stats = dep.sim.stats();

@@ -1,7 +1,10 @@
 //! One data model for every figure: a [`Table`] is a title, named
-//! columns and rows of [`Cell`]s, rendered two ways from the same rows —
-//! aligned text ([`fmt::Display`]) for the console and [`Table::to_csv`]
-//! for the committed `artifacts/csv/` files `repro gate figs` compares.
+//! columns and rows of [`Cell`]s, rendered three ways from the same
+//! rows — aligned text ([`fmt::Display`]) for the console,
+//! [`Table::to_csv`] for the committed `artifacts/csv/` files and
+//! [`Table::to_markdown`] for EXPERIMENTS.md's tables, which
+//! [`fill_blocks`] writes between their markers. `repro gate figs`
+//! compares the CSVs and EXPERIMENTS.md with what the tree renders.
 
 use std::fmt;
 
@@ -130,6 +133,25 @@ impl Table {
         std::iter::once(header).chain(rows).collect()
     }
 
+    /// The table as Markdown: the title in italics, a blank line, then a
+    /// pipe table of the cells as the text rendering shows them, labels
+    /// left-aligned and numbers right-aligned.
+    pub fn to_markdown(&self) -> String {
+        let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+        let header = line(self.columns.iter().map(|(name, _)| name.to_string()).collect());
+        let rule = line((0..self.columns.len()).map(|i| if self.is_label(i) { ":--" } else { "--:" }.into()).collect());
+        let body = self.rows.iter().map(|row| {
+            line(row.iter().zip(&self.columns).map(|(c, &(_, decimals))| c.text(decimals)).collect())
+        });
+        let table: String = [header, rule].into_iter().chain(body).collect();
+        format!("*{}*\n\n{table}", self.title)
+    }
+
+    /// Whether column `i` holds labels, read off the first row.
+    fn is_label(&self, i: usize) -> bool {
+        self.rows.first().is_some_and(|r| matches!(r[i], Cell::Text(_)))
+    }
+
     /// Column `name`'s cells, top to bottom.
     ///
     /// # Panics
@@ -150,17 +172,57 @@ impl fmt::Display for Table {
         });
         let lines: Vec<Vec<String>> = std::iter::once(header).chain(body).collect();
         let width = |i: usize| lines.iter().map(|l| l[i].chars().count()).max().unwrap_or(0);
-        let label = |i: usize| self.rows.first().is_some_and(|r| matches!(r[i], Cell::Text(_)));
         writeln!(f, "=== {} ===", self.title)?;
         for line in &lines {
             let mut out = String::new();
             for (i, cell) in line.iter().enumerate() {
                 let w = width(i);
-                out += &if label(i) { format!("  {cell:<w$}") } else { format!("  {cell:>w$}") };
+                out += &if self.is_label(i) { format!("  {cell:<w$}") } else { format!("  {cell:>w$}") };
             }
             writeln!(f, "{}", out.trim_end())?;
         }
         Ok(())
+    }
+}
+
+/// Opens a generated block: the marker line is `<!-- table NAME -->`.
+const BLOCK_OPEN: &str = "<!-- table ";
+/// Closes the block the last marker opened.
+const BLOCK_CLOSE: &str = "<!-- /table -->";
+
+/// `doc` with the lines between each `<!-- table NAME -->` marker line
+/// and the next `<!-- /table -->` line replaced by `render(NAME)`; the
+/// markers and every other line stay as they are. Fails naming the
+/// first block whose table `render` does not know, or that never
+/// closes, and a close with no open block.
+pub fn fill_blocks(doc: &str, render: impl Fn(&str) -> Option<String>) -> Result<String, String> {
+    let mut out = String::new();
+    let mut open: Option<&str> = None;
+    for (i, line) in doc.lines().enumerate() {
+        let trimmed = line.trim();
+        if let Some(name) = trimmed.strip_prefix(BLOCK_OPEN).and_then(|r| r.strip_suffix(" -->")) {
+            if let Some(outer) = open {
+                return Err(format!("line {}: table {name} opens inside table {outer}", i + 1));
+            }
+            let table = render(name).ok_or_else(|| format!("line {}: no pinned table {name}", i + 1))?;
+            out += line;
+            out += "\n";
+            out += &table;
+            open = Some(name);
+        } else if trimmed == BLOCK_CLOSE {
+            if open.take().is_none() {
+                return Err(format!("line {}: {BLOCK_CLOSE} closes no table", i + 1));
+            }
+            out += line;
+            out += "\n";
+        } else if open.is_none() {
+            out += line;
+            out += "\n";
+        }
+    }
+    match open {
+        Some(name) => Err(format!("table {name} never closes")),
+        None => Ok(out),
     }
 }
 
@@ -189,6 +251,31 @@ mod tests {
                         \x20 star          282.1   0.58     2\n\
                         \x20 un,connected    0.0   1.00     -\n";
         assert_eq!(sample().to_string(), expected);
+    }
+
+    #[test]
+    fn markdown_renders_the_title_then_cells_as_text_shows_them() {
+        let expected = "*sample*\n\n\
+                        | kind | ms | share | hops |\n\
+                        | :-- | --: | --: | --: |\n\
+                        | star | 282.1 | 0.58 | 2 |\n\
+                        | un,connected | 0.0 | 1.00 | - |\n";
+        assert_eq!(sample().to_markdown(), expected);
+    }
+
+    #[test]
+    fn blocks_are_filled_between_their_markers_and_nothing_else_moves() {
+        let render = |name: &str| (name == "t").then(|| "NEW\n".to_string());
+        let doc = "prose 1.0\n<!-- table t -->\nOLD\nOLDER\n<!-- /table -->\nmore\n<!-- table t -->\n<!-- /table -->\n";
+        let filled = fill_blocks(doc, render).unwrap();
+        assert_eq!(filled, "prose 1.0\n<!-- table t -->\nNEW\n<!-- /table -->\nmore\n<!-- table t -->\nNEW\n<!-- /table -->\n");
+        assert_eq!(fill_blocks(&filled, render).unwrap(), filled, "filling is idempotent");
+        assert_eq!(fill_blocks("a\nb\n", render).unwrap(), "a\nb\n");
+        let err = |doc: &str| fill_blocks(doc, render).unwrap_err();
+        assert_eq!(err("x\n<!-- table u -->\n<!-- /table -->\n"), "line 2: no pinned table u");
+        assert_eq!(err("<!-- table t -->\nOLD\n"), "table t never closes");
+        assert_eq!(err("<!-- /table -->\n"), "line 1: <!-- /table --> closes no table");
+        assert_eq!(err("<!-- table t -->\n<!-- table t -->\n"), "line 2: table t opens inside table t");
     }
 
     #[test]

@@ -92,10 +92,13 @@ fn chaos_smoke_three_fixed_seeds() {
 /// once more (`0x1909f559a0c83757` until then): a BDN's injections of
 /// one request share one event id, so the overlay floods it once, not
 /// once an injection point (DESIGN.md §17) — fewer broker frames, and
-/// one RNG draw a request where there was one an injection.
+/// one RNG draw a request where there was one an injection. And once
+/// more (`0x88d50990f85bcf50` until then): that id is the request's own
+/// UUID, so a BDN draws none and a multicast re-flood none (DESIGN.md
+/// §17) — every later draw moves.
 #[test]
 fn campaign_report_unchanged_by_ordered_state() {
-    const PINNED_FNV1A64: u64 = 0x88d5_0990_f85b_cf50;
+    const PINNED_FNV1A64: u64 = 0x7fde_f2aa_6de4_bfce;
     let json = campaign(11, 3, 1).to_json();
     let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());
     assert_eq!(
@@ -110,7 +113,7 @@ fn campaign_report_unchanged_by_ordered_state() {
 /// runs scenario-parallel.
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0x88d5_0990_f85b_cf50;
+    const PINNED_FNV1A64: u64 = 0x7fde_f2aa_6de4_bfce;
     for workers in [1, 4] {
         let json = campaign(11, 3, workers).to_json();
         let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());

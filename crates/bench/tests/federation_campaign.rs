@@ -88,10 +88,12 @@ fn ten_seed_campaign_passes_every_invariant() {
 /// `unreachable_partitioned` column (DESIGN.md §9); nothing else moved.
 /// And once more (`0xa9034d72b101e9cb` until then), with the chaos pin
 /// again: a BDN's injections of one request share one event id, so the
-/// request floods once (DESIGN.md §17).
+/// request floods once (DESIGN.md §17). And once more
+/// (`0x1c2c8ffe1a4a3570` until then), with the chaos pin: that id is the
+/// request's own UUID, so the BDN draws none.
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0x1c2c_8ffe_1a4a_3570;
+    const PINNED_FNV1A64: u64 = 0xb4f8_2c03_28fc_eb57;
     for workers in [1, 4] {
         let json = campaign(11, 3, workers).to_json();
         let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());

@@ -1,8 +1,9 @@
 //! The `repro` binary's command-line contract: help comes from the
 //! dispatch table, usage errors exit 2, `--out` is the only place a
 //! report lands, `repro gate` writes nothing, and its clippy, figure and
-//! census gates pass on the tree; the clippy and benchmark-build gates
-//! fail closed without cargo.
+//! census gates pass on the tree; EXPERIMENTS.md's generated tables
+//! fail the figure gate when they differ from their rendering; the
+//! clippy and benchmark-build gates fail closed without cargo.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -24,11 +25,11 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// `repro.rs`'s dispatch table, by name.
-const COMMANDS: [&str; 31] = [
+const COMMANDS: [&str; 32] = [
     "help", "all", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
     "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock", "ablation-topology",
-    "check", "trace", "chaos", "federation", "scale", "census", "gate",
+    "check", "experiments", "trace", "chaos", "federation", "scale", "census", "gate",
 ];
 
 #[test]
@@ -158,6 +159,42 @@ fn gate_figs_passes_on_the_tree() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// EXPERIMENTS.md is golden like the CSVs: in a copy of the figure pins,
+/// one changed cell of a generated table fails `repro gate figs`, naming
+/// the file and the line, and `repro experiments` writes the committed
+/// text back.
+#[test]
+fn gate_figs_fails_when_experiments_md_is_not_its_rendering() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = scratch("repro_cli_experiments");
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    std::fs::create_dir_all(dir.join("artifacts/csv")).expect("create artifacts/csv");
+    for entry in std::fs::read_dir(root.join("artifacts/csv")).expect("the committed CSVs").flatten() {
+        std::fs::copy(entry.path(), dir.join("artifacts/csv").join(entry.file_name())).expect("copy a CSV");
+    }
+    std::fs::copy(root.join("artifacts/trace_output.txt"), dir.join("artifacts/trace_output.txt"))
+        .expect("copy the trace");
+    let committed = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("the committed EXPERIMENTS.md");
+    let block = committed.find("<!-- table fig3 -->").expect("a generated fig3 table");
+    let row = block + committed[block..].find("| 100 |").expect("fig3's row");
+    let stale = format!("{}| 101 |{}", &committed[..row], &committed[row + "| 100 |".len()..]);
+    std::fs::write(dir.join("EXPERIMENTS.md"), &stale).expect("write the stale copy");
+
+    let out = repro(&dir, &["gate", "figs"]);
+    assert_eq!(out.status.code(), Some(1), "a changed cell must fail the gate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("FAIL: EXPERIMENTS.md: the tree regenerates it differently"), "{stderr}");
+    assert!(stderr.contains("committed:   | 101 |"), "{stderr}");
+    assert_eq!(stderr.matches("FAIL:").count(), 1, "only EXPERIMENTS.md moved: {stderr}");
+
+    let out = repro(&dir, &["experiments"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let rewritten = std::fs::read_to_string(dir.join("EXPERIMENTS.md")).expect("the rewritten copy");
+    assert!(rewritten == committed, "repro experiments writes the committed text back");
+    let out = repro(&dir, &["gate", "figs"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// The census reads the tree and nothing else, so it is the cheapest
 /// gate: the committed `CENSUS.json` must match a recount.
 #[test]
@@ -185,7 +222,7 @@ fn gate_census_fails_a_count_above_its_ceiling() {
             ceilings.push_str(&format!("non_test_lines.crates/{lib} = 0\n"));
         }
         ceilings.push_str(
-            "test_only_pub = 0\nown_file_only_pub = 0\nconfig_pub_fields.UtilConfig = 1\n\
+            "test_only_pub = 0\nown_file_only_pub = 0\npub_setters = 0\nconfig_pub_fields.UtilConfig = 1\n\
              ignored_tests = 0\n",
         );
         std::fs::write(dir.join("CENSUS_ceilings.conf"), ceilings).expect("write ceilings");

@@ -414,16 +414,16 @@ impl Broker {
         self.send_handshake(Endpoint::new(peer, well_known::BROKER), hello, ctx);
     }
 
-    /// Publishes an event originating at this broker itself (the owner's
-    /// services use this, e.g. a BDN flooding a discovery request).
-    /// Returns what [`Broker::handle`] would for the same event.
+    /// Publishes event `id` originating at this broker itself (the
+    /// owner's services: a responder re-flooding a multicast request
+    /// under its UUID). Returns what [`Broker::handle`] would for it.
     pub fn publish_local(
         &mut self,
+        id: Uuid,
         topic: Topic,
         payload: impl Into<Bytes>,
         ctx: &mut dyn Context,
     ) -> Option<WireMsg> {
-        let id = Uuid::random(ctx.rng());
         let ev = Event { id, topic, source: ctx.me(), payload: payload.into() };
         self.route_event(ev, None, ctx)
     }
@@ -847,12 +847,17 @@ mod tests {
         };
         ctx.sent.clear();
         for topic in [&DISCOVERY_REQUEST, &BDN_ADVERTISEMENT] {
-            let surfaced = broker.publish_local(topic.topic(), Bytes::from_static(b"request"), &mut ctx);
+            let id = Uuid::random(&mut ctx.rng);
+            let surfaced = broker.publish_local(id, topic.topic(), Bytes::from_static(b"request"), &mut ctx);
             assert!(surfaced.is_some(), "{}: handed back to the owner", topic.topic());
             assert_eq!(sent_to(&mut ctx, "publish"), links, "{}: to every link", topic.topic());
+            let again = broker.publish_local(id, topic.topic(), Bytes::from_static(b"request"), &mut ctx);
+            assert!(again.is_none(), "{}: an id the cache holds is not published twice", topic.topic());
+            assert!(sent_to(&mut ctx, "publish").is_empty());
         }
+        assert_eq!(broker.duplicates_suppressed, 2);
         let topic = Topic::parse("feed/x").unwrap();
-        assert!(broker.publish_local(topic, Bytes::new(), &mut ctx).is_none());
+        assert!(broker.publish_local(Uuid::random(&mut ctx.rng), topic, Bytes::new(), &mut ctx).is_none());
         assert!(sent_to(&mut ctx, "publish").is_empty(), "no link asked for it");
         assert!(broker.routes.is_none(), "a copy that came back once is what makes route state");
 

@@ -11,6 +11,7 @@
 use std::time::Duration;
 
 use nb_broker::Broker;
+use nb_util::Uuid;
 use nb_wire::addr::well_known;
 use nb_wire::topic::BROKER_ADVERTISEMENT;
 use nb_wire::{BrokerAdvertisement, Endpoint, Message, NodeId, Topic, Wire, WireMsg};
@@ -93,7 +94,8 @@ impl Advertiser {
             self.ads_sent += 1;
         }
         let payload = ad.message().to_bytes();
-        let _ = broker.publish_local(self.topic.clone(), payload, ctx);
+        let id = Uuid::random(ctx.rng());
+        let _ = broker.publish_local(id, self.topic.clone(), payload, ctx);
         self.ads_sent += 1;
     }
 

@@ -376,11 +376,12 @@ impl Bdn {
         if targets.is_empty() {
             return;
         }
-        // One event, one id, for every injection (closest, farthest, the
-        // rest): a broker drops a copy whose id it has seen, so the
-        // request floods once however many brokers it is injected at.
+        // One event for every injection (closest, farthest, the rest),
+        // under the request's own UUID: a broker drops a copy whose id
+        // its last-1000 cache holds, so the request floods once however
+        // many brokers, or BDNs, inject it.
         let event = Event {
-            id: Uuid::random(ctx.rng()),
+            id: req.request_id,
             topic: self.flood_topic.clone(),
             source: ctx.me(),
             payload: request.to_bytes(),

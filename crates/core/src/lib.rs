@@ -18,9 +18,9 @@
 //!   restrictions (§5, §7, §9.1),
 //! * [`advertiser`] — broker advertisements, direct and topic-based
 //!   dissemination, private-BDN handling (§2),
-//! * [`responder`] — the broker-side responder: request dedup (last-1000
-//!   cache), response construction, UDP delivery, multicast listening
-//!   (§4, §5),
+//! * [`responder`] — the broker-side responder: answers what the broker's
+//!   last-1000 cache surfaces (response construction, UDP delivery),
+//!   multicast listening and re-flood (§4, §5, §7),
 //! * [`bdn`] — the Broker Discovery Node actor: registry, RTT
 //!   measurement, closest/farthest-first request injection, acks (§2–§4),
 //! * [`client`] — the requesting node's discovery state machine with

@@ -2,28 +2,30 @@
 //!
 //! Handles three duties of a broker participating in discovery:
 //!
-//! 1. **Answering discovery requests** (paper §5): dedup by request UUID
-//!    (the last-1000 cache of §4), consult the [`ResponsePolicy`], then
-//!    send a [`nb_wire::DiscoveryResponse`] — NTP timestamp, process
-//!    info, usage metrics — over **UDP** directly to the requester.
+//! 1. **Answering discovery requests** (paper §5): consult the
+//!    [`ResponsePolicy`], then send a [`nb_wire::DiscoveryResponse`] —
+//!    NTP timestamp, process info, usage metrics — over **UDP** directly
+//!    to the requester. It keeps no cache: a request travels under its
+//!    own UUID, so the broker's last-1000 cache of §4 surfaces each one
+//!    once, and the responder answers what it surfaces.
 //! 2. **Answering UDP pings** (paper §6) with pongs echoing the sender's
 //!    timestamp.
 //! 3. **Listening on the discovery multicast group** (paper §7): a
-//!    request received via multicast is answered *and* re-flooded into
-//!    the overlay so that "the discovery request would be propagated
-//!    through the system".
+//!    request received via multicast is re-flooded into the overlay
+//!    under its UUID — "the discovery request would be propagated
+//!    through the system" — and answered when the broker's cache had not
+//!    seen it.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use nb_broker::{Broker, DEDUP_CAPACITY};
-use nb_util::{BoundedDedup, Uuid};
+use nb_broker::Broker;
 use nb_wire::addr::{well_known, DISCOVERY_GROUP};
 use nb_wire::message::TransportEndpoint;
 use nb_wire::topic::DISCOVERY_REQUEST;
 use nb_wire::{
-    DiscoveryRequest, DiscoveryRequestView, DiscoveryResponse, Endpoint, Message, Topic,
-    TransportKind, Wire, WireMsg,
+    DiscoveryRequestView, DiscoveryResponse, Endpoint, Message, Topic, TransportKind, Wire,
+    WireMsg,
 };
 
 use nb_net::{Context, Incoming};
@@ -41,7 +43,6 @@ const SERVICE_TIME: Duration = Duration::from_millis(40);
 #[derive(Debug)]
 pub struct Responder {
     policy: ResponsePolicy,
-    dedup: BoundedDedup<Uuid>,
     /// Responses waiting out their service time, as they will go on the
     /// wire. Timer tokens carry a sequence number and slot `i` belongs
     /// to number `pending_head + i`, so a firing finds its response by
@@ -56,8 +57,6 @@ pub struct Responder {
     flood_topic: Topic,
     /// Responses actually sent.
     pub responses_sent: u64,
-    /// Requests suppressed as duplicates.
-    pub duplicates_suppressed: u64,
     /// Requests rejected by policy.
     pub rejected_by_policy: u64,
     /// Pings answered.
@@ -65,25 +64,17 @@ pub struct Responder {
 }
 
 impl Responder {
-    /// A responder with the given policy and the paper's last-1000
-    /// request cache.
+    /// A responder with the given policy.
     pub fn new(policy: ResponsePolicy) -> Responder {
         Responder {
             policy,
-            dedup: BoundedDedup::new(DEDUP_CAPACITY),
             pending: VecDeque::new(),
             pending_head: 0,
             flood_topic: DISCOVERY_REQUEST.topic(),
             responses_sent: 0,
-            duplicates_suppressed: 0,
             rejected_by_policy: 0,
             pings_answered: 0,
         }
-    }
-
-    /// Heap bytes of the request duplicate cache.
-    pub fn dedup_bytes(&self) -> usize {
-        self.dedup.heap_bytes()
     }
 
     /// Transports this broker advertises: TCP broker service + UDP ping.
@@ -134,64 +125,30 @@ impl Responder {
                 true
             }
             (p, Message::Discovery(req)) if p == well_known::MULTICAST_DISCOVERY => {
-                // Multicast path: answer, then propagate through the
-                // overlay on the predefined topic (paper §7).
-                self.reflood(req, broker, ctx);
-                self.on_request(req, broker, ctx);
+                // Multicast path: propagate through the overlay on the
+                // predefined topic under the request's UUID (paper §7);
+                // the broker's cache says whether it is new here, and
+                // only a new request is answered.
+                let payload = msg.message().to_bytes();
+                let topic = self.flood_topic.clone();
+                if broker.publish_local(req.request_id, topic, payload, ctx).is_some() {
+                    self.answer(DiscoveryRequestView::of(req), broker, ctx);
+                }
                 true
             }
             _ => false,
         }
     }
 
-    /// Handles the payload of a flood-topic event surfaced by the
-    /// broker: an encoded request, or something to ignore.
-    ///
-    /// The request's UUID sits at a fixed body offset, so one this
-    /// broker already handled is dropped on a header peek alone.
-    /// State-equivalent to going through `Responder::on_request`:
-    /// `check_and_insert` on a present key does not mutate the cache,
-    /// so `contains` plus early-out leaves identical dedup state and the
-    /// same suppression count. A fresh request is validated in full but
-    /// acted on from its borrowed fields — the broker keeps no part of
-    /// it, so nothing of it is allocated.
+    /// Handles the payload of a flood-topic event the broker surfaced —
+    /// a request its cache had not seen — or ignores what is not a
+    /// request. The request is validated in full but acted on from its
+    /// borrowed fields: the broker keeps no part of it, so nothing of it
+    /// is allocated.
     pub fn on_flooded(&mut self, event_payload: &[u8], broker: &mut Broker, ctx: &mut dyn Context) {
-        match nb_wire::frame::peek_body(event_payload) {
-            Ok(h) if h.is_discovery() => {
-                if h.uuid.is_some_and(|id| self.dedup.contains(&id)) {
-                    self.duplicates_suppressed += 1;
-                    return;
-                }
-            }
-            _ => return,
-        }
         if let Ok(req) = DiscoveryRequestView::decode(event_payload) {
             self.answer(req, broker, ctx);
         }
-    }
-
-    fn reflood(&mut self, req: &DiscoveryRequest, broker: &mut Broker, ctx: &mut dyn Context) {
-        // Only re-flood requests we haven't seen (dedup is checked again
-        // in on_request for the response decision; peek here).
-        if self.dedup.contains(&req.request_id) {
-            return;
-        }
-        let topic = self.flood_topic.clone();
-        let payload = Message::Discovery(req.clone()).to_bytes();
-        // Flood-topic events surface back to the owning actor, which
-        // routes them to `on_request`; dedup keeps us idempotent.
-        let _ = broker.publish_local(topic, payload, ctx);
-    }
-
-    /// Processes a discovery request however it arrived (overlay flood or
-    /// multicast).
-    fn on_request(
-        &mut self,
-        req: &DiscoveryRequest,
-        broker: &mut Broker,
-        ctx: &mut dyn Context,
-    ) {
-        self.answer(DiscoveryRequestView::of(req), broker, ctx);
     }
 
     fn answer(
@@ -200,10 +157,6 @@ impl Responder {
         broker: &mut Broker,
         ctx: &mut dyn Context,
     ) {
-        if !self.dedup.check_and_insert(req.request_id) {
-            self.duplicates_suppressed += 1;
-            return;
-        }
         if !self.policy.permits_view(&req) {
             self.rejected_by_policy += 1;
             return;
@@ -237,8 +190,11 @@ impl Responder {
 mod tests {
     use super::*;
     use crate::test_ctx::TestCtx;
+    use crate::DiscoveryBrokerActor;
     use nb_broker::BrokerConfig;
-    use nb_wire::{Credential, NodeId, Port, RealmId};
+    use nb_net::Actor;
+    use nb_util::Uuid;
+    use nb_wire::{Credential, DiscoveryRequest, Event, NodeId, Port, RealmId};
 
     // Unit-level tests drive the responder against a scripted context;
     // end-to-end behaviour is covered in the scenario tests.
@@ -251,6 +207,41 @@ mod tests {
     fn fire_all(r: &mut Responder, broker: &mut Broker, ctx: &mut TestCtx) {
         for token in ctx.tokens() {
             assert!(r.handle(&Incoming::Timer { token }, broker, ctx));
+        }
+        ctx.timers.clear();
+    }
+
+    /// Answers `req` as if the broker had surfaced it.
+    fn ask(r: &mut Responder, req: &DiscoveryRequest, broker: &mut Broker, ctx: &mut TestCtx) {
+        r.answer(DiscoveryRequestView::of(req), broker, ctx);
+    }
+
+    /// `req` as it arrives on the discovery multicast group.
+    fn multicast(req: &DiscoveryRequest) -> Incoming {
+        Incoming::Datagram {
+            from: Endpoint::new(req.requester, well_known::MULTICAST_DISCOVERY),
+            to_port: well_known::MULTICAST_DISCOVERY,
+            msg: Message::Discovery(req.clone()).into(),
+        }
+    }
+
+    /// `req` as BDN 50 injects it: a flood-topic `Publish` under the
+    /// request's own UUID.
+    fn injected(req: &DiscoveryRequest) -> Incoming {
+        let bdn = NodeId(50);
+        let payload = Message::Discovery(req.clone()).to_bytes();
+        let event = Event { id: req.request_id, topic: DISCOVERY_REQUEST.topic(), source: bdn, payload };
+        Incoming::Stream {
+            from: Endpoint::new(bdn, well_known::BDN),
+            to_port: well_known::BROKER,
+            msg: Message::Publish(event).into(),
+        }
+    }
+
+    /// Fires every response timer the actor armed so far.
+    fn fire_actor(actor: &mut DiscoveryBrokerActor, ctx: &mut TestCtx) {
+        for token in ctx.tokens() {
+            actor.on_incoming(Incoming::Timer { token }, ctx);
         }
         ctx.timers.clear();
     }
@@ -273,12 +264,12 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
-        r.on_request(&request(1), &mut broker, &mut ctx);
-        r.on_request(&request(1), &mut broker, &mut ctx);
-        r.on_request(&request(2), &mut broker, &mut ctx);
+        for id in [1, 1, 2] {
+            assert!(r.handle(&multicast(&request(id)), &mut broker, &mut ctx));
+        }
         fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 2);
-        assert_eq!(r.duplicates_suppressed, 1);
+        assert_eq!(broker.duplicates_suppressed, 1, "the broker's cache held request 1");
         assert_eq!(ctx.sent.len(), 2);
         let Message::Response(resp) = &ctx.sent[0].2 else {
             panic!("expected response");
@@ -294,12 +285,12 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::principals(vec!["alice".into()]));
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
-        r.on_request(&request(1), &mut broker, &mut ctx); // no credentials
+        ask(&mut r, &request(1), &mut broker, &mut ctx); // no credentials
         assert_eq!(r.rejected_by_policy, 1);
         assert!(ctx.timers.is_empty(), "nothing waits to be sent");
         let mut ok = request(2);
         ok.credentials = Some(Credential { principal: "alice".into(), token: vec![] });
-        r.on_request(&ok, &mut broker, &mut ctx);
+        ask(&mut r, &ok, &mut broker, &mut ctx);
         fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);
         assert_eq!(ctx.sent.len(), 1);
@@ -339,16 +330,7 @@ mod tests {
         let mut ctx = new_ctx();
         r.on_start(&mut ctx);
         assert_eq!(ctx.joined, vec![DISCOVERY_GROUP]);
-        let consumed = r.handle(
-            &Incoming::Datagram {
-                from: Endpoint::new(NodeId(9), well_known::MULTICAST_DISCOVERY),
-                to_port: well_known::MULTICAST_DISCOVERY,
-                msg: Message::Discovery(request(3)).into(),
-            },
-            &mut broker,
-            &mut ctx,
-        );
-        assert!(consumed);
+        assert!(r.handle(&multicast(&request(3)), &mut broker, &mut ctx));
         fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);
         // With no links the reflood sends nothing over the wire, but the
@@ -379,7 +361,7 @@ mod tests {
         let mut r = Responder::new(ResponsePolicy::open());
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
-        r.on_request(&request(9), &mut broker, &mut ctx);
+        ask(&mut r, &request(9), &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 0, "nothing on the wire yet");
         assert!(ctx.sent.is_empty());
         assert_eq!(ctx.timers.len(), 1);
@@ -405,7 +387,7 @@ mod tests {
         for i in 0..N {
             let mut req = request(u128::from(i) + 1);
             req.reply_to = Endpoint::new(NodeId(1_000 + i), well_known::DISCOVERY_REPLY);
-            r.on_request(&req, &mut broker, &mut ctx);
+            ask(&mut r, &req, &mut broker, &mut ctx);
         }
         assert_eq!(r.pending.len(), N as usize);
         let service = Duration::from_millis(40)..=Duration::from_millis(60);
@@ -443,13 +425,13 @@ mod tests {
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         for id in 1..=3 {
-            r.on_request(&request(id), &mut broker, &mut ctx);
+            ask(&mut r, &request(id), &mut broker, &mut ctx);
         }
         // Crash + revive: the engine dropped the three timers, so their
         // slots must not pin the ring's head for ever.
         r.on_start(&mut ctx);
         assert!(r.pending.is_empty());
-        r.on_request(&request(4), &mut broker, &mut ctx);
+        ask(&mut r, &request(4), &mut broker, &mut ctx);
         let fresh = ctx.tokens()[3];
         assert!(!ctx.tokens()[..3].contains(&fresh), "tokens are never reused");
         // A pre-crash token (which the engine would never deliver) finds nothing.
@@ -462,29 +444,52 @@ mod tests {
 
     #[test]
     fn flooded_request_is_answered_once_from_its_encoded_form() {
-        let mut r = Responder::new(ResponsePolicy::principals(vec!["alice".into()]));
-        let mut broker = Broker::new(BrokerConfig::default());
+        let policy = ResponsePolicy::principals(vec!["alice".into()]);
+        let mut actor = DiscoveryBrokerActor::new(BrokerConfig::default(), vec![], policy);
         let mut ctx = new_ctx();
         let mut req = request(5);
         req.credentials = Some(Credential { principal: "alice".into(), token: vec![1, 2] });
-        let payload = Message::Discovery(req.clone()).to_bytes();
-        r.on_flooded(&payload, &mut broker, &mut ctx);
-        fire_all(&mut r, &mut broker, &mut ctx);
-        assert_eq!(r.responses_sent, 1, "the borrowed credential satisfied the policy");
+        actor.on_incoming(injected(&req), &mut ctx);
+        fire_actor(&mut actor, &mut ctx);
+        assert_eq!(actor.responder.responses_sent, 1, "the borrowed credential satisfied the policy");
         assert_eq!(ctx.sent[0].1, req.reply_to);
         let Message::Response(resp) = &ctx.sent[0].2 else {
             panic!("expected response");
         };
         assert_eq!(resp.request_id, req.request_id);
-        // The second copy of the flood is dropped on its header UUID ...
-        r.on_flooded(&payload, &mut broker, &mut ctx);
+        // The second copy of the flood is dropped by the broker's cache
+        // on its event id, which is the request's UUID ...
+        actor.on_incoming(injected(&req), &mut ctx);
         // ... and the same request arriving decoded (multicast) is the
         // same request.
-        r.on_request(&req, &mut broker, &mut ctx);
+        actor.on_incoming(multicast(&req), &mut ctx);
         // No credential: rejected from the encoded form too.
-        r.on_flooded(&Message::Discovery(request(6)).to_bytes(), &mut broker, &mut ctx);
+        actor.on_incoming(injected(&request(6)), &mut ctx);
         assert!(ctx.timers.is_empty(), "no second response was armed");
-        assert_eq!((r.responses_sent, r.duplicates_suppressed, r.rejected_by_policy), (1, 2, 1));
+        let (r, broker) = (&actor.responder, &actor.broker);
+        assert_eq!((r.responses_sent, broker.duplicates_suppressed, r.rejected_by_policy), (1, 2, 1));
+    }
+
+    #[test]
+    fn duplicated_multicast_and_an_overlay_copy_give_one_response() {
+        for overlay_first in [false, true] {
+            let mut actor = DiscoveryBrokerActor::new(BrokerConfig::default(), vec![], ResponsePolicy::open());
+            let mut ctx = new_ctx();
+            let req = request(8);
+            let mut copies = vec![multicast(&req), multicast(&req), injected(&req)];
+            if overlay_first {
+                copies.rotate_right(1);
+            }
+            for copy in copies {
+                actor.on_incoming(copy, &mut ctx);
+            }
+            fire_actor(&mut actor, &mut ctx);
+            let responses: Vec<&Message> = ctx.sent.iter().map(|(_, _, m)| m).collect();
+            assert!(matches!(responses[..], [Message::Response(_)]), "overlay first: {overlay_first}");
+            assert_eq!(actor.responder.responses_sent, 1);
+            assert_eq!(actor.broker.duplicates_suppressed, 2, "two copies stopped at the cache");
+            assert_eq!(actor.broker.events_routed, 1, "routed (and re-flooded) once");
+        }
     }
 
     #[test]
@@ -496,11 +501,12 @@ mod tests {
         let heartbeat = Message::Heartbeat { from: NodeId(1), seq: 0 }.to_bytes();
         r.on_flooded(&heartbeat, &mut broker, &mut ctx);
         let payload = Message::Discovery(request(7)).to_bytes();
-        // Long enough for the header peek, short of a whole request.
+        // Long enough for the request's UUID, short of a whole request.
         r.on_flooded(&payload[..payload.len() - 1], &mut broker, &mut ctx);
-        assert_eq!(r.duplicates_suppressed, 0);
+        assert_eq!((r.responses_sent, r.rejected_by_policy), (0, 0));
         assert!(ctx.timers.is_empty(), "nothing was answered");
-        // A malformed copy must not poison the cache against the real one.
+        // The responder keeps nothing of a malformed copy: the real one
+        // is answered.
         r.on_flooded(&payload, &mut broker, &mut ctx);
         fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);

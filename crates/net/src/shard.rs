@@ -643,6 +643,11 @@ impl ShardedSim {
         self.workers = workers.max(1);
     }
 
+    /// Sheds the node table's growth slack now, as a run's first step would.
+    pub fn shed_slack(&mut self) {
+        self.lps.shrink_to_fit();
+    }
+
     /// Does nothing. Each worker runs one executor group, dealt
     /// round-robin by node id, so there is no group count left to set.
     /// Kept only because `benchmark/src/workload/attach_geo.rs` calls
@@ -1248,16 +1253,21 @@ mod tests {
     }
 
     /// 2 049 nodes leave `add_node`'s table at capacity 4 096; a run
-    /// holds it at its length, on the one-group path and the dealt one.
+    /// holds it at its length, on the one-group path and the dealt one,
+    /// and so does `shed_slack` before any run.
     #[test]
     fn a_run_holds_the_lp_table_at_its_length() {
-        for workers in [1, 3] {
+        for (workers, shed) in [(1, false), (3, false), (1, true)] {
             let mut sim = ShardedSim::with_clock_profile(0, ClockProfile::perfect());
             sim.set_workers(workers);
             for _ in 0..2_049 {
                 sim.add_node("idle", RealmId(0), Box::new(crate::runtime::IdleActor));
             }
             assert!(sim.lps.capacity() > sim.lps.len(), "add_node grows by doubling");
+            if shed {
+                sim.shed_slack();
+                assert_eq!(sim.lps.capacity(), sim.lps.len(), "shed before a run");
+            }
             sim.run_for(Duration::from_millis(1));
             assert_eq!(sim.lps.capacity(), sim.lps.len(), "workers={workers}");
         }

@@ -60,11 +60,6 @@ impl FrameHeader {
     pub fn is_publish(&self) -> bool {
         self.tag == TAG_PUBLISH
     }
-
-    /// Whether this frame carries a `Discovery` request.
-    pub fn is_discovery(&self) -> bool {
-        self.tag == TAG_DISCOVERY
-    }
 }
 
 /// Reads the fixed-offset fields of a message *body* (no prelude).
@@ -101,14 +96,6 @@ pub fn peek(framed: &[u8]) -> Result<FrameHeader, WireError> {
     }
     let (tag, uuid, topic_len) = peek_fields(&framed[PRELUDE_LEN..])?;
     Ok(FrameHeader { ttl: framed[0], hops: framed[1], flags: framed[2], tag, uuid, topic_len })
-}
-
-/// Peeks a bare message body that never grew a prelude — e.g. the
-/// encoded messages nested inside `Event::payload` on the well-known
-/// flooding topics. TTL/hops report their local-origin defaults.
-pub fn peek_body(body: &[u8]) -> Result<FrameHeader, WireError> {
-    let (tag, uuid, topic_len) = peek_fields(body)?;
-    Ok(FrameHeader { ttl: DEFAULT_TTL, hops: 0, flags: 0, tag, uuid, topic_len })
 }
 
 /// Encodes `msg` into a wire frame (`[ttl, hops, 0, 0]` prelude + body)
@@ -195,15 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_body_matches_peek_modulo_prelude() {
-        let msg = publish();
-        let framed = peek(&frame_message(&msg, 5, 2)).unwrap();
-        let bare = peek_body(&msg.to_bytes()).unwrap();
-        assert_eq!((bare.tag, bare.uuid, bare.topic_len), (framed.tag, framed.uuid, framed.topic_len));
-        assert_eq!((bare.ttl, bare.hops), (DEFAULT_TTL, 0));
-    }
-
-    #[test]
     fn flags_survive_framing_and_prelude_patch() {
         let frame = frame_message_flags(&publish(), 9, 0, FLAG_V2_CAPABLE);
         assert_eq!(peek(&frame).unwrap().flags, FLAG_V2_CAPABLE);
@@ -238,6 +216,5 @@ mod tests {
             assert!(peek(&frame[..cut]).is_err(), "cut {cut} peeked successfully");
         }
         assert!(peek(&frame[..PRELUDE_LEN + 21]).is_ok());
-        assert!(peek_body(&[]).is_err());
     }
 }

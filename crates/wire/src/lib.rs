@@ -52,7 +52,7 @@ pub use bytes::Bytes;
 pub use addr::{Endpoint, GroupId, NodeId, Port, RealmId, TransportKind};
 pub use codec::{Wire, WireError, WireReader, WireWriter, MAX_FIELD_LEN, MAX_MESSAGE_LEN};
 pub use frame::{
-    decode_framed, frame_message, frame_message_flags, peek_body, FrameHeader, DEFAULT_TTL,
+    decode_framed, frame_message, frame_message_flags, FrameHeader, DEFAULT_TTL,
     FLAG_SEGMENT, FLAG_V2_CAPABLE, MAX_FRAME_LEN, PRELUDE_LEN,
 };
 pub use intern::{SegId, SymId};

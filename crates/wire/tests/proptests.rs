@@ -364,10 +364,6 @@ proptest! {
         };
         prop_assert_eq!(h.uuid, want_uuid);
         prop_assert_eq!(h.topic_len, want_topic_len);
-
-        // peek_body sees the same fixed-offset fields.
-        let hb = nb_wire::peek_body(body).unwrap();
-        prop_assert_eq!((hb.tag, hb.uuid, hb.topic_len), (h.tag, h.uuid, h.topic_len));
     }
 
     #[test]

@@ -907,3 +907,92 @@ mod any_overlay_any_schedule_one_link_fault {
         }
     }
 }
+
+/// Two BDNs flood one request under its UUID at once (a client that lost
+/// its first BDN's ack asks the next) into a ring that pruned for both, after
+/// B was silent for more than a lease, so every broker's route for B has
+/// lapsed to no parent. A copy from BDN B that reaches a broker after
+/// BDN A's is a duplicate for source B: it is dropped at the cache, and
+/// a route with no parent sends no `Prune` for it (R2), so B's tree stays
+/// whole — every broker answers the shared request once, and B's next
+/// request alone still reaches every broker.
+#[test]
+fn two_bdns_flooding_one_request_leave_each_bdns_tree_whole() {
+    use nb::discovery::bdn::{Bdn, BdnConfig};
+    let topo = ring_with_chords();
+    let n = topo.dial_lists().len();
+    let (a, b, requester) = (NodeId(n as u32), NodeId(n as u32 + 1), NodeId(n as u32 + 2));
+    let describe = || {
+        let mut d = lan(53);
+        for (i, dials) in topo.dial_lists().into_iter().enumerate() {
+            let neighbors = dials.iter().map(|&j| NodeId(j as u32)).collect();
+            let cfg = BrokerConfig { neighbors, ..BrokerConfig::default() };
+            d.add(format!("b{i}"), RealmId(0), false, move || {
+                Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![a, b], ResponsePolicy::open()))
+            });
+        }
+        // b2 is two hops from b0 whichever way, so the floods race.
+        for (name, ingress) in [("bdnA", 0), ("bdnB", 2)] {
+            let cfg = BdnConfig { attached_brokers: vec![NodeId(ingress)], auto_attach: false, ..BdnConfig::default() };
+            d.add(name.to_string(), RealmId(0), false, move || Box::new(Bdn::new(cfg.clone())));
+        }
+        d.add("requester".to_string(), RealmId(0), false, || Box::new(IdleActor));
+        d
+    };
+    on_every_engine(describe, |sim| {
+        let brokers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let ask = |sim: &mut dyn DiscoveryEngine, bdn: NodeId, id: u128, delay: Duration| {
+            let request = nb::wire::DiscoveryRequest {
+                request_id: Uuid::from_u128(id),
+                requester,
+                hostname: "requester".into(),
+                realm: RealmId(0),
+                reply_to: Endpoint::new(requester, well_known::DISCOVERY_REPLY),
+                transports: vec![],
+                credentials: None,
+                issued_at_utc: 0,
+            };
+            let from = Endpoint::new(requester, well_known::DISCOVERY_REPLY);
+            let msg = Message::Discovery(request).into();
+            sim.inject(bdn, delay, Incoming::Datagram { from, to_port: well_known::BDN, msg });
+        };
+        let answered = |sim: &dyn DiscoveryEngine| -> Vec<u64> {
+            brokers.iter().map(|&x| sim.actor::<DiscoveryBrokerActor>(x).unwrap().responder.responses_sent).collect()
+        };
+        let prunes = |sim: &dyn DiscoveryEngine| -> u64 { brokers.iter().map(|&x| broker_of(sim, x).prunes_sent).sum() };
+        sim.run_for(Duration::from_secs(4));
+
+        // Each BDN floods its own requests until both trees have pruned.
+        for k in 0..8 {
+            ask(sim, a, 100 + k, Duration::ZERO);
+            ask(sim, b, 200 + k, Duration::from_millis(100));
+            sim.run_for(Duration::from_millis(300));
+        }
+        sim.run_for(Duration::from_secs(1));
+        assert!(answered(sim).iter().all(|&r| r == 16), "each request answered once: {:?}", answered(sim));
+        assert!(prunes(sim) > 0, "the ring pruned");
+
+        // A keeps asking while B is silent for longer than a lease.
+        for k in 0..8 {
+            ask(sim, a, 300 + k, Duration::ZERO);
+            sim.run_for(LEASE / 6);
+        }
+        assert!(answered(sim).iter().all(|&r| r == 24), "A's requests answered once: {:?}", answered(sim));
+
+        // One request through both BDNs at once.
+        ask(sim, a, 400, Duration::ZERO);
+        ask(sim, b, 400, Duration::ZERO);
+        sim.run_for(Duration::from_secs(1));
+        let handled: Vec<u64> = [a, b].iter().map(|&x| sim.actor::<Bdn>(x).unwrap().requests_handled).collect();
+        assert_eq!(handled, [17, 9], "both BDNs flooded it");
+        assert!(answered(sim).iter().all(|&r| r == 25), "the shared request answered once: {:?}", answered(sim));
+        let dropped: u64 = brokers.iter().map(|&x| broker_of(sim, x).duplicates_suppressed).sum();
+        assert!(dropped > 0, "the second BDN's copies stopped at the caches");
+
+        // B alone, then A alone, inside a lease: neither tree lost a broker.
+        ask(sim, b, 500, Duration::ZERO);
+        ask(sim, a, 501, Duration::from_millis(300));
+        sim.run_for(Duration::from_secs(1));
+        assert!(answered(sim).iter().all(|&r| r == 27), "no broker starved: {:?}", answered(sim));
+    });
+}
