@@ -662,7 +662,7 @@ fn census_of(root: &Path) -> Result<Census, String> {
 
 /// `repro gate census`: recounts the tree under `root`, compares the
 /// count with the committed `CENSUS.json`, then holds each count to its
-/// ceiling in [`CEILINGS`], naming every count that breaks one.
+/// ceiling in [`CEILINGS`], naming every count above or below one.
 fn census_gate(root: &Path) {
     let fresh = census_of(root).unwrap_or_else(|e| gate_failed(CENSUS_PIN, &e));
     let committed = std::fs::read_to_string(root.join(CENSUS_PIN)).map_err(|e| e.to_string());
@@ -681,7 +681,7 @@ fn census_gate(root: &Path) {
     if !failures.is_empty() {
         std::process::exit(1);
     }
-    println!("{CENSUS_PIN}: byte-identical to the committed copy, every count within {CEILINGS}");
+    println!("{CENSUS_PIN}: byte-identical to the committed copy, every count at its ceiling in {CEILINGS}");
 }
 
 /// Every way the regenerated `pins` (file, text) fail their committed

@@ -1,20 +1,25 @@
 //! Campaign invariants seen to fail, for the checkers that need no
 //! counting allocator (`checkers_fire.rs` holds the one that does, alone
-//! in its binary). Each case hands a campaign runner a deployment with
-//! one deliberately broken actor, wrapped around the real one through
-//! `Deployment`'s public factories, and asserts that the row fails that
-//! invariant and says why; the same deployment with the real actor
-//! passes it.
+//! in its binary). Each case runs a campaign's deployment with one
+//! deliberately broken actor, wrapped around the real one through
+//! `Deployment`'s public factories, through that campaign's own checks,
+//! and asserts that the row fails that invariant and says why; the same
+//! deployment with the real actor passes it.
 
 use std::any::Any;
+use std::time::Duration;
 
+use nb_bench::campaign::{describe_testbed, FaultCampaign, InvariantResult, Testbed};
+use nb_bench::chaos::ScenarioStats;
 use nb_bench::scale::{describe_tier, run_description, TierSpec};
+use nb_discovery::Entity;
 use nb_net::runtime::IdleActor;
 use nb_net::topogen::TopologyKind;
-use nb_net::{Actor, Context, Incoming};
+use nb_net::{Actor, Context, Incoming, Sim, SimTime};
 use nb_util::Uuid;
 use nb_wire::topic::DISCOVERY_REQUEST_TOPIC;
-use nb_wire::Message;
+use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId, Topic, WireMsg};
+use rand::RngCore;
 
 /// A broker that drops every copy of the first discovery request to
 /// reach it, and nothing else. `as_any` forwards to the inner actor, so
@@ -76,5 +81,150 @@ fn answered_once_fails_a_tier_where_one_broker_swallows_one_request() {
     );
     // Only the swallowed request broke the row: the fleet still attached.
     let others: Vec<_> = row.invariants.iter().filter(|i| i.name != "answered_once").collect();
+    assert!(others.iter().all(|i| i.passed), "{others:?}");
+}
+
+/// A broker's context that sends each `Publish` bound for `to` twice,
+/// and passes everything else through.
+struct Doubling<'a> {
+    ctx: &'a mut dyn Context,
+    to: NodeId,
+}
+
+impl Doubling<'_> {
+    fn copies(&self, to: Endpoint, msg: &Message) -> usize {
+        if to.node == self.to && matches!(msg, Message::Publish(_)) { 2 } else { 1 }
+    }
+}
+
+impl Context for Doubling<'_> {
+    fn me(&self) -> NodeId {
+        self.ctx.me()
+    }
+    fn realm(&self) -> RealmId {
+        self.ctx.realm()
+    }
+    fn now(&self) -> SimTime {
+        self.ctx.now()
+    }
+    fn utc_micros(&self) -> u64 {
+        self.ctx.utc_micros()
+    }
+    fn clock_synced(&self) -> bool {
+        self.ctx.clock_synced()
+    }
+    fn raw_local_micros(&self) -> u64 {
+        self.ctx.raw_local_micros()
+    }
+    fn set_clock_estimate_ns(&mut self, est_offset_ns: i64) {
+        self.ctx.set_clock_estimate_ns(est_offset_ns);
+    }
+    fn send_udp(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
+        self.ctx.send_udp(from_port, to, msg);
+    }
+    fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        self.ctx.send_udp_wire(from_port, to, msg);
+    }
+    fn send_stream(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
+        for _ in 0..self.copies(to, msg) {
+            self.ctx.send_stream(from_port, to, msg);
+        }
+    }
+    fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        for _ in 0..self.copies(to, msg.message()) {
+            self.ctx.send_stream_wire(from_port, to, msg);
+        }
+    }
+    fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        for _ in 0..self.copies(to, msg.message()) {
+            self.ctx.send_stream_v2(from_port, to, msg);
+        }
+    }
+    fn send_multicast(&mut self, from_port: Port, group: GroupId, to_port: Port, msg: &Message) {
+        self.ctx.send_multicast(from_port, group, to_port, msg);
+    }
+    fn join_group(&mut self, group: GroupId) {
+        self.ctx.join_group(group);
+    }
+    fn leave_group(&mut self, group: GroupId) {
+        self.ctx.leave_group(group);
+    }
+    fn set_timer(&mut self, delay: Duration, token: u64) {
+        self.ctx.set_timer(delay, token);
+    }
+    fn cancel_timer(&mut self, token: u64) {
+        self.ctx.cancel_timer(token);
+    }
+    fn rng(&mut self) -> &mut dyn RngCore {
+        self.ctx.rng()
+    }
+}
+
+/// A broker that forwards each `Publish` for entity `to` once more.
+/// `as_any` forwards to the inner actor, as [`Swallowing`]'s does.
+struct DoublingTo {
+    inner: Box<dyn Actor>,
+    to: NodeId,
+}
+
+impl Actor for DoublingTo {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.inner.on_start(&mut Doubling { ctx, to: self.to });
+    }
+
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        self.inner.on_incoming(event, &mut Doubling { ctx, to: self.to });
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self.inner.as_any()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.inner.as_any_mut()
+    }
+}
+
+/// The chaos testbed booted and attached, with no fault plan: every
+/// entity publishes one event, the traffic lands, and the campaign's own
+/// check runs. `describe` may rewire the testbed first.
+fn chaos_testbed_checked(describe: impl FnOnce(&mut Testbed<nb_discovery::Deployment>)) -> (Testbed, Vec<InvariantResult>) {
+    let mut tb = describe_testbed::<ScenarioStats>(2005);
+    describe(&mut tb);
+    let mut tb = tb.build(Sim::with_clock_profile);
+    tb.sim.run_for(Duration::from_secs(12));
+    for (i, &e) in tb.entities.clone().iter().enumerate() {
+        let topic = Topic::parse(&format!("chaos/drill/e{i}")).expect("valid topic");
+        tb.sim.actor_mut::<Entity>(e).expect("entity").queue_publish(topic, vec![i as u8]);
+    }
+    tb.sim.run_for(Duration::from_secs(4));
+    let (invariants, _) = ScenarioStats::check(&mut tb);
+    (tb, invariants)
+}
+
+#[test]
+fn no_duplicates_fails_a_testbed_where_one_broker_hands_an_entity_each_event_twice() {
+    let no_duplicates = |invariants: &[InvariantResult]| {
+        invariants.iter().find(|i| i.name == "no_duplicates").expect("a no_duplicates row").clone()
+    };
+    let (real, real_invariants) = chaos_testbed_checked(|_| {});
+    assert!(real_invariants.iter().all(|i| i.passed), "the real testbed fails: {real_invariants:?}");
+    let e0 = real.entities[0];
+    let home = real.entity(e0).broker().expect("e0 attached");
+    assert_eq!(real.entity(e0).attachments, [home], "e0 attached once");
+
+    let (tb, invariants) = chaos_testbed_checked(|tb| {
+        let node = &mut tb.sim.nodes[home.0 as usize];
+        let mut broker = std::mem::replace(&mut node.make, Box::new(|| Box::new(IdleActor)));
+        node.make = Box::new(move || Box::new(DoublingTo { inner: broker(), to: e0 }));
+    });
+    let check = no_duplicates(&invariants);
+    assert!(!check.passed, "no_duplicates passed: {}", check.detail);
+    let named = format!("attached once: e0 got 3 at {}", tb.sim.node_name(home));
+    assert!(check.detail.ends_with(&named), "the detail does not name e0 and its broker: {}", check.detail);
+    assert!(check.detail.starts_with("15 arrivals, 3 repeats"), "{}", check.detail);
+    assert_eq!(no_duplicates(&real_invariants).detail, "12 arrivals, 0 repeats");
+    // Only the repeats broke the row: the fleet still attached.
+    let others: Vec<_> = invariants.iter().filter(|i| i.name != "no_duplicates").collect();
     assert!(others.iter().all(|i| i.passed), "{others:?}");
 }

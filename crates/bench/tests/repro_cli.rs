@@ -205,8 +205,9 @@ fn gate_census_passes_on_the_tree() {
 }
 
 /// The census gate holds every count to its committed ceiling: on a
-/// one-crate tree, a count at its ceiling passes and one over it fails,
-/// naming the count, its value and its ceiling.
+/// one-crate tree, a count at its ceiling passes, one over it fails,
+/// naming the count, its value and its ceiling, and one under it fails,
+/// naming the ceiling to lower.
 #[test]
 fn gate_census_fails_a_count_above_its_ceiling() {
     let dir = scratch("repro_cli_ceilings");
@@ -234,6 +235,10 @@ fn gate_census_fails_a_count_above_its_ceiling() {
     assert_eq!(over.status.code(), Some(1), "a count above its ceiling fails the gate");
     let stderr = String::from_utf8_lossy(&over.stderr);
     assert!(stderr.contains("design_md_lines = 3, above its ceiling 2"), "{stderr}");
+    let under = gate_with_design_ceiling(4);
+    assert_eq!(under.status.code(), Some(1), "a count below its ceiling fails the gate");
+    let stderr = String::from_utf8_lossy(&under.stderr);
+    assert!(stderr.contains("design_md_lines = 3, below its ceiling 4: lower the ceiling to 3"), "{stderr}");
 }
 
 #[test]

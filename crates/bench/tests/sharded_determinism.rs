@@ -17,9 +17,9 @@
 
 use std::time::Duration;
 
-use nb_broker::{BrokerConfig, PubSubClient, Topology, TopologyKind};
+use nb_broker::{BrokerConfig, Topology, TopologyKind};
 use nb_discovery::scenario::ScenarioBuilder;
-use nb_discovery::{DiscoveryBrokerActor, ResponsePolicy};
+use nb_discovery::{DiscoveryBrokerActor, Entity, ResponsePolicy};
 use nb_net::wan::{BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
 use nb_net::{
     impl_actor_any, Actor, ChaosProfile, ChaosTargets, Context, FaultPlan, Incoming, LinkSpec,
@@ -219,7 +219,7 @@ fn meshed_pubsub_fingerprint(workers: usize) -> (u64, u64, usize, u64) {
         brokers.push(sim.add_node(&format!("b{i}"), RealmId(0), Box::new(broker)));
     }
     let client = |sim: &mut ShardedSim, name: String, broker: NodeId, filters: Vec<TopicFilter>| {
-        sim.add_node(&name, RealmId(0), Box::new(PubSubClient::new(broker, filters)))
+        sim.add_node(&name, RealmId(0), Box::new(Entity::of_broker(broker, filters)))
     };
     let subs: Vec<NodeId> = (0..16)
         .map(|i| {
@@ -240,12 +240,18 @@ fn meshed_pubsub_fingerprint(workers: usize) -> (u64, u64, usize, u64) {
     for round in 0..60u8 {
         for (p, &node) in pubs.iter().enumerate() {
             let topic = Topic::parse(&format!("mesh/t{}/x", (p + round as usize) % 4)).expect("topic");
-            sim.actor_mut::<PubSubClient>(node).expect("publisher").queue_publish(topic, vec![round]);
+            sim.actor_mut::<Entity>(node).expect("publisher").queue_publish(topic, vec![round]);
         }
         sim.run_for(Duration::from_millis(150));
     }
     sim.run_for(Duration::from_secs(2));
-    let deliveries = subs.iter().map(|&s| sim.actor::<PubSubClient>(s).expect("sub").received.len()).sum();
+    // What arrived, a repeat included: an `Entity` keeps a repeated id
+    // out of `received` and counts it.
+    let deliveries = subs
+        .iter()
+        .map(|&s| sim.actor::<Entity>(s).expect("sub"))
+        .map(|sub| sub.received.len() + sub.duplicates_dropped as usize)
+        .sum();
     let prunes = brokers.iter().map(|&b| sim.actor::<DiscoveryBrokerActor>(b).expect("broker").broker.prunes_sent).sum();
     (sim.digest(), sim.events_processed(), deliveries, prunes)
 }
@@ -254,7 +260,9 @@ fn meshed_pubsub_fingerprint(workers: usize) -> (u64, u64, usize, u64) {
 fn meshed_pubsub_digest_invariant_across_workers() {
     let reference = meshed_pubsub_fingerprint(1);
     assert!(reference.3 > 0, "the overlay has cycles: something was pruned");
-    // 960 are owed; the flap may cost what one subtree misses in a lease.
+    // 960 are owed (900 arrive); the flap may cost what one subtree misses
+    // in a lease. Repeats count, so a broker that hands each event over
+    // twice fails.
     assert!((800..=960).contains(&reference.2), "{} deliveries", reference.2);
     for workers in [2, 4] {
         assert_eq!(meshed_pubsub_fingerprint(workers), reference, "diverged at workers={workers}");

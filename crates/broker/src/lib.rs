@@ -11,7 +11,6 @@
 //!   subscription state) reported in discovery responses,
 //! * [`topics`] — the subscription table mapping filters to local clients
 //!   and remote links,
-//! * [`client`] — a publish/subscribe client actor,
 //! * [`topology`] — overlay topology builders for the paper's three
 //!   experimental configurations (unconnected, star, linear) and more,
 //!   with ASCII renderings for Figures 1, 8 and 10.
@@ -22,13 +21,11 @@
 //! actor, as `nb_discovery::DiscoveryBrokerActor` does.
 
 pub mod broker;
-pub mod client;
 pub mod metrics;
 pub mod topics;
 pub mod topology;
 
 pub use broker::{Broker, BrokerConfig, DEDUP_CAPACITY};
-pub use client::PubSubClient;
 pub use metrics::{MachineProfile, UsageMeter};
 pub use topics::{Destination, SubscriptionTable};
 pub use topology::{Topology, TopologyKind};

@@ -225,7 +225,7 @@ mod tests {
         use std::mem::size_of;
         assert!(size_of::<DiscoveryConfig>() <= 240);
         assert!(size_of::<crate::bdn::BdnConfig>() <= 248);
-        assert!(size_of::<crate::Entity>() <= 992);
+        assert!(size_of::<crate::Entity>() <= 944);
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //! answering — **rediscovers** and reattaches, transparently resuming
 //! its subscriptions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
 use nb_wire::{Endpoint, Event, Message, NodeId, Topic, TopicFilter, WireMsg};
 
-use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
+use nb_net::{impl_actor_any, Actor, Context, Incoming};
 
 use crate::client::{DiscoveryClient, Phase};
 use crate::config::{DiscoveryConfig, RetryPolicy};
@@ -29,6 +29,8 @@ const TIMER_FLUSH: u64 = 0xE171_0000_0000_0002;
 const TIMER_START_DELAY: u64 = 0xE171_0000_0000_0003;
 /// Discovery-client timers live in this namespace (see `client.rs`).
 const DISCOVERY_TIMER_PREFIX: u64 = 0xD15C_0000_0000_0000;
+/// Keepalive pings in a row left unanswered that give the broker up.
+const KEEPALIVE_MISSES: u32 = 3;
 
 /// Where the entity is in its life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +50,6 @@ pub struct Entity {
     state: EntityState,
     outbox: VecDeque<(Topic, Vec<u8>)>,
     keepalive_interval: Duration,
-    keepalive_misses: u32,
     /// Outbox drain cadence while attached. The 50 ms default is right
     /// for a handful of chatty entities; the scale suite stretches it so
     /// 1e5+ mostly-idle entities do not each contribute 20 timer events
@@ -69,8 +70,8 @@ pub struct Entity {
     /// forwarding to an entity that has since failed over elsewhere, so
     /// the entity can briefly be subscribed at two brokers at once.
     dedup: BoundedDedup<Uuid>,
-    last_heard: SimTime,
-    ping_nonces: HashMap<u64, SimTime>,
+    /// The keepalive ping awaiting its pong, if any.
+    ping_nonce: Option<u64>,
     next_nonce: u64,
     missed: u32,
     /// Events delivered to this entity.
@@ -98,23 +99,16 @@ impl Entity {
             state: EntityState::Discovering,
             outbox: VecDeque::new(),
             keepalive_interval: Duration::from_secs(2),
-            keepalive_misses: 3,
             flush_interval: Duration::from_millis(50),
             start_delay: None,
             // First retry ~5 s (the historical fixed backoff), doubling
             // to a 60 s cap with ±10% jitter.
-            retry_policy: RetryPolicy::new(
-                Duration::from_secs(5),
-                2.0,
-                Duration::from_secs(60),
-                0.1,
-            ),
+            retry_policy: RetryPolicy::new(Duration::from_secs(5), 2.0, Duration::from_secs(60), 0.1),
             retry_attempt: 0,
             // Remembers the last 1000 events; sized as they arrive, since
             // population runs replace it through `set_dedup_capacity`.
             dedup: BoundedDedup::with_expected(1000, 0),
-            last_heard: SimTime::ZERO,
-            ping_nonces: HashMap::new(),
+            ping_nonce: None,
             next_nonce: 1,
             missed: 0,
             received: Vec::new(),
@@ -124,6 +118,18 @@ impl Entity {
             duplicates_dropped: 0,
             internal_errors: 0,
         }
+    }
+
+    /// An entity homed on `broker`: no BDN, no multicast, and `broker` as
+    /// the remembered target set of §7 ("every node keeps track of its
+    /// last target set of brokers"), which it pings, connects to and
+    /// subscribes at, and pings again after a keepalive loss until it is
+    /// back. It sends no timestamped request, so it starts before NTP sync.
+    pub fn of_broker(broker: NodeId, filters: Vec<TopicFilter>) -> Entity {
+        let cfg = DiscoveryConfig { multicast_enabled: false, cached_targets: vec![broker], ..DiscoveryConfig::default() };
+        let mut entity = Entity::new(cfg, filters);
+        entity.set_start_delay(Duration::ZERO);
+        entity
     }
 
     /// Current life-cycle state.
@@ -196,10 +202,6 @@ impl Entity {
         self.outbox.push_back((topic, payload));
     }
 
-    fn broker_endpoint(&self) -> Option<Endpoint> {
-        self.broker().map(|b| Endpoint::new(b, well_known::BROKER))
-    }
-
     fn on_attached(&mut self, broker: NodeId, ctx: &mut dyn Context) {
         // Best-effort unsubscribe at the previous broker: it may have
         // survived (or been revived) with our subscription intact and
@@ -208,21 +210,20 @@ impl Entity {
         if let Some(&old) = self.attachments.last() {
             if old != broker {
                 let ep = Endpoint::new(old, well_known::BROKER);
-                for filter in self.filters.clone() {
-                    let unsubscribe = WireMsg::new(Message::ClientUnsubscribe { filter });
+                for filter in &self.filters {
+                    let unsubscribe = WireMsg::new(Message::ClientUnsubscribe { filter: filter.clone() });
                     ctx.send_stream_wire(well_known::BROKER, ep, &unsubscribe);
                 }
             }
         }
         self.state = EntityState::Attached(broker);
         self.attachments.push(broker);
-        self.last_heard = ctx.now();
         self.missed = 0;
         self.retry_attempt = 0;
-        self.ping_nonces.clear();
+        self.ping_nonce = None;
         let ep = Endpoint::new(broker, well_known::BROKER);
-        for filter in self.filters.clone() {
-            let subscribe = WireMsg::new(Message::ClientSubscribe { filter });
+        for filter in &self.filters {
+            let subscribe = WireMsg::new(Message::ClientSubscribe { filter: filter.clone() });
             ctx.send_stream_wire(well_known::BROKER, ep, &subscribe);
         }
         self.flush(ctx);
@@ -231,7 +232,7 @@ impl Entity {
     }
 
     fn flush(&mut self, ctx: &mut dyn Context) {
-        let Some(ep) = self.broker_endpoint() else {
+        let Some(ep) = self.broker().map(|b| Endpoint::new(b, well_known::BROKER)) else {
             return;
         };
         while let Some((topic, payload)) = self.outbox.pop_front() {
@@ -247,11 +248,10 @@ impl Entity {
             return;
         };
         // Count an outstanding unanswered ping as a miss.
-        if !self.ping_nonces.is_empty() {
+        if self.ping_nonce.take().is_some() {
             self.missed += 1;
-            self.ping_nonces.clear();
         }
-        if self.missed >= self.keepalive_misses {
+        if self.missed >= KEEPALIVE_MISSES {
             // The broker is gone (§1.2): rediscover.
             self.failovers += 1;
             self.state = EntityState::Discovering;
@@ -260,7 +260,7 @@ impl Entity {
         }
         let nonce = self.next_nonce;
         self.next_nonce += 1;
-        self.ping_nonces.insert(nonce, ctx.now());
+        self.ping_nonce = Some(nonce);
         let ping = Message::Ping {
             nonce,
             sent_at: ctx.now().as_micros(),
@@ -276,31 +276,28 @@ impl Entity {
             return; // only act on a discovery we are waiting for
         }
         match self.discovery.phase() {
-            Phase::Done => {
+            Phase::Done => match self.discovery.outcome().and_then(|o| o.chosen) {
+                Some(chosen) => self.on_attached(chosen, ctx),
                 // `Done` should imply a chosen broker; if the invariant
                 // ever breaks, strand and retry rather than panic.
-                let Some(chosen) = self.discovery.outcome().and_then(|o| o.chosen) else {
+                None => {
                     self.internal_errors += 1;
-                    self.state = EntityState::Stranded;
-                    let delay = self.retry_policy.delay(self.retry_attempt, ctx.rng());
-                    self.retry_attempt = self.retry_attempt.saturating_add(1);
-                    ctx.set_timer(delay, TIMER_KEEPALIVE);
-                    return;
-                };
-                self.on_attached(chosen, ctx);
-            }
-            Phase::Failed
-                if self.state != EntityState::Stranded => {
-                    self.state = EntityState::Stranded;
-                    // Retry after a backoff (the environment is fluid;
-                    // brokers may return). Each consecutive failure
-                    // lengthens the wait up to the cap.
-                    let delay = self.retry_policy.delay(self.retry_attempt, ctx.rng());
-                    self.retry_attempt = self.retry_attempt.saturating_add(1);
-                    ctx.set_timer(delay, TIMER_KEEPALIVE);
+                    self.strand(ctx);
                 }
+            },
+            Phase::Failed => self.strand(ctx),
             _ => {}
         }
+    }
+
+    /// Strands the entity and arms a retry after a backoff (the
+    /// environment is fluid; brokers may return). Each consecutive
+    /// failure lengthens the wait up to the cap.
+    fn strand(&mut self, ctx: &mut dyn Context) {
+        self.state = EntityState::Stranded;
+        let delay = self.retry_policy.delay(self.retry_attempt, ctx.rng());
+        self.retry_attempt = self.retry_attempt.saturating_add(1);
+        ctx.set_timer(delay, TIMER_KEEPALIVE);
     }
 }
 
@@ -352,15 +349,14 @@ impl Actor for Entity {
                     } else {
                         self.duplicates_dropped += 1;
                     }
-                    self.last_heard = ctx.now();
                     self.missed = 0;
                     return;
                 }
             }
             Incoming::Datagram { msg, .. } => {
                 if let Message::Pong { nonce, .. } = msg.message() {
-                    if self.ping_nonces.remove(nonce).is_some() {
-                        self.last_heard = ctx.now();
+                    if self.ping_nonce == Some(*nonce) {
+                        self.ping_nonce = None;
                         self.missed = 0;
                         return;
                     }

@@ -12,9 +12,9 @@
 
 use std::time::Duration;
 
-use nb::broker::{BrokerConfig, MachineProfile, PubSubClient, TopologyKind};
+use nb::broker::{BrokerConfig, MachineProfile, TopologyKind};
 use nb::discovery::scenario::ScenarioBuilder;
-use nb::discovery::{Deployment, DiscoveryBrokerActor, ResponsePolicy, SelectionWeights};
+use nb::discovery::{Deployment, DiscoveryBrokerActor, Entity, ResponsePolicy, SelectionWeights};
 use nb::net::wan::{BLOOMINGTON, INDIANAPOLIS};
 use nb::net::{DiscoveryEngine, ShardedSim};
 use nb::wire::NodeId;
@@ -39,7 +39,7 @@ fn describe() -> Deployment {
     let hub = NodeId(b.broker_ids().start as u32);
     let realm = nb::net::wan::WanModel::paper().site(INDIANAPOLIS).realm;
     for i in 0..60 {
-        d.add(format!("load-client-{i}"), realm, false, move || Box::new(PubSubClient::new(hub, vec![])));
+        d.add(format!("load-client-{i}"), realm, false, move || Box::new(Entity::of_broker(hub, vec![])));
     }
     d
 }

@@ -9,11 +9,11 @@
 use std::any::Any;
 use std::time::Duration;
 
-use nb::broker::{BrokerConfig, MachineProfile, PubSubClient};
+use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::client::TIMER_START;
 use nb::discovery::{
-    on_every_engine, Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome,
+    on_every_engine, Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome, Entity,
     Network, ResponsePolicy,
 };
 use nb::net::{Actor, ClockProfile, Context, DiscoveryEngine, Incoming, LinkSpec};
@@ -168,8 +168,8 @@ fn publish_crosses_two_hops_on_decoded_bytes() {
             });
         }
         let filter = TopicFilter::parse("news/*").unwrap();
-        add(&mut d, "sub", move || Box::new(PubSubClient::new(brokers[2], vec![filter.clone()])));
-        add(&mut d, "pub", move || Box::new(PubSubClient::new(brokers[0], vec![])));
+        add(&mut d, "sub", move || Box::new(Entity::of_broker(brokers[2], vec![filter.clone()])));
+        add(&mut d, "pub", move || Box::new(Entity::of_broker(brokers[0], vec![])));
         d
     };
     let run = || {
@@ -179,12 +179,13 @@ fn publish_crosses_two_hops_on_decoded_bytes() {
                 sim.actor::<DiscoveryBrokerActor>(brokers[1]).expect("middle").broker.events_routed
             };
             let before = routed(sim);
-            let client = sim.actor_mut::<PubSubClient>(publisher).expect("publisher");
+            let client = sim.actor_mut::<Entity>(publisher).expect("publisher");
             client.queue_publish(Topic::parse("news/world").unwrap(), vec![7, 7, 7]);
             sim.run_for(Duration::from_secs(2));
 
-            let received = &sim.actor::<PubSubClient>(sub).expect("subscriber").received;
-            assert_eq!(received.len(), 1, "the event is delivered exactly once");
+            let subscriber = sim.actor::<Entity>(sub).expect("subscriber");
+            let received = &subscriber.received;
+            assert_eq!((received.len(), subscriber.duplicates_dropped), (1, 0), "the event is delivered exactly once");
             assert_eq!(received[0].topic.as_str(), "news/world");
             assert_eq!(received[0].payload, vec![7, 7, 7]);
             assert_eq!(routed(sim) - before, 1, "the middle broker routes the event once");

@@ -1,6 +1,8 @@
 //! The full entity life cycle over the simulator: discover → attach →
-//! pub/sub → broker failure → rediscover → resume, and a stranded
-//! entity's retries.
+//! pub/sub → broker failure → rediscover → resume, a stranded entity's
+//! retries, and an entity homed on one broker ([`Entity::of_broker`]),
+//! which attaches without discovery and returns to that broker when it
+//! revives.
 
 use std::time::Duration;
 
@@ -144,5 +146,53 @@ fn stranded_entity_retries_and_recovers() {
             e.state(),
             e.discovery().runs_started
         );
+    });
+}
+
+/// Brokers `b0` and `b1`, which dials `b0`, and no BDN; a subscriber to
+/// `news/**` homed on `b1` and a publisher homed on `b0`.
+fn homed(seed: u64) -> Deployment {
+    let intra = LinkSpec::lan().with_loss(0.0);
+    let network = Network::Realms { intra, inter: LinkSpec::wan(Duration::from_millis(8)), wan: None };
+    let mut d = Deployment { seed, clock: ClockProfile::perfect(), nodes: Vec::new(), network };
+    for i in 0..2 {
+        let cfg = BrokerConfig { neighbors: (0..i).map(NodeId).collect(), ..BrokerConfig::default() };
+        d.add(format!("b{i}"), RealmId(0), false, move || {
+            Box::new(DiscoveryBrokerActor::new(cfg.clone(), vec![], ResponsePolicy::open()))
+        });
+    }
+    let filter = TopicFilter::parse("news/**").unwrap();
+    d.add("sub".into(), RealmId(0), false, move || Box::new(Entity::of_broker(NodeId(1), vec![filter.clone()])));
+    d.add("pub".into(), RealmId(0), false, || Box::new(Entity::of_broker(NodeId(0), vec![])));
+    d
+}
+
+#[test]
+fn an_entity_homed_on_a_broker_attaches_without_discovery_and_returns_to_it() {
+    let (b0, b1, subscriber, publisher) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    on_every_engine(|| homed(64), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(entity(sim, subscriber).attachments, [b1], "attached to its broker, and no other");
+        assert_eq!(entity(sim, publisher).attachments, [b0]);
+        let outcome = entity(sim, subscriber).discovery().outcome().expect("a finished run");
+        assert!(outcome.used_cached_targets, "{outcome:?}");
+        assert!(!outcome.used_multicast && outcome.bdn_used.is_none(), "{outcome:?}");
+        publish(sim, publisher, "news/a", vec![1]);
+        sim.run_for(Duration::from_secs(1));
+        // Down for 10 s, longer than three 2 s keepalive intervals.
+        sim.crash(b1);
+        sim.run_for(Duration::from_secs(10));
+        let sub = entity(sim, subscriber);
+        assert_eq!((sub.failovers, sub.broker()), (1, None), "the keepalives noticed");
+        sim.revive(b1);
+        sim.run_for(Duration::from_secs(60));
+        assert_eq!(entity(sim, subscriber).attachments, [b1, b1], "re-attached to its broker, and no other");
+        publish(sim, publisher, "news/b", vec![2]);
+        sim.run_for(Duration::from_secs(1));
+        let sub = entity(sim, subscriber);
+        let payloads: Vec<&[u8]> = sub.received.iter().map(|ev| &ev.payload[..]).collect();
+        assert_eq!(payloads, [[1], [2]], "deliveries resumed");
+        assert_eq!(sub.duplicates_dropped, 0);
+        assert!(!sim.stats().by_kind.contains_key("discovery-request"), "a request was sent or multicast");
     });
 }

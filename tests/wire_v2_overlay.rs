@@ -17,8 +17,8 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use nb::broker::{BrokerConfig, PubSubClient, Topology, TopologyKind};
-use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Network, ResponsePolicy};
+use nb::broker::{BrokerConfig, Topology, TopologyKind};
+use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Entity, Network, ResponsePolicy};
 use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, Sim, SimTime};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
@@ -96,10 +96,10 @@ fn overlay(wire_v2: bool) -> Deployment {
     for i in 0..SUBSCRIBERS {
         let broker = NodeId((i % BROKERS) as u32);
         let filters = vec![TopicFilter::parse(FILTERS[i % FILTERS.len()]).unwrap()];
-        d.add(format!("s{i}"), RealmId(0), false, move || Box::new(PubSubClient::new(broker, filters.clone())));
+        d.add(format!("s{i}"), RealmId(0), false, move || Box::new(Entity::of_broker(broker, filters.clone())));
     }
     for b in [0, 2, 5] {
-        d.add(format!("p{b}"), RealmId(0), false, move || Box::new(PubSubClient::new(NodeId(b), vec![])));
+        d.add(format!("p{b}"), RealmId(0), false, move || Box::new(Entity::of_broker(NodeId(b), vec![])));
     }
     d
 }
@@ -120,7 +120,7 @@ fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTim
         }
         for (p, &publisher) in publishers.iter().enumerate() {
             let topic = Topic::parse(TOPICS[(round as usize + p) % TOPICS.len()]).unwrap();
-            let client = engine.actor_mut::<PubSubClient>(publisher).expect("a publisher");
+            let client = engine.actor_mut::<Entity>(publisher).expect("a publisher");
             client.queue_publish(topic, vec![p as u8, round]);
         }
         engine.run_for(Duration::from_millis(200));
@@ -129,12 +129,14 @@ fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTim
     restarted_at
 }
 
-/// Sorted deliveries per subscriber.
+/// Sorted deliveries per subscriber; none may have arrived twice (an
+/// `Entity` keeps a repeated id out of `received` and counts it).
 fn delivered(engine: &dyn DiscoveryEngine) -> Vec<Vec<Delivery>> {
     subscribers()
         .iter()
         .map(|&s| {
-            let client = engine.actor::<PubSubClient>(s).expect("a subscriber");
+            let client = engine.actor::<Entity>(s).expect("a subscriber");
+            assert_eq!(client.duplicates_dropped, 0, "a repeated delivery to {}", engine.node_name(s));
             let mut got: Vec<Delivery> =
                 client.received.iter().map(|ev| (ev.topic.as_str().to_string(), ev.payload.to_vec())).collect();
             got.sort();
@@ -268,12 +270,16 @@ fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
     // order, one frame a link. They also move with what a broker draws
     // from the run's one RNG stream: each broker's advertiser publishes
     // its advertisement at start and at clock sync, an event id drawn
-    // each time, before any of the latency draws pinned here.
+    // each time, before any of the latency draws pinned here. And they
+    // move with the clients, each an `Entity` homed on its broker: its
+    // three attach pings and its 2 s keepalive pings are in the event
+    // and byte counts, and its flush timer, armed at attachment, sets
+    // when a publish leaves.
     assert_eq!(
         (v2.events_processed, v2.stats.bytes_delivered, v2.stats.segments_sent),
-        (4366, 15_420, 315),
+        (4741, 21_400, 315),
     );
-    assert_eq!(v2.arrival_micros, 883_379_103);
+    assert_eq!(v2.arrival_micros, 876_502_018);
 }
 
 #[test]
@@ -318,8 +324,8 @@ fn two_brokers(wire_v2: [bool; 2]) -> Deployment {
         });
     }
     let filter = TopicFilter::parse("sports/*").unwrap();
-    d.add("sub".into(), RealmId(0), false, move || Box::new(PubSubClient::new(NodeId(0), vec![filter.clone()])));
-    d.add("pub".into(), RealmId(0), false, || Box::new(PubSubClient::new(NodeId(1), vec![])));
+    d.add("sub".into(), RealmId(0), false, move || Box::new(Entity::of_broker(NodeId(0), vec![filter.clone()])));
+    d.add("pub".into(), RealmId(0), false, || Box::new(Entity::of_broker(NodeId(1), vec![])));
     d
 }
 
@@ -333,11 +339,11 @@ fn v2_links_negotiate_and_route_through_segments() {
     on_every_engine(|| two_brokers([true, true]), |sim| {
         sim.run_for(Duration::from_secs(2));
         assert!(linked(sim, a, b));
-        let p = sim.actor_mut::<PubSubClient>(publisher).expect("the publisher");
+        let p = sim.actor_mut::<Entity>(publisher).expect("the publisher");
         p.queue_publish(Topic::parse("sports/nba").unwrap(), b"42".to_vec());
         sim.run_for(Duration::from_secs(8));
-        let s = sim.actor::<PubSubClient>(subscriber).expect("the subscriber");
-        assert_eq!(s.received.len(), 1, "event crossed the v2 link");
+        let s = sim.actor::<Entity>(subscriber).expect("the subscriber");
+        assert_eq!((s.received.len(), s.duplicates_dropped), (1, 0), "event crossed the v2 link once");
         assert_eq!(s.received[0].topic.as_str(), "sports/nba");
         // Broker-to-broker traffic (interest advertisement, heartbeats,
         // the forwarded publish) travelled in segments, one frame each.
