@@ -36,6 +36,12 @@ struct Args {
     brokers: Option<usize>,
     entities: Option<usize>,
     topology: Option<String>,
+    /// `ab`: the revision to compare the working tree with.
+    parent: Option<String>,
+    pairs: usize,
+    workload: String,
+    seconds: u64,
+    expect_move: Vec<String>,
 }
 
 const FLAGS: &str = "  --runs N         runs per experiment (default 120, the paper protocol; sweeps cap it)
@@ -47,7 +53,12 @@ const FLAGS: &str = "  --runs N         runs per experiment (default 120, the pa
   --scenarios N    campaign scenarios (chaos, federation; default 10)
   --tier T         scale: small|large|all (default all)
   --brokers N, --entities N, --topology star|linear|geo|isp
-                   scale: one custom tier instead of --tier";
+                   scale: one custom tier instead of --tier
+  --parent REV     ab: the revision the working tree is compared with (required)
+  --pairs N        ab: alternating pairs of benchmark runs (default 10)
+  --workload W     ab: the benchmark workload (default attach_geo)
+  --seconds T      ab: each run's --seconds (default 8, the benchmark's least)
+  --expect-move M  ab: a deterministic column the change moves (repeatable)";
 
 /// What a `repro` sub-command does.
 enum Run {
@@ -156,6 +167,12 @@ const COMMANDS: &[Command] = &[
         |_| (census_of(&workspace_root()).unwrap_or_else(|e| fail(&e)).json, true),
     ),
     cmd(
+        "ab",
+        "--parent REV: the benchmark on REV and on the working tree in alternating pairs, \
+         into perf/ab-<workload>-<seed>-<rev>.json; exit 1 if a deterministic column moved unnamed",
+        run_ab,
+    ),
+    cmd(
         "gate",
         "[lint|bench|figs|chaos|federation|scale|census] run clippy, build and test \
          benchmark/, then regenerate the committed figures, reports (at 1 and 4 workers) and \
@@ -198,6 +215,11 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
         brokers: None,
         entities: None,
         topology: None,
+        parent: None,
+        pairs: 10,
+        workload: "attach_geo".to_string(),
+        seconds: 8,
+        expect_move: Vec::new(),
     };
     while let Some(arg) = argv.next() {
         let flag = arg.as_str();
@@ -212,6 +234,11 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
             "--brokers" => args.brokers = Some(value(flag, &mut argv, "a number")),
             "--entities" => args.entities = Some(value(flag, &mut argv, "a number")),
             "--topology" => args.topology = Some(value(flag, &mut argv, "star|linear|geo|isp")),
+            "--parent" => args.parent = Some(value(flag, &mut argv, "a revision")),
+            "--pairs" => args.pairs = value(flag, &mut argv, "a number"),
+            "--workload" => args.workload = value(flag, &mut argv, "a workload"),
+            "--seconds" => args.seconds = value(flag, &mut argv, "a number"),
+            "--expect-move" => args.expect_move.push(value(flag, &mut argv, "a metric or digest name")),
             "--help" => args.cmd = "help".to_string(),
             _ if !flag.starts_with('-') && args.cmd == "gate" => args.target = Some(arg),
             _ if !flag.starts_with('-') => args.cmd = arg,
@@ -498,6 +525,33 @@ fn workspace_root() -> PathBuf {
         fail(&format!("no workspace root found from {}", cwd.display()));
     };
     root.to_path_buf()
+}
+
+/// `repro ab`: see [`nb_bench::ab`]. Exits 2 on a usage error, 1 when a
+/// build or run fails or a deterministic column moved that no
+/// `--expect-move` names.
+fn run_ab(_: &str, args: &Args) {
+    let Some(parent) = args.parent.clone() else {
+        fail("ab needs --parent REV");
+    };
+    if args.pairs == 0 {
+        fail("--pairs needs a number above 0");
+    }
+    let options = nb_bench::ab::Options {
+        parent,
+        pairs: args.pairs,
+        workload: args.workload.clone(),
+        seed: args.seed,
+        seconds: args.seconds,
+        expect_move: args.expect_move.clone(),
+    };
+    match nb_bench::ab::run(&workspace_root(), &options) {
+        Ok((path, unexpected)) if unexpected.is_empty() => println!("wrote {}", path.display()),
+        Ok((path, unexpected)) => {
+            gate_failed(&path.display().to_string(), &format!("moved without --expect-move: {}", unexpected.join(", ")))
+        }
+        Err(e) => gate_failed("ab", &e),
+    }
 }
 
 /// What `repro gate` checks, in order: `lint` runs clippy, `bench`

@@ -10,6 +10,7 @@
 //! deviation, maximum, minimum, error); an ablation caps the runs per
 //! point, and every title says how many ran.
 
+pub mod ab;
 pub mod alloc;
 pub mod campaign;
 pub mod census;

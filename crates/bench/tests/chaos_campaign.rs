@@ -98,10 +98,13 @@ fn chaos_smoke_three_fixed_seeds() {
 /// §17) — every later draw moves. And once more (`0x7fde_f2aa_6de4_bfce`
 /// until then): `no_duplicates` judges what reached each entity, its
 /// dropped repeats included, not its `received`, which holds no repeat —
-/// only that row's detail text moved, no event.
+/// only that row's detail text moved, no event. And once more
+/// (`0x2f42_b579_b4b1_5e81` until then): a revived entity starts over,
+/// and an entity answers a broker it left with `ClientDisconnect` — the
+/// scripted row's repeats fell from 9 to 2, and nothing else moved.
 #[test]
 fn campaign_report_unchanged_by_ordered_state() {
-    const PINNED_FNV1A64: u64 = 0x2f42_b579_b4b1_5e81;
+    const PINNED_FNV1A64: u64 = 0x95c2_dd96_6c3f_17a0;
     let json = campaign(11, 3, 1).to_json();
     let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());
     assert_eq!(
@@ -116,7 +119,7 @@ fn campaign_report_unchanged_by_ordered_state() {
 /// runs scenario-parallel.
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0x2f42_b579_b4b1_5e81;
+    const PINNED_FNV1A64: u64 = 0x95c2_dd96_6c3f_17a0;
     for workers in [1, 4] {
         let json = campaign(11, 3, workers).to_json();
         let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());

@@ -25,11 +25,11 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// `repro.rs`'s dispatch table, by name.
-const COMMANDS: [&str; 32] = [
+const COMMANDS: [&str; 33] = [
     "help", "all", "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation-timeout", "ablation-maxresp",
     "ablation-weights", "ablation-scale", "ablation-loss", "ablation-clock", "ablation-topology",
-    "check", "experiments", "trace", "chaos", "federation", "scale", "census", "gate",
+    "check", "experiments", "trace", "chaos", "federation", "scale", "census", "ab", "gate",
 ];
 
 #[test]
@@ -63,6 +63,9 @@ fn usage_errors_exit_two() {
         &["gate", "--out", "x.json"],
         &["lint"],
         &["lint", "--rules"],
+        &["ab"],
+        &["ab", "--parent", "HEAD", "--pairs", "0"],
+        &["ab", "--parent", "HEAD", "--expect-move"],
     ] {
         let out = repro(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -274,6 +274,13 @@ impl DiscoveryClient {
         spent
     }
 
+    /// Begins a fresh discovery run, abandoning one in flight: after a
+    /// crash, whose timers died with it.
+    pub(crate) fn begin_afresh(&mut self, ctx: &mut dyn Context) {
+        self.phase = Phase::Idle;
+        self.begin(ctx);
+    }
+
     /// Begins a fresh discovery run.
     pub fn begin(&mut self, ctx: &mut dyn Context) {
         if !matches!(self.phase, Phase::Idle | Phase::Done | Phase::Failed) {

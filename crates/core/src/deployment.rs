@@ -104,8 +104,9 @@ impl Deployment {
 /// worker and on `ShardedSim` at four, and runs `body` on each in that
 /// order; returns what each run returned. A panic in `body` is raised
 /// again with the engine's name in front of its message. The two
-/// `ShardedSim` runs must then end with equal digests and event counts:
-/// the worker count decides where an LP runs, never what it does.
+/// `ShardedSim` runs must then end with equal digests, event counts and
+/// traffic counters: the worker count decides where an LP runs, never
+/// what it does, and the counters are sums over the workers.
 #[expect(clippy::panic, reason = "a test harness: a failing body fails the test that runs it")]
 pub fn on_every_engine<T>(
     describe: impl Fn() -> Deployment,
@@ -119,19 +120,16 @@ pub fn on_every_engine<T>(
         })
     };
     let mut out = vec![run("Sim", &mut describe().build(Sim::with_clock_profile))];
-    let mut ends = [(0, 0); 2];
-    let sharded = [(1, "ShardedSim at 1 worker"), (4, "ShardedSim at 4 workers")];
-    for (end, (workers, engine)) in ends.iter_mut().zip(sharded) {
+    let [one, four] = [(1, "ShardedSim at 1 worker"), (4, "ShardedSim at 4 workers")].map(|(workers, engine)| {
         let mut sim = describe().build(|seed, clock| {
             let mut sim = ShardedSim::with_clock_profile(seed, clock);
             sim.set_workers(workers);
             sim
         });
         out.push(run(engine, &mut sim));
-        *end = (sim.digest(), sim.events_processed());
-    }
-    let [one, four] = ends;
-    assert_eq!(one, four, "(digest, events) of ShardedSim at 1 and at 4 workers");
+        (sim.digest(), sim.events_processed(), sim.stats())
+    });
+    assert_eq!(one, four, "(digest, events, stats) of ShardedSim at 1 and at 4 workers");
     out
 }
 

@@ -30,7 +30,7 @@ const TIMER_START_DELAY: u64 = 0xE171_0000_0000_0003;
 /// Discovery-client timers live in this namespace (see `client.rs`).
 const DISCOVERY_TIMER_PREFIX: u64 = 0xD15C_0000_0000_0000;
 /// Keepalive pings in a row left unanswered that give the broker up.
-const KEEPALIVE_MISSES: u32 = 3;
+const KEEPALIVE_MISSES: u8 = 3;
 
 /// Where the entity is in its life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,14 +66,17 @@ pub struct Entity {
     /// Consecutive failed discovery runs since the last attachment.
     retry_attempt: u32,
     /// Suppresses re-deliveries of events already seen: a broker that
-    /// survives a restart with its subscription table intact keeps
-    /// forwarding to an entity that has since failed over elsewhere, so
-    /// the entity can briefly be subscribed at two brokers at once.
+    /// survives a restart with its subscription table intact forwards to
+    /// an entity that has since failed over elsewhere until the entity
+    /// answers it with `ClientDisconnect`, so the entity can briefly be
+    /// subscribed at two brokers at once.
     dedup: BoundedDedup<Uuid>,
     /// The keepalive ping awaiting its pong, if any.
     ping_nonce: Option<u64>,
     next_nonce: u64,
-    missed: u32,
+    missed: u8,
+    /// Whether `on_start` has run: a second start is a revival.
+    started: bool,
     /// Events delivered to this entity.
     pub received: Vec<Event>,
     /// Events published.
@@ -111,6 +114,7 @@ impl Entity {
             ping_nonce: None,
             next_nonce: 1,
             missed: 0,
+            started: false,
             received: Vec::new(),
             published: 0,
             attachments: Vec::new(),
@@ -170,9 +174,9 @@ impl Entity {
 
     /// Delays the initial discovery by `delay` after start (staggered
     /// ramp-up for population runs). Only affects the first discovery;
-    /// failover rediscovery is immediate as ever. Call before the actor
-    /// starts: the embedded discovery client's auto-start is turned off
-    /// so the one-shot timer is the sole trigger.
+    /// failover rediscovery and a revival's are immediate. Call before
+    /// the actor starts: the embedded discovery client's auto-start is
+    /// turned off so the one-shot timer is the sole trigger.
     pub fn set_start_delay(&mut self, delay: Duration) {
         self.start_delay = Some(delay);
         self.discovery.set_auto_start(false);
@@ -302,7 +306,19 @@ impl Entity {
 }
 
 impl Actor for Entity {
+    /// The first start discovers, after the start delay if one is set.
+    /// A revival with the actor kept starts over at once: the crash
+    /// cleared every timer, so the keepalive watch, the flush cadence
+    /// and any discovery in flight died with them.
     fn on_start(&mut self, ctx: &mut dyn Context) {
+        if std::mem::replace(&mut self.started, true) {
+            self.state = EntityState::Discovering;
+            self.ping_nonce = None;
+            self.missed = 0;
+            self.discovery.begin_afresh(ctx);
+            self.check_discovery_progress(ctx);
+            return;
+        }
         if let Some(delay) = self.start_delay {
             ctx.set_timer(delay, TIMER_START_DELAY);
             return;
@@ -342,8 +358,17 @@ impl Actor for Entity {
                 self.check_discovery_progress(ctx);
                 return;
             }
-            Incoming::Stream { msg, .. } => {
+            Incoming::Stream { msg, from, to_port } => {
                 if let Message::Publish(ev) = msg.message() {
+                    if *to_port == well_known::BROKER && matches!(self.state, EntityState::Attached(b) if b != from.node)
+                    {
+                        // A broker left behind still holds our record
+                        // (it came back with its state after we failed
+                        // over): it drops the record and its
+                        // subscriptions on this.
+                        let bye = Message::ClientDisconnect { client: ctx.me() };
+                        ctx.send_stream(well_known::BROKER, Endpoint::new(from.node, well_known::BROKER), &bye);
+                    }
                     if self.dedup.check_and_insert(ev.id) {
                         self.received.push(ev.clone());
                     } else {

@@ -626,27 +626,27 @@ pub(crate) struct Arrival {
     pub(crate) len: usize,
 }
 
-/// The three things a send touches besides the model: the RNG, the
-/// connection table and the counters. `Sim` has one set for the whole
+/// The two things a send touches besides the model and the counters:
+/// the RNG and the connection table. `Sim` has one pair for the whole
 /// run; every LP of the sharded engine has its own, holding its node's
-/// row alone, which is why an LP's RNG stream, connection state and
-/// counters are a function of its node id alone.
+/// row alone, which is why an LP's RNG stream and connection state are
+/// a function of its node id alone. The counters a send bumps are its
+/// engine's, handed in: they are sums, so who holds them never moves a
+/// total.
 pub(crate) struct Transport {
     pub(crate) rng: StdRng,
     conns: ConnTable,
-    pub(crate) stats: NetStats,
 }
 
 impl Transport {
     /// A transport every node of a run sends through.
     pub(crate) fn new(rng: StdRng) -> Transport {
-        Transport { rng, conns: ConnTable::RunWide(Vec::new()), stats: NetStats::default() }
+        Transport { rng, conns: ConnTable::RunWide(Vec::new()) }
     }
 
     /// The transport of `node` alone.
     pub(crate) fn for_node(rng: StdRng, node: NodeId) -> Transport {
-        let conns = ConnTable::OneNode { node, row: Row::default(), peers_stale: false };
-        Transport { rng, conns, stats: NetStats::default() }
+        Transport { rng, conns: ConnTable::OneNode { node, row: Row::default(), peers_stale: false } }
     }
 
     /// Forgets everything the connections involving `node` carried:
@@ -681,17 +681,6 @@ impl Transport {
         self.conns.conn(from, to, now)
     }
 
-    /// Counts one send that found no path, by fate: severed by a
-    /// partition, or no route at all.
-    fn count_unreachable(&mut self, partitioned: bool) {
-        self.stats.unreachable += 1;
-        if partitioned {
-            self.stats.unreachable_partitioned += 1;
-        } else {
-            self.stats.unreachable_no_path += 1;
-        }
-    }
-
     /// Sends one datagram at `now`; `None` if it never arrives. The
     /// draws, in order: loss, latency ([`LinkSpec::roll`], as
     /// [`NetworkModel::datagram_fate`]), then — inside a packet-fault
@@ -705,23 +694,24 @@ impl Transport {
     /// `len` is asked for the body length only once the datagram is
     /// known to occupy the wire. It is the legacy body length (frame
     /// minus prelude) that is charged, which keeps pinned-seed timing —
-    /// and thus delivery order — identical to the pre-frame engine.
+    /// and thus delivery order — identical to the pre-frame engine. The
+    /// counters a send bumps are the engine's, `stats`.
     pub(crate) fn send_datagram(
         &mut self,
+        stats: &mut NetStats,
         net: &NetworkModel,
         faults: PacketFaults,
         now: SimTime,
-        from: NodeId,
-        to: NodeId,
+        (from, to): (NodeId, NodeId),
         len: impl FnOnce() -> usize,
     ) -> Option<Arrival> {
-        self.stats.datagrams_sent += 1;
+        stats.datagrams_sent += 1;
         let Some(spec) = net.spec_between(from, to) else {
-            self.count_unreachable(net.path_blocked(from, to));
+            stats.count_unreachable(net.path_blocked(from, to));
             return None;
         };
         let Some(lat) = spec.roll(&mut self.rng) else {
-            self.stats.datagrams_lost += 1;
+            stats.datagrams_lost += 1;
             return None;
         };
         let len = len();
@@ -738,15 +728,15 @@ impl Transport {
             if faults.corrupt > 0.0 && self.rng.gen::<f64>() < faults.corrupt {
                 // Arrived with a bad checksum: the wire was paid for,
                 // the receiver drops it.
-                self.stats.datagrams_corrupted += 1;
+                stats.datagrams_corrupted += 1;
                 return None;
             }
             if faults.reorder > 0.0 && self.rng.gen::<f64>() < faults.reorder {
-                self.stats.datagrams_reordered += 1;
+                stats.datagrams_reordered += 1;
                 at += extra_delay(&mut self.rng);
             }
             if faults.duplicate > 0.0 && self.rng.gen::<f64>() < faults.duplicate {
-                self.stats.datagrams_duplicated += 1;
+                stats.datagrams_duplicated += 1;
                 duplicate_at = Some(at + extra_delay(&mut self.rng));
             }
         }
@@ -762,6 +752,7 @@ impl Transport {
     /// ahead of the frames that refer to them.
     pub(crate) fn send_stream(
         &mut self,
+        stats: &mut NetStats,
         net: &NetworkModel,
         now: SimTime,
         from: Endpoint,
@@ -772,7 +763,7 @@ impl Transport {
             // A stream needs both directions: a partition of either
             // severs it.
             let (a, b) = (from.node, to.node);
-            self.count_unreachable(net.path_blocked(a, b) || net.path_blocked(b, a));
+            stats.count_unreachable(net.path_blocked(a, b) || net.path_blocked(b, a));
             return None;
         };
         let lat = spec.sample_latency(&mut self.rng);
@@ -1094,9 +1085,9 @@ mod tests {
             let mut net = model_with(2);
             net.intra_realm_spec = spec;
             net.inter_realm_spec = spec;
-            let mut t = Transport::new(rng());
-            let (taken, sent) = draws(&mut t, |t| t.send_datagram(&net, faults, at, a, to, || 100));
-            (taken, sent, t.stats)
+            let (mut t, mut stats) = (Transport::new(rng()), NetStats::default());
+            let (taken, sent) = draws(&mut t, |t| t.send_datagram(&mut stats, &net, faults, at, (a, to), || 100));
+            (taken, sent, stats)
         };
         let window = |corrupt: f64, reorder: f64, duplicate: f64, extra_ms: u64| PacketFaults {
             corrupt,
@@ -1139,20 +1130,20 @@ mod tests {
     #[test]
     fn stream_send_draws_the_latency_only_and_charges_setup_once() {
         let net = model_with(4);
-        let mut t = Transport::new(rng());
+        let (mut t, mut stats) = (Transport::new(rng()), NetStats::default());
         let a = Endpoint::new(NodeId(0), Port(1));
         let b = Endpoint::new(NodeId(2), Port(2));
-        let (taken, first) = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, b, |_| 100));
-        let (_, warm) = draws(&mut t, |t| t.send_stream(&net, SimTime::from_secs(1), a, b, |_| 100));
+        let (taken, first) = draws(&mut t, |t| t.send_stream(&mut stats, &net, SimTime::ZERO, a, b, |_| 100));
+        let (_, warm) = draws(&mut t, |t| t.send_stream(&mut stats, &net, SimTime::from_secs(1), a, b, |_| 100));
         assert_eq!(taken, 1);
         let lan = net.intra_realm_spec.latency;
         assert!(first.expect("same realm").at >= SimTime::ZERO + lan * 3);
         assert!(warm.expect("same realm").at < SimTime::from_secs(1) + lan * 3);
         // No path: the length is never asked for, nothing is drawn.
         let gone = Endpoint::new(NodeId(9), Port(2));
-        let sent = draws(&mut t, |t| t.send_stream(&net, SimTime::ZERO, a, gone, |_| unreachable!()));
+        let sent = draws(&mut t, |t| t.send_stream(&mut stats, &net, SimTime::ZERO, a, gone, |_| unreachable!()));
         assert_eq!(sent, (0, None));
-        assert_eq!((t.stats.unreachable, t.stats.unreachable_no_path), (1, 1));
+        assert_eq!((stats.unreachable, stats.unreachable_no_path), (1, 1));
     }
 
     #[test]
@@ -1285,7 +1276,7 @@ mod tests {
         let me = Endpoint::new(NodeId(2000), Port(1));
         let (dialled, accepted) = (Endpoint::new(NodeId(3), Port(2)), Endpoint::new(NodeId(7), Port(2)));
         let drive = |t: &mut Transport| {
-            assert!(t.send_stream(&net, SimTime::ZERO, me, dialled, |_| 100).is_some());
+            assert!(t.send_stream(&mut NetStats::default(), &net, SimTime::ZERO, me, dialled, |_| 100).is_some());
             t.mark_established(me, accepted, SimTime::ZERO);
             assert!(t.conns.is_established(me, dialled) && t.conns.is_established(me, accepted));
         };
@@ -1316,12 +1307,12 @@ mod tests {
             net.register_node(NodeId(n), RealmId(0));
         }
         for mut t in [Transport::new(rng()), Transport::for_node(rng(), NodeId(0))] {
-            let mut now = SimTime::ZERO;
+            let (mut now, mut stats) = (SimTime::ZERO, NetStats::default());
             for peer in 1..=PEERS {
                 // Each answer has long left the wire by the next one.
                 now += Duration::from_millis(10);
-                let sent = t.send_datagram(&net, PacketFaults::none(), now, NodeId(0), NodeId(peer), || 200);
-                assert!(sent.is_some() || t.stats.datagrams_lost > 0);
+                let sent = t.send_datagram(&mut stats, &net, PacketFaults::none(), now, (NodeId(0), NodeId(peer)), || 200);
+                assert!(sent.is_some() || stats.datagrams_lost > 0);
             }
             let row = match &t.conns {
                 ConnTable::RunWide(rows) => &rows[0],

@@ -28,7 +28,7 @@ use crate::chaos::{Fault, PacketFaults};
 use crate::clock::ClockState;
 use crate::link::{NetworkModel, Transport};
 use crate::runtime::{Actor, Context, Incoming};
-use crate::sim::TraceRecord;
+use crate::sim::{NetStats, TraceRecord};
 use crate::time::SimTime;
 
 /// A node's armed timers: one `(token, generation)` slot per token with
@@ -257,6 +257,9 @@ pub(crate) trait Scheduler {
 pub(crate) struct NodeCtx<'a, S: Scheduler> {
     pub(crate) node: &'a mut Node,
     pub(crate) link: &'a mut Transport,
+    /// The engine's traffic counters: `Sim`'s one set, or those of the
+    /// worker running this node's LP.
+    pub(crate) stats: &'a mut NetStats,
     pub(crate) net: S::Net,
     pub(crate) faults: PacketFaults,
     pub(crate) now: SimTime,
@@ -293,8 +296,8 @@ impl<S: Scheduler> NodeCtx<'_, S> {
                     return;
                 }
                 self.record(from, to_port, msg.kind(), len, stream);
-                self.link.stats.bytes_delivered += len as u64;
-                self.link.stats.count_delivery(msg.message(), stream);
+                self.stats.bytes_delivered += len as u64;
+                self.stats.count_delivery(msg.message(), stream);
                 self.dispatch(if stream {
                     Incoming::Stream { from, to_port, msg }
                 } else {
@@ -314,7 +317,7 @@ impl<S: Scheduler> NodeCtx<'_, S> {
     /// consumption never depends on destination state.)
     fn admits_delivery(&mut self) -> bool {
         if !self.node.up {
-            self.link.stats.dropped_node_down += 1;
+            self.stats.dropped_node_down += 1;
         }
         self.node.up
     }
@@ -331,14 +334,13 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         // this very connection) and returned after, keeping its capacity.
         let mut frames = std::mem::take(&mut v2.frames);
         if decode_segment_into(seg, &mut v2.dec, &mut frames).is_err() {
-            self.link.stats.segment_decode_errors += 1;
+            self.stats.segment_decode_errors += 1;
         } else {
-            let stats = &mut self.link.stats;
-            stats.segments_delivered += 1;
-            stats.frames_coalesced += frames.len() as u64;
-            stats.bytes_delivered += seg.len() as u64;
+            self.stats.segments_delivered += 1;
+            self.stats.frames_coalesced += frames.len() as u64;
+            self.stats.bytes_delivered += seg.len() as u64;
             for f in frames.drain(..) {
-                self.link.stats.count_delivery(&f.msg, true);
+                self.stats.count_delivery(&f.msg, true);
                 self.record(from, to_port, f.msg.kind(), f.encoded_len, true);
                 let msg = WireMsg::from_v2_frame(f.msg, f.ttl, f.hops, f.encoded_len);
                 self.dispatch(Incoming::Stream { from, to_port, msg });
@@ -427,7 +429,8 @@ impl<S: Scheduler> NodeCtx<'_, S> {
     /// Sends one datagram.
     fn send_datagram(&mut self, from: Endpoint, to: Endpoint, msg: &WireMsg) {
         let (net, faults, now) = (&self.net, self.faults, self.now);
-        if let Some(sent) = self.link.send_datagram(net, faults, now, from.node, to.node, || msg.body_len()) {
+        let sent = self.link.send_datagram(self.stats, net, faults, now, (from.node, to.node), || msg.body_len());
+        if let Some(sent) = sent {
             self.deliver(sent.at, sent.len, from, to, msg, false);
             if let Some(at) = sent.duplicate_at {
                 self.deliver(at, sent.len, from, to, msg, false);
@@ -480,7 +483,7 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
 
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.node.id, from_port);
-        if let Some(sent) = self.link.send_stream(&self.net, self.now, from, to, |_| msg.body_len()) {
+        if let Some(sent) = self.link.send_stream(self.stats, &self.net, self.now, from, to, |_| msg.body_len()) {
             self.deliver(sent.at, sent.len, from, to, msg, true);
         }
     }
@@ -491,14 +494,14 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
         // an unreachable link drops it *before* any symbol definition is
         // minted, so the peer never desyncs.
         let mut seg = None;
-        let sent = self.link.send_stream(&self.net, now, from, to, |conn| {
+        let sent = self.link.send_stream(self.stats, &self.net, now, from, to, |conn| {
             let v2 = conn.v2();
             v2.segment.begin(now.as_micros());
             v2.segment.push(msg.ttl(), msg.hops(), msg.message(), &mut v2.enc);
             seg.insert(v2.segment.finish()).len()
         });
         if let (Some(arrival), Some(seg)) = (sent, seg) {
-            self.link.stats.segments_sent += 1;
+            self.stats.segments_sent += 1;
             self.sched.schedule(arrival.at, NodeEvent::Segment { to: to.node, from, to_port: to.port, seg });
         }
     }

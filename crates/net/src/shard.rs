@@ -5,10 +5,11 @@
 //! but one idle during large campaigns. This module runs the same node
 //! model (`node.rs`; DESIGN.md §8) under a different scheduler: the
 //! engine is sharded *by node id*, every node its own logical process
-//! (LP) with a private event heap, RNG stream, its own row of the
-//! connection table and traffic counters, and a coordinator runs the
-//! classic conservative-lookahead protocol (Chandy/Misra/Bryant by way
-//! of a barrier-synchronous epoch loop) over them:
+//! (LP) with a private event heap, RNG stream and its own row of the
+//! connection table, and a coordinator runs the classic
+//! conservative-lookahead protocol (Chandy/Misra/Bryant by way of a
+//! barrier-synchronous epoch loop) over them. What is only ever summed
+//! or merged — counters, outbox, deferred ops — is the running worker's:
 //!
 //! 1. **Lookahead.** The WAN model gives a hard floor on cross-node
 //!    delay: no message between two distinct nodes can arrive sooner
@@ -20,12 +21,11 @@
 //! 2. **Epoch.** Each LP processes its own events with `at < H` in
 //!    (time, seq) order. Cross-LP deliveries are not pushed into the
 //!    destination queue (that would race); they are buffered in the
-//!    sender's *outbox*, in emission order.
-//! 3. **Barrier.** The coordinator drains outboxes in ascending node id
-//!    (then emission order) and enqueues each message at its
-//!    destination, assigns fresh per-LP sequence numbers, and applies
-//!    deferred network mutations (multicast joins/leaves, crash-induced
-//!    connection resets) in the same node order.
+//!    worker's *outbox*, ascending sender id, then emission order.
+//! 3. **Barrier.** The coordinator applies deferred network mutations
+//!    (multicast joins/leaves, crash-induced connection resets), then
+//!    merges the outboxes by sender id into the destination queues,
+//!    which assign fresh per-LP sequence numbers.
 //!
 //! Because LP state, RNG streams (`SplitMix64(seed ^ node_id)` — that is
 //! exactly what [`StdRng::seed_from_u64`] expands the xor through), the
@@ -33,9 +33,9 @@
 //! pure functions of (topology, seed), the run — including its event
 //! digest — is **byte-identical for any worker count**. The deal —
 //! worker `w` of `W` owns the LPs whose id ≡ w (mod W) — only decides
-//! which worker executes which LP, never what the LPs compute; with one
-//! worker the engine is the degenerate serial case of the same
-//! algorithm.
+//! which worker executes which LP, never what the LPs compute (and the
+//! counters are sums); with one worker the engine is the degenerate
+//! serial case of the same algorithm.
 //!
 //! What an actor can observe differently from `Sim` (digests are *not*
 //! comparable between the engines, only across configurations of the
@@ -56,13 +56,13 @@
 //!   is sent: a reply sent before then pays its own handshake.
 //!
 //! Threading is confined to [`with_pool`]: a scoped worker pool on
-//! `std::sync::mpsc`, moving each worker's LP group through its channel
-//! each epoch. Workers share nothing mutable — they own the LPs they
-//! were handed and borrow an immutable snapshot of the network — which
-//! is why that function is the only sanctioned home for thread
-//! primitives in nb-net (clippy.toml bans them everywhere else).
+//! `std::sync::mpsc`, moving each worker's LP group and executor
+//! through its channel each epoch. Workers share nothing mutable — they
+//! own what they were handed and borrow an immutable snapshot of the
+//! network — which is why that function is the only sanctioned home for
+//! thread primitives in nb-net (clippy.toml bans them everywhere else).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -84,17 +84,27 @@ fn mix(h: &mut u64, x: u64) {
     *h = fnv1a64_word(*h, x);
 }
 
-/// A cross-LP delivery buffered in the sender's outbox until the epoch
-/// barrier. Emission order within one outbox is preserved by the merge.
+/// A cross-LP delivery buffered in its worker's outbox until the epoch
+/// barrier. Emission order within one sender is preserved by the merge.
 struct OutMsg {
     at: SimTime,
+    from: NodeId,
     to: NodeId,
     ev: NodeEvent,
 }
 
+/// What one worker keeps for every LP it runs: their traffic counters
+/// (which [`ShardedSim::stats`] sums), and for the barrier their
+/// cross-LP deliveries in the order it ran them and their network ops.
+#[derive(Default)]
+struct Executor {
+    stats: NetStats,
+    outbox: VecDeque<OutMsg>,
+    ops: Vec<(NodeId, DeferredOp)>,
+}
+
 /// A network-model mutation requested mid-epoch. The model is shared
-/// read-only during an epoch, so these apply at the barrier, in node
-/// order.
+/// read-only during an epoch, so these apply at the barrier.
 enum DeferredOp {
     Join(GroupId),
     Leave(GroupId),
@@ -106,28 +116,27 @@ enum DeferredOp {
 }
 
 /// One logical process: a node plus every piece of engine state that
-/// only it touches. `Send`, so whole LPs migrate between workers.
+/// only it touches and whose value depends on it alone. `Send`, so whole
+/// LPs migrate between workers.
 struct Lp {
     node: Node,
     /// Private RNG stream (seeded `root_seed ^ node_id` — a function of
-    /// the node's identity, never of which worker runs it), the node's
-    /// row of the connection table and its counters.
+    /// the node's identity, never of which worker runs it) and the
+    /// node's row of the connection table.
     link: Transport,
     events: EventHeap<NodeEvent>,
     events_processed: u64,
     digest: u64,
     /// Local virtual time: the timestamp of the last processed event.
     now: SimTime,
-    outbox: Vec<OutMsg>,
-    ops: Vec<DeferredOp>,
 }
 
 /// An LP as its node sees it.
 struct LpSched<'a> {
     id: NodeId,
     events: &'a mut EventHeap<NodeEvent>,
-    outbox: &'a mut Vec<OutMsg>,
-    ops: &'a mut Vec<DeferredOp>,
+    outbox: &'a mut VecDeque<OutMsg>,
+    ops: &'a mut Vec<(NodeId, DeferredOp)>,
 }
 
 impl<'a> Scheduler for LpSched<'a> {
@@ -136,65 +145,67 @@ impl<'a> Scheduler for LpSched<'a> {
     /// The LP's own events — timers, a restart's `Start`, self-sends —
     /// go straight into its heap (they never cross an LP boundary,
     /// which is why the loopback spec is excluded from the lookahead);
-    /// everything else into the outbox for the barrier merge.
+    /// everything else into its worker's outbox for the barrier merge.
     #[inline]
     fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
         match ev.target() {
-            Some(to) if to != self.id => self.outbox.push(OutMsg { at, to, ev }),
+            Some(to) if to != self.id => self.outbox.push_back(OutMsg { at, from: self.id, to, ev }),
             _ => self.events.push(at, ev),
         }
     }
 
     fn join_group(&mut self, _net: &mut Self::Net, _node: NodeId, group: GroupId) {
-        self.ops.push(DeferredOp::Join(group));
+        self.ops.push((self.id, DeferredOp::Join(group)));
     }
 
     fn leave_group(&mut self, _net: &mut Self::Net, _node: NodeId, group: GroupId) {
-        self.ops.push(DeferredOp::Leave(group));
+        self.ops.push((self.id, DeferredOp::Leave(group)));
     }
 }
 
 impl Lp {
-    /// The node at the LP's current instant.
-    fn ctx<'a>(&'a mut self, net: &'a NetworkModel, faults: PacketFaults) -> NodeCtx<'a, LpSched<'a>> {
+    /// The node at the LP's current instant, run by `exec`.
+    fn ctx<'a>(&'a mut self, net: &'a NetworkModel, pf: PacketFaults, exec: &'a mut Executor) -> NodeCtx<'a, LpSched<'a>> {
         NodeCtx {
             sched: LpSched {
                 id: self.node.id,
                 events: &mut self.events,
-                outbox: &mut self.outbox,
-                ops: &mut self.ops,
+                outbox: &mut exec.outbox,
+                ops: &mut exec.ops,
             },
             node: &mut self.node,
             link: &mut self.link,
+            stats: &mut exec.stats,
             net,
-            faults,
+            faults: pf,
             now: self.now,
             trace: None,
         }
     }
 
-    /// What the node left for the barrier. A crash comes last whenever
-    /// it happened: group changes and peer resets touch disjoint state,
-    /// and nothing runs between two resets of one barrier.
-    fn take_deferred(&mut self) -> Vec<DeferredOp> {
+    /// Leaves `exec` the peer reset a crash of this node owes, once it
+    /// has run. A crash comes last whenever it happened: group changes
+    /// and peer resets touch disjoint state, and nothing runs between
+    /// two resets of one barrier.
+    fn defer_peer_reset(&mut self, exec: &mut Executor) {
         if self.link.take_peers_stale() {
-            self.ops.push(DeferredOp::ResetPeer);
+            exec.ops.push((self.node.id, DeferredOp::ResetPeer));
         }
-        std::mem::take(&mut self.ops)
     }
 
     /// Runs this LP's events strictly below `horizon`. Within the
     /// window the LP is causally closed: nothing another LP does this
     /// epoch can reach it before `horizon`.
-    fn process_until(&mut self, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
+    fn process_until(&mut self, horizon: SimTime, net: &NetworkModel, pf: PacketFaults, exec: &mut Executor) {
         while self.events.next_at().is_some_and(|at| at < horizon) {
             if let Some(q) = self.events.pop() {
-                self.handle(q.at, q.ev, net, pf);
+                self.handle(q.at, q.ev, net, pf, exec);
             }
         }
+        self.defer_peer_reset(exec);
     }
 
-    fn handle(&mut self, at: SimTime, ev: NodeEvent, net: &NetworkModel, pf: PacketFaults) {
+    fn handle(&mut self, at: SimTime, ev: NodeEvent, net: &NetworkModel, pf: PacketFaults, exec: &mut Executor) {
         // Monotonic clamp rather than an assert: with a (degenerate)
         // zero-latency link override the 1 ns lookahead floor exceeds
         // the true minimum and a merged delivery can carry a timestamp
@@ -218,7 +229,7 @@ impl Lp {
                 self.link.mark_established(me, *from, self.now);
             }
         }
-        self.ctx(net, pf).handle(ev);
+        self.ctx(net, pf, exec).handle(ev);
     }
 }
 
@@ -489,11 +500,13 @@ impl HeadHeap {
 }
 
 /// One epoch's worth of work handed to a worker and handed back: the
-/// worker's LP group, an immutable network snapshot and the horizon.
-/// Ownership-passing — nothing here is shared mutably across threads.
+/// worker's LP group and executor, an immutable network snapshot and
+/// the horizon. Ownership-passing — nothing here is shared mutably
+/// across threads.
 struct EpochTask {
     worker: usize,
     lps: Vec<Lp>,
+    exec: Executor,
     /// Slots (within `lps`) that actually have events this epoch; the
     /// worker touches only these, so a mostly-idle group costs O(active)
     /// rather than O(group).
@@ -504,8 +517,10 @@ struct EpochTask {
 }
 
 /// An epoch's dispatch step: runs each active LP (ids ascending) of the
-/// dealt groups up to the horizon, on the network snapshot.
-type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &[u32], SimTime, &Arc<NetworkModel>, PacketFaults) + 'a;
+/// dealt groups up to the horizon, on the network snapshot, each group
+/// by its own executor.
+type Dispatch<'a> =
+    dyn FnMut(&mut [Vec<Lp>], &mut [Executor], &[u32], SimTime, &Arc<NetworkModel>, PacketFaults) + 'a;
 
 /// Runs `f` with the epoch dispatch for `workers` groups: inline at one
 /// worker, and otherwise through a pool of `workers` scoped threads —
@@ -517,9 +532,9 @@ type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &[u32], SimTime, &Arc<NetworkModel
 )]
 fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
     if workers == 1 {
-        f(&mut |groups, active, horizon, net, pf| {
+        f(&mut |groups, execs, active, horizon, net, pf| {
             for &node in active {
-                lp_of(groups, node).process_until(horizon, net, pf);
+                groups[0][node as usize].process_until(horizon, net, pf, &mut execs[0]);
             }
         });
         return;
@@ -533,7 +548,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 let handle = scope.spawn(move || {
                     while let Ok(mut task) = task_rx.recv() {
                         for &slot in &task.active_slots {
-                            task.lps[slot].process_until(task.horizon, &task.net, task.pf);
+                            task.lps[slot].process_until(task.horizon, &task.net, task.pf, &mut task.exec);
                         }
                         if result_tx.send(task).is_err() {
                             break;
@@ -545,7 +560,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
             .unzip();
         // Each worker's active slots; a bucket travels with its task.
         let mut slots = vec![Vec::new(); workers];
-        f(&mut |groups, active, horizon, net, pf| {
+        f(&mut |groups, execs, active, horizon, net, pf| {
             for &node in active {
                 slots[node as usize % workers].push(node as usize / workers);
             }
@@ -557,6 +572,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 let sent = tx.send(EpochTask {
                     worker,
                     lps: std::mem::take(&mut groups[worker]),
+                    exec: std::mem::take(&mut execs[worker]),
                     active_slots: std::mem::take(slots),
                     net: Arc::clone(net),
                     pf,
@@ -568,6 +584,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
             for _ in 0..outstanding {
                 let mut task = results.recv().expect("worker returns its group");
                 groups[task.worker] = task.lps;
+                execs[task.worker] = task.exec;
                 task.active_slots.clear();
                 slots[task.worker] = task.active_slots;
             }
@@ -593,6 +610,9 @@ pub struct ShardedSim {
     seed: u64,
     now: SimTime,
     lps: Vec<Lp>,
+    /// One per worker group of the widest run so far; coordinator-time
+    /// acts use the first.
+    executors: Vec<Executor>,
     network: Arc<NetworkModel>,
     clock_profile: ClockProfile,
     packet_faults: PacketFaults,
@@ -625,6 +645,7 @@ impl ShardedSim {
             seed,
             now: SimTime::ZERO,
             lps: Vec::new(),
+            executors: vec![Executor::default()],
             network: Arc::new(NetworkModel::new()),
             clock_profile: profile,
             packet_faults: PacketFaults::none(),
@@ -669,11 +690,11 @@ impl ShardedSim {
         self.now
     }
 
-    /// Aggregated traffic counters, folded over LPs in node order.
+    /// Aggregated traffic counters: the sum of every executor's.
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::default();
-        for lp in &self.lps {
-            total.merge(&lp.link.stats);
+        for exec in &self.executors {
+            total.merge(&exec.stats);
         }
         total
     }
@@ -734,8 +755,6 @@ impl ShardedSim {
             events_processed: 0,
             digest: FNV_OFFSET,
             now: self.now,
-            outbox: Vec::new(),
-            ops: Vec::new(),
         });
         id
     }
@@ -785,15 +804,19 @@ impl ShardedSim {
 
     /// Acts on `node` at coordinator time — every LP's clock stands at
     /// `now` between runs — and applies what it deferred right away:
-    /// there is no epoch in flight to protect.
+    /// there is no epoch in flight to protect. A crash, revive or
+    /// restart sends nothing.
     fn at_coordinator_time(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_, LpSched<'_>>)) {
         let Some(lp) = self.lps.get_mut(node.0 as usize) else {
             return;
         };
-        f(&mut lp.ctx(&self.network, self.packet_faults));
-        for op in lp.take_deferred() {
+        let exec = &mut self.executors[0];
+        f(&mut lp.ctx(&self.network, self.packet_faults, exec));
+        lp.defer_peer_reset(exec);
+        for (node, op) in exec.ops.drain(..) {
             apply_deferred(&mut self.network, self.lps.iter_mut(), node, op);
         }
+        debug_assert!(exec.outbox.is_empty(), "a coordinator-time act sent a message");
     }
 
     /// Marks a node down immediately (coordinator time).
@@ -911,6 +934,9 @@ impl ShardedSim {
         });
         let mut heads = HeadHeap::new(self.lps.len());
         let mut groups = self.deal();
+        if self.executors.len() < groups.len() {
+            self.executors.resize_with(groups.len(), Executor::default);
+        }
         for lp in groups.iter().flatten() {
             heads.set(lp.node.id.0, lp.events.next_at());
         }
@@ -921,7 +947,8 @@ impl ShardedSim {
             {
                 before.clear();
                 before.extend(active.iter().map(|&node| lp_of(&mut groups, node).events_processed));
-                dispatch(&mut groups, &active, horizon, &self.network, self.packet_faults);
+                let execs = &mut self.executors[..groups.len()];
+                dispatch(&mut groups, execs, &active, horizon, &self.network, self.packet_faults);
                 let mut per_worker = [[0u64; 8]; 4];
                 for (&node, &start) in active.iter().zip(&before) {
                     let lp = lp_of(&mut groups, node);
@@ -996,30 +1023,28 @@ impl ShardedSim {
         }
     }
 
-    /// The epoch barrier: applies each LP's deferred network ops and
-    /// merges its outbox into the destination queues (the two touch
-    /// disjoint state), in ascending node order, so sequence assignment
-    /// is a pure function of the event streams themselves. Only the
-    /// epoch's active LPs are walked: an LP
-    /// that processed nothing since the last barrier has an empty outbox
-    /// and no deferred ops, and `active` is sorted, so the walk order is
-    /// exactly the historical full 0..n ascending sweep minus its
-    /// no-ops. A merged delivery that becomes its destination's head
-    /// re-keys the scheduler entry; outboxes are drained in place, so an
-    /// LP that sends every epoch allocates its buffer once.
+    /// The epoch barrier: applies the workers' deferred network ops —
+    /// they commute across nodes (group membership is a set, and a peer
+    /// reset forgets one peer in each other row) — then merges their
+    /// outboxes into the destination queues by sender id, emission order
+    /// within a sender. A worker's outbox holds its senders ascending, so
+    /// walking the active ids (sorted) takes each sender's run from the
+    /// front of its worker's outbox: every destination receives its
+    /// pushes in the same order at any worker count, so sequence
+    /// assignment is a pure function of the event streams themselves. A
+    /// merged delivery that becomes its destination's head re-keys the
+    /// scheduler entry; the buffers keep their capacity.
     fn barrier(&mut self, groups: &mut [Vec<Lp>], active: &[u32], heads: &mut HeadHeap) {
+        let execs = &mut self.executors[..groups.len()];
+        for (node, op) in execs.iter_mut().flat_map(|exec| exec.ops.drain(..)) {
+            apply_deferred(&mut self.network, groups.iter_mut().flatten(), node, op);
+        }
         for &node in active {
-            for op in lp_of(groups, node).take_deferred() {
-                apply_deferred(&mut self.network, groups.iter_mut().flatten(), NodeId(node), op);
-            }
-            // Checked out so destinations can be borrowed while it
-            // drains (a sender is never its own cross-LP destination).
-            let mut outbox = std::mem::take(&mut lp_of(groups, node).outbox);
-            for m in outbox.drain(..) {
+            let outbox = &mut execs[node as usize % groups.len()].outbox;
+            while let Some(m) = outbox.pop_front_if(|m| m.from.0 == node) {
                 heads.lower(m.to.0, m.at);
                 lp_of(groups, m.to.0).events.push(m.at, m.ev);
             }
-            lp_of(groups, node).outbox = outbox;
         }
     }
 }
@@ -1298,15 +1323,16 @@ mod tests {
     /// ROADMAP items 3 and 6 want these smaller, never larger, than
     /// they were: `Lp` is what `mem_bytes_per_entity` in
     /// BENCH_scale.json mostly counts (496 bytes until its transport
-    /// held one connection table where it had three books); a heap
-    /// entry was 72 bytes until a `WireMsg` stopped carrying its own
-    /// v2 length.
+    /// held one connection table where it had three books, 440 until
+    /// its counters, outbox and deferred ops moved to the worker); a
+    /// heap entry was 72 bytes until a `WireMsg` stopped carrying its
+    /// own v2 length.
     #[test]
     fn heap_entry_and_lp_are_no_larger_than_at_the_parent() {
         use std::mem::size_of;
         assert!(size_of::<crate::node::Queued<NodeEvent>>() <= 64);
         assert!(size_of::<OutMsg>() <= 64);
-        assert!(size_of::<Lp>() <= 440);
+        assert!(size_of::<Lp>() <= 256);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The full entity life cycle over the simulator: discover → attach →
 //! pub/sub → broker failure → rediscover → resume, a stranded entity's
-//! retries, and an entity homed on one broker ([`Entity::of_broker`]),
+//! retries, an entity homed on one broker ([`Entity::of_broker`]),
 //! which attaches without discovery and returns to that broker when it
-//! revives.
+//! revives, an entity that is itself revived, and a broker revived with
+//! its state after its entity left.
 
 use std::time::Duration;
 
@@ -64,6 +65,10 @@ fn pub_sub(seed: u64, filter: &str) -> impl Fn() -> Deployment {
 
 fn entity(sim: &dyn DiscoveryEngine, node: NodeId) -> &Entity {
     sim.actor::<Entity>(node).unwrap()
+}
+
+fn broker(sim: &dyn DiscoveryEngine, node: NodeId) -> &nb::broker::Broker {
+    &sim.actor::<DiscoveryBrokerActor>(node).unwrap().broker
 }
 
 fn publish(sim: &mut dyn DiscoveryEngine, publisher: NodeId, topic: &str, payload: Vec<u8>) {
@@ -194,5 +199,56 @@ fn an_entity_homed_on_a_broker_attaches_without_discovery_and_returns_to_it() {
         assert_eq!(payloads, [[1], [2]], "deliveries resumed");
         assert_eq!(sub.duplicates_dropped, 0);
         assert!(!sim.stats().by_kind.contains_key("discovery-request"), "a request was sent or multicast");
+    });
+}
+
+/// A publisher crashed and revived with its actor kept starts over: it
+/// re-attaches to its broker at once, publishes what was queued while it
+/// was down, and watches that broker again.
+#[test]
+fn a_revived_entity_reattaches_publishes_and_fails_over() {
+    let (b0, subscriber, publisher) = (NodeId(0), NodeId(2), NodeId(3));
+    on_every_engine(|| homed(65), |sim| {
+        sim.run_for(Duration::from_secs(2));
+        sim.crash(publisher);
+        sim.run_for(Duration::from_secs(1));
+        sim.revive(publisher);
+        publish(sim, publisher, "news/a", vec![1]);
+        sim.run_for(Duration::from_secs(5));
+        let p = entity(sim, publisher);
+        assert_eq!((p.published, p.broker()), (1, Some(b0)), "re-attached and published");
+        assert_eq!(entity(sim, subscriber).received.len(), 1);
+        sim.crash(b0);
+        sim.run_for(Duration::from_secs(10));
+        assert_eq!(entity(sim, publisher).failovers, 1, "its keepalives noticed");
+    });
+}
+
+/// A broker revived with its state still holds the record and the
+/// subscription of an entity that failed over while it was down. The
+/// entity answers the first event that broker forwards with
+/// `ClientDisconnect`, so the record goes and every later event arrives
+/// once.
+#[test]
+fn a_broker_revived_with_its_state_stops_forwarding_to_an_entity_that_left() {
+    let (subscriber, publisher) = (NodeId(3), NodeId(4));
+    on_every_engine(pub_sub(66, "news/**"), |sim| {
+        sim.run_for(Duration::from_secs(5));
+        let first = entity(sim, subscriber).broker().expect("attached");
+        sim.crash(first);
+        sim.run_for(Duration::from_secs(30));
+        let second = entity(sim, subscriber).broker().expect("re-attached");
+        assert_ne!(second, first, "attached to the survivor");
+        sim.revive(first);
+        sim.run_for(Duration::from_secs(10));
+        assert!(broker(sim, first).has_client(subscriber), "came back with the stale record");
+        for (i, topic) in ["news/a", "news/b", "news/c"].into_iter().enumerate() {
+            publish(sim, publisher, topic, vec![i as u8]);
+            sim.run_for(Duration::from_secs(5));
+        }
+        let sub = entity(sim, subscriber);
+        assert_eq!(sub.received.len(), 3, "each event once in `received`");
+        assert!(sub.duplicates_dropped <= 1, "{} repeats: the stale broker kept forwarding", sub.duplicates_dropped);
+        assert!(!broker(sim, first).has_client(subscriber), "the stale record went");
     });
 }
