@@ -328,12 +328,22 @@ fn security(name: &str, args: &Args) -> Table {
 /// prints it and `artifacts/trace_output.txt` pins it.
 fn trace(seed: u64) -> String {
     use nb_discovery::scenario::ScenarioBuilder;
+    use nb_discovery::{Deployment, DeploymentNode};
     use nb_net::wan::BLOOMINGTON;
+    use nb_net::{Sim, Trace};
     use std::fmt::Write;
-    let mut scenario = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed).build();
-    scenario.sim.enable_trace();
+    let builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
+    let (recorder, log) = Trace::new();
+    let d = builder.describe();
+    let traced = |mut n: DeploymentNode| {
+        let recorder = recorder.clone();
+        DeploymentNode { make: Box::new(move || recorder.wrap((n.make)())), ..n }
+    };
+    let nodes = d.nodes.into_iter().map(traced).collect();
+    let mut scenario = builder.scenario(Deployment { nodes, ..d }.build(Sim::with_clock_profile));
+    log.take(); // the warm-up's
     let outcome = scenario.run_discovery_once();
-    let trace = scenario.sim.take_trace();
+    let trace = log.take();
     let mut out = format!(
         "=== Message flow of one discovery (star topology, seed {seed}) ===\n\
          {:<12} {:<22} {:<24} {:<8} {:>6}\n",
@@ -349,8 +359,8 @@ fn trace(seed: u64) -> String {
             name(rec.from.node),
             name(rec.to.node),
             if rec.stream { "stream" } else { "udp" },
-            rec.bytes,
-            rec.kind,
+            rec.msg.body_len(),
+            rec.msg.kind(),
         );
     }
     let _ = writeln!(

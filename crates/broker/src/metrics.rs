@@ -55,7 +55,7 @@ impl UsageMeter {
     pub fn new(profile: MachineProfile) -> UsageMeter {
         UsageMeter {
             profile,
-            rate: RateMeter::new(1_000_000_000, 8_192), // 1s window in ns
+            rate: RateMeter::new(1_000_000_000, profile.cpu_full_scale_mps as usize), // 1s window in ns
         }
     }
 
@@ -77,7 +77,7 @@ impl UsageMeter {
         num_links: u32,
         subscriptions: u32,
     ) -> UsageMetrics {
-        let cpu = self.rate.load(now.as_nanos(), self.profile.cpu_full_scale_mps as usize);
+        let cpu = self.rate.load(now.as_nanos());
         let used = BASE_FOOTPRINT
             + u64::from(active_connections) * BYTES_PER_CONNECTION
             + u64::from(subscriptions) * BYTES_PER_SUBSCRIPTION
@@ -145,6 +145,16 @@ mod tests {
             m.record_message(SimTime::from_millis(900 + i));
         }
         let s = m.snapshot(SimTime::from_millis(1000), 0, 0, 0);
+        assert_eq!(s.cpu_load_permille, 1000);
+    }
+
+    #[test]
+    fn a_full_scale_above_8192_saturates() {
+        let mut m = UsageMeter::new(MachineProfile { total_memory: 1 << 30, cpu_full_scale_mps: 10_000 });
+        for i in 0..10_000u64 {
+            m.record_message(SimTime::from_micros(i * 100));
+        }
+        let s = m.snapshot(SimTime::from_secs(1), 0, 0, 0);
         assert_eq!(s.cpu_load_permille, 1000);
     }
 }

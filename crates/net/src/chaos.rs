@@ -204,39 +204,39 @@ impl ChaosTargets {
 #[derive(Debug, Clone)]
 pub struct ChaosProfile {
     /// Crash→restart cycles on restartable nodes.
-    pub restarts: u32,
+    restarts: u32,
     /// Probability a restart loses volatile state.
-    pub lose_state_prob: f64,
+    lose_state_prob: f64,
     /// Down-time range between a crash and its restart.
-    pub down_min: Duration,
+    down_min: Duration,
     /// See `down_min`.
-    pub down_max: Duration,
+    down_max: Duration,
     /// Partition-then-heal link flaps.
-    pub link_flaps: u32,
+    link_flaps: u32,
     /// Probability a flap is asymmetric (one direction only).
-    pub one_way_prob: f64,
+    one_way_prob: f64,
     /// Flap duration range.
-    pub flap_min: Duration,
+    flap_min: Duration,
     /// See `flap_min`.
-    pub flap_max: Duration,
+    flap_max: Duration,
     /// Transient stop-the-world stalls ("GC pauses").
-    pub stalls: u32,
+    stalls: u32,
     /// Stall duration range.
-    pub stall_min: Duration,
+    stall_min: Duration,
     /// See `stall_min`.
-    pub stall_max: Duration,
+    stall_max: Duration,
     /// Hardware clock steps.
-    pub clock_steps: u32,
+    clock_steps: u32,
     /// Maximum magnitude of a clock step (sign is drawn).
-    pub clock_step_max: Duration,
+    clock_step_max: Duration,
     /// Windows during which `packet_faults` is active.
-    pub packet_fault_windows: u32,
+    packet_fault_windows: u32,
     /// The per-datagram faults applied inside those windows.
-    pub packet_faults: PacketFaults,
+    packet_faults: PacketFaults,
     /// Packet-fault window duration range.
-    pub window_min: Duration,
+    window_min: Duration,
     /// See `window_min`.
-    pub window_max: Duration,
+    window_max: Duration,
 }
 
 impl ChaosProfile {

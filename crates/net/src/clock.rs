@@ -162,7 +162,7 @@ impl ClockState {
     }
 
     /// Overrides the offset estimate (backs `Context::set_clock_estimate_ns`).
-    pub fn set_estimate_ns(&mut self, est: i64) {
+    pub(crate) fn set_estimate_ns(&mut self, est: i64) {
         self.synced_estimate_ns = est;
         self.synced = true;
     }
@@ -170,7 +170,7 @@ impl ClockState {
     /// Steps the raw hardware clock by `delta_ns` (chaos fault). The NTP
     /// estimate is left as-is, so the node's UTC estimate degrades by
     /// exactly `delta_ns` until the next estimate override.
-    pub fn step_ns(&mut self, delta_ns: i64) {
+    pub(crate) fn step_ns(&mut self, delta_ns: i64) {
         self.true_offset_ns += delta_ns;
     }
 }

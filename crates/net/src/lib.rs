@@ -9,7 +9,8 @@
 //!   offsets (the paper's "every node is within 1–20 msecs" guarantee is a
 //!   *model parameter* here, not an assumption),
 //! * [`runtime`] — the [`Actor`]/[`Context`] abstraction all protocol
-//!   logic is written against,
+//!   logic is written against, and the [`Trace`] that records what
+//!   wrapped actors are handed,
 //! * [`link`] — link latency/jitter/loss models, TCP-like ordering and
 //!   connection setup, realm-scoped multicast, and the one send path
 //!   over them,
@@ -42,9 +43,9 @@ pub use chaos::{ChaosProfile, ChaosTargets, Fault, FaultPlan, PacketFaults, Time
 pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
 pub use node::RespawnFn;
-pub use runtime::{Actor, Context, Incoming};
+pub use runtime::{Actor, Context, Incoming, Trace, TraceLog, TraceRecord};
 pub use shard::{DiscoveryEngine, ShardedSim};
-pub use sim::{NetStats, Sim, TraceRecord, WireV2Config};
+pub use sim::{NetStats, Sim, WireV2Config};
 pub use time::SimTime;
 pub use topogen::{TopologyKind, TopologySpec, WanTopology};
 pub use wan::{Site, WanModel};

@@ -10,9 +10,8 @@
 //! is stated here once; the send path it uses is [`Transport`]'s,
 //! beside the link model.
 //!
-//! What an engine adds is a [`Scheduler`] — where a scheduled event
-//! goes, when a multicast group change becomes visible — and, if it
-//! traces, the trace a node's deliveries are recorded in.
+//! What an engine adds is a [`Scheduler`]: where a scheduled event
+//! goes, when a multicast group change becomes visible.
 //! DESIGN.md §8 lists everything the two engines do differently.
 
 use std::cmp::Ordering;
@@ -28,7 +27,7 @@ use crate::chaos::{Fault, PacketFaults};
 use crate::clock::ClockState;
 use crate::link::{NetworkModel, Transport};
 use crate::runtime::{Actor, Context, Incoming};
-use crate::sim::{NetStats, TraceRecord};
+use crate::sim::NetStats;
 use crate::time::SimTime;
 
 /// A node's armed timers: one `(token, generation)` slot per token with
@@ -264,9 +263,6 @@ pub(crate) struct NodeCtx<'a, S: Scheduler> {
     pub(crate) faults: PacketFaults,
     pub(crate) now: SimTime,
     pub(crate) sched: S,
-    /// Where every message handed to the node is recorded, if the
-    /// engine traces (`Sim` lends its trace; an LP has none).
-    pub(crate) trace: Option<&'a mut Vec<TraceRecord>>,
 }
 
 impl<S: Scheduler> NodeCtx<'_, S> {
@@ -295,7 +291,6 @@ impl<S: Scheduler> NodeCtx<'_, S> {
                 if !self.admits_delivery() {
                     return;
                 }
-                self.record(from, to_port, msg.kind(), len, stream);
                 self.stats.bytes_delivered += len as u64;
                 self.stats.count_delivery(msg.message(), stream);
                 self.dispatch(if stream {
@@ -341,20 +336,11 @@ impl<S: Scheduler> NodeCtx<'_, S> {
             self.stats.bytes_delivered += seg.len() as u64;
             for f in frames.drain(..) {
                 self.stats.count_delivery(&f.msg, true);
-                self.record(from, to_port, f.msg.kind(), f.encoded_len, true);
                 let msg = WireMsg::from_v2_frame(f.msg, f.ttl, f.hops, f.encoded_len);
                 self.dispatch(Incoming::Stream { from, to_port, msg });
             }
         }
         self.link.conn(me, from.node, now).v2().frames = frames;
-    }
-
-    /// Traces one message handed to this node, if the engine traces.
-    fn record(&mut self, from: Endpoint, to_port: Port, kind: &'static str, bytes: usize, stream: bool) {
-        if let Some(trace) = self.trace.as_deref_mut() {
-            let to = Endpoint::new(self.node.id, to_port);
-            trace.push(TraceRecord { at: self.now, from, to, kind, bytes, stream });
-        }
     }
 
     /// Hands `incoming` to the actor, if the node is up.
@@ -547,20 +533,19 @@ mod tests {
     use crate::clock::ClockProfile;
     use crate::impl_actor_any;
     use crate::link::LinkSpec;
+    use crate::runtime::{Trace, TraceRecord};
     use crate::shard::{DiscoveryEngine, ShardedSim};
     use crate::sim::Sim;
     use nb_wire::addr::well_known;
 
     const GROUP: GroupId = GroupId(3);
 
-    /// `(arrival, nonce, on a stream, body length)`.
-    type Logged = (SimTime, u64, bool, usize);
+    /// `(arrival, receiver, nonce, on a stream, body length)`.
+    type Logged = (SimTime, NodeId, u64, bool, usize);
 
-    /// Joins [`GROUP`] and logs every ping or publish it receives; the
-    /// node with peers also runs the script.
+    /// Joins [`GROUP`]; the node with peers also runs the script.
     struct Scripted {
         peers: Vec<NodeId>,
-        arrivals: Vec<Logged>,
     }
 
     impl Scripted {
@@ -610,32 +595,22 @@ mod tests {
                     let v2 = Endpoint::new(self.peers[1], port);
                     ctx.send_stream_v2(port, v2, &Scripted::publish(ctx, 7));
                 }
-                Incoming::Datagram { ref msg, .. } | Incoming::Stream { ref msg, .. } => {
-                    let stream = matches!(event, Incoming::Stream { .. });
-                    let nonce = match msg.message() {
-                        Message::Ping { nonce, .. } => *nonce,
-                        Message::Publish(ev) => ev.id.as_u128() as u64,
-                        _ => return,
-                    };
-                    self.arrivals.push((ctx.now(), nonce, stream, msg.body_len()));
-                }
-                Incoming::ClockSynced => {}
+                Incoming::Datagram { .. } | Incoming::Stream { .. } | Incoming::ClockSynced => {}
             }
         }
         impl_actor_any!();
     }
 
     /// Runs the script on `engine` — with `cut`, behind a one-way
-    /// partition that severs its streams and nothing else; every node's
-    /// arrival log, by node.
-    fn arrivals(engine: &mut dyn DiscoveryEngine, cut: bool) -> Vec<Vec<Logged>> {
+    /// partition that severs its streams and nothing else; the trace of
+    /// what the nodes were handed, in `TraceLog::take`'s order.
+    fn arrivals(engine: &mut dyn DiscoveryEngine, cut: bool) -> Vec<Logged> {
         let still = |spec: LinkSpec| LinkSpec { jitter: Duration::ZERO, ..spec.with_loss(0.0) };
         let net = engine.network_mut();
         net.local_spec = still(LinkSpec::local());
         net.intra_realm_spec = still(LinkSpec::lan());
-        let mut add = |peers: Vec<NodeId>| {
-            engine.add_node("n", RealmId(0), Box::new(Scripted { peers, arrivals: Vec::new() }))
-        };
+        let (trace, log) = Trace::new();
+        let mut add = |peers: Vec<NodeId>| engine.add_node("n", RealmId(0), trace.wrap(Box::new(Scripted { peers })));
         let (r1, r2) = (add(Vec::new()), add(Vec::new()));
         let nodes = [r1, r2, add(vec![r1, r2])];
         if cut {
@@ -643,35 +618,47 @@ mod tests {
             engine.network_mut().partition_one_way(r1, nodes[2]);
         }
         engine.run_for(Duration::from_secs(1));
-        let log = |&n| engine.actor::<Scripted>(n).expect("a scripted node").arrivals.clone();
-        nodes.iter().map(log).collect()
+        let nonce = |msg: &Message| match msg {
+            Message::Ping { nonce, .. } => *nonce,
+            Message::Publish(ev) => ev.id.as_u128() as u64,
+            other => panic!("the script sends no {}", other.kind()),
+        };
+        let logged = |r: &TraceRecord| (r.at, r.to.node, nonce(r.msg.message()), r.stream, r.msg.body_len());
+        log.take().iter().map(logged).collect()
+    }
+
+    /// What the `i`-th node added was handed, in order.
+    fn to(trace: &[Logged], i: u32) -> Vec<Logged> {
+        trace.iter().filter(|a| a.1 == NodeId(i)).copied().collect()
     }
 
     /// The engines share the send path, so on a net with no dice to
     /// roll — lossless, jitter-free, perfect clocks — the same sends
     /// arrive at the same virtual times, charged the same lengths, on
-    /// both: a datagram, a stream's first message and a warm one, a v2
-    /// link's cold frame and a warm one, a multicast to two members, a
-    /// self-send.
+    /// both, the sharded one at 1 worker and at 4: a datagram, a
+    /// stream's first message and a warm one, a v2 link's cold frame and
+    /// a warm one, a multicast to two members, a self-send.
     #[test]
     fn scripted_sends_arrive_at_the_same_times_on_both_engines() {
         let serial = arrivals(&mut Sim::with_clock_profile(5, ClockProfile::perfect()), false);
-        let sharded = arrivals(&mut ShardedSim::with_clock_profile(5, ClockProfile::perfect()), false);
-        assert_eq!(serial, sharded);
-        let [r1, r2, sender] = &serial[..] else {
-            panic!("three nodes");
-        };
-        let nonces = |log: &[Logged]| log.iter().map(|a| (a.1, a.2)).collect::<Vec<_>>();
-        assert_eq!(nonces(r1), [(1, false), (2, true), (3, true), (4, false)]);
-        assert_eq!(nonces(r2), [(6, true), (4, false), (7, true)]);
-        assert_eq!(nonces(sender), [(5, false)]);
+        for workers in [1, 4] {
+            let mut sharded = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
+            sharded.set_workers(workers);
+            assert_eq!(serial, arrivals(&mut sharded, false), "at {workers} workers");
+        }
+        let (r1, r2, sender) = (to(&serial, 0), to(&serial, 1), to(&serial, 2));
+        assert_eq!(serial.len(), r1.len() + r2.len() + sender.len());
+        let nonces = |log: &[Logged]| log.iter().map(|a| (a.2, a.3)).collect::<Vec<_>>();
+        assert_eq!(nonces(&r1), [(1, false), (2, true), (3, true), (4, false)]);
+        assert_eq!(nonces(&r2), [(6, true), (4, false), (7, true)]);
+        assert_eq!(nonces(&sender), [(5, false)]);
         // The handshake was charged once a connection, by either
         // engine's table; the symbol definition once a v2 link.
         for (first, warm) in [(&r1[1], &r1[2]), (&r2[0], &r2[2])] {
             let (cold, hot) = (first.0 - SimTime::from_millis(100), warm.0 - SimTime::from_millis(200));
             assert!(cold > hot * 2, "first {cold:?}, warm {hot:?}");
         }
-        assert!(r2[0].3 > r2[2].3, "cold frame {} B, warm {} B", r2[0].3, r2[2].3);
+        assert!(r2[0].4 > r2[2].4, "cold frame {} B, warm {} B", r2[0].4, r2[2].4);
     }
 
     /// A stream send a partition ate is counted by fate like a datagram
@@ -684,7 +671,7 @@ mod tests {
         let logs = [arrivals(&mut serial, true), arrivals(&mut sharded, true)];
         for (stats, log) in [serial.stats().clone(), sharded.stats()].iter().zip(logs) {
             // The datagram and the multicast arrived; both streams did not.
-            assert_eq!(log[0].iter().map(|a| a.1).collect::<Vec<_>>(), [1, 4]);
+            assert_eq!(to(&log, 0).iter().map(|a| a.2).collect::<Vec<_>>(), [1, 4]);
             assert_eq!(stats.unreachable, 2);
             assert_eq!(stats.unreachable_partitioned, 2);
             assert_eq!(stats.unreachable, stats.unreachable_partitioned + stats.unreachable_no_path);

@@ -6,9 +6,11 @@
 //! one node model and one `Context` implementation (`node.rs`), so the
 //! same actor code runs unmodified under the single-queue scheduler
 //! ([`crate::sim::Sim`]) and the sharded one
-//! ([`crate::shard::ShardedSim`]).
+//! ([`crate::shard::ShardedSim`]). A [`Trace`] wraps actors to record
+//! what each is handed, on either engine.
 
 use std::any::Any;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
 use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId, WireMsg};
@@ -171,4 +173,88 @@ pub struct IdleActor;
 impl Actor for IdleActor {
     fn on_incoming(&mut self, _event: Incoming, _ctx: &mut dyn Context) {}
     impl_actor_any!();
+}
+
+/// One datagram or stream message handed to a traced actor.
+#[derive(Debug, Clone)]
+pub struct TraceRecord {
+    /// When it was handed over.
+    pub at: SimTime,
+    /// Sender endpoint.
+    pub from: Endpoint,
+    /// Receiver endpoint.
+    pub to: Endpoint,
+    /// Whether it travelled on a stream (true) or as a datagram.
+    pub stream: bool,
+    /// The message; its `body_len()` is the length the engine charged.
+    pub msg: WireMsg,
+}
+
+/// Records every datagram and stream message handed to the actors it
+/// wraps, whichever engine runs them, into its [`TraceLog`]. Clones
+/// record into the same log, so a factory can wrap each actor it makes;
+/// a wrapped actor sends its records down a channel, so it records on
+/// any worker.
+#[derive(Clone)]
+pub struct Trace {
+    tx: Sender<TraceRecord>,
+}
+
+/// What a [`Trace`] and its clones recorded.
+pub struct TraceLog {
+    rx: Receiver<TraceRecord>,
+}
+
+impl Trace {
+    /// A trace and the log it records into.
+    pub fn new() -> (Trace, TraceLog) {
+        let (tx, rx) = channel();
+        (Trace { tx }, TraceLog { rx })
+    }
+
+    /// `actor`, recording into this trace. Downcasts reach `actor`.
+    pub fn wrap(&self, actor: Box<dyn Actor>) -> Box<dyn Actor> {
+        Box::new(Traced { inner: actor, trace: self.clone() })
+    }
+}
+
+impl TraceLog {
+    /// Every record since the last take, stably sorted by (time,
+    /// receiving node): each node's records keep the order its actor
+    /// was handed them, so the result is the same at any worker count.
+    pub fn take(&self) -> Vec<TraceRecord> {
+        let mut records: Vec<TraceRecord> = self.rx.try_iter().collect();
+        records.sort_by_key(|r| (r.at, r.to.node));
+        records
+    }
+}
+
+/// An actor that records what it is handed, then hands it on.
+struct Traced {
+    inner: Box<dyn Actor>,
+    trace: Trace,
+}
+
+impl Actor for Traced {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        if let Incoming::Datagram { from, to_port, ref msg } | Incoming::Stream { from, to_port, ref msg } = event {
+            let (at, to) = (ctx.now(), Endpoint::new(ctx.me(), to_port));
+            let stream = matches!(event, Incoming::Stream { .. });
+            // A send fails only once the log is dropped: nothing to record.
+            let _ = self.trace.tx.send(TraceRecord { at, from, to, stream, msg: msg.clone() });
+        }
+        self.inner.on_incoming(event, ctx);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self.inner.as_any()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.inner.as_any_mut()
+    }
 }

@@ -179,7 +179,6 @@ impl Lp {
             net,
             faults: pf,
             now: self.now,
-            trace: None,
         }
     }
 
@@ -603,8 +602,8 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
 }
 
 /// The sharded simulator: [`Sim`]'s surface (construction, node
-/// management, faults, injection, `run_for`/`run_until`, actor access)
-/// without the trace, plus [`ShardedSim::digest`],
+/// management, faults, injection, `run_for`/`run_until`, actor access),
+/// plus [`ShardedSim::digest`],
 /// [`ShardedSim::set_workers`] and [`ShardedSim::parallel_bound_milli`].
 pub struct ShardedSim {
     seed: u64,

@@ -8,9 +8,10 @@ use proptest::prelude::*;
 
 use nb_net::clock::ClockProfile;
 use nb_net::link::{DatagramFate, LinkSpec, NetworkModel};
-use nb_net::{ChaosProfile, ChaosTargets, FaultPlan, Sim};
+use nb_net::runtime::IdleActor;
+use nb_net::{ChaosProfile, ChaosTargets, FaultPlan, Sim, Trace};
 use nb_net::time::{true_utc_micros, SimTime};
-use nb_wire::{GroupId, NodeId, RealmId};
+use nb_wire::{GroupId, Message, NodeId, RealmId};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,11 +86,21 @@ proptest! {
         let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec =
             LinkSpec { jitter: Duration::from_micros(jitter_us), ..LinkSpec::lan() };
-        let sink = sim.add_node("sink", RealmId(0), Box::new(stream_order::Sink::default()));
+        let (trace, log) = Trace::new();
+        let sink = sim.add_node("sink", RealmId(0), trace.wrap(Box::new(IdleActor)));
         let gaps = gaps_us.iter().map(|&us| Duration::from_micros(us)).collect();
         sim.add_node("paced", RealmId(0), Box::new(stream_order::Paced { to: sink, gaps, sent: 0 }));
         sim.run_for(Duration::from_secs(200));
-        let arrivals = &sim.actor::<stream_order::Sink>(sink).expect("the sink").arrivals;
+        // `(nonce, sent, arrived)` per ping, in arrival order.
+        let arrivals: Vec<(u64, SimTime, SimTime)> = log
+            .take()
+            .iter()
+            .filter(|r| r.stream && r.to.node == sink)
+            .filter_map(|r| match *r.msg.message() {
+                Message::Ping { nonce, sent_at, .. } => Some((nonce, SimTime::from_nanos(sent_at), r.at)),
+                _ => None,
+            })
+            .collect();
         prop_assert_eq!(arrivals.len(), gaps_us.len());
         for (i, &(nonce, sent_at, at)) in arrivals.iter().enumerate() {
             prop_assert_eq!(nonce, i as u64, "reordered: {:?}", arrivals);
@@ -204,11 +215,11 @@ proptest! {
     }
 }
 
-/// The actors of `stream_book_never_reorders_a_direction`.
+/// The sender of `stream_book_never_reorders_a_direction`.
 mod stream_order {
     use std::time::Duration;
 
-    use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
+    use nb_net::{impl_actor_any, Actor, Context, Incoming};
     use nb_wire::{Endpoint, Message, NodeId, Port};
 
     /// Sends ping `i` on one stream `gaps[i]` after ping `i - 1`.
@@ -246,44 +257,15 @@ mod stream_order {
         }
         impl_actor_any!();
     }
-
-    /// Logs `(nonce, sent, arrived)` per ping, in arrival order.
-    #[derive(Default)]
-    pub struct Sink {
-        pub arrivals: Vec<(u64, SimTime, SimTime)>,
-    }
-
-    impl Actor for Sink {
-        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-            if let Incoming::Stream { msg, .. } = event {
-                if let Message::Ping { nonce, sent_at, .. } = *msg.message() {
-                    self.arrivals.push((nonce, SimTime::from_nanos(sent_at), ctx.now()));
-                }
-            }
-        }
-        impl_actor_any!();
-    }
 }
 
 mod bandwidth_end_to_end {
     use std::time::Duration;
 
-    use nb_net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, Sim, SimTime};
+    use nb_net::runtime::IdleActor;
+    use nb_net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, Sim, Trace};
     use nb_util::Uuid;
     use nb_wire::{Endpoint, Event, Message, NodeId, Port, RealmId, Topic};
-
-    #[derive(Default)]
-    struct Recorder {
-        arrivals: Vec<(&'static str, SimTime)>,
-    }
-    impl Actor for Recorder {
-        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-            if let Incoming::Datagram { msg, .. } = event {
-                self.arrivals.push((msg.kind(), ctx.now()));
-            }
-        }
-        impl_actor_any!();
-    }
 
     struct Sender {
         peer: NodeId,
@@ -315,13 +297,15 @@ mod bandwidth_end_to_end {
         let mut sim = Sim::with_clock_profile(5, ClockProfile::perfect());
         sim.network_mut().inter_realm_spec =
             LinkSpec { jitter: Duration::ZERO, ..LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0) };
-        let rx = sim.add_node("rx", RealmId(0), Box::new(Recorder::default()));
+        let (trace, log) = Trace::new();
+        let rx = sim.add_node("rx", RealmId(0), trace.wrap(Box::new(IdleActor)));
         sim.add_node("tx", RealmId(1), Box::new(Sender { peer: rx }));
         sim.run_for(Duration::from_secs(2));
-        let rec = sim.actor::<Recorder>(rx).unwrap();
-        assert_eq!(rec.arrivals.len(), 2);
-        let bulk_at = rec.arrivals.iter().find(|(k, _)| *k == "publish").unwrap().1;
-        let ping_at = rec.arrivals.iter().find(|(k, _)| *k == "ping").unwrap().1;
+        let arrivals = log.take();
+        assert_eq!(arrivals.len(), 2);
+        assert!(arrivals.iter().all(|r| !r.stream && r.to.node == rx));
+        let bulk_at = arrivals.iter().find(|r| r.msg.kind() == "publish").unwrap().at;
+        let ping_at = arrivals.iter().find(|r| r.msg.kind() == "ping").unwrap().at;
         // Bulk: 100 ms serialisation + 10 ms propagation.
         assert_eq!(bulk_at.as_millis(), 110);
         // The ping queued behind the bulk transfer: ~100 ms + tiny tx + 10 ms.

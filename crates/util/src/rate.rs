@@ -8,22 +8,23 @@
 
 use std::collections::VecDeque;
 
-/// Counts events inside a sliding time window.
+/// Counts events inside a sliding time window, up to the count that
+/// reads as full load.
 #[derive(Debug, Clone)]
 pub struct RateMeter {
     window: u64,
     events: VecDeque<u64>,
-    max_events: usize,
+    full_scale: usize,
 }
 
 impl RateMeter {
-    /// Creates a meter with a sliding window of `window` time units,
-    /// remembering at most `max_events` timestamps (older ones collapse
-    /// into eviction; 4096 is plenty for load estimation).
-    pub fn new(window: u64, max_events: usize) -> Self {
+    /// Creates a meter with a sliding window of `window` time units
+    /// that reads full load at `full_scale` events in the window. It
+    /// keeps at most the latest `full_scale` timestamps: once that many
+    /// are in the window, older ones change no reading.
+    pub fn new(window: u64, full_scale: usize) -> Self {
         assert!(window > 0, "RateMeter window must be positive");
-        assert!(max_events > 0, "RateMeter must remember at least one event");
-        RateMeter { window, events: VecDeque::new(), max_events }
+        RateMeter { window, events: VecDeque::new(), full_scale }
     }
 
     /// Records one event at time `now`.
@@ -32,32 +33,31 @@ impl RateMeter {
     /// to the latest time seen (simulators deliver in order anyway).
     pub fn record(&mut self, now: u64) {
         let now = self.events.back().map_or(now, |&last| now.max(last));
-        if self.events.len() == self.max_events {
+        if self.events.len() == self.full_scale {
             self.events.pop_front();
         }
-        self.events.push_back(now);
+        if self.full_scale > 0 {
+            self.events.push_back(now);
+        }
         self.expire(now);
     }
 
-    /// Number of events within `[now - window, now]`.
-    pub fn count(&mut self, now: u64) -> usize {
+    /// Number of events within `[now - window, now]`, at most
+    /// `full_scale`.
+    fn count(&mut self, now: u64) -> usize {
         self.expire(now);
         self.events.len()
     }
 
-    /// Event rate in events per time unit over the window.
-    pub fn rate(&mut self, now: u64) -> f64 {
-        self.count(now) as f64 / self.window as f64
-    }
-
-    /// A load factor in `[0, 1]`: the window count relative to `full_scale`
-    /// events, saturating at 1. This is how the broker converts message
-    /// throughput into a CPU-utilisation figure.
-    pub fn load(&mut self, now: u64, full_scale: usize) -> f64 {
-        if full_scale == 0 {
+    /// A load factor in `[0, 1]`: the window count relative to
+    /// `full_scale` events, saturating at 1; a zero full scale reads as
+    /// saturated. This is how the broker converts message throughput
+    /// into a CPU-utilisation figure.
+    pub fn load(&mut self, now: u64) -> f64 {
+        if self.full_scale == 0 {
             return 1.0;
         }
-        (self.count(now) as f64 / full_scale as f64).min(1.0)
+        self.count(now) as f64 / self.full_scale as f64
     }
 
     fn expire(&mut self, now: u64) {
@@ -89,23 +89,17 @@ mod tests {
     }
 
     #[test]
-    fn rate_is_count_over_window() {
-        let mut m = RateMeter::new(10, 100);
-        for t in 0..5u64 {
-            m.record(t);
-        }
-        assert!((m.rate(4) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn load_saturates_at_one() {
-        let mut m = RateMeter::new(100, 1000);
-        for t in 0..50u64 {
-            m.record(t);
-        }
-        assert!((m.load(49, 100) - 0.5).abs() < 1e-12);
-        assert_eq!(m.load(49, 10), 1.0);
-        assert_eq!(m.load(49, 0), 1.0);
+        let load = |full_scale| {
+            let mut m = RateMeter::new(100, full_scale);
+            for t in 0..50u64 {
+                m.record(t);
+            }
+            m.load(49)
+        };
+        assert!((load(100) - 0.5).abs() < 1e-12);
+        assert_eq!(load(10), 1.0);
+        assert_eq!(load(0), 1.0);
     }
 
     #[test]
@@ -114,7 +108,8 @@ mod tests {
         for t in 0..10_000u64 {
             m.record(t);
         }
-        assert!(m.count(10_000) <= 16);
+        assert_eq!(m.count(10_000), 16);
+        assert_eq!(m.load(10_000), 1.0);
     }
 
     #[test]

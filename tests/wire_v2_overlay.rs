@@ -9,17 +9,20 @@
 //! tables on both sides, and v2 must still deliver what v1 does.
 //!
 //! Every engine runs the codec and must deliver what its own v1 run
-//! delivers. `Sim` alone carries the pins and everything read off its
-//! trace, because only `Sim` records one (`Sim::enable_trace`). Two
-//! cases of two brokers check the handshake itself on every engine: v2
-//! when both ends ask for it, v1 when only one does.
+//! delivers, and what its trace shows must not depend on latency draws:
+//! every post-handshake broker message in a segment, and the restarted
+//! relay back on the path. `Sim` alone carries the pins. Two cases of
+//! two brokers check the handshake itself on every engine: v2 when both
+//! ends ask for it, v1 when only one does.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use nb::broker::{BrokerConfig, Topology, TopologyKind};
-use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Entity, Network, ResponsePolicy};
-use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, Sim, SimTime};
+use nb::discovery::{
+    on_every_engine, Deployment, DeploymentNode, DiscoveryBrokerActor, Entity, Network, ResponsePolicy,
+};
+use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, Sim, SimTime, Trace, TraceLog};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BROKERS: usize = 6;
@@ -104,6 +107,15 @@ fn overlay(wire_v2: bool) -> Deployment {
     d
 }
 
+/// `d` with every actor recording into `trace`.
+fn traced(d: Deployment, trace: &Trace) -> Deployment {
+    let traced = |mut n: DeploymentNode| {
+        let trace = trace.clone();
+        DeploymentNode { make: Box::new(move || trace.wrap((n.make)())), ..n }
+    };
+    Deployment { nodes: d.nodes.into_iter().map(traced).collect(), ..d }
+}
+
 /// Runs every round of traffic on [`overlay`]; returns when [`RELAY`]
 /// was back up, if it was restarted.
 fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTime> {
@@ -151,33 +163,41 @@ fn from_round(delivered: &[Vec<Delivery>], first: u8) -> Vec<Vec<Delivery>> {
     delivered.iter().map(|got| got.iter().filter(keep).cloned().collect()).collect()
 }
 
-/// One traced `Sim` run.
-fn run(wire_v2: bool, restart_relay: bool) -> Run {
-    let mut sim = overlay(wire_v2).build(Sim::with_clock_profile);
-    sim.enable_trace();
-    let restarted_at = drive(&mut sim, restart_relay);
+/// Runs [`drive`] on `engine`, built from [`traced`] with a trace into
+/// `log`, and reads off what `log` took: `(post_handshake_link_msgs,
+/// arrival_micros, relayed_after_restart)` of [`Run`].
+fn drive_traced(engine: &mut dyn DiscoveryEngine, log: &TraceLog, restart_relay: bool) -> (u64, u64, usize) {
+    let restarted_at = drive(engine, restart_relay);
     let (brokers, subscribers) = (brokers(), subscribers());
-
     let broker_set: BTreeSet<NodeId> = brokers.iter().copied().collect();
-    let trace = sim.take_trace();
+    let trace = log.take();
     let post_handshake_link_msgs = trace
         .iter()
         .filter(|r| r.stream)
         .filter(|r| broker_set.contains(&r.from.node) && broker_set.contains(&r.to.node))
-        .filter(|r| !matches!(r.kind, "link-hello" | "link-accept"))
+        .filter(|r| !matches!(r.msg.kind(), "link-hello" | "link-accept"))
         .count() as u64;
     let arrival_micros = trace
         .iter()
-        .filter(|r| r.kind == "publish" && subscribers.contains(&r.to.node))
+        .filter(|r| r.msg.kind() == "publish" && subscribers.contains(&r.to.node))
         .map(|r| r.at.as_micros())
         .sum();
     let relayed_after_restart = trace
         .iter()
-        .filter(|r| r.kind == "publish" && r.from.node == brokers[RELAY])
+        .filter(|r| r.msg.kind() == "publish" && r.from.node == brokers[RELAY])
         .filter(|r| broker_set.contains(&r.to.node) && restarted_at.is_some_and(|t| r.at > t))
         .count();
+    (post_handshake_link_msgs, arrival_micros, relayed_after_restart)
+}
+
+/// One traced `Sim` run.
+fn run(wire_v2: bool, restart_relay: bool) -> Run {
+    let (trace, log) = Trace::new();
+    let mut sim = traced(overlay(wire_v2), &trace).build(Sim::with_clock_profile);
+    let (post_handshake_link_msgs, arrival_micros, relayed_after_restart) =
+        drive_traced(&mut sim, &log, restart_relay);
     let duplicates_suppressed =
-        brokers.iter().map(|&b| sim.actor::<DiscoveryBrokerActor>(b).expect("a broker").broker.duplicates_suppressed).sum();
+        brokers().iter().map(|&b| sim.actor::<DiscoveryBrokerActor>(b).expect("a broker").broker.duplicates_suppressed).sum();
     Run {
         delivered: delivered(&sim),
         stats: sim.stats().clone(),
@@ -191,17 +211,22 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
 
 /// A case on every engine, whose rounds from `first` on are compared:
 /// v2 delivers what the same engine's v1 run delivers — the right
-/// events, exactly once — decodes every segment, and moves fewer bytes.
+/// events, exactly once — decodes every segment, carries every
+/// post-handshake broker message in one, and moves fewer bytes; a
+/// restarted relay forwards again on both codecs.
 fn v2_delivers_what_its_v1_run_delivers(restart_relay: bool, first: u8) {
+    let (trace, log) = Trace::new();
     let v1_run = |sim: &mut dyn DiscoveryEngine| {
-        drive(sim, restart_relay);
+        let (_, _, relayed_after_restart) = drive_traced(sim, &log, restart_relay);
+        assert!(!restart_relay || relayed_after_restart > 0, "the restarted relay forwards nothing on v1");
         (delivered(sim), sim.stats())
     };
-    let mut v1 = on_every_engine(|| overlay(false), v1_run).into_iter();
+    let mut v1 = on_every_engine(|| traced(overlay(false), &trace), v1_run).into_iter();
     on_every_engine(
-        || overlay(true),
+        || traced(overlay(true), &trace),
         |sim| {
-            drive(sim, restart_relay);
+            let (post_handshake_link_msgs, _, relayed_after_restart) = drive_traced(sim, &log, restart_relay);
+            assert!(!restart_relay || relayed_after_restart > 0, "the restarted relay forwards nothing on v2");
             let (v1_delivered, v1_stats) = v1.next().expect("a v1 run on this engine");
             let (got_v1, got_v2) = (from_round(&v1_delivered, first), from_round(&delivered(sim), first));
             assert_eq!(got_v1, got_v2);
@@ -213,6 +238,7 @@ fn v2_delivers_what_its_v1_run_delivers(restart_relay: bool, first: u8) {
             assert!(v2_stats.segments_delivered > 0, "no segments crossed the overlay");
             assert_eq!(v2_stats.segment_decode_errors, 0);
             assert_eq!(v2_stats.frames_coalesced, v2_stats.segments_delivered);
+            assert_eq!(v2_stats.frames_coalesced, post_handshake_link_msgs);
             let (bytes_v1, bytes_v2) = (v1_stats.bytes_delivered, v2_stats.bytes_delivered);
             assert!(bytes_v2 < bytes_v1, "v2 moved {bytes_v2} bytes, v1 {bytes_v1}");
         },
