@@ -328,19 +328,13 @@ fn security(name: &str, args: &Args) -> Table {
 /// prints it and `artifacts/trace_output.txt` pins it.
 fn trace(seed: u64) -> String {
     use nb_discovery::scenario::ScenarioBuilder;
-    use nb_discovery::{Deployment, DeploymentNode};
     use nb_net::wan::BLOOMINGTON;
     use nb_net::{Sim, Trace};
     use std::fmt::Write;
     let builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
     let (recorder, log) = Trace::new();
-    let d = builder.describe();
-    let traced = |mut n: DeploymentNode| {
-        let recorder = recorder.clone();
-        DeploymentNode { make: Box::new(move || recorder.wrap((n.make)())), ..n }
-    };
-    let nodes = d.nodes.into_iter().map(traced).collect();
-    let mut scenario = builder.scenario(Deployment { nodes, ..d }.build(Sim::with_clock_profile));
+    let sim = builder.describe().traced(&recorder).build(Sim::with_clock_profile);
+    let mut scenario = builder.scenario(sim);
     log.take(); // the warm-up's
     let outcome = scenario.run_discovery_once();
     let trace = log.take();

@@ -30,12 +30,12 @@ use nb_discovery::{
 };
 use nb_net::topogen::TopologyKind;
 use nb_net::wan::BLOOMINGTON;
-use nb_net::{ClockProfile, Context, Incoming, LinkSpec, NodeId, RealmId, Sim, SimTime};
+use nb_net::{ClockProfile, Incoming, LinkSpec, NodeId, RealmId, ScriptCtx, Sim};
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
-use nb_wire::{Endpoint, GroupId, Message, Port, Topic, TopicFilter};
+use nb_wire::{Endpoint, Message, Topic, TopicFilter};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -311,39 +311,10 @@ fn bytes_of_one_finished_client(mut scenario: Scenario) -> u64 {
 /// 10 %.
 const BUDGET_INTEREST_PLANE: u64 = 54_437;
 
-/// A context that drops whatever the broker sends.
-struct Sink(StdRng);
-
-impl Context for Sink {
-    fn me(&self) -> NodeId {
-        NodeId(1)
-    }
-    fn realm(&self) -> RealmId {
-        RealmId(0)
-    }
-    fn now(&self) -> SimTime {
-        SimTime::ZERO
-    }
-    fn utc_micros(&self) -> u64 {
-        0
-    }
-    fn clock_synced(&self) -> bool {
-        true
-    }
-    fn raw_local_micros(&self) -> u64 {
-        0
-    }
-    fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
-    fn send_udp(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
-    fn send_stream(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
-    fn send_multicast(&mut self, _from: Port, _group: GroupId, _to: Port, _msg: &Message) {}
-    fn join_group(&mut self, _group: GroupId) {}
-    fn leave_group(&mut self, _group: GroupId) {}
-    fn set_timer(&mut self, _delay: Duration, _token: u64) {}
-    fn cancel_timer(&mut self, _token: u64) {}
-    fn rng(&mut self) -> &mut dyn RngCore {
-        &mut self.0
-    }
+/// Drops what `ctx` recorded, so a `live_bytes()` read after it counts
+/// the broker's heap alone.
+fn forget_records(ctx: &mut ScriptCtx) {
+    (ctx.sent, ctx.timers, ctx.armed, ctx.groups) = Default::default();
 }
 
 /// Live bytes one broker's registrations add once its 9 links and 20
@@ -354,28 +325,30 @@ fn bytes_of_one_interest_plane() -> u64 {
     let filters: Vec<TopicFilter> =
         (0..128).map(|k| TopicFilter::parse(&format!("bench/t{k}/**")).expect("filter")).collect();
     let mut broker = Broker::new(BrokerConfig::default());
-    let mut ctx = Sink(StdRng::seed_from_u64(2005));
-    let mut feed = |broker: &mut Broker, from: NodeId, msg: Message| {
+    let mut ctx = ScriptCtx { me: NodeId(1), rng: StdRng::seed_from_u64(2005), ..ScriptCtx::default() };
+    let feed = |broker: &mut Broker, ctx: &mut ScriptCtx, from: NodeId, msg: Message| {
         let from = Endpoint::new(from, well_known::BROKER);
-        broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() }, &mut ctx);
+        broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() }, ctx);
     };
     let links: Vec<NodeId> = (0..LINKS).map(|l| NodeId(10 + l)).collect();
     let clients: Vec<NodeId> = (0..CLIENTS).map(|c| NodeId(100 + c)).collect();
     for &l in &links {
-        feed(&mut broker, l, Message::LinkHello { from: l, realm: RealmId(0) });
+        feed(&mut broker, &mut ctx, l, Message::LinkHello { from: l, realm: RealmId(0) });
     }
     for &c in &clients {
-        feed(&mut broker, c, Message::ClientConnect { client: c, reply_port: well_known::BROKER });
+        feed(&mut broker, &mut ctx, c, Message::ClientConnect { client: c, reply_port: well_known::BROKER });
     }
+    forget_records(&mut ctx);
     let live = live_bytes();
     for (k, filter) in filters.iter().enumerate() {
         for &l in &links {
-            feed(&mut broker, l, Message::Subscribe { filter: filter.clone(), origin: l, seq: 0 });
+            feed(&mut broker, &mut ctx, l, Message::Subscribe { filter: filter.clone(), origin: l, seq: 0 });
         }
         let c = clients[k % clients.len()];
-        feed(&mut broker, c, Message::ClientSubscribe { filter: filter.clone() });
+        feed(&mut broker, &mut ctx, c, Message::ClientSubscribe { filter: filter.clone() });
     }
     assert_eq!(broker.interest_filters().len(), filters.len());
+    forget_records(&mut ctx);
     let bytes = live_bytes() - live;
     drop(broker);
     bytes

@@ -226,8 +226,8 @@ fn gate_census_fails_a_count_above_its_ceiling() {
             ceilings.push_str(&format!("non_test_lines.crates/{lib} = 0\n"));
         }
         ceilings.push_str(
-            "test_only_pub = 0\nown_file_only_pub = 0\npub_setters = 0\nconfig_pub_fields.UtilConfig = 1\n\
-             ignored_tests = 0\n",
+            "test_only_pub = 0\nown_file_only_pub = 0\npub_setters = 0\ncontext_impls = 0\n\
+             config_pub_fields.UtilConfig = 1\nignored_tests = 0\n",
         );
         std::fs::write(dir.join("CENSUS_ceilings.conf"), ceilings).expect("write ceilings");
         repro(&dir, &["gate", "census"])

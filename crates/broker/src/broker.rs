@@ -770,9 +770,10 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nb_wire::{GroupId, Port, RealmId};
+    use nb_net::{ScriptCtx, Sent, Via};
+    use nb_wire::RealmId;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
 
     fn broker_cfg(neighbors: Vec<NodeId>) -> BrokerConfig {
         BrokerConfig { neighbors, ..BrokerConfig::default() }
@@ -780,55 +781,18 @@ mod tests {
 
     const ME: NodeId = NodeId(1);
 
-    /// A context at the epoch that keeps every stream message a broker
-    /// sends, with its destination.
-    struct Recorder {
-        rng: StdRng,
-        sent: Vec<(NodeId, Message)>,
+    /// A context at the epoch, as node [`ME`].
+    fn new_ctx() -> ScriptCtx {
+        ScriptCtx { me: ME, rng: StdRng::seed_from_u64(7), ..ScriptCtx::default() }
     }
 
-    impl Recorder {
-        fn new() -> Recorder {
-            Recorder { rng: StdRng::seed_from_u64(7), sent: Vec::new() }
-        }
-    }
-
-    impl Context for Recorder {
-        fn me(&self) -> NodeId {
-            ME
-        }
-        fn realm(&self) -> RealmId {
-            RealmId(0)
-        }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn utc_micros(&self) -> u64 {
-            0
-        }
-        fn clock_synced(&self) -> bool {
-            true
-        }
-        fn raw_local_micros(&self) -> u64 {
-            0
-        }
-        fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
-        fn send_udp(&mut self, _from_port: Port, _to: Endpoint, _msg: &Message) {}
-        fn send_stream(&mut self, _from_port: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((to.node, msg.clone()));
-        }
-        fn send_multicast(&mut self, _from: Port, _group: GroupId, _to: Port, _msg: &Message) {}
-        fn join_group(&mut self, _group: GroupId) {}
-        fn leave_group(&mut self, _group: GroupId) {}
-        fn set_timer(&mut self, _delay: Duration, _token: u64) {}
-        fn cancel_timer(&mut self, _token: u64) {}
-        fn rng(&mut self) -> &mut dyn RngCore {
-            &mut self.rng
-        }
+    /// The stream messages among `sent`, each with its destination.
+    fn streamed(sent: &[Sent]) -> impl Iterator<Item = (NodeId, &Message)> {
+        sent.iter().filter(|s| matches!(s.via, Via::Stream | Via::StreamV2)).map(|s| (s.to.node, s.msg.message()))
     }
 
     /// Hands `broker` `msg` on its broker port as if `from` had sent it.
-    fn feed(broker: &mut Broker, ctx: &mut Recorder, from: NodeId, msg: Message) {
+    fn feed(broker: &mut Broker, ctx: &mut ScriptCtx, from: NodeId, msg: Message) {
         let from = Endpoint::new(from, well_known::BROKER);
         broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() }, ctx);
     }
@@ -836,14 +800,14 @@ mod tests {
     #[test]
     fn the_discovery_plane_floods_and_only_requests_are_pruned() {
         let mut broker = Broker::new(BrokerConfig::default());
-        let mut ctx = Recorder::new();
+        let mut ctx = new_ctx();
         let links = [NodeId(10), NodeId(11), NodeId(12)];
         for l in links {
             feed(&mut broker, &mut ctx, l, Message::LinkHello { from: l, realm: RealmId(0) });
         }
-        let sent_to = |ctx: &mut Recorder, kind: &str| -> Vec<NodeId> {
+        let sent_to = |ctx: &mut ScriptCtx, kind: &str| -> Vec<NodeId> {
             let sent = std::mem::take(&mut ctx.sent);
-            sent.into_iter().filter(|(_, m)| m.kind() == kind).map(|(to, _)| to).collect()
+            streamed(&sent).filter(|(_, m)| m.kind() == kind).map(|(to, _)| to).collect()
         };
         ctx.sent.clear();
         for topic in [&DISCOVERY_REQUEST, &BDN_ADVERTISEMENT] {
@@ -866,7 +830,7 @@ mod tests {
         // with no parent and asks nothing; the next, with the parent
         // known, prunes link 12. An advertisement is never pruned.
         let bdn = NodeId(50);
-        let event = |topic: &nb_wire::topic::WellKnownTopic, ctx: &mut Recorder| {
+        let event = |topic: &nb_wire::topic::WellKnownTopic, ctx: &mut ScriptCtx| {
             let id = Uuid::random(&mut ctx.rng);
             Message::Publish(Event { id, topic: topic.topic(), source: bdn, payload: Bytes::new() })
         };
@@ -887,6 +851,29 @@ mod tests {
             feed(&mut broker, &mut ctx, NodeId(11), publish);
             assert_eq!(sent_to(&mut ctx, "publish"), to, "{}", topic.topic());
         }
+    }
+
+    /// A broker with v2 on sends to a peer that announced v2 in the v2
+    /// form and to one that did not in v1; its handshake replies are v1
+    /// to both, since the link negotiates on them.
+    #[test]
+    fn a_negotiated_v2_link_is_sent_to_in_the_v2_form() {
+        let mut broker = Broker::new(BrokerConfig { wire_v2: true, ..BrokerConfig::default() });
+        let mut ctx = new_ctx();
+        let (v2, v1) = (NodeId(10), NodeId(11));
+        for (peer, flags) in [(v2, FLAG_V2_CAPABLE), (v1, 0)] {
+            let hello = WireMsg::new(Message::LinkHello { from: peer, realm: RealmId(0) }).with_flags(flags);
+            let from = Endpoint::new(peer, well_known::BROKER);
+            broker.handle(Incoming::Stream { from, to_port: well_known::BROKER, msg: hello }, &mut ctx);
+        }
+        let (client, filter) = (NodeId(100), TopicFilter::parse("feed/**").unwrap());
+        feed(&mut broker, &mut ctx, client, Message::ClientConnect { client, reply_port: well_known::BROKER });
+        feed(&mut broker, &mut ctx, client, Message::ClientSubscribe { filter });
+        let sent = |kind: &str| -> Vec<(NodeId, Via)> {
+            ctx.sent.iter().filter(|s| s.msg.kind() == kind).map(|s| (s.to.node, s.via)).collect()
+        };
+        assert_eq!(sent("link-accept"), [(v2, Via::Stream), (v1, Via::Stream)], "the handshake is v1");
+        assert_eq!(sent("subscribe"), [(v2, Via::StreamV2), (v1, Via::Stream)], "each link in its own form");
     }
 
     #[test]
@@ -1114,8 +1101,8 @@ mod tests {
         }
 
         /// The advertisements among what `ctx` recorded.
-        fn adverts(ctx: &Recorder) -> Vec<Advert> {
-            ctx.sent.iter().filter_map(|(to, msg)| advert(*to, msg)).collect()
+        fn adverts(ctx: &ScriptCtx) -> Vec<Advert> {
+            streamed(&ctx.sent).filter_map(|(to, msg)| advert(to, msg)).collect()
         }
 
         #[derive(Debug, Clone)]
@@ -1169,7 +1156,7 @@ mod tests {
             let filters: Vec<TopicFilter> = names.iter().map(|s| TopicFilter::parse(s).unwrap()).collect();
             let (b, a, c) = (NodeId(10), NodeId(11), NodeId(100));
             let mut broker = Broker::new(broker_cfg(vec![]));
-            let mut ctx = Recorder::new();
+            let mut ctx = new_ctx();
             let mut feed = |from: NodeId, msg: Message| feed(&mut broker, &mut ctx, from, msg);
             feed(b, Message::LinkHello { from: b, realm: RealmId(0) });
             feed(c, Message::ClientConnect { client: c, reply_port: well_known::BROKER });
@@ -1218,9 +1205,9 @@ mod tests {
                 let hello = |l: u8| Message::LinkHello { from: link(l), realm: RealmId(0) };
                 let connect = |c: u8| Message::ClientConnect { client: client(c), reply_port: well_known::BROKER };
                 let mut broker = Broker::new(broker_cfg(vec![]));
-                let mut ctx = Recorder::new();
+                let mut ctx = new_ctx();
                 let mut reference = Reference::default();
-                let mut step = |from: NodeId, msg: Message, broker: &mut Broker, ctx: &mut Recorder| {
+                let mut step = |from: NodeId, msg: Message, broker: &mut Broker, ctx: &mut ScriptCtx| {
                     reference.handle(from, &msg);
                     feed(broker, ctx, from, msg);
                     reference.interest.keys().cloned().collect::<Vec<_>>() == broker.interest_filters()

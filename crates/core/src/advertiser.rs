@@ -142,12 +142,15 @@ impl Advertiser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_ctx::TestCtx;
     use nb_broker::BrokerConfig;
+    use nb_net::{ScriptCtx, Via};
     use nb_wire::RealmId;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    fn new_ctx() -> TestCtx {
-        TestCtx::new(NodeId(7), RealmId(3), nb_net::SimTime::from_micros(42), 2)
+    fn new_ctx() -> ScriptCtx {
+        let (me, realm, now) = (NodeId(7), RealmId(3), nb_net::SimTime::from_micros(42));
+        ScriptCtx { me, realm, now, rng: StdRng::seed_from_u64(2), ..ScriptCtx::default() }
     }
 
     #[test]
@@ -158,9 +161,9 @@ mod tests {
         adv.on_start(&mut broker, &mut ctx);
         assert_eq!(adv.ads_sent, 3, "two BDNs and the topic");
         assert_eq!(ctx.sent.len(), 2, "no link or client asked for the topic");
-        for (_, to, msg) in &ctx.sent {
-            assert_eq!(to.port, well_known::BDN);
-            let Message::Advertisement(ad) = msg else { panic!("expected ad") };
+        for sent in &ctx.sent {
+            assert_eq!((sent.to.port, sent.via), (well_known::BDN, Via::Datagram));
+            let Message::Advertisement(ad) = sent.msg.message() else { panic!("expected ad") };
             assert_eq!(ad.broker, NodeId(7));
             assert_eq!(ad.realm, RealmId(3));
             assert_eq!(ad.issued_at_utc, 42);
@@ -177,7 +180,7 @@ mod tests {
             adv.handle(&Incoming::Timer { token: TIMER_READVERTISE }, &mut broker, &mut ctx);
         assert!(consumed);
         assert_eq!(adv.ads_sent, 2);
-        assert_eq!(ctx.tokens(), vec![TIMER_READVERTISE]);
+        assert_eq!(ctx.timers, vec![(Duration::from_secs(120), TIMER_READVERTISE)]);
         // unrelated timers untouched
         assert!(!adv.handle(&Incoming::Timer { token: 5 }, &mut broker, &mut ctx));
     }

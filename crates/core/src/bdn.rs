@@ -626,15 +626,16 @@ impl Actor for Bdn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_ctx::TestCtx;
+    use nb_net::{ScriptCtx, Via};
     use nb_wire::{DiscoveryRequest, LeaseRecord, Port, RealmId, TombstoneRecord};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
-    fn new_ctx() -> TestCtx {
-        TestCtx::new(NodeId(200), RealmId(1), SimTime::from_secs(100), 3)
+    fn new_ctx() -> ScriptCtx {
+        let (me, realm, now) = (NodeId(200), RealmId(1), SimTime::from_secs(100));
+        ScriptCtx { me, realm, now, rng: StdRng::seed_from_u64(3), ..ScriptCtx::default() }
     }
 
     fn fed_bdn() -> Bdn {
@@ -713,12 +714,8 @@ mod tests {
         let mut ctx = new_ctx();
         bdn.register_ad(ad_for(6, 10), &mut ctx);
         bdn.on_discovery_request(&discovery_request(ctx.now.as_micros()), &mut ctx);
-        let injected: Vec<NodeId> = ctx
-            .sent
-            .iter()
-            .filter(|(_, _, m)| matches!(m, Message::Publish(_)))
-            .map(|(_, to, _)| to.node)
-            .collect();
+        let publishes = ctx.sent.iter().filter(|s| matches!(s.msg.message(), Message::Publish(_)));
+        let injected: Vec<NodeId> = publishes.map(|s| s.to.node).collect();
         assert_eq!(injected, vec![NodeId(6)], "only the leased broker is a target");
         assert_eq!(bdn.stale_targets_skipped, 1);
     }
@@ -741,11 +738,12 @@ mod tests {
         while ctx.armed.remove(&TIMER_INJECT) {
             bdn.on_incoming(Incoming::Timer { token: TIMER_INJECT }, &mut ctx);
         }
-        let sent = |kind: &str| -> Vec<NodeId> {
-            ctx.sent.iter().filter(|(_, _, m)| m.kind() == kind).map(|(_, to, _)| to.node).collect()
+        let sent = |kind: &str| -> Vec<(NodeId, Via)> {
+            ctx.sent.iter().filter(|s| s.msg.kind() == kind).map(|s| (s.to.node, s.via)).collect()
         };
-        assert_eq!(sent("discovery-ack"), [NodeId(50); 2], "every copy is acked");
-        assert_eq!(sent("publish"), [NodeId(5), NodeId(6)], "one injection per live target");
+        assert_eq!(sent("discovery-ack"), [(NodeId(50), Via::Datagram); 2], "every copy is acked by datagram");
+        let injections = [(NodeId(5), Via::Stream), (NodeId(6), Via::Stream)];
+        assert_eq!(sent("publish"), injections, "one injection per live target, on a stream");
         assert_eq!((bdn.requests_handled, bdn.duplicate_requests), (1, 1));
     }
 
@@ -791,7 +789,7 @@ mod tests {
         let rec = LeaseRecord { ad: ad_for(5, 10), expires_at_us: now_us + 1_000_000 };
         a.on_federation_sync(push_sync(vec![rec.clone()], vec![]), NodeId(201), &mut ctx);
         // `a` replied to the push with its merged snapshot; feed it to `b`.
-        let Some((_, _, Message::FederationSync(reply))) = ctx.sent.pop() else {
+        let Some(Message::FederationSync(reply)) = ctx.sent.pop().map(|s| s.msg.message().clone()) else {
             panic!("push reply expected");
         };
         assert_eq!(reply.phase, SyncPhase::PushReply);
@@ -825,7 +823,7 @@ mod tests {
         let nonces: Vec<u64> = ctx
             .sent
             .iter()
-            .filter_map(|(_, _, m)| match m {
+            .filter_map(|s| match s.msg.message() {
                 Message::Ping { nonce, .. } => Some(*nonce),
                 _ => None,
             })

@@ -764,12 +764,19 @@ mod tests {
 #[cfg(test)]
 mod state_machine_tests {
     use super::*;
-    use crate::test_ctx::TestCtx;
+    use nb_net::{ScriptCtx, Sent, Via};
     use nb_wire::message::TransportEndpoint;
     use nb_wire::{RealmId, UsageMetrics};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    fn new_ctx() -> TestCtx {
-        TestCtx::new(NodeId(9), RealmId(0), SimTime::ZERO, 1)
+    fn new_ctx() -> ScriptCtx {
+        ScriptCtx { me: NodeId(9), rng: StdRng::seed_from_u64(1), ..ScriptCtx::default() }
+    }
+
+    /// The kind of the last message sent.
+    fn last_kind(ctx: &ScriptCtx) -> Option<&'static str> {
+        ctx.sent.last().map(|s| s.msg.kind())
     }
 
     fn response_from(broker: u32, request_id: Uuid, utc: u64) -> Message {
@@ -820,7 +827,7 @@ mod state_machine_tests {
         let mut c = client_with(2);
         c.begin(&mut ctx);
         assert_eq!(c.phase(), Phase::AwaitingAck);
-        assert_eq!(ctx.last_kind(), "discovery-request");
+        assert_eq!(last_kind(&ctx), Some("discovery-request"));
         let rid = c.request_id().unwrap();
 
         // A response lands before any ack: implicit transition into
@@ -834,7 +841,7 @@ mod state_machine_tests {
         c.on_incoming(datagram(response_from(2, rid, 30_000)), &mut ctx);
         assert_eq!(c.phase(), Phase::Pinging);
         let pings: Vec<&Message> =
-            ctx.sent.iter().map(|(_, _, m)| m).filter(|m| m.kind() == "ping").collect();
+            ctx.sent.iter().map(|s| s.msg.message()).filter(|m| m.kind() == "ping").collect();
         assert_eq!(pings.len(), 2, "one ping per target");
 
         // Pongs for both targets: broker 1 answers faster.
@@ -854,7 +861,7 @@ mod state_machine_tests {
             &mut ctx,
         );
         assert_eq!(c.phase(), Phase::Connecting);
-        assert_eq!(ctx.last_kind(), "client-connect");
+        assert_eq!(last_kind(&ctx), Some("client-connect"));
 
         // The winner (broker 1, lower RTT) accepts.
         ctx.now = SimTime::from_millis(80);
@@ -876,7 +883,7 @@ mod state_machine_tests {
 
     /// Begins a run, answers it from brokers 1 and 2 and returns the
     /// nonces of the pings that sent.
-    fn run_to_pinging(c: &mut DiscoveryClient, ctx: &mut TestCtx) -> Vec<u64> {
+    fn run_to_pinging(c: &mut DiscoveryClient, ctx: &mut ScriptCtx) -> Vec<u64> {
         c.begin(ctx);
         let rid = c.request_id().unwrap();
         let sent_before = ctx.sent.len();
@@ -885,7 +892,7 @@ mod state_machine_tests {
         assert_eq!(c.phase(), Phase::Pinging);
         ctx.sent[sent_before..]
             .iter()
-            .filter_map(|(_, _, m)| match m {
+            .filter_map(|s| match s.msg.message() {
                 Message::Ping { nonce, .. } => Some(*nonce),
                 _ => None,
             })
@@ -959,12 +966,7 @@ mod state_machine_tests {
         ctx.now = SimTime::from_millis(40);
         c.on_incoming(datagram(response_from(2, rid, 30_000)), &mut ctx);
         assert_eq!(c.phase(), Phase::Pinging);
-        let mut pinged: Vec<NodeId> = ctx
-            .sent
-            .iter()
-            .filter(|(_, _, m)| m.kind() == "ping")
-            .map(|(_, to, _)| to.node)
-            .collect();
+        let mut pinged: Vec<NodeId> = ctx.sent.iter().filter(|s| s.msg.kind() == "ping").map(|s| s.to.node).collect();
         pinged.sort_unstable();
         assert_eq!(pinged, vec![NodeId(1), NodeId(2)], "both brokers are in the target set");
     }
@@ -986,8 +988,9 @@ mod state_machine_tests {
         c.begin(&mut ctx);
         assert_eq!(c.phase(), Phase::Collecting);
         assert!(c.used_multicast);
-        let (_, to, m) = ctx.sent.last().unwrap();
-        assert_eq!((to.node, m.kind()), (NodeId(u32::MAX), "discovery-request"), "multicast");
+        let last = ctx.sent.last().unwrap();
+        let multicast = (well_known::MULTICAST_DISCOVERY, Via::Multicast(DISCOVERY_GROUP), "discovery-request");
+        assert_eq!((last.to.port, last.via, last.msg.kind()), multicast, "multicast");
         // The window timer is armed.
         assert!(ctx.timers.iter().any(|(_, t)| *t == TIMER_WINDOW));
     }
@@ -1017,12 +1020,8 @@ mod state_machine_tests {
         }
         // Requests alternate across the BDN list instead of exhausting
         // one BDN first.
-        let reqs: Vec<NodeId> = ctx
-            .sent
-            .iter()
-            .filter(|(_, to, m)| m.kind() == "discovery-request" && to.node != NodeId(u32::MAX))
-            .map(|(_, to, _)| to.node)
-            .collect();
+        let unicast = |s: &&Sent| s.msg.kind() == "discovery-request" && !matches!(s.via, Via::Multicast(_));
+        let reqs: Vec<NodeId> = ctx.sent.iter().filter(unicast).map(|s| s.to.node).collect();
         assert_eq!(reqs, vec![NodeId(100), NodeId(200), NodeId(100), NodeId(200)]);
         // Ack timers follow the capped exponential schedule.
         let acks: Vec<Duration> =
@@ -1064,13 +1063,10 @@ mod state_machine_tests {
             c.on_incoming(Incoming::Timer { token: TIMER_ACK }, &mut ctx);
         }
         assert_eq!(ctx.rng, rng_after_begin, "retries draw nothing from the client's RNG");
-        let reqs: Vec<NodeId> = ctx
-            .sent
-            .iter()
-            .filter(|(_, _, m)| m.kind() == "discovery-request")
-            .map(|(_, to, _)| to.node)
-            .collect();
-        assert_eq!(reqs, [100, 200, 100, 200, 100, 200].map(NodeId));
+        let requests = ctx.sent.iter().filter(|s| s.msg.kind() == "discovery-request");
+        let reqs: Vec<(Endpoint, Via)> = requests.map(|s| (s.to, s.via)).collect();
+        let bdn = |n| (Endpoint::new(NodeId(n), well_known::BDN), Via::Datagram);
+        assert_eq!(reqs, [100, 200, 100, 200, 100, 200].map(bdn), "each BDN is asked by datagram");
         let acks: Vec<Duration> =
             ctx.timers.iter().filter(|(_, t)| *t == TIMER_ACK).map(|(d, _)| *d).collect();
         assert_eq!(acks, vec![ack_timeout; 6], "every wait is exactly ack_timeout");
@@ -1081,8 +1077,9 @@ mod state_machine_tests {
         c.on_incoming(Incoming::Timer { token: TIMER_ACK }, &mut ctx);
         assert!(c.used_multicast);
         assert_eq!(c.phase(), Phase::Collecting);
-        let (_, to, m) = ctx.sent.last().unwrap();
-        assert_eq!((to.node, m.kind()), (NodeId(u32::MAX), "discovery-request"));
+        let last = ctx.sent.last().unwrap();
+        let multicast = (well_known::MULTICAST_DISCOVERY, Via::Multicast(DISCOVERY_GROUP), "discovery-request");
+        assert_eq!((last.to.port, last.via, last.msg.kind()), multicast, "then the fallback multicasts");
         assert_eq!(c.outcome(), None);
         assert_eq!(c.times.issue, ack_timeout * 6);
     }
@@ -1121,8 +1118,8 @@ mod state_machine_tests {
         c.on_incoming(Incoming::Timer { token: TIMER_ACK }, &mut ctx);
         assert_eq!(c.phase(), Phase::Pinging);
         assert!(!c.used_multicast);
-        assert!(ctx.sent.iter().all(|(_, to, _)| to.node != NodeId(u32::MAX)), "no multicast sent");
-        assert!(ctx.sent.iter().any(|(_, to, m)| m.kind() == "ping" && to.node == NodeId(7)));
+        assert!(ctx.sent.iter().all(|s| !matches!(s.via, Via::Multicast(_))), "no multicast sent");
+        assert!(ctx.sent.iter().any(|s| s.msg.kind() == "ping" && s.to.node == NodeId(7)));
     }
 
     #[test]

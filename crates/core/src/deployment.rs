@@ -12,7 +12,7 @@ use std::panic::{self, AssertUnwindSafe};
 
 use nb_net::topogen::WanTopology;
 use nb_net::wan::{SiteIdx, WanModel};
-use nb_net::{Actor, ClockProfile, DiscoveryEngine, LinkSpec, RespawnFn, ShardedSim, Sim};
+use nb_net::{Actor, ClockProfile, DiscoveryEngine, LinkSpec, RespawnFn, ShardedSim, Sim, Trace};
 use nb_wire::{NodeId, RealmId};
 
 /// One node of a [`Deployment`].
@@ -64,6 +64,16 @@ impl Deployment {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(DeploymentNode { name, realm, make: Box::new(make), restartable });
         id
+    }
+
+    /// The deployment with every actor its factories make, respawns
+    /// included, recording into `trace`.
+    pub fn traced(self, trace: &Trace) -> Deployment {
+        let wrap = |mut node: DeploymentNode| {
+            let trace = trace.clone();
+            DeploymentNode { make: Box::new(move || trace.wrap((node.make)())), ..node }
+        };
+        Deployment { nodes: self.nodes.into_iter().map(wrap).collect(), ..self }
     }
 
     /// Builds the deployment on the fresh engine `engine(seed, clock)`

@@ -79,104 +79,3 @@ pub use responder::Responder;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use selection::{estimate_delay_us, shortlist, weigh, Candidate};
 
-/// The recording [`nb_net::Context`] every unit test in this crate drives
-/// its actor against. Each test module builds it with its own node,
-/// realm, clock and RNG seed; the clock (UTC reads the same one) moves
-/// only when a test sets `now`.
-#[cfg(test)]
-pub(crate) mod test_ctx {
-    use std::collections::BTreeSet;
-    use std::time::Duration;
-
-    use nb_net::{Context, SimTime};
-    use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId};
-    use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
-
-    pub(crate) struct TestCtx {
-        me: NodeId,
-        realm: RealmId,
-        pub now: SimTime,
-        /// Every send in order; a multicast is logged to node `u32::MAX`
-        /// at its target port.
-        pub sent: Vec<(Port, Endpoint, Message)>,
-        /// Every armed timer `(delay, token)` in order.
-        pub timers: Vec<(Duration, u64)>,
-        /// The tokens armed and not cancelled since. Arming an armed
-        /// token supersedes it, as the engines' timer slots do; a test
-        /// that fires a timer itself does not take it out.
-        pub armed: BTreeSet<u64>,
-        pub joined: Vec<GroupId>,
-        pub rng: StdRng,
-    }
-
-    impl TestCtx {
-        pub fn new(me: NodeId, realm: RealmId, now: SimTime, seed: u64) -> TestCtx {
-            TestCtx {
-                me,
-                realm,
-                now,
-                sent: Vec::new(),
-                timers: Vec::new(),
-                armed: BTreeSet::new(),
-                joined: Vec::new(),
-                rng: StdRng::seed_from_u64(seed),
-            }
-        }
-
-        /// The armed timer tokens, in arming order.
-        pub fn tokens(&self) -> Vec<u64> {
-            self.timers.iter().map(|&(_, token)| token).collect()
-        }
-
-        /// The kind of the last message sent, `"-"` before any.
-        pub fn last_kind(&self) -> &'static str {
-            self.sent.last().map(|(_, _, m)| m.kind()).unwrap_or("-")
-        }
-    }
-
-    impl Context for TestCtx {
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn realm(&self) -> RealmId {
-            self.realm
-        }
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn utc_micros(&self) -> u64 {
-            self.now.as_micros()
-        }
-        fn clock_synced(&self) -> bool {
-            true
-        }
-        fn raw_local_micros(&self) -> u64 {
-            self.now.as_micros()
-        }
-        fn set_clock_estimate_ns(&mut self, _est: i64) {}
-        fn send_udp(&mut self, from: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((from, to, msg.clone()));
-        }
-        fn send_stream(&mut self, from: Port, to: Endpoint, msg: &Message) {
-            self.sent.push((from, to, msg.clone()));
-        }
-        fn send_multicast(&mut self, from: Port, _group: GroupId, to_port: Port, msg: &Message) {
-            self.sent.push((from, Endpoint::new(NodeId(u32::MAX), to_port), msg.clone()));
-        }
-        fn join_group(&mut self, group: GroupId) {
-            self.joined.push(group);
-        }
-        fn leave_group(&mut self, _group: GroupId) {}
-        fn set_timer(&mut self, delay: Duration, token: u64) {
-            self.timers.push((delay, token));
-            self.armed.insert(token);
-        }
-        fn cancel_timer(&mut self, token: u64) {
-            self.armed.remove(&token);
-        }
-        fn rng(&mut self) -> &mut dyn RngCore {
-            &mut self.rng
-        }
-    }
-}

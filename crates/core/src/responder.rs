@@ -189,30 +189,37 @@ impl Responder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_ctx::TestCtx;
     use crate::DiscoveryBrokerActor;
     use nb_broker::BrokerConfig;
-    use nb_net::Actor;
+    use nb_net::{Actor, ScriptCtx, Via};
     use nb_util::Uuid;
     use nb_wire::{Credential, DiscoveryRequest, Event, NodeId, Port, RealmId};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     // Unit-level tests drive the responder against a scripted context;
     // end-to-end behaviour is covered in the scenario tests.
-    fn new_ctx() -> TestCtx {
-        TestCtx::new(NodeId(5), RealmId(2), nb_net::SimTime::from_micros(123_456_789), 1)
+    fn new_ctx() -> ScriptCtx {
+        let (me, realm, now) = (NodeId(5), RealmId(2), nb_net::SimTime::from_micros(123_456_789));
+        ScriptCtx { me, realm, now, rng: StdRng::seed_from_u64(1), ..ScriptCtx::default() }
+    }
+
+    /// The token of every timer armed so far, in arming order.
+    fn tokens(ctx: &ScriptCtx) -> Vec<u64> {
+        ctx.timers.iter().map(|&(_, token)| token).collect()
     }
 
     /// Fires every response timer armed so far, in arming order, and
     /// forgets them.
-    fn fire_all(r: &mut Responder, broker: &mut Broker, ctx: &mut TestCtx) {
-        for token in ctx.tokens() {
+    fn fire_all(r: &mut Responder, broker: &mut Broker, ctx: &mut ScriptCtx) {
+        for token in tokens(ctx) {
             assert!(r.handle(&Incoming::Timer { token }, broker, ctx));
         }
         ctx.timers.clear();
     }
 
     /// Answers `req` as if the broker had surfaced it.
-    fn ask(r: &mut Responder, req: &DiscoveryRequest, broker: &mut Broker, ctx: &mut TestCtx) {
+    fn ask(r: &mut Responder, req: &DiscoveryRequest, broker: &mut Broker, ctx: &mut ScriptCtx) {
         r.answer(DiscoveryRequestView::of(req), broker, ctx);
     }
 
@@ -239,8 +246,8 @@ mod tests {
     }
 
     /// Fires every response timer the actor armed so far.
-    fn fire_actor(actor: &mut DiscoveryBrokerActor, ctx: &mut TestCtx) {
-        for token in ctx.tokens() {
+    fn fire_actor(actor: &mut DiscoveryBrokerActor, ctx: &mut ScriptCtx) {
+        for token in tokens(ctx) {
             actor.on_incoming(Incoming::Timer { token }, ctx);
         }
         ctx.timers.clear();
@@ -271,7 +278,8 @@ mod tests {
         assert_eq!(r.responses_sent, 2);
         assert_eq!(broker.duplicates_suppressed, 1, "the broker's cache held request 1");
         assert_eq!(ctx.sent.len(), 2);
-        let Message::Response(resp) = &ctx.sent[0].2 else {
+        assert!(ctx.sent.iter().all(|s| s.via == Via::Datagram), "§5.2: a response is a datagram");
+        let Message::Response(resp) = ctx.sent[0].msg.message() else {
             panic!("expected response");
         };
         assert_eq!(resp.request_id, Uuid::from_u128(1));
@@ -317,10 +325,11 @@ mod tests {
         );
         assert!(consumed);
         assert_eq!(r.pings_answered, 1);
-        let Message::Pong { nonce, echoed_sent_at, responder } = &ctx.sent[0].2 else {
+        let Message::Pong { nonce, echoed_sent_at, responder } = ctx.sent[0].msg.message() else {
             panic!("expected pong");
         };
         assert_eq!((*nonce, *echoed_sent_at, *responder), (44, 9_000, NodeId(5)));
+        assert_eq!(ctx.sent[0].via, Via::Datagram, "a pong is a datagram");
     }
 
     #[test]
@@ -329,7 +338,7 @@ mod tests {
         let mut broker = Broker::new(BrokerConfig::default());
         let mut ctx = new_ctx();
         r.on_start(&mut ctx);
-        assert_eq!(ctx.joined, vec![DISCOVERY_GROUP]);
+        assert_eq!(ctx.groups, vec![DISCOVERY_GROUP]);
         assert!(r.handle(&multicast(&request(3)), &mut broker, &mut ctx));
         fire_all(&mut r, &mut broker, &mut ctx);
         assert_eq!(r.responses_sent, 1);
@@ -365,11 +374,11 @@ mod tests {
         assert_eq!(r.responses_sent, 0, "nothing on the wire yet");
         assert!(ctx.sent.is_empty());
         assert_eq!(ctx.timers.len(), 1);
-        let token = ctx.tokens()[0];
+        let token = tokens(&ctx)[0];
         let consumed = r.handle(&Incoming::Timer { token }, &mut broker, &mut ctx);
         assert!(consumed);
         assert_eq!(r.responses_sent, 1);
-        assert!(matches!(ctx.sent[0].2, Message::Response(_)));
+        assert!(matches!(ctx.sent[0].msg.message(), Message::Response(_)));
         // A stale/duplicate firing is consumed but sends nothing more.
         assert!(r.handle(&Incoming::Timer { token }, &mut broker, &mut ctx));
         assert_eq!(r.responses_sent, 1);
@@ -394,8 +403,8 @@ mod tests {
         assert!(ctx.timers.iter().all(|(delay, _)| service.contains(delay)), "40 ms plus up to half again");
         // Fisher-Yates over the armed tokens; each also fires a second
         // time somewhere later in the order, as a stale duplicate.
-        let mut order = ctx.tokens();
-        order.extend(ctx.tokens());
+        let mut order = tokens(&ctx);
+        order.extend(tokens(&ctx));
         for i in (1..order.len()).rev() {
             let j = ctx.rng.gen_range(0..=i);
             order.swap(i, j);
@@ -408,8 +417,8 @@ mod tests {
         let mut answered: Vec<(NodeId, Uuid)> = ctx
             .sent
             .iter()
-            .map(|(_, to, msg)| match msg {
-                Message::Response(resp) => (to.node, resp.request_id),
+            .map(|s| match s.msg.message() {
+                Message::Response(resp) => (s.to.node, resp.request_id),
                 other => panic!("expected a response, got {}", other.kind()),
             })
             .collect();
@@ -432,10 +441,10 @@ mod tests {
         r.on_start(&mut ctx);
         assert!(r.pending.is_empty());
         ask(&mut r, &request(4), &mut broker, &mut ctx);
-        let fresh = ctx.tokens()[3];
-        assert!(!ctx.tokens()[..3].contains(&fresh), "tokens are never reused");
+        let fresh = tokens(&ctx)[3];
+        assert!(!tokens(&ctx)[..3].contains(&fresh), "tokens are never reused");
         // A pre-crash token (which the engine would never deliver) finds nothing.
-        assert!(r.handle(&Incoming::Timer { token: ctx.tokens()[0] }, &mut broker, &mut ctx));
+        assert!(r.handle(&Incoming::Timer { token: tokens(&ctx)[0] }, &mut broker, &mut ctx));
         assert_eq!(r.responses_sent, 0);
         assert!(r.handle(&Incoming::Timer { token: fresh }, &mut broker, &mut ctx));
         assert_eq!(r.responses_sent, 1);
@@ -452,8 +461,8 @@ mod tests {
         actor.on_incoming(injected(&req), &mut ctx);
         fire_actor(&mut actor, &mut ctx);
         assert_eq!(actor.responder.responses_sent, 1, "the borrowed credential satisfied the policy");
-        assert_eq!(ctx.sent[0].1, req.reply_to);
-        let Message::Response(resp) = &ctx.sent[0].2 else {
+        assert_eq!((ctx.sent[0].to, ctx.sent[0].via), (req.reply_to, Via::Datagram));
+        let Message::Response(resp) = ctx.sent[0].msg.message() else {
             panic!("expected response");
         };
         assert_eq!(resp.request_id, req.request_id);
@@ -484,7 +493,7 @@ mod tests {
                 actor.on_incoming(copy, &mut ctx);
             }
             fire_actor(&mut actor, &mut ctx);
-            let responses: Vec<&Message> = ctx.sent.iter().map(|(_, _, m)| m).collect();
+            let responses: Vec<&Message> = ctx.sent.iter().map(|s| s.msg.message()).collect();
             assert!(matches!(responses[..], [Message::Response(_)]), "overlay first: {overlay_first}");
             assert_eq!(actor.responder.responses_sent, 1);
             assert_eq!(actor.broker.duplicates_suppressed, 2, "two copies stopped at the cache");

@@ -9,8 +9,9 @@
 //!   offsets (the paper's "every node is within 1–20 msecs" guarantee is a
 //!   *model parameter* here, not an assumption),
 //! * [`runtime`] — the [`Actor`]/[`Context`] abstraction all protocol
-//!   logic is written against, and the [`Trace`] that records what
-//!   wrapped actors are handed,
+//!   logic is written against, the [`Trace`] that records what wrapped
+//!   actors are handed, and the [`ScriptCtx`] actor unit tests drive
+//!   their actor through,
 //! * [`link`] — link latency/jitter/loss models, TCP-like ordering and
 //!   connection setup, realm-scoped multicast, and the one send path
 //!   over them,
@@ -43,7 +44,7 @@ pub use chaos::{ChaosProfile, ChaosTargets, Fault, FaultPlan, PacketFaults, Time
 pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
 pub use node::RespawnFn;
-pub use runtime::{Actor, Context, Incoming, Trace, TraceLog, TraceRecord};
+pub use runtime::{Actor, Context, Incoming, ScriptCtx, Sent, Trace, TraceLog, TraceRecord, Via};
 pub use shard::{DiscoveryEngine, ShardedSim};
 pub use sim::{NetStats, Sim, WireV2Config};
 pub use time::SimTime;

@@ -622,8 +622,6 @@ pub(crate) struct Arrival {
     pub(crate) at: SimTime,
     /// The duplication fault's extra copy (datagrams only).
     pub(crate) duplicate_at: Option<SimTime>,
-    /// The bytes the wire was charged for.
-    pub(crate) len: usize,
 }
 
 /// The two things a send touches besides the model and the counters:
@@ -740,7 +738,7 @@ impl Transport {
                 duplicate_at = Some(at + extra_delay(&mut self.rng));
             }
         }
-        Some(Arrival { at, duplicate_at, len })
+        Some(Arrival { at, duplicate_at })
     }
 
     /// Sends a message on the reliable stream `from -> to` at `now`;
@@ -767,12 +765,11 @@ impl Transport {
             return None;
         };
         let lat = spec.sample_latency(&mut self.rng);
-        let mut sent = 0;
         let at = self.conns.stream_arrival(from, to, now, lat, |conn| {
-            sent = len(conn);
+            let sent = len(conn);
             conn.serialize(now, sent, &spec)
         });
-        Some(Arrival { at, duplicate_at: None, len: sent })
+        Some(Arrival { at, duplicate_at: None })
     }
 }
 

@@ -152,7 +152,8 @@ impl Node {
 /// An event addressed to a node.
 #[derive(Debug)]
 pub(crate) enum NodeEvent {
-    Deliver { to: NodeId, from: Endpoint, to_port: Port, msg: WireMsg, len: usize, stream: bool },
+    /// One message arriving; its `body_len()` is the wire charge.
+    Deliver { to: NodeId, from: Endpoint, to_port: Port, msg: WireMsg, stream: bool },
     /// One v2 segment arriving on a stream link, decoded on delivery.
     /// Its length is the wire charge, so it is not stored.
     Segment { to: NodeId, from: Endpoint, to_port: Port, seg: Bytes },
@@ -287,11 +288,11 @@ impl<S: Scheduler> NodeCtx<'_, S> {
             }
             NodeEvent::Inject { incoming, .. } => self.dispatch(incoming),
             NodeEvent::Fault { fault } => self.apply_fault(fault),
-            NodeEvent::Deliver { from, to_port, msg, len, stream, .. } => {
+            NodeEvent::Deliver { from, to_port, msg, stream, .. } => {
                 if !self.admits_delivery() {
                     return;
                 }
-                self.stats.bytes_delivered += len as u64;
+                self.stats.bytes_delivered += msg.body_len() as u64;
                 self.stats.count_delivery(msg.message(), stream);
                 self.dispatch(if stream {
                     Incoming::Stream { from, to_port, msg }
@@ -398,18 +399,10 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         self.sched.schedule(self.now, NodeEvent::Start { node: self.node.id });
     }
 
-    /// Schedules one delivery of `msg`, `len` bytes on the wire, at `at`.
-    fn deliver(
-        &mut self,
-        at: SimTime,
-        len: usize,
-        from: Endpoint,
-        to: Endpoint,
-        msg: &WireMsg,
-        stream: bool,
-    ) {
+    /// Schedules one delivery of `msg` at `at`.
+    fn deliver(&mut self, at: SimTime, from: Endpoint, to: Endpoint, msg: &WireMsg, stream: bool) {
         let (to_port, msg) = (to.port, msg.clone());
-        self.sched.schedule(at, NodeEvent::Deliver { to: to.node, from, to_port, msg, len, stream });
+        self.sched.schedule(at, NodeEvent::Deliver { to: to.node, from, to_port, msg, stream });
     }
 
     /// Sends one datagram.
@@ -417,9 +410,9 @@ impl<S: Scheduler> NodeCtx<'_, S> {
         let (net, faults, now) = (&self.net, self.faults, self.now);
         let sent = self.link.send_datagram(self.stats, net, faults, now, (from.node, to.node), || msg.body_len());
         if let Some(sent) = sent {
-            self.deliver(sent.at, sent.len, from, to, msg, false);
+            self.deliver(sent.at, from, to, msg, false);
             if let Some(at) = sent.duplicate_at {
-                self.deliver(at, sent.len, from, to, msg, false);
+                self.deliver(at, from, to, msg, false);
             }
         }
     }
@@ -470,7 +463,7 @@ impl<S: Scheduler> Context for NodeCtx<'_, S> {
     fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         let from = Endpoint::new(self.node.id, from_port);
         if let Some(sent) = self.link.send_stream(self.stats, &self.net, self.now, from, to, |_| msg.body_len()) {
-            self.deliver(sent.at, sent.len, from, to, msg, true);
+            self.deliver(sent.at, from, to, msg, true);
         }
     }
 

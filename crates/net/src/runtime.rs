@@ -7,14 +7,17 @@
 //! same actor code runs unmodified under the single-queue scheduler
 //! ([`crate::sim::Sim`]) and the sharded one
 //! ([`crate::shard::ShardedSim`]). A [`Trace`] wraps actors to record
-//! what each is handed, on either engine.
+//! what each is handed, on either engine; a [`ScriptCtx`] is the context
+//! an actor's unit tests drive it through by hand.
 
 use std::any::Any;
+use std::collections::BTreeSet;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
 use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId, WireMsg};
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::time::SimTime;
 
@@ -92,8 +95,8 @@ pub trait Context {
     /// Sends an already-wrapped [`WireMsg`] as a datagram. Fan-out paths
     /// use this so the frame is encoded once and every send clones the
     /// handle. The default delegates to [`Context::send_udp`] (decoded
-    /// message, legacy encode) so test doubles keep working unmodified;
-    /// the engines override it with a zero-copy path.
+    /// message, legacy encode); it exists for the `benchmark/` crate's
+    /// `NullCtx`, which implements only the decoded forms.
     fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         self.send_udp(from_port, to, msg.message());
     }
@@ -108,8 +111,7 @@ pub trait Context {
     /// per link) and sent at once as a one-frame segment, on either
     /// engine. Callers use this only for peers that announced v2
     /// capability on their link handshake. The default falls back to the
-    /// per-message v1 stream path, so test doubles without v2 support
-    /// keep working unmodified.
+    /// per-message v1 stream path, for the same `NullCtx`.
     fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
         self.send_stream_wire(from_port, to, msg);
     }
@@ -173,6 +175,134 @@ pub struct IdleActor;
 impl Actor for IdleActor {
     fn on_incoming(&mut self, _event: Incoming, _ctx: &mut dyn Context) {}
     impl_actor_any!();
+}
+
+/// How a message left a [`ScriptCtx`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Via {
+    /// [`Context::send_udp`] or [`Context::send_udp_wire`].
+    Datagram,
+    /// [`Context::send_stream`] or [`Context::send_stream_wire`].
+    Stream,
+    /// [`Context::send_stream_v2`].
+    StreamV2,
+    /// [`Context::send_multicast`] to this group.
+    Multicast(GroupId),
+}
+
+/// One message an actor handed a [`ScriptCtx`] to send.
+#[derive(Debug, Clone)]
+pub struct Sent {
+    /// The local port it left from.
+    pub from_port: Port,
+    /// The receiver. A multicast has none: its `to` is its target port
+    /// on node `u32::MAX`, and its group is in `via`.
+    pub to: Endpoint,
+    /// How it left.
+    pub via: Via,
+    /// The message.
+    pub msg: WireMsg,
+}
+
+/// The [`Context`] an actor's unit tests drive it through by hand: it
+/// records every send with its form, every timer armed and every group
+/// joined, and moves its clock only when a test sets `now`. Build it
+/// with struct-update syntax over `ScriptCtx::default()` (node 0, realm
+/// 0, time zero, RNG seed 0).
+#[derive(Debug, Clone)]
+pub struct ScriptCtx {
+    /// This node.
+    pub me: NodeId,
+    /// This node's realm.
+    pub realm: RealmId,
+    /// The monotonic clock; the UTC estimate and the raw clock read it
+    /// too, and the clock counts as synced.
+    pub now: SimTime,
+    /// The node's randomness.
+    pub rng: StdRng,
+    /// Every send, in order.
+    pub sent: Vec<Sent>,
+    /// Every arming `(delay, token)`, in order.
+    pub timers: Vec<(Duration, u64)>,
+    /// The tokens armed and not cancelled since. Re-arming an armed
+    /// token supersedes it, as the engines' timer slots do. A test that
+    /// hands the actor a firing takes its token out itself.
+    pub armed: BTreeSet<u64>,
+    /// The groups joined, in the order joined, each as often as joined;
+    /// a leave takes its group out.
+    pub groups: Vec<GroupId>,
+}
+
+impl Default for ScriptCtx {
+    fn default() -> ScriptCtx {
+        ScriptCtx {
+            me: NodeId(0),
+            realm: RealmId(0),
+            now: SimTime::ZERO,
+            rng: StdRng::seed_from_u64(0),
+            sent: Vec::new(),
+            timers: Vec::new(),
+            armed: BTreeSet::new(),
+            groups: Vec::new(),
+        }
+    }
+}
+
+impl Context for ScriptCtx {
+    fn me(&self) -> NodeId {
+        self.me
+    }
+    fn realm(&self) -> RealmId {
+        self.realm
+    }
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn utc_micros(&self) -> u64 {
+        self.now.as_micros()
+    }
+    fn clock_synced(&self) -> bool {
+        true
+    }
+    fn raw_local_micros(&self) -> u64 {
+        self.now.as_micros()
+    }
+    fn set_clock_estimate_ns(&mut self, _est_offset_ns: i64) {}
+    fn send_udp(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
+        self.sent.push(Sent { from_port, to, via: Via::Datagram, msg: WireMsg::new(msg.clone()) });
+    }
+    fn send_stream(&mut self, from_port: Port, to: Endpoint, msg: &Message) {
+        self.sent.push(Sent { from_port, to, via: Via::Stream, msg: WireMsg::new(msg.clone()) });
+    }
+    fn send_udp_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        self.sent.push(Sent { from_port, to, via: Via::Datagram, msg: msg.clone() });
+    }
+    fn send_stream_wire(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        self.sent.push(Sent { from_port, to, via: Via::Stream, msg: msg.clone() });
+    }
+    fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
+        self.sent.push(Sent { from_port, to, via: Via::StreamV2, msg: msg.clone() });
+    }
+    fn send_multicast(&mut self, from_port: Port, group: GroupId, to_port: Port, msg: &Message) {
+        let (to, via) = (Endpoint::new(NodeId(u32::MAX), to_port), Via::Multicast(group));
+        self.sent.push(Sent { from_port, to, via, msg: WireMsg::new(msg.clone()) });
+    }
+    fn join_group(&mut self, group: GroupId) {
+        self.groups.push(group);
+    }
+    fn leave_group(&mut self, group: GroupId) {
+        self.groups.retain(|&g| g != group);
+    }
+    fn set_timer(&mut self, delay: Duration, token: u64) {
+        self.timers.push((delay, token));
+        self.armed.insert(token);
+    }
+    fn cancel_timer(&mut self, token: u64) {
+        self.armed.remove(&token);
+    }
+    fn rng(&mut self) -> &mut dyn RngCore {
+        &mut self.rng
+    }
 }
 
 /// One datagram or stream message handed to a traced actor.

@@ -268,12 +268,12 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
             mix(h, 5);
             *h = fnv1a64_step(*h, fault.to_string().as_bytes());
         }
-        NodeEvent::Deliver { from, to_port, msg, len, stream, .. } => {
+        NodeEvent::Deliver { from, to_port, msg, stream, .. } => {
             mix(h, 6);
             mix(h, from.node.0 as u64);
             mix(h, from.port.0 as u64);
             mix(h, to_port.0 as u64);
-            mix(h, *len as u64);
+            mix(h, msg.body_len() as u64);
             mix(h, *stream as u64);
             *h = fnv1a64_step(*h, msg.kind().as_bytes());
         }

@@ -9,6 +9,8 @@
 //! no-op. Node faults and time: a ping's RTT is the link's, a crash
 //! drops traffic and a revive restores it, a stall defers delivery, a
 //! lossy restart rebuilds the actor, `run_until` advances an idle clock.
+//! And [`ScriptCtx`], the actor unit tests' context, is held to the
+//! engines' timer semantics.
 //! [`Echo`], [`Pinger`] and [`lossless`] serve `sim.rs`'s and
 //! `shard.rs`'s own tests too.
 
@@ -23,7 +25,7 @@ use crate::chaos::{Fault, FaultPlan};
 use crate::clock::ClockProfile;
 use crate::impl_actor_any;
 use crate::link::LinkSpec;
-use crate::runtime::{Actor, Context, IdleActor, Incoming};
+use crate::runtime::{Actor, Context, IdleActor, Incoming, ScriptCtx};
 use crate::shard::{DiscoveryEngine, ShardedSim};
 use crate::sim::Sim;
 use crate::time::SimTime;
@@ -368,6 +370,59 @@ fn cancelling_an_unarmed_token_is_a_no_op(mut e: impl DiscoveryEngine + 'static)
     assert_eq!(armed_slots(&e, node), 0);
 }
 
+/// Arms, re-arms, cancels and re-arms after a cancel, on `ctx`.
+fn timer_script(ctx: &mut dyn Context) {
+    ctx.set_timer(MS * 30, 1);
+    ctx.set_timer(MS * 10, 2);
+    ctx.set_timer(MS * 20, 3);
+    ctx.set_timer(MS * 5, 1); // supersedes the 30 ms arming
+    ctx.cancel_timer(2);
+    ctx.cancel_timer(3);
+    ctx.set_timer(MS * 40, 3); // armed again after its cancel
+    ctx.set_timer(MS * 15, 4);
+    ctx.cancel_timer(4);
+}
+
+/// Runs [`timer_script`] on start and records each firing; on the
+/// first, arms the cancelled token 2 again and cancels it again.
+#[derive(Default)]
+struct Scripted {
+    fired: Vec<(u64, SimTime)>,
+}
+
+impl Actor for Scripted {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        timer_script(ctx);
+    }
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        if let Incoming::Timer { token } = event {
+            if self.fired.is_empty() {
+                ctx.set_timer(MS, 2);
+                ctx.cancel_timer(2);
+            }
+            self.fired.push((token, ctx.now()));
+        }
+    }
+    impl_actor_any!();
+}
+
+/// [`ScriptCtx`] holds the engines' timer semantics: the tokens a node
+/// running [`timer_script`] sees fire are the ones the script leaves in
+/// a `ScriptCtx`'s armed set, each once, at the delay of its last arming.
+fn a_script_fires_what_a_script_ctx_leaves_armed(mut e: impl DiscoveryEngine + 'static) {
+    let mut script = ScriptCtx::default();
+    timer_script(&mut script);
+    assert_eq!(script.armed, [1, 3].into());
+    let last_arming = |token| script.timers.iter().rev().find(|&&(_, t)| t == token).map(|&(delay, _)| delay);
+    let expected: Vec<_> = script.armed.iter().map(|&t| (t, SimTime::ZERO + last_arming(t).expect("armed"))).collect();
+    let node = add(&mut e, Box::new(Scripted::default()));
+    e.run_for(Duration::from_secs(1));
+    let view: &dyn DiscoveryEngine = &e;
+    let fired = &view.actor::<Scripted>(node).expect("the node").fired;
+    assert_eq!(fired, &expected, "each armed token fires once, at its last arming, and no other");
+    assert_eq!(armed_slots(&e, node), 0);
+}
+
 /// A `#[test]` a scenario an engine: each scenario runs on a `Sim` and
 /// on a 2-worker `ShardedSim` built from the seed it names.
 macro_rules! on_both_engines {
@@ -396,6 +451,9 @@ on_both_engines! {
     cancelling_an_unarmed_token_is_a_no_op(7) =>
         sim_cancelling_an_unarmed_token_is_a_no_op,
         sharded_cancelling_an_unarmed_token_is_a_no_op;
+    a_script_fires_what_a_script_ctx_leaves_armed(7) =>
+        sim_a_script_fires_what_a_script_ctx_leaves_armed,
+        sharded_a_script_fires_what_a_script_ctx_leaves_armed;
     ping_pong_rtt_matches_link_latency(1) =>
         sim_ping_pong_rtt_matches_link_latency,
         sharded_ping_pong_rtt_matches_link_latency;

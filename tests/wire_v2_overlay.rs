@@ -19,9 +19,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use nb::broker::{BrokerConfig, Topology, TopologyKind};
-use nb::discovery::{
-    on_every_engine, Deployment, DeploymentNode, DiscoveryBrokerActor, Entity, Network, ResponsePolicy,
-};
+use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Entity, Network, ResponsePolicy};
 use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, Sim, SimTime, Trace, TraceLog};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
@@ -107,15 +105,6 @@ fn overlay(wire_v2: bool) -> Deployment {
     d
 }
 
-/// `d` with every actor recording into `trace`.
-fn traced(d: Deployment, trace: &Trace) -> Deployment {
-    let traced = |mut n: DeploymentNode| {
-        let trace = trace.clone();
-        DeploymentNode { make: Box::new(move || trace.wrap((n.make)())), ..n }
-    };
-    Deployment { nodes: d.nodes.into_iter().map(traced).collect(), ..d }
-}
-
 /// Runs every round of traffic on [`overlay`]; returns when [`RELAY`]
 /// was back up, if it was restarted.
 fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTime> {
@@ -163,9 +152,10 @@ fn from_round(delivered: &[Vec<Delivery>], first: u8) -> Vec<Vec<Delivery>> {
     delivered.iter().map(|got| got.iter().filter(keep).cloned().collect()).collect()
 }
 
-/// Runs [`drive`] on `engine`, built from [`traced`] with a trace into
-/// `log`, and reads off what `log` took: `(post_handshake_link_msgs,
-/// arrival_micros, relayed_after_restart)` of [`Run`].
+/// Runs [`drive`] on `engine`, built by [`Deployment::traced`] with a
+/// trace into `log`, and reads off what `log` took:
+/// `(post_handshake_link_msgs, arrival_micros, relayed_after_restart)`
+/// of [`Run`].
 fn drive_traced(engine: &mut dyn DiscoveryEngine, log: &TraceLog, restart_relay: bool) -> (u64, u64, usize) {
     let restarted_at = drive(engine, restart_relay);
     let (brokers, subscribers) = (brokers(), subscribers());
@@ -193,7 +183,7 @@ fn drive_traced(engine: &mut dyn DiscoveryEngine, log: &TraceLog, restart_relay:
 /// One traced `Sim` run.
 fn run(wire_v2: bool, restart_relay: bool) -> Run {
     let (trace, log) = Trace::new();
-    let mut sim = traced(overlay(wire_v2), &trace).build(Sim::with_clock_profile);
+    let mut sim = overlay(wire_v2).traced(&trace).build(Sim::with_clock_profile);
     let (post_handshake_link_msgs, arrival_micros, relayed_after_restart) =
         drive_traced(&mut sim, &log, restart_relay);
     let duplicates_suppressed =
@@ -221,9 +211,9 @@ fn v2_delivers_what_its_v1_run_delivers(restart_relay: bool, first: u8) {
         assert!(!restart_relay || relayed_after_restart > 0, "the restarted relay forwards nothing on v1");
         (delivered(sim), sim.stats())
     };
-    let mut v1 = on_every_engine(|| traced(overlay(false), &trace), v1_run).into_iter();
+    let mut v1 = on_every_engine(|| overlay(false).traced(&trace), v1_run).into_iter();
     on_every_engine(
-        || traced(overlay(true), &trace),
+        || overlay(true).traced(&trace),
         |sim| {
             let (post_handshake_link_msgs, _, relayed_after_restart) = drive_traced(sim, &log, restart_relay);
             assert!(!restart_relay || relayed_after_restart > 0, "the restarted relay forwards nothing on v2");
