@@ -1,5 +1,5 @@
 //! `repro` — regenerates every table and figure of the paper and runs
-//! the seed-pure campaigns (`chaos`, `federation`, `scale`); `repro
+//! the seed-pure campaigns (`chaos`, `scale`); `repro
 //! experiments` writes EXPERIMENTS.md's tables from the pinned ones;
 //! `repro census` counts the tree; `repro gate` runs clippy over the
 //! workspace and checks that the tree still regenerates every committed
@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use nb_bench::campaign::{fault_scenario, run_campaign, FaultCampaign, ScenarioResult};
+use nb_bench::campaign::{run_campaign, ScenarioResult};
 use nb_bench::census::{ceiling_failures, Census, CEILINGS};
 use nb_bench::parallel::ParallelExecutor;
 use nb_bench::table::fill_blocks;
@@ -50,7 +50,7 @@ const FLAGS: &str = "  --runs N         runs per experiment (default 120, the pa
   --out PATH       where a report-writing command puts its JSON
   --workers N      worker threads (default: one per core, at most 16; scale: 1);
                    never changes a figure, table or report byte
-  --scenarios N    campaign scenarios (chaos, federation; default 10)
+  --scenarios N    chaos campaign scenarios (default 10)
   --tier T         scale: small|large|all (default all)
   --brokers N, --entities N, --topology star|linear|geo|isp
                    scale: one custom tier instead of --tier
@@ -148,12 +148,6 @@ const COMMANDS: &[Command] = &[
         chaos_report,
     ),
     report(
-        "federation",
-        "federated-BDN anti-entropy campaign (exit 1 if an invariant fails)",
-        "BENCH_federation.json",
-        federation_report,
-    ),
-    report(
         "scale",
         "WAN scale campaign on the sharded engine (exit 1 if an invariant fails)",
         "BENCH_scale.json",
@@ -174,7 +168,7 @@ const COMMANDS: &[Command] = &[
     ),
     cmd(
         "gate",
-        "[lint|bench|figs|chaos|federation|scale|census] run clippy, build and test \
+        "[lint|bench|figs|chaos|scale|census] run clippy, build and test \
          benchmark/, then regenerate the committed figures, reports (at 1 and 4 workers) and \
          census; exit 1 on a clippy, build or test failure or any byte of difference",
         run_gate,
@@ -394,64 +388,37 @@ fn print_failures<S>(row: &ScenarioResult<S>) {
     }
 }
 
-/// Runs fault campaign `C` and prints its table: the columns every
-/// fault campaign has, two of its own (`extra`: header and width;
-/// `cells`: a scenario's values), and each failed invariant.
-fn fault_report<C: FaultCampaign + Send>(
-    args: &Args,
-    name_width: usize,
-    extra: [(&str, usize); 2],
-    cells: impl Fn(&C) -> [String; 2],
-) -> (String, bool) {
+/// `repro chaos`: runs the fault campaign, prints its table and each
+/// failed invariant.
+fn chaos_report(args: &Args) -> (String, bool) {
     // Scenarios are independent, so they shard across workers; the
     // report bytes are identical whatever count is used.
     let workers = executor(args).workers();
-    let report = run_campaign(args.seed, args.scenarios.max(1), workers, fault_scenario::<C>);
-    let campaign = C::CAMPAIGN;
+    let report = run_campaign(args.seed, args.scenarios.max(1), workers, nb_bench::chaos::scenario);
     println!(
-        "=== {}{} campaign: {} scenarios from base seed {}, {} workers ===",
-        campaign[..1].to_uppercase(),
-        &campaign[1..],
+        "=== Chaos campaign: {} scenarios from base seed {}, {} workers ===",
         report.scenarios.len(),
         report.base_seed,
         workers
     );
-    let [(h0, w0), (h1, w1)] = extra;
     println!(
-        "{:<name_width$} {:>6} {:>8} {:>18} {h0:>w0$} {h1:>w1$} {:>7}",
-        "scenario", "seed", "faults", "plan digest", "verdict"
+        "{:<20} {:>6} {:>8} {:>18} {:>10} {:>8} {:>7}",
+        "scenario", "seed", "faults", "plan digest", "failovers", "stale", "verdict"
     );
     for s in &report.scenarios {
-        let [c0, c1] = cells(&s.stats);
         println!(
-            "{:<name_width$} {:>6} {:>8} {:>18} {c0:>w0$} {c1:>w1$} {:>7}",
+            "{:<20} {:>6} {:>8} {:>18} {:>10} {:>8} {:>7}",
             s.name,
             s.seed,
             s.faults,
             format!("{:016x}", s.plan_digest),
+            s.stats.failovers,
+            s.stats.stale_targets_skipped,
             if s.passed() { "PASS" } else { "FAIL" }
         );
         print_failures(s);
     }
     (report.to_json(), report.passed())
-}
-
-fn chaos_report(args: &Args) -> (String, bool) {
-    fault_report::<nb_bench::chaos::ScenarioStats>(
-        args,
-        20,
-        [("failovers", 10), ("stale", 8)],
-        |s| [s.failovers.to_string(), s.stale_targets_skipped.to_string()],
-    )
-}
-
-fn federation_report(args: &Args) -> (String, bool) {
-    fault_report::<nb_bench::federation::ScenarioStats>(
-        args,
-        26,
-        [("attached", 9), ("conv.rds", 9)],
-        |s| [format!("{}/{}", s.attached, s.total_entities), s.convergence_rounds.to_string()],
-    )
 }
 
 /// `repro scale`: the JSON carries no wall-clock or worker field (the
@@ -562,12 +529,11 @@ fn run_ab(_: &str, args: &Args) {
 /// builds and tests the benchmark, `figs` the committed figures, `census` the
 /// committed count, every other entry is a committed report and the
 /// flags it is regenerated with.
-const GATES: [(&str, &str); 7] = [
+const GATES: [(&str, &str); 6] = [
     ("lint", ""),
     ("bench", ""),
     ("figs", ""),
     ("chaos", "--scenarios 3 --seed 11"),
-    ("federation", "--scenarios 10 --seed 2005"),
     ("scale", "--tier small --seed 2005"),
     ("census", ""),
 ];
@@ -584,7 +550,7 @@ fn run_gate(_: &str, args: &Args) {
         GATES.into_iter().filter(|&(name, _)| target.is_none_or(|t| t == name)).collect();
     if gates.is_empty() {
         fail(&format!(
-            "gate {:?}: expected lint|bench|figs|chaos|federation|scale|census",
+            "gate {:?}: expected lint|bench|figs|chaos|scale|census",
             target.unwrap_or("")
         ));
     }
@@ -893,11 +859,11 @@ mod tests {
     fn report_writing_commands_have_a_default_out() {
         let writers: Vec<&str> =
             COMMANDS.iter().filter(|c| matches!(c.run, Run::Report(..))).map(|c| c.name).collect();
-        assert_eq!(writers, ["chaos", "federation", "scale", "census"]);
+        assert_eq!(writers, ["chaos", "scale", "census"]);
         let gated: Vec<&str> = GATES.iter().map(|g| g.0).collect();
         assert_eq!(
             gated,
-            ["lint", "bench", "figs", "chaos", "federation", "scale", "census"],
+            ["lint", "bench", "figs", "chaos", "scale", "census"],
             "clippy, the benchmark's build and tests, the figures, every report, then the census"
         );
     }

@@ -33,8 +33,12 @@
 //!
 //! Callers are matched by name: an identifier equal to the item's name,
 //! outside comments, literals and `use` declarations, that is not the
-//! name a `fn` or `const` defines. A `self.name(` call is the one
-//! exception: it calls the `name` of the type whose `impl` encloses it
+//! name a `fn` or `const` defines, nor a field: after a `.` it counts
+//! only when `(` or `::<` follows it (`x.name` is a field), and one
+//! followed by a single `:` is a field, parameter or binding being
+//! declared. A path `Type::name` is a caller even when it is passed as a
+//! value. A `self.name(` call is the
+//! one exception: it calls the `name` of the type whose `impl` encloses it
 //! ([`owner`]), so it counts for that type's item alone. Otherwise a
 //! test-only item that shares its name with one the system calls is
 //! missed: `Scenario::digest`, whose only callers were tests, shared its
@@ -43,7 +47,8 @@
 //! `CENSUS_ceilings.conf`, beside `CENSUS.json`, bounds the counts that
 //! may only fall, in [`nb_util::Config`]'s `key = value` format: the
 //! non-test lines of each of the six library crates
-//! (`non_test_lines.crates/util`, …), `design_md_lines`, the row counts
+//! (`non_test_lines.crates/util`, …) and of this tool
+//! (`non_test_lines.crates/bench`), `design_md_lines`, the row counts
 //! of `test_only_pub`, `own_file_only_pub`, `pub_setters` and
 //! `context_impls`, the public fields of each `*Config` struct
 //! (`config_pub_fields.BrokerConfig`, …) and `ignored_tests`.
@@ -73,6 +78,10 @@ const LIBRARIES: [&str; 6] = [
     "crates/core/src/",
     "crates/security/src/",
 ];
+
+/// The `repro` tool's own package, whose non-test lines are bounded like
+/// a library crate's.
+const TOOL: &str = "crates/bench";
 
 /// One Rust source file.
 struct Source {
@@ -282,8 +291,7 @@ fn render(sources: &[Source], design: &str) -> Census {
         *row = (row.0 + non_test, row.1 + test);
     }
     let mut counts = BTreeMap::new();
-    for lib in LIBRARIES {
-        let pkg = lib.trim_end_matches("/src/");
+    for pkg in LIBRARIES.iter().map(|lib| lib.trim_end_matches("/src/")).chain([TOOL]) {
         let non_test = lines.get(&(false, pkg)).map_or(0, |row| row.0);
         counts.insert(format!("non_test_lines.{pkg}"), non_test);
     }
@@ -589,7 +597,7 @@ fn raw_string_end(b: &[u8], start: usize, word_end: usize) -> Option<usize> {
 
 /// Each identifier in blanked `code` with its offset and whether it
 /// refers to an item: not a number, not the name a `fn` or `const`
-/// defines, and not in a `use` declaration.
+/// defines, not in a `use` declaration and not a field ([`field`]).
 fn words(code: &str) -> Vec<(usize, &str, bool)> {
     let b = code.as_bytes();
     let mut out: Vec<(usize, &str, bool)> = Vec::new();
@@ -610,11 +618,22 @@ fn words(code: &str) -> Vec<(usize, &str, bool)> {
         if !word.as_bytes()[0].is_ascii_digit() {
             in_use |= word == "use";
             let defined = matches!(out.last(), Some((_, "fn" | "const", _)));
-            out.push((i, word, !in_use && !defined));
+            out.push((i, word, !in_use && !defined && !field(code, i, end)));
         }
         i = end;
     }
     out
+}
+
+/// Whether the identifier at bytes `at..end` of blanked `code` is a
+/// field or a declared name: it follows a `.` (not a `..`) and neither
+/// `(` nor `::<` follows it, or a single `:` follows it.
+fn field(code: &str, at: usize, end: usize) -> bool {
+    let before = code[..at].trim_end();
+    let dotted = before.ends_with('.') && !before.ends_with("..");
+    let after = code[end..].trim_start();
+    let declared = after.starts_with(':') && !after.starts_with("::");
+    declared || dotted && !(after.starts_with('(') || after.starts_with("::<"))
 }
 
 /// Whether the identifier `word` at byte `at` of blanked `code` is the
@@ -921,6 +940,37 @@ mod tests {
         assert_eq!(found, expected);
     }
 
+    /// A non-test field that shares a test-only function's name is no
+    /// caller of it; a method call, a turbofish call and a path passed
+    /// as a value are.
+    #[test]
+    fn a_field_access_is_no_call() {
+        let joining = "pub struct JoiningBroker { joined: bool }\n\
+                       impl JoiningBroker {\n    pub fn joined(&self) -> bool { self.joined }\n    \
+                       pub fn finder(&self) {}\n    pub fn parse<T>(&self) {}\n}\n\
+                       #[cfg(test)]\nmod tests {\n    fn t(j: &super::JoiningBroker) { j.joined(); }\n}\n";
+        let runtime = "struct ScriptCtx { joined: Vec<u8>, finder: u8 }\n\
+                       fn f(c: &mut ScriptCtx, j: &JoiningBroker) {\n    \
+                       c.joined.push(1); c . joined .len(); let _ = c.finder; j.parse::<u8>();\n    \
+                       let _ = ScriptCtx { ..c }; let _ = (0..2).map(JoiningBroker::finder);\n}\n";
+        let sources = [
+            source("crates/core/src/joining.rs", joining),
+            source("crates/net/src/runtime.rs", runtime),
+        ];
+        let found: Vec<(String, Vec<String>, Vec<String>)> = pub_items(&sources)
+            .into_iter()
+            .map(|u| (u.item, u.callers, u.test_callers))
+            .collect();
+        let files = |files: &[&str]| files.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        let expected = [
+            ("JoiningBroker::joined", files(&[]), files(&["crates/core/src/joining.rs"])),
+            ("JoiningBroker::finder", files(&["crates/net/src/runtime.rs"]), files(&[])),
+            ("JoiningBroker::parse", files(&["crates/net/src/runtime.rs"]), files(&[])),
+        ]
+        .map(|(item, callers, tests)| (item.to_string(), callers, tests));
+        assert_eq!(found, expected);
+    }
+
     fn counts(rows: &[(&str, usize)]) -> BTreeMap<String, usize> {
         rows.iter().map(|&(key, count)| (key.to_string(), count)).collect()
     }
@@ -963,6 +1013,7 @@ mod tests {
             ("context_impls", 2),
             ("design_md_lines", 3),
             ("ignored_tests", 1),
+            ("non_test_lines.crates/bench", 0),
             ("non_test_lines.crates/broker", 0),
             ("non_test_lines.crates/core", 0),
             ("non_test_lines.crates/net", 6),

@@ -15,7 +15,6 @@ pub mod alloc;
 pub mod campaign;
 pub mod census;
 pub mod chaos;
-pub mod federation;
 pub mod parallel;
 pub mod scale;
 pub mod sweep;

@@ -8,22 +8,19 @@
 //! * chaos-smoke — the three-seed tier-1 wrapper beside the
 //!   three-scenario report `repro gate chaos` checks.
 
-use nb_bench::campaign::{
-    describe_testbed, fault_scenario, run_campaign, CampaignReport, FaultCampaign, N_BROKERS,
-    N_ENTITIES,
-};
-use nb_bench::chaos::ScenarioStats;
-use nb_discovery::federation::{fnv1a64_step, FNV_OFFSET};
+use nb_bench::campaign::{run_campaign, CampaignReport};
+use nb_bench::chaos::{describe_testbed, scenario, scripted_plan, ScenarioStats, N_BROKERS, N_ENTITIES};
+use nb_util::{fnv1a64_step, FNV_OFFSET};
 
 fn campaign(base_seed: u64, scenarios: usize, workers: usize) -> CampaignReport<ScenarioStats> {
-    run_campaign(base_seed, scenarios, workers, fault_scenario::<ScenarioStats>)
+    run_campaign(base_seed, scenarios, workers, scenario)
 }
 
 #[test]
 fn same_seed_produces_byte_identical_schedule_and_report() {
     // The fault schedule alone must already be reproducible…
-    let plan_a = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(77));
-    let plan_b = ScenarioStats::scripted_plan(&describe_testbed::<ScenarioStats>(77));
+    let plan_a = scripted_plan(&describe_testbed(77, 1));
+    let plan_b = scripted_plan(&describe_testbed(77, 1));
     assert_eq!(plan_a.describe(), plan_b.describe(), "fault schedules diverged");
 
     // …and so must the whole campaign report, which folds in every

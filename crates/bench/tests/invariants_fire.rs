@@ -1,7 +1,7 @@
 //! Campaign invariants seen to fail, for the checkers that need no
 //! counting allocator (`checkers_fire.rs` holds the one that does, alone
-//! in its binary). Each case runs a campaign's deployment with one
-//! deliberately broken actor, wrapped around the real one through
+//! in its binary). Each case runs a campaign's deployment with
+//! deliberately broken actors, each wrapped around the real one through
 //! `Deployment`'s public factories, through that campaign's own checks,
 //! and asserts that the row fails that invariant and says why; the same
 //! deployment with the real actor passes it.
@@ -9,8 +9,8 @@
 use std::any::Any;
 use std::time::Duration;
 
-use nb_bench::campaign::{describe_testbed, FaultCampaign, InvariantResult, Testbed};
-use nb_bench::chaos::ScenarioStats;
+use nb_bench::campaign::{InvariantResult, Testbed};
+use nb_bench::chaos::{check, describe_testbed, PREFIX};
 use nb_bench::scale::{describe_tier, run_description, TierSpec};
 use nb_discovery::Entity;
 use nb_net::runtime::IdleActor;
@@ -189,16 +189,16 @@ impl Actor for DoublingTo {
 /// entity publishes one event, the traffic lands, and the campaign's own
 /// check runs. `describe` may rewire the testbed first.
 fn chaos_testbed_checked(describe: impl FnOnce(&mut Testbed<nb_discovery::Deployment>)) -> (Testbed, Vec<InvariantResult>) {
-    let mut tb = describe_testbed::<ScenarioStats>(2005);
+    let mut tb = describe_testbed(2005, 1);
     describe(&mut tb);
     let mut tb = tb.build(Sim::with_clock_profile);
     tb.sim.run_for(Duration::from_secs(12));
     for (i, &e) in tb.entities.clone().iter().enumerate() {
-        let topic = Topic::parse(&format!("chaos/drill/e{i}")).expect("valid topic");
+        let topic = Topic::parse(&format!("{PREFIX}/drill/e{i}")).expect("valid topic");
         tb.sim.actor_mut::<Entity>(e).expect("entity").queue_publish(topic, vec![i as u8]);
     }
     tb.sim.run_for(Duration::from_secs(4));
-    let (invariants, _) = ScenarioStats::check(&mut tb);
+    let (invariants, _) = check(&mut tb);
     (tb, invariants)
 }
 
@@ -227,4 +227,57 @@ fn no_duplicates_fails_a_testbed_where_one_broker_hands_an_entity_each_event_twi
     // Only the repeats broke the row: the fleet still attached.
     let others: Vec<_> = invariants.iter().filter(|i| i.name != "no_duplicates").collect();
     assert!(others.iter().all(|i| i.passed), "{others:?}");
+}
+
+/// A broker that drops every `ClientConnect` from `client`, and nothing
+/// else. `as_any` forwards to the inner actor, as [`Swallowing`]'s does.
+struct Refusing {
+    inner: Box<dyn Actor>,
+    client: NodeId,
+}
+
+impl Actor for Refusing {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        if let Incoming::Stream { msg, .. } = &event {
+            if matches!(msg.message(), Message::ClientConnect { client, .. } if *client == self.client) {
+                return;
+            }
+        }
+        self.inner.on_incoming(event, ctx);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self.inner.as_any()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.inner.as_any_mut()
+    }
+}
+
+#[test]
+fn attached_fails_a_testbed_where_every_broker_refuses_one_entity() {
+    let attached = |invariants: &[InvariantResult]| {
+        invariants.iter().find(|i| i.name == "attached").expect("an attached row").clone()
+    };
+    let (real, real_invariants) = chaos_testbed_checked(|_| {});
+    assert!(attached(&real_invariants).passed, "the real testbed fails: {real_invariants:?}");
+    let e0 = real.entities[0];
+
+    let (_, invariants) = chaos_testbed_checked(|tb| {
+        for &b in &tb.brokers {
+            let node = &mut tb.sim.nodes[b.0 as usize];
+            let mut broker = std::mem::replace(&mut node.make, Box::new(|| Box::new(IdleActor)));
+            node.make = Box::new(move || Box::new(Refusing { inner: broker(), client: e0 }));
+        }
+    });
+    let check = attached(&invariants);
+    assert!(!check.passed, "attached passed: {}", check.detail);
+    assert!(check.detail.starts_with("e0="), "the detail does not name e0 as not attached: {}", check.detail);
+    // Only e0 is refused: every other entity still attached.
+    assert_eq!(check.detail.matches("->").count(), real.entities.len() - 1, "{}", check.detail);
 }

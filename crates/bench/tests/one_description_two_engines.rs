@@ -1,5 +1,5 @@
 //! One deployment description builds on every engine. The chaos
-//! testbed (one BDN), the federation testbed (three BDNs) and a
+//! testbed with one BDN and with three, and a
 //! 20-broker / 60-entity scale tier are each described once and built
 //! on `Sim` and on `ShardedSim` at one and at four workers: every
 //! engine holds the same nodes under the same names in the same realms,
@@ -8,9 +8,9 @@
 
 use std::time::Duration;
 
-use nb_bench::campaign::{describe_testbed, Testbed};
+use nb_bench::campaign::Testbed;
+use nb_bench::chaos::describe_testbed;
 use nb_bench::scale::{describe_tier, TierSpec};
-use nb_bench::{chaos, federation};
 use nb_discovery::{on_every_engine, Deployment, EntityState};
 use nb_net::topogen::TopologyKind;
 use nb_net::DiscoveryEngine;
@@ -48,12 +48,12 @@ fn on_every_engine_builds(what: &str, describe: impl Fn() -> Testbed<Deployment>
 
 #[test]
 fn chaos_testbed_builds_on_both_engines() {
-    on_every_engine_builds("chaos testbed", || describe_testbed::<chaos::ScenarioStats>(2005));
+    on_every_engine_builds("chaos testbed", || describe_testbed(2005, 1));
 }
 
 #[test]
-fn federation_testbed_builds_on_both_engines() {
-    on_every_engine_builds("federation testbed", || describe_testbed::<federation::ScenarioStats>(2005));
+fn three_bdn_testbed_builds_on_both_engines() {
+    on_every_engine_builds("three-BDN testbed", || describe_testbed(2005, 3));
 }
 
 #[test]

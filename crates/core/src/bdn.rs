@@ -19,28 +19,25 @@
 //! * optionally requires credentials before disseminating (private BDNs,
 //!   §2.4).
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
 use nb_wire::topic::{BDN_ADVERTISEMENT, BROKER_ADVERTISEMENT, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST};
 use nb_wire::{
-    BrokerAdvertisement, Endpoint, Event, FederationSync, Message, NodeId,
-    SyncPhase, Topic, TopicFilter, Wire, WireMsg,
+    BrokerAdvertisement, Endpoint, Event, Message, NodeId, Topic, TopicFilter, Wire, WireMsg,
+    WireWriter,
 };
 
 use nb_net::{impl_actor_any, Actor, Context, Incoming, SimTime};
 
 use crate::config::SecuritySuite;
-use crate::federation::{
-    Federation, FederationConfig, LeaseBook, LeaseOutcome, MAX_SYNC_ENTRIES, MAX_TOMBSTONES,
-};
 use crate::policy::ResponsePolicy;
 
 const TIMER_PING: u64 = 0xBD00_0000_0000_0001;
 const TIMER_INJECT: u64 = 0xBD00_0000_0000_0002;
-const TIMER_FEDERATION: u64 = 0xBD00_0000_0000_0003;
 
 /// Capacity of the request-UUID duplicate cache (paper §4's last 1000).
 const DEDUP_CAPACITY: usize = 1000;
@@ -84,11 +81,6 @@ pub struct BdnConfig {
     /// [`Bdn::stale_targets_skipped`]) even before the ping timer prunes
     /// it.
     pub ad_ttl: Duration,
-    /// Anti-entropy federation with peer BDNs (see
-    /// [`crate::federation`]). `None` — the default — disables the
-    /// subsystem entirely: no timers, no RNG draws, no wire traffic, so
-    /// a non-federated BDN behaves byte-identically to earlier builds.
-    pub federation: Option<FederationConfig>,
 }
 
 impl Default for BdnConfig {
@@ -103,8 +95,91 @@ impl Default for BdnConfig {
             auto_attach: true,
             security: None,
             ad_ttl: Duration::from_secs(300),
-            federation: None,
         }
+    }
+}
+
+/// A registry entry for one advertised broker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Registered {
+    /// The most recent advertisement.
+    pub ad: BrokerAdvertisement,
+    /// Measured round-trip time to the broker, µs, kept across lease
+    /// refreshes.
+    pub rtt_us: Option<u64>,
+    /// When the lease lapses. A broker past this instant is never chosen
+    /// for injection.
+    pub expires_at: SimTime,
+}
+
+/// Does a lease `(ad, expires_at)` supersede `held`? Leases are ordered
+/// by the origin-stamped `issued_at_utc`, then by the ad's bytes, then by
+/// expiry, so a registry ends the same whatever order it hears the same
+/// leases in. Ties do **not** supersede: re-applying a lease is a no-op.
+fn lease_supersedes(ad: &BrokerAdvertisement, expires_at: SimTime, held: &Registered) -> bool {
+    let by_bytes = || {
+        let (mut wi, mut wh) = (WireWriter::new(), WireWriter::new());
+        ad.encode(&mut wi);
+        held.ad.encode(&mut wh);
+        wi.as_slice().cmp(wh.as_slice())
+    };
+    let order = match ad.issued_at_utc.cmp(&held.ad.issued_at_utc) {
+        Ordering::Equal if *ad == held.ad => Ordering::Equal,
+        Ordering::Equal => by_bytes(),
+        stamp => stamp,
+    };
+    order.then(expires_at.cmp(&held.expires_at)) == Ordering::Greater
+}
+
+/// The BDN registry: one lease per broker, in broker order so that sweeps
+/// are deterministic whatever the insertion history.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LeaseBook {
+    leases: BTreeMap<NodeId, Registered>,
+}
+
+impl LeaseBook {
+    /// Registered broker count (live or lapsed but not yet swept).
+    fn len(&self) -> usize {
+        self.leases.len()
+    }
+
+    /// The entry for `broker`.
+    fn get(&self, broker: NodeId) -> Option<&Registered> {
+        self.leases.get(&broker)
+    }
+
+    /// Records a measured RTT to `broker`, if it is registered.
+    fn set_rtt(&mut self, broker: NodeId, rtt_us: u64) {
+        if let Some(entry) = self.leases.get_mut(&broker) {
+            entry.rtt_us = Some(rtt_us);
+        }
+    }
+
+    /// Every entry, in broker order.
+    fn entries(&self) -> impl Iterator<Item = (NodeId, &Registered)> {
+        self.leases.iter().map(|(&b, r)| (b, r))
+    }
+
+    /// Stores a lease unless an equal-or-newer one is held. A stored
+    /// refresh keeps the entry's measured RTT. Returns whether it was
+    /// stored.
+    fn apply_lease(&mut self, ad: BrokerAdvertisement, expires_at: SimTime) -> bool {
+        let broker = ad.broker;
+        let rtt_us = match self.leases.get(&broker) {
+            Some(held) if !lease_supersedes(&ad, expires_at, held) => return false,
+            held => held.and_then(|h| h.rtt_us),
+        };
+        self.leases.insert(broker, Registered { ad, rtt_us, expires_at });
+        true
+    }
+
+    /// The ping sweep: drops every lease lapsed at `now`. Returns how
+    /// many lapsed.
+    fn expire(&mut self, now: SimTime) -> usize {
+        let before = self.leases.len();
+        self.leases.retain(|_, reg| now <= reg.expires_at);
+        before - self.leases.len()
     }
 }
 
@@ -123,8 +198,7 @@ pub fn injection_order(targets: &mut [(NodeId, Option<u64>)]) {
 /// The BDN actor.
 pub struct Bdn {
     cfg: BdnConfig,
-    /// The registry: every lease (and, when federated, every tombstone)
-    /// this BDN holds. All mutations go through the book's operations.
+    /// The registry: every lease this BDN holds.
     registry: LeaseBook,
     dedup: BoundedDedup<Uuid>,
     ping_nonces: HashMap<u64, (NodeId, SimTime)>,
@@ -161,21 +235,15 @@ pub struct Bdn {
     pub rejected_envelopes: u64,
     /// Publish payloads on well-known topics that failed to decode.
     pub malformed_messages: u64,
-    /// Federation runtime state; `Some` iff [`BdnConfig::federation`]
-    /// was set.
-    federation: Option<Federation>,
 }
 
 impl Bdn {
     /// A BDN from `cfg`.
     pub fn new(cfg: BdnConfig) -> Bdn {
         let dedup = BoundedDedup::new(DEDUP_CAPACITY);
-        let federation = cfg.federation.clone().map(Federation::new);
-        // Only a federated registry keeps tombstones.
-        let registry = LeaseBook::new(if cfg.federation.is_some() { MAX_TOMBSTONES } else { 0 });
         Bdn {
             cfg,
-            registry,
+            registry: LeaseBook::default(),
             dedup,
             ping_nonces: HashMap::new(),
             next_nonce: 1,
@@ -194,7 +262,6 @@ impl Bdn {
             secured_requests: 0,
             rejected_envelopes: 0,
             malformed_messages: 0,
-            federation,
         }
     }
 
@@ -213,9 +280,9 @@ impl Bdn {
         self.registry.len()
     }
 
-    /// The whole registry.
-    pub fn registry(&self) -> &LeaseBook {
-        &self.registry
+    /// The registry entry for `broker`, live or lapsed but not yet swept.
+    pub fn registered(&self, broker: NodeId) -> Option<&Registered> {
+        self.registry.get(broker)
     }
 
     /// Whether `broker` holds a live advertisement lease at `now`.
@@ -231,17 +298,6 @@ impl Bdn {
         self.registry.entries().filter(|(_, r)| now <= r.expires_at).count()
     }
 
-    /// Federation runtime state, when federated.
-    pub fn federation(&self) -> Option<&Federation> {
-        self.federation.as_ref()
-    }
-
-    /// The registry digest at `now` ([`LeaseBook::digest`]): two
-    /// quiescent federated BDNs agree on it byte-for-byte.
-    pub fn registry_digest(&self, now: SimTime) -> u64 {
-        self.registry.digest(now)
-    }
-
     /// The geography filter: whether `ad` may enter this registry at all.
     fn admits(&mut self, ad: &BrokerAdvertisement) -> bool {
         let Some(filter) = &self.cfg.accept_geography else {
@@ -254,60 +310,25 @@ impl Bdn {
         admits
     }
 
-    /// Offers one lease to the registry — a local advertisement and a
-    /// peer's record alike — and attaches to a newly stored broker.
-    /// Returns whether it was stored.
-    fn offer_lease(
-        &mut self,
-        ad: BrokerAdvertisement,
-        expires_at: SimTime,
-        ctx: &mut dyn Context,
-    ) -> bool {
-        let broker = ad.broker;
-        match self.registry.apply_lease(ad, expires_at) {
-            LeaseOutcome::Stored => {}
-            LeaseOutcome::Superseded => return false,
-            LeaseOutcome::Tombstoned => {
-                if let Some(fed) = self.federation.as_mut() {
-                    fed.stats.resurrections_blocked += 1;
-                }
-                return false;
-            }
-        }
-        if self.cfg.auto_attach && !self.cfg.attached_brokers.contains(&broker) {
-            self.cfg.attached_brokers.push(broker);
-            send_connect(broker, ctx);
-        }
-        true
-    }
-
-    /// Applies one tombstone — a peer's, or one minted from a record that
-    /// expired in flight — and detaches from a broker it retired.
-    fn apply_tombstone(&mut self, broker: NodeId, t: u64) {
-        let out = self.registry.apply_tombstone(broker, t);
-        if out.retired && self.cfg.auto_attach {
-            self.cfg.attached_brokers.retain(|&b| b != broker);
-        }
-        if out.recorded {
-            if let Some(fed) = self.federation.as_mut() {
-                fed.stats.tombstones_applied += 1;
-            }
-        }
-    }
-
+    /// Stores `ad` as a lease, geography permitting, and attaches to a
+    /// newly registered broker.
     fn register_ad(&mut self, ad: BrokerAdvertisement, ctx: &mut dyn Context) {
         if !self.admits(&ad) {
             return;
         }
-        let expires_at = ctx.now() + self.cfg.ad_ttl;
-        if self.offer_lease(ad, expires_at, ctx) {
-            self.ads_registered += 1;
+        let broker = ad.broker;
+        if !self.registry.apply_lease(ad, ctx.now() + self.cfg.ad_ttl) {
+            return;
+        }
+        self.ads_registered += 1;
+        if self.cfg.auto_attach && !self.cfg.attached_brokers.contains(&broker) {
+            self.cfg.attached_brokers.push(broker);
+            send_connect(broker, ctx);
         }
     }
 
     fn ping_registered(&mut self, ctx: &mut dyn Context) {
-        // Expire lapsed leases first (under federation each leaves a
-        // tombstone, so a stale peer can never gossip it back).
+        // Expire lapsed leases first.
         let expired = self.registry.expire(ctx.now());
         if expired > 0 {
             self.ads_expired += expired as u64;
@@ -411,106 +432,6 @@ impl Bdn {
         }
     }
 
-    /// One anti-entropy round: prune the tombstone cache, pick this
-    /// round's partner from the private seeded stream, and probe it with
-    /// a digest. Snapshots only travel when digests disagree.
-    fn federation_round(&mut self, ctx: &mut dyn Context) {
-        let me = ctx.me();
-        let Some(fed) = self.federation.as_mut() else {
-            return;
-        };
-        fed.stats.tombstones_expired +=
-            self.registry.prune(ctx.utc_micros(), self.cfg.ad_ttl, fed.cfg.tombstone_ttl);
-        fed.stats.rounds_run += 1;
-        if let Some(peer) = fed.pick_partner(me) {
-            let probe = Message::FederationSync(FederationSync {
-                from: me,
-                phase: SyncPhase::Digest,
-                digest: self.registry.digest(ctx.now()),
-                leases: Vec::new(),
-                tombstones: Vec::new(),
-            });
-            ctx.send_udp(well_known::BDN, Endpoint::new(peer, well_known::BDN), &probe);
-        }
-        ctx.set_timer(fed.cfg.round_interval, TIMER_FEDERATION);
-    }
-
-    /// Sends a full snapshot (live leases + tombstones) to `peer`.
-    fn send_sync_snapshot(&mut self, peer: NodeId, phase: SyncPhase, ctx: &mut dyn Context) {
-        let now = ctx.now();
-        let leases = self.registry.live_records(now);
-        if let Some(fed) = self.federation.as_mut() {
-            fed.stats.entries_pushed += leases.len() as u64;
-        }
-        let sync = Message::FederationSync(FederationSync {
-            from: ctx.me(),
-            phase,
-            digest: self.registry.digest(now),
-            leases,
-            tombstones: self.registry.tombstone_records(),
-        });
-        ctx.send_udp(well_known::BDN, Endpoint::new(peer, well_known::BDN), &sync);
-    }
-
-    /// Handles one leg of a peer's anti-entropy exchange. Everything in
-    /// `sync` is peer-supplied: record counts are bounded and every
-    /// record goes through the registry's merge — malformed or oversized
-    /// payloads are counted, never panicked on.
-    fn on_federation_sync(&mut self, sync: FederationSync, peer: NodeId, ctx: &mut dyn Context) {
-        if self.federation.is_none() {
-            // Not federated: sync traffic is unexpected noise.
-            return;
-        }
-        if sync.leases.len() > MAX_SYNC_ENTRIES || sync.tombstones.len() > MAX_SYNC_ENTRIES {
-            self.malformed_messages += 1;
-            return;
-        }
-        match sync.phase {
-            SyncPhase::Digest => {
-                let mine = self.registry.digest(ctx.now());
-                if let Some(fed) = self.federation.as_mut() {
-                    if mine == sync.digest {
-                        fed.stats.digests_matched += 1;
-                        return;
-                    }
-                    fed.stats.digests_mismatched += 1;
-                }
-                self.send_sync_snapshot(peer, SyncPhase::Push, ctx);
-            }
-            SyncPhase::Push => {
-                self.apply_sync_snapshot(sync, ctx);
-                self.send_sync_snapshot(peer, SyncPhase::PushReply, ctx);
-            }
-            SyncPhase::PushReply => {
-                self.apply_sync_snapshot(sync, ctx);
-            }
-        }
-    }
-
-    /// Merges a peer snapshot into the registry, record by record, past
-    /// the same geography filter a local advertisement meets.
-    fn apply_sync_snapshot(&mut self, sync: FederationSync, ctx: &mut dyn Context) {
-        for rec in sync.leases {
-            if !self.admits(&rec.ad) {
-                continue;
-            }
-            let expires_at = SimTime::from_micros(rec.expires_at_us);
-            if expires_at <= ctx.now() {
-                // Expired in flight: the lease is proof of its own
-                // death — treat it as the tombstone it implies rather
-                // than letting it linger or resurrect anything.
-                self.apply_tombstone(rec.ad.broker, rec.ad.issued_at_utc);
-            } else if self.offer_lease(rec.ad, expires_at, ctx) {
-                if let Some(fed) = self.federation.as_mut() {
-                    fed.stats.entries_pulled += 1;
-                }
-            }
-        }
-        for tomb in sync.tombstones {
-            self.apply_tombstone(tomb.broker, tomb.lease_issued_utc);
-        }
-    }
-
     fn attach(&mut self, ctx: &mut dyn Context) {
         for &broker in &self.cfg.attached_brokers {
             send_connect(broker, ctx);
@@ -529,15 +450,11 @@ impl Actor for Bdn {
     fn on_start(&mut self, ctx: &mut dyn Context) {
         self.attach(ctx);
         ctx.set_timer(self.cfg.ping_interval, TIMER_PING);
-        if let Some(fed) = &self.federation {
-            ctx.set_timer(fed.cfg.round_interval, TIMER_FEDERATION);
-        }
     }
 
     fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
         match event {
             Incoming::Timer { token: TIMER_PING } => self.ping_registered(ctx),
-            Incoming::Timer { token: TIMER_FEDERATION } => self.federation_round(ctx),
             Incoming::Timer { token: TIMER_INJECT } => {
                 self.inject_timer_armed = false;
                 self.pump_injections(ctx);
@@ -547,9 +464,8 @@ impl Actor for Bdn {
             {
                 self.on_discovery_request(msg.message(), ctx);
             }
-            Incoming::Datagram { from, msg, .. } | Incoming::Stream { from, msg, .. } => match msg.into_message() {
+            Incoming::Datagram { msg, .. } | Incoming::Stream { msg, .. } => match msg.into_message() {
                 Message::Advertisement(ad) => self.register_ad(ad, ctx),
-                Message::FederationSync(sync) => self.on_federation_sync(sync, from.node, ctx),
                 Message::Secure(env) => {
                     let Some(suite) = &self.cfg.security else {
                         self.rejected_envelopes += 1;
@@ -627,7 +543,7 @@ impl Actor for Bdn {
 mod tests {
     use super::*;
     use nb_net::{ScriptCtx, Via};
-    use nb_wire::{DiscoveryRequest, LeaseRecord, Port, RealmId, TombstoneRecord};
+    use nb_wire::{DiscoveryRequest, Port, RealmId};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -636,17 +552,6 @@ mod tests {
     fn new_ctx() -> ScriptCtx {
         let (me, realm, now) = (NodeId(200), RealmId(1), SimTime::from_secs(100));
         ScriptCtx { me, realm, now, rng: StdRng::seed_from_u64(3), ..ScriptCtx::default() }
-    }
-
-    fn fed_bdn() -> Bdn {
-        Bdn::new(BdnConfig {
-            federation: Some(FederationConfig {
-                peers: vec![NodeId(200), NodeId(201)],
-                ..FederationConfig::default()
-            }),
-            auto_attach: false,
-            ..BdnConfig::default()
-        })
     }
 
     fn ad_for(broker: u32, issued_at_utc: u64) -> BrokerAdvertisement {
@@ -660,35 +565,6 @@ mod tests {
             institution: None,
             issued_at_utc,
         }
-    }
-
-    fn push_sync(leases: Vec<LeaseRecord>, tombstones: Vec<TombstoneRecord>) -> FederationSync {
-        FederationSync {
-            from: NodeId(201),
-            phase: SyncPhase::Push,
-            digest: 0,
-            leases,
-            tombstones,
-        }
-    }
-
-    #[test]
-    fn merged_expired_lease_becomes_tombstone_and_is_never_injected_at() {
-        let mut bdn = fed_bdn();
-        bdn.cfg.attached_brokers = vec![NodeId(5)];
-        let mut ctx = new_ctx();
-        let now_us = ctx.now.as_micros();
-        // A peer pushes a lease that expired in flight.
-        let rec = LeaseRecord { ad: ad_for(5, 10), expires_at_us: now_us - 1 };
-        bdn.on_federation_sync(push_sync(vec![rec], vec![]), NodeId(201), &mut ctx);
-        assert!(!bdn.lease_valid(NodeId(5), ctx.now), "expired lease never enters");
-        assert_eq!(bdn.live_entries(ctx.now), 0);
-        let tombstones: Vec<(NodeId, u64)> = bdn.registry().tombstones().collect();
-        assert_eq!(tombstones, vec![(NodeId(5), 10)], "it tombstones instead");
-        // The BDN then refuses to inject at the pinned attachment.
-        bdn.on_discovery_request(&discovery_request(now_us), &mut ctx);
-        assert_eq!(bdn.stale_targets_skipped, 1);
-        assert_eq!(bdn.requests_handled, 1);
     }
 
     fn discovery_request(issued_at_utc: u64) -> Message {
@@ -748,68 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_blocks_direct_resurrection_until_fresher_ad() {
-        let mut bdn = fed_bdn();
-        let mut ctx = new_ctx();
-        bdn.on_federation_sync(
-            push_sync(vec![], vec![TombstoneRecord { broker: NodeId(5), lease_issued_utc: 50 }]),
-            NodeId(201),
-            &mut ctx,
-        );
-        // A stale re-advertisement (at or below the stamp) is blocked…
-        bdn.register_ad(ad_for(5, 50), &mut ctx);
-        assert_eq!(bdn.live_entries(ctx.now), 0);
-        assert_eq!(bdn.federation().map(|f| f.stats.resurrections_blocked), Some(1));
-        // …a genuinely fresh one clears the tombstone and registers.
-        bdn.register_ad(ad_for(5, 51), &mut ctx);
-        assert!(bdn.lease_valid(NodeId(5), ctx.now));
-        assert_eq!(bdn.registry().tombstones().next(), None);
-    }
-
-    #[test]
-    fn oversized_sync_counts_malformed_and_merges_nothing() {
-        let mut bdn = fed_bdn();
-        let mut ctx = new_ctx();
-        let now_us = ctx.now.as_micros();
-        let leases: Vec<LeaseRecord> = (0..MAX_SYNC_ENTRIES as u32 + 1)
-            .map(|i| LeaseRecord { ad: ad_for(i, 10), expires_at_us: now_us + 1_000_000 })
-            .collect();
-        bdn.on_federation_sync(push_sync(leases, vec![]), NodeId(201), &mut ctx);
-        assert_eq!(bdn.malformed_messages, 1);
-        assert_eq!(bdn.live_entries(ctx.now), 0);
-        assert!(ctx.sent.is_empty(), "no reply to a malformed push");
-    }
-
-    #[test]
-    fn digest_match_skips_snapshot_exchange() {
-        let mut a = fed_bdn();
-        let mut b = fed_bdn();
-        let mut ctx = new_ctx();
-        let now_us = ctx.now.as_micros();
-        let rec = LeaseRecord { ad: ad_for(5, 10), expires_at_us: now_us + 1_000_000 };
-        a.on_federation_sync(push_sync(vec![rec.clone()], vec![]), NodeId(201), &mut ctx);
-        // `a` replied to the push with its merged snapshot; feed it to `b`.
-        let Some(Message::FederationSync(reply)) = ctx.sent.pop().map(|s| s.msg.message().clone()) else {
-            panic!("push reply expected");
-        };
-        assert_eq!(reply.phase, SyncPhase::PushReply);
-        b.on_federation_sync(reply, NodeId(200), &mut ctx);
-        assert_eq!(a.registry_digest(ctx.now), b.registry_digest(ctx.now));
-        // A digest probe between equals is absorbed without a push.
-        let probe = FederationSync {
-            from: NodeId(201),
-            phase: SyncPhase::Digest,
-            digest: b.registry_digest(ctx.now),
-            leases: vec![],
-            tombstones: vec![],
-        };
-        let sent_before = ctx.sent.len();
-        a.on_federation_sync(probe, NodeId(201), &mut ctx);
-        assert_eq!(ctx.sent.len(), sent_before, "matched digest sends nothing");
-        assert_eq!(a.federation().map(|f| f.stats.digests_matched), Some(1));
-    }
-
-    #[test]
     fn one_sweep_past_the_nonce_bound_measures_every_rtt() {
         // One more broker than the nonce table's hygiene bound: the
         // sweep's own pings must survive it.
@@ -836,7 +650,7 @@ mod tests {
             let event = Incoming::Datagram { from, to_port: well_known::BDN, msg: pong.into() };
             bdn.on_incoming(event, &mut ctx);
         }
-        let measured = bdn.registry().entries().filter(|(_, r)| r.rtt_us == Some(3_000)).count();
+        let measured = bdn.registry.entries().filter(|(_, r)| r.rtt_us == Some(3_000)).count();
         assert_eq!(measured, BROKERS as usize, "every pong of the sweep was matched");
     }
 
@@ -911,15 +725,24 @@ mod tests {
         );
     }
 
-    // The book's own proptests (`tests/proptests.rs`) see only the merge.
-    // These deliver one op set through `on_incoming`, so the filters the
-    // BDN applies before it merges are in the loop too.
-
-    /// The test context's clock, µs.
-    const NOW_US: u64 = 100_000_000;
+    #[test]
+    fn stale_lease_is_superseded() {
+        let mut book = LeaseBook::default();
+        let mut lease = |issued, expires_us| {
+            book.apply_lease(ad_for(1, issued), SimTime::from_micros(expires_us))
+        };
+        assert!(lease(200, 900));
+        assert!(!lease(150, 900), "an older stamp");
+        assert!(!lease(200, 900), "the same lease again");
+        book.set_rtt(NodeId(1), 7);
+        // Same stamp, longer expiry: refresh, measured RTT kept.
+        assert!(book.apply_lease(ad_for(1, 200), SimTime::from_micros(950)));
+        assert_eq!(book.get(NodeId(1)).and_then(|r| r.rtt_us), Some(7));
+    }
 
     /// Ads are content-addressed by (broker, stamp, geography), as every
-    /// BDN that hears one heartbeat holds the same bytes.
+    /// BDN that hears one heartbeat holds the same bytes. Few brokers and
+    /// stamps, so refreshes and same-stamp ties are common.
     fn arb_ad() -> impl Strategy<Value = BrokerAdvertisement> {
         (0u32..5, 0u64..40, 0u8..3).prop_map(|(broker, issued, geo)| BrokerAdvertisement {
             geography: [None, Some("us-east".to_string()), Some("eu-west".to_string())]
@@ -930,66 +753,31 @@ mod tests {
         })
     }
 
-    /// A `Push` or `PushReply` leg: live leases (up to ten minutes out)
-    /// and tombstones.
-    fn arb_leg() -> impl Strategy<Value = FederationSync> {
-        (
-            any::<bool>(),
-            prop::collection::vec((arb_ad(), 1u64..600), 0..4),
-            prop::collection::vec((0u32..5, 0u64..40), 0..3),
-        )
-            .prop_map(|(reply, leases, tombstones)| FederationSync {
-                from: NodeId(201),
-                phase: if reply { SyncPhase::PushReply } else { SyncPhase::Push },
-                digest: 0,
-                leases: leases
-                    .into_iter()
-                    .map(|(ad, secs)| LeaseRecord { ad, expires_at_us: NOW_US + secs * 1_000_000 })
-                    .collect(),
-                tombstones: tombstones
-                    .into_iter()
-                    .map(|(b, t)| TombstoneRecord { broker: NodeId(b), lease_issued_utc: t })
-                    .collect(),
-            })
-    }
-
-    /// Local ads, sync legs, and one leg whose record expired in flight.
-    fn arb_ops() -> impl Strategy<Value = Vec<Message>> {
-        (prop::collection::vec(arb_ad(), 0..10), prop::collection::vec(arb_leg(), 0..6), arb_ad())
-            .prop_map(|(ads, legs, dead)| {
-                let mut ops: Vec<Message> = ads.into_iter().map(Message::Advertisement).collect();
-                ops.extend(legs.into_iter().map(Message::FederationSync));
-                let dead = LeaseRecord { ad: dead, expires_at_us: NOW_US };
-                ops.push(Message::FederationSync(FederationSync {
-                    phase: SyncPhase::PushReply,
-                    ..push_sync(vec![dead], vec![])
-                }));
-                ops
-            })
-    }
-
-    /// Delivers `ops` to three federated BDNs, each in its own seeded
-    /// order, and returns each one's registry digest and live records.
+    /// Delivers each ad to a BDN through `on_incoming`, in three seeded
+    /// orders, and returns each one's registry, so the geography filter
+    /// the BDN applies before it stores is in the loop.
     fn deliver_in_three_orders(
-        ops: &[Message],
+        ads: &[BrokerAdvertisement],
         seeds: [u64; 3],
         accept_geography: Option<&str>,
-    ) -> Vec<(u64, Vec<LeaseRecord>)> {
+    ) -> Vec<LeaseBook> {
         seeds
             .iter()
             .map(|&seed| {
-                let mut bdn = fed_bdn();
-                bdn.cfg.accept_geography = accept_geography.map(String::from);
+                let mut bdn = Bdn::new(BdnConfig {
+                    auto_attach: false,
+                    accept_geography: accept_geography.map(String::from),
+                    ..BdnConfig::default()
+                });
                 let mut ctx = new_ctx();
-                let mut order = ops.to_vec();
+                let mut order = ads.to_vec();
                 order.shuffle(&mut StdRng::seed_from_u64(seed));
-                for msg in order {
-                    let from = Endpoint::new(NodeId(201), well_known::BDN);
-                    let event =
-                        Incoming::Datagram { from, to_port: well_known::BDN, msg: msg.into() };
-                    bdn.on_incoming(event, &mut ctx);
+                for ad in order {
+                    let from = Endpoint::new(ad.broker, well_known::BROKER);
+                    let msg = Message::Advertisement(ad).into();
+                    bdn.on_incoming(Incoming::Datagram { from, to_port: well_known::BDN, msg }, &mut ctx);
                 }
-                (bdn.registry_digest(ctx.now), bdn.registry().live_records(ctx.now))
+                bdn.registry
             })
             .collect()
     }
@@ -1007,26 +795,35 @@ mod tests {
             prop_assert_eq!(ordered(&targets), reference_injection_order(&targets));
         }
 
+        /// The lease order is total: the same leases applied in any
+        /// order leave the same book.
         #[test]
-        fn federated_bdns_converge_under_any_delivery_order(
-            ops in arb_ops(),
-            seeds in any::<[u64; 3]>(),
+        fn leases_applied_in_any_order_leave_one_book(
+            leases in prop::collection::vec((arb_ad(), 0u64..400), 0..40),
+            seed in any::<u64>(),
         ) {
-            let ends = deliver_in_three_orders(&ops, seeds, None);
-            prop_assert_eq!(&ends[0], &ends[1]);
-            prop_assert_eq!(&ends[0], &ends[2]);
+            let book_of = |leases: &[(BrokerAdvertisement, u64)]| {
+                let mut book = LeaseBook::default();
+                for (ad, expires_us) in leases {
+                    book.apply_lease(ad.clone(), SimTime::from_micros(*expires_us));
+                }
+                book
+            };
+            let mut shuffled = leases.clone();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(book_of(&leases), book_of(&shuffled));
         }
 
         #[test]
         fn geography_filtered_bdns_converge_under_any_delivery_order(
-            ops in arb_ops(),
+            ads in prop::collection::vec(arb_ad(), 0..16),
             seeds in any::<[u64; 3]>(),
         ) {
-            let ends = deliver_in_three_orders(&ops, seeds, Some("us"));
+            let ends = deliver_in_three_orders(&ads, seeds, Some("us"));
             prop_assert_eq!(&ends[0], &ends[1]);
             prop_assert_eq!(&ends[0], &ends[2]);
-            for rec in &ends[0].1 {
-                prop_assert!(rec.ad.geography.as_deref().is_some_and(|g| g.contains("us")));
+            for (_, reg) in ends[0].entries() {
+                prop_assert!(reg.ad.geography.as_deref().is_some_and(|g| g.contains("us")));
             }
         }
     }

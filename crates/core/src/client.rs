@@ -246,19 +246,6 @@ impl DiscoveryClient {
         self.auto_start = auto_start;
     }
 
-    /// Extends the BDN rotation with federated peers not already
-    /// configured. The existing retry machinery does the rest: the
-    /// rotation budget scales with `cfg.bdns.len()`, so once one
-    /// anti-entropy round has replicated the registry, exhausting
-    /// retries against a dead BDN rolls the request onto a live peer.
-    pub fn federate_bdns(&mut self, peers: &[NodeId]) {
-        for &peer in peers {
-            if !self.cfg.bdns.contains(&peer) {
-                self.cfg.bdns.push(peer);
-            }
-        }
-    }
-
     /// The current run's request id.
     fn request_id(&self) -> Option<Uuid> {
         match self.request.as_ref().map(WireMsg::message) {
@@ -750,14 +737,6 @@ mod tests {
     #[test]
     fn zero_total_has_no_shares() {
         assert!(PhaseTimes::default().shares().is_empty());
-    }
-
-    #[test]
-    fn federate_bdns_extends_rotation_without_duplicates() {
-        let cfg = DiscoveryConfig { bdns: vec![NodeId(100)], ..DiscoveryConfig::default() };
-        let mut client = DiscoveryClient::new(cfg);
-        client.federate_bdns(&[NodeId(100), NodeId(101), NodeId(102), NodeId(101)]);
-        assert_eq!(client.config().bdns, vec![NodeId(100), NodeId(101), NodeId(102)]);
     }
 }
 

@@ -194,13 +194,6 @@ impl Entity {
         self.dedup.heap_bytes()
     }
 
-    /// Extends the discovery client's BDN rotation with federated peers
-    /// (see [`DiscoveryClient::federate_bdns`]): entity discovery then
-    /// survives the loss of every originally-configured BDN.
-    pub fn federate_bdns(&mut self, peers: &[NodeId]) {
-        self.discovery.federate_bdns(peers);
-    }
-
     /// Queues an event for publication (flushed while attached).
     pub fn queue_publish(&mut self, topic: Topic, payload: Vec<u8>) {
         self.outbox.push_back((topic, payload));

@@ -58,7 +58,11 @@ pub mod client;
 pub mod config;
 pub mod deployment;
 pub mod entity;
-pub mod federation;
+/// `nb_util`'s FNV-1a primitives under the path `benchmark/` imports
+/// them from; ROADMAP item 7(d) drops it.
+pub mod federation {
+    pub use nb_util::{fnv1a64_step, FNV_OFFSET};
+}
 pub mod joining;
 pub mod policy;
 pub mod responder;
@@ -72,7 +76,6 @@ pub use client::{DiscoveryClient, DiscoveryOutcome, Phase, PhaseTimes};
 pub use config::{DiscoveryConfig, RetryPolicy, SelectionWeights};
 pub use deployment::{on_every_engine, Deployment, DeploymentNode, Network};
 pub use entity::{Entity, EntityState};
-pub use federation::{Federation, FederationConfig, FederationStats, LeaseBook, LeaseOutcome};
 pub use joining::JoiningBroker;
 pub use policy::ResponsePolicy;
 pub use responder::Responder;

@@ -1,7 +1,6 @@
 //! Property-based tests for the selection algorithm, BDN injection
 //! ordering, retry backoff and duplicate suppression — the paper's
-//! decision logic under arbitrary inputs — and the semilattice laws of
-//! the BDN registry's merge.
+//! decision logic under arbitrary inputs.
 
 use std::time::Duration;
 
@@ -253,135 +252,5 @@ proptest! {
             }
         }
         prop_assert_eq!(accepted, distinct.len(), "each distinct key accepted exactly once");
-    }
-}
-
-// ---------------------------------------------------------------- federation
-
-use nb_discovery::LeaseBook;
-use nb_net::SimTime;
-use nb_wire::BrokerAdvertisement;
-
-/// One federated registry mutation: a lease application or a tombstone.
-#[derive(Debug, Clone)]
-enum FedOp {
-    Lease { broker: u32, issued: u64, expires: u64 },
-    Tombstone { broker: u32, stamp: u64 },
-}
-
-/// Ads are content-addressed by (broker, issued): every BDN that hears
-/// the same heartbeat holds byte-identical ad fields, which is exactly
-/// what the real advertiser produces.
-fn fed_ad(broker: u32, issued: u64) -> BrokerAdvertisement {
-    BrokerAdvertisement {
-        broker: NodeId(broker),
-        hostname: format!("b{broker}"),
-        logical_address: format!("nb://fed/{broker}-{issued}"),
-        realm: RealmId(1),
-        transports: vec![],
-        geography: None,
-        institution: None,
-        issued_at_utc: issued,
-    }
-}
-
-fn arb_fed_op() -> impl Strategy<Value = FedOp> {
-    prop_oneof![
-        (0u32..6, 0u64..200, 0u64..400).prop_map(|(broker, issued, expires)| FedOp::Lease {
-            broker,
-            issued,
-            expires,
-        }),
-        (0u32..6, 0u64..200).prop_map(|(broker, stamp)| FedOp::Tombstone { broker, stamp }),
-    ]
-}
-
-/// A book as a federated BDN builds it (the default tombstone bound).
-fn book_from(ops: &[FedOp]) -> LeaseBook {
-    let mut book = LeaseBook::new(nb_discovery::federation::MAX_TOMBSTONES);
-    for op in ops {
-        match *op {
-            FedOp::Lease { broker, issued, expires } => {
-                book.apply_lease(fed_ad(broker, issued), SimTime::from_micros(expires));
-            }
-            FedOp::Tombstone { broker, stamp } => {
-                book.apply_tombstone(NodeId(broker), stamp);
-            }
-        }
-    }
-    book
-}
-
-/// Every lease in these books is live at time zero.
-const T0: SimTime = SimTime::ZERO;
-
-/// `a` after merging `b`'s snapshot exactly as a BDN merges a peer's
-/// push leg: every live record, then every tombstone.
-fn merged(a: &LeaseBook, b: &LeaseBook) -> LeaseBook {
-    let mut out = a.clone();
-    for rec in b.live_records(T0) {
-        out.apply_lease(rec.ad, SimTime::from_micros(rec.expires_at_us));
-    }
-    for tomb in b.tombstone_records() {
-        out.apply_tombstone(tomb.broker, tomb.lease_issued_utc);
-    }
-    out
-}
-
-proptest! {
-    #[test]
-    fn lease_merge_is_commutative(
-        ops_a in prop::collection::vec(arb_fed_op(), 0..40),
-        ops_b in prop::collection::vec(arb_fed_op(), 0..40),
-    ) {
-        let a = book_from(&ops_a);
-        let b = book_from(&ops_b);
-        let ab = merged(&a, &b);
-        let ba = merged(&b, &a);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(ab.digest(T0), ba.digest(T0));
-    }
-
-    #[test]
-    fn lease_merge_is_idempotent(
-        ops in prop::collection::vec(arb_fed_op(), 0..40),
-    ) {
-        let a = book_from(&ops);
-        let aa = merged(&a, &a);
-        prop_assert_eq!(&aa, &a);
-        // Re-merging a remote book twice changes nothing either.
-        let twice = merged(&merged(&a, &aa), &aa);
-        prop_assert_eq!(&twice, &a);
-    }
-
-    #[test]
-    fn lease_merge_is_associative(
-        ops_a in prop::collection::vec(arb_fed_op(), 0..30),
-        ops_b in prop::collection::vec(arb_fed_op(), 0..30),
-        ops_c in prop::collection::vec(arb_fed_op(), 0..30),
-    ) {
-        let a = book_from(&ops_a);
-        let b = book_from(&ops_b);
-        let c = book_from(&ops_c);
-        let left = merged(&merged(&a, &b), &c);
-        let right = merged(&a, &merged(&b, &c));
-        prop_assert_eq!(&left, &right);
-        prop_assert_eq!(left.digest(T0), right.digest(T0));
-    }
-
-    #[test]
-    fn tombstone_never_coexists_with_a_retired_lease(
-        ops in prop::collection::vec(arb_fed_op(), 0..60),
-    ) {
-        let book = book_from(&ops);
-        for (broker, t) in book.tombstones() {
-            if let Some(lease) = book.get(broker) {
-                prop_assert!(
-                    lease.ad.issued_at_utc > t,
-                    "broker {broker:?}: live lease at {} under tombstone {t}",
-                    lease.ad.issued_at_utc
-                );
-            }
-        }
     }
 }

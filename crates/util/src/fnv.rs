@@ -1,6 +1,6 @@
 //! FNV-1a-64, the one hash every digest in the workspace folds with:
-//! the engines' run digests, a generated topology's identity, the BDN
-//! federation's registry digest and the campaign reports' pins.
+//! the engines' run digests, a generated topology's identity, a fault
+//! plan's digest and the campaign reports' pins.
 
 /// The FNV-1a-64 offset basis: the hash of no input.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -14,8 +14,8 @@
 //!   cached so the v2 codec never compares or re-parses one,
 //! * [`message`] — the full protocol message set: pub/sub events and
 //!   subscriptions, broker link management, broker advertisements,
-//!   discovery requests/acks/responses, BDN federation sync, UDP pings
-//!   and secured envelopes,
+//!   discovery requests/acks/responses, UDP pings and secured
+//!   envelopes,
 //! * [`frame`] — the prelude-framed wire format ([`frame::peek`],
 //!   [`frame_message`]) that receive paths header-peek without decoding,
 //! * [`wiremsg`] — [`WireMsg`]: a decoded message sharing its counted
@@ -58,7 +58,7 @@ pub use frame::{
 pub use intern::{SegId, SymId};
 pub use message::{
     BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryRequestView, DiscoveryResponse,
-    Event, FederationSync, LeaseRecord, Message, SyncPhase, TombstoneRecord, UsageMetrics,
+    Event, Message, UsageMetrics,
 };
 pub use symtab::{SymTabReader, SymTabWriter};
 pub use topic::{Topic, TopicError, TopicFilter, WellKnownTopic};

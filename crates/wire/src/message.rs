@@ -2,12 +2,12 @@
 //!
 //! One tagged union, [`Message`], covers every datagram and stream payload
 //! in the system: pub/sub traffic, broker link management, and the whole
-//! discovery plane (advertisements, requests, acks, responses, BDN
-//! federation sync, pings and secured envelopes). The discovery structures
+//! discovery plane (advertisements, requests, acks, responses, pings and
+//! secured envelopes). The discovery structures
 //! follow the paper's "anatomy" sections (§2.2 advertisements, §3
 //! requests, §5.1 responses). NTP is not a message kind: response
 //! timestamps come from each node's modelled clock (`nb_net::clock`).
-//! Tags 20, 21, 23, 24 and 25 are retired and decode as
+//! Tags 20, 21 and 23–26 are retired and decode as
 //! [`WireError::InvalidTag`]; surviving tags keep their values.
 
 use crate::addr::{Endpoint, NodeId, Port, RealmId, TransportKind};
@@ -413,115 +413,6 @@ impl Wire for SecureEnvelope {
     }
 }
 
-/// One replicated advertisement lease inside a [`FederationSync`]. The
-/// absolute expiry travels with the ad so a merged lease never slides
-/// forward: a dead broker's lease expires at the same virtual instant on
-/// every BDN that holds it, no matter how many gossip hops it took.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeaseRecord {
-    /// The advertisement the lease covers (LWW key: `ad.issued_at_utc`).
-    pub ad: BrokerAdvertisement,
-    /// Absolute UTC expiry (µs) of the lease at the origin BDN.
-    pub expires_at_us: u64,
-}
-
-impl Wire for LeaseRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        self.ad.encode(w);
-        w.put_u64(self.expires_at_us);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(LeaseRecord { ad: BrokerAdvertisement::decode(r)?, expires_at_us: r.get_u64()? })
-    }
-}
-
-/// A tombstone for an expired lease: retires every advertisement for
-/// `broker` issued at or before `lease_issued_utc`. A fresher ad (strictly
-/// newer `issued_at_utc`) beats the tombstone, so a live broker that keeps
-/// heartbeating is never suppressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TombstoneRecord {
-    /// The broker whose lease expired.
-    pub broker: NodeId,
-    /// `issued_at_utc` of the newest advertisement the tombstone retires.
-    pub lease_issued_utc: u64,
-}
-
-impl Wire for TombstoneRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        self.broker.encode(w);
-        w.put_u64(self.lease_issued_utc);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(TombstoneRecord { broker: NodeId::decode(r)?, lease_issued_utc: r.get_u64()? })
-    }
-}
-
-/// Which leg of the anti-entropy exchange a [`FederationSync`] carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPhase {
-    /// Opening probe: digest only, no records.
-    Digest,
-    /// Digest mismatched — full snapshot travels to the partner.
-    Push,
-    /// Partner's merged snapshot travels back, closing the round.
-    PushReply,
-}
-
-impl Wire for SyncPhase {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(match self {
-            SyncPhase::Digest => 0,
-            SyncPhase::Push => 1,
-            SyncPhase::PushReply => 2,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(SyncPhase::Digest),
-            1 => Ok(SyncPhase::Push),
-            2 => Ok(SyncPhase::PushReply),
-            tag => Err(WireError::InvalidTag { context: "SyncPhase", tag }),
-        }
-    }
-}
-
-/// One BDN-to-BDN anti-entropy exchange. `digest` is the sender's FNV-1a
-/// registry digest at send time; `leases`/`tombstones` are empty on the
-/// [`SyncPhase::Digest`] leg and carry full snapshots on the push legs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FederationSync {
-    /// The BDN that sent this leg.
-    pub from: NodeId,
-    /// Which leg of the exchange this is.
-    pub phase: SyncPhase,
-    /// FNV-1a-64 digest of the sender's live registry.
-    pub digest: u64,
-    /// Replicated leases (push legs only).
-    pub leases: Vec<LeaseRecord>,
-    /// Replicated tombstones (push legs only).
-    pub tombstones: Vec<TombstoneRecord>,
-}
-
-impl Wire for FederationSync {
-    fn encode(&self, w: &mut WireWriter) {
-        self.from.encode(w);
-        self.phase.encode(w);
-        w.put_u64(self.digest);
-        w.put_vec(&self.leases);
-        w.put_vec(&self.tombstones);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(FederationSync {
-            from: NodeId::decode(r)?,
-            phase: SyncPhase::decode(r)?,
-            digest: r.get_u64()?,
-            leases: r.get_vec()?,
-            tombstones: r.get_vec()?,
-        })
-    }
-}
-
 /// Every payload that crosses the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -571,9 +462,6 @@ pub enum Message {
     DiscoveryAck { request_id: Uuid, bdn: NodeId },
     /// A broker answers a discovery request, over UDP.
     Response(DiscoveryResponse),
-    /// BDN-to-BDN anti-entropy exchange: digest probe or lease/tombstone
-    /// snapshot (see `nb-discovery::federation`).
-    FederationSync(FederationSync),
 
     // ------------------------------------------------ measurement -------
     /// UDP ping carrying the sender's local send timestamp (paper §6).
@@ -617,7 +505,6 @@ impl Message {
             Message::Discovery(_) => TAG_DISCOVERY,
             Message::DiscoveryAck { .. } => TAG_DISCOVERY_ACK,
             Message::Response(_) => TAG_RESPONSE,
-            Message::FederationSync(_) => TAG_FEDERATION_SYNC,
             Message::Ping { .. } => TAG_PING,
             Message::Pong { .. } => TAG_PONG,
             Message::Secure(_) => TAG_SECURE,
@@ -645,7 +532,6 @@ pub(crate) const TAG_RESPONSE: u8 = 17;
 pub(crate) const TAG_PING: u8 = 18;
 pub(crate) const TAG_PONG: u8 = 19;
 pub(crate) const TAG_SECURE: u8 = 22;
-pub(crate) const TAG_FEDERATION_SYNC: u8 = 26;
 pub(crate) const TAG_PRUNE: u8 = 27;
 
 /// Every [`Message::kind`] label with its wire tag, in label order: the
@@ -658,7 +544,7 @@ pub(crate) const TAG_PRUNE: u8 = 27;
 /// variant, and the test module's exhaustive-match witness stops
 /// compiling until a new variant is sampled, so a forgotten registration
 /// fails `cargo test` instead of surfacing as a protocol drift.
-pub const KINDS: [(&str, u8); 22] = [
+pub const KINDS: [(&str, u8); 21] = [
     ("advertisement", TAG_ADVERTISEMENT),
     ("bdn-advertisement", TAG_BDN_ADVERTISEMENT),
     ("client-connect", TAG_CLIENT_CONNECT),
@@ -669,7 +555,6 @@ pub const KINDS: [(&str, u8); 22] = [
     ("discovery-ack", TAG_DISCOVERY_ACK),
     ("discovery-request", TAG_DISCOVERY),
     ("discovery-response", TAG_RESPONSE),
-    ("federation-sync", TAG_FEDERATION_SYNC),
     ("heartbeat", TAG_HEARTBEAT),
     ("link-accept", TAG_LINK_ACCEPT),
     ("link-close", TAG_LINK_CLOSE),
@@ -794,10 +679,6 @@ impl Wire for Message {
                 w.put_u8(TAG_RESPONSE);
                 resp.encode(w);
             }
-            Message::FederationSync(sync) => {
-                w.put_u8(TAG_FEDERATION_SYNC);
-                sync.encode(w);
-            }
             Message::Ping { nonce, sent_at, reply_to } => {
                 w.put_u8(TAG_PING);
                 w.put_u64(*nonce);
@@ -867,7 +748,6 @@ impl Wire for Message {
                 Message::DiscoveryAck { request_id: r.get_uuid()?, bdn: NodeId::decode(r)? }
             }
             TAG_RESPONSE => Message::Response(DiscoveryResponse::decode(r)?),
-            TAG_FEDERATION_SYNC => Message::FederationSync(FederationSync::decode(r)?),
             TAG_PING => Message::Ping {
                 nonce: r.get_u64()?,
                 sent_at: r.get_u64()?,
@@ -975,13 +855,6 @@ mod tests {
                 issued_at_utc: 1_000_000,
                 metrics: sample_metrics(),
             }),
-            Message::FederationSync(FederationSync {
-                from: NodeId(100),
-                phase: SyncPhase::Push,
-                digest: 0xDEAD_BEEF_CAFE_F00D,
-                leases: vec![LeaseRecord { ad: sample_ad(), expires_at_us: 31_234_567 }],
-                tombstones: vec![TombstoneRecord { broker: NodeId(6), lease_issued_utc: 900 }],
-            }),
             Message::Ping {
                 nonce: 5,
                 sent_at: 123,
@@ -998,7 +871,7 @@ mod tests {
     }
 
     /// `Message`'s variant count, as numbered by [`mark_variant`].
-    const VARIANTS: usize = 22;
+    const VARIANTS: usize = 21;
 
     /// The witness: one arm per `Message` variant and no `_` arm, so a
     /// new variant does not compile until it is numbered here, and a
@@ -1025,10 +898,9 @@ mod tests {
             Message::Discovery(_) => seen[15] = true,
             Message::DiscoveryAck { .. } => seen[16] = true,
             Message::Response(_) => seen[17] = true,
-            Message::FederationSync(_) => seen[18] = true,
-            Message::Ping { .. } => seen[19] = true,
-            Message::Pong { .. } => seen[20] = true,
-            Message::Secure(_) => seen[21] = true,
+            Message::Ping { .. } => seen[18] = true,
+            Message::Pong { .. } => seen[19] = true,
+            Message::Secure(_) => seen[20] = true,
         }
     }
 
@@ -1106,8 +978,9 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        // 20, 21 and 23–25 are retired kinds; 200 was never assigned.
-        for tag in [20u8, 21, 23, 24, 25, 200] {
+        // 20, 21 and 23–26 are retired kinds (26 was BDN-to-BDN
+        // registry sync); 200 was never assigned.
+        for tag in [20u8, 21, 23, 24, 25, 26, 200] {
             assert!(KINDS.iter().all(|&(_, t)| t != tag), "tag {tag} is registered");
             assert!(
                 matches!(
@@ -1119,18 +992,6 @@ mod tests {
             let framed = Bytes::from(vec![crate::frame::DEFAULT_TTL, 0, 0, 0, tag]);
             assert!(crate::WireMsg::from_frame(framed).is_err(), "framed tag {tag} decoded");
         }
-    }
-
-    #[test]
-    fn invalid_sync_phase_byte_is_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u8(9); // no SyncPhase encodes as 9
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert!(matches!(
-            SyncPhase::decode(&mut r),
-            Err(WireError::InvalidTag { context: "SyncPhase", tag: 9 })
-        ));
     }
 
     #[test]

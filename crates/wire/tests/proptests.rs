@@ -12,8 +12,7 @@ use nb_wire::topic::{
 };
 use nb_wire::{
     BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryResponse, Endpoint, Event,
-    FederationSync, LeaseRecord, Message, NodeId, Port, RealmId, SyncPhase, TombstoneRecord, Topic,
-    TopicFilter, TransportKind, UsageMetrics, Wire,
+    Message, NodeId, Port, RealmId, Topic, TopicFilter, TransportKind, UsageMetrics, Wire,
 };
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
@@ -178,29 +177,6 @@ fn arb_event() -> impl Strategy<Value = Event> {
         })
 }
 
-fn arb_federation_sync() -> impl Strategy<Value = FederationSync> {
-    let phase =
-        prop_oneof![Just(SyncPhase::Digest), Just(SyncPhase::Push), Just(SyncPhase::PushReply)];
-    let lease = (arb_advertisement(), any::<u64>())
-        .prop_map(|(ad, expires_at_us)| LeaseRecord { ad, expires_at_us });
-    let tombstone = (arb_node(), any::<u64>())
-        .prop_map(|(broker, lease_issued_utc)| TombstoneRecord { broker, lease_issued_utc });
-    (
-        arb_node(),
-        phase,
-        any::<u64>(),
-        prop::collection::vec(lease, 0..3),
-        prop::collection::vec(tombstone, 0..3),
-    )
-        .prop_map(|(from, phase, digest, leases, tombstones)| FederationSync {
-            from,
-            phase,
-            digest,
-            leases,
-            tombstones,
-        })
-}
-
 /// A `Publish` on one of the well-known flooding topics, its payload an
 /// encoded message nested inside the event.
 fn arb_flood_publish() -> impl Strategy<Value = Message> {
@@ -249,7 +225,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 requires_credentials
             }
         ),
-        arb_federation_sync().prop_map(Message::FederationSync),
         (arb_node(), any::<u32>())
             .prop_map(|(source, lease_ms)| Message::Prune { source, lease_ms }),
         arb_advertisement().prop_map(Message::Advertisement),

@@ -157,7 +157,7 @@ fn bdn_registry_learns_all_advertisers_and_measures_rtt() {
         let bdn_actor = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
         assert_eq!(bdn_actor.registry_len(), 5, "all brokers registered");
         for &broker in &s.brokers {
-            let reg = bdn_actor.registry().get(broker).expect("registered");
+            let reg = bdn_actor.registered(broker).expect("registered");
             let rtt = reg.rtt_us.expect("RTT measured by the BDN's ping loop");
             assert!(rtt > 0);
         }

@@ -227,7 +227,7 @@ fn bdn_registry_expires_dead_brokers() {
         // victim's entry ages out.
         s.sim.run_for(Duration::from_secs(400));
         let bdn = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
-        assert!(bdn.registry().get(victim).is_none(), "dead broker expired from the registry");
+        assert!(bdn.registered(victim).is_none(), "dead broker expired from the registry");
         assert_eq!(bdn.registry_len(), 4, "survivors remain registered");
         assert!(bdn.ads_expired >= 1);
         // Discovery still succeeds against the four survivors.
@@ -251,7 +251,7 @@ fn bdn_skips_stale_lease_targets_between_pings() {
         s.sim.run_for(Duration::from_secs(200)); // the victim's lease lapses
         {
             let bdn = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
-            assert!(bdn.registry().get(victim).is_some(), "entry still present (no pruning)");
+            assert!(bdn.registered(victim).is_some(), "entry still present (no pruning)");
             assert!(!bdn.lease_valid(victim, s.sim.now()), "but its lease has lapsed");
         }
         let outcome = s.run_discovery_once();

@@ -524,7 +524,7 @@ fn topic_based_advertisements_reach_a_bdn_attached_elsewhere() {
         sim.run_for(Duration::from_secs(125));
         let bdn_actor = sim.actor::<Bdn>(bdn).unwrap();
         assert!(
-            bdn_actor.registry().get(b).is_some(),
+            bdn_actor.registered(b).is_some(),
             "broker B advertised over the topic and through the overlay \
              (registry has {} brokers)",
             bdn_actor.registry_len()
@@ -558,8 +558,8 @@ fn geography_filtered_bdn_ignores_other_regions() {
     on_every_engine(describe, |sim| {
         sim.run_for(Duration::from_secs(8));
         let bdn_actor = sim.actor::<Bdn>(bdn).unwrap();
-        assert!(bdn_actor.registry().get(us).is_some(), "US broker accepted");
-        assert!(bdn_actor.registry().get(uk).is_none(), "UK broker filtered out");
+        assert!(bdn_actor.registered(us).is_some(), "US broker accepted");
+        assert!(bdn_actor.registered(uk).is_none(), "UK broker filtered out");
         assert!(bdn_actor.ads_filtered > 0);
     });
 }
@@ -593,7 +593,7 @@ fn private_bdn_announcement_triggers_readvertisement() {
             "broker learned about the private BDN"
         );
         let private_actor = sim.actor::<Bdn>(private_bdn).unwrap();
-        assert!(private_actor.registry().get(broker).is_some(), "broker re-advertised to the private BDN");
+        assert!(private_actor.registered(broker).is_some(), "broker re-advertised to the private BDN");
     });
 }
 

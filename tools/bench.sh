@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The CI gates are `repro gate [lint|bench|figs|chaos|federation|scale|census]`:
+# The CI gates are `repro gate [lint|bench|figs|chaos|scale|census]`:
 # clippy and the benchmark crate's build, then every committed figure, report
 # and the census, regenerated in memory (reports at 1 and 4 workers), must
 # match its committed bytes. This
