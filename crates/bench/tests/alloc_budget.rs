@@ -263,8 +263,11 @@ fn bytes_and_calls_of_a_cache(make: impl FnOnce() -> BoundedDedup<Uuid>, keys: u
 /// duplicate caches (each broker's event and request caches, the
 /// BDN's request cache) allocated whole at build and holding a dozen
 /// keys each. Sized by what they hold, they take 384 B each and the
-/// deployment 34 373 B; the budget is that plus 10 %.
-const BUDGET_PAPER_BUILD_BYTES: u64 = 37_810;
+/// deployment 34 373 B. It had drifted to 31 309 B when a topic or filter
+/// became one pointer to a shared parse, not 80 B of string, inline
+/// segment ids and symbol id by value, which made it 29 293 B. The
+/// budget is that plus 10 %.
+const BUDGET_PAPER_BUILD_BYTES: u64 = 32_222;
 
 /// Live bytes a [`ScenarioBuilder::build`] of the Fig 2 deployment
 /// retains.
@@ -307,9 +310,10 @@ fn bytes_of_one_finished_client(mut scenario: Scenario) -> u64 {
 /// links and by one of 20 clients: 1 280 registrations, about what
 /// `attach_geo`'s busiest broker holds. The change that added this case
 /// measured 49 488 B under `cargo test`, where the three string-keyed
-/// structures it replaced held 289 088 B; the budget is the 49 488 plus
-/// 10 %.
-const BUDGET_INTEREST_PLANE: u64 = 54_437;
+/// structures it replaced held 289 088 B. Since a filter is one pointer
+/// to a shared parse (8 B a copy where it was 80), it is 40 272 B; the
+/// budget is that plus 10 %.
+const BUDGET_INTEREST_PLANE: u64 = 44_299;
 
 /// Drops what `ctx` recorded, so a `live_bytes()` read after it counts
 /// the broker's heap alone.

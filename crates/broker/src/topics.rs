@@ -546,6 +546,7 @@ impl SubscriptionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn f(s: &str) -> TopicFilter {
         TopicFilter::parse(s).unwrap()
@@ -723,7 +724,8 @@ mod tests {
         filters.extend((0..4).map(|k| f(&format!("m/*/{}", k * 11))));
         filters.push(f("m/**"));
         let mut tab = SubscriptionTable::new();
-        let mut model: BTreeMap<Topic, ()> = BTreeMap::new();
+        // The model holds indexes into `topics`, each a distinct string.
+        let mut model: BTreeSet<usize> = BTreeSet::new();
         let mut wiped = 0;
         let mut s: u64 = 0x2545_f491_4f6c_dd1d;
         let mut next = move |n: usize| {
@@ -742,20 +744,21 @@ mod tests {
                     tab.unsubscribe(dest, filter).then_some(filter)
                 }
                 _ => {
-                    let topic = &topics[next(TOPICS)];
+                    let k = next(TOPICS);
+                    let topic = &topics[k];
                     assert_eq!(tab.matches(topic).to_vec(), tab.matches_uncached(topic), "{topic}");
-                    if !model.contains_key(topic) {
+                    if !model.contains(&k) {
                         if model.len() >= MEMO_CAP {
                             model.clear();
                             wiped += 1;
                         }
-                        model.insert(topic.clone(), ());
+                        model.insert(k);
                     }
                     None
                 }
             };
             if let Some(filter) = changed {
-                model.retain(|topic, _| !filter.matches(topic));
+                model.retain(|&k| !filter.matches(&topics[k]));
             }
             assert_eq!(tab.memo_len(), model.len());
         }

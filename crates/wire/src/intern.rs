@@ -200,65 +200,46 @@ pub fn symbol_filter(id: SymId) -> Result<TopicFilter, TopicError> {
 /// A `SmallVec`-style segment-id sequence: topics up to `INLINE`
 /// segments deep (every well-known topic, and the proptest corpus) live
 /// entirely inline; deeper ones spill to the heap once at parse time.
-#[derive(Clone)]
-pub struct SegVec {
-    len: u8,
-    inline: [SegId; SegVec::INLINE],
-    spill: Vec<SegId>,
+pub(crate) enum SegVec {
+    Inline(u8, [SegId; SegVec::INLINE]),
+    Spill(Vec<SegId>),
 }
 
 impl SegVec {
     const INLINE: usize = 6;
 
     /// An empty sequence.
-    pub fn new() -> SegVec {
-        SegVec { len: 0, inline: [SegId(0); SegVec::INLINE], spill: Vec::new() }
+    fn new() -> SegVec {
+        SegVec::Inline(0, [SegId(0); SegVec::INLINE])
     }
 
     /// Appends one id (spilling to the heap past the inline capacity).
-    pub fn push(&mut self, id: SegId) {
-        let len = self.len as usize;
-        if self.spill.is_empty() && len < SegVec::INLINE {
-            self.inline[len] = id;
-        } else {
-            if self.spill.is_empty() {
-                self.spill.extend_from_slice(&self.inline[..len]);
+    fn push(&mut self, id: SegId) {
+        match self {
+            SegVec::Inline(len, ids) if usize::from(*len) < SegVec::INLINE => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
             }
-            self.spill.push(id);
+            SegVec::Inline(_, ids) => {
+                let mut spill = ids.to_vec();
+                spill.push(id);
+                *self = SegVec::Spill(spill);
+            }
+            SegVec::Spill(spill) => spill.push(id),
         }
-        self.len += 1;
     }
 
     /// The ids as a slice.
-    pub fn as_slice(&self) -> &[SegId] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
+    pub(crate) fn as_slice(&self) -> &[SegId] {
+        match self {
+            SegVec::Inline(len, ids) => &ids[..usize::from(*len)],
+            SegVec::Spill(spill) => spill,
         }
     }
 
     /// Number of ids.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the sequence is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl PartialEq for SegVec {
-    fn eq(&self, other: &SegVec) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-impl Eq for SegVec {}
-
-impl Default for SegVec {
-    fn default() -> Self {
-        SegVec::new()
+    fn len(&self) -> usize {
+        self.as_slice().len()
     }
 }
 
@@ -271,7 +252,7 @@ impl std::fmt::Debug for SegVec {
 /// Resolves a concrete topic string in one pass: split, validate (empty
 /// segments, wildcards, depth cap) and intern together, so wire decode
 /// touches each byte once.
-pub fn resolve_topic(s: &str) -> Result<SegVec, TopicError> {
+pub(crate) fn resolve_topic(s: &str) -> Result<SegVec, TopicError> {
     if s.is_empty() {
         return Err(TopicError::EmptySegment);
     }
@@ -293,7 +274,7 @@ pub fn resolve_topic(s: &str) -> Result<SegVec, TopicError> {
 
 /// Resolves a filter string in one pass; wildcards become the sentinel
 /// ids and `**` is checked for final position on the fly.
-pub fn resolve_filter(s: &str) -> Result<SegVec, TopicError> {
+pub(crate) fn resolve_filter(s: &str) -> Result<SegVec, TopicError> {
     if s.is_empty() {
         return Err(TopicError::EmptySegment);
     }
@@ -344,8 +325,9 @@ mod tests {
 
     #[test]
     fn segvec_spills_past_inline_capacity() {
+        assert_eq!(std::mem::size_of::<SegVec>(), 32, "six ids inline, or a spilled Vec");
         let mut v = SegVec::new();
-        assert!(v.is_empty());
+        assert!(v.as_slice().is_empty());
         let ids: Vec<SegId> = (0..SegVec::INLINE + 3)
             .map(|i| intern(&format!("segvec-spill-{i}")))
             .collect();
@@ -354,18 +336,16 @@ mod tests {
             assert_eq!(v.len(), i + 1);
             assert_eq!(v.as_slice(), &ids[..=i], "slice stable across the spill boundary");
         }
-        let clone = v.clone();
-        assert_eq!(clone.as_slice(), v.as_slice());
     }
 
     #[test]
     fn resolve_topic_validates_in_one_pass() {
         assert!(resolve_topic("a/b/c").is_ok());
-        assert_eq!(resolve_topic(""), Err(TopicError::EmptySegment));
-        assert_eq!(resolve_topic("a//b"), Err(TopicError::EmptySegment));
-        assert_eq!(resolve_topic("a/*"), Err(TopicError::WildcardInTopic));
+        assert_eq!(resolve_topic("").err(), Some(TopicError::EmptySegment));
+        assert_eq!(resolve_topic("a//b").err(), Some(TopicError::EmptySegment));
+        assert_eq!(resolve_topic("a/*").err(), Some(TopicError::WildcardInTopic));
         let deep = vec!["d"; MAX_TOPIC_DEPTH + 1].join("/");
-        assert_eq!(resolve_topic(&deep), Err(TopicError::TooDeep));
+        assert_eq!(resolve_topic(&deep).err(), Some(TopicError::TooDeep));
         let at_cap = vec!["d"; MAX_TOPIC_DEPTH].join("/");
         assert_eq!(resolve_topic(&at_cap).unwrap().len(), MAX_TOPIC_DEPTH);
     }
@@ -377,9 +357,9 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert_eq!(s[1], SegId::STAR);
         assert_eq!(s[3], SegId::MULTI);
-        assert_eq!(resolve_filter("a/**/b"), Err(TopicError::MultiWildcardNotLast));
-        assert_eq!(resolve_filter("**/"), Err(TopicError::EmptySegment));
+        assert_eq!(resolve_filter("a/**/b").err(), Some(TopicError::MultiWildcardNotLast));
+        assert_eq!(resolve_filter("**/").err(), Some(TopicError::EmptySegment));
         let deep = vec!["d"; MAX_TOPIC_DEPTH + 1].join("/");
-        assert_eq!(resolve_filter(&deep), Err(TopicError::TooDeep));
+        assert_eq!(resolve_filter(&deep).err(), Some(TopicError::TooDeep));
     }
 }

@@ -9,11 +9,11 @@
 //! * `**` — matches zero or more trailing segments (only legal as the
 //!   final segment).
 //!
-//! Both carry their segments pre-resolved to interned [`SegId`]s (see
-//! [`crate::intern`]), computed exactly once at parse/decode time, so
-//! [`TopicFilter::matches`], [`TopicFilter::subsumes`] and
-//! [`Topic::depth`] are integer-slice walks that never re-split the
-//! string. The well-known discovery topics of the paper are exported as
+//! Each is one pointer to a shared parse that carries its segments
+//! pre-resolved to interned [`SegId`]s (see [`crate::intern`]), computed
+//! exactly once at parse/decode time, so [`TopicFilter::matches`] and
+//! [`TopicFilter::subsumes`] are integer-slice walks that never re-split
+//! the string. The well-known discovery topics of the paper are exported as
 //! constants, and as process-wide [`WellKnownTopic`] values parsed once.
 
 use crate::codec::{Wire, WireError, WireReader, WireWriter};
@@ -98,91 +98,107 @@ impl fmt::Display for TopicError {
 
 impl std::error::Error for TopicError {}
 
-/// A concrete (wildcard-free) `/`-separated topic.
+/// One immutable parse of a topic or filter string: the string, its
+/// segment ids and its process symbol id, cached on the first
+/// [`Topic::symbol`] call (or known up front when the parse came out of
+/// the symbol table). [`Topic`] and [`TopicFilter`] are each one `Arc`
+/// to a parse, so a clone is one refcount bump and
+/// [`TopicFilter::exact`] shares its topic's parse.
 ///
-/// Equality, ordering and hashing follow the raw string (segment ids are
-/// a derived cache), so map/set ordering over topics is byte-stable
-/// across processes regardless of interning order. The string is
-/// shared: cloning a topic allocates nothing.
-#[derive(Debug, Clone)]
-pub struct Topic {
-    raw: Arc<str>,
+/// Equality, ordering and hashing follow the string (segment ids are a
+/// derived cache), so map/set ordering over topics is byte-stable across
+/// processes regardless of interning order.
+#[derive(Debug)]
+struct Parse {
+    raw: Box<str>,
     segs: SegVec,
-    /// The string's process symbol id, when this value came out of the
-    /// symbol table (a v2 decode, or a [`WellKnownTopic`] read);
-    /// [`Topic::symbol`] looks it up otherwise.
-    sym: Option<SymId>,
+    sym: OnceLock<SymId>,
 }
 
-impl Topic {
-    /// Parses and validates a concrete topic.
-    pub fn parse(s: &str) -> Result<Topic, TopicError> {
-        let segs = intern::resolve_topic(s)?;
-        Ok(Topic { raw: Arc::from(s), segs, sym: None })
+impl Parse {
+    fn new(
+        s: &str,
+        resolve: fn(&str) -> Result<SegVec, TopicError>,
+        sym: OnceLock<SymId>,
+    ) -> Result<Arc<Parse>, TopicError> {
+        Ok(Arc::new(Parse { segs: resolve(s)?, raw: s.into(), sym }))
     }
 
-    /// Parses the string symbol `sym` was interned from.
-    pub(crate) fn parse_symbol(sym: SymId, s: &str) -> Result<Topic, TopicError> {
-        Topic::parse(s).map(|t| Topic { sym: Some(sym), ..t })
-    }
-
-    /// This topic's id in the process symbol table (see
-    /// [`intern`](crate::intern)), interning the string if the topic did
-    /// not come from there. The v2 encoder references topics by it.
-    pub fn symbol(&self) -> SymId {
-        self.sym.unwrap_or_else(|| intern::intern_symbol(&self.raw))
-    }
-
-    /// The raw topic string.
-    pub fn as_str(&self) -> &str {
-        &self.raw
-    }
-
-    /// The interned segment ids (wildcard-free by construction).
-    pub fn seg_ids(&self) -> &[SegId] {
-        self.segs.as_slice()
-    }
-
-    /// Iterates over the `/`-separated segments.
-    pub fn segments(&self) -> impl Iterator<Item = &str> {
-        self.raw.split('/')
-    }
-
-    /// Number of segments (pre-computed; no splitting).
-    pub fn depth(&self) -> usize {
-        self.segs.len()
+    fn symbol(&self) -> SymId {
+        *self.sym.get_or_init(|| intern::intern_symbol(&self.raw))
     }
 }
 
-impl PartialEq for Topic {
-    fn eq(&self, other: &Topic) -> bool {
+impl PartialEq for Parse {
+    fn eq(&self, other: &Parse) -> bool {
         self.raw == other.raw
     }
 }
-impl Eq for Topic {}
-impl PartialOrd for Topic {
-    fn partial_cmp(&self, other: &Topic) -> Option<std::cmp::Ordering> {
+impl Eq for Parse {}
+impl PartialOrd for Parse {
+    fn partial_cmp(&self, other: &Parse) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Topic {
-    fn cmp(&self, other: &Topic) -> std::cmp::Ordering {
+impl Ord for Parse {
+    fn cmp(&self, other: &Parse) -> std::cmp::Ordering {
         self.raw.cmp(&other.raw)
     }
 }
-impl std::hash::Hash for Topic {
+impl std::hash::Hash for Parse {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.raw.hash(state);
     }
 }
-
-impl fmt::Display for Topic {
+impl fmt::Display for Parse {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.raw)
     }
 }
 
-/// A subscription filter, possibly containing wildcards.
+/// A concrete (wildcard-free) `/`-separated topic: one pointer to a
+/// shared parse. Eq/Ord/Hash/Display follow the string.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Topic(Arc<Parse>);
+
+impl Topic {
+    /// Parses and validates a concrete topic.
+    pub fn parse(s: &str) -> Result<Topic, TopicError> {
+        Parse::new(s, intern::resolve_topic, OnceLock::new()).map(Topic)
+    }
+
+    /// Parses the string symbol `sym` was interned from.
+    pub(crate) fn parse_symbol(sym: SymId, s: &str) -> Result<Topic, TopicError> {
+        Parse::new(s, intern::resolve_topic, OnceLock::from(sym)).map(Topic)
+    }
+
+    /// This topic's id in the process symbol table (see
+    /// [`intern`](crate::intern)): the v2 encoder references topics by
+    /// it. A topic that did not come from the table interns its string
+    /// on the first call and caches the id in its parse.
+    pub fn symbol(&self) -> SymId {
+        self.0.symbol()
+    }
+
+    /// The raw topic string.
+    pub fn as_str(&self) -> &str {
+        &self.0.raw
+    }
+
+    /// The interned segment ids (wildcard-free by construction).
+    pub fn seg_ids(&self) -> &[SegId] {
+        self.0.segs.as_slice()
+    }
+}
+
+impl fmt::Display for Topic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// A subscription filter, possibly containing wildcards: one pointer to
+/// a shared parse, like [`Topic`].
 ///
 /// ```
 /// use nb_wire::{Topic, TopicFilter};
@@ -194,47 +210,41 @@ impl fmt::Display for Topic {
 /// assert!(!one_level.matches(&topic)); // `*` spans exactly one segment
 /// assert!(all_services.subsumes(&one_level));
 /// ```
-#[derive(Debug, Clone)]
-pub struct TopicFilter {
-    raw: Arc<str>,
-    segs: SegVec,
-    /// As [`Topic`]'s: known when the filter came out of the symbol
-    /// table.
-    sym: Option<SymId>,
-}
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TopicFilter(Arc<Parse>);
 
 impl TopicFilter {
     /// Parses and validates a filter.
     pub fn parse(s: &str) -> Result<TopicFilter, TopicError> {
-        let segs = intern::resolve_filter(s)?;
-        Ok(TopicFilter { raw: Arc::from(s), segs, sym: None })
+        Parse::new(s, intern::resolve_filter, OnceLock::new()).map(TopicFilter)
     }
 
     /// Parses the string symbol `sym` was interned from.
     pub(crate) fn parse_symbol(sym: SymId, s: &str) -> Result<TopicFilter, TopicError> {
-        TopicFilter::parse(s).map(|f| TopicFilter { sym: Some(sym), ..f })
+        Parse::new(s, intern::resolve_filter, OnceLock::from(sym)).map(TopicFilter)
     }
 
     /// This filter's id in the process symbol table; see
     /// [`Topic::symbol`].
     pub fn symbol(&self) -> SymId {
-        self.sym.unwrap_or_else(|| intern::intern_symbol(&self.raw))
+        self.0.symbol()
     }
 
-    /// A filter that matches exactly one concrete topic.
+    /// A filter that matches exactly one concrete topic: the topic's
+    /// own parse, shared.
     pub fn exact(topic: &Topic) -> TopicFilter {
-        TopicFilter { raw: topic.raw.clone(), segs: topic.segs.clone(), sym: topic.sym }
+        TopicFilter(Arc::clone(&topic.0))
     }
 
     /// The raw filter string.
     pub fn as_str(&self) -> &str {
-        &self.raw
+        &self.0.raw
     }
 
     /// The interned segment ids; wildcards are the sentinel ids
     /// [`SegId::STAR`] and [`SegId::MULTI`].
     pub fn seg_ids(&self) -> &[SegId] {
-        self.segs.as_slice()
+        self.0.segs.as_slice()
     }
 
     /// Whether this filter matches `topic`.
@@ -245,7 +255,7 @@ impl TopicFilter {
     /// [`TopicFilter::matches`] against a pre-resolved (wildcard-free)
     /// topic id slice — the form the broker's trie and memo operate on.
     pub fn matches_ids(&self, topic: &[SegId]) -> bool {
-        let f = self.segs.as_slice();
+        let f = self.seg_ids();
         let mut i = 0;
         loop {
             match (f.get(i), topic.get(i)) {
@@ -289,41 +299,19 @@ impl TopicFilter {
                 }
             }
         }
-        go(self.segs.as_slice(), other.segs.as_slice())
-    }
-}
-
-impl PartialEq for TopicFilter {
-    fn eq(&self, other: &TopicFilter) -> bool {
-        self.raw == other.raw
-    }
-}
-impl Eq for TopicFilter {}
-impl PartialOrd for TopicFilter {
-    fn partial_cmp(&self, other: &TopicFilter) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TopicFilter {
-    fn cmp(&self, other: &TopicFilter) -> std::cmp::Ordering {
-        self.raw.cmp(&other.raw)
-    }
-}
-impl std::hash::Hash for TopicFilter {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.raw.hash(state);
+        go(self.seg_ids(), other.seg_ids())
     }
 }
 
 impl fmt::Display for TopicFilter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.raw)
+        self.0.fmt(f)
     }
 }
 
 impl Wire for Topic {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_str(&self.raw);
+        w.put_str(self.as_str());
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Topic::parse(r.get_str_ref()?).map_err(|_| WireError::Invalid("topic"))
@@ -332,7 +320,7 @@ impl Wire for Topic {
 
 impl Wire for TopicFilter {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_str(&self.raw);
+        w.put_str(self.as_str());
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         TopicFilter::parse(r.get_str_ref()?).map_err(|_| WireError::Invalid("topic filter"))
@@ -403,10 +391,20 @@ mod tests {
     }
 
     #[test]
+    fn a_topic_is_one_pointer_and_an_event_fits_a_cache_line() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Topic>(), size_of::<usize>());
+        assert_eq!(size_of::<TopicFilter>(), size_of::<usize>());
+        let event = size_of::<crate::Event>();
+        assert!(event <= 64, "an Event is {event} B");
+    }
+
+    #[test]
     fn exact_filter_matches_only_its_topic() {
         let topic = t("Services/BrokerDiscoveryNodes/BrokerAdvertisement");
         let filter = TopicFilter::exact(&topic);
         assert_eq!(filter.seg_ids(), topic.seg_ids(), "no wildcard");
+        assert!(std::ptr::eq(filter.as_str(), topic.as_str()), "one parse, shared");
         assert!(filter.matches(&topic));
         assert!(!filter.matches(&t("Services/BrokerDiscoveryNodes/DiscoveryRequest")));
     }
@@ -481,14 +479,13 @@ mod tests {
         // …while exactly the cap is legal.
         let at_cap = vec!["s"; MAX_TOPIC_DEPTH].join("/");
         let topic = Topic::parse(&at_cap).unwrap();
-        assert_eq!(topic.depth(), MAX_TOPIC_DEPTH);
+        assert_eq!(topic.seg_ids().len(), MAX_TOPIC_DEPTH);
         assert_eq!(Topic::from_bytes(&topic.to_bytes()).unwrap(), topic);
     }
 
     #[test]
     fn seg_ids_align_with_segments() {
         let topic = t("Services/BrokerDiscoveryNodes/BrokerAdvertisement");
-        assert_eq!(topic.depth(), 3);
         assert_eq!(topic.seg_ids().len(), 3);
         assert!(!topic.seg_ids().iter().any(is_sentinel));
         // Shared segments intern to the same ids across values.

@@ -3,16 +3,22 @@
 //! topic/filter pairs obey matching laws, and frame peeks agree with a
 //! full decode.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use nb_util::Uuid;
+use nb_wire::intern::{intern_symbol, symbol_filter, symbol_topic};
 use nb_wire::message::{SecureEnvelope, TransportEndpoint};
 use nb_wire::topic::{
     BDN_ADVERTISEMENT_TOPIC, BROKER_ADVERTISEMENT_TOPIC, DISCOVERY_REQUEST_TOPIC,
 };
 use nb_wire::{
     BrokerAdvertisement, Credential, DiscoveryRequest, DiscoveryResponse, Endpoint, Event,
-    Message, NodeId, Port, RealmId, Topic, TopicFilter, TransportKind, UsageMetrics, Wire,
+    Message, NodeId, Port, RealmId, SegId, SymId, Topic, TopicFilter, TransportKind, UsageMetrics,
+    Wire,
 };
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
@@ -52,19 +58,50 @@ fn arb_segment() -> impl Strategy<Value = String> {
     "[a-z0-9]{1,8}"
 }
 
-fn arb_topic() -> impl Strategy<Value = Topic> {
-    prop::collection::vec(arb_segment(), 1..5)
-        .prop_map(|segs| Topic::parse(&segs.join("/")).unwrap())
+/// A valid concrete topic string.
+fn arb_topic_str() -> impl Strategy<Value = String> {
+    prop::collection::vec(arb_segment(), 1..5).prop_map(|segs| segs.join("/"))
 }
 
-fn arb_filter() -> impl Strategy<Value = TopicFilter> {
+fn arb_topic() -> impl Strategy<Value = Topic> {
+    arb_topic_str().prop_map(|s| Topic::parse(&s).unwrap())
+}
+
+/// A valid filter string: segments and `*`s, sometimes a final `**`.
+fn arb_filter_str() -> impl Strategy<Value = String> {
     let seg = prop_oneof![arb_segment(), Just("*".to_string())];
     (prop::collection::vec(seg, 1..5), any::<bool>()).prop_map(|(mut segs, tail)| {
         if tail {
             segs.push("**".to_string());
         }
-        TopicFilter::parse(&segs.join("/")).unwrap()
+        segs.join("/")
     })
+}
+
+fn arb_filter() -> impl Strategy<Value = TopicFilter> {
+    arb_filter_str().prop_map(|s| TopicFilter::parse(&s).unwrap())
+}
+
+/// Holds a local parse to the symbol table's parse of the same string:
+/// same string, segment ids, symbol id, and Eq/Ord/Hash; and a clone of
+/// either shares its original's string.
+fn parses_agree<T>(
+    local: &T,
+    table: &T,
+    view: fn(&T) -> (&str, &[SegId], SymId),
+) -> Result<(), TestCaseError>
+where
+    T: Clone + Eq + Ord + Hash + std::fmt::Debug,
+{
+    let hash = |x: &T| BuildHasherDefault::<DefaultHasher>::default().hash_one(x);
+    prop_assert_eq!(view(local), view(table));
+    prop_assert_eq!(local, table);
+    prop_assert_eq!(local.cmp(table), std::cmp::Ordering::Equal);
+    prop_assert_eq!(hash(local), hash(table));
+    for parse in [local, table] {
+        prop_assert_eq!(view(&parse.clone()).0.as_ptr(), view(parse).0.as_ptr(), "a clone shares the string");
+    }
+    Ok(())
 }
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -285,7 +322,7 @@ proptest! {
 
     #[test]
     fn star_matches_any_same_depth(topic in arb_topic()) {
-        let stars = vec!["*"; topic.depth()].join("/");
+        let stars = vec!["*"; topic.seg_ids().len()].join("/");
         let f = TopicFilter::parse(&stars).unwrap();
         prop_assert!(f.matches(&topic));
     }
@@ -293,11 +330,24 @@ proptest! {
     #[test]
     fn doublestar_prefix_matching(topic in arb_topic()) {
         // "<first>/**" matches iff first segment agrees.
-        let first = topic.segments().next().unwrap().to_string();
+        let first = topic.as_str().split('/').next().unwrap().to_string();
         let f = TopicFilter::parse(&format!("{first}/**")).unwrap();
         prop_assert!(f.matches(&topic));
         let g = TopicFilter::parse("zzzzzzzzz/**").unwrap();
         prop_assert!(!g.matches(&topic) || first == "zzzzzzzzz");
+    }
+
+    #[test]
+    fn a_local_parse_agrees_with_the_symbol_table_parse(t in arb_topic_str(), f in arb_filter_str()) {
+        let table_topic = symbol_topic(intern_symbol(&t)).unwrap();
+        parses_agree(&Topic::parse(&t).unwrap(), &table_topic, |x| (x.as_str(), x.seg_ids(), x.symbol()))?;
+        let table_filter = symbol_filter(intern_symbol(&f)).unwrap();
+        let view: fn(&TopicFilter) -> (&str, &[SegId], SymId) = |x| (x.as_str(), x.seg_ids(), x.symbol());
+        parses_agree(&TopicFilter::parse(&f).unwrap(), &table_filter, view)?;
+        // An exact filter shares its topic's parse and agrees with the
+        // table's filter of the same string.
+        let exact = TopicFilter::exact(&Topic::parse(&t).unwrap());
+        parses_agree(&exact, &symbol_filter(intern_symbol(&t)).unwrap(), view)?;
     }
 
     #[test]
