@@ -737,18 +737,21 @@ fn pin_failures(
     failures
 }
 
+/// `repro gate lint`'s clippy: `-D warnings` makes any warning an error.
+const CLIPPY_ARGS: [&str; 8] = ["clippy", "--offline", "--quiet", "--workspace", "--all-targets", "--", "-D", "warnings"];
+
 /// `repro gate lint`: clippy over every workspace target, with the levels
 /// in `[workspace.lints]` and the lists in `clippy.toml`, building into
 /// `target/clippy` so it never waits on another build's lock. It fails on
-/// any clippy error, and fails closed when cargo or clippy cannot be run.
+/// any clippy error or warning, and fails closed when cargo cannot run.
 fn lint_gate(root: &Path) {
     let status = std::process::Command::new("cargo")
-        .args(["clippy", "--offline", "--quiet", "--workspace", "--all-targets", "--target-dir"])
-        .arg(root.join("target/clippy"))
+        .args(CLIPPY_ARGS)
+        .env("CARGO_TARGET_DIR", root.join("target/clippy"))
         .current_dir(root)
         .status();
     match status {
-        Ok(s) if s.success() => println!("clippy: no errors in any workspace target"),
+        Ok(s) if s.success() => println!("clippy: no errors or warnings in any workspace target"),
         Ok(s) => gate_failed("cargo clippy", &format!("it failed ({s}); its errors are above")),
         Err(e) => gate_failed("cargo clippy", &format!("cannot run cargo: {e}")),
     }
@@ -866,6 +869,11 @@ mod tests {
             ["lint", "bench", "figs", "chaos", "scale", "census"],
             "clippy, the benchmark's build and tests, the figures, every report, then the census"
         );
+    }
+
+    #[test]
+    fn the_lint_gate_fails_on_a_clippy_warning() {
+        assert!(CLIPPY_ARGS.ends_with(&["--", "-D", "warnings"]), "{CLIPPY_ARGS:?}");
     }
 
     #[test]

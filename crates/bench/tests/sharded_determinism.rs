@@ -1,19 +1,20 @@
 //! Determinism contract of the sharded engine.
 //!
 //! The conservative-lookahead engine promises byte-identical digests
-//! for every worker count: RNG streams key on node id, cross-LP
-//! deliveries merge in node order at epoch barriers, and the deal of
-//! LPs to workers only chooses *where* an LP executes, never *what* it
+//! for every worker count: RNG streams key on node id, every queued
+//! event carries a key (its origin and that origin's emission count)
+//! that fixes its place among same-instant events, and the deal of LPs
+//! to workers only chooses *where* an LP executes, never *what* it
 //! observes. These properties pin that contract over two topology
 //! families — random geometric graphs (latencies drawn from node
 //! placement) and the paper's star overlay under a full discovery —
 //! both with and without a generated chaos plan in flight.
 //!
-//! `cargo test` builds nb-net with debug assertions, so every epoch of
-//! every case below also checks the engine's scheduler heap against a
-//! scan of all LP queues (`HeadHeap::assert_matches_scan` in
-//! `nb_net::shard`): one entry per non-empty LP at its true head, the
-//! scanned horizon floor and active set equal to the scheduler's.
+//! `cargo test` builds nb-net with debug assertions, so every event of
+//! every case below also checks that its LP runs its events in strictly
+//! increasing (time, key), but for an event the node or the harness
+//! queued for the instant it stands at (`Executor::check_order` in
+//! `nb_net::shard`).
 
 use std::time::Duration;
 

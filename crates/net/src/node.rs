@@ -131,8 +131,9 @@ impl Node {
 
     /// When a stalled node thaws, if it is still frozen at `at`. A
     /// stalled node is frozen mid-world: everything addressed to it is
-    /// re-queued for this instant and replayed in arrival order (the
-    /// fresh sequence numbers preserve it). Deferral is not
+    /// re-queued for this instant and replayed in arrival order (each
+    /// engine re-keys it as the node's own, or its next push, in the
+    /// order it arrived). Deferral is not
     /// "processing": it is neither counted nor digested.
     pub(crate) fn stalled_past(&self, at: SimTime) -> Option<SimTime> {
         (self.stalled_until > at).then_some(self.stalled_until)
@@ -178,17 +179,76 @@ impl NodeEvent {
             NodeEvent::Fault { .. } => None,
         }
     }
+
+    /// The node whose LP holds the event: its addressee, or a queued
+    /// fault's node (only node-scoped faults are queued on a node).
+    pub(crate) fn owner(&self) -> NodeId {
+        match self {
+            NodeEvent::Fault { fault } => fault.node().expect("a queued fault is node-scoped"),
+            ev => ev.target().expect("every other event has an addressee"),
+        }
+    }
+}
+
+/// An event's place among those due at one instant, packed in one word.
+/// `Sim` keys by push count ([`Key::seq`]), so its ties run in push
+/// order. An LP keys by origin: the high bits name who queued the event
+/// — the harness driving the engine, or a node — and the low bits count
+/// that origin's emissions ([`Key::harness`], [`Key::node`]). Ties at an
+/// LP therefore run harness pushes first, in call order, then by sender
+/// id, each sender's in emission order: a function of what was sent,
+/// never of which barrier merged it or which worker ran its sender.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Key(u64);
+
+impl Key {
+    /// The low bits: an origin's emission counter.
+    const COUNTER_BITS: u32 = 40;
+    /// The largest node id an LP key can name: the high bits hold the
+    /// id plus one, zero being the harness's.
+    pub(crate) const MAX_NODE: u32 = (1 << (64 - Key::COUNTER_BITS)) - 2;
+
+    /// `Sim`'s key of its next push; `pushed` counts them.
+    pub(crate) fn seq(pushed: &mut u64) -> Key {
+        *pushed += 1;
+        Key(*pushed - 1)
+    }
+
+    /// The key of the harness's next push (a node's `Start` and
+    /// `ClockSync`, an injection, a node-scoped fault): below every
+    /// node's at the same instant. `pushed` counts them.
+    pub(crate) fn harness(pushed: &mut u64) -> Key {
+        Key::next(0, pushed)
+    }
+
+    /// The key of `node`'s next emission; `emitted` counts them.
+    pub(crate) fn node(node: NodeId, emitted: &mut u64) -> Key {
+        Key::next(node.0 + 1, emitted)
+    }
+
+    fn next(origin: u32, counter: &mut u64) -> Key {
+        let n = *counter;
+        *counter += 1;
+        debug_assert!(n < 1 << Key::COUNTER_BITS, "emission counter overflow");
+        Key(u64::from(origin) << Key::COUNTER_BITS | n)
+    }
+
+    /// The node that queued the event; `None` for the harness.
+    pub(crate) fn queued_by(self) -> Option<NodeId> {
+        let origin = (self.0 >> Key::COUNTER_BITS) as u32;
+        origin.checked_sub(1).map(NodeId)
+    }
 }
 
 pub(crate) struct Queued<E> {
     pub(crate) at: SimTime,
-    seq: u64,
+    pub(crate) key: Key,
     pub(crate) ev: E,
 }
 
 impl<E> PartialEq for Queued<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.key) == (other.at, other.key)
     }
 }
 impl<E> Eq for Queued<E> {}
@@ -198,29 +258,33 @@ impl<E> PartialOrd for Queued<E> {
     }
 }
 impl<E> Ord for Queued<E> {
-    // Reversed so the BinaryHeap pops the earliest event first; `seq`
-    // breaks ties deterministically in scheduling order.
+    // Reversed so the BinaryHeap pops the earliest event first; the key
+    // breaks ties.
     fn cmp(&self, other: &Self) -> Ordering {
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
+        (other.at, other.key).cmp(&(self.at, self.key))
     }
 }
 
-/// An event heap: earliest first, ties in the order they were pushed.
-/// `Sim` has one; every LP has its own.
+/// An event heap: earliest first, ties by [`Key`]. `Sim` has one; every
+/// worker of `ShardedSim` has one for all the LPs it runs.
 pub(crate) struct EventHeap<E> {
     heap: BinaryHeap<Queued<E>>,
-    seq: u64,
+}
+
+impl<E> Default for EventHeap<E> {
+    fn default() -> EventHeap<E> {
+        EventHeap { heap: BinaryHeap::new() }
+    }
 }
 
 impl<E> EventHeap<E> {
-    pub(crate) fn new() -> EventHeap<E> {
-        EventHeap { heap: BinaryHeap::new(), seq: 0 }
+    pub(crate) fn push(&mut self, at: SimTime, key: Key, ev: E) {
+        self.heap.push(Queued { at, key, ev });
     }
 
-    pub(crate) fn push(&mut self, at: SimTime, ev: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Queued { at, seq, ev });
+    /// Queues an event that keeps the time and key it was queued with.
+    pub(crate) fn requeue(&mut self, q: Queued<E>) {
+        self.heap.push(q);
     }
 
     /// When the earliest event is due.
@@ -230,6 +294,11 @@ impl<E> EventHeap<E> {
 
     pub(crate) fn pop(&mut self) -> Option<Queued<E>> {
         self.heap.pop()
+    }
+
+    /// Empties the heap, handing back every event in no order.
+    pub(crate) fn take(&mut self) -> Vec<Queued<E>> {
+        std::mem::take(&mut self.heap).into_vec()
     }
 }
 
@@ -242,8 +311,8 @@ pub(crate) trait Scheduler {
     type Net: Deref<Target = NetworkModel>;
 
     /// Puts `ev` on the schedule at `at`. `Sim`: its one heap. An LP:
-    /// its own heap if the event is its own, else its outbox, for the
-    /// barrier to merge.
+    /// its worker's heap if the event is its own, else its worker's
+    /// outbox, for the barrier to merge; keyed by the node either way.
     fn schedule(&mut self, at: SimTime, ev: NodeEvent);
 
     fn join_group(&mut self, net: &mut Self::Net, node: NodeId, group: GroupId);

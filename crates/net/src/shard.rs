@@ -5,11 +5,12 @@
 //! but one idle during large campaigns. This module runs the same node
 //! model (`node.rs`; DESIGN.md §8) under a different scheduler: the
 //! engine is sharded *by node id*, every node its own logical process
-//! (LP) with a private event heap, RNG stream and its own row of the
-//! connection table, and a coordinator runs the classic
-//! conservative-lookahead protocol (Chandy/Misra/Bryant by way of a
-//! barrier-synchronous epoch loop) over them. What is only ever summed
-//! or merged — counters, outbox, deferred ops — is the running worker's:
+//! (LP) with a private RNG stream and its own row of the connection
+//! table, and a coordinator runs the classic conservative-lookahead
+//! protocol (Chandy/Misra/Bryant by way of a barrier-synchronous epoch
+//! loop) over them. What is only ever summed, merged or ordered by key —
+//! pending events, counters, outbox, deferred ops — is the running
+//! worker's:
 //!
 //! 1. **Lookahead.** The WAN model gives a hard floor on cross-node
 //!    delay: no message between two distinct nodes can arrive sooner
@@ -18,24 +19,28 @@
 //!    and self-sends never leave their LP). With `m` the earliest
 //!    pending event anywhere, every event below the safe horizon
 //!    `H = m + lookahead` is therefore causally independent across LPs.
-//! 2. **Epoch.** Each LP processes its own events with `at < H` in
-//!    (time, seq) order. Cross-LP deliveries are not pushed into the
-//!    destination queue (that would race); they are buffered in the
-//!    worker's *outbox*, ascending sender id, then emission order.
+//! 2. **Epoch.** Each worker pops its one heap — the pending events of
+//!    every LP it runs — while the head lies below `H`, in (time, key)
+//!    order. The [`Key`] is the event's origin and that origin's
+//!    emission counter: the harness first, then the sending node's id.
+//!    An LP's own events (timers, self-sends, a restart's `Start`) go
+//!    straight into the heap. Cross-LP deliveries are not pushed into
+//!    the destination's heap (that would race); they wait in the
+//!    worker's *outbox*, already keyed.
 //! 3. **Barrier.** The coordinator applies deferred network mutations
 //!    (multicast joins/leaves, crash-induced connection resets), then
-//!    merges the outboxes by sender id into the destination queues,
-//!    which assign fresh per-LP sequence numbers.
+//!    moves every outbox into the heap of the destination's worker, in
+//!    any order: the key alone fixes where a delivery sorts.
 //!
 //! Because LP state, RNG streams (`SplitMix64(seed ^ node_id)` — that is
 //! exactly what [`StdRng::seed_from_u64`] expands the xor through), the
-//! lookahead window, the horizon sequence and the merge order are all
+//! lookahead window, the horizon sequence and every event's key are all
 //! pure functions of (topology, seed), the run — including its event
 //! digest — is **byte-identical for any worker count**. The deal —
-//! worker `w` of `W` owns the LPs whose id ≡ w (mod W) — only decides
-//! which worker executes which LP, never what the LPs compute (and the
-//! counters are sums); with one worker the engine is the degenerate
-//! serial case of the same algorithm.
+//! worker `w` of `W` owns the LPs whose id ≡ w (mod W), and their
+//! events — only decides which worker executes which LP, never what the
+//! LPs compute (and the counters are sums); with one worker the engine
+//! is the degenerate serial case of the same algorithm.
 //!
 //! What an actor can observe differently from `Sim` (digests are *not*
 //! comparable between the engines, only across configurations of the
@@ -45,6 +50,9 @@
 //! * Globally-scoped faults (partitions, packet-fault windows) apply at
 //!   epoch boundaries, always before protocol events carrying the same
 //!   timestamp; `Sim` interleaves them by scheduling order.
+//! * Events due at one node at one instant run harness pushes first
+//!   (node-scoped faults, injections), then by sender id; `Sim` runs
+//!   them in push order.
 //! * `join_group`/`leave_group` become visible at the next barrier
 //!   rather than immediately. Warmed-up scenarios never notice (joins
 //!   happen at start-up, multicasts seconds later), but a same-instant
@@ -62,7 +70,8 @@
 //! network — which is why that function is the only sanctioned home for
 //! thread primitives in nb-net (clippy.toml bans them everywhere else).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -74,7 +83,7 @@ use rand::SeedableRng;
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::ClockProfile;
 use crate::link::{NetworkModel, Transport};
-use crate::node::{EventHeap, Node, NodeCtx, NodeEvent, RespawnFn, Scheduler};
+use crate::node::{EventHeap, Key, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
 use crate::runtime::{Actor, Incoming};
 use crate::sim::{NetStats, Sim};
 use crate::time::SimTime;
@@ -84,23 +93,61 @@ fn mix(h: &mut u64, x: u64) {
     *h = fnv1a64_word(*h, x);
 }
 
-/// A cross-LP delivery buffered in its worker's outbox until the epoch
-/// barrier. Emission order within one sender is preserved by the merge.
-struct OutMsg {
-    at: SimTime,
-    from: NodeId,
-    to: NodeId,
-    ev: NodeEvent,
-}
+/// The worker counts [`ShardedSim::parallel_bound_milli`] is tallied for.
+pub const BOUND_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// What one worker keeps for every LP it runs: their traffic counters
-/// (which [`ShardedSim::stats`] sums), and for the barrier their
-/// cross-LP deliveries in the order it ran them and their network ops.
+/// The widest of [`BOUND_WORKERS`]: events are tallied by `node % TALLY`,
+/// which every bound's `node % W` is a function of.
+const TALLY: usize = 8;
+
+/// What one worker keeps for every LP it runs: their pending events in
+/// one heap, their traffic counters (which [`ShardedSim::stats`] sums),
+/// this epoch's processed events by `node % TALLY`, and for the barrier
+/// their cross-LP deliveries and their network ops.
 #[derive(Default)]
 struct Executor {
+    events: EventHeap<NodeEvent>,
     stats: NetStats,
-    outbox: VecDeque<OutMsg>,
+    tally: [u64; TALLY],
+    outbox: Vec<Queued<NodeEvent>>,
     ops: Vec<(NodeId, DeferredOp)>,
+    /// Debug builds: the latest (time, key) each node ran here, by id.
+    ran: Vec<Option<(SimTime, Key)>>,
+}
+
+impl Executor {
+    /// Runs every event of the heap below `horizon`, each on its LP in
+    /// `lps`: the group holding the ids ≡ w (mod `stride`), ascending.
+    /// Within the window every LP is causally closed: nothing another LP
+    /// does this epoch can reach it before `horizon`.
+    fn run_epoch(&mut self, lps: &mut [Lp], stride: usize, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
+        while self.events.next_at().is_some_and(|at| at < horizon) {
+            let Some(q) = self.events.pop() else { break };
+            let lp = &mut lps[q.ev.owner().0 as usize / stride];
+            if cfg!(debug_assertions) {
+                self.check_order(lp.node.id, q.at, q.key);
+            }
+            lp.handle(q, net, pf, self);
+        }
+    }
+
+    /// The scheduler check of debug builds (every `cargo test` event):
+    /// each LP runs its events in strictly increasing (time, key). The
+    /// one exception is an event its own node or the harness queued for
+    /// the instant the LP stands at — a zero-delay timer, a revive's
+    /// `Start`, a zero-delay injection — whose key may sort below the
+    /// event that ran before it.
+    fn check_order(&mut self, node: NodeId, at: SimTime, key: Key) {
+        let i = node.0 as usize;
+        if self.ran.len() <= i {
+            self.ran.resize(i + 1, None);
+        }
+        if let Some(last) = self.ran[i] {
+            let own = key.queued_by().is_none_or(|by| by == node);
+            assert!((at, key) > last || (at == last.0 && own), "LP {i} ran {key:?} at {at:?} after {last:?}");
+        }
+        self.ran[i] = self.ran[i].max(Some((at, key)));
+    }
 }
 
 /// A network-model mutation requested mid-epoch. The model is shared
@@ -124,7 +171,9 @@ struct Lp {
     /// the node's identity, never of which worker runs it) and the
     /// node's row of the connection table.
     link: Transport,
-    events: EventHeap<NodeEvent>,
+    /// Events the node queued so far: the counter half of each one's
+    /// [`Key`].
+    emitted: u64,
     events_processed: u64,
     digest: u64,
     /// Local virtual time: the timestamp of the last processed event.
@@ -134,8 +183,9 @@ struct Lp {
 /// An LP as its node sees it.
 struct LpSched<'a> {
     id: NodeId,
+    emitted: &'a mut u64,
     events: &'a mut EventHeap<NodeEvent>,
-    outbox: &'a mut VecDeque<OutMsg>,
+    outbox: &'a mut Vec<Queued<NodeEvent>>,
     ops: &'a mut Vec<(NodeId, DeferredOp)>,
 }
 
@@ -143,14 +193,16 @@ impl<'a> Scheduler for LpSched<'a> {
     type Net = &'a NetworkModel;
 
     /// The LP's own events — timers, a restart's `Start`, self-sends —
-    /// go straight into its heap (they never cross an LP boundary,
-    /// which is why the loopback spec is excluded from the lookahead);
-    /// everything else into its worker's outbox for the barrier merge.
+    /// go straight into its worker's heap (they never cross an LP
+    /// boundary, which is why the loopback spec is excluded from the
+    /// lookahead); everything else into its worker's outbox for the
+    /// barrier.
     #[inline]
     fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
+        let key = Key::node(self.id, self.emitted);
         match ev.target() {
-            Some(to) if to != self.id => self.outbox.push_back(OutMsg { at, from: self.id, to, ev }),
-            _ => self.events.push(at, ev),
+            Some(to) if to != self.id => self.outbox.push(Queued { at, key, ev }),
+            _ => self.events.push(at, key, ev),
         }
     }
 
@@ -169,7 +221,8 @@ impl Lp {
         NodeCtx {
             sched: LpSched {
                 id: self.node.id,
-                events: &mut self.events,
+                emitted: &mut self.emitted,
+                events: &mut exec.events,
                 outbox: &mut exec.outbox,
                 ops: &mut exec.ops,
             },
@@ -183,38 +236,29 @@ impl Lp {
     }
 
     /// Leaves `exec` the peer reset a crash of this node owes, once it
-    /// has run. A crash comes last whenever it happened: group changes
-    /// and peer resets touch disjoint state, and nothing runs between
-    /// two resets of one barrier.
+    /// has run. Group changes and peer resets touch disjoint state, and
+    /// a second reset of one barrier forgets nothing the first left.
     fn defer_peer_reset(&mut self, exec: &mut Executor) {
         if self.link.take_peers_stale() {
             exec.ops.push((self.node.id, DeferredOp::ResetPeer));
         }
     }
 
-    /// Runs this LP's events strictly below `horizon`. Within the
-    /// window the LP is causally closed: nothing another LP does this
-    /// epoch can reach it before `horizon`.
-    fn process_until(&mut self, horizon: SimTime, net: &NetworkModel, pf: PacketFaults, exec: &mut Executor) {
-        while self.events.next_at().is_some_and(|at| at < horizon) {
-            if let Some(q) = self.events.pop() {
-                self.handle(q.at, q.ev, net, pf, exec);
-            }
-        }
-        self.defer_peer_reset(exec);
-    }
-
-    fn handle(&mut self, at: SimTime, ev: NodeEvent, net: &NetworkModel, pf: PacketFaults, exec: &mut Executor) {
+    fn handle(&mut self, q: Queued<NodeEvent>, net: &NetworkModel, pf: PacketFaults, exec: &mut Executor) {
+        let Queued { at, ev, .. } = q;
         // Monotonic clamp rather than an assert: with a (degenerate)
         // zero-latency link override the 1 ns lookahead floor exceeds
         // the true minimum and a merged delivery can carry a timestamp
         // the LP already passed. Ordering stays deterministic.
         self.now = self.now.max(at);
         if let Some(until) = ev.target().and_then(|_| self.node.stalled_past(at)) {
-            self.events.push(until, ev);
+            // Re-keyed as the node's own, so the replay runs in the
+            // order the events arrived, whoever sent them.
+            exec.events.push(until, Key::node(self.node.id, &mut self.emitted), ev);
             return;
         }
         self.events_processed += 1;
+        exec.tally[self.node.id.0 as usize % TALLY] += 1;
         digest_event(&mut self.digest, at, &ev);
         if let NodeEvent::Deliver { from, to_port, stream: true, .. } | NodeEvent::Segment { from, to_port, .. } =
             &ev
@@ -229,6 +273,18 @@ impl Lp {
             }
         }
         self.ctx(net, pf, exec).handle(ev);
+        self.defer_peer_reset(exec);
+    }
+}
+
+/// Folds `Display` text into an FNV-1a digest byte by byte, as
+/// [`fnv1a64_step`] over the formatted string would, without the string.
+struct FnvSink<'a>(&'a mut u64);
+
+impl std::fmt::Write for FnvSink<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        *self.0 = fnv1a64_step(*self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -266,7 +322,8 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
         }
         NodeEvent::Fault { fault } => {
             mix(h, 5);
-            *h = fnv1a64_step(*h, fault.to_string().as_bytes());
+            // A `Display` impl that writes into the sink cannot fail.
+            let _ = write!(FnvSink(h), "{fault}");
         }
         NodeEvent::Deliver { from, to_port, msg, stream, .. } => {
             mix(h, 6);
@@ -287,22 +344,6 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
     }
 }
 
-/// `node`'s LP among groups dealt round-robin ([`ShardedSim::deal`]):
-/// group `node % W`, slot `node / W`. One group skips the divisions,
-/// which the serial path would pay several times an active LP.
-fn lp_of(groups: &mut [Vec<Lp>], node: u32) -> &mut Lp {
-    match groups {
-        [lps] => &mut lps[node as usize],
-        _ => {
-            let w = groups.len();
-            &mut groups[node as usize % w][node as usize / w]
-        }
-    }
-}
-
-/// The worker counts [`ShardedSim::parallel_bound_milli`] is tallied for.
-pub const BOUND_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
 /// Applies one of `node`'s deferred ops to the model and the other LPs.
 fn apply_deferred<'a>(
     network: &mut Arc<NetworkModel>,
@@ -321,183 +362,6 @@ fn apply_deferred<'a>(
     }
 }
 
-/// The epoch scheduler: an indexed binary min-heap with exactly one
-/// entry per non-empty LP, keyed by that LP's true head time and
-/// re-keyed in place whenever the head moves — after the LP processes
-/// its window, and when the barrier merges a delivery earlier than
-/// everything the destination already held. Because an entry is never
-/// stale, the next horizon is a read of the root and the epoch's active
-/// set is a pruned walk from it: no pop, no re-push, no validation
-/// against the LP queues.
-struct HeadHeap {
-    /// Node ids in heap order of `head`.
-    heap: Vec<u32>,
-    /// `head[node]`: the LP's earliest queued time while it has an entry.
-    head: Vec<SimTime>,
-    /// `pos[node]`: the entry's index in `heap`, or [`HeadHeap::ABSENT`].
-    pos: Vec<u32>,
-}
-
-impl HeadHeap {
-    const ABSENT: u32 = u32::MAX;
-
-    fn new(n: usize) -> HeadHeap {
-        HeadHeap {
-            heap: Vec::with_capacity(n),
-            head: vec![SimTime::ZERO; n],
-            pos: vec![HeadHeap::ABSENT; n],
-        }
-    }
-
-    /// The earliest head anywhere.
-    fn min(&self) -> Option<SimTime> {
-        self.heap.first().map(|&node| self.head[node as usize])
-    }
-
-    /// Records `node`'s head: `Some` inserts or re-keys its entry,
-    /// `None` (queue drained) removes it.
-    fn set(&mut self, node: u32, head: Option<SimTime>) {
-        let at = self.pos[node as usize];
-        match head {
-            Some(t) if at == HeadHeap::ABSENT => {
-                self.head[node as usize] = t;
-                self.heap.push(node);
-                self.sift_up(self.heap.len() - 1);
-            }
-            Some(t) => {
-                let earlier = t < self.head[node as usize];
-                self.head[node as usize] = t;
-                if earlier {
-                    self.sift_up(at as usize);
-                } else {
-                    self.sift_down(at as usize);
-                }
-            }
-            None if at == HeadHeap::ABSENT => {}
-            None => {
-                self.pos[node as usize] = HeadHeap::ABSENT;
-                let last = self.heap.pop().expect("an entry implies a non-empty heap");
-                if last != node {
-                    // Re-home the displaced tail entry in the hole.
-                    self.heap[at as usize] = last;
-                    self.pos[last as usize] = at;
-                    self.sift_up(at as usize);
-                    self.sift_down(self.pos[last as usize] as usize);
-                }
-            }
-        }
-    }
-
-    /// A delivery at `t` was merged into `node`'s queue: its head moves
-    /// only if `t` is earlier than everything it already held.
-    fn lower(&mut self, node: u32, t: SimTime) {
-        if self.pos[node as usize] == HeadHeap::ABSENT || t < self.head[node as usize] {
-            self.set(node, Some(t));
-        }
-    }
-
-    /// Fills `out` with every node whose head lies below `horizon`,
-    /// ascending by id. Walks only the heap's sub-tree of such entries
-    /// (a child is never earlier than its parent), using `out` itself as
-    /// the worklist of heap indices.
-    fn below(&self, horizon: SimTime, out: &mut Vec<u32>) {
-        out.clear();
-        let early = |i: usize| {
-            self.heap.get(i).is_some_and(|&node| self.head[node as usize] < horizon)
-        };
-        if early(0) {
-            out.push(0);
-        }
-        let mut next = 0;
-        while let Some(&i) = out.get(next) {
-            for child in [2 * i as usize + 1, 2 * i as usize + 2] {
-                if early(child) {
-                    out.push(child as u32);
-                }
-            }
-            next += 1;
-        }
-        for slot in out.iter_mut() {
-            *slot = self.heap[*slot as usize];
-        }
-        out.sort_unstable();
-    }
-
-    fn key(&self, i: usize) -> SimTime {
-        self.head[self.heap[i] as usize]
-    }
-
-    fn place(&mut self, i: usize, node: u32) {
-        self.heap[i] = node;
-        self.pos[node as usize] = i as u32;
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let node = self.heap[i];
-        let t = self.head[node as usize];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.key(parent) <= t {
-                break;
-            }
-            self.place(i, self.heap[parent]);
-            i = parent;
-        }
-        self.place(i, node);
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let node = self.heap[i];
-        let t = self.head[node as usize];
-        loop {
-            let mut child = 2 * i + 1;
-            if child >= self.heap.len() {
-                break;
-            }
-            if child + 1 < self.heap.len() && self.key(child + 1) < self.key(child) {
-                child += 1;
-            }
-            if t <= self.key(child) {
-                break;
-            }
-            self.place(i, self.heap[child]);
-            i = child;
-        }
-        self.place(i, node);
-    }
-
-    /// The oracle the scheduler is checked against in debug builds
-    /// (every `cargo test` epoch): a scan of every LP queue. The heap
-    /// must hold one entry per non-empty LP at its true head, and the
-    /// scan's horizon floor and active set must be the scheduler's.
-    fn assert_matches_scan(&self, groups: &[Vec<Lp>], horizon: SimTime, active: &[u32]) {
-        let mut non_empty = 0;
-        let mut earliest = None;
-        let mut below = Vec::new();
-        for lp in groups.iter().flatten() {
-            let node = lp.node.id.0 as usize;
-            let Some(head) = lp.events.next_at() else {
-                assert_eq!(self.pos[node], HeadHeap::ABSENT, "entry for drained LP {node}");
-                continue;
-            };
-            non_empty += 1;
-            assert_ne!(self.pos[node], HeadHeap::ABSENT, "no entry for LP {node}");
-            assert_eq!(self.heap[self.pos[node] as usize], lp.node.id.0, "misplaced entry of LP {node}");
-            assert_eq!(self.head[node], head, "stale head for LP {node}");
-            if earliest.is_none_or(|m| head < m) {
-                earliest = Some(head);
-            }
-            if head < horizon {
-                below.push(lp.node.id.0);
-            }
-        }
-        below.sort_unstable();
-        assert_eq!(self.heap.len(), non_empty, "one entry per non-empty LP");
-        assert_eq!(self.min(), earliest, "horizon floor");
-        assert_eq!(active, below, "active set");
-    }
-}
-
 /// One epoch's worth of work handed to a worker and handed back: the
 /// worker's LP group and executor, an immutable network snapshot and
 /// the horizon. Ownership-passing — nothing here is shared mutably
@@ -506,24 +370,19 @@ struct EpochTask {
     worker: usize,
     lps: Vec<Lp>,
     exec: Executor,
-    /// Slots (within `lps`) that actually have events this epoch; the
-    /// worker touches only these, so a mostly-idle group costs O(active)
-    /// rather than O(group).
-    active_slots: Vec<usize>,
     net: Arc<NetworkModel>,
     pf: PacketFaults,
     horizon: SimTime,
 }
 
-/// An epoch's dispatch step: runs each active LP (ids ascending) of the
-/// dealt groups up to the horizon, on the network snapshot, each group
-/// by its own executor.
-type Dispatch<'a> =
-    dyn FnMut(&mut [Vec<Lp>], &mut [Executor], &[u32], SimTime, &Arc<NetworkModel>, PacketFaults) + 'a;
+/// An epoch's dispatch step: each dealt group's executor runs its heap
+/// up to the horizon on the network snapshot.
+type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &mut [Executor], SimTime, &Arc<NetworkModel>, PacketFaults) + 'a;
 
 /// Runs `f` with the epoch dispatch for `workers` groups: inline at one
 /// worker, and otherwise through a pool of `workers` scoped threads —
-/// worker `w` runs group `w` — that is joined before this returns.
+/// worker `w` runs group `w` — that is joined before this returns. A
+/// worker with nothing below the horizon is not woken.
 #[expect(
     clippy::disallowed_methods,
     reason = "the shard executor is the one sanctioned thread pool in the simulated crates; \
@@ -531,11 +390,7 @@ type Dispatch<'a> =
 )]
 fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
     if workers == 1 {
-        f(&mut |groups, execs, active, horizon, net, pf| {
-            for &node in active {
-                groups[0][node as usize].process_until(horizon, net, pf, &mut execs[0]);
-            }
-        });
+        f(&mut |groups, execs, horizon, net, pf| execs[0].run_epoch(&mut groups[0], 1, horizon, net, pf));
         return;
     }
     let (result_tx, results) = mpsc::channel::<EpochTask>();
@@ -546,9 +401,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 let result_tx = result_tx.clone();
                 let handle = scope.spawn(move || {
                     while let Ok(mut task) = task_rx.recv() {
-                        for &slot in &task.active_slots {
-                            task.lps[slot].process_until(task.horizon, &task.net, task.pf, &mut task.exec);
-                        }
+                        task.exec.run_epoch(&mut task.lps, workers, task.horizon, &task.net, task.pf);
                         if result_tx.send(task).is_err() {
                             break;
                         }
@@ -557,22 +410,16 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 (task_tx, handle)
             })
             .unzip();
-        // Each worker's active slots; a bucket travels with its task.
-        let mut slots = vec![Vec::new(); workers];
-        f(&mut |groups, execs, active, horizon, net, pf| {
-            for &node in active {
-                slots[node as usize % workers].push(node as usize / workers);
-            }
+        f(&mut |groups, execs, horizon, net, pf| {
             let mut outstanding = 0usize;
-            for (worker, (tx, slots)) in tasks.iter().zip(&mut slots).enumerate() {
-                if slots.is_empty() {
+            for (worker, tx) in tasks.iter().enumerate() {
+                if execs[worker].events.next_at().is_none_or(|at| at >= horizon) {
                     continue;
                 }
                 let sent = tx.send(EpochTask {
                     worker,
                     lps: std::mem::take(&mut groups[worker]),
                     exec: std::mem::take(&mut execs[worker]),
-                    active_slots: std::mem::take(slots),
                     net: Arc::clone(net),
                     pf,
                     horizon,
@@ -581,11 +428,9 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 outstanding += 1;
             }
             for _ in 0..outstanding {
-                let mut task = results.recv().expect("worker returns its group");
+                let task = results.recv().expect("worker returns its group");
                 groups[task.worker] = task.lps;
                 execs[task.worker] = task.exec;
-                task.active_slots.clear();
-                slots[task.worker] = task.active_slots;
             }
         });
         // Dropping the senders ends the workers' receive loops. The
@@ -609,9 +454,15 @@ pub struct ShardedSim {
     seed: u64,
     now: SimTime,
     lps: Vec<Lp>,
-    /// One per worker group of the widest run so far; coordinator-time
-    /// acts use the first.
+    /// One per worker group of the widest run so far; each keeps its
+    /// traffic counters. The first `dealt` hold every pending node
+    /// event, node `n`'s in the heap of executor `n % dealt`.
     executors: Vec<Executor>,
+    dealt: usize,
+    /// Events the harness queued so far (`add_node`'s `Start` and
+    /// `ClockSync`, injections, node-scoped faults): the counter half of
+    /// each one's [`Key::harness`].
+    harness: u64,
     network: Arc<NetworkModel>,
     clock_profile: ClockProfile,
     packet_faults: PacketFaults,
@@ -645,6 +496,8 @@ impl ShardedSim {
             now: SimTime::ZERO,
             lps: Vec::new(),
             executors: vec![Executor::default()],
+            dealt: 1,
+            harness: 0,
             network: Arc::new(NetworkModel::new()),
             clock_profile: profile,
             packet_faults: PacketFaults::none(),
@@ -739,23 +592,31 @@ impl ShardedSim {
     /// other nodes' traffic, and not of worker count.
     pub fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
         let id = NodeId(self.lps.len() as u32);
+        assert!(id.0 <= Key::MAX_NODE, "an event key names at most {} nodes", Key::MAX_NODE + 1);
         self.lookahead = None;
         let mut rng = StdRng::seed_from_u64(self.seed ^ id.0 as u64);
         let clock = self.clock_profile.sample(self.now, &mut rng);
         let sync_at = clock.sync_at;
         Arc::make_mut(&mut self.network).register_node(id, realm);
-        let mut events = EventHeap::new();
-        events.push(self.now, NodeEvent::Start { node: id });
-        events.push(sync_at, NodeEvent::ClockSync { node: id });
         self.lps.push(Lp {
             node: Node::new(id, name, realm, clock, actor),
             link: Transport::for_node(rng, id),
-            events,
+            emitted: 0,
             events_processed: 0,
             digest: FNV_OFFSET,
             now: self.now,
         });
+        self.push(self.now, NodeEvent::Start { node: id });
+        self.push(sync_at, NodeEvent::ClockSync { node: id });
         id
+    }
+
+    /// Queues a harness event for its node: keyed below every node's at
+    /// the same instant, in call order among the harness's.
+    fn push(&mut self, at: SimTime, ev: NodeEvent) {
+        let key = Key::harness(&mut self.harness);
+        let home = ev.owner().0 as usize % self.dealt;
+        self.executors[home].events.push(at, key, ev);
     }
 
     fn node(&self, node: NodeId) -> Option<&Node> {
@@ -802,14 +663,14 @@ impl ShardedSim {
     }
 
     /// Acts on `node` at coordinator time — every LP's clock stands at
-    /// `now` between runs — and applies what it deferred right away:
-    /// there is no epoch in flight to protect. A crash, revive or
-    /// restart sends nothing.
+    /// `now` between runs — through the executor holding its events,
+    /// and applies what it deferred right away: there is no epoch in
+    /// flight to protect. A crash, revive or restart sends nothing.
     fn at_coordinator_time(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_, LpSched<'_>>)) {
         let Some(lp) = self.lps.get_mut(node.0 as usize) else {
             return;
         };
-        let exec = &mut self.executors[0];
+        let exec = &mut self.executors[node.0 as usize % self.dealt];
         f(&mut lp.ctx(&self.network, self.packet_faults, exec));
         lp.defer_peer_reset(exec);
         for (node, op) in exec.ops.drain(..) {
@@ -843,7 +704,7 @@ impl ShardedSim {
     }
 
     /// Queues every fault in `plan`, offset from the current virtual
-    /// time. Node-scoped faults land in the owning node's LP queue;
+    /// time. Node-scoped faults are queued for the owning node;
     /// globally-scoped ones go to the coordinator's schedule.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
@@ -856,8 +717,8 @@ impl ShardedSim {
         let at = self.now + delay;
         match fault.node() {
             Some(node) => {
-                if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-                    lp.events.push(at, NodeEvent::Fault { fault });
+                if self.node(node).is_some() {
+                    self.push(at, NodeEvent::Fault { fault });
                 }
             }
             None => {
@@ -876,9 +737,8 @@ impl ShardedSim {
 
     /// Queues an [`Incoming`] for delivery to `node` after `delay`.
     pub fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
-        let at = self.now + delay;
-        if let Some(lp) = self.lps.get_mut(node.0 as usize) {
-            lp.events.push(at, NodeEvent::Inject { node, incoming });
+        if self.node(node).is_some() {
+            self.push(self.now + delay, NodeEvent::Inject { node, incoming });
         }
     }
 
@@ -888,15 +748,16 @@ impl ShardedSim {
     }
 
     /// Deals the LPs out to the worker groups, round-robin: group `w` of
-    /// `W` holds the ids ≡ w (mod W), ascending, so [`lp_of`] finds each
-    /// LP. `W` is the worker count clamped to the LP count; one worker
-    /// takes the whole vector, moving no LP, and sheds its growth slack
-    /// (a no-op until nodes join again). Which group an LP runs in
-    /// decides where it executes, never what it sees or sends:
+    /// `W` holds the ids ≡ w (mod W), ascending, and executor `w` their
+    /// pending events. `W` is the worker count clamped to the LP count;
+    /// one worker takes the whole vector, moving no LP, and sheds its
+    /// growth slack (a no-op until nodes join again). Which group an LP
+    /// runs in decides where it executes, never what it sees or sends:
     /// everything but a self-send goes through the outbox and the
     /// barrier whichever group holds the destination.
     fn deal(&mut self) -> Vec<Vec<Lp>> {
         let workers = self.workers.clamp(1, self.lps.len().max(1));
+        self.redeal_events(workers);
         let mut lps = std::mem::take(&mut self.lps);
         if workers == 1 {
             lps.shrink_to_fit();
@@ -908,6 +769,23 @@ impl ShardedSim {
             groups[i % workers].push(lp);
         }
         groups
+    }
+
+    /// Moves every pending event to executor `node % workers` when the
+    /// last run dealt them over another count. Each keeps its key, so
+    /// where it sorts does not change.
+    fn redeal_events(&mut self, workers: usize) {
+        if workers == self.dealt {
+            return;
+        }
+        if self.executors.len() < workers {
+            self.executors.resize_with(workers, Executor::default);
+        }
+        let pending: Vec<_> = self.executors[..self.dealt].iter_mut().flat_map(|exec| exec.events.take()).collect();
+        self.dealt = workers;
+        for q in pending {
+            self.executors[q.ev.owner().0 as usize % workers].events.requeue(q);
+        }
     }
 
     /// Puts dealt groups back in node order, at exact capacity: the
@@ -926,40 +804,18 @@ impl ShardedSim {
 
     /// Runs until virtual time reaches `deadline`, processing every
     /// event scheduled at or before it, epoch by epoch, and folds each
-    /// epoch's per-LP event counts into the parallel bound.
+    /// epoch's per-worker event tallies into the parallel bound.
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
         let lookahead = *self.lookahead.get_or_insert_with(|| {
             self.network.min_cross_node_latency().max(Duration::from_nanos(1))
         });
-        let mut heads = HeadHeap::new(self.lps.len());
         let mut groups = self.deal();
-        if self.executors.len() < groups.len() {
-            self.executors.resize_with(groups.len(), Executor::default);
-        }
-        for lp in groups.iter().flatten() {
-            heads.set(lp.node.id.0, lp.events.next_at());
-        }
         with_pool(groups.len(), |dispatch| {
-            let (mut active, mut before) = (Vec::new(), Vec::new());
-            while let Some(horizon) =
-                self.next_active_epoch(&groups, &mut heads, deadline, lookahead, &mut active)
-            {
-                before.clear();
-                before.extend(active.iter().map(|&node| lp_of(&mut groups, node).events_processed));
+            while let Some(horizon) = self.next_horizon(deadline, lookahead) {
                 let execs = &mut self.executors[..groups.len()];
-                dispatch(&mut groups, execs, &active, horizon, &self.network, self.packet_faults);
-                let mut per_worker = [[0u64; 8]; 4];
-                for (&node, &start) in active.iter().zip(&before) {
-                    let lp = lp_of(&mut groups, node);
-                    heads.set(node, lp.events.next_at());
-                    for (per, w) in per_worker.iter_mut().zip(BOUND_WORKERS) {
-                        per[node as usize % w] += lp.events_processed - start;
-                    }
-                }
-                for (busiest, per) in self.busiest.iter_mut().zip(per_worker) {
-                    *busiest += per.into_iter().max().unwrap_or(0);
-                }
-                self.barrier(&mut groups, &active, &mut heads);
+                dispatch(&mut groups, execs, horizon, &self.network, self.packet_faults);
+                self.fold_bound();
+                self.barrier(&mut groups);
                 self.now = self.now.max(horizon.min(deadline));
             }
         });
@@ -973,9 +829,8 @@ impl ShardedSim {
     }
 
     /// Computes the next epoch's safe horizon, applying due global
-    /// faults first, and leaves the epoch's active set — the ids,
-    /// ascending, of the LPs whose head lies below it — in `active`.
-    /// Returns `None` when nothing remains at or before `deadline`.
+    /// faults first. Returns `None` when nothing remains at or before
+    /// `deadline`.
     ///
     /// Safety sketch: let `m` be the earliest pending event anywhere
     /// and `L` the lookahead. Any event executing at `t ∈ [m, H)` with
@@ -987,16 +842,9 @@ impl ShardedSim {
     /// crosses the next global fault (the model must not change
     /// mid-epoch) nor `deadline` (events *at* the deadline run,
     /// matching `Sim::run_until`, hence the +1 ns).
-    fn next_active_epoch(
-        &mut self,
-        groups: &[Vec<Lp>],
-        heads: &mut HeadHeap,
-        deadline: SimTime,
-        lookahead: Duration,
-        active: &mut Vec<u32>,
-    ) -> Option<SimTime> {
+    fn next_horizon(&mut self, deadline: SimTime, lookahead: Duration) -> Option<SimTime> {
         loop {
-            let m = heads.min();
+            let m = self.executors[..self.dealt].iter().filter_map(|exec| exec.events.next_at()).min();
             if let Some(next) = self.global_faults.first_entry() {
                 let at = next.key().0;
                 if m.is_none_or(|m| at <= m) && at <= deadline {
@@ -1014,39 +862,51 @@ impl ShardedSim {
             if let Some((&(at, _), _)) = self.global_faults.first_key_value() {
                 horizon = horizon.min(at);
             }
-            heads.below(horizon, active);
-            if cfg!(debug_assertions) {
-                heads.assert_matches_scan(groups, horizon, active);
-            }
             return Some(horizon);
+        }
+    }
+
+    /// Folds the epoch's tallies into the busiest worker's events at
+    /// each of [`BOUND_WORKERS`]: worker `w` of `W` ran the LPs whose
+    /// id ≡ w (mod W), and `W` divides [`TALLY`].
+    fn fold_bound(&mut self) {
+        let mut by_residue = [0u64; TALLY];
+        for exec in &mut self.executors[..self.dealt] {
+            for (sum, n) in by_residue.iter_mut().zip(std::mem::take(&mut exec.tally)) {
+                *sum += n;
+            }
+        }
+        for (busiest, w) in self.busiest.iter_mut().zip(BOUND_WORKERS) {
+            let mut per_worker = [0u64; TALLY];
+            for (residue, n) in by_residue.iter().enumerate() {
+                per_worker[residue % w] += n;
+            }
+            *busiest += per_worker.into_iter().max().unwrap_or(0);
         }
     }
 
     /// The epoch barrier: applies the workers' deferred network ops —
     /// they commute across nodes (group membership is a set, and a peer
-    /// reset forgets one peer in each other row) — then merges their
-    /// outboxes into the destination queues by sender id, emission order
-    /// within a sender. A worker's outbox holds its senders ascending, so
-    /// walking the active ids (sorted) takes each sender's run from the
-    /// front of its worker's outbox: every destination receives its
-    /// pushes in the same order at any worker count, so sequence
-    /// assignment is a pure function of the event streams themselves. A
-    /// merged delivery that becomes its destination's head re-keys the
-    /// scheduler entry; the buffers keep their capacity.
-    fn barrier(&mut self, groups: &mut [Vec<Lp>], active: &[u32], heads: &mut HeadHeap) {
-        let execs = &mut self.executors[..groups.len()];
+    /// reset forgets one peer in each other row) — then moves every
+    /// outbox into the heaps of the destinations' executors. Each
+    /// delivery carries its key, so the order the outboxes drain in
+    /// decides nothing; the buffers keep their capacity.
+    fn barrier(&mut self, groups: &mut [Vec<Lp>]) {
+        let execs = &mut self.executors[..self.dealt];
         for (node, op) in execs.iter_mut().flat_map(|exec| exec.ops.drain(..)) {
             apply_deferred(&mut self.network, groups.iter_mut().flatten(), node, op);
         }
-        for &node in active {
-            let outbox = &mut execs[node as usize % groups.len()].outbox;
-            while let Some(m) = outbox.pop_front_if(|m| m.from.0 == node) {
-                heads.lower(m.to.0, m.at);
-                lp_of(groups, m.to.0).events.push(m.at, m.ev);
+        for worker in 0..execs.len() {
+            let mut outbox = std::mem::take(&mut execs[worker].outbox);
+            for q in outbox.drain(..) {
+                let home = q.ev.owner().0 as usize % execs.len();
+                execs[home].events.requeue(q);
             }
+            execs[worker].outbox = outbox;
         }
     }
 }
+
 
 /// The engine surface deployments are built through and tests run on,
 /// so one construction path (`crates/core`'s `Deployment::build`) and
@@ -1150,8 +1010,8 @@ mod tests {
     use crate::runtime::Context;
     use crate::timer_tests::{lossless, Echo, Pinger};
     use nb_wire::addr::well_known;
+    use crate::link::LinkSpec;
     use nb_wire::Message;
-    use rand::Rng;
 
     /// Three echo/pinger pairs spread over three realms, paper clocks,
     /// a light chaos plan: a workload exercising RNG streams, timers,
@@ -1179,47 +1039,117 @@ mod tests {
         (sim.digest(), sim.events_processed(), sim.stats().datagrams_delivered, sim.parallel_bound_milli())
     }
 
-    /// The scheduler heap against a plain table of heads, under a
-    /// seeded stream of the three updates the epoch loop makes: an LP's
-    /// head moves later (it processed its window), a merge lowers it,
-    /// its queue drains. (Every epoch of every test in this crate and
-    /// of `crates/bench/tests/sharded_determinism.rs` re-checks the
-    /// same agreement against the real LP queues — see
-    /// `HeadHeap::assert_matches_scan`.)
-    #[test]
-    fn head_heap_agrees_with_a_scanned_table() {
-        const N: usize = 37;
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut heap = HeadHeap::new(N);
-        let mut table: Vec<Option<SimTime>> = vec![None; N];
-        let mut active = Vec::new();
-        for _ in 0..20_000 {
-            let node = rng.gen_range(0..N);
-            let t = SimTime::from_millis(rng.gen_range(0..50u64));
-            match rng.gen_range(0..4u32) {
-                0 => {
-                    table[node] = None;
-                    heap.set(node as u32, None);
-                }
-                1 => {
-                    table[node] = Some(t);
-                    heap.set(node as u32, Some(t));
-                }
-                _ => {
-                    if table[node].is_none_or(|head| t < head) {
-                        table[node] = Some(t);
-                    }
-                    heap.lower(node as u32, t);
-                }
+    /// Sends one ping to `to` at `after`.
+    struct Sender {
+        to: NodeId,
+        after: Duration,
+    }
+
+    impl Actor for Sender {
+        fn on_start(&mut self, ctx: &mut dyn Context) {
+            ctx.set_timer(self.after, 1);
+        }
+        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+            if let Incoming::Timer { .. } = event {
+                let reply_to = Endpoint::new(ctx.me(), well_known::PING);
+                let ping = Message::Ping { nonce: 0, sent_at: 0, reply_to };
+                ctx.send_udp(well_known::PING, Endpoint::new(self.to, well_known::PING), &ping);
             }
-            assert_eq!(heap.heap.len(), table.iter().flatten().count(), "one entry per head");
-            assert_eq!(heap.min(), table.iter().flatten().min().copied());
-            let horizon = SimTime::from_millis(rng.gen_range(0..60u64));
-            heap.below(horizon, &mut active);
-            let scanned: Vec<u32> = (0..N as u32)
-                .filter(|&n| table[n as usize].is_some_and(|head| head < horizon))
-                .collect();
-            assert_eq!(active, scanned);
+        }
+        impl_actor_any!();
+    }
+
+    /// Logs what it is handed: a datagram as its sender's id, a timer as
+    /// 1000 + its token. Arms token 7 for `timer`, if any.
+    struct Recorder {
+        timer: Option<Duration>,
+        log: Vec<(SimTime, u32)>,
+    }
+
+    impl Actor for Recorder {
+        fn on_start(&mut self, ctx: &mut dyn Context) {
+            if let Some(after) = self.timer {
+                ctx.set_timer(after, 7);
+            }
+        }
+        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+            match event {
+                Incoming::Datagram { from, .. } => self.log.push((ctx.now(), from.node.0)),
+                Incoming::Timer { token } => self.log.push((ctx.now(), 1000 + token as u32)),
+                _ => {}
+            }
+        }
+        impl_actor_any!();
+    }
+
+    /// Lossless, jitter-free, unlimited links and perfect clocks: every
+    /// ping takes exactly the LAN latency.
+    fn still_net(workers: usize) -> ShardedSim {
+        let mut sim = ShardedSim::with_clock_profile(3, ClockProfile::perfect());
+        sim.set_workers(workers);
+        let still = LinkSpec { jitter: Duration::ZERO, bandwidth: None, ..LinkSpec::lan().with_loss(0.0) };
+        sim.network_mut().intra_realm_spec = still;
+        sim
+    }
+
+    /// Three senders' pings and the receiver's own timer come due at
+    /// the receiver (node 2) at one nanosecond, with a harness injection.
+    /// They run in key order — the harness first, then by origin, the
+    /// receiver's timer between senders 1 and 3 — although the timer was
+    /// queued an epoch before the pings were merged, and identically at
+    /// every worker count.
+    #[test]
+    fn same_instant_events_run_in_key_order_at_every_worker_count() {
+        let latency = LinkSpec::lan().latency;
+        let due = SimTime::ZERO + Duration::from_millis(100) + latency;
+        let run = |workers: usize| {
+            let mut sim = still_net(workers);
+            let receiver = NodeId(2);
+            let send = Duration::from_millis(100);
+            for id in 0..4 {
+                let actor: Box<dyn Actor> = if id == 2 {
+                    Box::new(Recorder { timer: Some(send + latency), log: Vec::new() })
+                } else {
+                    Box::new(Sender { to: receiver, after: send })
+                };
+                assert_eq!(sim.add_node("n", RealmId(0), actor), NodeId(id));
+            }
+            sim.inject(receiver, due - SimTime::ZERO, Incoming::Timer { token: 99 });
+            sim.run_for(Duration::from_secs(1));
+            let log = sim.actor::<Recorder>(receiver).expect("the receiver").log.clone();
+            (log, sim.digest(), sim.events_processed())
+        };
+        let reference = run(1);
+        assert_eq!(reference.0, [1099, 0, 1, 1007, 3].map(|what| (due, what)));
+        for workers in [2, 4] {
+            assert_eq!(run(workers), reference, "at {workers} workers");
+        }
+    }
+
+    /// A stalled node's deferred events replay in the order they
+    /// arrived, not by sender: node 2's ping arrives 5 ms before node
+    /// 1's and still runs first once the stall ends, on `Sim` and at
+    /// every worker count.
+    #[test]
+    fn a_stall_replays_in_arrival_order() {
+        let stall = Duration::from_millis(50);
+        let script = |sim: &mut dyn DiscoveryEngine| {
+            let receiver = sim.add_node("r", RealmId(0), Box::new(Recorder { timer: None, log: Vec::new() }));
+            for after in [10, 5] {
+                let sender = Sender { to: receiver, after: Duration::from_millis(after) };
+                sim.add_node("s", RealmId(0), Box::new(sender));
+            }
+            let fault = Fault::Stall { node: receiver, dur: stall };
+            sim.apply_fault_plan(&FaultPlan::new().fault_at(Duration::ZERO, fault));
+            sim.run_for(Duration::from_secs(1));
+            sim.actor::<Recorder>(receiver).expect("the receiver").log.clone()
+        };
+        let thawed = SimTime::ZERO + stall;
+        let mut serial = Sim::with_clock_profile(3, ClockProfile::perfect());
+        serial.network_mut().intra_realm_spec = still_net(1).network().intra_realm_spec;
+        assert_eq!(script(&mut serial), [(thawed, 2), (thawed, 1)], "on Sim");
+        for workers in [1, 2, 4] {
+            assert_eq!(script(&mut still_net(workers)), [(thawed, 2), (thawed, 1)], "at {workers} workers");
         }
     }
 
@@ -1323,15 +1253,15 @@ mod tests {
     /// they were: `Lp` is what `mem_bytes_per_entity` in
     /// BENCH_scale.json mostly counts (496 bytes until its transport
     /// held one connection table where it had three books, 440 until
-    /// its counters, outbox and deferred ops moved to the worker); a
-    /// heap entry was 72 bytes until a `WireMsg` stopped carrying its
-    /// own v2 length.
+    /// its counters, outbox and deferred ops moved to the worker, 256
+    /// until its event heap did); a heap entry, which is also an outbox
+    /// entry, was 72 bytes until a `WireMsg` stopped carrying its own v2
+    /// length.
     #[test]
     fn heap_entry_and_lp_are_no_larger_than_at_the_parent() {
         use std::mem::size_of;
-        assert!(size_of::<crate::node::Queued<NodeEvent>>() <= 64);
-        assert!(size_of::<OutMsg>() <= 64);
-        assert!(size_of::<Lp>() <= 256);
+        assert!(size_of::<Queued<NodeEvent>>() <= 64);
+        assert!(size_of::<Lp>() <= 232);
     }
 
     #[test]

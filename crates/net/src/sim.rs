@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::ClockProfile;
 use crate::link::{NetworkModel, Transport};
-use crate::node::{EventHeap, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
+use crate::node::{EventHeap, Key, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
 use crate::runtime::{Actor, Incoming};
 use crate::time::SimTime;
 
@@ -208,6 +208,7 @@ impl NetStats {
 /// `Sim` as its nodes see it.
 struct SimSched<'a> {
     events: &'a mut EventHeap<NodeEvent>,
+    pushed: &'a mut u64,
 }
 
 impl<'a> Scheduler for SimSched<'a> {
@@ -215,7 +216,7 @@ impl<'a> Scheduler for SimSched<'a> {
 
     #[inline]
     fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
-        self.events.push(at, ev);
+        self.events.push(at, Key::seq(self.pushed), ev);
     }
 
     fn join_group(&mut self, net: &mut Self::Net, node: NodeId, group: GroupId) {
@@ -231,6 +232,8 @@ impl<'a> Scheduler for SimSched<'a> {
 pub struct Sim {
     now: SimTime,
     events: EventHeap<NodeEvent>,
+    /// Pushes so far: each event's key, so ties run in push order.
+    pushed: u64,
     network: NetworkModel,
     link: Transport,
     stats: NetStats,
@@ -253,7 +256,8 @@ impl Sim {
     pub fn with_clock_profile(seed: u64, profile: ClockProfile) -> Sim {
         Sim {
             now: SimTime::ZERO,
-            events: EventHeap::new(),
+            events: EventHeap::default(),
+            pushed: 0,
             network: NetworkModel::new(),
             link: Transport::new(StdRng::seed_from_u64(seed)),
             stats: NetStats::default(),
@@ -303,7 +307,7 @@ impl Sim {
     }
 
     fn push(&mut self, at: SimTime, ev: NodeEvent) {
-        self.events.push(at, ev);
+        self.events.push(at, Key::seq(&mut self.pushed), ev);
     }
 
     fn node(&self, node: NodeId) -> Option<&Node> {
@@ -323,7 +327,7 @@ impl Sim {
             net: &mut self.network,
             faults: self.packet_faults,
             now: self.now,
-            sched: SimSched { events: &mut self.events },
+            sched: SimSched { events: &mut self.events, pushed: &mut self.pushed },
         })
     }
 
@@ -441,7 +445,7 @@ impl Sim {
         self.now = at;
         let target = ev.target();
         if let Some(until) = target.and_then(|n| self.node(n)?.stalled_past(at)) {
-            self.events.push(until, ev);
+            self.push(until, ev);
             return true;
         }
         self.events_processed += 1;
