@@ -10,7 +10,9 @@
 //! that deployment holds once warmed up, and its client once its
 //! discovery finished; the heap bytes two duplicate caches hold, the
 //! paper's last-1000 one and an entity's 64-key one, pre-sized and
-//! grown; and the heap one broker's interest plane holds. The counts
+//! grown; the heap one broker's interest plane holds; and the
+//! allocator calls of fresh topics' first events through one
+//! subscription table. The counts
 //! are exact and repeat, so a new allocation on the flood hop, the
 //! responder, the epoch barrier, the interest state, the match memo,
 //! the per-publisher route state or the client's rounds, or a buffer a
@@ -20,11 +22,12 @@
 //! parallel threads, and a sibling would allocate into the same
 //! counter.
 
+use std::hint::black_box;
 use std::time::Duration;
 
 use nb_bench::alloc::{calls, live_bytes, CountingAlloc};
 use nb_bench::scale::{build_tier, TierSpec};
-use nb_broker::{Broker, BrokerConfig, Topology};
+use nb_broker::{Broker, BrokerConfig, Destination, SubscriptionTable, Topology};
 use nb_discovery::{
     DiscoveryBrokerActor, DiscoveryClient, Entity, EntityState, ResponsePolicy, Scenario, ScenarioBuilder,
 };
@@ -98,12 +101,15 @@ const DELIVERIES: u64 = (PUBLISHERS * EVENTS_PER_PUBLISHER * 4) as u64;
 /// (1 793 in all, 2 221 before). It had drifted to 1 770 in all when the
 /// clients became entities homed on a broker ([`Entity::of_broker`]),
 /// which made it 2.01 (2 569): an entity pings its broker every 2 s
-/// and fills its last-1000 cache as events arrive. The budget is the
-/// 2.01 plus 10 %. What it holds down: one allocation (the match set)
-/// for a topic's first event at a broker, none for its memo key; at most
-/// two a publisher a broker for route state; a `Prune` a lease per
-/// redundant link, not one per duplicate.
-const BUDGET_PER_DELIVERY: f64 = 2.21;
+/// and fills its last-1000 cache as events arrive. Since a broker keeps
+/// every match set in one arena, so that a topic's first event there
+/// allocates nothing but the arena's geometric growth, and wraps each
+/// heartbeat once for all its links, it is 1.81 (2 317). The budget is
+/// the 1.81 plus 10 %. What it holds down: no allocation for a topic's
+/// first event at a broker, match set or memo key, beyond the arena's
+/// and the memo's growth; at most two a publisher a broker for route
+/// state; a `Prune` a lease per redundant link, not one per duplicate.
+const BUDGET_PER_DELIVERY: f64 = 1.99;
 
 const SUBSCRIBERS: u64 = 64;
 /// Allocations per client subscription over the window in which the
@@ -358,6 +364,41 @@ fn bytes_of_one_interest_plane() -> u64 {
     bytes
 }
 
+/// Fresh topics routed through one warmed table.
+const FRESH_TOPICS: usize = 256;
+
+/// Allocator calls of [`FRESH_TOPICS`] first events, each on a topic
+/// the table has not seen, over 16 `fresh/t{k}/**` filters each
+/// registered by a client and a link. The table is warmed by as many
+/// other topics, whose sets a `fresh/**` subscription then kills: more
+/// dead destinations than live reset the memo and its arena, which keep
+/// their capacity. So only the arena's growth to sets one destination
+/// larger is left to count, at most `⌈log₂ N⌉ + 1` calls for N topics
+/// where a set allocated apiece made N.
+fn allocations_of_fresh_topics() -> u64 {
+    let mut table = SubscriptionTable::new();
+    for k in 0..16 {
+        let filter = TopicFilter::parse(&format!("fresh/t{k}/**")).expect("filter");
+        table.subscribe(Destination::Client(NodeId(k % 4)), filter.clone());
+        table.subscribe(Destination::Link(NodeId(100 + k % 3)), filter);
+    }
+    let batch = |name: &str| -> Vec<Topic> {
+        (0..FRESH_TOPICS).map(|i| Topic::parse(&format!("fresh/t{}/{name}{i}", i % 16)).expect("topic")).collect()
+    };
+    let (warm, fresh) = (batch("w"), batch("f"));
+    for topic in &warm {
+        assert_eq!(table.matches(topic).len(), 2);
+    }
+    table.subscribe(Destination::Client(NodeId(9)), TopicFilter::parse("fresh/**").expect("filter"));
+    let before = calls();
+    for topic in &fresh {
+        black_box(table.matches(topic));
+    }
+    let counted = calls() - before;
+    assert!(fresh.iter().all(|topic| table.matches(topic).len() == 3));
+    counted
+}
+
 #[test]
 fn allocations_repeat_exactly_and_stay_under_budget() {
     // The first run also fills the process-wide topic intern tables;
@@ -433,6 +474,10 @@ fn allocations_repeat_exactly_and_stay_under_budget() {
         client <= BUDGET_FINISHED_CLIENT_BYTES,
         "a finished client holds {client} B, budget {BUDGET_FINISHED_CLIENT_BYTES} B"
     );
+
+    let fresh = allocations_of_fresh_topics();
+    let bound = u64::from(FRESH_TOPICS.next_power_of_two().ilog2()) + 1;
+    assert!(fresh <= bound, "{fresh} allocator calls for {FRESH_TOPICS} fresh topics, bound {bound}");
 
     let bytes = bytes_of_one_interest_plane();
     assert_eq!(bytes, bytes_of_one_interest_plane(), "the heap is a pure function of the registrations");

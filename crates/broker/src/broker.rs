@@ -636,8 +636,10 @@ impl Broker {
         };
         let flood = self.flood.iter().any(|f| f.matches(&ev.topic));
         let pruned = !self.flood[1].matches(&ev.topic);
-        // One memoized trie lookup; the shared set detaches the borrow on
-        // `subs` so dispatch below can consult clients/links freely.
+        let lease = self.lease();
+        // One memoized trie lookup, a slice borrowed from `subs`: the
+        // dispatch below reads `clients`, `links` and `routes`, disjoint
+        // fields.
         let matched = self.subs.matches(&ev.topic);
         // `None` when the TTL is spent: local deliveries still happen
         // (they are terminal), link forwards stop.
@@ -645,7 +647,6 @@ impl Broker {
         // The publisher's reverse-path state, if it has any yet. The BDN
         // advertisement keeps none — every link carries it.
         let neighbour = source.unwrap_or_else(|| ctx.me());
-        let lease = self.lease();
         let mut route = match &mut self.routes {
             Some(routes) if pruned => routes.live(ev.source, now, lease),
             _ => None,
@@ -655,7 +656,7 @@ impl Broker {
         }
         let mut crossed_link = false;
         // Local clients whose filters match always get a copy.
-        for &dest in matched.iter() {
+        for &dest in matched {
             match dest {
                 Destination::Client(c) => {
                     if Some(c) == source {
@@ -753,11 +754,15 @@ impl Broker {
         let deadline = self.lease();
         let now = ctx.now();
         let mut dead: Vec<NodeId> = Vec::new();
+        // Every live link gets the same heartbeat: wrapped once, on the
+        // first, and forwarded to each.
+        let mut beat: Option<WireMsg> = None;
         for (&peer, link) in &self.links {
             if now - link.last_heard > deadline {
                 dead.push(peer);
             } else {
-                link.send(Message::Heartbeat { from: ctx.me(), seq }, ctx);
+                let beat = beat.get_or_insert_with(|| WireMsg::new(Message::Heartbeat { from: ctx.me(), seq }));
+                link.forward(beat, ctx);
             }
         }
         for peer in dead {

@@ -22,17 +22,24 @@
 //!
 //! # Memoization
 //!
-//! [`SubscriptionTable::matches`] caches the sorted match set per topic
-//! as a shared `Arc<[Destination]>`. The dominant traffic pattern —
-//! heartbeats, advertisements and discovery floods republished on the
-//! same few well-known topics — therefore routes with **zero allocation
-//! and zero trie walk**: one hashed probe on the topic's segment ids.
-//! The first event on a topic allocates its match set and nothing else:
-//! the key holds the ids inline ([`MemoKey`]; boxed past five). The memo
-//! is invalidated precisely: a subscribe/unsubscribe that changes
-//! membership (first registration or last withdrawal of a filter at a
-//! destination) drops exactly the memo entries whose topic that filter
-//! matches; refcount-only changes keep the memo intact.
+//! [`SubscriptionTable::matches`] caches each topic's sorted match set.
+//! The sets lie back to back in one arena, a `Vec<Destination>`, and a
+//! hash map takes the topic's segment ids ([`MemoKey`]: inline up to
+//! five, boxed past that) to its set's `(start, len)` there, 8 bytes.
+//! The dominant traffic — heartbeats, advertisements and discovery
+//! floods on the same few well-known topics — therefore routes with
+//! **zero allocation and zero trie walk**: one hashed probe, a slice
+//! borrowed from the table. A miss walks the trie onto the arena's tail
+//! and sorts and deduplicates it there, so a first event allocates only
+//! when the arena or the map grows, geometrically. A subscribe or
+//! unsubscribe that changes membership (first registration or last
+//! withdrawal of a filter at a destination) drops exactly the entries
+//! whose topic that filter matches, leaving their sets dead in the
+//! arena; refcount-only changes keep the memo intact. Map and arena are
+//! reset together when a miss finds [`MEMO_CAP`] entries or an
+//! invalidation leaves more dead destinations than live, so the arena
+//! holds at most twice what its entries name and nothing walks the map
+//! to compact it.
 //!
 //! # Determinism
 //!
@@ -50,7 +57,6 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
 
 use nb_util::FoldHasher;
 use nb_wire::{NodeId, SegId, Topic, TopicFilter};
@@ -114,21 +120,77 @@ impl Hash for MemoKey {
     }
 }
 
-/// The match memo, hashed by the multiply-rotate fold `BoundedDedup`
-/// uses, one word per segment id. A publisher picks topic strings, not
-/// ids — the interner numbers segments in the order it first meets them
-/// — and the memo holds at most [`MEMO_CAP`] keys, so even keys that all
-/// collided would cost a probe no more than that many compares.
-type Memo = HashMap<MemoKey, Arc<[Destination]>, BuildHasherDefault<FoldHasher>>;
+/// Each memoized topic's `(start, len)` in the arena, hashed by the
+/// multiply-rotate fold `BoundedDedup` uses, one word per segment id. A
+/// publisher picks topic strings, not ids — the interner numbers
+/// segments in the order it first meets them — and the memo holds at
+/// most [`MEMO_CAP`] keys, so even keys that all collided would cost a
+/// probe no more than that many compares.
+type Spans = HashMap<MemoKey, (u32, u32), BuildHasherDefault<FoldHasher>>;
 
-/// Drops exactly the memo entries whose topic `filter` matches — the
-/// only match sets a membership change to `filter` can affect.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "whether an entry survives depends on its key alone, so the visit order cannot show"
-)]
-fn invalidate(memo: &mut Memo, filter: &TopicFilter) {
-    memo.retain(|topic, _| !filter.matches_ids(topic.ids()));
+/// The match memo: every cached set back to back in one arena, and the
+/// span of each topic's set there.
+#[derive(Debug, Default)]
+struct MatchMemo {
+    spans: Spans,
+    arena: Vec<Destination>,
+    /// Destinations in the arena that some span covers; the rest are
+    /// dead, left by invalidations.
+    live: usize,
+}
+
+impl MatchMemo {
+    /// Forgets every set at once, keeping both buffers' capacity.
+    fn reset(&mut self) {
+        self.spans.clear();
+        self.arena.clear();
+        self.live = 0;
+    }
+
+    /// Drops exactly the entries whose topic `filter` matches — the
+    /// only match sets a membership change to `filter` can affect — and
+    /// resets the memo if that leaves more dead destinations in the
+    /// arena than live ones.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "whether an entry survives depends on its key alone and the dropped lengths are summed, so the visit order cannot show"
+    )]
+    fn invalidate(&mut self, filter: &TopicFilter) {
+        let mut dropped = 0;
+        self.spans.retain(|topic, &mut (_, len)| {
+            let hit = filter.matches_ids(topic.ids());
+            dropped += if hit { len as usize } else { 0 };
+            !hit
+        });
+        self.live -= dropped;
+        if self.arena.len() - self.live > self.live {
+            self.reset();
+        }
+    }
+
+    /// Memoizes the match set of `topic`, walked from `root` onto the
+    /// arena's tail and sorted and deduplicated there.
+    fn fill(&mut self, topic: &[SegId], root: &TrieNode) -> (u32, u32) {
+        if self.spans.len() >= MEMO_CAP {
+            self.reset();
+        }
+        let start = self.arena.len();
+        root.collect(topic, &mut self.arena);
+        let set = &mut self.arena[start..];
+        set.sort_unstable();
+        let mut len = 0;
+        for i in 0..set.len() {
+            if len == 0 || set[i] != set[len - 1] {
+                set[len] = set[i];
+                len += 1;
+            }
+        }
+        self.arena.truncate(start + len);
+        self.live += len;
+        let span = (u32::try_from(start).expect("an arena under 2^32 destinations"), len as u32);
+        self.spans.insert(MemoKey::of(topic), span);
+        span
+    }
 }
 
 /// A routing destination for matched events.
@@ -343,10 +405,7 @@ pub struct SubscriptionTable {
     root: TrieNode,
     /// Distinct (destination, filter) registrations.
     len: usize,
-    memo: Memo,
-    /// Reused collection buffer for memo misses: the cold path allocates
-    /// only the `Arc` result, never a scratch `Vec`.
-    scratch: Vec<Destination>,
+    memo: MatchMemo,
 }
 
 impl SubscriptionTable {
@@ -385,7 +444,7 @@ impl SubscriptionTable {
             Err(i) => {
                 rec.regs.insert(i, (dest, 1));
                 self.len += 1;
-                invalidate(&mut self.memo, &rec.filter);
+                self.memo.invalidate(&rec.filter);
                 then(rec);
                 true
             }
@@ -421,7 +480,7 @@ impl SubscriptionTable {
             }
             rec.regs.remove(i);
             *len -= 1;
-            invalidate(memo, filter);
+            memo.invalidate(filter);
             then(rec);
             if rec.is_idle() {
                 *slot = None;
@@ -432,17 +491,9 @@ impl SubscriptionTable {
     }
 
     /// Removes every registration for `dest` (client disconnect or link
-    /// down), returning the filters that were registered there, in
-    /// string order.
-    pub fn remove_destination(&mut self, dest: Destination) -> Vec<TopicFilter> {
-        let mut out = Vec::new();
-        self.remove_destination_with(dest, |rec| out.push(rec.filter.clone()));
-        out
-    }
-
-    /// [`SubscriptionTable::remove_destination`], running `then` on each
-    /// record `dest` was registered at, in filter-string order, once the
-    /// registration is gone; records left idle go.
+    /// down), running `then` on each record `dest` was registered at, in
+    /// filter-string order, once the registration is gone; records left
+    /// idle go.
     pub(crate) fn remove_destination_with(&mut self, dest: Destination, mut then: impl FnMut(&mut Interest)) {
         let mut hit = Vec::new();
         self.root.records_mut(&|rec| rec.has(dest), &mut hit);
@@ -454,7 +505,7 @@ impl SubscriptionTable {
             let i = rec.position(dest).expect("collected for registering `dest`");
             rec.regs.remove(i);
             self.len -= 1;
-            invalidate(&mut self.memo, &rec.filter);
+            self.memo.invalidate(&rec.filter);
             then(rec);
         }
         self.root.prune();
@@ -483,27 +534,16 @@ impl SubscriptionTable {
     /// Destinations whose filters match `topic`, sorted for determinism.
     ///
     /// Repeated queries for the same topic between subscription changes
-    /// return the memoized shared set — zero allocation, zero walk. The
+    /// return the memoized set — zero allocation, zero walk. The
     /// ordering contract is identical to the pre-trie linear scan:
     /// distinct destinations in `Destination` order.
-    pub fn matches(&mut self, topic: &Topic) -> Arc<[Destination]> {
-        if let Some(hit) = self.memo.get(topic.seg_ids()) {
-            return Arc::clone(hit);
-        }
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        self.root.collect(topic.seg_ids(), &mut out);
-        out.sort_unstable();
-        out.dedup();
-        // `Arc::default()` is std's one static empty slice: a topic
-        // nothing matches costs no allocation at any broker.
-        let set: Arc<[Destination]> = if out.is_empty() { Arc::default() } else { out.as_slice().into() };
-        self.scratch = out;
-        if self.memo.len() >= MEMO_CAP {
-            self.memo.clear();
-        }
-        self.memo.insert(MemoKey::of(topic.seg_ids()), Arc::clone(&set));
-        set
+    pub fn matches(&mut self, topic: &Topic) -> &[Destination] {
+        let ids = topic.seg_ids();
+        let (start, len) = match self.memo.spans.get(ids) {
+            Some(&span) => span,
+            None => self.memo.fill(ids, &self.root),
+        };
+        &self.memo.arena[start as usize..][..len as usize]
     }
 
     /// [`SubscriptionTable::matches`] without touching the memo
@@ -516,16 +556,6 @@ impl SubscriptionTable {
         out
     }
 
-    /// Whether `dest` has any filter matching `topic`.
-    pub fn dest_matches(&self, dest: Destination, topic: &Topic) -> bool {
-        self.matches_uncached(topic).binary_search(&dest).is_ok()
-    }
-
-    /// All distinct filters registered at `dest`, in string order.
-    pub fn filters_of(&self, dest: Destination) -> Vec<TopicFilter> {
-        self.filters_where(|rec| rec.has(dest))
-    }
-
     /// Total number of distinct (destination, filter) registrations.
     pub fn len(&self) -> usize {
         self.len
@@ -535,18 +565,11 @@ impl SubscriptionTable {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Cached match sets currently held.
-    #[cfg(test)]
-    fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn f(s: &str) -> TopicFilter {
         TopicFilter::parse(s).unwrap()
@@ -568,6 +591,39 @@ mod tests {
             out.sort_unstable();
             out.dedup();
             out
+        }
+
+        /// Removes every registration for `dest`, returning the filters
+        /// that were registered there, in string order.
+        fn remove_destination(&mut self, dest: Destination) -> Vec<TopicFilter> {
+            let mut out = Vec::new();
+            self.remove_destination_with(dest, |rec| out.push(rec.filter.clone()));
+            out
+        }
+
+        /// All distinct filters registered at `dest`, in string order.
+        fn filters_of(&self, dest: Destination) -> Vec<TopicFilter> {
+            self.filters_where(|rec| rec.has(dest))
+        }
+
+        /// Whether `dest` has any filter matching `topic`.
+        fn dest_matches(&self, dest: Destination, topic: &Topic) -> bool {
+            self.matches_uncached(topic).binary_search(&dest).is_ok()
+        }
+
+        /// Cached match sets currently held.
+        fn memo_len(&self) -> usize {
+            self.memo.spans.len()
+        }
+
+        /// Destinations the arena holds, live and dead.
+        fn arena_len(&self) -> usize {
+            self.memo.arena.len()
+        }
+
+        /// Destinations in the arena that a memo entry covers.
+        fn arena_live(&self) -> usize {
+            self.memo.live
         }
     }
 
@@ -661,31 +717,37 @@ mod tests {
         let mut tab = SubscriptionTable::new();
         let c1 = Destination::Client(NodeId(1));
         let c2 = Destination::Client(NodeId(2));
+        let c3 = Destination::Client(NodeId(3));
         tab.subscribe(c1, f("a/*"));
-        let first = tab.matches(&t("a/b"));
-        let other = tab.matches(&t("x"));
-        assert_eq!(tab.memo_len(), 2);
-        // Memo hit: the same shared allocation comes back.
-        let again = tab.matches(&t("a/b"));
-        assert!(Arc::ptr_eq(&first, &again), "warm query must hit the memo");
+        tab.subscribe(c3, f("x"));
+        assert_eq!(tab.matches(&t("a/b")), [c1]);
+        assert_eq!(tab.matches(&t("x")), [c3]);
+        assert_eq!((tab.memo_len(), tab.arena_len()), (2, 2));
+        // Memo hit: the set is read where it lies, nothing appended.
+        assert_eq!(tab.matches(&t("a/b")), [c1]);
+        assert_eq!(tab.arena_len(), 2, "warm query must hit the memo");
 
         // A refcount-only bump must NOT invalidate…
         tab.subscribe(c1, f("a/*"));
-        assert!(Arc::ptr_eq(&first, &tab.matches(&t("a/b"))));
+        assert_eq!((tab.memo_len(), tab.arena_len()), (2, 2));
 
-        // …but a membership change drops exactly the affected topics.
+        // …but a membership change drops exactly the affected topics;
+        // their sets stay in the arena, dead, while no more are dead than
+        // live.
         tab.subscribe(c2, f("a/b"));
-        assert_eq!(tab.memo_len(), 1, "only the matching entry is dropped");
-        assert_eq!(tab.matches(&t("a/b")).to_vec(), vec![c1, c2]);
-        let other_again = tab.matches(&t("x"));
-        assert!(Arc::ptr_eq(&other, &other_again), "unrelated topics stay cached");
+        assert_eq!((tab.memo_len(), tab.arena_len(), tab.arena_live()), (1, 2, 1), "only the matching entry is dropped");
+        assert_eq!(tab.matches(&t("a/b")), [c1, c2]);
+        assert_eq!(tab.matches(&t("x")), [c3]);
+        assert_eq!((tab.memo_len(), tab.arena_len()), (2, 4), "unrelated topics stay cached");
 
         // Unsubscribe down to zero invalidates again; the intermediate
         // (refcounted) withdrawal does not.
         assert!(!tab.unsubscribe(c1, &f("a/*")));
-        assert_eq!(tab.matches(&t("a/b")).to_vec(), vec![c1, c2]);
+        assert_eq!(tab.matches(&t("a/b")), [c1, c2]);
         assert!(tab.unsubscribe(c1, &f("a/*")));
-        assert_eq!(tab.matches(&t("a/b")).to_vec(), vec![c2]);
+        // Three dead destinations against one live: memo and arena reset.
+        assert_eq!((tab.memo_len(), tab.arena_len(), tab.arena_live()), (0, 0, 0));
+        assert_eq!(tab.matches(&t("a/b")), [c2]);
         assert_eq!(tab.matches_linear(&t("a/b")), vec![c2]);
     }
 
@@ -699,10 +761,10 @@ mod tests {
         let boxed = t("d/1/2/3/4/5");
         assert!(matches!(MemoKey::of(inline.seg_ids()), MemoKey::Inline(5, _)));
         assert!(matches!(MemoKey::of(boxed.seg_ids()), MemoKey::Boxed(_)));
-        for topic in [&inline, &boxed, &t("d/1/2/3/4/5/6/7/8")] {
-            let first = tab.matches(topic);
-            assert_eq!(first.to_vec(), vec![c]);
-            assert!(Arc::ptr_eq(&first, &tab.matches(topic)), "{topic}: the second lookup is a hit");
+        for (k, topic) in [&inline, &boxed, &t("d/1/2/3/4/5/6/7/8")].into_iter().enumerate() {
+            assert_eq!(tab.matches(topic), [c]);
+            assert_eq!(tab.matches(topic), [c]);
+            assert_eq!(tab.arena_len(), k + 1, "{topic}: the second lookup is a hit");
         }
         assert_eq!(tab.memo_len(), 3);
         assert!(tab.unsubscribe(c, &f("d/**")));
@@ -712,9 +774,15 @@ mod tests {
 
     /// Past `MEMO_CAP` distinct topics, with membership changes in
     /// between: every `matches` equals the uncached walk, and the hashed
-    /// memo holds as many entries as an ordered model of its three rules
-    /// — filled on a miss, wiped whole at the cap, and cut by exactly the
-    /// topics a changed filter matches.
+    /// memo and its arena hold what an ordered model of their four rules
+    /// holds — a set appended on a miss, everything wiped at the cap, the
+    /// topics a changed filter matches cut, and everything wiped when
+    /// that leaves more dead destinations than live ones. The arena never
+    /// holds more than twice its live destinations plus one set. Each
+    /// script alternates 3 000 steps that only query, which fill the
+    /// memo to its cap, with 3 000 that change membership on one step in
+    /// sixteen, five, three or two, which kill sets faster than queries
+    /// replace them.
     #[test]
     fn hashed_memo_agrees_with_an_ordered_model_past_its_cap() {
         const TOPICS: usize = 1_500;
@@ -723,46 +791,217 @@ mod tests {
         filters.extend((0..5).map(|j| f(&format!("m/a{j}/**"))));
         filters.extend((0..4).map(|k| f(&format!("m/*/{}", k * 11))));
         filters.push(f("m/**"));
-        let mut tab = SubscriptionTable::new();
-        // The model holds indexes into `topics`, each a distinct string.
-        let mut model: BTreeSet<usize> = BTreeSet::new();
-        let mut wiped = 0;
-        let mut s: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut next = move |n: usize| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as usize % n
-        };
-        for _ in 0..20_000 {
-            let dest = Destination::Client(NodeId(next(3) as u32));
-            let changed = match next(100) {
-                0..=2 => {
+        // Per script, the percentage of a churning step's rolls that
+        // subscribe, and as many that unsubscribe; the rest query.
+        for churn in [3, 10, 17, 25] {
+            let (mut at_cap, mut by_dead) = (0, 0);
+            let mut tab = SubscriptionTable::new();
+            // The model: each memoized topic's index in `topics` (each a
+            // distinct string) with its set's length, and the arena's.
+            let mut model: BTreeMap<usize, usize> = BTreeMap::new();
+            let (mut arena, mut live) = (0, 0);
+            let mut s: u64 = 0x2545_f491_4f6c_dd1d ^ churn;
+            let mut next = move |n: usize| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 33) as usize % n
+            };
+            for step in 0..24_000 {
+                let dest = Destination::Client(NodeId(next(3) as u32));
+                let roll = if step / 3_000 % 2 == 1 { next(100) as u64 } else { 100 };
+                let changed = if roll < churn {
                     let filter = &filters[next(filters.len())];
                     tab.subscribe(dest, filter.clone()).then_some(filter)
-                }
-                3..=5 => {
+                } else if roll < 2 * churn {
                     let filter = &filters[next(filters.len())];
                     tab.unsubscribe(dest, filter).then_some(filter)
-                }
-                _ => {
+                } else {
                     let k = next(TOPICS);
                     let topic = &topics[k];
-                    assert_eq!(tab.matches(topic).to_vec(), tab.matches_uncached(topic), "{topic}");
-                    if !model.contains(&k) {
+                    let set = tab.matches_uncached(topic);
+                    assert_eq!(tab.matches(topic), set.as_slice(), "{topic}");
+                    if !model.contains_key(&k) {
                         if model.len() >= MEMO_CAP {
-                            model.clear();
-                            wiped += 1;
+                            (model, arena, live) = (BTreeMap::new(), 0, 0);
+                            at_cap += 1;
                         }
-                        model.insert(k);
+                        model.insert(k, set.len());
+                        arena += set.len();
+                        live += set.len();
                     }
                     None
+                };
+                if let Some(filter) = changed {
+                    model.retain(|&k, len| {
+                        let hit = filter.matches(&topics[k]);
+                        live -= if hit { *len } else { 0 };
+                        !hit
+                    });
+                    if arena - live > live {
+                        (model, arena, live) = (BTreeMap::new(), 0, 0);
+                        by_dead += 1;
+                    }
                 }
-            };
-            if let Some(filter) = changed {
-                model.retain(|&k| !filter.matches(&topics[k]));
+                assert_eq!(tab.memo_len(), model.len());
+                assert_eq!((tab.arena_len(), tab.arena_live()), (arena, live));
+                // No topic matches more than the three destinations.
+                assert!(arena <= 2 * live + 3, "{arena} destinations in the arena for {live} live");
             }
-            assert_eq!(tab.memo_len(), model.len());
+            assert!(at_cap > 0, "churn {churn}: the script never filled the memo");
+            assert!(by_dead > 0, "churn {churn}: the script never left more dead destinations than live");
         }
-        assert!(wiped > 0, "the script never filled the memo");
+    }
+
+    /// The table against a naive refcount map of (destination, filter)
+    /// registrations.
+    mod against_a_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Subscribe(u8, u8),   // (dest, filter index)
+            Unsubscribe(u8, u8),
+            RemoveDest(u8),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (any::<u8>(), any::<u8>()).prop_map(|(d, f)| Op::Subscribe(d % 6, f % 8)),
+                (any::<u8>(), any::<u8>()).prop_map(|(d, f)| Op::Unsubscribe(d % 6, f % 8)),
+                any::<u8>().prop_map(|d| Op::RemoveDest(d % 6)),
+            ]
+        }
+
+        fn dest(i: u8) -> Destination {
+            if i.is_multiple_of(2) {
+                Destination::Client(NodeId(u32::from(i)))
+            } else {
+                Destination::Link(NodeId(u32::from(i)))
+            }
+        }
+
+        fn filters() -> Vec<TopicFilter> {
+            ["a", "a/b", "a/*", "a/**", "b/c", "b/*", "**", "c"]
+                .iter()
+                .map(|s| TopicFilter::parse(s).unwrap())
+                .collect()
+        }
+
+        /// The model test's filters, ascending by string. Their segments appear
+        /// in no other test of this binary and are interned here first, in
+        /// reverse string order, so the trie's segment ids run against the
+        /// strings: a walk that handed records back in id order instead of
+        /// sorting them fails the test.
+        fn model_filters() -> Vec<TopicFilter> {
+            let mut names = ["mq", "mq/mb", "mq/*", "mq/**", "mq/ma/mc", "mq/ma/*", "**", "mc"];
+            names.sort_unstable_by(|a, b| b.cmp(a));
+            let mut fs: Vec<TopicFilter> = names.iter().map(|s| TopicFilter::parse(s).unwrap()).collect();
+            fs.sort();
+            fs
+        }
+
+        fn model_topics() -> Vec<Topic> {
+            ["mq", "mq/mb", "mq/ma/mc", "mq/mz", "mc", "mc/mq"].iter().map(|s| Topic::parse(s).unwrap()).collect()
+        }
+
+        proptest! {
+            /// The table behaves exactly like a naive refcount map under any
+            /// operation sequence: what each call returns — `remove_destination`'s
+            /// filters in string order included — and, after every op, `len`,
+            /// `filters_of` and `dest_matches` for every destination.
+            #[test]
+            fn subscription_table_matches_reference_model(ops in prop::collection::vec(arb_op(), 0..200)) {
+                let fs = model_filters();
+                let topics = model_topics();
+                let mut table = SubscriptionTable::new();
+                let mut model: BTreeMap<(u8, u8), usize> = BTreeMap::new();
+                // The model's filters at `d`, in string order: `fs` is sorted.
+                let filters_at = |model: &BTreeMap<(u8, u8), usize>, d: u8| -> Vec<TopicFilter> {
+                    model.keys().filter(|(dd, _)| *dd == d).map(|(_, f)| fs[*f as usize].clone()).collect()
+                };
+                for op in ops {
+                    match op {
+                        Op::Subscribe(d, f) => {
+                            let fresh = table.subscribe(dest(d), fs[f as usize].clone());
+                            let count = model.entry((d, f)).or_insert(0);
+                            *count += 1;
+                            prop_assert_eq!(fresh, *count == 1);
+                        }
+                        Op::Unsubscribe(d, f) => {
+                            let gone = table.unsubscribe(dest(d), &fs[f as usize]);
+                            match model.get_mut(&(d, f)) {
+                                None => prop_assert!(!gone),
+                                Some(count) => {
+                                    *count -= 1;
+                                    let model_gone = *count == 0;
+                                    if model_gone {
+                                        model.remove(&(d, f));
+                                    }
+                                    prop_assert_eq!(gone, model_gone);
+                                }
+                            }
+                        }
+                        Op::RemoveDest(d) => {
+                            let removed = table.remove_destination(dest(d));
+                            prop_assert_eq!(removed, filters_at(&model, d));
+                            model.retain(|(dd, _), _| *dd != d);
+                        }
+                    }
+                    prop_assert_eq!(table.len(), model.len());
+                    prop_assert_eq!(table.is_empty(), model.is_empty());
+                    for d in 0..6 {
+                        prop_assert_eq!(table.filters_of(dest(d)), filters_at(&model, d));
+                        for topic in &topics {
+                            let expected = model.keys().any(|&(dd, f)| dd == d && fs[f as usize].matches(topic));
+                            prop_assert_eq!(table.dest_matches(dest(d), topic), expected, "{:?} on {}", dest(d), topic);
+                        }
+                    }
+                }
+            }
+
+            /// `matches` agrees with brute-force filter evaluation.
+            #[test]
+            fn matches_agrees_with_bruteforce(
+                ops in prop::collection::vec(arb_op(), 0..100),
+                topic_idx in 0usize..6,
+            ) {
+                let fs = filters();
+                let topics: Vec<Topic> =
+                    ["a", "a/b", "a/b/c", "b/c", "c", "zz/yy"].iter().map(|s| Topic::parse(s).unwrap()).collect();
+                let mut table = SubscriptionTable::new();
+                let mut model: BTreeMap<(u8, u8), usize> = BTreeMap::new();
+                for op in ops {
+                    match op {
+                        Op::Subscribe(d, f) => {
+                            table.subscribe(dest(d), fs[f as usize].clone());
+                            *model.entry((d, f)).or_insert(0) += 1;
+                        }
+                        Op::Unsubscribe(d, f) => {
+                            table.unsubscribe(dest(d), &fs[f as usize]);
+                            if let Some(c) = model.get_mut(&(d, f)) {
+                                *c -= 1;
+                                if *c == 0 {
+                                    model.remove(&(d, f));
+                                }
+                            }
+                        }
+                        Op::RemoveDest(d) => {
+                            table.remove_destination(dest(d));
+                            model.retain(|(dd, _), _| *dd != d);
+                        }
+                    }
+                }
+                let topic = &topics[topic_idx];
+                let expected: BTreeSet<Destination> = model
+                    .keys()
+                    .filter(|(_, f)| fs[*f as usize].matches(topic))
+                    .map(|(d, _)| dest(*d))
+                    .collect();
+                let got: BTreeSet<Destination> = table.matches(topic).iter().copied().collect();
+                prop_assert_eq!(got, expected);
+            }
+        }
     }
 
     mod trie_vs_linear_oracle {
@@ -840,14 +1079,14 @@ mod tests {
                             let topic = &ts[t as usize];
                             let expected = tab.matches_linear(topic);
                             prop_assert_eq!(tab.matches_uncached(topic), expected.clone());
-                            prop_assert_eq!(tab.matches(topic).to_vec(), expected);
+                            prop_assert_eq!(tab.matches(topic), expected.as_slice());
                         }
                     }
                 }
                 // Final sweep over the whole topic corpus.
                 for topic in &ts {
                     let expected = tab.matches_linear(topic);
-                    prop_assert_eq!(tab.matches(topic).to_vec(), expected);
+                    prop_assert_eq!(tab.matches(topic), expected.as_slice());
                 }
             }
 

@@ -115,15 +115,38 @@ struct Executor {
     ran: Vec<Option<(SimTime, Key)>>,
 }
 
+/// Where an LP sits in its group, `id / W` for `W` workers, by a
+/// multiply instead of a divide: a node id is 32 bits, so with
+/// `m = ⌈2⁶⁴ / W⌉` the quotient is the high word of `m · id` (Lemire,
+/// Kaser and Kurz, "Faster remainder by direct computation", 2019). One
+/// worker's `m` would need 65 bits; it is 0, and the id is the index.
+#[derive(Debug, Clone, Copy)]
+struct Stride(u64);
+
+impl Stride {
+    fn new(workers: usize) -> Stride {
+        Stride(if workers <= 1 { 0 } else { u64::MAX / workers as u64 + 1 })
+    }
+
+    #[inline]
+    fn index(self, id: NodeId) -> usize {
+        match self.0 {
+            0 => id.0 as usize,
+            m => ((u128::from(m) * u128::from(id.0)) >> 64) as usize,
+        }
+    }
+}
+
 impl Executor {
     /// Runs every event of the heap below `horizon`, each on its LP in
-    /// `lps`: the group holding the ids ≡ w (mod `stride`), ascending.
-    /// Within the window every LP is causally closed: nothing another LP
-    /// does this epoch can reach it before `horizon`.
-    fn run_epoch(&mut self, lps: &mut [Lp], stride: usize, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
+    /// `lps`: the group holding the ids ≡ w (mod W), ascending, so the
+    /// LP of `id` is at `stride.index(id)`. Within the window every LP is
+    /// causally closed: nothing another LP does this epoch can reach it
+    /// before `horizon`.
+    fn run_epoch(&mut self, lps: &mut [Lp], stride: Stride, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
         while self.events.next_at().is_some_and(|at| at < horizon) {
             let Some(q) = self.events.pop() else { break };
-            let lp = &mut lps[q.ev.owner().0 as usize / stride];
+            let lp = &mut lps[stride.index(q.ev.owner())];
             if cfg!(debug_assertions) {
                 self.check_order(lp.node.id, q.at, q.key);
             }
@@ -390,9 +413,11 @@ type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &mut [Executor], SimTime, &Arc<Net
 )]
 fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
     if workers == 1 {
-        f(&mut |groups, execs, horizon, net, pf| execs[0].run_epoch(&mut groups[0], 1, horizon, net, pf));
+        let one = Stride::new(1);
+        f(&mut |groups, execs, horizon, net, pf| execs[0].run_epoch(&mut groups[0], one, horizon, net, pf));
         return;
     }
+    let stride = Stride::new(workers);
     let (result_tx, results) = mpsc::channel::<EpochTask>();
     std::thread::scope(|scope| {
         let (tasks, handles): (Vec<mpsc::Sender<EpochTask>>, Vec<_>) = (0..workers)
@@ -401,7 +426,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 let result_tx = result_tx.clone();
                 let handle = scope.spawn(move || {
                     while let Ok(mut task) = task_rx.recv() {
-                        task.exec.run_epoch(&mut task.lps, workers, task.horizon, &task.net, task.pf);
+                        task.exec.run_epoch(&mut task.lps, stride, task.horizon, &task.net, task.pf);
                         if result_tx.send(task).is_err() {
                             break;
                         }
@@ -1246,6 +1271,20 @@ mod tests {
             sim.run_for(Duration::from_secs(3));
             assert_eq!(sim.events_processed(), 8);
             assert_eq!(sim.parallel_bound_milli(), [1000, 1333, 1333, 1333], "workers={workers}");
+        }
+    }
+
+    /// The multiply finds the quotient a divide would, for every worker
+    /// count a run can have and ids from 0 to `u32::MAX`.
+    #[test]
+    fn stride_index_is_the_quotient() {
+        let ids = (0..4_096).chain((0..64).map(|k| u32::MAX - k)).chain((1..32).map(|b| 1 << b));
+        let ids: Vec<u32> = ids.collect();
+        for workers in (1..=64).chain([97, 1_000, 65_537, u32::MAX as usize]) {
+            let stride = Stride::new(workers);
+            for &id in &ids {
+                assert_eq!(stride.index(NodeId(id)), id as usize / workers, "{id} / {workers}");
+            }
         }
     }
 
