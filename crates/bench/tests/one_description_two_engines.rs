@@ -3,8 +3,9 @@
 //! 20-broker / 60-entity scale tier are each described once and built
 //! on `Sim` and on `ShardedSim` at one and at four workers: every
 //! engine holds the same nodes under the same names in the same realms,
-//! and every entity attaches on each. `Sim`'s digest is not compared:
-//! the engines draw from different RNG streams (DESIGN.md §8).
+//! and every entity attaches on each; `on_every_engine` holds `Sim`'s
+//! event count and counters to `ShardedSim`'s. `Sim` keeps no digest:
+//! only the LP engine folds one (DESIGN.md §8).
 
 use std::time::Duration;
 

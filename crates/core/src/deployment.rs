@@ -113,10 +113,10 @@ impl Deployment {
 /// Builds `describe()`'s deployment on `Sim`, on `ShardedSim` at one
 /// worker and on `ShardedSim` at four, and runs `body` on each in that
 /// order; returns what each run returned. A panic in `body` is raised
-/// again with the engine's name in front of its message. The two
-/// `ShardedSim` runs must then end with equal digests, event counts and
-/// traffic counters: the worker count decides where an LP runs, never
-/// what it does, and the counters are sums over the workers.
+/// again with the engine's name in front of its message. All three must
+/// then end with equal event counts and traffic counters (one per-node
+/// model, whatever the scheduler or worker count), and the two
+/// `ShardedSim` runs with equal digests.
 #[expect(clippy::panic, reason = "a test harness: a failing body fails the test that runs it")]
 pub fn on_every_engine<T>(
     describe: impl Fn() -> Deployment,
@@ -129,7 +129,8 @@ pub fn on_every_engine<T>(
             panic!("on {engine}: {text}")
         })
     };
-    let mut out = vec![run("Sim", &mut describe().build(Sim::with_clock_profile))];
+    let mut serial = describe().build(Sim::with_clock_profile);
+    let mut out = vec![run("Sim", &mut serial)];
     let [one, four] = [(1, "ShardedSim at 1 worker"), (4, "ShardedSim at 4 workers")].map(|(workers, engine)| {
         let mut sim = describe().build(|seed, clock| {
             let mut sim = ShardedSim::with_clock_profile(seed, clock);
@@ -139,6 +140,8 @@ pub fn on_every_engine<T>(
         out.push(run(engine, &mut sim));
         (sim.digest(), sim.events_processed(), sim.stats())
     });
+    let serial = (serial.events_processed(), serial.stats().clone());
+    assert_eq!(serial, (one.1, one.2.clone()), "(events, stats) of Sim and of ShardedSim at 1 worker");
     assert_eq!(one, four, "(digest, events, stats) of ShardedSim at 1 and at 4 workers");
     out
 }

@@ -31,7 +31,7 @@ use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_wire::NodeId;
 
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
-use nb_net::{ClockProfile, DiscoveryEngine, Sim, SimTime};
+use nb_net::{ClockProfile, DiscoveryEngine, Sim};
 
 use crate::bdn::{Bdn, BdnConfig};
 use crate::broker_actor::DiscoveryBrokerActor;
@@ -279,11 +279,6 @@ impl<E: DiscoveryEngine> Scenario<E> {
     pub fn site_of_broker(&self, broker: NodeId) -> Option<SiteIdx> {
         self.brokers.iter().position(|&b| b == broker).map(|i| self.broker_sites[i])
     }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
 }
 
 #[cfg(test)]
@@ -347,23 +342,41 @@ mod tests {
         }
     }
 
+    /// Every paper configuration — the three topologies at each of
+    /// Figures 3–7's client sites, and Figure 12's multicast one — runs
+    /// its warm-up and two back-to-back discoveries to the same outcomes,
+    /// events and counters on `Sim` and on `ShardedSim` at 1, 2 and 4
+    /// workers, the sharded runs to the same digest too.
     #[test]
     fn sharded_build_discovers_and_is_worker_invariant() {
-        let run = |workers| {
-            let builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 47);
-            let sim = builder.describe().build(|seed, clock| {
-                let mut sim = nb_net::ShardedSim::with_clock_profile(seed, clock);
-                sim.set_workers(workers);
-                sim
-            });
-            let mut s = builder.scenario(sim);
-            let o = s.run_discovery_once();
-            (o.chosen.is_some(), s.sim.digest(), s.sim.events_processed())
+        let sites = [FSU, CARDIFF, UMN, NCSA, BLOOMINGTON];
+        let kinds = [TopologyKind::Unconnected, TopologyKind::Star, TopologyKind::Linear];
+        let mut configs: Vec<ScenarioBuilder> =
+            kinds.iter().flat_map(|&kind| sites.map(|site| ScenarioBuilder::new(kind, site, 47))).collect();
+        configs.push(ScenarioBuilder::multicast(47, 2));
+        assert_eq!(configs.len(), 16);
+        let discover = |mut s: Scenario<&mut dyn DiscoveryEngine>| {
+            let outcomes = s.run_discovery(2);
+            (outcomes, s.sim.events_processed(), s.sim.stats())
         };
-        let reference = run(1);
-        assert!(reference.0, "sharded discovery completes");
-        assert_eq!(reference, run(2));
-        assert_eq!(reference, run(4));
+        for builder in configs {
+            let what = format!("{:?} at site {}", builder.kind, builder.client_site);
+            let mut serial = builder.describe().build(Sim::with_clock_profile);
+            let reference = discover(builder.clone().scenario(&mut serial as &mut dyn DiscoveryEngine));
+            assert!(reference.0.iter().all(|o| o.chosen.is_some()), "{what}: discovery completes");
+            let mut digests = Vec::new();
+            for workers in [1, 2, 4] {
+                let mut sim = builder.describe().build(|seed, clock| {
+                    let mut sim = nb_net::ShardedSim::with_clock_profile(seed, clock);
+                    sim.set_workers(workers);
+                    sim
+                });
+                let got = discover(builder.clone().scenario(&mut sim as &mut dyn DiscoveryEngine));
+                assert_eq!(got, reference, "{what}, {workers} workers");
+                digests.push(sim.digest());
+            }
+            assert!(digests.windows(2).all(|w| w[0] == w[1]), "{what}: digests {digests:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic chaos engine: seeded fault schedules for [`crate::Sim`].
+//! Deterministic chaos engine: seeded fault schedules for either engine.
 //!
 //! A [`FaultPlan`] is an ordered list of `(at, Fault)` pairs. Plans are
 //! built two ways:
@@ -14,10 +14,11 @@
 //!   tests compare byte-for-byte.
 //!
 //! Installing a plan ([`crate::Sim::apply_fault_plan`] or
-//! [`crate::ShardedSim::apply_fault_plan`]) pushes each fault into the
-//! event queue; faults execute at their scheduled instant interleaved with
-//! protocol events, and everything downstream (packet fates, retries,
-//! lease expiries) remains driven by the engine's seeded RNG streams.
+//! [`crate::ShardedSim::apply_fault_plan`]) queues a node-scoped fault as
+//! its node's event and applies a network-wide one before any event at
+//! its instant, on either engine; everything downstream (packet fates,
+//! retries, lease expiries) remains driven by the nodes' seeded RNG
+//! streams.
 
 use std::fmt;
 use std::time::Duration;

@@ -460,18 +460,30 @@ impl Conn {
     }
 }
 
-/// One node's connections, sorted by peer and binary-searched.
-#[derive(Default)]
-struct Row(Vec<Conn>);
+/// One node's connections: a record per peer, sorted by peer and
+/// binary-searched, what a send reads and writes reached by one probe.
+/// The far half of each connection lives in the peer's own table, so
+/// when the node resets, `peers_stale` remembers that those halves are
+/// still to be forgotten. `now` must never go backwards across calls (a
+/// node's clock does not): idle records are dropped on that premise.
+struct ConnTable {
+    node: NodeId,
+    conns: Vec<Conn>,
+    peers_stale: bool,
+}
 
-impl Row {
-    /// The record for `peer`, made idle if absent. A row about to grow
-    /// first drops its idle records — a wire that has drained is
-    /// indistinguishable from one never used — so a node that answers
-    /// many peers once each (a BDN, a broker's responder) keeps a row
-    /// the size of what it has in flight, and an insert stays cheap.
+impl ConnTable {
+    fn new(node: NodeId) -> ConnTable {
+        ConnTable { node, conns: Vec::new(), peers_stale: false }
+    }
+
+    /// The record of the node's connection to `peer`, made idle if
+    /// absent. A table about to grow first drops its idle records — a
+    /// wire that has drained is indistinguishable from one never used —
+    /// so a node that answers many peers once each (a BDN, a broker's
+    /// responder) keeps a table the size of what it has in flight.
     fn conn(&mut self, peer: NodeId, now: SimTime) -> &mut Conn {
-        let conns = &mut self.0;
+        let conns = &mut self.conns;
         let i = match conns.binary_search_by_key(&peer, |c| c.peer) {
             Ok(i) => i,
             Err(mut i) => {
@@ -486,69 +498,11 @@ impl Row {
         &mut conns[i]
     }
 
-    #[cfg(test)]
-    fn get(&self, peer: NodeId) -> Option<&Conn> {
-        let i = self.0.binary_search_by_key(&peer, |c| c.peer).ok()?;
-        Some(&self.0[i])
-    }
-
-    fn forget(&mut self, peer: NodeId) {
-        if let Ok(i) = self.0.binary_search_by_key(&peer, |c| c.peer) {
-            self.0.remove(i);
-        }
-    }
-}
-
-/// Per-connection state, one record per directed node pair, a row per
-/// sending node: what a send reads and writes, reached by one probe.
-/// `now` must never go backwards across calls (an engine's, or an LP's,
-/// clock does not): idle records are dropped on that premise.
-enum ConnTable {
-    /// Every node's row, indexed by `NodeId.0`: `Sim`'s table.
-    RunWide(Vec<Row>),
-    /// The row of `node` and no other: an LP's table. The far half of
-    /// each connection lives in the peer's own table, so when `node`
-    /// resets, `peers_stale` remembers that those halves are still to be
-    /// forgotten.
-    OneNode { node: NodeId, row: Row, peers_stale: bool },
-}
-
-impl ConnTable {
-    /// Whether this table holds `node`'s row.
-    fn holds(&self, node: NodeId) -> bool {
-        match self {
-            ConnTable::RunWide(_) => true,
-            ConnTable::OneNode { node: own, .. } => *own == node,
-        }
-    }
-
-    /// The row `from` sends from, which this table must hold.
-    fn row(&mut self, from: NodeId) -> &mut Row {
-        match self {
-            ConnTable::RunWide(rows) => {
-                let i = from.0 as usize;
-                if i >= rows.len() {
-                    rows.resize_with(i + 1, Row::default);
-                }
-                &mut rows[i]
-            }
-            ConnTable::OneNode { node, row, .. } => {
-                debug_assert_eq!(*node, from, "a node sends from its own table");
-                row
-            }
-        }
-    }
-
-    /// The record of the connection `from -> to`, made idle if absent.
-    fn conn(&mut self, from: NodeId, to: NodeId, now: SimTime) -> &mut Conn {
-        self.row(from).conn(to, now)
-    }
-
-    /// When one stream message `from -> to` arrives: `depart` charges
-    /// the connection's wire and says when the message has left it,
-    /// then the stream's setup charge and FIFO apply. Streams are
-    /// full-duplex: a handshake opens the peer's side too, if its row
-    /// is here to open.
+    /// When one stream message from this table's node `from -> to`
+    /// arrives: `depart` charges the connection's wire and says when the
+    /// message has left it, then the stream's setup charge and FIFO
+    /// apply. A handshake opens the peer's side too, if that side is
+    /// this table's (a stream to the node itself).
     fn stream_arrival(
         &mut self,
         from: Endpoint,
@@ -557,7 +511,8 @@ impl ConnTable {
         one_way: Duration,
         depart: impl FnOnce(&mut Conn) -> SimTime,
     ) -> SimTime {
-        let conn = self.conn(from.node, to.node, now);
+        debug_assert_eq!(self.node, from.node, "a node sends from its own table");
+        let conn = self.conn(to.node, now);
         let departs = depart(conn);
         let (at, opened) = conn.delivery_time((from.port, to.port), departs, one_way);
         if opened {
@@ -566,52 +521,42 @@ impl ConnTable {
         at
     }
 
-    /// Opens `at -> from` without charging setup, if `at`'s row is here.
+    /// Opens `at -> from` without charging setup, if `at` is this
+    /// table's node.
     fn accept(&mut self, at: Endpoint, from: Endpoint, now: SimTime) {
-        if self.holds(at.node) {
-            self.conn(at.node, from.node, now).accept((at.port, from.port));
+        if at.node == self.node {
+            self.conn(from.node, now).accept((at.port, from.port));
         }
     }
 
-    /// Opens `a <-> b` without charging setup: whichever halves this
-    /// table holds.
+    /// Opens `a <-> b` without charging setup: whichever halves are this
+    /// table's.
     fn mark_established(&mut self, a: Endpoint, b: Endpoint, now: SimTime) {
         self.accept(a, b, now);
         self.accept(b, a, now);
     }
 
-    /// Whether `from -> to` has an established connection.
+    /// Whether `from -> to` has an established connection here.
     #[cfg(test)]
     fn is_established(&self, from: Endpoint, to: Endpoint) -> bool {
-        let row = match self {
-            ConnTable::RunWide(rows) => rows.get(from.node.0 as usize),
-            ConnTable::OneNode { node, row, .. } => (*node == from.node).then_some(row),
-        };
         let ports = (from.port, to.port);
-        row.and_then(|row| row.get(to.node)).is_some_and(|conn| {
-            conn.ports == Some(ports)
-                || conn.extra.as_ref().is_some_and(|e| e.streams.iter().any(|s| s.0 == ports))
-        })
+        let conn = self.conns.binary_search_by_key(&to.node, |c| c.peer).ok().map(|i| &self.conns[i]);
+        from.node == self.node
+            && conn.is_some_and(|conn| {
+                conn.ports == Some(ports)
+                    || conn.extra.as_ref().is_some_and(|e| e.streams.iter().any(|s| s.0 == ports))
+            })
     }
 
     /// Forgets every connection involving `node` (crash/restart):
-    /// streams, wire queues and codec tables alike.
+    /// streams, wire queues and codec tables alike. The table's own node
+    /// empties it; any other node is forgotten as a peer.
     fn reset_node(&mut self, node: NodeId) {
-        match self {
-            ConnTable::RunWide(rows) => {
-                for (i, row) in rows.iter_mut().enumerate() {
-                    if i == node.0 as usize {
-                        row.0.clear();
-                    } else {
-                        row.forget(node);
-                    }
-                }
-            }
-            ConnTable::OneNode { node: own, row, peers_stale } if *own == node => {
-                row.0.clear();
-                *peers_stale = true;
-            }
-            ConnTable::OneNode { row, .. } => row.forget(node),
+        if node == self.node {
+            self.conns.clear();
+            self.peers_stale = true;
+        } else if let Ok(i) = self.conns.binary_search_by_key(&node, |c| c.peer) {
+            self.conns.remove(i);
         }
     }
 }
@@ -624,27 +569,22 @@ pub(crate) struct Arrival {
     pub(crate) duplicate_at: Option<SimTime>,
 }
 
-/// The two things a send touches besides the model and the counters:
-/// the RNG and the connection table. `Sim` has one pair for the whole
-/// run; every LP of the sharded engine has its own, holding its node's
-/// row alone, which is why an LP's RNG stream and connection state are
-/// a function of its node id alone. The counters a send bumps are its
-/// engine's, handed in: they are sums, so who holds them never moves a
-/// total.
+/// The two things a send touches besides the model and the counters,
+/// one pair per node on either engine: the node's RNG stream (seeded
+/// `seed ^ node_id`, its first draws the node's clock) and its
+/// connection table, so what a node draws and how its connections stand
+/// are a function of the seed, its id and its own sends and accepts.
+/// The counters a send bumps are its engine's, handed in: they are
+/// sums, so who holds them never moves a total.
 pub(crate) struct Transport {
     pub(crate) rng: StdRng,
     conns: ConnTable,
 }
 
 impl Transport {
-    /// A transport every node of a run sends through.
-    pub(crate) fn new(rng: StdRng) -> Transport {
-        Transport { rng, conns: ConnTable::RunWide(Vec::new()) }
-    }
-
-    /// The transport of `node` alone.
+    /// The transport of `node`.
     pub(crate) fn for_node(rng: StdRng, node: NodeId) -> Transport {
-        Transport { rng, conns: ConnTable::OneNode { node, row: Row::default(), peers_stale: false } }
+        Transport { rng, conns: ConnTable::new(node) }
     }
 
     /// Forgets everything the connections involving `node` carried:
@@ -653,30 +593,24 @@ impl Transport {
         self.conns.reset_node(node);
     }
 
-    /// Whether the one node this transport serves has reset since last
-    /// asked, leaving its peers' transports holding the far halves of
-    /// connections that no longer exist.
+    /// Whether the node has reset since last asked, leaving its peers'
+    /// transports holding the far halves of connections that no longer
+    /// exist.
     pub(crate) fn take_peers_stale(&mut self) -> bool {
-        match &mut self.conns {
-            ConnTable::RunWide(_) => false,
-            ConnTable::OneNode { peers_stale, .. } => std::mem::take(peers_stale),
-        }
+        std::mem::take(&mut self.conns.peers_stale)
     }
 
-    /// Records `a <-> b` as established without charging setup. The
-    /// sharded engine keeps one table per node: the sender's charges
-    /// the handshake, and the receiver marks the pair established when
-    /// the first framed message arrives (accepting a connection
-    /// establishes it server-side), so its replies skip the setup RTTs
-    /// just as they do under the run-wide table.
+    /// Records `a <-> b` as established without charging setup, for
+    /// whichever end is this transport's node: the receiver of a
+    /// stream's first message accepts it (`NodeCtx::accept`).
     pub(crate) fn mark_established(&mut self, a: Endpoint, b: Endpoint, now: SimTime) {
         self.conns.mark_established(a, b, now);
     }
 
-    /// The record of the connection `from -> to`, which this transport
-    /// must hold: where a v2 segment from `to` is decoded.
-    pub(crate) fn conn(&mut self, from: NodeId, to: NodeId, now: SimTime) -> &mut Conn {
-        self.conns.conn(from, to, now)
+    /// The record of the node's connection to `peer`: where a v2 segment
+    /// from `peer` is decoded.
+    pub(crate) fn conn(&mut self, peer: NodeId, now: SimTime) -> &mut Conn {
+        self.conns.conn(peer, now)
     }
 
     /// Sends one datagram at `now`; `None` if it never arrives. The
@@ -715,7 +649,7 @@ impl Transport {
         let len = len();
         // Serialisation onto the wire (bandwidth model), then the
         // sampled propagation latency.
-        let mut at = self.conns.conn(from, to, now).serialize(now, len, &spec) + lat;
+        let mut at = self.conns.conn(to, now).serialize(now, len, &spec) + lat;
         let mut duplicate_at = None;
         if faults.is_active() {
             let extra_ns = faults.extra_delay.as_nanos() as u64;
@@ -865,7 +799,7 @@ mod reference {
 }
 
 /// Random interleavings of every connection-state operation, against
-/// the table in both flavours and the books it replaced.
+/// one table a node and the books it replaced.
 #[cfg(test)]
 mod differential {
     use proptest::prelude::*;
@@ -951,7 +885,7 @@ mod differential {
                 Op::Serialize { from, to, len } => {
                     let (from, to) = (NodeId(from), NodeId(to));
                     (
-                        Answer::At(table.conn(from, to, now).serialize(now, len, &spec)),
+                        Answer::At(table.conn(to, now).serialize(now, len, &spec)),
                         Answer::At(wires.serialize(from, to, now, len, &spec)),
                     )
                 }
@@ -1010,28 +944,19 @@ mod differential {
         fn the_connection_table_agrees_with_the_books_it_replaced(
             steps in prop::collection::vec((0u64..2_000, arb_op()), 1..200),
         ) {
-            // `Sim`: one table, one set of books, for every node.
-            let mut run_wide = Pair::new(ConnTable::RunWide(Vec::new()));
-            // The sharded engine: a table and a set of books per node,
-            // each touched only by what its own node does.
-            let mut per_node: Vec<Pair> = (0..NODES)
-                .map(|n| {
-                    let node = NodeId(n);
-                    Pair::new(ConnTable::OneNode { node, row: Row::default(), peers_stale: false })
-                })
-                .collect();
+            // A table and a set of books per node, each touched only by
+            // what its own node does.
+            let mut per_node: Vec<Pair> = (0..NODES).map(|n| Pair::new(ConnTable::new(NodeId(n)))).collect();
             let mut now = SimTime::ZERO;
             for (advance_us, op) in &steps {
                 now += Duration::from_micros(*advance_us);
-                let (got, want) = run_wide.apply(op, now);
-                prop_assert_eq!(got, want, "run-wide, {:?} at {:?}", op, now);
                 let acting = match acting_node(op) {
                     Some(n) => n as usize..n as usize + 1,
                     None => 0..NODES as usize,
                 };
                 for pair in &mut per_node[acting] {
                     let (got, want) = pair.apply(op, now);
-                    prop_assert_eq!(got, want, "one-node, {:?} at {:?}", op, now);
+                    prop_assert_eq!(got, want, "{:?} at {:?}", op, now);
                 }
             }
         }
@@ -1082,7 +1007,7 @@ mod tests {
             let mut net = model_with(2);
             net.intra_realm_spec = spec;
             net.inter_realm_spec = spec;
-            let (mut t, mut stats) = (Transport::new(rng()), NetStats::default());
+            let (mut t, mut stats) = (Transport::for_node(rng(), a), NetStats::default());
             let (taken, sent) = draws(&mut t, |t| t.send_datagram(&mut stats, &net, faults, at, (a, to), || 100));
             (taken, sent, stats)
         };
@@ -1127,9 +1052,9 @@ mod tests {
     #[test]
     fn stream_send_draws_the_latency_only_and_charges_setup_once() {
         let net = model_with(4);
-        let (mut t, mut stats) = (Transport::new(rng()), NetStats::default());
         let a = Endpoint::new(NodeId(0), Port(1));
         let b = Endpoint::new(NodeId(2), Port(2));
+        let (mut t, mut stats) = (Transport::for_node(rng(), a.node), NetStats::default());
         let (taken, first) = draws(&mut t, |t| t.send_stream(&mut stats, &net, SimTime::ZERO, a, b, |_| 100));
         let (_, warm) = draws(&mut t, |t| t.send_stream(&mut stats, &net, SimTime::from_secs(1), a, b, |_| 100));
         assert_eq!(taken, 1);
@@ -1218,27 +1143,30 @@ mod tests {
 
     #[test]
     fn stream_book_charges_setup_once() {
-        let mut book = ConnTable::RunWide(Vec::new());
         let (a, b) = ends();
+        let (mut at_a, mut at_b) = (ConnTable::new(a.node), ConnTable::new(b.node));
         let lat = Duration::from_millis(10);
-        let t1 = book.stream_arrival(a, b, SimTime::ZERO, lat, |_| SimTime::ZERO);
+        let t1 = at_a.stream_arrival(a, b, SimTime::ZERO, lat, |_| SimTime::ZERO);
         assert_eq!(t1.as_millis(), 30); // 1 data + 2 setup trips
-        let t2 = book.stream_arrival(a, b, t1, lat, |_| t1);
+        let t2 = at_a.stream_arrival(a, b, t1, lat, |_| t1);
         assert_eq!(t2.as_millis(), 40); // established now
-        // reverse direction was established by the handshake
-        let t3 = book.stream_arrival(b, a, t2, lat, |_| SimTime::from_millis(35));
+        // The receiver accepts on the first message's arrival, so the
+        // reverse direction pays no handshake.
+        assert!(!at_b.is_established(b, a));
+        at_b.mark_established(b, a, t1);
+        let t3 = at_b.stream_arrival(b, a, t2, lat, |_| SimTime::from_millis(35));
         assert_eq!(t3.as_millis(), 45);
         // A second port pair on the same connection is its own stream.
         let c = Endpoint::new(a.node, Port(7));
-        let t4 = book.stream_arrival(c, b, t3, lat, |_| t3);
+        let t4 = at_a.stream_arrival(c, b, t3, lat, |_| t3);
         assert_eq!((t4 - t3).as_millis(), 30);
-        assert!(book.is_established(b, c) && book.is_established(a, b));
+        assert!(at_a.is_established(c, b) && at_a.is_established(a, b) && !at_b.is_established(b, c));
     }
 
     #[test]
     fn stream_book_enforces_ordering() {
-        let mut book = ConnTable::RunWide(Vec::new());
         let (a, b) = ends();
+        let mut book = ConnTable::new(a.node);
         let t1 = book.stream_arrival(a, b, SimTime::ZERO, Duration::from_millis(50), |_| SimTime::ZERO);
         // Second message sent later but with much lower sampled latency
         // must not overtake the first.
@@ -1249,21 +1177,24 @@ mod tests {
 
     #[test]
     fn stream_book_reset_node_forces_new_handshake() {
-        let mut book = ConnTable::RunWide(Vec::new());
         let (a, b) = ends();
+        let mut book = ConnTable::new(a.node);
         book.stream_arrival(a, b, SimTime::ZERO, Duration::from_millis(10), |_| SimTime::ZERO);
         assert!(book.is_established(a, b));
-        book.reset_node(NodeId(1));
+        book.reset_node(b.node);
         assert!(!book.is_established(a, b));
+        assert!(!book.peers_stale, "forgetting a peer leaves the peers nothing to forget");
         let later = SimTime::from_millis(100);
         let t = book.stream_arrival(a, b, later, Duration::from_millis(10), |_| later);
         assert_eq!(t.as_millis(), 130); // setup charged again
+        book.reset_node(a.node);
+        assert!(book.conns.is_empty() && book.peers_stale);
     }
 
-    /// The hazard a by-sender index inside every LP would be: 2 102
-    /// rows in each of 2 102 transports. A node's own transport holds
-    /// its row and nothing else, whatever its id, and never the far
-    /// half of a connection — nothing in an LP would read it.
+    /// The hazard a by-sender index inside every node would be: 2 102
+    /// rows in each of 2 102 transports. A node's transport holds its
+    /// own connections and nothing else, whatever its id, and never the
+    /// far half of a connection — nothing at the node would read it.
     #[test]
     fn a_transport_built_for_one_node_holds_one_row() {
         let mut net = NetworkModel::new();
@@ -1272,26 +1203,12 @@ mod tests {
         }
         let me = Endpoint::new(NodeId(2000), Port(1));
         let (dialled, accepted) = (Endpoint::new(NodeId(3), Port(2)), Endpoint::new(NodeId(7), Port(2)));
-        let drive = |t: &mut Transport| {
-            assert!(t.send_stream(&mut NetStats::default(), &net, SimTime::ZERO, me, dialled, |_| 100).is_some());
-            t.mark_established(me, accepted, SimTime::ZERO);
-            assert!(t.conns.is_established(me, dialled) && t.conns.is_established(me, accepted));
-        };
         let mut own = Transport::for_node(rng(), me.node);
-        drive(&mut own);
-        let ConnTable::OneNode { row, .. } = &own.conns else {
-            panic!("a transport for one node has the one-node table");
-        };
-        assert_eq!(row.0.iter().map(|c| c.peer).collect::<Vec<_>>(), [dialled.node, accepted.node]);
+        assert!(own.send_stream(&mut NetStats::default(), &net, SimTime::ZERO, me, dialled, |_| 100).is_some());
+        own.mark_established(me, accepted, SimTime::ZERO);
+        assert!(own.conns.is_established(me, dialled) && own.conns.is_established(me, accepted));
+        assert_eq!(own.conns.conns.iter().map(|c| c.peer).collect::<Vec<_>>(), [dialled.node, accepted.node]);
         assert!(!own.conns.is_established(dialled, me) && !own.conns.is_established(accepted, me));
-
-        let mut run_wide = Transport::new(rng());
-        drive(&mut run_wide);
-        let ConnTable::RunWide(rows) = &run_wide.conns else {
-            panic!("a run's transport has the run-wide table");
-        };
-        assert_eq!(rows.len(), 2001);
-        assert!(run_wide.conns.is_established(dialled, me) && run_wide.conns.is_established(accepted, me));
     }
 
     /// ROADMAP item 4's leak: a responder's wire state kept one dead
@@ -1303,30 +1220,26 @@ mod tests {
         for n in 0..=PEERS {
             net.register_node(NodeId(n), RealmId(0));
         }
-        for mut t in [Transport::new(rng()), Transport::for_node(rng(), NodeId(0))] {
-            let (mut now, mut stats) = (SimTime::ZERO, NetStats::default());
-            for peer in 1..=PEERS {
-                // Each answer has long left the wire by the next one.
-                now += Duration::from_millis(10);
-                let sent = t.send_datagram(&mut stats, &net, PacketFaults::none(), now, (NodeId(0), NodeId(peer)), || 200);
-                assert!(sent.is_some() || stats.datagrams_lost > 0);
-            }
-            let row = match &t.conns {
-                ConnTable::RunWide(rows) => &rows[0],
-                ConnTable::OneNode { row, .. } => row,
-            };
-            assert!(row.0.len() <= 4, "{} wire records after {PEERS} one-off peers", row.0.len());
-            // A wire still busy is never dropped: back-to-back sends to
-            // fresh peers all queue, and each peer's second message
-            // queues behind its first.
-            let burst: Vec<NodeId> = (1..=64).map(NodeId).collect();
-            let spec = net.intra_realm_spec;
-            let first: Vec<SimTime> =
-                burst.iter().map(|&p| t.conns.conn(NodeId(0), p, now).serialize(now, 12_500, &spec)).collect();
-            for (&p, &done) in burst.iter().zip(&first) {
-                let again = t.conns.conn(NodeId(0), p, now).serialize(now, 12_500, &spec);
-                assert_eq!(again, done + spec.transmission_delay(12_500));
-            }
+        let mut t = Transport::for_node(rng(), NodeId(0));
+        let (mut now, mut stats) = (SimTime::ZERO, NetStats::default());
+        for peer in 1..=PEERS {
+            // Each answer has long left the wire by the next one.
+            now += Duration::from_millis(10);
+            let sent = t.send_datagram(&mut stats, &net, PacketFaults::none(), now, (NodeId(0), NodeId(peer)), || 200);
+            assert!(sent.is_some() || stats.datagrams_lost > 0);
+        }
+        let records = t.conns.conns.len();
+        assert!(records <= 4, "{records} wire records after {PEERS} one-off peers");
+        // A wire still busy is never dropped: back-to-back sends to
+        // fresh peers all queue, and each peer's second message
+        // queues behind its first.
+        let burst: Vec<NodeId> = (1..=64).map(NodeId).collect();
+        let spec = net.intra_realm_spec;
+        let first: Vec<SimTime> =
+            burst.iter().map(|&p| t.conns.conn(p, now).serialize(now, 12_500, &spec)).collect();
+        for (&p, &done) in burst.iter().zip(&first) {
+            let again = t.conns.conn(p, now).serialize(now, 12_500, &spec);
+            assert_eq!(again, done + spec.transmission_delay(12_500));
         }
     }
 }
@@ -1360,12 +1273,12 @@ mod bandwidth_tests {
 
     #[test]
     fn wire_book_serialises_back_to_back_sends() {
-        let mut book = ConnTable::RunWide(Vec::new());
-        let spec = LinkSpec::wan(Duration::from_millis(10)); // 1.25 MB/s
         let (a, b) = (NodeId(0), NodeId(1));
+        let mut book = ConnTable::new(a);
+        let spec = LinkSpec::wan(Duration::from_millis(10)); // 1.25 MB/s
         let mut send = |to, at_ms| {
             let now = SimTime::from_millis(at_ms);
-            book.conn(a, to, now).serialize(now, 125_000, &spec)
+            book.conn(to, now).serialize(now, 125_000, &spec)
         };
         // Two 125 KB messages sent at t=0: the second queues behind the
         // first (100 ms serialisation each).
@@ -1379,12 +1292,12 @@ mod bandwidth_tests {
 
     #[test]
     fn wire_book_reset_clears_node_state() {
-        let mut book = ConnTable::RunWide(Vec::new());
-        let spec = LinkSpec::wan(Duration::from_millis(10));
         let (a, b, now) = (NodeId(0), NodeId(1), SimTime::ZERO);
-        book.conn(a, b, now).serialize(now, 1_250_000, &spec); // busy 1s
+        let mut book = ConnTable::new(a);
+        let spec = LinkSpec::wan(Duration::from_millis(10));
+        book.conn(b, now).serialize(now, 1_250_000, &spec); // busy 1s
         book.reset_node(b);
-        let d = book.conn(a, b, now).serialize(now, 1_250, &spec);
+        let d = book.conn(b, now).serialize(now, 1_250, &spec);
         assert_eq!(d.as_millis(), 1, "queue state was cleared");
     }
 }

@@ -1,10 +1,12 @@
 //! The node model both engines run.
 //!
 //! A node is the same thing under [`crate::sim::Sim`] and
-//! [`crate::shard::ShardedSim`]: a [`Node`] (identity, clock, liveness,
-//! armed timers, its actor), the [`NodeEvent`]s addressed to it, the
-//! [`EventHeap`] order they come due in, the admission rules a due
-//! event passes ([`NodeCtx::handle`]), the node-scoped fault rules
+//! [`crate::shard::ShardedSim`]: a [`Host`] — the [`Node`] (identity,
+//! clock, liveness, armed timers, its actor), its [`Transport`] (its own
+//! RNG stream and connections) and its emission counter — the
+//! [`NodeEvent`]s addressed to it, the [`Key`] and [`EventHeap`] order
+//! they come due in, the admission rules a due event passes
+//! ([`NodeCtx::handle`]), the node-scoped fault rules
 //! ([`NodeCtx::apply_fault`]) and the [`Context`] its actor acts
 //! through, the v2 link codec's encode and decode included. All of that
 //! is stated here once; the send path it uses is [`Transport`]'s,
@@ -15,16 +17,17 @@
 //! DESIGN.md §8 lists everything the two engines do differently.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Deref;
 use std::time::Duration;
 
 use nb_wire::v2::decode_segment_into;
 use nb_wire::{Bytes, Endpoint, GroupId, Message, NodeId, Port, RealmId, WireMsg};
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::chaos::{Fault, PacketFaults};
-use crate::clock::ClockState;
+use crate::clock::{ClockProfile, ClockState};
 use crate::link::{NetworkModel, Transport};
 use crate::runtime::{Actor, Context, Incoming};
 use crate::sim::NetStats;
@@ -129,16 +132,6 @@ impl Node {
         }
     }
 
-    /// When a stalled node thaws, if it is still frozen at `at`. A
-    /// stalled node is frozen mid-world: everything addressed to it is
-    /// re-queued for this instant and replayed in arrival order (each
-    /// engine re-keys it as the node's own, or its next push, in the
-    /// order it arrived). Deferral is not
-    /// "processing": it is neither counted nor digested.
-    pub(crate) fn stalled_past(&self, at: SimTime) -> Option<SimTime> {
-        (self.stalled_until > at).then_some(self.stalled_until)
-    }
-
     /// The node's actor, downcast to `T`.
     pub(crate) fn actor_as<T: 'static>(&self) -> Option<&T> {
         self.actor.as_ref()?.as_any().downcast_ref::<T>()
@@ -147,6 +140,55 @@ impl Node {
     /// Mutable counterpart of [`Node::actor_as`].
     pub(crate) fn actor_as_mut<T: 'static>(&mut self) -> Option<&mut T> {
         self.actor.as_mut()?.as_any_mut().downcast_mut::<T>()
+    }
+}
+
+/// A node with what only it touches: its [`Transport`] and the count of
+/// events it has queued, the counter half of each one's [`Key`]. Both
+/// engines hold one per node, so what a node draws, how its connections
+/// stand and how its events sort are a function of the seed, its id and
+/// what it was sent, never of the engine or of other nodes' draws.
+pub(crate) struct Host {
+    pub(crate) node: Node,
+    pub(crate) link: Transport,
+    pub(crate) emitted: u64,
+}
+
+impl Host {
+    /// Node `id`, its RNG stream seeded `seed ^ id`: the stream's first
+    /// draws sample its clock from `clock` at `now`.
+    pub(crate) fn new(
+        seed: u64,
+        id: NodeId,
+        name: &str,
+        realm: RealmId,
+        clock: &ClockProfile,
+        now: SimTime,
+        actor: Box<dyn Actor>,
+    ) -> Host {
+        assert!(id.0 <= Key::MAX_NODE, "an event key names at most {} nodes", Key::MAX_NODE + 1);
+        let mut rng = StdRng::seed_from_u64(seed ^ u64::from(id.0));
+        let clock = clock.sample(now, &mut rng);
+        Host { node: Node::new(id, name, realm, clock, actor), link: Transport::for_node(rng, id), emitted: 0 }
+    }
+
+    /// Where `ev`, due at `at`, waits if the node is still stalled then:
+    /// a stalled node is frozen mid-world, so all but a fault is
+    /// re-queued for the thaw, keyed as the node's own, and replays in
+    /// the order it arrived, whoever sent it. Deferral is not
+    /// "processing": it is neither counted nor digested.
+    pub(crate) fn deferral(&mut self, at: SimTime, ev: &NodeEvent) -> Option<(SimTime, Key)> {
+        let until = self.node.stalled_until;
+        (until > at && ev.target().is_some()).then(|| (until, Key::node(self.node.id, &mut self.emitted)))
+    }
+}
+
+/// Forgets `node`'s far halves in every other host's connections: what
+/// a crash or restart of `node` owes its peers once its own transport
+/// has reset ([`Transport::take_peers_stale`]).
+pub(crate) fn forget_peer<'a>(hosts: impl Iterator<Item = &'a mut Host>, node: NodeId) {
+    for host in hosts.filter(|host| host.node.id != node) {
+        host.link.reset_node(node);
     }
 }
 
@@ -190,29 +232,23 @@ impl NodeEvent {
     }
 }
 
-/// An event's place among those due at one instant, packed in one word.
-/// `Sim` keys by push count ([`Key::seq`]), so its ties run in push
-/// order. An LP keys by origin: the high bits name who queued the event
-/// — the harness driving the engine, or a node — and the low bits count
-/// that origin's emissions ([`Key::harness`], [`Key::node`]). Ties at an
-/// LP therefore run harness pushes first, in call order, then by sender
-/// id, each sender's in emission order: a function of what was sent,
-/// never of which barrier merged it or which worker ran its sender.
+/// An event's place among those due at one instant, packed in one word:
+/// the high bits name who queued the event — the harness driving the
+/// engine, or a node — and the low bits count that origin's emissions
+/// ([`Key::harness`], [`Key::node`]). Ties at a node therefore run
+/// harness pushes first, in call order, then by sender id, each
+/// sender's in emission order: a function of what was sent, never of
+/// the engine, of which barrier merged it or of which worker ran its
+/// sender.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Key(u64);
 
 impl Key {
     /// The low bits: an origin's emission counter.
     const COUNTER_BITS: u32 = 40;
-    /// The largest node id an LP key can name: the high bits hold the
+    /// The largest node id a key can name: the high bits hold the
     /// id plus one, zero being the harness's.
     pub(crate) const MAX_NODE: u32 = (1 << (64 - Key::COUNTER_BITS)) - 2;
-
-    /// `Sim`'s key of its next push; `pushed` counts them.
-    pub(crate) fn seq(pushed: &mut u64) -> Key {
-        *pushed += 1;
-        Key(*pushed - 1)
-    }
 
     /// The key of the harness's next push (a node's `Start` and
     /// `ClockSync`, an injection, a node-scoped fault): below every
@@ -302,6 +338,47 @@ impl<E> EventHeap<E> {
     }
 }
 
+/// The network-wide faults queued so far — partitions, heals,
+/// packet-fault windows — by time, then in the order they were queued.
+/// They are no node's events: each engine applies the next one before
+/// any event due at or after its instant ([`NetFaults::pop_due`]) and
+/// counts none in `events_processed`.
+#[derive(Default)]
+pub(crate) struct NetFaults {
+    due: BTreeMap<(SimTime, u64), Fault>,
+    queued: u64,
+}
+
+impl NetFaults {
+    pub(crate) fn push(&mut self, at: SimTime, fault: Fault) {
+        self.due.insert((at, self.queued), fault);
+        self.queued += 1;
+    }
+
+    /// When the next one is due.
+    pub(crate) fn next_at(&self) -> Option<SimTime> {
+        self.due.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// The next one, with its instant, if that is at or before
+    /// `deadline` and no later than `next`, the earliest pending event.
+    pub(crate) fn pop_due(&mut self, next: Option<SimTime>, deadline: SimTime) -> Option<(SimTime, Fault)> {
+        let at = self.next_at()?;
+        if at > deadline || next.is_some_and(|next| next < at) {
+            return None;
+        }
+        self.due.pop_first().map(|((at, _), fault)| (at, fault))
+    }
+
+    /// Applies `fault` to the packet-fault window `pf` or to `net`.
+    pub(crate) fn apply(fault: Fault, pf: &mut PacketFaults, net: &mut NetworkModel) {
+        match fault.packet_faults() {
+            Some(faults) => *pf = faults,
+            None => net.apply_fault(&fault),
+        }
+    }
+}
+
 /// What an engine is, seen from a node: the operations the two engines
 /// perform differently. Everything else a node does is [`NodeCtx`]'s.
 pub(crate) trait Scheduler {
@@ -361,6 +438,9 @@ impl<S: Scheduler> NodeCtx<'_, S> {
                 if !self.admits_delivery() {
                     return;
                 }
+                if stream {
+                    self.accept(from, to_port);
+                }
                 self.stats.bytes_delivered += msg.body_len() as u64;
                 self.stats.count_delivery(msg.message(), stream);
                 self.dispatch(if stream {
@@ -371,10 +451,21 @@ impl<S: Scheduler> NodeCtx<'_, S> {
             }
             NodeEvent::Segment { from, to_port, seg, .. } => {
                 if self.admits_delivery() {
+                    self.accept(from, to_port);
                     self.deliver_segment(from, to_port, &seg);
                 }
             }
         }
+    }
+
+    /// Establishes the stream `from` opened to `to_port` at this end too.
+    /// Each node keeps its own connections: the sender's paid the
+    /// handshake, and accepting the first framed message establishes the
+    /// connection server-side, so replies on the same port pair skip the
+    /// setup RTTs — but one sent before it arrived paid its own.
+    fn accept(&mut self, from: Endpoint, to_port: Port) {
+        let me = Endpoint::new(self.node.id, to_port);
+        self.link.mark_established(me, from, self.now);
     }
 
     /// Whether the node takes deliveries; one to a down node is counted
@@ -393,8 +484,8 @@ impl<S: Scheduler> NodeCtx<'_, S> {
     /// segment is dropped whole and counted; the decode rolled the
     /// symbol table back, so later segments on the link still decode.
     fn deliver_segment(&mut self, from: Endpoint, to_port: Port, seg: &Bytes) {
-        let (me, now) = (self.node.id, self.now);
-        let v2 = self.link.conn(me, from.node, now).v2();
+        let now = self.now;
+        let v2 = self.link.conn(from.node, now).v2();
         // Checked out for the dispatches below (an actor may send on
         // this very connection) and returned after, keeping its capacity.
         let mut frames = std::mem::take(&mut v2.frames);
@@ -410,7 +501,7 @@ impl<S: Scheduler> NodeCtx<'_, S> {
                 self.dispatch(Incoming::Stream { from, to_port, msg });
             }
         }
-        self.link.conn(me, from.node, now).v2().frames = frames;
+        self.link.conn(from.node, now).v2().frames = frames;
     }
 
     /// Hands `incoming` to the actor, if the node is up.

@@ -1,16 +1,15 @@
 //! Conservative parallel discrete-event execution.
 //!
-//! [`crate::sim::Sim`] is single-threaded: one queue, one RNG, one clock.
-//! That is perfect for pinned-seed reproductions but leaves every core
-//! but one idle during large campaigns. This module runs the same node
-//! model (`node.rs`; DESIGN.md §8) under a different scheduler: the
-//! engine is sharded *by node id*, every node its own logical process
-//! (LP) with a private RNG stream and its own row of the connection
-//! table, and a coordinator runs the classic conservative-lookahead
-//! protocol (Chandy/Misra/Bryant by way of a barrier-synchronous epoch
-//! loop) over them. What is only ever summed, merged or ordered by key —
-//! pending events, counters, outbox, deferred ops — is the running
-//! worker's:
+//! [`crate::sim::Sim`] is single-threaded: one queue for every node.
+//! That leaves every core but one idle during large campaigns. This
+//! module runs the same node model (`node.rs`; DESIGN.md §8) under a
+//! different scheduler: the engine is sharded *by node id*, every node
+//! its own logical process (LP) holding the node's `Host` — the node,
+//! its private RNG stream and connections, its emission counter — and a
+//! coordinator runs the classic conservative-lookahead protocol
+//! (Chandy/Misra/Bryant by way of a barrier-synchronous epoch loop) over
+//! them. What is only ever summed, merged or ordered by key — pending
+//! events, counters, outbox, deferred ops — is the running worker's:
 //!
 //! 1. **Lookahead.** The WAN model gives a hard floor on cross-node
 //!    delay: no message between two distinct nodes can arrive sooner
@@ -33,7 +32,7 @@
 //!    any order: the key alone fixes where a delivery sorts.
 //!
 //! Because LP state, RNG streams (`SplitMix64(seed ^ node_id)` — that is
-//! exactly what [`StdRng::seed_from_u64`] expands the xor through), the
+//! exactly what `StdRng::seed_from_u64` expands the xor through), the
 //! lookahead window, the horizon sequence and every event's key are all
 //! pure functions of (topology, seed), the run — including its event
 //! digest — is **byte-identical for any worker count**. The deal —
@@ -42,26 +41,18 @@
 //! LPs compute (and the counters are sums); with one worker the engine
 //! is the degenerate serial case of the same algorithm.
 //!
-//! What an actor can observe differently from `Sim` (digests are *not*
-//! comparable between the engines, only across configurations of the
-//! same engine; DESIGN.md §8 has the full list of what each scheduler
-//! owns):
+//! `Sim` holds the same hosts and keys, so the two engines process the
+//! same events to the same counters. What the scheduler alone decides
+//! (DESIGN.md §8 has the table):
 //!
-//! * Globally-scoped faults (partitions, packet-fault windows) apply at
-//!   epoch boundaries, always before protocol events carrying the same
-//!   timestamp; `Sim` interleaves them by scheduling order.
-//! * Events due at one node at one instant run harness pushes first
-//!   (node-scoped faults, injections), then by sender id; `Sim` runs
-//!   them in push order.
-//! * `join_group`/`leave_group` become visible at the next barrier
-//!   rather than immediately. Warmed-up scenarios never notice (joins
-//!   happen at start-up, multicasts seconds later), but a same-instant
+//! * `join_group`/`leave_group`, and the forgetting of a crashed node's
+//!   far connection halves, become visible at the next barrier rather
+//!   than at once. Warmed-up scenarios never notice (joins happen at
+//!   start-up, multicasts seconds later), but a same-instant
 //!   join-then-multicast would.
-//! * Every LP draws from its own RNG stream, so which dice a send rolls
-//!   is a function of the sender, not of global send order.
-//! * A stream connection is established at the receiver when its first
-//!   message *arrives* (each LP keeps its own connections), not when it
-//!   is sent: a reply sent before then pays its own handshake.
+//! * Network-wide faults (partitions, packet-fault windows) apply
+//!   between epochs, which `Sim` matches by applying each between
+//!   events, before any event at its instant.
 //!
 //! Threading is confined to [`with_pool`]: a scoped worker pool on
 //! `std::sync::mpsc`, moving each worker's LP group and executor
@@ -70,20 +61,17 @@
 //! network — which is why that function is the only sanctioned home for
 //! thread primitives in nb-net (clippy.toml bans them everywhere else).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use nb_util::{fnv1a64_step, fnv1a64_word, FNV_OFFSET};
-use nb_wire::{Endpoint, GroupId, NodeId, RealmId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use nb_wire::{GroupId, NodeId, RealmId};
 
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::ClockProfile;
-use crate::link::{NetworkModel, Transport};
-use crate::node::{EventHeap, Key, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
+use crate::link::NetworkModel;
+use crate::node::{forget_peer, EventHeap, Host, Key, NetFaults, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
 use crate::runtime::{Actor, Incoming};
 use crate::sim::{NetStats, Sim};
 use crate::time::SimTime;
@@ -148,7 +136,7 @@ impl Executor {
             let Some(q) = self.events.pop() else { break };
             let lp = &mut lps[stride.index(q.ev.owner())];
             if cfg!(debug_assertions) {
-                self.check_order(lp.node.id, q.at, q.key);
+                self.check_order(lp.host.node.id, q.at, q.key);
             }
             lp.handle(q, net, pf, self);
         }
@@ -185,18 +173,11 @@ enum DeferredOp {
     ResetPeer,
 }
 
-/// One logical process: a node plus every piece of engine state that
-/// only it touches and whose value depends on it alone. `Send`, so whole
-/// LPs migrate between workers.
+/// One logical process: a node's [`Host`] — the node, its transport and
+/// its emission counter, as `Sim` holds them — plus what the LP engine
+/// keeps of it alone. `Send`, so whole LPs migrate between workers.
 struct Lp {
-    node: Node,
-    /// Private RNG stream (seeded `root_seed ^ node_id` — a function of
-    /// the node's identity, never of which worker runs it) and the
-    /// node's row of the connection table.
-    link: Transport,
-    /// Events the node queued so far: the counter half of each one's
-    /// [`Key`].
-    emitted: u64,
+    host: Host,
     events_processed: u64,
     digest: u64,
     /// Local virtual time: the timestamp of the last processed event.
@@ -241,16 +222,17 @@ impl<'a> Scheduler for LpSched<'a> {
 impl Lp {
     /// The node at the LP's current instant, run by `exec`.
     fn ctx<'a>(&'a mut self, net: &'a NetworkModel, pf: PacketFaults, exec: &'a mut Executor) -> NodeCtx<'a, LpSched<'a>> {
+        let Host { node, link, emitted } = &mut self.host;
         NodeCtx {
             sched: LpSched {
-                id: self.node.id,
-                emitted: &mut self.emitted,
+                id: node.id,
+                emitted,
                 events: &mut exec.events,
                 outbox: &mut exec.outbox,
                 ops: &mut exec.ops,
             },
-            node: &mut self.node,
-            link: &mut self.link,
+            node,
+            link,
             stats: &mut exec.stats,
             net,
             faults: pf,
@@ -258,12 +240,13 @@ impl Lp {
         }
     }
 
-    /// Leaves `exec` the peer reset a crash of this node owes, once it
-    /// has run. Group changes and peer resets touch disjoint state, and
-    /// a second reset of one barrier forgets nothing the first left.
+    /// Leaves `exec` the peer reset a crash or restart of this node
+    /// owes, once it has run. Group changes and peer resets touch
+    /// disjoint state, and a second reset of one barrier forgets nothing
+    /// the first left.
     fn defer_peer_reset(&mut self, exec: &mut Executor) {
-        if self.link.take_peers_stale() {
-            exec.ops.push((self.node.id, DeferredOp::ResetPeer));
+        if self.host.link.take_peers_stale() {
+            exec.ops.push((self.host.node.id, DeferredOp::ResetPeer));
         }
     }
 
@@ -274,29 +257,18 @@ impl Lp {
         // the true minimum and a merged delivery can carry a timestamp
         // the LP already passed. Ordering stays deterministic.
         self.now = self.now.max(at);
-        if let Some(until) = ev.target().and_then(|_| self.node.stalled_past(at)) {
-            // Re-keyed as the node's own, so the replay runs in the
-            // order the events arrived, whoever sent them.
-            exec.events.push(until, Key::node(self.node.id, &mut self.emitted), ev);
+        if let Some((until, key)) = self.host.deferral(at, &ev) {
+            exec.events.push(until, key, ev);
             return;
         }
         self.events_processed += 1;
-        exec.tally[self.node.id.0 as usize % TALLY] += 1;
+        exec.tally[self.host.node.id.0 as usize % TALLY] += 1;
         digest_event(&mut self.digest, at, &ev);
-        if let NodeEvent::Deliver { from, to_port, stream: true, .. } | NodeEvent::Segment { from, to_port, .. } =
-            &ev
-        {
-            if self.node.up {
-                // The tables are private: the sender's charged the
-                // handshake, and accepting the first framed message
-                // establishes the connection server-side too, so
-                // replies on the same port pair skip the setup RTTs.
-                let me = Endpoint::new(self.node.id, *to_port);
-                self.link.mark_established(me, *from, self.now);
-            }
-        }
+        let fault = matches!(ev, NodeEvent::Fault { .. });
         self.ctx(net, pf, exec).handle(ev);
-        self.defer_peer_reset(exec);
+        if fault {
+            self.defer_peer_reset(exec);
+        }
     }
 }
 
@@ -377,11 +349,7 @@ fn apply_deferred<'a>(
     match op {
         DeferredOp::Join(group) => Arc::make_mut(network).join_group(group, node),
         DeferredOp::Leave(group) => Arc::make_mut(network).leave_group(group, node),
-        DeferredOp::ResetPeer => {
-            for lp in lps.filter(|lp| lp.node.id != node) {
-                lp.link.reset_node(node);
-            }
-        }
+        DeferredOp::ResetPeer => forget_peer(lps.map(|lp| &mut lp.host), node),
     }
 }
 
@@ -491,10 +459,8 @@ pub struct ShardedSim {
     network: Arc<NetworkModel>,
     clock_profile: ClockProfile,
     packet_faults: PacketFaults,
-    /// Globally-scoped faults (partitions, packet-fault windows), keyed
-    /// `(time, schedule seq)`; applied between epochs.
-    global_faults: BTreeMap<(SimTime, u64), Fault>,
-    gseq: u64,
+    /// Network-wide faults, applied between epochs.
+    net_faults: NetFaults,
     workers: usize,
     /// Σ over epochs of the busiest worker's events, at each of
     /// [`BOUND_WORKERS`].
@@ -526,8 +492,7 @@ impl ShardedSim {
             network: Arc::new(NetworkModel::new()),
             clock_profile: profile,
             packet_faults: PacketFaults::none(),
-            global_faults: BTreeMap::new(),
-            gseq: 0,
+            net_faults: NetFaults::default(),
             workers: 1,
             busiest: [0; 4],
             lookahead: None,
@@ -590,7 +555,7 @@ impl ShardedSim {
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for lp in &self.lps {
-            mix(&mut h, lp.node.id.0 as u64);
+            mix(&mut h, lp.host.node.id.0 as u64);
             mix(&mut h, lp.events_processed);
             mix(&mut h, lp.digest);
         }
@@ -617,16 +582,12 @@ impl ShardedSim {
     /// other nodes' traffic, and not of worker count.
     pub fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
         let id = NodeId(self.lps.len() as u32);
-        assert!(id.0 <= Key::MAX_NODE, "an event key names at most {} nodes", Key::MAX_NODE + 1);
+        let host = Host::new(self.seed, id, name, realm, &self.clock_profile, self.now, actor);
+        let sync_at = host.node.clock.sync_at;
         self.lookahead = None;
-        let mut rng = StdRng::seed_from_u64(self.seed ^ id.0 as u64);
-        let clock = self.clock_profile.sample(self.now, &mut rng);
-        let sync_at = clock.sync_at;
         Arc::make_mut(&mut self.network).register_node(id, realm);
         self.lps.push(Lp {
-            node: Node::new(id, name, realm, clock, actor),
-            link: Transport::for_node(rng, id),
-            emitted: 0,
+            host,
             events_processed: 0,
             digest: FNV_OFFSET,
             now: self.now,
@@ -645,11 +606,11 @@ impl ShardedSim {
     }
 
     fn node(&self, node: NodeId) -> Option<&Node> {
-        self.lps.get(node.0 as usize).map(|lp| &lp.node)
+        self.lps.get(node.0 as usize).map(|lp| &lp.host.node)
     }
 
     fn node_mut(&mut self, node: NodeId) -> Option<&mut Node> {
-        self.lps.get_mut(node.0 as usize).map(|lp| &mut lp.node)
+        self.lps.get_mut(node.0 as usize).map(|lp| &mut lp.host.node)
     }
 
     /// Human-readable node name.
@@ -746,17 +707,7 @@ impl ShardedSim {
                     self.push(at, NodeEvent::Fault { fault });
                 }
             }
-            None => {
-                self.global_faults.insert((at, self.gseq), fault);
-                self.gseq += 1;
-            }
-        }
-    }
-
-    fn apply_global_fault(&mut self, fault: Fault) {
-        match fault.packet_faults() {
-            Some(faults) => self.packet_faults = faults,
-            None => Arc::make_mut(&mut self.network).apply_fault(&fault),
+            None => self.net_faults.push(at, fault),
         }
     }
 
@@ -870,21 +821,17 @@ impl ShardedSim {
     fn next_horizon(&mut self, deadline: SimTime, lookahead: Duration) -> Option<SimTime> {
         loop {
             let m = self.executors[..self.dealt].iter().filter_map(|exec| exec.events.next_at()).min();
-            if let Some(next) = self.global_faults.first_entry() {
-                let at = next.key().0;
-                if m.is_none_or(|m| at <= m) && at <= deadline {
-                    let fault = next.remove();
-                    self.now = self.now.max(at);
-                    self.apply_global_fault(fault);
-                    continue;
-                }
+            if let Some((at, fault)) = self.net_faults.pop_due(m, deadline) {
+                self.now = self.now.max(at);
+                NetFaults::apply(fault, &mut self.packet_faults, Arc::make_mut(&mut self.network));
+                continue;
             }
             let m = m?;
             if m > deadline {
                 return None;
             }
             let mut horizon = (m + lookahead).min(deadline + Duration::from_nanos(1));
-            if let Some((&(at, _), _)) = self.global_faults.first_key_value() {
+            if let Some(at) = self.net_faults.next_at() {
                 horizon = horizon.min(at);
             }
             return Some(horizon);
@@ -1036,7 +983,7 @@ mod tests {
     use crate::timer_tests::{lossless, Echo, Pinger};
     use nb_wire::addr::well_known;
     use crate::link::LinkSpec;
-    use nb_wire::Message;
+    use nb_wire::{Endpoint, Message};
 
     /// Three echo/pinger pairs spread over three realms, paper clocks,
     /// a light chaos plan: a workload exercising RNG streams, timers,
@@ -1215,10 +1162,10 @@ mod tests {
             }
             sim.set_workers(workers);
             let groups = sim.deal();
-            let ids = |g: &Vec<Lp>| g.iter().map(|lp| lp.node.id.0).collect::<Vec<_>>();
+            let ids = |g: &Vec<Lp>| g.iter().map(|lp| lp.host.node.id.0).collect::<Vec<_>>();
             let dealt: Vec<Vec<u32>> = groups.iter().map(ids).collect();
             sim.undeal(groups);
-            let order: Vec<u32> = sim.lps.iter().map(|lp| lp.node.id.0).collect();
+            let order: Vec<u32> = sim.lps.iter().map(|lp| lp.host.node.id.0).collect();
             assert_eq!(order, (0..n as u32).collect::<Vec<_>>(), "undeal restores node order");
             dealt
         };

@@ -2,12 +2,14 @@
 //!
 //! Single-threaded, seeded, fully deterministic: every figure in the
 //! reproduction harness is generated by this engine. Nodes are
-//! [`Actor`]s; what a node is, how a send fares and what an actor can
-//! do are the shared node model's (`node.rs`, and `link.rs` for the
-//! send path — DESIGN.md §8). This module is the scheduler around it:
-//! one event heap with one global sequence, one RNG and one connection
-//! table for the whole run, multicast group changes that land at once,
-//! and faults interleaved with protocol events in the one queue.
+//! [`Actor`]s; what a node is, what it draws, how its events are keyed,
+//! how a send fares and what an actor can do are the shared node
+//! model's (`node.rs`, and `link.rs` for the send path — DESIGN.md §8),
+//! so a run processes the same events, to the same counters, as
+//! [`crate::shard::ShardedSim`]'s. This module is the scheduler around
+//! it: one event heap for every node, multicast group changes and peer
+//! resets that land at once, and network-wide faults applied between
+//! events.
 //!
 //! Node ids are assigned densely from zero, so nodes live in an
 //! index-addressed slab and every event touches its node by direct
@@ -19,13 +21,11 @@ use std::time::Duration;
 
 use nb_wire::message::{KINDS, LABELS_BY_TAG};
 use nb_wire::{GroupId, Message, NodeId, RealmId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::ClockProfile;
-use crate::link::{NetworkModel, Transport};
-use crate::node::{EventHeap, Key, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
+use crate::link::NetworkModel;
+use crate::node::{forget_peer, EventHeap, Host, Key, NetFaults, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
 use crate::runtime::{Actor, Incoming};
 use crate::time::SimTime;
 
@@ -207,8 +207,9 @@ impl NetStats {
 
 /// `Sim` as its nodes see it.
 struct SimSched<'a> {
+    id: NodeId,
+    emitted: &'a mut u64,
     events: &'a mut EventHeap<NodeEvent>,
-    pushed: &'a mut u64,
 }
 
 impl<'a> Scheduler for SimSched<'a> {
@@ -216,7 +217,7 @@ impl<'a> Scheduler for SimSched<'a> {
 
     #[inline]
     fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
-        self.events.push(at, Key::seq(self.pushed), ev);
+        self.events.push(at, Key::node(self.id, self.emitted), ev);
     }
 
     fn join_group(&mut self, net: &mut Self::Net, node: NodeId, group: GroupId) {
@@ -230,15 +231,18 @@ impl<'a> Scheduler for SimSched<'a> {
 
 /// The simulator: virtual time, nodes, network, actors.
 pub struct Sim {
+    seed: u64,
     now: SimTime,
     events: EventHeap<NodeEvent>,
-    /// Pushes so far: each event's key, so ties run in push order.
-    pushed: u64,
+    /// Events the harness queued so far (`add_node`'s `Start` and
+    /// `ClockSync`, injections, node-scoped faults): the counter half of
+    /// each one's [`Key::harness`].
+    harness: u64,
     network: NetworkModel,
-    link: Transport,
+    net_faults: NetFaults,
     stats: NetStats,
     /// Indexed by `NodeId.0` (ids are assigned sequentially from zero).
-    nodes: Vec<Node>,
+    nodes: Vec<Host>,
     events_processed: u64,
     clock_profile: ClockProfile,
     /// Per-datagram chaos faults; all-zero (the default) rolls no extra
@@ -255,11 +259,12 @@ impl Sim {
     /// A simulator whose nodes all use `profile` for their clocks.
     pub fn with_clock_profile(seed: u64, profile: ClockProfile) -> Sim {
         Sim {
+            seed,
             now: SimTime::ZERO,
             events: EventHeap::default(),
-            pushed: 0,
+            harness: 0,
             network: NetworkModel::new(),
-            link: Transport::new(StdRng::seed_from_u64(seed)),
+            net_faults: NetFaults::default(),
             stats: NetStats::default(),
             nodes: Vec::new(),
             events_processed: 0,
@@ -294,41 +299,58 @@ impl Sim {
     }
 
     /// Adds a node running `actor` in `realm`. Its `on_start` runs at the
-    /// current virtual time; its clock follows the simulator's profile.
+    /// current virtual time; its clock follows the simulator's profile,
+    /// sampled by the first draws of the node's own RNG stream.
     pub fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let clock = self.clock_profile.sample(self.now, &mut self.link.rng);
-        let sync_at = clock.sync_at;
-        self.nodes.push(Node::new(id, name, realm, clock, actor));
+        let host = Host::new(self.seed, id, name, realm, &self.clock_profile, self.now, actor);
+        let sync_at = host.node.clock.sync_at;
+        self.nodes.push(host);
         self.network.register_node(id, realm);
         self.push(self.now, NodeEvent::Start { node: id });
         self.push(sync_at, NodeEvent::ClockSync { node: id });
         id
     }
 
+    /// Queues a harness event for its node: keyed below every node's at
+    /// the same instant, in call order among the harness's.
     fn push(&mut self, at: SimTime, ev: NodeEvent) {
-        self.events.push(at, Key::seq(&mut self.pushed), ev);
+        self.events.push(at, Key::harness(&mut self.harness), ev);
     }
 
     fn node(&self, node: NodeId) -> Option<&Node> {
-        self.nodes.get(node.0 as usize)
+        self.nodes.get(node.0 as usize).map(|host| &host.node)
     }
 
     fn node_mut(&mut self, node: NodeId) -> Option<&mut Node> {
-        self.nodes.get_mut(node.0 as usize)
+        self.nodes.get_mut(node.0 as usize).map(|host| &mut host.node)
     }
 
     /// `node` at the current instant.
     fn ctx(&mut self, node: NodeId) -> Option<NodeCtx<'_, SimSched<'_>>> {
+        let Host { node, link, emitted } = self.nodes.get_mut(node.0 as usize)?;
         Some(NodeCtx {
-            node: self.nodes.get_mut(node.0 as usize)?,
-            link: &mut self.link,
+            sched: SimSched { id: node.id, emitted, events: &mut self.events },
+            node,
+            link,
             stats: &mut self.stats,
             net: &mut self.network,
             faults: self.packet_faults,
             now: self.now,
-            sched: SimSched { events: &mut self.events, pushed: &mut self.pushed },
         })
+    }
+
+    /// Acts on `node` at the current instant, then, if that reset it (a
+    /// crash or restart), forgets its far halves in every other node's
+    /// connections.
+    fn at_once(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_, SimSched<'_>>)) {
+        let Some(mut ctx) = self.ctx(node) else {
+            return;
+        };
+        f(&mut ctx);
+        if ctx.link.take_peers_stale() {
+            forget_peer(self.nodes.iter_mut(), node);
+        }
     }
 
     /// Human-readable node name.
@@ -361,16 +383,12 @@ impl Sim {
     /// Marks a node down: queued and future deliveries/timers are dropped
     /// until [`Sim::revive`]. Stream connections involving it are reset.
     pub fn crash(&mut self, node: NodeId) {
-        if let Some(mut ctx) = self.ctx(node) {
-            ctx.crash();
-        }
+        self.at_once(node, |ctx| ctx.crash());
     }
 
     /// Revives a crashed node and re-runs its `on_start`.
     pub fn revive(&mut self, node: NodeId) {
-        if let Some(mut ctx) = self.ctx(node) {
-            ctx.revive();
-        }
+        self.at_once(node, |ctx| ctx.revive());
     }
 
     /// Registers the factory that rebuilds `node`'s actor when it is
@@ -389,15 +407,20 @@ impl Sim {
     /// degrades to a state-preserving revive. The node keeps its
     /// identity, realm and hardware clock either way.
     pub fn restart(&mut self, node: NodeId, lose_state: bool) {
-        self.apply_fault(Fault::Restart { node, lose_state });
+        self.at_once(node, |ctx| ctx.apply_fault(Fault::Restart { node, lose_state }));
     }
 
     /// Queues every fault in `plan`, offset from the current virtual
-    /// time. Faults interleave with protocol events in the one queue, so
-    /// a plan plus a seed fully determines the run.
+    /// time: a node-scoped one as its node's event, a network-wide one
+    /// on the schedule applied between events.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
-            self.push(self.now + ev.at, NodeEvent::Fault { fault: ev.fault.clone() });
+            let (at, fault) = (self.now + ev.at, ev.fault.clone());
+            match fault.node() {
+                Some(node) if self.node(node).is_some() => self.push(at, NodeEvent::Fault { fault }),
+                Some(_) => {}
+                None => self.net_faults.push(at, fault),
+            }
         }
     }
 
@@ -407,18 +430,6 @@ impl Sim {
     /// engine switch left to set. Kept, with [`WireV2Config`], only
     /// because `benchmark/src/workload/pubsub.rs` compiles against it.
     pub fn set_wire_v2(&mut self, _cfg: Option<WireV2Config>) {}
-
-    fn apply_fault(&mut self, fault: Fault) {
-        if let Some(faults) = fault.packet_faults() {
-            self.packet_faults = faults;
-        } else if let Some(node) = fault.node() {
-            if let Some(mut ctx) = self.ctx(node) {
-                ctx.apply_fault(fault);
-            }
-        } else {
-            self.network.apply_fault(&fault);
-        }
-    }
 
     /// Whether the node is currently up.
     pub fn is_up(&self, node: NodeId) -> bool {
@@ -433,40 +444,51 @@ impl Sim {
     /// Queues an [`Incoming`] for delivery to `node` after `delay`
     /// (harness-driven stimulus, e.g. kicking off a discovery).
     pub fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
-        self.push(self.now + delay, NodeEvent::Inject { node, incoming });
+        if self.node(node).is_some() {
+            self.push(self.now + delay, NodeEvent::Inject { node, incoming });
+        }
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty.
-    fn step(&mut self) -> bool {
+    /// Processes the earliest event.
+    fn step(&mut self) {
         let Some(Queued { at, ev, .. }) = self.events.pop() else {
-            return false;
+            return;
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        let target = ev.target();
-        if let Some(until) = target.and_then(|n| self.node(n)?.stalled_past(at)) {
-            self.push(until, ev);
-            return true;
+        let node = ev.owner();
+        let Some(host) = self.nodes.get_mut(node.0 as usize) else {
+            return;
+        };
+        if let Some((until, key)) = host.deferral(at, &ev) {
+            self.events.push(until, key, ev);
+            return;
         }
         self.events_processed += 1;
-        match ev {
-            NodeEvent::Fault { fault } => self.apply_fault(fault),
-            ev => {
-                if let Some(ctx) = target.and_then(|n| self.ctx(n)) {
-                    ctx.handle(ev);
-                }
-            }
+        if let NodeEvent::Fault { fault } = ev {
+            self.at_once(node, |ctx| ctx.apply_fault(fault));
+        } else if let Some(ctx) = self.ctx(node) {
+            ctx.handle(ev);
         }
-        true
     }
 
     /// Runs until virtual time reaches `deadline` (processing every event
-    /// scheduled at or before it) or the queue empties. Nodes join only
-    /// between runs, so the node table sheds its growth slack once.
+    /// scheduled at or before it) or the queue empties, applying each
+    /// network-wide fault before the events due at or after its instant.
+    /// Nodes join only between runs, so the node table sheds its growth
+    /// slack once.
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
         self.nodes.shrink_to_fit();
-        while self.events.next_at().is_some_and(|at| at <= deadline) {
-            self.step();
+        loop {
+            let next = self.events.next_at();
+            if let Some((at, fault)) = self.net_faults.pop_due(next, deadline) {
+                self.now = self.now.max(at);
+                NetFaults::apply(fault, &mut self.packet_faults, &mut self.network);
+            } else if next.is_some_and(|at| at <= deadline) {
+                self.step();
+            } else {
+                break;
+            }
         }
         self.now = self.now.max(deadline);
     }

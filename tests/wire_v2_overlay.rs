@@ -284,18 +284,18 @@ fn v2_delivers_what_v1_delivers_in_fewer_bytes_and_its_counts_are_pinned() {
     // link). Retiring the flush epoch did not move it (§16): a broker
     // handler's link sends already came after its client sends, in peer
     // order, one frame a link. They also move with what a broker draws
-    // from the run's one RNG stream: each broker's advertiser publishes
-    // its advertisement at start and at clock sync, an event id drawn
-    // each time, before any of the latency draws pinned here. And they
+    // from its own RNG stream: each broker's advertiser publishes its
+    // advertisement at start and at clock sync, an event id drawn each
+    // time, before any of the latency draws pinned here. And they
     // move with the clients, each an `Entity` homed on its broker: its
     // three attach pings and its 2 s keepalive pings are in the event
     // and byte counts, and its flush timer, armed at attachment, sets
     // when a publish leaves.
     assert_eq!(
         (v2.events_processed, v2.stats.bytes_delivered, v2.stats.segments_sent),
-        (4741, 21_400, 315),
+        (4741, 21_340, 315),
     );
-    assert_eq!(v2.arrival_micros, 876_502_018);
+    assert_eq!(v2.arrival_micros, 876_528_765);
 }
 
 #[test]
