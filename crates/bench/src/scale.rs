@@ -30,7 +30,6 @@ use nb_discovery::bdn::{Bdn, BdnConfig};
 use nb_discovery::{
     Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, Network, RetryPolicy,
 };
-use nb_net::shard::BOUND_WORKERS;
 use nb_net::topogen::{TopologyKind as WanKind, TopologySpec};
 use nb_net::{ClockProfile, FaultPlan, LinkSpec, ShardedSim, SimTime};
 use nb_wire::frame::DEFAULT_TTL;
@@ -216,10 +215,6 @@ pub struct TierOutcome {
     pub digest: u64,
     /// Engine events processed.
     pub events: u64,
-    /// [`ShardedSim::parallel_bound_milli`]: the speed-up, in
-    /// thousandths, that 1, 2, 4 and 8 workers reach if a barrier costs
-    /// nothing. Counted from events, so worker-count-invariant.
-    pub parallel_bound_milli: [u64; 4],
     /// Entities attached to a live broker at the end.
     pub attached: usize,
     /// Virtual µs until every entity was attached (quantised to the
@@ -278,12 +273,6 @@ impl CampaignStats for TierOutcome {
             "       \"topology_digest\": \"{:016x}\", \"digest\": \"{:016x}\", \"events\": {},\n",
             self.topology_digest, self.digest, self.events
         ));
-        let bound: Vec<String> = BOUND_WORKERS
-            .iter()
-            .zip(self.parallel_bound_milli)
-            .map(|(w, milli)| format!("\"w{w}\": {milli}"))
-            .collect();
-        out.push_str(&format!("       \"parallel_bound_milli\": {{{}}},\n", bound.join(", ")));
         out.push_str(&format!(
             "       \"attached\": {}, \"time_to_all_attached_us\": {}, \"failovers\": {},\n",
             self.attached, self.time_to_all_attached_us, self.failovers
@@ -513,7 +502,6 @@ pub fn run_description(
             topology_digest,
             digest: dep.sim.digest(),
             events: dep.sim.events_processed(),
-            parallel_bound_milli: dep.sim.parallel_bound_milli(),
             attached,
             time_to_all_attached_us,
             discovery_p50_us: percentile(&latencies, 50, 100),
@@ -564,8 +552,6 @@ mod tests {
         let b = run_tier(&spec, 2005, 2).stats;
         assert_eq!(a.digest, b.digest, "digest must not move with the worker count");
         assert_eq!(a.events, b.events);
-        assert_eq!(a.parallel_bound_milli, b.parallel_bound_milli, "the bound counts events only");
-        assert_eq!(a.parallel_bound_milli[0], 1000, "one worker runs every event itself");
         assert_eq!(a.time_to_all_attached_us, b.time_to_all_attached_us);
         assert_eq!(
             (a.discovery_p50_us, a.discovery_p99_us, a.discovery_p999_us),
@@ -596,7 +582,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"campaign\": \"scale\""));
         assert!(json.contains("\"heap_ceiling\""));
-        assert!(json.contains("\"parallel_bound_milli\": {\"w1\": 1000, \"w2\": "));
         assert!(!json.contains("wall"), "wall-clock fields must stay out of the report");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

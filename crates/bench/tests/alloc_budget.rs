@@ -33,7 +33,7 @@ use nb_discovery::{
 };
 use nb_net::topogen::TopologyKind;
 use nb_net::wan::BLOOMINGTON;
-use nb_net::{ClockProfile, Incoming, LinkSpec, NodeId, RealmId, ScriptCtx, Sim};
+use nb_net::{ClockProfile, DiscoveryEngine, Incoming, LinkSpec, NodeId, RealmId, ScriptCtx, Sim};
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
 use nb_wire::{Endpoint, Message, Topic, TopicFilter};

@@ -1,11 +1,11 @@
-//! One deployment description builds on every engine. The chaos
-//! testbed with one BDN and with three, and a
-//! 20-broker / 60-entity scale tier are each described once and built
-//! on `Sim` and on `ShardedSim` at one and at four workers: every
-//! engine holds the same nodes under the same names in the same realms,
-//! and every entity attaches on each; `on_every_engine` holds `Sim`'s
-//! event count and counters to `ShardedSim`'s. `Sim` keeps no digest:
-//! only the LP engine folds one (DESIGN.md §8).
+//! One deployment description builds at every worker count. The chaos
+//! testbed with one BDN and with three, and a 20-broker / 60-entity
+//! scale tier are each described once and built through
+//! `on_every_engine` at one worker and at four: each run holds the same
+//! nodes under the same names in the same realms, every entity attaches
+//! on each, and both end with the same digest, event count and
+//! counters. The file keeps its name from when `Sim` was a second
+//! engine; it is an alias of `ShardedSim` now (DESIGN.md §8).
 
 use std::time::Duration;
 
@@ -44,7 +44,7 @@ fn on_every_engine_builds(what: &str, describe: impl Fn() -> Testbed<Deployment>
             table
         },
     );
-    assert!(tables.windows(2).all(|w| w[0] == w[1]), "{what}: the engines hold different nodes");
+    assert!(tables.windows(2).all(|w| w[0] == w[1]), "{what}: the runs hold different nodes");
 }
 
 #[test]

@@ -30,8 +30,8 @@
 //! * [`broker_actor`] — the combined actor: pub/sub broker + responder +
 //!   advertiser,
 //! * [`deployment`] — a deployment described as one value (nodes in id
-//!   order, network), built on either engine, and the one helper that
-//!   runs a test body on every engine,
+//!   order, network), built on the engine, and the one helper that runs
+//!   a test body at one worker and at four,
 //! * [`scenario`] — harness builders assembling the paper's WAN testbed
 //!   topologies inside the simulator (§9).
 //!

@@ -1,4 +1,4 @@
-//! Deterministic chaos engine: seeded fault schedules for either engine.
+//! Deterministic chaos engine: seeded fault schedules for the simulator.
 //!
 //! A [`FaultPlan`] is an ordered list of `(at, Fault)` pairs. Plans are
 //! built two ways:
@@ -13,10 +13,9 @@
 //!   canonical text form that campaign reports embed and determinism
 //!   tests compare byte-for-byte.
 //!
-//! Installing a plan ([`crate::Sim::apply_fault_plan`] or
-//! [`crate::ShardedSim::apply_fault_plan`]) queues a node-scoped fault as
-//! its node's event and applies a network-wide one before any event at
-//! its instant, on either engine; everything downstream (packet fates,
+//! Installing a plan ([`crate::ShardedSim::apply_fault_plan`]) queues a
+//! node-scoped fault as its node's event and applies a network-wide one
+//! before any event at its instant; everything downstream (packet fates,
 //! retries, lease expiries) remains driven by the nodes' seeded RNG
 //! streams.
 
@@ -78,13 +77,13 @@ impl Default for PacketFaults {
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
-    /// Take the node down (state preserved, as [`crate::Sim::crash`]).
+    /// Take the node down (state preserved, as [`crate::ShardedSim::crash`]).
     Crash { node: NodeId },
     /// Bring a crashed node back. With `lose_state` the actor is rebuilt
     /// from its respawn factory (registered via
-    /// [`crate::Sim::set_respawn`]) — volatile state such as registries,
+    /// [`crate::ShardedSim::set_respawn`]) — volatile state such as registries,
     /// caches and pending timers is gone; without it this is a plain
-    /// [`crate::Sim::revive`].
+    /// [`crate::DiscoveryEngine::revive`].
     Restart { node: NodeId, lose_state: bool },
     /// Sever both directions between `a` and `b`.
     Partition { a: NodeId, b: NodeId },

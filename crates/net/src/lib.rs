@@ -15,15 +15,16 @@
 //! * [`link`] — link latency/jitter/loss models, TCP-like ordering and
 //!   connection setup, realm-scoped multicast, and the one send path
 //!   over them,
-//! * `node` (private) — the node model both engines run: per-node state,
-//!   event admission and accounting, the node-scoped fault rules and the
-//!   one [`Context`] implementation (DESIGN.md §8),
-//! * [`sim`] — the single-queue scheduler over that model: seeded,
-//!   single-threaded, used by every figure reproduction,
-//! * [`shard`] — the conservative-lookahead scheduler over it: one
-//!   logical process per node, per-epoch safe horizons, byte-identical
-//!   digests at every worker count (DESIGN.md §13),
-//! * [`chaos`] — seeded fault plans both engines install,
+//! * `node` (private) — the node model: per-node state, event
+//!   admission and accounting, the node-scoped fault rules, the one
+//!   [`Context`] implementation and the schedule of changes to the
+//!   network model (DESIGN.md §8),
+//! * [`shard`] — the engine over that model: one logical process per
+//!   node, conservative-lookahead epochs over any number of workers,
+//!   byte-identical digests at every count (DESIGN.md §13); [`Sim`] is
+//!   its short name, used by every figure reproduction,
+//! * [`stats`] — the traffic counters a run keeps,
+//! * [`chaos`] — seeded fault plans the engine installs,
 //! * [`topogen`] — generated WAN topologies for the scale tiers,
 //! * [`wan`] — the Table-1 site inventory and its latency matrix.
 
@@ -33,7 +34,9 @@ pub mod link;
 mod node;
 pub mod runtime;
 pub mod shard;
-pub mod sim;
+#[cfg(test)]
+mod sim;
+pub mod stats;
 pub mod time;
 #[cfg(test)]
 mod timer_tests;
@@ -45,8 +48,8 @@ pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
 pub use node::RespawnFn;
 pub use runtime::{Actor, Context, Incoming, ScriptCtx, Sent, Trace, TraceLog, TraceRecord, Via};
-pub use shard::{DiscoveryEngine, ShardedSim};
-pub use sim::{NetStats, Sim, WireV2Config};
+pub use shard::{DiscoveryEngine, ShardedSim, Sim};
+pub use stats::{NetStats, WireV2Config};
 pub use time::SimTime;
 pub use topogen::{TopologyKind, TopologySpec, WanTopology};
 pub use wan::{Site, WanModel};

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::chaos::{Fault, PacketFaults};
-use crate::sim::NetStats;
+use crate::stats::NetStats;
 use crate::time::SimTime;
 
 /// One direction of a network path.
@@ -570,7 +570,7 @@ pub(crate) struct Arrival {
 }
 
 /// The two things a send touches besides the model and the counters,
-/// one pair per node on either engine: the node's RNG stream (seeded
+/// one pair per node: the node's RNG stream (seeded
 /// `seed ^ node_id`, its first draws the node's clock) and its
 /// connection table, so what a node draws and how its connections stand
 /// are a function of the seed, its id and its own sends and accepts.

@@ -2,13 +2,12 @@
 //!
 //! Brokers, BDNs, discovery clients, pub/sub clients — every node is an
 //! [`Actor`]: a state machine that reacts to [`Incoming`] events and acts
-//! on the world exclusively through a [`Context`]. The engines share
-//! one node model and one `Context` implementation (`node.rs`), so the
-//! same actor code runs unmodified under the single-queue scheduler
-//! ([`crate::sim::Sim`]) and the sharded one
-//! ([`crate::shard::ShardedSim`]). A [`Trace`] wraps actors to record
-//! what each is handed, on either engine; a [`ScriptCtx`] is the context
-//! an actor's unit tests drive it through by hand.
+//! on the world exclusively through a [`Context`]. The engine
+//! ([`crate::shard::ShardedSim`]) has one `Context` implementation
+//! (`node.rs`), so the same actor code runs unmodified at every worker
+//! count. A [`Trace`] wraps actors to record what each is handed, at
+//! any worker count; a [`ScriptCtx`] is the context an actor's unit
+//! tests drive it through by hand.
 
 use std::any::Any;
 use std::collections::BTreeSet;
@@ -53,8 +52,8 @@ pub enum Incoming {
     ClockSynced,
 }
 
-/// A node's interface to the world. The engines implement it once,
-/// generic over their schedulers.
+/// A node's interface to the world. The engine implements it once
+/// (`node.rs`'s `NodeCtx`).
 pub trait Context {
     /// This node's identity.
     fn me(&self) -> NodeId;
@@ -108,8 +107,7 @@ pub trait Context {
 
     /// Sends on a reliable stream in the v2 compact codec: the message is
     /// encoded against the link's symbol table (topic symbols sync lazily
-    /// per link) and sent at once as a one-frame segment, on either
-    /// engine. Callers use this only for peers that announced v2
+    /// per link) and sent at once as a one-frame segment. Callers use this only for peers that announced v2
     /// capability on their link handshake. The default falls back to the
     /// per-message v1 stream path, for the same `NullCtx`.
     fn send_stream_v2(&mut self, from_port: Port, to: Endpoint, msg: &WireMsg) {
@@ -225,7 +223,7 @@ pub struct ScriptCtx {
     /// Every arming `(delay, token)`, in order.
     pub timers: Vec<(Duration, u64)>,
     /// The tokens armed and not cancelled since. Re-arming an armed
-    /// token supersedes it, as the engines' timer slots do. A test that
+    /// token supersedes it, as the engine's timer slots do. A test that
     /// hands the actor a firing takes its token out itself.
     pub armed: BTreeSet<u64>,
     /// The groups joined, in the order joined, each as often as joined;

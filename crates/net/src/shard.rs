@@ -1,15 +1,13 @@
-//! Conservative parallel discrete-event execution.
+//! The simulation engine: conservative parallel discrete-event
+//! execution over the node model (`node.rs`; DESIGN.md §8).
 //!
-//! [`crate::sim::Sim`] is single-threaded: one queue for every node.
-//! That leaves every core but one idle during large campaigns. This
-//! module runs the same node model (`node.rs`; DESIGN.md §8) under a
-//! different scheduler: the engine is sharded *by node id*, every node
-//! its own logical process (LP) holding the node's `Host` — the node,
-//! its private RNG stream and connections, its emission counter — and a
-//! coordinator runs the classic conservative-lookahead protocol
-//! (Chandy/Misra/Bryant by way of a barrier-synchronous epoch loop) over
-//! them. What is only ever summed, merged or ordered by key — pending
-//! events, counters, outbox, deferred ops — is the running worker's:
+//! Every node is its own logical process (LP) holding the node's `Host`
+//! — the node, its private RNG stream and connections, its emission
+//! counter — and a coordinator runs the classic conservative-lookahead
+//! protocol (Chandy/Misra/Bryant by way of a barrier-synchronous epoch
+//! loop) over them. What is only ever summed, merged or ordered by key
+//! — pending events, counters, outbox, emitted network changes — is the
+//! running worker's:
 //!
 //! 1. **Lookahead.** The WAN model gives a hard floor on cross-node
 //!    delay: no message between two distinct nodes can arrive sooner
@@ -22,37 +20,33 @@
 //!    every LP it runs — while the head lies below `H`, in (time, key)
 //!    order. The [`Key`] is the event's origin and that origin's
 //!    emission counter: the harness first, then the sending node's id.
-//!    An LP's own events (timers, self-sends, a restart's `Start`) go
-//!    straight into the heap. Cross-LP deliveries are not pushed into
-//!    the destination's heap (that would race); they wait in the
+//!    An event for an LP the worker runs (a timer, a self-send, a
+//!    restart's `Start`, a delivery between two of its LPs) goes
+//!    straight into its heap. A delivery to another worker's LP is not
+//!    pushed into that worker's heap (that would race); it waits in the
 //!    worker's *outbox*, already keyed.
-//! 3. **Barrier.** The coordinator applies deferred network mutations
-//!    (multicast joins/leaves, crash-induced connection resets), then
-//!    moves every outbox into the heap of the destination's worker, in
-//!    any order: the key alone fixes where a delivery sorts.
+//! 3. **Barrier.** The coordinator queues the network changes the epoch
+//!    emitted, then moves every outbox into the heap of the
+//!    destination's worker, in any order: the key alone fixes where a
+//!    delivery sorts.
+//!
+//! A group change or a peer reset a node emits at `t` lands at `t + L`,
+//! `L` the lookahead, from the schedule that also holds the harness's
+//! network-wide faults: each applies before any event at its instant.
+//! `t + L` is at or past the emitting epoch's horizon, so the rule
+//! reads the same at every worker count. One worker runs every LP, so
+//! its outbox stays empty and no horizon needs `m + L`: its epochs end
+//! only at the next fault, change or deadline, or early at the first
+//! change stamped inside one.
 //!
 //! Because LP state, RNG streams (`SplitMix64(seed ^ node_id)` — that is
 //! exactly what `StdRng::seed_from_u64` expands the xor through), the
-//! lookahead window, the horizon sequence and every event's key are all
-//! pure functions of (topology, seed), the run — including its event
-//! digest — is **byte-identical for any worker count**. The deal —
-//! worker `w` of `W` owns the LPs whose id ≡ w (mod W), and their
-//! events — only decides which worker executes which LP, never what the
-//! LPs compute (and the counters are sums); with one worker the engine
-//! is the degenerate serial case of the same algorithm.
-//!
-//! `Sim` holds the same hosts and keys, so the two engines process the
-//! same events to the same counters. What the scheduler alone decides
-//! (DESIGN.md §8 has the table):
-//!
-//! * `join_group`/`leave_group`, and the forgetting of a crashed node's
-//!   far connection halves, become visible at the next barrier rather
-//!   than at once. Warmed-up scenarios never notice (joins happen at
-//!   start-up, multicasts seconds later), but a same-instant
-//!   join-then-multicast would.
-//! * Network-wide faults (partitions, packet-fault windows) apply
-//!   between epochs, which `Sim` matches by applying each between
-//!   events, before any event at its instant.
+//! lookahead, every change's instant and every event's key are all pure
+//! functions of (topology, seed), the run — including its event digest —
+//! is **byte-identical for any worker count**. The deal — worker `w` of
+//! `W` owns the LPs whose id ≡ w (mod W), and their events — only
+//! decides which worker executes which LP, never what the LPs compute
+//! (and the counters are sums).
 //!
 //! Threading is confined to [`with_pool`]: a scoped worker pool on
 //! `std::sync::mpsc`, moving each worker's LP group and executor
@@ -66,39 +60,41 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use nb_util::{fnv1a64_step, fnv1a64_word, FNV_OFFSET};
-use nb_wire::{GroupId, NodeId, RealmId};
+use nb_wire::{NodeId, RealmId};
 
 use crate::chaos::{Fault, FaultPlan, PacketFaults};
 use crate::clock::ClockProfile;
 use crate::link::NetworkModel;
-use crate::node::{forget_peer, EventHeap, Host, Key, NetFaults, Node, NodeCtx, NodeEvent, Queued, RespawnFn, Scheduler};
+use crate::node::{EventHeap, Host, Key, NetChange, NetSchedule, Node, NodeCtx, NodeEvent, Queued, RespawnFn};
 use crate::runtime::{Actor, Incoming};
-use crate::sim::{NetStats, Sim};
+use crate::stats::{NetStats, WireV2Config};
 use crate::time::SimTime;
+
+/// The engine's short name, which every figure, test and benchmark
+/// that predates the sharded engine builds through.
+pub type Sim = ShardedSim;
 
 /// Folds one word into an LP's FNV-1a digest.
 fn mix(h: &mut u64, x: u64) {
     *h = fnv1a64_word(*h, x);
 }
 
-/// The worker counts [`ShardedSim::parallel_bound_milli`] is tallied for.
-pub const BOUND_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// The widest of [`BOUND_WORKERS`]: events are tallied by `node % TALLY`,
-/// which every bound's `node % W` is a function of.
-const TALLY: usize = 8;
-
 /// What one worker keeps for every LP it runs: their pending events in
-/// one heap, their traffic counters (which [`ShardedSim::stats`] sums),
-/// this epoch's processed events by `node % TALLY`, and for the barrier
-/// their cross-LP deliveries and their network ops.
+/// one heap, their traffic counters (the first executor's hold the
+/// run's total: the others fold into them at the end of each run), and
+/// for the barrier their deliveries to other workers' LPs and the
+/// network changes they emitted.
 #[derive(Default)]
-struct Executor {
+pub(crate) struct Executor {
     events: EventHeap<NodeEvent>,
-    stats: NetStats,
-    tally: [u64; TALLY],
+    pub(crate) stats: NetStats,
     outbox: Vec<Queued<NodeEvent>>,
-    ops: Vec<(NodeId, DeferredOp)>,
+    /// Each stamped with the instant it lands, in emission order.
+    changes: Vec<(SimTime, NetChange)>,
+    /// The deal it runs under: the LPs whose id ≡ `worker` (mod `dealt`).
+    worker: usize,
+    dealt: usize,
+    lookahead: Duration,
     /// Debug builds: the latest (time, key) each node ran here, by id.
     ran: Vec<Option<(SimTime, Key)>>,
 }
@@ -126,13 +122,33 @@ impl Stride {
 }
 
 impl Executor {
-    /// Runs every event of the heap below `horizon`, each on its LP in
-    /// `lps`: the group holding the ids ≡ w (mod W), ascending, so the
-    /// LP of `id` is at `stride.index(id)`. Within the window every LP is
-    /// causally closed: nothing another LP does this epoch can reach it
-    /// before `horizon`.
+    /// Queues a node's event: into this worker's heap if the LP it is
+    /// for runs here, else into the outbox for the barrier.
+    #[inline]
+    pub(crate) fn schedule(&mut self, at: SimTime, key: Key, ev: NodeEvent) {
+        if self.dealt > 1 && ev.target().is_some_and(|to| to.0 as usize % self.dealt != self.worker) {
+            self.outbox.push(Queued { at, key, ev });
+        } else {
+            self.events.push(at, key, ev);
+        }
+    }
+
+    /// Queues `change`, emitted at `now`, to land one lookahead later.
+    pub(crate) fn change(&mut self, now: SimTime, change: NetChange) {
+        self.changes.push((now + self.lookahead, change));
+    }
+
+    /// Runs every event of the heap below `horizon` and below the first
+    /// change stamped meanwhile, each on its LP in `lps`: the group
+    /// holding the ids ≡ w (mod W), ascending, so the LP of `id` is at
+    /// `stride.index(id)`. Within the window every LP is causally
+    /// closed: nothing another LP does this epoch can reach it before
+    /// `horizon`, and the model does not change.
     fn run_epoch(&mut self, lps: &mut [Lp], stride: Stride, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
-        while self.events.next_at().is_some_and(|at| at < horizon) {
+        while let Some(at) = self.events.next_at() {
+            if at >= horizon || self.changes.first().is_some_and(|&(lands, _)| at >= lands) {
+                break;
+            }
             let Some(q) = self.events.pop() else { break };
             let lp = &mut lps[stride.index(q.ev.owner())];
             if cfg!(debug_assertions) {
@@ -161,92 +177,31 @@ impl Executor {
     }
 }
 
-/// A network-model mutation requested mid-epoch. The model is shared
-/// read-only during an epoch, so these apply at the barrier.
-enum DeferredOp {
-    Join(GroupId),
-    Leave(GroupId),
-    /// The emitting node crashed: every *other* LP must forget its
-    /// half of the connections they shared. The crashed LP reset its own
-    /// row inline (a same-epoch restart may already have created fresh
-    /// records that must survive the barrier).
-    ResetPeer,
-}
-
 /// One logical process: a node's [`Host`] — the node, its transport and
-/// its emission counter, as `Sim` holds them — plus what the LP engine
-/// keeps of it alone. `Send`, so whole LPs migrate between workers.
+/// its emission counter — plus its event count, digest and local time.
+/// `Send`, so whole LPs migrate between workers.
 struct Lp {
     host: Host,
     events_processed: u64,
     digest: u64,
-    /// Local virtual time: the timestamp of the last processed event.
+    /// Local virtual time: the timestamp of the last processed event, or
+    /// the coordinator's when it last acted on the node.
     now: SimTime,
-}
-
-/// An LP as its node sees it.
-struct LpSched<'a> {
-    id: NodeId,
-    emitted: &'a mut u64,
-    events: &'a mut EventHeap<NodeEvent>,
-    outbox: &'a mut Vec<Queued<NodeEvent>>,
-    ops: &'a mut Vec<(NodeId, DeferredOp)>,
-}
-
-impl<'a> Scheduler for LpSched<'a> {
-    type Net = &'a NetworkModel;
-
-    /// The LP's own events — timers, a restart's `Start`, self-sends —
-    /// go straight into its worker's heap (they never cross an LP
-    /// boundary, which is why the loopback spec is excluded from the
-    /// lookahead); everything else into its worker's outbox for the
-    /// barrier.
-    #[inline]
-    fn schedule(&mut self, at: SimTime, ev: NodeEvent) {
-        let key = Key::node(self.id, self.emitted);
-        match ev.target() {
-            Some(to) if to != self.id => self.outbox.push(Queued { at, key, ev }),
-            _ => self.events.push(at, key, ev),
-        }
-    }
-
-    fn join_group(&mut self, _net: &mut Self::Net, _node: NodeId, group: GroupId) {
-        self.ops.push((self.id, DeferredOp::Join(group)));
-    }
-
-    fn leave_group(&mut self, _net: &mut Self::Net, _node: NodeId, group: GroupId) {
-        self.ops.push((self.id, DeferredOp::Leave(group)));
-    }
 }
 
 impl Lp {
     /// The node at the LP's current instant, run by `exec`.
-    fn ctx<'a>(&'a mut self, net: &'a NetworkModel, pf: PacketFaults, exec: &'a mut Executor) -> NodeCtx<'a, LpSched<'a>> {
+    fn ctx<'a>(&'a mut self, net: &'a NetworkModel, pf: PacketFaults, exec: &'a mut Executor) -> NodeCtx<'a> {
         let Host { node, link, emitted } = &mut self.host;
-        NodeCtx {
-            sched: LpSched {
-                id: node.id,
-                emitted,
-                events: &mut exec.events,
-                outbox: &mut exec.outbox,
-                ops: &mut exec.ops,
-            },
-            node,
-            link,
-            stats: &mut exec.stats,
-            net,
-            faults: pf,
-            now: self.now,
-        }
+        NodeCtx { node, link, emitted, exec, net, faults: pf, now: self.now }
     }
 
     /// Leaves `exec` the peer reset a crash or restart of this node
     /// owes, once it has run. Group changes and peer resets touch
-    /// disjoint state, and a second reset of one barrier forgets nothing
-    /// the first left.
-    fn defer_peer_reset(&mut self, exec: &mut Executor) {
+    /// disjoint state, and a second reset forgets nothing the first left.
+    fn queue_peer_reset(&mut self, exec: &mut Executor) {
         if self.host.link.take_peers_stale() {
-            exec.ops.push((self.host.node.id, DeferredOp::ResetPeer));
+            exec.change(self.now, NetChange::ResetPeer(self.host.node.id));
         }
     }
 
@@ -262,12 +217,11 @@ impl Lp {
             return;
         }
         self.events_processed += 1;
-        exec.tally[self.host.node.id.0 as usize % TALLY] += 1;
         digest_event(&mut self.digest, at, &ev);
         let fault = matches!(ev, NodeEvent::Fault { .. });
         self.ctx(net, pf, exec).handle(ev);
         if fault {
-            self.defer_peer_reset(exec);
+            self.queue_peer_reset(exec);
         }
     }
 }
@@ -336,20 +290,6 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
             mix(h, to_port.0 as u64);
             mix(h, seg.len() as u64);
         }
-    }
-}
-
-/// Applies one of `node`'s deferred ops to the model and the other LPs.
-fn apply_deferred<'a>(
-    network: &mut Arc<NetworkModel>,
-    lps: impl Iterator<Item = &'a mut Lp>,
-    node: NodeId,
-    op: DeferredOp,
-) {
-    match op {
-        DeferredOp::Join(group) => Arc::make_mut(network).join_group(group, node),
-        DeferredOp::Leave(group) => Arc::make_mut(network).leave_group(group, node),
-        DeferredOp::ResetPeer => forget_peer(lps.map(|lp| &mut lp.host), node),
     }
 }
 
@@ -439,17 +379,17 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
     });
 }
 
-/// The sharded simulator: [`Sim`]'s surface (construction, node
-/// management, faults, injection, `run_for`/`run_until`, actor access),
-/// plus [`ShardedSim::digest`],
-/// [`ShardedSim::set_workers`] and [`ShardedSim::parallel_bound_milli`].
+/// The simulator: virtual time, nodes, network, actors. Every node is a
+/// logical process; [`ShardedSim::set_workers`] spreads them over
+/// worker threads (one by default) without changing any result, and
+/// [`ShardedSim::digest`] witnesses that.
 pub struct ShardedSim {
     seed: u64,
     now: SimTime,
     lps: Vec<Lp>,
-    /// One per worker group of the widest run so far; each keeps its
-    /// traffic counters. The first `dealt` hold every pending node
-    /// event, node `n`'s in the heap of executor `n % dealt`.
+    /// One per worker of the widest run so far. The first `dealt` hold
+    /// every pending node event, node `n`'s in the heap of executor
+    /// `n % dealt`; the first holds the traffic counters.
     executors: Vec<Executor>,
     dealt: usize,
     /// Events the harness queued so far (`add_node`'s `Start` and
@@ -459,28 +399,25 @@ pub struct ShardedSim {
     network: Arc<NetworkModel>,
     clock_profile: ClockProfile,
     packet_faults: PacketFaults,
-    /// Network-wide faults, applied between epochs.
-    net_faults: NetFaults,
+    /// Network-wide faults and the changes nodes emitted, applied
+    /// between epochs.
+    changes: NetSchedule,
     workers: usize,
-    /// Σ over epochs of the busiest worker's events, at each of
-    /// [`BOUND_WORKERS`].
-    busiest: [u64; 4],
-    /// The lookahead window, a pure function of the network model:
-    /// dropped whenever the model may have changed
-    /// ([`ShardedSim::network_mut`], node additions), so every
-    /// `run_until` sees the value an uncached run would derive without
-    /// walking the link overrides per call.
+    /// The lookahead, a pure function of the network model: dropped
+    /// whenever the model may have changed ([`ShardedSim::network_mut`],
+    /// node additions), so every `run_until` sees the value an uncached
+    /// run would derive without walking the link overrides per call.
     lookahead: Option<Duration>,
 }
 
 impl ShardedSim {
-    /// A sharded simulator with the given RNG root seed and the paper's
-    /// clock profile. Defaults to one worker — parallelism is opt-in.
+    /// A simulator with the given RNG root seed and the paper's clock
+    /// profile. Defaults to one worker — parallelism is opt-in.
     pub fn new(seed: u64) -> ShardedSim {
         ShardedSim::with_clock_profile(seed, ClockProfile::paper())
     }
 
-    /// A sharded simulator whose nodes all use `profile` for clocks.
+    /// A simulator whose nodes all use `profile` for clocks.
     pub fn with_clock_profile(seed: u64, profile: ClockProfile) -> ShardedSim {
         ShardedSim {
             seed,
@@ -492,9 +429,8 @@ impl ShardedSim {
             network: Arc::new(NetworkModel::new()),
             clock_profile: profile,
             packet_faults: PacketFaults::none(),
-            net_faults: NetFaults::default(),
+            changes: NetSchedule::default(),
             workers: 1,
-            busiest: [0; 4],
             lookahead: None,
         }
     }
@@ -517,28 +453,22 @@ impl ShardedSim {
     /// it.
     pub fn set_shards(&mut self, _shards: usize) {}
 
-    /// The parallel bound at each of [`BOUND_WORKERS`], in thousandths,
-    /// over every epoch run so far: the events processed ÷ the Σ over
-    /// epochs of the busiest worker's events when worker `w` of `W` runs
-    /// the LPs whose id ≡ w (mod W). 1000 means no speed-up. It counts
-    /// events only, so it is identical for every worker count.
-    pub fn parallel_bound_milli(&self) -> [u64; 4] {
-        let events = self.events_processed();
-        self.busiest.map(|busiest| (events * 1000).checked_div(busiest).unwrap_or(0))
-    }
+    /// Does nothing. A link speaks v2 when both its ends negotiated it
+    /// (`BrokerConfig::wire_v2`) or a caller sends on it with
+    /// [`crate::Context::send_stream_v2`]; there is no engine switch
+    /// left to set. Kept, with [`WireV2Config`], only because
+    /// `benchmark/src/workload/pubsub.rs` compiles against it.
+    pub fn set_wire_v2(&mut self, _cfg: Option<WireV2Config>) {}
 
     /// Current (coordinator) virtual time.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Aggregated traffic counters: the sum of every executor's.
-    pub fn stats(&self) -> NetStats {
-        let mut total = NetStats::default();
-        for exec in &self.executors {
-            total.merge(&exec.stats);
-        }
-        total
+    /// Traffic counters: every worker's, folded into one at the end of
+    /// each run.
+    pub fn stats(&self) -> &NetStats {
+        &self.executors[0].stats
     }
 
     /// Events processed since construction, summed over LPs.
@@ -576,10 +506,16 @@ impl ShardedSim {
         &self.network
     }
 
-    /// Adds a node running `actor` in `realm`. The node's clock is
-    /// sampled from its *own* RNG stream (first draws), so it is a pure
-    /// function of (seed, node id) — not of insertion interleaving with
-    /// other nodes' traffic, and not of worker count.
+    /// The least cross-node latency, floored at 1 ns.
+    fn lookahead(&mut self) -> Duration {
+        *self.lookahead.get_or_insert_with(|| self.network.min_cross_node_latency().max(Duration::from_nanos(1)))
+    }
+
+    /// Adds a node running `actor` in `realm`. Its `on_start` runs at the
+    /// current virtual time; its clock is sampled from its *own* RNG
+    /// stream (first draws), so it is a pure function of (seed, node id)
+    /// — not of insertion interleaving with other nodes' traffic, and
+    /// not of worker count.
     pub fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
         let id = NodeId(self.lps.len() as u32);
         let host = Host::new(self.seed, id, name, realm, &self.clock_profile, self.now, actor);
@@ -648,30 +584,36 @@ impl ShardedSim {
         self.node(node).map_or(0, |n| n.timers.len())
     }
 
-    /// Acts on `node` at coordinator time — every LP's clock stands at
-    /// `now` between runs — through the executor holding its events,
-    /// and applies what it deferred right away: there is no epoch in
-    /// flight to protect. A crash, revive or restart sends nothing.
-    fn at_coordinator_time(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_, LpSched<'_>>)) {
+    /// Acts on `node` at coordinator time — its LP's clock catches up to
+    /// `now` — through the executor holding its events, and queues what
+    /// the act emitted, a crash's peer reset one lookahead later. A
+    /// crash, revive or restart sends nothing.
+    fn at_coordinator_time(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_>)) {
+        let lookahead = self.lookahead();
         let Some(lp) = self.lps.get_mut(node.0 as usize) else {
             return;
         };
+        lp.now = lp.now.max(self.now);
         let exec = &mut self.executors[node.0 as usize % self.dealt];
+        exec.lookahead = lookahead;
         f(&mut lp.ctx(&self.network, self.packet_faults, exec));
-        lp.defer_peer_reset(exec);
-        for (node, op) in exec.ops.drain(..) {
-            apply_deferred(&mut self.network, self.lps.iter_mut(), node, op);
-        }
+        lp.queue_peer_reset(exec);
         debug_assert!(exec.outbox.is_empty(), "a coordinator-time act sent a message");
+        for (at, change) in exec.changes.drain(..) {
+            self.changes.push(at, change);
+        }
     }
 
-    /// Marks a node down immediately (coordinator time).
+    /// Marks a node down: queued and future deliveries and timers are
+    /// dropped until [`ShardedSim::revive`]. Its stream connections are
+    /// reset at once, its peers' halves one lookahead later.
     pub fn crash(&mut self, node: NodeId) {
         self.at_coordinator_time(node, |ctx| ctx.crash());
     }
 
-    /// Revives a crashed node and re-runs its `on_start`.
-    pub fn revive(&mut self, node: NodeId) {
+    /// Revives a crashed node and re-runs its `on_start`; callers
+    /// reach it through [`DiscoveryEngine::revive`].
+    fn revive(&mut self, node: NodeId) {
         self.at_coordinator_time(node, |ctx| ctx.revive());
     }
 
@@ -683,15 +625,20 @@ impl ShardedSim {
         }
     }
 
-    /// Restarts a node: crash (if still up) then revive; with
-    /// `lose_state` the actor is rebuilt from its respawn factory.
+    /// Restarts a node: crash (if still up) then revive. With
+    /// `lose_state` the actor is replaced by a fresh instance from the
+    /// node's respawn factory first — registries, caches and all other
+    /// volatile actor state are lost, modelling a process restart rather
+    /// than a network blip. Without a registered factory the restart
+    /// degrades to a state-preserving revive. The node keeps its
+    /// identity, realm and hardware clock either way.
     pub fn restart(&mut self, node: NodeId, lose_state: bool) {
         self.at_coordinator_time(node, |ctx| ctx.apply_fault(Fault::Restart { node, lose_state }));
     }
 
     /// Queues every fault in `plan`, offset from the current virtual
-    /// time. Node-scoped faults are queued for the owning node;
-    /// globally-scoped ones go to the coordinator's schedule.
+    /// time: a node-scoped one as its node's event, a network-wide one
+    /// on the schedule applied between epochs.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
             self.schedule_fault(ev.at, ev.fault.clone());
@@ -707,7 +654,7 @@ impl ShardedSim {
                     self.push(at, NodeEvent::Fault { fault });
                 }
             }
-            None => self.net_faults.push(at, fault),
+            None => self.changes.push(at, NetChange::Fault(fault)),
         }
     }
 
@@ -723,89 +670,66 @@ impl ShardedSim {
         self.run_until(self.now + d);
     }
 
-    /// Deals the LPs out to the worker groups, round-robin: group `w` of
-    /// `W` holds the ids ≡ w (mod W), ascending, and executor `w` their
-    /// pending events. `W` is the worker count clamped to the LP count;
-    /// one worker takes the whole vector, moving no LP, and sheds its
-    /// growth slack (a no-op until nodes join again). Which group an LP
-    /// runs in decides where it executes, never what it sees or sends:
-    /// everything but a self-send goes through the outbox and the
-    /// barrier whichever group holds the destination.
-    fn deal(&mut self) -> Vec<Vec<Lp>> {
-        let workers = self.workers.clamp(1, self.lps.len().max(1));
-        self.redeal_events(workers);
-        let mut lps = std::mem::take(&mut self.lps);
-        if workers == 1 {
-            lps.shrink_to_fit();
-            return vec![lps];
-        }
-        let mut groups: Vec<Vec<Lp>> =
-            (0..workers).map(|_| Vec::with_capacity(lps.len().div_ceil(workers))).collect();
-        for (i, lp) in lps.into_iter().enumerate() {
-            groups[i % workers].push(lp);
-        }
-        groups
-    }
-
-    /// Moves every pending event to executor `node % workers` when the
-    /// last run dealt them over another count. Each keeps its key, so
-    /// where it sorts does not change.
-    fn redeal_events(&mut self, workers: usize) {
-        if workers == self.dealt {
-            return;
-        }
+    /// Deals the pending events out to `workers` executors — node `n`'s
+    /// to executor `n % workers`, each keeping its key, so where it sorts
+    /// does not change — when the last run dealt them over another
+    /// count, and hands each executor its place in the deal and the
+    /// run's lookahead.
+    fn deal_events(&mut self, workers: usize, lookahead: Duration) {
         if self.executors.len() < workers {
             self.executors.resize_with(workers, Executor::default);
         }
-        let pending: Vec<_> = self.executors[..self.dealt].iter_mut().flat_map(|exec| exec.events.take()).collect();
-        self.dealt = workers;
-        for q in pending {
-            self.executors[q.ev.owner().0 as usize % workers].events.requeue(q);
+        if workers != self.dealt {
+            let pending: Vec<_> = self.executors[..self.dealt].iter_mut().flat_map(|exec| exec.events.take()).collect();
+            self.dealt = workers;
+            for q in pending {
+                self.executors[q.ev.owner().0 as usize % workers].events.requeue(q);
+            }
+        }
+        for (worker, exec) in self.executors[..workers].iter_mut().enumerate() {
+            (exec.worker, exec.dealt, exec.lookahead) = (worker, workers, lookahead);
         }
     }
 
-    /// Puts dealt groups back in node order, at exact capacity: the
-    /// inverse of [`ShardedSim::deal`].
-    fn undeal(&mut self, mut groups: Vec<Vec<Lp>>) {
-        let workers = groups.len();
-        if workers == 1 {
-            self.lps = groups.pop().unwrap_or_default();
-            return;
+    /// Folds every other executor's traffic counters into the first's.
+    fn fold_stats(&mut self) {
+        if let [first, rest @ ..] = self.executors.as_mut_slice() {
+            for exec in rest {
+                first.stats.merge(&std::mem::take(&mut exec.stats));
+            }
         }
-        let n = groups.iter().map(Vec::len).sum();
-        let mut dealt: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
-        self.lps = Vec::with_capacity(n);
-        self.lps.extend((0..n).map_while(|i| dealt[i % workers].next()));
     }
 
     /// Runs until virtual time reaches `deadline`, processing every
-    /// event scheduled at or before it, epoch by epoch, and folds each
-    /// epoch's per-worker event tallies into the parallel bound.
+    /// event scheduled at or before it, epoch by epoch. One worker runs
+    /// the node table in place; more deal it out (`deal`) for the run.
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
-        let lookahead = *self.lookahead.get_or_insert_with(|| {
-            self.network.min_cross_node_latency().max(Duration::from_nanos(1))
-        });
-        let mut groups = self.deal();
-        with_pool(groups.len(), |dispatch| {
-            while let Some(horizon) = self.next_horizon(deadline, lookahead) {
-                let execs = &mut self.executors[..groups.len()];
-                dispatch(&mut groups, execs, horizon, &self.network, self.packet_faults);
-                self.fold_bound();
-                self.barrier(&mut groups);
+        let lookahead = self.lookahead();
+        let workers = self.workers.clamp(1, self.lps.len().max(1));
+        self.deal_events(workers, lookahead);
+        let mut lps = std::mem::take(&mut self.lps);
+        let mut dealt = Vec::new();
+        let groups = if workers == 1 {
+            lps.shrink_to_fit();
+            std::slice::from_mut(&mut lps)
+        } else {
+            dealt = deal(std::mem::take(&mut lps), workers);
+            dealt.as_mut_slice()
+        };
+        with_pool(workers, |dispatch| {
+            while let Some(horizon) = self.next_horizon(groups, deadline, lookahead) {
+                dispatch(groups, &mut self.executors[..workers], horizon, &self.network, self.packet_faults);
+                self.barrier();
                 self.now = self.now.max(horizon.min(deadline));
             }
         });
-        // Put the LPs back and let their local clocks catch up to the
-        // coordinator's.
-        self.undeal(groups);
+        self.lps = if workers == 1 { lps } else { undeal(dealt) };
+        self.fold_stats();
         self.now = self.now.max(deadline);
-        for lp in &mut self.lps {
-            lp.now = lp.now.max(self.now);
-        }
     }
 
-    /// Computes the next epoch's safe horizon, applying due global
-    /// faults first. Returns `None` when nothing remains at or before
+    /// Computes the next epoch's horizon, applying the network changes
+    /// due first. Returns `None` when nothing remains at or before
     /// `deadline`.
     ///
     /// Safety sketch: let `m` be the earliest pending event anywhere
@@ -814,59 +738,44 @@ impl ShardedSim {
     /// `t + spec.latency + extras ≥ m + L = H` (wire serialisation
     /// starts no earlier than `t`, jitter and stream setup are
     /// non-negative), so no delivery merged at the barrier lands inside
-    /// the epoch that produced it. The horizon additionally never
-    /// crosses the next global fault (the model must not change
-    /// mid-epoch) nor `deadline` (events *at* the deadline run,
-    /// matching `Sim::run_until`, hence the +1 ns).
-    fn next_horizon(&mut self, deadline: SimTime, lookahead: Duration) -> Option<SimTime> {
+    /// the epoch that produced it, and no change the epoch emits lands
+    /// before `H`. One worker merges nothing, so its horizon drops the
+    /// `m + L` term. The horizon never crosses the next queued change
+    /// (the model must not change mid-epoch) nor `deadline` (events *at*
+    /// the deadline run, hence the +1 ns).
+    fn next_horizon(&mut self, groups: &mut [Vec<Lp>], deadline: SimTime, lookahead: Duration) -> Option<SimTime> {
         loop {
             let m = self.executors[..self.dealt].iter().filter_map(|exec| exec.events.next_at()).min();
-            if let Some((at, fault)) = self.net_faults.pop_due(m, deadline) {
+            if let Some((at, change)) = self.changes.pop_due(m, deadline) {
                 self.now = self.now.max(at);
-                NetFaults::apply(fault, &mut self.packet_faults, Arc::make_mut(&mut self.network));
+                let hosts = groups.iter_mut().flatten().map(|lp| &mut lp.host);
+                change.apply(&mut self.packet_faults, Arc::make_mut(&mut self.network), hosts);
                 continue;
             }
             let m = m?;
             if m > deadline {
                 return None;
             }
-            let mut horizon = (m + lookahead).min(deadline + Duration::from_nanos(1));
-            if let Some(at) = self.net_faults.next_at() {
+            let mut horizon = deadline + Duration::from_nanos(1);
+            if self.dealt > 1 {
+                horizon = horizon.min(m + lookahead);
+            }
+            if let Some(at) = self.changes.next_at() {
                 horizon = horizon.min(at);
             }
             return Some(horizon);
         }
     }
 
-    /// Folds the epoch's tallies into the busiest worker's events at
-    /// each of [`BOUND_WORKERS`]: worker `w` of `W` ran the LPs whose
-    /// id ≡ w (mod W), and `W` divides [`TALLY`].
-    fn fold_bound(&mut self) {
-        let mut by_residue = [0u64; TALLY];
-        for exec in &mut self.executors[..self.dealt] {
-            for (sum, n) in by_residue.iter_mut().zip(std::mem::take(&mut exec.tally)) {
-                *sum += n;
-            }
-        }
-        for (busiest, w) in self.busiest.iter_mut().zip(BOUND_WORKERS) {
-            let mut per_worker = [0u64; TALLY];
-            for (residue, n) in by_residue.iter().enumerate() {
-                per_worker[residue % w] += n;
-            }
-            *busiest += per_worker.into_iter().max().unwrap_or(0);
-        }
-    }
-
-    /// The epoch barrier: applies the workers' deferred network ops —
-    /// they commute across nodes (group membership is a set, and a peer
-    /// reset forgets one peer in each other row) — then moves every
-    /// outbox into the heaps of the destinations' executors. Each
-    /// delivery carries its key, so the order the outboxes drain in
-    /// decides nothing; the buffers keep their capacity.
-    fn barrier(&mut self, groups: &mut [Vec<Lp>]) {
+    /// The epoch barrier: queues the network changes the workers' LPs
+    /// emitted, then moves every outbox into the heaps of the
+    /// destinations' executors. Each delivery carries its key, so the
+    /// order the outboxes drain in decides nothing; the buffers keep
+    /// their capacity.
+    fn barrier(&mut self) {
         let execs = &mut self.executors[..self.dealt];
-        for (node, op) in execs.iter_mut().flat_map(|exec| exec.ops.drain(..)) {
-            apply_deferred(&mut self.network, groups.iter_mut().flatten(), node, op);
+        for (at, change) in execs.iter_mut().flat_map(|exec| exec.changes.drain(..)) {
+            self.changes.push(at, change);
         }
         for worker in 0..execs.len() {
             let mut outbox = std::mem::take(&mut execs[worker].outbox);
@@ -879,10 +788,31 @@ impl ShardedSim {
     }
 }
 
+/// Deals `lps`, in node order, to `workers` groups, round-robin: group
+/// `w` holds the ids ≡ w (mod W), ascending. Which group an LP runs in
+/// decides where it executes, never what it sees or sends.
+fn deal(lps: Vec<Lp>, workers: usize) -> Vec<Vec<Lp>> {
+    let mut groups: Vec<Vec<Lp>> = (0..workers).map(|_| Vec::with_capacity(lps.len().div_ceil(workers))).collect();
+    for (i, lp) in lps.into_iter().enumerate() {
+        groups[i % workers].push(lp);
+    }
+    groups
+}
+
+/// Puts dealt groups back in node order, at exact capacity: the
+/// inverse of [`deal`].
+fn undeal(groups: Vec<Vec<Lp>>) -> Vec<Lp> {
+    let workers = groups.len();
+    let n = groups.iter().map(Vec::len).sum();
+    let mut dealt: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
+    let mut lps = Vec::with_capacity(n);
+    lps.extend((0..n).map_while(|i| dealt[i % workers].next()));
+    lps
+}
 
 /// The engine surface deployments are built through and tests run on,
 /// so one construction path (`crates/core`'s `Deployment::build`) and
-/// one test body (its `on_every_engine`) target both engines. A
+/// one test body (its `on_every_engine`) serve every worker count. A
 /// borrowed engine is an engine too, so a testbed type can hold one.
 pub trait DiscoveryEngine {
     /// Adds a node running `actor` in `realm`.
@@ -969,7 +899,6 @@ macro_rules! discovery_engine {
 }
 
 discovery_engine! {
-    [] Sim => Sim, [];
     [] ShardedSim => ShardedSim, [];
     [E: DiscoveryEngine + ?Sized] &mut E => E, [*];
 }
@@ -983,12 +912,12 @@ mod tests {
     use crate::timer_tests::{lossless, Echo, Pinger};
     use nb_wire::addr::well_known;
     use crate::link::LinkSpec;
-    use nb_wire::{Endpoint, Message};
+    use nb_wire::{Endpoint, GroupId, Message};
 
     /// Three echo/pinger pairs spread over three realms, paper clocks,
     /// a light chaos plan: a workload exercising RNG streams, timers,
     /// faults and cross-realm traffic.
-    fn mixed_workload(workers: usize) -> (u64, u64, u64, [u64; 4]) {
+    fn mixed_workload(workers: usize) -> (u64, u64, u64) {
         let mut sim = ShardedSim::new(42);
         sim.set_workers(workers);
         let mut echoes = Vec::new();
@@ -1008,7 +937,7 @@ mod tests {
             FaultPlan::generate(42, &ChaosProfile::light(), &targets, Duration::from_secs(6));
         sim.apply_fault_plan(&plan);
         sim.run_for(Duration::from_secs(8));
-        (sim.digest(), sim.events_processed(), sim.stats().datagrams_delivered, sim.parallel_bound_milli())
+        (sim.digest(), sim.events_processed(), sim.stats().datagrams_delivered)
     }
 
     /// Sends one ping to `to` at `after`.
@@ -1100,8 +1029,8 @@ mod tests {
 
     /// A stalled node's deferred events replay in the order they
     /// arrived, not by sender: node 2's ping arrives 5 ms before node
-    /// 1's and still runs first once the stall ends, on `Sim` and at
-    /// every worker count.
+    /// 1's and still runs first once the stall ends, at every worker
+    /// count.
     #[test]
     fn a_stall_replays_in_arrival_order() {
         let stall = Duration::from_millis(50);
@@ -1117,18 +1046,14 @@ mod tests {
             sim.actor::<Recorder>(receiver).expect("the receiver").log.clone()
         };
         let thawed = SimTime::ZERO + stall;
-        let mut serial = Sim::with_clock_profile(3, ClockProfile::perfect());
-        serial.network_mut().intra_realm_spec = still_net(1).network().intra_realm_spec;
-        assert_eq!(script(&mut serial), [(thawed, 2), (thawed, 1)], "on Sim");
         for workers in [1, 2, 4] {
             assert_eq!(script(&mut still_net(workers)), [(thawed, 2), (thawed, 1)], "at {workers} workers");
         }
     }
 
     #[test]
-    fn digest_and_bound_invariant_across_workers() {
+    fn digest_invariant_across_workers() {
         let reference = mixed_workload(1);
-        assert_eq!(reference.3[0], 1000, "one worker runs every event itself");
         for workers in [2, 3, 4, 6, 8] {
             assert_eq!(mixed_workload(workers), reference, "diverged at workers={workers}");
         }
@@ -1160,12 +1085,10 @@ mod tests {
             for _ in 0..n {
                 sim.add_node("idle", RealmId(0), Box::new(crate::runtime::IdleActor));
             }
-            sim.set_workers(workers);
-            let groups = sim.deal();
+            let groups = deal(std::mem::take(&mut sim.lps), workers);
             let ids = |g: &Vec<Lp>| g.iter().map(|lp| lp.host.node.id.0).collect::<Vec<_>>();
             let dealt: Vec<Vec<u32>> = groups.iter().map(ids).collect();
-            sim.undeal(groups);
-            let order: Vec<u32> = sim.lps.iter().map(|lp| lp.host.node.id.0).collect();
+            let order: Vec<u32> = undeal(groups).iter().map(|lp| lp.host.node.id.0).collect();
             assert_eq!(order, (0..n as u32).collect::<Vec<_>>(), "undeal restores node order");
             dealt
         };
@@ -1173,14 +1096,12 @@ mod tests {
         assert_eq!(dealt(7, 3), vec![vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
         assert_eq!(dealt(6, 2), vec![vec![0, 2, 4], vec![1, 3, 5]]);
         assert_eq!(dealt(5, 1), vec![vec![0, 1, 2, 3, 4]]);
-        // More workers than LPs clamps to one LP a group.
-        assert_eq!(dealt(3, 100), vec![vec![0], vec![1], vec![2]]);
-        assert_eq!(dealt(0, 4), vec![Vec::<u32>::new()]);
+        assert_eq!(dealt(3, 3), vec![vec![0], vec![1], vec![2]]);
     }
 
     /// 2 049 nodes leave `add_node`'s table at capacity 4 096; a run
-    /// holds it at its length, on the one-group path and the dealt one,
-    /// and so does `shed_slack` before any run.
+    /// holds it at its length, in place at one worker and dealt at
+    /// three, and so does `shed_slack` before any run.
     #[test]
     fn a_run_holds_the_lp_table_at_its_length() {
         for (workers, shed) in [(1, false), (3, false), (1, true)] {
@@ -1196,28 +1117,6 @@ mod tests {
             }
             sim.run_for(Duration::from_millis(1));
             assert_eq!(sim.lps.capacity(), sim.lps.len(), "workers={workers}");
-        }
-    }
-
-    /// Two idle LPs with known per-epoch loads, through the bound tally.
-    /// Perfect clocks put each LP's `Start` and `ClockSync` at 0, so the
-    /// epochs are {0: 2, 1: 2}, then three injections on LP 0 at 1 s,
-    /// then one on LP 1 at 2 s: 8 events. One worker runs all 8; at
-    /// W ≥ 2 the busiest worker runs 2 + 3 + 1 = 6, a bound of 8/6.
-    #[test]
-    fn parallel_bound_tallies_the_busiest_worker_per_epoch() {
-        for workers in [1, 2, 4] {
-            let mut sim = ShardedSim::with_clock_profile(0, ClockProfile::perfect());
-            sim.set_workers(workers);
-            let a = sim.add_node("a", RealmId(0), Box::new(crate::runtime::IdleActor));
-            let b = sim.add_node("b", RealmId(0), Box::new(crate::runtime::IdleActor));
-            for (node, at, token) in [(a, 1, 1), (a, 1, 2), (a, 1, 3), (b, 2, 4)] {
-                sim.inject(node, Duration::from_secs(at), Incoming::Timer { token });
-            }
-            assert_eq!(sim.parallel_bound_milli(), [0; 4], "no event yet");
-            sim.run_for(Duration::from_secs(3));
-            assert_eq!(sim.events_processed(), 8);
-            assert_eq!(sim.parallel_bound_milli(), [1000, 1333, 1333, 1333], "workers={workers}");
         }
     }
 
@@ -1250,43 +1149,100 @@ mod tests {
         assert!(size_of::<Lp>() <= 232);
     }
 
-    #[test]
-    fn multicast_joins_visible_after_barrier() {
-        /// Joins a group on start; multicasts into it after 100 ms.
-        struct Caster {
-            group: GroupId,
-            heard: u32,
-        }
-        impl Actor for Caster {
-            fn on_start(&mut self, ctx: &mut dyn Context) {
-                ctx.join_group(self.group);
-                ctx.set_timer(Duration::from_millis(100), 1);
-            }
-            fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
-                match event {
-                    Incoming::Timer { token: 1 } => {
-                        let ping = Message::Ping {
-                            nonce: ctx.me().0 as u64,
-                            sent_at: 0,
-                            reply_to: Endpoint::new(ctx.me(), well_known::PING),
-                        };
-                        ctx.send_multicast(well_known::PING, self.group, well_known::PING, &ping);
-                    }
-                    Incoming::Datagram { .. } => self.heard += 1,
-                    _ => {}
+    /// What a [`Script`] node does at one instant.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Join,
+        /// A timer that does nothing but run.
+        Nudge,
+        Cast(u64),
+        Stream(NodeId, u64),
+    }
+
+    /// Runs its steps at their instants: multicasts and stream sends are
+    /// pings carrying the step's nonce.
+    struct Script(Vec<(SimTime, Step)>);
+
+    const GROUP: GroupId = GroupId(7);
+
+    impl Actor for Script {
+        fn on_start(&mut self, ctx: &mut dyn Context) {
+            for (token, &(at, _)) in self.0.iter().enumerate() {
+                if at >= ctx.now() {
+                    ctx.set_timer(at - ctx.now(), token as u64);
                 }
             }
-            impl_actor_any!();
         }
-        let group = GroupId(7);
-        let mut sim = ShardedSim::with_clock_profile(8, ClockProfile::perfect());
-        sim.set_workers(2);
-        lossless(&mut sim);
-        sim.network_mut().multicast_enabled = true;
-        let a = sim.add_node("a", RealmId(0), Box::new(Caster { group, heard: 0 }));
-        let b = sim.add_node("b", RealmId(0), Box::new(Caster { group, heard: 0 }));
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(sim.actor::<Caster>(a).unwrap().heard, 1);
-        assert_eq!(sim.actor::<Caster>(b).unwrap().heard, 1);
+        fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+            let Incoming::Timer { token } = event else { return };
+            let ping = |nonce| Message::Ping { nonce, sent_at: 0, reply_to: Endpoint::new(ctx.me(), well_known::PING) };
+            match self.0[token as usize].1 {
+                Step::Join => ctx.join_group(GROUP),
+                Step::Nudge => {}
+                Step::Cast(nonce) => ctx.send_multicast(well_known::PING, GROUP, well_known::PING, &ping(nonce)),
+                Step::Stream(to, nonce) => {
+                    ctx.send_stream(well_known::PING, Endpoint::new(to, well_known::PING), &ping(nonce));
+                }
+            }
+        }
+        impl_actor_any!();
+    }
+
+    /// A group change and a peer reset emitted at `t` land at `t + L`,
+    /// `L` the least cross-node latency, at every worker count: node 0
+    /// joins at 100 ms, so the multicast sent at `t + L − 1 ns` misses
+    /// it and the one sent at `t + L` reaches it; node 3 restarts at
+    /// 300 ms, so node 2 still holds its established connection at
+    /// `t + L − 1 ns` and pays a fresh handshake at `t + L`. Node 1's
+    /// nudges open an epoch `L / 2` before each change, where a change
+    /// that landed at the epoch's barrier would land `L / 2` early.
+    #[test]
+    fn group_changes_and_peer_resets_land_one_lookahead_later() {
+        let ms = |ms| SimTime::ZERO + Duration::from_millis(ms);
+        let (join, crash, x) = (ms(100), ms(300), NodeId(3));
+        // Each node's `(arrival, kind, body length)` and the ping's nonce.
+        let run = |workers: usize| {
+            let mut sim = still_net(workers);
+            sim.network_mut().multicast_enabled = true;
+            let lookahead = sim.network().min_cross_node_latency();
+            let early = lookahead - Duration::from_nanos(1);
+            let nudge = |at: SimTime| SimTime::ZERO + ((at - SimTime::ZERO) - lookahead / 2);
+            let (trace, log) = crate::runtime::Trace::new();
+            let scripts = [
+                vec![(join, Step::Join)],
+                vec![(ms(0), Step::Join), (nudge(join), Step::Nudge), (nudge(crash), Step::Nudge)],
+                vec![
+                    (join + early, Step::Cast(1)),
+                    (join + lookahead, Step::Cast(2)),
+                    (ms(200), Step::Stream(x, 3)),
+                    (crash + early, Step::Stream(x, 4)),
+                    (crash + lookahead, Step::Stream(x, 5)),
+                ],
+                Vec::new(),
+            ];
+            for script in scripts {
+                sim.add_node("n", RealmId(0), trace.wrap(Box::new(Script(script))));
+            }
+            sim.apply_fault_plan(&FaultPlan::new().restart_at(crash - SimTime::ZERO, x, false));
+            sim.run_for(Duration::from_secs(1));
+            let logged = |r: &crate::runtime::TraceRecord| {
+                let Message::Ping { nonce, .. } = *r.msg.message() else { panic!("the script sends pings") };
+                (r.to.node, (r.at, r.msg.kind(), r.msg.body_len()), nonce)
+            };
+            (log.take().iter().map(logged).collect::<Vec<_>>(), lookahead)
+        };
+        let (reference, lookahead) = run(1);
+        let nonces = |node: NodeId| reference.iter().filter(|r| r.0 == node).map(|r| r.2).collect::<Vec<_>>();
+        assert_eq!(nonces(NodeId(0)), [2], "the joiner hears the cast sent once its join landed, not the one before");
+        assert_eq!(nonces(NodeId(1)), [1, 2]);
+        assert_eq!(nonces(x), [3, 4, 5]);
+        // Node 2 forgets its half of the connection at `crash + L`: the
+        // send before rides it, the send at that instant pays a handshake.
+        let arrival = |nonce: u64| reference.iter().find(|r| r.2 == nonce).map(|r| r.1 .0).expect("delivered");
+        assert_eq!(arrival(4), crash + (lookahead * 2 - Duration::from_nanos(1)), "no handshake");
+        assert!(arrival(5) > crash + lookahead * 2, "a fresh handshake");
+        for workers in [2, 4] {
+            assert_eq!(run(workers), (reference.clone(), lookahead), "at {workers} workers");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Virtual time.
 //!
 //! [`SimTime`] is a nanosecond count since the simulation epoch; only
-//! the engines advance it. Durations are plain [`std::time::Duration`].
+//! the engine advances it. Durations are plain [`std::time::Duration`].
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

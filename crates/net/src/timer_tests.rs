@@ -1,6 +1,6 @@
-//! Scenarios both engines are held to, each run on `Sim` and on
-//! `ShardedSim` (2 workers) through [`DiscoveryEngine`] by
-//! [`on_both_engines!`], so the engines cannot drift apart on them.
+//! Scenarios the engine is held to, each run at 1 worker and at 2
+//! through [`DiscoveryEngine`] by [`at_one_and_two_workers!`], so no worker
+//! count can drift from another on them.
 //!
 //! Timer slots: [`crate::node::TimerSlots`] keeps a slot only while its
 //! token is armed and stamps generations from a per-node counter that
@@ -10,11 +10,10 @@
 //! drops traffic and a revive restores it, a stall defers delivery, a
 //! lossy restart rebuilds the actor, `run_until` advances an idle clock.
 //! And [`ScriptCtx`], the actor unit tests' context, is held to the
-//! engines' timer semantics.
+//! engine's timer semantics.
 //! [`Echo`], [`Pinger`] and [`lossless`] serve `sim.rs`'s and
 //! `shard.rs`'s own tests too.
 
-use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
@@ -26,31 +25,15 @@ use crate::clock::ClockProfile;
 use crate::impl_actor_any;
 use crate::link::LinkSpec;
 use crate::runtime::{Actor, Context, IdleActor, Incoming, ScriptCtx};
-use crate::shard::{DiscoveryEngine, ShardedSim};
-use crate::sim::Sim;
+use crate::shard::{DiscoveryEngine, ShardedSim, Sim};
 use crate::time::SimTime;
-
-/// `node`'s armed timer slots on `engine`, a `Sim` or a `ShardedSim`.
-fn armed_slots(engine: &dyn Any, node: NodeId) -> usize {
-    match engine.downcast_ref::<Sim>() {
-        Some(sim) => sim.armed_timer_slots(node),
-        None => engine.downcast_ref::<ShardedSim>().expect("an engine").armed_timer_slots(node),
-    }
-}
-
-/// Runs `engine`, a `Sim` or a `ShardedSim`, until `deadline`.
-fn run_until(engine: &mut dyn Any, deadline: SimTime) {
-    match engine.downcast_mut::<Sim>() {
-        Some(sim) => sim.run_until(deadline),
-        None => engine.downcast_mut::<ShardedSim>().expect("an engine").run_until(deadline),
-    }
-}
 
 /// Adds a node running `actor`.
 fn add(engine: &mut dyn DiscoveryEngine, actor: Box<dyn Actor>) -> NodeId {
     engine.add_node("n", RealmId(0), actor)
 }
 
+/// The engine at its default, one worker.
 fn sim(seed: u64) -> Sim {
     Sim::with_clock_profile(seed, ClockProfile::perfect())
 }
@@ -133,7 +116,7 @@ pub(crate) fn lossless(engine: &mut dyn DiscoveryEngine) {
     net.inter_realm_spec = LinkSpec::wan(Duration::from_millis(40)).with_loss(0.0);
 }
 
-fn ping_pong_rtt_matches_link_latency(mut engine: impl DiscoveryEngine + 'static) {
+fn ping_pong_rtt_matches_link_latency(mut engine: ShardedSim) {
     let sim: &mut dyn DiscoveryEngine = &mut engine;
     lossless(sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
@@ -151,7 +134,7 @@ fn ping_pong_rtt_matches_link_latency(mut engine: impl DiscoveryEngine + 'static
     assert_eq!(e.pings_seen, 5);
 }
 
-fn crash_drops_traffic_and_revive_restores(mut engine: impl DiscoveryEngine + 'static) {
+fn crash_drops_traffic_and_revive_restores(mut engine: ShardedSim) {
     let sim: &mut dyn DiscoveryEngine = &mut engine;
     lossless(sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
@@ -171,7 +154,7 @@ fn crash_drops_traffic_and_revive_restores(mut engine: impl DiscoveryEngine + 's
     assert_eq!(p2.rtts.len(), 5);
 }
 
-fn stall_defers_delivery_until_it_ends(mut engine: impl DiscoveryEngine + 'static) {
+fn stall_defers_delivery_until_it_ends(mut engine: ShardedSim) {
     let sim: &mut dyn DiscoveryEngine = &mut engine;
     lossless(sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
@@ -190,7 +173,7 @@ fn stall_defers_delivery_until_it_ends(mut engine: impl DiscoveryEngine + 'stati
     }
 }
 
-fn lossy_restart_rebuilds_actor_from_respawn_factory(mut engine: impl DiscoveryEngine + 'static) {
+fn lossy_restart_rebuilds_actor_from_respawn_factory(mut engine: ShardedSim) {
     let sim: &mut dyn DiscoveryEngine = &mut engine;
     lossless(sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
@@ -211,9 +194,9 @@ fn lossy_restart_rebuilds_actor_from_respawn_factory(mut engine: impl DiscoveryE
     assert_eq!(sim.actor::<Pinger>(pinger2).unwrap().rtts.len(), 5);
 }
 
-fn run_until_advances_time_even_when_idle(mut sim: impl DiscoveryEngine + 'static) {
+fn run_until_advances_time_even_when_idle(mut sim: ShardedSim) {
     sim.add_node("idle", RealmId(0), Box::new(IdleActor));
-    run_until(&mut sim, SimTime::from_secs(30));
+    sim.run_until(SimTime::from_secs(30));
     assert_eq!(sim.now(), SimTime::from_secs(30));
 }
 
@@ -253,7 +236,7 @@ impl Actor for Churn {
     impl_actor_any!();
 }
 
-fn slots_never_outgrow_the_timers_in_flight(mut engine: impl DiscoveryEngine + 'static) {
+fn slots_never_outgrow_the_timers_in_flight(mut engine: ShardedSim) {
     let node = add(&mut engine, Box::new(Churn::default()));
     let churn = |e: &dyn DiscoveryEngine| e.actor::<Churn>(node).map(|c| (c.next_token, c.fired.len()));
     let mut steps = 0;
@@ -264,9 +247,9 @@ fn slots_never_outgrow_the_timers_in_flight(mut engine: impl DiscoveryEngine + '
         let (armed, fired) = churn(&engine).expect("a churn");
         let in_flight = armed as usize - fired;
         assert!(in_flight <= Churn::WINDOW as usize);
-        assert_eq!(armed_slots(&engine, node), in_flight, "after {steps} ms");
+        assert_eq!(engine.armed_timer_slots(node), in_flight, "after {steps} ms");
     }
-    assert_eq!(armed_slots(&engine, node), 0, "every slot released");
+    assert_eq!(engine.armed_timer_slots(node), 0, "every slot released");
 }
 
 /// Arms token 1 to a script and records when each firing of it was
@@ -308,7 +291,7 @@ impl Actor for Recorder {
 /// queued), re-armed near, the near firing releases the slot, T armed
 /// again past the first deadline. The stale far firing must not pass
 /// for the new arming.
-fn rearming_after_a_firing_never_resurrects_a_replaced_one(mut e: impl DiscoveryEngine + 'static) {
+fn rearming_after_a_firing_never_resurrects_a_replaced_one(mut e: ShardedSim) {
     let node = add(&mut e, Box::new(Recorder {
         arm_on_start: vec![MS * 100, MS * 10],
         rearm_on_firing: vec![MS * 200],
@@ -316,12 +299,12 @@ fn rearming_after_a_firing_never_resurrects_a_replaced_one(mut e: impl Discovery
     }));
     e.run_for(Duration::from_secs(1));
     assert_eq!(fired_at_ms(&e, node), [10, 210], "the replaced 100 ms firing stays dead");
-    assert_eq!(armed_slots(&e, node), 0);
+    assert_eq!(e.armed_timer_slots(node), 0);
 }
 
 /// A crash drops the slots; the restarted node arms the same token
 /// while the pre-crash firing is still queued.
-fn crash_then_revive_never_delivers_a_pre_crash_firing(mut e: impl DiscoveryEngine + 'static) {
+fn crash_then_revive_never_delivers_a_pre_crash_firing(mut e: ShardedSim) {
     let node = add(&mut e, Box::new(Recorder {
         arm_on_start: vec![MS * 100],
         rearm_on_firing: Vec::new(),
@@ -329,7 +312,7 @@ fn crash_then_revive_never_delivers_a_pre_crash_firing(mut e: impl DiscoveryEngi
     }));
     e.run_for(MS * 50);
     e.crash(node);
-    assert_eq!(armed_slots(&e, node), 0, "a crash releases every slot");
+    assert_eq!(e.armed_timer_slots(node), 0, "a crash releases every slot");
     e.run_for(MS * 10);
     e.revive(node); // `on_start` again: armed for 160 ms
     e.run_for(Duration::from_secs(1));
@@ -360,14 +343,14 @@ impl Actor for CancelsNothing {
     impl_actor_any!();
 }
 
-fn cancelling_an_unarmed_token_is_a_no_op(mut e: impl DiscoveryEngine + 'static) {
+fn cancelling_an_unarmed_token_is_a_no_op(mut e: ShardedSim) {
     let node = add(&mut e, Box::new(CancelsNothing { fired: 0 }));
     e.run_for(MS);
-    assert_eq!(armed_slots(&e, node), 1, "only token 1 is armed");
+    assert_eq!(e.armed_timer_slots(node), 1, "only token 1 is armed");
     e.run_for(Duration::from_secs(1));
     let view: &dyn DiscoveryEngine = &e;
     assert_eq!(view.actor::<CancelsNothing>(node).expect("the node").fired, 1);
-    assert_eq!(armed_slots(&e, node), 0);
+    assert_eq!(e.armed_timer_slots(node), 0);
 }
 
 /// Arms, re-arms, cancels and re-arms after a cancel, on `ctx`.
@@ -409,7 +392,7 @@ impl Actor for Scripted {
 /// [`ScriptCtx`] holds the engines' timer semantics: the tokens a node
 /// running [`timer_script`] sees fire are the ones the script leaves in
 /// a `ScriptCtx`'s armed set, each once, at the delay of its last arming.
-fn a_script_fires_what_a_script_ctx_leaves_armed(mut e: impl DiscoveryEngine + 'static) {
+fn a_script_fires_what_a_script_ctx_leaves_armed(mut e: ShardedSim) {
     let mut script = ScriptCtx::default();
     timer_script(&mut script);
     assert_eq!(script.armed, [1, 3].into());
@@ -420,12 +403,12 @@ fn a_script_fires_what_a_script_ctx_leaves_armed(mut e: impl DiscoveryEngine + '
     let view: &dyn DiscoveryEngine = &e;
     let fired = &view.actor::<Scripted>(node).expect("the node").fired;
     assert_eq!(fired, &expected, "each armed token fires once, at its last arming, and no other");
-    assert_eq!(armed_slots(&e, node), 0);
+    assert_eq!(e.armed_timer_slots(node), 0);
 }
 
-/// A `#[test]` a scenario an engine: each scenario runs on a `Sim` and
-/// on a 2-worker `ShardedSim` built from the seed it names.
-macro_rules! on_both_engines {
+/// A `#[test]` a scenario a worker count: each scenario runs at 1
+/// worker and at 2 on an engine built from the seed it names.
+macro_rules! at_one_and_two_workers {
     ($($scenario:ident($seed:expr) => $on_sim:ident, $on_sharded:ident;)*) => {$(
         #[test]
         fn $on_sim() {
@@ -438,7 +421,7 @@ macro_rules! on_both_engines {
     )*};
 }
 
-on_both_engines! {
+at_one_and_two_workers! {
     slots_never_outgrow_the_timers_in_flight(7) =>
         sim_slots_never_outgrow_the_timers_in_flight,
         sharded_slots_never_outgrow_the_timers_in_flight;
