@@ -323,11 +323,11 @@ fn security(name: &str, args: &Args) -> Table {
 fn trace(seed: u64) -> String {
     use nb_discovery::scenario::ScenarioBuilder;
     use nb_net::wan::BLOOMINGTON;
-    use nb_net::{ShardedSim, Trace};
+    use nb_net::Trace;
     use std::fmt::Write;
     let builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, seed);
     let (recorder, log) = Trace::new();
-    let sim = builder.describe().traced(&recorder).build(ShardedSim::with_clock_profile);
+    let sim = builder.describe().traced(&recorder).build();
     let mut scenario = builder.scenario(sim);
     log.take(); // the warm-up's
     let outcome = scenario.run_discovery_once();

@@ -6,12 +6,13 @@
 //! ([`crate::scale`]) is a row with an empty plan. Both describe their
 //! deployment as a [`Testbed`] and add brokers with [`add_broker`].
 
+use std::borrow::{Borrow, BorrowMut};
 use std::time::Duration;
 
 use crate::parallel::ParallelExecutor;
 use nb_broker::{BrokerConfig, MachineProfile};
 use nb_discovery::{Deployment, DiscoveryBrokerActor, Entity, ResponsePolicy};
-use nb_net::{ClockProfile, DiscoveryEngine, FaultPlan, Sim};
+use nb_net::{FaultPlan, ShardedSim};
 use nb_util::{fnv1a64_step, FNV_OFFSET};
 use nb_wire::{NodeId, RealmId};
 
@@ -143,7 +144,7 @@ pub fn run_campaign<S: CampaignStats + Send>(
 /// A deployment and the ids of its roles: the fault campaign's testbed
 /// and a scale tier. `E` is the engine it was built on, or
 /// [`Deployment`] while it is only described.
-pub struct Testbed<E = Sim> {
+pub struct Testbed<E = ShardedSim> {
     /// The simulator (owns every actor), or the description.
     pub sim: E,
     /// The BDNs.
@@ -155,27 +156,24 @@ pub struct Testbed<E = Sim> {
 }
 
 impl Testbed<Deployment> {
-    /// Builds the described deployment on the engine `engine` makes.
-    pub fn build<E: DiscoveryEngine>(
-        self,
-        engine: impl FnOnce(u64, ClockProfile) -> E,
-    ) -> Testbed<E> {
+    /// Builds the described deployment on a one-worker engine.
+    pub fn build(self) -> Testbed<ShardedSim> {
         let Testbed { sim, bdns, brokers, entities } = self;
-        Testbed { sim: sim.build(engine), bdns, brokers, entities }
+        Testbed { sim: sim.build(), bdns, brokers, entities }
     }
 
     /// The described roles on `sim`, an engine this testbed's deployment
     /// was built on.
-    pub fn on<E: DiscoveryEngine>(self, sim: E) -> Testbed<E> {
+    pub fn on<E: BorrowMut<ShardedSim>>(self, sim: E) -> Testbed<E> {
         let Testbed { bdns, brokers, entities, .. } = self;
         Testbed { sim, bdns, brokers, entities }
     }
 }
 
-impl<E: DiscoveryEngine> Testbed<E> {
+impl<E: Borrow<ShardedSim>> Testbed<E> {
     /// Entity `e`'s actor.
     pub fn entity(&self, e: NodeId) -> &Entity {
-        <dyn DiscoveryEngine>::actor(&self.sim, e).expect("entity")
+        self.sim.borrow().actor(e).expect("entity")
     }
 
     /// Rediscoveries entities performed because a broker went silent.

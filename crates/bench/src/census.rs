@@ -22,9 +22,9 @@
 //! * `pub_setters`: each `pub fn set_*` of those crates, the settable
 //!   knobs outside the `*Config` structs, with the files whose non-test
 //!   code calls it;
-//! * `context_impls` and `discovery_engine_impls`: the types that
-//!   implement the two traits, test doubles included (actor unit tests
-//!   share `nb_net::ScriptCtx`, so a new double shows here);
+//! * `context_impls`: the types that implement `Context`, test doubles
+//!   included (actor unit tests share `nb_net::ScriptCtx`, so a new
+//!   double shows here);
 //! * `config_pub_fields`: the public fields of each `*Config` struct, the
 //!   knob count;
 //! * `ignored_tests`: every `#[ignore]`d test with its reason;
@@ -344,23 +344,16 @@ fn render(sources: &[Source], design: &str) -> Census {
         .collect();
     counts.insert("pub_setters".to_string(), setters.len());
     write_section(&mut out, "pub_setters", setters);
-    for (section, trait_name, bounded) in [
-        ("context_impls", "Context", true),
-        ("discovery_engine_impls", "DiscoveryEngine", false),
-    ] {
-        let impls: Vec<String> = sources
-            .iter()
-            .flat_map(|src| {
-                implementors(&src.code, trait_name)
-                    .into_iter()
-                    .map(|ty| json(&format!("{}: {ty}", src.path)))
-            })
-            .collect();
-        if bounded {
-            counts.insert(section.to_string(), impls.len());
-        }
-        write_section(&mut out, section, impls);
-    }
+    let impls: Vec<String> = sources
+        .iter()
+        .flat_map(|src| {
+            implementors(&src.code, "Context")
+                .into_iter()
+                .map(|ty| json(&format!("{}: {ty}", src.path)))
+        })
+        .collect();
+    counts.insert("context_impls".to_string(), impls.len());
+    write_section(&mut out, "context_impls", impls);
     let mut configs = Vec::new();
     for src in sources {
         for (name, fields) in config_fields(&src.code[..src.cut]) {
@@ -1005,8 +998,8 @@ mod tests {
         let lib = "pub struct NetConfig {\n    pub a: u8,\n}\npub fn only_tests() {}\n\
                    #[cfg(test)]\nmod tests {\n    #[test]\n    #[ignore = \"later\"]\n    fn t() { super::only_tests() }\n    \
                    impl Context for Double {}\n}\n";
-        let engines = "impl Context for NodeCtx<'_> {}\nimpl DiscoveryEngine for Sim {}\n";
-        let sources = [source("crates/net/src/lib.rs", lib), source("crates/net/src/node.rs", engines)];
+        let contexts = "impl Context for NodeCtx<'_> {}\nimpl Actor for Echo {}\n";
+        let sources = [source("crates/net/src/lib.rs", lib), source("crates/net/src/node.rs", contexts)];
         let census = render(&sources, "# D\n\nx\n");
         let expected = counts(&[
             ("config_pub_fields.NetConfig", 1),
@@ -1064,15 +1057,11 @@ mod tests {
                     pub struct NetConfig {\n    pub a: u8,\n    b: u8,\n    pub(crate) c: u8,\n    pub d: Vec<u8>,\n}\n\
                     impl<S: X> Context for Ctx<'_, S> {\n}\n\
                     impl NotContext for Y {}\n\
-                    macro_rules! engines {\n    ($($t:tt)*) => {\n        impl DiscoveryEngine for $engine {}\n    };\n}\n\
-                    engines! {\n    [] Sim => Sim, [];\n    [E: Bound] &mut E => E, [*];\n}\n\
+                    macro_rules! doubles {\n    ($($t:tt)*) => {\n        impl Context for $double {}\n    };\n}\n\
+                    doubles! {\n    [] Script => Script, [];\n    [S: Bound] &mut S => S, [*];\n}\n\
                     #[test]\n#[ignore = \"ROADMAP item 9: not yet\"]\nfn later() {}\n";
         let src = source("crates/net/src/x.rs", text);
-        assert_eq!(implementors(&src.code, "Context"), ["Ctx<'_, S>"]);
-        assert_eq!(
-            implementors(&src.code, "DiscoveryEngine"),
-            ["Sim", "&mut E"]
-        );
+        assert_eq!(implementors(&src.code, "Context"), ["Ctx<'_, S>", "Script", "&mut S"]);
         assert_eq!(config_fields(&src.code), [("NetConfig", vec!["a", "d"])]);
         assert_eq!(ignored_tests(&src), [("later", "ROADMAP item 9: not yet")]);
         assert_eq!(expected_lints(&src.code), [vec!["clippy::panic"]]);

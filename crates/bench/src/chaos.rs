@@ -33,7 +33,7 @@ use crate::campaign::{add_broker, plan_digest, CampaignStats, InvariantResult, S
 use nb_broker::{Topology, TopologyKind};
 use nb_discovery::bdn::{Bdn, BdnConfig};
 use nb_discovery::{Deployment, DiscoveryConfig, Entity, EntityState, Network, RetryPolicy};
-use nb_net::{ChaosProfile, ChaosTargets, ClockProfile, FaultPlan, LinkSpec, PacketFaults, Sim};
+use nb_net::{ChaosProfile, ChaosTargets, ClockProfile, FaultPlan, LinkSpec, PacketFaults};
 use nb_wire::{NodeId, RealmId, Topic, TopicFilter};
 
 /// Brokers in the testbed.
@@ -179,7 +179,7 @@ pub fn scenario(base_seed: u64, i: usize) -> ScenarioResult<ScenarioStats> {
         _ if i % 2 == 1 => ("generated_light", Some(ChaosProfile::light())),
         _ => ("generated_heavy", Some(ChaosProfile::heavy())),
     };
-    let mut tb = describe_testbed(seed, 1).build(Sim::with_clock_profile);
+    let mut tb = describe_testbed(seed, 1).build();
     let publish = |tb: &mut Testbed, round: &str| {
         for (i, &e) in tb.entities.iter().enumerate() {
             let topic = Topic::parse(&format!("{PREFIX}/{round}/e{i}")).expect("valid topic");

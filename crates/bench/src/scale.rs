@@ -192,7 +192,7 @@ pub fn describe_tier(spec: &TierSpec, seed: u64) -> (Testbed<Deployment>, u64) {
 
 /// One tier ([`describe_tier`]) built on the sharded engine.
 pub fn build_tier(spec: &TierSpec, seed: u64) -> Testbed<ShardedSim> {
-    describe_tier(spec, seed).0.build(ShardedSim::with_clock_profile)
+    describe_tier(spec, seed).0.build()
 }
 
 /// One tier's columns, the `stats` of its campaign row. Wall time is
@@ -393,7 +393,7 @@ pub fn run_description(
     drop(build_tier(&TierSpec { brokers: 1, entities: TOPIC_POOL, ..*spec }, seed));
     let live0 = crate::alloc::live_bytes();
     let (tier, topology_digest) = describe();
-    let mut dep = tier.build(ShardedSim::with_clock_profile);
+    let mut dep = tier.build();
     dep.sim.shed_slack();
     let live1 = crate::alloc::live_bytes();
     let alloc_counting = live1 > live0;

@@ -5,7 +5,7 @@
 //! `#[global_allocator]`: a sharded attach — 10 brokers, 1 BDN, 200
 //! entities, 1 worker — a meshed pub/sub run — 8 brokers, 64
 //! subscribers, 8 publishers, counted while it subscribes and while it
-//! publishes — and the Fig 2 deployment on `Sim`, counted while it is
+//! publishes — and the Fig 2 deployment, counted while it is
 //! built and warmed up and while it runs one discovery; the heap bytes
 //! that deployment holds once warmed up, and its client once its
 //! discovery finished; the heap bytes two duplicate caches hold, the
@@ -33,7 +33,7 @@ use nb_discovery::{
 };
 use nb_net::topogen::TopologyKind;
 use nb_net::wan::BLOOMINGTON;
-use nb_net::{ClockProfile, DiscoveryEngine, Incoming, LinkSpec, NodeId, RealmId, ScriptCtx, Sim};
+use nb_net::{ClockProfile, Fault, Incoming, LinkSpec, NodeId, RealmId, ScriptCtx, ShardedSim};
 use nb_util::{BoundedDedup, Uuid};
 use nb_wire::addr::well_known;
 use nb_wire::{Endpoint, Message, Topic, TopicFilter};
@@ -142,7 +142,7 @@ const BUDGET_PER_SUBSCRIPTION: f64 = 41.4;
 /// not counted; the clients stay down through it and start (connect,
 /// then subscribe) in the counted window.
 fn allocations_of_one_pubsub_run() -> (u64, u64) {
-    let mut sim = Sim::with_clock_profile(2005, ClockProfile::perfect());
+    let mut sim = ShardedSim::with_clock_profile(2005, ClockProfile::perfect());
     sim.network_mut().intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     let mut edges = Topology::build(nb_broker::TopologyKind::Ring, 8).edges().to_vec();
     edges.extend([(0, 4), (1, 5), (2, 6)]);
@@ -171,11 +171,11 @@ fn allocations_of_one_pubsub_run() -> (u64, u64) {
         .map(|t| Topic::parse(&format!("budget/t{}/{}", t % 16, t / 16)).expect("topic"))
         .collect();
     for &client in subs.iter().chain(&pubs) {
-        sim.crash(client);
+        sim.apply_fault(Fault::Crash { node: client });
     }
     sim.run_for(Duration::from_secs(1));
     for &client in subs.iter().chain(&pubs) {
-        sim.revive(client);
+        sim.apply_fault(Fault::Restart { node: client, lose_state: false });
     }
     let before = calls();
     sim.run_for(Duration::from_secs(2));

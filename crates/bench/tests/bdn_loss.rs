@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use nb_bench::chaos::describe_testbed;
 use nb_discovery::bdn::Bdn;
-use nb_discovery::{on_every_engine, EntityState};
-use nb_net::FaultPlan;
+use nb_discovery::{at_one_and_four_workers, EntityState};
+use nb_net::{Fault, FaultPlan};
 use nb_wire::NodeId;
 
 /// BDN 2 crashes keeping its state, BDN 1 crashes: one BDN of three is
@@ -19,7 +19,7 @@ use nb_wire::NodeId;
 #[test]
 fn losing_two_of_three_bdns_leaves_every_entity_attached_and_every_bdn_full() {
     let describe = || describe_testbed(2005, 3);
-    on_every_engine(
+    at_one_and_four_workers(
         || describe().sim,
         |sim| {
             let tb = describe().on(sim);
@@ -56,13 +56,13 @@ fn losing_two_of_three_bdns_leaves_every_entity_attached_and_every_bdn_full() {
 #[test]
 fn entity_whose_home_bdn_is_down_attaches_through_another() {
     let describe = || describe_testbed(49, 3);
-    on_every_engine(
+    at_one_and_four_workers(
         || describe().sim,
         |sim| {
             let tb = describe().on(sim);
             let (home, entity) = (tb.bdns[0], tb.entities[0]);
             assert_eq!(tb.entity(entity).discovery().config().bdns[0], home, "entity 0's home BDN");
-            tb.sim.crash(home);
+            tb.sim.apply_fault(Fault::Crash { node: home });
             tb.sim.run_for(Duration::from_secs(12));
             let e = tb.entity(entity);
             assert!(

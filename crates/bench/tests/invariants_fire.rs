@@ -1,21 +1,22 @@
 //! Campaign invariants seen to fail, for the checkers that need no
 //! counting allocator (`checkers_fire.rs` holds the one that does, alone
 //! in its binary). Each case runs a campaign's deployment with
-//! deliberately broken actors, each wrapped around the real one through
-//! `Deployment`'s public factories, through that campaign's own checks,
-//! and asserts that the row fails that invariant and says why; the same
-//! deployment with the real actor passes it.
+//! deliberately broken actors, each wrapped around or reconfigured from
+//! the real one through `Deployment`'s public factories, through that
+//! campaign's own checks, and asserts that the row fails that invariant
+//! and says why; the same deployment with the real actor passes it.
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use nb_bench::campaign::{InvariantResult, Testbed};
 use nb_bench::chaos::{check, describe_testbed, PREFIX};
 use nb_bench::scale::{describe_tier, run_description, TierSpec};
-use nb_discovery::Entity;
+use nb_discovery::{Deployment, DiscoveryBrokerActor, Entity};
 use nb_net::runtime::IdleActor;
 use nb_net::topogen::TopologyKind;
-use nb_net::{Actor, Context, Incoming, Sim, SimTime};
+use nb_net::{Actor, Context, Incoming, SimTime};
 use nb_util::Uuid;
 use nb_wire::topic::DISCOVERY_REQUEST_TOPIC;
 use nb_wire::{Endpoint, GroupId, Message, NodeId, Port, RealmId, Topic, WireMsg};
@@ -185,19 +186,26 @@ impl Actor for DoublingTo {
     }
 }
 
+/// How long the drills' publishes are given to land.
+const SETTLE: Duration = Duration::from_secs(4);
+
 /// The chaos testbed booted and attached, with no fault plan: every
-/// entity publishes one event, the traffic lands, and the campaign's own
-/// check runs. `describe` may rewire the testbed first.
-fn chaos_testbed_checked(describe: impl FnOnce(&mut Testbed<nb_discovery::Deployment>)) -> (Testbed, Vec<InvariantResult>) {
+/// entity publishes one event, the traffic lands within `settle`, and
+/// the campaign's own check runs. `describe` may rewire the testbed
+/// first.
+fn chaos_testbed_checked(
+    settle: Duration,
+    describe: impl FnOnce(&mut Testbed<Deployment>),
+) -> (Testbed, Vec<InvariantResult>) {
     let mut tb = describe_testbed(2005, 1);
     describe(&mut tb);
-    let mut tb = tb.build(Sim::with_clock_profile);
+    let mut tb = tb.build();
     tb.sim.run_for(Duration::from_secs(12));
     for (i, &e) in tb.entities.clone().iter().enumerate() {
         let topic = Topic::parse(&format!("{PREFIX}/drill/e{i}")).expect("valid topic");
         tb.sim.actor_mut::<Entity>(e).expect("entity").queue_publish(topic, vec![i as u8]);
     }
-    tb.sim.run_for(Duration::from_secs(4));
+    tb.sim.run_for(settle);
     let (invariants, _) = check(&mut tb);
     (tb, invariants)
 }
@@ -207,13 +215,13 @@ fn no_duplicates_fails_a_testbed_where_one_broker_hands_an_entity_each_event_twi
     let no_duplicates = |invariants: &[InvariantResult]| {
         invariants.iter().find(|i| i.name == "no_duplicates").expect("a no_duplicates row").clone()
     };
-    let (real, real_invariants) = chaos_testbed_checked(|_| {});
+    let (real, real_invariants) = chaos_testbed_checked(SETTLE, |_| {});
     assert!(real_invariants.iter().all(|i| i.passed), "the real testbed fails: {real_invariants:?}");
     let e0 = real.entities[0];
     let home = real.entity(e0).broker().expect("e0 attached");
     assert_eq!(real.entity(e0).attachments, [home], "e0 attached once");
 
-    let (tb, invariants) = chaos_testbed_checked(|tb| {
+    let (tb, invariants) = chaos_testbed_checked(SETTLE, |tb| {
         let node = &mut tb.sim.nodes[home.0 as usize];
         let mut broker = std::mem::replace(&mut node.make, Box::new(|| Box::new(IdleActor)));
         node.make = Box::new(move || Box::new(DoublingTo { inner: broker(), to: e0 }));
@@ -264,11 +272,11 @@ fn attached_fails_a_testbed_where_every_broker_refuses_one_entity() {
     let attached = |invariants: &[InvariantResult]| {
         invariants.iter().find(|i| i.name == "attached").expect("an attached row").clone()
     };
-    let (real, real_invariants) = chaos_testbed_checked(|_| {});
+    let (real, real_invariants) = chaos_testbed_checked(SETTLE, |_| {});
     assert!(attached(&real_invariants).passed, "the real testbed fails: {real_invariants:?}");
     let e0 = real.entities[0];
 
-    let (_, invariants) = chaos_testbed_checked(|tb| {
+    let (_, invariants) = chaos_testbed_checked(SETTLE, |tb| {
         for &b in &tb.brokers {
             let node = &mut tb.sim.nodes[b.0 as usize];
             let mut broker = std::mem::replace(&mut node.make, Box::new(|| Box::new(IdleActor)));
@@ -280,4 +288,127 @@ fn attached_fails_a_testbed_where_every_broker_refuses_one_entity() {
     assert!(check.detail.starts_with("e0="), "the detail does not name e0 as not attached: {}", check.detail);
     // Only e0 is refused: every other entity still attached.
     assert_eq!(check.detail.matches("->").count(), real.entities.len() - 1, "{}", check.detail);
+}
+
+/// Long enough for a broker's lease (the chaos BDN's 30 s `ad_ttl`) to
+/// lapse after its last advertisement.
+const PAST_A_LEASE: Duration = Duration::from_secs(30);
+
+#[test]
+fn fresh_leases_fails_a_testbed_where_one_broker_never_readvertises() {
+    let fresh_leases = |invariants: &[InvariantResult]| {
+        invariants.iter().find(|i| i.name == "fresh_leases").expect("a fresh_leases row").clone()
+    };
+    let (real, real_invariants) = chaos_testbed_checked(PAST_A_LEASE, |_| {});
+    assert!(real_invariants.iter().all(|i| i.passed), "the real testbed fails: {real_invariants:?}");
+    let e0 = real.entities[0];
+    let home = real.entity(e0).broker().expect("e0 attached");
+
+    // e0's broker advertises on start and on its clock sync, and then
+    // not again within the run: its lease lapses while e0 stays.
+    let (tb, invariants) = chaos_testbed_checked(PAST_A_LEASE, |tb| {
+        let node = &mut tb.sim.nodes[home.0 as usize];
+        let mut broker = std::mem::replace(&mut node.make, Box::new(|| Box::new(IdleActor)));
+        node.make = Box::new(move || {
+            let mut actor = broker();
+            let inner = actor.as_any_mut().downcast_mut::<DiscoveryBrokerActor>().expect("a broker");
+            inner.advertiser.set_readvertise(Duration::from_secs(3600));
+            actor
+        });
+    });
+    let check = fresh_leases(&invariants);
+    assert!(!check.passed, "fresh_leases passed: {}", check.detail);
+    let named = format!("e0 attached to unleased {}", tb.sim.node_name(home));
+    assert!(check.detail.contains(&named), "the detail does not name e0 and its broker: {}", check.detail);
+    // Only the lapsed lease broke the row: the fleet still attached.
+    let others: Vec<_> = invariants.iter().filter(|i| i.name != "fresh_leases").collect();
+    assert!(others.iter().all(|i| i.passed), "{others:?}");
+}
+
+/// A broker that drops each client's connection once: it leaves
+/// unanswered the first [`Dropping::MISSES`] pings each client sends
+/// after connecting, so the client gives the broker up and fails over.
+/// `as_any` forwards to the inner actor, as [`Swallowing`]'s does.
+struct Dropping {
+    inner: Box<dyn Actor>,
+    /// Pings still to drop, by client.
+    dropping: BTreeMap<NodeId, u8>,
+}
+
+impl Dropping {
+    /// The keepalive pings in a row an entity leaves unanswered before
+    /// it rediscovers.
+    const MISSES: u8 = 3;
+}
+
+impl Actor for Dropping {
+    fn on_start(&mut self, ctx: &mut dyn Context) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_incoming(&mut self, event: Incoming, ctx: &mut dyn Context) {
+        match &event {
+            Incoming::Stream { msg, .. } => {
+                if let Message::ClientConnect { client, .. } = msg.message() {
+                    self.dropping.entry(*client).or_insert(Dropping::MISSES);
+                }
+            }
+            Incoming::Datagram { from, msg, .. } if matches!(msg.message(), Message::Ping { .. }) => {
+                if let Some(left @ 1..) = self.dropping.get_mut(&from.node) {
+                    *left -= 1;
+                    return;
+                }
+            }
+            _ => {}
+        }
+        self.inner.on_incoming(event, ctx);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self.inner.as_any()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.inner.as_any_mut()
+    }
+}
+
+#[test]
+fn no_failovers_fails_a_tier_where_one_broker_drops_each_client_once() {
+    let spec = TierSpec { name: "dropping", kind: TopologyKind::Star, brokers: 4, entities: 40 };
+    // A tier's entities ping their broker every 60 s, so three misses
+    // outlast the run; at 1 s they fit in its steady state.
+    let describe = || {
+        let (mut tier, digest) = describe_tier(&spec, 2005);
+        for &e in &tier.entities {
+            let node = &mut tier.sim.nodes[e.0 as usize];
+            let mut entity = std::mem::replace(&mut node.make, Box::new(|| Box::new(IdleActor)));
+            node.make = Box::new(move || {
+                let mut actor = entity();
+                let inner = actor.as_any_mut().downcast_mut::<Entity>().expect("an entity");
+                inner.set_keepalive_interval(Duration::from_secs(1));
+                actor
+            });
+        }
+        (tier, digest)
+    };
+    let no_failovers = |row: &nb_bench::campaign::ScenarioResult<_>| {
+        row.invariants.iter().find(|i| i.name == "no_failovers").expect("a no_failovers row").clone()
+    };
+    let real = run_description(&spec, 2005, 1, describe);
+    assert!(real.passed(), "the real tier fails: {:?}", real.invariants);
+    assert_eq!(no_failovers(&real).detail, "0 failovers");
+
+    let row = run_description(&spec, 2005, 1, || {
+        let (mut tier, digest) = describe();
+        let first = tier.brokers[0];
+        let node = &mut tier.sim.nodes[first.0 as usize];
+        let mut broker = std::mem::replace(&mut node.make, Box::new(|| Box::new(IdleActor)));
+        node.make = Box::new(move || Box::new(Dropping { inner: broker(), dropping: BTreeMap::new() }));
+        (tier, digest)
+    });
+    let check = no_failovers(&row);
+    assert!(!check.passed, "no_failovers passed: {}", check.detail);
+    let failovers: u64 = check.detail.strip_suffix(" failovers").and_then(|n| n.parse().ok()).expect("N failovers");
+    assert!(failovers > 0, "{}", check.detail);
 }

@@ -22,10 +22,7 @@ use nb_broker::{BrokerConfig, Topology, TopologyKind};
 use nb_discovery::scenario::ScenarioBuilder;
 use nb_discovery::{DiscoveryBrokerActor, Entity, ResponsePolicy};
 use nb_net::wan::{BLOOMINGTON, CARDIFF, FSU, NCSA, UMN};
-use nb_net::{
-    impl_actor_any, Actor, ChaosProfile, ChaosTargets, Context, FaultPlan, Incoming, LinkSpec,
-    NodeId, RealmId, ShardedSim,
-};
+use nb_net::{impl_actor_any, Actor, ChaosProfile, ChaosTargets, Context, FaultPlan, Incoming, LinkSpec, NodeId, RealmId, ShardedSim};
 use nb_wire::addr::well_known;
 use nb_wire::{Endpoint, Message, Topic, TopicFilter};
 use proptest::prelude::*;
@@ -140,11 +137,8 @@ fn geometric_fingerprint(
 /// deployment and lets it fight through.
 fn star_fingerprint(seed: u64, site: usize, chaos: bool, workers: usize) -> (u64, u64) {
     let builder = ScenarioBuilder::new(TopologyKind::Star, site, seed);
-    let sim = builder.describe().build(|seed, clock| {
-        let mut sim = ShardedSim::with_clock_profile(seed, clock);
-        sim.set_workers(workers);
-        sim
-    });
+    let mut sim = builder.describe().build();
+    sim.set_workers(workers);
     let mut scenario = builder.scenario(sim);
     if chaos {
         let targets = ChaosTargets {

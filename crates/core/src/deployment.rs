@@ -6,13 +6,13 @@
 //! may name brokers that come after it. A node's factory makes its actor
 //! and, when the node is restartable, is also what a lossy restart
 //! calls. [`Deployment::build`] makes one value on the engine, and
-//! [`on_every_engine`] runs one test body at one worker and at four.
+//! [`at_one_and_four_workers`] runs one test body on two of them.
 
 use std::panic::{self, AssertUnwindSafe};
 
 use nb_net::topogen::WanTopology;
 use nb_net::wan::{SiteIdx, WanModel};
-use nb_net::{Actor, ClockProfile, DiscoveryEngine, LinkSpec, RespawnFn, ShardedSim, Trace};
+use nb_net::{Actor, ClockProfile, LinkSpec, RespawnFn, ShardedSim, Trace};
 use nb_wire::{NodeId, RealmId};
 
 /// One node of a [`Deployment`].
@@ -76,11 +76,11 @@ impl Deployment {
         Deployment { nodes: self.nodes.into_iter().map(wrap).collect(), ..self }
     }
 
-    /// Builds the deployment on the fresh engine `engine(seed, clock)`
-    /// makes: every node in order, each restartable node's factory as
-    /// its respawn factory, then the network.
-    pub fn build<E: DiscoveryEngine>(self, engine: impl FnOnce(u64, ClockProfile) -> E) -> E {
-        let mut sim = engine(self.seed, self.clock);
+    /// Builds the deployment on a fresh engine at one worker (see
+    /// [`ShardedSim::set_workers`]): every node in order, each restartable
+    /// node's factory as its respawn factory, then the network.
+    pub fn build(self) -> ShardedSim {
+        let mut sim = ShardedSim::with_clock_profile(self.seed, self.clock);
         for (i, mut node) in self.nodes.into_iter().enumerate() {
             let id = sim.add_node(&node.name, node.realm, (node.make)());
             assert_eq!(id, NodeId(i as u32), "a deployment builds on a fresh engine");
@@ -116,21 +116,18 @@ impl Deployment {
 /// front of its message. Both runs must then end with equal digests,
 /// event counts and traffic counters.
 #[expect(clippy::panic, reason = "a test harness: a failing body fails the test that runs it")]
-pub fn on_every_engine<T>(
+pub fn at_one_and_four_workers<T>(
     describe: impl Fn() -> Deployment,
-    mut body: impl FnMut(&mut dyn DiscoveryEngine) -> T,
+    mut body: impl FnMut(&mut ShardedSim) -> T,
 ) -> Vec<T> {
     let mut out = Vec::new();
-    let [one, four] = [(1, "ShardedSim at 1 worker"), (4, "ShardedSim at 4 workers")].map(|(workers, engine)| {
-        let mut sim = describe().build(|seed, clock| {
-            let mut sim = ShardedSim::with_clock_profile(seed, clock);
-            sim.set_workers(workers);
-            sim
-        });
+    let [one, four] = [(1, "ShardedSim at 1 worker"), (4, "ShardedSim at 4 workers")].map(|(workers, run)| {
+        let mut sim = describe().build();
+        sim.set_workers(workers);
         let ran = panic::catch_unwind(AssertUnwindSafe(|| body(&mut sim))).unwrap_or_else(|cause| {
             let text = cause.downcast_ref::<String>().map(String::as_str);
             let text = text.or(cause.downcast_ref::<&str>().copied()).unwrap_or("a panic");
-            panic!("on {engine}: {text}")
+            panic!("on {run}: {text}")
         });
         out.push(ran);
         (sim.digest(), sim.events_processed(), sim.stats().clone())
@@ -153,7 +150,7 @@ mod tests {
 
     #[test]
     fn the_body_runs_once_on_each_engine() {
-        let ran = on_every_engine(one_idle_node, |sim| {
+        let ran = at_one_and_four_workers(one_idle_node, |sim| {
             sim.run_for(Duration::from_secs(1));
             (sim.node_name(NodeId(0)).to_string(), sim.now())
         });
@@ -164,7 +161,7 @@ mod tests {
     #[should_panic(expected = "on ShardedSim at 4 workers: the second run fails")]
     fn a_body_that_fails_on_one_engine_names_it() {
         let mut runs = 0;
-        on_every_engine(one_idle_node, |_| {
+        at_one_and_four_workers(one_idle_node, |_| {
             runs += 1;
             assert!(runs < 2, "the second run fails");
         });

@@ -128,7 +128,7 @@ mod tests {
     use super::*;
     use crate::bdn::{Bdn, BdnConfig};
     use crate::client::DiscoveryClient;
-    use crate::deployment::{on_every_engine, Deployment, Network};
+    use crate::deployment::{at_one_and_four_workers, Deployment, Network};
     use nb_broker::MachineProfile;
     use nb_net::{ClockProfile, LinkSpec};
     use nb_wire::RealmId;
@@ -164,7 +164,7 @@ mod tests {
             d
         };
         let (bdn, b0) = (NodeId(0), NodeId(1));
-        on_every_engine(describe, |sim| {
+        at_one_and_four_workers(describe, |sim| {
             sim.run_for(Duration::from_secs(2));
             // The newcomer joins from the same realm as b0.
             let cfg = BrokerConfig {

@@ -74,7 +74,7 @@ pub use bdn::{Bdn, BdnConfig};
 pub use broker_actor::DiscoveryBrokerActor;
 pub use client::{DiscoveryClient, DiscoveryOutcome, Phase, PhaseTimes};
 pub use config::{DiscoveryConfig, RetryPolicy, SelectionWeights};
-pub use deployment::{on_every_engine, Deployment, DeploymentNode, Network};
+pub use deployment::{at_one_and_four_workers, Deployment, DeploymentNode, Network};
 pub use entity::{Entity, EntityState};
 pub use joining::JoiningBroker;
 pub use policy::ResponsePolicy;

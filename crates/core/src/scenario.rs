@@ -24,6 +24,7 @@
               a misbuilt scenario should stop the run that built it"
 )]
 
+use std::borrow::BorrowMut;
 use std::ops::Range;
 use std::time::Duration;
 
@@ -31,7 +32,7 @@ use nb_broker::{BrokerConfig, MachineProfile, Topology, TopologyKind};
 use nb_wire::NodeId;
 
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
-use nb_net::{ClockProfile, DiscoveryEngine, Sim};
+use nb_net::{ClockProfile, ShardedSim};
 
 use crate::bdn::{Bdn, BdnConfig};
 use crate::broker_actor::DiscoveryBrokerActor;
@@ -109,7 +110,7 @@ impl ScenarioBuilder {
 
     /// Builds the testbed on the engine at one worker.
     pub fn build(self) -> Scenario {
-        let sim = self.describe().build(Sim::with_clock_profile);
+        let sim = self.describe().build();
         self.scenario(sim)
     }
 
@@ -191,7 +192,7 @@ impl ScenarioBuilder {
 
     /// The testbed on `sim`, an engine [`ScenarioBuilder::describe`]'s
     /// deployment was built on, after the warm-up.
-    pub fn scenario<E: DiscoveryEngine>(self, sim: E) -> Scenario<E> {
+    pub fn scenario<E: BorrowMut<ShardedSim>>(self, sim: E) -> Scenario<E> {
         let ids = self.broker_ids();
         let node_id = |i: usize| NodeId(i as u32);
         let bdns: Vec<NodeId> = (0..ids.start).map(node_id).collect();
@@ -207,16 +208,16 @@ impl ScenarioBuilder {
             broker_sites: self.broker_sites,
             client_site: self.client_site,
         };
-        scenario.sim.run_for(self.warmup);
+        scenario.sim.borrow_mut().run_for(self.warmup);
         scenario
     }
 }
 
 /// A built testbed: simulator plus the node ids of every role.
-/// [`ScenarioBuilder::build`] yields `Scenario<Sim>`, and
-/// [`ScenarioBuilder::scenario`] wraps any engine, borrowed ones
-/// included, [`ScenarioBuilder::describe`]'s deployment was built on.
-pub struct Scenario<E: DiscoveryEngine = Sim> {
+/// [`ScenarioBuilder::build`] yields a `Scenario` that owns its engine,
+/// and [`ScenarioBuilder::scenario`] wraps an owned or a borrowed engine
+/// [`ScenarioBuilder::describe`]'s deployment was built on.
+pub struct Scenario<E = ShardedSim> {
     /// The simulator.
     pub sim: E,
     /// The WAN model used.
@@ -240,20 +241,21 @@ pub struct Scenario<E: DiscoveryEngine = Sim> {
     pub client_site: SiteIdx,
 }
 
-impl<E: DiscoveryEngine> Scenario<E> {
+impl<E: BorrowMut<ShardedSim>> Scenario<E> {
     /// Runs one discovery and returns its outcome.
     pub fn run_discovery_once(&mut self) -> DiscoveryOutcome {
         let before = self.client_actor().completed.len();
-        self.sim.inject(self.client, Duration::from_millis(1), nb_net::Incoming::Timer { token: TIMER_START });
+        let sim = self.sim.borrow_mut();
+        sim.inject(self.client, Duration::from_millis(1), nb_net::Incoming::Timer { token: TIMER_START });
         // Run until the outcome lands, bounded by a generous cap.
-        let cap = self.sim.now() + Duration::from_secs(60);
+        let cap = sim.now() + Duration::from_secs(60);
         loop {
-            self.sim.run_for(Duration::from_millis(100));
-            let client = self.client_actor();
+            sim.run_for(Duration::from_millis(100));
+            let client: &DiscoveryClient = sim.actor(self.client).expect("client actor");
             if client.completed.len() > before {
                 break;
             }
-            if self.sim.now() > cap {
+            if sim.now() > cap {
                 panic!(
                     "discovery run did not complete within 60s of virtual time (phase {:?})",
                     client.phase()
@@ -261,7 +263,7 @@ impl<E: DiscoveryEngine> Scenario<E> {
             }
         }
         // Small gap between runs.
-        self.sim.run_for(Duration::from_millis(200));
+        sim.run_for(Duration::from_millis(200));
         self.client_actor().completed.last().expect("outcome").clone()
     }
 
@@ -272,7 +274,7 @@ impl<E: DiscoveryEngine> Scenario<E> {
     }
 
     fn client_actor(&self) -> &DiscoveryClient {
-        <dyn DiscoveryEngine>::actor(&self.sim, self.client).expect("client actor")
+        self.sim.borrow().actor(self.client).expect("client actor")
     }
 
     /// Maps a broker node id back to its site index.
@@ -354,19 +356,16 @@ mod tests {
             kinds.iter().flat_map(|&kind| sites.map(|site| ScenarioBuilder::new(kind, site, 47))).collect();
         configs.push(ScenarioBuilder::multicast(47, 2));
         assert_eq!(configs.len(), 16);
-        let discover = |mut s: Scenario<&mut dyn DiscoveryEngine>| {
+        let discover = |mut s: Scenario<&mut ShardedSim>| {
             let outcomes = s.run_discovery(2);
-            (outcomes, s.sim.events_processed(), s.sim.stats())
+            (outcomes, s.sim.events_processed(), s.sim.stats().clone())
         };
         for builder in configs {
             let what = format!("{:?} at site {}", builder.kind, builder.client_site);
             let runs = [1, 2, 4].map(|workers| {
-                let mut sim = builder.describe().build(|seed, clock| {
-                    let mut sim = Sim::with_clock_profile(seed, clock);
-                    sim.set_workers(workers);
-                    sim
-                });
-                let got = discover(builder.clone().scenario(&mut sim as &mut dyn DiscoveryEngine));
+                let mut sim = builder.describe().build();
+                sim.set_workers(workers);
+                let got = discover(builder.clone().scenario(&mut sim));
                 (got, sim.digest())
             });
             assert!(runs[0].0 .0.iter().all(|o| o.chosen.is_some()), "{what}: discovery completes");

@@ -77,13 +77,15 @@ impl Default for PacketFaults {
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
-    /// Take the node down (state preserved, as [`crate::ShardedSim::crash`]).
+    /// Take the node down, state preserved (see
+    /// [`crate::ShardedSim::apply_fault`]).
     Crash { node: NodeId },
-    /// Bring a crashed node back. With `lose_state` the actor is rebuilt
-    /// from its respawn factory (registered via
-    /// [`crate::ShardedSim::set_respawn`]) — volatile state such as registries,
-    /// caches and pending timers is gone; without it this is a plain
-    /// [`crate::DiscoveryEngine::revive`].
+    /// Bring a node back, crashing it first if it is up. With
+    /// `lose_state` the actor is rebuilt from its respawn factory
+    /// (registered via [`crate::ShardedSim::set_respawn`]) — volatile
+    /// state such as registries, caches and pending timers is gone;
+    /// without it, on a crashed node, this is a plain revive (see
+    /// [`crate::ShardedSim::apply_fault`]).
     Restart { node: NodeId, lose_state: bool },
     /// Sever both directions between `a` and `b`.
     Partition { a: NodeId, b: NodeId },

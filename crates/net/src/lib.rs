@@ -19,10 +19,11 @@
 //!   admission and accounting, the node-scoped fault rules, the one
 //!   [`Context`] implementation and the schedule of changes to the
 //!   network model (DESIGN.md §8),
-//! * [`shard`] — the engine over that model: one logical process per
-//!   node, conservative-lookahead epochs over any number of workers,
-//!   byte-identical digests at every count (DESIGN.md §13); [`Sim`] is
-//!   its short name, used by every figure reproduction,
+//! * [`shard`] — the engine over that model, [`ShardedSim`]: one
+//!   logical process per node, conservative-lookahead epochs over any
+//!   number of workers, byte-identical digests at every count (DESIGN.md
+//!   §13), one fault verb ([`ShardedSim::apply_fault`]) beside the
+//!   fault plans; [`Sim`] is an old name kept for the frozen benchmark,
 //! * [`stats`] — the traffic counters a run keeps,
 //! * [`chaos`] — seeded fault plans the engine installs,
 //! * [`topogen`] — generated WAN topologies for the scale tiers,
@@ -48,7 +49,7 @@ pub use clock::{ClockProfile, ClockState};
 pub use link::{LinkSpec, NetworkModel};
 pub use node::RespawnFn;
 pub use runtime::{Actor, Context, Incoming, ScriptCtx, Sent, Trace, TraceLog, TraceRecord, Via};
-pub use shard::{DiscoveryEngine, ShardedSim, Sim};
+pub use shard::{ShardedSim, Sim};
 pub use stats::{NetStats, WireV2Config};
 pub use time::SimTime;
 pub use topogen::{TopologyKind, TopologySpec, WanTopology};

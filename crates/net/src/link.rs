@@ -710,8 +710,8 @@ impl Transport {
 /// The three ordered books the connection table replaced — wire clocks
 /// by node pair, established streams and FIFO clamps by endpoint pair —
 /// kept as the oracle `differential` compares against: every arrival
-/// time and every established bit must agree. (The third, `Sim`'s map
-/// of v2 link tables, answered nothing but presence.)
+/// time and every established bit must agree. (The third, the retired
+/// serial engine's map of v2 link tables, answered nothing but presence.)
 #[cfg(test)]
 mod reference {
     use std::collections::{BTreeMap, BTreeSet};

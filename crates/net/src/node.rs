@@ -522,7 +522,7 @@ impl NodeCtx<'_> {
     pub(crate) fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::Crash { .. } => self.crash(),
-            // See `ShardedSim::restart` for what survives.
+            // See `ShardedSim::apply_fault` for what survives.
             Fault::Restart { lose_state, .. } => {
                 if self.node.up {
                     self.crash();
@@ -692,7 +692,7 @@ mod tests {
     use crate::impl_actor_any;
     use crate::link::LinkSpec;
     use crate::runtime::{Trace, TraceRecord};
-    use crate::shard::{DiscoveryEngine, ShardedSim, Sim};
+    use crate::shard::ShardedSim;
     use nb_wire::addr::well_known;
 
     const GROUP: GroupId = GroupId(3);
@@ -761,7 +761,7 @@ mod tests {
     /// Runs the script on `engine` — with `cut`, behind a one-way
     /// partition that severs its streams and nothing else; the trace of
     /// what the nodes were handed, in `TraceLog::take`'s order.
-    fn arrivals(engine: &mut dyn DiscoveryEngine, cut: bool) -> Vec<Logged> {
+    fn arrivals(engine: &mut ShardedSim, cut: bool) -> Vec<Logged> {
         let still = |spec: LinkSpec| LinkSpec { jitter: Duration::ZERO, ..spec.with_loss(0.0) };
         let net = engine.network_mut();
         net.local_spec = still(LinkSpec::local());
@@ -795,8 +795,8 @@ mod tests {
     /// first message and a warm one, a v2 link's cold frame and a warm
     /// one, a multicast to two members, a self-send.
     #[test]
-    fn scripted_sends_arrive_at_the_same_times_on_both_engines() {
-        let serial = arrivals(&mut Sim::with_clock_profile(5, ClockProfile::perfect()), false);
+    fn scripted_sends_arrive_at_the_same_times_at_one_and_four_workers() {
+        let serial = arrivals(&mut ShardedSim::with_clock_profile(5, ClockProfile::perfect()), false);
         let mut sharded = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
         sharded.set_workers(4);
         assert_eq!(serial, arrivals(&mut sharded, false), "at 4 workers");
@@ -819,7 +819,7 @@ mod tests {
     /// one, at 1 worker and at 4 — `unreachable` is the sum of its two
     /// per-fate counters whatever was sent.
     #[test]
-    fn stream_sends_over_a_partition_are_counted_by_fate_on_both_engines() {
+    fn stream_sends_over_a_partition_are_counted_by_fate_at_one_and_four_workers() {
         for workers in [1, 4] {
             let mut sim = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
             sim.set_workers(workers);
@@ -886,7 +886,7 @@ mod tests {
 
     /// What the sink receives when it is restarted while the sender's
     /// first, symbol-defining frame is on the wire.
-    fn topics_across_a_reset(engine: &mut dyn DiscoveryEngine) -> Vec<String> {
+    fn topics_across_a_reset(engine: &mut ShardedSim) -> Vec<String> {
         let still = LinkSpec { jitter: Duration::ZERO, ..LinkSpec::lan().with_loss(0.0) };
         engine.network_mut().intra_realm_spec = still;
         let sink = engine.add_node("sink", RealmId(0), Box::new(TopicSink::default()));

@@ -70,8 +70,9 @@ use crate::runtime::{Actor, Incoming};
 use crate::stats::{NetStats, WireV2Config};
 use crate::time::SimTime;
 
-/// The engine's short name, which every figure, test and benchmark
-/// that predates the sharded engine builds through.
+/// The engine's old name, kept only because the frozen `benchmark/`
+/// crate imports it; everything else names [`ShardedSim`] (ROADMAP item
+/// 7(d) retires it).
 pub type Sim = ShardedSim;
 
 /// Folds one word into an LP's FNV-1a digest.
@@ -564,16 +565,6 @@ impl ShardedSim {
         self.node_mut(node)?.actor_as_mut()
     }
 
-    /// Immutable access to a node's actor as a trait object.
-    pub fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> {
-        self.node(node)?.actor.as_deref()
-    }
-
-    /// Mutable access to a node's actor as a trait object.
-    fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        Some(self.node_mut(node)?.actor.as_mut()?.as_mut())
-    }
-
     /// Whether the node is currently up.
     pub fn is_up(&self, node: NodeId) -> bool {
         self.node(node).is_some_and(|n| n.up)
@@ -587,7 +578,7 @@ impl ShardedSim {
     /// Acts on `node` at coordinator time — its LP's clock catches up to
     /// `now` — through the executor holding its events, and queues what
     /// the act emitted, a crash's peer reset one lookahead later. A
-    /// crash, revive or restart sends nothing.
+    /// node-scoped fault sends nothing.
     fn at_coordinator_time(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_>)) {
         let lookahead = self.lookahead();
         let Some(lp) = self.lps.get_mut(node.0 as usize) else {
@@ -604,19 +595,6 @@ impl ShardedSim {
         }
     }
 
-    /// Marks a node down: queued and future deliveries and timers are
-    /// dropped until [`ShardedSim::revive`]. Its stream connections are
-    /// reset at once, its peers' halves one lookahead later.
-    pub fn crash(&mut self, node: NodeId) {
-        self.at_coordinator_time(node, |ctx| ctx.crash());
-    }
-
-    /// Revives a crashed node and re-runs its `on_start`; callers
-    /// reach it through [`DiscoveryEngine::revive`].
-    fn revive(&mut self, node: NodeId) {
-        self.at_coordinator_time(node, |ctx| ctx.revive());
-    }
-
     /// Registers the factory that rebuilds `node`'s actor on a lossy
     /// restart.
     pub fn set_respawn(&mut self, node: NodeId, factory: RespawnFn) {
@@ -625,15 +603,23 @@ impl ShardedSim {
         }
     }
 
-    /// Restarts a node: crash (if still up) then revive. With
-    /// `lose_state` the actor is replaced by a fresh instance from the
-    /// node's respawn factory first — registries, caches and all other
-    /// volatile actor state are lost, modelling a process restart rather
-    /// than a network blip. Without a registered factory the restart
-    /// degrades to a state-preserving revive. The node keeps its
-    /// identity, realm and hardware clock either way.
-    pub fn restart(&mut self, node: NodeId, lose_state: bool) {
-        self.at_coordinator_time(node, |ctx| ctx.apply_fault(Fault::Restart { node, lose_state }));
+    /// Applies `fault` now. A node-scoped one acts on its node at
+    /// coordinator time: a crash marks it down — queued and future
+    /// deliveries and timers are dropped, its stream connections reset
+    /// at once and its peers' halves one lookahead later; a restart
+    /// crashes it if it is still up and brings it back, so restarting a
+    /// crashed node without `lose_state` revives it. With `lose_state`
+    /// the actor is first replaced from the node's respawn factory, if
+    /// it has one: registries, caches and all other volatile actor
+    /// state are lost, a process restart rather than a network blip.
+    /// The node keeps its identity, realm and hardware clock either way.
+    /// A network-wide fault is queued for the current instant, as a
+    /// fault plan's would be.
+    pub fn apply_fault(&mut self, fault: Fault) {
+        match fault.node() {
+            Some(node) => self.at_coordinator_time(node, |ctx| ctx.apply_fault(fault)),
+            None => self.schedule_fault(Duration::ZERO, fault),
+        }
     }
 
     /// Queues every fault in `plan`, offset from the current virtual
@@ -810,99 +796,6 @@ fn undeal(groups: Vec<Vec<Lp>>) -> Vec<Lp> {
     lps
 }
 
-/// The engine surface deployments are built through and tests run on,
-/// so one construction path (`crates/core`'s `Deployment::build`) and
-/// one test body (its `on_every_engine`) serve every worker count. A
-/// borrowed engine is an engine too, so a testbed type can hold one.
-pub trait DiscoveryEngine {
-    /// Adds a node running `actor` in `realm`.
-    fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId;
-    /// Registers the factory that rebuilds `node`'s actor on a restart
-    /// with state loss.
-    fn set_respawn(&mut self, node: NodeId, factory: RespawnFn);
-    /// The network model.
-    fn network(&self) -> &NetworkModel;
-    /// The mutable network model (coordinator time).
-    fn network_mut(&mut self) -> &mut NetworkModel;
-    /// A node's name.
-    fn node_name(&self, node: NodeId) -> &str;
-    /// A node's actor as a trait object.
-    fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor>;
-    /// Mutable counterpart of [`DiscoveryEngine::actor_dyn`].
-    fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor>;
-    /// Whether `node` is up.
-    fn is_up(&self, node: NodeId) -> bool;
-    /// Marks `node` down now.
-    fn crash(&mut self, node: NodeId);
-    /// Revives a crashed `node` and re-runs its `on_start`.
-    fn revive(&mut self, node: NodeId);
-    /// Restarts `node` now; with `lose_state` from its respawn factory.
-    fn restart(&mut self, node: NodeId, lose_state: bool);
-    /// Queues every fault in `plan`, offset from now.
-    fn apply_fault_plan(&mut self, plan: &FaultPlan);
-    /// Queues an [`Incoming`] for `node` after `delay`.
-    fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming);
-    /// Runs for `d` of virtual time.
-    fn run_for(&mut self, d: Duration);
-    /// Current virtual time.
-    fn now(&self) -> SimTime;
-    /// Traffic counters.
-    fn stats(&self) -> NetStats;
-    /// Events processed so far.
-    fn events_processed(&self) -> u64;
-}
-
-impl dyn DiscoveryEngine + '_ {
-    /// A node's actor, downcast to `T`.
-    pub fn actor<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.actor_dyn(node)?.as_any().downcast_ref()
-    }
-
-    /// Mutable counterpart of `actor`.
-    pub fn actor_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.actor_dyn_mut(node)?.as_any_mut().downcast_mut()
-    }
-}
-
-/// Implements [`DiscoveryEngine`] for `$engine` with `$to`'s method of
-/// each name: an engine's own, or, through `[*]`, the borrowed engine's.
-macro_rules! discovery_engine {
-    ($([$($g:tt)*] $engine:ty => $to:ty, [$($d:tt)?];)*) => {$(
-        impl<$($g)*> DiscoveryEngine for $engine {
-            fn add_node(&mut self, name: &str, realm: RealmId, actor: Box<dyn Actor>) -> NodeId {
-                <$to>::add_node($($d)? self, name, realm, actor)
-            }
-            fn set_respawn(&mut self, node: NodeId, factory: RespawnFn) {
-                <$to>::set_respawn($($d)? self, node, factory)
-            }
-            fn network(&self) -> &NetworkModel { <$to>::network($($d)? self) }
-            fn network_mut(&mut self) -> &mut NetworkModel { <$to>::network_mut($($d)? self) }
-            fn node_name(&self, node: NodeId) -> &str { <$to>::node_name($($d)? self, node) }
-            fn actor_dyn(&self, node: NodeId) -> Option<&dyn Actor> { <$to>::actor_dyn($($d)? self, node) }
-            fn actor_dyn_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-                <$to>::actor_dyn_mut($($d)? self, node)
-            }
-            fn is_up(&self, node: NodeId) -> bool { <$to>::is_up($($d)? self, node) }
-            fn crash(&mut self, node: NodeId) { <$to>::crash($($d)? self, node) }
-            fn revive(&mut self, node: NodeId) { <$to>::revive($($d)? self, node) }
-            fn restart(&mut self, node: NodeId, lose_state: bool) { <$to>::restart($($d)? self, node, lose_state) }
-            fn apply_fault_plan(&mut self, plan: &FaultPlan) { <$to>::apply_fault_plan($($d)? self, plan) }
-            fn inject(&mut self, node: NodeId, delay: Duration, incoming: Incoming) {
-                <$to>::inject($($d)? self, node, delay, incoming)
-            }
-            fn run_for(&mut self, d: Duration) { <$to>::run_for($($d)? self, d) }
-            fn now(&self) -> SimTime { <$to>::now($($d)? self) }
-            fn stats(&self) -> NetStats { <$to>::stats($($d)? self).clone() }
-            fn events_processed(&self) -> u64 { <$to>::events_processed($($d)? self) }
-        }
-    )*};
-}
-
-discovery_engine! {
-    [] ShardedSim => ShardedSim, [];
-    [E: DiscoveryEngine + ?Sized] &mut E => E, [*];
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1034,7 +927,7 @@ mod tests {
     #[test]
     fn a_stall_replays_in_arrival_order() {
         let stall = Duration::from_millis(50);
-        let script = |sim: &mut dyn DiscoveryEngine| {
+        let script = |sim: &mut ShardedSim| {
             let receiver = sim.add_node("r", RealmId(0), Box::new(Recorder { timer: None, log: Vec::new() }));
             for after in [10, 5] {
                 let sender = Sender { to: receiver, after: Duration::from_millis(after) };

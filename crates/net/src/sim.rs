@@ -1,8 +1,8 @@
-//! Traffic-model scenarios `Sim` is held to, each at one worker and at
-//! four: a run is a function of its seed, the clock-sync event, per-kind
-//! counters, the packet-fault window's duplication and corruption,
-//! one-way partitions, v2 links' send order and symbol tables across a
-//! crash, and the event count.
+//! Traffic-model scenarios the engine is held to, each at one worker
+//! and at four: a run is a function of its seed, the clock-sync event,
+//! per-kind counters, the packet-fault window's duplication and
+//! corruption, one-way partitions, v2 links' send order and symbol
+//! tables across a crash, and the event count.
 
 #[cfg(test)]
 mod tests {
@@ -15,14 +15,14 @@ mod tests {
     use crate::clock::ClockProfile;
     use crate::impl_actor_any;
     use crate::runtime::{Actor, Context, IdleActor, Incoming, Trace, TraceRecord};
-    use crate::shard::Sim;
+    use crate::shard::ShardedSim;
     use crate::time::SimTime;
     use crate::timer_tests::{lossless, Echo, Pinger};
 
-    /// `Sim` seeded `seed`, with perfect clocks and lossless links, at
-    /// `workers` workers.
-    fn engine(seed: u64, workers: usize) -> Sim {
-        let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+    /// The engine seeded `seed`, with perfect clocks and lossless links,
+    /// at `workers` workers.
+    fn engine(seed: u64, workers: usize) -> ShardedSim {
+        let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
         sim.set_workers(workers);
         lossless(&mut sim);
         sim
@@ -32,7 +32,7 @@ mod tests {
     fn deterministic_given_seed() {
         for workers in [1, 4] {
             let run = |seed| {
-                let mut sim = Sim::new(seed);
+                let mut sim = ShardedSim::new(seed);
                 sim.set_workers(workers);
                 let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
                 let pinger = sim.add_node("pinger", RealmId(1), Box::new(Pinger::new(echo)));
@@ -68,7 +68,7 @@ mod tests {
             impl_actor_any!();
         }
         for workers in [1, 4] {
-            let mut sim = Sim::new(17);
+            let mut sim = ShardedSim::new(17);
             sim.set_workers(workers);
             let n = sim.add_node(
                 "w",
@@ -320,7 +320,7 @@ mod tests {
             // Restart the sender: its link state (and the sink's reader) is
             // torn down, so the next burst re-ships the symbol definition
             // and still decodes cleanly.
-            sim.restart(burst, true);
+            sim.apply_fault(Fault::Restart { node: burst, lose_state: true });
             sim.run_for(Duration::from_millis(500));
             got.extend(publishes_to(&log.take(), sink));
             assert_eq!(got.len(), 6);

@@ -1,6 +1,6 @@
-//! Scenarios the engine is held to, each run at 1 worker and at 2
-//! through [`DiscoveryEngine`] by [`at_one_and_two_workers!`], so no worker
-//! count can drift from another on them.
+//! Scenarios the engine is held to, each run at 1 worker and at 2 by
+//! [`at_one_and_two_workers!`], so no worker count can drift from
+//! another on them.
 //!
 //! Timer slots: [`crate::node::TimerSlots`] keeps a slot only while its
 //! token is armed and stamps generations from a per-node counter that
@@ -25,20 +25,20 @@ use crate::clock::ClockProfile;
 use crate::impl_actor_any;
 use crate::link::LinkSpec;
 use crate::runtime::{Actor, Context, IdleActor, Incoming, ScriptCtx};
-use crate::shard::{DiscoveryEngine, ShardedSim, Sim};
+use crate::shard::ShardedSim;
 use crate::time::SimTime;
 
 /// Adds a node running `actor`.
-fn add(engine: &mut dyn DiscoveryEngine, actor: Box<dyn Actor>) -> NodeId {
+fn add(engine: &mut ShardedSim, actor: Box<dyn Actor>) -> NodeId {
     engine.add_node("n", RealmId(0), actor)
 }
 
 /// The engine at its default, one worker.
-fn sim(seed: u64) -> Sim {
-    Sim::with_clock_profile(seed, ClockProfile::perfect())
+fn one_worker(seed: u64) -> ShardedSim {
+    ShardedSim::with_clock_profile(seed, ClockProfile::perfect())
 }
 
-fn sharded(seed: u64) -> ShardedSim {
+fn two_workers(seed: u64) -> ShardedSim {
     let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
     sim.set_workers(2);
     sim
@@ -109,16 +109,15 @@ impl Actor for Pinger {
 }
 
 /// Takes the loss out of every link class of `engine`'s network.
-pub(crate) fn lossless(engine: &mut dyn DiscoveryEngine) {
+pub(crate) fn lossless(engine: &mut ShardedSim) {
     let net = engine.network_mut();
     net.local_spec = LinkSpec::local().with_loss(0.0);
     net.intra_realm_spec = LinkSpec::lan().with_loss(0.0);
     net.inter_realm_spec = LinkSpec::wan(Duration::from_millis(40)).with_loss(0.0);
 }
 
-fn ping_pong_rtt_matches_link_latency(mut engine: ShardedSim) {
-    let sim: &mut dyn DiscoveryEngine = &mut engine;
-    lossless(sim);
+fn ping_pong_rtt_matches_link_latency(mut sim: ShardedSim) {
+    lossless(&mut sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
     let pinger = sim.add_node("pinger", RealmId(1), Box::new(Pinger::new(echo)));
     sim.run_for(Duration::from_secs(2));
@@ -134,18 +133,17 @@ fn ping_pong_rtt_matches_link_latency(mut engine: ShardedSim) {
     assert_eq!(e.pings_seen, 5);
 }
 
-fn crash_drops_traffic_and_revive_restores(mut engine: ShardedSim) {
-    let sim: &mut dyn DiscoveryEngine = &mut engine;
-    lossless(sim);
+fn crash_drops_traffic_and_revive_restores(mut sim: ShardedSim) {
+    lossless(&mut sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
     let pinger = sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
-    sim.crash(echo);
+    sim.apply_fault(Fault::Crash { node: echo });
     assert!(!sim.is_up(echo));
     sim.run_for(Duration::from_secs(2));
     let p: &Pinger = sim.actor(pinger).unwrap();
     assert!(p.rtts.is_empty());
     assert!(sim.stats().dropped_node_down > 0);
-    sim.revive(echo);
+    sim.apply_fault(Fault::Restart { node: echo, lose_state: false });
     assert!(sim.is_up(echo));
     // A fresh pinger run against the revived echo succeeds.
     let pinger2 = sim.add_node("pinger2", RealmId(0), Box::new(Pinger::new(echo)));
@@ -154,9 +152,8 @@ fn crash_drops_traffic_and_revive_restores(mut engine: ShardedSim) {
     assert_eq!(p2.rtts.len(), 5);
 }
 
-fn stall_defers_delivery_until_it_ends(mut engine: ShardedSim) {
-    let sim: &mut dyn DiscoveryEngine = &mut engine;
-    lossless(sim);
+fn stall_defers_delivery_until_it_ends(mut sim: ShardedSim) {
+    lossless(&mut sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
     let pinger = sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
     // Freeze the echo node for 3 s starting just before the pings land.
@@ -173,19 +170,18 @@ fn stall_defers_delivery_until_it_ends(mut engine: ShardedSim) {
     }
 }
 
-fn lossy_restart_rebuilds_actor_from_respawn_factory(mut engine: ShardedSim) {
-    let sim: &mut dyn DiscoveryEngine = &mut engine;
-    lossless(sim);
+fn lossy_restart_rebuilds_actor_from_respawn_factory(mut sim: ShardedSim) {
+    lossless(&mut sim);
     let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
     sim.set_respawn(echo, Box::new(|| Box::new(Echo::default())));
     sim.add_node("pinger", RealmId(0), Box::new(Pinger::new(echo)));
     sim.run_for(Duration::from_secs(2));
     assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5);
     // State-preserving restart keeps the counter...
-    sim.restart(echo, false);
+    sim.apply_fault(Fault::Restart { node: echo, lose_state: false });
     assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 5);
     // ...a lossy restart wipes it.
-    sim.restart(echo, true);
+    sim.apply_fault(Fault::Restart { node: echo, lose_state: true });
     assert_eq!(sim.actor::<Echo>(echo).unwrap().pings_seen, 0);
     // And the rebuilt actor still serves traffic.
     sim.run_for(Duration::from_secs(1));
@@ -238,7 +234,7 @@ impl Actor for Churn {
 
 fn slots_never_outgrow_the_timers_in_flight(mut engine: ShardedSim) {
     let node = add(&mut engine, Box::new(Churn::default()));
-    let churn = |e: &dyn DiscoveryEngine| e.actor::<Churn>(node).map(|c| (c.next_token, c.fired.len()));
+    let churn = |e: &ShardedSim| e.actor::<Churn>(node).map(|c| (c.next_token, c.fired.len()));
     let mut steps = 0;
     while churn(&engine).expect("a churn").1 < Churn::TOKENS as usize {
         engine.run_for(MS);
@@ -264,7 +260,7 @@ struct Recorder {
 }
 
 /// When the [`Recorder`] at `node` saw each firing, in ms.
-fn fired_at_ms(engine: &dyn DiscoveryEngine, node: NodeId) -> Vec<u64> {
+fn fired_at_ms(engine: &ShardedSim, node: NodeId) -> Vec<u64> {
     let recorder = engine.actor::<Recorder>(node).expect("a recorder");
     recorder.fired_at.iter().map(|t| t.as_millis()).collect()
 }
@@ -311,10 +307,10 @@ fn crash_then_revive_never_delivers_a_pre_crash_firing(mut e: ShardedSim) {
         fired_at: Vec::new(),
     }));
     e.run_for(MS * 50);
-    e.crash(node);
+    e.apply_fault(Fault::Crash { node });
     assert_eq!(e.armed_timer_slots(node), 0, "a crash releases every slot");
     e.run_for(MS * 10);
-    e.revive(node); // `on_start` again: armed for 160 ms
+    e.apply_fault(Fault::Restart { node, lose_state: false }); // `on_start` again: armed for 160 ms
     e.run_for(Duration::from_secs(1));
     assert_eq!(fired_at_ms(&e, node), [160], "only the post-revive arming fires");
 }
@@ -348,8 +344,7 @@ fn cancelling_an_unarmed_token_is_a_no_op(mut e: ShardedSim) {
     e.run_for(MS);
     assert_eq!(e.armed_timer_slots(node), 1, "only token 1 is armed");
     e.run_for(Duration::from_secs(1));
-    let view: &dyn DiscoveryEngine = &e;
-    assert_eq!(view.actor::<CancelsNothing>(node).expect("the node").fired, 1);
+    assert_eq!(e.actor::<CancelsNothing>(node).expect("the node").fired, 1);
     assert_eq!(e.armed_timer_slots(node), 0);
 }
 
@@ -400,8 +395,7 @@ fn a_script_fires_what_a_script_ctx_leaves_armed(mut e: ShardedSim) {
     let expected: Vec<_> = script.armed.iter().map(|&t| (t, SimTime::ZERO + last_arming(t).expect("armed"))).collect();
     let node = add(&mut e, Box::new(Scripted::default()));
     e.run_for(Duration::from_secs(1));
-    let view: &dyn DiscoveryEngine = &e;
-    let fired = &view.actor::<Scripted>(node).expect("the node").fired;
+    let fired = &e.actor::<Scripted>(node).expect("the node").fired;
     assert_eq!(fired, &expected, "each armed token fires once, at its last arming, and no other");
     assert_eq!(e.armed_timer_slots(node), 0);
 }
@@ -412,11 +406,11 @@ macro_rules! at_one_and_two_workers {
     ($($scenario:ident($seed:expr) => $on_sim:ident, $on_sharded:ident;)*) => {$(
         #[test]
         fn $on_sim() {
-            $scenario(sim($seed));
+            $scenario(one_worker($seed));
         }
         #[test]
         fn $on_sharded() {
-            $scenario(sharded($seed));
+            $scenario(two_workers($seed));
         }
     )*};
 }

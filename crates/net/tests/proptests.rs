@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use nb_net::clock::ClockProfile;
 use nb_net::link::{DatagramFate, LinkSpec, NetworkModel};
 use nb_net::runtime::IdleActor;
-use nb_net::{ChaosProfile, ChaosTargets, FaultPlan, Sim, Trace};
+use nb_net::{ChaosProfile, ChaosTargets, FaultPlan, ShardedSim, Trace};
 use nb_net::time::{true_utc_micros, SimTime};
 use nb_wire::{GroupId, Message, NodeId, RealmId};
 
@@ -83,7 +83,7 @@ proptest! {
         // in send order, none before it was sent. (The connection state
         // is private to the engine, so the property is checked where a
         // protocol would see it: at the receiving actor.)
-        let mut sim = Sim::with_clock_profile(seed, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(seed, ClockProfile::perfect());
         sim.network_mut().intra_realm_spec =
             LinkSpec { jitter: Duration::from_micros(jitter_us), ..LinkSpec::lan() };
         let (trace, log) = Trace::new();
@@ -263,7 +263,7 @@ mod bandwidth_end_to_end {
     use std::time::Duration;
 
     use nb_net::runtime::IdleActor;
-    use nb_net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, Sim, Trace};
+    use nb_net::{impl_actor_any, Actor, ClockProfile, Context, Incoming, LinkSpec, ShardedSim, Trace};
     use nb_util::Uuid;
     use nb_wire::{Endpoint, Event, Message, NodeId, Port, RealmId, Topic};
 
@@ -294,7 +294,7 @@ mod bandwidth_end_to_end {
 
     #[test]
     fn bulk_traffic_delays_messages_queued_behind_it() {
-        let mut sim = Sim::with_clock_profile(5, ClockProfile::perfect());
+        let mut sim = ShardedSim::with_clock_profile(5, ClockProfile::perfect());
         sim.network_mut().inter_realm_spec =
             LinkSpec { jitter: Duration::ZERO, ..LinkSpec::wan(Duration::from_millis(10)).with_loss(0.0) };
         let (trace, log) = Trace::new();

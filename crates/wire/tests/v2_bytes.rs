@@ -15,7 +15,7 @@ use nb_wire::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Frames per segment: what `Sim` sends (`net.frames_per_segment` is
+/// Frames per segment: what the engine sends (`net.frames_per_segment` is
 /// 1.0 by construction).
 const BATCH: usize = 1;
 /// Segments per link.

@@ -19,7 +19,7 @@ use nb::discovery::{
     Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome,
     Network, ResponsePolicy,
 };
-use nb::net::{ClockProfile, DiscoveryEngine, Incoming, LinkSpec, ShardedSim};
+use nb::net::{ClockProfile, Fault, Incoming, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId};
 
 const BDN: NodeId = NodeId(0);
@@ -65,7 +65,7 @@ fn describe() -> Deployment {
     d
 }
 
-fn discover(sim: &mut dyn DiscoveryEngine, run: usize) -> DiscoveryOutcome {
+fn discover(sim: &mut ShardedSim, run: usize) -> DiscoveryOutcome {
     sim.inject(CLIENT, Duration::from_millis(1), Incoming::Timer { token: TIMER_START });
     sim.run_for(Duration::from_secs(4));
     let o = sim
@@ -83,13 +83,13 @@ fn discover(sim: &mut dyn DiscoveryEngine, run: usize) -> DiscoveryOutcome {
     o
 }
 
-fn churn(sim: &mut dyn DiscoveryEngine) {
+fn churn(sim: &mut ShardedSim) {
     // Clocks sync and brokers advertise.
     sim.run_for(Duration::from_millis(800));
 
     let first = discover(sim, 0).chosen.expect("discovery #1 finds a broker");
     println!("{} crashes", sim.node_name(first));
-    sim.crash(first);
+    sim.apply_fault(Fault::Crash { node: first });
     let second = discover(sim, 1).chosen.expect("discovery #2 finds a broker");
 
     assert_ne!(second, first, "rediscovery must not choose the dead broker");
@@ -98,10 +98,10 @@ fn churn(sim: &mut dyn DiscoveryEngine) {
 }
 
 fn main() {
-    churn(&mut describe().build(ShardedSim::with_clock_profile));
+    churn(&mut describe().build());
 }
 
 #[test]
 fn runs_to_completion() {
-    nb::discovery::on_every_engine(describe, churn);
+    nb::discovery::at_one_and_four_workers(describe, churn);
 }

@@ -17,7 +17,7 @@ use nb::discovery::{
     Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, Network, ResponsePolicy,
     RetryPolicy,
 };
-use nb::net::{ClockProfile, DiscoveryEngine, FaultPlan, LinkSpec, PacketFaults, ShardedSim};
+use nb::net::{ClockProfile, FaultPlan, LinkSpec, PacketFaults, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BDN: NodeId = NodeId(0);
@@ -80,11 +80,11 @@ fn describe() -> Deployment {
     d
 }
 
-fn entity(sim: &dyn DiscoveryEngine, node: NodeId) -> &Entity {
+fn entity(sim: &ShardedSim, node: NodeId) -> &Entity {
     sim.actor::<Entity>(node).unwrap()
 }
 
-fn storm(sim: &mut dyn DiscoveryEngine) {
+fn storm(sim: &mut ShardedSim) {
     sim.run_for(Duration::from_secs(8));
     let sub_broker = entity(sim, SUBSCRIBER).broker().expect("attached");
     println!(
@@ -145,10 +145,10 @@ fn storm(sim: &mut dyn DiscoveryEngine) {
 }
 
 fn main() {
-    storm(&mut describe().build(ShardedSim::with_clock_profile));
+    storm(&mut describe().build());
 }
 
 #[test]
 fn runs_to_completion() {
-    nb::discovery::on_every_engine(describe, storm);
+    nb::discovery::at_one_and_four_workers(describe, storm);
 }

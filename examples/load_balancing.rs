@@ -16,7 +16,7 @@ use nb::broker::{BrokerConfig, MachineProfile, TopologyKind};
 use nb::discovery::scenario::ScenarioBuilder;
 use nb::discovery::{Deployment, DiscoveryBrokerActor, Entity, ResponsePolicy, SelectionWeights};
 use nb::net::wan::{BLOOMINGTON, INDIANAPOLIS};
-use nb::net::{DiscoveryEngine, ShardedSim};
+use nb::net::ShardedSim;
 use nb::wire::NodeId;
 
 fn builder() -> ScenarioBuilder {
@@ -44,7 +44,7 @@ fn describe() -> Deployment {
     d
 }
 
-fn balance(sim: &mut dyn DiscoveryEngine) {
+fn balance(sim: &mut ShardedSim) {
     let mut scenario = builder().scenario(sim);
     let hub = scenario.brokers[0];
     scenario.sim.run_for(Duration::from_secs(8));
@@ -97,10 +97,10 @@ fn balance(sim: &mut dyn DiscoveryEngine) {
 }
 
 fn main() {
-    balance(&mut describe().build(ShardedSim::with_clock_profile));
+    balance(&mut describe().build());
 }
 
 #[test]
 fn runs_to_completion() {
-    nb::discovery::on_every_engine(describe, balance);
+    nb::discovery::at_one_and_four_workers(describe, balance);
 }

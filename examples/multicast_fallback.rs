@@ -15,6 +15,7 @@ use std::time::Duration;
 use nb::broker::TopologyKind;
 use nb::discovery::scenario::ScenarioBuilder;
 use nb::net::wan::BLOOMINGTON;
+use nb::net::Fault;
 
 fn main() {
     // Five brokers: two in the Bloomington lab realm (multicast-reachable),
@@ -37,7 +38,7 @@ fn main() {
 
     // Kill the BDN and discover again.
     let bdn = scenario.bdn.expect("scenario has a BDN");
-    scenario.sim.crash(bdn);
+    scenario.sim.apply_fault(Fault::Crash { node: bdn });
     println!("crashing the BDN ({bdn}) …");
 
     let fallback = scenario.run_discovery_once();

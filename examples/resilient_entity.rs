@@ -14,7 +14,7 @@ use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{
     Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, Network, ResponsePolicy,
 };
-use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, ShardedSim};
+use nb::net::{ClockProfile, Fault, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BDN: NodeId = NodeId(0);
@@ -55,16 +55,16 @@ fn describe() -> Deployment {
     d
 }
 
-fn entity(sim: &dyn DiscoveryEngine, node: NodeId) -> &Entity {
+fn entity(sim: &ShardedSim, node: NodeId) -> &Entity {
     sim.actor::<Entity>(node).unwrap()
 }
 
-fn publish(sim: &mut dyn DiscoveryEngine, topic: &str, payload: &[u8]) {
+fn publish(sim: &mut ShardedSim, topic: &str, payload: &[u8]) {
     let publisher = sim.actor_mut::<Entity>(PUBLISHER).unwrap();
     publisher.queue_publish(Topic::parse(topic).unwrap(), payload.to_vec());
 }
 
-fn life_cycle(sim: &mut dyn DiscoveryEngine) {
+fn life_cycle(sim: &mut ShardedSim) {
     sim.run_for(Duration::from_secs(4));
     let sub_broker = entity(sim, SUBSCRIBER).broker().expect("attached");
     println!("subscriber attached to {} ({})", sub_broker, sim.node_name(sub_broker));
@@ -75,7 +75,7 @@ fn life_cycle(sim: &mut dyn DiscoveryEngine) {
     println!("subscriber received {} event(s) before the failure", entity(sim, SUBSCRIBER).received.len());
 
     println!("\ncrashing {} …", sim.node_name(sub_broker));
-    sim.crash(sub_broker);
+    sim.apply_fault(Fault::Crash { node: sub_broker });
     sim.run_for(Duration::from_secs(30));
 
     let sub = entity(sim, SUBSCRIBER);
@@ -99,10 +99,10 @@ fn life_cycle(sim: &mut dyn DiscoveryEngine) {
 }
 
 fn main() {
-    life_cycle(&mut describe().build(ShardedSim::with_clock_profile));
+    life_cycle(&mut describe().build());
 }
 
 #[test]
 fn runs_to_completion() {
-    nb::discovery::on_every_engine(describe, life_cycle);
+    nb::discovery::at_one_and_four_workers(describe, life_cycle);
 }

@@ -39,7 +39,7 @@ use nb::discovery::client::TIMER_START;
 use nb::discovery::{
     Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, Network, ResponsePolicy,
 };
-use nb::net::{ClockProfile, Incoming, LinkSpec, Sim};
+use nb::net::{ClockProfile, Incoming, LinkSpec};
 use nb::util::Config;
 use nb::wire::{NodeId, RealmId};
 
@@ -222,7 +222,7 @@ fn main() {
         };
         println!("  + {:<12} {:?} as {me}", decl.name, decl.role);
     }
-    let mut sim = deployment.build(Sim::with_clock_profile);
+    let mut sim = deployment.build();
 
     // Queue each client's discovery at its configured delay, then run.
     clients.sort_by_key(|(_, _, after)| *after);
@@ -235,15 +235,15 @@ fn main() {
     println!("\n=== cluster summary ===");
     let name_of = |id: NodeId| decls.get(id.0 as usize).map(|d| d.name.as_str());
     for (i, NodeDecl { name, .. }) in decls.iter().enumerate() {
-        let any = sim.actor_dyn(NodeId(i as u32)).expect("every declared node is up").as_any();
-        if let Some(b) = any.downcast_ref::<Bdn>() {
+        let id = NodeId(i as u32);
+        if let Some(b) = sim.actor::<Bdn>(id) {
             println!(
                 "  {name:<12} bdn     registry={} requests={} dupes={}",
                 b.registry_len(),
                 b.requests_handled,
                 b.duplicate_requests
             );
-        } else if let Some(b) = any.downcast_ref::<DiscoveryBrokerActor>() {
+        } else if let Some(b) = sim.actor::<DiscoveryBrokerActor>(id) {
             println!(
                 "  {name:<12} broker  links={} clients={} responses={} events={}",
                 b.broker.num_links(),
@@ -251,7 +251,7 @@ fn main() {
                 b.responder.responses_sent,
                 b.broker.events_routed
             );
-        } else if let Some(c) = any.downcast_ref::<DiscoveryClient>() {
+        } else if let Some(c) = sim.actor::<DiscoveryClient>(id) {
             for (i, o) in c.completed.iter().enumerate() {
                 let chosen = o.chosen.and_then(name_of).unwrap_or("-");
                 println!(

@@ -1,4 +1,4 @@
-//! The v1 codec on every hop. `Sim` hands a receiver the sender's
+//! The v1 codec on every hop. The engine hands a receiver the sender's
 //! `WireMsg` by refcount, so a frame whose bytes do not decode back to
 //! the message that was sent would go unnoticed. Here every node is
 //! wrapped in an actor that takes each arriving message's frame,
@@ -13,10 +13,10 @@ use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::client::TIMER_START;
 use nb::discovery::{
-    on_every_engine, Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome, Entity,
+    at_one_and_four_workers, Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, DiscoveryOutcome, Entity,
     Network, ResponsePolicy,
 };
-use nb::net::{Actor, ClockProfile, Context, DiscoveryEngine, Incoming, LinkSpec};
+use nb::net::{Actor, ClockProfile, Context, Fault, Incoming, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter, WireMsg};
 
 /// Delivers to the inner actor what `frame → bytes → from_frame` yields.
@@ -93,7 +93,8 @@ fn discovery_broker(name: &str, bdn: NodeId, neighbors: Vec<NodeId>) -> Box<dyn 
 
 /// A BDN, a three-broker star and a client, every node recoded; runs
 /// one discovery (with the BDN crashed first if `bdn_down`), `check`s
-/// its outcome and returns it with the engine's event count, by engine.
+/// its outcome and returns it with the engine's event count, at 1 and
+/// at 4 workers.
 fn star_discovery(seed: u64, bdn_down: bool, check: impl Fn(&DiscoveryOutcome)) -> Vec<(DiscoveryOutcome, u64)> {
     let (bdn, hub, client) = (NodeId(0), NodeId(1), NodeId(4));
     let describe = || {
@@ -115,11 +116,11 @@ fn star_discovery(seed: u64, bdn_down: bool, check: impl Fn(&DiscoveryOutcome)) 
         add(&mut d, "client", move || Box::new(DiscoveryClient::with_auto_start(cfg.clone(), false)));
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         // Clocks sync within ~100 ms; brokers advertise on start and on sync.
         sim.run_for(Duration::from_millis(400));
         if bdn_down {
-            sim.crash(bdn);
+            sim.apply_fault(Fault::Crash { node: bdn });
         }
         sim.inject(client, Duration::from_millis(1), Incoming::Timer { token: TIMER_START });
         sim.run_for(Duration::from_secs(4));
@@ -173,9 +174,9 @@ fn publish_crosses_two_hops_on_decoded_bytes() {
         d
     };
     let run = || {
-        on_every_engine(describe, |sim| {
+        at_one_and_four_workers(describe, |sim| {
             sim.run_for(Duration::from_secs(3));
-            let routed = |sim: &dyn DiscoveryEngine| {
+            let routed = |sim: &ShardedSim| {
                 sim.actor::<DiscoveryBrokerActor>(brokers[1]).expect("middle").broker.events_routed
             };
             let before = routed(sim);

@@ -9,22 +9,22 @@ use nb::discovery::bdn::Bdn;
 use nb::discovery::client::TIMER_START;
 use nb::discovery::scenario::{Scenario, ScenarioBuilder};
 use nb::discovery::{
-    on_every_engine, BdnConfig, Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, Network,
+    at_one_and_four_workers, BdnConfig, Deployment, DiscoveryBrokerActor, DiscoveryClient, DiscoveryConfig, Network,
     ResponsePolicy,
 };
 use nb::net::wan::{BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
-use nb::net::{ClockProfile, DiscoveryEngine, FaultPlan, Incoming, LinkSpec};
+use nb::net::{ClockProfile, Fault, FaultPlan, Incoming, LinkSpec, ShardedSim};
 use nb::util::Uuid;
 use nb::wire::addr::well_known;
 use nb::wire::topic::BDN_ADVERTISEMENT;
 use nb::wire::{Bytes, Endpoint, Event, Message, NodeId, RealmId};
 
-/// Runs `body` on the testbed `b` describes, on every engine.
-fn on_every_engine_with<T>(
+/// Runs `body` on the testbed `b` describes, at 1 and at 4 workers.
+fn at_one_and_four_workers_with<T>(
     b: &ScenarioBuilder,
-    mut body: impl FnMut(Scenario<&mut dyn DiscoveryEngine>) -> T,
+    mut body: impl FnMut(Scenario<&mut ShardedSim>) -> T,
 ) -> Vec<T> {
-    on_every_engine(|| b.describe(), |sim| body(b.clone().scenario(sim)))
+    at_one_and_four_workers(|| b.describe(), |sim| body(b.clone().scenario(sim)))
 }
 
 #[test]
@@ -36,7 +36,7 @@ fn every_client_site_finds_a_nearby_broker() {
     for (seed, client_site) in
         [(1u64, BLOOMINGTON), (2, FSU), (3, CARDIFF), (4, UMN), (5, NCSA)]
     {
-        on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Star, client_site, seed), |mut s| {
+        at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Star, client_site, seed), |mut s| {
             let outcome = s.run_discovery_once();
             let chosen_site = s.site_of_broker(outcome.chosen.expect("success")).unwrap();
             // Rank broker sites by distance from the client.
@@ -55,8 +55,8 @@ fn every_client_site_finds_a_nearby_broker() {
 
 #[test]
 fn star_flood_reaches_every_spoke_exactly_once() {
-    on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 10), |mut s| {
-        let routed = |s: &Scenario<&mut dyn DiscoveryEngine>, b| {
+    at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 10), |mut s| {
+        let routed = |s: &Scenario<&mut ShardedSim>, b| {
             s.sim.actor::<DiscoveryBrokerActor>(b).unwrap().broker.events_routed
         };
         let before: Vec<u64> = s.brokers.iter().map(|&b| routed(&s, b)).collect();
@@ -75,7 +75,7 @@ fn star_flood_reaches_every_spoke_exactly_once() {
 
 #[test]
 fn linear_chain_propagates_to_the_far_end() {
-    on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Linear, BLOOMINGTON, 11), |mut s| {
+    at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Linear, BLOOMINGTON, 11), |mut s| {
         let outcome = s.run_discovery_once();
         // The last broker in the chain (Cardiff) is 4 hops from the
         // injection point; it must still have been reached.
@@ -90,7 +90,7 @@ fn linear_chain_propagates_to_the_far_end() {
 fn repeated_runs_are_deduplicated_not_reanswered() {
     // Each run uses a fresh UUID, so brokers answer each run once; the
     // dedup cache only suppresses *within* a run (multi-point injection).
-    on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 12), |mut s| {
+    at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 12), |mut s| {
         let runs = s.run_discovery(3);
         assert!(runs.iter().all(|o| o.chosen.is_some()));
         for &broker in &s.brokers {
@@ -108,7 +108,7 @@ fn lossy_bdn_path_is_survived_by_retransmission() {
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 13);
     builder.discovery.retransmits_per_bdn = 10;
     builder.discovery.ack_timeout = Duration::from_millis(300);
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let (bdn, client) = (s.bdn.unwrap(), s.client);
         // Half of all datagrams between client and BDN vanish.
         let mut spec = s.sim.network().spec_between(client, bdn).unwrap();
@@ -136,7 +136,7 @@ fn a_request_retransmitted_to_the_same_bdn_floods_once() {
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 13);
     builder.discovery.retransmits_per_bdn = 10;
     builder.discovery.ack_timeout = Duration::from_millis(25);
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let (bdn, client) = (s.bdn.unwrap(), s.client);
         let acks_lost =
             FaultPlan::new().one_way_flap_at(Duration::ZERO, bdn, client, Duration::from_secs(2));
@@ -151,7 +151,7 @@ fn a_request_retransmitted_to_the_same_bdn_floods_once() {
 
 #[test]
 fn bdn_registry_learns_all_advertisers_and_measures_rtt() {
-    on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 14), |s| {
+    at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 14), |s| {
         // Warmup already ran; give the BDN another ping round.
         s.sim.run_for(Duration::from_secs(10));
         let bdn_actor = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
@@ -166,7 +166,7 @@ fn bdn_registry_learns_all_advertisers_and_measures_rtt() {
 
 #[test]
 fn outcome_reports_consistent_target_set_and_rtts() {
-    on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Star, FSU, 15), |mut s| {
+    at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Star, FSU, 15), |mut s| {
         let outcome = s.run_discovery_once();
         let chosen = outcome.chosen.unwrap();
         assert!(
@@ -187,7 +187,7 @@ fn outcome_reports_consistent_target_set_and_rtts() {
 #[test]
 fn deterministic_reproduction_under_a_seed() {
     let run = |seed| {
-        on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Linear, BLOOMINGTON, seed), |mut s| {
+        at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Linear, BLOOMINGTON, seed), |mut s| {
             let o = s.run_discovery_once();
             (o.chosen, o.phases.total(), o.responses_received)
         })
@@ -239,7 +239,7 @@ fn refused_connection_walks_down_the_target_set() {
         });
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(30));
         let outcome = sim.actor::<DiscoveryClient>(client).unwrap().outcome().cloned();
         let outcome = outcome.expect("the client finished a discovery");
@@ -294,12 +294,12 @@ fn one_request_floods_once_however_many_brokers_it_is_injected_at() {
         });
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         // Warm up: links up, every broker registered with the BDN. The
         // brokers' next topic advertisement is due at 120 s, after the
         // window below.
         sim.run_for(Duration::from_secs(10));
-        let counts = |sim: &dyn DiscoveryEngine| -> Vec<(u64, u64)> {
+        let counts = |sim: &ShardedSim| -> Vec<(u64, u64)> {
             brokers
                 .iter()
                 .map(|&b| {
@@ -366,7 +366,7 @@ fn ring_brokers() -> Vec<NodeId> {
 }
 
 /// Each broker's answers so far, b0 first.
-fn ring_answers(sim: &dyn DiscoveryEngine) -> Vec<u64> {
+fn ring_answers(sim: &ShardedSim) -> Vec<u64> {
     let answered = |b| sim.actor::<DiscoveryBrokerActor>(b).unwrap().responder.responses_sent;
     ring_brokers().into_iter().map(answered).collect()
 }
@@ -381,16 +381,16 @@ fn a_pruned_request_flood_answers_once_everywhere_and_leaves_advertisements_alon
     // the second's name the parents and prune the b3–b4 link.
     let brokers = ring_brokers();
     let discovery = DiscoveryConfig { max_responses: 6, ..DiscoveryConfig::default() };
-    on_every_engine(pruned_ring(discovery), |sim| {
+    at_one_and_four_workers(pruned_ring(discovery), |sim| {
         sim.run_for(Duration::from_secs(10));
         // (duplicates dropped, Prunes sent, Prunes received, events routed)
         // summed over the brokers.
-        let totals = |sim: &dyn DiscoveryEngine| -> [u64; 4] {
+        let totals = |sim: &ShardedSim| -> [u64; 4] {
             let of = |b: &Broker| [b.duplicates_suppressed, b.prunes_sent, b.prunes_received, b.events_routed];
             let each = brokers.iter().map(|&b| of(&sim.actor::<DiscoveryBrokerActor>(b).unwrap().broker));
             each.fold([0; 4], |acc, x| std::array::from_fn(|i| acc[i] + x[i]))
         };
-        let request = |sim: &mut dyn DiscoveryEngine| -> [u64; 4] {
+        let request = |sim: &mut ShardedSim| -> [u64; 4] {
             let before = totals(sim);
             sim.inject(RING_CLIENT, Duration::ZERO, Incoming::Timer { token: TIMER_START });
             sim.run_for(Duration::from_millis(1200));
@@ -451,10 +451,10 @@ fn a_pruned_request_flood_answers_once_across_a_crash() {
         ..DiscoveryConfig::default()
     };
     for (victim, missed) in [(3, vec![]), (5, vec![4; 4])] {
-        on_every_engine(pruned_ring(discovery.clone()), |sim| {
+        at_one_and_four_workers(pruned_ring(discovery.clone()), |sim| {
             sim.run_for(Duration::from_secs(10));
             // Issues one request and returns each broker's answers to it.
-            let request = |sim: &mut dyn DiscoveryEngine| -> Vec<u64> {
+            let request = |sim: &mut ShardedSim| -> Vec<u64> {
                 let before = ring_answers(sim);
                 sim.inject(RING_CLIENT, Duration::ZERO, Incoming::Timer { token: TIMER_START });
                 sim.run_for(Duration::from_millis(1500));
@@ -467,7 +467,7 @@ fn a_pruned_request_flood_answers_once_across_a_crash() {
                 .map(|&b| sim.actor::<DiscoveryBrokerActor>(b).unwrap().broker.prunes_received)
                 .sum();
             assert_eq!(prunes, 2, "b3–b4 is pruned both ways before the crash");
-            sim.crash(brokers[victim]);
+            sim.apply_fault(Fault::Crash { node: brokers[victim] });
             let crashed_at = sim.now();
             let mut misses = Vec::new();
             for k in 0..10 {

@@ -10,10 +10,10 @@ use std::time::Duration;
 use nb::broker::{BrokerConfig, MachineProfile};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{
-    on_every_engine, Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, Network,
+    at_one_and_four_workers, Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, EntityState, Network,
     ResponsePolicy,
 };
-use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec};
+use nb::net::{ClockProfile, Fault, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BDN: NodeId = NodeId(0);
@@ -63,22 +63,22 @@ fn pub_sub(seed: u64, filter: &str) -> impl Fn() -> Deployment {
     move || world(seed, 2, &entities)
 }
 
-fn entity(sim: &dyn DiscoveryEngine, node: NodeId) -> &Entity {
+fn entity(sim: &ShardedSim, node: NodeId) -> &Entity {
     sim.actor::<Entity>(node).unwrap()
 }
 
-fn broker(sim: &dyn DiscoveryEngine, node: NodeId) -> &nb::broker::Broker {
+fn broker(sim: &ShardedSim, node: NodeId) -> &nb::broker::Broker {
     &sim.actor::<DiscoveryBrokerActor>(node).unwrap().broker
 }
 
-fn publish(sim: &mut dyn DiscoveryEngine, publisher: NodeId, topic: &str, payload: Vec<u8>) {
+fn publish(sim: &mut ShardedSim, publisher: NodeId, topic: &str, payload: Vec<u8>) {
     sim.actor_mut::<Entity>(publisher).unwrap().queue_publish(Topic::parse(topic).unwrap(), payload);
 }
 
 #[test]
 fn entity_discovers_attaches_and_exchanges_events() {
     let (subscriber, publisher) = (NodeId(3), NodeId(4));
-    on_every_engine(pub_sub(61, "telemetry/**"), |sim| {
+    at_one_and_four_workers(pub_sub(61, "telemetry/**"), |sim| {
         sim.run_for(Duration::from_secs(5));
         assert!(matches!(entity(sim, subscriber).state(), EntityState::Attached(_)));
         assert!(matches!(entity(sim, publisher).state(), EntityState::Attached(_)));
@@ -96,12 +96,12 @@ fn entity_discovers_attaches_and_exchanges_events() {
 #[test]
 fn entity_fails_over_when_its_broker_dies() {
     let (subscriber, publisher) = (NodeId(3), NodeId(4));
-    on_every_engine(pub_sub(62, "news/**"), |sim| {
+    at_one_and_four_workers(pub_sub(62, "news/**"), |sim| {
         sim.run_for(Duration::from_secs(5));
         let first_broker = entity(sim, subscriber).broker().expect("attached");
 
         // Kill the subscriber's broker; keepalives (2s × 3 misses) notice.
-        sim.crash(first_broker);
+        sim.apply_fault(Fault::Crash { node: first_broker });
         sim.run_for(Duration::from_secs(30));
         let sub = entity(sim, subscriber);
         assert!(sub.failovers >= 1, "keepalive loss must trigger failover");
@@ -126,10 +126,10 @@ fn stranded_entity_retries_and_recovers() {
     cfg.collection_window = Duration::from_millis(600);
     cfg.ping_window = Duration::from_millis(300);
     let (broker, entity_node) = (NodeId(1), NodeId(2));
-    on_every_engine(|| world(63, 1, &[("e", cfg.clone(), vec![])]), |sim| {
+    at_one_and_four_workers(|| world(63, 1, &[("e", cfg.clone(), vec![])]), |sim| {
         // Everything is down from the start.
-        sim.crash(broker);
-        sim.crash(BDN);
+        sim.apply_fault(Fault::Crash { node: broker });
+        sim.apply_fault(Fault::Crash { node: BDN });
         sim.run_for(Duration::from_secs(8));
         // At this point the entity is either stranded (between backoff
         // retries) or mid-retry — never attached.
@@ -141,8 +141,8 @@ fn stranded_entity_retries_and_recovers() {
         assert!(entity(sim, entity_node).discovery().runs_started >= 1);
 
         // The infrastructure returns; the backoff retry must find it.
-        sim.revive(broker);
-        sim.revive(BDN);
+        sim.apply_fault(Fault::Restart { node: broker, lose_state: false });
+        sim.apply_fault(Fault::Restart { node: BDN, lose_state: false });
         sim.run_for(Duration::from_secs(40));
         let e = entity(sim, entity_node);
         assert!(
@@ -175,7 +175,7 @@ fn homed(seed: u64) -> Deployment {
 #[test]
 fn an_entity_homed_on_a_broker_attaches_without_discovery_and_returns_to_it() {
     let (b0, b1, subscriber, publisher) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
-    on_every_engine(|| homed(64), |sim| {
+    at_one_and_four_workers(|| homed(64), |sim| {
         sim.run_for(Duration::from_secs(2));
         assert_eq!(entity(sim, subscriber).attachments, [b1], "attached to its broker, and no other");
         assert_eq!(entity(sim, publisher).attachments, [b0]);
@@ -185,11 +185,11 @@ fn an_entity_homed_on_a_broker_attaches_without_discovery_and_returns_to_it() {
         publish(sim, publisher, "news/a", vec![1]);
         sim.run_for(Duration::from_secs(1));
         // Down for 10 s, longer than three 2 s keepalive intervals.
-        sim.crash(b1);
+        sim.apply_fault(Fault::Crash { node: b1 });
         sim.run_for(Duration::from_secs(10));
         let sub = entity(sim, subscriber);
         assert_eq!((sub.failovers, sub.broker()), (1, None), "the keepalives noticed");
-        sim.revive(b1);
+        sim.apply_fault(Fault::Restart { node: b1, lose_state: false });
         sim.run_for(Duration::from_secs(60));
         assert_eq!(entity(sim, subscriber).attachments, [b1, b1], "re-attached to its broker, and no other");
         publish(sim, publisher, "news/b", vec![2]);
@@ -208,17 +208,17 @@ fn an_entity_homed_on_a_broker_attaches_without_discovery_and_returns_to_it() {
 #[test]
 fn a_revived_entity_reattaches_publishes_and_fails_over() {
     let (b0, subscriber, publisher) = (NodeId(0), NodeId(2), NodeId(3));
-    on_every_engine(|| homed(65), |sim| {
+    at_one_and_four_workers(|| homed(65), |sim| {
         sim.run_for(Duration::from_secs(2));
-        sim.crash(publisher);
+        sim.apply_fault(Fault::Crash { node: publisher });
         sim.run_for(Duration::from_secs(1));
-        sim.revive(publisher);
+        sim.apply_fault(Fault::Restart { node: publisher, lose_state: false });
         publish(sim, publisher, "news/a", vec![1]);
         sim.run_for(Duration::from_secs(5));
         let p = entity(sim, publisher);
         assert_eq!((p.published, p.broker()), (1, Some(b0)), "re-attached and published");
         assert_eq!(entity(sim, subscriber).received.len(), 1);
-        sim.crash(b0);
+        sim.apply_fault(Fault::Crash { node: b0 });
         sim.run_for(Duration::from_secs(10));
         assert_eq!(entity(sim, publisher).failovers, 1, "its keepalives noticed");
     });
@@ -232,14 +232,14 @@ fn a_revived_entity_reattaches_publishes_and_fails_over() {
 #[test]
 fn a_broker_revived_with_its_state_stops_forwarding_to_an_entity_that_left() {
     let (subscriber, publisher) = (NodeId(3), NodeId(4));
-    on_every_engine(pub_sub(66, "news/**"), |sim| {
+    at_one_and_four_workers(pub_sub(66, "news/**"), |sim| {
         sim.run_for(Duration::from_secs(5));
         let first = entity(sim, subscriber).broker().expect("attached");
-        sim.crash(first);
+        sim.apply_fault(Fault::Crash { node: first });
         sim.run_for(Duration::from_secs(30));
         let second = entity(sim, subscriber).broker().expect("re-attached");
         assert_ne!(second, first, "attached to the survivor");
-        sim.revive(first);
+        sim.apply_fault(Fault::Restart { node: first, lose_state: false });
         sim.run_for(Duration::from_secs(10));
         assert!(broker(sim, first).has_client(subscriber), "came back with the stale record");
         for (i, topic) in ["news/a", "news/b", "news/c"].into_iter().enumerate() {

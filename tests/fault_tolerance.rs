@@ -7,14 +7,14 @@ use std::time::Duration;
 use nb::broker::TopologyKind;
 use nb::discovery::bdn::Bdn;
 use nb::discovery::scenario::{Scenario, ScenarioBuilder};
-use nb::discovery::{on_every_engine, DiscoveryClient, Phase, ResponsePolicy};
+use nb::discovery::{at_one_and_four_workers, DiscoveryClient, Phase, ResponsePolicy};
 use nb::net::wan::BLOOMINGTON;
-use nb::net::{DiscoveryEngine, Incoming};
+use nb::net::{Fault, Incoming, ShardedSim};
 use nb::wire::{Credential, RealmId};
 
-/// Runs `body` on the testbed `b` describes, on every engine.
-fn on_every_engine_with(b: &ScenarioBuilder, mut body: impl FnMut(Scenario<&mut dyn DiscoveryEngine>)) {
-    on_every_engine(|| b.describe(), |sim| body(b.clone().scenario(sim)));
+/// Runs `body` on the testbed `b` describes, at 1 and at 4 workers.
+fn at_one_and_four_workers_with(b: &ScenarioBuilder, mut body: impl FnMut(Scenario<&mut ShardedSim>)) {
+    at_one_and_four_workers(|| b.describe(), |sim| body(b.clone().scenario(sim)));
 }
 
 fn fast_failover(builder: &mut ScenarioBuilder) {
@@ -37,8 +37,8 @@ fn dead_bdn_falls_back_to_multicast() {
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 21);
     builder.broker_sites = vec![BLOOMINGTON, BLOOMINGTON, 2, 3, 4];
     fast_failover(&mut builder);
-    on_every_engine_with(&builder, |mut s| {
-        s.sim.crash(s.bdn.unwrap());
+    at_one_and_four_workers_with(&builder, |mut s| {
+        s.sim.apply_fault(Fault::Crash { node: s.bdn.unwrap() });
         let outcome = s.run_discovery_once();
         assert!(outcome.used_multicast, "must have fallen back to multicast");
         let chosen = outcome.chosen.expect("a lab broker answers");
@@ -57,7 +57,7 @@ fn dead_bdn_and_no_multicast_uses_cached_targets() {
     // The client will not even try multicast; a healthy run uses the BDN
     // and never consults it.
     builder.discovery.multicast_enabled = false;
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         // First run (healthy): populates the cached target set.
         let first = s.run_discovery_once();
         assert!(first.chosen.is_some());
@@ -66,7 +66,7 @@ fn dead_bdn_and_no_multicast_uses_cached_targets() {
 
         // Now the BDN dies and the network model delivers no multicast
         // either, forcing the cached path.
-        s.sim.crash(s.bdn.unwrap());
+        s.sim.apply_fault(Fault::Crash { node: s.bdn.unwrap() });
         s.sim.network_mut().multicast_enabled = false;
         let client = s.sim.actor::<DiscoveryClient>(s.client).unwrap();
         assert_eq!(client.last_target_set, first.target_set, "target set remembered");
@@ -83,10 +83,10 @@ fn dead_bdn_and_no_multicast_uses_cached_targets() {
 
 #[test]
 fn chosen_broker_crash_then_rediscovery_picks_another() {
-    on_every_engine_with(&ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 23), |mut s| {
+    at_one_and_four_workers_with(&ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 23), |mut s| {
         let first = s.run_discovery_once();
         let victim = first.chosen.unwrap();
-        s.sim.crash(victim);
+        s.sim.apply_fault(Fault::Crash { node: victim });
         // Give the overlay time to notice the dead hub/spoke via heartbeats.
         s.sim.run_for(Duration::from_secs(15));
         let second = s.run_discovery_once();
@@ -99,9 +99,9 @@ fn chosen_broker_crash_then_rediscovery_picks_another() {
 fn no_brokers_at_all_fails_cleanly() {
     let mut builder = quick_to_fail(24);
     builder.kind = TopologyKind::Unconnected;
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         for &b in &s.brokers {
-            s.sim.crash(b);
+            s.sim.apply_fault(Fault::Crash { node: b });
         }
         let outcome = s.run_discovery_once();
         assert!(outcome.chosen.is_none(), "no broker can be discovered");
@@ -118,7 +118,7 @@ fn realm_policy_restricts_responses() {
     // realms". The client's realm is not on the list, so nothing answers.
     let mut builder = quick_to_fail(25);
     builder.policy = ResponsePolicy::realms(vec![RealmId(999)]);
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         assert_eq!(outcome.responses_received, 0);
         assert!(outcome.chosen.is_none());
@@ -131,7 +131,7 @@ fn credential_policy_admits_the_right_principal() {
     builder.policy = ResponsePolicy::principals(vec!["alice".into()]);
     builder.discovery.credentials =
         Some(Box::new(Credential { principal: "alice".into(), token: b"tok".to_vec() }));
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         assert!(outcome.chosen.is_some(), "credentialed client is served");
         assert_eq!(outcome.responses_received, 5);
@@ -144,7 +144,7 @@ fn credential_policy_rejects_the_wrong_principal() {
     builder.policy = ResponsePolicy::principals(vec!["alice".into()]);
     builder.discovery.credentials =
         Some(Box::new(Credential { principal: "mallory".into(), token: b"tok".to_vec() }));
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         assert_eq!(outcome.responses_received, 0, "mallory gets no responses");
         assert!(outcome.chosen.is_none());
@@ -156,18 +156,18 @@ fn client_can_be_rerun_many_times_across_faults() {
     // A long life of one client: healthy runs, a BDN blip, recovery.
     let mut builder = ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 28);
     fast_failover(&mut builder);
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let healthy = s.run_discovery(2);
         assert!(healthy.iter().all(|o| o.chosen.is_some()));
 
         let bdn = s.bdn.unwrap();
-        s.sim.crash(bdn);
+        s.sim.apply_fault(Fault::Crash { node: bdn });
         let degraded = s.run_discovery_once();
         // Remote-only brokers: multicast finds nobody; cached targets save us.
         assert!(degraded.used_cached_targets || degraded.used_multicast);
         assert!(degraded.chosen.is_some());
 
-        s.sim.revive(bdn);
+        s.sim.apply_fault(Fault::Restart { node: bdn, lose_state: false });
         s.sim.run_for(Duration::from_secs(130)); // brokers re-advertise (120s period)
         let recovered = s.run_discovery_once();
         assert!(recovered.chosen.is_some());
@@ -191,7 +191,7 @@ fn private_bdn_refuses_to_disseminate_without_credentials() {
     // so the run ends with zero responses.
     let mut builder = quick_to_fail(29);
     builder.bdn.policy = ResponsePolicy::principals(vec!["alice".into()]);
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         let bdn = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
         assert!(bdn.rejected_requests >= 1, "dissemination refused");
@@ -205,7 +205,7 @@ fn private_bdn_refuses_to_disseminate_without_credentials() {
     builder.bdn.policy = ResponsePolicy::principals(vec!["alice".into()]);
     builder.discovery.credentials =
         Some(Box::new(Credential { principal: "alice".into(), token: vec![] }));
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let outcome = s.run_discovery_once();
         assert!(outcome.chosen.is_some());
         let bdn = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
@@ -220,9 +220,9 @@ fn bdn_registry_expires_dead_brokers() {
     // ghost.
     let mut builder = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 31);
     builder.bdn.ad_ttl = Duration::from_secs(150); // one missed 120s re-ad
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let victim = s.brokers[4]; // Cardiff
-        s.sim.crash(victim);
+        s.sim.apply_fault(Fault::Crash { node: victim });
         // Over ~3 re-advertisement periods the survivors refresh while the
         // victim's entry ages out.
         s.sim.run_for(Duration::from_secs(400));
@@ -245,9 +245,9 @@ fn bdn_skips_stale_lease_targets_between_pings() {
     let mut builder = ScenarioBuilder::new(TopologyKind::Unconnected, BLOOMINGTON, 35);
     builder.bdn.ad_ttl = Duration::from_secs(150); // one missed 120s re-ad
     builder.bdn.ping_interval = Duration::from_secs(100_000); // pruning never runs
-    on_every_engine_with(&builder, |mut s| {
+    at_one_and_four_workers_with(&builder, |mut s| {
         let victim = s.brokers[4]; // Cardiff
-        s.sim.crash(victim);
+        s.sim.apply_fault(Fault::Crash { node: victim });
         s.sim.run_for(Duration::from_secs(200)); // the victim's lease lapses
         {
             let bdn = s.sim.actor::<Bdn>(s.bdn.unwrap()).unwrap();
@@ -304,8 +304,8 @@ fn client_fails_over_to_the_second_bdn() {
         });
         d
     };
-    on_every_engine(describe, |sim| {
-        sim.crash(bdn_org);
+    at_one_and_four_workers(describe, |sim| {
+        sim.apply_fault(Fault::Crash { node: bdn_org });
         sim.run_for(Duration::from_secs(10));
         let c = sim.actor::<DiscoveryClient>(client).unwrap();
         let outcome = c.outcome().expect("completed");

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use nb::broker::{Broker, BrokerConfig, Topology, TopologyKind};
 use nb::discovery::bdn::{Bdn, BdnConfig};
-use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Entity, Network, ResponsePolicy};
-use nb::net::{impl_actor_any, Actor, ClockProfile, Context, DiscoveryEngine, Incoming, LinkSpec};
+use nb::discovery::{at_one_and_four_workers, Deployment, DiscoveryBrokerActor, Entity, Network, ResponsePolicy};
+use nb::net::{impl_actor_any, Actor, ClockProfile, Context, Fault, Incoming, LinkSpec, ShardedSim};
 use nb::util::Uuid;
 use nb::wire::addr::well_known;
 use nb::wire::topic::DISCOVERY_REQUEST_TOPIC;
@@ -49,24 +49,24 @@ fn overlay_with_clients(seed: u64, topo: &Topology, clients: &[(usize, &[&str])]
 }
 
 /// The broker of the discovery broker `node`.
-fn broker_of(sim: &dyn DiscoveryEngine, node: NodeId) -> &Broker {
+fn broker_of(sim: &ShardedSim, node: NodeId) -> &Broker {
     &sim.actor::<DiscoveryBrokerActor>(node).unwrap().broker
 }
 
-fn client_at(sim: &dyn DiscoveryEngine, node: NodeId) -> &Entity {
+fn client_at(sim: &ShardedSim, node: NodeId) -> &Entity {
     sim.actor::<Entity>(node).unwrap()
 }
 
 /// Every event that reached the client `node`, a repeat included: an
 /// `Entity` keeps a repeated id out of `received`, so a broker that
 /// delivers an event twice still shows here.
-fn arrivals(sim: &dyn DiscoveryEngine, node: NodeId) -> usize {
+fn arrivals(sim: &ShardedSim, node: NodeId) -> usize {
     let client = client_at(sim, node);
     client.received.len() + client.duplicates_dropped as usize
 }
 
 /// Delivers `msg` to `to`'s broker port as if `from` had sent it.
-fn say(sim: &mut dyn DiscoveryEngine, from: NodeId, to: NodeId, msg: Message) {
+fn say(sim: &mut ShardedSim, from: NodeId, to: NodeId, msg: Message) {
     let from = Endpoint::new(from, well_known::BROKER);
     sim.inject(to, Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() });
     sim.run_for(Duration::from_millis(100));
@@ -76,7 +76,7 @@ fn say(sim: &mut dyn DiscoveryEngine, from: NodeId, to: NodeId, msg: Message) {
 fn links_establish_both_ways() {
     let topo = Topology::build(TopologyKind::Linear, 2);
     let (a, b) = (NodeId(0), NodeId(1));
-    on_every_engine(|| overlay_with_clients(1234, &topo, &[]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &[]), |sim| {
         sim.run_for(Duration::from_secs(1));
         assert!(broker_of(sim, a).is_linked(b));
         assert!(broker_of(sim, b).is_linked(a));
@@ -88,10 +88,10 @@ fn links_establish_both_ways() {
 fn heartbeats_detect_dead_peer() {
     let topo = Topology::build(TopologyKind::Linear, 2);
     let (a, b) = (NodeId(0), NodeId(1));
-    on_every_engine(|| overlay_with_clients(1234, &topo, &[]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &[]), |sim| {
         sim.run_for(Duration::from_secs(1));
         assert!(broker_of(sim, a).is_linked(b));
-        sim.crash(b);
+        sim.apply_fault(Fault::Crash { node: b });
         sim.run_for(Duration::from_secs(30));
         assert!(!broker_of(sim, a).is_linked(b));
         assert_eq!(broker_of(sim, a).num_links(), 0);
@@ -101,7 +101,7 @@ fn heartbeats_detect_dead_peer() {
 /// Has the client `publisher` publish a discovery request on the
 /// well-known topic, and every broker of `brokers` must answer it once:
 /// the flood surfaced it at each of them exactly once.
-fn a_flooded_request_is_answered_once_by_each_of(sim: &mut dyn DiscoveryEngine, publisher: NodeId, brokers: &[NodeId]) {
+fn a_flooded_request_is_answered_once_by_each_of(sim: &mut ShardedSim, publisher: NodeId, brokers: &[NodeId]) {
     let request = DiscoveryRequest {
         request_id: Uuid::from_u128(1),
         requester: publisher,
@@ -112,7 +112,7 @@ fn a_flooded_request_is_answered_once_by_each_of(sim: &mut dyn DiscoveryEngine, 
         credentials: None,
         issued_at_utc: 0,
     };
-    let routed = |sim: &dyn DiscoveryEngine, b| broker_of(sim, b).events_routed;
+    let routed = |sim: &ShardedSim, b| broker_of(sim, b).events_routed;
     let before: Vec<u64> = brokers.iter().map(|&b| routed(sim, b)).collect();
     publish(sim, publisher, DISCOVERY_REQUEST_TOPIC, Message::Discovery(request).to_bytes().to_vec());
     sim.run_for(Duration::from_secs(2));
@@ -127,7 +127,7 @@ fn a_flooded_request_is_answered_once_by_each_of(sim: &mut dyn DiscoveryEngine, 
 fn flood_topic_reaches_every_broker_in_a_chain_once() {
     // chain b0 - b1 - b2 - b3, the requester on b0
     let topo = Topology::build(TopologyKind::Linear, 4);
-    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &[])]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &[(0, &[])]), |sim| {
         sim.run_for(Duration::from_secs(2));
         a_flooded_request_is_answered_once_by_each_of(sim, NodeId(4), &[0, 1, 2, 3].map(NodeId));
     });
@@ -138,7 +138,7 @@ fn duplicate_events_suppressed_in_a_cycle() {
     // triangle b0 - b1 - b2 - b0, the requester on b0
     let topo = Topology::build(TopologyKind::Ring, 3);
     let brokers = [0, 1, 2].map(NodeId);
-    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &[])]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &[(0, &[])]), |sim| {
         sim.run_for(Duration::from_secs(2));
         a_flooded_request_is_answered_once_by_each_of(sim, NodeId(3), &brokers);
         let dupes: u64 = brokers.iter().map(|&b| broker_of(sim, b).duplicates_suppressed).sum();
@@ -150,7 +150,7 @@ fn duplicate_events_suppressed_in_a_cycle() {
 fn subscription_routing_across_two_brokers() {
     let topo = Topology::build(TopologyKind::Linear, 2);
     let (subscriber, publisher) = (NodeId(2), NodeId(3));
-    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &["sports/*"]), (1, &[])]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &[(0, &["sports/*"]), (1, &[])]), |sim| {
         sim.run_for(Duration::from_secs(2));
         publish(sim, publisher, "sports/nba", b"42".to_vec());
         publish(sim, publisher, "news/world", b"x".to_vec());
@@ -172,7 +172,7 @@ fn client_connect_limit_enforced() {
         d
     };
     let (broker, c1) = (NodeId(0), NodeId(1));
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(1));
         let c2 = sim.add_node("c2", RealmId(0), Box::new(Entity::of_broker(broker, vec![])));
         sim.run_for(Duration::from_secs(1));
@@ -185,7 +185,7 @@ fn client_connect_limit_enforced() {
 #[test]
 fn metrics_reflect_connections_and_links() {
     let topo = Topology::build(TopologyKind::Linear, 2);
-    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &[]), (0, &[])]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &[(0, &[]), (0, &[])]), |sim| {
         sim.run_for(Duration::from_secs(2));
         let a = broker_of(sim, NodeId(0));
         assert_eq!(a.num_clients(), 2);
@@ -198,7 +198,7 @@ fn interest_filters_follow_growth_and_shrink() {
     let topo = Topology::build(TopologyKind::Linear, 2);
     let (a, b) = (NodeId(0), NodeId(1));
     let (f1, f2) = (TopicFilter::parse("sports/*").unwrap(), TopicFilter::parse("news/**").unwrap());
-    on_every_engine(|| overlay_with_clients(1234, &topo, &[(0, &["sports/*"]), (1, &["news/**"])]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &[(0, &["sports/*"]), (1, &["news/**"])]), |sim| {
         sim.run_for(Duration::from_secs(2));
         // Growth: both brokers hold local + link-learned interest.
         let mut both = vec![f1.clone(), f2.clone()];
@@ -208,7 +208,7 @@ fn interest_filters_follow_growth_and_shrink() {
         }
         // Shrink: kill b, let a's heartbeats reap the link and its
         // interest contribution.
-        sim.crash(b);
+        sim.apply_fault(Fault::Crash { node: b });
         sim.run_for(Duration::from_secs(30));
         assert_eq!(broker_of(sim, a).interest_filters(), vec![f1.clone()], "link-learned filter must be gone");
     });
@@ -226,13 +226,13 @@ fn restarted_peer_is_told_its_neighbours_interest_again() {
         add_client(&mut d, "sub".into(), a, vec![filter.clone()]);
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(2));
         assert_eq!(broker_of(sim, b).interest_filters(), vec![filter.clone()]);
         // `b` loses its state and is back, dialling `a` again, long
         // before `a` could miss a heartbeat: to `a` the link never went
         // away, and only the hello says that its peer knows nothing.
-        sim.restart(b, true);
+        sim.apply_fault(Fault::Restart { node: b, lose_state: true });
         sim.run_for(Duration::from_secs(20));
         assert!(broker_of(sim, a).is_linked(b) && broker_of(sim, b).is_linked(a));
         assert_eq!(broker_of(sim, b).interest_filters(), vec![filter.clone()], "a advertised again");
@@ -285,8 +285,8 @@ fn dialling_a_linked_peer_again_counts_its_interest_once() {
     };
     let (at_a, at_b) = (TopicFilter::parse("at/a").unwrap(), TopicFilter::parse("at/b").unwrap());
     let filters = vec![at_a.clone(), at_b.clone()];
-    let at_b_broker = |sim: &dyn DiscoveryEngine| sim.actor::<Redialler>(b).unwrap().inner.broker.interest_filters();
-    on_every_engine(describe, |sim| {
+    let at_b_broker = |sim: &ShardedSim| sim.actor::<Redialler>(b).unwrap().inner.broker.interest_filters();
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(2));
         assert_eq!(broker_of(sim, a).interest_filters(), filters);
 
@@ -311,15 +311,15 @@ fn a_dialler_revived_with_its_state_starts_its_links_over_on_both_sides() {
     let (a, b, sub_a, sub_b, publisher) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4));
     let (at_a, at_b) = (TopicFilter::parse("at/a").unwrap(), TopicFilter::parse("at/b").unwrap());
     let clients: [(usize, &[&str]); 3] = [(0, &["at/a"]), (1, &["at/b"]), (0, &[])];
-    on_every_engine(|| overlay_with_clients(1234, &topo, &clients), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(1234, &topo, &clients), |sim| {
         sim.run_for(Duration::from_secs(2));
         // `b` is down for two seconds — `a` misses no heartbeat deadline
         // — and is back with all it knew, its `on_start` run again: the
         // hello resets the link at `a`, so `b` must have reset it too, or
         // it would neither re-advertise nor take `a`'s filters as new.
-        sim.crash(b);
+        sim.apply_fault(Fault::Crash { node: b });
         sim.run_for(Duration::from_secs(2));
-        sim.restart(b, false);
+        sim.apply_fault(Fault::Restart { node: b, lose_state: false });
         sim.run_for(Duration::from_secs(2));
         assert!(broker_of(sim, a).is_linked(b) && broker_of(sim, b).is_linked(a));
         let filters = vec![at_a.clone(), at_b.clone()];
@@ -342,7 +342,7 @@ fn client_reconnects_after_lost_connect() {
     // The broker is unreachable for the client's first attempt; the
     // retry timer must eventually connect it.
     let (broker, client) = (NodeId(0), NodeId(1));
-    on_every_engine(|| overlay_with_clients(7, &Topology::build(TopologyKind::Linear, 1), &[(0, &[])]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(7, &Topology::build(TopologyKind::Linear, 1), &[(0, &[])]), |sim| {
         sim.network_mut().partition(broker, client);
         sim.run_for(Duration::from_secs(3));
         assert_eq!(client_at(sim, client).broker(), None);
@@ -355,7 +355,7 @@ fn client_reconnects_after_lost_connect() {
 #[test]
 fn self_publish_not_echoed_back() {
     let client = NodeId(1);
-    on_every_engine(|| overlay_with_clients(8, &Topology::build(TopologyKind::Linear, 1), &[(0, &["a/**"])]), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(8, &Topology::build(TopologyKind::Linear, 1), &[(0, &["a/**"])]), |sim| {
         sim.run_for(Duration::from_secs(1));
         publish(sim, client, "a/b", vec![1]);
         sim.run_for(Duration::from_secs(1));
@@ -368,7 +368,7 @@ fn self_publish_not_echoed_back() {
 fn two_subscribers_same_broker_both_receive() {
     let (s1, s2, p) = (NodeId(1), NodeId(2), NodeId(3));
     let clients: [(usize, &[&str]); 3] = [(0, &["t"]), (0, &["t"]), (0, &[])];
-    on_every_engine(|| overlay_with_clients(9, &Topology::build(TopologyKind::Linear, 1), &clients), |sim| {
+    at_one_and_four_workers(|| overlay_with_clients(9, &Topology::build(TopologyKind::Linear, 1), &clients), |sim| {
         sim.run_for(Duration::from_secs(1));
         publish(sim, p, "t", vec![9]);
         sim.run_for(Duration::from_secs(1));
@@ -383,7 +383,7 @@ fn add_client(d: &mut Deployment, name: String, broker: NodeId, filters: Vec<Top
     d.add(name, RealmId(0), false, move || Box::new(Entity::of_broker(broker, filters.clone())))
 }
 
-fn publish(sim: &mut dyn DiscoveryEngine, publisher: NodeId, topic: &str, payload: Vec<u8>) {
+fn publish(sim: &mut ShardedSim, publisher: NodeId, topic: &str, payload: Vec<u8>) {
     let client = sim.actor_mut::<Entity>(publisher).unwrap();
     client.queue_publish(Topic::parse(topic).unwrap(), payload);
 }
@@ -409,7 +409,7 @@ fn exactly_once_delivery_across_a_random_overlay() {
     };
     let brokers: Vec<NodeId> = (0..20).map(NodeId).collect();
     let (subs, publisher): (Vec<NodeId>, _) = ((20..40).map(NodeId).collect(), NodeId(40));
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         // Let links + subscription propagation settle across 20 brokers.
         sim.run_for(Duration::from_secs(5));
         for i in 0..10 {
@@ -441,7 +441,7 @@ fn unsubscriber(seed: u64, topo: &Topology) -> Deployment {
 /// On [`unsubscriber`]'s deployment of `n` brokers: an event arrives,
 /// the subscriber unsubscribes, a second event does not. Returns the
 /// publisher for what else a caller checks.
-fn unsubscribe_stops_delivery(sim: &mut dyn DiscoveryEngine, n: u32) -> NodeId {
+fn unsubscribe_stops_delivery(sim: &mut ShardedSim, n: u32) -> NodeId {
     let (last, sub, publisher) = (NodeId(n - 1), NodeId(n), NodeId(n + 1));
     sim.run_for(Duration::from_secs(3));
     publish(sim, publisher, "news/world", vec![1]);
@@ -466,7 +466,7 @@ fn unsubscribe_stops_delivery(sim: &mut dyn DiscoveryEngine, n: u32) -> NodeId {
 #[test]
 fn unsubscribe_stops_delivery_overlay_wide() {
     let topo = Topology::build(TopologyKind::Linear, 4);
-    on_every_engine(|| unsubscriber(32, &topo), |sim| unsubscribe_stops_delivery(sim, 4));
+    at_one_and_four_workers(|| unsubscriber(32, &topo), |sim| unsubscribe_stops_delivery(sim, 4));
 }
 
 /// On a cycle the per-neighbour split horizon reflects interest back:
@@ -478,14 +478,14 @@ fn unsubscribe_stops_delivery_overlay_wide() {
 #[ignore = "ROADMAP item 5: interest plane on cyclic overlays"]
 fn unsubscribe_stops_delivery_on_a_triangle_too() {
     let topo = Topology::build(TopologyKind::Ring, 3);
-    on_every_engine(|| unsubscriber(36, &topo), |sim| {
+    at_one_and_four_workers(|| unsubscriber(36, &topo), |sim| {
         let publisher = unsubscribe_stops_delivery(sim, 3);
         let brokers = [NodeId(0), NodeId(1), NodeId(2)];
         for b in brokers {
             let held = broker_of(sim, b).interest_filters();
             assert!(held.is_empty(), "{} still holds {held:?}", sim.node_name(b));
         }
-        let routed = |sim: &dyn DiscoveryEngine| -> u64 {
+        let routed = |sim: &ShardedSim| -> u64 {
             brokers.iter().map(|&b| broker_of(sim, b).events_routed).sum()
         };
         let before = routed(sim);
@@ -517,7 +517,7 @@ fn topic_based_advertisements_reach_a_bdn_attached_elsewhere() {
         d.add("bdn".into(), RealmId(0), false, move || Box::new(Bdn::new(cfg.clone())));
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         // Brokers re-advertise on ClockSynced (instant here) and every
         // 120 s; their start-up ads fired before the BDN subscribed, so
         // wait for the next periodic round.
@@ -555,7 +555,7 @@ fn geography_filtered_bdn_ignores_other_regions() {
         }
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(8));
         let bdn_actor = sim.actor::<Bdn>(bdn).unwrap();
         assert!(bdn_actor.registered(us).is_some(), "US broker accepted");
@@ -576,7 +576,7 @@ fn private_bdn_announcement_triggers_readvertisement() {
         d.add("broker".into(), RealmId(0), false, move || discovery_broker(cfg.clone(), bdns.clone()));
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(2));
         // The private BDN attaches to the broker and announces itself.
         let private_cfg = BdnConfig {
@@ -629,7 +629,7 @@ mod routing_convergence {
             let mut clients: Vec<(usize, &[&str])> = subscribed.iter().map(|&i| (i, &["t/**"][..])).collect();
             clients.push((publisher_pick.index(n), &[]));
             let publisher = NodeId((n + subscribed.len()) as u32);
-            on_every_engine(|| overlay_with_clients(sim_seed, &topo, &clients), |sim| {
+            at_one_and_four_workers(|| overlay_with_clients(sim_seed, &topo, &clients), |sim| {
                 // Links + interest propagation settle.
                 sim.run_for(Duration::from_secs(5));
                 for i in 0..3u8 {

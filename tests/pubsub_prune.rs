@@ -10,12 +10,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use nb::broker::{BrokerConfig, Topology, TopologyKind};
-use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Network, ResponsePolicy};
+use nb::discovery::{at_one_and_four_workers, Deployment, DiscoveryBrokerActor, Network, ResponsePolicy};
 use nb::net::runtime::IdleActor;
-use nb::net::{
-    impl_actor_any, Actor, ClockProfile, Context, DiscoveryEngine, Fault, FaultPlan, Incoming, LinkSpec,
-    SimTime,
-};
+use nb::net::{impl_actor_any, Actor, ClockProfile, Context, Fault, FaultPlan, Incoming, LinkSpec, ShardedSim, SimTime};
 use nb::util::Uuid;
 use nb::wire::addr::well_known;
 use nb::wire::{Endpoint, Event, Message, NodeId, RealmId, Topic, TopicFilter};
@@ -146,7 +143,7 @@ fn lan(seed: u64) -> Deployment {
     Deployment { seed, clock: ClockProfile::perfect(), nodes: Vec::new(), network }
 }
 
-/// Runs `body` on every engine, on the overlay `topo` with one
+/// Runs `body` at 1 and at 4 workers, on the overlay `topo` with one
 /// subscriber per broker and a station at each broker of `publishers`
 /// that starts publishing once the overlay has settled (see
 /// [`Net::start`]); hands it the stations' ids.
@@ -174,16 +171,16 @@ fn on_every_net<const P: usize>(
         d
     };
     let ids = |range: std::ops::Range<usize>| range.map(|i| NodeId(i as u32)).collect::<Vec<_>>();
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         let net = Net { sim, topo, brokers: ids(0..n), subs: ids(n..2 * n) };
         body(net, std::array::from_fn(|k| NodeId((2 * n + k) as u32)));
     });
 }
 
-/// A deployment on one engine: the overlay, one subscriber per broker,
+/// A deployment on the engine: the overlay, one subscriber per broker,
 /// publishers.
 struct Net<'a> {
-    sim: &'a mut dyn DiscoveryEngine,
+    sim: &'a mut ShardedSim,
     topo: &'a Topology,
     brokers: Vec<NodeId>,
     subs: Vec<NodeId>,
@@ -469,9 +466,9 @@ fn a_tree_broker_that_restarts_with_state_loss_is_routed_through_again() {
             let cfg = BrokerConfig { neighbors: neighbours, ..BrokerConfig::default() };
             let respawn = move || broker(cfg.clone()) as Box<dyn Actor>;
             net.sim.set_respawn(net.brokers[victim], Box::new(respawn));
-            net.sim.crash(net.brokers[victim]);
+            net.sim.apply_fault(Fault::Crash { node: net.brokers[victim] });
             net.run_to(20.8);
-            net.sim.restart(net.brokers[victim], true);
+            net.sim.apply_fault(Fault::Restart { node: net.brokers[victim], lose_state: true });
             let back = 20.8;
             net.run_to(back + 2.0 * LEASE.as_secs_f64());
             let ratio = duplicate_ratio(&mut net, 45.0);
@@ -492,7 +489,7 @@ fn a_tree_broker_that_restarts_with_state_loss_is_routed_through_again() {
 // (e) -----------------------------------------------------------------
 
 /// Delivers `msg` to broker `to` as if `from` had sent it.
-fn say(sim: &mut dyn DiscoveryEngine, from: NodeId, to: NodeId, msg: Message) {
+fn say(sim: &mut ShardedSim, from: NodeId, to: NodeId, msg: Message) {
     let from = Endpoint::new(from, well_known::BROKER);
     sim.inject(to, Duration::ZERO, Incoming::Stream { from, to_port: well_known::BROKER, msg: msg.into() });
     sim.run_for(Duration::from_millis(50));
@@ -515,7 +512,7 @@ impl Actor for Peer {
 }
 
 /// The `Publish`es the stand-in `peer` was sent.
-fn publishes(sim: &dyn DiscoveryEngine, peer: NodeId) -> usize {
+fn publishes(sim: &ShardedSim, peer: NodeId) -> usize {
     let got = &sim.actor::<Peer>(peer).unwrap().got;
     got.iter().filter(|m| matches!(m, Message::Publish(_))).count()
 }
@@ -537,7 +534,7 @@ fn broker_between_two_peers() -> (Deployment, [NodeId; 4]) {
 }
 
 /// `l` and `m` say hello to `x` and subscribe to `t/**`.
-fn link_the_peers(sim: &mut dyn DiscoveryEngine, [x, l, m, _]: [NodeId; 4]) {
+fn link_the_peers(sim: &mut ShardedSim, [x, l, m, _]: [NodeId; 4]) {
     for peer in [l, m] {
         say(sim, peer, x, Message::LinkHello { from: peer, realm: RealmId(0) });
         let filter = TopicFilter::parse("t/**").unwrap();
@@ -545,14 +542,14 @@ fn link_the_peers(sim: &mut dyn DiscoveryEngine, [x, l, m, _]: [NodeId; 4]) {
     }
 }
 
-fn broker_of(sim: &dyn DiscoveryEngine, x: NodeId) -> &nb::broker::Broker {
+fn broker_of(sim: &ShardedSim, x: NodeId) -> &nb::broker::Broker {
     &sim.actor::<DiscoveryBrokerActor>(x).unwrap().broker
 }
 
 #[test]
 fn a_prune_mutes_its_link_for_one_lease_and_no_longer() {
     let ids @ [x, l, m, client] = broker_between_two_peers().1;
-    on_every_engine(|| broker_between_two_peers().0, |sim| {
+    at_one_and_four_workers(|| broker_between_two_peers().0, |sim| {
         link_the_peers(sim, ids);
         say(sim, client, x, event(1, client));
         assert_eq!((publishes(sim, l), publishes(sim, m)), (1, 1), "no mute: every link");
@@ -567,7 +564,7 @@ fn a_prune_mutes_its_link_for_one_lease_and_no_longer() {
         assert_eq!((publishes(sim, l), publishes(sim, m)), (2, 3), "is none of that mute's business");
 
         // Keep both links alive past the lease; the mute is not renewed.
-        let lease_on = |sim: &mut dyn DiscoveryEngine| {
+        let lease_on = |sim: &mut ShardedSim| {
             for _ in 0..3 {
                 sim.run_for(Duration::from_secs(2));
                 for peer in [l, m] {
@@ -593,7 +590,7 @@ fn a_prune_mutes_its_link_for_one_lease_and_no_longer() {
 #[test]
 fn link_down_forgets_the_link_in_every_route() {
     let ids @ [x, l, m, client] = broker_between_two_peers().1;
-    on_every_engine(|| broker_between_two_peers().0, |sim| {
+    at_one_and_four_workers(|| broker_between_two_peers().0, |sim| {
         link_the_peers(sim, ids);
         say(sim, l, x, event(1, client));
         say(sim, m, x, event(1, client));
@@ -619,7 +616,7 @@ fn link_down_forgets_the_link_in_every_route() {
 fn a_client_cannot_publish_in_another_nodes_name() {
     let ids @ [x, l, m, client] = broker_between_two_peers().1;
     let other = NodeId(900);
-    on_every_engine(|| broker_between_two_peers().0, |sim| {
+    at_one_and_four_workers(|| broker_between_two_peers().0, |sim| {
         link_the_peers(sim, ids);
         say(sim, client, x, event(1, other));
         assert_eq!((publishes(sim, l), publishes(sim, m)), (0, 0), "a forged source goes nowhere");
@@ -638,7 +635,7 @@ fn a_client_cannot_publish_in_another_nodes_name() {
 fn a_mute_outlives_the_loss_of_a_lower_peer_and_not_its_own_link() {
     let ids @ [x, l, m, client] = broker_between_two_peers().1;
     assert!(l < m, "l's lease sorts first");
-    on_every_engine(|| broker_between_two_peers().0, |sim| {
+    at_one_and_four_workers(|| broker_between_two_peers().0, |sim| {
         link_the_peers(sim, ids);
         say(sim, client, x, event(1, client));
         for peer in [l, m] {
@@ -676,14 +673,14 @@ fn a_prune_in_flight_when_the_faster_feed_flips_never_mutes_both_feeds() {
         d
     };
     let source = NodeId(900);
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(1));
         for feed in [l, m] {
             say(sim, feed, x, Message::LinkHello { from: feed, realm: RealmId(0) });
         }
         let mut seq = 0u64;
         // The next event, a copy from each of `feeds` in that order.
-        let mut copies = |sim: &mut dyn DiscoveryEngine, feeds: &[NodeId]| {
+        let mut copies = |sim: &mut ShardedSim, feeds: &[NodeId]| {
             let mut payload = seq.to_le_bytes().to_vec();
             payload.extend_from_slice(&sim.now().as_nanos().to_le_bytes());
             let topic = Topic::parse("feed/x").unwrap();
@@ -693,7 +690,7 @@ fn a_prune_in_flight_when_the_faster_feed_flips_never_mutes_both_feeds() {
                 say(sim, feed, x, Message::Publish(ev.clone()));
             }
         };
-        let broker = |sim: &dyn DiscoveryEngine| {
+        let broker = |sim: &ShardedSim| {
             let b = broker_of(sim, x);
             (b.route_parent(source), b.prunes_sent, b.reparented)
         };
@@ -765,7 +762,7 @@ fn two_neighbours_that_each_beat_the_ingress_once_never_take_each_other_for_pare
         d
     };
     let source = NodeId(900);
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         sim.run_for(Duration::from_secs(1));
         for x in [a, b] {
             say(sim, i, x, Message::LinkHello { from: i, realm: RealmId(0) });
@@ -773,7 +770,7 @@ fn two_neighbours_that_each_beat_the_ingress_once_never_take_each_other_for_pare
         let mut seq = 0u64;
         // The next event: `i`'s copies to `first`, all at once, and 50 ms
         // later — the neighbour's copy has crossed by then — to `then`.
-        let mut publish = |sim: &mut dyn DiscoveryEngine, first: &[NodeId], then: &[NodeId]| {
+        let mut publish = |sim: &mut ShardedSim, first: &[NodeId], then: &[NodeId]| {
             let mut payload = seq.to_le_bytes().to_vec();
             payload.extend_from_slice(&sim.now().as_nanos().to_le_bytes());
             let topic = Topic::parse("feed/x").unwrap();
@@ -788,7 +785,7 @@ fn two_neighbours_that_each_beat_the_ingress_once_never_take_each_other_for_pare
                 sim.run_for(Duration::from_millis(50));
             }
         };
-        let state = |sim: &dyn DiscoveryEngine, x: NodeId| {
+        let state = |sim: &ShardedSim, x: NodeId| {
             let b = broker_of(sim, x);
             (b.route_parent(source), b.prunes_sent, b.reparented)
         };
@@ -939,9 +936,9 @@ fn two_bdns_flooding_one_request_leave_each_bdns_tree_whole() {
         d.add("requester".to_string(), RealmId(0), false, || Box::new(IdleActor));
         d
     };
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         let brokers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let ask = |sim: &mut dyn DiscoveryEngine, bdn: NodeId, id: u128, delay: Duration| {
+        let ask = |sim: &mut ShardedSim, bdn: NodeId, id: u128, delay: Duration| {
             let request = nb::wire::DiscoveryRequest {
                 request_id: Uuid::from_u128(id),
                 requester,
@@ -956,10 +953,10 @@ fn two_bdns_flooding_one_request_leave_each_bdns_tree_whole() {
             let msg = Message::Discovery(request).into();
             sim.inject(bdn, delay, Incoming::Datagram { from, to_port: well_known::BDN, msg });
         };
-        let answered = |sim: &dyn DiscoveryEngine| -> Vec<u64> {
+        let answered = |sim: &ShardedSim| -> Vec<u64> {
             brokers.iter().map(|&x| sim.actor::<DiscoveryBrokerActor>(x).unwrap().responder.responses_sent).collect()
         };
-        let prunes = |sim: &dyn DiscoveryEngine| -> u64 { brokers.iter().map(|&x| broker_of(sim, x).prunes_sent).sum() };
+        let prunes = |sim: &ShardedSim| -> u64 { brokers.iter().map(|&x| broker_of(sim, x).prunes_sent).sum() };
         sim.run_for(Duration::from_secs(4));
 
         // Each BDN floods its own requests until both trees have pruned.

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use nb::broker::BrokerConfig;
 use nb::discovery::bdn::{Bdn, BdnConfig};
-use nb::discovery::{on_every_engine, Deployment, DiscoveryConfig, Entity, JoiningBroker, Network, ResponsePolicy};
-use nb::net::{Actor, ClockProfile, LinkSpec};
+use nb::discovery::{at_one_and_four_workers, Deployment, DiscoveryConfig, Entity, JoiningBroker, Network, ResponsePolicy};
+use nb::net::{Actor, ClockProfile, Fault, LinkSpec};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BDN: NodeId = NodeId(0);
@@ -46,7 +46,7 @@ fn bdn_and_anchor(seed: u64) -> impl Fn() -> Deployment {
 fn partitioned_brokers_relink_through_discovery() {
     // A chain built from joining brokers: anchor <- mid <- edge. Each
     // joins by discovery, so the chain assembles itself.
-    on_every_engine(bdn_and_anchor(91), |sim| {
+    at_one_and_four_workers(bdn_and_anchor(91), |sim| {
         sim.run_for(Duration::from_secs(2));
         let mid = sim.add_node("mid", RealmId(0), joining("mid", discovery_cfg()));
         sim.run_for(Duration::from_secs(6));
@@ -63,7 +63,7 @@ fn partitioned_brokers_relink_through_discovery() {
         // the chain formed linearly). If edge linked straight to anchor,
         // crash anchor instead.
         let edge_peer = sim.actor::<JoiningBroker>(edge).unwrap().joined_to.unwrap();
-        sim.crash(edge_peer);
+        sim.apply_fault(Fault::Crash { node: edge_peer });
         // Heartbeats (2s × 3) notice, the heal timer (5s) fires,
         // discovery runs against the survivors.
         sim.run_for(Duration::from_secs(40));
@@ -96,7 +96,7 @@ fn healing_survives_a_failed_attempt() {
     // Regression: a heal attempt that fails (every path down) must not
     // permanently disable healing — once the infrastructure returns, the
     // broker re-links.
-    on_every_engine(bdn_and_anchor(92), |sim| {
+    at_one_and_four_workers(bdn_and_anchor(92), |sim| {
         sim.run_for(Duration::from_secs(2));
         let mut cfg = discovery_cfg();
         cfg.ack_timeout = Duration::from_millis(300);
@@ -109,16 +109,16 @@ fn healing_survives_a_failed_attempt() {
 
         // Total blackout: both the anchor and the BDN die. The edge's
         // heal attempts all fail.
-        sim.crash(ANCHOR);
-        sim.crash(BDN);
+        sim.apply_fault(Fault::Crash { node: ANCHOR });
+        sim.apply_fault(Fault::Crash { node: BDN });
         sim.run_for(Duration::from_secs(60));
         let e = sim.actor::<JoiningBroker>(edge).unwrap();
         assert!(e.heals >= 1, "healing attempted during the blackout");
         assert!(!e.joined(), "nothing to join during the blackout");
 
         // The infrastructure returns; a later heal round must succeed.
-        sim.revive(ANCHOR);
-        sim.revive(BDN);
+        sim.apply_fault(Fault::Restart { node: ANCHOR, lose_state: false });
+        sim.apply_fault(Fault::Restart { node: BDN, lose_state: false });
         sim.run_for(Duration::from_secs(180)); // re-advertisement (120s) + heal ticks
         let e = sim.actor::<JoiningBroker>(edge).unwrap();
         assert!(

@@ -8,15 +8,15 @@ use std::time::Duration;
 use nb::broker::{BrokerConfig, MachineProfile, Topology};
 use nb::discovery::bdn::{Bdn, BdnConfig};
 use nb::discovery::{
-    on_every_engine, Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, Network, ResponsePolicy,
+    at_one_and_four_workers, Deployment, DiscoveryBrokerActor, DiscoveryConfig, Entity, Network, ResponsePolicy,
 };
-use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec};
+use nb::net::{ClockProfile, Fault, LinkSpec, ShardedSim};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const N_BROKERS: usize = 30;
 const N_ENTITIES: usize = 12;
 
-fn entity(sim: &dyn DiscoveryEngine, e: NodeId) -> &Entity {
+fn entity(sim: &ShardedSim, e: NodeId) -> &Entity {
     sim.actor::<Entity>(e).unwrap()
 }
 
@@ -87,7 +87,7 @@ fn large_churning_overlay_keeps_every_entity_attached() {
         (0..N_BROKERS).all(|i| seen[i] || !alive(i))
     };
 
-    on_every_engine(describe, |sim| {
+    at_one_and_four_workers(describe, |sim| {
         // Everyone discovers and attaches.
         sim.run_for(Duration::from_secs(10));
         for &e in &entities {
@@ -95,7 +95,7 @@ fn large_churning_overlay_keeps_every_entity_attached() {
         }
 
         // A round of traffic: entity 0 publishes, all others receive.
-        let round = |sim: &mut dyn DiscoveryEngine, n: u8| {
+        let round = |sim: &mut ShardedSim, n: u8| {
             let topic = Topic::parse(&format!("soak/round/{n}")).unwrap();
             sim.actor_mut::<Entity>(entities[0]).unwrap().queue_publish(topic, vec![n]);
         };
@@ -126,7 +126,7 @@ fn large_churning_overlay_keeps_every_entity_attached() {
         let bereft = entities.iter().filter(|&&e| victims.contains(&entity(sim, e).broker().unwrap())).count();
         assert!(bereft >= 3, "the crashes must take some entities' brokers");
         for &v in &victims {
-            sim.crash(v);
+            sim.apply_fault(Fault::Crash { node: v });
         }
         // Let heartbeats tear down links, keepalives notice, entities
         // rediscover, and the BDN expire nothing yet (TTL 300s).

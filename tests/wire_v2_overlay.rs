@@ -8,19 +8,19 @@
 //! relay broker mid-run: the links it re-dials start from empty symbol
 //! tables on both sides, and v2 must still deliver what v1 does.
 //!
-//! Every engine runs the codec and must deliver what its own v1 run
-//! delivers, and what its trace shows must not depend on latency draws:
-//! every post-handshake broker message in a segment, and the restarted
-//! relay back on the path. `Sim` alone carries the pins. Two cases of
-//! two brokers check the handshake itself on every engine: v2 when both
-//! ends ask for it, v1 when only one does.
+//! At 1 and at 4 workers the codec must deliver what the same worker
+//! count's v1 run delivers, and what its trace shows must not depend on
+//! latency draws: every post-handshake broker message in a segment, and
+//! the restarted relay back on the path. The 1-worker run alone carries
+//! the pins. Two cases of two brokers check the handshake itself at 1
+//! and at 4 workers: v2 when both ends ask for it, v1 when only one does.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use nb::broker::{BrokerConfig, Topology, TopologyKind};
-use nb::discovery::{on_every_engine, Deployment, DiscoveryBrokerActor, Entity, Network, ResponsePolicy};
-use nb::net::{ClockProfile, DiscoveryEngine, LinkSpec, NetStats, Sim, SimTime, Trace, TraceLog};
+use nb::discovery::{at_one_and_four_workers, Deployment, DiscoveryBrokerActor, Entity, Network, ResponsePolicy};
+use nb::net::{ClockProfile, Fault, LinkSpec, NetStats, ShardedSim, SimTime, Trace, TraceLog};
 use nb::wire::{NodeId, RealmId, Topic, TopicFilter};
 
 const BROKERS: usize = 6;
@@ -107,7 +107,7 @@ fn overlay(wire_v2: bool) -> Deployment {
 
 /// Runs every round of traffic on [`overlay`]; returns when [`RELAY`]
 /// was back up, if it was restarted.
-fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTime> {
+fn drive(engine: &mut ShardedSim, restart_relay: bool) -> Option<SimTime> {
     let publishers = ids(BROKERS + SUBSCRIBERS..BROKERS + SUBSCRIBERS + 3);
     engine.run_for(Duration::from_secs(5));
     let mut restarted_at = None;
@@ -115,7 +115,7 @@ fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTim
         if restart_relay && round == RESTART_BEFORE_ROUND {
             // A quiet instant: the last round's traffic drained 200 ms
             // of LAN ago. The broker keeps its state, its links do not.
-            engine.restart(brokers()[RELAY], false);
+            engine.apply_fault(Fault::Restart { node: brokers()[RELAY], lose_state: false });
             engine.run_for(LEASE);
             restarted_at = Some(engine.now());
         }
@@ -132,7 +132,7 @@ fn drive(engine: &mut dyn DiscoveryEngine, restart_relay: bool) -> Option<SimTim
 
 /// Sorted deliveries per subscriber; none may have arrived twice (an
 /// `Entity` keeps a repeated id out of `received` and counts it).
-fn delivered(engine: &dyn DiscoveryEngine) -> Vec<Vec<Delivery>> {
+fn delivered(engine: &ShardedSim) -> Vec<Vec<Delivery>> {
     subscribers()
         .iter()
         .map(|&s| {
@@ -156,7 +156,7 @@ fn from_round(delivered: &[Vec<Delivery>], first: u8) -> Vec<Vec<Delivery>> {
 /// trace into `log`, and reads off what `log` took:
 /// `(post_handshake_link_msgs, arrival_micros, relayed_after_restart)`
 /// of [`Run`].
-fn drive_traced(engine: &mut dyn DiscoveryEngine, log: &TraceLog, restart_relay: bool) -> (u64, u64, usize) {
+fn drive_traced(engine: &mut ShardedSim, log: &TraceLog, restart_relay: bool) -> (u64, u64, usize) {
     let restarted_at = drive(engine, restart_relay);
     let (brokers, subscribers) = (brokers(), subscribers());
     let broker_set: BTreeSet<NodeId> = brokers.iter().copied().collect();
@@ -180,10 +180,10 @@ fn drive_traced(engine: &mut dyn DiscoveryEngine, log: &TraceLog, restart_relay:
     (post_handshake_link_msgs, arrival_micros, relayed_after_restart)
 }
 
-/// One traced `Sim` run.
+/// One traced run at one worker.
 fn run(wire_v2: bool, restart_relay: bool) -> Run {
     let (trace, log) = Trace::new();
-    let mut sim = overlay(wire_v2).traced(&trace).build(Sim::with_clock_profile);
+    let mut sim = overlay(wire_v2).traced(&trace).build();
     let (post_handshake_link_msgs, arrival_micros, relayed_after_restart) =
         drive_traced(&mut sim, &log, restart_relay);
     let duplicates_suppressed =
@@ -199,25 +199,25 @@ fn run(wire_v2: bool, restart_relay: bool) -> Run {
     }
 }
 
-/// A case on every engine, whose rounds from `first` on are compared:
-/// v2 delivers what the same engine's v1 run delivers — the right
-/// events, exactly once — decodes every segment, carries every
+/// A case at 1 and at 4 workers, whose rounds from `first` on are
+/// compared: v2 delivers what the same worker count's v1 run delivers —
+/// the right events, exactly once — decodes every segment, carries every
 /// post-handshake broker message in one, and moves fewer bytes; a
 /// restarted relay forwards again on both codecs.
 fn v2_delivers_what_its_v1_run_delivers(restart_relay: bool, first: u8) {
     let (trace, log) = Trace::new();
-    let v1_run = |sim: &mut dyn DiscoveryEngine| {
+    let v1_run = |sim: &mut ShardedSim| {
         let (_, _, relayed_after_restart) = drive_traced(sim, &log, restart_relay);
         assert!(!restart_relay || relayed_after_restart > 0, "the restarted relay forwards nothing on v1");
-        (delivered(sim), sim.stats())
+        (delivered(sim), sim.stats().clone())
     };
-    let mut v1 = on_every_engine(|| overlay(false).traced(&trace), v1_run).into_iter();
-    on_every_engine(
+    let mut v1 = at_one_and_four_workers(|| overlay(false).traced(&trace), v1_run).into_iter();
+    at_one_and_four_workers(
         || overlay(true).traced(&trace),
         |sim| {
             let (post_handshake_link_msgs, _, relayed_after_restart) = drive_traced(sim, &log, restart_relay);
             assert!(!restart_relay || relayed_after_restart > 0, "the restarted relay forwards nothing on v2");
-            let (v1_delivered, v1_stats) = v1.next().expect("a v1 run on this engine");
+            let (v1_delivered, v1_stats) = v1.next().expect("a v1 run at this worker count");
             let (got_v1, got_v2) = (from_round(&v1_delivered, first), from_round(&delivered(sim), first));
             assert_eq!(got_v1, got_v2);
             for (i, got) in got_v2.iter().enumerate() {
@@ -345,14 +345,14 @@ fn two_brokers(wire_v2: [bool; 2]) -> Deployment {
     d
 }
 
-fn linked(sim: &dyn DiscoveryEngine, a: NodeId, b: NodeId) -> bool {
+fn linked(sim: &ShardedSim, a: NodeId, b: NodeId) -> bool {
     sim.actor::<DiscoveryBrokerActor>(a).expect("a broker").broker.is_linked(b)
 }
 
 #[test]
 fn v2_links_negotiate_and_route_through_segments() {
     let (a, b, subscriber, publisher) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
-    on_every_engine(|| two_brokers([true, true]), |sim| {
+    at_one_and_four_workers(|| two_brokers([true, true]), |sim| {
         sim.run_for(Duration::from_secs(2));
         assert!(linked(sim, a, b));
         let p = sim.actor_mut::<Entity>(publisher).expect("the publisher");
@@ -375,7 +375,7 @@ fn v1_peer_on_a_v2_broker_stays_on_v1() {
     // Only `b1` is v2-configured; `b0` never announces, so the link
     // negotiates down to v1 and no segments flow.
     let (a, b) = (NodeId(0), NodeId(1));
-    on_every_engine(|| two_brokers([false, true]), |sim| {
+    at_one_and_four_workers(|| two_brokers([false, true]), |sim| {
         sim.run_for(Duration::from_secs(10));
         assert!(linked(sim, a, b) && linked(sim, b, a));
         assert_eq!(sim.stats().segments_sent, 0, "mixed-version link must stay v1");
