@@ -449,7 +449,7 @@ pub fn run_description(
     let mut latencies: Vec<u64> = Vec::with_capacity(dep.entities.len());
     let mut publishes = 0u64;
     let mut deliveries = 0u64;
-    let mut failovers = 0u64;
+    let (mut failovers, mut pings) = (0u64, 0u64);
     for &e in &dep.entities {
         let entity = dep.entity(e);
         if let Some(outcome) = entity.discovery().completed.first() {
@@ -458,6 +458,7 @@ pub fn run_description(
         publishes += entity.published;
         deliveries += entity.received.len() as u64;
         failovers += entity.failovers;
+        pings += entity.keepalive_pings_sent();
     }
     latencies.sort_unstable();
     let sim = &dep.sim;
@@ -477,7 +478,7 @@ pub fn run_description(
         InvariantResult {
             name: "no_failovers",
             passed: failovers == 0,
-            detail: format!("{failovers} failovers"),
+            detail: format!("{failovers} failovers, {pings} keepalive pings sent"),
         },
         answered_once(&dep),
         InvariantResult {

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use nb_broker::{Topology, TopologyKind};
 use nb_discovery::scenario::ScenarioBuilder;
-use nb_discovery::{DiscoveryOutcome, SelectionWeights};
+use nb_discovery::{DiscoveryOutcome, PhaseTimes, SelectionWeights};
 use nb_net::wan::{SiteIdx, WanModel, BLOOMINGTON, CARDIFF, FSU, INDIANAPOLIS, NCSA, UMN};
 use nb_net::ClockProfile;
 use nb_util::stats::{paper_protocol, paper_protocol_indices, Summary};
@@ -101,12 +101,12 @@ pub(crate) const SITE_FIGURES: [(&str, SiteIdx, &str); 5] = [
 pub fn sweeps() -> Vec<Sweep> {
     use TopologyKind::{Linear, Ring, Star, Tree, Unconnected};
     const ONCE: &[Point] = &[("", |_| {})];
-    const PHASES: [&str; 5] = ["issue+ack", "await responses", "selection", "ping measurement", "connect"];
+    const PHASES: fn(&Runs) -> Vec<Cell> = |_| PhaseTimes::default().phases().map(|(label, _)| label.into()).into();
     let at = |kind| ScenarioBuilder::new(kind, BLOOMINGTON, 0);
     let breakdown = |name: &'static str, kind: TopologyKind| {
         let title = format!("Figure {}: share of time per discovery sub-activity, {} topology \
                              (client in Bloomington)", &name[3..], kind.label());
-        let columns: &[Column] = &[("phase", 0, |_| PHASES.map(Cell::from).into()), ("share", 3, shares)];
+        let columns: &[Column] = &[("phase", 0, PHASES), ("share", 3, shares)];
         sweep(name, title, at(kind), usize::MAX, ONCE, columns)
     };
     let mut sweeps = vec![breakdown("fig2", Unconnected)];
@@ -262,18 +262,17 @@ fn shares(r: &Runs) -> Vec<Cell> {
     phase_shares(kept).map(Cell::from).into()
 }
 
-/// Each phase's share of the summed total time of `outcomes`, in row
-/// order of Figures 2, 9 and 11; 0 when no time passed.
+/// Each phase's share of the summed total time of `outcomes`, in
+/// [`PhaseTimes::phases`] order; 0 when no time passed.
 fn phase_shares<'a>(outcomes: impl Iterator<Item = &'a DiscoveryOutcome>) -> [f64; 5] {
-    // The five phases, then the total.
-    let mut sums = [0.0f64; 6];
+    let (mut sums, mut total) = ([0.0f64; 5], 0.0f64);
     for p in outcomes.map(|o| &o.phases) {
-        for (sum, d) in sums.iter_mut().zip([p.issue, p.collect, p.select, p.ping, p.connect, p.total()]) {
+        for (sum, (_, d)) in sums.iter_mut().zip(p.phases()) {
             *sum += d.as_secs_f64();
         }
+        total += p.total().as_secs_f64();
     }
-    let total = sums[5];
-    [0, 1, 2, 3, 4].map(|i| if total > 0.0 { sums[i] / total } else { 0.0 })
+    sums.map(|sum| if total > 0.0 { sum / total } else { 0.0 })
 }
 
 /// How often each site's broker won, most wins first.

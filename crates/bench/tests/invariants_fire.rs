@@ -395,9 +395,18 @@ fn no_failovers_fails_a_tier_where_one_broker_drops_each_client_once() {
     let no_failovers = |row: &nb_bench::campaign::ScenarioResult<_>| {
         row.invariants.iter().find(|i| i.name == "no_failovers").expect("a no_failovers row").clone()
     };
+    // "<n> failovers, <k> keepalive pings sent", as two numbers.
+    let counts = |detail: &str| -> (u64, u64) {
+        let parsed = detail.split_once(" failovers, ").and_then(|(n, rest)| {
+            Some((n.parse().ok()?, rest.strip_suffix(" keepalive pings sent")?.parse().ok()?))
+        });
+        parsed.unwrap_or_else(|| panic!("not \"N failovers, K keepalive pings sent\": {detail}"))
+    };
     let real = run_description(&spec, 2005, 1, describe);
     assert!(real.passed(), "the real tier fails: {:?}", real.invariants);
-    assert_eq!(no_failovers(&real).detail, "0 failovers");
+    let (failovers, pings) = counts(&no_failovers(&real).detail);
+    assert_eq!(failovers, 0, "{}", no_failovers(&real).detail);
+    assert!(pings > 0, "the check inspected no keepalive: {}", no_failovers(&real).detail);
 
     let row = run_description(&spec, 2005, 1, || {
         let (mut tier, digest) = describe();
@@ -409,6 +418,6 @@ fn no_failovers_fails_a_tier_where_one_broker_drops_each_client_once() {
     });
     let check = no_failovers(&row);
     assert!(!check.passed, "no_failovers passed: {}", check.detail);
-    let failovers: u64 = check.detail.strip_suffix(" failovers").and_then(|n| n.parse().ok()).expect("N failovers");
-    assert!(failovers > 0, "{}", check.detail);
+    let (failovers, pings) = counts(&check.detail);
+    assert!(failovers > 0 && pings > 0, "{}", check.detail);
 }

@@ -86,23 +86,22 @@ pub struct PhaseTimes {
 impl PhaseTimes {
     /// Total discovery time.
     pub fn total(&self) -> Duration {
-        self.issue + self.collect + self.select + self.ping + self.connect
+        self.phases().iter().map(|&(_, d)| d).sum()
+    }
+
+    /// `(label, time)` of each sub-activity, in the row order of the
+    /// paper's breakdowns (Figures 2/9/11).
+    pub fn phases(&self) -> [(&'static str, Duration); 5] {
+        let PhaseTimes { issue, collect, select, ping, connect } = *self;
+        [("issue+ack", issue), ("await responses", collect), ("selection", select), ("ping measurement", ping), ("connect", connect)]
     }
 
     /// `(label, share)` pairs — the paper's sub-activity percentage
     /// breakdown (Figures 2/9/11). Empty if the total is zero.
     pub fn shares(&self) -> Vec<(&'static str, f64)> {
         let total = self.total().as_secs_f64();
-        if total <= 0.0 {
-            return Vec::new();
-        }
-        vec![
-            ("issue+ack", self.issue.as_secs_f64() / total),
-            ("await responses", self.collect.as_secs_f64() / total),
-            ("selection", self.select.as_secs_f64() / total),
-            ("ping measurement", self.ping.as_secs_f64() / total),
-            ("connect", self.connect.as_secs_f64() / total),
-        ]
+        let shares = self.phases().map(|(label, d)| (label, d.as_secs_f64() / total));
+        if total > 0.0 { shares.into() } else { Vec::new() }
     }
 }
 

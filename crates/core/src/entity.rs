@@ -154,6 +154,11 @@ impl Entity {
         &self.discovery
     }
 
+    /// Keepalive pings sent so far, each under the next nonce from 1.
+    pub fn keepalive_pings_sent(&self) -> u64 {
+        self.next_nonce - 1
+    }
+
     /// Replaces the stranded-retry backoff policy.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry_policy = policy;
@@ -255,14 +260,10 @@ impl Entity {
             self.discovery.begin(ctx);
             return;
         }
-        let nonce = self.next_nonce;
+        self.ping_nonce = Some(self.next_nonce);
+        let reply_to = Endpoint::new(ctx.me(), well_known::PING);
+        let ping = Message::Ping { nonce: self.next_nonce, sent_at: ctx.now().as_micros(), reply_to };
         self.next_nonce += 1;
-        self.ping_nonce = Some(nonce);
-        let ping = Message::Ping {
-            nonce,
-            sent_at: ctx.now().as_micros(),
-            reply_to: Endpoint::new(ctx.me(), well_known::PING),
-        };
         let to = Endpoint::new(broker, well_known::PING);
         ctx.send_udp_wire(well_known::PING, to, &WireMsg::new(ping));
         ctx.set_timer(self.keepalive_interval, TIMER_KEEPALIVE);

@@ -13,11 +13,11 @@
 //!   canonical text form that campaign reports embed and determinism
 //!   tests compare byte-for-byte.
 //!
-//! Installing a plan ([`crate::ShardedSim::apply_fault_plan`]) queues a
-//! node-scoped fault as its node's event and applies a network-wide one
-//! before any event at its instant; everything downstream (packet fates,
-//! retries, lease expiries) remains driven by the nodes' seeded RNG
-//! streams.
+//! Installing a plan ([`crate::ShardedSim::apply_fault_plan`]) puts
+//! every fault on the engine's schedule of network changes, applied
+//! before any event at its instant; everything downstream (packet
+//! fates, retries, lease expiries) remains driven by the nodes' seeded
+//! RNG streams.
 
 use std::fmt;
 use std::time::Duration;
@@ -117,15 +117,6 @@ impl Fault {
             | Fault::Restart { node, .. }
             | Fault::Stall { node, .. }
             | Fault::ClockStep { node, .. } => Some(node),
-            _ => None,
-        }
-    }
-
-    /// The per-datagram fault setting a packet-fault window installs.
-    pub(crate) fn packet_faults(&self) -> Option<PacketFaults> {
-        match *self {
-            Fault::SetPacketFaults { faults } => Some(faults),
-            Fault::ClearPacketFaults => Some(PacketFaults::none()),
             _ => None,
         }
     }

@@ -17,8 +17,8 @@
 //!   over them,
 //! * `node` (private) — the node model: per-node state, event
 //!   admission and accounting, the node-scoped fault rules, the one
-//!   [`Context`] implementation and the schedule of changes to the
-//!   network model (DESIGN.md §8),
+//!   [`Context`] implementation and the schedule of changes that land
+//!   between events, every fault among them (DESIGN.md §8),
 //! * [`shard`] — the engine over that model, [`ShardedSim`]: one
 //!   logical process per node, conservative-lookahead epochs over any
 //!   number of workers, byte-identical digests at every count (DESIGN.md

@@ -144,6 +144,9 @@ pub struct NetworkModel {
     /// multicast routing (the common WAN case in the paper) set this
     /// false: sends succeed but reach nobody.
     pub multicast_enabled: bool,
+    /// The packet-fault window every datagram send meets: inactive
+    /// outside a plan's `SetPacketFaults` … `ClearPacketFaults`.
+    pub(crate) packet_faults: PacketFaults,
 }
 
 impl Default for NetworkModel {
@@ -166,6 +169,7 @@ impl NetworkModel {
             intra_realm_spec: LinkSpec::lan(),
             inter_realm_spec: LinkSpec::wan(Duration::from_millis(40)),
             multicast_enabled: true,
+            packet_faults: PacketFaults::none(),
         }
     }
 
@@ -313,14 +317,17 @@ impl NetworkModel {
         min
     }
 
-    /// Applies a link-scoped fault (a partition or a heal, symmetric or
-    /// one-way); any other fault is not the model's and is ignored.
+    /// Applies a network-wide fault: a partition or a heal, symmetric or
+    /// one-way, or the opening or closing of a packet-fault window. A
+    /// node-scoped fault is not the model's and is ignored.
     pub(crate) fn apply_fault(&mut self, fault: &Fault) {
         match *fault {
             Fault::Partition { a, b } => self.partition(a, b),
             Fault::Heal { a, b } => self.heal(a, b),
             Fault::PartitionOneWay { from, to } => self.partition_one_way(from, to),
             Fault::HealOneWay { from, to } => self.heal_one_way(from, to),
+            Fault::SetPacketFaults { faults } => self.packet_faults = faults,
+            Fault::ClearPacketFaults => self.packet_faults = PacketFaults::none(),
             _ => {}
         }
     }
@@ -615,9 +622,9 @@ impl Transport {
 
     /// Sends one datagram at `now`; `None` if it never arrives. The
     /// draws, in order: loss, latency ([`LinkSpec::roll`], as
-    /// [`NetworkModel::datagram_fate`]), then — inside a packet-fault
-    /// window — corrupt, reorder and its delay, duplicate and its
-    /// delay. A probability of zero rolls no die and a path with no
+    /// [`NetworkModel::datagram_fate`]), then — inside the model's
+    /// packet-fault window — corrupt, reorder and its delay, duplicate
+    /// and its delay. A probability of zero rolls no die and a path with no
     /// jitter draws no latency, so what a send consumes depends on the
     /// link and the window it meets, never on the destination's state:
     /// a send to a down node rolls and schedules like any other, and
@@ -632,7 +639,6 @@ impl Transport {
         &mut self,
         stats: &mut NetStats,
         net: &NetworkModel,
-        faults: PacketFaults,
         now: SimTime,
         (from, to): (NodeId, NodeId),
         len: impl FnOnce() -> usize,
@@ -651,6 +657,7 @@ impl Transport {
         // sampled propagation latency.
         let mut at = self.conns.conn(to, now).serialize(now, len, &spec) + lat;
         let mut duplicate_at = None;
+        let faults = &net.packet_faults;
         if faults.is_active() {
             let extra_ns = faults.extra_delay.as_nanos() as u64;
             let extra_delay = |rng: &mut StdRng| match extra_ns {
@@ -1007,8 +1014,9 @@ mod tests {
             let mut net = model_with(2);
             net.intra_realm_spec = spec;
             net.inter_realm_spec = spec;
+            net.packet_faults = faults;
             let (mut t, mut stats) = (Transport::for_node(rng(), a), NetStats::default());
-            let (taken, sent) = draws(&mut t, |t| t.send_datagram(&mut stats, &net, faults, at, (a, to), || 100));
+            let (taken, sent) = draws(&mut t, |t| t.send_datagram(&mut stats, &net, at, (a, to), || 100));
             (taken, sent, stats)
         };
         let window = |corrupt: f64, reorder: f64, duplicate: f64, extra_ms: u64| PacketFaults {
@@ -1225,7 +1233,7 @@ mod tests {
         for peer in 1..=PEERS {
             // Each answer has long left the wire by the next one.
             now += Duration::from_millis(10);
-            let sent = t.send_datagram(&mut stats, &net, PacketFaults::none(), now, (NodeId(0), NodeId(peer)), || 200);
+            let sent = t.send_datagram(&mut stats, &net, now, (NodeId(0), NodeId(peer)), || 200);
             assert!(sent.is_some() || stats.datagrams_lost > 0);
         }
         let records = t.conns.conns.len();

@@ -9,11 +9,13 @@
 //! ([`NodeCtx::apply_fault`]) and the [`Context`] its actor acts
 //! through, the v2 link codec's encode and decode included. All of that
 //! is stated here once; the send path it uses is [`Transport`]'s,
-//! beside the link model.
+//! beside the link model. Every event names the node it is for; a fault
+//! is not an event.
 //!
 //! What the engine adds is where a scheduled event goes (the running
-//! worker's [`Executor`]) and the [`NetSchedule`] of changes to the
-//! network model that land between events (DESIGN.md §8).
+//! worker's [`Executor`]) and the [`NetSchedule`] of changes that land
+//! between events — every fault, node-scoped or network-wide, and the
+//! group changes and peer resets nodes emit (DESIGN.md §8).
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -24,7 +26,7 @@ use nb_wire::{Bytes, Endpoint, GroupId, Message, NodeId, Port, RealmId, WireMsg}
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::chaos::{Fault, PacketFaults};
+use crate::chaos::Fault;
 use crate::clock::{ClockProfile, ClockState};
 use crate::link::{NetworkModel, Transport};
 use crate::runtime::{Actor, Context, Incoming};
@@ -170,14 +172,14 @@ impl Host {
         Host { node: Node::new(id, name, realm, clock, actor), link: Transport::for_node(rng, id), emitted: 0 }
     }
 
-    /// Where `ev`, due at `at`, waits if the node is still stalled then:
-    /// a stalled node is frozen mid-world, so all but a fault is
+    /// Where an event due at `at` waits if the node is still stalled
+    /// then: a stalled node is frozen mid-world, so the event is
     /// re-queued for the thaw, keyed as the node's own, and replays in
     /// the order it arrived, whoever sent it. Deferral is not
     /// "processing": it is neither counted nor digested.
-    pub(crate) fn deferral(&mut self, at: SimTime, ev: &NodeEvent) -> Option<(SimTime, Key)> {
+    pub(crate) fn deferral(&mut self, at: SimTime) -> Option<(SimTime, Key)> {
         let until = self.node.stalled_until;
-        (until > at && ev.target().is_some()).then(|| (until, Key::node(self.node.id, &mut self.emitted)))
+        (until > at).then(|| (until, Key::node(self.node.id, &mut self.emitted)))
     }
 }
 
@@ -193,30 +195,17 @@ pub(crate) enum NodeEvent {
     ClockSync { node: NodeId },
     Start { node: NodeId },
     Inject { node: NodeId, incoming: Incoming },
-    Fault { fault: Fault },
 }
 
 impl NodeEvent {
-    /// The node the event is addressed to, for routing and stall
-    /// deferral. Faults have none: they execute on schedule even while
-    /// their target is stalled.
-    pub(crate) fn target(&self) -> Option<NodeId> {
+    /// The node the event is addressed to: whose LP holds and runs it.
+    pub(crate) fn target(&self) -> NodeId {
         match self {
-            NodeEvent::Deliver { to, .. } | NodeEvent::Segment { to, .. } => Some(*to),
+            NodeEvent::Deliver { to, .. } | NodeEvent::Segment { to, .. } => *to,
             NodeEvent::Timer { node, .. }
             | NodeEvent::ClockSync { node }
             | NodeEvent::Start { node }
-            | NodeEvent::Inject { node, .. } => Some(*node),
-            NodeEvent::Fault { .. } => None,
-        }
-    }
-
-    /// The node whose LP holds the event: its addressee, or a queued
-    /// fault's node (only node-scoped faults are queued on a node).
-    pub(crate) fn owner(&self) -> NodeId {
-        match self {
-            NodeEvent::Fault { fault } => fault.node().expect("a queued fault is node-scoped"),
-            ev => ev.target().expect("every other event has an addressee"),
+            | NodeEvent::Inject { node, .. } => *node,
         }
     }
 }
@@ -239,8 +228,8 @@ impl Key {
     pub(crate) const MAX_NODE: u32 = (1 << (64 - Key::COUNTER_BITS)) - 2;
 
     /// The key of the harness's next push (a node's `Start` and
-    /// `ClockSync`, an injection, a node-scoped fault): below every
-    /// node's at the same instant. `pushed` counts them.
+    /// `ClockSync`, an injection): below every node's at the same
+    /// instant. `pushed` counts them.
     pub(crate) fn harness(pushed: &mut u64) -> Key {
         Key::next(0, pushed)
     }
@@ -326,10 +315,11 @@ impl<E> EventHeap<E> {
     }
 }
 
-/// A change to the network model that lands between events.
+/// A change to the world that lands between events.
 pub(crate) enum NetChange {
-    /// A network-wide fault the harness queued: a partition, a heal, a
-    /// packet-fault window.
+    /// A fault the harness queued: a crash, restart, stall or clock
+    /// step of one node, or a partition, heal or packet-fault window of
+    /// the network.
     Fault(Fault),
     Join(NodeId, GroupId),
     Leave(NodeId, GroupId),
@@ -339,13 +329,15 @@ pub(crate) enum NetChange {
 }
 
 /// The [`NetChange`]s queued so far, by time, then in the order they
-/// were queued: the harness's network-wide faults at their instants,
-/// and the group changes and peer resets a node emits at `t`, at
-/// `t + L` (DESIGN.md §8). The engine applies each before any event due
-/// at or after its instant ([`NetSchedule::pop_due`]) and counts none in
-/// `events_processed`. Changes of one instant commute but for one
-/// node's joins and leaves of one group, which are queued in the order
-/// the node emitted them.
+/// were queued: the harness's faults at their instants, and the group
+/// changes and peer resets a node emits at `t`, at `t + L` (DESIGN.md
+/// §8). The engine applies each before any event due at or after its
+/// instant ([`NetSchedule::pop_due`]) and counts none in
+/// `events_processed` or in a digest. Changes of one instant commute
+/// but for two kinds, each applied in the order it was queued: one
+/// node's joins and leaves of one group, in the order the node emitted
+/// them, and one node's faults — a crash and a restart of one node do
+/// not commute — in plan order, as a plan is queued.
 #[derive(Default)]
 pub(crate) struct NetSchedule {
     due: BTreeMap<(SimTime, u64), NetChange>,
@@ -374,26 +366,6 @@ impl NetSchedule {
     }
 }
 
-impl NetChange {
-    /// Applies the change to the packet-fault window `pf`, to `net` or
-    /// to every host but the reset node's.
-    pub(crate) fn apply<'a>(self, pf: &mut PacketFaults, net: &mut NetworkModel, hosts: impl Iterator<Item = &'a mut Host>) {
-        match self {
-            NetChange::Fault(fault) => match fault.packet_faults() {
-                Some(faults) => *pf = faults,
-                None => net.apply_fault(&fault),
-            },
-            NetChange::Join(node, group) => net.join_group(group, node),
-            NetChange::Leave(node, group) => net.leave_group(group, node),
-            NetChange::ResetPeer(node) => {
-                for host in hosts.filter(|host| host.node.id != node) {
-                    host.link.reset_node(node);
-                }
-            }
-        }
-    }
-}
-
 /// A node at one instant of a run: the handle a due event is admitted
 /// through, faults are applied through, and — as the one [`Context`]
 /// implementation — the node's actor acts through.
@@ -404,9 +376,9 @@ pub(crate) struct NodeCtx<'a> {
     /// The worker running this node's LP: where the node's events go,
     /// and whose traffic counters it bumps.
     pub(crate) exec: &'a mut Executor,
-    /// The model as the run holds it while nodes run: read-only.
+    /// The model as the run holds it while nodes run, its packet-fault
+    /// window included: read-only.
     pub(crate) net: &'a NetworkModel,
-    pub(crate) faults: PacketFaults,
     pub(crate) now: SimTime,
 }
 
@@ -431,7 +403,6 @@ impl NodeCtx<'_> {
                 }
             }
             NodeEvent::Inject { incoming, .. } => self.dispatch(incoming),
-            NodeEvent::Fault { fault } => self.apply_fault(fault),
             NodeEvent::Deliver { from, to_port, msg, stream, .. } => {
                 if !self.admits_delivery() {
                     return;
@@ -517,8 +488,9 @@ impl NodeCtx<'_> {
         self.node.actor = Some(actor);
     }
 
-    /// The node-scoped fault rules. Link- and window-scoped faults are
-    /// not a node's: the engine applies those to the model.
+    /// The node-scoped fault rules, applied at coordinator time. Link-
+    /// and window-scoped faults are not a node's: they are the model's
+    /// ([`NetworkModel::apply_fault`]).
     pub(crate) fn apply_fault(&mut self, fault: Fault) {
         match fault {
             Fault::Crash { .. } => self.crash(),
@@ -572,8 +544,7 @@ impl NodeCtx<'_> {
 
     /// Sends one datagram.
     fn send_datagram(&mut self, from: Endpoint, to: Endpoint, msg: &WireMsg) {
-        let (net, faults, now) = (self.net, self.faults, self.now);
-        let sent = self.link.send_datagram(&mut self.exec.stats, net, faults, now, (from.node, to.node), || msg.body_len());
+        let sent = self.link.send_datagram(&mut self.exec.stats, self.net, self.now, (from.node, to.node), || msg.body_len());
         if let Some(sent) = sent {
             self.deliver(sent.at, from, to, msg, false);
             if let Some(at) = sent.duplicate_at {

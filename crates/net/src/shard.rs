@@ -31,13 +31,14 @@
 //!    delivery sorts.
 //!
 //! A group change or a peer reset a node emits at `t` lands at `t + L`,
-//! `L` the lookahead, from the schedule that also holds the harness's
-//! network-wide faults: each applies before any event at its instant.
-//! `t + L` is at or past the emitting epoch's horizon, so the rule
-//! reads the same at every worker count. One worker runs every LP, so
-//! its outbox stays empty and no horizon needs `m + L`: its epochs end
-//! only at the next fault, change or deadline, or early at the first
-//! change stamped inside one.
+//! `L` the lookahead, from the schedule that also holds every fault the
+//! harness queued: each applies before any event at its instant, a
+//! node's crash, restart, stall or clock step on the node's LP at
+//! coordinator time, wherever it is dealt. `t + L` is at or past the
+//! emitting epoch's horizon, so the rule reads the same at every worker
+//! count. One worker runs every LP, so its outbox stays empty and no
+//! horizon needs `m + L`: its epochs end only at the next fault, change
+//! or deadline, or early at the first change stamped inside one.
 //!
 //! Because LP state, RNG streams (`SplitMix64(seed ^ node_id)` — that is
 //! exactly what `StdRng::seed_from_u64` expands the xor through), the
@@ -55,14 +56,13 @@
 //! network — which is why that function is the only sanctioned home for
 //! thread primitives in nb-net (clippy.toml bans them everywhere else).
 
-use std::fmt::Write as _;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use nb_util::{fnv1a64_step, fnv1a64_word, FNV_OFFSET};
 use nb_wire::{NodeId, RealmId};
 
-use crate::chaos::{Fault, FaultPlan, PacketFaults};
+use crate::chaos::{Fault, FaultPlan};
 use crate::clock::ClockProfile;
 use crate::link::NetworkModel;
 use crate::node::{EventHeap, Host, Key, NetChange, NetSchedule, Node, NodeCtx, NodeEvent, Queued, RespawnFn};
@@ -127,7 +127,7 @@ impl Executor {
     /// for runs here, else into the outbox for the barrier.
     #[inline]
     pub(crate) fn schedule(&mut self, at: SimTime, key: Key, ev: NodeEvent) {
-        if self.dealt > 1 && ev.target().is_some_and(|to| to.0 as usize % self.dealt != self.worker) {
+        if self.dealt > 1 && ev.target().0 as usize % self.dealt != self.worker {
             self.outbox.push(Queued { at, key, ev });
         } else {
             self.events.push(at, key, ev);
@@ -145,17 +145,17 @@ impl Executor {
     /// `stride.index(id)`. Within the window every LP is causally
     /// closed: nothing another LP does this epoch can reach it before
     /// `horizon`, and the model does not change.
-    fn run_epoch(&mut self, lps: &mut [Lp], stride: Stride, horizon: SimTime, net: &NetworkModel, pf: PacketFaults) {
+    fn run_epoch(&mut self, lps: &mut [Lp], stride: Stride, horizon: SimTime, net: &NetworkModel) {
         while let Some(at) = self.events.next_at() {
             if at >= horizon || self.changes.first().is_some_and(|&(lands, _)| at >= lands) {
                 break;
             }
             let Some(q) = self.events.pop() else { break };
-            let lp = &mut lps[stride.index(q.ev.owner())];
+            let lp = &mut lps[stride.index(q.ev.target())];
             if cfg!(debug_assertions) {
                 self.check_order(lp.host.node.id, q.at, q.key);
             }
-            lp.handle(q, net, pf, self);
+            lp.handle(q, net, self);
         }
     }
 
@@ -192,49 +192,25 @@ struct Lp {
 
 impl Lp {
     /// The node at the LP's current instant, run by `exec`.
-    fn ctx<'a>(&'a mut self, net: &'a NetworkModel, pf: PacketFaults, exec: &'a mut Executor) -> NodeCtx<'a> {
+    fn ctx<'a>(&'a mut self, net: &'a NetworkModel, exec: &'a mut Executor) -> NodeCtx<'a> {
         let Host { node, link, emitted } = &mut self.host;
-        NodeCtx { node, link, emitted, exec, net, faults: pf, now: self.now }
+        NodeCtx { node, link, emitted, exec, net, now: self.now }
     }
 
-    /// Leaves `exec` the peer reset a crash or restart of this node
-    /// owes, once it has run. Group changes and peer resets touch
-    /// disjoint state, and a second reset forgets nothing the first left.
-    fn queue_peer_reset(&mut self, exec: &mut Executor) {
-        if self.host.link.take_peers_stale() {
-            exec.change(self.now, NetChange::ResetPeer(self.host.node.id));
-        }
-    }
-
-    fn handle(&mut self, q: Queued<NodeEvent>, net: &NetworkModel, pf: PacketFaults, exec: &mut Executor) {
+    fn handle(&mut self, q: Queued<NodeEvent>, net: &NetworkModel, exec: &mut Executor) {
         let Queued { at, ev, .. } = q;
         // Monotonic clamp rather than an assert: with a (degenerate)
         // zero-latency link override the 1 ns lookahead floor exceeds
         // the true minimum and a merged delivery can carry a timestamp
         // the LP already passed. Ordering stays deterministic.
         self.now = self.now.max(at);
-        if let Some((until, key)) = self.host.deferral(at, &ev) {
+        if let Some((until, key)) = self.host.deferral(at) {
             exec.events.push(until, key, ev);
             return;
         }
         self.events_processed += 1;
         digest_event(&mut self.digest, at, &ev);
-        let fault = matches!(ev, NodeEvent::Fault { .. });
-        self.ctx(net, pf, exec).handle(ev);
-        if fault {
-            self.queue_peer_reset(exec);
-        }
-    }
-}
-
-/// Folds `Display` text into an FNV-1a digest byte by byte, as
-/// [`fnv1a64_step`] over the formatted string would, without the string.
-struct FnvSink<'a>(&'a mut u64);
-
-impl std::fmt::Write for FnvSink<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        *self.0 = fnv1a64_step(*self.0, s.as_bytes());
-        Ok(())
+        self.ctx(net, exec).handle(ev);
     }
 }
 
@@ -270,11 +246,6 @@ fn digest_event(h: &mut u64, at: SimTime, ev: &NodeEvent) {
                 Incoming::ClockSynced => mix(h, 43),
             }
         }
-        NodeEvent::Fault { fault } => {
-            mix(h, 5);
-            // A `Display` impl that writes into the sink cannot fail.
-            let _ = write!(FnvSink(h), "{fault}");
-        }
         NodeEvent::Deliver { from, to_port, msg, stream, .. } => {
             mix(h, 6);
             mix(h, from.node.0 as u64);
@@ -303,13 +274,12 @@ struct EpochTask {
     lps: Vec<Lp>,
     exec: Executor,
     net: Arc<NetworkModel>,
-    pf: PacketFaults,
     horizon: SimTime,
 }
 
 /// An epoch's dispatch step: each dealt group's executor runs its heap
 /// up to the horizon on the network snapshot.
-type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &mut [Executor], SimTime, &Arc<NetworkModel>, PacketFaults) + 'a;
+type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &mut [Executor], SimTime, &Arc<NetworkModel>) + 'a;
 
 /// Runs `f` with the epoch dispatch for `workers` groups: inline at one
 /// worker, and otherwise through a pool of `workers` scoped threads —
@@ -323,7 +293,7 @@ type Dispatch<'a> = dyn FnMut(&mut [Vec<Lp>], &mut [Executor], SimTime, &Arc<Net
 fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
     if workers == 1 {
         let one = Stride::new(1);
-        f(&mut |groups, execs, horizon, net, pf| execs[0].run_epoch(&mut groups[0], one, horizon, net, pf));
+        f(&mut |groups, execs, horizon, net| execs[0].run_epoch(&mut groups[0], one, horizon, net));
         return;
     }
     let stride = Stride::new(workers);
@@ -335,7 +305,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 let result_tx = result_tx.clone();
                 let handle = scope.spawn(move || {
                     while let Ok(mut task) = task_rx.recv() {
-                        task.exec.run_epoch(&mut task.lps, stride, task.horizon, &task.net, task.pf);
+                        task.exec.run_epoch(&mut task.lps, stride, task.horizon, &task.net);
                         if result_tx.send(task).is_err() {
                             break;
                         }
@@ -344,7 +314,7 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                 (task_tx, handle)
             })
             .unzip();
-        f(&mut |groups, execs, horizon, net, pf| {
+        f(&mut |groups, execs, horizon, net| {
             let mut outstanding = 0usize;
             for (worker, tx) in tasks.iter().enumerate() {
                 if execs[worker].events.next_at().is_none_or(|at| at >= horizon) {
@@ -355,7 +325,6 @@ fn with_pool(workers: usize, f: impl FnOnce(&mut Dispatch<'_>)) {
                     lps: std::mem::take(&mut groups[worker]),
                     exec: std::mem::take(&mut execs[worker]),
                     net: Arc::clone(net),
-                    pf,
                     horizon,
                 });
                 assert!(sent.is_ok(), "workers outlive the epoch loop");
@@ -394,14 +363,13 @@ pub struct ShardedSim {
     executors: Vec<Executor>,
     dealt: usize,
     /// Events the harness queued so far (`add_node`'s `Start` and
-    /// `ClockSync`, injections, node-scoped faults): the counter half of
-    /// each one's [`Key::harness`].
+    /// `ClockSync`, injections): the counter half of each one's
+    /// [`Key::harness`].
     harness: u64,
     network: Arc<NetworkModel>,
     clock_profile: ClockProfile,
-    packet_faults: PacketFaults,
-    /// Network-wide faults and the changes nodes emitted, applied
-    /// between epochs.
+    /// The faults the harness queued and the changes nodes emitted,
+    /// applied between epochs.
     changes: NetSchedule,
     workers: usize,
     /// The lookahead, a pure function of the network model: dropped
@@ -429,7 +397,6 @@ impl ShardedSim {
             harness: 0,
             network: Arc::new(NetworkModel::new()),
             clock_profile: profile,
-            packet_faults: PacketFaults::none(),
             changes: NetSchedule::default(),
             workers: 1,
             lookahead: None,
@@ -538,7 +505,7 @@ impl ShardedSim {
     /// the same instant, in call order among the harness's.
     fn push(&mut self, at: SimTime, ev: NodeEvent) {
         let key = Key::harness(&mut self.harness);
-        let home = ev.owner().0 as usize % self.dealt;
+        let home = ev.target().0 as usize % self.dealt;
         self.executors[home].events.push(at, key, ev);
     }
 
@@ -575,21 +542,45 @@ impl ShardedSim {
         self.node(node).map_or(0, |n| n.timers.len())
     }
 
-    /// Acts on `node` at coordinator time — its LP's clock catches up to
-    /// `now` — through the executor holding its events, and queues what
-    /// the act emitted, a crash's peer reset one lookahead later. A
-    /// node-scoped fault sends nothing.
-    fn at_coordinator_time(&mut self, node: NodeId, f: impl FnOnce(&mut NodeCtx<'_>)) {
+    /// Applies one change at coordinator time: a node-scoped fault to its
+    /// node, whose LP `groups` holds as dealt (one group: in node order);
+    /// a network-wide fault or a group change to the model; a peer reset
+    /// to every other node's connections. A reset forgets nothing a
+    /// join or leave touches, and a second forgets nothing the first left.
+    fn apply_change(&mut self, groups: &mut [Vec<Lp>], change: NetChange) {
+        match change {
+            NetChange::Fault(fault) => match fault.node() {
+                Some(node) => self.apply_node_fault(groups, node, fault),
+                None => Arc::make_mut(&mut self.network).apply_fault(&fault),
+            },
+            NetChange::Join(node, group) => Arc::make_mut(&mut self.network).join_group(group, node),
+            NetChange::Leave(node, group) => Arc::make_mut(&mut self.network).leave_group(group, node),
+            NetChange::ResetPeer(node) => {
+                for lp in groups.iter_mut().flatten().filter(|lp| lp.host.node.id != node) {
+                    lp.host.link.reset_node(node);
+                }
+            }
+        }
+    }
+
+    /// Applies `fault` to `node` — its LP's clock catches up to `now` —
+    /// through the executor holding its events, and queues what the act
+    /// emitted, a crash's peer reset one lookahead later. A fault sends
+    /// nothing; a restart's `Start` is the node's own event.
+    fn apply_node_fault(&mut self, groups: &mut [Vec<Lp>], node: NodeId, fault: Fault) {
         let lookahead = self.lookahead();
-        let Some(lp) = self.lps.get_mut(node.0 as usize) else {
+        let (id, dealt) = (node.0 as usize, groups.len());
+        let Some(lp) = groups[id % dealt].get_mut(id / dealt) else {
             return;
         };
         lp.now = lp.now.max(self.now);
-        let exec = &mut self.executors[node.0 as usize % self.dealt];
+        let exec = &mut self.executors[id % self.dealt];
         exec.lookahead = lookahead;
-        f(&mut lp.ctx(&self.network, self.packet_faults, exec));
-        lp.queue_peer_reset(exec);
-        debug_assert!(exec.outbox.is_empty(), "a coordinator-time act sent a message");
+        lp.ctx(&self.network, exec).apply_fault(fault);
+        if lp.host.link.take_peers_stale() {
+            exec.change(lp.now, NetChange::ResetPeer(node));
+        }
+        debug_assert!(exec.outbox.is_empty(), "a fault sent a message");
         for (at, change) in exec.changes.drain(..) {
             self.changes.push(at, change);
         }
@@ -603,44 +594,33 @@ impl ShardedSim {
         }
     }
 
-    /// Applies `fault` now. A node-scoped one acts on its node at
-    /// coordinator time: a crash marks it down — queued and future
-    /// deliveries and timers are dropped, its stream connections reset
-    /// at once and its peers' halves one lookahead later; a restart
-    /// crashes it if it is still up and brings it back, so restarting a
-    /// crashed node without `lose_state` revives it. With `lose_state`
-    /// the actor is first replaced from the node's respawn factory, if
-    /// it has one: registries, caches and all other volatile actor
-    /// state are lost, a process restart rather than a network blip.
-    /// The node keeps its identity, realm and hardware clock either way.
-    /// A network-wide fault is queued for the current instant, as a
-    /// fault plan's would be.
+    /// Applies `fault` now, at coordinator time, as the schedule applies
+    /// a fault plan's at its instant. A node-scoped fault acts on its
+    /// node: a crash marks it down — queued and future deliveries and
+    /// timers are dropped, its stream connections reset at once and its
+    /// peers' halves one lookahead later; a restart crashes it if it is
+    /// still up and brings it back, so restarting a crashed node without
+    /// `lose_state` revives it. With `lose_state` the actor is first
+    /// replaced from the node's respawn factory, if it has one:
+    /// registries, caches and all other volatile actor state are lost, a
+    /// process restart rather than a network blip. The node keeps its
+    /// identity, realm and hardware clock either way; a stall defers
+    /// every event due at the node before it thaws. A network-wide fault
+    /// changes the model.
     pub fn apply_fault(&mut self, fault: Fault) {
-        match fault.node() {
-            Some(node) => self.at_coordinator_time(node, |ctx| ctx.apply_fault(fault)),
-            None => self.schedule_fault(Duration::ZERO, fault),
-        }
+        let mut lps = std::mem::take(&mut self.lps);
+        self.apply_change(std::slice::from_mut(&mut lps), NetChange::Fault(fault));
+        self.lps = lps;
     }
 
-    /// Queues every fault in `plan`, offset from the current virtual
-    /// time: a node-scoped one as its node's event, a network-wide one
-    /// on the schedule applied between epochs.
+    /// Puts every fault in `plan` on the schedule, offset from the
+    /// current virtual time. Each applies as [`ShardedSim::apply_fault`]
+    /// would, before any event due at its instant; one instant's faults
+    /// apply in plan order. A fault of a node the run does not hold at
+    /// its instant does nothing.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
-            self.schedule_fault(ev.at, ev.fault.clone());
-        }
-    }
-
-    /// Queues a single fault after `delay`.
-    fn schedule_fault(&mut self, delay: Duration, fault: Fault) {
-        let at = self.now + delay;
-        match fault.node() {
-            Some(node) => {
-                if self.node(node).is_some() {
-                    self.push(at, NodeEvent::Fault { fault });
-                }
-            }
-            None => self.changes.push(at, NetChange::Fault(fault)),
+            self.changes.push(self.now + ev.at, NetChange::Fault(ev.fault.clone()));
         }
     }
 
@@ -669,7 +649,7 @@ impl ShardedSim {
             let pending: Vec<_> = self.executors[..self.dealt].iter_mut().flat_map(|exec| exec.events.take()).collect();
             self.dealt = workers;
             for q in pending {
-                self.executors[q.ev.owner().0 as usize % workers].events.requeue(q);
+                self.executors[q.ev.target().0 as usize % workers].events.requeue(q);
             }
         }
         for (worker, exec) in self.executors[..workers].iter_mut().enumerate() {
@@ -704,7 +684,7 @@ impl ShardedSim {
         };
         with_pool(workers, |dispatch| {
             while let Some(horizon) = self.next_horizon(groups, deadline, lookahead) {
-                dispatch(groups, &mut self.executors[..workers], horizon, &self.network, self.packet_faults);
+                dispatch(groups, &mut self.executors[..workers], horizon, &self.network);
                 self.barrier();
                 self.now = self.now.max(horizon.min(deadline));
             }
@@ -734,8 +714,7 @@ impl ShardedSim {
             let m = self.executors[..self.dealt].iter().filter_map(|exec| exec.events.next_at()).min();
             if let Some((at, change)) = self.changes.pop_due(m, deadline) {
                 self.now = self.now.max(at);
-                let hosts = groups.iter_mut().flatten().map(|lp| &mut lp.host);
-                change.apply(&mut self.packet_faults, Arc::make_mut(&mut self.network), hosts);
+                self.apply_change(groups, change);
                 continue;
             }
             let m = m?;
@@ -766,7 +745,7 @@ impl ShardedSim {
         for worker in 0..execs.len() {
             let mut outbox = std::mem::take(&mut execs[worker].outbox);
             for q in outbox.drain(..) {
-                let home = q.ev.owner().0 as usize % execs.len();
+                let home = q.ev.target().0 as usize % execs.len();
                 execs[home].events.requeue(q);
             }
             execs[worker].outbox = outbox;
@@ -799,7 +778,7 @@ fn undeal(groups: Vec<Vec<Lp>>) -> Vec<Lp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosProfile, ChaosTargets};
+    use crate::chaos::{ChaosProfile, ChaosTargets, PacketFaults};
     use crate::impl_actor_any;
     use crate::runtime::Context;
     use crate::timer_tests::{lossless, Echo, Pinger};
@@ -944,6 +923,44 @@ mod tests {
         }
     }
 
+    /// A node fault lands before every event due at its instant, at
+    /// every worker count: node 0 crashes at 200 ms and never sees the
+    /// datagram the harness injected for that instant before it queued
+    /// the crash; node 1, stalled at the instant a ping and its own timer
+    /// come due, runs both at the thaw, in the order they arrived.
+    #[test]
+    fn a_node_fault_lands_before_every_event_at_its_instant() {
+        let ms = Duration::from_millis;
+        let (x, y, sender) = (NodeId(0), NodeId(1), NodeId(2));
+        let (crash, due, stall) = (ms(200), ms(100) + LinkSpec::lan().latency, ms(50));
+        let run = |workers: usize| {
+            let mut sim = still_net(workers);
+            let (trace, log) = crate::runtime::Trace::new();
+            for timer in [None, Some(due)] {
+                sim.add_node("r", RealmId(0), trace.wrap(Box::new(Recorder { timer, log: Vec::new() })));
+            }
+            sim.add_node("s", RealmId(0), trace.wrap(Box::new(Sender { to: y, after: ms(100) })));
+            let from = Endpoint::new(sender, well_known::PING);
+            let msg = nb_wire::WireMsg::new(Message::Ping { nonce: 0, sent_at: 0, reply_to: from });
+            sim.inject(x, crash, Incoming::Datagram { from, to_port: well_known::PING, msg });
+            let stalled = Fault::Stall { node: y, dur: stall };
+            sim.apply_fault_plan(&FaultPlan::new().crash_at(crash, x).fault_at(due, stalled));
+            sim.run_for(Duration::from_secs(1));
+            let logged = |r: &crate::runtime::TraceRecord| (r.to.node, (r.at, r.msg.kind(), r.msg.body_len()));
+            let recorded = |node| sim.actor::<Recorder>(node).expect("a recorder").log.clone();
+            (log.take().iter().map(logged).collect::<Vec<_>>(), recorded(x), recorded(y))
+        };
+        let reference = run(1);
+        let (arrivals, at_x, at_y) = &reference;
+        let thawed = SimTime::ZERO + due + stall;
+        assert!(at_x.is_empty(), "the crashed node was handed {at_x:?}");
+        assert_eq!(arrivals.iter().map(|a| (a.0, a.1 .0)).collect::<Vec<_>>(), [(y, thawed)]);
+        assert_eq!(*at_y, [(thawed, 1007), (thawed, sender.0)], "the timer, then the ping, at the thaw");
+        for workers in [2, 4] {
+            assert_eq!(run(workers), reference, "at {workers} workers");
+        }
+    }
+
     #[test]
     fn digest_invariant_across_workers() {
         let reference = mixed_workload(1);
@@ -960,11 +977,8 @@ mod tests {
             lossless(&mut sim);
             let echo = sim.add_node("echo", RealmId(0), Box::new(Echo::default()));
             sim.add_node("pinger", RealmId(1), Box::new(Pinger::new(echo)));
-            sim.schedule_fault(
-                Duration::ZERO,
-                Fault::SetPacketFaults { faults: PacketFaults::unruly() },
-            );
-            sim.schedule_fault(Duration::from_secs(1), Fault::ClearPacketFaults);
+            let window = FaultPlan::new().packet_fault_window(Duration::ZERO, Duration::from_secs(1), PacketFaults::unruly());
+            sim.apply_fault_plan(&window);
             sim.run_for(Duration::from_secs(3));
             (sim.digest(), sim.events_processed())
         };
