@@ -11,7 +11,6 @@ use std::path::{Path, PathBuf};
 
 use nb_bench::campaign::{run_campaign, ScenarioResult};
 use nb_bench::census::{ceiling_failures, Census, CEILINGS};
-use nb_bench::parallel::ParallelExecutor;
 use nb_bench::table::fill_blocks;
 use nb_bench::*;
 use nb_broker::TopologyKind;
@@ -30,7 +29,7 @@ struct Args {
     seed: u64,
     csv: Option<PathBuf>,
     out: Option<PathBuf>,
-    workers: Option<usize>,
+    workers: usize,
     scenarios: usize,
     tier: String,
     brokers: Option<usize>,
@@ -48,8 +47,8 @@ const FLAGS: &str = "  --runs N         runs per experiment (default 120, the pa
   --seed N         root seed (default 2005)
   --csv DIR        also write machine-readable CSVs of the figures into DIR
   --out PATH       where a report-writing command puts its JSON
-  --workers N      worker threads (default: one per core, at most 16; scale: 1);
-                   never changes a figure, table or report byte
+  --workers N      chaos, scale: the engine's worker threads (default 1);
+                   never changes a report byte
   --scenarios N    chaos campaign scenarios (default 10)
   --tier T         scale: small|large|all (default all)
   --brokers N, --entities N, --topology star|linear|geo|isp
@@ -203,7 +202,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
         seed: 2005,
         csv: None,
         out: None,
-        workers: None,
+        workers: 1,
         scenarios: 10,
         tier: "all".to_string(),
         brokers: None,
@@ -222,7 +221,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
             "--seed" => args.seed = value(flag, &mut argv, "a number"),
             "--csv" => args.csv = Some(value(flag, &mut argv, "a directory")),
             "--out" => args.out = Some(value(flag, &mut argv, "a path")),
-            "--workers" => args.workers = Some(value(flag, &mut argv, "a number")),
+            "--workers" => args.workers = value(flag, &mut argv, "a number"),
             "--scenarios" => args.scenarios = value(flag, &mut argv, "a number"),
             "--tier" => args.tier = value(flag, &mut argv, "small|large|all"),
             "--brokers" => args.brokers = Some(value(flag, &mut argv, "a number")),
@@ -288,11 +287,6 @@ fn print_diagram(name: &str, kind: TopologyKind) {
     println!("{}", topology_figure(kind));
 }
 
-/// The executor `--workers N` asks for, or the default one.
-fn executor(args: &Args) -> ParallelExecutor {
-    args.workers.map_or_else(ParallelExecutor::new, ParallelExecutor::with_workers)
-}
-
 /// The paper's five metrics for one timing figure.
 fn summary(title: String, s: &nb_util::Summary) -> Table {
     let columns = [("n", 0), ("mean_ms", 3), ("std_dev", 3), ("max", 3), ("min", 3), ("error", 3)];
@@ -301,7 +295,7 @@ fn summary(title: String, s: &nb_util::Summary) -> Table {
 
 /// The discovery table command `name` prints: its [`Sweep`], run.
 fn swept(name: &str, args: &Args) -> Table {
-    Sweep::named(name).expect("a sweep command names a sweep").run(executor(args), args.seed, args.runs)
+    Sweep::named(name).expect("a sweep command names a sweep").run(args.seed, args.runs)
 }
 
 fn security(name: &str, args: &Args) -> Table {
@@ -367,7 +361,7 @@ fn run_check(_: &str, args: &Args) {
          ({} runs per experiment, seed {}) ===",
         args.runs, args.seed
     );
-    let checks = shape_checks(executor(args), args.seed, args.runs.clamp(10, 40));
+    let checks = shape_checks(args.seed, args.runs.clamp(10, 40));
     for c in &checks {
         println!("  [{}] {}", if c.passed { "PASS" } else { "FAIL" }, c.claim);
         println!("         {}", c.evidence);
@@ -388,18 +382,16 @@ fn print_failures<S>(row: &ScenarioResult<S>) {
     }
 }
 
-/// `repro chaos`: runs the fault campaign, prints its table and each
-/// failed invariant.
+/// `repro chaos`: runs the fault campaign, each scenario on `--workers`
+/// engine workers, prints its table and each failed invariant.
 fn chaos_report(args: &Args) -> (String, bool) {
-    // Scenarios are independent, so they shard across workers; the
-    // report bytes are identical whatever count is used.
-    let workers = executor(args).workers();
-    let report = run_campaign(args.seed, args.scenarios.max(1), workers, nb_bench::chaos::scenario);
+    let scenario = |seed, i| nb_bench::chaos::scenario(seed, i, args.workers);
+    let report = run_campaign(args.seed, args.scenarios.max(1), scenario);
     println!(
-        "=== Chaos campaign: {} scenarios from base seed {}, {} workers ===",
+        "=== Chaos campaign: {} scenarios from base seed {}, {} worker(s) ===",
         report.scenarios.len(),
         report.base_seed,
-        workers
+        args.workers
     );
     println!(
         "{:<20} {:>6} {:>8} {:>18} {:>10} {:>8} {:>7}",
@@ -428,7 +420,6 @@ fn scale_report(args: &Args) -> (String, bool) {
     use nb_bench::scale::{self, TierSpec};
     use nb_net::topogen::TopologyKind as WanKind;
 
-    let workers = args.workers.unwrap_or(1).max(1);
     let custom = args.brokers.is_some() || args.entities.is_some() || args.topology.is_some();
     let tiers: Vec<TierSpec> = if custom {
         let kind = match args.topology.as_deref().unwrap_or("geo") {
@@ -454,9 +445,9 @@ fn scale_report(args: &Args) -> (String, bool) {
         "=== Scale campaign: {} tier(s), seed {}, {} worker(s) ===",
         tiers.len(),
         args.seed,
-        workers
+        args.workers
     );
-    let report = scale::run_campaign(&tiers, args.seed, workers);
+    let report = scale::run_campaign(&tiers, args.seed, args.workers);
     println!(
         "{:<14} {:>7} {:>8} {:>4} {:>12} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
         "tier", "brokers", "entities", "rgns", "events", "evts/sec", "attach_ms",
@@ -540,7 +531,7 @@ const GATES: [(&str, &str); 6] = [
 
 /// `repro gate [NAME]`: runs [`lint_gate`], [`bench_gate`] and
 /// [`figs_gate`], then regenerates each committed report (all of
-/// [`GATES`] without a name) in memory at 1 and 4 workers, then
+/// [`GATES`] without a name) in memory at 1 and 4 engine workers, then
 /// [`census_gate`], writing nothing, and exits 1 naming the file on a
 /// failed invariant, a 1-vs-4 difference or any byte that differs from
 /// the committed copy.
@@ -567,7 +558,8 @@ fn run_gate(_: &str, args: &Args) {
 }
 
 /// Regenerates the committed report `name` with `flags` at 1 and 4
-/// workers and compares each with the committed bytes.
+/// engine workers (`--workers`) and compares each with the committed
+/// bytes.
 fn report_gate(root: &Path, name: &str, flags: &str) {
     let Some(Command { run: Run::Report(file, report), .. }) = find(name) else {
         unreachable!("GATES names a report-writing command");
@@ -882,7 +874,7 @@ mod tests {
         let args = parse_args(argv.split(' ').map(String::from));
         assert_eq!((args.cmd.as_str(), args.runs, args.seed), ("chaos", 7, 9));
         assert_eq!(args.out, Some(PathBuf::from("x.json")));
-        assert_eq!(args.workers, Some(3));
+        assert_eq!(args.workers, 3);
         let gate = parse_args("gate scale".split(' ').map(String::from));
         assert_eq!((gate.cmd.as_str(), gate.target.as_deref()), ("gate", Some("scale")));
     }

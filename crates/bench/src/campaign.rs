@@ -9,7 +9,6 @@
 use std::borrow::{Borrow, BorrowMut};
 use std::time::Duration;
 
-use crate::parallel::ParallelExecutor;
 use nb_broker::{BrokerConfig, MachineProfile};
 use nb_discovery::{Deployment, DiscoveryBrokerActor, Entity, ResponsePolicy};
 use nb_net::{FaultPlan, ShardedSim};
@@ -126,19 +125,16 @@ impl<S: CampaignStats> CampaignReport<S> {
     }
 }
 
-/// Runs `scenario(base_seed, i)` for every `i < scenarios`, sharded
-/// across `workers` threads and merged back in scenario order. When
-/// `scenario` is a pure function of its arguments the report is
-/// byte-identical for every worker count, which the pinned digest in
-/// `tests/chaos_campaign.rs` asserts at 1 and 4 workers.
-pub fn run_campaign<S: CampaignStats + Send>(
+/// Runs `scenario(base_seed, i)` for every `i < scenarios`, in order,
+/// on this thread. How many engine workers a scenario runs on is the
+/// scenario's business; the report must not move a byte with it, which
+/// the pinned digest in `tests/chaos_campaign.rs` asserts at 1 and 4.
+pub fn run_campaign<S>(
     base_seed: u64,
     scenarios: usize,
-    workers: usize,
-    scenario: impl Fn(u64, usize) -> ScenarioResult<S> + Sync,
+    scenario: impl Fn(u64, usize) -> ScenarioResult<S>,
 ) -> CampaignReport<S> {
-    let results = ParallelExecutor::with_workers(workers).run(scenarios, |i| scenario(base_seed, i));
-    CampaignReport { base_seed, scenarios: results }
+    CampaignReport { base_seed, scenarios: (0..scenarios).map(|i| scenario(base_seed, i)).collect() }
 }
 
 /// A deployment and the ids of its roles: the fault campaign's testbed

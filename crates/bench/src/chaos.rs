@@ -73,6 +73,11 @@ pub struct ScenarioStats {
     pub datagrams_reordered: u64,
     /// Sends dropped on a severed (one- or two-way) path.
     pub unreachable_partitioned: u64,
+    /// Engine run digest ([`nb_net::ShardedSim::digest`]), the same at
+    /// every worker count.
+    pub digest: u64,
+    /// Engine events processed.
+    pub events: u64,
 }
 
 impl CampaignStats for ScenarioStats {
@@ -83,7 +88,8 @@ impl CampaignStats for ScenarioStats {
             "     \"stats\": {{\"failovers\": {}, \"stale_targets_skipped\": {}, \
              \"duplicate_requests\": {}, \"registry_len\": {}, \
              \"datagrams_duplicated\": {}, \"datagrams_corrupted\": {}, \
-             \"datagrams_reordered\": {}, \"unreachable_partitioned\": {}}}",
+             \"datagrams_reordered\": {}, \"unreachable_partitioned\": {}, \
+             \"digest\": \"{:016x}\", \"events\": {}}}",
             self.failovers,
             self.stale_targets_skipped,
             self.duplicate_requests,
@@ -92,6 +98,8 @@ impl CampaignStats for ScenarioStats {
             self.datagrams_corrupted,
             self.datagrams_reordered,
             self.unreachable_partitioned,
+            self.digest,
+            self.events,
         ));
     }
 }
@@ -170,9 +178,9 @@ pub fn describe_testbed(seed: u64, n_bdns: usize) -> Testbed<Deployment> {
 /// one drawn from [`FaultPlan::generate`] with every BDN, broker and
 /// entity a target, alternating the light and heavy profiles — its tail
 /// and the recovery window, a second round of publishes, then [`check`].
-/// A pure function of `(base_seed, i)`, so scenarios shard across
-/// workers without moving a report byte.
-pub fn scenario(base_seed: u64, i: usize) -> ScenarioResult<ScenarioStats> {
+/// The run takes `workers` engine workers; the row is a pure function
+/// of `(base_seed, i)`, whatever `workers` is.
+pub fn scenario(base_seed: u64, i: usize, workers: usize) -> ScenarioResult<ScenarioStats> {
     let seed = base_seed.wrapping_add(i as u64);
     let (name, profile) = match i {
         0 => (SCRIPTED, None),
@@ -180,6 +188,7 @@ pub fn scenario(base_seed: u64, i: usize) -> ScenarioResult<ScenarioStats> {
         _ => ("generated_heavy", Some(ChaosProfile::heavy())),
     };
     let mut tb = describe_testbed(seed, 1).build();
+    tb.sim.set_workers(workers);
     let publish = |tb: &mut Testbed, round: &str| {
         for (i, &e) in tb.entities.iter().enumerate() {
             let topic = Topic::parse(&format!("{PREFIX}/{round}/e{i}")).expect("valid topic");
@@ -348,6 +357,8 @@ pub fn check(tb: &mut Testbed) -> (Vec<InvariantResult>, ScenarioStats) {
         datagrams_corrupted: stats.datagrams_corrupted,
         datagrams_reordered: stats.datagrams_reordered,
         unreachable_partitioned: stats.unreachable_partitioned,
+        digest: tb.sim.digest(),
+        events: tb.sim.events_processed(),
     };
     (vec![attached, no_duplicates, fresh_leases], stats)
 }
@@ -368,7 +379,7 @@ mod tests {
 
     #[test]
     fn scripted_scenario_passes_all_invariants() {
-        let r = scenario(2005, 0);
+        let r = scenario(2005, 0, 1);
         assert_eq!(r.name, "scripted_bdn_loss");
         for inv in &r.invariants {
             assert!(inv.passed, "{} failed: {}", inv.name, inv.detail);

@@ -9,13 +9,17 @@
 //! (§9) — and the figures report its five metrics (mean, standard
 //! deviation, maximum, minimum, error); an ablation caps the runs per
 //! point, and every title says how many ran.
+//!
+//! Runs, rows and campaign scenarios run in order on the calling
+//! thread: this crate starts no thread. The one pool is the engine's,
+//! which `repro --workers N` sizes for the campaigns
+//! ([`nb_net::ShardedSim::set_workers`]).
 
 pub mod ab;
 pub mod alloc;
 pub mod campaign;
 pub mod census;
 pub mod chaos;
-pub mod parallel;
 pub mod scale;
 pub mod sweep;
 pub mod table;
@@ -25,7 +29,6 @@ pub use table::{Cell, Table};
 
 use std::time::Instant;
 
-use crate::parallel::ParallelExecutor;
 use crate::sweep::SITE_FIGURES;
 use nb_broker::TopologyKind;
 use nb_discovery::scenario::ScenarioBuilder;
@@ -64,21 +67,16 @@ pub fn topology_figure(kind: TopologyKind) -> String {
     topo.render_ascii(kind, &labels)
 }
 
-/// `runs` discoveries, one each: run `i` builds an independent
-/// deployment of `builder` seeded `seed.wrapping_add(i)`. Runs shard
-/// across `ex`'s workers and come back in run order, so the outcomes
-/// are identical to a serial loop over the same seeds.
-pub fn discoveries(
-    ex: ParallelExecutor,
-    builder: &ScenarioBuilder,
-    seed: u64,
-    runs: usize,
-) -> Vec<DiscoveryOutcome> {
-    ex.run(runs, |i| {
-        let mut b = builder.clone();
-        b.seed = seed.wrapping_add(i as u64);
-        b.build().run_discovery_once()
-    })
+/// `runs` discoveries, one each, in run order: run `i` builds an
+/// independent deployment of `builder` seeded `seed.wrapping_add(i)`.
+pub fn discoveries(builder: &ScenarioBuilder, seed: u64, runs: usize) -> Vec<DiscoveryOutcome> {
+    (0..runs)
+        .map(|i| {
+            let mut b = builder.clone();
+            b.seed = seed.wrapping_add(i as u64);
+            b.build().run_discovery_once()
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------------
@@ -178,8 +176,8 @@ pub struct ShapeCheck {
 /// Re-measures every qualitative claim of the evaluation at reduced run
 /// counts and reports pass/fail per claim (`repro check`). Each table it
 /// reads is run once.
-pub fn shape_checks(ex: ParallelExecutor, seed: u64, runs: usize) -> Vec<ShapeCheck> {
-    let table = |name, runs| Sweep::named(name).expect("a sweep").run(ex, seed, runs);
+pub fn shape_checks(seed: u64, runs: usize) -> Vec<ShapeCheck> {
+    let table = |name, runs| Sweep::named(name).expect("a sweep").run(seed, runs);
     // Each breakdown's (phase, share) rows.
     let slices = |name| {
         let t = table(name, runs);
@@ -245,13 +243,9 @@ pub fn shape_checks(ex: ParallelExecutor, seed: u64, runs: usize) -> Vec<ShapeCh
 mod tests {
     use super::*;
 
-    fn ex() -> ParallelExecutor {
-        ParallelExecutor::new()
-    }
-
     /// Sweep `name` run `runs` times from `seed`.
     fn table(name: &str, seed: u64, runs: usize) -> Table {
-        Sweep::named(name).expect("a sweep").run(ex(), seed, runs)
+        Sweep::named(name).expect("a sweep").run(seed, runs)
     }
 
     /// Column `name` of `t` as numbers.

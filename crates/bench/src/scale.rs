@@ -61,6 +61,10 @@ const PER_BDN_SPACING_US: u64 = 2_500;
 fn tier_stagger(regions: usize) -> Duration {
     Duration::from_micros((PER_BDN_SPACING_US / regions.max(1) as u64).max(100))
 }
+/// Each entity's keepalive interval: short enough that every entity
+/// pings its broker several times in a tier's run, so `no_failovers`
+/// inspects live keepalives (its detail counts the pings).
+const KEEPALIVE: Duration = Duration::from_secs(5);
 /// Attach-poll step; `time_to_all_attached_us` is quantised to it.
 const POLL_STEP: Duration = Duration::from_secs(5);
 /// Steady-state pub/sub window after the fleet is attached.
@@ -178,7 +182,7 @@ pub fn describe_tier(spec: &TierSpec, seed: u64) -> (Testbed<Deployment>, u64) {
                 let filter = TopicFilter::parse(&format!("scale/t{}/**", i % TOPIC_POOL))
                     .expect("pool filter parses");
                 let mut entity = Entity::new(cfg, vec![filter]);
-                entity.set_keepalive_interval(Duration::from_secs(60));
+                entity.set_keepalive_interval(KEEPALIVE);
                 entity.set_flush_interval(Duration::from_secs(2));
                 entity.set_dedup_capacity(64, 64);
                 entity.set_start_delay(BOOT + tier_stagger(regions) * i as u32);
@@ -388,8 +392,8 @@ pub fn run_description(
     // interner adds nothing to the heap column whatever ran earlier in
     // the process (`repro gate` runs the campaign twice in one). The
     // column also needs no other thread to free heap while it is
-    // measured: every worker pool joins its threads, thread-local
-    // destructors included, before its run returns.
+    // measured: the engine's worker pool joins its threads,
+    // thread-local destructors included, before a run returns.
     drop(build_tier(&TierSpec { brokers: 1, entities: TOPIC_POOL, ..*spec }, seed));
     let live0 = crate::alloc::live_bytes();
     let (tier, topology_digest) = describe();
@@ -397,7 +401,7 @@ pub fn run_description(
     dep.sim.shed_slack();
     let live1 = crate::alloc::live_bytes();
     let alloc_counting = live1 > live0;
-    dep.sim.set_workers(workers.max(1));
+    dep.sim.set_workers(workers);
 
     // Boot: brokers link up and advertise; BDNs fill their registries.
     dep.sim.run_for(BOOT);
@@ -522,10 +526,10 @@ pub fn run_description(
 }
 
 /// Runs the campaign: one row per tier, in order, each on `workers`
-/// event workers. Tiers run one after another, never side by side,
-/// because the heap column reads the process-wide allocator.
+/// event workers. The heap column needs the tiers one after another: it
+/// reads the process-wide allocator.
 pub fn run_campaign(tiers: &[TierSpec], seed: u64, workers: usize) -> CampaignReport<TierOutcome> {
-    campaign::run_campaign(seed, tiers.len(), 1, |seed, i| run_tier(&tiers[i], seed, workers))
+    campaign::run_campaign(seed, tiers.len(), |seed, i| run_tier(&tiers[i], seed, workers))
 }
 
 #[cfg(test)]

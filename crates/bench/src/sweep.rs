@@ -14,7 +14,6 @@ use nb_net::ClockProfile;
 use nb_util::stats::{paper_protocol, paper_protocol_indices, Summary};
 use nb_wire::NodeId;
 
-use crate::parallel::ParallelExecutor;
 use crate::{discoveries, Cell, Table, PAPER_KEEP};
 
 /// One setting of a sweep: its label and what it changes in the base.
@@ -51,7 +50,7 @@ pub struct Sweep {
     /// How a point's `runs` discoveries are made from its builder:
     /// [`discoveries`], one deployment a run, in every sweep but
     /// `ablation-topology`.
-    discover: fn(ParallelExecutor, &ScenarioBuilder, u64, usize) -> Vec<DiscoveryOutcome>,
+    discover: fn(&ScenarioBuilder, u64, usize) -> Vec<DiscoveryOutcome>,
 }
 
 impl Sweep {
@@ -61,15 +60,14 @@ impl Sweep {
     }
 
     /// Runs every point `runs` times (at most the sweep's cap), seeded
-    /// from `seed`, sharding the runs across `ex`, and reads the columns
-    /// off the outcomes.
-    pub fn run(&self, ex: ParallelExecutor, seed: u64, runs: usize) -> Table {
+    /// from `seed`, in order, and reads the columns off the outcomes.
+    pub fn run(&self, seed: u64, runs: usize) -> Table {
         let runs = runs.min(self.cap);
         let mut rows = Vec::new();
         for &(label, set) in self.points {
             let mut builder = self.base.clone();
             set(&mut builder);
-            let outcomes = (self.discover)(ex, &builder, seed, runs);
+            let outcomes = (self.discover)(&builder, seed, runs);
             let r = Runs { label, builder: &builder, outcomes: &outcomes };
             let cells: Vec<Vec<Cell>> = self.columns.iter().map(|c| (c.2)(&r)).collect();
             let n = cells.iter().map(Vec::len).find(|&n| n != 1).unwrap_or(1);
@@ -193,7 +191,7 @@ pub fn sweeps() -> Vec<Sweep> {
         ]),
         Sweep {
             // Back-to-back discoveries on one deployment per point.
-            discover: |_, builder, seed, runs| ScenarioBuilder { seed, ..builder.clone() }.build().run_discovery(runs),
+            discover: |builder, seed, runs| ScenarioBuilder { seed, ..builder.clone() }.build().run_discovery(runs),
             ..sweep("ablation-topology", "Ablation: overlay shapes (10 brokers)", ten_brokers, 20, &[
                 ("unconnected", |b| b.kind = Unconnected),
                 ("star", |b| b.kind = Star),
@@ -320,7 +318,7 @@ mod tests {
     #[test]
     fn a_single_cell_fills_every_row_of_its_point_and_the_title_gets_runs_and_seed() {
         let sweep = Sweep {
-            discover: |_, _, _, _| Vec::new(),
+            discover: |_, _, _| Vec::new(),
             ..sweep("rows", "Rows (star topology)", ScenarioBuilder::new(TopologyKind::Star, BLOOMINGTON, 0), 2, &[
                 ("two", |_| {}),
                 ("none", |_| {}),
@@ -329,7 +327,7 @@ mod tests {
                 ("row", 0, |r| if r.label == "two" { vec![1u64.into(), 2u64.into()] } else { Vec::new() }),
             ])
         };
-        let table = sweep.run(ParallelExecutor::serial(), 7, 5);
+        let table = sweep.run(7, 5);
         assert_eq!(table.to_csv(), "point,row\ntwo,1\ntwo,2\n");
         assert!(table.to_string().starts_with("=== Rows (star topology, 2 runs, seed 7) ===\n"));
     }

@@ -12,8 +12,9 @@ use nb_bench::campaign::{run_campaign, CampaignReport};
 use nb_bench::chaos::{describe_testbed, scenario, scripted_plan, ScenarioStats, N_BROKERS, N_ENTITIES};
 use nb_util::{fnv1a64_step, FNV_OFFSET};
 
+/// The campaign, each scenario on `workers` engine workers.
 fn campaign(base_seed: u64, scenarios: usize, workers: usize) -> CampaignReport<ScenarioStats> {
-    run_campaign(base_seed, scenarios, workers, scenario)
+    run_campaign(base_seed, scenarios, |seed, i| scenario(seed, i, workers))
 }
 
 #[test]
@@ -102,9 +103,14 @@ fn chaos_smoke_three_fixed_seeds() {
 /// once more (`0x95c2_dd96_6c3f_17a0` until then): `Sim` gives each node
 /// its own RNG stream, connections and event keys, as the LP engine does
 /// (DESIGN.md §8) — every draw moves, and every invariant still passes.
+/// And once more (`0x3539_6086_5ae9_4925` until then): each row's stats
+/// end in its engine's `digest` and `events` (DESIGN.md §9) — those two
+/// fields were added, and no other byte moved.
+const PINNED_FNV1A64: u64 = 0x5897_33bf_fe06_4d5c;
+
+/// The pin above, at one engine worker.
 #[test]
 fn campaign_report_unchanged_by_ordered_state() {
-    const PINNED_FNV1A64: u64 = 0x3539_6086_5ae9_4925;
     let json = campaign(11, 3, 1).to_json();
     let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());
     assert_eq!(
@@ -113,13 +119,12 @@ fn campaign_report_unchanged_by_ordered_state() {
     );
 }
 
-/// The same pin, now also held at 1 and 4 campaign workers: scenarios
-/// shard across threads but merge in scenario order, so the report —
-/// and therefore its digest — must not move a byte when the campaign
-/// runs scenario-parallel.
+/// The same pin, held with every scenario's engine at 1 and at 4
+/// workers: each row carries its engine's digest and event count, so a
+/// run whose 4-worker schedule departs from its 1-worker one moves the
+/// report even where no invariant or counter does.
 #[test]
 fn campaign_report_pinned_at_one_and_four_workers() {
-    const PINNED_FNV1A64: u64 = 0x3539_6086_5ae9_4925;
     for workers in [1, 4] {
         let json = campaign(11, 3, workers).to_json();
         let h = fnv1a64_step(FNV_OFFSET, json.as_bytes());

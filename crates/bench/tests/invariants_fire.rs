@@ -376,8 +376,8 @@ impl Actor for Dropping {
 #[test]
 fn no_failovers_fails_a_tier_where_one_broker_drops_each_client_once() {
     let spec = TierSpec { name: "dropping", kind: TopologyKind::Star, brokers: 4, entities: 40 };
-    // A tier's entities ping their broker every 60 s, so three misses
-    // outlast the run; at 1 s they fit in its steady state.
+    // A tier's entities ping their broker every 5 s, so three misses
+    // take 15 s; at 1 s they fit well inside the run's steady state.
     let describe = || {
         let (mut tier, digest) = describe_tier(&spec, 2005);
         for &e in &tier.entities {

@@ -1,11 +1,11 @@
-//! The worker pools are quiescent when their runs return.
+//! The engine's worker pool is quiescent when its run returns.
 //!
 //! `repro scale`'s heap column is the difference of two `live_bytes()`
 //! readings taken on the main thread; a worker of an earlier 4-worker
-//! run that is still exiting, freeing its thread-locals, moves it. Both
-//! pools — `ParallelExecutor::run` and `ShardedSim`'s epoch workers —
-//! must therefore have joined their threads, thread-local destructors
-//! included, before they return. The thread-local here sleeps before
+//! run that is still exiting, freeing its thread-locals, moves it.
+//! `ShardedSim`'s epoch workers, the one pool in the tree, must
+//! therefore have joined their threads, thread-local destructors
+//! included, before a run returns. The thread-local here sleeps before
 //! freeing its buffer, so a pool that returns early is caught freeing
 //! it between two readings. This binary counts with its own
 //! `#[global_allocator]` and must stay one test: a sibling test would
@@ -15,7 +15,6 @@ use std::cell::RefCell;
 use std::time::Duration;
 
 use nb_bench::alloc::{live_bytes, CountingAlloc};
-use nb_bench::parallel::ParallelExecutor;
 use nb_net::{impl_actor_any, Actor, Context, Incoming, RealmId, ShardedSim};
 
 #[global_allocator]
@@ -56,27 +55,16 @@ impl Actor for Toucher {
     impl_actor_any!();
 }
 
-/// Fails if the heap moves in the 100 ms after a pool returned.
-fn assert_quiescent(pool: &str) {
-    let after_run = live_bytes();
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(live_bytes(), after_run, "{pool}: a worker freed heap after the run returned");
-}
-
 #[test]
 fn worker_pools_join_their_threads_before_returning() {
-    let out = ParallelExecutor::with_workers(4).run(16, |i| {
-        touch_ballast();
-        i
-    });
-    assert_eq!(out, (0..16).collect::<Vec<_>>());
-    assert_quiescent("ParallelExecutor::run");
-
     let mut sim = ShardedSim::new(7);
     for i in 0..8 {
         sim.add_node(&format!("n{i}"), RealmId(0), Box::new(Toucher));
     }
     sim.set_workers(4);
     sim.run_for(Duration::from_millis(50));
-    assert_quiescent("ShardedSim::run_for");
+    // The heap must not move in the 100 ms after the run returned.
+    let after_run = live_bytes();
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(live_bytes(), after_run, "a worker freed heap after `run_for` returned");
 }

@@ -74,24 +74,6 @@ fn usage_errors_exit_two() {
     assert_eq!(std::fs::read_dir(&dir).expect("scratch dir").count(), 0);
 }
 
-/// `--workers` sets how many threads the figures' runs shard across,
-/// never what they print: a one-row-per-point figure, and an ablation
-/// whose points yield a row per winning site.
-#[test]
-fn figures_print_the_same_bytes_at_any_worker_count() {
-    let dir = scratch("repro_cli_workers");
-    for (cmd, runs, title) in [("fig3", "12", "Figure 3"), ("ablation-weights", "4", "4 runs, seed 2005")] {
-        let print = |workers: &str| {
-            let out = repro(&dir, &[cmd, "--runs", runs, "--workers", workers]);
-            assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-            out.stdout
-        };
-        let serial = print("1");
-        assert!(String::from_utf8_lossy(&serial).contains(title), "{cmd}");
-        assert_eq!(serial, print("3"), "{cmd}");
-    }
-}
-
 #[test]
 fn chaos_writes_exactly_the_out_path() {
     let dir = scratch("repro_cli_chaos");
